@@ -62,10 +62,6 @@ type Options struct {
 	// scattered over the three sites with 2-way replication (0 or 1 =
 	// the standard single-site table).
 	RasterPartitions int
-	// PlacementSearch selects the optimizer's cut-search mode: ranked
-	// whole-plan DAG cuts (the default) or the legacy greedy
-	// per-operator policy (the BENCH_cut baseline).
-	PlacementSearch mocha.CutSearch
 }
 
 // NewEnv builds the three-site benchmark deployment: site1 holds
@@ -82,7 +78,6 @@ func NewEnv(opts Options) (*Env, error) {
 	cfg := sequoia.Scaled(opts.Scale)
 	cluster, err := mocha.NewCluster(mocha.ClusterConfig{
 		Shaper:              shaper,
-		Search:              opts.PlacementSearch,
 		DisableDAPCodeCache: opts.DisableDAPCodeCache,
 		Exec:                opts.Exec,
 		MaxConcurrent:       opts.MaxConcurrent,

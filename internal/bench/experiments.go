@@ -20,13 +20,12 @@ const (
 	ExpAblationVRF   = "ablation-vrf"
 	ExpAblationCache = "ablation-codecache"
 	ExpExecOverlap   = "exec-overlap"
-	ExpCut           = "cut"
 )
 
 // AllExperiments lists every experiment in presentation order.
 var AllExperiments = []string{
 	ExpTable1, ExpTable2, ExpFig9a, ExpFig9b, ExpFig10a, ExpFig10b,
-	ExpFig11, ExpAblationVRF, ExpAblationCache, ExpExecOverlap, ExpCut,
+	ExpFig11, ExpAblationVRF, ExpAblationCache, ExpExecOverlap,
 }
 
 // RunExperiment dispatches by identifier.
@@ -66,9 +65,6 @@ func (e *Env) RunExperiment(id string) ([]Table, error) {
 		return []Table{t}, err
 	case ExpExecOverlap:
 		t, err := e.ExecOverlap()
-		return []Table{t}, err
-	case ExpCut:
-		t, err := e.CutComparison()
 		return []Table{t}, err
 	}
 	return nil, fmt.Errorf("bench: unknown experiment %q", id)
@@ -319,70 +315,6 @@ func (e *Env) ExecOverlap() (Table, error) {
 			"speedup", "", fmt.Sprintf("%.2fx", totals[0]/totals[1]),
 			"", "", "", "", "",
 		})
-	}
-	return t, nil
-}
-
-// CutComparison runs the composed-operator workload under the ranked
-// whole-plan DAG-cut planner and the legacy greedy per-operator policy.
-// Both plan the same queries under the automatic strategy; the ranked
-// search enumerates whole-DAG cuts (including mid-expression splits of
-// composed calls like Q5's Diff over two AvgEnergy legs) and must never
-// transfer more bytes than the per-operator baseline.
-func (e *Env) CutComparison() (Table, error) {
-	t := Table{
-		Title:  "Experiment: whole-plan DAG cut vs per-operator placement",
-		Note:   "composed-operator workload, automatic strategy; dag-cut CVDT must never exceed per-op",
-		Header: []string{"query", "search", "total ms", "net ms", "CVDA", "CVDT", "CVRF", "rows"},
-	}
-	queries := []struct{ label, sql string }{
-		{"Q5", sequoia.Q5},
-		{"Q6", sequoia.Q6},
-		{"composed_proj", `SELECT time, Diff(AvgEnergy(image), 0.0) FROM Rasters`},
-		{"composed_pred", `SELECT name FROM Graphs
-WHERE NumVertices(graph) + TotalLength(graph) < 100000`},
-	}
-	modes := []struct {
-		label  string
-		search mocha.CutSearch
-	}{
-		{"dag-cut", mocha.CutSearchRanked},
-		{"per-op", mocha.CutSearchGreedy},
-	}
-	cvdt := map[string]map[string]int64{}
-	for _, mode := range modes {
-		opts := e.opts
-		opts.PlacementSearch = mode.search
-		env2, err := NewEnv(opts)
-		if err != nil {
-			return t, err
-		}
-		for _, q := range queries {
-			m, err := env2.Run(q.sql, mocha.StrategyAuto)
-			if err != nil {
-				env2.Close()
-				return t, fmt.Errorf("%s under %s: %w", q.label, mode.label, err)
-			}
-			m.Label = q.label + "/" + mode.label
-			e.record = append(e.record, m)
-			if cvdt[q.label] == nil {
-				cvdt[q.label] = map[string]int64{}
-			}
-			cvdt[q.label][mode.label] = m.Stats.CVDT
-			s := m.Stats
-			t.Rows = append(t.Rows, []string{
-				q.label, mode.label, ms(s.TotalMS), ms(s.NetMS),
-				bytesOf(s.CVDA), bytesOf(s.CVDT), ratio(s.CVRF()),
-				fmt.Sprintf("%d", m.Rows),
-			})
-		}
-		env2.Close()
-	}
-	for _, q := range queries {
-		if cvdt[q.label]["dag-cut"] > cvdt[q.label]["per-op"] {
-			return t, fmt.Errorf("bench: %s: dag-cut CVDT %d exceeds per-op %d",
-				q.label, cvdt[q.label]["dag-cut"], cvdt[q.label]["per-op"])
-		}
 	}
 	return t, nil
 }

@@ -178,15 +178,25 @@ func (r *Repository) SaveDir(dir string) error {
 	return os.WriteFile(filepath.Join(dir, manifestFile), data, 0o644)
 }
 
-// LoadDir restores a repository directory. A directory with a
-// manifest.xml is loaded as a full release history (every blob decoded,
-// re-verified, and digest-checked against the manifest — tampering with
-// either file is an error); a bare directory of .mvmc files is the
-// legacy layout and each file is published as a fresh release.
+// LoadDir restores a repository directory from its manifest.xml: the
+// full release history, every blob decoded, re-verified, and
+// digest-checked against the manifest — tampering with either file is
+// an error. An existing directory holding neither a manifest nor blobs
+// is a clean start; blobs without the manifest that vouches for them
+// are refused.
 func (r *Repository) LoadDir(dir string) error {
 	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if os.IsNotExist(err) {
-		return r.loadLegacyDir(dir)
+		blobs, err := filepath.Glob(filepath.Join(dir, "*.mvmc"))
+		if err != nil {
+			return err
+		}
+		if len(blobs) > 0 {
+			return fmt.Errorf("catalog: %s holds %d .mvmc file(s) but no %s; unmanifested blobs are not loaded",
+				dir, len(blobs), manifestFile)
+		}
+		_, err = os.Stat(dir)
+		return err
 	}
 	if err != nil {
 		return err
@@ -258,32 +268,6 @@ func (r *Repository) LoadDir(dir string) error {
 		r.mu.Lock()
 		r.classes[strings.ToLower(mc.Name)] = h
 		r.mu.Unlock()
-	}
-	return nil
-}
-
-// loadLegacyDir publishes every bare .mvmc file in dir (the pre-release
-// on-disk layout, one blob per class, no manifest).
-func (r *Repository) loadLegacyDir(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".mvmc") {
-			continue
-		}
-		blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return err
-		}
-		p, err := vm.Decode(blob)
-		if err != nil {
-			return fmt.Errorf("catalog: class file %s: %w", e.Name(), err)
-		}
-		if _, err := r.PutProgram(p); err != nil {
-			return fmt.Errorf("catalog: class file %s: %w", e.Name(), err)
-		}
 	}
 	return nil
 }

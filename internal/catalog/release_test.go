@@ -261,28 +261,33 @@ func TestQuickPublishResolve(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyDir: a pre-release classes directory (bare .mvmc blobs,
-// no manifest) still loads — each blob is published as a release.
-func TestLoadLegacyDir(t *testing.T) {
-	p := prog(t, "Legacy", "1.0", 5)
+// TestLoadDirWithoutManifest: an existing directory with neither a
+// manifest nor blobs is a clean start; blobs without the manifest that
+// vouches for them are refused by an error naming the missing file; a
+// directory that does not exist is an error.
+func TestLoadDirWithoutManifest(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "Legacy.mvmc"), p.Encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	repo := NewRepository()
 	if err := repo.LoadDir(dir); err != nil {
+		t.Fatalf("empty directory refused: %v", err)
+	}
+	if names := repo.Names(); len(names) != 0 {
+		t.Errorf("empty directory published %v", names)
+	}
+	if err := NewRepository().LoadDir(filepath.Join(dir, "missing")); err == nil {
+		t.Error("nonexistent directory accepted")
+	}
+
+	p := prog(t, "Bare", "1.0", 5)
+	if err := os.WriteFile(filepath.Join(dir, "Bare.mvmc"), p.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cls, ok := repo.Get("Legacy")
-	if !ok || cls.Checksum != p.Checksum() {
-		t.Fatalf("legacy class not published: %+v", cls)
+	err := repo.LoadDir(dir)
+	if err == nil || !strings.Contains(err.Error(), manifestFile) {
+		t.Fatalf("bare blob directory: err = %v, want one naming %s", err, manifestFile)
 	}
-	// A corrupt legacy blob refuses the load.
-	if err := os.WriteFile(filepath.Join(dir, "Junk.mvmc"), []byte("not bytecode"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewRepository().LoadDir(dir); err == nil {
-		t.Error("corrupt legacy blob accepted")
+	if _, ok := repo.Get("Bare"); ok {
+		t.Error("unmanifested blob was published")
 	}
 }
 

@@ -66,17 +66,7 @@ func sequoiaCatalog(t testing.TB) *catalog.Catalog {
 
 func planQuery(t testing.TB, cat *catalog.Catalog, strategy Strategy, sql string) *Plan {
 	t.Helper()
-	sel, err := sqlparser.Parse(sql)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	q, err := Bind(sel, cat)
-	if err != nil {
-		t.Fatalf("bind: %v", err)
-	}
-	opt := NewOptimizer(cat)
-	opt.Strategy = strategy
-	plan, err := opt.Plan(q)
+	plan, err := testPlanner(t, cat, strategy, sql).build()
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -490,28 +480,25 @@ func TestExplainOutput(t *testing.T) {
 
 func TestVRFProperties(t *testing.T) {
 	cat := sequoiaCatalog(t)
-	tbl, _ := cat.Table("Rasters")
-	reg := cat.Ops()
-	schema := tbl.Schema
+	callVRF := func(sql string) float64 {
+		p := testPlanner(t, cat, StrategyAuto, sql)
+		return cutVRF(p, pushed(p.cut.dag, p.cut.dag.calls[0][0]))
+	}
 	// AvgEnergy: 1MB -> 8 bytes: strongly reducing.
-	avg := &PExpr{Kind: ExprCall, Func: "AvgEnergy", Ret: types.KindDouble,
-		Args: []*PExpr{NewCol(3, types.KindRaster)}}
-	p := projectionPlacement(avg, schema, tbl.Stats, reg)
-	if p.VRF >= 0.001 {
-		t.Errorf("AvgEnergy VRF = %g", p.VRF)
+	if vrf := callVRF("SELECT AvgEnergy(image) FROM Rasters"); vrf >= 0.001 {
+		t.Errorf("AvgEnergy VRF = %g", vrf)
 	}
 	// IncrRes: 4x inflation.
-	inc := &PExpr{Kind: ExprCall, Func: "IncrRes", Ret: types.KindRaster,
-		Args: []*PExpr{NewCol(3, types.KindRaster), NewConst(types.Int(2))}}
-	p = projectionPlacement(inc, schema, tbl.Stats, reg)
-	if p.VRF <= 1 {
-		t.Errorf("IncrRes VRF = %g, want > 1", p.VRF)
+	if vrf := callVRF("SELECT IncrRes(image, 2) FROM Rasters"); vrf <= 1 {
+		t.Errorf("IncrRes VRF = %g, want > 1", vrf)
 	}
 	// Predicate VRF vs selectivity: 50% selectivity but tiny shipped
 	// rows over a large argument → VRF ≪ SF.
-	pp := predicatePlacement(avg, "Rasters", 28, 1<<20, cat)
-	if pp.VRF >= 0.01*pp.SF {
-		t.Errorf("predicate VRF %g not far below SF %g", pp.VRF, pp.SF)
+	p := testPlanner(t, cat, StrategyAuto,
+		"SELECT time, band, location FROM Rasters WHERE AvgEnergy(image) < 100")
+	pred := p.cut.dag.preds[0][0]
+	if vrf, sf := cutVRF(p, pushed(p.cut.dag, pred)), p.cut.dag.nodes[pred].sf; vrf >= 0.01*sf {
+		t.Errorf("predicate VRF %g not far below SF %g", vrf, sf)
 	}
 }
 

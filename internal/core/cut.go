@@ -25,63 +25,37 @@ import (
 // own split point (a degraded site collapses to scan-only while its
 // healthy join partner keeps a deep cut).
 
-// CutSearch selects how the planner picks the cut.
-type CutSearch int
-
-// Cut search modes.
-const (
-	// CutSearchRanked enumerates every feasible cut of the query DAG
-	// and keeps the cheapest. This is the default.
-	CutSearchRanked CutSearch = iota
-	// CutSearchGreedy reproduces the legacy per-operator policy — each
-	// operator pushed iff its own VRF < 1, decided bottom-up in
-	// isolation — inside the cut framework. It is the differential
-	// ladder's pre-cut oracle and the per-operator baseline of the
-	// BENCH_cut experiment.
-	CutSearchGreedy
-)
-
-func (s CutSearch) String() string {
-	switch s {
-	case CutSearchRanked:
-		return "ranked"
-	case CutSearchGreedy:
-		return "greedy"
-	}
-	return "unknown"
-}
-
-// maxCutChoices bounds the ranked enumeration per table. Beyond
-// 2^maxCutChoices combinations the search degrades to the greedy
-// policy instead of stalling planning; realistic queries have a
-// handful of choices.
+// maxCutChoices bounds the exhaustive enumeration per table. A table
+// with more free nodes than this has over 2^maxCutChoices cuts; the
+// planner then builds its cut by greedyCut instead of stalling.
+// Realistic queries have a handful of choices.
 const maxCutChoices = 14
 
 // cutNode is one cuttable operator of the query DAG: a single-table
-// predicate or a single-table call subexpression. Every node carries
-// the leaf costing the ranker prices it with — argument and result
-// bytes, selectivity, per-byte CPU cost — and, when the backing class
-// carries one, the verifier's static cost stamp.
+// predicate or a single-table call subexpression. It carries everything
+// price reads about the operator itself: the bytes it consumes and
+// produces, its selectivity, and its CPU cost — the verifier's static
+// stamp when the backing class carries one, the catalog's relative
+// per-byte constant otherwise. A predicate's calls are its kids, each
+// priced as its own node; the predicate's own cost is the comparison,
+// charged only when it contains no call.
 type cutNode struct {
 	pred  bool // predicate node (else call node)
 	table int
 
-	key  string // canonical source-space expression text
+	key  string // canonical source-space expression text (call nodes)
 	expr *PExpr // source-space (sub)expression
 	kids []int  // call nodes nested inside this one (push this ⇒ push kids)
 
 	argBytes int     // source bytes consumed per input tuple
 	resBytes int     // result bytes per input tuple (calls)
 	sf       float64 // selectivity (1 for calls)
-	costPB   float64 // relative per-byte CPU cost
+	costPB   float64 // relative per-byte CPU cost of the node's own operator
 
 	static    vm.CostInfo // verifier stamp of the backing class
 	hasStatic bool
 
 	pinAbove bool // must run at the QPC (no shippable class)
-	pinWhy   string
-
-	seq int // per-table predicate ordinal; -1 for calls
 }
 
 // aggCutNode models the whole-query aggregation when it hangs off a
@@ -89,28 +63,26 @@ type cutNode struct {
 // over a join is pinned above).
 type aggCutNode struct {
 	table    int
-	place    OpPlacement
-	groups   int64
-	keyBytes int
-	resBytes int
-	argBytes int
-	pinAbove bool
-	pinWhy   string
+	funcs    string  // aggregate functions, "+"-joined, for the cut point
+	groups   int64   // estimated output rows
+	keyBytes int     // group-key bytes per output row
+	resBytes int     // aggregate-result bytes per output row
+	argBytes int     // argument bytes consumed per input tuple
+	costPB   float64 // summed relative per-byte CPU cost of the aggregates
+	pinAbove bool    // aggregation over a join, or partial groups spanning shards
 }
 
-// queryDAG is the typed whole-query model the cut search ranks: one
-// scan per table, the cuttable predicate/call nodes, the optional
-// single-table aggregation, and the pinned QPC-side tail (join edges
-// and multi-table expressions), which never moves but is recorded so
-// the model covers the full plan shape.
+// queryDAG is the typed whole-query model the cut search ranks: the
+// cuttable predicate/call nodes of every table and the optional
+// single-table aggregation. Joins, multi-table predicates and the final
+// projection never move, so they are not modelled.
 type queryDAG struct {
-	nodes []*cutNode
-	byKey map[string]int // cutKey -> node index
-	preds [][]int        // per table: predicate nodes, in query order
-	calls [][]int        // per table: call nodes, post-order (kids first)
-	agg   *aggCutNode    // whole-query aggregation, nil when absent
-	joins int            // eq-join edges, always above every cut
-	post  int            // multi-table predicates, always above
+	nodes    []*cutNode
+	byKey    map[string]int // cutKey -> call node index
+	predNode []int          // parallel to BoundQuery.Preds: node index, -1 unless single-table
+	preds    [][]int        // per table: predicate nodes, in query order
+	calls    [][]int        // per table: call nodes, post-order (kids first)
+	agg      *aggCutNode    // whole-query aggregation, nil when absent
 }
 
 func cutKey(ti int, e *PExpr) string { return fmt.Sprintf("%d|%s", ti, e.String()) }
@@ -122,22 +94,44 @@ type cutAssignment struct {
 	pushAgg  bool
 }
 
+// cutPrice is everything anyone needs to know about one table's cut.
+// The search ranks by (NetMS, CPUMS); the winning cut's volumes and
+// times are the table's share of Plan.Est; CVDT is the stream volume
+// join ordering and the semi-join decision read; raw and roots are the
+// shipped row, which is what the emitted fragment's OutSchema carries.
+type cutPrice struct {
+	NetMS float64 // transfer time of CVDT
+	CPUMS float64 // MVM compute below the cut plus native compute above it
+
+	CVDA        int64 // bytes the DAP reads from the source
+	CVDT        int64 // bytes shipped to the QPC
+	CVDTSelOnly int64 // CVDT by selectivity and cardinality alone, at full tuple width
+
+	raw   []int // source columns shipped as they are (group keys under a pushed aggregation), ascending
+	roots []int // call nodes whose results ship as virtual columns, ascending
+	below []int // maximal call subtrees running below the cut: roots plus the calls pushed predicates consume
+}
+
+// cheaper is the rank order: transfer time first, CPU as the
+// tie-breaker. The paper's testbed is network-bound (§4: a 10 Mbps link
+// dwarfs operator compute), so volume decides and CPU only separates
+// cuts that ship the same bytes.
+func (a cutPrice) cheaper(b cutPrice) bool {
+	return a.NetMS < b.NetMS || (a.NetMS == b.NetMS && a.CPUMS < b.CPUMS)
+}
+
 // tableCut is the chosen cut for one table, consumed by the planner's
-// emission pass: every placement decision the legacy code made
-// per-operator is a lookup here.
+// emission pass: every placement decision is a lookup here.
 type tableCut struct {
-	PushPred  []bool          // parallel to the table's predicates in query order
-	PredPlace []OpPlacement   // their leaf costing (parallel)
-	pushCall  map[string]bool // source-space call expression text -> below
-	PushAgg   bool
-	Alts      int     // how many feasible cuts the ranker priced
-	CostMS    float64 // modeled cost of the winning cut
-	Point     string  // human-readable split point for EXPLAIN / plan XML
+	asg   cutAssignment
+	price cutPrice
+	Alts  int    // how many feasible cuts the search priced
+	Point string // human-readable split point for EXPLAIN / plan XML
 }
 
 // Cut is the whole plan's placement: one independent cut per table.
 type Cut struct {
-	Search CutSearch
+	dag    *queryDAG
 	tables []tableCut
 }
 
@@ -148,9 +142,10 @@ type Cut struct {
 func (p *planner) buildDAG() *queryDAG {
 	q := p.q
 	d := &queryDAG{
-		byKey: map[string]int{},
-		preds: make([][]int, len(q.Tables)),
-		calls: make([][]int, len(q.Tables)),
+		byKey:    map[string]int{},
+		predNode: make([]int, len(q.Preds)),
+		preds:    make([][]int, len(q.Tables)),
+		calls:    make([][]int, len(q.Tables)),
 	}
 
 	// addCalls registers the single-table call subtrees of an
@@ -181,8 +176,8 @@ func (p *planner) buildDAG() *queryDAG {
 		if idx, ok := d.byKey[key]; ok {
 			return []int{idx}
 		}
-		n := &cutNode{table: ti, key: key, expr: e, kids: kids, sf: 1, seq: -1}
-		n.argBytes = exprArgBytes(e, p.extSchema(), p.extStats(ti))
+		n := &cutNode{table: ti, key: key, expr: e, kids: kids, sf: 1}
+		n.argBytes = p.exprBytes(e)
 		n.resBytes = callResultBytes(e, p.opt.Cat.Ops(), n.argBytes)
 		if def, ok := p.opt.Cat.Ops().Lookup(e.Func); ok {
 			n.costPB = def.CPUCostPerByte
@@ -192,8 +187,7 @@ func (p *planner) buildDAG() *queryDAG {
 				n.static, n.hasStatic = cls.Cost, true
 			}
 		} else {
-			n.pinAbove = true
-			n.pinWhy = "no shippable class"
+			n.pinAbove = true // no shippable class
 		}
 		idx := len(d.nodes)
 		d.nodes = append(d.nodes, n)
@@ -211,107 +205,99 @@ func (p *planner) buildDAG() *queryDAG {
 		}
 	}
 
-	predSeq := make([]int, len(q.Tables))
-	for _, pred := range q.Preds {
-		switch {
-		case pred.EqJoin:
-			d.joins++
-		case len(pred.Tables) == 1:
-			ti := pred.Tables[0]
-			kids := addCalls(pred.Expr)
-			n := &cutNode{
-				pred: true, table: ti, key: cutKey(ti, pred.Expr), expr: pred.Expr,
-				kids: kids, seq: predSeq[ti],
-			}
-			predSeq[ti]++
-			n.sf = predicateSelectivity(pred.Expr, q.Tables[ti].Def.Name, p.opt.Cat)
-			n.argBytes = exprArgBytes(pred.Expr, p.extSchema(), p.extStats(ti))
-			n.costPB = simplePredCostPerByte
-			if calls := allCalls(pred.Expr); len(calls) > 0 {
-				var sum float64
-				for _, call := range calls {
-					if def, ok := p.opt.Cat.Ops().Lookup(call.Func); ok {
-						sum += def.CPUCostPerByte
-					}
-				}
-				if sum > 0 {
-					n.costPB = sum
-				}
-				if cls, ok := p.opt.Cat.Repo().Get(calls[0].Func); ok && !cls.Cost.IsZero() {
-					n.static, n.hasStatic = cls.Cost, true
-				}
-			}
-			idx := len(d.nodes)
-			d.nodes = append(d.nodes, n)
-			d.preds[ti] = append(d.preds[ti], idx)
-		default:
-			d.post++
-			addCalls(pred.Expr) // single-table subtrees inside stay cuttable
+	for pi, pred := range q.Preds {
+		d.predNode[pi] = -1
+		if pred.EqJoin {
+			continue
 		}
+		kids := addCalls(pred.Expr) // single-table subtrees of multi-table predicates stay cuttable
+		if len(pred.Tables) != 1 {
+			continue
+		}
+		ti := pred.Tables[0]
+		n := &cutNode{pred: true, table: ti, expr: pred.Expr, kids: kids}
+		n.sf = predicateSelectivity(pred.Expr, q.Tables[ti].Def.Name, p.opt.Cat)
+		n.argBytes = p.exprBytes(pred.Expr)
+		if firstCall(pred.Expr) == nil {
+			n.costPB = simplePredCostPerByte
+		}
+		d.predNode[pi] = len(d.nodes)
+		d.preds[ti] = append(d.preds[ti], len(d.nodes))
+		d.nodes = append(d.nodes, n)
 	}
 
 	if q.HasAggregate {
-		if len(q.Tables) != 1 {
-			d.agg = &aggCutNode{table: -1, pinAbove: true, pinWhy: "aggregation over a join"}
-		} else {
-			var aggs []AggSpec
-			for _, it := range q.Items {
-				if it.Agg != nil {
-					aggs = append(aggs, *it.Agg)
-				}
-			}
-			var keyBytes int
-			for _, g := range q.GroupBy {
-				keyBytes += p.cols[g].avgBytes
-			}
-			place := aggregatePlacement(aggs, keyBytes, p.extSchema(), p.extStats(0), p.opt.Model, p.opt.Cat.Ops())
-			rows := p.tableStats(0).RowCount
-			if rows <= 0 {
-				rows = 1
-			}
-			g := p.opt.Model.DefaultGroups
-			if g > rows {
-				g = rows
-			}
-			var resBytes int
-			for _, a := range aggs {
-				var ab int
-				for _, arg := range a.Args {
-					ab += exprArgBytes(arg, p.extSchema(), p.extStats(0))
-				}
-				if def, ok := p.opt.Cat.Ops().Lookup(a.Func); ok {
-					resBytes += def.EstimateResultBytes(ab)
-				} else if w := a.Ret.FixedWireSize(); w > 0 {
-					resBytes += w
-				}
-			}
-			d.agg = &aggCutNode{
-				table: 0, place: place, groups: g,
-				keyBytes: keyBytes, resBytes: resBytes, argBytes: place.ArgBytes,
-			}
-			// A pushed aggregation over a scattered table is complete
-			// per shard only when every group lives in exactly one
-			// shard, i.e. the partition key is a grouping column. Any
-			// other grouping (or a global aggregate) would return one
-			// partial row per shard, so the aggregation is pinned
-			// above the cut to merge at the QPC.
-			if pl := q.Tables[0].Def.Placement; pl != nil && len(pl.Parts) > 1 {
-				keyExt := q.Tables[0].Offset + q.Tables[0].Def.Schema.ColumnIndex(pl.Key)
-				disjoint := false
-				for _, gb := range q.GroupBy {
-					if gb == keyExt {
-						disjoint = true
-						break
-					}
-				}
-				if !disjoint {
-					d.agg.pinAbove = true
-					d.agg.pinWhy = "partial groups span partitions"
-				}
+		d.agg = p.buildAggNode()
+	}
+	return d
+}
+
+// buildAggNode models the whole-query aggregation.
+func (p *planner) buildAggNode() *aggCutNode {
+	q := p.q
+	if len(q.Tables) != 1 {
+		return &aggCutNode{table: -1, pinAbove: true} // aggregation over a join
+	}
+	a := &aggCutNode{table: 0, groups: p.opt.Model.DefaultGroups}
+	if rows := p.tableRows(0); a.groups > rows {
+		a.groups = rows
+	}
+	for _, g := range q.GroupBy {
+		a.keyBytes += p.cols[g].avgBytes
+	}
+	var funcs []string
+	for _, it := range q.Items {
+		if it.Agg == nil {
+			continue
+		}
+		var ab int
+		for _, arg := range it.Agg.Args {
+			ab += p.exprBytes(arg)
+		}
+		a.argBytes += ab
+		if def, ok := p.opt.Cat.Ops().Lookup(it.Agg.Func); ok {
+			a.resBytes += def.EstimateResultBytes(ab)
+			a.costPB += def.CPUCostPerByte
+		} else if w := it.Agg.Ret.FixedWireSize(); w > 0 {
+			a.resBytes += w
+		}
+		funcs = append(funcs, it.Agg.Func)
+	}
+	a.funcs = strings.Join(funcs, "+")
+	// A pushed aggregation over a scattered table is complete per shard
+	// only when every group lives in exactly one shard, i.e. the
+	// partition key is a grouping column. Any other grouping (or a
+	// global aggregate) would return one partial row per shard, so the
+	// aggregation is pinned above the cut to merge at the QPC.
+	if pl := q.Tables[0].Def.Placement; pl != nil && len(pl.Parts) > 1 {
+		keyExt := q.Tables[0].Offset + q.Tables[0].Def.Schema.ColumnIndex(pl.Key)
+		a.pinAbove = true
+		for _, gb := range q.GroupBy {
+			if gb == keyExt {
+				a.pinAbove = false
 			}
 		}
 	}
-	return d
+	return a
+}
+
+// exprBytes is the average source bytes per tuple an expression
+// consumes: the summed average sizes of the distinct columns it reads.
+func (p *planner) exprBytes(e *PExpr) int {
+	var total int
+	for _, col := range e.Columns() {
+		total += p.cols[col].avgBytes
+	}
+	return total
+}
+
+// tableRows is table ti's cardinality for pricing; a table without
+// stats is priced as one row so cuts still compare by row width.
+func (p *planner) tableRows(ti int) int64 {
+	if rows := p.tableStats(ti).RowCount; rows > 0 {
+		return rows
+	}
+	return 1
 }
 
 // buildCut runs the cut search over the query DAG: one independent
@@ -319,7 +305,7 @@ func (p *planner) buildDAG() *queryDAG {
 // strategies and degraded sites have exactly one feasible cut).
 func (p *planner) buildCut() *Cut {
 	d := p.buildDAG()
-	c := &Cut{Search: p.opt.Search, tables: make([]tableCut, len(p.q.Tables))}
+	c := &Cut{dag: d, tables: make([]tableCut, len(p.q.Tables))}
 	for ti := range p.q.Tables {
 		c.tables[ti] = p.cutTable(d, ti)
 	}
@@ -328,10 +314,21 @@ func (p *planner) buildCut() *Cut {
 
 func (c *Cut) table(ti int) *tableCut { return &c.tables[ti] }
 
+// pushedPred returns the node of query predicate pi when the cut runs
+// it below, nil when it stays at the QPC.
+func (c *Cut) pushedPred(pi int) *cutNode {
+	idx := c.dag.predNode[pi]
+	if idx < 0 || !c.tables[c.dag.nodes[idx].table].asg.pushNode[idx] {
+		return nil
+	}
+	return c.dag.nodes[idx]
+}
+
 // pushesCall reports whether the cut runs a source-space call
 // expression of table ti below the cut.
 func (c *Cut) pushesCall(ti int, e *PExpr) bool {
-	return c.tables[ti].pushCall[e.String()]
+	idx, ok := c.dag.byKey[cutKey(ti, e)]
+	return ok && c.tables[ti].asg.pushNode[idx]
 }
 
 // cutTable picks table ti's cut. Pinning rules: degraded sites and
@@ -345,43 +342,51 @@ func (p *planner) cutTable(d *queryDAG, ti int) tableCut {
 	aggHere := d.agg != nil && d.agg.table == ti && !d.agg.pinAbove
 	switch p.strategyFor(ti) {
 	case StrategyDataShip:
-		return p.finishCut(d, ti, cutAssignment{pushNode: make([]bool, len(d.nodes))}, 1)
+		asg := d.scanOnly()
+		return finishCut(d, ti, asg, p.price(d, ti, &asg), 1)
 	case StrategyCodeShip:
-		asg := cutAssignment{pushNode: make([]bool, len(d.nodes))}
-		for _, idx := range d.calls[ti] {
+		asg := d.scanOnly()
+		for _, idx := range append(append([]int{}, d.calls[ti]...), d.preds[ti]...) { // kids first
 			n := d.nodes[idx]
-			asg.pushNode[idx] = !n.pinAbove && kidsPushed(d, &asg, n)
+			asg.pushNode[idx] = !n.pinAbove && kidsPushed(&asg, n)
 		}
-		allPreds := true
-		for _, idx := range d.preds[ti] {
-			n := d.nodes[idx]
-			asg.pushNode[idx] = !n.pinAbove && kidsPushed(d, &asg, n)
-			allPreds = allPreds && asg.pushNode[idx]
-		}
-		asg.pushAgg = aggHere && allPreds && allCallsPushed(d, ti, &asg)
-		return p.finishCut(d, ti, asg, 1)
+		asg.pushAgg = aggHere && feasibleCut(d, ti, &cutAssignment{pushNode: asg.pushNode, pushAgg: true})
+		return finishCut(d, ti, asg, p.price(d, ti, &asg), 1)
 	}
-	free := countFree(d, ti)
+	free := d.freeNodes(ti)
+	nchoice := len(free)
 	if aggHere {
-		free++
+		nchoice++
 	}
-	if p.opt.Search == CutSearchGreedy || free > maxCutChoices {
-		return p.greedyCut(d, ti, aggHere)
+	if nchoice > maxCutChoices {
+		return p.greedyCut(d, ti, free, aggHere)
 	}
-	return p.rankedCut(d, ti, aggHere)
+	return p.rankedCut(d, ti, free, aggHere)
 }
 
-func countFree(d *queryDAG, ti int) int {
-	n := 0
-	for _, idx := range append(append([]int{}, d.preds[ti]...), d.calls[ti]...) {
+func (d *queryDAG) scanOnly() cutAssignment {
+	return cutAssignment{pushNode: make([]bool, len(d.nodes))}
+}
+
+// tableNodes lists table ti's nodes: predicates in query order, then
+// calls bottom-up.
+func (d *queryDAG) tableNodes(ti int) []int {
+	return append(append([]int{}, d.preds[ti]...), d.calls[ti]...)
+}
+
+// freeNodes lists the nodes of table ti the search may place on either
+// side of the cut.
+func (d *queryDAG) freeNodes(ti int) []int {
+	var free []int
+	for _, idx := range d.tableNodes(ti) {
 		if !d.nodes[idx].pinAbove {
-			n++
+			free = append(free, idx)
 		}
 	}
-	return n
+	return free
 }
 
-func kidsPushed(d *queryDAG, asg *cutAssignment, n *cutNode) bool {
+func kidsPushed(asg *cutAssignment, n *cutNode) bool {
 	for _, k := range n.kids {
 		if !asg.pushNode[k] {
 			return false
@@ -390,160 +395,112 @@ func kidsPushed(d *queryDAG, asg *cutAssignment, n *cutNode) bool {
 	return true
 }
 
-func allCallsPushed(d *queryDAG, ti int, asg *cutAssignment) bool {
-	for _, idx := range d.calls[ti] {
-		if !asg.pushNode[idx] {
-			return false
-		}
-	}
-	return true
-}
-
-// rankedCut enumerates every feasible cut of table ti and keeps the
-// cheapest. Cuts are ranked lexicographically: estimated transfer time
-// of the shipped volume (the CVDT term) first, modeled CPU — static
-// stamps below the cut, native execution above — as the tie-breaker.
-// The paper's testbed is network-bound (§4: a 10 Mbps link dwarfs
-// operator compute), so volume decides and CPU only separates cuts
-// that ship the same bytes; this also guarantees the ranked cut never
-// ships more than the greedy per-operator baseline. Ties keep the
-// first in enumeration order (fewest pushed operators), which makes
-// the choice deterministic.
-func (p *planner) rankedCut(d *queryDAG, ti int, aggHere bool) tableCut {
-	var free []int
-	for _, idx := range append(append([]int{}, d.preds[ti]...), d.calls[ti]...) {
-		if !d.nodes[idx].pinAbove {
-			free = append(free, idx)
-		}
-	}
+// rankedCut enumerates every feasible cut of table ti, prices each and
+// keeps the cheapest. Ties keep the first in enumeration order (fewest
+// pushed operators), which makes the choice deterministic.
+func (p *planner) rankedCut(d *queryDAG, ti int, free []int, aggHere bool) tableCut {
 	nchoice := len(free)
 	if aggHere {
 		nchoice++
 	}
 	var best cutAssignment
-	var bestNet, bestCPU float64
+	var bestPrice cutPrice
 	alts := 0
 	for mask := 0; mask < 1<<nchoice; mask++ {
-		asg := cutAssignment{pushNode: make([]bool, len(d.nodes))}
+		asg := d.scanOnly()
 		for i, idx := range free {
 			asg.pushNode[idx] = mask&(1<<i) != 0
 		}
-		if aggHere {
-			asg.pushAgg = mask&(1<<len(free)) != 0
-		}
-		if !p.feasibleCut(d, ti, &asg) {
+		asg.pushAgg = aggHere && mask&(1<<len(free)) != 0
+		if !feasibleCut(d, ti, &asg) {
 			continue
 		}
-		net, cpu := p.cutCost(d, ti, &asg)
-		if alts == 0 || net < bestNet || (net == bestNet && cpu < bestCPU) {
-			best, bestNet, bestCPU = asg, net, cpu
+		pr := p.price(d, ti, &asg)
+		if alts == 0 || pr.cheaper(bestPrice) {
+			best, bestPrice = asg, pr
 		}
 		alts++
 	}
-	tc := p.finishCut(d, ti, best, alts)
-	tc.CostMS = bestNet + bestCPU
-	return tc
+	return finishCut(d, ti, best, bestPrice, alts)
 }
 
-// feasibleCut checks the monotonicity constraints of an assignment: a
-// pushed node needs its nested calls below with it, and a pushed
-// aggregation needs the whole table below the cut.
-func (p *planner) feasibleCut(d *queryDAG, ti int, asg *cutAssignment) bool {
-	for _, idx := range d.calls[ti] {
-		if asg.pushNode[idx] && !kidsPushed(d, asg, d.nodes[idx]) {
-			return false
+// greedyCut is the guard for a table with more than maxCutChoices free
+// nodes, whose cuts cannot be enumerated: one pass over the free nodes
+// — predicates, then calls bottom-up, then the aggregation — moving
+// each below the cut (with the calls nested in it) iff that makes the
+// cut built so far cheaper. It prices at most one cut per node and
+// consults nothing but price.
+func (p *planner) greedyCut(d *queryDAG, ti int, free []int, aggHere bool) tableCut {
+	cur := d.scanOnly()
+	curPrice := p.price(d, ti, &cur)
+	alts := 1
+	try := func(push func(*cutAssignment)) {
+		cand := cutAssignment{pushNode: append([]bool(nil), cur.pushNode...)}
+		push(&cand)
+		if !feasibleCut(d, ti, &cand) {
+			return
+		}
+		alts++
+		if pr := p.price(d, ti, &cand); pr.cheaper(curPrice) {
+			cur, curPrice = cand, pr
 		}
 	}
-	for _, idx := range d.preds[ti] {
-		if asg.pushNode[idx] && !kidsPushed(d, asg, d.nodes[idx]) {
-			return false
+	for _, idx := range free {
+		if cur.pushNode[idx] {
+			continue
 		}
+		try(func(a *cutAssignment) { pushSubtree(d, a, idx) })
 	}
-	if asg.pushAgg {
-		for _, idx := range d.preds[ti] {
-			if !asg.pushNode[idx] {
-				return false
+	if aggHere {
+		try(func(a *cutAssignment) {
+			for _, idx := range free {
+				pushSubtree(d, a, idx)
 			}
+			a.pushAgg = true
+		})
+	}
+	return finishCut(d, ti, cur, curPrice, alts)
+}
+
+// pushSubtree moves a node below the cut together with the calls
+// nested inside it.
+func pushSubtree(d *queryDAG, asg *cutAssignment, idx int) {
+	asg.pushNode[idx] = true
+	for _, k := range d.nodes[idx].kids {
+		pushSubtree(d, asg, k)
+	}
+}
+
+// feasibleCut checks the constraints of an assignment: nothing pinned
+// above is pushed, a pushed node has its nested calls below with it,
+// and a pushed aggregation has the whole table below the cut.
+func feasibleCut(d *queryDAG, ti int, asg *cutAssignment) bool {
+	for _, idx := range d.tableNodes(ti) {
+		n := d.nodes[idx]
+		if asg.pushNode[idx] && (n.pinAbove || !kidsPushed(asg, n)) {
+			return false
 		}
-		if !allCallsPushed(d, ti, asg) {
+		if asg.pushAgg && !asg.pushNode[idx] {
 			return false
 		}
 	}
 	return true
 }
 
-// neededAbove computes what the QPC still needs from table ti under an
-// assignment: the raw source columns referenced above the cut and the
-// shipped call roots (maximal pushed call subtrees the QPC reads as
-// virtual columns).
-func (p *planner) neededAbove(d *queryDAG, ti int, asg *cutAssignment) (raw map[int]bool, roots []int) {
-	raw = map[int]bool{}
-	rootSet := map[int]bool{}
-	var scan func(e *PExpr)
-	scan = func(e *PExpr) {
-		if e == nil {
-			return
-		}
-		if e.Kind == ExprCall && p.exprTable(e) == ti {
-			if idx, ok := d.byKey[cutKey(ti, e)]; ok && asg.pushNode[idx] {
-				rootSet[idx] = true
-				return
-			}
-		}
-		if e.Kind == ExprCol && p.cols[e.Col].table == ti {
-			raw[e.Col] = true
-		}
-		for _, a := range e.Args {
-			scan(a)
-		}
+// nodeMS is the modeled CPU time of running node n's own operator over
+// rows input tuples: in the MVM below the cut — from the verifier's
+// static stamp when the class carries one, the catalog's per-byte
+// constant otherwise — or natively at the QPC above it.
+func (m CostModel) nodeMS(n *cutNode, rows int64, below bool) float64 {
+	if below && n.hasStatic {
+		return m.CompMSStatic(rows, int64(n.argBytes), n.static)
 	}
-	for _, it := range p.q.Items {
-		scan(it.Expr)
-		if it.Agg != nil && !asg.pushAgg {
-			for _, a := range it.Agg.Args {
-				scan(a)
-			}
-		}
-	}
-	for _, pred := range p.q.Preds {
-		switch {
-		case pred.EqJoin:
-			if p.cols[pred.LCol].table == ti {
-				raw[pred.LCol] = true
-			}
-			if p.cols[pred.RCol].table == ti {
-				raw[pred.RCol] = true
-			}
-		case len(pred.Tables) == 1:
-			if pred.Tables[0] != ti {
-				continue
-			}
-			if idx, ok := d.byKey[cutKey(ti, pred.Expr)]; ok && asg.pushNode[idx] {
-				continue // evaluated below the cut
-			}
-			scan(pred.Expr)
-		default:
-			scan(pred.Expr)
-		}
-	}
-	if !asg.pushAgg {
-		for _, g := range p.q.GroupBy {
-			if p.cols[g].table == ti {
-				raw[g] = true
-			}
-		}
-	}
-	roots = make([]int, 0, len(rootSet))
-	for idx := range rootSet {
-		roots = append(roots, idx)
-	}
-	sort.Ints(roots)
-	return raw, roots
+	return m.CompMS(rows*int64(n.argBytes), n.costPB, below)
 }
 
-// callClosure returns the shipped roots plus every call nested below
-// them — each executes at the DAP once per scanned row.
-func callClosure(d *queryDAG, roots []int) []int {
+// callClosure returns the given call nodes plus every call nested
+// below them, ascending — each executes once per input row.
+func (d *queryDAG) callClosure(roots []int) []int {
 	seen := map[int]bool{}
 	var visit func(int)
 	visit = func(idx int) {
@@ -558,243 +515,203 @@ func callClosure(d *queryDAG, roots []int) []int {
 	for _, r := range roots {
 		visit(r)
 	}
-	out := make([]int, 0, len(seen))
-	for idx := range seen {
-		out = append(out, idx)
+	return sortedKeys(seen)
+}
+
+func sortedKeys(set map[int]bool) []int {
+	out := make([]int, 0, len(set))
+	for k := range set {
+		out = append(out, k)
 	}
 	sort.Ints(out)
 	return out
 }
 
-// cutCost prices one feasible cut and returns its two rank components:
-// net is the CVDT transfer time of everything shipped above the cut;
-// cpu is the modeled compute — MVM below the cut (verifier static
-// stamps when the class carries one, the catalog's per-byte constant
-// otherwise), native QPC execution for the table's operators left
-// above.
-func (p *planner) cutCost(d *queryDAG, ti int, asg *cutAssignment) (net, cpu float64) {
-	stats := p.tableStats(ti)
-	rows := stats.RowCount
-	if rows <= 0 {
-		rows = 1
+// predRank is the predicate ordering metric rank(p) = (SF−1)/cost from
+// [HS93]: cheap, highly selective predicates run first. Cost is what
+// price charges for evaluating the predicate below the cut on one
+// tuple — the predicate's own comparison plus every call inside it.
+func (p *planner) predRank(d *queryDAG, n *cutNode) float64 {
+	cost := p.opt.Model.nodeMS(n, 1, true)
+	for _, idx := range d.callClosure(n.kids) {
+		cost += p.opt.Model.nodeMS(d.nodes[idx], 1, true)
 	}
-	model := p.opt.Model
+	if cost <= 0 {
+		cost = 1e-9
+	}
+	return (n.sf - 1) / cost
+}
 
-	// Below-cut predicates run in the MVM over every scanned row.
-	sf := 1.0
-	for _, idx := range d.preds[ti] {
-		n := d.nodes[idx]
-		if !asg.pushNode[idx] {
+// price is the one cost function (section 4: Cost = CompCost +
+// NetworkCost). It prices one cut of table ti — every byte and every
+// millisecond the optimizer reports or decides by comes from here.
+//
+// What ships is what the QPC still reads: the raw columns and pushed
+// call results referenced by the select list, by predicates left above
+// the cut, by join keys and by a QPC-side aggregation. A predicate
+// below the cut ships nothing of its own — its argument columns and
+// the results of calls nested in it are consumed at the DAP.
+func (p *planner) price(d *queryDAG, ti int, asg *cutAssignment) cutPrice {
+	model := p.opt.Model
+	rows := p.tableRows(ti)
+
+	raw, roots, below := map[int]bool{}, map[int]bool{}, map[int]bool{}
+	read := map[int]bool{} // every source column the DAP extracts
+	needCol := func(col int, ship bool) {
+		if p.cols[col].table == ti {
+			read[col] = true
+			if ship {
+				raw[col] = true
+			}
+		}
+	}
+	// scan walks an expression evaluated at the QPC (ship) or inside a
+	// pushed predicate (!ship), stopping at pushed call subtrees.
+	var scan func(e *PExpr, ship bool)
+	scan = func(e *PExpr, ship bool) {
+		if e == nil {
+			return
+		}
+		if e.Kind == ExprCall {
+			if idx, ok := d.byKey[cutKey(ti, e)]; ok && asg.pushNode[idx] {
+				below[idx] = true
+				if ship {
+					roots[idx] = true
+				}
+				return
+			}
+		}
+		if e.Kind == ExprCol {
+			needCol(e.Col, ship)
+		}
+		for _, a := range e.Args {
+			scan(a, ship)
+		}
+	}
+	for _, it := range p.q.Items {
+		scan(it.Expr, true)
+		if it.Agg == nil {
 			continue
 		}
-		sf *= n.sf
-		if n.hasStatic {
-			cpu += model.CompMSStatic(rows, int64(n.argBytes), n.static)
-		} else {
-			cpu += model.CompMS(rows*int64(n.argBytes), n.costPB, true)
+		for _, a := range it.Agg.Args {
+			if !asg.pushAgg {
+				scan(a, true)
+				continue
+			}
+			for _, col := range a.Columns() {
+				needCol(col, false)
+			}
 		}
 	}
+	sf := 1.0
+	for pi, pred := range p.q.Preds {
+		switch idx := d.predNode[pi]; {
+		case pred.EqJoin:
+			needCol(pred.LCol, true)
+			needCol(pred.RCol, true)
+		case idx >= 0 && asg.pushNode[idx] && pred.Tables[0] == ti:
+			sf *= d.nodes[idx].sf
+			scan(pred.Expr, false)
+		default:
+			scan(pred.Expr, true)
+		}
+	}
+	for _, g := range p.q.GroupBy {
+		needCol(g, true)
+	}
 
-	if asg.pushAgg && d.agg != nil {
+	var pr cutPrice
+	pr.roots = sortedKeys(roots)
+	pr.below = sortedKeys(below)
+
+	// Below the cut: every call subtree the DAP runs, once per scanned
+	// row, and the pushed predicates' own comparisons.
+	run := d.callClosure(pr.below)
+	if asg.pushAgg {
+		run = d.calls[ti] // feasibility put the whole table below
+	}
+	for _, idx := range run {
+		n := d.nodes[idx]
+		pr.CPUMS += model.nodeMS(n, rows, true)
+		for _, col := range n.expr.Columns() {
+			read[col] = true
+		}
+	}
+	for _, idx := range d.preds[ti] {
+		if asg.pushNode[idx] {
+			pr.CPUMS += model.nodeMS(d.nodes[idx], rows, true)
+		}
+	}
+	if len(read) == 0 {
+		read[p.q.Tables[ti].Offset] = true // a fragment extracts at least one column to carry cardinality
+	}
+	for col := range read {
+		pr.CVDA += rows * int64(p.cols[col].avgBytes)
+	}
+	pr.CVDTSelOnly = int64(sf * float64(rows) * float64(p.tableStats(ti).AvgTupleBytes()))
+
+	if asg.pushAgg {
 		// The fragment collapses the table to its group rows: volume is
 		// G×(key+result); the aggregation itself runs in the MVM.
 		a := d.agg
-		for _, idx := range d.calls[ti] {
-			n := d.nodes[idx]
-			if n.hasStatic {
-				cpu += model.CompMSStatic(rows, int64(n.argBytes), n.static)
-			} else {
-				cpu += model.CompMS(rows*int64(n.argBytes), n.costPB, true)
-			}
-		}
-		cpu += model.CompMS(rows*int64(a.argBytes), a.place.CompCostPerByte, true)
-		net = model.NetworkMS(a.groups * int64(a.keyBytes+a.resBytes))
-		return net, cpu
+		pr.raw = append([]int(nil), p.q.GroupBy...)
+		sort.Ints(pr.raw)
+		pr.roots = nil
+		pr.CPUMS += model.CompMS(rows*int64(a.argBytes), a.costPB, true)
+		pr.CVDT = a.groups * int64(a.keyBytes+a.resBytes)
+		pr.NetMS = model.NetworkMS(pr.CVDT)
+		return pr
 	}
 
 	// Shipped volume: rows surviving the pushed predicates times the
-	// row the QPC still needs — raw columns plus shipped call results.
-	raw, roots := p.neededAbove(d, ti, asg)
+	// row the QPC still needs.
+	pr.raw = sortedKeys(raw)
 	var rowBytes int64
-	for col := range raw {
+	for _, col := range pr.raw {
 		rowBytes += int64(p.cols[col].avgBytes)
 	}
-	for _, idx := range roots {
+	for _, idx := range pr.roots {
 		rowBytes += int64(d.nodes[idx].resBytes)
 	}
 	shippedRows := sf * float64(rows)
-	net = model.NetworkMS(int64(shippedRows * float64(rowBytes)))
+	pr.CVDT = int64(shippedRows * float64(rowBytes))
+	pr.NetMS = model.NetworkMS(pr.CVDT)
 
-	// Below-cut calls: the closure of the shipped roots executes in the
-	// MVM per scanned row. Calls inside pushed predicates are already
-	// priced through the predicate's cost above.
-	for _, idx := range callClosure(d, roots) {
-		n := d.nodes[idx]
-		if n.hasStatic {
-			cpu += model.CompMSStatic(rows, int64(n.argBytes), n.static)
-		} else {
-			cpu += model.CompMS(rows*int64(n.argBytes), n.costPB, true)
+	// Above the cut: the table's remaining calls and predicates, and a
+	// QPC-side aggregation, run natively over the shipped rows.
+	for _, idx := range d.tableNodes(ti) {
+		if !asg.pushNode[idx] {
+			pr.CPUMS += model.nodeMS(d.nodes[idx], int64(shippedRows), false)
 		}
 	}
-
-	// Above-cut: the table's remaining calls and predicates run
-	// natively at the QPC over the shipped rows.
-	for _, idx := range d.calls[ti] {
-		n := d.nodes[idx]
-		if asg.pushNode[idx] {
-			continue
-		}
-		cpu += model.CompMS(int64(shippedRows)*int64(n.argBytes), n.costPB, false)
+	if a := d.agg; a != nil && a.table == ti {
+		pr.CPUMS += model.CompMS(int64(shippedRows)*int64(a.argBytes), a.costPB, false)
 	}
-	for _, idx := range d.preds[ti] {
-		n := d.nodes[idx]
-		if asg.pushNode[idx] {
-			continue
-		}
-		cpu += model.CompMS(int64(shippedRows)*int64(n.argBytes), n.costPB, false)
-	}
-	if d.agg != nil && d.agg.table == ti && !asg.pushAgg {
-		cpu += model.CompMS(int64(shippedRows)*int64(d.agg.argBytes), d.agg.place.CompCostPerByte, false)
-	}
-	return net, cpu
+	return pr
 }
 
-// greedyCut reproduces the legacy per-operator policy: aggregation by
-// its VRF, calls bottom-up by their own subtree VRF, then predicates
-// by VRF over the row the QPC would otherwise need. Used for
-// CutSearchGreedy and as the fallback when the ranked search space
-// exceeds maxCutChoices.
-func (p *planner) greedyCut(d *queryDAG, ti int, aggHere bool) tableCut {
-	asg := cutAssignment{pushNode: make([]bool, len(d.nodes))}
-	if aggHere {
-		asg.pushAgg = d.agg.place.VRF < 1
-	}
-	// Calls bottom-up: a pushed parent carries its subtree below.
-	for _, idx := range d.calls[ti] {
-		n := d.nodes[idx]
-		if n.pinAbove {
-			continue
-		}
-		if n.argBytes > 0 && float64(n.resBytes)/float64(n.argBytes) < 1 {
-			asg.pushNode[idx] = true
-		}
-	}
-	for i := len(d.calls[ti]) - 1; i >= 0; i-- {
-		idx := d.calls[ti][i]
-		if asg.pushNode[idx] {
-			pushSubtree(d, &asg, idx)
-		}
-	}
-	// Predicates: VRF over the row shipped under the call/agg decisions
-	// (predicates themselves assumed below, as the legacy planner saw
-	// them before any was kept).
-	probe := asg
-	probe.pushNode = append([]bool(nil), asg.pushNode...)
-	for _, idx := range d.preds[ti] {
-		probe.pushNode[idx] = true
-	}
-	raw, roots := p.neededAbove(d, ti, &probe)
-	var outBytes int
-	for col := range raw {
-		outBytes += p.cols[col].avgBytes
-	}
-	for _, idx := range roots {
-		outBytes += d.nodes[idx].resBytes
-	}
-	for _, idx := range d.preds[ti] {
-		n := d.nodes[idx]
-		if n.pinAbove || !kidsPushable(d, n) {
-			continue
-		}
-		var argOnly int
-		for _, col := range n.expr.Columns() {
-			if !raw[col] && p.cols[col].table == ti {
-				argOnly += p.cols[col].avgBytes
-			}
-		}
-		place := predicatePlacement(n.expr, p.q.Tables[ti].Def.Name, outBytes, argOnly, p.opt.Cat)
-		if place.VRF < 1 {
-			asg.pushNode[idx] = true
-			pushSubtree(d, &asg, idx)
-		}
-	}
-	if asg.pushAgg && !p.feasibleCut(d, ti, &asg) {
-		// The legacy coupling: a pushed aggregation with anything of
-		// the table left above is unplannable; keep the aggregation at
-		// the QPC instead.
-		asg.pushAgg = false
-	}
-	return p.finishCut(d, ti, asg, 1)
-}
-
-func pushSubtree(d *queryDAG, asg *cutAssignment, idx int) {
-	for _, k := range d.nodes[idx].kids {
-		asg.pushNode[k] = true
-		pushSubtree(d, asg, k)
-	}
-}
-
-func kidsPushable(d *queryDAG, n *cutNode) bool {
-	for _, k := range n.kids {
-		kn := d.nodes[k]
-		if kn.pinAbove || !kidsPushable(d, kn) {
-			return false
-		}
-	}
-	return true
-}
-
-// finishCut converts the winning assignment into the planner-facing
-// tableCut: per-predicate decisions with their leaf costing over the
-// final shipped row, the pushed-call set, and the EXPLAIN split point.
-func (p *planner) finishCut(d *queryDAG, ti int, asg cutAssignment, alts int) tableCut {
-	tc := tableCut{pushCall: map[string]bool{}, PushAgg: asg.pushAgg, Alts: alts}
-	raw, roots := p.neededAbove(d, ti, &asg)
-	var outBytes int
-	for col := range raw {
-		outBytes += p.cols[col].avgBytes
-	}
-	for _, idx := range roots {
-		outBytes += d.nodes[idx].resBytes
-	}
-	for _, idx := range d.preds[ti] {
-		n := d.nodes[idx]
-		pushed := asg.pushNode[idx]
-		tc.PushPred = append(tc.PushPred, pushed)
-		var argOnly int
-		for _, col := range n.expr.Columns() {
-			if !raw[col] && p.cols[col].table == ti {
-				argOnly += p.cols[col].avgBytes
-			}
-		}
-		tc.PredPlace = append(tc.PredPlace,
-			predicatePlacement(n.expr, p.q.Tables[ti].Def.Name, outBytes, argOnly, p.opt.Cat))
-	}
-	for _, idx := range d.calls[ti] {
-		if asg.pushNode[idx] {
-			tc.pushCall[d.nodes[idx].expr.String()] = true
-		}
-	}
-	tc.Point = p.cutPoint(d, ti, &asg, roots)
-	return tc
+// finishCut records the chosen assignment with its price and renders
+// its split point.
+func finishCut(d *queryDAG, ti int, asg cutAssignment, pr cutPrice, alts int) tableCut {
+	return tableCut{asg: asg, price: pr, Alts: alts, Point: cutPoint(d, ti, &asg, pr.below)}
 }
 
 // cutPoint renders the split point: the operators below the cut in
 // deterministic order, or scan-only when the DAP only extracts
 // attributes. Byte-deterministic (names only, no floats) so EXPLAIN
 // goldens can pin it.
-func (p *planner) cutPoint(d *queryDAG, ti int, asg *cutAssignment, roots []int) string {
+func cutPoint(d *queryDAG, ti int, asg *cutAssignment, calls []int) string {
 	var below []string
 	for _, idx := range d.preds[ti] {
 		if asg.pushNode[idx] {
 			below = append(below, "pred "+nodeLabel(d.nodes[idx]))
 		}
 	}
-	for _, idx := range roots {
+	for _, idx := range calls {
 		below = append(below, "call "+d.nodes[idx].expr.Func)
 	}
-	if asg.pushAgg && d.agg != nil {
-		below = append(below, "agg "+d.agg.place.Func)
+	if asg.pushAgg {
+		below = append(below, "agg "+d.agg.funcs)
 	}
 	if len(below) == 0 {
 		return "scan-only"
@@ -803,9 +720,6 @@ func (p *planner) cutPoint(d *queryDAG, ti int, asg *cutAssignment, roots []int)
 }
 
 func nodeLabel(n *cutNode) string {
-	if !n.pred {
-		return n.expr.Func
-	}
 	if c := firstCall(n.expr); c != nil {
 		return c.Func
 	}

@@ -53,9 +53,6 @@ type Optimizer struct {
 	Cat      *catalog.Catalog
 	Strategy Strategy
 	Model    CostModel
-	// Search selects the cut-search mode: ranked whole-plan DAG cuts
-	// (the default) or the legacy greedy per-operator policy.
-	Search CutSearch
 	// Health, when set, demotes degraded sites to data shipping.
 	Health HealthOracle
 }
@@ -72,7 +69,7 @@ type colInfo struct {
 	table    int
 	name     string
 	kind     types.Kind
-	avgBytes int
+	avgBytes int    // source columns only: pricing happens before virtuals exist
 	virt     *PExpr // nil for source columns; else expr over source space
 }
 
@@ -84,22 +81,27 @@ type planner struct {
 
 	// cut is the whole-plan placement decision (DESIGN.md §15): every
 	// push/keep choice the emission pass makes is a lookup here.
-	cut     *Cut
-	predSeq []int // per-table predicate ordinal during emission
+	cut *Cut
 
 	// Per-table working state.
-	dapPreds   [][]*PExpr      // predicates placed at each table's DAP
-	dapPlace   [][]OpPlacement // their placement stats (parallel)
-	prunePreds [][]*PExpr      // every single-table pred (source space), for partition pruning
-	qpcPreds   []*PExpr        // predicates placed at the QPC (extended space)
-	items      []BoundItem     // rewritten items
-	aggsAtQPC  []AggSpec       // aggregation if kept at QPC (extended space)
+	dapPreds   [][]*PExpr   // predicates placed at each table's DAP
+	dapNodes   [][]*cutNode // their cut nodes (parallel)
+	prunePreds [][]*PExpr   // every single-table pred (source space), for partition pruning
+	qpcPreds   []*PExpr     // predicates placed at the QPC (extended space)
+	items      []BoundItem  // rewritten items
+	aggsAtQPC  []AggSpec    // aggregation if kept at QPC (extended space)
 	groupBy    []int
 	pushAgg    bool
 }
 
 // Plan builds the physical plan for a bound query.
 func (o *Optimizer) Plan(q *BoundQuery) (*Plan, error) {
+	return o.newPlanner(q).build()
+}
+
+// newPlanner sets up the column space and runs the cut search; build
+// then emits the plan the cut describes.
+func (o *Optimizer) newPlanner(q *BoundQuery) *planner {
 	p := &planner{opt: o, q: q, virtKey: make(map[string]int)}
 	for ti, bt := range q.Tables {
 		for _, col := range bt.Def.Schema.Columns {
@@ -112,11 +114,10 @@ func (o *Optimizer) Plan(q *BoundQuery) (*Plan, error) {
 		}
 	}
 	p.dapPreds = make([][]*PExpr, len(q.Tables))
-	p.dapPlace = make([][]OpPlacement, len(q.Tables))
+	p.dapNodes = make([][]*cutNode, len(q.Tables))
 	p.prunePreds = make([][]*PExpr, len(q.Tables))
-	p.predSeq = make([]int, len(q.Tables))
 	p.cut = p.buildCut()
-	return p.build()
+	return p
 }
 
 func (p *planner) tableStats(ti int) catalog.TableStats { return p.q.Tables[ti].Def.Stats }
@@ -139,27 +140,6 @@ func (p *planner) strategyFor(ti int) Strategy {
 		return StrategyDataShip
 	}
 	return p.opt.Strategy
-}
-
-// statsSchema builds a pseudo-schema over the extended space so the VRF
-// helpers can size expressions; names map virtuals to their own stats.
-func (p *planner) extSchema() types.Schema {
-	s := types.Schema{Columns: make([]types.Column, len(p.cols))}
-	for i, c := range p.cols {
-		s.Columns[i] = types.Column{Name: c.name, Kind: c.kind}
-	}
-	return s
-}
-
-// extStats returns a TableStats covering the extended space for table ti.
-func (p *planner) extStats(ti int) catalog.TableStats {
-	st := catalog.TableStats{RowCount: p.tableStats(ti).RowCount}
-	for _, c := range p.cols {
-		if c.table == ti {
-			st.Columns = append(st.Columns, catalog.ColumnStats{Name: c.name, AvgBytes: c.avgBytes})
-		}
-	}
-	return st
 }
 
 // exprTable returns the single table an expression touches, or -1 when it
@@ -217,22 +197,16 @@ func (p *planner) pushCalls(e *PExpr) *PExpr {
 // addVirtual registers (or reuses) a virtual column for a pushed
 // expression.
 func (p *planner) addVirtual(ti int, expr *PExpr) int {
-	key := fmt.Sprintf("%d|%s", ti, expr.String())
+	key := cutKey(ti, expr)
 	if idx, ok := p.virtKey[key]; ok {
 		return idx
 	}
-	argBytes := exprArgBytes(expr, p.extSchema(), p.extStats(ti))
-	resBytes := callResultBytes(expr, p.opt.Cat.Ops(), argBytes)
-	if resBytes <= 0 {
-		resBytes = 8
-	}
 	idx := len(p.cols)
 	p.cols = append(p.cols, colInfo{
-		table:    ti,
-		name:     fmt.Sprintf("_v%d", len(p.virtKey)),
-		kind:     expr.Ret,
-		avgBytes: resBytes,
-		virt:     expr,
+		table: ti,
+		name:  fmt.Sprintf("_v%d", len(p.virtKey)),
+		kind:  expr.Ret,
+		virt:  expr,
 	})
 	p.virtKey[key] = idx
 	return idx
@@ -247,7 +221,7 @@ func (p *planner) build() (*Plan, error) {
 	// at the DAP; aggregation over joins is pinned above every cut).
 	p.groupBy = q.GroupBy
 	if q.HasAggregate && len(q.Tables) == 1 {
-		p.pushAgg = p.cut.table(0).PushAgg
+		p.pushAgg = p.cut.table(0).asg.pushAgg
 	}
 
 	// Step 2: decompose scalar expressions, creating virtual columns for
@@ -272,12 +246,12 @@ func (p *planner) build() (*Plan, error) {
 	// Step 3: place predicates.
 	var multiPreds []BoundPred
 	var joinPreds []BoundPred
-	for _, pred := range q.Preds {
+	for pi, pred := range q.Preds {
 		switch {
 		case pred.EqJoin:
 			joinPreds = append(joinPreds, pred)
 		case len(pred.Tables) == 1:
-			p.placeSingleTablePred(pred)
+			p.placeSingleTablePred(pi, pred)
 		default:
 			multiPreds = append(multiPreds, pred)
 		}
@@ -461,25 +435,21 @@ func (p *planner) build() (*Plan, error) {
 		plan.Fragments[0].Limit = plan.Limit
 	}
 
-	p.estimate(plan, order)
+	plan.Est = p.estimates(plan, order)
 	return plan, nil
 }
 
-// placeSingleTablePred emits one single-table predicate on the side of
-// the cut the search chose for it. Decisions were made up front in
-// query order, so the per-table ordinal aligns with the cut's.
-func (p *planner) placeSingleTablePred(pred BoundPred) {
+// placeSingleTablePred emits query predicate pi, a single-table one,
+// on the side of the cut the search chose for it.
+func (p *planner) placeSingleTablePred(pi int, pred BoundPred) {
 	ti := pred.Tables[0]
 	// Every single-table predicate constrains the partition key the same
 	// way wherever it executes, so record it for pruning regardless of
 	// its placement.
 	p.prunePreds[ti] = append(p.prunePreds[ti], p.inlineVirtuals(pred.Expr))
-	tc := p.cut.table(ti)
-	seq := p.predSeq[ti]
-	p.predSeq[ti]++
-	if seq < len(tc.PushPred) && tc.PushPred[seq] {
+	if n := p.cut.pushedPred(pi); n != nil {
 		p.dapPreds[ti] = append(p.dapPreds[ti], p.inlineVirtuals(pred.Expr))
-		p.dapPlace[ti] = append(p.dapPlace[ti], tc.PredPlace[seq])
+		p.dapNodes[ti] = append(p.dapNodes[ti], n)
 		return
 	}
 	p.qpcPreds = append(p.qpcPreds, p.pushCalls(pred.Expr))
@@ -614,13 +584,12 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 		rank float64
 	}
 	var ranked []rankedPred
-	rowBytes := int64(p.tableStats(ti).AvgTupleBytes())
 	for i, e := range p.dapPreds[ti] {
 		le, err := localize(e)
 		if err != nil {
 			return nil, nil, err
 		}
-		ranked = append(ranked, rankedPred{e: le, rank: p.dapPlace[ti][i].Rank(p.opt.Model, rowBytes)})
+		ranked = append(ranked, rankedPred{e: le, rank: p.predRank(p.cut.dag, p.dapNodes[ti][i])})
 	}
 	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].rank < ranked[j].rank })
 	for _, rp := range ranked {
@@ -779,18 +748,15 @@ func (p *planner) orderJoins(joinPreds []BoundPred) ([]int, []joinStepInfo, []Bo
 	if n == 1 {
 		return []int{0}, nil, joinPreds, nil
 	}
-	// Estimate each table's shipped volume; start from the largest
-	// reduction...; order ascending by volume so the build sides of the
-	// hash joins are small.
-	vol := make([]float64, n)
-	for ti := range p.q.Tables {
-		vol[ti] = p.fragVolumeEstimate(ti)
-	}
+	// Order ascending by the volume each table's cut ships, so the
+	// build sides of the hash joins are small.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return vol[order[a]] < vol[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool {
+		return p.cut.table(order[a]).price.CVDT < p.cut.table(order[b]).price.CVDT
+	})
 
 	joined := map[int]bool{order[0]: true}
 	var steps []joinStepInfo
@@ -829,20 +795,6 @@ func (p *planner) orderJoins(joinPreds []BoundPred) ([]int, []joinStepInfo, []Bo
 	return order, steps, leftover, nil
 }
 
-// fragVolumeEstimate predicts the bytes table ti's fragment ships.
-func (p *planner) fragVolumeEstimate(ti int) float64 {
-	stats := p.tableStats(ti)
-	sf := 1.0
-	for i := range p.dapPreds[ti] {
-		sf *= p.dapPlace[ti][i].SF
-	}
-	var rowBytes float64
-	for col := range p.neededAtQPC(ti) {
-		rowBytes += float64(p.cols[col].avgBytes)
-	}
-	return float64(stats.RowCount) * sf * rowBytes
-}
-
 // wantSemiJoin decides whether join fragments filter by key sets first.
 // The 2-way semi-join protocol (section 5.4) coordinates exactly two
 // sites; larger joins fall back to plain hash joins at the QPC.
@@ -870,7 +822,7 @@ func (p *planner) wantSemiJoin(order []int, joinPreds []BoundPred) bool {
 	// exchange volume.
 	var total, keys float64
 	for _, ti := range order {
-		total += p.fragVolumeEstimate(ti)
+		total += float64(p.cut.table(ti).price.CVDT)
 	}
 	for _, jp := range joinPreds {
 		keys += float64(p.tableStats(p.cols[jp.LCol].table).RowCount) * float64(p.cols[jp.LCol].avgBytes)
@@ -879,95 +831,23 @@ func (p *planner) wantSemiJoin(order []int, joinPreds []BoundPred) bool {
 	return total > 4*keys
 }
 
-// estimate fills the plan's optimizer predictions.
-func (p *planner) estimate(plan *Plan, order []int) {
-	var cvda, cvdt, selOnly int64
-	var cost float64
+// estimates sums the winning cuts' prices into the plan's predictions.
+// Partition pruning scales a table's price by the surviving fraction:
+// only k of N shards are accessed or shipped.
+func (p *planner) estimates(plan *Plan, order []int) PlanEstimates {
+	var est PlanEstimates
 	for fi, ti := range order {
-		frag := plan.Fragments[fi]
-		stats := p.tableStats(ti)
-		// Partition pruning scales every volume by the surviving
-		// fraction: only k of N shards are accessed or shipped.
 		frac := 1.0
-		if frag.PartsTotal > 0 {
+		if frag := plan.Fragments[fi]; frag.PartsTotal > 0 {
 			frac = float64(len(frag.Parts)) / float64(frag.PartsTotal)
 		}
-		rows := int64(frac * float64(stats.RowCount))
-		var inBytes int64
-		for _, c := range frag.Cols {
-			inBytes += int64(colAvgBytes(p.q.Tables[ti].Def.Schema.Columns[c], stats))
-		}
-		cvda += rows * inBytes
-		v := int64(frac * p.fragVolumeEstimate(ti))
-		if p.pushAgg && len(frag.Aggregates) > 0 {
-			g := p.opt.Model.DefaultGroups
-			if g > rows {
-				g = rows
-			}
-			var outRow int64
-			for _, c := range frag.OutSchema.Columns {
-				if w := c.Kind.FixedWireSize(); w > 0 {
-					outRow += int64(w)
-				} else {
-					outRow += 64
-				}
-			}
-			v = g * outRow
-		}
-		cvdt += v
-		// The selectivity-and-cardinality-only estimate prices the
-		// shipped stream at full tuple width — it cannot see that large
-		// attributes were consumed at the source.
-		sf := 1.0
-		for i := range p.dapPreds[ti] {
-			sf *= p.dapPlace[ti][i].SF
-		}
-		selOnly += int64(sf * float64(rows) * float64(stats.AvgTupleBytes()))
-		// Costs: DAP compute (in the MVM) plus transfer. Shipped code
-		// with a static cost stamp is priced from verifier-derived
-		// instruction counts (CompMSStatic); anything without one falls
-		// back to the catalog's per-byte constant.
-		for i := range p.dapPreds[ti] {
-			pl := p.dapPlace[ti][i]
-			if ci, ok := fragStaticCost(frag, pl.Func); ok {
-				cost += p.opt.Model.CompMSStatic(rows, int64(pl.ArgBytes), ci)
-			} else {
-				cost += p.opt.Model.CompMS(rows*int64(pl.ArgBytes), pl.CompCostPerByte, true)
-			}
-		}
-		for _, o := range frag.Projections {
-			// Every call in the projection executes at the DAP — nested
-			// and sibling calls each consume their own argument volume,
-			// not just the first one found.
-			for _, call := range allCalls(p.inlineVirtuals(o.Expr)) {
-				argBytes := exprArgBytes(call, p.extSchema(), p.extStats(ti))
-				if ci, ok := fragStaticCost(frag, call.Func); ok {
-					cost += p.opt.Model.CompMSStatic(rows, int64(argBytes), ci)
-				} else if d, ok := p.opt.Cat.Ops().Lookup(call.Func); ok {
-					cost += p.opt.Model.CompMS(rows*int64(argBytes), d.CPUCostPerByte, true)
-				}
-			}
-		}
-		cost += p.opt.Model.NetworkMS(v)
+		pr := p.cut.table(ti).price
+		est.CVDA += int64(frac * float64(pr.CVDA))
+		est.CVDT += int64(frac * float64(pr.CVDT))
+		est.CVDTSelOnly += int64(frac * float64(pr.CVDTSelOnly))
+		est.Cost += frac * (pr.NetMS + pr.CPUMS)
 	}
-	plan.Est = PlanEstimates{CVDA: cvda, CVDT: cvdt, CVDTSelOnly: selOnly, Cost: cost}
-}
-
-// fragStaticCost resolves the verifier's static cost summary for an
-// operator the fragment ships, from the code refs attachCode pinned.
-// False for simple predicates (no class) and legacy refs (no stamp).
-func fragStaticCost(frag *Fragment, fn string) (vm.CostInfo, bool) {
-	if fn == "" {
-		return vm.CostInfo{}, false
-	}
-	for _, ref := range frag.Code {
-		if ref.Cost != "" && strings.EqualFold(ref.Name, fn) {
-			if ci, err := vm.ParseCostInfo(ref.Cost); err == nil {
-				return ci, true
-			}
-		}
-	}
-	return vm.CostInfo{}, false
+	return est
 }
 
 // staticCostLine renders the verifier-derived static cost of a

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"mocha/internal/catalog"
 	"mocha/internal/ops"
 	"mocha/internal/types"
@@ -97,49 +95,7 @@ func (m CostModel) CompMSStatic(invocations, argBytes int64, c vm.CostInfo) floa
 	return float64(invocations) * units / rate
 }
 
-// OpPlacement is the optimizer's per-operator analysis.
-type OpPlacement struct {
-	// Func is the operator name ("" for a simple predicate).
-	Func string
-	// ArgBytes is the average source bytes the operator consumes per
-	// input tuple.
-	ArgBytes int
-	// ResBytes is the average bytes of its result per input tuple
-	// (post-selection for predicates).
-	ResBytes int
-	// SF is the operator's selectivity (1 for projections/aggregates).
-	SF float64
-	// VRF is the volume reduction factor; < 1 ⇒ ship to the DAP.
-	VRF float64
-	// CompCostPerByte is the operator's relative cost (for ranking).
-	CompCostPerByte float64
-}
-
-// Rank is the predicate ordering metric rank(p) = (SF−1)/CompCost from
-// [HS93], used to sort predicates at their chosen site (cheap, highly
-// selective predicates first).
-func (p OpPlacement) Rank(m CostModel, rowBytes int64) float64 {
-	cost := m.CompMS(rowBytes, p.CompCostPerByte, true)
-	if cost <= 0 {
-		cost = 1e-9
-	}
-	return (p.SF - 1) / cost
-}
-
 // stats helpers -------------------------------------------------------
-
-// exprArgBytes estimates the average source bytes per tuple consumed by
-// an expression: the summed average sizes of the distinct source columns
-// it references (within one table, using that table's stats).
-func exprArgBytes(e *PExpr, schema types.Schema, stats catalog.TableStats) int {
-	var total int
-	for _, col := range e.Columns() {
-		if col < len(schema.Columns) {
-			total += colAvgBytes(schema.Columns[col], stats)
-		}
-	}
-	return total
-}
 
 // colAvgBytes returns the average size of one column, preferring catalog
 // stats and falling back to the kind's fixed size.
@@ -166,8 +122,8 @@ func callResultBytes(e *PExpr, reg *ops.Registry, argBytes int) int {
 
 // firstCall returns the first user-defined call within an expression, or
 // nil for a simple expression. It identifies the predicate's dominant
-// operator (the one the catalog keys selectivity by); anything that
-// prices compute must use allCalls instead.
+// operator (the one the catalog keys selectivity by and the cut point
+// names); pricing walks the predicate's call nodes instead.
 func firstCall(e *PExpr) *PExpr {
 	var found *PExpr
 	e.Walk(func(x *PExpr) {
@@ -176,20 +132,6 @@ func firstCall(e *PExpr) *PExpr {
 		}
 	})
 	return found
-}
-
-// allCalls returns every user-defined call within an expression, in
-// walk order. Nested and sibling calls all execute, so cost estimation
-// must price each of them — pricing only the first silently skews
-// placement rank for composed expressions.
-func allCalls(e *PExpr) []*PExpr {
-	var out []*PExpr
-	e.Walk(func(x *PExpr) {
-		if x.Kind == ExprCall {
-			out = append(out, x)
-		}
-	})
-	return out
 }
 
 // predicateSelectivity estimates a predicate's selectivity: the
@@ -203,98 +145,4 @@ func predicateSelectivity(e *PExpr, table string, cat *catalog.Catalog) float64 
 		return 0.1
 	}
 	return catalog.DefaultSelectivity
-}
-
-// projectionPlacement analyzes a pushable call expression as a complex
-// projection over one table.
-func projectionPlacement(call *PExpr, schema types.Schema, stats catalog.TableStats, reg *ops.Registry) OpPlacement {
-	argBytes := exprArgBytes(call, schema, stats)
-	resBytes := callResultBytes(call, reg, argBytes)
-	p := OpPlacement{Func: call.Func, ArgBytes: argBytes, ResBytes: resBytes, SF: 1}
-	if d, ok := reg.Lookup(call.Func); ok {
-		p.CompCostPerByte = d.CPUCostPerByte
-	}
-	if argBytes > 0 {
-		p.VRF = float64(resBytes) / float64(argBytes)
-	} else {
-		p.VRF = 1
-	}
-	return p
-}
-
-// predicatePlacement analyzes a single-table predicate. outBytes is the
-// average per-tuple volume the fragment ships onward when the predicate
-// runs at the DAP; argOnlyBytes is the volume of the predicate's
-// argument columns that would ONLY be shipped to let the QPC evaluate it.
-// This is exactly why the VRF beats bare selectivity (section 5.3): a
-// 50%-selective predicate over a large graph attribute has
-//
-//	VRF = SF·outBytes / (outBytes + argOnlyBytes) ≪ SF.
-func predicatePlacement(e *PExpr, table string, outBytes, argOnlyBytes int, cat *catalog.Catalog) OpPlacement {
-	sf := predicateSelectivity(e, table, cat)
-	p := OpPlacement{SF: sf, ArgBytes: outBytes + argOnlyBytes, CompCostPerByte: simplePredCostPerByte}
-	if calls := allCalls(e); len(calls) > 0 {
-		// The first call names the predicate (selectivity is keyed by
-		// it), but every call it contains burns CPU: sum their costs.
-		p.Func = calls[0].Func
-		var sum float64
-		for _, call := range calls {
-			if d, ok := cat.Ops().Lookup(call.Func); ok {
-				sum += d.CPUCostPerByte
-			}
-		}
-		if sum > 0 {
-			p.CompCostPerByte = sum
-		}
-	}
-	p.ResBytes = int(sf * float64(outBytes))
-	if in := outBytes + argOnlyBytes; in > 0 {
-		p.VRF = sf * float64(outBytes) / float64(in)
-	} else {
-		p.VRF = sf
-	}
-	return p
-}
-
-// aggregatePlacement analyzes a grouped aggregation over one table: N
-// input tuples collapse into G group rows.
-func aggregatePlacement(aggs []AggSpec, groupKeyBytes int, schema types.Schema, stats catalog.TableStats, m CostModel, reg *ops.Registry) OpPlacement {
-	n := stats.RowCount
-	if n <= 0 {
-		n = 1
-	}
-	g := m.DefaultGroups
-	if g > n {
-		g = n
-	}
-	var argBytes, resBytes int
-	var names []string
-	var cost float64
-	for _, a := range aggs {
-		for _, arg := range a.Args {
-			argBytes += exprArgBytes(arg, schema, stats)
-		}
-		if d, ok := reg.Lookup(a.Func); ok {
-			resBytes += d.EstimateResultBytes(argBytes)
-			cost += d.CPUCostPerByte
-		} else if w := a.Ret.FixedWireSize(); w > 0 {
-			resBytes += w
-		}
-		names = append(names, a.Func)
-	}
-	p := OpPlacement{
-		Func:            strings.Join(names, "+"),
-		ArgBytes:        argBytes,
-		SF:              1,
-		CompCostPerByte: cost,
-	}
-	vda := float64(n) * float64(argBytes+groupKeyBytes)
-	vdt := float64(g) * float64(groupKeyBytes+resBytes)
-	p.ResBytes = int(vdt / float64(n))
-	if vda > 0 {
-		p.VRF = vdt / vda
-	} else {
-		p.VRF = 1
-	}
-	return p
 }

@@ -10,30 +10,58 @@ import (
 	"mocha/internal/vm"
 )
 
-// TestQuickPredicateVRFBounds: for any selectivity and attribute sizes,
-// the predicate VRF stays within [0, SF] — shipping the reduced rows can
-// never look worse than the bare selectivity, which is exactly the
-// paper's argument for the metric.
-func TestQuickPredicateVRFBounds(t *testing.T) {
+// cutVRF is the volume reduction factor of a cut as price sees it: the
+// bytes the cut ships over the bytes the scan-only cut ships.
+func cutVRF(p *planner, asg cutAssignment) float64 {
+	scan := p.cut.dag.scanOnly()
+	return float64(p.price(p.cut.dag, 0, &asg).CVDT) / float64(p.price(p.cut.dag, 0, &scan).CVDT)
+}
+
+// statsCatalog is a one-table catalog T(k, g, image) with the given
+// average column sizes.
+func statsCatalog(t testing.TB, kBytes, gBytes, imageBytes int) *catalog.Catalog {
+	t.Helper()
 	reg := ops.Builtins()
 	cat := catalog.New(reg, catalog.NewRepositoryFromRegistry(reg))
-	pred := &PExpr{Kind: ExprBinop, Op: "<", Ret: types.KindBool, Args: []*PExpr{
-		{Kind: ExprCall, Func: "NumVertices", Ret: types.KindInt,
-			Args: []*PExpr{NewCol(0, types.KindGraph)}},
-		NewConst(types.Int(10)),
-	}}
+	cat.AddSite(&catalog.Site{Name: "site1", Addr: "dap1"})
+	if err := cat.AddTable(&catalog.TableDef{
+		Name: "T", URI: "mocha://tables/T", Site: "site1",
+		Schema: types.NewSchema(
+			types.Column{Name: "k", Kind: types.KindString},
+			types.Column{Name: "g", Kind: types.KindGraph},
+			types.Column{Name: "image", Kind: types.KindRaster},
+		),
+		Stats: catalog.TableStats{RowCount: 100, Columns: []catalog.ColumnStats{
+			{Name: "k", AvgBytes: kBytes}, {Name: "g", AvgBytes: gBytes}, {Name: "image", AvgBytes: imageBytes},
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// TestQuickPredicateVRFBounds: for any selectivity and attribute sizes,
+// the VRF of pushing a predicate stays within [0, SF] — shipping the
+// reduced rows can never look worse than the bare selectivity, which is
+// exactly the paper's argument for the metric.
+func TestQuickPredicateVRFBounds(t *testing.T) {
+	const sql = "SELECT k FROM T WHERE NumVertices(g) < 10"
 	f := func(sfRaw uint8, outRaw, argRaw uint16) bool {
 		sf := float64(sfRaw%101) / 100
 		outBytes := int(outRaw%4096) + 1
-		argOnly := int(argRaw)
-		cat.SetSelectivity("NumVertices", "T", sf)
-		p := predicatePlacement(pred, "T", outBytes, argOnly, cat)
-		if p.VRF < 0 || p.VRF > p.SF+1e-12 {
+		argOnly := int(argRaw) + 1
+		vrf := func(argOnly int) float64 {
+			cat := statsCatalog(t, outBytes, argOnly, 1)
+			cat.SetSelectivity("NumVertices", "T", sf)
+			p := testPlanner(t, cat, StrategyAuto, sql)
+			return cutVRF(p, pushed(p.cut.dag, p.cut.dag.preds[0][0]))
+		}
+		v := vrf(argOnly)
+		if v < 0 || v > sf+1e-12 {
 			return false
 		}
 		// More argument-only bytes can only shrink the VRF.
-		p2 := predicatePlacement(pred, "T", outBytes, argOnly+1000, cat)
-		return p2.VRF <= p.VRF+1e-12
+		return vrf(argOnly+1000) <= v+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -43,20 +71,16 @@ func TestQuickPredicateVRFBounds(t *testing.T) {
 // TestQuickProjectionVRFMonotone: a projection's VRF scales inversely
 // with its argument volume.
 func TestQuickProjectionVRFMonotone(t *testing.T) {
-	reg := ops.Builtins()
-	call := &PExpr{Kind: ExprCall, Func: "AvgEnergy", Ret: types.KindDouble,
-		Args: []*PExpr{NewCol(0, types.KindRaster)}}
-	schema := types.NewSchema(types.Column{Name: "image", Kind: types.KindRaster})
+	const sql = "SELECT AvgEnergy(image) FROM T"
 	f := func(szRaw uint16) bool {
 		size := int(szRaw) + 16
-		stats := catalog.TableStats{RowCount: 100, Columns: []catalog.ColumnStats{
-			{Name: "image", AvgBytes: size},
-		}}
-		p := projectionPlacement(call, schema, stats, reg)
-		stats.Columns[0].AvgBytes = size * 2
-		p2 := projectionPlacement(call, schema, stats, reg)
+		vrf := func(size int) float64 {
+			p := testPlanner(t, statsCatalog(t, 1, 1, size), StrategyAuto, sql)
+			return cutVRF(p, pushed(p.cut.dag, p.cut.dag.calls[0][0]))
+		}
 		// Fixed 8-byte result: doubling the input halves the VRF.
-		return p2.VRF <= p.VRF+1e-12 && p.VRF > 0
+		v := vrf(size)
+		return vrf(size*2) <= v+1e-12 && v > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -87,14 +111,16 @@ func TestCostModelMonotonicity(t *testing.T) {
 // TestPlacementRankOrdering: rank (SF−1)/cost sorts highly selective,
 // cheap predicates first.
 func TestPlacementRankOrdering(t *testing.T) {
-	m := DefaultCostModel()
-	cheapSelective := OpPlacement{SF: 0.1, CompCostPerByte: 0.01}
-	expensiveSelective := OpPlacement{SF: 0.1, CompCostPerByte: 10}
-	cheapLoose := OpPlacement{SF: 0.9, CompCostPerByte: 0.01}
-	if !(cheapSelective.Rank(m, 100) < cheapLoose.Rank(m, 100)) {
+	p := &planner{opt: &Optimizer{Model: DefaultCostModel()}}
+	d := &queryDAG{}
+	rank := func(sf, costPB float64) float64 {
+		return p.predRank(d, &cutNode{pred: true, sf: sf, costPB: costPB, argBytes: 100})
+	}
+	cheapSelective, expensiveSelective, cheapLoose := rank(0.1, 0.01), rank(0.1, 10), rank(0.9, 0.01)
+	if !(cheapSelective < cheapLoose) {
 		t.Error("selective predicate should rank before loose one at equal cost")
 	}
-	if !(cheapSelective.Rank(m, 100) < expensiveSelective.Rank(m, 100)) {
+	if !(cheapSelective < expensiveSelective) {
 		t.Error("cheap predicate should rank before expensive one at equal SF")
 	}
 }

@@ -35,9 +35,6 @@ type Config struct {
 	DialContext func(ctx context.Context, addr string) (net.Conn, error)
 	// Strategy is the operator-placement policy.
 	Strategy core.Strategy
-	// Search selects the optimizer's cut-search mode: ranked whole-plan
-	// DAG cuts (the default) or the legacy greedy per-operator policy.
-	Search core.CutSearch
 	// Model is the optimizer's cost model; zero value takes defaults.
 	Model core.CostModel
 	// QueryTimeout bounds each query execution end to end; once it
@@ -163,7 +160,6 @@ func New(cfg Config) *Server {
 	}
 	opt := core.NewOptimizer(cfg.Cat)
 	opt.Strategy = cfg.Strategy
-	opt.Search = cfg.Search
 	if cfg.Model != (core.CostModel{}) {
 		opt.Model = cfg.Model
 	}

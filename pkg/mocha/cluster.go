@@ -25,10 +25,6 @@ type ClusterConfig struct {
 	Shaper *netsim.Shaper
 	// Strategy is the operator-placement policy (default StrategyAuto).
 	Strategy Strategy
-	// Search selects the optimizer's cut-search mode: ranked whole-plan
-	// DAG cuts (default CutSearchRanked) or the legacy greedy
-	// per-operator policy (CutSearchGreedy).
-	Search CutSearch
 	// Registry is the operator library (default BuiltinOperators()).
 	Registry *ops.Registry
 	// DisableDAPCodeCache forces classes to be re-shipped every query.
@@ -185,7 +181,6 @@ func (cl *Cluster) qpcConfig(s Strategy) qpc.Config {
 		Cat:               cl.catalog,
 		Dial:              cl.network.Dial,
 		Strategy:          s,
-		Search:            cl.cfg.Search,
 		Exec:              cl.cfg.Exec,
 		MaxConcurrent:     cl.cfg.MaxConcurrent,
 		QueueDepth:        cl.cfg.QueueDepth,

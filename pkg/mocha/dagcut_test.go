@@ -9,10 +9,22 @@ import (
 	"mocha/internal/storage"
 )
 
+// wideWhereQuery has sixteen free single-table nodes (fourteen
+// comparisons, a call predicate and its call), more than the exhaustive
+// cut search enumerates, so it plans through the greedy guard — the
+// path a production query with a long WHERE clause takes.
+const wideWhereQuery = `SELECT time, band FROM Rasters
+WHERE time >= 0 AND time < 1000 AND time <> 999 AND time + 1 > 0 AND time - 1 < 1000
+AND time * 2 >= 0 AND time <= 998
+AND band >= 0 AND band < 100 AND band <> 99 AND band + 1 > 0 AND band - 1 < 100
+AND band * 2 >= 0 AND band <= 98
+AND AvgEnergy(image) < 1000000.0`
+
 // dagCutLadderQueries is the cut differential's workload: the paper's
-// Q1–Q5, the three-site Q6 multi-join, and composed-expression queries
+// Q1–Q5, the three-site Q6 multi-join, composed-expression queries
 // whose operator DAGs admit mid-expression cuts (Diff over AvgEnergy,
-// a two-call arithmetic predicate).
+// a two-call arithmetic predicate), and a WHERE clause too wide to
+// enumerate.
 func dagCutLadderQueries(t *testing.T, cl *Cluster, scale sequoia.Config) []struct{ label, sql string } {
 	t.Helper()
 	cals, err := sequoia.CalibrateQ4(cl.stores["site1"], []float64{0.5})
@@ -32,52 +44,64 @@ FROM Rasters1 AS R1, Rasters2 AS R2 WHERE R1.location = R2.location`},
 		{"composed_proj", `SELECT time, Diff(AvgEnergy(image), 0.0) FROM Rasters`},
 		{"composed_pred", `SELECT name FROM Graphs
 WHERE NumVertices(graph) + TotalLength(graph) < 100000`},
+		{"wide_where", wideWhereQuery},
 	}
 }
 
 // TestDifferentialDagCutLadder is the cut search's oracle differential:
-// two clusters over identical generated data — one planning with the
-// ranked whole-plan DAG-cut search, one with the legacy greedy
-// per-operator policy — must return byte-identical results on every
-// ladder query under every placement strategy. The cut search moves
-// work between sites; it must never change a single byte of output.
+// whatever cut the search picks under the automatic strategy, and the
+// maximal cut forced code shipping picks, must return results
+// byte-identical to forced data shipping, where every table's cut is
+// scan-only and the QPC evaluates everything. The cut search moves work
+// between sites; it must never change a single byte of output, nor ship
+// more than shipping the data would.
 func TestDifferentialDagCutLadder(t *testing.T) {
-	ranked, scale := testCluster(t, ClusterConfig{Search: CutSearchRanked})
-	greedy, _ := testCluster(t, ClusterConfig{Search: CutSearchGreedy})
-	strategies := []Strategy{StrategyAuto, StrategyCodeShip, StrategyDataShip}
-	for _, q := range dagCutLadderQueries(t, ranked, scale) {
+	cl, scale := testCluster(t, ClusterConfig{})
+	for _, q := range dagCutLadderQueries(t, cl, scale) {
 		t.Run(q.label, func(t *testing.T) {
-			for _, strat := range strategies {
-				ranked.SetStrategy(strat)
-				got, err := ranked.Execute(q.sql)
+			cl.SetStrategy(StrategyDataShip)
+			want, err := cl.Execute(q.sql)
+			if err != nil {
+				t.Fatalf("%s data-ship oracle: %v", q.label, err)
+			}
+			if len(want.Rows) == 0 {
+				t.Fatalf("%s returned no rows; the differential would be vacuous", q.label)
+			}
+			for _, strat := range []Strategy{StrategyAuto, StrategyCodeShip} {
+				cl.SetStrategy(strat)
+				got, err := cl.Execute(q.sql)
 				if err != nil {
-					t.Fatalf("%s ranked under %v: %v", q.label, strat, err)
-				}
-				greedy.SetStrategy(strat)
-				want, err := greedy.Execute(q.sql)
-				if err != nil {
-					t.Fatalf("%s greedy under %v: %v", q.label, strat, err)
+					t.Fatalf("%s under %v: %v", q.label, strat, err)
 				}
 				if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
-					t.Errorf("%s under %v: ranked cut diverged from greedy (%d vs %d rows)",
+					t.Errorf("%s under %v: cut diverged from the data-ship oracle (%d vs %d rows)",
 						q.label, strat, len(got.Rows), len(want.Rows))
 				}
-				// The whole point of the ranked search: it never ships
-				// more than the per-operator baseline.
-				if got.Stats.CVDT > want.Stats.CVDT {
-					t.Errorf("%s under %v: ranked CVDT %d exceeds greedy %d",
-						q.label, strat, got.Stats.CVDT, want.Stats.CVDT)
+				if strat == StrategyAuto && got.Stats.CVDT > want.Stats.CVDT {
+					t.Errorf("%s: chosen cut ships %d bytes, more than data shipping's %d",
+						q.label, got.Stats.CVDT, want.Stats.CVDT)
 				}
 			}
 		})
 	}
+
+	// The wide query must have taken the guard: it prices one cut per
+	// free node, where enumeration would have priced thousands.
+	cl.SetStrategy(StrategyAuto)
+	out, err := cl.Explain(wideWhereQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "(17 cut(s) priced)") || !strings.Contains(out, "    filter ") {
+		t.Errorf("wide WHERE did not plan through the greedy guard:\n%s", out)
+	}
 }
 
 // TestDifferentialDagCutPartitioned runs the cut differential over 2-
-// and 3-way range-partitioned Rasters: the greedy-planned partitioned
-// cluster must match the default ranked-planned single-site oracle on
-// scatter scans, pruned scans, pushed aggregates and composed-operator
-// queries — cut search × partition-aware planning must compose.
+// and 3-way range-partitioned Rasters: the partitioned cluster must
+// match the single-site oracle on scatter scans, pruned scans, pushed
+// aggregates and composed-operator queries — cut search ×
+// partition-aware planning must compose.
 func TestDifferentialDagCutPartitioned(t *testing.T) {
 	queries := []struct{ label, sql string }{
 		{"scatter_scan", `SELECT time, band FROM Rasters`},
@@ -94,13 +118,13 @@ func TestDifferentialDagCutPartitioned(t *testing.T) {
 					sets[i] = partitionSites(i)
 				}
 				return RangePlacement("Rasters", "time", timeCuts(t, src, ways), sets)
-			}, ClusterConfig{Search: CutSearchGreedy})
+			}, ClusterConfig{})
 			for _, q := range queries {
 				for _, strat := range []Strategy{StrategyCodeShip, StrategyDataShip} {
 					part.SetStrategy(strat)
 					got, err := part.Execute(q.sql)
 					if err != nil {
-						t.Fatalf("%s partitioned/greedy under %v: %v", q.label, strat, err)
+						t.Fatalf("%s partitioned under %v: %v", q.label, strat, err)
 					}
 					oracle.SetStrategy(strat)
 					want, err := oracle.Execute(q.sql)
@@ -108,7 +132,7 @@ func TestDifferentialDagCutPartitioned(t *testing.T) {
 						t.Fatalf("%s oracle under %v: %v", q.label, strat, err)
 					}
 					if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
-						t.Errorf("%s under %v: partitioned greedy cut diverged from ranked oracle (%d vs %d rows)",
+						t.Errorf("%s under %v: partitioned cut diverged from the single-site oracle (%d vs %d rows)",
 							q.label, strat, len(got.Rows), len(want.Rows))
 					}
 				}

@@ -68,9 +68,6 @@ type (
 
 	// Strategy selects the operator placement policy.
 	Strategy = core.Strategy
-
-	// CutSearch selects how the optimizer picks the plan's DAG cut.
-	CutSearch = core.CutSearch
 )
 
 // Middleware kind constants.
@@ -96,15 +93,6 @@ const (
 	StrategyCodeShip = core.StrategyCodeShip
 	// StrategyDataShip forces operators to the coordinator.
 	StrategyDataShip = core.StrategyDataShip
-)
-
-// Cut search modes.
-const (
-	// CutSearchRanked enumerates the feasible cuts of the whole query
-	// DAG and keeps the cheapest (the default).
-	CutSearchRanked = core.CutSearchRanked
-	// CutSearchGreedy reproduces the legacy per-operator VRF policy.
-	CutSearchGreedy = core.CutSearchGreedy
 )
 
 // NewSchema builds a schema from columns.
