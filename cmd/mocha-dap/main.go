@@ -29,7 +29,6 @@ func main() {
 	replayWindow := flag.Int64("replay-window-bytes", 1<<20, "per-stream replay window retained for RESUME after a dropped connection")
 	retainTTL := flag.Duration("retain-ttl", 10*time.Second, "how long an interrupted resumable stream waits for a RESUME before it is aborted")
 	batchBytes := flag.Int("batch-bytes", 0, "target tuple-batch payload size; smaller batches shrink RESUME retransmission (0 = 256 KiB default)")
-	noResume := flag.Bool("no-resume", false, "disable stream retention and RESUME (pre-recovery ablation baseline)")
 	pprofAddr := flag.String("pprof-addr", "", "serve /metrics and /debug/pprof on this address (empty = disabled)")
 	quiet := flag.Bool("quiet", false, "suppress per-session logging")
 	flag.Parse()
@@ -58,7 +57,6 @@ func main() {
 		ReplayWindowBytes: *replayWindow,
 		RetainTTL:         *retainTTL,
 		BatchBytes:        *batchBytes,
-		DisableResume:     *noResume,
 		Logf:              logf,
 	})
 	obs.ServeDebug(*pprofAddr, srv.Metrics(), logf)

@@ -37,7 +37,6 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive transient failures that trip a site's circuit breaker open")
 	breakerOpenFor := flag.Duration("breaker-open-for", 3*time.Second, "how long an open breaker fails fast before allowing a half-open probe")
 	noBreaker := flag.Bool("no-breaker", false, "disable per-site circuit breaking and degraded planning")
-	noResume := flag.Bool("no-resume", false, "disable mid-stream RESUME recovery (pre-recovery ablation baseline)")
 	heartbeat := flag.Duration("heartbeat-interval", 0, "probe every catalog site this often to demote dead replicas ahead of queries (0 = disabled)")
 	memBudget := flag.Int64("mem-budget", 0, "query-memory budget in bytes shared by all queries; joins and aggregates spill past it (0 = ungoverned)")
 	classesDir := flag.String("classes-dir", "", "load operator releases from this directory (manifest.xml + .mvmc blobs; re-verified on load)")
@@ -107,7 +106,6 @@ func main() {
 			OpenFor:          *breakerOpenFor,
 			Disabled:         *noBreaker,
 		},
-		DisableResume:     *noResume,
 		HeartbeatInterval: *heartbeat,
 		Rollout: qpc.RolloutPolicy{
 			MinSamples:      *rolloutMinSamples,

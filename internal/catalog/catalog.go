@@ -67,8 +67,8 @@ type TableDef struct {
 
 // Site describes a data site: the network address its DAP listens on.
 type Site struct {
-	Name string
-	Addr string
+	Name string `xml:"name,attr"`
+	Addr string `xml:"addr,attr"`
 }
 
 // Catalog is the QPC's metadata store. It is safe for concurrent use.
@@ -199,28 +199,18 @@ func selKey(op, table string) string {
 // catalogDoc is the XML persistence format.
 type catalogDoc struct {
 	XMLName xml.Name   `xml:"catalog"`
-	Sites   []siteDoc  `xml:"site"`
+	Sites   []*Site    `xml:"site"`
 	Tables  []tableDoc `xml:"table"`
 	Sels    []selDoc   `xml:"selectivity"`
 }
 
-type siteDoc struct {
-	Name string `xml:"name,attr"`
-	Addr string `xml:"addr,attr"`
-}
-
 type tableDoc struct {
-	Name      string     `xml:"name,attr"`
-	URI       string     `xml:"uri,attr"`
-	Site      string     `xml:"site,attr"`
-	Columns   []colDoc   `xml:"column"`
-	Stats     TableStats `xml:"stats"`
-	Placement *Placement `xml:"placement"`
-}
-
-type colDoc struct {
-	Name string `xml:"name,attr"`
-	Kind string `xml:"kind,attr"`
+	Name      string         `xml:"name,attr"`
+	URI       string         `xml:"uri,attr"`
+	Site      string         `xml:"site,attr"`
+	Columns   []types.Column `xml:"column"`
+	Stats     TableStats     `xml:"stats"`
+	Placement *Placement     `xml:"placement"`
 }
 
 type selDoc struct {
@@ -234,14 +224,11 @@ func (c *Catalog) Save(path string) error {
 	c.mu.RLock()
 	doc := catalogDoc{}
 	for _, s := range c.sites {
-		doc.Sites = append(doc.Sites, siteDoc{Name: s.Name, Addr: s.Addr})
+		doc.Sites = append(doc.Sites, s)
 	}
 	for _, t := range c.tables {
-		td := tableDoc{Name: t.Name, URI: t.URI, Site: t.Site, Stats: t.Stats, Placement: t.Placement.Clone()}
-		for _, col := range t.Schema.Columns {
-			td.Columns = append(td.Columns, colDoc{Name: col.Name, Kind: col.Kind.String()})
-		}
-		doc.Tables = append(doc.Tables, td)
+		doc.Tables = append(doc.Tables, tableDoc{Name: t.Name, URI: t.URI, Site: t.Site,
+			Columns: t.Schema.Columns, Stats: t.Stats, Placement: t.Placement.Clone()})
 	}
 	for k, sf := range c.sel {
 		parts := strings.SplitN(k, "\x00", 2)
@@ -271,18 +258,10 @@ func (c *Catalog) Load(path string) error {
 		return fmt.Errorf("catalog: parse %s: %w", path, err)
 	}
 	for _, s := range doc.Sites {
-		c.AddSite(&Site{Name: s.Name, Addr: s.Addr})
+		c.AddSite(s)
 	}
 	for _, td := range doc.Tables {
-		var schema types.Schema
-		for _, col := range td.Columns {
-			k, ok := types.KindByName(col.Kind)
-			if !ok {
-				return fmt.Errorf("catalog: table %s column %s has unknown kind %q", td.Name, col.Name, col.Kind)
-			}
-			schema.Columns = append(schema.Columns, types.Column{Name: col.Name, Kind: k})
-		}
-		if err := c.AddTable(&TableDef{Name: td.Name, URI: td.URI, Site: td.Site, Schema: schema, Stats: td.Stats, Placement: td.Placement}); err != nil {
+		if err := c.AddTable(&TableDef{Name: td.Name, URI: td.URI, Site: td.Site, Schema: types.Schema{Columns: td.Columns}, Stats: td.Stats, Placement: td.Placement}); err != nil {
 			return err
 		}
 	}

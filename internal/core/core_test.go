@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/xml"
 	"strings"
 	"testing"
 
@@ -453,9 +454,12 @@ func TestExprXMLRoundTripConst(t *testing.T) {
 		NewCol(2, types.KindRectangle),
 		NewConst(types.Rectangle{XMin: 1, YMin: 2, XMax: 3, YMax: 4}),
 	}}
-	x := exprToXML(e)
-	back, err := exprFromXML(x)
+	data, err := xml.Marshal(e)
 	if err != nil {
+		t.Fatal(err)
+	}
+	back := new(PExpr)
+	if err := xml.Unmarshal(data, back); err != nil {
 		t.Fatal(err)
 	}
 	if back.String() != e.String() {
@@ -463,6 +467,22 @@ func TestExprXMLRoundTripConst(t *testing.T) {
 	}
 	if back.Args[1].Const.(types.Rectangle) != e.Args[1].Const.(types.Rectangle) {
 		t.Error("rectangle constant corrupted")
+	}
+	// What the decoder refuses: an unknown or absent return kind, an
+	// unknown node kind, and a constant whose kind or payload is bad.
+	for _, doc := range []string{
+		`<expr kind="col" col="0" ret="WEIRD"></expr>`,
+		`<expr kind="col" col="0"></expr>`,
+		`<expr kind="lambda" col="0" ret="INT"></expr>`,
+		`<expr kind="const" col="0" ret="INT" const-kind="WEIRD" const-data="AAAAAQ=="></expr>`,
+		`<expr kind="const" col="0" ret="INT" const-data="AAAAAQ=="></expr>`,
+		`<expr kind="const" col="0" ret="INT" const-kind="INT" const-data="!!!"></expr>`,
+		`<expr kind="const" col="0" ret="INT" const-kind="INT" const-data="AA=="></expr>`,
+		`<expr kind="binop" col="0" op="=" ret="BOOL"><expr kind="col" col="0" ret="WEIRD"></expr></expr>`,
+	} {
+		if err := xml.Unmarshal([]byte(doc), new(PExpr)); err == nil {
+			t.Errorf("accepted %s", doc)
+		}
 	}
 }
 

@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"mocha/internal/obs"
 	"mocha/internal/types"
 )
 
 // TestPlanDocumentsGolden pins the bytes of the two plan documents —
 // the archived <plan> and the <fragment> each DAP receives in
 // DEPLOY_PLAN — for every ladder query of decisions.golden under all
-// three strategies and both layouts. The file was generated before the
-// plan types became their own codecs; a codec change that moves no
-// wire byte leaves it identical. Every document must also decode to a
+// three strategies and both layouts. The file was generated when the
+// codec still copied every plan type into a mirror struct; a codec
+// change that moves no wire byte leaves it identical. Every document must also decode to a
 // value that encodes back to the same bytes.
 //
 // Regenerate with
@@ -124,5 +126,68 @@ func syntheticFragment() *Fragment {
 			{ID: 2, Table: "T__p2", Site: "site3"},
 		},
 		PartsTotal: 3, PartKey: "k",
+	}
+}
+
+// TestDocumentTypesTagEveryField fails when a type that is its own XML
+// codec gains an exported field with no xml tag: encoding/xml would
+// then emit it under its Go name, changing the document, or a field
+// meant to stay local would travel. Every field must say which —
+// `xml:"name…"` or `xml:"-"`.
+func TestDocumentTypesTagEveryField(t *testing.T) {
+	for _, v := range []any{
+		Fragment{}, Plan{}, AggSpec{}, Output{}, PartTarget{}, JoinStep{}, OrderSpec{},
+		PExpr{}, CodeRef{}, obs.Span{}, types.Column{}, types.Schema{},
+	} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if _, ok := f.Tag.Lookup("xml"); f.IsExported() && !ok {
+				t.Errorf("%s.%s has no xml tag", typ, f.Name)
+			}
+		}
+	}
+}
+
+// TestPlanDocumentsRefuseBadKinds: a schema column, an aggregate or an
+// expression naming a kind the type system does not have — or naming
+// none — fails the decode of the fragment and of the plan around it.
+func TestPlanDocumentsRefuseBadKinds(t *testing.T) {
+	frag, err := EncodeFragment(syntheticFragment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := EncodePlan(&Plan{Fragments: []*Fragment{syntheticFragment()},
+		ResultSchema: types.NewSchema(types.Column{Name: "r", Kind: types.KindGraph})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeFragment := func(b []byte) error { _, err := DecodeFragment(b); return err }
+	decodePlan := func(b []byte) error { _, err := DecodePlan(b); return err }
+	for _, tc := range []struct {
+		name     string
+		doc      []byte
+		old, new string
+		decode   func([]byte) error
+	}{
+		{"in-schema column kind", frag, `<column name="ok" kind="BOOL">`, `<column name="ok" kind="TRILEAN">`, decodeFragment},
+		{"out-schema column without kind", frag, `<column name="n" kind="INT">`, `<column name="n">`, decodeFragment},
+		{"aggregate kind", frag, `func="Count" ret="INT"`, `func="Count" ret="COUNT"`, decodeFragment},
+		{"aggregate without kind", frag, `func="Count" ret="INT"`, `func="Count"`, decodeFragment},
+		{"expression kind", frag, `op="NOT" ret="BOOL"`, `op="NOT" ret="MAYBE"`, decodeFragment},
+		{"constant kind", frag, `const-kind="POINT"`, `const-kind="DOT"`, decodeFragment},
+		{"result-schema column kind", plan, `kind="GRAPH"`, `kind="MESH"`, decodePlan},
+		{"fragment inside a plan", plan, `<column name="ok" kind="BOOL">`, `<column name="ok" kind="TRILEAN">`, decodePlan},
+	} {
+		if err := tc.decode(tc.doc); err != nil {
+			t.Fatalf("%s: unmodified document refused: %v", tc.name, err)
+		}
+		bad := strings.Replace(string(tc.doc), tc.old, tc.new, 1)
+		if bad == string(tc.doc) {
+			t.Fatalf("%s: %q not found in the document", tc.name, tc.old)
+		}
+		if err := tc.decode([]byte(bad)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

@@ -29,13 +29,13 @@ const (
 // PExpr is a typed, serializable plan expression over some input schema.
 // Fragments carry PExprs to remote DAPs inside XML plan documents.
 type PExpr struct {
-	Kind  ExprKind
-	Col   int
-	Const types.Object
-	Op    string // binop: + - * / % = <> < <= > >= AND OR; unary: - NOT
-	Func  string // call: operator name
-	Ret   types.Kind
-	Args  []*PExpr
+	Kind  ExprKind     `xml:"kind,attr"`
+	Col   int          `xml:"col,attr"`
+	Const types.Object `xml:"-"`                   // carried by MarshalXML
+	Op    string       `xml:"op,attr,omitempty"`   // binop: + - * / % = <> < <= > >= AND OR; unary: - NOT
+	Func  string       `xml:"func,attr,omitempty"` // call: operator name
+	Ret   types.Kind   `xml:"ret,attr"`
+	Args  []*PExpr     `xml:"expr"`
 }
 
 // NewCol builds a column reference.
@@ -109,62 +109,58 @@ func (e *PExpr) Rewrite(fn func(*PExpr) *PExpr) *PExpr {
 	return fn(&c)
 }
 
-// exprXML is the wire form of a PExpr.
-type exprXML struct {
-	XMLName   xml.Name  `xml:"expr"`
-	Kind      string    `xml:"kind,attr"`
-	Col       int       `xml:"col,attr"`
-	Op        string    `xml:"op,attr,omitempty"`
-	Func      string    `xml:"func,attr,omitempty"`
-	Ret       string    `xml:"ret,attr"`
-	ConstKind string    `xml:"const-kind,attr,omitempty"`
-	ConstData string    `xml:"const-data,attr,omitempty"`
-	Args      []exprXML `xml:"expr"`
+// exprFields is PExpr's tagged fields without its methods, so the
+// marshallers below can hand the struct to encoding/xml without
+// recursing into themselves.
+type exprFields PExpr
+
+// exprDoc is the <expr> element: the tagged fields plus the constant,
+// which tags cannot express — a types.Object travels as its kind name
+// and the base64 of its wire payload.
+type exprDoc struct {
+	exprFields
+	ConstKind string `xml:"const-kind,attr,omitempty"`
+	ConstData string `xml:"const-data,attr,omitempty"`
 }
 
-func exprToXML(e *PExpr) exprXML {
-	x := exprXML{Kind: string(e.Kind), Col: e.Col, Op: e.Op, Func: e.Func, Ret: e.Ret.String()}
+// MarshalXML implements xml.Marshaler.
+func (e *PExpr) MarshalXML(enc *xml.Encoder, start xml.StartElement) error {
+	doc := exprDoc{exprFields: exprFields(*e)}
 	if e.Kind == ExprConst {
-		x.ConstKind = e.Const.Kind().String()
-		x.ConstData = base64.StdEncoding.EncodeToString(e.Const.AppendTo(nil))
+		doc.ConstKind = e.Const.Kind().String()
+		doc.ConstData = base64.StdEncoding.EncodeToString(e.Const.AppendTo(nil))
 	}
-	for _, a := range e.Args {
-		x.Args = append(x.Args, exprToXML(a))
-	}
-	return x
+	return enc.EncodeElement(doc, start)
 }
 
-func exprFromXML(x exprXML) (*PExpr, error) {
-	ret, ok := types.KindByName(x.Ret)
-	if !ok {
-		return nil, fmt.Errorf("core: expr has unknown return kind %q", x.Ret)
+// UnmarshalXML implements xml.Unmarshaler. It refuses an expression
+// without a return kind, of an unknown node kind, or whose constant
+// does not decode.
+func (e *PExpr) UnmarshalXML(dec *xml.Decoder, start xml.StartElement) error {
+	if err := types.RequireAttr(start, "ret"); err != nil {
+		return err
 	}
-	e := &PExpr{Kind: ExprKind(x.Kind), Col: x.Col, Op: x.Op, Func: x.Func, Ret: ret}
+	var doc exprDoc
+	if err := dec.DecodeElement(&doc, &start); err != nil {
+		return err
+	}
+	*e = PExpr(doc.exprFields)
 	switch e.Kind {
 	case ExprCol, ExprCall, ExprBinop, ExprUnary:
 	case ExprConst:
-		ck, ok := types.KindByName(x.ConstKind)
-		if !ok {
-			return nil, fmt.Errorf("core: const has unknown kind %q", x.ConstKind)
+		var ck types.Kind
+		if err := ck.UnmarshalText([]byte(doc.ConstKind)); err != nil {
+			return fmt.Errorf("core: const: %w", err)
 		}
-		data, err := base64.StdEncoding.DecodeString(x.ConstData)
+		data, err := base64.StdEncoding.DecodeString(doc.ConstData)
 		if err != nil {
-			return nil, fmt.Errorf("core: const payload: %w", err)
+			return fmt.Errorf("core: const payload: %w", err)
 		}
-		v, err := types.FromPayload(ck, data)
-		if err != nil {
-			return nil, fmt.Errorf("core: const payload: %w", err)
+		if e.Const, err = types.FromPayload(ck, data); err != nil {
+			return fmt.Errorf("core: const payload: %w", err)
 		}
-		e.Const = v
 	default:
-		return nil, fmt.Errorf("core: unknown expr kind %q", x.Kind)
+		return fmt.Errorf("core: unknown expr kind %q", e.Kind)
 	}
-	for _, ax := range x.Args {
-		a, err := exprFromXML(ax)
-		if err != nil {
-			return nil, err
-		}
-		e.Args = append(e.Args, a)
-	}
-	return e, nil
+	return nil
 }

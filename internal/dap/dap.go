@@ -64,9 +64,6 @@ type Config struct {
 	// parked waiting for a RESUME before it is aborted and its window
 	// freed. Zero means the 10s default.
 	RetainTTL time.Duration
-	// DisableResume ignores stream IDs on ACTIVATE, forcing every stream
-	// back to the plain non-resumable protocol (the ablation baseline).
-	DisableResume bool
 	// Exec tunes the fragment executor: batch size, the scan read-ahead
 	// depth, and the query-memory budget shared by every concurrent
 	// session (Exec.MemBudgetBytes > 0 creates the server's memory

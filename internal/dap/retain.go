@@ -48,6 +48,7 @@ type retainedStream struct {
 	winBytes int64
 	lastSeq  uint64 // seq of the newest frame issued
 	tuples   int64  // cursor: tuples read when last parked (observability)
+	parkedAt time.Time
 
 	attach   chan *wire.Conn // a resume handler delivers the new connection
 	abort    chan struct{}   // closed to kill a parked executor
@@ -216,6 +217,7 @@ func (s *resumableSender) park(cause error) (*wire.Conn, error) {
 		return nil, cause
 	}
 	st.phase = phaseParked
+	st.parkedAt = time.Now()
 	if s.tuples != nil {
 		// The scan goroutine is still incrementing the counter; load it
 		// atomically to get a consistent cursor snapshot.
@@ -234,12 +236,28 @@ func (s *resumableSender) park(cause error) (*wire.Conn, error) {
 	case <-st.abort:
 		return nil, fmt.Errorf("dap: stream %s aborted while parked: %w", st.id, cause)
 	case <-timer.C:
-		st.markAborted()
-		s.srv.retained.remove(st.id)
-		s.srv.met.streamsRetained.Set(s.srv.retained.size())
-		s.srv.met.retainExpired.Inc()
+		s.srv.expire(st, 0)
 		return nil, fmt.Errorf("dap: stream %s retain TTL %v expired with no resume: %w", st.id, ttl, cause)
 	}
+}
+
+// expire frees a stream that has been parked for at least ttl and
+// reports whether it did. The parked executor's timer and a resume that
+// arrives too late both call it; whichever is first does the work and
+// the accounting.
+func (s *Server) expire(st *retainedStream, ttl time.Duration) bool {
+	st.mu.Lock()
+	if st.phase != phaseParked || time.Since(st.parkedAt) < ttl {
+		st.mu.Unlock()
+		return false
+	}
+	st.phase = phaseAborted // claims the expiry; markAborted closes the channels
+	st.mu.Unlock()
+	st.markAborted()
+	s.retained.remove(st.id)
+	s.met.streamsRetained.Set(s.retained.size())
+	s.met.retainExpired.Inc()
+	return true
 }
 
 // settleBound is how long a resume handler waits for the racing
@@ -282,6 +300,12 @@ func (s *Server) handleResume(conn *wire.Conn, req wire.Resume) error {
 	if st.getPhase() == phaseAborted {
 		return nack("stream aborted")
 	}
+	// The TTL runs from the park, not from whenever the parked executor's
+	// timer gets scheduled: a resume arriving later than that finds the
+	// stream expired even if the executor has not woken to say so.
+	if s.expire(st, s.cfg.RetainTTL) {
+		return nack("stream retention expired")
+	}
 
 	frames, covered := st.tail(req.LastSeq)
 	if !covered {
@@ -320,14 +344,19 @@ func (s *Server) handleResume(conn *wire.Conn, req wire.Resume) error {
 		return nil
 	}
 	// Hand the connection to the parked executor and wait for it to
-	// finish with it before this session loop reads again.
+	// finish with it before this session loop reads again. The positive
+	// ack and the replay are already on the wire, so the QPC now reads
+	// this connection as a tuple stream: a failed hand-over may not write
+	// to it again (a second, negative ack would surface there as a
+	// non-transient protocol error). It drops the connection instead, and
+	// the QPC's next resume attempt gets its refusal before any ack.
 	ttl := s.cfg.RetainTTL
 	select {
 	case st.attach <- conn:
 	case <-st.abort:
-		return nack("stream aborted")
+		return fmt.Errorf("dap: stream %s aborted after its resume was acked: %w", st.id, errDropConn)
 	case <-time.After(ttl):
-		return nack("parked executor did not accept the connection")
+		return fmt.Errorf("dap: stream %s: parked executor did not accept the resumed connection within %v: %w", st.id, ttl, errDropConn)
 	}
 	<-st.done
 	return nil

@@ -51,6 +51,9 @@ func (s *Server) HandleConn(nc net.Conn) error {
 			if errors.Is(err, errSessionClosed) {
 				return nil
 			}
+			if errors.Is(err, errDropConn) {
+				return err
+			}
 			conn.SendError(err)
 			s.cfg.Logf("dap %s: %v", s.cfg.Site, err)
 		}
@@ -58,6 +61,11 @@ func (s *Server) HandleConn(nc net.Conn) error {
 }
 
 var errSessionClosed = errors.New("session closed")
+
+// errDropConn marks a failure after which nothing more may be written
+// to the peer: the session ends and the connection closes with no ERROR
+// frame.
+var errDropConn = errors.New("connection dropped")
 
 // session is per-connection state: the deployed fragment and pending
 // semi-join keys.
@@ -197,9 +205,6 @@ func (ss *session) handle(t wire.MsgType, payload []byte) error {
 			if err := wire.DecodeXML(payload, &act); err != nil {
 				return err
 			}
-		}
-		if ss.srv.cfg.DisableResume {
-			act.Stream = ""
 		}
 		// Echo a placement-aware activation's shard coordinates in the
 		// stats frame so the QPC can verify the stream's provenance.
@@ -426,7 +431,7 @@ func (ss *session) execute(streamID string) error {
 		// Spans are per-execution, like the stats: take them so the key
 		// phase and the main fragment each report their own.
 		ss.stats.Trace = ss.trace.ID
-		ss.stats.Spans = wire.SpansToXML(ss.trace.TakeSpans())
+		ss.stats.Spans = ss.trace.TakeSpans()
 	}
 
 	payload, err := wire.EncodeXML(&ss.stats)

@@ -36,19 +36,10 @@ type XMLDriver struct {
 }
 
 type xmlTableDoc struct {
-	XMLName xml.Name  `xml:"table"`
-	Name    string    `xml:"name,attr"`
-	Schema  xmlSchema `xml:"schema"`
-	Rows    []xmlRow  `xml:"row"`
-}
-
-type xmlSchema struct {
-	Columns []xmlColumn `xml:"column"`
-}
-
-type xmlColumn struct {
-	Name string `xml:"name,attr"`
-	Kind string `xml:"kind,attr"`
+	XMLName xml.Name     `xml:"table"`
+	Name    string       `xml:"name,attr"`
+	Schema  types.Schema `xml:"schema"`
+	Rows    []xmlRow     `xml:"row"`
 }
 
 type xmlRow struct {
@@ -60,10 +51,7 @@ func WriteXMLTable(dir, name string, schema types.Schema, tuples []types.Tuple) 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	doc := xmlTableDoc{Name: name}
-	for _, c := range schema.Columns {
-		doc.Schema.Columns = append(doc.Schema.Columns, xmlColumn{Name: c.Name, Kind: c.Kind.String()})
-	}
+	doc := xmlTableDoc{Name: name, Schema: schema}
 	for _, t := range tuples {
 		row := xmlRow{}
 		for _, v := range t {
@@ -138,14 +126,7 @@ func (d *XMLDriver) load(table string) (*fileTable, error) {
 	if err := xml.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("dap: XML table %s: %w", table, err)
 	}
-	ft := &fileTable{}
-	for _, c := range doc.Schema.Columns {
-		k, ok := types.KindByName(c.Kind)
-		if !ok {
-			return nil, fmt.Errorf("dap: XML table %s column %q has unknown kind %q", table, c.Name, c.Kind)
-		}
-		ft.schema.Columns = append(ft.schema.Columns, types.Column{Name: c.Name, Kind: k})
-	}
+	ft := &fileTable{schema: doc.Schema}
 	for i, row := range doc.Rows {
 		if len(row.Values) != ft.schema.Arity() {
 			return nil, fmt.Errorf("dap: XML table %s row %d has %d values, want %d", table, i, len(row.Values), ft.schema.Arity())

@@ -13,34 +13,35 @@ import (
 // transfer, a fragment's result stream, or a DAP-side execution phase.
 // Offsets are microseconds relative to the owning trace's start on the
 // process that recorded the span; the QPC re-anchors DAP spans onto its
-// own timeline when it assembles the cross-site trace.
+// own timeline when it assembles the cross-site trace. The tags are the
+// <span> element a DAP reports inside its exec-stats.
 type Span struct {
 	// Name identifies the phase ("deploy", "stream", "dap:db", ...).
-	Name string
+	Name string `xml:"name,attr"`
 	// Site is the site the span describes ("" for QPC-side work).
-	Site string
+	Site string `xml:"site,attr,omitempty"`
 	// StartMicros is the offset from the trace start.
-	StartMicros int64
+	StartMicros int64 `xml:"start,attr"`
 	// DurMicros is the span's duration.
-	DurMicros int64
+	DurMicros int64 `xml:"dur,attr"`
 	// NetBytes is the data-plane volume the span moved over the network.
 	// Summed across a query's spans this reproduces the CVDT measurement.
-	NetBytes int64
+	NetBytes int64 `xml:"net,attr,omitempty"`
 	// DBBytes is the volume the span read from a data source (CVDA).
-	DBBytes int64
+	DBBytes int64 `xml:"db,attr,omitempty"`
 	// CodeBytes is shipped operator code (deployment volume, not CVDT).
-	CodeBytes int64
+	CodeBytes int64 `xml:"code,attr,omitempty"`
 	// Tuples is the tuple count the span carried (for operator spans:
 	// rows produced).
-	Tuples int64
+	Tuples int64 `xml:"tuples,attr,omitempty"`
 	// RowsIn and Batches describe operator spans ("op:*"): tuples pulled
 	// from children and output batches produced. Zero on phase spans.
-	RowsIn  int64
-	Batches int64
+	RowsIn  int64 `xml:"rows-in,attr,omitempty"`
+	Batches int64 `xml:"batches,attr,omitempty"`
 	// SpillBytes is the payload volume an operator wrote to temp-file
 	// spill runs when its memory grant overflowed. Zero when the
 	// operator stayed in memory.
-	SpillBytes int64
+	SpillBytes int64 `xml:"spill,attr,omitempty"`
 }
 
 // Trace is the span timeline of one query, identified by an ID that the

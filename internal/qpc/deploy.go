@@ -173,23 +173,20 @@ func (ds *dapSession) sendSemiJoinKeys(keys []types.Tuple, stats *QueryStats) (i
 	return keyBytes, nil
 }
 
-// activate starts fragment execution and returns a batch reader over its
-// output stream (plain, non-resumable protocol).
+// activate starts fragment execution with no stream ID: a plain stream
+// the DAP retains nothing for. Only the semi-join key phase uses it —
+// its key streams cannot be resumed against a key set that a retry may
+// have changed, so a failure there fails the phase.
 func (ds *dapSession) activate(out types.Schema) (*wire.BatchReader, error) {
-	return ds.activateStream(out, "")
+	return ds.activatePart(out, "", 0, 0)
 }
 
-// activateStream starts fragment execution. A non-empty streamID asks
-// the DAP to run the resumable protocol: sequence-numbered frames and a
+// activatePart starts fragment execution. A non-empty streamID asks the
+// DAP to run the resumable protocol: sequence-numbered frames and a
 // replay window retained under that ID, so a broken connection can be
-// resumed instead of failing the query.
-func (ds *dapSession) activateStream(out types.Schema, streamID string) (*wire.BatchReader, error) {
-	return ds.activatePart(out, streamID, 0, 0)
-}
-
-// activatePart starts fragment execution for one shard of a scattered
-// fragment. of > 0 tags the activation with the shard's partition ID
-// and the pre-pruning partition count; the DAP echoes both in its EOS
+// resumed instead of failing the query. of > 0 marks one shard of a
+// scattered fragment and tags the activation with the shard's partition
+// ID and the pre-pruning partition count; the DAP echoes both in its EOS
 // stats so the QPC can verify each gathered stream's provenance.
 func (ds *dapSession) activatePart(out types.Schema, streamID string, part, of int) (*wire.BatchReader, error) {
 	if of <= 0 {

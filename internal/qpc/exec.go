@@ -187,17 +187,14 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 		}
 	}
 
-	// Phase 3: activate every unit; streams begin. Unless resume is
-	// disabled, each stream gets an ID derived from the trace ID so a
-	// broken connection can be resumed against the DAP's replay window.
+	// Phase 3: activate every unit; streams begin. Each stream gets an ID
+	// derived from the trace ID so a broken connection can be resumed
+	// against the DAP's replay window.
 	// Scattered activations carry their shard coordinates, which the DAP
 	// echoes in its EOS stats for provenance checking.
 	for i, ds := range e.sessions {
 		u := e.units[i]
-		streamID := ""
-		if !e.srv.cfg.DisableResume {
-			streamID = fmt.Sprintf("%s/%d", e.trace.ID, i)
-		}
+		streamID := fmt.Sprintf("%s/%d", e.trace.ID, i)
 		r, err := ds.activatePart(u.Frag.OutSchema, streamID, u.Part, u.Of)
 		if err != nil {
 			return err
@@ -355,7 +352,7 @@ func (e *planExec) recordRemoteSpans(name string, ds *dapSession, es *wire.ExecS
 		StartMicros: startOff, DurMicros: dur,
 		NetBytes: es.BytesSent, Tuples: es.TuplesSent,
 	})
-	for _, s := range wire.SpansFromXML(es.Spans) {
+	for _, s := range es.Spans {
 		s.StartMicros += ds.openOff
 		s.NetBytes = 0
 		e.trace.Add(s)

@@ -63,11 +63,6 @@ type Config struct {
 	// query pays to discover the corpse. Stop the prober with Close.
 	// Zero disables heartbeating.
 	HeartbeatInterval time.Duration
-	// DisableResume turns off the resumable stream protocol: fragments
-	// are activated without stream IDs, so any mid-stream connection
-	// failure aborts the query (the ablation baseline, and the PR 1
-	// behaviour).
-	DisableResume bool
 	// Exec tunes the QPC-side operator-tree executor: batch size, the
 	// per-stream prefetch bound, the serial (non-overlapped) mode used
 	// for A/B measurement, and the query-memory budget shared by every

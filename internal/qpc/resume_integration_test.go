@@ -252,30 +252,6 @@ func TestResumeExpiredFallsBackToRestart(t *testing.T) {
 	}
 }
 
-// TestResumeDisabledKeepsLegacyFailure pins the ablation baseline: with
-// resume disabled on the QPC, a mid-stream drop is fatal again (bounded,
-// clean failure — the pre-resume contract).
-func TestResumeDisabledKeepsLegacyFailure(t *testing.T) {
-	clean := newResumeHarness(t, nil, nil)
-	base, err := clean.executeWithin(t, 10*time.Second, streamQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newResumeHarness(t, func(c *Config) { c.DisableResume = true }, nil)
-	h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: base.Stats.CVDT / 2})
-	start := time.Now()
-	_, err = h.executeWithin(t, 10*time.Second, streamQuery)
-	if err == nil {
-		t.Fatal("with resume disabled a mid-stream drop must fail the query")
-	}
-	if wall := time.Since(start); wall > 5*time.Second {
-		t.Fatalf("legacy failure took %v, not promptly bounded", wall)
-	}
-	if resumes := h.qpcCounter("qpc_stream_resumes"); resumes != 0 {
-		t.Errorf("resume counted %d times with resume disabled", resumes)
-	}
-}
-
 // TestResumeTraceSpanSumStillMatchesCVDT extends the PR 2 accounting
 // invariant to the recovery path: on a resumed query the trace's net
 // bytes must still equal CVDT — the resume span carries zero net bytes,

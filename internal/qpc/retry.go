@@ -239,7 +239,7 @@ func transientErr(err error) bool {
 		return false
 	}
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) ||
 		errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) ||
 		errors.Is(err, syscall.EPIPE) {
 		return true

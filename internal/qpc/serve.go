@@ -80,170 +80,131 @@ func (s *Server) handleClient(nc net.Conn) error {
 	}
 }
 
-func (s *Server) serveQuery(ctx context.Context, conn *wire.Conn, sql string) error {
+// verb is one statement the QPC answers itself, with a one-column text
+// result, instead of planning it as SQL.
+type verb struct {
+	name   string // matched case-insensitively
+	arg    bool   // the statement continues with an argument after a space
+	column string
+	run    func(s *Server, ctx context.Context, arg string) (string, error)
+}
+
+// verbs is scanned in order, so EXPLAIN ANALYZE precedes the EXPLAIN it
+// extends.
+var verbs = []verb{
 	// EXPLAIN ANALYZE <query> executes the query, discarding rows, and
 	// returns the plan with the measured breakdown and span timeline.
-	// Checked before the plain EXPLAIN prefix, which it extends.
-	if rest, ok := strings.CutPrefix(strings.TrimSpace(sql), "EXPLAIN ANALYZE "); ok {
-		text, err := s.ExplainAnalyze(ctx, rest)
-		if err != nil {
-			return err
-		}
-		return s.sendTextResult(conn, "plan", text)
-	}
-	// EXPLAIN <query> returns the optimizer's plan rendering as a
-	// one-column result instead of executing.
-	if rest, ok := strings.CutPrefix(strings.TrimSpace(sql), "EXPLAIN "); ok {
-		return s.serveExplain(conn, rest)
-	}
+	{"EXPLAIN ANALYZE", true, "plan", (*Server).ExplainAnalyze},
+	// EXPLAIN <query> returns the optimizer's plan rendering.
+	{"EXPLAIN", true, "plan", func(s *Server, _ context.Context, sql string) (string, error) { return s.Explain(sql) }},
 	// SHOW METRICS dumps the server's metrics registry.
-	if strings.EqualFold(strings.TrimSpace(sql), "SHOW METRICS") {
-		return s.sendTextResult(conn, "metric", s.cfg.Metrics.Render())
-	}
+	{"SHOW METRICS", false, "metric", func(s *Server, _ context.Context, _ string) (string, error) {
+		return s.cfg.Metrics.Render(), nil
+	}},
 	// DESCRIBE <resource> returns the catalog's RDF document for a table
 	// or operator (section 3.5's (URI, RDF) resource descriptions).
-	if rest, ok := strings.CutPrefix(strings.TrimSpace(sql), "DESCRIBE "); ok {
-		return s.serveDescribe(conn, strings.TrimSpace(rest))
-	}
+	{"DESCRIBE", true, "rdf", (*Server).describe},
 	// SHOW TABLES lists the catalog's registered relations.
-	if strings.EqualFold(strings.TrimSpace(sql), "SHOW TABLES") {
-		return s.sendTextResult(conn, "table", strings.Join(s.cfg.Cat.TableNames(), "\n"))
-	}
+	{"SHOW TABLES", false, "table", func(s *Server, _ context.Context, _ string) (string, error) {
+		return strings.Join(s.cfg.Cat.TableNames(), "\n"), nil
+	}},
 	// VERIFY <class> re-runs the static verifier on a repository class
 	// and reports the verdict, capability manifest and static bounds.
-	if rest, ok := strings.CutPrefix(strings.TrimSpace(sql), "VERIFY "); ok {
-		text, err := s.VerifyClass(strings.TrimSpace(rest))
-		if err != nil {
-			return err
-		}
-		return s.sendTextResult(conn, "verify", text)
-	}
+	{"VERIFY", true, "verify", func(s *Server, _ context.Context, class string) (string, error) { return s.VerifyClass(class) }},
 	// SHOW ROLLOUTS reports every rollout this server has run, newest
 	// first, with the abort evidence for auto-rollbacks.
-	if strings.EqualFold(strings.TrimSpace(sql), "SHOW ROLLOUTS") {
-		return s.sendTextResult(conn, "rollout", s.RolloutReport())
-	}
+	{"SHOW ROLLOUTS", false, "rollout", func(s *Server, _ context.Context, _ string) (string, error) {
+		return s.RolloutReport(), nil
+	}},
 	// SHOW RELEASES [<class>] lists the release history of one class or
 	// of the whole repository: tag, digest, capability manifest, publish
 	// time and the active/canary markers.
-	if strings.EqualFold(strings.TrimSpace(sql), "SHOW RELEASES") {
-		text, err := s.ReleasesReport("")
-		if err != nil {
-			return err
-		}
-		return s.sendTextResult(conn, "release", text)
-	}
-	if rest, ok := strings.CutPrefix(strings.TrimSpace(sql), "SHOW RELEASES "); ok {
-		text, err := s.ReleasesReport(strings.TrimSpace(rest))
-		if err != nil {
-			return err
-		}
-		return s.sendTextResult(conn, "release", text)
-	}
+	{"SHOW RELEASES", false, "release", (*Server).releases},
+	{"SHOW RELEASES", true, "release", (*Server).releases},
 	// ROLLOUT <class> <tag> AT <fraction> starts canarying a staged
 	// release on that fraction of eligible queries.
-	if rest, ok := strings.CutPrefix(strings.TrimSpace(sql), "ROLLOUT "); ok {
-		return s.serveRollout(conn, rest)
-	}
+	{"ROLLOUT", true, "rollout", (*Server).rollout},
 	// ROLLBACK <class> manually withdraws a running rollout's canary.
-	if rest, ok := strings.CutPrefix(strings.TrimSpace(sql), "ROLLBACK "); ok {
-		text, err := s.AbortRollout(strings.TrimSpace(rest), "manual ROLLBACK")
-		if err != nil {
-			return err
-		}
-		return s.sendTextResult(conn, "rollout", text)
-	}
+	{"ROLLBACK", true, "rollout", func(s *Server, _ context.Context, class string) (string, error) {
+		return s.AbortRollout(class, "manual ROLLBACK")
+	}},
 	// PROMOTE <class> manually promotes a running rollout's canary to
 	// the active release.
-	if rest, ok := strings.CutPrefix(strings.TrimSpace(sql), "PROMOTE "); ok {
-		text, err := s.PromoteRollout(strings.TrimSpace(rest))
-		if err != nil {
-			return err
+	{"PROMOTE", true, "rollout", func(s *Server, _ context.Context, class string) (string, error) {
+		return s.PromoteRollout(class)
+	}},
+}
+
+// match reports whether stmt is this verb and returns its argument.
+func (v verb) match(stmt string) (arg string, ok bool) {
+	n := len(v.name)
+	if !v.arg {
+		return "", strings.EqualFold(stmt, v.name)
+	}
+	if len(stmt) <= n || stmt[n] != ' ' || !strings.EqualFold(stmt[:n], v.name) {
+		return "", false
+	}
+	return strings.TrimSpace(stmt[n:]), true
+}
+
+func (s *Server) serveQuery(ctx context.Context, conn *wire.Conn, sql string) error {
+	stmt := strings.TrimSpace(sql)
+	for _, v := range verbs {
+		if arg, ok := v.match(stmt); ok {
+			text, err := v.run(s, ctx, arg)
+			if err != nil {
+				return err
+			}
+			return sendTextResult(conn, v.column, text)
 		}
-		return s.sendTextResult(conn, "rollout", text)
 	}
 	q, err := s.Prepare(sql)
 	if err != nil {
 		return err
 	}
-	schemaMsg := wire.SchemaToMsg(q.Schema)
-	data, err := wire.EncodeXML(&schemaMsg)
-	if err != nil {
-		return err
-	}
-	if err := conn.Send(wire.MsgResultSchema, data); err != nil {
-		return err
-	}
-	w := wire.NewBatchWriter(conn)
-	stats, err := q.RunContext(ctx, w.Write)
-	if err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	statsData, err := wire.EncodeXML(stats)
-	if err != nil {
-		return err
-	}
-	return conn.Send(wire.MsgEOS, statsData)
+	return sendResult(conn, q.Schema, func(emit func(types.Tuple) error) (*QueryStats, error) {
+		return q.RunContext(ctx, emit)
+	})
 }
 
-// serveRollout parses "ROLLOUT <class> <tag> AT <fraction>" (fraction
-// as a percentage, e.g. "25", or a ratio, e.g. "0.25") and starts the
-// rollout.
-func (s *Server) serveRollout(conn *wire.Conn, rest string) error {
+func (s *Server) releases(_ context.Context, class string) (string, error) {
+	return s.ReleasesReport(class)
+}
+
+// rollout parses "<class> <tag> AT <fraction>" (fraction as a
+// percentage, e.g. "25", or a ratio, e.g. "0.25") and starts the rollout.
+func (s *Server) rollout(_ context.Context, rest string) (string, error) {
 	fields := strings.Fields(rest)
 	if len(fields) != 4 || !strings.EqualFold(fields[2], "AT") {
-		return errors.New("qpc: usage: ROLLOUT <class> <tag> AT <fraction>")
+		return "", errors.New("qpc: usage: ROLLOUT <class> <tag> AT <fraction>")
 	}
 	frac, err := strconv.ParseFloat(strings.TrimSuffix(fields[3], "%"), 64)
 	if err != nil {
-		return fmt.Errorf("qpc: bad rollout fraction %q: %w", fields[3], err)
+		return "", fmt.Errorf("qpc: bad rollout fraction %q: %w", fields[3], err)
 	}
 	if frac > 1 {
 		frac /= 100 // "25" and "25%" mean a quarter of eligible queries
 	}
-	text, err := s.StartRollout(fields[0], fields[1], frac)
-	if err != nil {
-		return err
-	}
-	return s.sendTextResult(conn, "rollout", text)
+	return s.StartRollout(fields[0], fields[1], frac)
 }
 
-func (s *Server) serveDescribe(conn *wire.Conn, name string) error {
+func (s *Server) describe(_ context.Context, name string) (string, error) {
 	var doc []byte
+	var err error
 	if tbl, ok := s.cfg.Cat.Table(name); ok {
-		d, err := catalog.TableRDF(tbl)
-		if err != nil {
-			return err
-		}
-		doc = d
+		doc, err = catalog.TableRDF(tbl)
 	} else if op, ok := s.cfg.Cat.Ops().Lookup(name); ok {
-		d, err := catalog.OperatorRDF(op)
-		if err != nil {
-			return err
-		}
-		doc = d
+		doc, err = catalog.OperatorRDF(op)
 	} else {
-		return fmt.Errorf("qpc: no catalog resource named %q", name)
+		err = fmt.Errorf("qpc: no catalog resource named %q", name)
 	}
-	return s.sendTextResult(conn, "rdf", string(doc))
+	return string(doc), err
 }
 
-func (s *Server) serveExplain(conn *wire.Conn, sql string) error {
-	text, err := s.Explain(sql)
-	if err != nil {
-		return err
-	}
-	return s.sendTextResult(conn, "plan", text)
-}
-
-// sendTextResult streams a multi-line string as a one-column result.
-func (s *Server) sendTextResult(conn *wire.Conn, column, text string) error {
-	schema := types.NewSchema(types.Column{Name: column, Kind: types.KindString})
-	msg := wire.SchemaToMsg(schema)
-	data, err := wire.EncodeXML(&msg)
+// sendResult is the reply to a query: the result schema, the rows run
+// emits as tuple batches, and run's stats as the EOS frame.
+func sendResult(conn *wire.Conn, schema types.Schema, run func(emit func(types.Tuple) error) (*QueryStats, error)) error {
+	data, err := wire.EncodeXML(wire.ResultSchema{Schema: schema})
 	if err != nil {
 		return err
 	}
@@ -251,17 +212,28 @@ func (s *Server) sendTextResult(conn *wire.Conn, column, text string) error {
 		return err
 	}
 	w := wire.NewBatchWriter(conn)
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		if err := w.Write(types.Tuple{types.String_(line)}); err != nil {
-			return err
-		}
+	stats, err := run(w.Write)
+	if err != nil {
+		return err
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	statsData, err := wire.EncodeXML(&QueryStats{})
-	if err != nil {
+	if data, err = wire.EncodeXML(stats); err != nil {
 		return err
 	}
-	return conn.Send(wire.MsgEOS, statsData)
+	return conn.Send(wire.MsgEOS, data)
+}
+
+// sendTextResult streams a multi-line string as a one-column result.
+func sendTextResult(conn *wire.Conn, column, text string) error {
+	schema := types.NewSchema(types.Column{Name: column, Kind: types.KindString})
+	return sendResult(conn, schema, func(emit func(types.Tuple) error) (*QueryStats, error) {
+		for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+			if err := emit(types.Tuple{types.String_(line)}); err != nil {
+				return nil, err
+			}
+		}
+		return &QueryStats{}, nil
+	})
 }

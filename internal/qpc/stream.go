@@ -17,9 +17,7 @@ import (
 // RESUME so the DAP continues from the last frame the QPC holds,
 // re-receiving at most the DAP's replay window. Only when the window
 // has evicted past that point does it fall back to a full restart of
-// the fragment (discarding the duplicate prefix tuple-by-tuple). Plain
-// streams (empty id) keep the pre-resume behaviour: any mid-stream
-// failure is fatal.
+// the fragment (discarding the duplicate prefix tuple-by-tuple).
 type fragmentStream struct {
 	e    *planExec
 	idx  int
@@ -42,12 +40,12 @@ type fragmentStream struct {
 }
 
 // Next returns the next tuple, or (nil, nil) at end of stream,
-// recovering from transient failures when the stream is resumable.
+// recovering from transient failures.
 func (fs *fragmentStream) Next() (types.Tuple, error) {
 	for {
 		tup, err := fs.r.Next()
 		if err != nil {
-			if fs.id == "" || !transientErr(err) {
+			if !transientErr(err) {
 				return nil, err
 			}
 			if rerr := fs.recover(err); rerr != nil {
@@ -140,10 +138,12 @@ func (fs *fragmentStream) recover(cause error) error {
 	if ack.OK {
 		// Continue in place: a fresh reader that discards the replayed
 		// frames up to lastSeq, keeping any tuples the old reader had
-		// decoded but not yet delivered.
+		// decoded but not yet delivered. It starts at lastSeq, so if this
+		// connection dies before delivering a frame the next resume still
+		// asks for the right point, not for the stream's beginning.
 		nr := wire.NewBatchReader(ds.conn, fs.frag.OutSchema)
 		nr.SkipUntil = lastSeq
-		nr.Seq = 0
+		nr.Seq = lastSeq
 		carryOver(fs.r, nr)
 		fs.r = nr
 		fs.resumes++
@@ -209,12 +209,11 @@ func carryOver(old, next *wire.BatchReader) {
 
 // canFailover reports whether the stream may abandon its serving
 // replica for a sibling: it must be a scattered shard with siblings,
-// and a resumable plain stream (a semi-join participant's key exchange
-// cannot be replayed against a different site — unreachable today, as
-// the optimizer never plans semi-joins over placed tables).
+// and not a semi-join participant (its key exchange cannot be replayed
+// against a different site — unreachable today, as the optimizer never
+// plans semi-joins over placed tables).
 func (fs *fragmentStream) canFailover() bool {
-	return fs.unit != nil && len(fs.unit.Replicas) > 1 &&
-		fs.id != "" && fs.frag.SemiJoinCol < 0
+	return fs.unit != nil && len(fs.unit.Replicas) > 1 && fs.frag.SemiJoinCol < 0
 }
 
 // failover demotes the stream's serving replica and restarts the shard

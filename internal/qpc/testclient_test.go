@@ -38,15 +38,11 @@ func (c *testConn) query(t *testing.T, sql string) ([]types.Tuple, QueryStats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var msg wire.SchemaMsg
-	if err := wire.DecodeXML(data, &msg); err != nil {
+	var doc wire.ResultSchema
+	if err := wire.DecodeXML(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	schema, err := wire.MsgToSchema(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := wire.NewBatchReader(c.conn, schema)
+	r := wire.NewBatchReader(c.conn, doc.Schema)
 	var rows []types.Tuple
 	for {
 		tup, err := r.Next()

@@ -29,13 +29,8 @@ type storeMeta struct {
 }
 
 type tableMeta struct {
-	Name    string    `xml:"name,attr"`
-	Columns []colMeta `xml:"column"`
-}
-
-type colMeta struct {
-	Name string `xml:"name,attr"`
-	Kind string `xml:"kind,attr"`
+	Name    string         `xml:"name,attr"`
+	Columns []types.Column `xml:"column"`
 }
 
 // DefaultPoolFrames is the per-table buffer pool size.
@@ -66,10 +61,6 @@ func OpenStore(dir string, poolFrames int) (*Store, error) {
 		return nil, fmt.Errorf("storage: parse store metadata: %w", err)
 	}
 	for _, tm := range s.meta.Tables {
-		schema, err := schemaFromMeta(tm)
-		if err != nil {
-			return nil, err
-		}
 		disk, err := OpenFileDisk(filepath.Join(dir, tm.Name+".heap"))
 		if err != nil {
 			return nil, err
@@ -80,21 +71,9 @@ func OpenStore(dir string, poolFrames int) (*Store, error) {
 			disk.Close()
 			return nil, fmt.Errorf("storage: table %s: %w", tm.Name, err)
 		}
-		s.tables[tm.Name] = NewTable(tm.Name, schema, heap, bp)
+		s.tables[tm.Name] = NewTable(tm.Name, types.Schema{Columns: tm.Columns}, heap, bp)
 	}
 	return s, nil
-}
-
-func schemaFromMeta(tm tableMeta) (types.Schema, error) {
-	var schema types.Schema
-	for _, c := range tm.Columns {
-		k, ok := types.KindByName(c.Kind)
-		if !ok {
-			return types.Schema{}, fmt.Errorf("storage: table %s column %s has unknown kind %q", tm.Name, c.Name, c.Kind)
-		}
-		schema.Columns = append(schema.Columns, types.Column{Name: c.Name, Kind: k})
-	}
-	return schema, nil
 }
 
 // Create makes a new table.
@@ -126,11 +105,7 @@ func (s *Store) Create(name string, schema types.Schema) (*Table, error) {
 	}
 	t := NewTable(name, schema, heap, bp)
 	s.tables[name] = t
-	tm := tableMeta{Name: name}
-	for _, c := range schema.Columns {
-		tm.Columns = append(tm.Columns, colMeta{Name: c.Name, Kind: c.Kind.String()})
-	}
-	s.meta.Tables = append(s.meta.Tables, tm)
+	s.meta.Tables = append(s.meta.Tables, tableMeta{Name: name, Columns: schema.Columns})
 	if err := s.saveMetaLocked(); err != nil {
 		return nil, err
 	}

@@ -13,7 +13,10 @@
 // exactly 28 bytes, as in section 2.2.
 package types
 
-import "fmt"
+import (
+	"encoding/xml"
+	"fmt"
+)
 
 // Kind identifies a middleware data type. It doubles as the wire tag used
 // when values are encoded with self-describing framing.
@@ -103,4 +106,31 @@ func KindByName(name string) (Kind, bool) {
 		}
 	}
 	return KindNull, false
+}
+
+// MarshalText writes the kind's name. With UnmarshalText it makes Kind
+// its own codec in every XML document that carries one (schemas, plan
+// expressions, aggregates), so no document parses kind names itself.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses a kind name, refusing one it does not know.
+func (k *Kind) UnmarshalText(text []byte) error {
+	v, ok := KindByName(string(text))
+	if !ok {
+		return fmt.Errorf("types: unknown kind %q", text)
+	}
+	*k = v
+	return nil
+}
+
+// RequireAttr refuses an element that lacks the named attribute. A kind
+// attribute needs it: encoding/xml leaves the field of an absent
+// attribute at its zero value, and the zero Kind is the valid NULL.
+func RequireAttr(start xml.StartElement, name string) error {
+	for _, a := range start.Attr {
+		if a.Name.Local == name {
+			return nil
+		}
+	}
+	return fmt.Errorf("types: <%s> has no %s attribute", start.Name.Local, name)
 }

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/xml"
 	"math"
 	"testing"
 	"testing/quick"
@@ -24,9 +25,20 @@ func TestKindNames(t *testing.T) {
 		if !ok || k != c.k {
 			t.Errorf("KindByName(%q) = %v, %v", c.name, k, ok)
 		}
+		// The text codec every XML document uses round-trips the name.
+		text, _ := c.k.MarshalText()
+		var back Kind
+		if err := back.UnmarshalText(text); err != nil || back != c.k || string(text) != c.name {
+			t.Errorf("Kind %v text round trip = %q -> %v (err %v)", c.k, text, back, err)
+		}
 	}
 	if _, ok := KindByName("NOPE"); ok {
 		t.Error("KindByName accepted unknown name")
+	}
+	for _, bad := range []string{"NOPE", "", "int", "KIND(200)"} {
+		if err := new(Kind).UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText accepted %q", bad)
+		}
 	}
 	if Kind(200).Valid() {
 		t.Error("Kind(200) should be invalid")
@@ -161,5 +173,34 @@ func TestDecodeShortBuffers(t *testing.T) {
 	// Declared length exceeding the buffer must error, not panic.
 	if _, _, err := DecodeValue(KindString, []byte{0xff, 0xff, 0xff, 0xff}); err == nil {
 		t.Error("oversized string length accepted")
+	}
+}
+
+// TestSchemaXML pins the <column name kind> element a schema has in
+// every document and the two refusals its decoder owes them all.
+func TestSchemaXML(t *testing.T) {
+	in := NewSchema(Column{Name: "id", Kind: KindInt}, Column{Name: "shape", Kind: KindPolygon})
+	data, err := xml.Marshal(struct {
+		XMLName xml.Name `xml:"s"`
+		Schema
+	}{Schema: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `<s><column name="id" kind="INT"></column><column name="shape" kind="POLYGON"></column></s>`
+	if string(data) != want {
+		t.Fatalf("schema XML = %s, want %s", data, want)
+	}
+	var out Schema
+	if err := xml.Unmarshal(data, &out); err != nil || !out.Equal(in) {
+		t.Errorf("schema decoded to %v (err %v), want %v", out, err, in)
+	}
+	for _, bad := range []string{
+		`<s><column name="id" kind="WEIRD"></column></s>`,
+		`<s><column name="id"></column></s>`,
+	} {
+		if err := xml.Unmarshal([]byte(bad), new(Schema)); err == nil {
+			t.Errorf("accepted %s", bad)
+		}
 	}
 }

@@ -2,22 +2,33 @@ package types
 
 import (
 	"encoding/binary"
+	"encoding/xml"
 	"fmt"
 	"math"
 	"strings"
 )
 
-// Column describes one attribute of a middleware relation.
+// Column describes one attribute of a middleware relation. In every
+// XML document that carries a schema it is <column name="…" kind="…">.
 type Column struct {
-	Name string
-	Kind Kind
+	Name string `xml:"name,attr"`
+	Kind Kind   `xml:"kind,attr"`
+}
+
+// UnmarshalXML decodes a <column>, refusing one without a kind.
+func (c *Column) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
+	type plain Column
+	if err := d.DecodeElement((*plain)(c), &start); err != nil {
+		return err
+	}
+	return RequireAttr(start, "kind")
 }
 
 // Schema is an ordered list of columns describing the tuples of a
 // relation as exposed through the middleware (the "middleware schema"
 // into which DAPs map source data).
 type Schema struct {
-	Columns []Column
+	Columns []Column `xml:"column"`
 }
 
 // NewSchema builds a schema from alternating name/kind pairs.

@@ -27,28 +27,26 @@ var goldenSpans = []obs.Span{
 // TestControlFramesGolden pins, byte for byte, the two control frames
 // whose payloads are built from domain values of other packages: the
 // RESULT_SCHEMA frame (a types.Schema) and an EOS frame whose exec-stats
-// carry trace spans (obs.Span). The files were generated before the
-// schema and span mirror structs were removed. Each payload must also
+// carry trace spans (obs.Span). The files were generated when wire still
+// copied both into mirror structs of its own. Each payload must also
 // decode to a value that encodes back to the same bytes.
 func TestControlFramesGolden(t *testing.T) {
-	schemaMsg := SchemaToMsg(testSchema)
-	schemaDoc, err := EncodeXML(&schemaMsg)
+	schemaDoc, err := EncodeXML(ResultSchema{Schema: testSchema})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var backMsg SchemaMsg
-	if err := DecodeXML(schemaDoc, &backMsg); err != nil {
-		t.Fatal(err)
+	var backSchema ResultSchema
+	if err := DecodeXML(schemaDoc, &backSchema); err != nil || !backSchema.Schema.Equal(testSchema) {
+		t.Fatalf("schema decoded to %v (err %v), want %v", backSchema.Schema, err, testSchema)
 	}
-	backSchema, err := MsgToSchema(backMsg)
-	if err != nil || !backSchema.Equal(testSchema) {
-		t.Fatalf("schema decoded to %v (err %v), want %v", backSchema, err, testSchema)
+	if again, err := EncodeXML(backSchema); err != nil || !bytes.Equal(again, schemaDoc) {
+		t.Errorf("schema does not re-encode to the same bytes (err %v)", err)
 	}
 
 	stats := ExecStats{Site: "site2", DBMicros: 11, CPUMicros: 22, NetMicros: 33, MiscMicros: 44,
 		TuplesRead: 17, BytesAccessed: 8192, TuplesSent: 17, BytesSent: 4096,
 		CodeClassesLoaded: 1, CodeBytesLoaded: 321, CacheHits: 2,
-		Trace: "q7", Spans: SpansToXML(goldenSpans), Part: 2, Of: 3}
+		Trace: "q7", Spans: goldenSpans, Part: 2, Of: 3}
 	statsDoc, err := EncodeXML(&stats)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +55,7 @@ func TestControlFramesGolden(t *testing.T) {
 	if err := DecodeXML(statsDoc, &backStats); err != nil {
 		t.Fatal(err)
 	}
-	if got := SpansFromXML(backStats.Spans); len(got) != len(goldenSpans) {
+	if got := backStats.Spans; len(got) != len(goldenSpans) {
 		t.Fatalf("decoded %d spans, want %d", len(got), len(goldenSpans))
 	} else {
 		for i := range got {

@@ -94,6 +94,11 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(MsgDeployPlan, cutFrag))
 	f.Add(frame(MsgDeployPlan, []byte(strings.Replace(string(cutFrag),
 		`requires="dag-cut"`, `requires="dag-cut time-travel"`, 1))))
+	// Result-schema frames: a well-formed schema and one naming a kind
+	// the type system does not have, which the decoder must refuse.
+	resultSchema, _ := EncodeXML(ResultSchema{Schema: fuzzSchema})
+	f.Add(frame(MsgResultSchema, resultSchema))
+	f.Add(frame(MsgResultSchema, []byte(strings.Replace(string(resultSchema), `kind="INT"`, `kind="WEIRD"`, 1))))
 	// Malformed: truncated header, truncated body, hostile length prefix,
 	// unknown type, huge tuple count with no tuples, multiple frames,
 	// and seq frames truncated inside the sequence-number prefix.
@@ -170,10 +175,8 @@ func FuzzFrame(f *testing.F) {
 				// documents must fail with an error, never panic.
 				_, _ = core.DecodeFragment(payload)
 			case MsgResultSchema:
-				var m SchemaMsg
-				if err := DecodeXML(payload, &m); err == nil {
-					_, _ = MsgToSchema(m)
-				}
+				var m ResultSchema
+				_ = DecodeXML(payload, &m)
 			}
 		}
 	})

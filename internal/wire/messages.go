@@ -63,38 +63,12 @@ type CodeInvalidateAck struct {
 	Dropped int      `xml:"dropped,attr"`
 }
 
-// SchemaMsg carries a result or fragment schema.
-type SchemaMsg struct {
-	XMLName xml.Name    `xml:"schema"`
-	Columns []SchemaCol `xml:"column"`
-}
-
-// SchemaCol is one column of a SchemaMsg.
-type SchemaCol struct {
-	Name string `xml:"name,attr"`
-	Kind string `xml:"kind,attr"`
-}
-
-// SchemaToMsg converts a middleware schema for transmission.
-func SchemaToMsg(s types.Schema) SchemaMsg {
-	m := SchemaMsg{}
-	for _, c := range s.Columns {
-		m.Columns = append(m.Columns, SchemaCol{Name: c.Name, Kind: c.Kind.String()})
-	}
-	return m
-}
-
-// MsgToSchema converts a received SchemaMsg back to a schema.
-func MsgToSchema(m SchemaMsg) (types.Schema, error) {
-	s := types.Schema{}
-	for _, c := range m.Columns {
-		k, ok := types.KindByName(c.Kind)
-		if !ok {
-			return types.Schema{}, fmt.Errorf("wire: unknown kind %q in schema", c.Kind)
-		}
-		s.Columns = append(s.Columns, types.Column{Name: c.Name, Kind: k})
-	}
-	return s, nil
+// ResultSchema is the RESULT_SCHEMA document: the result's schema under
+// a <schema> root (a types.Schema alone has no root name of its own,
+// because plan documents nest it under several).
+type ResultSchema struct {
+	XMLName xml.Name `xml:"schema"`
+	types.Schema
 }
 
 // ProcCall is a procedural request to a DAP (section 3.2): operations
@@ -143,66 +117,13 @@ type ExecStats struct {
 	// Trace echoes the session's trace ID; Spans are the DAP-side phase
 	// timings recorded under it. Span offsets are relative to the DAP's
 	// session start — the QPC re-anchors them onto its own timeline.
-	Trace string    `xml:"trace,attr,omitempty"`
-	Spans []SpanXML `xml:"span,omitempty"`
+	Trace string     `xml:"trace,attr,omitempty"`
+	Spans []obs.Span `xml:"span,omitempty"`
 	// Part and Of echo a placement-aware activation's partition ID and
 	// pre-pruning partition count (Of > 0 marks a partitioned stream),
 	// letting the QPC verify each gathered stream's shard.
 	Part int `xml:"part,attr,omitempty"`
 	Of   int `xml:"of,attr,omitempty"`
-}
-
-// SpanXML is the wire form of an obs.Span.
-type SpanXML struct {
-	Name        string `xml:"name,attr"`
-	Site        string `xml:"site,attr,omitempty"`
-	StartMicros int64  `xml:"start,attr"`
-	DurMicros   int64  `xml:"dur,attr"`
-	NetBytes    int64  `xml:"net,attr,omitempty"`
-	DBBytes     int64  `xml:"db,attr,omitempty"`
-	CodeBytes   int64  `xml:"code,attr,omitempty"`
-	Tuples      int64  `xml:"tuples,attr,omitempty"`
-	RowsIn      int64  `xml:"rows-in,attr,omitempty"`
-	Batches     int64  `xml:"batches,attr,omitempty"`
-	SpillBytes  int64  `xml:"spill,attr,omitempty"`
-}
-
-// SpansToXML converts trace spans for transmission.
-func SpansToXML(spans []obs.Span) []SpanXML {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make([]SpanXML, len(spans))
-	for i, s := range spans {
-		out[i] = SpanXML{
-			Name: s.Name, Site: s.Site,
-			StartMicros: s.StartMicros, DurMicros: s.DurMicros,
-			NetBytes: s.NetBytes, DBBytes: s.DBBytes,
-			CodeBytes: s.CodeBytes, Tuples: s.Tuples,
-			RowsIn: s.RowsIn, Batches: s.Batches,
-			SpillBytes: s.SpillBytes,
-		}
-	}
-	return out
-}
-
-// SpansFromXML converts received spans back to trace spans.
-func SpansFromXML(spans []SpanXML) []obs.Span {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make([]obs.Span, len(spans))
-	for i, s := range spans {
-		out[i] = obs.Span{
-			Name: s.Name, Site: s.Site,
-			StartMicros: s.StartMicros, DurMicros: s.DurMicros,
-			NetBytes: s.NetBytes, DBBytes: s.DBBytes,
-			CodeBytes: s.CodeBytes, Tuples: s.Tuples,
-			RowsIn: s.RowsIn, Batches: s.Batches,
-			SpillBytes: s.SpillBytes,
-		}
-	}
-	return out
 }
 
 // EncodeXML marshals a control payload.

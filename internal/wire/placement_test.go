@@ -71,7 +71,7 @@ func TestExecStatsSpansRoundTrip(t *testing.T) {
 			NetBytes: 4096, DBBytes: 8192, Tuples: 17, Batches: 2},
 		{Name: "dap:code", Site: "site2", CodeBytes: 321, SpillBytes: 64, RowsIn: 5},
 	}
-	in := ExecStats{Site: "site2", Part: 2, Of: 3, BytesSent: 4096, Spans: SpansToXML(spans)}
+	in := ExecStats{Site: "site2", Part: 2, Of: 3, BytesSent: 4096, Spans: spans}
 	data, err := EncodeXML(&in)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestExecStatsSpansRoundTrip(t *testing.T) {
 	if err := DecodeXML(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	got := SpansFromXML(out.Spans)
+	got := out.Spans
 	if len(got) != len(spans) {
 		t.Fatalf("got %d spans, want %d", len(got), len(spans))
 	}
@@ -89,8 +89,10 @@ func TestExecStatsSpansRoundTrip(t *testing.T) {
 			t.Errorf("span %d diverged:\n in  %+v\n out %+v", i, spans[i], got[i])
 		}
 	}
-	if SpansToXML(nil) != nil || SpansFromXML(nil) != nil {
-		t.Error("empty span lists should stay nil on the wire")
+	data, _ = EncodeXML(&ExecStats{Site: "site2"})
+	out = ExecStats{}
+	if err := DecodeXML(data, &out); err != nil || out.Spans != nil || bytes.Contains(data, []byte("span")) {
+		t.Errorf("empty span list should stay off the wire and decode to nil: %s (err %v)", data, err)
 	}
 }
 

@@ -35,9 +35,9 @@ func CutSeq(payload []byte) (uint64, []byte, error) {
 }
 
 // Activate is the optional MsgActivate payload. An empty payload (or
-// empty Stream) activates a plain, non-resumable stream — the pre-resume
-// wire behaviour. A stream ID makes the DAP retain a replay window so
-// the stream can survive a dropped connection.
+// empty Stream) activates a plain, non-resumable stream, as the
+// semi-join key phase does. A stream ID makes the DAP retain a replay
+// window so the stream can survive a dropped connection.
 //
 // Placement-aware activation: when the deployed fragment reads one
 // shard of a partitioned table, Part/Of carry the shard's partition ID

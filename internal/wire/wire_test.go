@@ -229,25 +229,26 @@ func TestControlPayloadRoundTrips(t *testing.T) {
 }
 
 func TestSchemaMsgRoundTrip(t *testing.T) {
-	m := SchemaToMsg(testSchema)
-	data, err := EncodeXML(&m)
+	data, err := EncodeXML(ResultSchema{Schema: testSchema})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back SchemaMsg
+	var back ResultSchema
 	if err := DecodeXML(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	s, err := MsgToSchema(back)
-	if err != nil {
-		t.Fatal(err)
+	if !back.Schema.Equal(testSchema) {
+		t.Errorf("schema round trip: %v != %v", back.Schema, testSchema)
 	}
-	if !s.Equal(testSchema) {
-		t.Errorf("schema round trip: %v != %v", s, testSchema)
-	}
-	// Unknown kind rejected.
-	if _, err := MsgToSchema(SchemaMsg{Columns: []SchemaCol{{Name: "x", Kind: "WEIRD"}}}); err == nil {
-		t.Error("unknown kind accepted")
+	// Refused: an unknown kind, a column without one, a foreign root.
+	for _, doc := range []string{
+		`<schema><column name="x" kind="WEIRD"></column></schema>`,
+		`<schema><column name="x"></column></schema>`,
+		`<table><column name="x" kind="INT"></column></table>`,
+	} {
+		if err := DecodeXML([]byte(doc), new(ResultSchema)); err == nil {
+			t.Errorf("accepted %s", doc)
+		}
 	}
 }
 

@@ -70,15 +70,11 @@ func (c *Client) Query(sql string) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	var msg wire.SchemaMsg
-	if err := wire.DecodeXML(data, &msg); err != nil {
+	var doc wire.ResultSchema
+	if err := wire.DecodeXML(data, &doc); err != nil {
 		return nil, err
 	}
-	schema, err := wire.MsgToSchema(msg)
-	if err != nil {
-		return nil, err
-	}
-	return &Rows{Schema: schema, reader: wire.NewBatchReader(c.conn, schema)}, nil
+	return &Rows{Schema: doc.Schema, reader: wire.NewBatchReader(c.conn, doc.Schema)}, nil
 }
 
 // Next returns the next row, or (nil, nil) at end of stream.

@@ -282,12 +282,37 @@ func (cl *Cluster) RegisterTable(site, table string) error {
 	})
 }
 
-// computeDriverStats scans a driver table to measure row count and
-// average per-column wire sizes.
-func computeDriverStats(driver dap.AccessDriver, table string, schema storageSchema) (catalog.TableStats, error) {
+// computeDriverStats measures a table through its access driver.
+func computeDriverStats(driver dap.AccessDriver, table string, schema Schema) (catalog.TableStats, error) {
+	return tableStats(schema, func(emit func(Tuple) error) error { return driver.Scan(table, emit) })
+}
+
+// ComputeTableStats scans a table to measure row count and average
+// per-column wire sizes — the statistics the optimizer's VRF needs.
+func ComputeTableStats(tbl *storage.Table) (catalog.TableStats, error) {
+	return tableStats(tbl.Schema(), func(emit func(Tuple) error) error {
+		it, err := tbl.Scan()
+		if err != nil {
+			return err
+		}
+		for {
+			tup, _, err := it.Next()
+			if err != nil || tup == nil {
+				return err
+			}
+			if err := emit(tup); err != nil {
+				return err
+			}
+		}
+	})
+}
+
+// tableStats accumulates row count and average per-column wire sizes
+// over every tuple scan emits.
+func tableStats(schema Schema, scan func(emit func(Tuple) error) error) (catalog.TableStats, error) {
 	sums := make([]int64, schema.Arity())
 	var rows int64
-	err := driver.Scan(table, func(tup Tuple) error {
+	err := scan(func(tup Tuple) error {
 		rows++
 		for i, v := range tup {
 			sums[i] += int64(v.WireSize())
@@ -296,43 +321,6 @@ func computeDriverStats(driver dap.AccessDriver, table string, schema storageSch
 	})
 	if err != nil {
 		return catalog.TableStats{}, err
-	}
-	stats := catalog.TableStats{RowCount: rows}
-	for i, c := range schema.Columns {
-		avg := 0
-		if rows > 0 {
-			avg = int(sums[i] / rows)
-		}
-		stats.Columns = append(stats.Columns, catalog.ColumnStats{Name: c.Name, AvgBytes: avg})
-	}
-	return stats, nil
-}
-
-// storageSchema abbreviates the schema type in helper signatures.
-type storageSchema = Schema
-
-// ComputeTableStats scans a table to measure row count and average
-// per-column wire sizes — the statistics the optimizer's VRF needs.
-func ComputeTableStats(tbl *storage.Table) (catalog.TableStats, error) {
-	it, err := tbl.Scan()
-	if err != nil {
-		return catalog.TableStats{}, err
-	}
-	schema := tbl.Schema()
-	sums := make([]int64, schema.Arity())
-	var rows int64
-	for {
-		tup, _, err := it.Next()
-		if err != nil {
-			return catalog.TableStats{}, err
-		}
-		if tup == nil {
-			break
-		}
-		rows++
-		for i, v := range tup {
-			sums[i] += int64(v.WireSize())
-		}
 	}
 	stats := catalog.TableStats{RowCount: rows}
 	for i, c := range schema.Columns {
