@@ -99,7 +99,8 @@ type dapMetrics struct {
 	execMS        *obs.Histogram
 	verifyRejects *obs.Counter
 	fastRuns      *obs.Counter
-	checkedRuns   *obs.Counter
+	vmInstrs      *obs.Counter
+	compileMicros *obs.Histogram
 
 	streamsRetained *obs.Gauge
 	streamsParked   *obs.Counter
@@ -147,7 +148,8 @@ func New(cfg Config) *Server {
 			execMS:        r.Histogram(obs.MDapExecMS),
 			verifyRejects: r.Counter(obs.MDapVerifyRejects),
 			fastRuns:      r.Counter(obs.MVMFastpathRuns),
-			checkedRuns:   r.Counter(obs.MVMCheckedRuns),
+			vmInstrs:      r.Counter(obs.MVMInstructions),
+			compileMicros: r.Histogram(obs.MVMCompileMicros),
 
 			streamsRetained: r.Gauge(obs.MDapStreamsRetained),
 			streamsParked:   r.Counter(obs.MDapStreamsParked),
@@ -347,14 +349,15 @@ func (b *vmBinder) resolve(name string) (*loadedClass, bool) {
 	return b.cache.get(name, b.refs[strings.ToLower(name)])
 }
 
-// runCounts sums interpreter dispatch counters across every machine the
-// binder created (the shared scalar machine plus one per aggregate).
-func (b *vmBinder) runCounts() (fast, checked int64) {
+// runCounts sums invocations and executed bytecode instructions across
+// every machine the binder created (the shared scalar machine plus one
+// per aggregate).
+func (b *vmBinder) runCounts() (runs, instrs int64) {
 	for _, m := range b.machines {
-		fast += m.FastRuns
-		checked += m.CheckedRuns
+		runs += m.FastRuns
+		instrs += m.Instrs
 	}
-	return fast, checked
+	return runs, instrs
 }
 
 // BindScalar implements core.OpBinder.

@@ -193,9 +193,48 @@ func TestDAPRejectsUnverifiableCode(t *testing.T) {
 	}
 }
 
+// TestDAPRejectsCodeOverItsLimits asserts that a verifiable class whose
+// proven call depth exceeds what this site's machines allow is refused
+// when it is deployed — the session reads the typed limit error — and
+// never reaches the code cache, let alone a tuple.
+func TestDAPRejectsCodeOverItsLimits(t *testing.T) {
+	conn, srv := testDAP(t, Config{Metrics: obs.NewRegistry(), Limits: vm.Limits{MaxCallDepth: 2}})
+	hello(t, conn)
+	p := vm.MustAssemble(`program deep
+func eval args=0 locals=0
+call f1
+ret
+end
+func f1 args=0 locals=0
+call f2
+ret
+end
+func f2 args=0 locals=0
+pushi 1
+ret
+end`)
+	if err := conn.Send(wire.MsgDeployCode, p.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := (&vm.LimitError{Program: "deep", Limit: "MaxCallDepth", Need: 3, Max: 2}).Error()
+	if typ != wire.MsgError || !strings.Contains(string(payload), want) {
+		t.Errorf("got %v %q, want an error carrying %q", typ, payload, want)
+	}
+	if got := srv.met.verifyRejects.Value(); got != 1 {
+		t.Errorf("dap_verify_rejects = %d, want 1", got)
+	}
+	if srv.HasClass(p.Name, p.Checksum()) {
+		t.Error("refused class was cached")
+	}
+}
+
 // TestDAPFastPathMetric asserts that code arriving over the wire is
-// re-verified on load and therefore executes on the unchecked fast
-// path, and that the dispatch counters surface in the registry.
+// re-verified and compiled on load, and that what it then executes —
+// invocations and bytecode instructions — surfaces in the registry.
 func TestDAPFastPathMetric(t *testing.T) {
 	reg := obs.NewRegistry()
 	conn, _ := testDAP(t, Config{Metrics: reg})
@@ -209,8 +248,11 @@ func TestDAPFastPathMetric(t *testing.T) {
 	if snap[obs.MVMFastpathRuns] == 0 {
 		t.Errorf("vm_fastpath_runs = 0 after executing shipped code; snapshot: %v", snap)
 	}
-	if snap[obs.MVMCheckedRuns] != 0 {
-		t.Errorf("vm_checked_runs = %d, want 0 (loaded classes are verified)", snap[obs.MVMCheckedRuns])
+	if runs, instrs := snap[obs.MVMFastpathRuns], snap[obs.MVMInstructions]; instrs < 10*runs {
+		t.Errorf("vm_instructions = %d after %d runs of a pixel loop", instrs, runs)
+	}
+	if n := snap[obs.MVMCompileMicros+".count"]; n != 1 {
+		t.Errorf("vm_compile_us observed %d compilations, want 1 (one class loaded)", n)
 	}
 }
 

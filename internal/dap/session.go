@@ -155,8 +155,20 @@ func (ss *session) handle(t wire.MsgType, payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("deploy code: %w", err)
 		}
-		// The static half of the sandbox: never load unverifiable code.
-		if err := vm.Verify(prog); err != nil {
+		// The static half of the sandbox: never load code that cannot be
+		// verified, or whose proven stack and call depth this site's
+		// machines would refuse at the first tuple.
+		err = vm.Verify(prog)
+		if err == nil {
+			err = ss.srv.cfg.Limits.Admit(prog)
+		}
+		if err == nil {
+			// Compile here, once per cached release, not under a tuple.
+			start := time.Now()
+			err = prog.Compile()
+			ss.srv.met.compileMicros.Observe(time.Since(start).Microseconds())
+		}
+		if err != nil {
 			ss.srv.met.verifyRejects.Inc()
 			return fmt.Errorf("deploy code: %w", err)
 		}
@@ -395,9 +407,9 @@ func (ss *session) execute(streamID string) error {
 	met.execMS.Observe(time.Since(start).Milliseconds())
 	met.classesLoaded.Add(int64(ss.stats.CodeClassesLoaded))
 	met.cacheHits.Add(int64(ss.stats.CacheHits))
-	fast, checked := binder.runCounts()
-	met.fastRuns.Add(fast)
-	met.checkedRuns.Add(checked)
+	runs, instrs := binder.runCounts()
+	met.fastRuns.Add(runs)
+	met.vmInstrs.Add(instrs)
 
 	if ss.trace != nil {
 		// Duration-only phase spans: the offsets say where in the session

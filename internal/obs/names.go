@@ -29,9 +29,12 @@ const (
 	MDapCacheInvalidateRequests = "dap_cache_invalidate_requests"
 	MDapCacheInvalidateDropped  = "dap_cache_invalidate_dropped"
 
-	// MVM interpreter dispatch, counted by the DAP executor.
-	MVMFastpathRuns = "vm_fastpath_runs"
-	MVMCheckedRuns  = "vm_checked_runs"
+	// MVM, counted by the DAP: invocations of shipped code and the
+	// bytecode instructions they executed (summed per fragment), and what
+	// compiling a class cost when it was loaded.
+	MVMFastpathRuns  = "vm_fastpath_runs"
+	MVMInstructions  = "vm_instructions"
+	MVMCompileMicros = "vm_compile_us"
 
 	// Shared executor memory governor and spilling operators
 	// (internal/exec). One governor serves every concurrent query on a

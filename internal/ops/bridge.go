@@ -74,6 +74,16 @@ func FromVM(v vm.Value, k types.Kind) (types.Object, error) {
 	return nil, fmt.Errorf("ops: cannot convert VM result to %v", k)
 }
 
+// toVMArgs converts one tuple's argument values into buf, growing it only
+// when the tuple has more arguments than any before.
+func toVMArgs(buf []vm.Value, args []types.Object) []vm.Value {
+	buf = buf[:0]
+	for _, a := range args {
+		buf = append(buf, ToVM(a))
+	}
+	return buf
+}
+
 // Scalar is an executable scalar operator instance bound to either its
 // native implementation or a loaded MVM program. A DAP, which only has
 // the shipped bytecode, always uses the VM path; a QPC holding the full
@@ -85,6 +95,10 @@ type Scalar struct {
 	machine *vm.Machine
 	prog    *vm.Program
 	evalIdx int
+	// args and globals are reused from call to call: a Scalar serves one
+	// goroutine, like the Machine it holds. Only the slices are reused,
+	// never a payload — a result may alias its argument's bytes.
+	args, globals []vm.Value
 }
 
 // NewNativeScalar binds a definition's native implementation.
@@ -103,7 +117,8 @@ func NewVMScalar(m *vm.Machine, p *vm.Program, ret types.Kind) (*Scalar, error) 
 	if idx < 0 {
 		return nil, fmt.Errorf("ops: program %s has no eval function", p.Name)
 	}
-	return &Scalar{name: p.Name, ret: ret, machine: m, prog: p, evalIdx: idx}, nil
+	return &Scalar{name: p.Name, ret: ret, machine: m, prog: p, evalIdx: idx,
+		globals: make([]vm.Value, p.NGlobals)}, nil
 }
 
 // Name returns the operator name.
@@ -114,15 +129,9 @@ func (s *Scalar) Call(args []types.Object) (types.Object, error) {
 	if s.native != nil {
 		return s.native(args)
 	}
-	vargs := make([]vm.Value, len(args))
-	for i, a := range args {
-		vargs[i] = ToVM(a)
-	}
-	var globals []vm.Value
-	if s.prog.NGlobals > 0 {
-		globals = make([]vm.Value, s.prog.NGlobals)
-	}
-	v, err := s.machine.Run(s.prog, s.evalIdx, globals, vargs)
+	s.args = toVMArgs(s.args, args)
+	clear(s.globals) // a scalar keeps no state between tuples
+	v, err := s.machine.Run(s.prog, s.evalIdx, s.globals, s.args)
 	if err != nil {
 		return nil, fmt.Errorf("ops: %s: %w", s.name, err)
 	}
@@ -139,6 +148,7 @@ type Aggregate struct {
 	machine                           *vm.Machine
 	prog                              *vm.Program
 	globals                           []vm.Value
+	args                              []vm.Value // Update's scratch, as Scalar.args
 	resetIdx, updateIdx, summarizeIdx int
 }
 
@@ -184,11 +194,8 @@ func (a *Aggregate) Update(args []types.Object) error {
 	if a.native != nil {
 		return a.native.Update(args)
 	}
-	vargs := make([]vm.Value, len(args))
-	for i, x := range args {
-		vargs[i] = ToVM(x)
-	}
-	_, err := a.machine.Run(a.prog, a.updateIdx, a.globals, vargs)
+	a.args = toVMArgs(a.args, args)
+	_, err := a.machine.Run(a.prog, a.updateIdx, a.globals, a.args)
 	return err
 }
 

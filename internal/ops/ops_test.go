@@ -346,3 +346,53 @@ func TestEstimateResultBytes(t *testing.T) {
 		t.Errorf("ratio result = %d, want 50", got)
 	}
 }
+
+// TestCompiledOperatorsReuseScratch pins the bridge's per-tuple costs and
+// their one hazard: a bound Scalar or Aggregate converts its arguments
+// into a slice it keeps, so a call allocates only its result — and a
+// result that aliases an argument's payload (bslice) must still be
+// intact after the next call reused that slice.
+func TestCompiledOperatorsReuseScratch(t *testing.T) {
+	diff, err := NewVMScalar(vm.New(vm.Limits{}), builtin(t, "Diff").Program(), types.KindDouble)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []types.Object{types.Double(101.5), types.Double(99.25)}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := diff.Call(args); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("Diff allocates %v times a call, want only the boxed result", n)
+	}
+	sum, err := NewVMAggregate(vm.New(vm.Limits{}), builtin(t, "Sum").Program(), types.KindDouble)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sum.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := sum.Update(args[:1]); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 0 {
+		t.Errorf("Sum.Update allocates %v times a tuple, want none", n)
+	}
+
+	head, err := NewVMScalar(vm.New(vm.Limits{}), vm.MustAssemble(
+		"program Head\nfunc eval args=1 locals=0\narg 0\npushi 0\npushi 2\nbslice\nret\nend"), types.KindBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := head.Call([]types.Object{types.Bytes{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := head.Call([]types.Object{types.Bytes{7, 8, 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := first.(types.Bytes); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("first result changed under the second call: %v", got)
+	}
+}

@@ -40,49 +40,6 @@ end`)
 	}
 }
 
-// BenchmarkInterpreterLoopChecked is the same workload forced onto the
-// fully-checked interpreter (as if the program were unverified), the
-// baseline the verified fast path is measured against.
-func BenchmarkInterpreterLoopChecked(b *testing.B) {
-	p := MustAssemble(`
-program sum
-func eval args=1 locals=2
-  pushi 0
-  store 0
-  pushi 1
-  store 1
-loop:
-  load 1
-  arg 0
-  gt
-  jnz done
-  load 0
-  load 1
-  addi
-  store 0
-  load 1
-  pushi 1
-  addi
-  store 1
-  jmp loop
-done:
-  load 0
-  ret
-end`)
-	p.verified = nil // drop the verification stamp: dynamic checks return
-	m := New(Limits{})
-	args := []Value{IntVal(1000)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(p, 0, nil, args); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if m.FastRuns != 0 {
-		b.Fatal("checked benchmark took the fast path")
-	}
-}
-
 // BenchmarkByteScan measures the ldu8 inner loop over a 64 KB buffer —
 // the hot path of every shipped raster operator.
 func BenchmarkByteScan(b *testing.B) {
@@ -151,11 +108,7 @@ end`)
 	}
 }
 
-// BenchmarkVerify measures the full static ladder — structural pass,
-// call-graph pass and dataflow fixpoint — on a realistic float-raster
-// reduction loop.
-func BenchmarkVerify(b *testing.B) {
-	src := `
+const verifyBenchSrc = `
 program big
 const zero float 0
 func eval args=1 locals=3
@@ -186,10 +139,36 @@ done:
   load 2
   ret
 end`
-	p := MustAssemble(src)
+
+// BenchmarkVerify measures the full static ladder — structural pass,
+// call-graph pass and dataflow fixpoint — on a realistic float-raster
+// reduction loop.
+func BenchmarkVerify(b *testing.B) {
+	p := MustAssemble(verifyBenchSrc)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := Verify(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompile measures what a DAP pays once per cached release on
+// top of decode and verification: compiling the verified program (the
+// one BenchmarkVerify verifies) to closures.
+func BenchmarkCompile(b *testing.B) {
+	blob := MustAssemble(verifyBenchSrc).Encode()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, err := Decode(blob)
+		if err == nil {
+			err = Verify(p)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := p.Compile(); err != nil {
 			b.Fatal(err)
 		}
 	}

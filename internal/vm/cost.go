@@ -14,7 +14,7 @@ import (
 //
 //   - a per-invocation worst-case instruction budget — exact for
 //     straight-line code, linear in trip count for bounded loops, and
-//     saturating at the machine fuel limit otherwise (the interpreter
+//     saturating at the machine fuel limit otherwise (the machine
 //     traps at MaxFuel, so the saturated budget stays sound);
 //   - weighted cost units, split into a fixed per-invocation part and a
 //     per-trip part for input-dependent loops, using the op/host cost
@@ -24,7 +24,7 @@ import (
 //   - a purity classification — whether an invocation can observe or
 //     mutate state outside its own frame.
 //
-// The soundness contract, pinned by FuzzCostSound against the checked
+// The soundness contract, pinned by FuzzCostSound against the reference
 // interpreter's instruction counter: for every verified program,
 // BudgetInstrs >= the number of instructions any single invocation
 // executes (when run under the default fuel limit).
@@ -78,7 +78,7 @@ func HostCost(id int) int64 {
 }
 
 // Budget and unit arithmetic saturates at the machine fuel limit: the
-// interpreter traps after MaxFuel instructions, so a saturated budget
+// machine traps after MaxFuel instructions, so a saturated budget
 // still upper-bounds any single invocation. Allocation bounds saturate
 // at MaxAlloc for the same reason.
 var (

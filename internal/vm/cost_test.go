@@ -15,25 +15,15 @@ func analyzeSrc(t *testing.T, src string) (*Program, *VerifyInfo) {
 	return p, info
 }
 
-// runBoth executes the program's entry function on both interpreter
-// loops and asserts the instruction counters agree; it returns the
-// counter.
+// runBoth executes the program's entry function on the reference
+// interpreter and the compiled engine, asserts they agree, and returns
+// the instruction counter.
 func runBoth(t *testing.T, p *Program, args []Value) int64 {
 	t.Helper()
 	if err := Verify(p); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	mc := New(DefaultLimits)
-	_, errC := mc.runChecked(p, &p.Funcs[0], make([]Value, p.NGlobals), args)
-	mf := New(DefaultLimits)
-	_, errF := mf.runFast(p, 0, make([]Value, p.NGlobals), args, p.verified)
-	if (errC == nil) != (errF == nil) {
-		t.Fatalf("path divergence: checked %v, fast %v", errC, errF)
-	}
-	if mc.LastRunInstrs != mf.LastRunInstrs {
-		t.Fatalf("instruction counter divergence: checked %d, fast %d", mc.LastRunInstrs, mf.LastRunInstrs)
-	}
-	return mc.LastRunInstrs
+	return parity(t, p, 0, DefaultLimits, args).instrs
 }
 
 func TestCostStraightLineExact(t *testing.T) {
@@ -242,22 +232,15 @@ func TestCostTrapPathsSetCounter(t *testing.T) {
 	if err := Verify(p); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	mc := New(DefaultLimits)
-	if _, err := mc.runChecked(p, &p.Funcs[0], nil, nil); err == nil {
-		t.Fatal("want math trap")
+	got := parity(t, p, 0, DefaultLimits, nil)
+	if tr, ok := got.err.(*Trap); !ok || tr.Kind != TrapMath {
+		t.Fatalf("want math trap, got %v", got.err)
 	}
-	if mc.LastRunInstrs != 3 {
-		t.Fatalf("trap-path counter = %d, want 3", mc.LastRunInstrs)
+	if got.instrs != 3 {
+		t.Fatalf("trap-path counter = %d, want 3", got.instrs)
 	}
-	mf := New(DefaultLimits)
-	if _, err := mf.runFast(p, 0, nil, nil, p.verified); err == nil {
-		t.Fatal("want math trap")
-	}
-	if mf.LastRunInstrs != 3 {
-		t.Fatalf("fast trap-path counter = %d, want 3", mf.LastRunInstrs)
-	}
-	if mc.LastRunInstrs > info.Cost.BudgetInstrs {
-		t.Fatalf("trap path exceeded budget: %d > %d", mc.LastRunInstrs, info.Cost.BudgetInstrs)
+	if got.instrs > info.Cost.BudgetInstrs {
+		t.Fatalf("trap path exceeded budget: %d > %d", got.instrs, info.Cost.BudgetInstrs)
 	}
 }
 

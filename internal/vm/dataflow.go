@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // This file implements the sound half of the MVM verifier: a dataflow
@@ -13,8 +14,8 @@ import (
 // pass accepts a program, execution can never underflow the operand
 // stack, fall through past the end of a function, call with too few
 // arguments, overrun the machine's stack or call-depth limits, or
-// recurse — so the interpreter may drop those dynamic checks entirely
-// (see machine_fast.go).
+// recurse — so the compiler (compile.go) turns stack slots into fixed
+// registers and emits none of those checks.
 //
 // The abstract domain tracks, at every instruction boundary, the exact
 // operand-stack depth plus an abstract kind per slot:
@@ -79,13 +80,12 @@ func joinKind(a, b absKind) absKind {
 }
 
 // matches reports whether a slot statically known as k may hold a value
-// of kind want at runtime. akAny defers the decision to the interpreter.
+// of kind want at runtime. akAny defers the decision to run time.
 func (k absKind) matches(want absKind) bool { return k == want || k == akAny }
 
 // VerifyInfo is the result of a successful dataflow verification: the
-// program's capability manifest and its static resource bounds. A
-// program carrying a VerifyInfo whose bounds fit the machine's limits
-// runs on the unchecked fast path.
+// program's capability manifest and its static resource bounds, plus —
+// once a Machine first runs the program — its compiled form.
 type VerifyInfo struct {
 	// Capabilities is the sorted set of host intrinsics the program can
 	// invoke — the manifest a site audits before accepting shipped code.
@@ -102,19 +102,21 @@ type VerifyInfo struct {
 	// Funcs holds per-function verification detail, in program order.
 	Funcs []FuncInfo
 
-	// fastCode is the pre-decoded instruction stream per function, with
-	// operands decoded and jump targets rewritten to instruction
-	// indexes. Verification makes this safe to build once: the code can
-	// no longer change meaning at runtime. runFast interprets this
-	// stream instead of raw bytecode.
-	fastCode [][]finstr
+	// flow is what the compiler reads: per function, the decoded
+	// instructions and the abstract state proven at every instruction
+	// boundary. compiled is built from it exactly once (Program.Compile)
+	// and shared read-only by every Machine running the program.
+	flow     []funcFlow
+	once     sync.Once
+	compiled *code
 }
 
-// finstr is one pre-decoded instruction of the fast-path stream.
-type finstr struct {
-	op      Op
-	operand int32 // decoded operand; for jumps, an instruction index
-	off     int32 // original byte offset, for trap reporting
+// funcFlow is one function's slice of VerifyInfo.flow.
+type funcFlow struct {
+	ins    []instr
+	idx    map[int]int // byte offset → instruction index
+	states []*absState // abstract state before each instruction
+	ret    absKind     // kind of the returned value
 }
 
 // FuncInfo is the per-function slice of a VerifyInfo.
@@ -166,6 +168,7 @@ type funcResult struct {
 	retKind   absKind
 	retSeen   bool
 	callSites []callSite
+	states    []*absState
 }
 
 type callSite struct {
@@ -239,12 +242,13 @@ func Analyze(p *Program) (*VerifyInfo, error) {
 	// decoded instruction lists, callees-first.
 	fcosts, progCost := costAnalyze(p, instrs, index, order, total)
 
-	info := &VerifyInfo{Funcs: make([]FuncInfo, len(p.Funcs)), Cost: progCost}
+	info := &VerifyInfo{Funcs: make([]FuncInfo, len(p.Funcs)), Cost: progCost, flow: make([]funcFlow, len(p.Funcs))}
 	for i := range p.Funcs {
 		ret := akAny
 		if results[i].retSeen {
 			ret = results[i].retKind
 		}
+		info.flow[i] = funcFlow{ins: instrs[i], idx: index[i], states: results[i].states, ret: ret}
 		info.Funcs[i] = FuncInfo{
 			Name:         p.Funcs[i].Name,
 			NArgs:        p.Funcs[i].NArgs,
@@ -275,20 +279,6 @@ func Analyze(p *Program) (*VerifyInfo, error) {
 		info.Capabilities = append(info.Capabilities, HostName(id))
 	}
 	sort.Strings(info.Capabilities)
-
-	info.fastCode = make([][]finstr, len(p.Funcs))
-	for i, ins := range instrs {
-		fc := make([]finstr, len(ins))
-		for j, in := range ins {
-			opnd := in.operand
-			switch in.op {
-			case OpJmp, OpJz, OpJnz:
-				opnd = index[i][in.operand]
-			}
-			fc[j] = finstr{op: in.op, operand: int32(opnd), off: int32(in.off)}
-		}
-		info.fastCode[i] = fc
-	}
 	return info, nil
 }
 
@@ -483,68 +473,6 @@ func analyzeFunc(p *Program, f *Func, ins []instr, idx map[int]int, results []*f
 			}
 			pop(1)
 
-		case OpAddI, OpSubI, OpMulI, OpDivI, OpModI:
-			if err := need(2); err != nil {
-				return nil, err
-			}
-			if err := want(0, akInt); err != nil {
-				return nil, err
-			}
-			if err := want(1, akInt); err != nil {
-				return nil, err
-			}
-			pop(2)
-			push(akInt)
-
-		case OpNegI:
-			if err := need(1); err != nil {
-				return nil, err
-			}
-			if err := want(0, akInt); err != nil {
-				return nil, err
-			}
-			st.stack[sp-1] = akInt
-
-		case OpAddF, OpSubF, OpMulF, OpDivF:
-			if err := need(2); err != nil {
-				return nil, err
-			}
-			if err := want(0, akFloat); err != nil {
-				return nil, err
-			}
-			if err := want(1, akFloat); err != nil {
-				return nil, err
-			}
-			pop(2)
-			push(akFloat)
-
-		case OpNegF:
-			if err := need(1); err != nil {
-				return nil, err
-			}
-			if err := want(0, akFloat); err != nil {
-				return nil, err
-			}
-			st.stack[sp-1] = akFloat
-
-		case OpI2F:
-			if err := need(1); err != nil {
-				return nil, err
-			}
-			if err := want(0, akInt); err != nil {
-				return nil, err
-			}
-			st.stack[sp-1] = akFloat
-
-		case OpF2I:
-			if err := need(1); err != nil {
-				return nil, err
-			}
-			if err := want(0, akFloat); err != nil {
-				return nil, err
-			}
-			st.stack[sp-1] = akInt
-
 		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 			if err := need(2); err != nil {
 				return nil, err
@@ -560,28 +488,6 @@ func analyzeFunc(p *Program, f *Func, ins []instr, idx map[int]int, results []*f
 			}
 			pop(2)
 			push(akBool)
-
-		case OpAnd, OpOr:
-			if err := need(2); err != nil {
-				return nil, err
-			}
-			if err := want(0, akBool); err != nil {
-				return nil, err
-			}
-			if err := want(1, akBool); err != nil {
-				return nil, err
-			}
-			pop(2)
-			push(akBool)
-
-		case OpNot:
-			if err := need(1); err != nil {
-				return nil, err
-			}
-			if err := want(0, akBool); err != nil {
-				return nil, err
-			}
-			st.stack[sp-1] = akBool
 
 		case OpJmp:
 			terminal = true
@@ -611,123 +517,26 @@ func analyzeFunc(p *Program, f *Func, ins []instr, idx map[int]int, results []*f
 			}
 			push(ret)
 
-		case OpBLen:
-			if err := need(1); err != nil {
+		default:
+			// Every other opcode has a fixed stack effect: opSigs.
+			sig := opSigs[in.op]
+			if in.op == OpHost {
+				caps[in.operand] = true
+				sig = hostSig(in.operand)
+			}
+			if sig.pops == nil {
+				return nil, fmt.Errorf("opcode %v at offset %d not modelled by verifier", in.op, in.off)
+			}
+			if err := need(len(sig.pops)); err != nil {
 				return nil, err
 			}
-			if err := want(0, akBytes); err != nil {
-				return nil, err
-			}
-			st.stack[sp-1] = akInt
-
-		case OpLdU8, OpLdI32:
-			if err := need(2); err != nil {
-				return nil, err
-			}
-			if err := want(0, akInt); err != nil {
-				return nil, err
-			}
-			if err := want(1, akBytes); err != nil {
-				return nil, err
-			}
-			pop(2)
-			push(akInt)
-
-		case OpLdF32, OpLdF64:
-			if err := need(2); err != nil {
-				return nil, err
-			}
-			if err := want(0, akInt); err != nil {
-				return nil, err
-			}
-			if err := want(1, akBytes); err != nil {
-				return nil, err
-			}
-			pop(2)
-			push(akFloat)
-
-		case OpBNew:
-			if err := need(1); err != nil {
-				return nil, err
-			}
-			if err := want(0, akInt); err != nil {
-				return nil, err
-			}
-			st.stack[sp-1] = akBytes
-
-		case OpStU8, OpStI32:
-			if err := need(3); err != nil {
-				return nil, err
-			}
-			if err := want(0, akInt); err != nil {
-				return nil, err
-			}
-			if err := want(1, akInt); err != nil {
-				return nil, err
-			}
-			if err := want(2, akBytes); err != nil {
-				return nil, err
-			}
-			pop(3)
-			push(akBytes)
-
-		case OpStF32:
-			if err := need(3); err != nil {
-				return nil, err
-			}
-			if err := want(0, akFloat); err != nil {
-				return nil, err
-			}
-			if err := want(1, akInt); err != nil {
-				return nil, err
-			}
-			if err := want(2, akBytes); err != nil {
-				return nil, err
-			}
-			pop(3)
-			push(akBytes)
-
-		case OpBSlice:
-			if err := need(3); err != nil {
-				return nil, err
-			}
-			if err := want(0, akInt); err != nil {
-				return nil, err
-			}
-			if err := want(1, akInt); err != nil {
-				return nil, err
-			}
-			if err := want(2, akBytes); err != nil {
-				return nil, err
-			}
-			pop(3)
-			push(akBytes)
-
-		case OpSLen:
-			if err := need(1); err != nil {
-				return nil, err
-			}
-			if err := want(0, akStr); err != nil {
-				return nil, err
-			}
-			st.stack[sp-1] = akInt
-
-		case OpHost:
-			caps[in.operand] = true
-			argn, argk, retk := hostSig(in.operand)
-			if err := need(argn); err != nil {
-				return nil, err
-			}
-			for i := 0; i < argn; i++ {
-				if err := want(i, argk); err != nil {
+			for i, k := range sig.pops {
+				if err := want(i, k); err != nil {
 					return nil, err
 				}
 			}
-			pop(argn)
-			push(retk)
-
-		default:
-			return nil, fmt.Errorf("opcode %v at offset %d not modelled by verifier", in.op, in.off)
+			pop(len(sig.pops))
+			push(sig.push)
 		}
 
 		if sp > fr.localPeak {
@@ -754,18 +563,45 @@ func analyzeFunc(p *Program, f *Func, ins []instr, idx map[int]int, results []*f
 			return nil, fmt.Errorf("unreachable code at offset %d", ins[i].off)
 		}
 	}
+	fr.states = states
 	return fr, nil
 }
 
-// hostSig returns the argument count, argument kind and result kind of a
-// host intrinsic. All intrinsics are kind-uniform over their arguments.
-func hostSig(id int) (argn int, argk, retk absKind) {
+// opSig is the stack effect of an opcode that always pops the same
+// kinds and pushes one value of a known kind.
+type opSig struct {
+	pops []absKind // top of stack first
+	push absKind
+}
+
+var (
+	popI   = []absKind{akInt}
+	popF   = []absKind{akFloat}
+	popII  = []absKind{akInt, akInt}
+	popFF  = []absKind{akFloat, akFloat}
+	popBB  = []absKind{akBool, akBool}
+	popIY  = []absKind{akInt, akBytes}
+	popIIY = []absKind{akInt, akInt, akBytes}
+)
+
+var opSigs = [numOps]opSig{
+	OpAddI: {popII, akInt}, OpSubI: {popII, akInt}, OpMulI: {popII, akInt}, OpDivI: {popII, akInt}, OpModI: {popII, akInt},
+	OpAddF: {popFF, akFloat}, OpSubF: {popFF, akFloat}, OpMulF: {popFF, akFloat}, OpDivF: {popFF, akFloat},
+	OpNegI: {popI, akInt}, OpNegF: {popF, akFloat}, OpI2F: {popI, akFloat}, OpF2I: {popF, akInt},
+	OpAnd: {popBB, akBool}, OpOr: {popBB, akBool}, OpNot: {[]absKind{akBool}, akBool},
+	OpBLen: {[]absKind{akBytes}, akInt}, OpSLen: {[]absKind{akStr}, akInt}, OpBNew: {popI, akBytes},
+	OpLdU8: {popIY, akInt}, OpLdI32: {popIY, akInt}, OpLdF32: {popIY, akFloat}, OpLdF64: {popIY, akFloat},
+	OpStU8: {popIIY, akBytes}, OpStI32: {popIIY, akBytes}, OpStF32: {[]absKind{akFloat, akInt, akBytes}, akBytes},
+	OpBSlice: {popIIY, akBytes},
+}
+
+// hostSig is the stack effect of a host intrinsic.
+func hostSig(id int) opSig {
 	switch id {
 	case HostAbsI:
-		return 1, akInt, akInt
+		return opSig{popI, akInt}
 	case HostPow:
-		return 2, akFloat, akFloat
-	default: // sqrt, absf, floor, ceil, log, exp
-		return 1, akFloat, akFloat
+		return opSig{popFF, akFloat}
 	}
+	return opSig{popF, akFloat} // sqrt, absf, floor, ceil, log, exp
 }

@@ -279,11 +279,11 @@ func TestVerifiedStampClearedByDecode(t *testing.T) {
 		t.Error("decoded program must not inherit the verification stamp (zero trust)")
 	}
 	m := New(Limits{})
-	if v, err := m.Run(q, 0, nil, nil); err != nil || v.I != 7 {
-		t.Fatalf("unverified run: %v %v", v, err)
+	if _, err := m.Run(q, 0, nil, nil); err == nil || !strings.Contains(err.Error(), "not verified") {
+		t.Fatalf("unverified program must be refused, got %v", err)
 	}
-	if m.CheckedRuns != 1 || m.FastRuns != 0 {
-		t.Errorf("unverified program must run checked: fast=%d checked=%d", m.FastRuns, m.CheckedRuns)
+	if err := q.Compile(); err == nil || m.FastRuns != 0 {
+		t.Errorf("unverified program compiled (%v) or ran (%d)", err, m.FastRuns)
 	}
 	if err := Verify(q); err != nil {
 		t.Fatal(err)
@@ -292,6 +292,6 @@ func TestVerifiedStampClearedByDecode(t *testing.T) {
 		t.Fatalf("verified run: %v %v", v, err)
 	}
 	if m.FastRuns != 1 {
-		t.Errorf("verified program should run fast: fast=%d", m.FastRuns)
+		t.Errorf("verified program should run: runs=%d", m.FastRuns)
 	}
 }

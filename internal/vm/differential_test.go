@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestDifferentialTrapParity drives the same verified program down both
-// interpreter loops and asserts byte-identical outcomes — value on
-// success, trap kind, message and PC on failure. This is the
+// TestDifferentialTrapParity drives the same verified program through
+// the reference interpreter and the compiled engine and asserts
+// identical outcomes — value on success; trap function, PC, kind and
+// message on failure; instruction count either way. This is the
 // deterministic core of what FuzzVerifySound explores randomly, pinned
 // on the trap arms the fuzzer reaches only probabilistically.
 func TestDifferentialTrapParity(t *testing.T) {
@@ -279,47 +280,25 @@ end`, []Value{BytesVal([]byte{10, 20, 30, 40})}, TrapGeneric, ""},
 			p := MustAssemble(c.src)
 			limits := DefaultLimits
 			limits.MaxFuel = 10000
-
-			fast := New(limits)
-			vF, errF := fast.Run(p, 0, nil, c.args)
-			if fast.FastRuns != 1 {
-				t.Fatal("verified program did not take the fast path")
-			}
-
-			unverified := *p
-			unverified.verified = nil
-			checked := New(limits)
-			vC, errC := checked.Run(&unverified, 0, nil, c.args)
-			if checked.CheckedRuns != 1 {
-				t.Fatal("unverified program did not take the checked path")
-			}
-
+			got := parity(t, p, 0, limits, c.args)
 			if c.frag == "" {
-				if errF != nil || errC != nil {
-					t.Fatalf("want success, got fast=%v checked=%v", errF, errC)
-				}
-				if !sameValue(vF, vC) {
-					t.Fatalf("value divergence: fast %+v, checked %+v", vF, vC)
+				if got.err != nil {
+					t.Fatalf("want success, got %v", got.err)
 				}
 				return
 			}
-			for path, err := range map[string]error{"fast": errF, "checked": errC} {
-				tr, ok := err.(*Trap)
-				if !ok {
-					t.Fatalf("%s path: want trap, got %v", path, err)
-				}
-				if tr.Kind != c.kind {
-					t.Errorf("%s path: kind = %v, want %v", path, tr.Kind, c.kind)
-				}
-				if !strings.Contains(tr.Msg, c.frag) {
-					t.Errorf("%s path: msg %q missing %q", path, tr.Msg, c.frag)
-				}
-				if tr.Kind.String() == "" {
-					t.Errorf("trap kind %d has no name", tr.Kind)
-				}
+			tr, ok := got.err.(*Trap)
+			if !ok {
+				t.Fatalf("want trap, got %v", got.err)
 			}
-			if errF.Error() != errC.Error() {
-				t.Errorf("trap text divergence:\n  fast:    %v\n  checked: %v", errF, errC)
+			if tr.Kind != c.kind {
+				t.Errorf("kind = %v, want %v", tr.Kind, c.kind)
+			}
+			if !strings.Contains(tr.Msg, c.frag) {
+				t.Errorf("msg %q missing %q", tr.Msg, c.frag)
+			}
+			if tr.Kind.String() == "" {
+				t.Errorf("trap kind %d has no name", tr.Kind)
 			}
 		})
 	}
@@ -333,7 +312,8 @@ func mutableBytes(n int) Value {
 	return v
 }
 
-// TestComparePolymorphism pins the comparison matrix both loops share.
+// TestComparePolymorphism pins the comparison matrix on both the
+// reference interpreter and the compiled engine.
 func TestComparePolymorphism(t *testing.T) {
 	cases := []struct {
 		src  string
@@ -357,19 +337,12 @@ func TestComparePolymorphism(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := MustAssemble(c.src)
-		for _, stamped := range []bool{true, false} {
-			q := *p
-			if !stamped {
-				q.verified = nil
-			}
-			m := New(Limits{})
-			v, err := m.Run(&q, 0, nil, c.args)
-			if err != nil {
-				t.Fatalf("%s (verified=%v): %v", c.src, stamped, err)
-			}
-			if v.I != c.want {
-				t.Errorf("%s (verified=%v) = %v, want %d", c.src, stamped, v.I, c.want)
-			}
+		got := parity(t, p, 0, Limits{}, c.args)
+		if got.err != nil {
+			t.Fatalf("%s: %v", c.src, got.err)
+		}
+		if got.val.I != c.want {
+			t.Errorf("%s = %v, want %d", c.src, got.val.I, c.want)
 		}
 	}
 }

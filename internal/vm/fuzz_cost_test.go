@@ -12,8 +12,8 @@ import (
 // costSoundCheck is the bound-soundness oracle shared by FuzzCostSound
 // and the committed-corpus sweep: any program the verifier accepts must
 // never execute more instructions in one invocation than its static
-// per-invocation budget claims, and the checked and fast loops must
-// count identically.
+// per-invocation budget claims, and the reference interpreter and the
+// compiled engine must count (and otherwise behave) identically.
 func costSoundCheck(t *testing.T, code []byte, nargs, nglobals uint8) {
 	t.Helper()
 	p := fuzzProgram(code, nargs, nglobals)
@@ -25,20 +25,10 @@ func costSoundCheck(t *testing.T, code []byte, nargs, nglobals uint8) {
 
 	limits := DefaultLimits
 	limits.MaxFuel = 50000
-	entry := &p.Funcs[0]
-	args := fuzzArgs(entry.NArgs)
-
-	mc := New(limits)
-	_, _ = mc.runChecked(p, entry, make([]Value, p.NGlobals), args)
-	if mc.LastRunInstrs > budget {
+	got := parity(t, p, 0, limits, fuzzArgs(p.Funcs[0].NArgs))
+	if got.instrs > budget {
 		t.Fatalf("bound unsound: executed %d instructions, static budget %d (bounded=%v)\ncode: %q",
-			mc.LastRunInstrs, budget, info.Funcs[0].Bounded, code)
-	}
-	mf := New(limits)
-	_, _ = mf.runFast(p, 0, make([]Value, p.NGlobals), args, info)
-	if mf.LastRunInstrs != mc.LastRunInstrs {
-		t.Fatalf("instruction counter divergence: checked %d, fast %d\ncode: %q",
-			mc.LastRunInstrs, mf.LastRunInstrs, code)
+			got.instrs, budget, info.Funcs[0].Bounded, code)
 	}
 }
 
@@ -64,8 +54,8 @@ var costSeedSrcs = []string{
 }
 
 // FuzzCostSound fuzzes the bound-soundness oracle: static per-invocation
-// instruction budget >= the checked interpreter's executed count, with
-// the fast path counting identically.
+// instruction budget >= the reference interpreter's executed count, with
+// the compiled engine counting identically.
 func FuzzCostSound(f *testing.F) {
 	for _, src := range costSeedSrcs {
 		p := MustAssemble(src)

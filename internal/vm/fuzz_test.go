@@ -34,22 +34,27 @@ func fuzzArgs(n int) []Value {
 	return vals[:n]
 }
 
+// sameValue compares two values field by field. Floats compare by bit
+// pattern, except that any NaN equals any NaN: which operand's payload
+// and sign a NaN-producing add or multiply keeps is up to the order the
+// Go compiler happened to put the operands in, not to the MVM.
 func sameValue(a, b Value) bool {
 	if a.K != b.K {
 		return false
 	}
 	return a.I == b.I &&
-		math.Float64bits(a.F) == math.Float64bits(b.F) &&
+		(math.Float64bits(a.F) == math.Float64bits(b.F) || a.F != a.F && b.F != b.F) &&
 		a.S == b.S &&
 		bytes.Equal(a.B, b.B)
 }
 
-// FuzzVerifySound is the soundness oracle for the dataflow verifier:
-// any program Analyze accepts must (a) never raise a stack-bounds trap
-// in the fully-checked interpreter — those faults are exactly what
-// verification claims to prove impossible — and (b) behave identically
-// on the checked loop and the unchecked fast path: same value, same
-// error text, same global side effects. Programs that read no
+// FuzzVerifySound is the soundness oracle for the dataflow verifier and
+// the compiler built on it: any program Analyze accepts must (a) never
+// raise a stack-bounds trap in the reference interpreter — those faults
+// are exactly what verification claims to prove impossible — and (b)
+// behave identically on the reference interpreter and the compiled
+// engine: same value, same trap (function, pc, kind, text), same global
+// side effects, same instruction count. Programs that read no
 // dynamically-kinded inputs (no arg / gload) must additionally never
 // raise a kind trap.
 func FuzzVerifySound(f *testing.F) {
@@ -71,19 +76,9 @@ func FuzzVerifySound(f *testing.F) {
 		if err := Verify(p); err != nil {
 			return // rejection is always sound
 		}
-		info := p.verified
-
 		limits := DefaultLimits
 		limits.MaxFuel = 50000
-		entry := &p.Funcs[0]
-		args := fuzzArgs(entry.NArgs)
-		gChecked := make([]Value, p.NGlobals)
-		gFast := make([]Value, p.NGlobals)
-
-		mc := New(limits)
-		vc, errC := mc.runChecked(p, entry, gChecked, args)
-		mf := New(limits)
-		vf, errF := mf.runFast(p, 0, gFast, args, info)
+		got := parity(t, p, 0, limits, fuzzArgs(p.Funcs[0].NArgs))
 
 		// Kind-exactness holds only for straight-line code with no
 		// dynamically-kinded sources: arg and gload push runtime-kinded
@@ -103,34 +98,14 @@ func FuzzVerifySound(f *testing.F) {
 			}
 		}
 
-		for _, got := range []error{errC, errF} {
-			if tr, ok := got.(*Trap); ok {
-				switch tr.Kind {
-				case TrapStack, TrapGeneric:
-					t.Fatalf("verified program raised %v trap: %v", tr.Kind, tr)
-				case TrapType:
-					if kindExact {
-						t.Fatalf("verified straight-line program raised kind trap: %v", tr)
-					}
+		if tr, ok := got.err.(*Trap); ok {
+			switch tr.Kind {
+			case TrapStack, TrapGeneric:
+				t.Fatalf("verified program raised %v trap: %v", tr.Kind, tr)
+			case TrapType:
+				if kindExact {
+					t.Fatalf("verified straight-line program raised kind trap: %v", tr)
 				}
-			}
-		}
-
-		if (errC == nil) != (errF == nil) {
-			t.Fatalf("path divergence: checked err=%v fast err=%v", errC, errF)
-		}
-		if errC != nil {
-			if errC.Error() != errF.Error() {
-				t.Fatalf("trap divergence:\n  checked: %v\n  fast:    %v", errC, errF)
-			}
-			return
-		}
-		if !sameValue(vc, vf) {
-			t.Fatalf("value divergence: checked %+v, fast %+v", vc, vf)
-		}
-		for i := range gChecked {
-			if !sameValue(gChecked[i], gFast[i]) {
-				t.Fatalf("global %d divergence: checked %+v, fast %+v", i, gChecked[i], gFast[i])
 			}
 		}
 	})

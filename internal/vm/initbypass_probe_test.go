@@ -37,10 +37,9 @@ end`
 	}
 	info := p.verified
 	t.Logf("bounded=%v budget=%d", info.Funcs[0].Bounded, info.Funcs[0].BudgetInstrs)
-	m := New(DefaultLimits)
-	_, err := m.runChecked(p, &p.Funcs[0], nil, nil)
-	t.Logf("executed=%d err=%v", m.LastRunInstrs, err)
-	if info.Funcs[0].Bounded && m.LastRunInstrs > info.Funcs[0].BudgetInstrs {
-		t.Fatalf("UNSOUND: executed %d > budget %d", m.LastRunInstrs, info.Funcs[0].BudgetInstrs)
+	got := parity(t, p, 0, DefaultLimits, nil)
+	t.Logf("executed=%d err=%v", got.instrs, got.err)
+	if info.Funcs[0].Bounded && got.instrs > info.Funcs[0].BudgetInstrs {
+		t.Fatalf("UNSOUND: executed %d > budget %d", got.instrs, info.Funcs[0].BudgetInstrs)
 	}
 }

@@ -1,7 +1,7 @@
 package vm
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -31,6 +31,53 @@ var DefaultLimits = Limits{
 	MaxAlloc:     256 << 20,
 }
 
+// withDefaults replaces zero-valued fields by DefaultLimits.
+func (l Limits) withDefaults() Limits {
+	return Limits{
+		MaxFuel:      cmp.Or(l.MaxFuel, DefaultLimits.MaxFuel),
+		MaxStack:     cmp.Or(l.MaxStack, DefaultLimits.MaxStack),
+		MaxCallDepth: cmp.Or(l.MaxCallDepth, DefaultLimits.MaxCallDepth),
+		MaxAlloc:     cmp.Or(l.MaxAlloc, DefaultLimits.MaxAlloc),
+	}
+}
+
+// LimitError reports a verified program whose static resource bound
+// exceeds what a machine allows. Stack depth and call nesting are proven
+// at verification time, so a site rejects such a class when it is
+// loaded instead of discovering the overrun while a query runs.
+type LimitError struct {
+	Program string
+	Limit   string // "MaxStack" or "MaxCallDepth"
+	Need    int    // the program's static bound
+	Max     int    // the machine's limit
+}
+
+func (e *LimitError) Error() string {
+	what := "operand stack depth"
+	if e.Limit == "MaxCallDepth" {
+		what = "call depth"
+	}
+	return fmt.Sprintf("vm: program %q needs %s %d, machine limit %s is %d", e.Program, what, e.Need, e.Limit, e.Max)
+}
+
+// Admit reports whether machines with these limits (zero fields mean
+// DefaultLimits) can run p: an unverified program is refused outright,
+// one whose static bounds do not fit with a *LimitError.
+func (l Limits) Admit(p *Program) error {
+	info := p.verified
+	if info == nil {
+		return fmt.Errorf("vm: program %q is not verified", p.Name)
+	}
+	l = l.withDefaults()
+	if info.MaxStack > l.MaxStack {
+		return &LimitError{Program: p.Name, Limit: "MaxStack", Need: info.MaxStack, Max: l.MaxStack}
+	}
+	if info.CallDepth > l.MaxCallDepth {
+		return &LimitError{Program: p.Name, Limit: "MaxCallDepth", Need: info.CallDepth, Max: l.MaxCallDepth}
+	}
+	return nil
+}
+
 // TrapKind classifies a runtime fault, so callers (and the soundness
 // fuzzer) can distinguish faults the static verifier rules out from
 // faults that are inherently dynamic.
@@ -54,25 +101,14 @@ const (
 	// TrapMath is a numeric domain fault: divide by zero, log of a
 	// non-positive, sqrt of a negative.
 	TrapMath
-	// TrapResource is a sandbox limit: fuel, operand-stack capacity,
-	// call depth or allocation budget exhausted.
+	// TrapResource is a sandbox limit: fuel or allocation budget
+	// exhausted.
 	TrapResource
 )
 
 func (k TrapKind) String() string {
-	switch k {
-	case TrapStack:
-		return "stack"
-	case TrapType:
-		return "type"
-	case TrapBounds:
-		return "bounds"
-	case TrapMath:
-		return "math"
-	case TrapResource:
-		return "resource"
-	}
-	return "generic"
+	names := [...]string{"generic", "stack", "type", "bounds", "math", "resource"}
+	return names[int(k)%len(names)]
 }
 
 // Trap is a runtime fault raised by executing MVM code.
@@ -87,61 +123,51 @@ func (t *Trap) Error() string {
 	return fmt.Sprintf("vm trap in %s at pc=%d: %s", t.Func, t.PC, t.Msg)
 }
 
-// Machine executes verified MVM programs. A Machine is not safe for
-// concurrent use; each executor goroutine owns one.
+// Machine executes verified MVM programs in their compiled form (see
+// compile.go). A Machine is not safe for concurrent use; each executor
+// goroutine owns one. It owns the register files every frame of an
+// invocation takes its window from, so running allocates nothing.
 type Machine struct {
 	limits Limits
-	stack  []Value
-	// FuelUsed accumulates instructions executed across invocations, for
-	// CPU-cost reporting.
-	FuelUsed int64
-	// LastRunInstrs is the number of instructions the most recent
-	// invocation executed, counted identically on the checked and fast
-	// paths and set on every exit — normal return and trap alike. The
-	// bound-soundness fuzz oracle (FuzzCostSound) compares it against
-	// the verifier's static per-invocation budget.
+
+	rs []int64 // scalar register arena: ints, bools and float bits
+	vs []Value // boxed register arena: bytes, strings, dynamically kinded
+	r  []int64 // the running frame's windows into rs and vs
+	v  []Value
+	g  []Value // globals of the running invocation
+
+	tmp   Value // where gstore computes what it stores
+	fuel  int64 // instructions left, charged a basic block at a time
+	alloc int64 // bnew bytes so far
+	// limit is the index, in the running function, of the instruction
+	// that finds the fuel gone; past every index until the last block.
+	limit int
+
+	// Instrs accumulates bytecode instructions executed across
+	// invocations, whichever way each one ended.
+	Instrs int64
+	// LastRunInstrs is the number of bytecode instructions the most
+	// recent invocation executed, set on every exit — normal return and
+	// trap alike — and equal to what the reference interpreter counts.
+	// FuzzCostSound compares it against the verifier's static budget.
 	LastRunInstrs int64
-	// FastRuns and CheckedRuns count invocations dispatched to the
-	// verified fast path vs the fully-checked interpreter.
+	// FastRuns counts invocations. CheckedRuns is the retired second
+	// interpreter's counter and stays zero.
 	FastRuns    int64
 	CheckedRuns int64
 }
 
 // New returns a machine with the given limits. Zero-valued limit fields
 // are replaced by DefaultLimits.
-func New(limits Limits) *Machine {
-	if limits.MaxFuel == 0 {
-		limits.MaxFuel = DefaultLimits.MaxFuel
-	}
-	if limits.MaxStack == 0 {
-		limits.MaxStack = DefaultLimits.MaxStack
-	}
-	if limits.MaxCallDepth == 0 {
-		limits.MaxCallDepth = DefaultLimits.MaxCallDepth
-	}
-	if limits.MaxAlloc == 0 {
-		limits.MaxAlloc = DefaultLimits.MaxAlloc
-	}
-	return &Machine{limits: limits, stack: make([]Value, 0, 64)}
-}
-
-type frame struct {
-	fn     *Func
-	pc     int
-	base   int // operand stack base for this frame
-	locals []Value
-	args   []Value
-}
+func New(limits Limits) *Machine { return &Machine{limits: limits.withDefaults()} }
 
 // Run executes function fnIdx of the program with the given arguments.
 // globals carries aggregate state across invocations; pass nil for
 // stateless scalar functions. It returns the function's result value.
 //
-// A program the dataflow verifier has accepted (see Analyze) whose
-// static stack and call-depth bounds fit this machine's limits runs on
-// the fast path, which drops the per-instruction dynamic stack checks
-// the verifier made redundant; anything else runs fully checked.
-func (m *Machine) Run(p *Program, fnIdx int, globals []Value, args []Value) (Value, error) {
+// The program must be verified and its static bounds must fit this
+// machine's limits (Limits.Admit); it is compiled on first use.
+func (m *Machine) Run(p *Program, fnIdx int, globals []Value, args []Value) (ret Value, err error) {
 	if fnIdx < 0 || fnIdx >= len(p.Funcs) {
 		return Value{}, fmt.Errorf("vm: function index %d out of range", fnIdx)
 	}
@@ -152,571 +178,113 @@ func (m *Machine) Run(p *Program, fnIdx int, globals []Value, args []Value) (Val
 	if p.NGlobals > 0 && len(globals) != p.NGlobals {
 		return Value{}, fmt.Errorf("vm: %s needs %d globals, got %d", p.Name, p.NGlobals, len(globals))
 	}
-	if info := p.verified; info != nil &&
-		info.MaxStack <= m.limits.MaxStack && info.CallDepth <= m.limits.MaxCallDepth {
-		m.FastRuns++
-		return m.runFast(p, fnIdx, globals, args, info)
+	info := p.verified // Admit's conditions, without its work, on the per-tuple path
+	if info == nil || info.MaxStack > m.limits.MaxStack || info.CallDepth > m.limits.MaxCallDepth {
+		return Value{}, m.limits.Admit(p)
 	}
-	m.CheckedRuns++
-	return m.runChecked(p, entry, globals, args)
+	code := info.code(p)
+	fn := &code.funcs[fnIdx]
+	if len(m.rs) < code.regs {
+		m.rs, m.vs = make([]int64, code.regs), make([]Value, code.regs)
+	}
+	m.FastRuns++
+	m.g, m.fuel, m.alloc, m.limit = globals, m.limits.MaxFuel, 0, math.MaxInt
+	m.enter(fn, m.rs, m.vs)
+	copy(m.v, args)
+
+	defer func() {
+		if r := recover(); r != nil {
+			t, ok := r.(*Trap)
+			if !ok {
+				panic(r)
+			}
+			ret, err = Value{}, t
+		}
+		m.Instrs += m.LastRunInstrs
+	}()
+	m.exec(fn)
+	m.LastRunInstrs = m.limits.MaxFuel - m.fuel
+	return m.v[0], nil
 }
 
-// runChecked is the fully-checked interpreter loop: every instruction
-// validates operand-stack depth and value kinds before acting. It is the
-// reference semantics the fast path must match (pinned by the
-// differential fuzz target FuzzVerifySound).
-func (m *Machine) runChecked(p *Program, entry *Func, globals []Value, args []Value) (Value, error) {
-	fuel := m.limits.MaxFuel
-	var allocUsed int64
-	m.stack = m.stack[:0]
-	frames := make([]frame, 1, 8)
-	frames[0] = frame{fn: entry, locals: make([]Value, entry.NLocals), args: args}
-
-	trap := func(kind TrapKind, msg string) (Value, error) {
-		if m.LastRunInstrs = m.limits.MaxFuel - fuel; fuel < 0 {
-			m.LastRunInstrs = m.limits.MaxFuel
-		}
-		f := &frames[len(frames)-1]
-		return Value{}, &Trap{Func: f.fn.Name, PC: f.pc, Kind: kind, Msg: msg}
+// box is boxed register n of the running frame, or global n.
+func (m *Machine) box(n int, global bool) *Value {
+	if global {
+		return &m.g[n]
 	}
+	return &m.v[n]
+}
 
-	push := func(v Value) bool {
-		if len(m.stack) >= m.limits.MaxStack {
-			return false
+// enter makes the first fn.size registers of r and v, and one more, the
+// running frame and zeroes its locals (a local reads as int 0 until
+// stored).
+func (m *Machine) enter(fn *cfunc, r []int64, v []Value) {
+	m.r, m.v = r[:fn.size+1], v[:fn.size+1]
+	clear(m.r[fn.nargs : fn.nargs+fn.nlocals])
+	clear(m.v[fn.nargs : fn.nargs+fn.nlocals])
+}
+
+// exec runs one compiled function in the current frame. Fuel is charged
+// for a whole block on entry; a block the remaining fuel cannot cover
+// is the invocation's last and goes to exhaust.
+func (m *Machine) exec(fn *cfunc) {
+	for b := fn.blocks[0]; b != nil; {
+		if m.fuel -= b.n; m.fuel < 0 {
+			m.exhaust(fn, b)
 		}
-		m.stack = append(m.stack, v)
-		return true
-	}
-
-	for {
-		f := &frames[len(frames)-1]
-		code := f.fn.Code
-		if f.pc >= len(code) {
-			return trap(TrapStack, "fell off end of code")
+		for _, s := range b.stmts {
+			s(m)
 		}
-		if fuel--; fuel < 0 {
-			m.FuelUsed += m.limits.MaxFuel
-			return trap(TrapResource, "fuel exhausted")
+		if b.cond == nil || b.cond(m) {
+			b = b.to
+		} else {
+			b = b.alt
 		}
-		op := Op(code[f.pc])
-		var operand int
-		npc := f.pc + 1
-		if op.HasOperand() {
-			operand = int(int32(binary.BigEndian.Uint32(code[f.pc+1:])))
-			npc = f.pc + 5
-		}
-		sp := len(m.stack)
-
-		switch op {
-		case OpNop:
-
-		case OpRet:
-			var ret Value
-			if sp > f.base {
-				ret = m.stack[sp-1]
-			}
-			m.stack = m.stack[:f.base]
-			frames = frames[:len(frames)-1]
-			if len(frames) == 0 {
-				m.LastRunInstrs = m.limits.MaxFuel - fuel
-				m.FuelUsed += m.LastRunInstrs
-				return ret, nil
-			}
-			if !push(ret) {
-				return trap(TrapResource, "stack overflow on return")
-			}
-			continue
-
-		case OpPop:
-			if sp < 1 {
-				return trap(TrapStack, "pop on empty stack")
-			}
-			m.stack = m.stack[:sp-1]
-
-		case OpDup:
-			if sp < 1 {
-				return trap(TrapStack, "dup on empty stack")
-			}
-			if !push(m.stack[sp-1]) {
-				return trap(TrapResource, "stack overflow")
-			}
-
-		case OpSwap:
-			if sp < 2 {
-				return trap(TrapStack, "swap needs two values")
-			}
-			m.stack[sp-1], m.stack[sp-2] = m.stack[sp-2], m.stack[sp-1]
-
-		case OpConst:
-			if !push(p.Consts[operand]) {
-				return trap(TrapResource, "stack overflow")
-			}
-
-		case OpPushI:
-			if !push(IntVal(int64(operand))) {
-				return trap(TrapResource, "stack overflow")
-			}
-
-		case OpArg:
-			if !push(f.args[operand]) {
-				return trap(TrapResource, "stack overflow")
-			}
-
-		case OpLoad:
-			if !push(f.locals[operand]) {
-				return trap(TrapResource, "stack overflow")
-			}
-
-		case OpStore:
-			if sp < 1 {
-				return trap(TrapStack, "store on empty stack")
-			}
-			f.locals[operand] = m.stack[sp-1]
-			m.stack = m.stack[:sp-1]
-
-		case OpGLoad:
-			if !push(globals[operand]) {
-				return trap(TrapResource, "stack overflow")
-			}
-
-		case OpGStore:
-			if sp < 1 {
-				return trap(TrapStack, "gstore on empty stack")
-			}
-			globals[operand] = m.stack[sp-1]
-			m.stack = m.stack[:sp-1]
-
-		case OpAddI, OpSubI, OpMulI, OpDivI, OpModI:
-			if sp < 2 {
-				return trap(TrapStack, "integer op needs two values")
-			}
-			a, b := m.stack[sp-2], m.stack[sp-1]
-			if a.K != VInt || b.K != VInt {
-				return trap(TrapType, fmt.Sprintf("%v needs ints, got %v and %v", op, a.K, b.K))
-			}
-			var r int64
-			switch op {
-			case OpAddI:
-				r = a.I + b.I
-			case OpSubI:
-				r = a.I - b.I
-			case OpMulI:
-				r = a.I * b.I
-			case OpDivI:
-				if b.I == 0 {
-					return trap(TrapMath, "integer divide by zero")
-				}
-				r = a.I / b.I
-			case OpModI:
-				if b.I == 0 {
-					return trap(TrapMath, "integer modulo by zero")
-				}
-				r = a.I % b.I
-			}
-			m.stack = m.stack[:sp-1]
-			m.stack[sp-2] = IntVal(r)
-
-		case OpNegI:
-			if sp < 1 {
-				return trap(TrapStack, "negi on empty stack")
-			}
-			if m.stack[sp-1].K != VInt {
-				return trap(TrapType, "negi needs an int")
-			}
-			m.stack[sp-1].I = -m.stack[sp-1].I
-
-		case OpAddF, OpSubF, OpMulF, OpDivF:
-			if sp < 2 {
-				return trap(TrapStack, "float op needs two values")
-			}
-			a, b := m.stack[sp-2], m.stack[sp-1]
-			if a.K != VFloat || b.K != VFloat {
-				return trap(TrapType, fmt.Sprintf("%v needs floats, got %v and %v", op, a.K, b.K))
-			}
-			var r float64
-			switch op {
-			case OpAddF:
-				r = a.F + b.F
-			case OpSubF:
-				r = a.F - b.F
-			case OpMulF:
-				r = a.F * b.F
-			case OpDivF:
-				r = a.F / b.F
-			}
-			m.stack = m.stack[:sp-1]
-			m.stack[sp-2] = FloatVal(r)
-
-		case OpNegF:
-			if sp < 1 {
-				return trap(TrapStack, "negf on empty stack")
-			}
-			if m.stack[sp-1].K != VFloat {
-				return trap(TrapType, "negf needs a float")
-			}
-			m.stack[sp-1].F = -m.stack[sp-1].F
-
-		case OpI2F:
-			if sp < 1 {
-				return trap(TrapStack, "i2f on empty stack")
-			}
-			if m.stack[sp-1].K != VInt {
-				return trap(TrapType, "i2f needs an int")
-			}
-			m.stack[sp-1] = FloatVal(float64(m.stack[sp-1].I))
-
-		case OpF2I:
-			if sp < 1 {
-				return trap(TrapStack, "f2i on empty stack")
-			}
-			if m.stack[sp-1].K != VFloat {
-				return trap(TrapType, "f2i needs a float")
-			}
-			m.stack[sp-1] = IntVal(int64(m.stack[sp-1].F))
-
-		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-			if sp < 2 {
-				return trap(TrapStack, "comparison needs two values")
-			}
-			a, b := m.stack[sp-2], m.stack[sp-1]
-			res, err := compare(op, a, b)
-			if err != nil {
-				return trap(TrapType, err.Error())
-			}
-			m.stack = m.stack[:sp-1]
-			m.stack[sp-2] = BoolVal(res)
-
-		case OpAnd, OpOr:
-			if sp < 2 {
-				return trap(TrapStack, "logic op needs two values")
-			}
-			a, b := m.stack[sp-2], m.stack[sp-1]
-			if a.K != VBool || b.K != VBool {
-				return trap(TrapType, "logic op needs bools")
-			}
-			var r bool
-			if op == OpAnd {
-				r = a.Bool() && b.Bool()
-			} else {
-				r = a.Bool() || b.Bool()
-			}
-			m.stack = m.stack[:sp-1]
-			m.stack[sp-2] = BoolVal(r)
-
-		case OpNot:
-			if sp < 1 {
-				return trap(TrapStack, "not on empty stack")
-			}
-			if m.stack[sp-1].K != VBool {
-				return trap(TrapType, "not needs a bool")
-			}
-			m.stack[sp-1] = BoolVal(!m.stack[sp-1].Bool())
-
-		case OpJmp:
-			f.pc = operand
-			continue
-
-		case OpJz, OpJnz:
-			if sp < 1 {
-				return trap(TrapStack, "conditional jump on empty stack")
-			}
-			if m.stack[sp-1].K != VBool {
-				return trap(TrapType, "conditional jump needs a bool")
-			}
-			cond := m.stack[sp-1].Bool()
-			m.stack = m.stack[:sp-1]
-			if (op == OpJz && !cond) || (op == OpJnz && cond) {
-				f.pc = operand
-				continue
-			}
-
-		case OpCall:
-			if len(frames) >= m.limits.MaxCallDepth {
-				return trap(TrapResource, "call depth exceeded")
-			}
-			callee := &p.Funcs[operand]
-			if sp < callee.NArgs {
-				return trap(TrapStack, fmt.Sprintf("call to %s needs %d args, stack has %d", callee.Name, callee.NArgs, sp))
-			}
-			callArgs := make([]Value, callee.NArgs)
-			copy(callArgs, m.stack[sp-callee.NArgs:])
-			m.stack = m.stack[:sp-callee.NArgs]
-			f.pc = npc
-			frames = append(frames, frame{
-				fn:     callee,
-				base:   len(m.stack),
-				locals: make([]Value, callee.NLocals),
-				args:   callArgs,
-			})
-			continue
-
-		case OpBLen:
-			if sp < 1 {
-				return trap(TrapStack, "blen on empty stack")
-			}
-			if m.stack[sp-1].K != VBytes {
-				return trap(TrapType, "blen needs bytes")
-			}
-			m.stack[sp-1] = IntVal(int64(len(m.stack[sp-1].B)))
-
-		case OpLdU8, OpLdI32, OpLdF32, OpLdF64:
-			if sp < 2 {
-				return trap(TrapStack, "byte load needs buffer and offset")
-			}
-			buf, off := m.stack[sp-2], m.stack[sp-1]
-			if buf.K != VBytes || off.K != VInt {
-				return trap(TrapType, "byte load needs (bytes, int)")
-			}
-			var width int64
-			switch op {
-			case OpLdU8:
-				width = 1
-			case OpLdI32, OpLdF32:
-				width = 4
-			case OpLdF64:
-				width = 8
-			}
-			if off.I < 0 || off.I+width > int64(len(buf.B)) {
-				return trap(TrapBounds, fmt.Sprintf("byte load at %d width %d out of bounds (%d)", off.I, width, len(buf.B)))
-			}
-			var v Value
-			switch op {
-			case OpLdU8:
-				v = IntVal(int64(buf.B[off.I]))
-			case OpLdI32:
-				v = IntVal(int64(int32(binary.BigEndian.Uint32(buf.B[off.I:]))))
-			case OpLdF32:
-				v = FloatVal(float64(math.Float32frombits(binary.BigEndian.Uint32(buf.B[off.I:]))))
-			case OpLdF64:
-				v = FloatVal(math.Float64frombits(binary.BigEndian.Uint64(buf.B[off.I:])))
-			}
-			m.stack = m.stack[:sp-1]
-			m.stack[sp-2] = v
-
-		case OpBNew:
-			if sp < 1 {
-				return trap(TrapStack, "bnew on empty stack")
-			}
-			if m.stack[sp-1].K != VInt {
-				return trap(TrapType, "bnew needs an int size")
-			}
-			size := m.stack[sp-1].I
-			if size < 0 {
-				return trap(TrapBounds, "bnew with negative size")
-			}
-			allocUsed += size
-			if allocUsed > m.limits.MaxAlloc {
-				return trap(TrapResource, "allocation budget exhausted")
-			}
-			v := BytesVal(make([]byte, size))
-			v.W = true
-			m.stack[sp-1] = v
-
-		case OpStU8, OpStI32, OpStF32:
-			if sp < 3 {
-				return trap(TrapStack, "byte store needs buffer, offset and value")
-			}
-			buf, off, val := m.stack[sp-3], m.stack[sp-2], m.stack[sp-1]
-			if buf.K != VBytes || off.K != VInt {
-				return trap(TrapType, "byte store needs (bytes, int, value)")
-			}
-			if !buf.W {
-				return trap(TrapBounds, "store into read-only buffer")
-			}
-			var width int64 = 4
-			if op == OpStU8 {
-				width = 1
-			}
-			if off.I < 0 || off.I+width > int64(len(buf.B)) {
-				return trap(TrapBounds, fmt.Sprintf("byte store at %d out of bounds (%d)", off.I, len(buf.B)))
-			}
-			switch op {
-			case OpStU8:
-				if val.K != VInt {
-					return trap(TrapType, "stu8 needs an int value")
-				}
-				buf.B[off.I] = byte(val.I)
-			case OpStI32:
-				if val.K != VInt {
-					return trap(TrapType, "sti32 needs an int value")
-				}
-				binary.BigEndian.PutUint32(buf.B[off.I:], uint32(int32(val.I)))
-			case OpStF32:
-				if val.K != VFloat {
-					return trap(TrapType, "stf32 needs a float value")
-				}
-				binary.BigEndian.PutUint32(buf.B[off.I:], math.Float32bits(float32(val.F)))
-			}
-			m.stack = m.stack[:sp-2]
-
-		case OpBSlice:
-			if sp < 3 {
-				return trap(TrapStack, "bslice needs buffer, start and end")
-			}
-			buf, start, end := m.stack[sp-3], m.stack[sp-2], m.stack[sp-1]
-			if buf.K != VBytes || start.K != VInt || end.K != VInt {
-				return trap(TrapType, "bslice needs (bytes, int, int)")
-			}
-			if start.I < 0 || end.I < start.I || end.I > int64(len(buf.B)) {
-				return trap(TrapBounds, fmt.Sprintf("bslice [%d:%d] out of bounds (%d)", start.I, end.I, len(buf.B)))
-			}
-			v := BytesVal(buf.B[start.I:end.I])
-			v.W = buf.W
-			m.stack = m.stack[:sp-2]
-			m.stack[sp-3] = v
-
-		case OpSLen:
-			if sp < 1 {
-				return trap(TrapStack, "slen on empty stack")
-			}
-			if m.stack[sp-1].K != VStr {
-				return trap(TrapType, "slen needs a string")
-			}
-			m.stack[sp-1] = IntVal(int64(len(m.stack[sp-1].S)))
-
-		case OpHost:
-			v, kind, err := callHost(operand, m.stack)
-			if err != nil {
-				return trap(kind, err.Error())
-			}
-			if operand == HostPow {
-				m.stack = m.stack[:len(m.stack)-1]
-			}
-			m.stack[len(m.stack)-1] = v
-
-		default:
-			return trap(TrapGeneric, fmt.Sprintf("unimplemented opcode %v", op))
-		}
-		f.pc = npc
 	}
 }
 
-func compare(op Op, a, b Value) (bool, error) {
-	if a.K != b.K {
-		return false, fmt.Errorf("comparison of %v and %v", a.K, b.K)
+// exhaust runs the block the fuel runs out in. With limit set, every
+// trap site and every instruction with an effect outside the register
+// files compares its own index against it: what the reference
+// interpreter would still have reached behaves as always, the first
+// thing at or past the limit raises the fuel trap instead.
+func (m *Machine) exhaust(fn *cfunc, b *block) {
+	m.limit = b.first + int(m.fuel+b.n)
+	for _, s := range b.stmts {
+		s(m)
 	}
-	var c int // -1, 0, 1
-	switch a.K {
-	case VInt, VBool:
-		switch {
-		case a.I < b.I:
-			c = -1
-		case a.I > b.I:
-			c = 1
-		}
-	case VFloat:
-		switch {
-		case a.F < b.F:
-			c = -1
-		case a.F > b.F:
-			c = 1
-		case a.F != b.F: // NaN involved: only Eq/Ne are meaningful
-			if op == OpEq {
-				return false, nil
-			}
-			if op == OpNe {
-				return true, nil
-			}
-			return false, nil
-		}
-	case VStr:
-		switch {
-		case a.S < b.S:
-			c = -1
-		case a.S > b.S:
-			c = 1
-		}
-	case VBytes:
-		if op != OpEq && op != OpNe {
-			return false, fmt.Errorf("bytes support only eq/ne")
-		}
-		eq := string(a.B) == string(b.B)
-		return (op == OpEq) == eq, nil
+	if b.cond != nil {
+		b.cond(m)
 	}
-	switch op {
-	case OpEq:
-		return c == 0, nil
-	case OpNe:
-		return c != 0, nil
-	case OpLt:
-		return c < 0, nil
-	case OpLe:
-		return c <= 0, nil
-	case OpGt:
-		return c > 0, nil
-	case OpGe:
-		return c >= 0, nil
-	}
-	return false, fmt.Errorf("bad comparison op %v", op)
+	site{fn, m.limit}.trap(m, TrapResource, "")
 }
 
-func callHost(id int, stack []Value) (Value, TrapKind, error) {
-	sp := len(stack)
-	need := 1
-	if id == HostPow {
-		need = 2
+// site is a place in compiled code that can trap: instruction idx of fn.
+type site struct {
+	fn  *cfunc
+	idx int
+}
+
+// trap ends the invocation with a Trap at the site, or with the fuel
+// trap when the site lies at or past the machine's fuel limit. The
+// block's fuel was charged up front, so the instructions after the site
+// are taken off again: LastRunInstrs counts up to and including it.
+func (s site) trap(m *Machine, kind TrapKind, msg string) {
+	idx := s.idx
+	if idx >= m.limit {
+		idx, kind, msg = m.limit, TrapResource, "fuel exhausted"
+		m.LastRunInstrs = m.limits.MaxFuel
+	} else {
+		m.LastRunInstrs = m.limits.MaxFuel - m.fuel - int64(s.fn.bend[idx]-int32(idx)-1)
 	}
-	if sp < need {
-		return Value{}, TrapStack, fmt.Errorf("host %s needs %d args", HostName(id), need)
+	panic(&Trap{Func: s.fn.name, PC: int(s.fn.offs[idx]), Kind: kind, Msg: msg})
+}
+
+// live is called by an instruction about to change state outside the
+// register files (globals, byte buffers, a callee's frame): past the
+// fuel limit it must not happen.
+func (s site) live(m *Machine) {
+	if m.limit <= s.idx {
+		s.trap(m, TrapResource, "")
 	}
-	switch id {
-	case HostSqrt:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("sqrt needs a float")
-		}
-		if x.F < 0 {
-			return Value{}, TrapMath, fmt.Errorf("sqrt of negative %g", x.F)
-		}
-		return FloatVal(math.Sqrt(x.F)), 0, nil
-	case HostAbsF:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("absf needs a float")
-		}
-		return FloatVal(math.Abs(x.F)), 0, nil
-	case HostAbsI:
-		x := stack[sp-1]
-		if x.K != VInt {
-			return Value{}, TrapType, fmt.Errorf("absi needs an int")
-		}
-		if x.I < 0 {
-			return IntVal(-x.I), 0, nil
-		}
-		return x, 0, nil
-	case HostPow:
-		x, y := stack[sp-2], stack[sp-1]
-		if x.K != VFloat || y.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("pow needs two floats")
-		}
-		return FloatVal(math.Pow(x.F, y.F)), 0, nil
-	case HostFloor:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("floor needs a float")
-		}
-		return FloatVal(math.Floor(x.F)), 0, nil
-	case HostCeil:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("ceil needs a float")
-		}
-		return FloatVal(math.Ceil(x.F)), 0, nil
-	case HostLog:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("log needs a float")
-		}
-		if x.F <= 0 {
-			return Value{}, TrapMath, fmt.Errorf("log of non-positive %g", x.F)
-		}
-		return FloatVal(math.Log(x.F)), 0, nil
-	case HostExp:
-		x := stack[sp-1]
-		if x.K != VFloat {
-			return Value{}, TrapType, fmt.Errorf("exp needs a float")
-		}
-		return FloatVal(math.Exp(x.F)), 0, nil
-	}
-	return Value{}, TrapGeneric, fmt.Errorf("unknown host intrinsic %d", id)
 }

@@ -31,7 +31,7 @@ type Program struct {
 
 	// verified is stamped by Verify on success. It never travels on the
 	// wire: Decode leaves it nil, so a receiving site must re-verify
-	// before the interpreter will take the fast path (zero trust).
+	// before a Machine will run the program at all (zero trust).
 	verified *VerifyInfo
 }
 

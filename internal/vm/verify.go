@@ -14,8 +14,8 @@ const (
 )
 
 // Verify statically checks a decoded program and, on success, stamps it
-// with its VerifyInfo so the interpreter can use the unchecked fast
-// path. The ladder has two rungs: the structural pass (every instruction
+// with its VerifyInfo: what a Machine demands before it runs a program
+// and what the compiler builds on. The ladder has two rungs: the structural pass (every instruction
 // is a defined opcode with in-range operands and every jump lands on an
 // instruction boundary) and the dataflow pass (stack-effect abstract
 // interpretation proving no underflow, no fall-through, no call-arity

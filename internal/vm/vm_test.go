@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -299,15 +300,14 @@ end`
 	if err == nil || !strings.Contains(err.Error(), "fuel") {
 		t.Errorf("expected fuel trap, got %v", err)
 	}
-	if m.FuelUsed < 1000 {
-		t.Errorf("FuelUsed = %d, want >= 1000", m.FuelUsed)
+	if m.Instrs != 1000 || m.LastRunInstrs != 1000 {
+		t.Errorf("Instrs = %d, LastRunInstrs = %d, want 1000", m.Instrs, m.LastRunInstrs)
 	}
 }
 
 func TestCallDepthTrap(t *testing.T) {
 	// A verified 10-deep call chain whose static CallDepth exceeds this
-	// machine's limit falls back to the checked interpreter, which traps
-	// dynamically.
+	// machine's limit is refused with a typed error before anything runs.
 	var b strings.Builder
 	b.WriteString("program chain\n")
 	for i := 0; i < 10; i++ {
@@ -323,21 +323,30 @@ func TestCallDepthTrap(t *testing.T) {
 	if info := p.Verified(); info == nil || info.CallDepth != 10 {
 		t.Fatalf("static call depth = %+v, want 10", info)
 	}
-	m := New(Limits{MaxCallDepth: 8})
+	m := New(Limits{MaxCallDepth: 2})
 	_, err := m.Run(p, 0, nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "depth") {
-		t.Errorf("expected call depth trap, got %v", err)
+	var le *LimitError
+	if !errors.As(err, &le) || *le != (LimitError{Program: "chain", Limit: "MaxCallDepth", Need: 10, Max: 2}) {
+		t.Fatalf("expected a call depth LimitError, got %#v", err)
 	}
-	if m.CheckedRuns != 1 || m.FastRuns != 0 {
-		t.Errorf("expected checked-path dispatch, got fast=%d checked=%d", m.FastRuns, m.CheckedRuns)
+	if !strings.Contains(err.Error(), "call depth 10") || Limits.Admit(Limits{MaxCallDepth: 2}, p) == nil {
+		t.Errorf("limit error text %q / Admit disagree with Run", err)
 	}
-	// With a roomy machine the same program takes the fast path.
+	if m.CheckedRuns != 0 || m.FastRuns != 0 || m.Instrs != 0 {
+		t.Errorf("a refused program must not run: runs=%d checked=%d instrs=%d", m.FastRuns, m.CheckedRuns, m.Instrs)
+	}
+	// The other static bound: an operand stack deeper than the machine's.
+	deep := MustAssemble("program deep\nfunc eval args=0 locals=0\npushi 1\npushi 2\npushi 3\naddi\naddi\nret\nend")
+	if _, err := New(Limits{MaxStack: 2}).Run(deep, 0, nil, nil); !errors.As(err, &le) || le.Limit != "MaxStack" || le.Need != 3 {
+		t.Errorf("expected a stack LimitError, got %v", err)
+	}
+	// With a roomy machine the chain runs.
 	m2 := New(Limits{})
 	if v, err := m2.Run(p, 0, nil, nil); err != nil || v.I != 1 {
 		t.Errorf("chain run: %v %v", v, err)
 	}
 	if m2.FastRuns != 1 {
-		t.Errorf("expected fast-path dispatch, got fast=%d", m2.FastRuns)
+		t.Errorf("expected one run, got %d", m2.FastRuns)
 	}
 }
 
