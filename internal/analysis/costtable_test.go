@@ -97,14 +97,14 @@ func build(m Model) Placement {
 		t.Fatal(err)
 	}
 	for frag, want := range map[string]int{
-		"has no opCost entry":                     1, // OpCall
-		"prices \"OpNop\" more than once":         1,
-		"not a declared opcode":                   1, // OpGhost
-		"must be a positive integer literal":      1, // OpRet: 0
-		"has no hostCost entry":                   1, // HostPow
-		"referenced outside cost.go":              1, // machine.go
-		"raw numeric CompCostPerByte":             1,
-		"raw numeric CPUCostPerByte":              1,
+		"has no opCost entry":                        1, // OpCall
+		"prices \"OpNop\" more than once":            1,
+		"not a declared opcode":                      1, // OpGhost
+		"must be a positive integer literal":         1, // OpRet: 0
+		"has no hostCost entry":                      1, // HostPow
+		"referenced outside cost.go":                 1, // machine.go
+		"raw numeric CompCostPerByte":                1,
+		"raw numeric CPUCostPerByte":                 1,
 		"raw numeric per-byte cost passed to CompMS": 1,
 	} {
 		if got := findingsWith(fs, frag); got != want {

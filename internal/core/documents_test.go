@@ -136,7 +136,7 @@ func syntheticFragment() *Fragment {
 // `xml:"name…"` or `xml:"-"`.
 func TestDocumentTypesTagEveryField(t *testing.T) {
 	for _, v := range []any{
-		Fragment{}, Plan{}, AggSpec{}, Output{}, PartTarget{}, JoinStep{}, OrderSpec{},
+		Fragment{}, Plan{}, Start{}, AggSpec{}, Output{}, PartTarget{}, JoinStep{}, OrderSpec{},
 		PExpr{}, CodeRef{}, obs.Span{}, types.Column{}, types.Schema{},
 	} {
 		typ := reflect.TypeOf(v)

@@ -367,6 +367,28 @@ func DecodeFragment(data []byte) (*Fragment, error) {
 	return f, nil
 }
 
+// Start is the START request, the one document that runs a fragment at
+// its DAP: the fragment — whose code refs name every class it needs by
+// content digest, so it is its own code check — under the attributes of
+// this activation. The DAP answers with a wire.StartAck.
+type Start struct {
+	XMLName xml.Name `xml:"start"`
+	// Stream names the result stream. The DAP retains the stream's replay
+	// window under it, and a START naming an ID it still retains replaces
+	// that execution (a retried set-up).
+	Stream string `xml:"stream,attr"`
+	// Trace is the query's trace ID; when set the DAP records spans
+	// under it and returns them with the stream's stats.
+	Trace string `xml:"trace,attr,omitempty"`
+	// Part and Of mark one shard of a scattered fragment: its partition
+	// ID and the pre-pruning partition count (Of > 0). The DAP echoes
+	// both in its stats so the QPC can verify each gathered stream came
+	// from the shard it started.
+	Part     int       `xml:"part,attr,omitempty"`
+	Of       int       `xml:"of,attr,omitempty"`
+	Fragment *Fragment `xml:"fragment"`
+}
+
 // EncodePlan renders the whole plan as XML (used for explain output and
 // plan archival).
 func EncodePlan(p *Plan) ([]byte, error) {

@@ -1,8 +1,10 @@
 package dap
 
 import (
+	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mocha/internal/catalog"
@@ -46,22 +48,16 @@ func testDAP(t *testing.T, cfg Config) (*wire.Conn, *Server) {
 		cfg.Driver = &StorageDriver{Store: store}
 	}
 	srv := New(cfg)
+	return connectDAP(t, srv), srv
+}
+
+// connectDAP opens one more QPC-side connection to srv.
+func connectDAP(t *testing.T, srv *Server) *wire.Conn {
 	qpcSide, dapSide := net.Pipe()
 	go srv.HandleConn(dapSide)
 	conn := wire.NewConn(qpcSide)
 	t.Cleanup(func() { conn.Close() })
-	return conn, srv
-}
-
-func hello(t *testing.T, conn *wire.Conn) {
-	t.Helper()
-	data, _ := wire.EncodeXML(&wire.Hello{Role: "qpc", Site: "qpc"})
-	if err := conn.Send(wire.MsgHello, data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Expect(wire.MsgHelloAck); err != nil {
-		t.Fatal(err)
-	}
+	return conn
 }
 
 func avgEnergyFragment(t *testing.T) (*core.Fragment, *catalog.Class) {
@@ -97,37 +93,61 @@ func avgEnergyFragment(t *testing.T) (*core.Fragment, *catalog.Class) {
 	return frag, cls
 }
 
-func deployAndRun(t *testing.T, conn *wire.Conn, frag *core.Fragment, cls *catalog.Class) []types.Tuple {
-	t.Helper()
-	return deployAndRunN(t, conn, frag, cls, 10)
-}
+// streamSeq numbers the streams the tests start, so no two share an ID.
+var streamSeq atomic.Int64
 
-// deployAndRunN deploys code+plan, activates, and returns the streamed
-// rows, asserting the DAP read wantRead source tuples.
-func deployAndRunN(t *testing.T, conn *wire.Conn, frag *core.Fragment, cls *catalog.Class, wantRead int64) []types.Tuple {
+// startFragment is the QPC's half of a START exchange: it sends the
+// request (its Stream filled in when empty) with keys behind a semi-join
+// fragment, reads the ack, and ships from classes exactly the releases
+// the ack names. It returns the digests the DAP asked for; the stream —
+// or the ERROR frame standing in for it — is next on conn.
+func startFragment(t *testing.T, conn *wire.Conn, req *core.Start, keys []types.Tuple, classes ...*catalog.Class) []string {
 	t.Helper()
-	if cls != nil {
-		if err := conn.Send(wire.MsgDeployCode, cls.Blob); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Expect(wire.MsgAck); err != nil {
-			t.Fatal(err)
-		}
+	if req.Stream == "" {
+		req.Stream = fmt.Sprintf("test/%d", streamSeq.Add(1))
 	}
-	data, err := core.EncodeFragment(frag)
+	data, err := wire.EncodeXML(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(wire.MsgDeployPlan, data); err != nil {
+	if err := conn.Send(wire.MsgStart, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Expect(wire.MsgAck); err != nil {
+	if req.Fragment != nil && req.Fragment.SemiJoinCol >= 0 {
+		if err := conn.Send(wire.MsgSemiJoinKeys, wire.EncodeBatch(keys)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ackData, err := conn.Expect(wire.MsgStartAck)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(wire.MsgActivate, nil); err != nil {
+	var ack wire.StartAck
+	if err := wire.DecodeXML(ackData, &ack); err != nil {
 		t.Fatal(err)
 	}
-	r := wire.NewBatchReader(conn, frag.OutSchema)
+	for _, digest := range ack.Need {
+		var blob []byte
+		for _, cls := range classes {
+			if cls.Checksum == digest {
+				blob = cls.Blob
+			}
+		}
+		if blob == nil {
+			t.Fatalf("DAP asked for release %s, which the test does not hold", digest)
+		}
+		if err := conn.Send(wire.MsgDeployCode, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ack.Need
+}
+
+// readStream drains a fragment stream, returning its rows and the stats
+// its SEQ_EOS carried.
+func readStream(t *testing.T, conn *wire.Conn, schema types.Schema) ([]types.Tuple, wire.ExecStats) {
+	t.Helper()
+	r := wire.NewBatchReader(conn, schema)
 	var rows []types.Tuple
 	for {
 		tup, err := r.Next()
@@ -143,15 +163,55 @@ func deployAndRunN(t *testing.T, conn *wire.Conn, frag *core.Fragment, cls *cata
 	if err := wire.DecodeXML(r.EOSPayload, &stats); err != nil {
 		t.Fatal(err)
 	}
+	return rows, stats
+}
+
+// streamError reads the ERROR frame a refused START leaves where its
+// stream would begin.
+func streamError(t *testing.T, conn *wire.Conn) string {
+	t.Helper()
+	typ, payload, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != wire.MsgError {
+		t.Fatalf("got %v %q, want an ERROR frame", typ, payload)
+	}
+	return string(payload)
+}
+
+func deployAndRun(t *testing.T, conn *wire.Conn, frag *core.Fragment, cls *catalog.Class) []types.Tuple {
+	t.Helper()
+	return deployAndRunN(t, conn, frag, cls, 10)
+}
+
+// deployAndRunN starts the fragment, shipping cls if the DAP asks for
+// it, and returns the streamed rows, asserting the DAP read wantRead
+// source tuples.
+func deployAndRunN(t *testing.T, conn *wire.Conn, frag *core.Fragment, cls *catalog.Class, wantRead int64) []types.Tuple {
+	t.Helper()
+	startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls)
+	rows, stats := readStream(t, conn, frag.OutSchema)
 	if stats.TuplesRead != wantRead {
 		t.Errorf("stats.TuplesRead = %d, want %d", stats.TuplesRead, wantRead)
 	}
 	return rows
 }
 
+// classRef is a fragment's code manifest naming one shipped program.
+func classRef(p *vm.Program) (*core.Fragment, *catalog.Class) {
+	schema := types.NewSchema(types.Column{Name: "time", Kind: types.KindInt})
+	frag := &core.Fragment{
+		Site: "test", Table: "Rasters", Cols: []int{0}, InSchema: schema, SemiJoinCol: -1,
+		Projections: []core.Output{{Name: "time", Expr: core.NewCol(0, types.KindInt)}},
+		Code:        []core.CodeRef{{Name: p.Name, Version: "1", Checksum: p.Checksum()}},
+		OutSchema:   schema,
+	}
+	return frag, &catalog.Class{Name: p.Name, Checksum: p.Checksum(), Blob: p.Encode()}
+}
+
 func TestDAPExecutesShippedOperator(t *testing.T) {
 	conn, _ := testDAP(t, Config{})
-	hello(t, conn)
 	frag, cls := avgEnergyFragment(t)
 	rows := deployAndRun(t, conn, frag, cls)
 	if len(rows) != 10 {
@@ -167,39 +227,38 @@ func TestDAPExecutesShippedOperator(t *testing.T) {
 func TestDAPRejectsUnverifiableCode(t *testing.T) {
 	reg := obs.NewRegistry()
 	conn, srv := testDAP(t, Config{Metrics: reg})
-	hello(t, conn)
 	// Structurally valid program with an out-of-range jump: Decode
-	// accepts it, Verify must not.
+	// accepts it, Verify must not. The refusal is the stream's ERROR frame.
 	p := vm.MustAssemble("program evil\nfunc eval args=0 locals=0\nret\nend")
 	p.Funcs[0].Code = []byte{byte(vm.OpJmp), 0, 0, 0, 99}
-	if err := conn.Send(wire.MsgDeployCode, p.Encode()); err != nil {
-		t.Fatal(err)
+	frag, cls := classRef(p)
+	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls); len(need) != 1 {
+		t.Fatalf("ack asked for %v, want the one unknown class", need)
 	}
-	typ, payload, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != wire.MsgError || !strings.Contains(string(payload), "jump") {
-		t.Errorf("got %v %q", typ, payload)
+	if msg := streamError(t, conn); !strings.Contains(msg, "jump") {
+		t.Errorf("error %q does not carry the verifier's text", msg)
 	}
 	if got := srv.met.verifyRejects.Value(); got != 1 {
 		t.Errorf("dap_verify_rejects = %d, want 1", got)
 	}
+	if srv.HasClass(p.Name, p.Checksum()) {
+		t.Error("refused class was cached")
+	}
 	// Garbage bytes likewise (a decode failure, not a verifier reject).
-	conn.Send(wire.MsgDeployCode, []byte("not a class"))
-	typ, _, _ = conn.Recv()
-	if typ != wire.MsgError {
-		t.Errorf("garbage class accepted: %v", typ)
+	cls.Blob = []byte("not a class")
+	startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls)
+	streamError(t, conn)
+	if got := srv.met.verifyRejects.Value(); got != 1 {
+		t.Errorf("dap_verify_rejects = %d after an undecodable blob, want 1", got)
 	}
 }
 
 // TestDAPRejectsCodeOverItsLimits asserts that a verifiable class whose
 // proven call depth exceeds what this site's machines allow is refused
-// when it is deployed — the session reads the typed limit error — and
+// when it is shipped — the stream opens with the typed limit error — and
 // never reaches the code cache, let alone a tuple.
 func TestDAPRejectsCodeOverItsLimits(t *testing.T) {
 	conn, srv := testDAP(t, Config{Metrics: obs.NewRegistry(), Limits: vm.Limits{MaxCallDepth: 2}})
-	hello(t, conn)
 	p := vm.MustAssemble(`program deep
 func eval args=0 locals=0
 call f1
@@ -213,16 +272,11 @@ func f2 args=0 locals=0
 pushi 1
 ret
 end`)
-	if err := conn.Send(wire.MsgDeployCode, p.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
+	frag, cls := classRef(p)
+	startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls)
 	want := (&vm.LimitError{Program: "deep", Limit: "MaxCallDepth", Need: 3, Max: 2}).Error()
-	if typ != wire.MsgError || !strings.Contains(string(payload), want) {
-		t.Errorf("got %v %q, want an error carrying %q", typ, payload, want)
+	if msg := streamError(t, conn); !strings.Contains(msg, want) {
+		t.Errorf("got %q, want an error carrying %q", msg, want)
 	}
 	if got := srv.met.verifyRejects.Value(); got != 1 {
 		t.Errorf("dap_verify_rejects = %d, want 1", got)
@@ -238,7 +292,6 @@ end`)
 func TestDAPFastPathMetric(t *testing.T) {
 	reg := obs.NewRegistry()
 	conn, _ := testDAP(t, Config{Metrics: reg})
-	hello(t, conn)
 	frag, cls := avgEnergyFragment(t)
 	rows := deployAndRun(t, conn, frag, cls)
 	if len(rows) != 10 {
@@ -258,139 +311,131 @@ func TestDAPFastPathMetric(t *testing.T) {
 
 func TestDAPMissingOperator(t *testing.T) {
 	conn, _ := testDAP(t, Config{})
-	hello(t, conn)
 	frag, _ := avgEnergyFragment(t)
-	// Deploy the plan WITHOUT the code: activation must fail with a
+	// A plan that calls the operator without listing its class: nothing
+	// is asked for, nothing ships, and binding must fail with a
 	// code-shipping error.
-	data, _ := core.EncodeFragment(frag)
-	conn.Send(wire.MsgDeployPlan, data)
-	if _, err := conn.Expect(wire.MsgAck); err != nil {
-		t.Fatal(err)
+	frag.Code = nil
+	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil); len(need) != 0 {
+		t.Fatalf("ack asked for %v from a plan with no code refs", need)
 	}
-	conn.Send(wire.MsgActivate, nil)
-	typ, payload, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != wire.MsgError || !strings.Contains(string(payload), "not loaded") {
-		t.Errorf("got %v %q", typ, payload)
+	if msg := streamError(t, conn); !strings.Contains(msg, "not loaded") {
+		t.Errorf("got %q", msg)
 	}
 }
 
 func TestDAPProtocolErrors(t *testing.T) {
 	conn, _ := testDAP(t, Config{})
-	hello(t, conn)
-	// Activate without a plan.
-	conn.Send(wire.MsgActivate, nil)
-	if typ, _, _ := conn.Recv(); typ != wire.MsgError {
-		t.Error("activate without plan accepted")
+	refused := func(what string, typ wire.MsgType, payload []byte, want string) {
+		t.Helper()
+		conn.Send(typ, payload)
+		if msg := streamError(t, conn); !strings.Contains(msg, want) {
+			t.Errorf("%s: got %q, want %q", what, msg, want)
+		}
 	}
-	// Semi-join keys without a semi-join fragment.
-	conn.Send(wire.MsgSemiJoinKeys, wire.EncodeBatch(nil))
-	if typ, _, _ := conn.Recv(); typ != wire.MsgError {
-		t.Error("stray semi-join keys accepted")
+	// The four retired set-up messages keep their numbers unassigned.
+	for n := 6; n <= 9; n++ {
+		refused("retired message", wire.MsgType(n), nil, fmt.Sprintf("unexpected MSG(%d)", n))
 	}
-	// Unknown table.
+	// Frames that belong inside a START, outside one.
+	refused("stray keys", wire.MsgSemiJoinKeys, wire.EncodeBatch(nil), "semi-join keys without a semi-join fragment")
+	refused("stray class", wire.MsgDeployCode, nil, "unexpected DEPLOY_CODE")
+	// A START that names no stream, or carries no fragment.
 	frag, cls := avgEnergyFragment(t)
+	bare, _ := wire.EncodeXML(&core.Start{Fragment: frag})
+	refused("no stream id", wire.MsgStart, bare, "start without")
+	bare, _ = wire.EncodeXML(&core.Start{Stream: "s"})
+	refused("no fragment", wire.MsgStart, bare, "start without")
+	refused("garbage", wire.MsgStart, []byte("<start"), "decode")
+	// Unknown table.
 	frag.Table = "Nope"
-	conn.Send(wire.MsgDeployCode, cls.Blob)
-	conn.Expect(wire.MsgAck)
-	data, _ := core.EncodeFragment(frag)
-	conn.Send(wire.MsgDeployPlan, data)
-	conn.Expect(wire.MsgAck)
-	conn.Send(wire.MsgActivate, nil)
-	if typ, _, _ := conn.Recv(); typ != wire.MsgError {
-		t.Error("unknown table accepted")
-	}
+	startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls)
+	streamError(t, conn)
 	// Column out of range.
 	frag2, _ := avgEnergyFragment(t)
 	frag2.Cols = []int{0, 7}
-	data, _ = core.EncodeFragment(frag2)
-	conn.Send(wire.MsgDeployPlan, data)
-	conn.Expect(wire.MsgAck)
-	conn.Send(wire.MsgActivate, nil)
-	if typ, _, _ := conn.Recv(); typ != wire.MsgError {
-		t.Error("out-of-range column accepted")
+	startFragment(t, conn, &core.Start{Fragment: frag2}, nil, cls)
+	if msg := streamError(t, conn); !strings.Contains(msg, "extracts column 7 of 2-column table") {
+		t.Errorf("out-of-range column: got %q", msg)
 	}
+	// Keys behind a fragment that takes none are a frame of their own,
+	// refused once the stream has ended.
+	frag3, _ := avgEnergyFragment(t)
+	startFragment(t, conn, &core.Start{Fragment: frag3}, nil, cls)
+	readStream(t, conn, frag3.OutSchema)
+	refused("keys for a plain fragment", wire.MsgSemiJoinKeys, wire.EncodeBatch(nil), "semi-join keys without a semi-join fragment")
 }
 
+// TestDAPCodeCheckAndCache: the START ack is the code check — it names a
+// class the DAP lacks, stays empty once the class is cached, and asks
+// again for any other digest; each execution reports its own loads and
+// hits.
 func TestDAPCodeCheckAndCache(t *testing.T) {
 	conn, srv := testDAP(t, Config{})
-	hello(t, conn)
 	frag, cls := avgEnergyFragment(t)
-	check := wire.CodeCheck{Classes: []wire.CodeCheckItem{
-		{Name: cls.Name, Version: cls.Version, Checksum: cls.Checksum},
-	}}
-	payload, _ := wire.EncodeXML(&check)
-	conn.Send(wire.MsgCodeCheck, payload)
-	ackData, err := conn.Expect(wire.MsgCodeCheckAck)
-	if err != nil {
-		t.Fatal(err)
+	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls); len(need) != 1 || need[0] != cls.Checksum {
+		t.Fatalf("fresh DAP should need the class: %v", need)
 	}
-	var ack wire.CodeCheckAck
-	wire.DecodeXML(ackData, &ack)
-	if len(ack.Needed) != 1 {
-		t.Fatalf("fresh DAP should need the class: %v", ack.Needed)
+	if _, stats := readStream(t, conn, frag.OutSchema); stats.CodeClassesLoaded != 1 || stats.CodeBytesLoaded != len(cls.Blob) || stats.CacheHits != 0 {
+		t.Errorf("first run reported %d classes / %d B loaded, %d hits", stats.CodeClassesLoaded, stats.CodeBytesLoaded, stats.CacheHits)
 	}
-	deployAndRun(t, conn, frag, cls)
-	// Second check: cached.
-	conn.Send(wire.MsgCodeCheck, payload)
-	ackData, _ = conn.Expect(wire.MsgCodeCheckAck)
-	ack = wire.CodeCheckAck{}
-	wire.DecodeXML(ackData, &ack)
-	if len(ack.Needed) != 0 {
-		t.Errorf("cached class requested again: %v", ack.Needed)
+	// Second START: cached, and the stream follows the empty ack.
+	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil); len(need) != 0 {
+		t.Errorf("cached class requested again: %v", need)
+	}
+	if _, stats := readStream(t, conn, frag.OutSchema); stats.CodeClassesLoaded != 0 || stats.CacheHits != 1 {
+		t.Errorf("second run reported %d classes loaded, %d hits", stats.CodeClassesLoaded, stats.CacheHits)
 	}
 	hits, misses := srv.CacheStats()
 	if hits != 1 || misses != 1 {
 		t.Errorf("cache stats = %d/%d", hits, misses)
 	}
-	// Stale checksum forces re-shipping.
-	check.Classes[0].Checksum = "different"
-	payload, _ = wire.EncodeXML(&check)
-	conn.Send(wire.MsgCodeCheck, payload)
-	ackData, _ = conn.Expect(wire.MsgCodeCheckAck)
-	ack = wire.CodeCheckAck{}
-	wire.DecodeXML(ackData, &ack)
-	if len(ack.Needed) != 1 {
-		t.Error("stale class not re-requested")
+	// Another digest of the same class forces re-shipping.
+	frag.Code[0].Checksum = "different"
+	stale := *cls
+	stale.Checksum = "different"
+	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, &stale); len(need) != 1 || need[0] != "different" {
+		t.Errorf("stale class not re-requested: %v", need)
+	}
+	// What arrived is not the release the plan pinned: it never runs.
+	if msg := streamError(t, conn); !strings.Contains(msg, "not loaded") {
+		t.Errorf("got %q", msg)
+	}
+
+	// With the cache disabled every START lists every ref.
+	conn2, _ := testDAP(t, Config{DisableCodeCache: true})
+	frag, cls = avgEnergyFragment(t)
+	for i := 0; i < 2; i++ {
+		if need := startFragment(t, conn2, &core.Start{Fragment: frag}, nil, cls); len(need) != 1 {
+			t.Errorf("run %d with the cache disabled asked for %v", i, need)
+		}
+		readStream(t, conn2, frag.OutSchema)
 	}
 }
 
 func TestDAPSemiJoinFiltering(t *testing.T) {
 	conn, _ := testDAP(t, Config{})
-	hello(t, conn)
 	frag, cls := avgEnergyFragment(t)
 	frag.SemiJoinCol = 0 // filter on the time column
-	conn.Send(wire.MsgDeployCode, cls.Blob)
-	conn.Expect(wire.MsgAck)
-	data, _ := core.EncodeFragment(frag)
-	conn.Send(wire.MsgDeployPlan, data)
-	conn.Expect(wire.MsgAck)
 	keys := []types.Tuple{{types.Int(2)}, {types.Int(5)}, {types.Int(99)}}
-	conn.Send(wire.MsgSemiJoinKeys, wire.EncodeBatch(keys))
-	conn.Expect(wire.MsgAck)
-	conn.Send(wire.MsgActivate, nil)
-	r := wire.NewBatchReader(conn, frag.OutSchema)
+	startFragment(t, conn, &core.Start{Fragment: frag}, keys, cls)
+	rows, _ := readStream(t, conn, frag.OutSchema)
 	var got []int32
-	for {
-		tup, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tup == nil {
-			break
-		}
+	for _, tup := range rows {
 		got = append(got, int32(tup[0].(types.Int)))
 	}
 	if len(got) != 2 || got[0] != 2 || got[1] != 5 {
 		t.Errorf("semi-join filtered rows = %v, want [2 5]", got)
 	}
+	// A key set that does not decode under the join column's kind is
+	// refused only after the class the ack asked for has been read.
+	conn2, _ := testDAP(t, Config{})
+	startFragment(t, conn2, &core.Start{Fragment: frag}, []types.Tuple{{types.String_("x")}}, cls)
+	streamError(t, conn2)
 }
 
 func TestDAPGroupedAggregation(t *testing.T) {
 	conn, _ := testDAP(t, Config{})
-	hello(t, conn)
 	reg := ops.Builtins()
 	dd, _ := reg.Lookup("Count")
 	repo := catalog.NewRepository()
@@ -426,9 +471,9 @@ func TestDAPGroupedAggregation(t *testing.T) {
 }
 
 // TestDAPServeShardEcho drives the TCP accept loop end to end with a
-// partitioned activation: a real listener, a scan fragment activated
-// with shard coordinates, and an EOS that echoes them back so the QPC
-// can verify which shard it drained.
+// partitioned START: a real listener, a scan fragment started with
+// shard coordinates, and an EOS that echoes them back so the QPC can
+// verify which shard it drained.
 func TestDAPServeShardEcho(t *testing.T) {
 	store, err := storage.OpenStore("", 16)
 	if err != nil {
@@ -467,7 +512,6 @@ func TestDAPServeShardEcho(t *testing.T) {
 	}
 	conn := wire.NewConn(nc)
 	t.Cleanup(func() { conn.Close() })
-	hello(t, conn)
 
 	schema := types.NewSchema(types.Column{Name: "time", Kind: types.KindInt})
 	frag := &core.Fragment{
@@ -476,38 +520,10 @@ func TestDAPServeShardEcho(t *testing.T) {
 		Projections: []core.Output{{Name: "time", Expr: core.NewCol(0, types.KindInt)}},
 		OutSchema:   schema,
 	}
-	data, err := core.EncodeFragment(frag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send(wire.MsgDeployPlan, data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Expect(wire.MsgAck); err != nil {
-		t.Fatal(err)
-	}
-	act, _ := wire.EncodeXML(&wire.Activate{Stream: "q1/0", Part: 1, Of: 3})
-	if err := conn.Send(wire.MsgActivate, act); err != nil {
-		t.Fatal(err)
-	}
-	r := wire.NewBatchReader(conn, schema)
-	n := 0
-	for {
-		tup, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tup == nil {
-			break
-		}
-		n++
-	}
-	if n != 5 {
-		t.Fatalf("streamed %d rows, want 5", n)
-	}
-	var stats wire.ExecStats
-	if err := wire.DecodeXML(r.EOSPayload, &stats); err != nil {
-		t.Fatal(err)
+	startFragment(t, conn, &core.Start{Stream: "q1/0", Part: 1, Of: 3, Fragment: frag}, nil)
+	rows, stats := readStream(t, conn, schema)
+	if len(rows) != 5 {
+		t.Fatalf("streamed %d rows, want 5", len(rows))
 	}
 	if stats.Part != 1 || stats.Of != 3 {
 		t.Errorf("EOS echoed part %d/%d, want 1/3", stats.Part, stats.Of)

@@ -142,7 +142,6 @@ func TestDAPOverFileDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn, _ := testDAP(t, Config{Driver: &FileDriver{Dir: dir}})
-	hello(t, conn)
 	frag, cls := avgEnergyFragment(t)
 	frag.Table = "Stations"
 	frag.Cols = []int{0, 4}
@@ -190,7 +189,6 @@ func TestIndexRangeScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn, _ := testDAP(t, Config{Driver: &StorageDriver{Store: store}})
-	hello(t, conn)
 	frag, cls := avgEnergyFragment(t)
 	// WHERE time >= 90 — ranked first, so the range scan covers it.
 	frag.Predicates = []*core.PExpr{{

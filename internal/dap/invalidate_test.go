@@ -3,16 +3,16 @@ package dap
 import (
 	"testing"
 
+	"mocha/internal/core"
 	"mocha/internal/wire"
 )
 
 // TestDAPCodeInvalidate: a CODE_INVALIDATE frame drops exactly the named
 // digests from the code cache (rollback hygiene — a withdrawn release
 // must not survive as a stale cache hit), acks the drop count, and the
-// next CODE_CHECK re-requests the class.
+// next START re-requests the class.
 func TestDAPCodeInvalidate(t *testing.T) {
 	conn, srv := testDAP(t, Config{})
-	hello(t, conn)
 	frag, cls := avgEnergyFragment(t)
 	deployAndRun(t, conn, frag, cls)
 	if !srv.HasClass(cls.Name, cls.Checksum) {
@@ -41,19 +41,18 @@ func TestDAPCodeInvalidate(t *testing.T) {
 		t.Error("invalidated digest still cached")
 	}
 
-	// The class must be re-shipped now: CODE_CHECK reports it needed.
-	check, _ := wire.EncodeXML(&wire.CodeCheck{Classes: []wire.CodeCheckItem{
-		{Name: cls.Name, Version: cls.Version, Checksum: cls.Checksum},
-	}})
-	conn.Send(wire.MsgCodeCheck, check)
-	ackData, err = conn.Expect(wire.MsgCodeCheckAck)
-	if err != nil {
-		t.Fatal(err)
+	// The class must be re-shipped now: the next START's ack asks for
+	// it, and with it the fragment runs again.
+	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls); len(need) != 1 || need[0] != cls.Checksum {
+		t.Errorf("invalidated class not re-requested: %v", need)
 	}
-	var ca wire.CodeCheckAck
-	wire.DecodeXML(ackData, &ca)
-	if len(ca.Needed) != 1 {
-		t.Errorf("invalidated class not re-requested: %v", ca.Needed)
+	readStream(t, conn, frag.OutSchema)
+	if !srv.HasClass(cls.Name, cls.Checksum) {
+		t.Error("redeployed class not cached")
+	}
+	conn.Send(wire.MsgCodeInvalidate, payload)
+	if _, err := conn.Expect(wire.MsgCodeInvalidateAck); err != nil {
+		t.Fatal(err)
 	}
 
 	// Idempotent: a second invalidation has nothing left to drop.

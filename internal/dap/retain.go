@@ -9,23 +9,24 @@ import (
 	"mocha/internal/wire"
 )
 
-// Stream retention: the DAP side of incremental recovery. A fragment
-// activated with a stream ID is sent as sequence-numbered frames, and
-// the most recent frames are retained in a bounded replay window. When
-// the connection dies mid-stream the executor parks — the scan's cursor
-// position is the suspended goroutine itself — and a reconnecting QPC
-// sends RESUME with the last sequence number it holds: the DAP replays
-// the covered tail from the window and hands the new connection to the
-// parked executor, so the scan continues instead of restarting. The
-// window is evicted by bytes (ReplayWindowBytes) and the park by time
-// (RetainTTL); past either bound the QPC falls back to a full restart.
+// Stream retention: the DAP side of incremental recovery. Every
+// fragment stream is sent as sequence-numbered frames under the ID its
+// START named, and the most recent frames are retained in a bounded
+// replay window. When the connection dies mid-stream the executor parks
+// — the scan's cursor position is the suspended goroutine itself — and a
+// reconnecting QPC sends RESUME with the last sequence number it holds:
+// the DAP replays the covered tail from the window and hands the new
+// connection to the parked executor, so the scan continues instead of
+// restarting. The window is evicted by bytes (ReplayWindowBytes) and the
+// park by time (RetainTTL); past either bound the QPC falls back to a
+// full restart.
 
 type streamPhase int
 
 const (
 	phaseStreaming streamPhase = iota
 	phaseParked
-	phaseDone    // EOS buffered and sent; retained for post-EOS drops
+	phaseDone    // EOS buffered and sent; retained until CLOSE, or the TTL after a drop
 	phaseAborted // executor gone; resume impossible
 )
 
@@ -142,14 +143,13 @@ func newRetention() *retention {
 	return &retention{streams: make(map[string]*retainedStream)}
 }
 
-func (r *retention) add(st *retainedStream) error {
+// put registers st under its ID and returns the stream it displaced.
+func (r *retention) put(st *retainedStream) (stale *retainedStream) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.streams[st.id]; ok {
-		return fmt.Errorf("dap: stream %q already active", st.id)
-	}
+	stale = r.streams[st.id]
 	r.streams[st.id] = st
-	return nil
+	return stale
 }
 
 func (r *retention) get(id string) *retainedStream {
@@ -158,9 +158,12 @@ func (r *retention) get(id string) *retainedStream {
 	return r.streams[id]
 }
 
-func (r *retention) remove(id string) {
+// remove forgets st, unless a newer stream has taken over its ID.
+func (r *retention) remove(st *retainedStream) {
 	r.mu.Lock()
-	delete(r.streams, id)
+	if r.streams[st.id] == st {
+		delete(r.streams, st.id)
+	}
 	r.mu.Unlock()
 }
 
@@ -254,10 +257,19 @@ func (s *Server) expire(st *retainedStream, ttl time.Duration) bool {
 	st.phase = phaseAborted // claims the expiry; markAborted closes the channels
 	st.mu.Unlock()
 	st.markAborted()
-	s.retained.remove(st.id)
-	s.met.streamsRetained.Set(s.retained.size())
+	s.release(st)
 	s.met.retainExpired.Inc()
 	return true
+}
+
+// release drops a stream from retention and frees its replay window
+// (the timer that would have expired it may still hold the stream).
+func (s *Server) release(st *retainedStream) {
+	s.retained.remove(st)
+	st.mu.Lock()
+	st.frames, st.winBytes = nil, 0
+	st.mu.Unlock()
+	s.met.streamsRetained.Set(s.retained.size())
 }
 
 // settleBound is how long a resume handler waits for the racing
@@ -313,8 +325,7 @@ func (s *Server) handleResume(conn *wire.Conn, req wire.Resume) error {
 		// the gap, and the parked scan is useless — release it so the
 		// QPC's full restart doesn't collide with the stale stream ID.
 		st.markAborted()
-		s.retained.remove(st.id)
-		s.met.streamsRetained.Set(s.retained.size())
+		s.release(st)
 		return nack(fmt.Sprintf("replay window evicted past seq %d", req.LastSeq))
 	}
 

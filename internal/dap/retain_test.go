@@ -5,8 +5,78 @@ import (
 	"testing"
 	"time"
 
+	"mocha/internal/core"
+	"mocha/internal/obs"
 	"mocha/internal/wire"
 )
+
+// waitFor polls cond for up to two seconds — far inside the 10 s retain
+// TTL the tests below must not be waiting out.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestDAPStreamsAreSequenced reads a fragment stream frame by frame: a
+// DAP sends nothing but SEQ_BATCH frames closed by one SEQ_EOS, numbered
+// from 1 without a gap. TUPLE_BATCH and EOS belong to the QPC→client leg.
+func TestDAPStreamsAreSequenced(t *testing.T) {
+	conn, _ := testDAP(t, Config{BatchBytes: 16})
+	frag, cls := avgEnergyFragment(t)
+	startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls)
+	for want := uint64(1); ; want++ {
+		typ, payload, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != wire.MsgSeqBatch && typ != wire.MsgSeqEOS {
+			t.Fatalf("frame %d of a DAP stream is %v", want, typ)
+		}
+		if seq, _, err := wire.CutSeq(payload); err != nil || seq != want {
+			t.Fatalf("frame %d carries sequence number %d (err %v)", want, seq, err)
+		}
+		if typ == wire.MsgSeqEOS {
+			if want < 3 {
+				t.Errorf("stream ended at frame %d; the test needs several batches", want)
+			}
+			return
+		}
+	}
+}
+
+// TestStartSupersedesRetainedStream retries a START whose first attempt
+// lost its connection after the DAP had acked and begun to run: the
+// stale execution is parked under the stream ID the retry names again.
+// The retry must replace it — not be refused as a duplicate, nor leave
+// it parked until the TTL — and the QPC's CLOSE, having read the stream
+// to its end, must free the replay window at once.
+func TestStartSupersedesRetainedStream(t *testing.T) {
+	conn, srv := testDAP(t, Config{Metrics: obs.NewRegistry()})
+	frag, cls := avgEnergyFragment(t)
+	req := &core.Start{Stream: "q7/0", Fragment: frag}
+	startFragment(t, conn, req, nil, cls)
+	conn.Close()
+	waitFor(t, "the orphaned execution to park", func() bool { return srv.met.streamsParked.Value() == 1 })
+
+	retry := connectDAP(t, srv)
+	if need := startFragment(t, retry, req, nil, cls); len(need) != 0 {
+		t.Errorf("retry was asked for %v; the first attempt cached the class", need)
+	}
+	if rows, _ := readStream(t, retry, frag.OutSchema); len(rows) != 10 {
+		t.Fatalf("retried stream delivered %d rows, want 10", len(rows))
+	}
+	if n := srv.met.streamsRetained.Value(); n != 1 {
+		t.Errorf("dap_streams_retained = %d with one delivered stream and its superseded twin, want 1", n)
+	}
+	if err := retry.Send(wire.MsgClose, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "CLOSE to release the delivered stream", func() bool { return srv.met.streamsRetained.Value() == 0 })
+}
 
 // TestResumeHandoverFailureDropsConnection forces a resume hand-over to
 // lose its race: the stream is parked and its window covers the QPC's
@@ -21,9 +91,7 @@ func TestResumeHandoverFailureDropsConnection(t *testing.T) {
 	st.push(wire.MsgSeqBatch, []byte("first"))
 	_, second := st.push(wire.MsgSeqBatch, []byte("second"))
 	st.phase, st.parkedAt = phaseParked, time.Now()
-	if err := srv.retained.add(st); err != nil {
-		t.Fatal(err)
-	}
+	srv.retained.put(st)
 
 	qpcSide, dapSide := net.Pipe()
 	served := make(chan error, 1)

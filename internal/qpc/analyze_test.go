@@ -24,20 +24,38 @@ func TestAnalyzeTraceNetBytesMatchCVDT(t *testing.T) {
 	cases := []struct {
 		name string
 		sql  string
+		tune func(*Config)
 	}{
-		{"two_site_join", joinQuery},
-		{"single_site_stream", streamQuery},
-		{"single_site_codeship", codeShipQuery},
+		{"two_site_join", joinQuery, widenFrameTimeout},
+		// Forced code shipping runs the join as a semi-join: the key sets
+		// cross the network both ways and are CVDT like any other byte.
+		{"two_site_semijoin", joinQuery, forceCodeShip},
+		{"single_site_stream", streamQuery, widenFrameTimeout},
+		{"single_site_codeship", codeShipQuery, widenFrameTimeout},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newChaosHarness(t, widenFrameTimeout)
+			h := newChaosHarness(t, tc.tune)
 			_, stats, trace, err := h.srv.Analyze(context.Background(), tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if trace == nil {
 				t.Fatal("Analyze returned no trace")
+			}
+			if tc.name == "two_site_semijoin" {
+				var sent, recvd int64
+				for _, sp := range trace.Spans() {
+					switch sp.Name {
+					case "keys:send":
+						sent += sp.NetBytes
+					case "keys:recv":
+						recvd += sp.NetBytes
+					}
+				}
+				if sent == 0 || recvd == 0 {
+					t.Errorf("semi-join key spans carry %d B sent, %d B received; the exchange went uncounted", sent, recvd)
+				}
 			}
 			if got, want := trace.NetBytes(), stats.CVDT; got != want {
 				t.Errorf("trace spans carry %d net bytes, stats report CVDT %d", got, want)

@@ -18,6 +18,7 @@ import (
 	"mocha/internal/core"
 	"mocha/internal/dap"
 	"mocha/internal/netsim"
+	"mocha/internal/obs"
 	"mocha/internal/ops"
 	"mocha/internal/sequoia"
 	"mocha/internal/storage"
@@ -28,6 +29,8 @@ import (
 type chaosHarness struct {
 	srv     *Server
 	network *netsim.Network
+	// dapRegs are the two DAPs' own metric registries, site1's first.
+	dapRegs []*obs.Registry
 }
 
 // joinQuery spans both sites; faulting either link disturbs it.
@@ -57,6 +60,7 @@ func newChaosHarness(t *testing.T, tune func(*Config)) *chaosHarness {
 		t.Fatal(err)
 	}
 
+	var dapRegs []*obs.Registry
 	for _, site := range []struct {
 		name, addr string
 		store      *storage.Store
@@ -69,11 +73,13 @@ func newChaosHarness(t *testing.T, tune func(*Config)) *chaosHarness {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
+		dapRegs = append(dapRegs, obs.NewRegistry())
 		go dap.New(dap.Config{
 			Site:         site.name,
 			Driver:       &dap.StorageDriver{Store: site.store},
 			IdleTimeout:  2 * time.Second,
 			FrameTimeout: time.Second,
+			Metrics:      dapRegs[len(dapRegs)-1],
 		}).Serve(l)
 	}
 
@@ -102,7 +108,7 @@ func newChaosHarness(t *testing.T, tune func(*Config)) *chaosHarness {
 	if tune != nil {
 		tune(&qcfg)
 	}
-	return &chaosHarness{srv: New(qcfg), network: network}
+	return &chaosHarness{srv: New(qcfg), network: network, dapRegs: dapRegs}
 }
 
 // executeWithin runs the query under a watchdog: exceeding the wall

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"strings"
 	"time"
 
 	"mocha/internal/catalog"
@@ -13,17 +12,12 @@ import (
 	"mocha/internal/wire"
 )
 
-// dapSession is one QPC↔DAP connection executing fragments of the
-// current query.
+// dapSession is one QPC↔DAP connection.
 type dapSession struct {
 	site string
 	conn *wire.Conn
 	// release detaches the connection from the query context.
 	release func()
-	// openOff is the session-open offset on the query's trace timeline,
-	// in microseconds. DAP-reported spans are relative to the session
-	// open; adding openOff re-anchors them onto the QPC's timeline.
-	openOff int64
 }
 
 // dial opens a transport connection to a DAP address, preferring the
@@ -35,11 +29,11 @@ func (s *Server) dial(ctx context.Context, addr string) (net.Conn, error) {
 	return s.cfg.Dial(addr)
 }
 
-// openSession dials a DAP and completes the HELLO handshake, announcing
-// the query's trace ID so the DAP tags its spans with it. The session's
+// openSession dials a site's DAP. There is no handshake: the first frame
+// on the connection is the request it was opened for. The session's
 // frame I/O is bounded by the configured FrameTimeout and by ctx's
 // deadline; cancelling ctx aborts any in-flight exchange.
-func (s *Server) openSession(ctx context.Context, site, traceID string) (*dapSession, error) {
+func (s *Server) openSession(ctx context.Context, site string) (*dapSession, error) {
 	def, ok := s.cfg.Cat.SiteByName(site)
 	if !ok {
 		return nil, fmt.Errorf("qpc: unknown site %q", site)
@@ -51,159 +45,94 @@ func (s *Server) openSession(ctx context.Context, site, traceID string) (*dapSes
 	conn := wire.NewConn(nc)
 	conn.Instrument(s.cfg.Metrics, "qpc_wire")
 	conn.SetFrameTimeout(s.cfg.FrameTimeout, s.cfg.FrameTimeout)
-	ds := &dapSession{site: site, conn: conn, release: conn.Bind(ctx)}
-	hello, err := wire.EncodeXML(&wire.Hello{Role: "qpc", Site: "qpc", Trace: traceID})
-	if err != nil {
-		ds.close()
-		return nil, err
-	}
-	if err := conn.Send(wire.MsgHello, hello); err != nil {
-		ds.close()
-		return nil, fmt.Errorf("qpc: hello to %s: %w", site, err)
-	}
-	if _, err := conn.Expect(wire.MsgHelloAck); err != nil {
-		ds.close()
-		return nil, fmt.Errorf("qpc: hello to %s: %w", site, err)
-	}
-	return ds, nil
+	return &dapSession{site: site, conn: conn, release: conn.Bind(ctx)}, nil
 }
 
+// close says CLOSE — which lets the DAP free the replay windows of the
+// streams this session read to their end — and drops the connection. The
+// write is bounded by the session's frame timeout, so a dead peer cannot
+// stall cleanup.
 func (ds *dapSession) close() {
-	// Best-effort courtesy CLOSE; the write is bounded by the session's
-	// frame timeout so a dead peer cannot stall cleanup.
 	_ = ds.conn.Send(wire.MsgClose, nil)
+	ds.abandon()
+}
+
+// abandon drops the connection without a CLOSE: a stream that broke on
+// it must stay retained at the DAP for the RESUME that follows.
+func (ds *dapSession) abandon() {
 	ds.conn.Close()
-	if ds.release != nil {
-		ds.release()
-	}
+	ds.release()
 }
 
-// deployCode runs the code-deployment phase (section 3.6) for a
-// fragment: validate the DAP's cache, then ship only the classes it
-// needs, fetched from the well-known repository.
-func (s *Server) deployCode(ds *dapSession, refs []core.CodeRef, stats *QueryStats) error {
-	if len(refs) == 0 {
-		return nil
-	}
-	check := wire.CodeCheck{}
-	for _, r := range refs {
-		check.Classes = append(check.Classes, wire.CodeCheckItem{
-			Name: r.Name, Version: r.Version, Checksum: r.Checksum,
-		})
-	}
-	payload, err := wire.EncodeXML(&check)
-	if err != nil {
+// ping is the heartbeat's probe: a HELLO answered by HELLO_ACK shows the
+// DAP serving requests, not merely accepting connections.
+func (ds *dapSession) ping() error {
+	if err := ds.conn.Send(wire.MsgHello, nil); err != nil {
 		return err
 	}
-	if err := ds.conn.Send(wire.MsgCodeCheck, payload); err != nil {
-		return err
-	}
-	ackData, err := ds.conn.Expect(wire.MsgCodeCheckAck)
-	if err != nil {
-		return err
-	}
-	var ack wire.CodeCheckAck
-	if err := wire.DecodeXML(ackData, &ack); err != nil {
-		return err
-	}
-	stats.CacheHits += len(refs) - len(ack.Needed)
-	// Resolve each needed class by the exact digest the plan pinned, so a
-	// fragment deployed mid-rollout (or re-deployed by a stream restart
-	// after failover) always ships the release its plan was routed to —
-	// never whichever release is active at ship time.
-	byName := make(map[string]core.CodeRef, len(refs))
-	for _, r := range refs {
-		byName[strings.ToLower(r.Name)] = r
-	}
-	for _, name := range ack.Needed {
-		var cls *catalog.Class
-		ok := false
-		if ref, have := byName[strings.ToLower(name)]; have && ref.Checksum != "" {
-			cls, ok = s.cfg.Cat.Repo().Resolve(ref.Name, ref.Checksum)
-		}
-		if !ok {
-			cls, ok = s.cfg.Cat.Repo().Get(name)
-		}
-		if !ok {
-			return fmt.Errorf("qpc: class %s vanished from the repository", name)
-		}
-		if err := ds.conn.Send(wire.MsgDeployCode, cls.Blob); err != nil {
-			return err
-		}
-		if _, err := ds.conn.Expect(wire.MsgAck); err != nil {
-			return fmt.Errorf("qpc: deploying %s to %s: %w", name, ds.site, err)
-		}
-		stats.CodeClassesShipped++
-		stats.CodeBytesShipped += len(cls.Blob)
-		s.cfg.Logf("qpc: shipped %s (%d bytes) to %s", name, len(cls.Blob), ds.site)
-	}
-	return nil
-}
-
-// deployPlan ships a fragment document.
-func (ds *dapSession) deployPlan(frag *core.Fragment) error {
-	data, err := core.EncodeFragment(frag)
-	if err != nil {
-		return err
-	}
-	if err := ds.conn.Send(wire.MsgDeployPlan, data); err != nil {
-		return err
-	}
-	_, err = ds.conn.Expect(wire.MsgAck)
+	_, err := ds.conn.Expect(wire.MsgHelloAck)
 	return err
 }
 
-// sendSemiJoinKeys delivers the key set for semi-join filtering,
-// returning the key bytes that crossed the network (the caller records
-// them on the trace; they were counted into CVDT here).
-func (ds *dapSession) sendSemiJoinKeys(keys []types.Tuple, stats *QueryStats) (int64, error) {
-	payload := wire.EncodeBatch(keys)
-	if err := ds.conn.Send(wire.MsgSemiJoinKeys, payload); err != nil {
-		return 0, err
+// start sends the one request that runs frag on ds (DESIGN §3.6) as
+// stream id and returns the reader of its result. A semi-join fragment's
+// key set rides right behind the START. The DAP's ack names, by digest,
+// the classes it lacks; each is fetched from the repository by that
+// digest — so a fragment started mid-rollout, or restarted after a
+// failover, ships the release its plan was routed to, never whichever is
+// active at ship time — and sent with no further reply: a class the DAP
+// refuses, like a plan it cannot run, comes back as the stream's ERROR
+// frame. Cache hits and shipped classes are counted into stats.
+func (fs *fragmentStream) start(ds *dapSession, frag *core.Fragment, id string, keys []types.Tuple, stats *QueryStats) (*wire.BatchReader, error) {
+	e := fs.e
+	req := core.Start{Stream: id, Trace: e.trace.ID, Fragment: frag}
+	if fs.unit.Of > 0 {
+		req.Part, req.Of = fs.unit.Part, fs.unit.Of
 	}
-	// Key delivery is real data movement: count it into CVDT.
-	var keyBytes int64
-	for _, k := range keys {
-		keyBytes += int64(k.WireSize())
+	payload, err := wire.EncodeXML(&req)
+	if err != nil {
+		return nil, err
 	}
-	stats.CVDT += keyBytes
-	if _, err := ds.conn.Expect(wire.MsgAck); err != nil {
-		return 0, err
+	fs.startOff = e.trace.Since(time.Now())
+	if err := ds.conn.Send(wire.MsgStart, payload); err != nil {
+		return nil, err
 	}
-	return keyBytes, nil
-}
-
-// activate starts fragment execution with no stream ID: a plain stream
-// the DAP retains nothing for. Only the semi-join key phase uses it —
-// its key streams cannot be resumed against a key set that a retry may
-// have changed, so a failure there fails the phase.
-func (ds *dapSession) activate(out types.Schema) (*wire.BatchReader, error) {
-	return ds.activatePart(out, "", 0, 0)
-}
-
-// activatePart starts fragment execution. A non-empty streamID asks the
-// DAP to run the resumable protocol: sequence-numbered frames and a
-// replay window retained under that ID, so a broken connection can be
-// resumed instead of failing the query. of > 0 marks one shard of a
-// scattered fragment and tags the activation with the shard's partition
-// ID and the pre-pruning partition count; the DAP echoes both in its EOS
-// stats so the QPC can verify each gathered stream's provenance.
-func (ds *dapSession) activatePart(out types.Schema, streamID string, part, of int) (*wire.BatchReader, error) {
-	if of <= 0 {
-		part, of = 0, 0 // normalize the unpartitioned sentinel off the wire
-	}
-	var payload []byte
-	if streamID != "" || of > 0 {
-		var err error
-		payload, err = wire.EncodeXML(&wire.Activate{Stream: streamID, Part: part, Of: of})
-		if err != nil {
+	if frag.SemiJoinCol >= 0 {
+		if err := ds.conn.Send(wire.MsgSemiJoinKeys, wire.EncodeBatch(keys)); err != nil {
 			return nil, err
 		}
 	}
-	if err := ds.conn.Send(wire.MsgActivate, payload); err != nil {
+	ackData, err := ds.conn.Expect(wire.MsgStartAck)
+	if err != nil {
 		return nil, err
 	}
-	return wire.NewBatchReader(ds.conn, out), nil
+	var ack wire.StartAck
+	if err := wire.DecodeXML(ackData, &ack); err != nil {
+		return nil, err
+	}
+	stats.CacheHits += len(frag.Code) - len(ack.Need)
+	// Resolve everything before sending anything: a release the
+	// repository no longer holds fails the request with no blob wasted.
+	classes := make([]*catalog.Class, len(ack.Need))
+	for i, digest := range ack.Need {
+		for _, ref := range frag.Code {
+			if ref.Checksum == digest {
+				classes[i], _ = e.srv.cfg.Cat.Repo().Resolve(ref.Name, digest)
+			}
+		}
+		if classes[i] == nil {
+			return nil, fmt.Errorf("qpc: class release %s, wanted by %s, vanished from the repository", digest, ds.site)
+		}
+	}
+	for _, cls := range classes {
+		if err := ds.conn.Send(wire.MsgDeployCode, cls.Blob); err != nil {
+			return nil, err
+		}
+		stats.CodeClassesShipped++
+		stats.CodeBytesShipped += len(cls.Blob)
+		e.srv.cfg.Logf("qpc: shipped %s (%d bytes) to %s", cls.Name, len(cls.Blob), ds.site)
+	}
+	return wire.NewBatchReader(ds.conn, frag.OutSchema), nil
 }
 
 // resume asks the DAP to continue a retained stream past lastSeq (the
@@ -257,31 +186,28 @@ func drainStats(r *wire.BatchReader, stats *QueryStats, countVolumes bool) (*wir
 	return &es, nil
 }
 
-// runKeyPhase executes a key-projection fragment, returning the key set
-// and the DAP's stats report for the phase (trace span material).
-func (s *Server) runKeyPhase(ds *dapSession, main *core.Fragment, stats *QueryStats) ([]types.Tuple, *wire.ExecStats, error) {
-	keyCol := main.SemiJoinCol
-	keyFrag := &core.Fragment{
+// keyFragment is the projection of a semi-join fragment onto its join
+// column: same table, extraction and predicates, one output.
+func keyFragment(main *core.Fragment) *core.Fragment {
+	kind := main.InSchema.Columns[main.SemiJoinCol].Kind
+	return &core.Fragment{
 		Site:        main.Site,
 		Table:       main.Table,
 		Cols:        main.Cols,
 		InSchema:    main.InSchema,
 		Predicates:  main.Predicates,
 		SemiJoinCol: -1,
-		Projections: []core.Output{{
-			Name: "key",
-			Expr: core.NewCol(keyCol, main.InSchema.Columns[keyCol].Kind),
-		}},
-		Code:      main.Code,
-		OutSchema: types.NewSchema(types.Column{Name: "key", Kind: main.InSchema.Columns[keyCol].Kind}),
+		Projections: []core.Output{{Name: "key", Expr: core.NewCol(main.SemiJoinCol, kind)}},
+		Code:        main.Code,
+		OutSchema:   types.NewSchema(types.Column{Name: "key", Kind: kind}),
 	}
-	if err := ds.deployPlan(keyFrag); err != nil {
-		return nil, nil, err
-	}
-	reader, err := ds.activate(keyFrag.OutSchema)
-	if err != nil {
-		return nil, nil, err
-	}
+}
+
+// readKeys reads a key-fragment stream to its end, returning the
+// distinct keys and the DAP's stats report for the phase (trace span
+// material). The stream is sequenced like any other but is not
+// recovered: a failure here fails the phase.
+func readKeys(reader *wire.BatchReader, stats *QueryStats) ([]types.Tuple, *wire.ExecStats, error) {
 	seen := map[uint64][]types.Object{}
 	var keys []types.Tuple
 	for {

@@ -35,14 +35,10 @@ type planExec struct {
 
 	// units are the physical activations from the exec seam's site
 	// binding: one per fragment for unpartitioned plans, one per
-	// surviving partition for scattered fragments. sessions, readers and
-	// activateOff are indexed by unit.
-	units    []*exec.Unit
-	sessions []*dapSession
-	readers  []*fragmentStream
-	// activateOff[i] is reader i's activation offset on the trace
-	// timeline, the start of its stream span.
-	activateOff []int64
+	// surviving partition for scattered fragments. readers, indexed by
+	// unit, each hold the stream and the session it currently runs on.
+	units   []*exec.Unit
+	readers []*fragmentStream
 }
 
 func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err error) {
@@ -82,18 +78,27 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 				}
 			}
 		}
-		for _, ds := range e.sessions {
-			if ds != nil {
-				ds.close()
+		for _, fs := range e.readers {
+			if fs != nil {
+				fs.ds.close()
 			}
 		}
 		cancel()
 	}()
 
-	// Phase 1: open sessions, validate code caches and ship classes to
-	// all sites concurrently (all Misc/Deploy time). Dial, HELLO and the
-	// code exchange are idempotent, so transport failures here retry on
-	// a fresh connection under the policy's shared per-query budget.
+	// Phase 1: open a session per unit and START its fragment, all sites
+	// concurrently (all Misc/Deploy time): one request carries the plan,
+	// its ack names the classes the site lacks, and the stream follows
+	// the last of them. Under the 2-way semi-join of section 5.4 a unit
+	// starts the projection of its fragment onto the join column first.
+	// A START is idempotent — the DAP replaces a stream whose ID it
+	// already retains — so a transport failure anywhere in the exchange
+	// retries on a fresh connection under the policy's shared per-query
+	// budget.
+	semiFrags := len(exec.SemiJoinParticipants(e.plan))
+	if semiFrags > 0 && (semiFrags != 2 || len(e.plan.Fragments) != 2) {
+		return fmt.Errorf("qpc: semi-join requires exactly two participating fragments")
+	}
 	policy := e.srv.cfg.Retry
 	budget := newRetryBudget(policy)
 	budget.retries = e.srv.met.retries
@@ -104,7 +109,7 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 		sp := exec.BindPlan(e.plan, e.srv.health.PickReplica)
 		sp.ApplyOverrides(e.overrides)
 		e.units = sp.Units
-		e.sessions = make([]*dapSession, len(e.units))
+		e.readers = make([]*fragmentStream, len(e.units))
 		partials := make([]QueryStats, len(e.units))
 		errs := make([]error, len(e.units))
 		var wg sync.WaitGroup
@@ -128,81 +133,12 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 		return err
 	}
 
-	// Phase 2: semi-join key exchange (section 5.4's 2-way semi-join).
-	semiFrags := len(exec.SemiJoinParticipants(e.plan))
+	// Phase 2, semi-join plans only: the key exchange, after which each
+	// unit's session runs the fragment proper.
 	if semiFrags > 0 {
-		if semiFrags != 2 || len(e.plan.Fragments) != 2 {
-			return fmt.Errorf("qpc: semi-join requires exactly two participating fragments")
-		}
-		// Both key projections run concurrently, one per site.
-		var keySets [2][]types.Tuple
-		var keyStats [2]QueryStats
-		var keyES [2]*wire.ExecStats
-		var keyErrs [2]error
-		var kwg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			kwg.Add(1)
-			go func(i int) {
-				defer kwg.Done()
-				keySets[i], keyES[i], keyErrs[i] = e.srv.runKeyPhase(e.sessions[i], e.units[i].Frag, &keyStats[i])
-			}(i)
-		}
-		kwg.Wait()
-		for i := 0; i < 2; i++ {
-			e.stats.mergeTimesAndVolumes(&keyStats[i])
-			if keyES[i] != nil {
-				e.recordRemoteSpans("keys:recv", e.sessions[i], keyES[i], e.sessions[i].openOff)
-			}
-			if keyErrs[i] != nil {
-				return fmt.Errorf("qpc: key phase at %s: %w", e.units[i].Frag.Site, keyErrs[i])
-			}
-		}
-		keys0, keys1 := keySets[0], keySets[1]
-		common := intersectKeys(keys0, keys1)
-		e.srv.cfg.Logf("qpc: semi-join keys: %d ∩ %d = %d", len(keys0), len(keys1), len(common))
-		for i, ds := range e.sessions {
-			if err := ds.deployPlan(e.units[i].Frag); err != nil {
-				return err
-			}
-			span := e.trace.Begin("keys:send", ds.site)
-			keyBytes, err := ds.sendSemiJoinKeys(common, e.stats)
-			if err != nil {
-				return err
-			}
-			span.AddBytes(keyBytes, 0, 0)
-			span.AddTuples(int64(len(common)))
-			span.End()
-		}
-	} else {
-		err := timedPhase(e.stats, func() error {
-			for i, ds := range e.sessions {
-				if err := ds.deployPlan(e.units[i].Frag); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		if err := e.exchangeKeys(); err != nil {
 			return err
 		}
-	}
-
-	// Phase 3: activate every unit; streams begin. Each stream gets an ID
-	// derived from the trace ID so a broken connection can be resumed
-	// against the DAP's replay window.
-	// Scattered activations carry their shard coordinates, which the DAP
-	// echoes in its EOS stats for provenance checking.
-	for i, ds := range e.sessions {
-		u := e.units[i]
-		streamID := fmt.Sprintf("%s/%d", e.trace.ID, i)
-		r, err := ds.activatePart(u.Frag.OutSchema, streamID, u.Part, u.Of)
-		if err != nil {
-			return err
-		}
-		e.readers = append(e.readers, &fragmentStream{
-			e: e, idx: i, frag: u.Frag, id: streamID, ds: ds, r: r, unit: u,
-		})
-		e.activateOff = append(e.activateOff, e.trace.Since(time.Now()))
 	}
 
 	// Phase 4: lower the plan's QPC-side work (joins, predicates,
@@ -261,13 +197,70 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 	return nil
 }
 
-// setupUnit opens unit i's session, validates the site's code cache and
-// ships missing classes, retrying transient failures under the shared
-// policy. A partitioned unit that exhausts its chosen replica walks the
-// rest of its replica ladder (each hop is a replica failover) before
-// giving up with a typed partition-unavailable error.
+// exchangeKeys runs the semi-join key exchange: both sites' key
+// projections, started in phase 1, are read concurrently; their
+// intersection then rides behind each fragment's own START on the
+// session that produced its keys.
+func (e *planExec) exchangeKeys() error {
+	var keySets [2][]types.Tuple
+	var keyStats [2]QueryStats
+	var keyES [2]*wire.ExecStats
+	var keyErrs [2]error
+	var kwg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		kwg.Add(1)
+		go func(i int) {
+			defer kwg.Done()
+			keySets[i], keyES[i], keyErrs[i] = readKeys(e.readers[i].r, &keyStats[i])
+		}(i)
+	}
+	kwg.Wait()
+	for i, fs := range e.readers {
+		e.stats.mergeTimesAndVolumes(&keyStats[i])
+		if keyES[i] != nil {
+			e.recordRemoteSpans("keys:recv", fs.ds.site, keyES[i], fs.startOff)
+		}
+		if keyErrs[i] != nil {
+			return fmt.Errorf("qpc: key phase at %s: %w", fs.frag.Site, keyErrs[i])
+		}
+	}
+	common := intersectKeys(keySets[0], keySets[1])
+	e.srv.cfg.Logf("qpc: semi-join keys: %d ∩ %d = %d", len(keySets[0]), len(keySets[1]), len(common))
+	// Key delivery is real data movement: count it into CVDT.
+	var keyBytes int64
+	for _, k := range common {
+		keyBytes += int64(k.WireSize())
+	}
+	for _, fs := range e.readers {
+		span := e.trace.Begin("keys:send", fs.ds.site)
+		r, err := fs.start(fs.ds, fs.frag, fs.id, common, e.stats)
+		if err != nil {
+			return err
+		}
+		fs.r = r
+		e.stats.CVDT += keyBytes
+		span.AddBytes(keyBytes, 0, 0)
+		span.AddTuples(int64(len(common)))
+		span.End()
+	}
+	return nil
+}
+
+// setupUnit opens unit i's session and starts its fragment — under a
+// semi-join, the fragment's key projection — retrying transient failures
+// under the shared policy. The stream ID derives from the trace ID and
+// is the same on every attempt, so an attempt that died after the DAP
+// began to run is replaced, not duplicated. A partitioned unit that
+// exhausts its chosen replica walks the rest of its replica ladder (each
+// hop is a replica failover) before giving up with a typed
+// partition-unavailable error.
 func (e *planExec) setupUnit(execCtx context.Context, i int, partial *QueryStats) error {
 	u := e.units[i]
+	fs := &fragmentStream{e: e, frag: u.Frag, id: fmt.Sprintf("%s/%d", e.trace.ID, i), unit: u}
+	first, firstID := u.Frag, fs.id
+	if u.Frag.SemiJoinCol >= 0 {
+		first, firstID = keyFragment(u.Frag), fs.id+"/keys"
+	}
 	var lastErr error
 	for ci, site := range u.Replicas {
 		if ci > 0 {
@@ -290,18 +283,18 @@ func (e *planExec) setupUnit(execCtx context.Context, i int, partial *QueryStats
 				*partial = QueryStats{}
 			}
 			span := e.trace.Begin("deploy", site)
-			ds, err := e.srv.openSession(execCtx, site, e.trace.ID)
+			ds, err := e.srv.openSession(execCtx, site)
 			if err != nil {
 				return err
 			}
-			ds.openOff = e.trace.Since(time.Now())
-			if err := e.srv.deployCode(ds, u.Frag.Code, partial); err != nil {
+			if fs.r, err = fs.start(ds, first, firstID, nil, partial); err != nil {
 				ds.close()
 				return err
 			}
 			span.AddBytes(0, 0, int64(partial.CodeBytesShipped))
 			span.End()
-			e.sessions[i] = ds
+			fs.ds = ds
+			e.readers[i] = fs
 			return nil
 		})
 		if err == nil {
@@ -333,27 +326,30 @@ func (e *planExec) drainFragment(i int, r *wire.BatchReader, countVolumes bool) 
 		return fmt.Errorf("qpc: stream from %s reported shard %d/%d, activated as %d/%d",
 			es.Site, es.Part, es.Of, u.Part, u.Of)
 	}
-	e.recordRemoteSpans("stream", e.sessions[i], es, e.activateOff[i])
+	e.recordRemoteSpans("stream", es.Site, es, e.readers[i].startOff)
 	return nil
 }
 
 // recordRemoteSpans records the QPC-side span for a remote phase and
-// imports the DAP's spans from its EOS report. The QPC-side span alone
-// carries the phase's network volume; imported spans have their NetBytes
-// cleared so summing the trace's NetBytes reproduces exactly the CVDT
-// the stats accumulated — each wire byte is counted by one span.
-func (e *planExec) recordRemoteSpans(name string, ds *dapSession, es *wire.ExecStats, startOff int64) {
+// imports the DAP's spans from its EOS report. startOff is when the
+// phase's START was sent: the QPC-side span begins there, and the DAP's
+// spans, whose clock started when the START arrived, are re-anchored
+// onto it. The QPC-side span alone carries the phase's network volume;
+// imported spans have their NetBytes cleared so summing the trace's
+// NetBytes reproduces exactly the CVDT the stats accumulated — each wire
+// byte is counted by one span.
+func (e *planExec) recordRemoteSpans(name, site string, es *wire.ExecStats, startOff int64) {
 	dur := e.trace.Since(time.Now()) - startOff
 	if dur < 0 {
 		dur = 0
 	}
 	e.trace.Add(obs.Span{
-		Name: name, Site: ds.site,
+		Name: name, Site: site,
 		StartMicros: startOff, DurMicros: dur,
 		NetBytes: es.BytesSent, Tuples: es.TuplesSent,
 	})
 	for _, s := range es.Spans {
-		s.StartMicros += ds.openOff
+		s.StartMicros += startOff
 		s.NetBytes = 0
 		e.trace.Add(s)
 	}

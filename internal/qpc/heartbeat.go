@@ -8,7 +8,7 @@ import (
 // Background site heartbeating. Breakers normally learn about a dead
 // DAP only when a query pays the price of discovering it. With
 // replicated placement the QPC can afford to know earlier: a prober
-// dials and handshakes every catalog site on a fixed interval, feeding
+// dials and pings every catalog site on a fixed interval, feeding
 // the same health registry the query path reports to. Enough missed
 // heartbeats trip the site's breaker, so PickReplica demotes the
 // replica — new queries route around the corpse, and queries in flight
@@ -44,7 +44,7 @@ func (hb *heartbeat) stopAndWait() {
 	<-hb.done
 }
 
-// probeSites dials and handshakes every catalog site once, reporting
+// probeSites dials and pings every catalog site once, reporting
 // each outcome to the health registry. A probe is bounded by the frame
 // timeout (or a 2s default) so a black-holed site cannot wedge the
 // prober.
@@ -62,7 +62,11 @@ func (s *Server) probeSites(stop <-chan struct{}) {
 		s.met.heartbeatProbes.Inc()
 		ctx, cancel := context.WithTimeout(context.Background(), bound)
 		start := time.Now()
-		ds, err := s.openSession(ctx, site.Name, "")
+		ds, err := s.openSession(ctx, site.Name)
+		if err == nil {
+			err = ds.ping()
+			ds.close()
+		}
 		cancel()
 		if err != nil {
 			s.met.heartbeatFailures.Inc()
@@ -71,6 +75,5 @@ func (s *Server) probeSites(stop <-chan struct{}) {
 			continue
 		}
 		s.health.ReportSuccess(site.Name, time.Since(start))
-		ds.close()
 	}
 }

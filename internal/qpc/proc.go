@@ -17,7 +17,7 @@ func (s *Server) ProcCall(site, op string, args ...string) ([]string, error) {
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	ds, err := s.openSession(ctx, site, "")
+	ds, err := s.openSession(ctx, site)
 	if err != nil {
 		return nil, err
 	}

@@ -46,9 +46,10 @@ type Config struct {
 	// It must exceed the longest legitimate gap between a DAP's result
 	// batches. Zero leaves frame I/O unbounded.
 	FrameTimeout time.Duration
-	// Retry configures retry-with-backoff for the idempotent phases
-	// (dial, HELLO, CODE_CHECK/DEPLOY_CODE). The zero value takes
-	// DefaultRetryPolicy; MaxAttempts=1 disables retries.
+	// Retry configures retry-with-backoff for the idempotent phase:
+	// dialling a DAP and the START exchange that begins a fragment (a
+	// repeated START replaces the execution the first one began). The
+	// zero value takes DefaultRetryPolicy; MaxAttempts=1 disables retries.
 	Retry RetryPolicy
 	// Breaker configures the per-site circuit breaker driven by
 	// transport outcomes. An open breaker re-plans the site's fragments
@@ -57,7 +58,7 @@ type Config struct {
 	// Breaker.Disabled to turn health tracking off.
 	Breaker BreakerPolicy
 	// HeartbeatInterval, when positive, starts a background prober that
-	// dials and handshakes every catalog site at this interval, feeding
+	// dials and pings every catalog site at this interval, feeding
 	// the health registry between queries: a dead site's breaker trips
 	// from heartbeats alone, so replica selection demotes it before any
 	// query pays to discover the corpse. Stop the prober with Close.

@@ -1,11 +1,11 @@
 package qpc
 
-// Retry with jittered exponential backoff for the idempotent phases of
-// query execution: dialing a DAP, the HELLO handshake, and the
-// CODE_CHECK / DEPLOY_CODE exchange. These run before a fragment is
-// activated, so repeating them on a fresh connection cannot duplicate
-// work at the data source; once a stream is live, failures abort the
-// query instead (re-activating could re-read and re-send data).
+// Retry with jittered exponential backoff for the idempotent phase of
+// query execution: dialing a DAP and the START exchange (DESIGN §3.6).
+// A repeated START names the same stream ID, so the DAP replaces
+// whatever the failed attempt began instead of running it twice; once a
+// stream is being read, failures go to the stream's own recovery
+// (RESUME, then restart with the delivered prefix skipped).
 
 import (
 	"context"

@@ -609,7 +609,7 @@ func (s *Server) invalidateSites(digests []string) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			ds, err := s.openSession(ctx, name, "")
+			ds, err := s.openSession(ctx, name)
 			if err != nil {
 				s.cfg.Logf("qpc: cache invalidation at %s: %v", name, err)
 				return

@@ -20,7 +20,6 @@ import (
 // the fragment (discarding the duplicate prefix tuple-by-tuple).
 type fragmentStream struct {
 	e    *planExec
-	idx  int
 	frag *core.Fragment
 	id   string
 	ds   *dapSession
@@ -29,6 +28,11 @@ type fragmentStream struct {
 	// sibling replicas can fail over to one when its serving replica
 	// dies or trips its breaker.
 	unit *exec.Unit
+
+	// startOff is when the stream's latest START was sent, in
+	// microseconds on the query's trace timeline: its stream span begins
+	// there and the DAP's spans, relative to that START, re-anchor onto it.
+	startOff int64
 
 	delivered int64 // tuples handed to the pipeline
 	rxBytes   int64 // payload bytes of delivered tuples
@@ -102,24 +106,22 @@ func (fs *fragmentStream) recover(cause error) error {
 
 	span := e.trace.Begin("resume", site)
 	defer span.End()
-	old := fs.ds
-	e.sessions[fs.idx] = nil
-	old.close()
+	fs.ds.abandon()
 
-	// Reconnect and ask to resume; dial refusals and handshake drops
-	// retry under the shared policy and budget.
+	// Reconnect and ask to resume; dial refusals and drops before the
+	// ack retry under the shared policy and budget.
 	lastSeq := fs.r.Seq
 	var ds *dapSession
 	var ack wire.ResumeAck
 	what := fmt.Sprintf("qpc: resume stream at %s", site)
 	err := retryTransient(e.ctx, e.srv.cfg.Retry, e.budget, health, site, what, func() error {
 		var err error
-		ds, err = e.srv.openSession(e.ctx, site, e.trace.ID)
+		ds, err = e.srv.openSession(e.ctx, site)
 		if err != nil {
 			return err
 		}
 		if ack, err = ds.resume(fs.id, lastSeq); err != nil {
-			ds.close()
+			ds.abandon()
 			return err
 		}
 		return nil
@@ -131,7 +133,6 @@ func (fs *fragmentStream) recover(cause error) error {
 		}
 		return err
 	}
-	e.sessions[fs.idx] = ds
 	fs.ds = ds
 	fs.baseWait += fs.r.RecvWait
 
@@ -162,9 +163,9 @@ func (fs *fragmentStream) recover(cause error) error {
 	return fs.restart(ds)
 }
 
-// restart re-deploys and re-activates the fragment from scratch after a
-// failed resume, arranging for the already-delivered prefix to be
-// discarded. The rows a fragment emits are deterministic, so skipping
+// restart starts the fragment again from scratch under a new stream ID
+// after a failed resume, arranging for the already-delivered prefix to
+// be discarded. The rows a fragment emits are deterministic, so skipping
 // exactly the delivered count resumes the pipeline without duplicates.
 func (fs *fragmentStream) restart(ds *dapSession) error {
 	e := fs.e
@@ -172,25 +173,15 @@ func (fs *fragmentStream) restart(ds *dapSession) error {
 		return fmt.Errorf("qpc: fragment at %s lost its semi-join stream past the replay window; cannot restart", fs.frag.Site)
 	}
 	// Re-shipped classes are recovery overhead, not query work: they go
-	// to the process wasted-bytes metric, like an aborted deploy attempt.
+	// to the process wasted-bytes metric, like an aborted setup attempt.
 	scratch := &QueryStats{}
-	if err := e.srv.deployCode(ds, fs.frag.Code, scratch); err != nil {
-		return err
-	}
+	newID := fmt.Sprintf("%s~r%d", fs.id, fs.restarts+1)
+	r, err := fs.start(ds, fs.frag, newID, nil, scratch)
 	e.srv.met.wastedCodeBytes.Add(int64(scratch.CodeBytesShipped))
-	if err := ds.deployPlan(fs.frag); err != nil {
-		return err
-	}
-	fs.restarts++
-	newID := fmt.Sprintf("%s~r%d", fs.id, fs.restarts)
-	part, of := 0, 0
-	if fs.unit != nil {
-		part, of = fs.unit.Part, fs.unit.Of
-	}
-	r, err := ds.activatePart(fs.frag.OutSchema, newID, part, of)
 	if err != nil {
 		return err
 	}
+	fs.restarts++
 	fs.id = newID
 	fs.r = r
 	fs.skipTuples = fs.delivered
@@ -213,13 +204,13 @@ func carryOver(old, next *wire.BatchReader) {
 // against a different site — unreachable today, as the optimizer never
 // plans semi-joins over placed tables).
 func (fs *fragmentStream) canFailover() bool {
-	return fs.unit != nil && len(fs.unit.Replicas) > 1 && fs.frag.SemiJoinCol < 0
+	return len(fs.unit.Replicas) > 1 && fs.frag.SemiJoinCol < 0
 }
 
 // failover demotes the stream's serving replica and restarts the shard
-// on a sibling: fresh session, code and plan deployment, and a full
-// replay with the already-delivered prefix discarded tuple-by-tuple —
-// the PR 3 restart machinery pointed at a different site. Rows a shard
+// on a sibling: fresh session, a new START, and a full replay with the
+// already-delivered prefix discarded tuple-by-tuple — the PR 3 restart
+// machinery pointed at a different site. Rows a shard
 // emits are deterministic and identical across replicas, so the
 // pipeline observes one uninterrupted stream. Every sibling dead or
 // fail-fast yields a typed partition-unavailable error.
@@ -231,10 +222,7 @@ func (fs *fragmentStream) failover(cause error) error {
 	table := e.plan.Fragments[u.FragIdx].Table
 	span := e.trace.Begin("failover", from)
 	defer span.End()
-	if e.sessions[fs.idx] != nil {
-		e.sessions[fs.idx] = nil
-		fs.ds.close()
-	}
+	fs.ds.abandon()
 	fs.baseWait += fs.r.RecvWait
 	lastErr := cause
 	for _, sib := range u.Replicas {
@@ -244,13 +232,12 @@ func (fs *fragmentStream) failover(cause error) error {
 		if e.ctx.Err() != nil {
 			break
 		}
-		ds, err := e.srv.openSession(e.ctx, sib, e.trace.ID)
+		ds, err := e.srv.openSession(e.ctx, sib)
 		if err != nil {
 			health.ReportFailure(sib, err)
 			lastErr = err
 			continue
 		}
-		ds.openOff = e.trace.Since(time.Now())
 		fs.frag.Site = sib
 		if err := fs.restart(ds); err != nil {
 			ds.close()
@@ -259,7 +246,6 @@ func (fs *fragmentStream) failover(cause error) error {
 			lastErr = err
 			continue
 		}
-		e.sessions[fs.idx] = ds
 		fs.ds = ds
 		e.srv.met.replicaFailovers.Inc()
 		e.srv.cfg.Logf("qpc: partition %d of %s failed over from %s to %s", u.Part, table, from, sib)

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mocha/internal/core"
 	"mocha/internal/obs"
+	"mocha/internal/types"
 )
 
 // Regenerate with
@@ -24,12 +26,14 @@ var goldenSpans = []obs.Span{
 	{Name: "op:scan"},
 }
 
-// TestControlFramesGolden pins, byte for byte, the two control frames
-// whose payloads are built from domain values of other packages: the
-// RESULT_SCHEMA frame (a types.Schema) and an EOS frame whose exec-stats
-// carry trace spans (obs.Span). The files were generated when wire still
-// copied both into mirror structs of its own. Each payload must also
-// decode to a value that encodes back to the same bytes.
+// TestControlFramesGolden pins, byte for byte, the control frames whose
+// payloads are built from domain values of other packages: the
+// RESULT_SCHEMA frame (a types.Schema), an EOS frame whose exec-stats
+// carry trace spans (obs.Span) — both files generated when wire still
+// copied them into mirror structs of its own — and the set-up exchange,
+// a START (core.Start around a core.Fragment) with its START_ACK. Each
+// payload must also decode to a value that encodes back to the same
+// bytes.
 func TestControlFramesGolden(t *testing.T) {
 	schemaDoc, err := EncodeXML(ResultSchema{Schema: testSchema})
 	if err != nil {
@@ -68,12 +72,41 @@ func TestControlFramesGolden(t *testing.T) {
 		t.Errorf("exec-stats do not re-encode to the same bytes (err %v)", err)
 	}
 
+	keyCol := types.NewSchema(types.Column{Name: "location", Kind: types.KindInt})
+	start := core.Start{Stream: "q7/1", Trace: "q7", Part: 2, Of: 3, Fragment: &core.Fragment{
+		Site: "site2", Table: "Rasters2__p2", SemiJoinCol: 0, Cols: []int{2}, InSchema: keyCol,
+		Projections: []core.Output{{Name: "location", Expr: core.NewCol(0, types.KindInt)}},
+		Code:        []core.CodeRef{{Name: "AvgEnergy", Version: "1.0", Checksum: "abc", Caps: "alloc"}},
+		OutSchema:   keyCol,
+	}}
+	startDoc, err := EncodeXML(&start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var backStart core.Start
+	if err := DecodeXML(startDoc, &backStart); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := EncodeXML(&backStart); err != nil || !bytes.Equal(again, startDoc) {
+		t.Errorf("start does not re-encode to the same bytes (err %v):\n%s\n%s", err, startDoc, again)
+	}
+	ackDoc, err := EncodeXML(&StartAck{Need: []string{"abc"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var backAck StartAck
+	if err := DecodeXML(ackDoc, &backAck); err != nil || len(backAck.Need) != 1 || backAck.Need[0] != "abc" {
+		t.Errorf("start-ack decoded to %+v (err %v)", backAck, err)
+	}
+
 	for _, g := range []struct {
 		file  string
 		frame []byte
 	}{
 		{"result_schema.frame", frame(MsgResultSchema, schemaDoc)},
 		{"eos_exec_stats.frame", frame(MsgEOS, statsDoc)},
+		{"start.frame", frame(MsgStart, startDoc)},
+		{"start_ack.frame", frame(MsgStartAck, ackDoc)},
 	} {
 		path := filepath.Join("testdata", g.file)
 		if *update {

@@ -67,10 +67,17 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(MsgSeqEOS, AppendSeq(2, stats)))
 	resume, _ := EncodeXML(Resume{Stream: "q0/0", LastSeq: 7})
 	f.Add(frame(MsgResume, resume))
-	// Placement-bearing frames: a shard activation with partition
-	// coordinates and an EOS echoing them back.
-	activate, _ := EncodeXML(Activate{Stream: "q0/0", Part: 1, Of: 4})
-	f.Add(frame(MsgActivate, activate))
+	// Placement-bearing frames: a shard's START with its partition
+	// coordinates, the ack asking for two classes, and an EOS echoing the
+	// coordinates back.
+	cutFrag := &core.Fragment{
+		Site: "site1", Table: "Rasters", SemiJoinCol: -1,
+		CutPoint: "below=[call AvgEnergy]", CutAlts: 3,
+	}
+	start, _ := EncodeXML(core.Start{Stream: "q0/0", Trace: "q0", Part: 1, Of: 4, Fragment: cutFrag})
+	f.Add(frame(MsgStart, start))
+	startAck, _ := EncodeXML(StartAck{Need: []string{"deadbeefcafef00d", "0123456789abcdef"}})
+	f.Add(frame(MsgStartAck, startAck))
 	shardStats, _ := EncodeXML(ExecStats{Site: "site1", Part: 1, Of: 4, BytesSent: 99})
 	f.Add(frame(MsgSeqEOS, AppendSeq(3, shardStats)))
 	ack, _ := EncodeXML(ResumeAck{OK: true, FromSeq: 8})
@@ -83,17 +90,14 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(MsgCodeInvalidate, inval))
 	invalAck, _ := EncodeXML(CodeInvalidateAck{Dropped: 2})
 	f.Add(frame(MsgCodeInvalidateAck, invalAck))
-	// Plan-deployment frames: a cut-annotated fragment (carries the
-	// dag-cut feature gate) and the same document demanding a feature
-	// this build does not implement — the decoder must refuse the
-	// latter with an error, not misread it.
-	cutFrag, _ := core.EncodeFragment(&core.Fragment{
-		Site: "site1", Table: "Rasters", SemiJoinCol: -1,
-		CutPoint: "below=[call AvgEnergy]", CutAlts: 3,
-	})
-	f.Add(frame(MsgDeployPlan, cutFrag))
-	f.Add(frame(MsgDeployPlan, []byte(strings.Replace(string(cutFrag),
+	// The START above carries a cut-annotated fragment (and with it the
+	// dag-cut feature gate); the same document demanding a feature this
+	// build does not implement must be refused with an error, not
+	// misread. An unpartitioned, untraced START is the common case.
+	f.Add(frame(MsgStart, []byte(strings.Replace(string(start),
 		`requires="dag-cut"`, `requires="dag-cut time-travel"`, 1))))
+	bareStart, _ := EncodeXML(core.Start{Stream: "q1/1", Fragment: &core.Fragment{Site: "site2", Table: "Rasters2", SemiJoinCol: 0}})
+	f.Add(frame(MsgStart, bareStart))
 	// Result-schema frames: a well-formed schema and one naming a kind
 	// the type system does not have, which the decoder must refuse.
 	resultSchema, _ := EncodeXML(ResultSchema{Schema: fuzzSchema})
@@ -155,8 +159,13 @@ func FuzzFrame(f *testing.F) {
 					var s ExecStats
 					_ = DecodeXML(body, &s)
 				}
-			case MsgActivate:
-				var a Activate
+			case MsgStart:
+				// Fragment decode gate: garbage and unknown-feature
+				// documents must fail with an error, never panic.
+				var st core.Start
+				_ = DecodeXML(payload, &st)
+			case MsgStartAck:
+				var a StartAck
 				_ = DecodeXML(payload, &a)
 			case MsgResume:
 				var r Resume
@@ -170,10 +179,6 @@ func FuzzFrame(f *testing.F) {
 			case MsgCodeInvalidateAck:
 				var ca CodeInvalidateAck
 				_ = DecodeXML(payload, &ca)
-			case MsgDeployPlan:
-				// Fragment decode gate: garbage and unknown-feature
-				// documents must fail with an error, never panic.
-				_, _ = core.DecodeFragment(payload)
 			case MsgResultSchema:
 				var m ResultSchema
 				_ = DecodeXML(payload, &m)

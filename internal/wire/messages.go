@@ -11,16 +11,12 @@ import (
 // Control-plane payloads are XML documents, as in the paper, where query
 // plans and metadata are exchanged as XML.
 
-// Hello opens a session.
+// Hello opens a client↔QPC session. (Between QPC and DAP a HELLO frame
+// is the heartbeat's ping and carries no document.)
 type Hello struct {
 	XMLName xml.Name `xml:"hello"`
 	Role    string   `xml:"role,attr"` // "client" or "qpc"
 	Site    string   `xml:"site,attr"`
-	// Trace carries the query/trace ID the QPC assigned, so spans the
-	// DAP records during this session can be stitched back into the
-	// query's cross-site timeline. Sessions are opened per query, so
-	// tagging the handshake covers every frame that follows.
-	Trace string `xml:"trace,attr,omitempty"`
 	// Tenant identifies the client's fairness class for the QPC's
 	// admission queue: under saturation, queued queries are admitted
 	// round-robin across tenants, so one aggressive tenant cannot
@@ -28,25 +24,15 @@ type Hello struct {
 	Tenant string `xml:"tenant,attr,omitempty"`
 }
 
-// CodeCheck asks a DAP which of the listed classes it is missing or holds
-// a stale copy of — the code-caching handshake sketched as future work in
-// section 3.6 of the paper.
-type CodeCheck struct {
-	XMLName xml.Name        `xml:"code-check"`
-	Classes []CodeCheckItem `xml:"class"`
-}
-
-// CodeCheckItem identifies one class version.
-type CodeCheckItem struct {
-	Name     string `xml:"name,attr"`
-	Version  string `xml:"version,attr"`
-	Checksum string `xml:"checksum,attr"`
-}
-
-// CodeCheckAck lists the class names the DAP needs shipped.
-type CodeCheckAck struct {
-	XMLName xml.Name `xml:"code-check-ack"`
-	Needed  []string `xml:"needed"`
+// StartAck answers a START (the <start> document is core.Start, since
+// it carries the fragment): the content digests, among the fragment's
+// code refs, of the classes the DAP does not hold. The QPC sends exactly
+// those as DEPLOY_CODE frames, in this order, and the stream follows;
+// with none missing the stream follows the ack directly — the
+// code-caching handshake section 3.6 of the paper sketches as future work.
+type StartAck struct {
+	XMLName xml.Name `xml:"start-ack"`
+	Need    []string `xml:"need"`
 }
 
 // CodeInvalidate asks a DAP to drop cached code blobs by content digest

@@ -7,12 +7,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mocha/internal/core"
 	"mocha/internal/obs"
 	"mocha/internal/types"
 )
 
-// Round-trips for the placement-bearing wire objects: the ACTIVATE
-// payload carrying a shard's partition coordinates, and the EOS stats
+// Round-trips for the placement-bearing wire objects: the START
+// document carrying a shard's partition coordinates, and the EOS stats
 // echoing them back. Both ride XML with omitempty attributes, so the
 // canonical forms (identifier-shaped names, non-negative coordinates,
 // Of > 0 marking a partitioned stream) must survive encode/decode
@@ -21,19 +22,21 @@ import (
 
 func TestQuickActivateRoundTrip(t *testing.T) {
 	f := func(q uint32, frag, part, of uint8) bool {
-		in := Activate{
-			Stream: fmt.Sprintf("q%08x/%d", q, frag),
-			Part:   int(part), Of: int(of),
+		in := core.Start{
+			Stream: fmt.Sprintf("q%08x/%d", q, frag), Trace: fmt.Sprintf("q%08x", q),
+			Part: int(part), Of: int(of),
+			Fragment: &core.Fragment{Site: "site1", Table: "Rasters__p1", SemiJoinCol: -1},
 		}
 		data, err := EncodeXML(&in)
 		if err != nil {
 			return false
 		}
-		var out Activate
+		var out core.Start
 		if err := DecodeXML(data, &out); err != nil {
 			return false
 		}
-		return out.Stream == in.Stream && out.Part == in.Part && out.Of == in.Of
+		return out.Stream == in.Stream && out.Trace == in.Trace && out.Part == in.Part && out.Of == in.Of &&
+			out.Fragment != nil && out.Fragment.Table == in.Fragment.Table && out.Fragment.SemiJoinCol == -1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -174,23 +177,23 @@ func TestBatchReaderPrimePending(t *testing.T) {
 }
 
 // TestActivateUnpartitionedStaysBare pins the wire form of the common
-// case: a resumable but unpartitioned activation encodes no part/of
-// attributes at all, so pre-placement DAPs keep understanding it.
+// case: the START of an unpartitioned fragment carries no part/of
+// attributes at all, and an untraced one no trace.
 func TestActivateUnpartitionedStaysBare(t *testing.T) {
-	data, err := EncodeXML(&Activate{Stream: "q1/0"})
+	data, err := EncodeXML(&core.Start{Stream: "q1/0", Fragment: &core.Fragment{Table: "Rasters", SemiJoinCol: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, attr := range []string{"part=", "of="} {
+	for _, attr := range []string{"part=", "of=", "trace="} {
 		if strings.Contains(string(data), attr) {
-			t.Errorf("unpartitioned activate leaked %q: %s", attr, data)
+			t.Errorf("unpartitioned start leaked %q: %s", attr, data)
 		}
 	}
-	var out Activate
+	var out core.Start
 	if err := DecodeXML(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Stream != "q1/0" || out.Part != 0 || out.Of != 0 {
-		t.Errorf("bare activate decoded to %+v", out)
+	if out.Stream != "q1/0" || out.Part != 0 || out.Of != 0 || out.Fragment == nil {
+		t.Errorf("bare start decoded to %+v", out)
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"fmt"
 )
 
-// Resumable streams. A fragment stream whose activation carries a stream
-// ID is sent as sequence-numbered frames (MsgSeqBatch / MsgSeqEOS): each
-// payload is an 8-byte big-endian sequence number followed by the
-// ordinary batch or stats payload. Sequence numbers start at 1 and are
-// contiguous, so after a connection loss the QPC can tell the DAP the
-// last frame it holds and receive only the tail, bounded by the DAP's
-// replay window.
+// Resumable streams. Every fragment stream a DAP sends is a run of
+// sequence-numbered frames (MsgSeqBatch / MsgSeqEOS) under the stream ID
+// its START named: each payload is an 8-byte big-endian sequence number
+// followed by the ordinary batch or stats payload. Sequence numbers
+// start at 1 and are contiguous, so after a connection loss the QPC can
+// tell the DAP the last frame it holds and receive only the tail,
+// bounded by the DAP's replay window.
 
 // seqPrefixSize is the sequence-number prefix on MsgSeqBatch/MsgSeqEOS
 // payloads.
@@ -32,24 +32,6 @@ func CutSeq(payload []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("wire: seq frame truncated at sequence number (%d bytes)", len(payload))
 	}
 	return binary.BigEndian.Uint64(payload[:seqPrefixSize]), payload[seqPrefixSize:], nil
-}
-
-// Activate is the optional MsgActivate payload. An empty payload (or
-// empty Stream) activates a plain, non-resumable stream, as the
-// semi-join key phase does. A stream ID makes the DAP retain a replay
-// window so the stream can survive a dropped connection.
-//
-// Placement-aware activation: when the deployed fragment reads one
-// shard of a partitioned table, Part/Of carry the shard's partition ID
-// and the pre-pruning partition count (Of > 0 marks the activation as
-// partitioned; an unpartitioned activation leaves both zero). The DAP
-// echoes them in its ExecStats so the QPC can verify each gathered
-// stream came from the shard it activated.
-type Activate struct {
-	XMLName xml.Name `xml:"activate"`
-	Stream  string   `xml:"stream,attr,omitempty"`
-	Part    int      `xml:"part,attr,omitempty"`
-	Of      int      `xml:"of,attr,omitempty"`
 }
 
 // Resume asks a DAP to continue a retained stream on this connection,

@@ -24,44 +24,46 @@ import (
 // MsgType identifies the kind of a frame.
 type MsgType uint8
 
-// Protocol message types.
+// Protocol message types. A retired type's number is never reused, so a
+// frame from an older peer is refused as MSG(n), not misread.
 const (
 	MsgHello MsgType = iota + 1
 	MsgHelloAck
 	MsgQuery        // client → QPC: SQL text
 	MsgResultSchema // QPC → client: result schema (XML)
-	MsgDeployCode   // QPC → DAP: serialized MVM program
-	MsgCodeCheck    // QPC → DAP: class names+checksums to validate cache
-	MsgCodeCheckAck // DAP → QPC: which classes are missing/stale
-	MsgDeployPlan   // QPC → DAP: plan fragment (XML)
-	MsgActivate     // QPC → DAP: begin executing the deployed plan
-	MsgTupleBatch   // data stream: batch of schema-encoded tuples
-	MsgSemiJoinKeys // QPC → DAP: join-key set for semi-join filtering
-	MsgEOS          // end of tuple stream, carries execution stats (XML)
+	MsgDeployCode   // QPC → DAP: serialized MVM program a START_ACK asked for
+	_               // 6: was CODE_CHECK
+	_               // 7: was CODE_CHECK_ACK
+	_               // 8: was DEPLOY_PLAN
+	_               // 9: was ACTIVATE
+	MsgTupleBatch   // QPC → client data stream: batch of schema-encoded tuples
+	MsgSemiJoinKeys // QPC → DAP: join-key set, right behind a semi-join START
+	MsgEOS          // QPC → client: end of tuple stream, carries query stats (XML)
 	MsgError        // carries an error string; terminates the request
-	MsgAck
+	MsgAck          // bare acknowledgement; no exchange uses one now, the frame benchmark does
 	MsgClose
 	MsgProcCall          // QPC → DAP: procedural request (XML), section 3.2
 	MsgProcResult        // DAP → QPC: procedural response (XML)
-	MsgSeqBatch          // data stream: 8-byte sequence number + TupleBatch payload
-	MsgSeqEOS            // end of resumable stream: 8-byte sequence number + stats XML
+	MsgSeqBatch          // DAP → QPC data stream: 8-byte sequence number + TupleBatch payload
+	MsgSeqEOS            // DAP → QPC end of stream: 8-byte sequence number + stats XML
 	MsgResume            // QPC → DAP: resume a retained stream past the last acked seq
 	MsgResumeAck         // DAP → QPC: whether the replay window still covers the gap
 	MsgCodeInvalidate    // QPC → DAP: drop cached code blobs by content digest
 	MsgCodeInvalidateAck // DAP → QPC: how many cached blobs were dropped
+	MsgStart             // QPC → DAP: run this fragment (XML <start>), the one set-up request
+	MsgStartAck          // DAP → QPC: digests of the classes it must be sent first
 )
 
 var msgNames = map[MsgType]string{
 	MsgHello: "HELLO", MsgHelloAck: "HELLO_ACK", MsgQuery: "QUERY",
 	MsgResultSchema: "RESULT_SCHEMA", MsgDeployCode: "DEPLOY_CODE",
-	MsgCodeCheck: "CODE_CHECK", MsgCodeCheckAck: "CODE_CHECK_ACK",
-	MsgDeployPlan: "DEPLOY_PLAN", MsgActivate: "ACTIVATE",
 	MsgTupleBatch: "TUPLE_BATCH", MsgSemiJoinKeys: "SEMIJOIN_KEYS",
 	MsgEOS: "EOS", MsgError: "ERROR", MsgAck: "ACK", MsgClose: "CLOSE",
 	MsgProcCall: "PROC_CALL", MsgProcResult: "PROC_RESULT",
 	MsgSeqBatch: "SEQ_BATCH", MsgSeqEOS: "SEQ_EOS",
 	MsgResume: "RESUME", MsgResumeAck: "RESUME_ACK",
 	MsgCodeInvalidate: "CODE_INVALIDATE", MsgCodeInvalidateAck: "CODE_INVALIDATE_ACK",
+	MsgStart: "START", MsgStartAck: "START_ACK",
 }
 
 func (t MsgType) String() string {

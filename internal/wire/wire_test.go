@@ -41,9 +41,9 @@ func TestEmptyPayload(t *testing.T) {
 	a, b := pipeConns()
 	defer a.Close()
 	defer b.Close()
-	go a.Send(MsgActivate, nil)
+	go a.Send(MsgClose, nil)
 	typ, payload, err := b.Recv()
-	if err != nil || typ != MsgActivate || len(payload) != 0 {
+	if err != nil || typ != MsgClose || len(payload) != 0 {
 		t.Errorf("got %v %v %v", typ, payload, err)
 	}
 }
@@ -203,28 +203,24 @@ func TestBatchStreamError(t *testing.T) {
 }
 
 func TestControlPayloadRoundTrips(t *testing.T) {
-	check := CodeCheck{Classes: []CodeCheckItem{
-		{Name: "AvgEnergy", Version: "1.0", Checksum: "abc"},
-		{Name: "Clip", Version: "2.1", Checksum: "def"},
-	}}
-	data, err := EncodeXML(&check)
+	ack := StartAck{Need: []string{"abc", "def"}}
+	data, err := EncodeXML(&ack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back CodeCheck
+	var back StartAck
 	if err := DecodeXML(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Classes) != 2 || back.Classes[1].Name != "Clip" {
-		t.Errorf("code check lost: %+v", back)
+	if len(back.Need) != 2 || back.Need[1] != "def" {
+		t.Errorf("start ack lost: %+v", back)
 	}
 
-	ack := CodeCheckAck{Needed: []string{"AvgEnergy"}}
-	data, _ = EncodeXML(&ack)
-	var back2 CodeCheckAck
-	DecodeXML(data, &back2)
-	if len(back2.Needed) != 1 || back2.Needed[0] != "AvgEnergy" {
-		t.Errorf("ack lost: %+v", back2)
+	// The warm case: nothing needed, nothing listed.
+	data, _ = EncodeXML(&StartAck{})
+	var back2 StartAck
+	if err := DecodeXML(data, &back2); err != nil || len(back2.Need) != 0 {
+		t.Errorf("empty ack %s decoded to %+v (err %v)", data, back2, err)
 	}
 }
 
