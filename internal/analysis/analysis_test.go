@@ -130,6 +130,16 @@ const (
 	OpScan = "op:scan"
 	OpEmit = "op:emit"
 )
+
+const (
+	PhaseSetup    = "setup"
+	PhaseDapStart = "dap:start"
+)
+
+var spanClass = map[string]Class{
+	OpScan: ClassDB, OpEmit: ClassNet,
+	PhaseSetup: ClassMisc, PhaseDapStart: ClassMisc,
+}
 `
 
 func TestExecOpsClean(t *testing.T) {
@@ -137,9 +147,12 @@ func TestExecOpsClean(t *testing.T) {
 		"internal/obs/names.go": opNamesGo,
 		"internal/exec/exec.go": `package exec
 
-func lower() {
+func lower(tr *obs.Trace, began time.Time) {
 	use(obs.OpScan)
 	use(obs.OpEmit)
+	tr.Begin(obs.PhaseSetup, "").End()
+	tr.Add(tr.Interval(obs.PhaseDapStart, "s", began, time.Now()), obs.Span{Name: obs.OpScan})
+	verb("setup") // an ordinary word elsewhere is nobody's span name
 }
 `,
 	})
@@ -149,6 +162,59 @@ func lower() {
 	}
 	if len(fs) != 0 {
 		t.Errorf("clean tree produced findings: %v", fs)
+	}
+}
+
+// TestExecOpsPhaseViolations covers the phase-name half of the contract:
+// a name with no class, a name nothing records, and the three ways a
+// span gets named by a raw literal.
+func TestExecOpsPhaseViolations(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/obs/names.go": `package obs
+
+const OpScan = "op:scan"
+
+const (
+	PhaseSetup    = "setup"
+	PhaseDapStart = "dap:start"
+	PhaseOrphan   = "orphan"    // in no class table
+	PhaseDead     = "dead"      // recorded by nothing
+	PhaseTwin     = "dap:start" // a second name for one span
+)
+
+var spanClass = map[string]Class{
+	OpScan: ClassDB, PhaseSetup: ClassMisc, PhaseDapStart: ClassMisc, PhaseDead: ClassNone, PhaseTwin: ClassMisc,
+}
+`,
+		"internal/qpc/exec.go": `package qpc
+
+func run(tr *obs.Trace, began time.Time) {
+	use(obs.OpScan, obs.PhaseSetup, obs.PhaseDapStart, obs.PhaseOrphan, obs.PhaseTwin)
+	tr.Begin("warmup", "")                             // 1: named at Begin
+	tr.Add(tr.Interval("cooldown", "", began, began))  // 2: named at Interval
+	tr.Add(obs.Span{Name: "marker"})                   // 3: named in a Span literal
+	if sp.Name == "dap:start" {                        // 4: a declared namespaced name, spelled out
+	}
+}
+`,
+	})
+	fs, err := ExecOps(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for frag, want := range map[string]int{
+		"obs.PhaseOrphan has no class":            1,
+		"obs.PhaseDead is never used":             1,
+		"declared more than once":                 1,
+		"raw span name literal":                   4,
+		`raw span name literal "dap:start"; use `: 1,
+	} {
+		if n := findingsWith(fs, frag); n != want {
+			t.Errorf("%q findings = %d, want %d: %v", frag, n, want, fs)
+		}
+	}
+	if len(fs) != 7 {
+		t.Errorf("%d findings, want 7: %v", len(fs), fs)
 	}
 }
 
@@ -162,6 +228,8 @@ const (
 	OpBad   = "notop"   // missing the op: prefix
 	OpDead  = "op:dead" // never referenced by any executor
 )
+
+var spanClass = map[string]Class{OpScan: ClassDB, OpScan2: ClassDB, OpBad: ClassCPU, OpDead: ClassCPU}
 `,
 		"internal/exec/exec.go": `package exec
 
@@ -186,7 +254,7 @@ func lower() {
 	if n := findingsWith(fs, "raw operator span literal"); n != 1 {
 		t.Errorf("raw-literal findings = %d, want 1: %v", n, fs)
 	}
-	if n := findingsWith(fs, "never used by an executor"); n != 1 {
+	if n := findingsWith(fs, "is never used outside package obs"); n != 1 {
 		t.Errorf("never-used findings = %d, want 1: %v", n, fs)
 	}
 }
@@ -197,14 +265,14 @@ func TestExecOpsSkipsTestsAndObsPackage(t *testing.T) {
 		"internal/exec/exec.go": `package exec
 
 func lower() {
-	use(obs.OpScan)
-	use(obs.OpEmit)
+	use(obs.OpScan, obs.PhaseSetup)
+	use(obs.OpEmit, obs.PhaseDapStart)
 }
 `,
 		// Test files may spell span names raw when asserting output.
 		"internal/exec/exec_test.go": `package exec
 
-func helper() { check("op:scan[0]") }
+func helper(tr *obs.Trace) { check("op:scan[0]"); tr.Begin("dap:start", "") }
 `,
 		// The obs package itself builds names from the prefix freely.
 		"internal/obs/trace.go": `package obs

@@ -11,18 +11,25 @@ import (
 	"mocha/internal/obs"
 )
 
-// ExecOps enforces the operator-name inventory contract of
-// internal/obs/names.go, the companion of ObsMetrics for EXPLAIN ANALYZE
-// operator spans:
+// ExecOps enforces the span-name inventory contract of
+// internal/obs/names.go, the companion of ObsMetrics for trace spans —
+// the operator names (Op*) and the phase names (Phase*) that together
+// are every name a span may carry:
 //
-//  1. every Op* constant declared there carries a distinct "op:"-prefixed
-//     value, so the block is an unambiguous operator vocabulary;
-//  2. every Op* constant is referenced somewhere outside package obs, so
-//     the vocabulary stays live (a dead name means an operator was
-//     removed without retiring its span name); and
-//  3. no source file outside package obs spells an operator span name as
-//     a raw "op:"-prefixed string literal — operator names must flow
-//     through the constants (the prefix itself is obs.SpanOpPrefix).
+//  1. every Op* constant carries an "op:"-prefixed value, and no two
+//     constants of either family share a value, so the blocks are an
+//     unambiguous vocabulary;
+//  2. every constant is referenced somewhere outside package obs, so the
+//     vocabulary stays live (a dead name means an operator or phase was
+//     removed without retiring its span name);
+//  3. every constant is a key of the spanClass table beside them, so no
+//     span's duration can go unclassified into the query's breakdown;
+//  4. no source file outside package obs spells a span name as a raw
+//     string literal: not an "op:"-prefixed one anywhere (the prefix
+//     itself is obs.SpanOpPrefix), not a namespaced phase name
+//     ("dap:start") anywhere, and no literal at all where a span is
+//     named — the first argument of a Begin or Interval call, the Name
+//     of an obs.Span literal.
 //
 // Like the other checks this is purely syntactic and skips tests.
 func ExecOps(root string) ([]Finding, error) {
@@ -35,8 +42,16 @@ func ExecOps(root string) ([]Finding, error) {
 	if len(consts) == 0 {
 		return nil, fmt.Errorf("execops: no Op* constants found in %s", namesPath)
 	}
+	for name, val := range constStrings(namesFile, "Phase") {
+		consts[name] = val
+	}
+	classed := mapLiteralKeys(namesFile, "spanClass")
 
 	var findings []Finding
+	rawSeen := make(map[token.Position]bool) // a literal is reported once, by the most specific rule
+	report := func(pos token.Pos, pf parsedFile, format string, args ...any) {
+		findings = append(findings, Finding{Pos: pf.fset.Position(pos), Check: "execops", Msg: fmt.Sprintf(format, args...)})
+	}
 	names := make([]string, 0, len(consts))
 	for name := range consts {
 		names = append(names, name)
@@ -45,21 +60,16 @@ func ExecOps(root string) ([]Finding, error) {
 	byValue := make(map[string]string) // value -> first const name
 	for _, name := range names {
 		val := consts[name]
-		if !strings.HasPrefix(val, obs.SpanOpPrefix) {
-			findings = append(findings, Finding{
-				Pos:   namesFile.fset.Position(namesFile.file.Pos()),
-				Check: "execops",
-				Msg:   fmt.Sprintf("operator constant obs.%s = %q does not start with the op: span prefix", name, val),
-			})
+		if strings.HasPrefix(name, "Op") && !strings.HasPrefix(val, obs.SpanOpPrefix) {
+			report(namesFile.file.Pos(), namesFile, "operator constant obs.%s = %q does not start with the op: span prefix", name, val)
 		}
 		if first, dup := byValue[val]; dup {
-			findings = append(findings, Finding{
-				Pos:   namesFile.fset.Position(namesFile.file.Pos()),
-				Check: "execops",
-				Msg:   fmt.Sprintf("operator name %q declared more than once (obs.%s and obs.%s)", val, first, name),
-			})
+			report(namesFile.file.Pos(), namesFile, "span name %q declared more than once (obs.%s and obs.%s)", val, first, name)
 		} else {
 			byValue[val] = name
+		}
+		if !classed[name] {
+			report(namesFile.file.Pos(), namesFile, "span name obs.%s has no class in the spanClass table", name)
 		}
 	}
 
@@ -73,6 +83,12 @@ func ExecOps(root string) ([]Finding, error) {
 			continue
 		}
 		pf := pf
+		rawName := func(e ast.Expr) {
+			if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				rawSeen[pf.fset.Position(lit.Pos())] = true
+				report(lit.Pos(), pf, "raw span name literal %s; declare it in obs/names.go with its class", lit.Value)
+			}
+		}
 		ast.Inspect(pf.file, func(n ast.Node) bool {
 			switch e := n.(type) {
 			case *ast.SelectorExpr:
@@ -82,16 +98,29 @@ func ExecOps(root string) ([]Finding, error) {
 						return false
 					}
 				}
+			case *ast.CallExpr:
+				if sel, ok := e.Fun.(*ast.SelectorExpr); ok && len(e.Args) > 0 && (sel.Sel.Name == "Begin" || sel.Sel.Name == "Interval") {
+					rawName(e.Args[0])
+				}
+			case *ast.CompositeLit:
+				if sel, ok := e.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Span" {
+					for _, el := range e.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Name" {
+								rawName(kv.Value)
+							}
+						}
+					}
+				}
 			case *ast.BasicLit:
-				if e.Kind != token.STRING {
+				if e.Kind != token.STRING || rawSeen[pf.fset.Position(e.Pos())] {
 					return true
 				}
-				if val := strings.Trim(e.Value, "`\""); strings.HasPrefix(val, obs.SpanOpPrefix) {
-					findings = append(findings, Finding{
-						Pos:   pf.fset.Position(e.Pos()),
-						Check: "execops",
-						Msg:   fmt.Sprintf("raw operator span literal %s; use the obs.Op* constants (or obs.SpanOpPrefix)", e.Value),
-					})
+				val := strings.Trim(e.Value, "`\"")
+				if strings.HasPrefix(val, obs.SpanOpPrefix) {
+					report(e.Pos(), pf, "raw operator span literal %s; use the obs.Op* constants (or obs.SpanOpPrefix)", e.Value)
+				} else if name, ok := byValue[val]; ok && strings.Contains(val, ":") {
+					report(e.Pos(), pf, "raw span name literal %s; use obs.%s", e.Value, name)
 				}
 			}
 			return true
@@ -99,12 +128,38 @@ func ExecOps(root string) ([]Finding, error) {
 	}
 	for _, name := range names {
 		if !refs[name] {
-			findings = append(findings, Finding{
-				Pos:   namesFile.fset.Position(namesFile.file.Pos()),
-				Check: "execops",
-				Msg:   fmt.Sprintf("operator constant obs.%s is never used by an executor", name),
-			})
+			report(namesFile.file.Pos(), namesFile, "span name constant obs.%s is never used outside package obs", name)
 		}
 	}
 	return findings, nil
+}
+
+// mapLiteralKeys returns the identifier keys of the package-level map
+// literal `var name = map[…]…{…}` in pf.
+func mapLiteralKeys(pf parsedFile, name string) map[string]bool {
+	keys := make(map[string]bool)
+	for _, decl := range pf.file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok || len(vs.Names) != 1 || vs.Names[0].Name != name || len(vs.Values) != 1 {
+				continue
+			}
+			lit, ok := vs.Values[0].(*ast.CompositeLit)
+			if !ok {
+				continue
+			}
+			for _, el := range lit.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						keys[key.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return keys
 }

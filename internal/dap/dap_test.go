@@ -3,6 +3,7 @@ package dap
 import (
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -166,6 +167,19 @@ func readStream(t *testing.T, conn *wire.Conn, schema types.Schema) ([]types.Tup
 	return rows, stats
 }
 
+// spanSum adds up one counter over the spans of a report — the only
+// place a DAP says what an execution read, loaded or sent.
+func spanSum(stats wire.ExecStats, counter func(obs.Span) int64) (n int64) {
+	for _, sp := range stats.Spans {
+		n += counter(sp)
+	}
+	return n
+}
+
+func codeBytes(sp obs.Span) int64 { return sp.CodeBytes }
+func classes(sp obs.Span) int64   { return sp.Classes }
+func cacheHits(sp obs.Span) int64 { return sp.CacheHits }
+
 // streamError reads the ERROR frame a refused START leaves where its
 // stream would begin.
 func streamError(t *testing.T, conn *wire.Conn) string {
@@ -192,8 +206,15 @@ func deployAndRunN(t *testing.T, conn *wire.Conn, frag *core.Fragment, cls *cata
 	t.Helper()
 	startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls)
 	rows, stats := readStream(t, conn, frag.OutSchema)
-	if stats.TuplesRead != wantRead {
-		t.Errorf("stats.TuplesRead = %d, want %d", stats.TuplesRead, wantRead)
+	// A scan's rows-in are the tuples it read from the source.
+	read := spanSum(stats, func(sp obs.Span) int64 {
+		if sp.Name != obs.OpScan {
+			return 0
+		}
+		return sp.RowsIn
+	})
+	if read != wantRead {
+		t.Errorf("scan read %d tuples, want %d", read, wantRead)
 	}
 	return rows
 }
@@ -366,6 +387,59 @@ func TestDAPProtocolErrors(t *testing.T) {
 	refused("keys for a plain fragment", wire.MsgSemiJoinKeys, wire.EncodeBatch(nil), "semi-join keys without a semi-join fragment")
 }
 
+// TestDAPReportsSpansWithOrWithoutTrace: spans are how a DAP measures,
+// not something a trace ID switches on. A START that names no trace gets
+// the same report — set-up steps, every operator, the source volume on
+// the scan and the wire volume on the flush — and echoes no ID; one that
+// names a trace gets the ID back and nothing else different.
+func TestDAPReportsSpansWithOrWithoutTrace(t *testing.T) {
+	conn, _ := testDAP(t, Config{})
+	frag, cls := avgEnergyFragment(t)
+	var names [2][]string
+	for i, traceID := range []string{"", "q7"} {
+		startFragment(t, conn, &core.Start{Trace: traceID, Fragment: frag}, nil, cls)
+		rows, stats := readStream(t, conn, frag.OutSchema)
+		if stats.Trace != traceID {
+			t.Errorf("report echoes trace %q, START named %q", stats.Trace, traceID)
+		}
+		var sent int64
+		for _, tup := range rows {
+			sent += int64(tup.WireSize())
+		}
+		byName := map[string]obs.Span{}
+		for _, sp := range stats.Spans {
+			byName[sp.Name] = sp
+			names[i] = append(names[i], sp.Name)
+			if sp.Site != "test" {
+				t.Errorf("span %s reported for site %q", sp.Name, sp.Site)
+			}
+		}
+		for _, want := range []string{obs.PhaseDapStart, obs.PhaseDapLower, obs.OpScan, obs.OpProject, obs.OpEmit, obs.PhaseDapFlush} {
+			if _, ok := byName[want]; !ok {
+				t.Fatalf("trace %q: no %s span among %v", traceID, want, names[i])
+			}
+		}
+		if got := byName[obs.PhaseDapFlush]; got.NetBytes != sent || got.Tuples != int64(len(rows)) {
+			t.Errorf("flush span carries %d B / %d tuples, stream delivered %d B / %d", got.NetBytes, got.Tuples, sent, len(rows))
+		}
+		if got := byName[obs.OpScan]; got.DBBytes == 0 || got.RowsIn != 10 {
+			t.Errorf("scan span carries %d source bytes, %d rows read; want some, and 10", got.DBBytes, got.RowsIn)
+		}
+		if n := spanSum(stats, func(sp obs.Span) int64 { return sp.NetBytes }); n != sent {
+			t.Errorf("spans carry %d net bytes in all, stream delivered %d", n, sent)
+		}
+		for _, gone := range []string{"dap:db", "dap:cpu", "dap:net"} {
+			if _, ok := byName[gone]; ok {
+				t.Errorf("aggregate span %s is back; db/cpu/net are classes of the operator spans", gone)
+			}
+		}
+	}
+	// The first run loaded the class, the second found it cached.
+	if want := append([]string{obs.PhaseDapStart, obs.PhaseDapDeployCode}, names[1][1:]...); !slices.Equal(names[0], want) {
+		t.Errorf("untraced cold run reported %v, traced warm run %v", names[0], names[1])
+	}
+}
+
 // TestDAPCodeCheckAndCache: the START ack is the code check — it names a
 // class the DAP lacks, stays empty once the class is cached, and asks
 // again for any other digest; each execution reports its own loads and
@@ -376,15 +450,15 @@ func TestDAPCodeCheckAndCache(t *testing.T) {
 	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls); len(need) != 1 || need[0] != cls.Checksum {
 		t.Fatalf("fresh DAP should need the class: %v", need)
 	}
-	if _, stats := readStream(t, conn, frag.OutSchema); stats.CodeClassesLoaded != 1 || stats.CodeBytesLoaded != len(cls.Blob) || stats.CacheHits != 0 {
-		t.Errorf("first run reported %d classes / %d B loaded, %d hits", stats.CodeClassesLoaded, stats.CodeBytesLoaded, stats.CacheHits)
+	if _, stats := readStream(t, conn, frag.OutSchema); spanSum(stats, classes) != 1 || spanSum(stats, codeBytes) != int64(len(cls.Blob)) || spanSum(stats, cacheHits) != 0 {
+		t.Errorf("first run reported %d classes / %d B loaded, %d hits", spanSum(stats, classes), spanSum(stats, codeBytes), spanSum(stats, cacheHits))
 	}
 	// Second START: cached, and the stream follows the empty ack.
 	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil); len(need) != 0 {
 		t.Errorf("cached class requested again: %v", need)
 	}
-	if _, stats := readStream(t, conn, frag.OutSchema); stats.CodeClassesLoaded != 0 || stats.CacheHits != 1 {
-		t.Errorf("second run reported %d classes loaded, %d hits", stats.CodeClassesLoaded, stats.CacheHits)
+	if _, stats := readStream(t, conn, frag.OutSchema); spanSum(stats, classes) != 0 || spanSum(stats, cacheHits) != 1 {
+		t.Errorf("second run reported %d classes loaded, %d hits", spanSum(stats, classes), spanSum(stats, cacheHits))
 	}
 	hits, misses := srv.CacheStats()
 	if hits != 1 || misses != 1 {

@@ -3,7 +3,6 @@ package dap
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mocha/internal/wire"
@@ -48,7 +47,6 @@ type retainedStream struct {
 	frames   []seqFrame // window, oldest first; never empty once streaming
 	winBytes int64
 	lastSeq  uint64 // seq of the newest frame issued
-	tuples   int64  // cursor: tuples read when last parked (observability)
 	parkedAt time.Time
 
 	attach   chan *wire.Conn // a resume handler delivers the new connection
@@ -181,9 +179,6 @@ type resumableSender struct {
 	srv  *Server
 	st   *retainedStream
 	conn *wire.Conn
-	// tuples points at the session's tuples-read counter so the park
-	// records the scan cursor position.
-	tuples *int64
 }
 
 func (s *resumableSender) Send(t wire.MsgType, body []byte) error {
@@ -221,11 +216,6 @@ func (s *resumableSender) park(cause error) (*wire.Conn, error) {
 	}
 	st.phase = phaseParked
 	st.parkedAt = time.Now()
-	if s.tuples != nil {
-		// The scan goroutine is still incrementing the counter; load it
-		// atomically to get a consistent cursor snapshot.
-		st.tuples = atomic.LoadInt64(s.tuples)
-	}
 	st.mu.Unlock()
 	s.srv.met.streamsParked.Inc()
 	s.srv.cfg.Logf("dap %s: stream %s parked at seq %d (%v)", s.srv.cfg.Site, st.id, st.lastSeq, cause)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"mocha/internal/core"
@@ -153,8 +152,9 @@ type execution struct {
 
 	frag     *core.Fragment
 	semiKeys map[uint64][]types.Object
-	stats    wire.ExecStats
-	trace    *obs.Trace
+	// trace holds the execution's spans, the only record it keeps of its
+	// time and volumes. Its clock started when the START arrived.
+	trace *obs.Trace
 }
 
 // start serves one START: it reads the frames the request promises (the
@@ -173,27 +173,20 @@ func (ss *session) start(payload []byte) error {
 	if frag == nil || req.Stream == "" {
 		return fmt.Errorf("start without a fragment or a stream id")
 	}
-	// Part/Of are echoed in the stats so the QPC can verify the stream's
-	// provenance. The trace's clock starts here; the QPC re-anchors the
-	// spans onto its own timeline.
-	ex := &execution{srv: ss.srv, conn: ss.conn, frag: frag,
-		stats: wire.ExecStats{Site: ss.srv.cfg.Site, Part: req.Part, Of: req.Of}}
-	if req.Trace != "" {
-		ex.trace = obs.NewTrace(req.Trace)
-	}
+	ex := &execution{srv: ss.srv, conn: ss.conn, frag: frag, trace: obs.NewTraceAt(req.Trace, began)}
 	var ack wire.StartAck
 	for _, ref := range frag.Code {
 		if ss.srv.cache.needs(ref, ss.srv.cfg.DisableCodeCache) {
 			ack.Need = append(ack.Need, ref.Checksum)
-		} else {
-			ex.stats.CacheHits++
 		}
 	}
 	ackData, err := wire.EncodeXML(&ack)
 	if err != nil {
 		return err
 	}
-	ex.setupSpan("dap:start", began, 0)
+	hits := int64(len(frag.Code) - len(ack.Need))
+	ss.srv.met.cacheHits.Add(hits)
+	ex.setup(obs.PhaseDapStart, began, obs.Span{CacheHits: hits})
 
 	var refused error
 	if frag.SemiJoinCol >= 0 {
@@ -203,7 +196,7 @@ func (ss *session) start(payload []byte) error {
 		}
 		began = time.Now()
 		refused = ex.installKeys(keys)
-		ex.setupSpan("dap:keys-install", began, 0)
+		ex.setup(obs.PhaseDapKeysInstall, began, obs.Span{})
 	}
 	if err := ss.conn.Send(wire.MsgStartAck, ackData); err != nil {
 		return err
@@ -215,30 +208,29 @@ func (ss *session) start(payload []byte) error {
 		}
 		if refused == nil {
 			began = time.Now()
-			refused = ex.loadClass(blob)
-			ex.setupSpan("dap:deploy-code", began, len(blob))
+			if refused = ex.loadClass(blob); refused == nil {
+				ex.setup(obs.PhaseDapDeployCode, began, obs.Span{CodeBytes: int64(len(blob)), Classes: 1})
+			}
 		}
 	}
 	if refused != nil {
 		return refused
 	}
-	st, err := ex.execute(req.Stream)
+	// Part/Of are echoed in the report so the QPC can verify the stream's
+	// provenance, the trace ID because the request carried it.
+	st, err := ex.execute(req.Stream, wire.ExecStats{Site: ss.srv.cfg.Site, Trace: req.Trace, Part: req.Part, Of: req.Of})
 	ss.delivered = append(ss.delivered, st)
 	return err
 }
 
-// setupSpan books work done ahead of the execution (plan decoding, code
-// loading, key-set installation) since began: it is initialization, so
-// Misc time, and a span on the query's trace.
-func (ex *execution) setupSpan(name string, began time.Time, codeBytes int) {
-	dur := time.Since(began).Microseconds()
-	ex.stats.MiscMicros += dur
-	if ex.trace != nil {
-		// Decoding the START began before the trace it names existed.
-		off := max(ex.trace.Since(began), 0)
-		ex.trace.Add(obs.Span{Name: name, Site: ex.srv.cfg.Site,
-			StartMicros: off, DurMicros: dur, CodeBytes: int64(codeBytes)})
-	}
+// setup records a step done ahead of the operators (request decoding,
+// code loading, key-set installation, lowering) since began, with the
+// counts it produced. The step names are all classed Misc: this is
+// initialization.
+func (ex *execution) setup(name string, began time.Time, counts obs.Span) {
+	sp := ex.trace.Interval(name, ex.srv.cfg.Site, began, time.Now())
+	sp.CodeBytes, sp.Classes, sp.CacheHits = counts.CodeBytes, counts.Classes, counts.CacheHits
+	ex.trace.Add(sp)
 }
 
 // loadClass admits one shipped class into the code cache.
@@ -265,8 +257,7 @@ func (ex *execution) loadClass(blob []byte) error {
 		return fmt.Errorf("deploy code: %w", err)
 	}
 	ex.srv.cache.put(prog)
-	ex.stats.CodeClassesLoaded++
-	ex.stats.CodeBytesLoaded += len(blob)
+	ex.srv.met.classesLoaded.Inc()
 	ex.srv.cfg.Logf("dap %s: loaded class %s (%d bytes)", ex.srv.cfg.Site, prog.Name, len(blob))
 	return nil
 }
@@ -305,8 +296,10 @@ func (ex *execution) installKeys(payload []byte) error {
 // network send path. Time components come from the operators' own
 // accounting — the scan's feed time is DB time, evaluation operators'
 // self time is CPU time, and the emit sink plus the final flush is net
-// time — so no component can go negative by subtraction.
-func (ex *execution) execute(streamID string) (*retainedStream, error) {
+// time (obs.ClassOf) — so no component can go negative by subtraction.
+// report arrives with the execution's identity; its spans are filled in
+// here and it ends the stream.
+func (ex *execution) execute(streamID string, report wire.ExecStats) (*retainedStream, error) {
 	start := time.Now()
 	frag := ex.frag
 	schema, err := ex.srv.cfg.Driver.TableSchema(frag.Table)
@@ -337,7 +330,7 @@ func (ex *execution) execute(streamID string) (*retainedStream, error) {
 		stale.markAborted()
 	}
 	ex.srv.met.streamsRetained.Set(ex.srv.retained.size())
-	sender := &resumableSender{srv: ex.srv, st: st, conn: ex.conn, tuples: &ex.stats.TuplesRead}
+	sender := &resumableSender{srv: ex.srv, st: st, conn: ex.conn}
 	defer func() {
 		// A finished stream stays retained (window included) until the
 		// QPC's CLOSE, or its TTL when a drop ate the EOS and it may yet
@@ -362,19 +355,15 @@ func (ex *execution) execute(streamID string) (*retainedStream, error) {
 		tun.BatchRows = frag.Limit
 	}
 	var usedIndex bool
+	var accessed int64 // the scan goroutine's until the tree is closed
 	src := exec.NewScanSource(obs.OpScan, func(emitTup func(types.Tuple) error) error {
 		used, serr := scanSource(ex.srv.cfg.Driver, frag, func(full types.Tuple) error {
-			// The send path reads the counter concurrently when a park
-			// records its cursor position, hence the atomic add.
-			atomic.AddInt64(&ex.stats.TuplesRead, 1)
 			// Extract the fragment's columns (the middleware-schema mapping).
 			in := make(types.Tuple, len(frag.Cols))
-			var inBytes int
 			for i, c := range frag.Cols {
 				in[i] = full[c]
-				inBytes += full[c].WireSize()
+				accessed += int64(full[c].WireSize())
 			}
-			ex.stats.BytesAccessed += int64(inBytes)
 			return emitTup(in)
 		})
 		usedIndex = used
@@ -384,7 +373,7 @@ func (ex *execution) execute(streamID string) (*retainedStream, error) {
 	if err != nil {
 		return st, err
 	}
-	ex.stats.MiscMicros += time.Since(start).Microseconds()
+	ex.setup(obs.PhaseDapLower, start, obs.Span{})
 
 	if err := exec.Run(context.Background(), tree, nil); err != nil {
 		return st, err
@@ -392,76 +381,30 @@ func (ex *execution) execute(streamID string) (*retainedStream, error) {
 	if usedIndex {
 		ex.srv.cfg.Logf("dap %s: table %s served by index range scan", ex.srv.cfg.Site, frag.Table)
 	}
+	src.Stats().DBBytes = accessed
 
-	flushStart := time.Now()
+	// The flush sends the last partial batch, so only now are the writer's
+	// totals final: its span carries them. The QPC moves them onto its own
+	// span of the stream when it imports the report.
+	flush := ex.trace.Begin(obs.PhaseDapFlush, ex.srv.cfg.Site)
 	if err := writer.Flush(); err != nil {
 		return st, err
 	}
-	netTime := time.Since(flushStart)
-	var cpuTime time.Duration
-	for _, op := range tree.Ops {
-		opst := op.Stats()
-		switch opst.Name {
-		case obs.OpScan:
-			// DB time, reported from src.Feed below.
-		case obs.OpEmit:
-			netTime += opst.Self
-		default:
-			cpuTime += opst.Self
-		}
-	}
-
-	ex.stats.DBMicros = src.Feed().Microseconds()
-	ex.stats.CPUMicros = cpuTime.Microseconds()
-	ex.stats.NetMicros = netTime.Microseconds()
-	ex.stats.TuplesSent = writer.Tuples
-	ex.stats.BytesSent = writer.DataBytes
+	flush.NetBytes, flush.Tuples = writer.DataBytes, writer.Tuples
+	flush.End()
+	ex.trace.Add(tree.Spans(ex.srv.cfg.Site, ex.trace.Since(start))...)
 
 	met := &ex.srv.met
 	met.activations.Inc()
 	met.tuplesSent.Add(writer.Tuples)
 	met.bytesSent.Add(writer.DataBytes)
 	met.execMS.Observe(time.Since(start).Milliseconds())
-	met.classesLoaded.Add(int64(ex.stats.CodeClassesLoaded))
-	met.cacheHits.Add(int64(ex.stats.CacheHits))
 	runs, instrs := binder.runCounts()
 	met.fastRuns.Add(runs)
 	met.vmInstrs.Add(instrs)
 
-	if ex.trace != nil {
-		// Duration-only phase spans: the offsets say where in the session
-		// this execution sat; db/cpu/net are aggregate components of it.
-		// NetBytes stays zero on DAP spans — the QPC's own stream span
-		// carries the wire volume, so imported spans never double-count
-		// the CVDT.
-		off := ex.trace.Since(start)
-		site := ex.srv.cfg.Site
-		ex.trace.Add(obs.Span{Name: "dap:db", Site: site, StartMicros: off,
-			DurMicros: ex.stats.DBMicros, DBBytes: ex.stats.BytesAccessed, Tuples: ex.stats.TuplesRead})
-		ex.trace.Add(obs.Span{Name: "dap:cpu", Site: site, StartMicros: off,
-			DurMicros: ex.stats.CPUMicros})
-		ex.trace.Add(obs.Span{Name: "dap:net", Site: site, StartMicros: off,
-			DurMicros: ex.stats.NetMicros, Tuples: writer.Tuples})
-		// Per-operator spans: the fragment tree's own accounting, at a
-		// finer grain than the aggregate db/cpu/net components.
-		for _, op := range tree.Ops {
-			opst := op.Stats()
-			ex.trace.Add(obs.Span{Name: opst.Name, Site: site, StartMicros: off,
-				DurMicros: opst.Self.Microseconds(),
-				Tuples:    opst.RowsOut, RowsIn: opst.RowsIn, Batches: opst.Batches,
-				SpillBytes: opst.SpillBytes})
-			if opst.Spills > 0 {
-				// Spill pseudo-span: the operator overflowed its memory
-				// grant and wrote sorted runs to temp files.
-				ex.trace.Add(obs.Span{Name: obs.OpSpillAgg, Site: site, StartMicros: off,
-					Tuples: opst.SpillTuples, Batches: opst.Spills, SpillBytes: opst.SpillBytes})
-			}
-		}
-		ex.stats.Trace = ex.trace.ID
-		ex.stats.Spans = ex.trace.TakeSpans()
-	}
-
-	payload, err := wire.EncodeXML(&ex.stats)
+	report.Spans = ex.trace.TakeSpans()
+	payload, err := wire.EncodeXML(&report)
 	if err != nil {
 		return st, err
 	}

@@ -18,8 +18,10 @@ package exec
 
 import (
 	"context"
+	"strings"
 	"time"
 
+	"mocha/internal/obs"
 	"mocha/internal/types"
 )
 
@@ -66,13 +68,16 @@ func (t Tuning) Norm() Tuning {
 // RowsOut tuples produced, Batches the output batches, and Self the time
 // spent inside the operator itself, excluding time blocked on children.
 // For source operators Self is the time blocked on the external feed
-// (network or storage), which is exactly what their spans should show.
+// (network or storage), which is exactly what their spans should show; a
+// scan's RowsIn is the tuples its body produced, and DBBytes, which only
+// the scan's owner can count, the volume it read to produce them.
 type OpStats struct {
 	Name    string
 	RowsIn  int64
 	RowsOut int64
 	Batches int64
 	Self    time.Duration
+	DBBytes int64
 	// Spills, SpillBytes and SpillTuples describe memory-pressure relief:
 	// the number of spill runs the operator wrote to temp files, their
 	// payload bytes, and the tuples they carried. All zero when the
@@ -104,6 +109,31 @@ type Operator interface {
 type Tree struct {
 	Root Operator
 	Ops  []Operator
+}
+
+// Spans renders the finished tree's accounting as trace spans at site
+// ("" for the QPC), all anchored at startOff on the trace's clock: one
+// span per operator with its self time as the duration, followed, for
+// an operator that overflowed its memory grant, by a spill pseudo-span
+// (Tuples = spilled tuples, Batches = runs written). Operator spans
+// carry no NetBytes: wire volume belongs to the span of the exchange.
+func (t *Tree) Spans(site string, startOff int64) []obs.Span {
+	spans := make([]obs.Span, 0, len(t.Ops))
+	for _, op := range t.Ops {
+		st := op.Stats()
+		spans = append(spans, obs.Span{Name: st.Name, Site: site, StartMicros: startOff,
+			DurMicros: st.Self.Microseconds(), DBBytes: st.DBBytes,
+			Tuples: st.RowsOut, RowsIn: st.RowsIn, Batches: st.Batches, SpillBytes: st.SpillBytes})
+		if st.Spills > 0 {
+			name := obs.OpSpillJoin
+			if strings.HasPrefix(st.Name, obs.OpHashAgg) {
+				name = obs.OpSpillAgg
+			}
+			spans = append(spans, obs.Span{Name: name, Site: site, StartMicros: startOff,
+				Tuples: st.SpillTuples, Batches: st.Spills, SpillBytes: st.SpillBytes})
+		}
+	}
+	return spans
 }
 
 // Run drives a tree: Open, pull every batch from the root, Close. The

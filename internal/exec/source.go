@@ -95,7 +95,8 @@ type ScanSource struct {
 	opened  bool
 	done    bool
 
-	// feed and blocked are owned by the scan goroutine until wg.Wait.
+	// feed, blocked and stats.RowsIn are owned by the scan goroutine
+	// until wg.Wait.
 	feed    time.Duration
 	blocked time.Duration
 }
@@ -136,6 +137,7 @@ func (s *ScanSource) scan(ctx context.Context) {
 		}
 	}
 	err := s.run(func(t types.Tuple) error {
+		s.stats.RowsIn++
 		batch = append(batch, t)
 		if len(batch) < s.rows {
 			return nil
@@ -181,10 +183,6 @@ func (s *ScanSource) Close() error {
 	s.stats.Self = s.feed
 	return nil
 }
-
-// Feed reports the scan's producing time (DB time at a DAP). Valid
-// after Close.
-func (s *ScanSource) Feed() time.Duration { return s.feed }
 
 // Prefetch pulls batches from its child in a background goroutine,
 // buffering up to a bounded number of batches, so downstream compute

@@ -1,5 +1,10 @@
 package obs
 
+import (
+	"slices"
+	"strings"
+)
+
 // Metric names. Every metric the system exports is declared here and
 // registered at exactly one site; the obsmetrics linter (cmd/mocha-lint)
 // enforces both directions, so a dashboard can treat this file as the
@@ -135,3 +140,88 @@ const (
 	OpSpillJoin = "op:spill:join" // hash join partition/run spill
 	OpSpillAgg  = "op:spill:agg"  // hash aggregate sorted-run spill
 )
+
+// Phase span names: every span that is not an operator's. The first
+// block, in order, is the QPC's sequential phases — wall spans, recorded
+// by Trace.Interval back to back, so they partition a query's total. The
+// rest overlap them: per-site exchanges the QPC records, and the set-up
+// work a DAP reports ahead of its operators. The execops linter holds
+// this block to the same rules as Op*, and refuses a span recorded
+// under a raw literal.
+const (
+	PhasePlan     = "plan"     // parse, bind, optimize (every Prepare of the query, a degraded re-plan's included)
+	PhaseQueued   = "queued"   // arrival to the start of the delivered run: admission queue, a run whose rows were not delivered
+	PhaseSetup    = "setup"    // sessions opened and fragments started, all sites concurrently
+	PhaseKeys     = "keys"     // semi-join key exchange
+	PhasePipeline = "pipeline" // the QPC's operator tree, from first pull to last row
+	PhaseDrain    = "drain"    // the sites' reports read into the trace, their sessions closed
+
+	PhaseDeploy   = "deploy"    // one site's session and START exchange, inside setup
+	PhaseStream   = "stream"    // one fragment's result stream; carries its wire volume
+	PhaseKeysRecv = "keys:recv" // one site's key projection, streamed to the QPC
+	PhaseKeysSend = "keys:send" // the common keys, sent behind the fragment's own START
+	PhaseResume   = "resume"
+	PhaseRestart  = "restart"
+	PhaseFailover = "failover"
+	PhaseCanary   = "rollout:canary" // marks a trace run on a canary release
+
+	PhaseDapStart       = "dap:start"        // decoding the START, checking the code cache
+	PhaseDapKeysInstall = "dap:keys-install" // decoding a semi-join key set into the filter
+	PhaseDapDeployCode  = "dap:deploy-code"  // decode, verify, compile and cache one shipped class
+	PhaseDapLower       = "dap:lower"        // binding the fragment onto an operator tree
+	PhaseDapFlush       = "dap:flush"        // the last partial batch; carries the stream's wire volume
+)
+
+// WallPhases lists the QPC's sequential phases in execution order.
+var WallPhases = []string{PhasePlan, PhaseQueued, PhaseSetup, PhaseKeys, PhasePipeline, PhaseDrain}
+
+// IsWall reports whether s is one of the QPC's sequential phases.
+func IsWall(s Span) bool { return s.Site == "" && slices.Contains(WallPhases, s.Name) }
+
+// Class says which component of the paper's section 5.2 breakdown a
+// span's duration is. The components are per-site work: concurrent
+// sites' spans overlap in time and their durations add.
+type Class uint8
+
+const (
+	ClassNone Class = iota // a container, a wait or a marker: its time is inside other spans or is nobody's work
+	ClassDB                // reading tuples from a data source
+	ClassCPU               // evaluating operators
+	ClassNet               // blocked sending results over the network
+	ClassJoin              // the QPC's hash-join build and probe
+	ClassMisc              // initialisation: planning, set-up, code loading
+)
+
+// spanClass is the one place a span name becomes a time component;
+// qpc.summarize reads QueryStats off it. Every Op* and Phase* name has
+// an entry (the execops linter checks).
+var spanClass = map[string]Class{
+	PhasePlan: ClassMisc, PhaseSetup: ClassMisc,
+	PhaseQueued: ClassNone, PhaseKeys: ClassNone, PhasePipeline: ClassNone, PhaseDrain: ClassNone,
+	PhaseDeploy: ClassNone, PhaseStream: ClassNone, PhaseKeysRecv: ClassNone, PhaseKeysSend: ClassNone,
+	PhaseResume: ClassNone, PhaseRestart: ClassNone, PhaseFailover: ClassNone, PhaseCanary: ClassNone,
+	PhaseDapStart: ClassMisc, PhaseDapKeysInstall: ClassMisc, PhaseDapDeployCode: ClassMisc,
+	PhaseDapLower: ClassMisc, PhaseDapFlush: ClassNet,
+
+	OpScan: ClassDB, OpHashJoin: ClassJoin,
+	// Receiving is the far side of a DAP's net time, already counted there.
+	OpRemote: ClassNone, OpPrefetch: ClassNone, OpGather: ClassNone,
+	OpSemiJoin: ClassCPU, OpFilter: ClassCPU, OpProject: ClassCPU, OpHashAgg: ClassCPU,
+	OpSort: ClassCPU, OpTopK: ClassCPU, OpLimit: ClassCPU,
+	// A DAP's sink writes batches to the wire; the QPC's (no site) hands
+	// rows to its caller, which ClassOf books as evaluation.
+	OpEmit:      ClassNet,
+	OpSpillJoin: ClassNone, OpSpillAgg: ClassNone,
+}
+
+// ClassOf classifies a span by its name, less any "[i]" instance suffix.
+func ClassOf(s Span) Class {
+	name := s.Name
+	if i := strings.IndexByte(name, '['); i >= 0 {
+		name = name[:i]
+	}
+	if name == OpEmit && s.Site == "" {
+		return ClassCPU
+	}
+	return spanClass[name]
+}

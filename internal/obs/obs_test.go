@@ -126,7 +126,7 @@ func TestTraceSpans(t *testing.T) {
 		t.Fatal("empty trace ID")
 	}
 	h := tr.Begin("deploy", "site1")
-	h.AddBytes(0, 0, 512)
+	h.CodeBytes += 512
 	h.End()
 	h.End() // second End is a no-op
 	tr.Add(Span{Name: "stream", Site: "site1", NetBytes: 100, Tuples: 4})

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -9,14 +10,17 @@ import (
 	"time"
 )
 
-// Span is one timed phase of a query: a deployment exchange, a key
-// transfer, a fragment's result stream, or a DAP-side execution phase.
-// Offsets are microseconds relative to the owning trace's start on the
-// process that recorded the span; the QPC re-anchors DAP spans onto its
-// own timeline when it assembles the cross-site trace. The tags are the
-// <span> element a DAP reports inside its exec-stats.
+// Span is the unit of measurement: one timed piece of a query — a
+// sequential phase, a per-site exchange, a DAP's set-up step, an
+// operator — with the volumes it moved. A query's time and byte figures
+// are sums over its spans and nothing else (qpc.summarize). Offsets are
+// microseconds relative to the owning trace's start on the process that
+// recorded the span; the QPC re-anchors DAP spans onto its own timeline
+// when it assembles the cross-site trace. The tags are the <span>
+// element a DAP reports inside its exec-stats.
 type Span struct {
-	// Name identifies the phase ("deploy", "stream", "dap:db", ...).
+	// Name is an Op* or Phase* name of names.go, which also says what
+	// kind of time the duration is (ClassOf).
 	Name string `xml:"name,attr"`
 	// Site is the site the span describes ("" for QPC-side work).
 	Site string `xml:"site,attr,omitempty"`
@@ -29,13 +33,18 @@ type Span struct {
 	NetBytes int64 `xml:"net,attr,omitempty"`
 	// DBBytes is the volume the span read from a data source (CVDA).
 	DBBytes int64 `xml:"db,attr,omitempty"`
-	// CodeBytes is shipped operator code (deployment volume, not CVDT).
+	// CodeBytes is shipped operator code (deployment volume, not CVDT),
+	// Classes the number of classes it made up, and CacheHits the classes
+	// a fragment named that the site's code cache already held.
 	CodeBytes int64 `xml:"code,attr,omitempty"`
+	Classes   int64 `xml:"classes,attr,omitempty"`
+	CacheHits int64 `xml:"hits,attr,omitempty"`
 	// Tuples is the tuple count the span carried (for operator spans:
 	// rows produced).
 	Tuples int64 `xml:"tuples,attr,omitempty"`
 	// RowsIn and Batches describe operator spans ("op:*"): tuples pulled
-	// from children and output batches produced. Zero on phase spans.
+	// from children (for a scan, read from the source) and output batches
+	// produced. Zero on phase spans.
 	RowsIn  int64 `xml:"rows-in,attr,omitempty"`
 	Batches int64 `xml:"batches,attr,omitempty"`
 	// SpillBytes is the payload volume an operator wrote to temp-file
@@ -65,27 +74,42 @@ func NewTraceID() string {
 
 // NewTrace starts a trace clock with the given ID (mint one with
 // NewTraceID). An empty ID gets a fresh one.
-func NewTrace(id string) *Trace {
+func NewTrace(id string) *Trace { return NewTraceAt(id, time.Now()) }
+
+// NewTraceAt is NewTrace with the clock started at start, for an owner
+// whose first span began before it knew the trace's ID.
+func NewTraceAt(id string, start time.Time) *Trace {
 	if id == "" {
 		id = NewTraceID()
 	}
-	return &Trace{ID: id, start: time.Now()}
+	return &Trace{ID: id, start: start}
 }
 
 // Since returns the offset of t from the trace start in microseconds.
 func (tr *Trace) Since(t time.Time) int64 { return t.Sub(tr.start).Microseconds() }
 
-// Add records a finished span.
-func (tr *Trace) Add(s Span) {
+// Add records finished spans.
+func (tr *Trace) Add(s ...Span) {
 	tr.mu.Lock()
-	tr.spans = append(tr.spans, s)
+	tr.spans = append(tr.spans, s...)
 	tr.mu.Unlock()
 }
 
-// SpanHandle is an in-flight span; End records it on the trace.
+// Interval returns the span [from, to) on the trace's clock, for the
+// caller to fill in and Add. Sequential phases recorded this way, each
+// from the instant the last one ended, partition their owner's time
+// exactly.
+func (tr *Trace) Interval(name, site string, from, to time.Time) Span {
+	return Span{Name: name, Site: site, StartMicros: tr.Since(from), DurMicros: to.Sub(from).Microseconds()}
+}
+
+// SpanHandle is an in-flight span: its owner counts volumes straight
+// into the embedded Span, and End records it on the trace. A span that
+// is never ended — an attempt that failed — is never recorded, so
+// nothing it counted reaches the query's figures.
 type SpanHandle struct {
+	Span
 	tr      *Trace
-	span    Span
 	started time.Time
 	done    atomic.Bool
 }
@@ -96,19 +120,9 @@ func (tr *Trace) Begin(name, site string) *SpanHandle {
 	return &SpanHandle{
 		tr:      tr,
 		started: now,
-		span:    Span{Name: name, Site: site, StartMicros: tr.Since(now)},
+		Span:    Span{Name: name, Site: site, StartMicros: tr.Since(now)},
 	}
 }
-
-// AddBytes accumulates the span's volume counters.
-func (h *SpanHandle) AddBytes(netBytes, dbBytes, codeBytes int64) {
-	h.span.NetBytes += netBytes
-	h.span.DBBytes += dbBytes
-	h.span.CodeBytes += codeBytes
-}
-
-// AddTuples accumulates the span's tuple counter.
-func (h *SpanHandle) AddTuples(n int64) { h.span.Tuples += n }
 
 // End finishes the span and records it. Safe to call more than once;
 // only the first call records.
@@ -116,8 +130,8 @@ func (h *SpanHandle) End() {
 	if h == nil || !h.done.CompareAndSwap(false, true) {
 		return
 	}
-	h.span.DurMicros = time.Since(h.started).Microseconds()
-	h.tr.Add(h.span)
+	h.DurMicros = time.Since(h.started).Microseconds()
+	h.tr.Add(h.Span)
 }
 
 // Spans returns a copy of the recorded spans sorted by start offset
@@ -149,8 +163,7 @@ func (tr *Trace) TakeSpans() []Span {
 	return out
 }
 
-// NetBytes sums the spans' network volumes. By construction of the QPC's
-// span assembly this equals the query's measured CVDT.
+// NetBytes sums the spans' network volumes: the query's CVDT.
 func (tr *Trace) NetBytes() int64 {
 	var n int64
 	tr.mu.Lock()
@@ -161,7 +174,7 @@ func (tr *Trace) NetBytes() int64 {
 	return n
 }
 
-// DBBytes sums the spans' source-read volumes (the CVDA counterpart).
+// DBBytes sums the spans' source-read volumes: the query's CVDA.
 func (tr *Trace) DBBytes() int64 {
 	var n int64
 	tr.mu.Lock()
@@ -233,21 +246,23 @@ func (tr *Trace) Render() string {
 	return b.String()
 }
 
-// phaseRank orders span names by execution phase for rendering.
+// phaseRank orders span names by execution phase for rendering: the
+// wall phases, a site's exchanges, its DAP's set-up, then operators and
+// recovery events by name.
 func phaseRank(name string) int {
-	switch {
-	case name == "plan":
-		return 0
-	case name == "deploy":
-		return 1
-	case strings.HasPrefix(name, "keys:"):
-		return 2
-	case name == "stream":
-		return 3
-	case name == "pipeline":
-		return 4
-	case strings.HasPrefix(name, "dap:"):
-		return 5
+	if i := slices.Index(WallPhases, name); i >= 0 {
+		return i
 	}
-	return 6
+	n := len(WallPhases)
+	switch {
+	case name == PhaseDeploy:
+		return n
+	case strings.HasPrefix(name, "keys:"):
+		return n + 1
+	case name == PhaseStream:
+		return n + 2
+	case strings.HasPrefix(name, "dap:"):
+		return n + 3
+	}
+	return n + 4
 }

@@ -37,14 +37,31 @@ func (s *Server) ExplainAnalyze(ctx context.Context, sql string) (string, error)
 
 // RenderAnalysis formats an EXPLAIN ANALYZE report: the optimizer's plan
 // rendering followed by the measured time/volume breakdown and the
-// cross-site span timeline.
+// cross-site span timeline. Time is shown twice over: the wall row is
+// the query's sequential phases, which add up to the total; the work row
+// is what the sites did inside them, each component summed over sites
+// that ran concurrently, so it answers where effort went, not how long
+// the query took.
 func RenderAnalysis(plan *core.Plan, stats *QueryStats, trace *obs.Trace) string {
 	var b strings.Builder
 	b.WriteString(strings.TrimRight(core.Explain(plan), "\n"))
 	b.WriteString("\n\n")
-	fmt.Fprintf(&b, "executed: total %.1fms (plan %.1f, deploy %.1f, db %.1f, cpu %.1f, net %.1f, join %.1f, misc %.1f)\n",
-		stats.TotalMS, stats.PlanMS, stats.DeployMS, stats.DBMS, stats.CPUMS,
-		stats.NetMS, stats.JoinMS, stats.MiscMS)
+	// Spans come ordered by start, so the wall phases arrive in the order
+	// they ran.
+	var phases []string
+	var dapSetup int64
+	for _, s := range trace.Spans() {
+		switch {
+		case obs.IsWall(s):
+			phases = append(phases, fmt.Sprintf("%s %.1f", s.Name, float64(s.DurMicros)/1000))
+		case obs.ClassOf(s) == obs.ClassMisc:
+			dapSetup += s.DurMicros
+		}
+	}
+	fmt.Fprintf(&b, "executed: total %.1fms\n", stats.TotalMS)
+	fmt.Fprintf(&b, "  wall: %s (ms, one after another)\n", strings.Join(phases, " + "))
+	fmt.Fprintf(&b, "  work: db %.1f, cpu %.1f, net %.1f, join %.1f, dap set-up %.1f (ms, summed across sites)\n",
+		stats.DBMS, stats.CPUMS, stats.NetMS, stats.JoinMS, float64(dapSetup)/1000)
 	fmt.Fprintf(&b, "volumes: cvda %d B, cvdt %d B, cvrf %.4f, result %d tuples / %d B\n",
 		stats.CVDA, stats.CVDT, stats.CVRF(), stats.ResultTuples, stats.ResultBytes)
 	fmt.Fprintf(&b, "code shipping: %d classes / %d B shipped, %d cache hits\n",

@@ -8,6 +8,7 @@ import (
 
 	"mocha/internal/catalog"
 	"mocha/internal/core"
+	"mocha/internal/obs"
 	"mocha/internal/types"
 	"mocha/internal/wire"
 )
@@ -82,8 +83,9 @@ func (ds *dapSession) ping() error {
 // failover, ships the release its plan was routed to, never whichever is
 // active at ship time — and sent with no further reply: a class the DAP
 // refuses, like a plan it cannot run, comes back as the stream's ERROR
-// frame. Cache hits and shipped classes are counted into stats.
-func (fs *fragmentStream) start(ds *dapSession, frag *core.Fragment, id string, keys []types.Tuple, stats *QueryStats) (*wire.BatchReader, error) {
+// frame. Cache hits and shipped classes are counted into the caller's
+// span of the exchange.
+func (fs *fragmentStream) start(ds *dapSession, frag *core.Fragment, id string, keys []types.Tuple, into *obs.Span) (*wire.BatchReader, error) {
 	e := fs.e
 	req := core.Start{Stream: id, Trace: e.trace.ID, Fragment: frag}
 	if fs.unit.Of > 0 {
@@ -110,7 +112,7 @@ func (fs *fragmentStream) start(ds *dapSession, frag *core.Fragment, id string, 
 	if err := wire.DecodeXML(ackData, &ack); err != nil {
 		return nil, err
 	}
-	stats.CacheHits += len(frag.Code) - len(ack.Need)
+	into.CacheHits += int64(len(frag.Code) - len(ack.Need))
 	// Resolve everything before sending anything: a release the
 	// repository no longer holds fails the request with no blob wasted.
 	classes := make([]*catalog.Class, len(ack.Need))
@@ -128,8 +130,8 @@ func (fs *fragmentStream) start(ds *dapSession, frag *core.Fragment, id string, 
 		if err := ds.conn.Send(wire.MsgDeployCode, cls.Blob); err != nil {
 			return nil, err
 		}
-		stats.CodeClassesShipped++
-		stats.CodeBytesShipped += len(cls.Blob)
+		into.Classes++
+		into.CodeBytes += int64(len(cls.Blob))
 		e.srv.cfg.Logf("qpc: shipped %s (%d bytes) to %s", cls.Name, len(cls.Blob), ds.site)
 	}
 	return wire.NewBatchReader(ds.conn, frag.OutSchema), nil
@@ -156,36 +158,6 @@ func (ds *dapSession) resume(streamID string, lastSeq uint64) (wire.ResumeAck, e
 	return ack, err
 }
 
-// drainStats decodes the DAP's EOS stats report and folds it into the
-// query stats, consuming the payload so each fragment's measurements
-// merge exactly once (the error path re-walks all readers to salvage
-// partial stats). countVolumes controls whether the fragment's byte
-// counts enter CVDA/CVDT (the semi-join key phase contributes time but
-// its accesses are bookkeeping, not the experiment's logical volumes).
-// The decoded report is returned so the caller can record trace spans
-// from it.
-func drainStats(r *wire.BatchReader, stats *QueryStats, countVolumes bool) (*wire.ExecStats, error) {
-	if r.EOSPayload == nil {
-		return nil, fmt.Errorf("qpc: fragment stream ended without stats")
-	}
-	var es wire.ExecStats
-	if err := wire.DecodeXML(r.EOSPayload, &es); err != nil {
-		return nil, err
-	}
-	r.EOSPayload = nil
-	stats.DBMS += float64(es.DBMicros) / 1000
-	stats.CPUMS += float64(es.CPUMicros) / 1000
-	stats.NetMS += float64(es.NetMicros) / 1000
-	stats.MiscMS += float64(es.MiscMicros) / 1000
-	if countVolumes {
-		stats.CVDA += es.BytesAccessed
-		stats.CVDT += es.BytesSent
-	} else {
-		stats.CVDT += es.BytesSent // keys really cross the network
-	}
-	return &es, nil
-}
-
 // keyFragment is the projection of a semi-join fragment onto its join
 // column: same table, extraction and predicates, one output.
 func keyFragment(main *core.Fragment) *core.Fragment {
@@ -204,23 +176,22 @@ func keyFragment(main *core.Fragment) *core.Fragment {
 }
 
 // readKeys reads a key-fragment stream to its end, returning the
-// distinct keys and the DAP's stats report for the phase (trace span
-// material). The stream is sequenced like any other but is not
+// distinct keys. The stream is sequenced like any other but is not
 // recovered: a failure here fails the phase.
-func readKeys(reader *wire.BatchReader, stats *QueryStats) ([]types.Tuple, *wire.ExecStats, error) {
+func readKeys(reader *wire.BatchReader) ([]types.Tuple, error) {
 	seen := map[uint64][]types.Object{}
 	var keys []types.Tuple
 	for {
 		tup, err := reader.Next()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if tup == nil {
-			break
+			return keys, nil
 		}
 		k, ok := tup[0].(types.Small)
 		if !ok {
-			return nil, nil, fmt.Errorf("qpc: semi-join key of kind %v", tup[0].Kind())
+			return nil, fmt.Errorf("qpc: semi-join key of kind %v", tup[0].Kind())
 		}
 		h := k.Hash()
 		dup := false
@@ -235,11 +206,6 @@ func readKeys(reader *wire.BatchReader, stats *QueryStats) ([]types.Tuple, *wire
 			keys = append(keys, tup)
 		}
 	}
-	es, err := drainStats(reader, stats, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return keys, es, nil
 }
 
 // intersectKeys returns the tuples of a whose key appears in b.
@@ -260,12 +226,4 @@ func intersectKeys(a, b []types.Tuple) []types.Tuple {
 		}
 	}
 	return out
-}
-
-// timedPhase measures a deployment step into DeployMS.
-func timedPhase(stats *QueryStats, fn func() error) error {
-	start := time.Now()
-	err := fn()
-	stats.DeployMS += float64(time.Since(start).Microseconds()) / 1000
-	return err
 }

@@ -3,7 +3,6 @@ package qpc
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,9 +16,10 @@ import (
 // planExec drives one query execution: fragment deployment, the optional
 // semi-join key exchange, remote streams, QPC-side joins and operators.
 type planExec struct {
-	srv   *Server
-	plan  *core.Plan
-	stats *QueryStats
+	srv  *Server
+	plan *core.Plan
+	// trace is the only thing a run writes its measurements to: every
+	// figure the query reports is read back off it (summarize).
 	trace *obs.Trace
 
 	// ctx and budget are the execution context and the shared per-query
@@ -41,7 +41,10 @@ type planExec struct {
 	readers []*fragmentStream
 }
 
-func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err error) {
+// run executes the plan. began is when the run's turn came — the end of
+// whatever wall phase the caller recorded last; the phases here follow
+// it back to back.
+func (e *planExec) run(ctx context.Context, began time.Time, emit func(types.Tuple) error) (err error) {
 	// Admission: under a memory budget, reserve the plan's static
 	// scratch — the verifier-derived operand-stack + frame bound of
 	// every shipped class, stamped in the code refs — before any setup
@@ -70,9 +73,9 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 			cancel()
 			// Salvage the measurements of fragments that did finish, so a
 			// partially executed query still reports what it moved.
-			for i, fs := range e.readers {
+			for _, fs := range e.readers {
 				if fs != nil && fs.EOS() != nil {
-					if e.drainFragment(i, fs.r, true) == nil {
+					if e.importReport(obs.PhaseStream, fs, true) == nil {
 						e.srv.met.sessionsSalvaged.Inc()
 					}
 				}
@@ -84,10 +87,14 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 			}
 		}
 		cancel()
+		if err == nil {
+			// The last phase ends here: reports read, sessions closed.
+			e.wall(obs.PhaseDrain, began)
+		}
 	}()
 
 	// Phase 1: open a session per unit and START its fragment, all sites
-	// concurrently (all Misc/Deploy time): one request carries the plan,
+	// concurrently (the setup wall phase, DeployMS): one request carries the plan,
 	// its ack names the classes the site lacks, and the stream follows
 	// the last of them. Under the 2-way semi-join of section 5.4 a unit
 	// starts the projection of its fragment onto the join column first.
@@ -105,32 +112,25 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 	budget.exhausted = e.srv.met.retryExhausted
 	e.ctx = execCtx
 	e.budget = budget
-	err = timedPhase(e.stats, func() error {
-		sp := exec.BindPlan(e.plan, e.srv.health.PickReplica)
-		sp.ApplyOverrides(e.overrides)
-		e.units = sp.Units
-		e.readers = make([]*fragmentStream, len(e.units))
-		partials := make([]QueryStats, len(e.units))
-		errs := make([]error, len(e.units))
-		var wg sync.WaitGroup
-		for i := range e.units {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = e.setupUnit(execCtx, i, &partials[i])
-			}(i)
+	sp := exec.BindPlan(e.plan, e.srv.health.PickReplica)
+	sp.ApplyOverrides(e.overrides)
+	e.units = sp.Units
+	e.readers = make([]*fragmentStream, len(e.units))
+	errs := make([]error, len(e.units))
+	var wg sync.WaitGroup
+	for i := range e.units {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = e.setupUnit(execCtx, i)
+		}(i)
+	}
+	wg.Wait()
+	began = e.wall(obs.PhaseSetup, began)
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		wg.Wait()
-		for i := range errs {
-			e.stats.mergeCodeShipping(&partials[i])
-			if errs[i] != nil {
-				return errs[i]
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 
 	// Phase 2, semi-join plans only: the key exchange, after which each
@@ -139,6 +139,7 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 		if err := e.exchangeKeys(); err != nil {
 			return err
 		}
+		began = e.wall(obs.PhaseKeys, began)
 	}
 
 	// Phase 4: lower the plan's QPC-side work (joins, predicates,
@@ -148,8 +149,6 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 	// receive (serial under Tuning.Serial). On error the execution
 	// context is cancelled before the tree closes, so goroutine joins
 	// don't drain healthy streams of an already-failed query.
-	span := e.trace.Begin("pipeline", "")
-	pipeOff := e.trace.Since(time.Now())
 	binder := core.NativeBinder{Reg: e.srv.cfg.Cat.Ops()}
 	// Feeds group by plan fragment: a scattered fragment contributes one
 	// feed per surviving partition (unioned by a Gather in partition
@@ -160,22 +159,17 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 		fi := e.units[i].FragIdx
 		pulls[fi] = append(pulls[fi], fs.Next)
 	}
-	countEmit := func(t types.Tuple) error {
-		e.stats.ResultTuples++
-		e.stats.ResultBytes += int64(t.WireSize())
-		return emit(t)
-	}
-	tree, perr := exec.LowerPlan(e.plan, binder, pulls, countEmit, e.srv.cfg.Exec, e.srv.gov)
+	tree, perr := exec.LowerPlan(e.plan, binder, pulls, emit, e.srv.cfg.Exec, e.srv.gov)
 	if perr == nil {
 		perr = exec.Run(execCtx, tree, func(error) { cancel() })
-		e.foldTree(tree, pipeOff)
+		e.trace.Add(tree.Spans("", e.trace.Since(began))...)
 	}
-	span.End()
+	began = e.wall(obs.PhasePipeline, began)
 	if perr != nil {
 		return perr
 	}
 
-	// Phase 5: drain stats from every fragment stream.
+	// Phase 5: read every fragment stream's report into the trace.
 	for i, r := range e.readers {
 		// Under LIMIT the stream may not be fully consumed; skip stats
 		// for unfinished readers rather than block.
@@ -190,11 +184,20 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 				}
 			}
 		}
-		if err := e.drainFragment(i, r.r, true); err != nil {
+		if err := e.importReport(obs.PhaseStream, r, true); err != nil {
 			return fmt.Errorf("qpc: stats from fragment %d: %w", i, err)
 		}
 	}
 	return nil
+}
+
+// wall records [from, now) as one of the query's sequential phases and
+// returns now, where the next one begins: the wall spans leave no gap, so
+// they sum to the query's total.
+func (e *planExec) wall(name string, from time.Time) time.Time {
+	now := time.Now()
+	e.trace.Add(e.trace.Interval(name, "", from, now))
+	return now
 }
 
 // exchangeKeys runs the semi-join key exchange: both sites' key
@@ -203,44 +206,43 @@ func (e *planExec) run(ctx context.Context, emit func(types.Tuple) error) (err e
 // session that produced its keys.
 func (e *planExec) exchangeKeys() error {
 	var keySets [2][]types.Tuple
-	var keyStats [2]QueryStats
-	var keyES [2]*wire.ExecStats
 	var keyErrs [2]error
 	var kwg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		kwg.Add(1)
 		go func(i int) {
 			defer kwg.Done()
-			keySets[i], keyES[i], keyErrs[i] = readKeys(e.readers[i].r, &keyStats[i])
+			keySets[i], keyErrs[i] = readKeys(e.readers[i].r)
 		}(i)
 	}
 	kwg.Wait()
 	for i, fs := range e.readers {
-		e.stats.mergeTimesAndVolumes(&keyStats[i])
-		if keyES[i] != nil {
-			e.recordRemoteSpans("keys:recv", fs.ds.site, keyES[i], fs.startOff)
+		// The key scans' time counts and the keys really cross the network,
+		// but what a key scan read is bookkeeping, not the experiment's
+		// logical volume accessed.
+		err := keyErrs[i]
+		if err == nil {
+			err = e.importReport(obs.PhaseKeysRecv, fs, false)
 		}
-		if keyErrs[i] != nil {
-			return fmt.Errorf("qpc: key phase at %s: %w", fs.frag.Site, keyErrs[i])
+		if err != nil {
+			return fmt.Errorf("qpc: key phase at %s: %w", fs.frag.Site, err)
 		}
 	}
 	common := intersectKeys(keySets[0], keySets[1])
 	e.srv.cfg.Logf("qpc: semi-join keys: %d ∩ %d = %d", len(keySets[0]), len(keySets[1]), len(common))
-	// Key delivery is real data movement: count it into CVDT.
+	// Key delivery is real data movement: its span's NetBytes are CVDT.
 	var keyBytes int64
 	for _, k := range common {
 		keyBytes += int64(k.WireSize())
 	}
 	for _, fs := range e.readers {
-		span := e.trace.Begin("keys:send", fs.ds.site)
-		r, err := fs.start(fs.ds, fs.frag, fs.id, common, e.stats)
+		span := e.trace.Begin(obs.PhaseKeysSend, fs.ds.site)
+		r, err := fs.start(fs.ds, fs.frag, fs.id, common, &span.Span)
 		if err != nil {
 			return err
 		}
 		fs.r = r
-		e.stats.CVDT += keyBytes
-		span.AddBytes(keyBytes, 0, 0)
-		span.AddTuples(int64(len(common)))
+		span.NetBytes, span.Tuples = keyBytes, int64(len(common))
 		span.End()
 	}
 	return nil
@@ -254,7 +256,7 @@ func (e *planExec) exchangeKeys() error {
 // exhausts its chosen replica walks the rest of its replica ladder (each
 // hop is a replica failover) before giving up with a typed
 // partition-unavailable error.
-func (e *planExec) setupUnit(execCtx context.Context, i int, partial *QueryStats) error {
+func (e *planExec) setupUnit(execCtx context.Context, i int) error {
 	u := e.units[i]
 	fs := &fragmentStream{e: e, frag: u.Frag, id: fmt.Sprintf("%s/%d", e.trace.ID, i), unit: u}
 	first, firstID := u.Frag, fs.id
@@ -274,24 +276,20 @@ func (e *planExec) setupUnit(execCtx context.Context, i int, partial *QueryStats
 		}
 		what := fmt.Sprintf("qpc: session setup at %s", site)
 		err := retryTransient(execCtx, e.srv.cfg.Retry, e.budget, e.srv.health, site, what, func() error {
-			// A retried attempt starts its accounting from scratch:
-			// the aborted attempt's cache checks and shipped classes
-			// must not inflate the query's counters (the shipped
-			// bytes it wasted go to a process metric instead).
-			if *partial != (QueryStats{}) {
-				e.srv.met.wastedCodeBytes.Add(int64(partial.CodeBytesShipped))
-				*partial = QueryStats{}
-			}
-			span := e.trace.Begin("deploy", site)
+			// Each attempt counts into a span of its own, and only the
+			// attempt that succeeds ends its span: an aborted attempt's
+			// cache checks and shipped classes never reach the query's
+			// figures (the bytes it wasted go to a process metric).
+			span := e.trace.Begin(obs.PhaseDeploy, site)
 			ds, err := e.srv.openSession(execCtx, site)
 			if err != nil {
 				return err
 			}
-			if fs.r, err = fs.start(ds, first, firstID, nil, partial); err != nil {
+			if fs.r, err = fs.start(ds, first, firstID, nil, &span.Span); err != nil {
 				ds.close()
+				e.srv.met.wastedCodeBytes.Add(span.CodeBytes)
 				return err
 			}
-			span.AddBytes(0, 0, int64(partial.CodeBytesShipped))
 			span.End()
 			fs.ds = ds
 			e.readers[i] = fs
@@ -311,91 +309,45 @@ func (e *planExec) setupUnit(execCtx context.Context, i int, partial *QueryStats
 	return lastErr
 }
 
-// drainFragment folds one unit stream's EOS report into the query
-// stats and records its trace spans: a QPC-side stream span carrying the
-// fragment's wire volume, plus the DAP's own spans re-anchored onto the
-// query timeline. A scattered unit's report must echo the shard
-// coordinates its activation carried — a mismatch means the gather
+// importReport reads the report that ended fs's stream into the trace,
+// consuming the payload so each report is imported once (the error path
+// re-walks the readers to salvage the finished ones): the QPC-side span
+// of the phase, from when its START was sent to now, and the DAP's
+// spans, whose clock started at that START's arrival, re-anchored onto
+// it. Each byte stays on one span, so the query's volumes are plain sums
+// over the trace: the wire volume moves to the QPC-side span; the DAP's
+// code-shipping counts go, the QPC's deploy span having counted the same
+// classes as it sent them; source reads stay where they are if keepDB
+// (they are CVDA) and go otherwise. A scattered unit's report must echo
+// the shard coordinates its START carried — a mismatch means the gather
 // would silently union the wrong partition.
-func (e *planExec) drainFragment(i int, r *wire.BatchReader, countVolumes bool) error {
-	es, err := drainStats(r, e.stats, countVolumes)
-	if err != nil {
+func (e *planExec) importReport(name string, fs *fragmentStream, keepDB bool) error {
+	if fs.r.EOSPayload == nil {
+		return fmt.Errorf("qpc: fragment stream ended without stats")
+	}
+	var es wire.ExecStats
+	if err := wire.DecodeXML(fs.r.EOSPayload, &es); err != nil {
 		return err
 	}
-	if u := e.units[i]; u.Of > 0 && (es.Part != u.Part || es.Of != u.Of) {
+	fs.r.EOSPayload = nil
+	if u := fs.unit; u.Of > 0 && (es.Part != u.Part || es.Of != u.Of) {
 		return fmt.Errorf("qpc: stream from %s reported shard %d/%d, activated as %d/%d",
 			es.Site, es.Part, es.Of, u.Part, u.Of)
 	}
-	e.recordRemoteSpans("stream", es.Site, es, e.readers[i].startOff)
-	return nil
-}
-
-// recordRemoteSpans records the QPC-side span for a remote phase and
-// imports the DAP's spans from its EOS report. startOff is when the
-// phase's START was sent: the QPC-side span begins there, and the DAP's
-// spans, whose clock started when the START arrived, are re-anchored
-// onto it. The QPC-side span alone carries the phase's network volume;
-// imported spans have their NetBytes cleared so summing the trace's
-// NetBytes reproduces exactly the CVDT the stats accumulated — each wire
-// byte is counted by one span.
-func (e *planExec) recordRemoteSpans(name, site string, es *wire.ExecStats, startOff int64) {
-	dur := e.trace.Since(time.Now()) - startOff
-	if dur < 0 {
-		dur = 0
-	}
-	e.trace.Add(obs.Span{
-		Name: name, Site: site,
-		StartMicros: startOff, DurMicros: dur,
-		NetBytes: es.BytesSent, Tuples: es.TuplesSent,
-	})
-	for _, s := range es.Spans {
-		s.StartMicros += startOff
-		s.NetBytes = 0
-		e.trace.Add(s)
-	}
-}
-
-// foldTree folds the finished tree's per-operator accounting into the
-// query stats and records one trace span per operator. Join self time
-// (build inserts + probes) goes to JoinMS; evaluation operators go to
-// CPUMS; source, prefetch and gather self time is network wait, already
-// reported as the DAPs' send time. Operator spans never carry NetBytes, so the
-// trace's span-sum == CVDT invariant is preserved by construction.
-func (e *planExec) foldTree(tree *exec.Tree, startOff int64) {
-	for _, op := range tree.Ops {
-		st := op.Stats()
-		ms := float64(st.Self.Microseconds()) / 1000
-		switch {
-		case strings.HasPrefix(st.Name, obs.OpHashJoin):
-			e.stats.JoinMS += ms
-		case strings.HasPrefix(st.Name, obs.OpRemote), strings.HasPrefix(st.Name, obs.OpPrefetch),
-			strings.HasPrefix(st.Name, obs.OpGather):
-		default:
-			e.stats.CPUMS += ms
+	phase := obs.Span{Name: name, Site: fs.ds.site, StartMicros: fs.startOff,
+		DurMicros: max(e.trace.Since(time.Now())-fs.startOff, 0)}
+	for i := range es.Spans {
+		s := &es.Spans[i]
+		s.StartMicros += fs.startOff
+		if s.NetBytes > 0 {
+			phase.NetBytes += s.NetBytes
+			phase.Tuples += s.Tuples
 		}
-		e.trace.Add(obs.Span{
-			Name: st.Name, StartMicros: startOff,
-			DurMicros: st.Self.Microseconds(),
-			Tuples:    st.RowsOut, RowsIn: st.RowsIn, Batches: st.Batches,
-			SpillBytes: st.SpillBytes,
-		})
-		addSpillSpan(e.trace, st, startOff)
+		s.NetBytes, s.CodeBytes, s.Classes, s.CacheHits = 0, 0, 0, 0
+		if !keepDB {
+			s.DBBytes = 0
+		}
 	}
-}
-
-// addSpillSpan records the spill pseudo-span for an operator that
-// overflowed its memory grant: Tuples = spilled tuples, Batches = runs
-// written, SpillBytes = run payload bytes.
-func addSpillSpan(tr *obs.Trace, st *exec.OpStats, startOff int64) {
-	if st.Spills == 0 {
-		return
-	}
-	name := obs.OpSpillJoin
-	if strings.HasPrefix(st.Name, obs.OpHashAgg) {
-		name = obs.OpSpillAgg
-	}
-	tr.Add(obs.Span{
-		Name: name, StartMicros: startOff,
-		Tuples: st.SpillTuples, Batches: st.Spills, SpillBytes: st.SpillBytes,
-	})
+	e.trace.Add(append(es.Spans, phase)...)
+	return nil
 }

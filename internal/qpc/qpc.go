@@ -226,18 +226,25 @@ func (s *Server) Governor() *exec.Governor { return s.gov }
 
 // QueryStats is the measured execution breakdown, mirroring section 5.2:
 // DB, CPU, Net and Misc time components plus the volume measurements
-// (CVDA, CVDT, CVRF) used throughout the evaluation.
+// (CVDA, CVDT, CVRF) used throughout the evaluation. It is a view of the
+// query's trace: summarize is the one place the time, volume and
+// code-shipping fields are assigned.
 type QueryStats struct {
 	XMLName struct{} `xml:"query-stats"`
 
-	// Time components (milliseconds).
+	// Time (milliseconds). Plan, deploy and total are wall clock: two of
+	// the sequential phases that partition the total (the trace has them
+	// all), and the total, from the query's arrival — planning counted in
+	// before it — to the last site's report read. The rest is work, per
+	// site and summed across the sites that did it concurrently, so it can
+	// exceed the total.
 	PlanMS   float64 `xml:"plan-ms"`   // parse + optimize (counted into Misc)
-	DeployMS float64 `xml:"deploy-ms"` // code + plan deployment (counted into Misc)
+	DeployMS float64 `xml:"deploy-ms"` // sessions opened, fragments started (counted into Misc)
 	DBMS     float64 `xml:"db-ms"`     // DAP time reading from data servers
 	CPUMS    float64 `xml:"cpu-ms"`    // operator evaluation (DAPs + QPC)
 	NetMS    float64 `xml:"net-ms"`    // time blocked sending data over the network
 	JoinMS   float64 `xml:"join-ms"`   // QPC hash join build+probe time
-	MiscMS   float64 `xml:"misc-ms"`   // initialization and cleanup
+	MiscMS   float64 `xml:"misc-ms"`   // initialization: plan, deploy and the DAPs' set-up steps
 	TotalMS  float64 `xml:"total-ms"`  // wall clock for the whole query
 
 	// Volumes (bytes).
@@ -284,7 +291,9 @@ type Query struct {
 	Plan *core.Plan
 	// Schema is the result schema delivered to the client.
 	Schema types.Schema
-	planMS float64
+	// planDur is what every Prepare of this query took: the first, and a
+	// degraded-site re-plan's.
+	planDur time.Duration
 }
 
 // Prepare parses, binds and optimizes a SQL query.
@@ -302,12 +311,7 @@ func (s *Server) Prepare(sql string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{
-		srv:    s,
-		Plan:   plan,
-		Schema: plan.ResultSchema,
-		planMS: float64(time.Since(start).Microseconds()) / 1000,
-	}, nil
+	return &Query{srv: s, Plan: plan, Schema: plan.ResultSchema, planDur: time.Since(start)}, nil
 }
 
 // Execute prepares and runs a query, materializing all rows.
@@ -444,61 +448,102 @@ func (q *Query) RunTraced(ctx context.Context, emit func(types.Tuple) error) (*Q
 	if dec := q.srv.rollouts.route(q.Plan, qid); dec != nil {
 		return q.runCanary(ctx, start, qid, dec, emit)
 	}
-	stats, trace, err := q.runRelease(ctx, qid, emit, nil, true)
+	stats, trace, err := q.runRelease(ctx, start, qid, emit, nil, true)
 	if err != nil {
 		q.srv.met.queriesFailed.Inc()
 		return nil, trace, q.wrapDeadline(ctx, start, err)
 	}
-	q.finish(start, stats)
 	q.srv.rollouts.observeActive(q.Plan, q.Plan.SQL, stats.ResultDigest, opSelfMicros(trace), nil)
 	return stats, trace, nil
 }
 
 // runRelease executes the prepared plan once, hashing every emitted row
-// into the result digest. overrides substitutes canary code refs into
-// the shipped fragments; a nil map runs the plan exactly as prepared
-// (the active release). allowReplan enables the degraded-site re-plan
-// fallback — canary runs disable it, because a re-plan re-prepares the
-// query and would lose the pinned release.
-func (q *Query) runRelease(ctx context.Context, traceID string, emit func(types.Tuple) error,
+// into the result digest. arrived is when the query reached RunTraced:
+// the trace's clock starts the planning time before it, so the plan span
+// and whatever passed since arrival — the admission queue, an earlier
+// run whose rows were not delivered — lead the wall phases. overrides
+// substitutes canary code refs into the shipped fragments; a nil map
+// runs the plan exactly as prepared (the active release). allowReplan
+// enables the degraded-site re-plan fallback — canary runs disable it,
+// because a re-plan re-prepares the query and would lose the pinned
+// release.
+func (q *Query) runRelease(ctx context.Context, arrived time.Time, traceID string, emit func(types.Tuple) error,
 	overrides map[string]core.CodeRef, allowReplan bool) (*QueryStats, *obs.Trace, error) {
-	stats := &QueryStats{PlanMS: q.planMS}
-	trace := obs.NewTrace(traceID)
 	h := fnv.New64a()
 	var hashBuf []byte
-	var emitted int64
+	var result QueryStats
 	counting := func(t types.Tuple) error {
-		emitted++
 		hashBuf = t.AppendTo(hashBuf[:0])
 		h.Write(hashBuf)
+		result.ResultTuples++
+		result.ResultBytes += int64(len(hashBuf))
 		return emit(t)
 	}
-	pe := &planExec{srv: q.srv, plan: q.Plan, stats: stats, trace: trace, overrides: overrides}
-	err := pe.run(ctx, counting)
-	if err != nil && allowReplan && emitted == 0 && ctx.Err() == nil && q.srv.replanDegraded(q) {
+	run := func(traceID string, overrides map[string]core.CodeRef) (*obs.Trace, error) {
+		planned := arrived.Add(-q.planDur)
+		trace := obs.NewTraceAt(traceID, planned)
+		trace.Add(trace.Interval(obs.PhasePlan, "", planned, arrived))
+		pe := &planExec{srv: q.srv, plan: q.Plan, trace: trace, overrides: overrides}
+		return trace, pe.run(ctx, pe.wall(obs.PhaseQueued, arrived), counting)
+	}
+	trace, err := run(traceID, overrides)
+	if err != nil && allowReplan && result.ResultTuples == 0 && ctx.Err() == nil && q.srv.replanDegraded(q) {
 		// A site's breaker opened during the failed run and no rows have
 		// reached the client yet: re-plan once with the health oracle's
 		// current view (degraded fragments fall back to data shipping)
-		// and run the new plan from scratch.
+		// and run the new plan from scratch, on a trace of its own.
 		q.srv.met.degradedReplans.Inc()
 		q.srv.cfg.Logf("qpc: re-planning under degraded-site placement after: %v", err)
-		stats = &QueryStats{PlanMS: q.planMS}
-		trace = obs.NewTrace("")
-		pe = &planExec{srv: q.srv, plan: q.Plan, stats: stats, trace: trace}
-		err = pe.run(ctx, counting)
+		trace, err = run("", nil)
 	}
+	summarize(trace, &result)
 	if err != nil {
-		return stats, trace, err
+		// What the failed run did finish, for a caller that asks.
+		return &result, trace, err
 	}
-	stats.ResultDigest = fmt.Sprintf("%016x", h.Sum64())
-	return stats, trace, nil
+	result.ResultDigest = fmt.Sprintf("%016x", h.Sum64())
+	q.srv.met.queryMS.Observe(int64(result.TotalMS))
+	return &result, trace, nil
 }
 
-// finish stamps the wall-clock totals on a delivered run's stats.
-func (q *Query) finish(start time.Time, stats *QueryStats) {
-	stats.TotalMS = float64(time.Since(start).Microseconds())/1000 + q.planMS
-	stats.MiscMS += q.planMS + stats.DeployMS
-	q.srv.met.queryMS.Observe(int64(stats.TotalMS))
+// summarize reads a finished query's time, volume and code-shipping
+// figures off its trace, the only record of them: each span's duration
+// goes to the component obs.ClassOf gives its name, each byte it carries
+// to the volume it is a byte of. The total is the sum of the sequential
+// phases, which are recorded back to back from the query's arrival; the
+// work figures add up what concurrent sites did, so they may exceed it. Misc keeps the paper's
+// meaning — initialisation — and so holds plan and deploy as well as the
+// DAPs' set-up steps.
+func summarize(trace *obs.Trace, st *QueryStats) {
+	for _, s := range trace.Spans() {
+		ms := float64(s.DurMicros) / 1000
+		switch obs.ClassOf(s) {
+		case obs.ClassDB:
+			st.DBMS += ms
+		case obs.ClassCPU:
+			st.CPUMS += ms
+		case obs.ClassNet:
+			st.NetMS += ms
+		case obs.ClassJoin:
+			st.JoinMS += ms
+		case obs.ClassMisc:
+			st.MiscMS += ms
+		}
+		if obs.IsWall(s) {
+			st.TotalMS += ms
+			switch s.Name {
+			case obs.PhasePlan:
+				st.PlanMS += ms
+			case obs.PhaseSetup:
+				st.DeployMS += ms
+			}
+		}
+		st.CVDT += s.NetBytes
+		st.CVDA += s.DBBytes
+		st.CodeBytesShipped += int(s.CodeBytes)
+		st.CodeClassesShipped += int(s.Classes)
+		st.CacheHits += int(s.CacheHits)
+	}
 }
 
 // wrapDeadline annotates an execution error that was caused by the
@@ -524,11 +569,11 @@ func (q *Query) runCanary(ctx context.Context, start time.Time, qid string,
 	srv := q.srv
 	srv.met.rolloutCanaryQueries.Inc()
 	var canRows []types.Tuple
-	canStats, canTrace, canErr := q.runRelease(ctx, qid+"-c", func(t types.Tuple) error {
+	canStats, canTrace, canErr := q.runRelease(ctx, start, qid+"-c", func(t types.Tuple) error {
 		canRows = append(canRows, t)
 		return nil
 	}, dec.overrides, false)
-	canTrace.Add(obs.Span{Name: "rollout:canary", Site: dec.st.Class})
+	canTrace.Add(obs.Span{Name: obs.PhaseCanary, Site: dec.st.Class})
 	can := runOutcome{err: canErr, micros: opSelfMicros(canTrace)}
 	if canErr == nil {
 		can.digest = canStats.ResultDigest
@@ -538,7 +583,6 @@ func (q *Query) runCanary(ctx context.Context, start time.Time, qid string,
 				srv.met.queriesFailed.Inc()
 				return nil, canTrace, err
 			}
-			q.finish(start, canStats)
 			return canStats, canTrace, nil
 		}
 	} else {
@@ -548,7 +592,7 @@ func (q *Query) runCanary(ctx context.Context, start time.Time, qid string,
 	// active release as the authority and judge.
 	srv.met.rolloutShadowRuns.Inc()
 	var actRows []types.Tuple
-	actStats, actTrace, actErr := q.runRelease(ctx, qid, func(t types.Tuple) error {
+	actStats, actTrace, actErr := q.runRelease(ctx, start, qid, func(t types.Tuple) error {
 		actRows = append(actRows, t)
 		return nil
 	}, nil, true)
@@ -561,7 +605,6 @@ func (q *Query) runCanary(ctx context.Context, start time.Time, qid string,
 			srv.met.queriesFailed.Inc()
 			return nil, canTrace, err
 		}
-		q.finish(start, canStats)
 		return canStats, canTrace, nil
 	}
 	if actErr != nil {
@@ -572,7 +615,6 @@ func (q *Query) runCanary(ctx context.Context, start time.Time, qid string,
 		srv.met.queriesFailed.Inc()
 		return nil, actTrace, err
 	}
-	q.finish(start, actStats)
 	return actStats, actTrace, nil
 }
 
@@ -613,24 +655,6 @@ func (s *Server) replanDegraded(q *Query) bool {
 	}
 	q.Plan = q2.Plan
 	q.Schema = q2.Schema
-	q.planMS += q2.planMS
+	q.planDur += q2.planDur
 	return true
-}
-
-// mergeCodeShipping folds a concurrent deployment's counters in.
-func (qs *QueryStats) mergeCodeShipping(o *QueryStats) {
-	qs.CodeClassesShipped += o.CodeClassesShipped
-	qs.CodeBytesShipped += o.CodeBytesShipped
-	qs.CacheHits += o.CacheHits
-}
-
-// mergeTimesAndVolumes folds a concurrent phase's full measurements in.
-func (qs *QueryStats) mergeTimesAndVolumes(o *QueryStats) {
-	qs.DBMS += o.DBMS
-	qs.CPUMS += o.CPUMS
-	qs.NetMS += o.NetMS
-	qs.MiscMS += o.MiscMS
-	qs.CVDA += o.CVDA
-	qs.CVDT += o.CVDT
-	qs.mergeCodeShipping(o)
 }

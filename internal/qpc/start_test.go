@@ -318,7 +318,7 @@ func TestUnresolvableDigestFailsBeforeShipping(t *testing.T) {
 		t.Fatal(err)
 	}
 	ghost := map[string]core.CodeRef{"avgenergy": {Name: "AvgEnergy", Version: "9", Checksum: "no-such-release"}}
-	stats, _, err := q.runRelease(context.Background(), "qghost", func(types.Tuple) error { return nil }, ghost, false)
+	stats, _, err := q.runRelease(context.Background(), time.Now(), "qghost", func(types.Tuple) error { return nil }, ghost, false)
 	if err == nil || !strings.Contains(err.Error(), "no-such-release") || !strings.Contains(err.Error(), "vanished from the repository") {
 		t.Fatalf("err = %v, want the missing release named", err)
 	}

@@ -38,9 +38,7 @@ type fragmentStream struct {
 	rxBytes   int64 // payload bytes of delivered tuples
 	// skipTuples discards the duplicate prefix after a full restart.
 	skipTuples int64
-	resumes    int
 	restarts   int
-	baseWait   time.Duration // RecvWait accumulated in replaced readers
 }
 
 // Next returns the next tuple, or (nil, nil) at end of stream,
@@ -71,12 +69,6 @@ func (fs *fragmentStream) Next() (types.Tuple, error) {
 	}
 }
 
-// RecvWait is the stream's total time blocked on the network, across
-// every connection it has used.
-func (fs *fragmentStream) RecvWait() time.Duration {
-	return fs.baseWait + fs.r.RecvWait
-}
-
 // EOS returns the stream's terminating stats payload, nil while it is
 // still open.
 func (fs *fragmentStream) EOS() []byte { return fs.r.EOSPayload }
@@ -104,7 +96,7 @@ func (fs *fragmentStream) recover(cause error) error {
 		return &BudgetExhaustedError{Op: fmt.Sprintf("qpc: resuming stream at %s", site), Last: cause}
 	}
 
-	span := e.trace.Begin("resume", site)
+	span := e.trace.Begin(obs.PhaseResume, site)
 	defer span.End()
 	fs.ds.abandon()
 
@@ -134,7 +126,6 @@ func (fs *fragmentStream) recover(cause error) error {
 		return err
 	}
 	fs.ds = ds
-	fs.baseWait += fs.r.RecvWait
 
 	if ack.OK {
 		// Continue in place: a fresh reader that discards the replayed
@@ -147,7 +138,6 @@ func (fs *fragmentStream) recover(cause error) error {
 		nr.Seq = lastSeq
 		carryOver(fs.r, nr)
 		fs.r = nr
-		fs.resumes++
 		e.srv.met.resumes.Inc()
 		// Every byte already received is a byte a replay-from-scratch
 		// would have re-sent: that is the resume's saving.
@@ -172,12 +162,13 @@ func (fs *fragmentStream) restart(ds *dapSession) error {
 	if fs.frag.SemiJoinCol >= 0 {
 		return fmt.Errorf("qpc: fragment at %s lost its semi-join stream past the replay window; cannot restart", fs.frag.Site)
 	}
-	// Re-shipped classes are recovery overhead, not query work: they go
-	// to the process wasted-bytes metric, like an aborted setup attempt.
-	scratch := &QueryStats{}
+	// Re-shipped classes are recovery overhead, not query work: they are
+	// counted into a span no trace holds and go to the process
+	// wasted-bytes metric, like an aborted setup attempt.
+	var scratch obs.Span
 	newID := fmt.Sprintf("%s~r%d", fs.id, fs.restarts+1)
-	r, err := fs.start(ds, fs.frag, newID, nil, scratch)
-	e.srv.met.wastedCodeBytes.Add(int64(scratch.CodeBytesShipped))
+	r, err := fs.start(ds, fs.frag, newID, nil, &scratch)
+	e.srv.met.wastedCodeBytes.Add(scratch.CodeBytes)
 	if err != nil {
 		return err
 	}
@@ -185,7 +176,7 @@ func (fs *fragmentStream) restart(ds *dapSession) error {
 	fs.id = newID
 	fs.r = r
 	fs.skipTuples = fs.delivered
-	e.trace.Add(obs.Span{Name: "restart", Site: fs.frag.Site,
+	e.trace.Add(obs.Span{Name: obs.PhaseRestart, Site: fs.frag.Site,
 		StartMicros: e.trace.Since(time.Now()), Tuples: fs.delivered})
 	return nil
 }
@@ -220,10 +211,9 @@ func (fs *fragmentStream) failover(cause error) error {
 	from := fs.frag.Site
 	health := e.srv.health
 	table := e.plan.Fragments[u.FragIdx].Table
-	span := e.trace.Begin("failover", from)
+	span := e.trace.Begin(obs.PhaseFailover, from)
 	defer span.End()
 	fs.ds.abandon()
-	fs.baseWait += fs.r.RecvWait
 	lastErr := cause
 	for _, sib := range u.Replicas {
 		if sib == from || health.FailFast(sib) {

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"mocha/internal/types"
 )
@@ -126,9 +125,6 @@ type BatchReader struct {
 	// EOSPayload holds the payload of the terminating EOS frame (the
 	// sender's execution stats) once the stream ends.
 	EOSPayload []byte
-	// RecvWait accumulates time blocked waiting for frames, so readers
-	// can separate their own compute time from network wait.
-	RecvWait time.Duration
 	// Seq is the sequence number of the last in-order frame consumed
 	// from a resumable stream (zero before the first, or on plain
 	// streams). After a RESUME the QPC sets SkipUntil to the last frame
@@ -150,9 +146,7 @@ func (r *BatchReader) Next() (types.Tuple, error) {
 		if r.done {
 			return nil, nil
 		}
-		recvStart := time.Now()
 		t, payload, err := r.conn.Recv()
-		r.RecvWait += time.Since(recvStart)
 		if err != nil {
 			return nil, err
 		}

@@ -22,15 +22,15 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 var goldenSpans = []obs.Span{
 	{Name: "dap:exec", Site: "site2", StartMicros: 10, DurMicros: 250,
 		NetBytes: 4096, DBBytes: 8192, Tuples: 17, Batches: 2},
-	{Name: "dap:code", Site: "site2", CodeBytes: 321, SpillBytes: 64, RowsIn: 5},
+	{Name: "dap:code", Site: "site2", CodeBytes: 321, Classes: 1, CacheHits: 2, SpillBytes: 64, RowsIn: 5},
 	{Name: "op:scan"},
 }
 
 // TestControlFramesGolden pins, byte for byte, the control frames whose
 // payloads are built from domain values of other packages: the
 // RESULT_SCHEMA frame (a types.Schema), an EOS frame whose exec-stats
-// carry trace spans (obs.Span) — both files generated when wire still
-// copied them into mirror structs of its own — and the set-up exchange,
+// are an execution's identity around its trace spans (obs.Span), and the
+// set-up exchange,
 // a START (core.Start around a core.Fragment) with its START_ACK. Each
 // payload must also decode to a value that encodes back to the same
 // bytes.
@@ -47,10 +47,7 @@ func TestControlFramesGolden(t *testing.T) {
 		t.Errorf("schema does not re-encode to the same bytes (err %v)", err)
 	}
 
-	stats := ExecStats{Site: "site2", DBMicros: 11, CPUMicros: 22, NetMicros: 33, MiscMicros: 44,
-		TuplesRead: 17, BytesAccessed: 8192, TuplesSent: 17, BytesSent: 4096,
-		CodeClassesLoaded: 1, CodeBytesLoaded: 321, CacheHits: 2,
-		Trace: "q7", Spans: goldenSpans, Part: 2, Of: 3}
+	stats := ExecStats{Site: "site2", Trace: "q7", Spans: goldenSpans, Part: 2, Of: 3}
 	statsDoc, err := EncodeXML(&stats)
 	if err != nil {
 		t.Fatal(err)

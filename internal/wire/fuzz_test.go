@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mocha/internal/core"
+	"mocha/internal/obs"
 	"mocha/internal/types"
 )
 
@@ -53,7 +54,7 @@ func FuzzFrame(f *testing.F) {
 	// Well-formed frames.
 	hello, _ := EncodeXML(Hello{Role: "qpc", Site: "site1"})
 	f.Add(frame(MsgHello, hello))
-	stats, _ := EncodeXML(ExecStats{Site: "site1", TuplesRead: 7})
+	stats, _ := EncodeXML(ExecStats{Site: "site1", Spans: []obs.Span{{Name: obs.OpScan, Site: "site1", DurMicros: 40, DBBytes: 512, Tuples: 7, RowsIn: 7}}})
 	f.Add(frame(MsgEOS, stats))
 	batch := EncodeBatch([]types.Tuple{
 		{types.Int(1), types.String_("x")},
@@ -78,7 +79,9 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(MsgStart, start))
 	startAck, _ := EncodeXML(StartAck{Need: []string{"deadbeefcafef00d", "0123456789abcdef"}})
 	f.Add(frame(MsgStartAck, startAck))
-	shardStats, _ := EncodeXML(ExecStats{Site: "site1", Part: 1, Of: 4, BytesSent: 99})
+	shardStats, _ := EncodeXML(ExecStats{Site: "site1", Part: 1, Of: 4, Spans: []obs.Span{
+		{Name: obs.PhaseDapStart, Site: "site1", DurMicros: 12, CacheHits: 1},
+		{Name: obs.PhaseDapFlush, Site: "site1", StartMicros: 30, DurMicros: 5, NetBytes: 99, Tuples: 3}}})
 	f.Add(frame(MsgSeqEOS, AppendSeq(3, shardStats)))
 	ack, _ := EncodeXML(ResumeAck{OK: true, FromSeq: 8})
 	f.Add(frame(MsgResumeAck, ack))

@@ -72,44 +72,26 @@ type ProcResult struct {
 	Lines   []string `xml:"line"`
 }
 
-// ExecStats reports a site's execution-time breakdown and data volumes
-// for one plan fragment, mirroring the measurement components of the
-// paper's section 5.2.
+// ExecStats is what a DAP reports at the end of a fragment's stream:
+// which execution this was, and its spans. Everything measured — the
+// set-up steps' and operators' times, the volume read from the source
+// (DBBytes on the scan's span) and written to the wire (NetBytes on the
+// flush's), classes loaded and cache hits — is a span's; the QPC's
+// figures are sums over them (section 5.2's breakdown, qpc.summarize).
+// Span offsets are relative to the START's arrival; the QPC re-anchors
+// them onto its own timeline.
 type ExecStats struct {
 	XMLName xml.Name `xml:"exec-stats"`
 	Site    string   `xml:"site,attr"`
-	// DBMicros is time spent reading tuples from the data source.
-	DBMicros int64 `xml:"db-micros"`
-	// CPUMicros is time spent evaluating operators.
-	CPUMicros int64 `xml:"cpu-micros"`
-	// NetMicros is time spent blocked sending results over the network.
-	NetMicros int64 `xml:"net-micros"`
-	// MiscMicros is initialization and cleanup time, including code
-	// loading and plan decoding.
-	MiscMicros int64 `xml:"misc-micros"`
-	// TuplesRead is the number of tuples extracted from the source.
-	TuplesRead int64 `xml:"tuples-read"`
-	// BytesAccessed is the data volume read from the source (VDA input).
-	BytesAccessed int64 `xml:"bytes-accessed"`
-	// TuplesSent and BytesSent describe the fragment's network output
-	// (VDT input).
-	TuplesSent int64 `xml:"tuples-sent"`
-	BytesSent  int64 `xml:"bytes-sent"`
-	// CodeClassesLoaded and CodeBytesLoaded describe code shipping work.
-	CodeClassesLoaded int `xml:"code-classes-loaded"`
-	CodeBytesLoaded   int `xml:"code-bytes-loaded"`
-	// CacheHits counts classes satisfied from the DAP's code cache.
-	CacheHits int `xml:"cache-hits"`
-	// Trace echoes the session's trace ID; Spans are the DAP-side phase
-	// timings recorded under it. Span offsets are relative to the DAP's
-	// session start — the QPC re-anchors them onto its own timeline.
-	Trace string     `xml:"trace,attr,omitempty"`
-	Spans []obs.Span `xml:"span,omitempty"`
-	// Part and Of echo a placement-aware activation's partition ID and
+	// Trace echoes the START's trace ID, a label only: the spans are
+	// reported with or without one.
+	Trace string `xml:"trace,attr,omitempty"`
+	// Part and Of echo a placement-aware START's partition ID and
 	// pre-pruning partition count (Of > 0 marks a partitioned stream),
 	// letting the QPC verify each gathered stream's shard.
-	Part int `xml:"part,attr,omitempty"`
-	Of   int `xml:"of,attr,omitempty"`
+	Part  int        `xml:"part,attr,omitempty"`
+	Of    int        `xml:"of,attr,omitempty"`
+	Spans []obs.Span `xml:"span"`
 }
 
 // EncodeXML marshals a control payload.

@@ -47,7 +47,7 @@ func TestQuickExecStatsShardEchoRoundTrip(t *testing.T) {
 	f := func(site uint16, part, of uint8, sent, read int64) bool {
 		in := ExecStats{
 			Site: fmt.Sprintf("site%d", site), Part: int(part), Of: int(of),
-			BytesSent: sent, TuplesRead: read,
+			Spans: []obs.Span{{Name: obs.PhaseDapFlush, NetBytes: sent, RowsIn: read}},
 		}
 		data, err := EncodeXML(&in)
 		if err != nil {
@@ -58,7 +58,7 @@ func TestQuickExecStatsShardEchoRoundTrip(t *testing.T) {
 			return false
 		}
 		return out.Site == in.Site && out.Part == in.Part && out.Of == in.Of &&
-			out.BytesSent == in.BytesSent && out.TuplesRead == in.TuplesRead
+			len(out.Spans) == 1 && out.Spans[0] == in.Spans[0]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -72,9 +72,9 @@ func TestExecStatsSpansRoundTrip(t *testing.T) {
 	spans := []obs.Span{
 		{Name: "dap:exec", Site: "site2", StartMicros: 10, DurMicros: 250,
 			NetBytes: 4096, DBBytes: 8192, Tuples: 17, Batches: 2},
-		{Name: "dap:code", Site: "site2", CodeBytes: 321, SpillBytes: 64, RowsIn: 5},
+		{Name: "dap:code", Site: "site2", CodeBytes: 321, Classes: 1, CacheHits: 2, SpillBytes: 64, RowsIn: 5},
 	}
-	in := ExecStats{Site: "site2", Part: 2, Of: 3, BytesSent: 4096, Spans: spans}
+	in := ExecStats{Site: "site2", Part: 2, Of: 3, Spans: spans}
 	data, err := EncodeXML(&in)
 	if err != nil {
 		t.Fatal(err)

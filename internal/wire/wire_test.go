@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mocha/internal/obs"
 	"mocha/internal/types"
 )
 
@@ -149,7 +150,7 @@ func TestBatchStreaming(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			return
 		}
-		stats, _ := EncodeXML(&ExecStats{Site: "test", TuplesSent: n})
+		stats, _ := EncodeXML(&ExecStats{Site: "test", Spans: []obs.Span{{Name: obs.PhaseDapFlush, Tuples: n}}})
 		a.Send(MsgEOS, stats)
 	}()
 	r := NewBatchReader(b, testSchema)
@@ -174,7 +175,7 @@ func TestBatchStreaming(t *testing.T) {
 	if err := DecodeXML(r.EOSPayload, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Site != "test" || stats.TuplesSent != n {
+	if stats.Site != "test" || len(stats.Spans) != 1 || stats.Spans[0].Tuples != n {
 		t.Errorf("stats lost: %+v", stats)
 	}
 	// Next after EOS keeps returning nil.
