@@ -107,6 +107,7 @@ type cutPrice struct {
 	CVDT        int64 // bytes shipped to the QPC
 	CVDTSelOnly int64 // CVDT by selectivity and cardinality alone, at full tuple width
 
+	read  []int // source columns the DAP extracts, ascending
 	raw   []int // source columns shipped as they are (group keys under a pushed aggregation), ascending
 	roots []int // call nodes whose results ship as virtual columns, ascending
 	below []int // maximal call subtrees running below the cut: roots plus the calls pushed predicates consume
@@ -645,7 +646,8 @@ func (p *planner) price(d *queryDAG, ti int, asg *cutAssignment) cutPrice {
 	if len(read) == 0 {
 		read[p.q.Tables[ti].Offset] = true // a fragment extracts at least one column to carry cardinality
 	}
-	for col := range read {
+	pr.read = sortedKeys(read)
+	for _, col := range pr.read {
 		pr.CVDA += rows * int64(p.cols[col].avgBytes)
 	}
 	pr.CVDTSelOnly = int64(sf * float64(rows) * float64(p.tableStats(ti).AvgTupleBytes()))

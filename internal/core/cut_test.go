@@ -266,7 +266,10 @@ func TestPriceIsWhatExplainReports(t *testing.T) {
 // into the shipped row of the winning cut must be exactly the columns
 // the emitted fragment ships, for every ladder query. (`SELECT time
 // FROM Rasters WHERE band = 3` used to price `band`; Q4 used to price a
-// NumVertices result that never leaves the DAP.)
+// NumVertices result that never leaves the DAP.) The same holds below
+// the cut: the source columns price charges to CVDA are the columns the
+// fragment extracts, and the predicates the fragment filters by are the
+// cut's pushed predicate nodes.
 func TestPricedRowIsShippedRow(t *testing.T) {
 	queries := append([]struct{ label, sql string }{
 		{"pushed_cmp", "SELECT time FROM Rasters WHERE band = 3"},
@@ -310,6 +313,38 @@ func TestPricedRowIsShippedRow(t *testing.T) {
 					if fmt.Sprint(priced) != fmt.Sprint(shipped) {
 						t.Errorf("%s %s [%s] %s: priced as shipped %v, fragment ships %v",
 							layout.label, q.label, s, frag.Table, priced, shipped)
+					}
+
+					offset := p.q.Tables[ti].Offset
+					var read []int
+					for _, col := range tc.price.read {
+						read = append(read, col-offset)
+					}
+					if fmt.Sprint(read) != fmt.Sprint(frag.Cols) {
+						t.Errorf("%s %s [%s] %s: priced as read %v, fragment extracts %v",
+							layout.label, q.label, s, frag.Table, read, frag.Cols)
+					}
+
+					var cutPreds, fragPreds []string
+					for _, idx := range p.cut.dag.preds[ti] {
+						if tc.asg.pushNode[idx] {
+							cutPreds = append(cutPreds, p.cut.dag.nodes[idx].expr.String())
+						}
+					}
+					for _, e := range frag.Predicates {
+						// Back from the fragment's input positions to source space.
+						fragPreds = append(fragPreds, e.Rewrite(func(x *PExpr) *PExpr {
+							if x.Kind == ExprCol {
+								return NewCol(offset+frag.Cols[x.Col], x.Ret)
+							}
+							return x
+						}).String())
+					}
+					sort.Strings(cutPreds)
+					sort.Strings(fragPreds)
+					if fmt.Sprint(cutPreds) != fmt.Sprint(fragPreds) {
+						t.Errorf("%s %s [%s] %s: cut pushes predicates %v, fragment filters by %v",
+							layout.label, q.label, s, frag.Table, cutPreds, fragPreds)
 					}
 				}
 			}
