@@ -36,7 +36,6 @@ func main() {
 	retryBudget := flag.Int("retry-budget", 8, "total retries allowed across one query")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive transient failures that trip a site's circuit breaker open")
 	breakerOpenFor := flag.Duration("breaker-open-for", 3*time.Second, "how long an open breaker fails fast before allowing a half-open probe")
-	noBreaker := flag.Bool("no-breaker", false, "disable per-site circuit breaking and degraded planning")
 	heartbeat := flag.Duration("heartbeat-interval", 0, "probe every catalog site this often to demote dead replicas ahead of queries (0 = disabled)")
 	memBudget := flag.Int64("mem-budget", 0, "query-memory budget in bytes shared by all queries; joins and aggregates spill past it (0 = ungoverned)")
 	classesDir := flag.String("classes-dir", "", "load operator releases from this directory (manifest.xml + .mvmc blobs; re-verified on load)")
@@ -104,7 +103,6 @@ func main() {
 		Breaker: qpc.BreakerPolicy{
 			FailureThreshold: *breakerThreshold,
 			OpenFor:          *breakerOpenFor,
-			Disabled:         *noBreaker,
 		},
 		HeartbeatInterval: *heartbeat,
 		Rollout: qpc.RolloutPolicy{

@@ -43,7 +43,6 @@ type cutNode struct {
 	pred  bool // predicate node (else call node)
 	table int
 
-	key  string // canonical source-space expression text (call nodes)
 	expr *PExpr // source-space (sub)expression
 	kids []int  // call nodes nested inside this one (push this ⇒ push kids)
 
@@ -87,6 +86,16 @@ type queryDAG struct {
 
 func cutKey(ti int, e *PExpr) string { return fmt.Sprintf("%d|%s", ti, e.String()) }
 
+// pushedCall returns the node of e when it is a call of table ti that
+// asg runs below the cut.
+func (d *queryDAG) pushedCall(ti int, e *PExpr, asg *cutAssignment) (int, bool) {
+	if e.Kind != ExprCall {
+		return 0, false
+	}
+	idx, ok := d.byKey[cutKey(ti, e)]
+	return idx, ok && asg.pushNode[idx]
+}
+
 // cutAssignment is one candidate cut of a single table: which of its
 // nodes run below (at the DAP) and whether the aggregation does.
 type cutAssignment struct {
@@ -97,8 +106,9 @@ type cutAssignment struct {
 // cutPrice is everything anyone needs to know about one table's cut.
 // The search ranks by (NetMS, CPUMS); the winning cut's volumes and
 // times are the table's share of Plan.Est; CVDT is the stream volume
-// join ordering and the semi-join decision read; raw and roots are the
-// shipped row, which is what the emitted fragment's OutSchema carries.
+// join ordering and the semi-join decision read; read, raw and roots
+// are the layout those volumes were priced on, and buildFragment
+// transcribes them into the fragment's Cols, Projections and OutSchema.
 type cutPrice struct {
 	NetMS float64 // transfer time of CVDT
 	CPUMS float64 // MVM compute below the cut plus native compute above it
@@ -177,7 +187,7 @@ func (p *planner) buildDAG() *queryDAG {
 		if idx, ok := d.byKey[key]; ok {
 			return []int{idx}
 		}
-		n := &cutNode{table: ti, key: key, expr: e, kids: kids, sf: 1}
+		n := &cutNode{table: ti, expr: e, kids: kids, sf: 1}
 		n.argBytes = p.exprBytes(e)
 		n.resBytes = callResultBytes(e, p.opt.Cat.Ops(), n.argBytes)
 		if def, ok := p.opt.Cat.Ops().Lookup(e.Func); ok {
@@ -315,21 +325,10 @@ func (p *planner) buildCut() *Cut {
 
 func (c *Cut) table(ti int) *tableCut { return &c.tables[ti] }
 
-// pushedPred returns the node of query predicate pi when the cut runs
-// it below, nil when it stays at the QPC.
-func (c *Cut) pushedPred(pi int) *cutNode {
+// pushesPred reports whether the cut runs query predicate pi below.
+func (c *Cut) pushesPred(pi int) bool {
 	idx := c.dag.predNode[pi]
-	if idx < 0 || !c.tables[c.dag.nodes[idx].table].asg.pushNode[idx] {
-		return nil
-	}
-	return c.dag.nodes[idx]
-}
-
-// pushesCall reports whether the cut runs a source-space call
-// expression of table ti below the cut.
-func (c *Cut) pushesCall(ti int, e *PExpr) bool {
-	idx, ok := c.dag.byKey[cutKey(ti, e)]
-	return ok && c.tables[ti].asg.pushNode[idx]
+	return idx >= 0 && c.tables[c.dag.nodes[idx].table].asg.pushNode[idx]
 }
 
 // cutTable picks table ti's cut. Pinning rules: degraded sites and
@@ -573,14 +572,12 @@ func (p *planner) price(d *queryDAG, ti int, asg *cutAssignment) cutPrice {
 		if e == nil {
 			return
 		}
-		if e.Kind == ExprCall {
-			if idx, ok := d.byKey[cutKey(ti, e)]; ok && asg.pushNode[idx] {
-				below[idx] = true
-				if ship {
-					roots[idx] = true
-				}
-				return
+		if idx, ok := d.pushedCall(ti, e, asg); ok {
+			below[idx] = true
+			if ship {
+				roots[idx] = true
 			}
+			return
 		}
 		if e.Kind == ExprCol {
 			needCol(e.Col, ship)

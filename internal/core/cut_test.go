@@ -269,7 +269,8 @@ func TestPriceIsWhatExplainReports(t *testing.T) {
 // NumVertices result that never leaves the DAP.) The same holds below
 // the cut: the source columns price charges to CVDA are the columns the
 // fragment extracts, and the predicates the fragment filters by are the
-// cut's pushed predicate nodes.
+// cut's pushed predicate nodes. buildFragment transcribes the cut, so
+// all three hold by construction; this is the regression pin.
 func TestPricedRowIsShippedRow(t *testing.T) {
 	queries := append([]struct{ label, sql string }{
 		{"pushed_cmp", "SELECT time FROM Rasters WHERE band = 3"},
@@ -295,10 +296,10 @@ func TestPricedRowIsShippedRow(t *testing.T) {
 						priced = append(priced, p.cols[col].name)
 					}
 					for _, idx := range tc.price.roots {
-						priced = append(priced, p.cols[p.virtKey[p.cut.dag.nodes[idx].key]].name)
+						priced = append(priced, p.cols[p.virt[idx]].name)
 					}
 					if tc.asg.pushAgg {
-						for _, it := range p.items {
+						for _, it := range p.q.Items {
 							if it.Agg != nil {
 								priced = append(priced, it.Name)
 							}

@@ -63,35 +63,26 @@ func NewOptimizer(cat *catalog.Catalog) *Optimizer {
 }
 
 // colInfo describes one column of the planner's extended column space:
-// the global source columns plus "virtual" columns created for operator
-// results pushed to DAPs.
+// the global source columns, then one "virtual" column per call result
+// the cuts ship.
 type colInfo struct {
 	table    int
 	name     string
 	kind     types.Kind
-	avgBytes int    // source columns only: pricing happens before virtuals exist
-	virt     *PExpr // nil for source columns; else expr over source space
+	avgBytes int // source columns only: pricing happens before virtuals exist
 }
 
 type planner struct {
-	opt     *Optimizer
-	q       *BoundQuery
-	cols    []colInfo
-	virtKey map[string]int
+	opt  *Optimizer
+	q    *BoundQuery
+	cols []colInfo
 
 	// cut is the whole-plan placement decision (DESIGN.md §15): every
 	// push/keep choice the emission pass makes is a lookup here.
 	cut *Cut
-
-	// Per-table working state.
-	dapPreds   [][]*PExpr   // predicates placed at each table's DAP
-	dapNodes   [][]*cutNode // their cut nodes (parallel)
-	prunePreds [][]*PExpr   // every single-table pred (source space), for partition pruning
-	qpcPreds   []*PExpr     // predicates placed at the QPC (extended space)
-	items      []BoundItem  // rewritten items
-	aggsAtQPC  []AggSpec    // aggregation if kept at QPC (extended space)
-	groupBy    []int
-	pushAgg    bool
+	// virt maps a call node running below its table's cut to the
+	// virtual column the QPC reads its result by.
+	virt map[int]int
 }
 
 // Plan builds the physical plan for a bound query.
@@ -102,7 +93,7 @@ func (o *Optimizer) Plan(q *BoundQuery) (*Plan, error) {
 // newPlanner sets up the column space and runs the cut search; build
 // then emits the plan the cut describes.
 func (o *Optimizer) newPlanner(q *BoundQuery) *planner {
-	p := &planner{opt: o, q: q, virtKey: make(map[string]int)}
+	p := &planner{opt: o, q: q, virt: map[int]int{}}
 	for ti, bt := range q.Tables {
 		for _, col := range bt.Def.Schema.Columns {
 			p.cols = append(p.cols, colInfo{
@@ -113,9 +104,6 @@ func (o *Optimizer) newPlanner(q *BoundQuery) *planner {
 			})
 		}
 	}
-	p.dapPreds = make([][]*PExpr, len(q.Tables))
-	p.dapNodes = make([][]*cutNode, len(q.Tables))
-	p.prunePreds = make([][]*PExpr, len(q.Tables))
 	p.cut = p.buildCut()
 	return p
 }
@@ -160,56 +148,42 @@ func (p *planner) exprTable(e *PExpr) int {
 	return t
 }
 
-// inlineVirtuals replaces virtual column references with their defining
-// expressions, yielding an expression purely over source columns.
-func (p *planner) inlineVirtuals(e *PExpr) *PExpr {
-	return e.Rewrite(func(x *PExpr) *PExpr {
-		if x.Kind == ExprCol && p.cols[x.Col].virt != nil {
-			return p.inlineVirtuals(p.cols[x.Col].virt)
-		}
-		return x
-	})
-}
-
-// pushCalls rewrites an expression, replacing each maximal single-table
-// call the cut runs below with a virtual column reference. This is how
-// AvgEnergy(R1.image) inside a cross-site Diff() gets decomposed: the
-// inner call ships to R1's DAP, the outer Diff stays at the QPC reading
-// the 8-byte virtual column. Whether a call is below its table's cut
-// was decided up front by the DAG-cut search (cut.go).
+// pushCalls rewrites a source-space expression the QPC evaluates: each
+// maximal single-table call its table's cut runs below becomes a
+// reference to a virtual column. This is how AvgEnergy(R1.image) inside
+// a cross-site Diff() gets decomposed: the inner call ships to R1's
+// DAP, the outer Diff stays at the QPC reading the 8-byte virtual
+// column. Arguments are visited first, so _vN numbers the pushed calls
+// in post-order, the ones nested inside a shipped call included.
 func (p *planner) pushCalls(e *PExpr) *PExpr {
-	return e.Rewrite(func(x *PExpr) *PExpr {
-		if x.Kind != ExprCall {
-			return x
+	c := *e
+	if len(e.Args) > 0 {
+		c.Args = make([]*PExpr, len(e.Args))
+		for i, a := range e.Args {
+			c.Args[i] = p.pushCalls(a)
 		}
-		full := p.inlineVirtuals(x)
-		ti := p.exprTable(full)
-		if ti < 0 {
-			return x
+	}
+	if e.Kind == ExprCall {
+		if ti := p.exprTable(e); ti >= 0 {
+			if idx, ok := p.cut.dag.pushedCall(ti, e, &p.cut.table(ti).asg); ok {
+				return NewCol(p.virtual(idx), e.Ret)
+			}
 		}
-		if !p.cut.pushesCall(ti, full) {
-			return x
-		}
-		return NewCol(p.addVirtual(ti, full), full.Ret)
-	})
+	}
+	return &c
 }
 
-// addVirtual registers (or reuses) a virtual column for a pushed
-// expression.
-func (p *planner) addVirtual(ti int, expr *PExpr) int {
-	key := cutKey(ti, expr)
-	if idx, ok := p.virtKey[key]; ok {
-		return idx
+// virtual returns the virtual column of pushed call node idx, naming
+// it on first use.
+func (p *planner) virtual(idx int) int {
+	col, ok := p.virt[idx]
+	if !ok {
+		n := p.cut.dag.nodes[idx]
+		col = len(p.cols)
+		p.cols = append(p.cols, colInfo{table: n.table, name: fmt.Sprintf("_v%d", len(p.virt)), kind: n.expr.Ret})
+		p.virt[idx] = col
 	}
-	idx := len(p.cols)
-	p.cols = append(p.cols, colInfo{
-		table: ti,
-		name:  fmt.Sprintf("_v%d", len(p.virtKey)),
-		kind:  expr.Ret,
-		virt:  expr,
-	})
-	p.virtKey[key] = idx
-	return idx
+	return col
 }
 
 func (p *planner) build() (*Plan, error) {
@@ -217,47 +191,46 @@ func (p *planner) build() (*Plan, error) {
 
 	// Step 1: whole-query aggregation placement comes straight off the
 	// cut (section 3.8 aggregates are evaluated wherever the plan puts
-	// them; with tables unpartitioned, a pushed aggregation is complete
-	// at the DAP; aggregation over joins is pinned above every cut).
-	p.groupBy = q.GroupBy
-	if q.HasAggregate && len(q.Tables) == 1 {
-		p.pushAgg = p.cut.table(0).asg.pushAgg
-	}
+	// them; a pushed aggregation is complete at the DAP; aggregation
+	// over joins is pinned above every cut, so only table 0 can push).
+	pushAgg := p.cut.table(0).asg.pushAgg
 
-	// Step 2: decompose scalar expressions, creating virtual columns for
-	// pushed calls.
-	p.items = make([]BoundItem, len(q.Items))
+	// Step 2: the QPC's view of the select list, reading the shipped
+	// calls as virtual columns.
+	items := make([]BoundItem, len(q.Items))
+	var aggsAtQPC []AggSpec
 	for i, it := range q.Items {
-		p.items[i] = it
+		items[i] = it
 		if it.Expr != nil {
-			p.items[i].Expr = p.pushCalls(it.Expr)
+			items[i].Expr = p.pushCalls(it.Expr)
 		}
-		if it.Agg != nil && !p.pushAgg {
+		if it.Agg != nil && !pushAgg {
 			agg := *it.Agg
 			agg.Args = make([]*PExpr, len(it.Agg.Args))
 			for j, a := range it.Agg.Args {
 				agg.Args[j] = p.pushCalls(a)
 			}
-			p.items[i].Agg = &agg
-			p.aggsAtQPC = append(p.aggsAtQPC, agg)
+			items[i].Agg = &agg
+			aggsAtQPC = append(aggsAtQPC, agg)
 		}
 	}
 
-	// Step 3: place predicates.
-	var multiPreds []BoundPred
-	var joinPreds []BoundPred
+	// Step 3: the predicates the cuts left above — single-table ones
+	// first, then multi-table ones.
+	var qpcPreds []*PExpr
+	var multiPreds, joinPreds []BoundPred
 	for pi, pred := range q.Preds {
 		switch {
 		case pred.EqJoin:
 			joinPreds = append(joinPreds, pred)
-		case len(pred.Tables) == 1:
-			p.placeSingleTablePred(pi, pred)
-		default:
+		case len(pred.Tables) > 1:
 			multiPreds = append(multiPreds, pred)
+		case !p.cut.pushesPred(pi):
+			qpcPreds = append(qpcPreds, p.pushCalls(pred.Expr))
 		}
 	}
 	for _, pred := range multiPreds {
-		p.qpcPreds = append(p.qpcPreds, p.pushCalls(pred.Expr))
+		qpcPreds = append(qpcPreds, p.pushCalls(pred.Expr))
 	}
 
 	// Step 4: build fragments in join order. Equality predicates not
@@ -268,14 +241,11 @@ func (p *planner) build() (*Plan, error) {
 		return nil, err
 	}
 	for _, pred := range leftover {
-		p.qpcPreds = append(p.qpcPreds, p.pushCalls(pred.Expr))
+		qpcPreds = append(qpcPreds, p.pushCalls(pred.Expr))
 	}
 	plan := &Plan{SQL: q.SQL, Limit: q.Limit}
 
-	type colMap struct {
-		source map[int]int // extended col idx -> combined idx
-	}
-	combined := colMap{source: map[int]int{}}
+	combined := map[int]int{} // extended col idx -> combined idx
 	fragOfTable := make([]int, len(q.Tables))
 
 	semiJoin := p.wantSemiJoin(order, joinPreds)
@@ -289,7 +259,7 @@ func (p *planner) build() (*Plan, error) {
 		base := plan.CombinedSchema.Arity()
 		for pos, ext := range outCols {
 			if ext >= 0 {
-				combined.source[ext] = base + pos
+				combined[ext] = base + pos
 			}
 		}
 		plan.CombinedSchema.Columns = append(plan.CombinedSchema.Columns, frag.OutSchema.Columns...)
@@ -299,11 +269,11 @@ func (p *planner) build() (*Plan, error) {
 	// Join steps: rewrite eq columns into combined/right-fragment space.
 	for _, st := range steps {
 		right := fragOfTable[st.rightTable]
-		lc, ok := combined.source[st.leftCol]
+		lc, ok := combined[st.leftCol]
 		if !ok {
 			return nil, fmt.Errorf("core: join column %d not shipped", st.leftCol)
 		}
-		rcCombined, ok := combined.source[st.rightCol]
+		rcCombined, ok := combined[st.rightCol]
 		if !ok {
 			return nil, fmt.Errorf("core: join column %d not shipped", st.rightCol)
 		}
@@ -323,7 +293,7 @@ func (p *planner) build() (*Plan, error) {
 		var missing error
 		out := e.Rewrite(func(x *PExpr) *PExpr {
 			if x.Kind == ExprCol {
-				ci, ok := combined.source[x.Col]
+				ci, ok := combined[x.Col]
 				if !ok {
 					missing = fmt.Errorf("core: column %s not available at QPC", p.cols[x.Col].name)
 					return x
@@ -336,7 +306,7 @@ func (p *planner) build() (*Plan, error) {
 	}
 
 	// Step 5: QPC-side predicates.
-	for _, e := range p.qpcPreds {
+	for _, e := range qpcPreds {
 		re, err := remap(e)
 		if err != nil {
 			return nil, err
@@ -346,15 +316,15 @@ func (p *planner) build() (*Plan, error) {
 
 	// Step 6: QPC-side aggregation.
 	projInput := plan.CombinedSchema
-	if len(p.aggsAtQPC) > 0 {
-		for _, g := range p.groupBy {
-			ci, ok := combined.source[g]
+	if len(aggsAtQPC) > 0 {
+		for _, g := range q.GroupBy {
+			ci, ok := combined[g]
 			if !ok {
 				return nil, fmt.Errorf("core: GROUP BY column not shipped")
 			}
 			plan.GroupBy = append(plan.GroupBy, ci)
 		}
-		for _, a := range p.aggsAtQPC {
+		for _, a := range aggsAtQPC {
 			ra := a
 			ra.Args = make([]*PExpr, len(a.Args))
 			for j, arg := range a.Args {
@@ -378,10 +348,10 @@ func (p *planner) build() (*Plan, error) {
 
 	// Step 7: final projections and result schema.
 	aggPos := func(name string) int { return projInput.ColumnIndex(name) }
-	for _, it := range p.items {
+	for _, it := range items {
 		var out Output
 		switch {
-		case it.Agg != nil && len(p.aggsAtQPC) > 0:
+		case it.Agg != nil && len(aggsAtQPC) > 0:
 			idx := aggPos(it.Agg.Name)
 			if idx < 0 {
 				return nil, fmt.Errorf("core: aggregate output %q lost", it.Name)
@@ -396,7 +366,7 @@ func (p *planner) build() (*Plan, error) {
 			out = Output{Name: it.Name, Expr: NewCol(ci, it.Agg.Ret)}
 		default:
 			e := it.Expr
-			if len(p.aggsAtQPC) > 0 {
+			if len(aggsAtQPC) > 0 {
 				// Input is the aggregated schema: group columns by name.
 				if e.Kind != ExprCol {
 					return nil, fmt.Errorf("core: non-column output %q in aggregate query", it.Name)
@@ -439,124 +409,18 @@ func (p *planner) build() (*Plan, error) {
 	return plan, nil
 }
 
-// placeSingleTablePred emits query predicate pi, a single-table one,
-// on the side of the cut the search chose for it.
-func (p *planner) placeSingleTablePred(pi int, pred BoundPred) {
-	ti := pred.Tables[0]
-	// Every single-table predicate constrains the partition key the same
-	// way wherever it executes, so record it for pruning regardless of
-	// its placement.
-	p.prunePreds[ti] = append(p.prunePreds[ti], p.inlineVirtuals(pred.Expr))
-	if n := p.cut.pushedPred(pi); n != nil {
-		p.dapPreds[ti] = append(p.dapPreds[ti], p.inlineVirtuals(pred.Expr))
-		p.dapNodes[ti] = append(p.dapNodes[ti], n)
-		return
-	}
-	p.qpcPreds = append(p.qpcPreds, p.pushCalls(pred.Expr))
-}
-
-// neededAtQPC returns the extended columns of table ti the QPC stage
-// references (items, QPC preds, QPC agg args, group-bys and join keys).
-func (p *planner) neededAtQPC(ti int) map[int]bool {
-	needed := map[int]bool{}
-	add := func(e *PExpr) {
-		if e == nil {
-			return
-		}
-		for _, c := range e.Columns() {
-			if p.cols[c].table == ti {
-				needed[c] = true
-			}
-		}
-	}
-	for _, it := range p.items {
-		add(it.Expr)
-		if it.Agg != nil && !p.pushAgg {
-			for _, a := range it.Agg.Args {
-				add(a)
-			}
-		}
-	}
-	for _, e := range p.qpcPreds {
-		add(e)
-	}
-	if !p.pushAgg {
-		for _, g := range p.groupBy {
-			if p.cols[g].table == ti {
-				needed[g] = true
-			}
-		}
-	}
-	for _, pred := range p.q.Preds {
-		if pred.EqJoin {
-			if p.cols[pred.LCol].table == ti {
-				needed[pred.LCol] = true
-			}
-			if p.cols[pred.RCol].table == ti {
-				needed[pred.RCol] = true
-			}
-		}
-	}
-	return needed
-}
-
-// buildFragment assembles table ti's fragment. It returns the fragment
-// plus, for each output column, the extended-space column it carries.
+// buildFragment transcribes table ti's cut into its fragment: the
+// layout price derived for the winning assignment is the fragment. It
+// returns the fragment plus, for each output column, the extended-space
+// column it carries.
 func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*Fragment, []int, error) {
-	bt := p.q.Tables[ti]
+	bt, d, tc := p.q.Tables[ti], p.cut.dag, p.cut.table(ti)
 	frag := &Fragment{Site: bt.Def.Site, Table: bt.Def.Name, SemiJoinCol: -1,
-		Degraded: p.siteDegraded(ti),
-		CutPoint: p.cut.table(ti).Point, CutAlts: p.cut.table(ti).Alts}
+		Degraded: p.siteDegraded(ti), CutPoint: tc.Point, CutAlts: tc.Alts}
 
-	needed := p.neededAtQPC(ti)
-
-	// Columns read at the DAP: QPC-needed raw columns, DAP predicate
-	// inputs, virtual expression inputs, pushed aggregation inputs.
-	read := map[int]bool{}
-	for col := range needed {
-		if p.cols[col].virt == nil {
-			read[col] = true
-		} else {
-			for _, c := range p.inlineVirtuals(p.cols[col].virt).Columns() {
-				read[c] = true
-			}
-		}
-	}
-	for _, e := range p.dapPreds[ti] {
-		for _, c := range e.Columns() {
-			read[c] = true
-		}
-	}
-	if p.pushAgg {
-		for _, g := range p.groupBy {
-			read[g] = true
-		}
-		for _, it := range p.q.Items {
-			if it.Agg != nil {
-				for _, a := range it.Agg.Args {
-					for _, c := range p.inlineVirtuals(a).Columns() {
-						read[c] = true
-					}
-				}
-			}
-		}
-	}
-	var readCols []int
-	for c := range read {
-		if p.cols[c].table != ti || p.cols[c].virt != nil {
-			return nil, nil, fmt.Errorf("core: internal: non-source column %d in read set", c)
-		}
-		readCols = append(readCols, c)
-	}
-	sort.Ints(readCols)
-	if len(readCols) == 0 {
-		// A fragment must extract at least one column to carry row
-		// cardinality.
-		readCols = []int{bt.Offset}
-	}
-
+	// Columns read at the DAP: the cut's read set.
 	local := map[int]int{}
-	for pos, c := range readCols {
+	for pos, c := range tc.price.read {
 		local[c] = pos
 		frag.Cols = append(frag.Cols, c-bt.Offset)
 		frag.InSchema.Columns = append(frag.InSchema.Columns, types.Column{Name: p.cols[c].name, Kind: p.cols[c].kind})
@@ -578,22 +442,23 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 		return out, missing
 	}
 
-	// Predicates, ordered by rank(p) = (SF-1)/cost ascending.
-	type rankedPred struct {
-		e    *PExpr
-		rank float64
+	// Predicates: the cut's pushed predicate nodes, ordered by
+	// rank(p) = (SF-1)/cost ascending.
+	var pushed []int
+	rank := map[int]float64{}
+	for _, idx := range d.preds[ti] {
+		if tc.asg.pushNode[idx] {
+			pushed = append(pushed, idx)
+			rank[idx] = p.predRank(d, d.nodes[idx])
+		}
 	}
-	var ranked []rankedPred
-	for i, e := range p.dapPreds[ti] {
-		le, err := localize(e)
+	sort.SliceStable(pushed, func(i, j int) bool { return rank[pushed[i]] < rank[pushed[j]] })
+	for _, idx := range pushed {
+		le, err := localize(d.nodes[idx].expr)
 		if err != nil {
 			return nil, nil, err
 		}
-		ranked = append(ranked, rankedPred{e: le, rank: p.predRank(p.cut.dag, p.dapNodes[ti][i])})
-	}
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].rank < ranked[j].rank })
-	for _, rp := range ranked {
-		frag.Predicates = append(frag.Predicates, rp.e)
+		frag.Predicates = append(frag.Predicates, le)
 	}
 
 	// Semi-join filtering column (the join key, if participating).
@@ -609,59 +474,53 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 		}
 	}
 
+	// The shipped row: group keys then aggregates under a pushed
+	// aggregation, else the cut's raw columns then its call roots.
 	var outCols []int
-	if p.pushAgg {
-		for _, g := range p.groupBy {
+	ship := func(ext int, name string, kind types.Kind) {
+		frag.OutSchema.Columns = append(frag.OutSchema.Columns, types.Column{Name: name, Kind: kind})
+		outCols = append(outCols, ext)
+	}
+	if tc.asg.pushAgg {
+		for _, g := range p.q.GroupBy {
 			frag.GroupBy = append(frag.GroupBy, local[g])
-			frag.OutSchema.Columns = append(frag.OutSchema.Columns, types.Column{Name: p.cols[g].name, Kind: p.cols[g].kind})
-			outCols = append(outCols, g)
+			ship(g, p.cols[g].name, p.cols[g].kind)
 		}
-		for ii, it := range p.q.Items {
+		for _, it := range p.q.Items {
 			if it.Agg == nil {
 				continue
 			}
 			agg := *it.Agg
-			agg.Name = p.items[ii].Name
+			agg.Name = it.Name
 			agg.Args = make([]*PExpr, len(it.Agg.Args))
 			for j, a := range it.Agg.Args {
-				la, err := localize(p.inlineVirtuals(a))
+				la, err := localize(a)
 				if err != nil {
 					return nil, nil, err
 				}
 				agg.Args[j] = la
 			}
 			frag.Aggregates = append(frag.Aggregates, agg)
-			frag.OutSchema.Columns = append(frag.OutSchema.Columns, types.Column{Name: agg.Name, Kind: agg.Ret})
-			outCols = append(outCols, -1) // aggregate outputs are addressed by name
+			ship(-1, agg.Name, agg.Ret) // aggregate outputs are addressed by name
 		}
 	} else {
-		// Ship raw needed columns and virtual outputs.
-		var rawOut, virtOut []int
-		for col := range needed {
-			if p.cols[col].virt == nil {
-				rawOut = append(rawOut, col)
-			} else {
-				virtOut = append(virtOut, col)
-			}
-		}
-		sort.Ints(rawOut)
-		sort.Ints(virtOut)
-		for _, col := range rawOut {
+		for _, col := range tc.price.raw {
 			frag.Projections = append(frag.Projections, Output{
 				Name: p.cols[col].name,
 				Expr: NewCol(local[col], p.cols[col].kind),
 			})
-			frag.OutSchema.Columns = append(frag.OutSchema.Columns, types.Column{Name: p.cols[col].name, Kind: p.cols[col].kind})
-			outCols = append(outCols, col)
+			ship(col, p.cols[col].name, p.cols[col].kind)
 		}
-		for _, col := range virtOut {
-			le, err := localize(p.inlineVirtuals(p.cols[col].virt))
+		roots := append([]int(nil), tc.price.roots...)
+		sort.Slice(roots, func(i, j int) bool { return p.virt[roots[i]] < p.virt[roots[j]] }) // _vN order
+		for _, idx := range roots {
+			le, err := localize(d.nodes[idx].expr)
 			if err != nil {
 				return nil, nil, err
 			}
+			col := p.virt[idx]
 			frag.Projections = append(frag.Projections, Output{Name: p.cols[col].name, Expr: le})
-			frag.OutSchema.Columns = append(frag.OutSchema.Columns, types.Column{Name: p.cols[col].name, Kind: p.cols[col].kind})
-			outCols = append(outCols, col)
+			ship(col, p.cols[col].name, p.cols[col].kind)
 		}
 	}
 
@@ -671,10 +530,16 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 	}
 
 	// Scatter targets for partitioned tables: prune by the single-table
-	// predicates, then record one target per surviving partition.
+	// predicates — each constrains the partition key the same way on
+	// either side of the cut — then record one target per surviving
+	// partition.
 	if pl := bt.Def.Placement; pl != nil {
+		var preds []*PExpr
+		for _, idx := range d.preds[ti] {
+			preds = append(preds, d.nodes[idx].expr)
+		}
 		keyExt := bt.Offset + bt.Def.Schema.ColumnIndex(pl.Key)
-		keep := PrunePartitions(pl, keyExt, p.prunePreds[ti])
+		keep := PrunePartitions(pl, keyExt, preds)
 		frag.PartsTotal = len(pl.Parts)
 		frag.PartKey = pl.Key
 		for _, pi := range keep {

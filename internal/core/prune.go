@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"mocha/internal/catalog"
@@ -14,9 +15,10 @@ import (
 // nothing — the result falls back to every partition, never fewer than
 // the truth requires. The returned indexes are ascending.
 //
-// Range placements prune on =, <, <=, > and >= comparisons between the
-// key column and an integer literal (either operand order) and on
-// AND/OR combinations of those. Hash placements prune only on key
+// Both placement kinds prune on what ColumnRange recognises — the key
+// column compared with an integer literal, either operand order — and
+// on AND/OR combinations of those: range placements keep the
+// partitions the interval reaches, hash placements prune only on
 // equality, through the same canonical hash that routed rows at load
 // time.
 func PrunePartitions(pl *catalog.Placement, keyCol int, preds []*PExpr) []int {
@@ -74,88 +76,72 @@ func prunablePred(pl *catalog.Placement, keyCol int, e *PExpr) map[int]bool {
 	case "OR":
 		return unionParts(prunablePred(pl, keyCol, e.Args[0]), prunablePred(pl, keyCol, e.Args[1]))
 	}
-	op, val, ok := keyComparison(e, keyCol)
-	if !ok {
+	col, lo, hi, ok := ColumnRange(e)
+	if !ok || col != keyCol {
 		return allParts(n)
 	}
+	out := map[int]bool{}
 	switch pl.Kind {
 	case catalog.PlaceHash:
-		if op != "=" {
+		b, ok := catalog.HashBucket(types.Int(lo), n)
+		if lo != hi || !ok {
 			return allParts(n)
 		}
-		b, ok := catalog.HashBucket(val, n)
-		if !ok {
-			return allParts(n)
-		}
-		return map[int]bool{b: true}
+		out[b] = true
 	case catalog.PlaceRange:
-		k, ok := catalog.IntKey(val)
-		if !ok {
-			return allParts(n)
-		}
-		// Express the comparison as an inclusive interval [lo, hi] on
-		// the key (either bound may be open).
-		var lo, hi int64
-		var hasLo, hasHi bool
-		switch op {
-		case "=":
-			lo, hi, hasLo, hasHi = k, k, true, true
-		case "<":
-			hi, hasHi = k-1, true
-		case "<=":
-			hi, hasHi = k, true
-		case ">":
-			lo, hasLo = k+1, true
-		case ">=":
-			lo, hasLo = k, true
-		default:
-			return allParts(n)
-		}
-		out := map[int]bool{}
 		for i := range pl.Parts {
-			if pl.HoldsRange(i, lo, hasLo, hi, hasHi) {
+			if pl.HoldsRange(i, lo, true, hi, true) {
 				out[i] = true
 			}
 		}
-		return out
+	default:
+		return allParts(n)
 	}
-	return allParts(n)
+	return out
 }
 
-// keyComparison matches a comparison between the key column and a
-// literal, normalizing `const op col` to `col op' const`.
-func keyComparison(e *PExpr, keyCol int) (op string, val types.Object, ok bool) {
-	if len(e.Args) != 2 {
-		return "", nil, false
+// ColumnRange recognises <int column> cmp <int constant>, either
+// operand order, for cmp one of = < <= > >=, and returns the column and
+// the closed interval [lo, hi] the comparison admits (an open side is
+// the int64 extreme). It is the one reading of such a predicate: the
+// planner prunes partitions by it and the DAP picks index range scans
+// by it.
+func ColumnRange(e *PExpr) (col int, lo, hi int64, ok bool) {
+	if e.Kind != ExprBinop || len(e.Args) != 2 {
+		return 0, 0, 0, false
 	}
-	l, r := e.Args[0], e.Args[1]
-	switch {
-	case l.Kind == ExprCol && l.Col == keyCol && r.Kind == ExprConst:
-		return e.Op, r.Const, comparisonOp(e.Op)
-	case r.Kind == ExprCol && r.Col == keyCol && l.Kind == ExprConst:
-		return flipOp(e.Op), l.Const, comparisonOp(e.Op)
+	c, k, op := e.Args[0], e.Args[1], e.Op
+	if c.Kind == ExprConst { // const op col reads as col op' const
+		c, k = k, c
+		switch op {
+		case "<":
+			op = ">"
+		case "<=":
+			op = ">="
+		case ">":
+			op = "<"
+		case ">=":
+			op = "<="
+		}
 	}
-	return "", nil, false
-}
-
-func comparisonOp(op string) bool {
+	v, isInt := k.Const.(types.Int)
+	if c.Kind != ExprCol || c.Ret != types.KindInt || k.Kind != ExprConst || !isInt {
+		return 0, 0, 0, false
+	}
+	lo, hi = math.MinInt64, math.MaxInt64
 	switch op {
-	case "=", "<", "<=", ">", ">=":
-		return true
-	}
-	return false
-}
-
-func flipOp(op string) string {
-	switch op {
+	case "=":
+		lo, hi = int64(v), int64(v)
 	case "<":
-		return ">"
+		hi = int64(v) - 1
 	case "<=":
-		return ">="
+		hi = int64(v)
 	case ">":
-		return "<"
+		lo = int64(v) + 1
 	case ">=":
-		return "<="
+		lo = int64(v)
+	default:
+		return 0, 0, 0, false
 	}
-	return op
+	return c.Col, lo, hi, true
 }

@@ -65,6 +65,8 @@ func TestPruneRange(t *testing.T) {
 		{"and-empty", binop("AND", keyCmp("<", 100), keyCmp(">=", 200)), []int{}},
 		{"or-outer", binop("OR", keyCmp("<", 100), keyCmp(">=", 200)), []int{0, 2}},
 		{"const-on-left", binop("<", NewConst(types.Int(150)), NewCol(0, types.KindInt)), []int{1, 2}},
+		{"const-on-left-ge", binop(">=", NewConst(types.Int(99)), NewCol(0, types.KindInt)), []int{0}},
+		{"const-on-left-eq", binop("=", NewConst(types.Int(200)), NewCol(0, types.KindInt)), []int{2}},
 		{"other-column", binop("=", NewCol(1, types.KindInt), NewConst(types.Int(3))), []int{0, 1, 2}},
 		{"neq-no-prune", keyCmp("<>", 150), []int{0, 1, 2}},
 		{"arith-no-prune", binop("=",
@@ -104,9 +106,12 @@ func TestPruneHash(t *testing.T) {
 	}
 	t.Run("equality-routes", func(t *testing.T) {
 		for v := int64(0); v < 16; v++ {
-			got := PrunePartitions(pl, 0, []*PExpr{keyCmp("=", v)})
-			if want := []int{bucket(v)}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("key %d pruned to %v, want %v", v, got, want)
+			flipped := binop("=", NewConst(types.Int(v)), NewCol(0, types.KindInt))
+			for _, pred := range []*PExpr{keyCmp("=", v), flipped} {
+				got := PrunePartitions(pl, 0, []*PExpr{pred})
+				if want := []int{bucket(v)}; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s pruned to %v, want %v", pred, got, want)
+				}
 			}
 		}
 	})

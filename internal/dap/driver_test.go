@@ -188,32 +188,36 @@ func TestIndexRangeScan(t *testing.T) {
 	if _, err := tbl.CreateIndex("time"); err != nil {
 		t.Fatal(err)
 	}
-	conn, _ := testDAP(t, Config{Driver: &StorageDriver{Store: store}})
-	frag, cls := avgEnergyFragment(t)
-	// WHERE time >= 90 — ranked first, so the range scan covers it.
-	frag.Predicates = []*core.PExpr{{
-		Kind: core.ExprBinop, Op: ">=", Ret: types.KindBool,
-		Args: []*core.PExpr{
-			core.NewCol(0, types.KindInt),
-			core.NewConst(types.Int(90)),
-		},
-	}}
-	rows := deployAndRunN(t, conn, frag, cls, 10) // only 10 tuples read!
-	if len(rows) != 10 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for i, row := range rows {
-		if int32(row[0].(types.Int)) != int32(90+i) {
-			t.Fatalf("row %d = %v", i, row)
+	_, srv := testDAP(t, Config{Driver: &StorageDriver{Store: store}})
+	col, ninety := core.NewCol(0, types.KindInt), core.NewConst(types.Int(90))
+	// The predicate is ranked first, so the range scan covers it.
+	for _, tc := range []struct {
+		name string
+		op   string
+		args []*core.PExpr
+	}{
+		{"time >= 90", ">=", []*core.PExpr{col, ninety}},
+		{"90 <= time", "<=", []*core.PExpr{ninety, col}}, // const op col
+	} {
+		frag, cls := avgEnergyFragment(t)
+		frag.Predicates = []*core.PExpr{{Kind: core.ExprBinop, Op: tc.op, Ret: types.KindBool, Args: tc.args}}
+		rows := deployAndRunN(t, connectDAP(t, srv), frag, cls, 10) // only 10 tuples read!
+		if len(rows) != 10 {
+			t.Fatalf("%s: rows = %d", tc.name, len(rows))
+		}
+		for i, row := range rows {
+			if int32(row[0].(types.Int)) != int32(90+i) {
+				t.Fatalf("%s: row %d = %v", tc.name, i, row)
+			}
 		}
 	}
 }
 
-// TestPredicateRangeDetection covers the pattern matcher directly.
+// TestPredicateRangeDetection covers the pattern matcher the range scan
+// (and the planner's partition pruning) reads predicates by.
 func TestPredicateRangeDetection(t *testing.T) {
-	frag := &core.Fragment{Cols: []int{3}}
 	mk := func(op string, colLeft bool, c int32) *core.PExpr {
-		col := core.NewCol(0, types.KindInt)
+		col := core.NewCol(3, types.KindInt)
 		con := core.NewConst(types.Int(c))
 		args := []*core.PExpr{col, con}
 		if !colLeft {
@@ -235,7 +239,7 @@ func TestPredicateRangeDetection(t *testing.T) {
 		{mk("<>", true, 10), 0, 0, false},
 	}
 	for i, c := range cases {
-		col, lo, hi, ok := predicateRange(frag, c.e)
+		col, lo, hi, ok := core.ColumnRange(c.e)
 		if ok != c.ok {
 			t.Errorf("case %d: ok=%v", i, ok)
 			continue
@@ -250,7 +254,7 @@ func TestPredicateRangeDetection(t *testing.T) {
 	// Double constants and non-column shapes don't match.
 	dbl := &core.PExpr{Kind: core.ExprBinop, Op: "<", Ret: types.KindBool,
 		Args: []*core.PExpr{core.NewCol(0, types.KindDouble), core.NewConst(types.Double(1))}}
-	if _, _, _, ok := predicateRange(frag, dbl); ok {
+	if _, _, _, ok := core.ColumnRange(dbl); ok {
 		t.Error("double predicate matched")
 	}
 }

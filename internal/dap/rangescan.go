@@ -1,8 +1,6 @@
 package dap
 
 import (
-	"math"
-
 	"mocha/internal/core"
 	"mocha/internal/storage"
 	"mocha/internal/types"
@@ -33,65 +31,6 @@ func (d *StorageDriver) ScanRange(table string, column int, lo, hi int64, emit f
 	return true, err
 }
 
-// predicateRange recognizes a fragment predicate of the form
-// <int column> cmp <int constant> (either operand order) and returns the
-// source column it restricts plus the implied closed range.
-func predicateRange(frag *core.Fragment, e *core.PExpr) (srcCol int, lo, hi int64, ok bool) {
-	if e.Kind != core.ExprBinop || len(e.Args) != 2 {
-		return 0, 0, 0, false
-	}
-	colNode, constNode := e.Args[0], e.Args[1]
-	op := e.Op
-	if colNode.Kind == core.ExprConst && constNode.Kind == core.ExprCol {
-		colNode, constNode = constNode, colNode
-		op = flipCmp(op)
-	}
-	if colNode.Kind != core.ExprCol || colNode.Ret != types.KindInt {
-		return 0, 0, 0, false
-	}
-	if constNode.Kind != core.ExprConst {
-		return 0, 0, 0, false
-	}
-	c, isInt := constNode.Const.(types.Int)
-	if !isInt {
-		return 0, 0, 0, false
-	}
-	v := int64(c)
-	lo, hi = math.MinInt64, math.MaxInt64
-	switch op {
-	case "<":
-		hi = v - 1
-	case "<=":
-		hi = v
-	case ">":
-		lo = v + 1
-	case ">=":
-		lo = v
-	case "=":
-		lo, hi = v, v
-	default:
-		return 0, 0, 0, false
-	}
-	if colNode.Col < 0 || colNode.Col >= len(frag.Cols) {
-		return 0, 0, 0, false
-	}
-	return frag.Cols[colNode.Col], lo, hi, true
-}
-
-func flipCmp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op
-}
-
 // scanSource drives the data extraction for a fragment: an index range
 // scan when a driver index covers one of the fragment's range
 // predicates, otherwise a full scan. It reports whether an index was
@@ -99,11 +38,11 @@ func flipCmp(op string) string {
 func scanSource(driver AccessDriver, frag *core.Fragment, emit func(types.Tuple) error) (bool, error) {
 	if rs, ok := driver.(RangeScanner); ok {
 		for _, p := range frag.Predicates {
-			col, lo, hi, match := predicateRange(frag, p)
-			if !match {
+			col, lo, hi, match := core.ColumnRange(p)
+			if !match || col < 0 || col >= len(frag.Cols) {
 				continue
 			}
-			handled, err := rs.ScanRange(frag.Table, col, lo, hi, emit)
+			handled, err := rs.ScanRange(frag.Table, frag.Cols[col], lo, hi, emit)
 			if err != nil {
 				return true, err
 			}

@@ -142,7 +142,7 @@ func (e *planExec) run(ctx context.Context, began time.Time, emit func(types.Tup
 		began = e.wall(obs.PhaseKeys, began)
 	}
 
-	// Phase 4: lower the plan's QPC-side work (joins, predicates,
+	// Phase 3: lower the plan's QPC-side work (joins, predicates,
 	// aggregation, projection, ordering, limit) onto the fragment streams
 	// and run the shared operator tree: hash-join build sides build
 	// concurrently while bounded prefetchers overlap compute with network
@@ -169,7 +169,7 @@ func (e *planExec) run(ctx context.Context, began time.Time, emit func(types.Tup
 		return perr
 	}
 
-	// Phase 5: read every fragment stream's report into the trace.
+	// Phase 4: read every fragment stream's report into the trace.
 	for i, r := range e.readers {
 		// Under LIMIT the stream may not be fully consumed; skip stats
 		// for unfinished readers rather than block.

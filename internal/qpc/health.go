@@ -20,7 +20,7 @@ import (
 // and the first success closes it.
 
 // BreakerPolicy configures the per-site circuit breaker. The zero value
-// means "use defaults"; set Disabled to turn the breaker off.
+// takes defaults.
 type BreakerPolicy struct {
 	// FailureThreshold is the consecutive transient-failure count that
 	// trips a site's breaker open. Default 3.
@@ -28,9 +28,6 @@ type BreakerPolicy struct {
 	// OpenFor is how long an open breaker refuses retries before going
 	// half-open. Default 3s.
 	OpenFor time.Duration
-	// Disabled turns health tracking into pure bookkeeping: nothing
-	// trips, nothing fails fast, the planner never sees a degraded site.
-	Disabled bool
 
 	// Now is an injection point for tests; nil means time.Now.
 	Now func() time.Time
@@ -112,7 +109,7 @@ func (h *HealthRegistry) countOpen() int64 {
 // closes an open breaker (the operation was the probe) unless the
 // breaker was forced open.
 func (h *HealthRegistry) ReportSuccess(site string, latency time.Duration) {
-	if h == nil || h.pol.Disabled {
+	if h == nil {
 		return
 	}
 	h.mu.Lock()
@@ -134,7 +131,7 @@ func (h *HealthRegistry) ReportSuccess(site string, latency time.Duration) {
 // ReportFailure records a transient transport failure against the site,
 // tripping the breaker when the consecutive run reaches the threshold.
 func (h *HealthRegistry) ReportFailure(site string, err error) {
-	if h == nil || h.pol.Disabled {
+	if h == nil {
 		return
 	}
 	h.mu.Lock()
@@ -160,7 +157,7 @@ func (h *HealthRegistry) ReportFailure(site string, err error) {
 // half-open: the site stays degraded for planning until a success
 // closes the breaker). This is the optimizer's health oracle.
 func (h *HealthRegistry) Degraded(site string) bool {
-	if h == nil || h.pol.Disabled {
+	if h == nil {
 		return false
 	}
 	h.mu.Lock()
@@ -173,7 +170,7 @@ func (h *HealthRegistry) Degraded(site string) bool {
 // reached. The first attempt of an operation is always allowed — it is
 // the probe.
 func (h *HealthRegistry) FailFast(site string) bool {
-	if h == nil || h.pol.Disabled {
+	if h == nil {
 		return false
 	}
 	h.mu.Lock()
@@ -226,7 +223,7 @@ func (h *HealthRegistry) PickReplica(sites []string) string {
 // State renders the site's breaker state: "closed", "open" or
 // "half-open".
 func (h *HealthRegistry) State(site string) string {
-	if h == nil || h.pol.Disabled {
+	if h == nil {
 		return "closed"
 	}
 	h.mu.Lock()

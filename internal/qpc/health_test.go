@@ -103,16 +103,6 @@ func TestBreakerForceOpenPinsUntilReset(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabledIsInert(t *testing.T) {
-	h, _ := testHealth(BreakerPolicy{Disabled: true})
-	for i := 0; i < 10; i++ {
-		h.ReportFailure("s", errLink)
-	}
-	if h.Degraded("s") || h.FailFast("s") || h.State("s") != "closed" {
-		t.Fatal("disabled breaker must never trip")
-	}
-}
-
 func TestBreakerNilRegistryIsSafe(t *testing.T) {
 	var h *HealthRegistry
 	h.ReportFailure("s", errLink)

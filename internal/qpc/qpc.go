@@ -35,8 +35,6 @@ type Config struct {
 	DialContext func(ctx context.Context, addr string) (net.Conn, error)
 	// Strategy is the operator-placement policy.
 	Strategy core.Strategy
-	// Model is the optimizer's cost model; zero value takes defaults.
-	Model core.CostModel
 	// QueryTimeout bounds each query execution end to end; once it
 	// expires every session aborts and the query fails with a
 	// descriptive error. Zero leaves queries unbounded.
@@ -54,8 +52,7 @@ type Config struct {
 	// Breaker configures the per-site circuit breaker driven by
 	// transport outcomes. An open breaker re-plans the site's fragments
 	// under data shipping and stops retries against it until the
-	// half-open probe succeeds. The zero value takes defaults; set
-	// Breaker.Disabled to turn health tracking off.
+	// half-open probe succeeds. The zero value takes defaults.
 	Breaker BreakerPolicy
 	// HeartbeatInterval, when positive, starts a background prober that
 	// dials and pings every catalog site at this interval, feeding
@@ -156,9 +153,6 @@ func New(cfg Config) *Server {
 	}
 	opt := core.NewOptimizer(cfg.Cat)
 	opt.Strategy = cfg.Strategy
-	if cfg.Model != (core.CostModel{}) {
-		opt.Model = cfg.Model
-	}
 	r := cfg.Metrics
 	health := newHealthRegistry(cfg.Breaker, r)
 	opt.Health = health

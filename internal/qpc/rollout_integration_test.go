@@ -15,6 +15,7 @@ import (
 
 	"mocha/internal/catalog"
 	"mocha/internal/core"
+	"mocha/internal/obs"
 	"mocha/internal/ops"
 	"mocha/internal/vm"
 	"mocha/internal/wire"
@@ -24,7 +25,8 @@ const rolloutSQL = "SELECT time, AvgEnergy(image) FROM Rasters"
 
 // rolloutHarness is a chaos harness with code shipping forced on and
 // the rollout policy under test; it keeps the catalog so tests can
-// stage releases.
+// stage releases. The QPC reports into a registry of its own, so the
+// absolute counter values the tests assert survive -count>1.
 func rolloutHarness(t *testing.T, policy RolloutPolicy) (*chaosHarness, *catalog.Catalog) {
 	t.Helper()
 	var cat *catalog.Catalog
@@ -33,6 +35,7 @@ func rolloutHarness(t *testing.T, policy RolloutPolicy) (*chaosHarness, *catalog
 		c.Strategy = core.StrategyCodeShip
 		c.Rollout = policy
 		c.QueryTimeout = 10 * time.Second
+		c.Metrics = obs.NewRegistry()
 	})
 	return h, cat
 }
