@@ -374,8 +374,8 @@ func DecodeFragment(data []byte) (*Fragment, error) {
 type Start struct {
 	XMLName xml.Name `xml:"start"`
 	// Stream names the result stream. The DAP retains the stream's replay
-	// window under it, and a START naming an ID it still retains replaces
-	// that execution (a retried set-up).
+	// window under it, and a START naming an ID it still retains either
+	// continues that stream (see After) or replaces its execution.
 	Stream string `xml:"stream,attr"`
 	// Trace is the query's trace ID; when set the DAP records spans
 	// under it and returns them with the stream's stats.
@@ -384,8 +384,14 @@ type Start struct {
 	// ID and the pre-pruning partition count (Of > 0). The DAP echoes
 	// both in its stats so the QPC can verify each gathered stream came
 	// from the shard it started.
-	Part     int       `xml:"part,attr,omitempty"`
-	Of       int       `xml:"of,attr,omitempty"`
+	Part int `xml:"part,attr,omitempty"`
+	Of   int `xml:"of,attr,omitempty"`
+	// After is the resume point of a START that re-places a broken stream:
+	// the sequence number of the last in-order frame the QPC holds (absent
+	// on a first attempt, or when it holds none). A DAP that retains the
+	// stream parked with a replay window covering After continues it from
+	// the next frame; any other DAP runs the fragment from its beginning.
+	After    uint64    `xml:"after,attr,omitempty"`
 	Fragment *Fragment `xml:"fragment"`
 }
 

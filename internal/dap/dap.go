@@ -54,14 +54,15 @@ type Config struct {
 	FrameTimeout time.Duration
 	// BatchBytes overrides the target tuple-batch payload size for result
 	// streams. Zero means wire.DefaultBatchBytes. Smaller batches make the
-	// replay window finer-grained: less retransmission after a RESUME.
+	// replay window finer-grained: less retransmission when a stream
+	// continues on a new connection.
 	BatchBytes int
-	// ReplayWindowBytes bounds the per-stream replay window retained for
-	// RESUME: the most recent frames up to this many payload bytes (the
-	// newest frame is always kept). Zero means the 1 MiB default.
+	// ReplayWindowBytes bounds the per-stream replay window a START can
+	// continue from: the most recent frames up to this many payload bytes
+	// (the newest frame is always kept). Zero means the 1 MiB default.
 	ReplayWindowBytes int64
-	// RetainTTL bounds how long an interrupted resumable stream stays
-	// parked waiting for a RESUME before it is aborted and its window
+	// RetainTTL bounds how long an interrupted stream stays parked waiting
+	// for a START to continue it before it is aborted and its window
 	// freed. Zero means the 10s default.
 	RetainTTL time.Duration
 	// Exec tunes the fragment executor: batch size, the scan read-ahead

@@ -354,8 +354,9 @@ func TestDAPProtocolErrors(t *testing.T) {
 			t.Errorf("%s: got %q, want %q", what, msg, want)
 		}
 	}
-	// The four retired set-up messages keep their numbers unassigned.
-	for n := 6; n <= 9; n++ {
+	// The four retired set-up messages and the two retired resume
+	// messages keep their numbers unassigned.
+	for _, n := range []int{6, 7, 8, 9, 20, 21} {
 		refused("retired message", wire.MsgType(n), nil, fmt.Sprintf("unexpected MSG(%d)", n))
 	}
 	// Frames that belong inside a START, outside one.

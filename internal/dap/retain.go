@@ -13,12 +13,12 @@ import (
 // START named, and the most recent frames are retained in a bounded
 // replay window. When the connection dies mid-stream the executor parks
 // — the scan's cursor position is the suspended goroutine itself — and a
-// reconnecting QPC sends RESUME with the last sequence number it holds:
-// the DAP replays the covered tail from the window and hands the new
+// reconnecting QPC's START names the last sequence number it holds: the
+// DAP replays the covered tail from the window and hands the new
 // connection to the parked executor, so the scan continues instead of
 // restarting. The window is evicted by bytes (ReplayWindowBytes) and the
-// park by time (RetainTTL); past either bound the QPC falls back to a
-// full restart.
+// park by time (RetainTTL); past either bound that START is answered
+// like any retried one, by running the fragment afresh.
 
 type streamPhase int
 
@@ -26,7 +26,7 @@ const (
 	phaseStreaming streamPhase = iota
 	phaseParked
 	phaseDone    // EOS buffered and sent; retained until CLOSE, or the TTL after a drop
-	phaseAborted // executor gone; resume impossible
+	phaseAborted // executor gone; cannot be continued
 )
 
 // seqFrame is one retained frame: its sequence number and the full
@@ -49,7 +49,7 @@ type retainedStream struct {
 	lastSeq  uint64 // seq of the newest frame issued
 	parkedAt time.Time
 
-	attach   chan *wire.Conn // a resume handler delivers the new connection
+	attach   chan *wire.Conn // a continuing START delivers the new connection
 	abort    chan struct{}   // closed to kill a parked executor
 	done     chan struct{}   // closed when the executor is finished for good
 	abortOne sync.Once
@@ -173,7 +173,7 @@ func (r *retention) size() int64 {
 
 // resumableSender is the wire.FrameSender a resumable execution streams
 // through: it stamps sequence numbers, retains frames for replay and —
-// on a transport failure — parks the executor until a RESUME delivers a
+// on a transport failure — parks the executor until a START delivers a
 // replacement connection or the retain TTL expires.
 type resumableSender struct {
 	srv  *Server
@@ -193,7 +193,7 @@ func (s *resumableSender) Send(t wire.MsgType, body []byte) error {
 	if err == nil {
 		return nil
 	}
-	// The frame is already in the window: whoever resumes us replays it
+	// The frame is already in the window: whoever continues us replays it
 	// before attaching, so a successful park means it was delivered and
 	// must not be resent here.
 	nc, perr := s.park(err)
@@ -205,8 +205,8 @@ func (s *resumableSender) Send(t wire.MsgType, body []byte) error {
 }
 
 // park suspends the executor after a failed send. It returns the
-// replacement connection a resume handler attached, or the error that
-// ends the stream (TTL expiry, or an abort from a failed resume).
+// replacement connection a continuing START attached, or the error that
+// ends the stream (TTL expiry, or an abort by the START that replaces it).
 func (s *resumableSender) park(cause error) (*wire.Conn, error) {
 	st := s.st
 	st.mu.Lock()
@@ -230,12 +230,12 @@ func (s *resumableSender) park(cause error) (*wire.Conn, error) {
 		return nil, fmt.Errorf("dap: stream %s aborted while parked: %w", st.id, cause)
 	case <-timer.C:
 		s.srv.expire(st, 0)
-		return nil, fmt.Errorf("dap: stream %s retain TTL %v expired with no resume: %w", st.id, ttl, cause)
+		return nil, fmt.Errorf("dap: stream %s retain TTL %v expired with no START to continue it: %w", st.id, ttl, cause)
 	}
 }
 
 // expire frees a stream that has been parked for at least ttl and
-// reports whether it did. The parked executor's timer and a resume that
+// reports whether it did. The parked executor's timer and a START that
 // arrives too late both call it; whichever is first does the work and
 // the accounting.
 func (s *Server) expire(st *retainedStream, ttl time.Duration) bool {
@@ -262,68 +262,55 @@ func (s *Server) release(st *retainedStream) {
 	s.met.streamsRetained.Set(s.retained.size())
 }
 
-// settleBound is how long a resume handler waits for the racing
-// executor to notice its connection died and park.
-func (s *Server) settleBound() time.Duration {
-	b := 2 * time.Second
-	if s.cfg.FrameTimeout > 0 {
-		b += s.cfg.FrameTimeout
-	}
-	return b
-}
-
-// handleResume serves one MsgResume on a fresh connection: acks whether
-// the window still covers the requested point, replays the retained
-// tail, and hands the connection to the parked executor.
-func (s *Server) handleResume(conn *wire.Conn, req wire.Resume) error {
-	nack := func(reason string) error {
+// continuable finds the stream a START naming a resume point may
+// continue: still retained under id, parked (or finished) within its
+// TTL, its window covering every frame past after — returned with that
+// tail. Anything else is a START to be answered afresh, and counted.
+func (s *Server) continuable(id string, after uint64) (*retainedStream, []seqFrame) {
+	afresh := func(reason string) (*retainedStream, []seqFrame) {
 		s.met.windowEvicted.Inc()
-		s.cfg.Logf("dap %s: resume %s refused: %s", s.cfg.Site, req.Stream, reason)
-		payload, err := wire.EncodeXML(&wire.ResumeAck{OK: false, Reason: reason})
-		if err != nil {
-			return err
-		}
-		return conn.Send(wire.MsgResumeAck, payload)
+		s.cfg.Logf("dap %s: stream %s cannot continue past seq %d (%s); running it afresh", s.cfg.Site, id, after, reason)
+		return nil, nil
 	}
-
-	st := s.retained.get(req.Stream)
+	st := s.retained.get(id)
 	if st == nil {
-		return nack("stream unknown, expired or already restarted")
+		return afresh("unknown or expired")
 	}
 	// The executor may still be discovering that its connection died;
-	// wait for it to park (or finish) before touching the window.
-	settleBy := time.Now().Add(s.settleBound())
+	// wait for it to park (or finish) before touching the window: a frame
+	// write's timeout, and two seconds' grace.
+	settleBy := time.Now().Add(2*time.Second + s.cfg.FrameTimeout)
 	for st.getPhase() == phaseStreaming {
 		if time.Now().After(settleBy) {
-			return nack("stream still active on another connection")
+			return afresh("still active on another connection")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if st.getPhase() == phaseAborted {
-		return nack("stream aborted")
+		return afresh("aborted")
 	}
 	// The TTL runs from the park, not from whenever the parked executor's
-	// timer gets scheduled: a resume arriving later than that finds the
+	// timer gets scheduled: a START arriving later than that finds the
 	// stream expired even if the executor has not woken to say so.
 	if s.expire(st, s.cfg.RetainTTL) {
-		return nack("stream retention expired")
+		return afresh("retention expired")
 	}
-
-	frames, covered := st.tail(req.LastSeq)
+	frames, covered := st.tail(after)
 	if !covered {
-		// The window moved past the QPC's position: a resume cannot fill
-		// the gap, and the parked scan is useless — release it so the
-		// QPC's full restart doesn't collide with the stale stream ID.
-		st.markAborted()
-		s.release(st)
-		return nack(fmt.Sprintf("replay window evicted past seq %d", req.LastSeq))
+		return afresh("replay window evicted")
 	}
+	return st, frames
+}
 
-	ack, err := wire.EncodeXML(&wire.ResumeAck{OK: true, FromSeq: req.LastSeq + 1})
+// reattach continues st on conn: the ack naming the frame the stream
+// continues from, the retained tail, and the connection handed to the
+// parked executor.
+func (s *Server) reattach(conn *wire.Conn, st *retainedStream, from uint64, frames []seqFrame) error {
+	ack, err := wire.EncodeXML(&wire.StartAck{From: from})
 	if err != nil {
 		return err
 	}
-	if err := conn.Send(wire.MsgResumeAck, ack); err != nil {
+	if err := conn.Send(wire.MsgStartAck, ack); err != nil {
 		return err
 	}
 	var replayed int64
@@ -335,8 +322,7 @@ func (s *Server) handleResume(conn *wire.Conn, req wire.Resume) error {
 	}
 	s.met.streamResumes.Inc()
 	s.met.replayedBytes.Add(replayed)
-	s.cfg.Logf("dap %s: stream %s resumed from seq %d (%d bytes replayed)",
-		s.cfg.Site, st.id, req.LastSeq+1, replayed)
+	s.cfg.Logf("dap %s: stream %s continues from seq %d (%d bytes replayed)", s.cfg.Site, st.id, from, replayed)
 
 	if st.getPhase() == phaseDone {
 		// The whole tail (EOS included) was in the window; nothing to
@@ -345,19 +331,19 @@ func (s *Server) handleResume(conn *wire.Conn, req wire.Resume) error {
 		return nil
 	}
 	// Hand the connection to the parked executor and wait for it to
-	// finish with it before this session loop reads again. The positive
-	// ack and the replay are already on the wire, so the QPC now reads
-	// this connection as a tuple stream: a failed hand-over may not write
-	// to it again (a second, negative ack would surface there as a
-	// non-transient protocol error). It drops the connection instead, and
-	// the QPC's next resume attempt gets its refusal before any ack.
+	// finish with it before this session loop reads again. The ack and the
+	// replay are already on the wire, so the QPC now reads this connection
+	// as a tuple stream: a failed hand-over may not write to it again (an
+	// ERROR frame would surface there as a refusal, not as the transport
+	// failure it is). It drops the connection instead, and the QPC's next
+	// START finds the stream gone and is answered afresh.
 	ttl := s.cfg.RetainTTL
 	select {
 	case st.attach <- conn:
 	case <-st.abort:
-		return fmt.Errorf("dap: stream %s aborted after its resume was acked: %w", st.id, errDropConn)
+		return fmt.Errorf("dap: stream %s aborted after its continuation was acked: %w", st.id, errDropConn)
 	case <-time.After(ttl):
-		return fmt.Errorf("dap: stream %s: parked executor did not accept the resumed connection within %v: %w", st.id, ttl, errDropConn)
+		return fmt.Errorf("dap: stream %s: parked executor did not accept the new connection within %v: %w", st.id, ttl, errDropConn)
 	}
 	<-st.done
 	return nil

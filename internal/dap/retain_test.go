@@ -78,20 +78,29 @@ func TestStartSupersedesRetainedStream(t *testing.T) {
 	waitFor(t, "CLOSE to release the delivered stream", func() bool { return srv.met.streamsRetained.Value() == 0 })
 }
 
-// TestResumeHandoverFailureDropsConnection forces a resume hand-over to
-// lose its race: the stream is parked and its window covers the QPC's
-// position, so the DAP acks OK and replays — but no executor ever takes
-// the connection. Once the positive ack is out the QPC reads the
-// connection as a tuple stream, so the DAP must drop it (a transient
-// transport failure that sends the QPC back down its resume → nack →
-// restart ladder), never write a second, negative RESUME_ACK into it.
-func TestResumeHandoverFailureDropsConnection(t *testing.T) {
-	srv := New(Config{Site: "test", RetainTTL: 50 * time.Millisecond})
-	st := newRetainedStream("q1/0", 1<<20)
+// parkedStream registers a stream parked under id whose executor is not
+// there to take a connection: three frames issued, of which the window
+// keeps what fits in limit bytes (the newest always).
+func parkedStream(srv *Server, id string, limit int64) (st *retainedStream, third []byte) {
+	st = newRetainedStream(id, limit)
 	st.push(wire.MsgSeqBatch, []byte("first"))
-	_, second := st.push(wire.MsgSeqBatch, []byte("second"))
+	st.push(wire.MsgSeqBatch, []byte("second"))
+	_, third = st.push(wire.MsgSeqBatch, []byte("third"))
 	st.phase, st.parkedAt = phaseParked, time.Now()
 	srv.retained.put(st)
+	return st, third
+}
+
+// TestResumeHandoverFailureDropsConnection forces a continuation's
+// hand-over to lose its race: the stream is parked and its window covers
+// the QPC's position, so the DAP acks from the next frame and replays —
+// but no executor ever takes the connection. Once that ack is out the
+// QPC reads the connection as a tuple stream, so the DAP must drop it (a
+// transient transport failure that sends the QPC back to place the
+// stream again), never write an ERROR frame into it.
+func TestResumeHandoverFailureDropsConnection(t *testing.T) {
+	srv := New(Config{Site: "test", RetainTTL: 50 * time.Millisecond})
+	st, third := parkedStream(srv, "q1/0", 1<<20)
 
 	qpcSide, dapSide := net.Pipe()
 	served := make(chan error, 1)
@@ -100,20 +109,21 @@ func TestResumeHandoverFailureDropsConnection(t *testing.T) {
 	defer conn.Close()
 	conn.SetFrameTimeout(5*time.Second, 5*time.Second)
 
-	req, _ := wire.EncodeXML(&wire.Resume{Stream: st.id, LastSeq: 1})
-	if err := conn.Send(wire.MsgResume, req); err != nil {
+	frag, _ := avgEnergyFragment(t)
+	req, _ := wire.EncodeXML(&core.Start{Stream: st.id, After: 2, Fragment: frag})
+	if err := conn.Send(wire.MsgStart, req); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := conn.Expect(wire.MsgResumeAck)
+	payload, err := conn.Expect(wire.MsgStartAck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ack wire.ResumeAck
-	if err := wire.DecodeXML(payload, &ack); err != nil || !ack.OK || ack.FromSeq != 2 {
-		t.Fatalf("ack = %+v (err %v), want OK from seq 2", ack, err)
+	var ack wire.StartAck
+	if err := wire.DecodeXML(payload, &ack); err != nil || ack.From != 3 || len(ack.Need) != 0 {
+		t.Fatalf("ack = %+v (err %v), want a continuation from seq 3 asking for nothing", ack, err)
 	}
-	if typ, replay, err := conn.Recv(); err != nil || typ != wire.MsgSeqBatch || string(replay) != string(second) {
-		t.Fatalf("replay = %v %q (err %v), want the retained second frame", typ, replay, err)
+	if typ, replay, err := conn.Recv(); err != nil || typ != wire.MsgSeqBatch || string(replay) != string(third) {
+		t.Fatalf("replay = %v %q (err %v), want the retained third frame", typ, replay, err)
 	}
 	// Nobody receives on st.attach, so the hand-over times out.
 	if typ, payload, err := conn.Recv(); err == nil {
@@ -121,5 +131,29 @@ func TestResumeHandoverFailureDropsConnection(t *testing.T) {
 	}
 	if err := <-served; err == nil {
 		t.Error("session ended cleanly; want the hand-over failure reported")
+	}
+}
+
+// TestStartPastEvictedWindowRunsAfresh names a resume point the retained
+// window no longer reaches (frame 2 is gone, the QPC holds only frame 1):
+// that one START is answered the way a retried one is — the stale
+// execution aborted, the missing class asked for, the fragment run from
+// its first frame — and counted as a window eviction.
+func TestStartPastEvictedWindowRunsAfresh(t *testing.T) {
+	conn, srv := testDAP(t, Config{Metrics: obs.NewRegistry()})
+	stale, _ := parkedStream(srv, "q2/0", 1)
+	frag, cls := avgEnergyFragment(t)
+	if need := startFragment(t, conn, &core.Start{Stream: stale.id, After: 1, Fragment: frag}, nil, cls); len(need) != 1 {
+		t.Fatalf("ack asked for %v, want the one class a cold DAP lacks", need)
+	}
+	// readStream's reader starts at frame 1: a continuation would be a gap.
+	if rows, _ := readStream(t, conn, frag.OutSchema); len(rows) != 10 {
+		t.Fatalf("stream run afresh delivered %d rows, want 10", len(rows))
+	}
+	if stale.getPhase() != phaseAborted {
+		t.Error("the stale execution was left parked")
+	}
+	if ev, res := srv.met.windowEvicted.Value(), srv.met.streamResumes.Value(); ev != 1 || res != 0 {
+		t.Errorf("dap_stream_window_evicted = %d, dap_stream_resumes = %d; want 1 and 0", ev, res)
 	}
 }

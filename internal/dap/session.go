@@ -18,9 +18,10 @@ import (
 )
 
 // HandleConn serves one QPC connection. Every request on it is complete
-// in itself (DESIGN §3.6): START runs a fragment and streams its result,
-// RESUME continues a retained stream, HELLO is the heartbeat's ping, and
-// the rest are one-frame exchanges.
+// in itself (DESIGN §3.6): START puts a fragment's stream on the
+// connection — run from its beginning, or continued where a broken
+// connection left it — HELLO is the heartbeat's ping, and the rest are
+// one-frame exchanges.
 func (s *Server) HandleConn(nc net.Conn) error {
 	conn := wire.NewConn(nc)
 	defer conn.Close()
@@ -88,15 +89,6 @@ func (ss *session) handle(t wire.MsgType, payload []byte) error {
 		// START reads the key frame of a semi-join fragment itself.
 		return fmt.Errorf("semi-join keys without a semi-join fragment")
 
-	case wire.MsgResume:
-		var req wire.Resume
-		if err := wire.DecodeXML(payload, &req); err != nil {
-			return err
-		}
-		err := ss.srv.handleResume(ss.conn, req)
-		ss.delivered = append(ss.delivered, ss.srv.retained.get(req.Stream))
-		return err
-
 	case wire.MsgProcCall:
 		var call wire.ProcCall
 		if err := wire.DecodeXML(payload, &call); err != nil {
@@ -159,7 +151,9 @@ type execution struct {
 
 // start serves one START: it reads the frames the request promises (the
 // key set right behind a semi-join fragment; after the ack, one class
-// per digest the ack asked for), then runs the fragment. A refused class
+// per digest the ack asked for), then runs the fragment — unless the
+// request names a resume point the retained stream still covers, in
+// which case that stream continues on this connection. A refused class
 // or key set is reported only once all of them are read, as the ERROR
 // frame the QPC finds where the stream would begin — answering sooner
 // would write to a peer that is itself still writing.
@@ -172,6 +166,19 @@ func (ss *session) start(payload []byte) error {
 	frag := req.Fragment
 	if frag == nil || req.Stream == "" {
 		return fmt.Errorf("start without a fragment or a stream id")
+	}
+	if req.After > 0 {
+		if st, tail := ss.srv.continuable(req.Stream, req.After); st != nil {
+			// The key set rides behind every START of a semi-join fragment;
+			// the parked executor already holds it.
+			if frag.SemiJoinCol >= 0 {
+				if _, err := ss.conn.Expect(wire.MsgSemiJoinKeys); err != nil {
+					return err
+				}
+			}
+			ss.delivered = append(ss.delivered, st)
+			return ss.srv.reattach(ss.conn, st, req.After+1, tail)
+		}
 	}
 	ex := &execution{srv: ss.srv, conn: ss.conn, frag: frag, trace: obs.NewTraceAt(req.Trace, began)}
 	var ack wire.StartAck
@@ -287,8 +294,8 @@ func (ex *execution) installKeys(payload []byte) error {
 
 // execute runs the fragment and streams its output under streamID as
 // sequence-numbered frames retained in a replay window: a dropped
-// connection parks the execution for a RESUME instead of failing it. It
-// returns the stream once registered, whatever became of it.
+// connection parks the execution for the next START instead of failing
+// it. It returns the stream once registered, whatever became of it.
 //
 // The fragment is lowered onto the shared operator tree (exec.
 // LowerFragment): the scan runs in its own goroutine behind a bounded
@@ -322,9 +329,9 @@ func (ex *execution) execute(streamID string, report wire.ExecStats) (*retainedS
 	binder := &vmBinder{cache: ex.srv.cache, refs: refs, machine: vm.New(ex.srv.cfg.Limits), limits: ex.srv.cfg.Limits}
 	binder.machines = append(binder.machines, binder.machine)
 
-	// A START for an ID still retained is a retried set-up whose first
-	// attempt got as far as running: the stale execution is aborted and
-	// this one takes its place.
+	// A START for an ID still retained — a retried set-up whose first
+	// attempt got as far as running, or a recovery the retained stream
+	// could not cover — aborts the stale execution and takes its place.
 	st := newRetainedStream(streamID, ex.srv.cfg.ReplayWindowBytes)
 	if stale := ex.srv.retained.put(st); stale != nil {
 		stale.markAborted()

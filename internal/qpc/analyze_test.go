@@ -82,7 +82,7 @@ func TestAnalyzeTraceNetBytesMatchCVDT(t *testing.T) {
 // stopwatch around the call the total may only miss what follows the
 // last phase (folding the trace into stats): 5 % or 200 µs. Checked on a
 // plain join, the semi-join (which adds the keys phase), a stream cut and
-// RESUMEd mid-flight, and a shard that fails over to its sibling replica.
+// continued mid-flight, and a shard that fails over to its sibling replica.
 // The work components are not part of it: they are summed across
 // concurrent sites and may exceed the total.
 func TestWallPhasesSumToTotal(t *testing.T) {

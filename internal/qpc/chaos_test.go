@@ -40,7 +40,7 @@ const joinQuery = `SELECT R1.time FROM Rasters1 R1, Rasters2 R2 WHERE R1.locatio
 // so byte-threshold faults strike mid-stream.
 const streamQuery = `SELECT image FROM Rasters`
 
-func newChaosHarness(t *testing.T, tune func(*Config)) *chaosHarness {
+func newChaosHarness(t *testing.T, tune func(*Config), tuneD ...func(*dap.Config)) *chaosHarness {
 	t.Helper()
 	network := netsim.NewNetwork(nil)
 	cfg := sequoia.TestScale()
@@ -74,13 +74,17 @@ func newChaosHarness(t *testing.T, tune func(*Config)) *chaosHarness {
 		}
 		t.Cleanup(func() { l.Close() })
 		dapRegs = append(dapRegs, obs.NewRegistry())
-		go dap.New(dap.Config{
+		dcfg := dap.Config{
 			Site:         site.name,
 			Driver:       &dap.StorageDriver{Store: site.store},
 			IdleTimeout:  2 * time.Second,
 			FrameTimeout: time.Second,
 			Metrics:      dapRegs[len(dapRegs)-1],
-		}).Serve(l)
+		}
+		for _, tune := range tuneD {
+			tune(&dcfg)
+		}
+		go dap.New(dcfg).Serve(l)
 	}
 
 	reg := ops.Builtins()

@@ -59,7 +59,7 @@ func (ds *dapSession) close() {
 }
 
 // abandon drops the connection without a CLOSE: a stream that broke on
-// it must stay retained at the DAP for the RESUME that follows.
+// it must stay retained at the DAP for the START that follows.
 func (ds *dapSession) abandon() {
 	ds.conn.Close()
 	ds.release()
@@ -75,42 +75,65 @@ func (ds *dapSession) ping() error {
 	return err
 }
 
-// start sends the one request that runs frag on ds (DESIGN §3.6) as
-// stream id and returns the reader of its result. A semi-join fragment's
-// key set rides right behind the START. The DAP's ack names, by digest,
-// the classes it lacks; each is fetched from the repository by that
-// digest — so a fragment started mid-rollout, or restarted after a
-// failover, ships the release its plan was routed to, never whichever is
-// active at ship time — and sent with no further reply: a class the DAP
-// refuses, like a plan it cannot run, comes back as the stream's ERROR
-// frame. Cache hits and shipped classes are counted into the caller's
-// span of the exchange.
-func (fs *fragmentStream) start(ds *dapSession, frag *core.Fragment, id string, keys []types.Tuple, into *obs.Span) (*wire.BatchReader, error) {
+// start sends START on ds — the one request that puts the stream on a
+// connection (DESIGN §3.6) — and installs the reader its ack calls for.
+// The request is the unit's fragment, or in a semi-join's key phase its
+// key projection, under the stream's ID; a semi-join fragment's key set
+// rides right behind it; after, when not zero, is the last frame the QPC
+// holds of the stream. The DAP's ack either continues the retained
+// stream from the frame after that, and the one reader is rebound to
+// the new connection, or names, by digest, the classes it lacks before
+// it runs the fragment from the beginning: each is fetched from the
+// repository by that digest — so a fragment started mid-rollout, or
+// placed again after a failover, ships the release its plan was routed
+// to, never whichever is active at ship time — and sent with no further
+// reply: a class the DAP refuses, like a plan it cannot run, comes back
+// as the stream's ERROR frame. A fresh reader then takes the stream, and
+// what was already delivered of it is discarded as it arrives again.
+// Cache hits, shipped classes and the key set sent are counted into the
+// caller's span of the exchange.
+func (fs *fragmentStream) start(ds *dapSession, after uint64, into *obs.Span) (continued bool, err error) {
 	e := fs.e
-	req := core.Start{Stream: id, Trace: e.trace.ID, Fragment: frag}
+	frag, id := fs.unit.Frag, fs.id
+	if fs.keyPhase {
+		frag, id = keyFragment(frag), id+"/keys"
+	}
+	req := core.Start{Stream: id, Trace: e.trace.ID, After: after, Fragment: frag}
 	if fs.unit.Of > 0 {
 		req.Part, req.Of = fs.unit.Part, fs.unit.Of
 	}
 	payload, err := wire.EncodeXML(&req)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	fs.startOff = e.trace.Since(time.Now())
+	sentAt := e.trace.Since(time.Now())
 	if err := ds.conn.Send(wire.MsgStart, payload); err != nil {
-		return nil, err
+		return false, err
 	}
 	if frag.SemiJoinCol >= 0 {
-		if err := ds.conn.Send(wire.MsgSemiJoinKeys, wire.EncodeBatch(keys)); err != nil {
-			return nil, err
+		if err := ds.conn.Send(wire.MsgSemiJoinKeys, wire.EncodeBatch(fs.keys)); err != nil {
+			return false, err
 		}
+		// Key delivery is real data movement.
+		for _, k := range fs.keys {
+			into.NetBytes += int64(k.WireSize())
+		}
+		into.Tuples += int64(len(fs.keys))
 	}
 	ackData, err := ds.conn.Expect(wire.MsgStartAck)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	var ack wire.StartAck
 	if err := wire.DecodeXML(ackData, &ack); err != nil {
-		return nil, err
+		return false, err
+	}
+	if ack.From > 0 {
+		if after == 0 || ack.From != after+1 || len(ack.Need) > 0 {
+			return false, fmt.Errorf("qpc: %s continues stream %s from frame %d, asked past %d", ds.site, id, ack.From, after)
+		}
+		fs.r.Rebind(ds.conn)
+		return true, nil
 	}
 	into.CacheHits += int64(len(frag.Code) - len(ack.Need))
 	// Resolve everything before sending anything: a release the
@@ -123,39 +146,20 @@ func (fs *fragmentStream) start(ds *dapSession, frag *core.Fragment, id string, 
 			}
 		}
 		if classes[i] == nil {
-			return nil, fmt.Errorf("qpc: class release %s, wanted by %s, vanished from the repository", digest, ds.site)
+			return false, fmt.Errorf("qpc: class release %s, wanted by %s, vanished from the repository", digest, ds.site)
 		}
 	}
 	for _, cls := range classes {
 		if err := ds.conn.Send(wire.MsgDeployCode, cls.Blob); err != nil {
-			return nil, err
+			return false, err
 		}
 		into.Classes++
 		into.CodeBytes += int64(len(cls.Blob))
 		e.srv.cfg.Logf("qpc: shipped %s (%d bytes) to %s", cls.Name, len(cls.Blob), ds.site)
 	}
-	return wire.NewBatchReader(ds.conn, frag.OutSchema), nil
-}
-
-// resume asks the DAP to continue a retained stream past lastSeq (the
-// last frame the QPC holds). A negative ack means the replay window no
-// longer covers the gap; the transport succeeded, so the caller must
-// fall back to restarting the fragment rather than retrying.
-func (ds *dapSession) resume(streamID string, lastSeq uint64) (wire.ResumeAck, error) {
-	var ack wire.ResumeAck
-	payload, err := wire.EncodeXML(&wire.Resume{Stream: streamID, LastSeq: lastSeq})
-	if err != nil {
-		return ack, err
-	}
-	if err := ds.conn.Send(wire.MsgResume, payload); err != nil {
-		return ack, err
-	}
-	data, err := ds.conn.Expect(wire.MsgResumeAck)
-	if err != nil {
-		return ack, err
-	}
-	err = wire.DecodeXML(data, &ack)
-	return ack, err
+	fs.r = wire.NewBatchReader(ds.conn, frag.OutSchema)
+	fs.startOff, fs.skipTuples = sentAt, fs.delivered
+	return false, nil
 }
 
 // keyFragment is the projection of a semi-join fragment onto its join

@@ -23,8 +23,8 @@ type planExec struct {
 	trace *obs.Trace
 
 	// ctx and budget are the execution context and the shared per-query
-	// retry pool, held here so mid-stream recovery (fragmentStream) can
-	// retry its reconnects under the same limits as the setup phases.
+	// retry pool every placement of a stream (fragmentStream.place) runs
+	// under, during set-up and mid-stream alike.
 	ctx    context.Context
 	budget *retryBudget
 
@@ -93,15 +93,17 @@ func (e *planExec) run(ctx context.Context, began time.Time, emit func(types.Tup
 		}
 	}()
 
-	// Phase 1: open a session per unit and START its fragment, all sites
-	// concurrently (the setup wall phase, DeployMS): one request carries the plan,
-	// its ack names the classes the site lacks, and the stream follows
-	// the last of them. Under the 2-way semi-join of section 5.4 a unit
-	// starts the projection of its fragment onto the join column first.
-	// A START is idempotent — the DAP replaces a stream whose ID it
-	// already retains — so a transport failure anywhere in the exchange
-	// retries on a fresh connection under the policy's shared per-query
-	// budget.
+	// Phase 1: place every unit's stream (fragmentStream.place), all sites
+	// concurrently (the setup wall phase, DeployMS): one request carries
+	// the plan, its ack names the classes the site lacks, and the stream
+	// follows the last of them. Under the 2-way semi-join of section 5.4 a
+	// unit starts the projection of its fragment onto the join column
+	// first. The stream ID derives from the trace ID and is the same at
+	// every placement, and a START is idempotent — the DAP continues or
+	// replaces a stream whose ID it already retains — so a transport
+	// failure anywhere in the exchange, now or mid-stream, is answered by
+	// sending it again on a fresh connection under the policy's shared
+	// per-query budget.
 	semiFrags := len(exec.SemiJoinParticipants(e.plan))
 	if semiFrags > 0 && (semiFrags != 2 || len(e.plan.Fragments) != 2) {
 		return fmt.Errorf("qpc: semi-join requires exactly two participating fragments")
@@ -120,10 +122,13 @@ func (e *planExec) run(ctx context.Context, began time.Time, emit func(types.Tup
 	var wg sync.WaitGroup
 	for i := range e.units {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, u *exec.Unit) {
 			defer wg.Done()
-			errs[i] = e.setupUnit(execCtx, i)
-		}(i)
+			fs := &fragmentStream{e: e, unit: u, id: fmt.Sprintf("%s/%d", e.trace.ID, i), keyPhase: u.Frag.SemiJoinCol >= 0}
+			if errs[i] = fs.place(nil); errs[i] == nil {
+				e.readers[i] = fs
+			}
+		}(i, e.units[i])
 	}
 	wg.Wait()
 	began = e.wall(obs.PhaseSetup, began)
@@ -225,88 +230,22 @@ func (e *planExec) exchangeKeys() error {
 			err = e.importReport(obs.PhaseKeysRecv, fs, false)
 		}
 		if err != nil {
-			return fmt.Errorf("qpc: key phase at %s: %w", fs.frag.Site, err)
+			return fmt.Errorf("qpc: key phase at %s: %w", fs.ds.site, err)
 		}
 	}
 	common := intersectKeys(keySets[0], keySets[1])
 	e.srv.cfg.Logf("qpc: semi-join keys: %d ∩ %d = %d", len(keySets[0]), len(keySets[1]), len(common))
-	// Key delivery is real data movement: its span's NetBytes are CVDT.
-	var keyBytes int64
-	for _, k := range common {
-		keyBytes += int64(k.WireSize())
-	}
 	for _, fs := range e.readers {
+		// Key delivery is real data movement: the span's NetBytes are CVDT.
+		// The stream keeps the set: every later placement sends it again.
+		fs.keyPhase, fs.keys = false, common
 		span := e.trace.Begin(obs.PhaseKeysSend, fs.ds.site)
-		r, err := fs.start(fs.ds, fs.frag, fs.id, common, &span.Span)
-		if err != nil {
+		if _, err := fs.start(fs.ds, 0, &span.Span); err != nil {
 			return err
 		}
-		fs.r = r
-		span.NetBytes, span.Tuples = keyBytes, int64(len(common))
 		span.End()
 	}
 	return nil
-}
-
-// setupUnit opens unit i's session and starts its fragment — under a
-// semi-join, the fragment's key projection — retrying transient failures
-// under the shared policy. The stream ID derives from the trace ID and
-// is the same on every attempt, so an attempt that died after the DAP
-// began to run is replaced, not duplicated. A partitioned unit that
-// exhausts its chosen replica walks the rest of its replica ladder (each
-// hop is a replica failover) before giving up with a typed
-// partition-unavailable error.
-func (e *planExec) setupUnit(execCtx context.Context, i int) error {
-	u := e.units[i]
-	fs := &fragmentStream{e: e, frag: u.Frag, id: fmt.Sprintf("%s/%d", e.trace.ID, i), unit: u}
-	first, firstID := u.Frag, fs.id
-	if u.Frag.SemiJoinCol >= 0 {
-		first, firstID = keyFragment(u.Frag), fs.id+"/keys"
-	}
-	var lastErr error
-	for ci, site := range u.Replicas {
-		if ci > 0 {
-			if execCtx.Err() != nil {
-				break
-			}
-			u.Frag.Site = site
-			e.srv.met.replicaFailovers.Inc()
-			e.srv.cfg.Logf("qpc: partition %d of %s failing over setup from %s to %s",
-				u.Part, e.plan.Fragments[u.FragIdx].Table, u.Replicas[ci-1], site)
-		}
-		what := fmt.Sprintf("qpc: session setup at %s", site)
-		err := retryTransient(execCtx, e.srv.cfg.Retry, e.budget, e.srv.health, site, what, func() error {
-			// Each attempt counts into a span of its own, and only the
-			// attempt that succeeds ends its span: an aborted attempt's
-			// cache checks and shipped classes never reach the query's
-			// figures (the bytes it wasted go to a process metric).
-			span := e.trace.Begin(obs.PhaseDeploy, site)
-			ds, err := e.srv.openSession(execCtx, site)
-			if err != nil {
-				return err
-			}
-			if fs.r, err = fs.start(ds, first, firstID, nil, &span.Span); err != nil {
-				ds.close()
-				e.srv.met.wastedCodeBytes.Add(span.CodeBytes)
-				return err
-			}
-			span.End()
-			fs.ds = ds
-			e.readers[i] = fs
-			return nil
-		})
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-	}
-	if u.Of > 0 {
-		return &PartitionUnavailableError{
-			Table: e.plan.Fragments[u.FragIdx].Table,
-			Part:  u.Part, Sites: u.Replicas, Last: lastErr,
-		}
-	}
-	return lastErr
 }
 
 // importReport reads the report that ended fs's stream into the trace,

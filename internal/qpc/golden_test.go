@@ -88,7 +88,7 @@ func TestGoldenExplain(t *testing.T) {
 }
 
 // TestGoldenExplainAnalyzeRecovery pins the report shape on the two
-// recovery paths: a stream interrupted and RESUMEd mid-flight (the
+// recovery paths: a stream interrupted and continued mid-flight (the
 // resume span appears, volumes match a clean run) and a plan forced to
 // data shipping by an open breaker (the degraded annotation appears and
 // no code ships).

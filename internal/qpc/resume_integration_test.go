@@ -8,6 +8,8 @@ package qpc
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -118,7 +120,7 @@ func (h *resumeHarness) qpcCounter(name string) int64 {
 }
 
 // TestResumeSingleDropMidStream is the acceptance scenario: one drop
-// strikes the image stream mid-flight, the QPC reconnects and RESUMEs,
+// strikes the image stream mid-flight, the QPC's next START continues it,
 // and the query completes with volumes identical to a clean run. The
 // DAP retransmits only its replay window, and the bytes already
 // delivered before the drop are counted as the resume's saving.
@@ -138,7 +140,7 @@ func TestResumeSingleDropMidStream(t *testing.T) {
 	h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: base.Stats.CVDT / 2})
 	res, err := h.executeWithin(t, 10*time.Second, streamQuery)
 	if err != nil {
-		t.Fatalf("query should survive a single mid-stream drop via RESUME: %v", err)
+		t.Fatalf("query should survive a single mid-stream drop by continuing the stream: %v", err)
 	}
 	if len(res.Rows) != len(base.Rows) {
 		t.Errorf("resumed query returned %d rows, clean run %d", len(res.Rows), len(base.Rows))
@@ -153,14 +155,14 @@ func TestResumeSingleDropMidStream(t *testing.T) {
 
 	resumes := h.qpcCounter("qpc_stream_resumes")
 	if resumes < 1 {
-		t.Fatal("stream recovered without a RESUME being counted")
+		t.Fatal("stream recovered without a continuation being counted")
 	}
 	if saved := h.qpcCounter("qpc_resume_saved_bytes"); saved <= 0 {
 		t.Errorf("resume saved %d bytes; a mid-stream resume must save the delivered prefix", saved)
 	}
 	replayed := h.dapReg.Counter("dap_stream_replayed_bytes").Value()
 	if replayed <= 0 {
-		t.Error("DAP replayed nothing; the RESUME should retransmit the unacked tail")
+		t.Error("DAP replayed nothing; the continuation should retransmit the unacked tail")
 	}
 	if bound := resumes * testReplayWindow; replayed > bound {
 		t.Errorf("DAP replayed %d bytes across %d resume(s), beyond the %d replay-window bound",
@@ -174,81 +176,207 @@ func TestResumeSingleDropMidStream(t *testing.T) {
 	}
 }
 
-// TestResumeDoubleDropStatsExact drops the stream on *every* connection
-// after a per-connection byte budget, forcing a resume chain (at least
-// two RESUMEs before the stream finishes), and pins volume exactness:
-// replayed-window bytes must not double-count into CVDT/CVDA.
+// TestResumeDoubleDropStatsExact breaks the stream more than once and
+// pins volume exactness: neither replayed-window bytes nor a prefix sent
+// again may double-count into CVDT/CVDA. One chain drops *every*
+// connection after a per-connection byte budget, forcing at least two
+// continuations before the stream finishes. The other's first drop finds
+// the window gone (frames lost in flight, and the window holds one), so
+// the fragment runs afresh and the delivered prefix is being discarded —
+// or has just been — when the second drop strikes; that one the window
+// covers, so the stream continues inside its second execution and the
+// discard carries on where it was.
 func TestResumeDoubleDropStatsExact(t *testing.T) {
 	clean := newResumeHarness(t, nil, nil)
 	base, err := clean.executeWithin(t, 10*time.Second, streamQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
+	exact := func(t *testing.T, res *Result) {
+		t.Helper()
+		if fmt.Sprint(res.Rows) != fmt.Sprint(base.Rows) {
+			t.Errorf("rows differ from the clean run (%d vs %d)", len(res.Rows), len(base.Rows))
+		}
+		if res.Stats.CVDT != base.Stats.CVDT || res.Stats.CVDA != base.Stats.CVDA || res.Trace.NetBytes() != res.Stats.CVDT {
+			t.Errorf("CVDT %d CVDA %d span net bytes %d, clean run %d / %d",
+				res.Stats.CVDT, res.Stats.CVDA, res.Trace.NetBytes(), base.Stats.CVDT, base.Stats.CVDA)
+		}
+	}
 
-	h := newResumeHarness(t, nil, nil)
-	// Each connection dies after carrying about a third of the stream;
-	// every redial gets a fresh budget, so the chain makes progress and
-	// fails again at least twice before the EOS lands.
-	h.network.SetFault("dap1", &netsim.FaultPlan{DropEachConnAfterBytes: base.Stats.CVDT / 3})
-	res, err := h.executeWithin(t, 15*time.Second, streamQuery)
-	if err != nil {
-		t.Fatalf("query should survive a resume chain: %v", err)
-	}
-	if len(res.Rows) != len(base.Rows) {
-		t.Errorf("got %d rows, clean run %d", len(res.Rows), len(base.Rows))
-	}
-	if res.Stats.CVDT != base.Stats.CVDT {
-		t.Errorf("CVDT %d after %d resumes, clean run moved %d",
-			res.Stats.CVDT, h.qpcCounter("qpc_stream_resumes"), base.Stats.CVDT)
-	}
-	if res.Stats.CVDA != base.Stats.CVDA {
-		t.Errorf("CVDA %d, clean run read %d", res.Stats.CVDA, base.Stats.CVDA)
-	}
-	resumes := h.qpcCounter("qpc_stream_resumes")
-	if resumes < 2 {
-		t.Errorf("resume chain counted %d resumes, want at least 2", resumes)
-	}
-	if replayed, bound := h.dapReg.Counter("dap_stream_replayed_bytes").Value(), resumes*testReplayWindow; replayed > bound {
-		t.Errorf("replayed %d bytes across %d resumes, beyond the %d window bound", replayed, resumes, bound)
+	t.Run("window_held_chain", func(t *testing.T) {
+		h := newResumeHarness(t, nil, nil)
+		// Each connection dies after carrying about a third of the stream;
+		// every redial gets a fresh budget, so the chain makes progress and
+		// fails again at least twice before the EOS lands.
+		h.network.SetFault("dap1", &netsim.FaultPlan{DropEachConnAfterBytes: base.Stats.CVDT / 3})
+		res, err := h.executeWithin(t, 15*time.Second, streamQuery)
+		if err != nil {
+			t.Fatalf("query should survive a chain of drops: %v", err)
+		}
+		exact(t, res)
+		resumes := h.qpcCounter("qpc_stream_resumes")
+		if resumes < 2 {
+			t.Errorf("chain counted %d continuations, want at least 2", resumes)
+		}
+		if replayed, bound := h.dapReg.Counter("dap_stream_replayed_bytes").Value(), resumes*testReplayWindow; replayed > bound {
+			t.Errorf("replayed %d bytes across %d continuations, beyond the %d window bound", replayed, resumes, bound)
+		}
+	})
+
+	// An image is five batch targets long, so the stream is a frame a row.
+	frame := int(base.Stats.CVDT) / len(base.Rows)
+	for name, second := range map[string]int{"fresh_start_then_drop_in_prefix": 2, "fresh_start_then_drop_past_prefix": 6} {
+		t.Run(name, func(t *testing.T) {
+			h := newResumeHarness(t, func(c *Config) {
+				cutDial(c, "dap1", 1, &cutConn{after: 4, lose: 2 * frame})
+				cutDial(c, "dap1", 2, &cutConn{after: second})
+			}, func(d *dap.Config) { d.ReplayWindowBytes = 1 })
+			res, err := h.executeWithin(t, 15*time.Second, streamQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact(t, res)
+			if failed, resumed := h.qpcCounter("qpc_resume_failed"), h.qpcCounter("qpc_stream_resumes"); failed != 1 || resumed != 1 {
+				t.Errorf("%d STARTs answered afresh, %d continued; want 1 and 1", failed, resumed)
+			}
+			if n := h.dapReg.Counter("dap_stream_window_evicted").Value(); n != 1 {
+				t.Errorf("dap_stream_window_evicted = %d, want 1", n)
+			}
+		})
 	}
 }
 
-// TestResumeExpiredFallsBackToRestart forces the retention TTL to
-// expire before the QPC can RESUME: the DAP nacks the unknown stream
-// and the QPC restarts the fragment from scratch, discarding the
-// already-delivered prefix so the row set — and the logical volume —
-// stay exact.
+// TestResumeExpiredFallsBackToRestart takes the stream's retained state
+// away before the QPC's START can name it — the park's TTL expired, or
+// the window moved past frames the QPC never received — so that START is
+// answered by running the fragment afresh, in the same turn: the QPC
+// discards the already-delivered prefix and the row set — and the logical
+// volume — stay exact.
 func TestResumeExpiredFallsBackToRestart(t *testing.T) {
 	clean := newResumeHarness(t, nil, nil)
 	base, err := clean.executeWithin(t, 10*time.Second, streamQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name    string
+		tuneQ   func(*Config)
+		tuneD   func(*dap.Config)
+		fault   *netsim.FaultPlan
+		counter string // the DAP's account of why
+	}{
+		{
+			// A parked stream is evicted effectively immediately, so the
+			// START always arrives too late.
+			name:    "ttl_expired",
+			tuneD:   func(d *dap.Config) { d.RetainTTL = time.Nanosecond },
+			fault:   &netsim.FaultPlan{DropFirstConnAfterBytes: base.Stats.CVDT / 2},
+			counter: "dap_stream_retain_expired",
+		},
+		{
+			// Two frames (a frame is a row here) are lost in flight after
+			// the fourth; the window holds the newest one.
+			name: "window_evicted",
+			tuneQ: func(c *Config) {
+				cutDial(c, "dap1", 1, &cutConn{after: 4, lose: 2 * int(base.Stats.CVDT) / len(base.Rows)})
+			},
+			tuneD:   func(d *dap.Config) { d.ReplayWindowBytes = 1 },
+			counter: "dap_stream_window_evicted",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newResumeHarness(t, tc.tuneQ, tc.tuneD)
+			h.network.SetFault("dap1", tc.fault)
+			res, err := h.executeWithin(t, 10*time.Second, streamQuery)
+			if err != nil {
+				t.Fatalf("query should survive by running the fragment afresh when the window is gone: %v", err)
+			}
+			if fmt.Sprint(res.Rows) != fmt.Sprint(base.Rows) {
+				t.Errorf("rows differ from the clean run (%d vs %d)", len(res.Rows), len(base.Rows))
+			}
+			if res.Stats.CVDT != base.Stats.CVDT || res.Trace.NetBytes() != res.Stats.CVDT {
+				t.Errorf("CVDT %d, span net bytes %d; clean run moved %d", res.Stats.CVDT, res.Trace.NetBytes(), base.Stats.CVDT)
+			}
+			if failed := h.qpcCounter("qpc_resume_failed"); failed != 1 {
+				t.Errorf("qpc_resume_failed = %d, want 1 START answered afresh", failed)
+			}
+			if wasted := h.qpcCounter("qpc_restart_wasted_bytes"); wasted <= 0 {
+				t.Errorf("a non-empty prefix was discarded but %d wasted bytes counted", wasted)
+			}
+			if n := h.dapReg.Counter(tc.counter).Value(); n < 1 {
+				t.Errorf("%s = %d, want at least 1", tc.counter, n)
+			}
+			var sawRestart bool
+			for _, sp := range res.Trace.Spans() {
+				sawRestart = sawRestart || sp.Name == obs.PhaseRestart && sp.Tuples > 0
+			}
+			if !sawRestart {
+				t.Error("trace has no restart span saying how long a prefix was discarded")
+			}
+		})
+	}
+}
 
-	h := newResumeHarness(t, nil, func(d *dap.Config) {
-		// A parked stream is evicted effectively immediately, so the
-		// RESUME always arrives too late.
-		d.RetainTTL = time.Nanosecond
-	})
-	h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: base.Stats.CVDT / 2})
-	res, err := h.executeWithin(t, 10*time.Second, streamQuery)
+// TestResumeSemiJoinWindowGone drops the stream of a semi-join fragment
+// with its window gone (RetainTTL = 1 ns): the fragment runs afresh with
+// the intersected key set riding behind the START again. The re-sent keys
+// are recovery overhead — qpc_restart_wasted_bytes, never a span — so the
+// rows, CVDT and the span sum are the clean run's.
+func TestResumeSemiJoinWindowGone(t *testing.T) {
+	tuneD := func(d *dap.Config) { d.BatchBytes, d.RetainTTL = 64, time.Nanosecond }
+	clean := newChaosHarness(t, forceCodeShip, tuneD)
+	base, err := clean.executeWithin(t, 10*time.Second, sequoia.Q5)
 	if err != nil {
-		t.Fatalf("query should survive via full restart when the window is gone: %v", err)
+		t.Fatal(err)
 	}
-	if len(res.Rows) != len(base.Rows) {
-		t.Errorf("restarted query returned %d rows, clean run %d", len(res.Rows), len(base.Rows))
+	var keyBytes int64
+	for _, sp := range base.Trace.Spans() {
+		if sp.Name == obs.PhaseKeysSend && sp.Site == "site2" {
+			keyBytes = sp.NetBytes
+		}
 	}
-	if res.Stats.CVDT != base.Stats.CVDT {
-		t.Errorf("CVDT %d after restart, clean run moved %d", res.Stats.CVDT, base.Stats.CVDT)
+	if len(base.Rows) == 0 || keyBytes == 0 {
+		t.Fatalf("clean run: %d rows, %d key bytes sent to site2; not a semi-join worth dropping", len(base.Rows), keyBytes)
 	}
-	if failed := h.qpcCounter("qpc_resume_failed"); failed < 1 {
-		t.Error("restart path taken without qpc_resume_failed being counted")
+
+	h := newChaosHarness(t, func(c *Config) {
+		forceCodeShip(c)
+		c.Metrics = obs.NewRegistry()
+		cutDial(c, "dap2", 1, &cutConn{keyed: true, after: 2})
+	}, tuneD)
+	res, err := h.executeWithin(t, 10*time.Second, sequoia.Q5)
+	if err != nil {
+		t.Fatalf("semi-join stream past its replay window should run afresh: %v", err)
 	}
-	if wasted := h.qpcCounter("qpc_restart_wasted_bytes"); wasted <= 0 {
-		t.Errorf("restart discarded a non-empty prefix but counted %d wasted bytes", wasted)
+	if fmt.Sprint(res.Rows) != fmt.Sprint(base.Rows) {
+		t.Errorf("rows differ from the clean run (%d vs %d)", len(res.Rows), len(base.Rows))
 	}
-	if expired := h.dapReg.Counter("dap_stream_retain_expired").Value(); expired < 1 {
-		t.Error("DAP never expired the parked stream")
+	if res.Stats.CVDT != base.Stats.CVDT || res.Trace.NetBytes() != res.Stats.CVDT {
+		t.Errorf("CVDT %d, span net bytes %d; clean run moved %d", res.Stats.CVDT, res.Trace.NetBytes(), base.Stats.CVDT)
+	}
+	met := h.srv.Metrics()
+	if n := met.Counter("qpc_resume_failed").Value(); n != 1 {
+		t.Errorf("qpc_resume_failed = %d, want the one START answered afresh", n)
+	}
+	if wasted := met.Counter("qpc_restart_wasted_bytes").Value(); wasted <= keyBytes {
+		t.Errorf("qpc_restart_wasted_bytes = %d, want the re-sent key set (%d B) and a discarded prefix", wasted, keyBytes)
+	}
+}
+
+// TestResumeBudgetDryIsTyped breaks every connection with one retry
+// token in the query's budget: the first re-placement spends it, the
+// second is refused, and the caller can tell — a BudgetExhaustedError
+// that still unwraps to the transport failure.
+func TestResumeBudgetDryIsTyped(t *testing.T) {
+	h := newResumeHarness(t, func(c *Config) { c.Retry.Budget = 1 }, nil)
+	h.network.SetFault("dap1", &netsim.FaultPlan{DropEachConnAfterBytes: 40 << 10})
+	_, err := h.executeWithin(t, 10*time.Second, streamQuery)
+	var be *BudgetExhaustedError
+	if !errors.As(err, &be) || !errors.Is(err, ErrRetryBudgetExhausted) || !transientErr(be.Last) {
+		t.Fatalf("err = %v, want a BudgetExhaustedError around the drop", err)
+	}
+	if n := h.qpcCounter("qpc_stream_resumes"); n != 1 {
+		t.Errorf("qpc_stream_resumes = %d, want the one continuation the budget paid for", n)
 	}
 }
 

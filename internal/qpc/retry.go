@@ -1,11 +1,11 @@
 package qpc
 
-// Retry with jittered exponential backoff for the idempotent phase of
-// query execution: dialing a DAP and the START exchange (DESIGN §3.6).
-// A repeated START names the same stream ID, so the DAP replaces
-// whatever the failed attempt began instead of running it twice; once a
-// stream is being read, failures go to the stream's own recovery
-// (RESUME, then restart with the delivered prefix skipped).
+// Retry with jittered exponential backoff for the idempotent exchange of
+// query execution: dialing a DAP and sending START (DESIGN §3.6). A
+// repeated START names the same stream ID, so the DAP continues or
+// replaces whatever the failed attempt began instead of running it
+// twice; fragmentStream.place is the one caller on the stream path, at
+// set-up and mid-stream alike.
 
 import (
 	"context"
@@ -34,8 +34,9 @@ type RetryPolicy struct {
 	MaxDelay   time.Duration
 	Multiplier float64
 	// Jitter is the fraction of each delay that is randomized: the
-	// actual sleep is delay * (1 - Jitter/2 + Jitter*rand). 0.5 spreads
-	// sleeps over ±25% so synchronized failures do not retry in lockstep.
+	// actual sleep is delay * (1 - Jitter/2 + Jitter*rand). 0.5, the
+	// default, spreads sleeps over ±25% so synchronized failures do not
+	// retry in lockstep.
 	Jitter float64
 	// Budget bounds total retries across all operations of one query, so
 	// a query against several flaky sites cannot multiply its worst-case
@@ -75,6 +76,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.Multiplier == 0 {
 		p.Multiplier = d.Multiplier
+	}
+	if p.Jitter == 0 {
+		p.Jitter = d.Jitter
 	}
 	if p.Budget == 0 {
 		p.Budget = d.Budget

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -204,10 +205,30 @@ func TestDelayJitterBounds(t *testing.T) {
 }
 
 func TestWithDefaultsFillsZeroValue(t *testing.T) {
-	var p RetryPolicy
-	d := p.withDefaults()
-	if d.MaxAttempts != 4 || d.BaseDelay == 0 || d.Budget == 0 {
-		t.Fatalf("defaults not applied: %+v", d)
+	// The zero policy — what cmd/mocha-qpc's unset flags and Cluster hand
+	// over — must come out as the documented default, field by field (the
+	// test hooks aside: funcs do not compare).
+	got, want := RetryPolicy{}.withDefaults(), DefaultRetryPolicy()
+	if got.Sleep != nil || got.Rand != nil {
+		t.Fatalf("defaults installed a test hook: %+v", got)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"MaxAttempts", got.MaxAttempts, want.MaxAttempts},
+		{"BaseDelay", got.BaseDelay, want.BaseDelay},
+		{"MaxDelay", got.MaxDelay, want.MaxDelay},
+		{"Multiplier", got.Multiplier, want.Multiplier},
+		{"Jitter", got.Jitter, want.Jitter},
+		{"Budget", got.Budget, want.Budget},
+	} {
+		if f.got != f.want {
+			t.Errorf("zero policy's %s = %v, DefaultRetryPolicy has %v", f.name, f.got, f.want)
+		}
+	}
+	if n := reflect.TypeOf(got).NumField(); n != 8 {
+		t.Errorf("RetryPolicy has %d fields; this test compares 6 and excuses 2 hooks", n)
 	}
 	// Explicit single-attempt stays a single attempt.
 	one := RetryPolicy{MaxAttempts: 1}.withDefaults()

@@ -138,11 +138,14 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestStartRoundTrips pins the set-up cost the protocol promises: one
-// turnaround when the DAP holds every class (the ack, and the stream
-// behind it), two when it does not (the ack, then the classes and the
-// stream), and still one for a semi-join fragment, whose key set goes
-// out behind the START before the ack is read.
+// TestStartRoundTrips pins the cost the protocol promises of putting a
+// stream on a connection: one turnaround when the DAP holds every class
+// (the ack, and the stream behind it), two when it does not (the ack,
+// then the classes and the stream), still one for a semi-join fragment,
+// whose key set goes out behind the START before the ack is read — and
+// one for a stream placed again after its connection broke, whether the
+// DAP continues it, runs it afresh because the window is gone, or is a
+// sibling replica that never saw it.
 func TestStartRoundTrips(t *testing.T) {
 	var log startLog
 	h := newChaosHarness(t, func(c *Config) {
@@ -187,6 +190,55 @@ func TestStartRoundTrips(t *testing.T) {
 	if len(join) != 4 || keyed != 2 {
 		t.Errorf("semi-join issued %d STARTs, %d with keys; want 4 and 2: %+v", len(join), keyed, join)
 	}
+
+	// Re-placements: each row breaks one stream once, mid-flight, and the
+	// START that follows must reach its first frame in one turn.
+	for _, tc := range []struct {
+		name    string
+		run     func(t *testing.T, tune func(*Config)) (*Server, error)
+		starts  int    // STARTs in all, the re-placement last
+		counter string // what the QPC counts the re-placement as
+	}{
+		{"recovery, window held", func(t *testing.T, tune func(*Config)) (*Server, error) {
+			h := newResumeHarness(t, tune, nil)
+			h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: 80 << 10})
+			_, err := h.executeWithin(t, 10*time.Second, streamQuery)
+			return h.srv, err
+		}, 2, "qpc_stream_resumes"},
+		{"recovery, window gone", func(t *testing.T, tune func(*Config)) (*Server, error) {
+			h := newResumeHarness(t, tune, func(d *dap.Config) { d.RetainTTL = time.Nanosecond })
+			h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: 80 << 10})
+			_, err := h.executeWithin(t, 10*time.Second, streamQuery)
+			return h.srv, err
+		}, 2, "qpc_resume_failed"},
+		{"failover to sibling", func(t *testing.T, tune func(*Config)) (*Server, error) {
+			h := newPartitionHarness(t, func(c *Config) {
+				c.Breaker = BreakerPolicy{FailureThreshold: 1}
+				tune(c)
+			})
+			h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: 40 << 10})
+			_, err := h.executeWithin(t, 10*time.Second, partScanQuery)
+			return h.srv, err
+		}, 3, "qpc_replica_failovers"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var log startLog
+			srv, err := tc.run(t, log.wrap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := log.snapshot()
+			if len(recs) != tc.starts {
+				t.Fatalf("%d STARTs, want %d: %+v", len(recs), tc.starts, recs)
+			}
+			if again := recs[len(recs)-1]; !again.done || again.flips != 1 || again.blobs != 0 {
+				t.Errorf("re-placement START = %+v, want its stream after 1 turnaround", again)
+			}
+			if n := srv.Metrics().Counter(tc.counter).Value(); n != 1 {
+				t.Errorf("%s = %d, want 1", tc.counter, n)
+			}
+		})
+	}
 }
 
 // ackEater fails a connection's first read after swallowing what
@@ -205,6 +257,75 @@ func (c *ackEater) Read(p []byte) (int, error) {
 	c.Conn.Read(p)
 	c.Conn.Close()
 	return 0, netsim.ErrInjectedDrop
+}
+
+// cutConn breaks a QPC→DAP connection at a chosen frame of the stream it
+// carries: once `after` sequenced frames have come in — counted from the
+// last START written, or with keyed set from the key set written behind
+// one — the read that brought the last of them is the connection's last.
+// Before it fails the next read it swallows `lose` more bytes: frames the
+// DAP sent, and believes delivered, that the QPC never sees.
+type cutConn struct {
+	net.Conn
+	keyed bool
+	after int
+	lose  int
+
+	out, in frameScan
+	armed   bool
+	seen    int
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	c.out.feed(p, func(t wire.MsgType) {
+		switch t {
+		case wire.MsgStart:
+			c.armed, c.seen = !c.keyed, 0
+		case wire.MsgSemiJoinKeys:
+			c.armed = true
+		}
+	})
+	return c.Conn.Write(p)
+}
+
+func (c *cutConn) Read(p []byte) (int, error) {
+	if c.armed && c.seen >= c.after {
+		for buf := make([]byte, 4<<10); c.lose > 0; {
+			n, err := c.Conn.Read(buf[:min(len(buf), c.lose)])
+			if c.lose -= n; err != nil {
+				break
+			}
+		}
+		c.Conn.Close()
+		return 0, netsim.ErrInjectedDrop
+	}
+	n, err := c.Conn.Read(p)
+	c.in.feed(p[:n], func(t wire.MsgType) {
+		if c.armed && t == wire.MsgSeqBatch {
+			c.seen++
+		}
+	})
+	return n, err
+}
+
+// cutDial wraps cfg's dialer so that the nth connection it opens (from 1)
+// to addr is the given cutConn; every other connection is left alone.
+func cutDial(cfg *Config, addr string, nth int, cut *cutConn) {
+	dial, dialed := cfg.Dial, 0
+	var mu sync.Mutex
+	cfg.Dial = func(a string) (net.Conn, error) {
+		conn, err := dial(a)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil || a != addr {
+			return conn, err
+		}
+		if dialed++; dialed == nth {
+			cut.Conn = conn
+			return cut, nil
+		}
+		return conn, nil
+	}
 }
 
 // waitForGauge polls a DAP gauge for up to two seconds — far inside the

@@ -5,44 +5,49 @@ import (
 	"strings"
 	"time"
 
-	"mocha/internal/core"
 	"mocha/internal/exec"
 	"mocha/internal/obs"
 	"mocha/internal/types"
 	"mocha/internal/wire"
 )
 
-// fragmentStream is a fragment's result stream with incremental
-// recovery: when the connection dies mid-stream it reconnects and sends
-// RESUME so the DAP continues from the last frame the QPC holds,
-// re-receiving at most the DAP's replay window. Only when the window
-// has evicted past that point does it fall back to a full restart of
-// the fragment (discarding the duplicate prefix tuple-by-tuple).
+// fragmentStream is one unit's result stream and the session it runs on.
+// The stream gets its connection from place, first and every time after:
+// when the connection dies mid-stream, place sends the same START again,
+// naming the last frame the QPC holds, and the DAP either continues the
+// stream from there — re-sending at most its replay window — or runs the
+// fragment afresh, the duplicate prefix being discarded tuple by tuple.
 type fragmentStream struct {
-	e    *planExec
-	frag *core.Fragment
+	e *planExec
+	// unit is the activation this stream serves. unit.Replicas is the
+	// ladder place walks, the serving site first; unit.Frag is what START
+	// sends there.
+	unit *exec.Unit
 	id   string
 	ds   *dapSession
 	r    *wire.BatchReader
-	// unit is the activation this stream serves; a scattered unit with
-	// sibling replicas can fail over to one when its serving replica
-	// dies or trips its breaker.
-	unit *exec.Unit
 
-	// startOff is when the stream's latest START was sent, in
-	// microseconds on the query's trace timeline: its stream span begins
-	// there and the DAP's spans, relative to that START, re-anchor onto it.
+	// keyPhase marks a semi-join stream that is still running its
+	// fragment's projection onto the join column; keys is the intersected
+	// key set that rides behind every START of the fragment proper.
+	keyPhase bool
+	keys     []types.Tuple
+
+	// startOff is when the START of the execution now streaming was sent,
+	// in microseconds on the query's trace timeline: its stream span
+	// begins there and the DAP's spans, relative to that START, re-anchor
+	// onto it.
 	startOff int64
 
 	delivered int64 // tuples handed to the pipeline
 	rxBytes   int64 // payload bytes of delivered tuples
-	// skipTuples discards the duplicate prefix after a full restart.
+	// skipTuples is how much of the delivered prefix an execution started
+	// afresh has still to send again, to be discarded.
 	skipTuples int64
-	restarts   int
 }
 
-// Next returns the next tuple, or (nil, nil) at end of stream,
-// recovering from transient failures.
+// Next returns the next tuple, or (nil, nil) at end of stream, placing
+// the stream anew after a transient failure.
 func (fs *fragmentStream) Next() (types.Tuple, error) {
 	for {
 		tup, err := fs.r.Next()
@@ -50,8 +55,8 @@ func (fs *fragmentStream) Next() (types.Tuple, error) {
 			if !transientErr(err) {
 				return nil, err
 			}
-			if rerr := fs.recover(err); rerr != nil {
-				return nil, rerr
+			if perr := fs.place(err); perr != nil {
+				return nil, perr
 			}
 			continue
 		}
@@ -73,182 +78,122 @@ func (fs *fragmentStream) Next() (types.Tuple, error) {
 // still open.
 func (fs *fragmentStream) EOS() []byte { return fs.r.EOSPayload }
 
-// recover reconnects after a transient mid-stream failure and resumes
-// (or, when the DAP's window has evicted, restarts) the stream. A
-// scattered stream whose serving replica is beyond saving — breaker
-// open, retry budget dry, or resume exhausted — fails over to a sibling
-// replica instead of failing the query.
-func (fs *fragmentStream) recover(cause error) error {
-	e := fs.e
-	site := fs.frag.Site
-	health := e.srv.health
-	health.ReportFailure(site, cause)
-	if health.FailFast(site) {
-		if fs.canFailover() {
-			return fs.failover(cause)
-		}
-		return fmt.Errorf("qpc: fragment stream at %s interrupted and breaker open: %w", site, cause)
-	}
-	if !e.budget.take() {
-		if fs.canFailover() {
-			return fs.failover(cause)
-		}
-		return &BudgetExhaustedError{Op: fmt.Sprintf("qpc: resuming stream at %s", site), Last: cause}
-	}
-
-	span := e.trace.Begin(obs.PhaseResume, site)
-	defer span.End()
-	fs.ds.abandon()
-
-	// Reconnect and ask to resume; dial refusals and drops before the
-	// ack retry under the shared policy and budget.
-	lastSeq := fs.r.Seq
-	var ds *dapSession
-	var ack wire.ResumeAck
-	what := fmt.Sprintf("qpc: resume stream at %s", site)
-	err := retryTransient(e.ctx, e.srv.cfg.Retry, e.budget, health, site, what, func() error {
-		var err error
-		ds, err = e.srv.openSession(e.ctx, site)
-		if err != nil {
-			return err
-		}
-		if ack, err = ds.resume(fs.id, lastSeq); err != nil {
-			ds.abandon()
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		e.srv.met.resumeFailed.Inc()
-		if fs.canFailover() {
-			return fs.failover(err)
-		}
-		return err
-	}
-	fs.ds = ds
-
-	if ack.OK {
-		// Continue in place: a fresh reader that discards the replayed
-		// frames up to lastSeq, keeping any tuples the old reader had
-		// decoded but not yet delivered. It starts at lastSeq, so if this
-		// connection dies before delivering a frame the next resume still
-		// asks for the right point, not for the stream's beginning.
-		nr := wire.NewBatchReader(ds.conn, fs.frag.OutSchema)
-		nr.SkipUntil = lastSeq
-		nr.Seq = lastSeq
-		carryOver(fs.r, nr)
-		fs.r = nr
-		e.srv.met.resumes.Inc()
-		// Every byte already received is a byte a replay-from-scratch
-		// would have re-sent: that is the resume's saving.
-		e.srv.met.resumeSavedBytes.Add(fs.rxBytes)
-		e.srv.cfg.Logf("qpc: stream %s resumed at %s past seq %d", fs.id, site, lastSeq)
-		return nil
-	}
-
-	// Window evicted (or stream expired): full restart on the fresh
-	// session under a new stream ID, skipping the rows already delivered.
-	e.srv.met.resumeFailed.Inc()
-	e.srv.cfg.Logf("qpc: stream %s at %s cannot resume (%s); restarting fragment", fs.id, site, ack.Reason)
-	return fs.restart(ds)
-}
-
-// restart starts the fragment again from scratch under a new stream ID
-// after a failed resume, arranging for the already-delivered prefix to
-// be discarded. The rows a fragment emits are deterministic, so skipping
-// exactly the delivered count resumes the pipeline without duplicates.
-func (fs *fragmentStream) restart(ds *dapSession) error {
-	e := fs.e
-	if fs.frag.SemiJoinCol >= 0 {
-		return fmt.Errorf("qpc: fragment at %s lost its semi-join stream past the replay window; cannot restart", fs.frag.Site)
-	}
-	// Re-shipped classes are recovery overhead, not query work: they are
-	// counted into a span no trace holds and go to the process
-	// wasted-bytes metric, like an aborted setup attempt.
-	var scratch obs.Span
-	newID := fmt.Sprintf("%s~r%d", fs.id, fs.restarts+1)
-	r, err := fs.start(ds, fs.frag, newID, nil, &scratch)
-	e.srv.met.wastedCodeBytes.Add(scratch.CodeBytes)
-	if err != nil {
-		return err
-	}
-	fs.restarts++
-	fs.id = newID
-	fs.r = r
-	fs.skipTuples = fs.delivered
-	e.trace.Add(obs.Span{Name: obs.PhaseRestart, Site: fs.frag.Site,
-		StartMicros: e.trace.Since(time.Now()), Tuples: fs.delivered})
-	return nil
-}
-
-// carryOver moves tuples the old reader decoded but had not yet
-// delivered into the new reader, so a resume loses nothing.
-func carryOver(old, next *wire.BatchReader) {
-	if rest := old.Pending(); len(rest) > 0 {
-		next.Prime(rest)
-	}
-}
-
-// canFailover reports whether the stream may abandon its serving
-// replica for a sibling: it must be a scattered shard with siblings,
-// and not a semi-join participant (its key exchange cannot be replayed
-// against a different site — unreachable today, as the optimizer never
-// plans semi-joins over placed tables).
-func (fs *fragmentStream) canFailover() bool {
-	return len(fs.unit.Replicas) > 1 && fs.frag.SemiJoinCol < 0
-}
-
-// failover demotes the stream's serving replica and restarts the shard
-// on a sibling: fresh session, a new START, and a full replay with the
-// already-delivered prefix discarded tuple-by-tuple — the PR 3 restart
-// machinery pointed at a different site. Rows a shard
-// emits are deterministic and identical across replicas, so the
-// pipeline observes one uninterrupted stream. Every sibling dead or
-// fail-fast yields a typed partition-unavailable error.
-func (fs *fragmentStream) failover(cause error) error {
-	e := fs.e
-	u := fs.unit
-	from := fs.frag.Site
-	health := e.srv.health
+// place puts the stream on a connection; no stream gets one any other
+// way (DESIGN §8). cause is the transient failure that took the last
+// connection, nil for a stream that has had none. The ladder is the
+// unit's replica set, the serving site first: each rung is one START
+// exchange on a fresh session under the shared retry policy, budget and
+// breaker, and once something has failed — the stream, or the rung
+// before — a rung costs one retry token and a site whose breaker is open
+// is passed over. The START names the stream ID of every attempt before
+// it, so whatever an earlier attempt left at the DAP is continued or
+// replaced, never duplicated; it also names the last frame the QPC holds
+// when the site is the one that sent it. The ack says which it is
+// (fragmentStream.start): continued in place, or run from the beginning
+// with the delivered prefix to be discarded — rows are deterministic and
+// identical across replicas, so the pipeline sees one unbroken stream.
+// A partitioned unit that runs out of rungs fails with a typed
+// partition-unavailable error.
+func (fs *fragmentStream) place(cause error) error {
+	e, u := fs.e, fs.unit
+	health, met := e.srv.health, &e.srv.met
 	table := e.plan.Fragments[u.FragIdx].Table
-	span := e.trace.Begin(obs.PhaseFailover, from)
-	defer span.End()
-	fs.ds.abandon()
+	began := time.Now()
 	lastErr := cause
-	for _, sib := range u.Replicas {
-		if sib == from || health.FailFast(sib) {
-			continue
+	if cause != nil {
+		health.ReportFailure(u.Replicas[0], cause)
+		fs.ds.abandon()
+	}
+	for i, site := range u.Replicas {
+		what := fmt.Sprintf("qpc: placing stream %s at %s", fs.id, site)
+		if lastErr != nil {
+			if e.ctx.Err() != nil {
+				break
+			}
+			if health.FailFast(site) {
+				lastErr = fmt.Errorf("qpc: stream %s: breaker open at %s: %w", fs.id, site, lastErr)
+				continue
+			}
+			if !e.budget.take() {
+				lastErr = &BudgetExhaustedError{Op: what, Last: lastErr}
+				break
+			}
 		}
-		if e.ctx.Err() != nil {
-			break
+		var after uint64
+		if i > 0 {
+			u.Frag.Site = site
+		} else if fs.r != nil {
+			after = fs.r.Seq
 		}
-		ds, err := e.srv.openSession(e.ctx, sib)
+		var continued bool
+		err := retryTransient(e.ctx, e.srv.cfg.Retry, e.budget, health, site, what, func() error {
+			// Each attempt counts into a span of its own, and only a stream's
+			// first placement records it: what an aborted attempt or a
+			// recovery checks, ships and re-sends never reaches the query's
+			// figures (the bytes go to process metrics).
+			span := e.trace.Begin(obs.PhaseDeploy, site)
+			ds, err := e.srv.openSession(e.ctx, site)
+			if err == nil {
+				if continued, err = fs.start(ds, after, &span.Span); err != nil {
+					ds.abandon()
+				}
+			}
+			if err == nil && cause == nil {
+				span.End()
+			} else {
+				met.wastedCodeBytes.Add(span.CodeBytes)
+				met.restartWastedBytes.Add(span.NetBytes)
+			}
+			if err != nil {
+				return err
+			}
+			if after > 0 && !continued {
+				met.resumeFailed.Inc()
+			}
+			fs.ds = ds
+			return nil
+		})
 		if err != nil {
-			health.ReportFailure(sib, err)
 			lastErr = err
 			continue
 		}
-		fs.frag.Site = sib
-		if err := fs.restart(ds); err != nil {
-			ds.close()
-			health.ReportFailure(sib, err)
-			fs.frag.Site = from
-			lastErr = err
-			continue
+		if i > 0 {
+			met.replicaFailovers.Inc()
+			e.srv.cfg.Logf("qpc: partition %d of %s failed over from %s to %s", u.Part, table, u.Replicas[0], site)
+			u.Replicas[0], u.Replicas[i] = site, u.Replicas[0]
 		}
-		fs.ds = ds
-		e.srv.met.replicaFailovers.Inc()
-		e.srv.cfg.Logf("qpc: partition %d of %s failed over from %s to %s", u.Part, table, from, sib)
+		if cause == nil {
+			return nil
+		}
+		// The recovery's span is named for how it ended, and a stream run
+		// afresh says how long a prefix it has to discard.
+		outcome := e.trace.Interval(obs.PhaseRestart, site, began, time.Now())
+		outcome.Tuples = fs.delivered
+		if i > 0 {
+			outcome.Name = obs.PhaseFailover
+		}
+		if continued {
+			outcome.Name, outcome.Tuples = obs.PhaseResume, 0
+			met.resumes.Inc()
+			// Every byte already received is a byte a replay from scratch
+			// would have re-sent: that is the saving.
+			met.resumeSavedBytes.Add(fs.rxBytes)
+		}
+		e.trace.Add(outcome)
+		e.srv.cfg.Logf("qpc: stream %s: %s at %s after %d tuples (%v)", fs.id, outcome.Name, site, fs.delivered, cause)
 		return nil
 	}
-	return &PartitionUnavailableError{Table: table, Part: u.Part, Sites: u.Replicas, Last: lastErr}
+	if u.Of > 0 {
+		return &PartitionUnavailableError{Table: table, Part: u.Part, Sites: u.Replicas, Last: lastErr}
+	}
+	return lastErr
 }
 
 // PartitionUnavailableError marks a query that failed because one shard
 // of a partitioned table could not be served by any replica — the
 // serving replica died mid-stream (or never answered) and every
-// sibling was dead or fail-fast too. It unwraps to the last transport
-// failure.
+// sibling was dead or fail-fast too, or the query's retry budget ran
+// dry on the way. It unwraps to the last failure.
 type PartitionUnavailableError struct {
 	// Table is the logical (partitioned) table name.
 	Table string
@@ -256,7 +201,7 @@ type PartitionUnavailableError struct {
 	Part int
 	// Sites lists the replica sites that were tried or skipped.
 	Sites []string
-	// Last is the final transport failure.
+	// Last is the failure that ended the ladder.
 	Last error
 }
 

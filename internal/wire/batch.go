@@ -127,9 +127,9 @@ type BatchReader struct {
 	EOSPayload []byte
 	// Seq is the sequence number of the last in-order frame consumed
 	// from a resumable stream (zero before the first, or on plain
-	// streams). After a RESUME the QPC sets SkipUntil to the last frame
-	// it already holds: replayed frames at or below it are discarded and
-	// their payload bytes accumulate into DupBytes.
+	// streams). Replayed frames at or below SkipUntil — the last frame the
+	// reader held when it was rebound — are discarded and their payload
+	// bytes accumulate into DupBytes.
 	Seq       uint64
 	SkipUntil uint64
 	DupBytes  int64
@@ -202,19 +202,13 @@ func (r *BatchReader) Next() (types.Tuple, error) {
 	return t, nil
 }
 
-// Pending returns the tuples the reader decoded but has not yet
-// delivered. When a resume replaces the reader, the replacement is
-// Primed with them so no decoded tuple is lost with the old connection.
-func (r *BatchReader) Pending() []types.Tuple {
-	return r.buf[r.pos:]
-}
-
-// Prime queues already-decoded tuples for delivery ahead of anything
-// read from the connection.
-func (r *BatchReader) Prime(tuples []types.Tuple) {
-	rest := r.buf[r.pos:]
-	r.buf = append(append([]types.Tuple{}, tuples...), rest...)
-	r.pos = 0
+// Rebind continues the stream on c after the connection it was read
+// from broke: the position in the stream and the tuples decoded but not
+// yet delivered are kept, and the sender replays from the frame after
+// Seq.
+func (r *BatchReader) Rebind(c *Conn) {
+	r.conn = c
+	r.SkipUntil = r.Seq
 }
 
 // nextSeq is the sequence number the next in-order frame must carry.

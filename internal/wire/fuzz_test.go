@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -62,12 +63,9 @@ func FuzzFrame(f *testing.F) {
 	})
 	f.Add(frame(MsgTupleBatch, batch))
 	f.Add(frame(MsgAck, nil))
-	// Resumable-stream frames: sequence-numbered batches and EOS, plus
-	// the RESUME handshake payloads.
+	// Resumable-stream frames: sequence-numbered batches and EOS.
 	f.Add(frame(MsgSeqBatch, AppendSeq(1, batch)))
 	f.Add(frame(MsgSeqEOS, AppendSeq(2, stats)))
-	resume, _ := EncodeXML(Resume{Stream: "q0/0", LastSeq: 7})
-	f.Add(frame(MsgResume, resume))
 	// Placement-bearing frames: a shard's START with its partition
 	// coordinates, the ack asking for two classes, and an EOS echoing the
 	// coordinates back.
@@ -83,10 +81,15 @@ func FuzzFrame(f *testing.F) {
 		{Name: obs.PhaseDapStart, Site: "site1", DurMicros: 12, CacheHits: 1},
 		{Name: obs.PhaseDapFlush, Site: "site1", StartMicros: 30, DurMicros: 5, NetBytes: 99, Tuples: 3}}})
 	f.Add(frame(MsgSeqEOS, AppendSeq(3, shardStats)))
-	ack, _ := EncodeXML(ResumeAck{OK: true, FromSeq: 8})
-	f.Add(frame(MsgResumeAck, ack))
-	nack, _ := EncodeXML(ResumeAck{OK: false, Reason: "replay window evicted"})
-	f.Add(frame(MsgResumeAck, nack))
+	// A START that re-places a broken stream names the last frame held;
+	// its ack continues from the next one, and asks for nothing — an ack
+	// that does both is the peer's to refuse, the decoder's only to read.
+	again, _ := EncodeXML(core.Start{Stream: "q0/0", Trace: "q0", After: 7, Fragment: cutFrag})
+	f.Add(frame(MsgStart, again))
+	contAck, _ := EncodeXML(StartAck{From: 8})
+	f.Add(frame(MsgStartAck, contAck))
+	bothAck, _ := EncodeXML(StartAck{From: 8, Need: []string{"deadbeefcafef00d"}})
+	f.Add(frame(MsgStartAck, bothAck))
 	// Release-rollback frames: a cache invalidation naming withdrawn
 	// content digests and its drop-count acknowledgement.
 	inval, _ := EncodeXML(CodeInvalidate{Digests: []string{"deadbeefcafef00d", "0123456789abcdef"}})
@@ -168,14 +171,15 @@ func FuzzFrame(f *testing.F) {
 				var st core.Start
 				_ = DecodeXML(payload, &st)
 			case MsgStartAck:
-				var a StartAck
-				_ = DecodeXML(payload, &a)
-			case MsgResume:
-				var r Resume
-				_ = DecodeXML(payload, &r)
-			case MsgResumeAck:
-				var a ResumeAck
-				_ = DecodeXML(payload, &a)
+				// An ack that decodes keeps its resume point and its wants
+				// through a re-encode.
+				var a, b StartAck
+				if DecodeXML(payload, &a) == nil {
+					doc, err := EncodeXML(&a)
+					if err != nil || DecodeXML(doc, &b) != nil || a.From != b.From || !slices.Equal(a.Need, b.Need) {
+						t.Fatalf("start-ack %+v re-encoded to %q (err %v), decoding to %+v", a, doc, err, b)
+					}
+				}
 			case MsgCodeInvalidate:
 				var ci CodeInvalidate
 				_ = DecodeXML(payload, &ci)

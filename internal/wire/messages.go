@@ -25,13 +25,18 @@ type Hello struct {
 }
 
 // StartAck answers a START (the <start> document is core.Start, since
-// it carries the fragment): the content digests, among the fragment's
-// code refs, of the classes the DAP does not hold. The QPC sends exactly
-// those as DEPLOY_CODE frames, in this order, and the stream follows;
-// with none missing the stream follows the ack directly — the
-// code-caching handshake section 3.6 of the paper sketches as future work.
+// it carries the fragment), one of two ways. Running the fragment, it
+// lists the content digests, among the fragment's code refs, of the
+// classes the DAP does not hold: the QPC sends exactly those as
+// DEPLOY_CODE frames, in this order, and the stream follows; with none
+// missing the stream follows the ack directly — the code-caching
+// handshake section 3.6 of the paper sketches as future work. Continuing
+// the stream it still retains past the frame the START named, it sets
+// From to the next frame's sequence number and asks for nothing: the
+// retained tail follows, then the rest of the stream.
 type StartAck struct {
 	XMLName xml.Name `xml:"start-ack"`
+	From    uint64   `xml:"from,attr,omitempty"`
 	Need    []string `xml:"need"`
 }
 

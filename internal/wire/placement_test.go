@@ -137,42 +137,47 @@ type countSender struct{ frames int }
 
 func (c *countSender) Send(MsgType, []byte) error { c.frames++; return nil }
 
-// TestBatchReaderPrimePending pins the tuple hand-off a replica
-// failover performs: tuples decoded but undelivered on the dying
-// reader are Primed into its replacement, so none are lost or
-// duplicated across the switch.
-func TestBatchReaderPrimePending(t *testing.T) {
-	batch := EncodeBatch([]types.Tuple{
-		{types.Int(1), types.String_("a")},
-		{types.Int(2), types.String_("b")},
-		{types.Int(3), types.String_("c")},
-	})
+// TestBatchReaderRebind pins what a continued stream relies on: the one
+// reader moves to the new connection with its place in the stream and
+// the tuples it had decoded but not delivered, discards a replayed frame
+// it already holds, and still refuses a gap.
+func TestBatchReaderRebind(t *testing.T) {
+	batch := func(from int) []byte {
+		return EncodeBatch([]types.Tuple{
+			{types.Int(int32(from)), types.String_("a")},
+			{types.Int(int32(from + 1)), types.String_("b")},
+		})
+	}
 	stats, _ := EncodeXML(ExecStats{Site: "site1"})
-	stream := append(frame(MsgTupleBatch, batch), frame(MsgEOS, stats)...)
-	r := NewBatchReader(NewConn(&byteConn{r: bytes.NewReader(stream)}), fuzzSchema)
-	first, err := r.Next()
-	if err != nil || first == nil {
+	// The first connection dies after frame 1; one of its tuples is out.
+	r := NewBatchReader(NewConn(&byteConn{r: bytes.NewReader(frame(MsgSeqBatch, AppendSeq(1, batch(1))))}), fuzzSchema)
+	if first, err := r.Next(); err != nil || int(first[0].(types.Int)) != 1 {
 		t.Fatalf("first tuple: %v, %v", first, err)
 	}
-	left := r.Pending()
-	if len(left) != 2 {
-		t.Fatalf("pending = %d tuples, want 2", len(left))
-	}
-	r2 := NewBatchReader(NewConn(&byteConn{r: bytes.NewReader(frame(MsgEOS, stats))}), fuzzSchema)
-	r2.Prime(left)
-	var got []types.Tuple
+	// The second replays frame 1 (a duplicate), then carries on.
+	stream := append(frame(MsgSeqBatch, AppendSeq(1, batch(1))), frame(MsgSeqBatch, AppendSeq(2, batch(3)))...)
+	stream = append(stream, frame(MsgSeqEOS, AppendSeq(3, stats))...)
+	r.Rebind(NewConn(&byteConn{r: bytes.NewReader(stream)}))
+	var got []int
 	for {
-		tup, err := r2.Next()
+		tup, err := r.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tup == nil {
 			break
 		}
-		got = append(got, tup)
+		got = append(got, int(tup[0].(types.Int)))
 	}
-	if len(got) != 2 || int(got[0][0].(types.Int)) != 2 || int(got[1][0].(types.Int)) != 3 {
-		t.Fatalf("primed reader delivered %v", got)
+	if fmt.Sprint(got) != "[2 3 4]" || r.Seq != 3 || r.EOSPayload == nil {
+		t.Fatalf("rebound reader delivered %v up to frame %d", got, r.Seq)
+	}
+	// Rebound past a frame it never saw, the reader reports the gap.
+	r = NewBatchReader(NewConn(&byteConn{r: bytes.NewReader(nil)}), fuzzSchema)
+	r.Seq = 1
+	r.Rebind(NewConn(&byteConn{r: bytes.NewReader(frame(MsgSeqBatch, AppendSeq(3, batch(5))))}))
+	if _, err := r.Next(); err == nil || !strings.Contains(err.Error(), "sequence gap") {
+		t.Fatalf("err = %v, want a sequence gap", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/xml"
 	"fmt"
 )
 
@@ -10,9 +9,9 @@ import (
 // sequence-numbered frames (MsgSeqBatch / MsgSeqEOS) under the stream ID
 // its START named: each payload is an 8-byte big-endian sequence number
 // followed by the ordinary batch or stats payload. Sequence numbers
-// start at 1 and are contiguous, so after a connection loss the QPC can
-// tell the DAP the last frame it holds and receive only the tail,
-// bounded by the DAP's replay window.
+// start at 1 and are contiguous, so after a connection loss the QPC's
+// next START can name the last frame it holds (core.Start.After) and
+// receive only the tail, bounded by the DAP's replay window.
 
 // seqPrefixSize is the sequence-number prefix on MsgSeqBatch/MsgSeqEOS
 // payloads.
@@ -32,24 +31,4 @@ func CutSeq(payload []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("wire: seq frame truncated at sequence number (%d bytes)", len(payload))
 	}
 	return binary.BigEndian.Uint64(payload[:seqPrefixSize]), payload[seqPrefixSize:], nil
-}
-
-// Resume asks a DAP to continue a retained stream on this connection,
-// replaying any frames after LastSeq (the last frame the QPC holds; zero
-// means it holds none).
-type Resume struct {
-	XMLName xml.Name `xml:"resume"`
-	Stream  string   `xml:"stream,attr"`
-	LastSeq uint64   `xml:"last-seq,attr"`
-}
-
-// ResumeAck answers a Resume. OK means the replay window still covers
-// LastSeq+1 and the stream continues on this connection from FromSeq;
-// otherwise Reason says why the QPC must fall back to a full restart
-// (window evicted, stream expired or unknown).
-type ResumeAck struct {
-	XMLName xml.Name `xml:"resume-ack"`
-	OK      bool     `xml:"ok,attr"`
-	FromSeq uint64   `xml:"from-seq,attr,omitempty"`
-	Reason  string   `xml:"reason,attr,omitempty"`
 }

@@ -46,12 +46,12 @@ const (
 	MsgProcResult        // DAP → QPC: procedural response (XML)
 	MsgSeqBatch          // DAP → QPC data stream: 8-byte sequence number + TupleBatch payload
 	MsgSeqEOS            // DAP → QPC end of stream: 8-byte sequence number + stats XML
-	MsgResume            // QPC → DAP: resume a retained stream past the last acked seq
-	MsgResumeAck         // DAP → QPC: whether the replay window still covers the gap
+	_                    // 20: was RESUME
+	_                    // 21: was RESUME_ACK
 	MsgCodeInvalidate    // QPC → DAP: drop cached code blobs by content digest
 	MsgCodeInvalidateAck // DAP → QPC: how many cached blobs were dropped
-	MsgStart             // QPC → DAP: run this fragment (XML <start>), the one set-up request
-	MsgStartAck          // DAP → QPC: digests of the classes it must be sent first
+	MsgStart             // QPC → DAP: run this fragment, or continue its stream (XML <start>)
+	MsgStartAck          // DAP → QPC: the classes it must be sent first, or the frame it continues from
 )
 
 var msgNames = map[MsgType]string{
@@ -61,7 +61,6 @@ var msgNames = map[MsgType]string{
 	MsgEOS: "EOS", MsgError: "ERROR", MsgAck: "ACK", MsgClose: "CLOSE",
 	MsgProcCall: "PROC_CALL", MsgProcResult: "PROC_RESULT",
 	MsgSeqBatch: "SEQ_BATCH", MsgSeqEOS: "SEQ_EOS",
-	MsgResume: "RESUME", MsgResumeAck: "RESUME_ACK",
 	MsgCodeInvalidate: "CODE_INVALIDATE", MsgCodeInvalidateAck: "CODE_INVALIDATE_ACK",
 	MsgStart: "START", MsgStartAck: "START_ACK",
 }
