@@ -284,18 +284,36 @@ func compareObjects(l, r types.Object) (int, error) {
 // must be called when moving to the next tuple. A Memo is not safe for
 // concurrent use.
 type Memo struct {
-	vals map[string]types.Object
+	vals  map[memoKey]types.Object
+	sites map[string]int32 // operator name → call-site id, assigned as expressions compile
+	uses  []int            // call-site id → times bound across the chain's expressions
+}
+
+// memoArity is the most arguments a memoized call may have; a longer
+// call is evaluated every time.
+const memoArity = 4
+
+// memoKey identifies one call: which operator, on which argument values.
+// Small values key by content — they are comparable — and large ones by
+// identity (payload address and length): within one tuple the same
+// column reference always yields the same backing slice, while a fresh
+// computation just misses the cache and recomputes, which is still
+// correct. It stays within 128 bytes: a Go map allocates every larger
+// key it stores.
+type memoKey struct {
+	site  int32
+	n     [memoArity]int32 // with p, a large argument's payload
+	p     [memoArity]*byte
+	small [memoArity]types.Object
 }
 
 // NewMemo returns an empty memo.
-func NewMemo() *Memo { return &Memo{vals: make(map[string]types.Object)} }
+func NewMemo() *Memo {
+	return &Memo{vals: make(map[memoKey]types.Object), sites: make(map[string]int32)}
+}
 
 // Reset clears the memo for the next tuple.
-func (m *Memo) Reset() {
-	for k := range m.vals {
-		delete(m.vals, k)
-	}
-}
+func (m *Memo) Reset() { clear(m.vals) }
 
 // CompileExprMemo compiles like CompileExpr but wraps every operator
 // call in a per-tuple cache lookup keyed by the call's canonical form.
@@ -303,7 +321,7 @@ func CompileExprMemo(e *PExpr, b OpBinder, memo *Memo) (EvalFn, error) {
 	if memo == nil {
 		return CompileExpr(e, b)
 	}
-	return CompileExpr(e, memoBinder{b: b, memo: memo, keys: map[string]string{}})
+	return CompileExpr(e, memoBinder{b: b, memo: memo})
 }
 
 // memoBinder intercepts scalar binding to add caching. Aggregates are
@@ -311,7 +329,6 @@ func CompileExprMemo(e *PExpr, b OpBinder, memo *Memo) (EvalFn, error) {
 type memoBinder struct {
 	b    OpBinder
 	memo *Memo
-	keys map[string]string
 }
 
 func (mb memoBinder) BindScalar(name string, ret types.Kind) (ScalarFn, error) {
@@ -320,32 +337,37 @@ func (mb memoBinder) BindScalar(name string, ret types.Kind) (ScalarFn, error) {
 		return nil, err
 	}
 	memo := mb.memo
+	site, ok := memo.sites[name]
+	if !ok {
+		site = int32(len(memo.uses))
+		memo.sites[name] = site
+		memo.uses = append(memo.uses, 0)
+	}
+	memo.uses[site]++
 	return func(args []types.Object) (types.Object, error) {
-		// Key on operator name plus the argument values. Small values
-		// key by content; large payloads key by identity (slice pointer
-		// + length) — within one tuple the same column reference always
-		// yields the same backing slice, while a fresh computation just
-		// misses the cache and recomputes, which is still correct.
-		key := make([]byte, 0, 64)
-		key = append(key, name...)
-		for _, a := range args {
-			key = append(key, 0, byte(a.Kind()))
-			if lg, ok := a.(types.Large); ok && lg.Payload() != nil && len(lg.Payload()) > 64 {
-				p := lg.Payload()
-				key = fmt.Appendf(key, "%p:%d", &p[0], len(p))
+		// An operator bound once in the whole chain has no second call
+		// in the tuple to share a result with.
+		if memo.uses[site] < 2 || len(args) > memoArity {
+			return fn(args)
+		}
+		key := memoKey{site: site}
+		for i, a := range args {
+			if lg, ok := a.(types.Large); ok {
+				if p := lg.Payload(); len(p) > 0 {
+					key.p[i], key.n[i] = &p[0], int32(len(p))
+				}
 			} else {
-				key = a.AppendTo(key)
+				key.small[i] = a
 			}
 		}
-		ks := string(key)
-		if v, ok := memo.vals[ks]; ok {
+		if v, ok := memo.vals[key]; ok {
 			return v, nil
 		}
 		v, err := fn(args)
 		if err != nil {
 			return nil, err
 		}
-		memo.vals[ks] = v
+		memo.vals[key] = v
 		return v, nil
 	}, nil
 }

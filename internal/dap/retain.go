@@ -89,23 +89,22 @@ func (st *retainedStream) markDone() {
 	st.doneOne.Do(func() { close(st.done) })
 }
 
-// push assigns the next sequence number, retains the framed payload in
-// the window and returns it ready to send. The newest frame is never
+// push assigns the next sequence number, stamps it into the slot at the
+// front of payload and retains payload — the very bytes, the window
+// owns them from here on — ready to send. The newest frame is never
 // evicted, so the window always covers at least the frame in flight.
-func (st *retainedStream) push(t wire.MsgType, body []byte) (uint64, []byte) {
+func (st *retainedStream) push(t wire.MsgType, payload []byte) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.lastSeq++
-	seq := st.lastSeq
-	payload := wire.AppendSeq(seq, body)
-	st.frames = append(st.frames, seqFrame{seq: seq, t: t, payload: payload})
+	wire.StampSeq(payload, st.lastSeq)
+	st.frames = append(st.frames, seqFrame{seq: st.lastSeq, t: t, payload: payload})
 	st.winBytes += int64(len(payload))
 	for len(st.frames) > 1 && st.winBytes > st.limit {
 		st.winBytes -= int64(len(st.frames[0].payload))
 		st.frames[0] = seqFrame{}
 		st.frames = st.frames[1:]
 	}
-	return seq, payload
 }
 
 // tail returns copies of the retained frames after lastAcked, and
@@ -171,25 +170,31 @@ func (r *retention) size() int64 {
 	return int64(len(r.streams))
 }
 
-// resumableSender is the wire.FrameSender a resumable execution streams
-// through: it stamps sequence numbers, retains frames for replay and —
-// on a transport failure — parks the executor until a START delivers a
-// replacement connection or the retain TTL expires.
+// resumableSender is the wire.SeqFrameSender a resumable execution
+// streams through: it stamps sequence numbers, retains frames for replay
+// and — on a transport failure — parks the executor until a START
+// delivers a replacement connection or the retain TTL expires.
 type resumableSender struct {
 	srv  *Server
 	st   *retainedStream
 	conn *wire.Conn
 }
 
+// Send frames body behind a sequence slot of its own: the stream's one
+// EOS payload, which no batch writer built.
 func (s *resumableSender) Send(t wire.MsgType, body []byte) error {
+	return s.SendSeqFrame(t, wire.AppendSeq(0, body))
+}
+
+func (s *resumableSender) SendSeqFrame(t wire.MsgType, frame []byte) error {
 	switch t {
 	case wire.MsgTupleBatch:
 		t = wire.MsgSeqBatch
 	case wire.MsgEOS:
 		t = wire.MsgSeqEOS
 	}
-	_, payload := s.st.push(t, body)
-	err := s.conn.Send(t, payload)
+	s.st.push(t, frame)
+	err := s.conn.Send(t, frame)
 	if err == nil {
 		return nil
 	}

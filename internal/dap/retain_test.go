@@ -83,9 +83,10 @@ func TestStartSupersedesRetainedStream(t *testing.T) {
 // keeps what fits in limit bytes (the newest always).
 func parkedStream(srv *Server, id string, limit int64) (st *retainedStream, third []byte) {
 	st = newRetainedStream(id, limit)
-	st.push(wire.MsgSeqBatch, []byte("first"))
-	st.push(wire.MsgSeqBatch, []byte("second"))
-	_, third = st.push(wire.MsgSeqBatch, []byte("third"))
+	st.push(wire.MsgSeqBatch, wire.AppendSeq(0, []byte("first")))
+	st.push(wire.MsgSeqBatch, wire.AppendSeq(0, []byte("second")))
+	third = wire.AppendSeq(0, []byte("third"))
+	st.push(wire.MsgSeqBatch, third)
 	st.phase, st.parkedAt = phaseParked, time.Now()
 	srv.retained.put(st)
 	return st, third

@@ -327,7 +327,7 @@ func (a *HashAggregate) accumulate(in types.Tuple) error {
 		if !a.spilled {
 			need := tupleMemBytes(keys) + int64(len(gk)) + 96 + 64*int64(len(a.specs))
 			if a.grant.Try(need) {
-				grp = &aggGroup{keys: keys}
+				grp = &aggGroup{keys: detach(keys)}
 				for _, spec := range a.specs {
 					agg, err := a.binder.BindAggregate(spec.Func, spec.Ret)
 					if err != nil {
@@ -351,7 +351,7 @@ func (a *HashAggregate) accumulate(in types.Tuple) error {
 			}
 		}
 		if grp == nil {
-			return a.spillAdd(aggSpillRec{seq: seq, key: gk, tup: in})
+			return a.spillAdd(aggSpillRec{seq: seq, key: gk, tup: detach(in)})
 		}
 	}
 	return a.fold(grp.aggs, in)

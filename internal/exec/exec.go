@@ -14,6 +14,13 @@
 // being prefetched. NextBatch is pull-based and single-threaded from the
 // root. Close joins every goroutine the tree started; it must be called
 // exactly once after the last NextBatch, error or not.
+//
+// Ownership: the tuples of a batch are windows into the frame or stored
+// record they were decoded from (types.DecodeValue), which stays
+// reachable as long as any of them does. An operator that keeps a row
+// past the NextBatch that delivered it — the join build, Sort, TopK,
+// group keys and buffered spill records — keeps detach(row) instead, so
+// what it holds is what its memory grant accounted.
 package exec
 
 import (
@@ -164,6 +171,23 @@ func Run(ctx context.Context, tree *Tree, onErr func(error)) error {
 		err = cerr
 	}
 	return err
+}
+
+// detach returns a copy of t that shares no memory with the frame t was
+// decoded from: the row's own slice, out of its batch's slab, and every
+// large value re-encoded into memory of its own, which the decoded copy
+// is then a window into.
+func detach(t types.Tuple) types.Tuple {
+	out := make(types.Tuple, len(t))
+	for i, o := range t {
+		if _, ok := o.(types.Large); ok {
+			if v, _, err := types.DecodeValue(o.Kind(), o.AppendTo(nil)); err == nil {
+				o = v
+			}
+		}
+		out[i] = o
+	}
+	return out
 }
 
 // base carries the bookkeeping every operator shares.

@@ -139,7 +139,7 @@ func (h *HashJoin) runBuild() {
 						h.buildErr = err
 						return
 					}
-					h.table[hk] = append(h.table[hk], buildEnt{seq: h.buildSeq, row: tup})
+					h.table[hk] = append(h.table[hk], buildEnt{seq: h.buildSeq, row: detach(tup)})
 					h.buildSeq++
 				}
 				h.buildRows += int64(len(batch))

@@ -45,7 +45,9 @@ func (s *Sort) NextBatch() ([]types.Tuple, error) {
 				break
 			}
 			s.stats.RowsIn += int64(len(in))
-			s.sorted = append(s.sorted, in...)
+			for _, row := range in {
+				s.sorted = append(s.sorted, detach(row))
+			}
 		}
 		t0 := time.Now()
 		if err := core.SortTuples(s.sorted, s.keys); err != nil {
@@ -131,7 +133,12 @@ func (t *TopK) after(a, b topkRow) bool {
 func (t *TopK) push(row types.Tuple) {
 	r := topkRow{row: row, seq: t.seq}
 	t.seq++
-	if len(t.heap) < t.k {
+	full := len(t.heap) >= t.k
+	if full && !t.after(t.heap[0], r) {
+		return // does not beat the current worst
+	}
+	r.row = detach(row) // kept past its batch
+	if !full {
 		t.heap = append(t.heap, r)
 		// Sift up.
 		i := len(t.heap) - 1
@@ -143,10 +150,6 @@ func (t *TopK) push(row types.Tuple) {
 			t.heap[i], t.heap[parent] = t.heap[parent], t.heap[i]
 			i = parent
 		}
-		return
-	}
-	// Full: keep the row only if it beats the current worst.
-	if !t.after(t.heap[0], r) {
 		return
 	}
 	t.heap[0] = r

@@ -154,9 +154,10 @@ func (sf *spillFile) startRead() error {
 	return nil
 }
 
-// read returns the next record, or io.EOF at the end of the run. The
-// record's key and tuple own freshly allocated memory (spilled tuples
-// are retained by consumers past the next read).
+// read returns the next record, or io.EOF at the end of the run. Each
+// record is read into memory of its own, which its key and its tuple's
+// large values are windows into (spilled tuples are retained by
+// consumers past the next read, so the buffer is never reused).
 func (sf *spillFile) read() (spillRec, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(sf.r, hdr[:]); err != nil {

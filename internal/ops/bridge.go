@@ -7,6 +7,18 @@ import (
 	"mocha/internal/vm"
 )
 
+// Who owns the bytes. A large object's payload is shared, never copied,
+// on its way through an operator: ToVM hands the MVM the payload itself
+// (read-only), and a result may alias its argument's bytes (bslice). An
+// argument decoded off the wire or off a page is in turn a window into
+// its frame or record (types.DecodeValue), which is fresh per frame and
+// never written again — so a value, and anything computed from it, lives
+// as long as its frame stays reachable, and an operator that keeps rows
+// past their batch detaches them (the exec package comment says who and
+// how). The one buffer that *is* written again is MVM
+// memory: a shipped program may return a buffer it keeps in a global, so
+// FromVM copies a large result out (types.FromPayload).
+
 // ToVM converts a middleware object into an MVM value. Scalars map to VM
 // scalars; spatial and large objects enter the VM as their raw wire
 // payload bytes, which is exactly what the byte-level MVM instructions

@@ -155,6 +155,47 @@ func TestIncrResEquivalence(t *testing.T) {
 	}
 }
 
+// TestRasterKernelsOnOddShapes runs the two native row kernels against
+// their shipped classes over shapes the Sequoia data never has — empty,
+// one row, one column, w≠h — and every scale factor that takes a
+// different path (clamped, identity, even, odd, large): the results must
+// be the same bytes.
+func TestRasterKernelsOnOddShapes(t *testing.T) {
+	incr, rot := builtin(t, "IncrRes"), builtin(t, "Rotate90")
+	rng := rand.New(rand.NewSource(21))
+	for _, dim := range [][2]int{{0, 0}, {0, 5}, {5, 0}, {1, 1}, {1, 9}, {9, 1}, {3, 7}, {7, 3}, {13, 13}} {
+		px := make([]byte, dim[0]*dim[1])
+		rng.Read(px)
+		r := types.NewRaster(dim[0], dim[1], px)
+		native, shipped := callBoth(t, rot, []types.Object{r})
+		if string(native.(types.Raster).Payload()) != string(shipped.(types.Raster).Payload()) {
+			t.Errorf("Rotate90 of %v: native and shipped differ", r)
+		}
+		for _, k := range []types.Int{-1, 0, 1, 2, 3, 7} {
+			native, shipped := callBoth(t, incr, []types.Object{r, k})
+			if string(native.(types.Raster).Payload()) != string(shipped.(types.Raster).Payload()) {
+				t.Errorf("IncrRes(%v, %d): native and shipped differ", r, k)
+			}
+		}
+	}
+}
+
+// TestIncrResRefusesWhatTheClassCannotAllocate: a scale factor is user
+// input, and a result past the MVM's allocation limit is an error from
+// the native operator too — not a multi-gigabyte allocation or a panic.
+func TestIncrResRefusesWhatTheClassCannotAllocate(t *testing.T) {
+	ns, err := NewNativeScalar(builtin(t, "IncrRes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := types.NewRaster(64, 64, make([]byte, 64*64))
+	for _, k := range []types.Int{300, math.MaxInt32} {
+		if v, err := ns.Call([]types.Object{r, k}); err == nil {
+			t.Errorf("IncrRes(64x64, %d) = %v, want an error", k, v)
+		}
+	}
+}
+
 func TestRotate90Equivalence(t *testing.T) {
 	d := builtin(t, "Rotate90")
 	rng := rand.New(rand.NewSource(4))

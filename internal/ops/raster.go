@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mocha/internal/types"
+	"mocha/internal/vm"
 )
 
 // Raster operator definitions: AvgEnergy (the paper's running example of
@@ -438,21 +439,11 @@ func nativeIncrRes(args []types.Object) (types.Object, error) {
 	if !ok {
 		return nil, fmt.Errorf("ops: IncrRes: argument 1 is %v, want INT", args[1].Kind())
 	}
-	n := int(k)
-	if n < 1 {
-		n = 1
+	// A result the shipped class could not allocate is refused here too.
+	if n := int64(max(k, 1)); int64(r.WireSize()) > vm.DefaultLimits.MaxAlloc/n/n {
+		return nil, fmt.Errorf("ops: IncrRes: %v scaled by %d exceeds %d bytes", r, k, vm.DefaultLimits.MaxAlloc)
 	}
-	// Pixel replication, matching the shipped MVM implementation so that
-	// native and VM execution are interchangeable.
-	w, h := r.Width(), r.Height()
-	nw, nh := w*n, h*n
-	out := make([]byte, nw*nh)
-	for y := 0; y < nh; y++ {
-		for x := 0; x < nw; x++ {
-			out[y*nw+x] = r.At(x/n, y/n)
-		}
-	}
-	return types.NewRaster(nw, nh, out), nil
+	return r.IncrRes(int(k)), nil
 }
 
 func nativeRotate90(args []types.Object) (types.Object, error) {

@@ -3,6 +3,7 @@ package types
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Raster is the large object type for satellite raster images: a
@@ -17,14 +18,35 @@ type Raster struct {
 // NewRaster builds a raster from dimensions and pixel data. It panics if
 // len(pixels) != w*h, which always indicates a programming error.
 func NewRaster(w, h int, pixels []byte) Raster {
-	if len(pixels) != w*h {
-		panic(fmt.Sprintf("types.NewRaster: %dx%d raster needs %d pixels, got %d", w, h, w*h, len(pixels)))
+	r, px := newRaster(w, h)
+	if len(pixels) != len(px) {
+		panic(fmt.Sprintf("types.NewRaster: %dx%d raster needs %d pixels, got %d", w, h, len(px), len(pixels)))
 	}
-	buf := make([]byte, 0, 8+len(pixels))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(w))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(h))
-	buf = append(buf, pixels...)
-	return Raster{payload: buf}
+	copy(px, pixels)
+	return r
+}
+
+// newRaster allocates a zeroed w×h raster and hands back its pixel bytes:
+// an operator writes its result once, in place, then hands the raster on.
+// Like NewRaster it panics on dimensions the header cannot carry.
+func newRaster(w, h int) (Raster, []byte) {
+	n, ok := pixelCount(w, h, math.MaxInt32)
+	if !ok || int64(w) > math.MaxUint32 || int64(h) > math.MaxUint32 {
+		panic(fmt.Sprintf("types: %dx%d raster is too large", w, h))
+	}
+	buf := make([]byte, 8+n)
+	binary.BigEndian.PutUint32(buf, uint32(w))
+	binary.BigEndian.PutUint32(buf[4:], uint32(h))
+	return Raster{payload: buf}, buf[8:]
+}
+
+// pixelCount returns w*h when that is at most max. Dimensions come off
+// the wire, so the product is bounded before it is formed, never after.
+func pixelCount(w, h, max int) (int, bool) {
+	if w < 0 || h < 0 || (w > 0 && h > max/w) {
+		return 0, false
+	}
+	return w * h, true
 }
 
 // RasterFromPayload wraps an already-encoded raster payload, validating
@@ -33,9 +55,8 @@ func RasterFromPayload(payload []byte) (Raster, error) {
 	if len(payload) < 8 {
 		return Raster{}, fmt.Errorf("raster payload too short: %d bytes", len(payload))
 	}
-	w := int(binary.BigEndian.Uint32(payload))
-	h := int(binary.BigEndian.Uint32(payload[4:]))
-	if len(payload) != 8+w*h {
+	w, h := int(binary.BigEndian.Uint32(payload)), int(binary.BigEndian.Uint32(payload[4:]))
+	if n, ok := pixelCount(w, h, len(payload)-8); !ok || n != len(payload)-8 {
 		return Raster{}, fmt.Errorf("raster payload: declared %dx%d, have %d bytes", w, h, len(payload))
 	}
 	return Raster{payload: payload}, nil
@@ -76,7 +97,12 @@ func (r Raster) Height() int {
 
 // Pixels returns the raw pixel bytes in row-major order. The slice must
 // not be modified.
-func (r Raster) Pixels() []byte { return r.payload[8:] }
+func (r Raster) Pixels() []byte {
+	if len(r.payload) < 8 {
+		return nil
+	}
+	return r.payload[8:]
+}
 
 // At returns the pixel at column x, row y.
 func (r Raster) At(x, y int) byte { return r.payload[8+y*r.Width()+x] }
@@ -104,49 +130,38 @@ func (r Raster) Clip(x0, y0, w, h int) Raster {
 	y0 = clampInt(y0, 0, rh)
 	w = clampInt(w, 0, rw-x0)
 	h = clampInt(h, 0, rh-y0)
-	out := make([]byte, 0, w*h)
-	for y := y0; y < y0+h; y++ {
-		row := r.payload[8+y*rw+x0 : 8+y*rw+x0+w]
-		out = append(out, row...)
+	out, dst := newRaster(w, h)
+	src := r.Pixels()
+	for y := 0; y < h; y++ {
+		copy(dst[y*w:(y+1)*w], src[(y0+y)*rw+x0:])
 	}
-	return NewRaster(w, h, out)
+	return out
 }
 
 // IncrRes returns a raster whose resolution is increased by the integer
-// factor k using bilinear interpolation — the paper's Q3 data-inflating
+// factor k (k < 1 counts as 1) by pixel replication, byte for byte what
+// the shipped IncrRes class computes — the paper's Q3 data-inflating
 // operator (k=2 quadruples the byte size).
 func (r Raster) IncrRes(k int) Raster {
 	if k < 1 {
 		k = 1
 	}
 	w, h := r.Width(), r.Height()
-	nw, nh := w*k, h*k
-	out := make([]byte, nw*nh)
-	for y := 0; y < nh; y++ {
-		// Source coordinates in fixed-point: sy = y/k.
-		sy := y / k
-		fy := y % k
-		sy2 := sy + 1
-		if sy2 >= h {
-			sy2 = h - 1
-		}
-		for x := 0; x < nw; x++ {
-			sx := x / k
-			fx := x % k
-			sx2 := sx + 1
-			if sx2 >= w {
-				sx2 = w - 1
+	nw := w * k
+	out, dst := newRaster(nw, h*k)
+	src := r.Pixels()
+	for y := 0; y < h; y++ { // expand the row once, then copy it k-1 times
+		first, i := dst[y*k*nw:y*k*nw+nw], 0
+		for _, p := range src[y*w : (y+1)*w] {
+			for end := i + k; i < end; i++ {
+				first[i] = p
 			}
-			p00 := int(r.At(sx, sy))
-			p10 := int(r.At(sx2, sy))
-			p01 := int(r.At(sx, sy2))
-			p11 := int(r.At(sx2, sy2))
-			top := p00*(k-fx) + p10*fx
-			bot := p01*(k-fx) + p11*fx
-			out[y*nw+x] = byte((top*(k-fy) + bot*fy) / (k * k))
+		}
+		for rep := 1; rep < k; rep++ {
+			copy(dst[(y*k+rep)*nw:], first)
 		}
 	}
-	return NewRaster(nw, nh, out)
+	return out
 }
 
 // Rotate90 returns the raster rotated 90 degrees clockwise — an example of
@@ -154,14 +169,17 @@ func (r Raster) IncrRes(k int) Raster {
 // (same size, repeatedly applied near the client).
 func (r Raster) Rotate90() Raster {
 	w, h := r.Width(), r.Height()
-	out := make([]byte, w*h)
+	out, dst := newRaster(h, w)
+	src := r.Pixels()
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			// (x, y) in source maps to (h-1-y, x) in destination.
-			out[x*h+(h-1-y)] = r.At(x, y)
+		// (x, y) in source maps to (h-1-y, x) in destination.
+		i := h - 1 - y
+		for _, p := range src[y*w : (y+1)*w] {
+			dst[i] = p
+			i += h
 		}
 	}
-	return NewRaster(h, w, out)
+	return out
 }
 
 func clampInt(v, lo, hi int) int {

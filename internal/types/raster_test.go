@@ -1,6 +1,7 @@
 package types
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -120,31 +121,50 @@ func TestIncrRes(t *testing.T) {
 	if got, want := len(big.Pixels()), 4*len(r.Pixels()); got != want {
 		t.Errorf("inflated pixels = %d, want %d", got, want)
 	}
-	// Anchor pixels preserved.
-	if big.At(0, 0) != r.At(0, 0) || big.At(2, 2) != r.At(1, 1) {
-		t.Error("IncrRes moved anchor pixels")
+	// Pixel replication: every source pixel becomes a 2x2 block of itself.
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 8; x++ {
+			if big.At(x, y) != r.At(x/2, y/2) {
+				t.Fatalf("IncrRes(2) pixel (%d,%d) = %d, want source (%d,%d) = %d", x, y, big.At(x, y), x/2, y/2, r.At(x/2, y/2))
+			}
+		}
 	}
 	// k<1 degrades to identity.
 	same := r.IncrRes(0)
-	if same.Width() != 4 || same.At(2, 3) != r.At(2, 3) {
+	if !bytes.Equal(same.Payload(), r.Payload()) {
 		t.Error("IncrRes(0) should be identity")
+	}
+	// Shapes with nothing to replicate, and the zero value.
+	for _, e := range []Raster{NewRaster(0, 0, nil), NewRaster(0, 3, nil), NewRaster(3, 0, nil), {}} {
+		if got := e.IncrRes(3); got.Width() != 3*e.Width() || got.Height() != 3*e.Height() || len(got.Pixels()) != 0 {
+			t.Errorf("IncrRes(3) of empty %v = %v", e, got)
+		}
+		if got := e.Rotate90(); got.Width() != e.Height() || got.Height() != e.Width() {
+			t.Errorf("Rotate90 of empty %v = %v", e, got)
+		}
 	}
 }
 
 func TestQuickIncrResInterpolationBounded(t *testing.T) {
-	// Property: interpolated pixels stay within [min, max] of the source.
-	f := func(seed uint8) bool {
-		px := make([]byte, 9)
-		lo, hi := byte(255), byte(0)
+	// Property: replication invents no pixel value — output pixel (x, y)
+	// is source pixel (x/k, y/k), for any shape and factor.
+	f := func(seed uint8, w, h, k uint8) bool {
+		w, h, k = w%7, h%7, k%5
+		px := make([]byte, int(w)*int(h))
 		for i := range px {
 			px[i] = byte(int(seed)*7 + i*31)
-			lo = min(lo, px[i])
-			hi = max(hi, px[i])
 		}
-		big := NewRaster(3, 3, px).IncrRes(3)
-		for _, p := range big.Pixels() {
-			if p < lo || p > hi {
-				return false
+		src := NewRaster(int(w), int(h), px)
+		big := src.IncrRes(int(k))
+		kk := max(int(k), 1)
+		if big.Width() != int(w)*kk || big.Height() != int(h)*kk {
+			return false
+		}
+		for y := 0; y < big.Height(); y++ {
+			for x := 0; x < big.Width(); x++ {
+				if big.At(x, y) != src.At(x/kk, y/kk) {
+					return false
+				}
 			}
 		}
 		return true

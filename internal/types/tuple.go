@@ -1,6 +1,7 @@
 package types
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/xml"
 	"fmt"
@@ -109,7 +110,10 @@ func (t Tuple) String() string {
 }
 
 // DecodeValue decodes a single value of the given kind from the front of
-// data, returning the value and the number of bytes consumed.
+// data, returning the value and the number of bytes consumed. A polygon,
+// graph, raster or byte string is not copied: it is a capacity-clipped
+// sub-slice of data and lives as long as data, which must not be written
+// again (FromPayload, whose source is, copies first).
 func DecodeValue(k Kind, data []byte) (Object, int, error) {
 	switch k {
 	case KindNull:
@@ -140,9 +144,7 @@ func DecodeValue(k Kind, data []byte) (Object, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		b := make([]byte, n)
-		copy(b, data[4:4+n])
-		return Bytes(b), 4 + n, nil
+		return Bytes(data[4 : 4+n : 4+n]), 4 + n, nil
 	case KindPoint:
 		if len(data) < 8 {
 			return nil, 0, errShort(k, 8, len(data))
@@ -170,7 +172,7 @@ func DecodeValue(k Kind, data []byte) (Object, int, error) {
 		if len(data) < sz {
 			return nil, 0, errShort(k, sz, len(data))
 		}
-		p, err := PolygonFromPayload(cloneBytes(data[:sz]))
+		p, err := PolygonFromPayload(data[:sz:sz])
 		return p, sz, err
 	case KindGraph:
 		if len(data) < 4 {
@@ -186,26 +188,24 @@ func DecodeValue(k Kind, data []byte) (Object, int, error) {
 		if len(data) < sz {
 			return nil, 0, errShort(k, sz, len(data))
 		}
-		g, err := GraphFromPayload(cloneBytes(data[:sz]))
+		g, err := GraphFromPayload(data[:sz:sz])
 		return g, sz, err
 	case KindRaster:
 		if len(data) < 8 {
 			return nil, 0, errShort(k, 8, len(data))
 		}
-		w := int(binary.BigEndian.Uint32(data))
-		h := int(binary.BigEndian.Uint32(data[4:]))
-		sz := 8 + w*h
-		if len(data) < sz {
-			return nil, 0, errShort(k, sz, len(data))
+		w, h := int(binary.BigEndian.Uint32(data)), int(binary.BigEndian.Uint32(data[4:]))
+		n, ok := pixelCount(w, h, len(data)-8)
+		if !ok {
+			return nil, 0, fmt.Errorf("types: %v value declares %dx%d pixels, have %d bytes", k, w, h, len(data))
 		}
-		r, err := RasterFromPayload(cloneBytes(data[:sz]))
-		return r, sz, err
+		return Raster{payload: data[: 8+n : 8+n]}, 8 + n, nil
 	}
 	return nil, 0, fmt.Errorf("types: cannot decode kind %v", k)
 }
 
 // DecodeTuple decodes one tuple according to the schema from the front of
-// data, returning the tuple and bytes consumed.
+// data, returning the tuple and bytes consumed; its large values alias data.
 func DecodeTuple(s Schema, data []byte) (Tuple, int, error) {
 	t := make(Tuple, len(s.Columns))
 	var off int
@@ -222,8 +222,12 @@ func DecodeTuple(s Schema, data []byte) (Tuple, int, error) {
 
 // FromPayload reconstructs a typed object of kind k from MVM result bytes.
 // Scalar kinds are decoded from their wire form; large kinds validate the
-// payload structurally.
+// payload structurally, on a copy — MVM memory is written again: a shipped
+// aggregate may return a buffer it keeps in a global.
 func FromPayload(k Kind, payload []byte) (Object, error) {
+	if k.IsLarge() {
+		payload = bytes.Clone(payload)
+	}
 	v, n, err := DecodeValue(k, payload)
 	if err != nil {
 		return nil, err
@@ -247,10 +251,4 @@ func varLen(k Kind, data []byte) (int, error) {
 
 func errShort(k Kind, want, have int) error {
 	return fmt.Errorf("types: %v value needs %d bytes, have %d", k, want, have)
-}
-
-func cloneBytes(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }

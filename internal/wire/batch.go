@@ -17,19 +17,29 @@ const DefaultBatchBytes = 256 << 10
 
 // EncodeBatch packs tuples into one TupleBatch payload.
 func EncodeBatch(tuples []types.Tuple) []byte {
-	var size int
+	return appendBatch(nil, 0, tuples)
+}
+
+// appendBatch encodes tuples as a TupleBatch payload behind lead bytes,
+// into buf when it has the room and else into new memory of exactly the size.
+func appendBatch(buf []byte, lead int, tuples []types.Tuple) []byte {
+	size := lead + 4
 	for _, t := range tuples {
 		size += t.WireSize()
 	}
-	buf := make([]byte, 0, 4+size)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(tuples)))
+	if cap(buf) < size {
+		buf = make([]byte, lead, size)
+	}
+	buf = binary.BigEndian.AppendUint32(buf[:lead], uint32(len(tuples)))
 	for _, t := range tuples {
 		buf = t.AppendTo(buf)
 	}
 	return buf
 }
 
-// DecodeBatch unpacks a TupleBatch payload under the given schema.
+// DecodeBatch unpacks a TupleBatch payload under the given schema. The
+// tuples are windows into payload (types.DecodeValue has the rule) and
+// into one slab of values: payload must not be written again.
 func DecodeBatch(s types.Schema, payload []byte) ([]types.Tuple, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("wire: batch too short")
@@ -37,19 +47,24 @@ func DecodeBatch(s types.Schema, payload []byte) ([]types.Tuple, error) {
 	n := int(binary.BigEndian.Uint32(payload))
 	off := 4
 	// The count is attacker-controlled; cap the pre-allocation and let
-	// append grow the slice as tuples actually decode.
-	prealloc := n
-	if prealloc > 4096 {
-		prealloc = 4096
-	}
+	// append (and a further slab) follow the tuples that actually decode.
+	prealloc := min(n, 4096, len(payload))
+	cols := len(s.Columns)
 	tuples := make([]types.Tuple, 0, prealloc)
+	slab := make([]types.Object, prealloc*cols)
 	for i := 0; i < n; i++ {
-		t, used, err := types.DecodeTuple(s, payload[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: batch tuple %d: %w", i, err)
+		if len(slab) < cols {
+			slab = make([]types.Object, prealloc*cols)
 		}
-		tuples = append(tuples, t)
-		off += used
+		t := types.Tuple(slab[:cols:cols])
+		for c, col := range s.Columns {
+			v, used, err := types.DecodeValue(col.Kind, payload[off:])
+			if err != nil {
+				return nil, fmt.Errorf("wire: batch tuple %d: column %q: %w", i, col.Name, err)
+			}
+			t[c], off = v, off+used
+		}
+		tuples, slab = append(tuples, t), slab[cols:]
 	}
 	if off != len(payload) {
 		return nil, fmt.Errorf("wire: batch has %d trailing bytes", len(payload)-off)
@@ -57,10 +72,19 @@ func DecodeBatch(s types.Schema, payload []byte) ([]types.Tuple, error) {
 	return tuples, nil
 }
 
-// FrameSender is the sink a BatchWriter flushes frames into: a *Conn, or
-// a wrapper that stamps sequence numbers and retains frames for replay.
+// FrameSender is the sink a BatchWriter flushes frames into. Send must
+// be done with payload when it returns: the writer encodes its next
+// batch into the same memory.
 type FrameSender interface {
 	Send(t MsgType, payload []byte) error
+}
+
+// SeqFrameSender is the sink of a sequenced stream: it is handed the
+// whole frame — SeqSlot bytes to stamp the sequence number into, then
+// the payload — and may keep it, as the DAP's replay window does.
+type SeqFrameSender interface {
+	FrameSender
+	SendSeqFrame(t MsgType, frame []byte) error
 }
 
 // BatchWriter streams tuples over a connection, flushing a TupleBatch
@@ -70,6 +94,7 @@ type BatchWriter struct {
 	target  int
 	pending []types.Tuple
 	bytes   int
+	frame   []byte // the last frame sent to a plain sink, reused for the next
 	// DataBytes accumulates the tuple payload bytes sent (excluding
 	// framing), i.e. the volume-of-data-transmitted contribution.
 	DataBytes int64
@@ -103,16 +128,24 @@ func (w *BatchWriter) Write(t types.Tuple) error {
 	return nil
 }
 
-// Flush sends any pending tuples as one batch.
+// Flush sends any pending tuples as one batch, encoded once, into a frame
+// of the batch's size: a new one for a sink that keeps it, else the writer's.
 func (w *BatchWriter) Flush() error {
 	if len(w.pending) == 0 {
 		return nil
 	}
-	payload := EncodeBatch(w.pending)
+	var err error
+	if seq, ok := w.conn.(SeqFrameSender); ok {
+		err = seq.SendSeqFrame(MsgTupleBatch, appendBatch(nil, SeqSlot, w.pending))
+	} else {
+		w.frame = appendBatch(w.frame, 0, w.pending)
+		err = w.conn.Send(MsgTupleBatch, w.frame)
+	}
 	w.DataBytes += int64(w.bytes)
+	clear(w.pending) // the tuples' frames must not stay reachable from here
 	w.pending = w.pending[:0]
 	w.bytes = 0
-	return w.conn.Send(MsgTupleBatch, payload)
+	return err
 }
 
 // BatchReader consumes a tuple stream terminated by an EOS frame.

@@ -46,6 +46,13 @@ var fuzzSchema = types.NewSchema(
 	types.Column{Name: "s", Kind: types.KindString},
 )
 
+// fuzzRasterSchema is the second schema FuzzFrame decodes every batch
+// under: a raster's size is the product of two lengths off the wire.
+var fuzzRasterSchema = types.NewSchema(
+	types.Column{Name: "a", Kind: types.KindInt},
+	types.Column{Name: "image", Kind: types.KindRaster},
+)
+
 // FuzzFrame throws arbitrary byte streams at the frame decoder and, for
 // frames that parse, at the payload decoders behind it. The decoders
 // must reject garbage with an error — never panic, hang, or allocate
@@ -122,6 +129,11 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(MsgSeqBatch, nil))
 	f.Add(frame(MsgSeqEOS, []byte{0, 0, 0}))
 	f.Add(frame(MsgSeqBatch, AppendSeq(^uint64(0), []byte{0xff, 0xff})))
+	// One tuple whose raster header is ff×8: width × height wraps negative.
+	// It used to pass the length guard and panic on the slice — one corrupt
+	// frame took the receiving process down.
+	f.Add(frame(MsgTupleBatch, append([]byte{0, 0, 0, 1, 0, 0, 0, 7}, bytes.Repeat([]byte{0xff}, 8)...)))
+	f.Add(frame(MsgTupleBatch, EncodeBatch([]types.Tuple{{types.Int(7), types.NewRaster(2, 2, []byte{1, 2, 3, 4})}})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewConn(&byteConn{r: bytes.NewReader(data)})
@@ -140,10 +152,12 @@ func FuzzFrame(f *testing.F) {
 			}
 			switch typ {
 			case MsgTupleBatch:
-				if tuples, err := DecodeBatch(fuzzSchema, payload); err == nil {
-					// A batch that decodes must round-trip.
-					if !bytes.Equal(EncodeBatch(tuples), payload) {
-						t.Fatal("decoded batch does not re-encode to its payload")
+				for _, schema := range []types.Schema{fuzzSchema, fuzzRasterSchema} {
+					if tuples, err := DecodeBatch(schema, payload); err == nil {
+						// A batch that decodes must round-trip.
+						if !bytes.Equal(EncodeBatch(tuples), payload) {
+							t.Fatal("decoded batch does not re-encode to its payload")
+						}
 					}
 				}
 			case MsgHello:

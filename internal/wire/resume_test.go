@@ -21,7 +21,7 @@ func TestSeqPrefixRoundTrip(t *testing.T) {
 }
 
 func TestCutSeqTruncated(t *testing.T) {
-	for n := 0; n < seqPrefixSize; n++ {
+	for n := 0; n < SeqSlot; n++ {
 		if _, _, err := CutSeq(make([]byte, n)); err == nil {
 			t.Fatalf("%d-byte payload accepted as seq frame", n)
 		} else if !strings.Contains(err.Error(), "truncated") {

@@ -94,7 +94,9 @@ type Conn struct {
 	br  *bufio.Reader
 	bw  *bufio.Writer
 
-	rmu, wmu sync.Mutex
+	rmu, wmu   sync.Mutex
+	rhdr, whdr [frameHeaderSize]byte // header scratch under rmu, wmu: a local escapes, one allocation per frame
+	maxBody    int                   // largest frame body delivered so far; guarded by rmu
 
 	bytesIn  atomic.Int64
 	bytesOut atomic.Int64
@@ -248,10 +250,10 @@ func (c *Conn) Send(t MsgType, payload []byte) error {
 	if err := c.raw.SetWriteDeadline(dl); err != nil {
 		return fmt.Errorf("wire: send %v: %w", t, err)
 	}
-	var hdr [frameHeaderSize]byte
+	hdr := c.whdr[:]
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	hdr[4] = byte(t)
-	if _, err := c.bw.Write(hdr[:]); err != nil {
+	if _, err := c.bw.Write(hdr); err != nil {
 		return c.describeIO("send", t, dl, err)
 	}
 	if _, err := c.bw.Write(payload); err != nil {
@@ -279,8 +281,8 @@ func (c *Conn) Recv() (MsgType, []byte, error) {
 	if err := c.raw.SetReadDeadline(dl); err != nil {
 		return 0, nil, fmt.Errorf("wire: recv: %w", err)
 	}
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	hdr := c.rhdr[:]
+	if _, err := io.ReadFull(c.br, hdr); err != nil {
 		return 0, nil, c.describeIO("recv header", 0, dl, err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
@@ -288,10 +290,11 @@ func (c *Conn) Recv() (MsgType, []byte, error) {
 	if n > MaxFrameSize {
 		return 0, nil, fmt.Errorf("wire: incoming %v frame of %d bytes exceeds limit", t, n)
 	}
-	payload, err := readFrameBody(c.br, int(n))
+	payload, err := readFrameBody(c.br, int(n), c.maxBody)
 	if err != nil {
 		return 0, nil, c.describeIO("recv body of", t, dl, err)
 	}
+	c.maxBody = max(c.maxBody, int(n))
 	c.bytesIn.Add(int64(frameHeaderSize) + int64(n))
 	if m := c.metrics.Load(); m != nil {
 		m.framesRecv.Inc()
@@ -303,10 +306,12 @@ func (c *Conn) Recv() (MsgType, []byte, error) {
 // readFrameBody reads an n-byte payload without trusting n for the
 // initial allocation: a corrupt or hostile length prefix must cost no
 // more memory than the bytes that actually arrive, so the buffer grows
-// geometrically as data is received.
-func readFrameBody(r io.Reader, n int) ([]byte, error) {
+// geometrically as data is received. A length no larger than trusted —
+// a body this connection has already delivered in full — is allocated
+// at once: a stream's frames after its first cost one allocation each.
+func readFrameBody(r io.Reader, n, trusted int) ([]byte, error) {
 	const initAlloc = 64 << 10
-	if n <= initAlloc {
+	if n <= max(initAlloc, trusted) {
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, err
@@ -322,7 +327,9 @@ func readFrameBody(r io.Reader, n int) ([]byte, error) {
 		if len(buf)+step > n {
 			step = n - len(buf)
 		}
-		buf = append(buf, make([]byte, step)...)
+		grown := make([]byte, len(buf)+step) // exactly; append would round up
+		copy(grown, buf)
+		buf = grown
 		if _, err := io.ReadFull(r, buf[len(buf)-step:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
