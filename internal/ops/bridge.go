@@ -8,16 +8,26 @@ import (
 )
 
 // Who owns the bytes. A large object's payload is shared, never copied,
-// on its way through an operator: ToVM hands the MVM the payload itself
+// on its way into an operator: ToVM hands the MVM the payload itself
 // (read-only), and a result may alias its argument's bytes (bslice). An
 // argument decoded off the wire or off a page is in turn a window into
 // its frame or record (types.DecodeValue), which is fresh per frame and
 // never written again — so a value, and anything computed from it, lives
 // as long as its frame stays reachable, and an operator that keeps rows
 // past their batch detaches them (the exec package comment says who and
-// how). The one buffer that *is* written again is MVM
-// memory: a shipped program may return a buffer it keeps in a global, so
-// FromVM copies a large result out (types.FromPayload).
+// how). On the way out there are two cases, told apart by Value.W:
+//
+//   - A scalar's writable result is handed over, not copied (adopt).
+//     W marks a buffer a bnew of this very invocation made, or a bslice
+//     of one: arguments and constants are read-only, Scalar.Call clears
+//     the globals before every call, and a verified program cannot read
+//     a register it has not written — so once Run returns nothing can
+//     reach the buffer again, and the caller is its only owner.
+//   - Everything else keeps FromVM's copy (types.FromPayload): an
+//     aggregate's Summarize, whose program may go on writing a buffer it
+//     keeps in a global; a read-only result, which aliases an argument
+//     or a constant somebody else owns; and every caller outside this
+//     package.
 
 // ToVM converts a middleware object into an MVM value. Scalars map to VM
 // scalars; spatial and large objects enter the VM as their raw wire
@@ -46,8 +56,12 @@ func ToVM(o types.Object) vm.Value {
 }
 
 // FromVM converts an MVM result value back into a middleware object of
-// the declared kind.
-func FromVM(v vm.Value, k types.Kind) (types.Object, error) {
+// the declared kind; a large one is a copy.
+func FromVM(v vm.Value, k types.Kind) (types.Object, error) { return fromVM(v, k, false) }
+
+// fromVM is FromVM; a caller that owns whatever writable buffer v holds
+// (the rule above) gets that buffer, validated, instead of a copy of it.
+func fromVM(v vm.Value, k types.Kind, owned bool) (types.Object, error) {
 	switch k {
 	case types.KindBool:
 		if v.K != vm.VBool {
@@ -81,9 +95,25 @@ func FromVM(v vm.Value, k types.Kind) (types.Object, error) {
 		if v.K != vm.VBytes {
 			return nil, fmt.Errorf("ops: operator returned %v, want %v payload", v.K, k)
 		}
+		if owned && v.W {
+			return adopt(k, v.B)
+		}
 		return types.FromPayload(k, v.B)
 	}
 	return nil, fmt.Errorf("ops: cannot convert VM result to %v", k)
+}
+
+// adopt is types.FromPayload without the copy, for a scalar's writable
+// result (the rule above): validated where it lies, then handed over.
+func adopt(k types.Kind, payload []byte) (types.Object, error) {
+	o, n, err := types.DecodeValue(k, payload)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(payload) {
+		return nil, fmt.Errorf("ops: %v payload has %d trailing bytes", k, len(payload)-n)
+	}
+	return o, nil
 }
 
 // toVMArgs converts one tuple's argument values into buf, growing it only
@@ -147,7 +177,7 @@ func (s *Scalar) Call(args []types.Object) (types.Object, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ops: %s: %w", s.name, err)
 	}
-	return FromVM(v, s.ret)
+	return fromVM(v, s.ret, true)
 }
 
 // Aggregate is an executable aggregate operator instance. Each group in a

@@ -3,6 +3,7 @@ package ops
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mocha/internal/types"
@@ -177,6 +178,140 @@ func TestRasterKernelsOnOddShapes(t *testing.T) {
 				t.Errorf("IncrRes(%v, %d): native and shipped differ", r, k)
 			}
 		}
+	}
+}
+
+// TestClipKernelOnOddWindows runs native Clip against the shipped class,
+// which moves a row at a time, over windows the Sequoia queries never
+// ask for: empty, the whole image and more, one column, one row, wholly
+// outside on every side, inverted, fractional and negative corners. The
+// results must be the same bytes.
+func TestClipKernelOnOddWindows(t *testing.T) {
+	clip := builtin(t, "Clip")
+	rng := rand.New(rand.NewSource(22))
+	for _, dim := range [][2]int{{0, 0}, {0, 4}, {1, 1}, {1, 9}, {9, 1}, {7, 3}, {13, 13}} {
+		px := make([]byte, dim[0]*dim[1])
+		rng.Read(px)
+		r := types.NewRaster(dim[0], dim[1], px)
+		w, h := float32(dim[0]), float32(dim[1])
+		for _, win := range []types.Rectangle{
+			{},                                   // empty, at the origin
+			{XMin: 2, YMin: 2, XMax: 2, YMax: 2}, // empty, inside
+			{XMax: w, YMax: h},                   // the whole image
+			{XMin: -5, YMin: -5, XMax: w + 5, YMax: h + 5},       // and more
+			{XMin: 1, XMax: 2, YMax: h},                          // one column
+			{YMin: 1, XMax: w, YMax: 2},                          // one row
+			{XMin: w, YMin: h, XMax: w + 3, YMax: h + 3},         // outside, below right
+			{XMin: -9, YMin: -9, XMax: -1, YMax: -1},             // outside, above left
+			{XMin: 6, YMin: 2, XMax: 1, YMax: 0},                 // inverted
+			{XMin: 0.9, YMin: 1.5, XMax: w - 0.1, YMax: h - 1.5}, // fractional
+		} {
+			native, shipped := callBoth(t, clip, []types.Object{r, win})
+			if string(native.(types.Raster).Payload()) != string(shipped.(types.Raster).Payload()) {
+				t.Errorf("Clip(%v, %v): native %v and shipped %v differ", r, win, native, shipped)
+			}
+		}
+	}
+}
+
+// TestScalarHandsOverItsOwnResult pins who owns a result (bridge.go): a
+// scalar's writable buffer is the object it returns — no second copy is
+// allocated, and a later call on the same Scalar, which reuses the same
+// machine, leaves it alone — while a result that aliases an argument and
+// an aggregate's buffer kept in a global are copied out. Run under -race.
+func TestScalarHandsOverItsOwnResult(t *testing.T) {
+	d := builtin(t, "IncrRes")
+	vs, err := NewVMScalar(vm.New(vm.Limits{}), d.Program(), d.Ret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	a, b := randRaster(rng, 40), randRaster(rng, 40)
+	first, err := vs.Call([]types.Object{a, types.Int(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := a.IncrRes(3).Payload()
+	if _, err := vs.Call([]types.Object{b, types.Int(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if string(first.(types.Raster).Payload()) != string(want) {
+		t.Error("a second call on the same Scalar changed the first call's result")
+	}
+	big := types.NewRaster(128, 128, make([]byte, 128*128))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		if _, err := vs.Call([]types.Object{big, types.Int(2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per, size := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(4*big.WireSize()); per > size*3/2 {
+		t.Errorf("a call allocates %d bytes for a %d-byte result: it was copied", per, size)
+	}
+
+	// The whole argument, returned as it came: read-only, so copied.
+	alias, err := NewVMScalar(vm.New(vm.Limits{}),
+		vm.MustAssemble("program alias\nfunc eval args=1 locals=0\narg 0\npushi 0\narg 0\nblen\nbslice\nret\nend"), types.KindRaster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := alias.Call([]types.Object{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pixel := a.At(0, 0)
+	a.Payload()[8] ^= 0xff
+	if got.(types.Raster).At(0, 0) != pixel {
+		t.Error("a result aliasing its argument was handed over, not copied")
+	}
+
+	// An aggregate that returns the buffer it keeps writing: copied.
+	agg, err := NewVMAggregate(vm.New(vm.Limits{}), vm.MustAssemble(`
+program keeps
+globals 1
+func reset args=0 locals=0
+  pushi 9
+  bnew
+  pushi 0
+  pushi 1
+  sti32
+  pushi 4
+  pushi 1
+  sti32
+  gstore 0
+  ret
+end
+func update args=1 locals=0
+  gload 0
+  pushi 8
+  arg 0
+  stu8
+  ret
+end
+func summarize args=0 locals=0
+  gload 0
+  ret
+end`), types.KindRaster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	var sums [2]types.Object
+	for i := range sums {
+		if err := agg.Update([]types.Object{types.Int(5 + i)}); err != nil {
+			t.Fatal(err)
+		}
+		if sums[i], err = agg.Summarize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, q := sums[0].(types.Raster).At(0, 0), sums[1].(types.Raster).At(0, 0); p != 5 || q != 6 {
+		t.Errorf("aggregate summaries hold %d and %d, want 5 and 6: the first followed the global", p, q)
 	}
 }
 

@@ -58,7 +58,7 @@ empty:
 end`
 
 const clipSrc = `
-program Clip version 1.0
+program Clip version 1.1
 func clampi args=3 locals=0
   ; clampi(v, lo, hi)
   arg 0
@@ -78,9 +78,9 @@ ok:
   arg 0
   ret
 end
-func eval args=2 locals=9
+func eval args=2 locals=8
   ; args: 0=raster payload, 1=rectangle payload (pixel coordinates)
-  ; locals: 0=w 1=h 2=x0 3=y0 4=w2 5=h2 6=out 7=y 8=x
+  ; locals: 0=w 1=h 2=x0 3=y0 4=w2 5=h2 6=out 7=y
   arg 0
   pushi 0
   ldi32
@@ -154,20 +154,11 @@ yloop:
   load 5
   ge
   jnz done
-  pushi 0
-  store 8
-xloop:
-  load 8
-  load 4
-  ge
-  jnz ynext
-  ; out[8 + y*w2 + x] = src[8 + (y+y0)*w + (x+x0)]
+  ; out[8 + y*w2 ...] = w2 bytes of src from 8 + (y+y0)*w + x0
   load 6
   load 7
   load 4
   muli
-  load 8
-  addi
   pushi 8
   addi
   arg 0
@@ -176,21 +167,13 @@ xloop:
   addi
   load 0
   muli
-  load 8
   load 2
-  addi
   addi
   pushi 8
   addi
-  ldu8
-  stu8
+  load 4
+  bcopy
   pop
-  load 8
-  pushi 1
-  addi
-  store 8
-  jmp xloop
-ynext:
   load 7
   pushi 1
   addi
@@ -202,10 +185,10 @@ done:
 end`
 
 const incrResSrc = `
-program IncrRes version 1.0
-func eval args=2 locals=8
+program IncrRes version 1.1
+func eval args=2 locals=13
   ; args: 0=raster payload, 1=scale factor k (int)
-  ; locals: 0=w 1=h 2=k 3=nw 4=nh 5=out 6=y 7=x
+  ; locals: 0=w 1=h 2=k 3=nw 4=nh 5=out 6=y 7=row 8=srow 9=j 10=o 11=s 12=end
   arg 0
   pushi 0
   ldi32
@@ -214,7 +197,10 @@ func eval args=2 locals=8
   pushi 4
   ldi32
   store 1
+  ; k is an int from here on, proven once
   arg 1
+  pushi 0
+  addi
   store 2
   load 2
   pushi 1
@@ -248,50 +234,96 @@ kok:
   load 4
   sti32
   pop
-  pushi 0
-  store 6
+  ; row, srow: where output row y*k and source row y start
+  pushi 8
+  store 7
+  pushi 8
+  store 8
 yloop:
   load 6
-  load 4
+  load 1
   ge
   jnz done
-  pushi 0
-  store 7
-xloop:
-  load 7
-  load 3
-  ge
-  jnz ynext
-  ; out[8 + y*nw + x] = src[8 + (y/k)*w + (x/k)]
-  load 5
-  load 6
-  load 3
-  muli
-  load 7
-  addi
-  pushi 8
-  addi
-  arg 0
-  load 6
-  load 2
-  divi
+  load 8
   load 0
-  muli
-  load 7
+  addi
+  store 12
+  ; pass j of k puts the source row at row+j, row+j+k, row+j+2k, ...
+  pushi 0
+  store 9
+jloop:
+  load 9
   load 2
-  divi
+  ge
+  jnz copies
+  load 7
+  load 9
   addi
-  pushi 8
-  addi
+  store 10
+  load 8
+  store 11
+  load 11
+  load 12
+  ge
+  jnz jnext
+xloop:
+  load 5
+  load 10
+  arg 0
+  load 11
   ldu8
   stu8
   pop
-  load 7
+  load 10
+  load 2
+  addi
+  store 10
+  load 11
   pushi 1
   addi
-  store 7
-  jmp xloop
+  store 11
+  load 11
+  load 12
+  lt
+  jnz xloop
+jnext:
+  load 9
+  pushi 1
+  addi
+  store 9
+  jmp jloop
+copies:
+  ; the expanded row, k-1 times more
+  load 7
+  store 10
+  pushi 1
+  store 9
+cloop:
+  load 10
+  load 3
+  addi
+  store 10
+  load 9
+  load 2
+  ge
+  jnz ynext
+  load 5
+  load 10
+  load 5
+  load 7
+  load 3
+  bcopy
+  pop
+  load 9
+  pushi 1
+  addi
+  store 9
+  jmp cloop
 ynext:
+  load 10
+  store 7
+  load 12
+  store 8
   load 6
   pushi 1
   addi

@@ -120,14 +120,24 @@ func TestDecodedLargeValuesAliasTheirBuffer(t *testing.T) {
 
 // TestFromPayloadCopiesOutOfMVMMemory: the one decode whose source is
 // reused — a shipped aggregate may keep writing the buffer it returned.
+// The hand-over case is the same payload through DecodeValue: whole, and
+// the memory itself — what a scalar operator does with a buffer nobody
+// else can reach (ops.TestScalarHandsOverItsOwnResult is its other half).
 func TestFromPayloadCopiesOutOfMVMMemory(t *testing.T) {
 	mem := NewRaster(2, 2, []byte{1, 2, 3, 4}).AppendTo(nil)
 	v, err := FromPayload(KindRaster, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
+	own, n, err := DecodeValue(KindRaster, mem)
+	if err != nil || n != len(mem) {
+		t.Fatalf("DecodeValue in place: %d of %d bytes, %v", n, len(mem), err)
+	}
 	mem[8] = 99
 	if got := v.(Raster).At(0, 0); got != 1 {
 		t.Errorf("raster pixel followed MVM memory: %d", got)
+	}
+	if got := own.(Raster).At(0, 0); got != 99 {
+		t.Errorf("handed-over raster is a copy: pixel %d", got)
 	}
 }

@@ -113,7 +113,7 @@ func (t Tuple) String() string {
 // data, returning the value and the number of bytes consumed. A polygon,
 // graph, raster or byte string is not copied: it is a capacity-clipped
 // sub-slice of data and lives as long as data, which must not be written
-// again (FromPayload, whose source is, copies first).
+// again (FromPayload, whose source may be, copies first).
 func DecodeValue(k Kind, data []byte) (Object, int, error) {
 	switch k {
 	case KindNull:
@@ -220,10 +220,16 @@ func DecodeTuple(s Schema, data []byte) (Tuple, int, error) {
 	return t, off, nil
 }
 
-// FromPayload reconstructs a typed object of kind k from MVM result bytes.
-// Scalar kinds are decoded from their wire form; large kinds validate the
-// payload structurally, on a copy — MVM memory is written again: a shipped
-// aggregate may return a buffer it keeps in a global.
+// FromPayload reconstructs a typed object of kind k from a payload the
+// caller does not own. Scalar kinds are decoded from their wire form;
+// large kinds validate the payload structurally, on a copy — the source
+// may be written again (MVM memory: a shipped aggregate may return a
+// buffer it keeps in a global) or belong to somebody else (a read-only
+// result aliasing an argument); the XML driver and the plan decoder,
+// off the per-tuple path, take the copy too. The one caller that owns
+// its payload and cannot afford one — a scalar operator handed the buffer
+// its own invocation allocated — validates it where it lies with
+// DecodeValue instead and keeps it (ops/bridge.go, "Who owns the bytes").
 func FromPayload(k Kind, payload []byte) (Object, error) {
 	if k.IsLarge() {
 		payload = bytes.Clone(payload)

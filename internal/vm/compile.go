@@ -50,7 +50,9 @@ type cfunc struct {
 
 // block is a run of instructions entered only at the top and left only
 // at the bottom. A call ends its block, so the fuel charged on entry
-// never covers instructions that run after a callee's.
+// never covers instructions that run after a callee's; so does a bcopy,
+// whose own charge for the bytes then finds exactly the fuel the
+// reference interpreter would have left.
 type block struct {
 	first   int   // index of the first instruction
 	n       int64 // bytecode instructions, charged on entry
@@ -180,7 +182,7 @@ func (c *fcomp) compile() {
 		switch in.op {
 		case OpJmp, OpJz, OpJnz:
 			lead[c.ff.idx[in.operand]], lead[i+1] = true, true
-		case OpRet, OpCall:
+		case OpRet, OpCall, OpBCopy:
 			lead[i+1] = true
 		}
 	}
@@ -297,12 +299,38 @@ func (c *fcomp) settle(n int) {
 	}
 }
 
-// sreg is the scalar register that is all of operand o, or -1.
-func (c *fcomp) sreg(o operand) int {
-	if o.loc == locReg && c.scalar[o.n] && o.add == 0 {
+// breg is the scalar register operand o is o.add away from, or -1.
+func (c *fcomp) breg(o operand) int {
+	if o.loc == locReg && c.scalar[o.n] {
 		return o.n
 	}
 	return -1
+}
+
+// sreg is the scalar register that is all of operand o, or -1.
+func (c *fcomp) sreg(o operand) int {
+	if o.add == 0 {
+		return c.breg(o)
+	}
+	return -1
+}
+
+// offset is k past scalar register r of the running frame, or past x
+// where there is none (r < 0).
+func (m *Machine) offset(r int, x iexpr, k int64) int64 {
+	if r >= 0 {
+		return m.r[r] + k
+	}
+	return x(m) + k
+}
+
+// span is boxed register n from offset o on when it is a buffer with w
+// bytes there, and nil when reading them would trap.
+func (m *Machine) span(n int, o, w int64) []byte {
+	if v := &m.v[n]; v.K == VBytes && o >= 0 && o <= int64(len(v.B))-w {
+		return v.B[o:]
+	}
+	return nil
 }
 
 // ival reads o as an int or bool. A dynamically kinded o must hold a

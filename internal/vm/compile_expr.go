@@ -157,9 +157,10 @@ func (c *fcomp) instr(in instr) {
 			if size < 0 {
 				st.trap(m, TrapBounds, "bnew with negative size")
 			}
-			if m.alloc += size; m.alloc > m.limits.MaxAlloc {
+			if size > m.limits.MaxAlloc-m.alloc { // compared before it is added: a size near MaxInt64 would wrap the sum
 				st.trap(m, TrapResource, "allocation budget exhausted")
 			}
+			m.alloc += size
 			st.live(m)
 			m.v[s] = Value{K: VBytes, W: true, B: make([]byte, size)}
 		})
@@ -182,6 +183,8 @@ func (c *fcomp) instr(in instr) {
 			m.v[s] = Value{K: VBytes, W: v.W, B: v.B[lo:hi]}
 		})
 		c.pushReg(akBytes)
+	case OpBCopy:
+		c.bcopy()
 	case OpHost:
 		c.host(in.operand)
 	}
@@ -365,7 +368,10 @@ func holds(op Op, c int) bool {
 	return [numOps]bool{OpEq: c == 0, OpNe: c != 0, OpLt: c < 0, OpLe: c <= 0, OpGt: c > 0, OpGe: c >= 0}[op]
 }
 
-// load builds a byte-buffer read.
+// load builds a byte-buffer read. From a buffer in a register — an
+// argument, a local — the bytes are read where they lie, at an offset
+// that is itself read in place when it is a scalar register's; what
+// would trap there goes to at, out of line, which does.
 func (c *fcomp) load(op Op) {
 	off, buf := c.pop(), c.pop()
 	st := c.site()
@@ -382,30 +388,50 @@ func (c *fcomp) load(op Op) {
 		}
 		return v.B[o : o+w]
 	}
-	res := operand{k: akInt}
-	switch n, r := buf.n, c.sreg(off); {
-	case op == OpLdU8 && buf.loc == locReg: // the pixel read of every raster operator
+	n, r, res := buf.n, c.breg(off), operand{k: akInt}
+	if op == OpLdF32 || op == OpLdF64 {
+		res.k = akFloat
+	}
+	switch inPlace := buf.loc == locReg; {
+	case op == OpLdU8 && inPlace: // the pixel read of every raster operator
 		res.i = func(m *Machine) int64 {
-			o, v := k, &m.v[n]
-			if r >= 0 {
-				o += m.r[r]
-			} else {
-				o += x(m)
+			b := m.span(n, m.offset(r, x, k), 1)
+			if b == nil {
+				b = at(m)
 			}
-			if v.K != VBytes || uint64(o) >= uint64(len(v.B)) {
-				at(m) // traps
-			}
-			return int64(v.B[o])
+			return int64(b[0])
 		}
 	case op == OpLdU8:
 		res.i = func(m *Machine) int64 { return int64(at(m)[0]) }
+	case op == OpLdI32 && inPlace:
+		res.i = func(m *Machine) int64 {
+			b := m.span(n, m.offset(r, x, k), 4)
+			if b == nil {
+				b = at(m)
+			}
+			return int64(int32(binary.BigEndian.Uint32(b)))
+		}
 	case op == OpLdI32:
 		res.i = func(m *Machine) int64 { return int64(int32(binary.BigEndian.Uint32(at(m)))) }
+	case op == OpLdF32 && inPlace: // the vertex read of every geometry operator
+		res.f = func(m *Machine) float64 {
+			b := m.span(n, m.offset(r, x, k), 4)
+			if b == nil {
+				b = at(m)
+			}
+			return float64(math.Float32frombits(binary.BigEndian.Uint32(b)))
+		}
 	case op == OpLdF32:
-		res.k = akFloat
 		res.f = func(m *Machine) float64 { return float64(math.Float32frombits(binary.BigEndian.Uint32(at(m)))) }
+	case inPlace:
+		res.f = func(m *Machine) float64 {
+			b := m.span(n, m.offset(r, x, k), 8)
+			if b == nil {
+				b = at(m)
+			}
+			return math.Float64frombits(binary.BigEndian.Uint64(b))
+		}
 	default:
-		res.k = akFloat
 		res.f = func(m *Machine) float64 { return math.Float64frombits(binary.BigEndian.Uint64(at(m))) }
 	}
 	c.push(res)
@@ -440,7 +466,7 @@ func (c *fcomp) store(op Op) {
 	} else {
 		c.at++
 	}
-	c.emit(func(m *Machine) {
+	general := func(m *Machine) {
 		var u int64
 		o := x(m) + k
 		if !late {
@@ -468,7 +494,62 @@ func (c *fcomp) store(op Op) {
 		if keep {
 			m.v[s] = *v
 		}
+	}
+	// The pixel write of every raster operator — a proven byte into a
+	// register buffer at a register's offset, the buffer popped — is
+	// done in place; what would trap is left to the general path.
+	if n, r := buf.n, c.breg(off); op == OpStU8 && !keep && !late && r >= 0 && buf.loc == locReg {
+		c.emit(func(m *Machine) {
+			u, o, v := bits(m), m.r[r]+k, &m.v[n]
+			if st.idx >= m.limit || !v.W || v.K != VBytes || uint64(o) >= uint64(len(v.B)) {
+				general(m)
+				return
+			}
+			v.B[o] = byte(u)
+		})
+		return
+	}
+	c.emit(general)
+}
+
+// bcopy builds the block move: the stores' checks over two ranges, the
+// fuel for the bytes — a unit per 8, so fuel stays a bound on time — and
+// one copy. It is the last instruction of its block (compile), so the
+// fuel left is what the reference has left after the instruction's own
+// unit, and under exhaust it lies at or past the limit and never moves a
+// byte. A pop right after it, in the next block, never reads the slot.
+func (c *fcomp) bcopy() {
+	c.settle(5)
+	n, soff, src, doff, dst := c.pop(), c.pop(), c.pop(), c.pop(), c.pop()
+	c.flush()
+	st, s := c.site(), c.top()
+	fail := c.typeFail("bcopy needs (bytes, int, bytes, int, int)")
+	pd, xd, ps := c.ptr(dst), c.ival(doff, VInt, fail), c.ptr(src)
+	xs, xn := c.ival(soff, VInt, fail), c.ival(n, VInt, fail)
+	keep := c.ff.ins[c.at+1].op != OpPop
+	c.emit(func(m *Machine) {
+		do, so, n := xd(m), xs(m), xn(m)
+		d, sv := pd(m), ps(m)
+		st.live(m)
+		if d.K != VBytes || sv.K != VBytes {
+			fail(m)
+		}
+		if !d.W {
+			st.trap(m, TrapBounds, "store into read-only buffer")
+		}
+		if n < 0 || do < 0 || do > int64(len(d.B))-n || so < 0 || so > int64(len(sv.B))-n {
+			st.trap(m, TrapBounds, fmt.Sprintf("bcopy of %d bytes from %d (%d) to %d (%d) out of bounds", n, so, len(sv.B), do, len(d.B)))
+		}
+		if m.fuel -= n >> 3; m.fuel < 0 {
+			m.limit = st.idx
+			st.trap(m, TrapResource, "")
+		}
+		copy(d.B[do:do+n], sv.B[so:so+n])
+		if keep {
+			m.v[s] = *d
+		}
 	})
+	c.pushReg(akBytes)
 }
 
 // host builds a direct call of a host intrinsic.

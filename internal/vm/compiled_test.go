@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -141,9 +143,11 @@ func (g *progGen) expr(k absKind) {
 			g.emit("not")
 		}
 	case akBytes:
-		switch g.pick(4) {
+		switch g.pick(5) {
 		case 0:
 			g.emit("pushi %d\nbnew", g.pick(24))
+		case 4:
+			g.bcopy()
 		case 1:
 			g.expr(akBytes)
 			g.expr(akInt)
@@ -158,6 +162,28 @@ func (g *progGen) expr(k absKind) {
 			g.leaf(akBytes)
 		}
 	}
+}
+
+// bcopy pushes the destination of a block move: mostly into a fresh
+// buffer, at small offsets, a length that may or may not fit.
+func (g *progGen) bcopy() {
+	small := func(n int) {
+		if g.pick(4) == 0 {
+			g.expr(akInt)
+		} else {
+			g.emit("pushi %d", g.pick(n)-1)
+		}
+	}
+	if g.pick(4) == 0 {
+		g.expr(akBytes)
+	} else {
+		g.emit("pushi %d\nbnew", 8+g.pick(24))
+	}
+	small(6)
+	g.expr(akBytes)
+	small(6)
+	small(12)
+	g.emit("bcopy")
 }
 
 func (g *progGen) leaf(k absKind) {
@@ -207,6 +233,11 @@ func (g *progGen) stmt() {
 		g.expr([]absKind{akInt, akFloat, akBool, akBytes}[g.pick(4)])
 		g.emit("pop")
 	case 5, 6:
+		if g.pick(4) == 0 {
+			g.bcopy()
+			g.emit([]string{"pop", "store 5", "gstore 1"}[g.pick(3)])
+			return
+		}
 		if g.pick(3) == 0 {
 			g.expr(akBytes)
 		} else {
@@ -460,6 +491,17 @@ loop:
   gstore 0
   jmp loop
 end`, Limits{MaxAlloc: 1000}, nil, Trap{"eval", 5, TrapResource, "allocation budget exhausted"}, 10, 1},
+		{"bnew of a size that wraps the bytes allocated so far", `
+program p
+globals 1
+const big int 9223372036854775807
+func eval args=0 locals=0
+  pushi 1
+  bnew
+  const big
+  bnew
+  ret
+end`, Limits{}, nil, Trap{"eval", 11, TrapResource, "allocation budget exhausted"}, 4, 0},
 		{"trap in a callee, after the caller's effect", `
 program p
 globals 1
@@ -504,6 +546,123 @@ end`, Limits{}, []Value{BytesVal([]byte{1})}, Trap{"eval", 25, TrapBounds, "stor
 				t.Errorf("instrs = %d, globals[0] = %v; want %d and %d", got.instrs, got.globals[0], c.instrs, c.g0)
 			}
 		})
+	}
+
+	// bcopy, every outcome. Each body runs after "bnew; gstore 0", so what
+	// the destination holds afterwards shows in globals[0] whichever way
+	// the run ends; src is eight (or, sized, that many) bytes 1, 2, 3, ….
+	seq := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i + 1)
+		}
+		return b
+	}
+	moves := []struct {
+		name   string
+		size   int // of both buffers; 0 means 8
+		body   string
+		limits Limits
+		want   Trap // the zero Trap: it returns
+		instrs int64
+		dst    []byte // globals[0] afterwards, and the value a returning row returns
+	}{
+		{"whole buffer, result kept", 0, "gload 0\npushi 0\narg 0\npushi 0\npushi 8\nbcopy\nret",
+			Limits{}, Trap{}, 11, seq(8)},
+		{"result popped", 0, "gload 0\npushi 2\narg 0\npushi 4\npushi 3\nbcopy\npop\ngload 0\nret",
+			Limits{}, Trap{}, 12, []byte{0, 0, 5, 6, 7, 0, 0, 0}},
+		{"proven operands, result kept on the stack across a statement", 0,
+			"pushi 8\nbnew\npushi 1\narg 0\npushi 0\npushi 7\nbcopy\npushi 9\nstore 0\ngstore 0\ngload 0\nret",
+			Limits{}, Trap{}, 15, []byte{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"nothing, at the very end of both", 0, "gload 0\npushi 8\narg 0\npushi 8\npushi 0\nbcopy\nret",
+			Limits{}, Trap{}, 10, make([]byte, 8)},
+		{"forward inside one buffer", 0, "gload 0\npushi 0\narg 0\npushi 0\npushi 8\nbcopy\npushi 2\ngload 0\npushi 0\npushi 6\nbcopy\nret",
+			Limits{}, Trap{}, 16, []byte{1, 2, 1, 2, 3, 4, 5, 6}},
+		{"backward inside one buffer", 0, "gload 0\npushi 0\narg 0\npushi 0\npushi 8\nbcopy\npushi 0\ngload 0\npushi 2\npushi 6\nbcopy\nret",
+			Limits{}, Trap{}, 16, []byte{3, 4, 5, 6, 7, 8, 7, 8}},
+		{"destination is not bytes", 0, "arg 1\npushi 0\narg 0\npushi 0\npushi 1\nbcopy\nret",
+			Limits{}, Trap{"eval", 36, TrapType, "bcopy needs (bytes, int, bytes, int, int)"}, 9, make([]byte, 8)},
+		{"source is not bytes", 0, "gload 0\npushi 0\narg 1\npushi 0\npushi 1\nbcopy\nret",
+			Limits{}, Trap{"eval", 36, TrapType, "bcopy needs (bytes, int, bytes, int, int)"}, 9, make([]byte, 8)},
+		{"length is not an int", 0, "gload 0\npushi 0\narg 0\npushi 0\narg 0\nbcopy\nret",
+			Limits{}, Trap{"eval", 36, TrapType, "bcopy needs (bytes, int, bytes, int, int)"}, 9, make([]byte, 8)},
+		{"read-only destination", 0, "arg 0\npushi 0\ngload 0\npushi 0\npushi 1\nbcopy\nret",
+			Limits{}, Trap{"eval", 36, TrapBounds, "store into read-only buffer"}, 9, make([]byte, 8)},
+		{"negative length", 0, "gload 0\npushi 0\narg 0\npushi 0\npushi -1\nbcopy\nret",
+			Limits{}, Trap{"eval", 36, TrapBounds, "bcopy of -1 bytes from 0 (8) to 0 (8) out of bounds"}, 9, make([]byte, 8)},
+		{"source short by one", 0, "gload 0\npushi 0\narg 0\npushi 5\npushi 4\nbcopy\nret",
+			Limits{}, Trap{"eval", 36, TrapBounds, "bcopy of 4 bytes from 5 (8) to 0 (8) out of bounds"}, 9, make([]byte, 8)},
+		{"destination short by one", 0, "gload 0\npushi 5\narg 0\npushi 0\npushi 4\nbcopy\nret",
+			Limits{}, Trap{"eval", 36, TrapBounds, "bcopy of 4 bytes from 0 (8) to 5 (8) out of bounds"}, 9, make([]byte, 8)},
+		{"offset and length overflow when added", 0, "gload 0\npushi 0\narg 0\nconst big\npushi 1\nbcopy\nret",
+			Limits{}, Trap{"eval", 36, TrapBounds, "bcopy of 1 bytes from 9223372036854775807 (8) to 0 (8) out of bounds"}, 9, make([]byte, 8)},
+		{"length alone past every buffer", 0, "gload 0\npushi 1\narg 0\npushi 1\nconst big\nbcopy\nret",
+			Limits{}, Trap{"eval", 36, TrapBounds, "bcopy of 9223372036854775807 bytes from 1 (8) to 1 (8) out of bounds"}, 9, make([]byte, 8)},
+		{"fuel for the instruction but not for its bytes", 64, "gload 0\npushi 0\narg 0\npushi 0\npushi 64\nbcopy\nret",
+			Limits{MaxFuel: 9 + 7}, Trap{"eval", 36, TrapResource, "fuel exhausted"}, 9 + 7, make([]byte, 64)},
+		{"fuel for the bytes and not one instruction more", 64, "gload 0\npushi 0\narg 0\npushi 0\npushi 64\nbcopy\nret",
+			Limits{MaxFuel: 9 + 8}, Trap{"eval", 37, TrapResource, "fuel exhausted"}, 9 + 8, seq(64)},
+		{"fuel to the end", 64, "gload 0\npushi 0\narg 0\npushi 0\npushi 64\nbcopy\nret",
+			Limits{MaxFuel: 9 + 8 + 1}, Trap{}, 9 + 8 + 1, seq(64)},
+	}
+	for _, c := range moves {
+		t.Run("bcopy/"+c.name, func(t *testing.T) {
+			size := cmp.Or(c.size, 8)
+			p := MustAssemble(fmt.Sprintf("program p\nglobals 1\nconst big int 9223372036854775807\n"+
+				"func eval args=2 locals=1\npushi %d\nbnew\ngstore 0\n%s\nend", size, c.body))
+			got := parity(t, p, 0, c.limits, []Value{BytesVal(seq(size)), IntVal(3)})
+			if tr, _ := got.err.(*Trap); (tr == nil) != (c.want == Trap{}) || tr != nil && *tr != c.want {
+				t.Errorf("ended with %+v, want %+v", got.err, c.want)
+			}
+			if got.err == nil && !bytes.Equal(got.val.B, c.dst) {
+				t.Errorf("returned %v, want %v", got.val.B, c.dst)
+			}
+			if got.instrs != c.instrs || !bytes.Equal(got.globals[0].B, c.dst) {
+				t.Errorf("instrs = %d, destination = %v; want %d and %v", got.instrs, got.globals[0].B, c.instrs, c.dst)
+			}
+		})
+	}
+
+	// The loads and the store that read their operands in place — a
+	// register buffer at a scalar register's offset — at the last offset
+	// inside, the first past either end and on something that is no
+	// buffer; the store also under every fuel that runs dry before the end.
+	at := func(off int64) []Value { return []Value{BytesVal(seq(16)), IntVal(off)} }
+	for _, ld := range []struct {
+		op string
+		w  int64
+	}{{"ldu8", 1}, {"ldi32", 4}, {"ldf32", 4}, {"ldf64", 8}} {
+		p := MustAssemble("program p\nfunc eval args=2 locals=1\narg 1\npushi 0\naddi\nstore 0\narg 0\nload 0\n" + ld.op + "\nret\nend")
+		for _, off := range []int64{-1, 16 - ld.w, 16 - ld.w + 1} {
+			want := fmt.Sprintf("vm trap in eval at pc=26: byte load at %d width %d out of bounds (16)", off, ld.w)
+			if got := parity(t, p, 0, Limits{}, at(off)); off == 16-ld.w && got.err != nil || off != 16-ld.w && (got.err == nil || got.err.Error() != want) {
+				t.Errorf("%s at %d of 16: %v, %v", ld.op, off, got.val, got.err)
+			}
+		}
+		if got := parity(t, p, 0, Limits{}, []Value{IntVal(5), IntVal(0)}); got.err == nil || got.err.Error() != "vm trap in eval at pc=26: byte load needs (bytes, int)" {
+			t.Errorf("%s from an int: %v, %v", ld.op, got.val, got.err)
+		}
+	}
+	st := MustAssemble("program p\nfunc eval args=2 locals=2\narg 1\npushi 0\naddi\nstore 0\npushi 16\nbnew\nstore 1\n" +
+		"load 1\nload 0\npushi 7\nstu8\npop\nload 1\nret\nend")
+	for _, off := range []int64{-1, 15, 16} {
+		want := fmt.Sprintf("vm trap in eval at pc=42: byte store at %d out of bounds (16)", off)
+		got := parity(t, st, 0, Limits{}, at(off))
+		if off == 15 && (got.err != nil || got.val.B[15] != 7) || off != 15 && (got.err == nil || got.err.Error() != want) {
+			t.Errorf("stu8 at %d of 16: %v, %v", off, got.val, got.err)
+		}
+		for fuel := int64(1); fuel < got.instrs; fuel++ {
+			parity(t, st, 0, Limits{MaxFuel: fuel}, at(off))
+		}
+	}
+	into := MustAssemble("program p\nfunc eval args=2 locals=1\narg 1\npushi 0\naddi\nstore 0\narg 0\nload 0\npushi 7\nstu8\npop\npushi 0\nret\nend")
+	for _, c := range []struct {
+		arg  Value
+		want string
+	}{{IntVal(5), "byte store needs (bytes, int, value)"}, {BytesVal([]byte{1, 2}), "store into read-only buffer"}} {
+		if got := parity(t, into, 0, Limits{}, []Value{c.arg, IntVal(0)}); got.err == nil || got.err.Error() != "vm trap in eval at pc=31: "+c.want {
+			t.Errorf("stu8 into %v: %v, want %s", c.arg, got.err, c.want)
+		}
 	}
 
 	// A bool constant keeps the payload it was shipped with, true or not.

@@ -49,7 +49,8 @@ var opCost = [numOps]int64{
 	OpBLen: 1, OpLdU8: 3, OpLdI32: 4, OpLdF32: 4, OpLdF64: 4,
 	OpBNew: 12, OpStU8: 3, OpStI32: 4, OpStF32: 4,
 	OpBSlice: 8, OpSLen: 1,
-	OpHost: 4,
+	OpHost:  4,
+	OpBCopy: 8, // plus a unit per 8 bytes where the length is static
 }
 
 // hostCost is the per-intrinsic cost table: the extra units one OpHost
@@ -309,7 +310,7 @@ func costPurity(instrs [][]instr) string {
 			switch in.op {
 			case OpGLoad, OpGStore:
 				return "stateful"
-			case OpStU8, OpStI32, OpStF32:
+			case OpStU8, OpStI32, OpStF32, OpBCopy:
 				purity = "writes-buffers"
 			}
 		}
@@ -395,11 +396,28 @@ func costFunc(p *Program, ins []instr, idx map[int]int, res []funcCost) funcCost
 		}
 	}
 
+	// static is the size instruction j finds on top of the stack when
+	// only the non-negative `pushi` laid out before it can have put it
+	// there: what bounds a bnew's bytes and a bcopy's.
+	static := func(j int) (int64, bool) {
+		if j == 0 || ins[j-1].op != OpPushI || ins[j-1].operand < 0 || len(preds[j]) != 1 {
+			return 0, false
+		}
+		return int64(ins[j-1].operand), true
+	}
+
 	for j, in := range ins {
-		w := OpCost(in.op)
+		w, step := OpCost(in.op), int64(1)
 		var callee *funcCost
 		if in.op == OpHost {
 			w = capAdd(w, HostCost(in.operand), costCap)
+		}
+		if in.op == OpBCopy { // a unit of fuel per 8 bytes moved, on top of its own
+			if k, ok := static(j); ok {
+				w, step = w+k>>3, step+k>>3
+			} else {
+				unbounded[j] = true
+			}
 		}
 		if in.op == OpCall {
 			callee = &res[in.operand]
@@ -416,7 +434,6 @@ func costFunc(p *Program, ins []instr, idx map[int]int, res []funcCost) funcCost
 		if unbounded[j] {
 			fc.bounded = false
 		} else {
-			step := int64(1)
 			if callee != nil {
 				step = capAdd(step, callee.budget, costCap)
 			}
@@ -443,8 +460,8 @@ func costFunc(p *Program, ins []instr, idx map[int]int, res []funcCost) funcCost
 		// any other bounded work; a computed size, or any allocation
 		// under an input-dependent loop, is unbounded.
 		if in.op == OpBNew {
-			if j > 0 && ins[j-1].op == OpPushI && ins[j-1].operand >= 0 && !unbounded[j] {
-				fc.alloc = capAdd(fc.alloc, capMul(mult[j], int64(ins[j-1].operand), allocCap), allocCap)
+			if size, ok := static(j); ok && !unbounded[j] {
+				fc.alloc = capAdd(fc.alloc, capMul(mult[j], size, allocCap), allocCap)
 			} else {
 				fc.allocOK = false
 			}

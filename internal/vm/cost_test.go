@@ -268,6 +268,42 @@ func TestCostScratchAndAlloc(t *testing.T) {
 	}
 }
 
+// TestCostBlockMove: a bcopy is priced by its length — the `pushi K`
+// right before it budgets 1 + K>>3 instructions, exactly what it is
+// charged at run time, and the same in weighted units; any other length
+// is input-dependent work, the function unbounded and the instruction on
+// the per-trip slope. Either way the program writes buffers.
+func TestCostBlockMove(t *testing.T) {
+	move := func(length string) string {
+		return "program s\nfunc eval args=1 locals=0\npushi 64\nbnew\npushi 0\npushi 64\nbnew\npushi 0\n" + length + "\nbcopy\nblen\nret\nend"
+	}
+	p, info := analyzeSrc(t, move("pushi 64"))
+	c := info.Cost
+	if want := int64(10 + 64>>3); !c.Bounded || c.BudgetInstrs != want || runBoth(t, p, []Value{IntVal(64)}) != want {
+		t.Errorf("static length: %+v, want exactly %d instructions budgeted and run", c, want)
+	}
+	_, none := analyzeSrc(t, move("pushi 0"))
+	if got := c.FixedUnits - none.Cost.FixedUnits; got != 64>>3 || c.PerTripUnits != 0 || c.Purity != "writes-buffers" {
+		t.Errorf("static length: 64 bytes weigh %d units more than none, summary %+v", got, c)
+	}
+
+	for _, length := range []string{"arg 0", "pushi 32\npushi 32\naddi", "pushi -1"} {
+		p, info := analyzeSrc(t, move(length))
+		c := info.Cost
+		if c.Bounded || c.BudgetInstrs != DefaultLimits.MaxFuel || c.PerTripUnits != OpCost(OpBCopy) || c.Purity != "writes-buffers" {
+			t.Errorf("length %q: %+v, want unbounded with the move on the per-trip slope", length, c)
+		}
+		runBoth(t, p, []Value{IntVal(64)})
+	}
+
+	// Under a bounded loop the bytes multiply out with the trips (4, and
+	// one more for the guard that leaves).
+	_, info = analyzeSrc(t, moveSeedSrcs[2])
+	if c := info.Cost; !c.Bounded || c.BudgetInstrs != 5+5*4+5*(12+32>>3)+2 {
+		t.Errorf("static length under a 4-trip loop: %+v", c)
+	}
+}
+
 func TestCostPurity(t *testing.T) {
 	cases := []struct {
 		src  string

@@ -593,6 +593,7 @@ var opSigs = [numOps]opSig{
 	OpLdU8: {popIY, akInt}, OpLdI32: {popIY, akInt}, OpLdF32: {popIY, akFloat}, OpLdF64: {popIY, akFloat},
 	OpStU8: {popIIY, akBytes}, OpStI32: {popIIY, akBytes}, OpStF32: {[]absKind{akFloat, akInt, akBytes}, akBytes},
 	OpBSlice: {popIIY, akBytes},
+	OpBCopy:  {[]absKind{akInt, akInt, akBytes, akInt, akBytes}, akBytes},
 }
 
 // hostSig is the stack effect of a host intrinsic.

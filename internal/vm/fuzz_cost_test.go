@@ -53,11 +53,29 @@ var costSeedSrcs = []string{
 	"program s\nconst i int 42\nconst f float 2.5\nfunc eval args=0 locals=0\nconst f\nhost sqrt\ncall aux\nret\nend\nfunc aux args=1 locals=0\narg 0\nret\nend",
 }
 
+// moveSeedSrcs are the block moves and the allocation the verifier, the
+// compiler and the cost pass must agree with the reference about: they
+// seed both fuzz targets and are committed to both corpora.
+var moveSeedSrcs = []string{
+	// static length: bounded, a unit of budget per 8 bytes
+	"program s\nfunc eval args=0 locals=0\npushi 64\nbnew\npushi 0\npushi 64\nbnew\npushi 0\npushi 64\nbcopy\nblen\nret\nend",
+	// computed length: the function is unbounded
+	"program s\nfunc eval args=1 locals=0\npushi 64\nbnew\npushi 3\npushi 64\nbnew\npushi 0\narg 0\nbcopy\npop\npushi 0\nret\nend",
+	// static length under a bounded loop, overlapping inside one buffer
+	"program s\nfunc eval args=0 locals=2\npushi 40\nbnew\nstore 1\npushi 0\nstore 0\nloop:\nload 0\npushi 4\nlt\njz done\nload 1\npushi 8\nload 1\npushi 0\npushi 32\nbcopy\npop\nload 0\npushi 1\naddi\nstore 0\njmp loop\ndone:\nload 1\nret\nend",
+	// a static length reached by a jump as well: not static after all
+	"program s\nfunc eval args=1 locals=0\npushi 64\nbnew\npushi 0\npushi 64\nbnew\npushi 0\narg 0\npushi 0\ngt\njz small\npushi 64\njmp move\nsmall:\npushi 8\nmove:\nbcopy\nblen\nret\nend",
+	// bnew of a size that would wrap the bytes allocated so far; only the
+	// code is kept, so the pool just puts big where fuzzProgram has it
+	"program s\nconst i int 42\nconst f float 2.5\nconst s str \"mocha\"\nconst b str \"bytes\"\nconst big int 9223372036854775807\n" +
+		"func eval args=0 locals=0\npushi 1\nbnew\nconst big\nbnew\nret\nend",
+}
+
 // FuzzCostSound fuzzes the bound-soundness oracle: static per-invocation
 // instruction budget >= the reference interpreter's executed count, with
 // the compiled engine counting identically.
 func FuzzCostSound(f *testing.F) {
-	for _, src := range costSeedSrcs {
+	for _, src := range append(costSeedSrcs, moveSeedSrcs...) {
 		p := MustAssemble(src)
 		f.Add(p.Funcs[0].Code, uint8(p.Funcs[0].NArgs), uint8(p.NGlobals))
 	}
@@ -144,23 +162,25 @@ func TestCostSoundCorpus(t *testing.T) {
 //
 //	MOCHA_WRITE_FUZZ_CORPUS=1 go test ./internal/vm -run TestWriteFuzzCorpusSeeds
 //
-// after changing costSeedSrcs, and commit the result.
+// after changing costSeedSrcs or moveSeedSrcs, and commit the result.
 func TestWriteFuzzCorpusSeeds(t *testing.T) {
 	if os.Getenv("MOCHA_WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set MOCHA_WRITE_FUZZ_CORPUS=1 to regenerate corpus seeds")
 	}
-	for i, src := range costSeedSrcs {
-		p := MustAssemble(src)
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\nbyte(%q)\n",
-			p.Funcs[0].Code, rune(p.Funcs[0].NArgs), rune(p.NGlobals))
-		for _, dir := range []string{"FuzzVerifySound", "FuzzCostSound"} {
-			full := filepath.Join("testdata", "fuzz", dir)
-			if err := os.MkdirAll(full, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("seed-loop-%02d", i)
-			if err := os.WriteFile(filepath.Join(full, name), []byte(body), 0o644); err != nil {
-				t.Fatal(err)
+	for kind, srcs := range map[string][]string{"loop": costSeedSrcs, "move": moveSeedSrcs} {
+		for i, src := range srcs {
+			p := MustAssemble(src)
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\nbyte(%q)\n",
+				p.Funcs[0].Code, rune(p.Funcs[0].NArgs), rune(p.NGlobals))
+			for _, dir := range []string{"FuzzVerifySound", "FuzzCostSound"} {
+				full := filepath.Join("testdata", "fuzz", dir)
+				if err := os.MkdirAll(full, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("seed-%s-%02d", kind, i)
+				if err := os.WriteFile(filepath.Join(full, name), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}

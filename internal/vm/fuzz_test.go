@@ -18,6 +18,7 @@ func fuzzProgram(code []byte, nargs, nglobals uint8) *Program {
 			FloatVal(2.5),
 			StrVal("mocha"),
 			BytesVal([]byte{1, 2, 3, 4, 5, 6, 7, 8}),
+			IntVal(math.MaxInt64), // a size no budget has room for
 		},
 		Funcs: []Func{
 			{Name: "eval", NArgs: int(nargs % 4), NLocals: 4, Code: code},
@@ -68,8 +69,14 @@ func FuzzVerifySound(f *testing.F) {
 	seed("program s\nglobals 2\nfunc eval args=0 locals=0\ngload 0\npushi 1\naddi\ngstore 0\ngload 1\nret\nend")
 	seed("program s\nfunc eval args=1 locals=0\narg 0\ncall aux\nret\nend\nfunc aux args=1 locals=0\narg 0\nret\nend")
 	seed("program s\nfunc eval args=0 locals=0\npushi 100\npushi 7\nmodi\npushi 0\neq\njz a\npushi 1\nret\na:\npushi 0\nret\nend")
+	for _, src := range moveSeedSrcs {
+		seed(src)
+	}
 	f.Add([]byte{byte(OpRet)}, uint8(0), uint8(0))
 	f.Add([]byte{byte(OpConst), 0, 0, 0, 3, byte(OpBLen), byte(OpRet)}, uint8(0), uint8(0))
+	// bcopy from the pool's bytes constant, which assembly cannot declare
+	f.Add([]byte{byte(OpPushI), 0, 0, 0, 8, byte(OpBNew), byte(OpPushI), 0, 0, 0, 1, byte(OpConst), 0, 0, 0, 3,
+		byte(OpPushI), 0, 0, 0, 2, byte(OpPushI), 0, 0, 0, 6, byte(OpBCopy), byte(OpRet)}, uint8(0), uint8(0))
 
 	f.Fuzz(func(t *testing.T, code []byte, nargs, nglobals uint8) {
 		p := fuzzProgram(code, nargs, nglobals)

@@ -71,6 +71,10 @@ const (
 
 	OpHost // <id> call host intrinsic (fixed math table, see Host IDs)
 
+	// Appended, not filed with the buffer instructions: an opcode's number
+	// is bytecode, and every released class's digest depends on it.
+	OpBCopy // pop n, soff, src, doff, dst; copy src[soff:soff+n] to dst[doff:]; push dst (n>>3 more fuel)
+
 	numOps
 )
 
@@ -143,6 +147,7 @@ var opInfo = [numOps]struct {
 	OpBSlice: {"bslice", false},
 	OpSLen:   {"slen", false},
 	OpHost:   {"host", true},
+	OpBCopy:  {"bcopy", false},
 }
 
 // Valid reports whether the opcode is defined.

@@ -375,10 +375,10 @@ func (m *refMachine) run(p *Program, fnIdx int, globals []Value, args []Value) (
 			if size < 0 {
 				return trap(TrapBounds, "bnew with negative size")
 			}
-			allocUsed += size
-			if allocUsed > m.limits.MaxAlloc {
+			if size > m.limits.MaxAlloc-allocUsed {
 				return trap(TrapResource, "allocation budget exhausted")
 			}
+			allocUsed += size
 			v := BytesVal(make([]byte, size))
 			v.W = true
 			m.stack[sp-1] = v
@@ -435,6 +435,27 @@ func (m *refMachine) run(p *Program, fnIdx int, globals []Value, args []Value) (
 			v.W = buf.W
 			m.stack = m.stack[:sp-2]
 			m.stack[sp-3] = v
+
+		case OpBCopy:
+			if sp < 5 {
+				return trap(TrapStack, "bcopy needs two buffers, two offsets and a length")
+			}
+			dst, doff, src, soff, n := m.stack[sp-5], m.stack[sp-4], m.stack[sp-3], m.stack[sp-2], m.stack[sp-1]
+			if dst.K != VBytes || doff.K != VInt || src.K != VBytes || soff.K != VInt || n.K != VInt {
+				return trap(TrapType, "bcopy needs (bytes, int, bytes, int, int)")
+			}
+			if !dst.W {
+				return trap(TrapBounds, "store into read-only buffer")
+			}
+			if n.I < 0 || doff.I < 0 || doff.I > int64(len(dst.B))-n.I || soff.I < 0 || soff.I > int64(len(src.B))-n.I {
+				return trap(TrapBounds, fmt.Sprintf("bcopy of %d bytes from %d (%d) to %d (%d) out of bounds",
+					n.I, soff.I, len(src.B), doff.I, len(dst.B)))
+			}
+			if fuel -= n.I >> 3; fuel < 0 { // a unit per 8 bytes, before any moves
+				return trap(TrapResource, "fuel exhausted")
+			}
+			copy(dst.B[doff.I:doff.I+n.I], src.B[soff.I:soff.I+n.I])
+			m.stack = m.stack[:sp-4]
 
 		case OpSLen:
 			if sp < 1 {

@@ -581,6 +581,42 @@ end`
 	}
 }
 
+// TestBlockMoveRoundTrip takes a program with a bcopy from assembly to
+// the wire and back to assembly: the decoded program verifies to the
+// same digest and cost, runs to the same bytes, and disassembles with
+// the mnemonic where the assembler put it.
+func TestBlockMoveRoundTrip(t *testing.T) {
+	p := MustAssemble(`
+program move version 1.1
+func eval args=1 locals=0
+  pushi 6
+  bnew
+  pushi 1
+  arg 0
+  pushi 2
+  pushi 4
+  bcopy
+  ret
+end`)
+	q, err := Decode(p.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(q); err != nil {
+		t.Fatal(err)
+	}
+	if q.Checksum() != p.Checksum() || q.Verified().Cost != p.Verified().Cost || q.Verified().Cost.Purity != "writes-buffers" {
+		t.Errorf("decoded program: digest %s cost %v, assembled %s %v", q.Checksum(), q.Verified().Cost, p.Checksum(), p.Verified().Cost)
+	}
+	v, err := New(Limits{}).Run(q, 0, nil, []Value{BytesVal([]byte{1, 2, 3, 4, 5, 6, 7})})
+	if err != nil || string(v.B) != "\x00\x03\x04\x05\x06\x00" {
+		t.Errorf("decoded program returned %v, %v", v.B, err)
+	}
+	if d := Disassemble(q); d != Disassemble(p) || !strings.Contains(d, "  26: bcopy\n    27: ret\n") {
+		t.Errorf("disassembly:\n%s", d)
+	}
+}
+
 func TestHostIntrinsics(t *testing.T) {
 	cases := []struct {
 		host string
