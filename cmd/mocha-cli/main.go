@@ -144,9 +144,19 @@ func runQuery(client *mocha.Client, sql string, showStats bool) error {
 	fmt.Printf("(%d rows)\n", n)
 	if showStats {
 		if s, err := rows.Stats(); err == nil {
-			fmt.Printf("time %.1fms (db %.1f cpu %.1f net %.1f misc %.1f) | moved %d bytes | CVRF %.6f | shipped %d classes\n",
-				s.TotalMS, s.DBMS, s.CPUMS, s.NetMS, s.MiscMS, s.CVDT, s.CVRF(), s.CodeClassesShipped)
+			fmt.Print(statsTrailer(s))
 		}
 	}
 	return nil
+}
+
+// statsTrailer renders the line printed after a query's rows. Text
+// verbs (EXPLAIN, DESCRIBE, SHOW ..., VERIFY) execute nothing and answer
+// with zero stats; they get no trailer.
+func statsTrailer(s *mocha.QueryStats) string {
+	if *s == (mocha.QueryStats{}) {
+		return ""
+	}
+	return fmt.Sprintf("time %.1fms (db %.1f cpu %.1f net %.1f misc %.1f) | moved %d bytes | CVRF %.6f | shipped %d classes\n",
+		s.TotalMS, s.DBMS, s.CPUMS, s.NetMS, s.MiscMS, s.CVDT, s.CVRF(), s.CodeClassesShipped)
 }

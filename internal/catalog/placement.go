@@ -142,14 +142,13 @@ func (p *Placement) Route(v types.Object) (int, error) {
 }
 
 // HoldsRange reports whether partition i can hold any key in the
-// interval described by (lo, hasLo) inclusive and (hi, hasHi)
-// inclusive. Unbounded ends match everything on that side.
-func (p *Placement) HoldsRange(i int, lo int64, hasLo bool, hi int64, hasHi bool) bool {
+// inclusive interval [lo, hi]. An open side is the int64 extreme.
+func (p *Placement) HoldsRange(i int, lo, hi int64) bool {
 	part := p.Parts[i]
-	if hasHi && part.HasLo && hi < part.Lo {
+	if part.HasLo && hi < part.Lo {
 		return false
 	}
-	if hasLo && part.HasHi && lo >= part.Hi {
+	if part.HasHi && lo >= part.Hi {
 		return false
 	}
 	return true

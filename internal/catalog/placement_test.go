@@ -3,6 +3,7 @@ package catalog
 import (
 	"encoding/xml"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -192,35 +193,32 @@ func TestCatalogRejectsInvalidPlacement(t *testing.T) {
 
 // TestHoldsRange pins the interval test pruning runs per shard: a
 // partition survives iff the predicate's [lo, hi] interval intersects
-// its [Lo, Hi) range, with unbounded ends matching everything.
+// its [Lo, Hi) range, an open side being the int64 extreme.
 func TestHoldsRange(t *testing.T) {
 	p := &Placement{Key: "time", Kind: PlaceRange, Parts: []Partition{
 		{Table: "T__p0", HasHi: true, Hi: 10},
 		{Table: "T__p1", HasLo: true, Lo: 10, HasHi: true, Hi: 20},
 		{Table: "T__p2", HasLo: true, Lo: 20},
 	}}
+	const openLo, openHi = math.MinInt64, math.MaxInt64
 	cases := []struct {
-		part  int
-		lo    int64
-		hasLo bool
-		hi    int64
-		hasHi bool
-		want  bool
-		why   string
+		part   int
+		lo, hi int64
+		want   bool
+		why    string
 	}{
-		{0, 0, false, 0, false, true, "unbounded matches every shard"},
-		{0, 10, true, 0, false, false, "lo at the shard's exclusive Hi"},
-		{0, 9, true, 0, false, true, "lo just under the shard's Hi"},
-		{1, 0, false, 9, true, false, "hi below the shard's Lo"},
-		{1, 0, false, 10, true, true, "inclusive hi at the shard's Lo"},
-		{1, 15, true, 15, true, true, "point inside the shard"},
-		{2, 0, false, 19, true, false, "hi below the last shard"},
-		{2, 100, true, 0, false, true, "last shard is unbounded above"},
+		{0, openLo, openHi, true, "unbounded matches every shard"},
+		{0, 10, openHi, false, "lo at the shard's exclusive Hi"},
+		{0, 9, openHi, true, "lo just under the shard's Hi"},
+		{1, openLo, 9, false, "hi below the shard's Lo"},
+		{1, openLo, 10, true, "inclusive hi at the shard's Lo"},
+		{1, 15, 15, true, "point inside the shard"},
+		{2, openLo, 19, false, "hi below the last shard"},
+		{2, 100, openHi, true, "last shard is unbounded above"},
 	}
 	for _, c := range cases {
-		if got := p.HoldsRange(c.part, c.lo, c.hasLo, c.hi, c.hasHi); got != c.want {
-			t.Errorf("HoldsRange(p%d, lo=%d/%v, hi=%d/%v) = %v: %s",
-				c.part, c.lo, c.hasLo, c.hi, c.hasHi, got, c.why)
+		if got := p.HoldsRange(c.part, c.lo, c.hi); got != c.want {
+			t.Errorf("HoldsRange(p%d, [%d, %d]) = %v: %s", c.part, c.lo, c.hi, got, c.why)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func prunablePred(pl *catalog.Placement, keyCol int, e *PExpr) map[int]bool {
 		out[b] = true
 	case catalog.PlaceRange:
 		for i := range pl.Parts {
-			if pl.HoldsRange(i, lo, true, hi, true) {
+			if pl.HoldsRange(i, lo, hi) {
 				out[i] = true
 			}
 		}

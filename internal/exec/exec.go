@@ -47,11 +47,6 @@ type Tuning struct {
 	// Prefetch bounds each source prefetcher's buffer in batches
 	// (<= 0: default; relevant only where prefetchers are installed).
 	Prefetch int
-	// Serial disables the concurrent paths — hash-join builds run
-	// inline at Open and no prefetchers are installed — reproducing the
-	// historical one-goroutine executor. It exists for A/B measurement
-	// (the exec-overlap benchmark) and debugging.
-	Serial bool
 	// MemBudgetBytes bounds the query memory of the server's shared
 	// governor pool: hash-join builds and hash-aggregate tables account
 	// against it and spill to temp-file runs when it is exhausted.

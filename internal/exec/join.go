@@ -24,9 +24,9 @@ type buildEnt struct {
 // its build input. Open starts the build in a background goroutine —
 // cascading Opens therefore start every build side of a multi-join tree
 // concurrently, each consuming its own (prefetched) stream — and the
-// first NextBatch waits for the build to finish before probing. Under
-// serial tuning the build runs inline at Open, reproducing the
-// historical sequential executor.
+// first NextBatch waits for the build to finish before probing. A join
+// constructed with serial set builds inline at Open instead; LowerPlan
+// never sets it.
 //
 // When a memory grant is attached, the build accounts every batch
 // against it. On refusal the join switches to a Grace-style spill: the

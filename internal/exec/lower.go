@@ -260,9 +260,9 @@ func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semi
 }
 
 // LowerPlan lowers the QPC's post-stream work onto the fragments' pull
-// feeds: per-fragment sources (each behind a bounded prefetcher unless
-// tuning is serial), the left-deep hash-join chain, plan predicates,
-// aggregation, projection, ordering/limit, and the client emit sink.
+// feeds: per-fragment sources (each behind a bounded prefetcher), the
+// left-deep hash-join chain, plan predicates, aggregation, projection,
+// ordering/limit, and the client emit sink.
 // pulls holds one feed per fragment for unpartitioned plans; a
 // scattered fragment passes one feed per partition and gets a Gather
 // union over per-partition sources (each independently prefetched, so
@@ -280,24 +280,18 @@ func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit f
 	srcs := make([]Operator, len(pulls))
 	for i, feeds := range pulls {
 		if len(feeds) == 1 && plan.Fragments[i].PartsTotal == 0 {
-			var src Operator = NewSource(opName(obs.OpRemote, i), feeds[0], tun.BatchRows)
-			ops = append(ops, src)
-			if !tun.Serial {
-				src = NewPrefetch(opName(obs.OpPrefetch, i), src, tun.Prefetch)
-				ops = append(ops, src)
-			}
-			srcs[i] = src
+			src := NewSource(opName(obs.OpRemote, i), feeds[0], tun.BatchRows)
+			pre := NewPrefetch(opName(obs.OpPrefetch, i), src, tun.Prefetch)
+			ops = append(ops, src, pre)
+			srcs[i] = pre
 			continue
 		}
 		children := make([]Operator, len(feeds))
 		for j, pull := range feeds {
-			var c Operator = NewSource(partOpName(obs.OpRemote, i, j), pull, tun.BatchRows)
-			ops = append(ops, c)
-			if !tun.Serial {
-				c = NewPrefetch(partOpName(obs.OpPrefetch, i, j), c, tun.Prefetch)
-				ops = append(ops, c)
-			}
-			children[j] = c
+			src := NewSource(partOpName(obs.OpRemote, i, j), pull, tun.BatchRows)
+			pre := NewPrefetch(partOpName(obs.OpPrefetch, i, j), src, tun.Prefetch)
+			ops = append(ops, src, pre)
+			children[j] = pre
 		}
 		g := NewGather(opName(obs.OpGather, i), children)
 		ops = append(ops, g)
@@ -315,7 +309,7 @@ func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit f
 			step.RightFrag, frag.Site, step.RightCol, colName(frag.OutSchema, step.RightCol))
 		name := opName(obs.OpHashJoin, i)
 		cur = NewHashJoin(name, cur, srcs[step.RightFrag],
-			step.LeftCol, step.RightCol, leftDesc, rightDesc, tun.Serial,
+			step.LeftCol, step.RightCol, leftDesc, rightDesc, false,
 			gov.Grant(name), tun.BatchRows)
 		ops = append(ops, cur)
 	}

@@ -151,9 +151,9 @@ func (e *planExec) run(ctx context.Context, began time.Time, emit func(types.Tup
 	// aggregation, projection, ordering, limit) onto the fragment streams
 	// and run the shared operator tree: hash-join build sides build
 	// concurrently while bounded prefetchers overlap compute with network
-	// receive (serial under Tuning.Serial). On error the execution
-	// context is cancelled before the tree closes, so goroutine joins
-	// don't drain healthy streams of an already-failed query.
+	// receive. On error the execution context is cancelled before the
+	// tree closes, so goroutine joins don't drain healthy streams of an
+	// already-failed query.
 	binder := core.NativeBinder{Reg: e.srv.cfg.Cat.Ops()}
 	// Feeds group by plan fragment: a scattered fragment contributes one
 	// feed per surviving partition (unioned by a Gather in partition

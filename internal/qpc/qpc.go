@@ -62,11 +62,10 @@ type Config struct {
 	// Zero disables heartbeating.
 	HeartbeatInterval time.Duration
 	// Exec tunes the QPC-side operator-tree executor: batch size, the
-	// per-stream prefetch bound, the serial (non-overlapped) mode used
-	// for A/B measurement, and the query-memory budget shared by every
-	// concurrent query (Exec.MemBudgetBytes > 0 creates the server's
-	// memory governor and arms the spilling operators). The zero value
-	// takes defaults.
+	// per-stream prefetch bound, and the query-memory budget shared by
+	// every concurrent query (Exec.MemBudgetBytes > 0 creates the
+	// server's memory governor and arms the spilling operators). The
+	// zero value takes defaults.
 	Exec exec.Tuning
 	// MaxConcurrent caps the queries executing simultaneously. Zero
 	// disables admission control entirely (no cap, no queue).

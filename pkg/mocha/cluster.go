@@ -32,8 +32,8 @@ type ClusterConfig struct {
 	// VMLimits sandbox shipped code at the DAPs (zero = defaults).
 	VMLimits vm.Limits
 	// Exec tunes the shared operator-tree executor on both the QPC
-	// (batch size, remote-stream prefetch depth, serial fallback) and
-	// the DAPs (batch size, scan read-ahead). Exec.MemBudgetBytes > 0
+	// (batch size, remote-stream prefetch depth) and the DAPs (batch
+	// size, scan read-ahead). Exec.MemBudgetBytes > 0
 	// gives the QPC and every DAP a query-memory governor of that size;
 	// joins and aggregates that overflow it spill to disk.
 	// Zero fields take the exec package defaults.

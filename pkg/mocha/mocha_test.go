@@ -11,9 +11,9 @@ import (
 	"mocha/internal/types"
 )
 
-// testCluster builds a two-site cluster with small Sequoia data:
-// Polygons/Graphs/Rasters at site1, the join pair split across site1 and
-// site2.
+// testCluster builds a three-site cluster with small Sequoia data:
+// Polygons/Graphs/Rasters and Rasters1 at site1, Rasters2 at site2 and
+// Rasters3 (the third leg of the Q6 join) at site3.
 func testCluster(t testing.TB, cfg ClusterConfig) (*Cluster, sequoia.Config) {
 	t.Helper()
 	scale := sequoia.TestScale()

@@ -3,6 +3,8 @@ package mocha
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +20,12 @@ import (
 // record, so no query can fail with OverBudgetError.
 const spillBudget = 48 << 10
 
+// aggOverJoinSQL aggregates over a joined stream: a spilling join
+// feeding a spilling aggregate.
+const aggOverJoinSQL = `SELECT R1.band AS b, Count(R2.time) AS n
+FROM Rasters1 R1, Rasters2 R2 WHERE R1.location = R2.location
+GROUP BY R1.band ORDER BY b`
+
 // spillLadderQueries is the Sequoia ladder the spill differential runs:
 // every benchmark query plus the 3-fragment multi-join and an aggregate
 // over a joined stream.
@@ -29,9 +37,7 @@ func spillLadderQueries(scale sequoia.Config) []struct{ label, sql string } {
 		{"Q4", sequoia.Q4(12, 300)},
 		{"Q5", sequoia.Q5},
 		{"Q6", sequoia.Q6},
-		{"agg_over_join", `SELECT R1.band AS b, Count(R2.time) AS n
-FROM Rasters1 R1, Rasters2 R2 WHERE R1.location = R2.location
-GROUP BY R1.band ORDER BY b`},
+		{"agg_over_join", aggOverJoinSQL},
 	}
 }
 
@@ -124,48 +130,140 @@ func TestDifferentialSpillRecovery(t *testing.T) {
 	}
 }
 
-// TestDifferentialSpillConcurrentStress floods one governed, admission-
-// controlled cluster with 64 concurrent queries. Every result must match
+// TestDifferentialSpillConcurrentStress floods a governed, admission-
+// controlled cluster from 64 concurrent workers. Every result must match
 // its sequential baseline, the governor's high-water mark must respect
 // the budget (the bounded-RSS pin), and the pool must drain to zero.
 func TestDifferentialSpillConcurrentStress(t *testing.T) {
-	cl, _ := testCluster(t, ClusterConfig{
-		Exec:          Tuning{MemBudgetBytes: 256 << 10},
-		MaxConcurrent: 8,
-		QueueDepth:    128,
-	})
-	queries := []string{
-		"SELECT time, band FROM Rasters WHERE band < 2",
-		"SELECT landuse, TotalArea(polygon) AS area FROM Polygons GROUP BY landuse",
-		sequoia.Q5,
-		`SELECT R1.band AS b, Count(R2.time) AS n
-FROM Rasters1 R1, Rasters2 R2 WHERE R1.location = R2.location
-GROUP BY R1.band ORDER BY b`,
-	}
-	want := make([]string, len(queries))
-	for i, sql := range queries {
-		res, err := cl.Execute(sql)
-		if err != nil {
-			t.Fatalf("baseline %d: %v", i, err)
-		}
-		want[i] = fmt.Sprint(res.Rows)
-	}
-
 	const workers = 64
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+
+	t.Run("embedded", func(t *testing.T) {
+		cl, _ := testCluster(t, ClusterConfig{
+			Exec:          Tuning{MemBudgetBytes: 256 << 10},
+			MaxConcurrent: 8,
+			QueueDepth:    128,
+		})
+		queries := []string{
+			"SELECT time, band FROM Rasters WHERE band < 2",
+			"SELECT landuse, TotalArea(polygon) AS area FROM Polygons GROUP BY landuse",
+			sequoia.Q5,
+			aggOverJoinSQL,
+		}
+		want := make([]string, len(queries))
+		for i, sql := range queries {
+			res, err := cl.Execute(sql)
+			if err != nil {
+				t.Fatalf("baseline %d: %v", i, err)
+			}
+			want[i] = fmt.Sprint(res.Rows)
+		}
+		runConcurrently(t, workers, func(w int) error {
 			qi := w % len(queries)
 			res, err := cl.ExecuteContext(context.Background(), queries[qi])
 			if err != nil {
-				errs <- fmt.Errorf("worker %d query %d: %w", w, qi, err)
-				return
+				return fmt.Errorf("query %d: %w", qi, err)
 			}
 			if fmt.Sprint(res.Rows) != want[qi] {
-				errs <- fmt.Errorf("worker %d query %d: result diverged", w, qi)
+				return fmt.Errorf("query %d: result diverged", qi)
+			}
+			return nil
+		})
+		checkGovernorsDrained(t, cl)
+	})
+
+	// Wire clients of two tenants, two queries each, data shipping under
+	// a budget below one Q5 build, while every 7th connection to site2
+	// dies at its first I/O: admission, spilling, retries and stream
+	// recovery all stay busy for the whole run. The oracle is an
+	// ungoverned, unfaulted cluster.
+	t.Run("wire_tenants_faulted", func(t *testing.T) {
+		queries := []string{
+			"SELECT time, location FROM Rasters",
+			sequoia.Q1,
+			"SELECT name, TotalLength(graph) FROM Graphs",
+			`SELECT R1.time AS t1, R2.time AS t2
+FROM Rasters1 AS R1, Rasters2 AS R2
+WHERE R1.location = R2.location ORDER BY t1, t2 LIMIT 64`,
+			aggOverJoinSQL,
+			sequoia.Q5,
+		}
+		canon := func(rows []Tuple) string {
+			keys := rowsKey(rows)
+			sort.Strings(keys)
+			return strings.Join(keys, "\n")
+		}
+		oracle, _ := testCluster(t, ClusterConfig{})
+		oracle.SetStrategy(StrategyDataShip)
+		want := make([]string, len(queries))
+		for i, sql := range queries {
+			res, err := oracle.Execute(sql)
+			if err != nil {
+				t.Fatalf("oracle %d: %v", i, err)
+			}
+			want[i] = canon(res.Rows)
+		}
+
+		const budget = 16 << 10
+		cl, _ := testCluster(t, ClusterConfig{
+			Exec:          Tuning{MemBudgetBytes: budget},
+			MaxConcurrent: 8,
+			QueueDepth:    4096,
+		})
+		cl.SetStrategy(StrategyDataShip)
+		cl.SetFault("site2", &FaultPlan{DropEveryNthConn: 7})
+		tenants := []string{"tenant-a", "tenant-b"}
+		runConcurrently(t, workers, func(w int) error {
+			c, err := cl.ConnectTenant(tenants[w%len(tenants)])
+			if err != nil {
+				return fmt.Errorf("connect: %w", err)
+			}
+			defer c.Close()
+			for j := 0; j < 2; j++ {
+				qi := (w + j) % len(queries)
+				rows, err := c.Query(queries[qi])
+				if err != nil {
+					return fmt.Errorf("query %d: %w", qi, err)
+				}
+				tups, err := rows.All()
+				if err != nil {
+					return fmt.Errorf("query %d drain: %w", qi, err)
+				}
+				if canon(tups) != want[qi] {
+					return fmt.Errorf("query %d: result diverged (%d rows)", qi, len(tups))
+				}
+			}
+			return nil
+		})
+
+		snap := cl.Metrics().Snapshot()
+		if snap[obs.MExecSpillEvents] == 0 {
+			t.Errorf("no spill events under a %d B budget", budget)
+		}
+		if snap[obs.MQpcRetries] == 0 {
+			t.Error("recurring connection drops caused no retry")
+		}
+		if n := snap[obs.MQpcQueriesFailed]; n != 0 {
+			t.Errorf("%d queries failed", n)
+		}
+		if hw := cl.QPCGovernor().HighWater(); hw == 0 {
+			t.Error("QPC governor granted nothing; the budget pin would be vacuous")
+		}
+		checkGovernorsDrained(t, cl)
+	})
+}
+
+// runConcurrently runs fn(0..n-1) on n goroutines, waits for all of
+// them and reports every error.
+func runConcurrently(t *testing.T, n int, fn func(w int) error) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if err := fn(w); err != nil {
+				errs <- fmt.Errorf("worker %d: %w", w, err)
 			}
 		}(w)
 	}
@@ -174,25 +272,27 @@ GROUP BY R1.band ORDER BY b`,
 	for err := range errs {
 		t.Error(err)
 	}
+}
 
-	gov := cl.QPCGovernor()
-	if gov.HighWater() > gov.Budget() {
-		t.Errorf("QPC high water %d exceeds budget %d under 64-way load", gov.HighWater(), gov.Budget())
+// checkGovernorsDrained asserts that the QPC's and every DAP's governor
+// stayed within its budget and holds no grant once the queries are done.
+func checkGovernorsDrained(t *testing.T, cl *Cluster) {
+	t.Helper()
+	check := func(who string, gov *Governor) {
+		if gov.HighWater() > gov.Budget() {
+			t.Errorf("%s high water %d exceeds budget %d", who, gov.HighWater(), gov.Budget())
+		}
+		if g := gov.Granted(); g != 0 {
+			t.Errorf("%s granted = %d after all queries finished", who, g)
+		}
 	}
-	if g := gov.Granted(); g != 0 {
-		t.Errorf("granted = %d after all queries finished", g)
-	}
+	check("QPC", cl.QPCGovernor())
 	for _, site := range []string{"site1", "site2", "site3"} {
 		dg, err := cl.DAPGovernor(site)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dg.HighWater() > dg.Budget() {
-			t.Errorf("%s high water %d exceeds budget %d", site, dg.HighWater(), dg.Budget())
-		}
-		if g := dg.Granted(); g != 0 {
-			t.Errorf("%s granted = %d after all queries finished", site, g)
-		}
+		check(site, dg)
 	}
 }
 
