@@ -17,7 +17,7 @@ import (
 // verifier capability manifest, publish time) plus the bytecode blob it
 // names. Releases are never mutated or replaced — publishing the same
 // class name with a different blob allocates a new release, and the
-// per-class active/canary pointers select which one queries run.
+// per-class active pointer selects which one queries run.
 type Release struct {
 	// Class is the operator's display name (lookups are case-folded).
 	Class string
@@ -101,10 +101,12 @@ type manifestDoc struct {
 	Classes []manifestClass `xml:"class"`
 }
 
+// manifestClass is one class's history. Older manifests also carry a
+// canary attribute; decoding ignores it, since a rollout lives in the
+// QPC that runs it and does not survive a restart.
 type manifestClass struct {
 	Name     string            `xml:"name,attr"`
 	Active   string            `xml:"active,attr,omitempty"`
-	Canary   string            `xml:"canary,attr,omitempty"`
 	Releases []manifestRelease `xml:"release"`
 }
 
@@ -123,7 +125,7 @@ func blobFile(class, tag string) string {
 }
 
 // SaveDir persists the full release history: a manifest.xml naming every
-// release (tag, digest, caps, publish time, active/canary pointers) and
+// release (tag, digest, caps, publish time, the active pointer) and
 // one content-addressed .mvmc blob per release.
 func (r *Repository) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -146,9 +148,6 @@ func (r *Repository) SaveDir(dir string) error {
 		mc := manifestClass{Name: h.name}
 		if h.active >= 0 {
 			mc.Active = h.releases[h.active].Tag
-		}
-		if h.canary >= 0 {
-			mc.Canary = h.releases[h.canary].Tag
 		}
 		for _, rel := range h.releases {
 			file := blobFile(rel.Class, rel.Tag)
@@ -206,7 +205,7 @@ func (r *Repository) LoadDir(dir string) error {
 		return fmt.Errorf("catalog: decode repository manifest: %w", err)
 	}
 	for _, mc := range doc.Classes {
-		h := &classHistory{name: mc.Name, active: -1, canary: -1}
+		h := &classHistory{name: mc.Name, active: -1}
 		for i, mr := range mc.Releases {
 			blob, err := os.ReadFile(filepath.Join(dir, mr.File))
 			if err != nil {
@@ -257,13 +256,6 @@ func (r *Repository) LoadDir(dir string) error {
 				return fmt.Errorf("catalog: class %s: active tag %q not in manifest", mc.Name, mc.Active)
 			}
 			h.active = idx
-		}
-		if mc.Canary != "" {
-			idx := h.tagIndex(mc.Canary)
-			if idx < 0 {
-				return fmt.Errorf("catalog: class %s: canary tag %q not in manifest", mc.Name, mc.Canary)
-			}
-			h.canary = idx
 		}
 		r.mu.Lock()
 		r.classes[strings.ToLower(mc.Name)] = h

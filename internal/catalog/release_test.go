@@ -90,52 +90,25 @@ func TestStageCanaryPromote(t *testing.T) {
 	if rel.Tag != "v2" || rel.Digest != v2.Checksum() {
 		t.Fatalf("staged release = %+v", rel)
 	}
-	// Staging is inert: active still serves v1, no canary yet.
+	// Staging is inert: active still serves v1.
 	if cls, _ := repo.Get("Scale"); cls.Checksum != v1.Checksum() {
 		t.Error("staging moved the active pointer")
 	}
-	if _, ok := repo.CanaryRelease("Scale"); ok {
-		t.Error("staging set a canary")
-	}
-	if _, err := repo.SetCanary("Scale", "v2"); err != nil {
-		t.Fatal(err)
-	}
-	if can, ok := repo.CanaryRelease("scale"); !ok || can.Digest != v2.Checksum() {
-		t.Error("canary pointer not set")
-	}
-	// Canarying the active release is meaningless and rejected.
-	activeRel, _ := repo.ActiveRelease("Scale")
-	if _, err := repo.SetCanary("Scale", activeRel.Tag); err == nil {
-		t.Error("canarying the active release accepted")
-	}
-	if _, err := repo.SetCanary("Scale", "ghost"); err == nil {
-		t.Error("canarying an unknown tag accepted")
-	}
-	if _, err := repo.SetCanary("Ghost", "v2"); err == nil {
-		t.Error("canarying an unknown class accepted")
-	}
-	// Rollback: pointer cleared, history intact, digest still resolvable.
-	if !repo.ClearCanary("Scale") {
-		t.Error("ClearCanary found nothing to clear")
-	}
-	if repo.ClearCanary("Scale") {
-		t.Error("second ClearCanary reported a canary")
-	}
-	if _, ok := repo.Resolve("Scale", v2.Checksum()); !ok {
-		t.Error("rolled-back release vanished from history")
-	}
-	// Promote: active moves, canary clears.
-	if _, err := repo.SetCanary("Scale", "v2"); err != nil {
-		t.Fatal(err)
-	}
+	// Promote: active moves, history intact, v1 still resolvable.
 	if _, err := repo.Promote("Scale", "v2"); err != nil {
 		t.Fatal(err)
 	}
 	if cls, _ := repo.Get("Scale"); cls.Checksum != v2.Checksum() {
 		t.Error("promote did not move the active pointer")
 	}
-	if _, ok := repo.CanaryRelease("Scale"); ok {
-		t.Error("promote left the canary pointer set")
+	if _, ok := repo.Resolve("Scale", v1.Checksum()); !ok {
+		t.Error("the previously active release vanished from history")
+	}
+	if _, err := repo.Promote("Scale", "ghost"); err == nil {
+		t.Error("promoting an unknown tag accepted")
+	}
+	if _, err := repo.Promote("Ghost", "v2"); err == nil {
+		t.Error("promoting an unknown class accepted")
 	}
 }
 
@@ -153,21 +126,34 @@ func TestTagSanitization(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip persists a repository with a staged canary and
-// reloads it: histories, pointers, tags and capability manifests must
-// survive, and every blob is re-verified on the way in (zero trust in
-// the disk).
+// TestManifestRoundTrip persists a repository with a staged release and
+// reloads it: histories, the active pointer, tags and capability
+// manifests must survive, and every blob is re-verified on the way in
+// (zero trust in the disk). A manifest an older version wrote, with a
+// canary attribute, still loads: the attribute is ignored.
 func TestManifestRoundTrip(t *testing.T) {
 	reg := ops.Builtins()
 	repo := NewRepositoryFromRegistry(reg)
 	if _, err := repo.StageProgram(prog(t, "AvgEnergy", "2.0", 42), "v2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repo.SetCanary("AvgEnergy", "v2"); err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	if err := repo.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestFile)
+	manifest, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(manifest), "canary=") {
+		t.Fatalf("manifest records a canary:\n%s", manifest)
+	}
+	old := strings.Replace(string(manifest), `<class name="AvgEnergy"`, `<class name="AvgEnergy" canary="v2"`, 1)
+	if old == string(manifest) {
+		t.Fatal("failed to write an old-style manifest")
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	repo2 := NewRepository()
@@ -184,10 +170,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	a2, ok := repo2.ActiveRelease("AvgEnergy")
 	if !ok || a1.Digest != a2.Digest {
 		t.Error("active pointer lost in round trip")
-	}
-	c2, ok := repo2.CanaryRelease("AvgEnergy")
-	if !ok || c2.Tag != "v2" {
-		t.Error("canary pointer lost in round trip")
 	}
 	// Capability manifests come from the local verifier, not the
 	// manifest file, and must match what publication recorded.

@@ -29,12 +29,11 @@ type Class struct {
 }
 
 // classHistory is the full release record of one operator: every
-// publication in order, plus the active and canary pointers (-1 = none).
+// publication in order, plus the active pointer (-1 = none).
 type classHistory struct {
 	name     string // display name
 	releases []*Release
 	active   int
-	canary   int
 }
 
 // tagIndex resolves a tag to its release index, or -1.
@@ -61,8 +60,9 @@ func (h *classHistory) digestIndex(digest string) int {
 // content-addressed release store. Administrators publish classes here;
 // the QPC deploys them to remote sites on demand. Every publication is
 // an immutable release — same-name/different-blob publishes never
-// clobber history — and per-class active/canary pointers select which
-// release new queries plan against.
+// clobber history — and a per-class active pointer selects which release
+// new queries plan against. Which release a rollout canaries is the QPC's
+// record, not the store's.
 type Repository struct {
 	mu      sync.RWMutex
 	classes map[string]*classHistory
@@ -108,15 +108,12 @@ func (r *Repository) publish(p *vm.Program, tag string, activate bool) (*Release
 	key := strings.ToLower(p.Name)
 	h, ok := r.classes[key]
 	if !ok {
-		h = &classHistory{name: p.Name, active: -1, canary: -1}
+		h = &classHistory{name: p.Name, active: -1}
 		r.classes[key] = h
 	}
 	if idx := h.digestIndex(digest); idx >= 0 {
 		if activate {
 			h.active = idx
-			if h.canary == idx {
-				h.canary = -1
-			}
 		}
 		return h.releases[idx], nil
 	}
@@ -237,54 +234,8 @@ func (r *Repository) ActiveRelease(name string) (*Release, bool) {
 	return h.releases[h.active], true
 }
 
-// CanaryRelease returns the class's canary release, if any.
-func (r *Repository) CanaryRelease(name string) (*Release, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	h, ok := r.classes[strings.ToLower(name)]
-	if !ok || h.canary < 0 {
-		return nil, false
-	}
-	return h.releases[h.canary], true
-}
-
-// SetCanary points the class's canary at the release with the given
-// tag. The canary must differ from the active release — canarying the
-// version already serving traffic compares nothing.
-func (r *Repository) SetCanary(name, tag string) (*Release, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.classes[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("catalog: no class named %q in the code repository", name)
-	}
-	idx := h.tagIndex(tag)
-	if idx < 0 {
-		return nil, fmt.Errorf("catalog: class %s has no release tagged %q", h.name, tag)
-	}
-	if idx == h.active {
-		return nil, fmt.Errorf("catalog: release %s@%s is already active", h.name, tag)
-	}
-	h.canary = idx
-	return h.releases[idx], nil
-}
-
-// ClearCanary drops the class's canary pointer (the rollback path).
-// The release itself stays in the history, so in-flight queries pinned
-// to its digest still resolve. Reports whether a canary was set.
-func (r *Repository) ClearCanary(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.classes[strings.ToLower(name)]
-	if !ok || h.canary < 0 {
-		return false
-	}
-	h.canary = -1
-	return true
-}
-
 // Promote moves the class's active pointer to the release with the
-// given tag and clears the canary — the successful end of a rollout.
+// given tag — the successful end of a rollout.
 func (r *Repository) Promote(name, tag string) (*Release, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -297,7 +248,6 @@ func (r *Repository) Promote(name, tag string) (*Release, error) {
 		return nil, fmt.Errorf("catalog: class %s has no release tagged %q", h.name, tag)
 	}
 	h.active = idx
-	h.canary = -1
 	return h.releases[idx], nil
 }
 

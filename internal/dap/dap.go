@@ -178,7 +178,10 @@ func (s *Server) CacheStats() (hits, misses int64) { return s.cache.stats() }
 // HasClass reports whether the exact class release (by content digest)
 // is currently cached — rollout tests use it to check that a canary
 // deployed by digest, and that a rollback's invalidation landed.
-func (s *Server) HasClass(name, checksum string) bool { return s.cache.has(name, checksum) }
+func (s *Server) HasClass(name, checksum string) bool {
+	_, ok := s.cache.get(name, checksum)
+	return ok
+}
 
 // Serve accepts QPC connections until the listener closes.
 func (s *Server) Serve(l net.Listener) error {
@@ -225,27 +228,12 @@ func newCodeCache() *codeCache {
 	return &codeCache{classes: make(map[string]map[string]*loadedClass)}
 }
 
-// get resolves a loaded class. A non-empty checksum demands that exact
-// release; an empty checksum (legacy fragments without code refs)
-// accepts the most recently loaded version.
+// get resolves one exact release of a loaded class.
 func (c *codeCache) get(name, checksum string) (*loadedClass, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	versions := c.classes[strings.ToLower(name)]
-	if len(versions) == 0 {
-		return nil, false
-	}
-	if checksum != "" {
-		lc, ok := versions[checksum]
-		return lc, ok
-	}
-	var newest *loadedClass
-	for _, lc := range versions {
-		if newest == nil || lc.loadSeq > newest.loadSeq {
-			newest = lc
-		}
-	}
-	return newest, true
+	lc, ok := c.classes[strings.ToLower(name)][checksum]
+	return lc, ok
 }
 
 func (c *codeCache) put(p *vm.Program) *loadedClass {
@@ -317,14 +305,6 @@ func (c *codeCache) invalidate(digests []string) int {
 	return dropped
 }
 
-// has reports whether an exact class release is cached.
-func (c *codeCache) has(name, checksum string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.classes[strings.ToLower(name)][checksum]
-	return ok
-}
-
 func (c *codeCache) stats() (hits, misses int64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -345,9 +325,19 @@ type vmBinder struct {
 	machines []*vm.Machine // every machine created for this fragment
 }
 
-// resolve looks up the release the fragment pinned for name.
-func (b *vmBinder) resolve(name string) (*loadedClass, bool) {
-	return b.cache.get(name, b.refs[strings.ToLower(name)])
+// resolve looks up the release the fragment pinned for name. A class
+// its code refs do not pin is refused, never bound to whichever release
+// the cache happens to hold.
+func (b *vmBinder) resolve(name string) (*loadedClass, error) {
+	digest, ok := b.refs[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("dap: class %s not pinned by the fragment's code refs", name)
+	}
+	lc, ok := b.cache.get(name, digest)
+	if !ok {
+		return nil, fmt.Errorf("dap: class %s not loaded (code shipping required)", name)
+	}
+	return lc, nil
 }
 
 // runCounts sums invocations and executed bytecode instructions across
@@ -363,9 +353,9 @@ func (b *vmBinder) runCounts() (runs, instrs int64) {
 
 // BindScalar implements core.OpBinder.
 func (b *vmBinder) BindScalar(name string, ret types.Kind) (core.ScalarFn, error) {
-	lc, ok := b.resolve(name)
-	if !ok {
-		return nil, fmt.Errorf("dap: class %s not loaded (code shipping required)", name)
+	lc, err := b.resolve(name)
+	if err != nil {
+		return nil, err
 	}
 	s, err := ops.NewVMScalar(b.machine, lc.prog, ret)
 	if err != nil {
@@ -376,9 +366,9 @@ func (b *vmBinder) BindScalar(name string, ret types.Kind) (core.ScalarFn, error
 
 // BindAggregate implements core.OpBinder.
 func (b *vmBinder) BindAggregate(name string, ret types.Kind) (core.AggFn, error) {
-	lc, ok := b.resolve(name)
-	if !ok {
-		return nil, fmt.Errorf("dap: class %s not loaded (code shipping required)", name)
+	lc, err := b.resolve(name)
+	if err != nil {
+		return nil, err
 	}
 	// Each aggregate instance gets its own machine so per-group state
 	// and stacks never interleave.

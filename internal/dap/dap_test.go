@@ -245,6 +245,27 @@ func TestDAPExecutesShippedOperator(t *testing.T) {
 	}
 }
 
+// TestDAPRefusesUnpinnedClass: a fragment runs only the releases its
+// code refs pin. One that calls a cached class without pinning it is
+// refused, rather than run against whichever release the cache holds —
+// during a rollout that could be the canary.
+func TestDAPRefusesUnpinnedClass(t *testing.T) {
+	conn, srv := testDAP(t, Config{})
+	frag, cls := avgEnergyFragment(t)
+	deployAndRun(t, conn, frag, cls)
+	if !srv.HasClass(cls.Name, cls.Checksum) {
+		t.Fatal("AvgEnergy not cached after it ran")
+	}
+	unpinned := *frag
+	unpinned.Code = nil
+	if need := startFragment(t, conn, &core.Start{Fragment: &unpinned}, nil); len(need) != 0 {
+		t.Fatalf("ack asked for %v with no code refs", need)
+	}
+	if msg := streamError(t, conn); !strings.Contains(msg, "class AvgEnergy not pinned by the fragment's code refs") {
+		t.Errorf("error %q does not name the unpinned class", msg)
+	}
+}
+
 func TestDAPRejectsUnverifiableCode(t *testing.T) {
 	reg := obs.NewRegistry()
 	conn, srv := testDAP(t, Config{Metrics: reg})
@@ -334,13 +355,13 @@ func TestDAPMissingOperator(t *testing.T) {
 	conn, _ := testDAP(t, Config{})
 	frag, _ := avgEnergyFragment(t)
 	// A plan that calls the operator without listing its class: nothing
-	// is asked for, nothing ships, and binding must fail with a
-	// code-shipping error.
+	// is asked for, nothing ships, and binding must fail naming the class
+	// the code refs left unpinned.
 	frag.Code = nil
 	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil); len(need) != 0 {
 		t.Fatalf("ack asked for %v from a plan with no code refs", need)
 	}
-	if msg := streamError(t, conn); !strings.Contains(msg, "not loaded") {
+	if msg := streamError(t, conn); !strings.Contains(msg, "not pinned") {
 		t.Errorf("got %q", msg)
 	}
 }

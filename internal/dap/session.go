@@ -357,9 +357,9 @@ func (ex *execution) execute(streamID string, report wire.ExecStats) (*retainedS
 	// A pushed-down LIMIT bounds the useful scan prefix: cap the batch
 	// size at the limit so the scan's read-ahead (channel depth × batch
 	// rows) cannot race far past the point where the consumer stops it.
-	tun := ex.srv.cfg.Exec.Norm()
-	if frag.Limit > 0 && frag.Limit < tun.BatchRows {
-		tun.BatchRows = frag.Limit
+	rows := exec.DefaultBatchRows
+	if frag.Limit > 0 && frag.Limit < rows {
+		rows = frag.Limit
 	}
 	var usedIndex bool
 	var accessed int64 // the scan goroutine's until the tree is closed
@@ -375,8 +375,8 @@ func (ex *execution) execute(streamID string, report wire.ExecStats) (*retainedS
 		})
 		usedIndex = used
 		return serr
-	}, tun)
-	tree, err := exec.LowerFragment(frag, binder, src, ex.semiKeys, writer.Write, tun, ex.srv.gov)
+	}, rows, exec.DefaultPrefetch)
+	tree, err := exec.LowerFragment(frag, binder, src, ex.semiKeys, writer.Write, ex.srv.gov)
 	if err != nil {
 		return st, err
 	}

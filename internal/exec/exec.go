@@ -33,36 +33,20 @@ import (
 )
 
 // DefaultBatchRows is the number of tuples an operator targets per
-// output batch when no tuning overrides it.
+// output batch.
 const DefaultBatchRows = 256
 
-// DefaultPrefetch is the default bound, in batches, on each stream
-// prefetcher's buffer.
+// DefaultPrefetch is the bound, in batches, on each stream prefetcher's
+// buffer.
 const DefaultPrefetch = 4
 
 // Tuning sets the executor's knobs. The zero value takes defaults.
 type Tuning struct {
-	// BatchRows is the target tuple count per batch (<= 0: default).
-	BatchRows int
-	// Prefetch bounds each source prefetcher's buffer in batches
-	// (<= 0: default; relevant only where prefetchers are installed).
-	Prefetch int
 	// MemBudgetBytes bounds the query memory of the server's shared
 	// governor pool: hash-join builds and hash-aggregate tables account
 	// against it and spill to temp-file runs when it is exhausted.
 	// 0 (or negative) means ungoverned — no accounting, no spilling.
 	MemBudgetBytes int64
-}
-
-// Norm returns t with defaults filled in.
-func (t Tuning) Norm() Tuning {
-	if t.BatchRows <= 0 {
-		t.BatchRows = DefaultBatchRows
-	}
-	if t.Prefetch <= 0 {
-		t.Prefetch = DefaultPrefetch
-	}
-	return t
 }
 
 // OpStats is one operator's execution accounting. RowsIn counts tuples

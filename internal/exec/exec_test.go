@@ -273,7 +273,7 @@ func TestScanSourceStop(t *testing.T) {
 			}
 		}
 		return nil
-	}, Tuning{BatchRows: 4, Prefetch: 2})
+	}, 4, 2)
 	lim := NewLimit("op:limit", src, 5)
 	got := collect(t, lim, []Operator{src, lim})
 	if len(got) != 5 {
@@ -295,7 +295,7 @@ func TestScanSourceError(t *testing.T) {
 			return err
 		}
 		return boom
-	}, Tuning{BatchRows: 8, Prefetch: 2})
+	}, 8, 2)
 	err := Run(context.Background(), &Tree{Root: src, Ops: []Operator{src}}, nil)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"mocha/internal/core"
 	"mocha/internal/obs"
@@ -16,9 +15,8 @@ import (
 // (DESIGN.md §15.4). The optimizer annotates each fragment with its cut;
 // this seam derives the physical consequences — one activation unit per
 // site (or per surviving shard of a scattered fragment), replica choice,
-// rollout (canary) code-ref pinning, the governor's static scratch
-// reservation, and semi-join participation — so callers never interpret
-// plan structure ad hoc.
+// the governor's static scratch reservation, and semi-join participation
+// — so callers never interpret plan structure ad hoc.
 
 // Unit is one physical activation of a plan: a whole fragment, or one
 // shard of a fragment scattered over a partitioned table.
@@ -34,8 +32,7 @@ type Unit struct {
 	// Frag is the physical fragment this unit deploys. For a scattered
 	// shard it is a per-unit copy naming the partition's physical table
 	// and chosen replica; mutating its Site during failover is safe. For
-	// an unpartitioned fragment it aliases the shared plan fragment
-	// until ApplyOverrides clones it.
+	// an unpartitioned fragment it aliases the plan's fragment.
 	Frag *core.Fragment
 }
 
@@ -80,52 +77,16 @@ func BindPlan(plan *core.Plan, pick func(replicas []string) string) *SitePlan {
 	return sp
 }
 
-// ApplyOverrides substitutes rollout (canary) code refs into the bound
-// units' fragments, keyed by lower-cased class name. Each affected
-// fragment is cloned first: unpartitioned units alias the shared plan
-// fragment, and the substitution must stay local to this execution (the
-// prepared plan keeps its active refs, and failover mutating the
-// clone's Site never touches the plan either).
-func (sp *SitePlan) ApplyOverrides(overrides map[string]core.CodeRef) {
-	if len(overrides) == 0 {
-		return
-	}
-	for _, u := range sp.Units {
-		touched := false
-		for _, ref := range u.Frag.Code {
-			if _, ok := overrides[strings.ToLower(ref.Name)]; ok {
-				touched = true
-				break
-			}
-		}
-		if !touched {
-			continue
-		}
-		pf := *u.Frag
-		pf.Code = make([]core.CodeRef, len(u.Frag.Code))
-		copy(pf.Code, u.Frag.Code)
-		for i, ref := range pf.Code {
-			if over, ok := overrides[strings.ToLower(ref.Name)]; ok {
-				pf.Code[i] = over
-			}
-		}
-		u.Frag = &pf
-	}
-}
-
 // StaticScratchBytes sums the verifier's static scratch bounds over
-// every class the plan ships below its cuts (with canary overrides
-// applied — a canary release may bound differently than the active
-// one). The governor's admission control reserves this before any setup
-// work. Refs without a cost stamp contribute nothing: legacy manifests
-// stay admissible.
-func StaticScratchBytes(plan *core.Plan, overrides map[string]core.CodeRef) int64 {
+// every class the plan ships below its cuts (a canary run's plan carries
+// the canary's refs, which may bound differently than the active ones).
+// The governor's admission control reserves this before any setup work.
+// Refs without a cost stamp contribute nothing: legacy manifests stay
+// admissible.
+func StaticScratchBytes(plan *core.Plan) int64 {
 	var total int64
 	for _, frag := range plan.Fragments {
 		for _, ref := range frag.Code {
-			if over, ok := overrides[strings.ToLower(ref.Name)]; ok {
-				ref = over
-			}
 			if ref.Cost == "" {
 				continue
 			}
@@ -214,8 +175,7 @@ func compileProjs(outs []core.Output, binder core.OpBinder, memo *core.Memo) ([]
 // plan format documents.
 // gov, when non-nil, bounds the memory-hungry operators' memory (each
 // gets its own grant on the shared pool) and arms their spill paths.
-func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semiKeys map[uint64][]types.Object, emit func(types.Tuple) error, tun Tuning, gov *Governor) (*Tree, error) {
-	tun = tun.Norm()
+func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semiKeys map[uint64][]types.Object, emit func(types.Tuple) error, gov *Governor) (*Tree, error) {
 	memo := core.NewMemo()
 	needReset := true
 	ops := []Operator{src}
@@ -236,7 +196,7 @@ func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semi
 		ops = append(ops, cur)
 	}
 	if len(frag.Aggregates) > 0 {
-		agg, err := NewHashAggregate(obs.OpHashAgg, cur, frag.GroupBy, frag.Aggregates, binder, memo, needReset, "dap", tun.BatchRows, gov.Grant(obs.OpHashAgg))
+		agg, err := NewHashAggregate(obs.OpHashAgg, cur, frag.GroupBy, frag.Aggregates, binder, memo, needReset, "dap", DefaultBatchRows, gov.Grant(obs.OpHashAgg))
 		if err != nil {
 			return nil, err
 		}
@@ -271,8 +231,7 @@ func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semi
 // pruned away passes an empty list and lowers to an empty stream.
 // gov, when non-nil, bounds the memory-hungry operators' memory (each
 // gets its own grant on the shared pool) and arms their spill paths.
-func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit func(types.Tuple) error, tun Tuning, gov *Governor) (*Tree, error) {
-	tun = tun.Norm()
+func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit func(types.Tuple) error, gov *Governor) (*Tree, error) {
 	if len(pulls) != len(plan.Fragments) {
 		return nil, fmt.Errorf("exec: %d sources for %d fragments", len(pulls), len(plan.Fragments))
 	}
@@ -280,16 +239,16 @@ func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit f
 	srcs := make([]Operator, len(pulls))
 	for i, feeds := range pulls {
 		if len(feeds) == 1 && plan.Fragments[i].PartsTotal == 0 {
-			src := NewSource(opName(obs.OpRemote, i), feeds[0], tun.BatchRows)
-			pre := NewPrefetch(opName(obs.OpPrefetch, i), src, tun.Prefetch)
+			src := NewSource(opName(obs.OpRemote, i), feeds[0], DefaultBatchRows)
+			pre := NewPrefetch(opName(obs.OpPrefetch, i), src, DefaultPrefetch)
 			ops = append(ops, src, pre)
 			srcs[i] = pre
 			continue
 		}
 		children := make([]Operator, len(feeds))
 		for j, pull := range feeds {
-			src := NewSource(partOpName(obs.OpRemote, i, j), pull, tun.BatchRows)
-			pre := NewPrefetch(partOpName(obs.OpPrefetch, i, j), src, tun.Prefetch)
+			src := NewSource(partOpName(obs.OpRemote, i, j), pull, DefaultBatchRows)
+			pre := NewPrefetch(partOpName(obs.OpPrefetch, i, j), src, DefaultPrefetch)
 			ops = append(ops, src, pre)
 			children[j] = pre
 		}
@@ -310,7 +269,7 @@ func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit f
 		name := opName(obs.OpHashJoin, i)
 		cur = NewHashJoin(name, cur, srcs[step.RightFrag],
 			step.LeftCol, step.RightCol, leftDesc, rightDesc, false,
-			gov.Grant(name), tun.BatchRows)
+			gov.Grant(name), DefaultBatchRows)
 		ops = append(ops, cur)
 	}
 
@@ -326,7 +285,7 @@ func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit f
 		ops = append(ops, cur)
 	}
 	if len(plan.Aggregates) > 0 {
-		agg, err := NewHashAggregate(obs.OpHashAgg, cur, plan.GroupBy, plan.Aggregates, binder, memo, needReset, "qpc", tun.BatchRows, gov.Grant(obs.OpHashAgg))
+		agg, err := NewHashAggregate(obs.OpHashAgg, cur, plan.GroupBy, plan.Aggregates, binder, memo, needReset, "qpc", DefaultBatchRows, gov.Grant(obs.OpHashAgg))
 		if err != nil {
 			return nil, err
 		}
@@ -346,10 +305,10 @@ func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit f
 
 	switch {
 	case len(plan.OrderBy) > 0 && plan.Limit >= 0:
-		cur = NewTopK(obs.OpTopK, cur, plan.OrderBy, plan.Limit, tun.BatchRows)
+		cur = NewTopK(obs.OpTopK, cur, plan.OrderBy, plan.Limit, DefaultBatchRows)
 		ops = append(ops, cur)
 	case len(plan.OrderBy) > 0:
-		cur = NewSort(obs.OpSort, cur, plan.OrderBy, tun.BatchRows)
+		cur = NewSort(obs.OpSort, cur, plan.OrderBy, DefaultBatchRows)
 		ops = append(ops, cur)
 	case plan.Limit >= 0:
 		cur = NewLimit(obs.OpLimit, cur, plan.Limit)

@@ -71,59 +71,26 @@ func TestBindPlanExpandsUnits(t *testing.T) {
 	}
 }
 
-func TestApplyOverridesClonesTouchedUnits(t *testing.T) {
-	plan := seamPlan()
-	sp := BindPlan(plan, func(reps []string) string { return reps[0] })
-	canary := core.CodeRef{Name: "AvgEnergy", Checksum: "cccc",
-		Cost: "instrs=200;fixed=9;pertrip=20;scratch=128;alloc=0;purity=pure"}
-	sp.ApplyOverrides(map[string]core.CodeRef{"avgenergy": canary})
-	u0 := sp.Units[0]
-	if u0.Frag == plan.Fragments[0] {
-		t.Fatal("touched unit still aliases the shared plan fragment")
-	}
-	if u0.Frag.Code[0].Checksum != "cccc" {
-		t.Errorf("override not applied: %+v", u0.Frag.Code[0])
-	}
-	if u0.Frag.Code[1].Checksum != "bbbb" {
-		t.Errorf("unrelated ref rewritten: %+v", u0.Frag.Code[1])
-	}
-	if plan.Fragments[0].Code[0].Checksum != "aaaa" {
-		t.Error("override leaked into the prepared plan")
-	}
-	// The cut annotation rides along on the clone.
-	if u0.Frag.CutPoint != "below=[call AvgEnergy]" || u0.Frag.CutAlts != 2 {
-		t.Errorf("clone lost the cut annotation: %q/%d", u0.Frag.CutPoint, u0.Frag.CutAlts)
-	}
-	// Units without the class keep their fragments untouched.
-	for _, u := range sp.Units[1:] {
-		if len(u.Frag.Code) != 0 {
-			t.Errorf("codeless shard gained code: %+v", u.Frag.Code)
-		}
-	}
-	// No overrides at all is a no-op.
-	before := sp.Units[0].Frag
-	sp.ApplyOverrides(nil)
-	if sp.Units[0].Frag != before {
-		t.Error("empty override set still cloned fragments")
-	}
-}
-
 func TestStaticScratchBytes(t *testing.T) {
 	plan := seamPlan()
 	// Only AvgEnergy carries a stamp: scratch=64. Clip (no stamp)
 	// contributes nothing.
-	if got := StaticScratchBytes(plan, nil); got != 64 {
+	if got := StaticScratchBytes(plan); got != 64 {
 		t.Errorf("StaticScratchBytes = %d, want 64", got)
 	}
-	// A canary override's bound replaces the active release's.
-	over := map[string]core.CodeRef{"avgenergy": {Name: "AvgEnergy",
-		Cost: "instrs=200;fixed=9;pertrip=20;scratch=128;alloc=0;purity=pure"}}
-	if got := StaticScratchBytes(plan, over); got != 128 {
+	// A plan carrying a canary's ref reserves the canary's bound.
+	canary := *plan.Fragments[0]
+	canary.Code = append([]core.CodeRef(nil), canary.Code...)
+	canary.Code[0] = core.CodeRef{Name: "AvgEnergy",
+		Cost: "instrs=200;fixed=9;pertrip=20;scratch=128;alloc=0;purity=pure"}
+	cplan := *plan
+	cplan.Fragments = append([]*core.Fragment{&canary}, plan.Fragments[1:]...)
+	if got := StaticScratchBytes(&cplan); got != 128 {
 		t.Errorf("StaticScratchBytes with canary = %d, want 128", got)
 	}
 	// A malformed stamp is skipped, not summed.
 	plan.Fragments[0].Code[1].Cost = "not-a-stamp"
-	if got := StaticScratchBytes(plan, nil); got != 64 {
+	if got := StaticScratchBytes(plan); got != 64 {
 		t.Errorf("StaticScratchBytes with malformed stamp = %d, want 64", got)
 	}
 }
@@ -164,7 +131,7 @@ func TestLowerFragmentPipeline(t *testing.T) {
 	}
 	var got []types.Tuple
 	tree, err := LowerFragment(frag, nil, src, keys,
-		func(tup types.Tuple) error { got = append(got, tup); return nil }, Tuning{}, nil)
+		func(tup types.Tuple) error { got = append(got, tup); return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +168,7 @@ func TestLowerPlanGatherAndOrder(t *testing.T) {
 	}}
 	var got []types.Tuple
 	tree, err := LowerPlan(plan, nil, pulls,
-		func(tup types.Tuple) error { got = append(got, tup); return nil }, Tuning{}, nil)
+		func(tup types.Tuple) error { got = append(got, tup); return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +178,7 @@ func TestLowerPlanGatherAndOrder(t *testing.T) {
 		t.Errorf("gathered top-k emitted %v, want [(5) (4) (3)]", got)
 	}
 	// A source/fragment count mismatch is a structural error.
-	if _, err := LowerPlan(plan, nil, nil, func(types.Tuple) error { return nil }, Tuning{}, nil); err == nil {
+	if _, err := LowerPlan(plan, nil, nil, func(types.Tuple) error { return nil }, nil); err == nil {
 		t.Error("LowerPlan accepted 0 sources for 1 fragment")
 	}
 }

@@ -101,11 +101,18 @@ type ScanSource struct {
 	blocked time.Duration
 }
 
-// NewScanSource wraps a callback-iterating scan body. run must return
-// the error its emit callback returns (in particular ErrStopped).
-func NewScanSource(name string, run func(emit func(types.Tuple) error) error, tun Tuning) *ScanSource {
-	tun = tun.Norm()
-	s := &ScanSource{run: run, rows: tun.BatchRows, depth: tun.Prefetch}
+// NewScanSource wraps a callback-iterating scan body, handing over
+// batches of rows tuples through a channel depth batches deep (<= 0:
+// defaults). run must return the error its emit callback returns (in
+// particular ErrStopped).
+func NewScanSource(name string, run func(emit func(types.Tuple) error) error, rows, depth int) *ScanSource {
+	if rows <= 0 {
+		rows = DefaultBatchRows
+	}
+	if depth <= 0 {
+		depth = DefaultPrefetch
+	}
+	s := &ScanSource{run: run, rows: rows, depth: depth}
 	s.stats.Name = name
 	return s
 }

@@ -28,11 +28,6 @@ type planExec struct {
 	ctx    context.Context
 	budget *retryBudget
 
-	// overrides maps a lower-cased class name to the code ref this run
-	// must ship instead of the plan's (canary routing). Applied to the
-	// built units before deployment; nil means run the plan as prepared.
-	overrides map[string]core.CodeRef
-
 	// units are the physical activations from the exec seam's site
 	// binding: one per fragment for unpartitioned plans, one per
 	// surviving partition for scattered fragments. readers, indexed by
@@ -54,7 +49,7 @@ func (e *planExec) run(ctx context.Context, began time.Time, emit func(types.Tup
 	// the query's lifetime so spillable operators size their grants
 	// against what is genuinely left.
 	if e.srv.gov != nil {
-		if need := exec.StaticScratchBytes(e.plan, e.overrides); need > 0 {
+		if need := exec.StaticScratchBytes(e.plan); need > 0 {
 			grant := e.srv.gov.Grant("admission:static-scratch")
 			if aerr := grant.Acquire(ctx, need); aerr != nil {
 				grant.Close()
@@ -115,7 +110,6 @@ func (e *planExec) run(ctx context.Context, began time.Time, emit func(types.Tup
 	e.ctx = execCtx
 	e.budget = budget
 	sp := exec.BindPlan(e.plan, e.srv.health.PickReplica)
-	sp.ApplyOverrides(e.overrides)
 	e.units = sp.Units
 	e.readers = make([]*fragmentStream, len(e.units))
 	errs := make([]error, len(e.units))
@@ -164,7 +158,7 @@ func (e *planExec) run(ctx context.Context, began time.Time, emit func(types.Tup
 		fi := e.units[i].FragIdx
 		pulls[fi] = append(pulls[fi], fs.Next)
 	}
-	tree, perr := exec.LowerPlan(e.plan, binder, pulls, emit, e.srv.cfg.Exec, e.srv.gov)
+	tree, perr := exec.LowerPlan(e.plan, binder, pulls, emit, e.srv.gov)
 	if perr == nil {
 		perr = exec.Run(execCtx, tree, func(error) { cancel() })
 		e.trace.Add(tree.Spans("", e.trace.Since(began))...)

@@ -154,8 +154,6 @@ func newPartitionHarness(t *testing.T, tune func(*Config)) *partitionHarness {
 			MaxAttempts: 4,
 			BaseDelay:   5 * time.Millisecond,
 			MaxDelay:    50 * time.Millisecond,
-			Multiplier:  2,
-			Jitter:      0.5,
 			Budget:      8,
 		},
 	}
@@ -305,7 +303,6 @@ func TestPartitionBothReplicasDead(t *testing.T) {
 			MaxAttempts: 2,
 			BaseDelay:   2 * time.Millisecond,
 			MaxDelay:    10 * time.Millisecond,
-			Multiplier:  2,
 			Budget:      4,
 		}
 	})

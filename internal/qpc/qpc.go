@@ -61,11 +61,10 @@ type Config struct {
 	// query pays to discover the corpse. Stop the prober with Close.
 	// Zero disables heartbeating.
 	HeartbeatInterval time.Duration
-	// Exec tunes the QPC-side operator-tree executor: batch size, the
-	// per-stream prefetch bound, and the query-memory budget shared by
-	// every concurrent query (Exec.MemBudgetBytes > 0 creates the
-	// server's memory governor and arms the spilling operators). The
-	// zero value takes defaults.
+	// Exec tunes the QPC-side operator-tree executor: the query-memory
+	// budget shared by every concurrent query (Exec.MemBudgetBytes > 0
+	// creates the server's memory governor and arms the spilling
+	// operators). The zero value leaves queries ungoverned.
 	Exec exec.Tuning
 	// MaxConcurrent caps the queries executing simultaneously. Zero
 	// disables admission control entirely (no cap, no queue).
@@ -438,30 +437,28 @@ func (q *Query) RunTraced(ctx context.Context, emit func(types.Tuple) error) (*Q
 	}
 	q.srv.met.queriesTotal.Inc()
 	qid := obs.NewTraceID()
-	if dec := q.srv.rollouts.route(q.Plan, qid); dec != nil {
-		return q.runCanary(ctx, start, qid, dec, emit)
+	if st, plan := q.srv.rollouts.route(q.Plan, qid); st != nil {
+		return q.runCanary(ctx, start, qid, st, plan, emit)
 	}
-	stats, trace, err := q.runRelease(ctx, start, qid, emit, nil, true)
+	stats, trace, err := q.runRelease(ctx, start, qid, q.Plan, emit, true)
 	if err != nil {
 		q.srv.met.queriesFailed.Inc()
 		return nil, trace, q.wrapDeadline(ctx, start, err)
 	}
-	q.srv.rollouts.observeActive(q.Plan, q.Plan.SQL, stats.ResultDigest, opSelfMicros(trace), nil)
+	q.srv.rollouts.observeActive(q.Plan, stats.ResultDigest, opSelfMicros(trace))
 	return stats, trace, nil
 }
 
-// runRelease executes the prepared plan once, hashing every emitted row
-// into the result digest. arrived is when the query reached RunTraced:
-// the trace's clock starts the planning time before it, so the plan span
-// and whatever passed since arrival — the admission queue, an earlier
-// run whose rows were not delivered — lead the wall phases. overrides
-// substitutes canary code refs into the shipped fragments; a nil map
-// runs the plan exactly as prepared (the active release). allowReplan
-// enables the degraded-site re-plan fallback — canary runs disable it,
-// because a re-plan re-prepares the query and would lose the pinned
-// release.
-func (q *Query) runRelease(ctx context.Context, arrived time.Time, traceID string, emit func(types.Tuple) error,
-	overrides map[string]core.CodeRef, allowReplan bool) (*QueryStats, *obs.Trace, error) {
+// runRelease executes plan — the prepared plan, or a canary run's copy
+// of it — once, hashing every emitted row into the result digest.
+// arrived is when the query reached RunTraced: the trace's clock starts
+// the planning time before it, so the plan span and whatever passed
+// since arrival — the admission queue, an earlier run whose rows were
+// not delivered — lead the wall phases. allowReplan enables the
+// degraded-site re-plan fallback — canary runs disable it, because a
+// re-plan re-prepares the query and would lose the pinned release.
+func (q *Query) runRelease(ctx context.Context, arrived time.Time, traceID string, plan *core.Plan,
+	emit func(types.Tuple) error, allowReplan bool) (*QueryStats, *obs.Trace, error) {
 	h := fnv.New64a()
 	var hashBuf []byte
 	var result QueryStats
@@ -472,14 +469,14 @@ func (q *Query) runRelease(ctx context.Context, arrived time.Time, traceID strin
 		result.ResultBytes += int64(len(hashBuf))
 		return emit(t)
 	}
-	run := func(traceID string, overrides map[string]core.CodeRef) (*obs.Trace, error) {
+	run := func(traceID string, plan *core.Plan) (*obs.Trace, error) {
 		planned := arrived.Add(-q.planDur)
 		trace := obs.NewTraceAt(traceID, planned)
 		trace.Add(trace.Interval(obs.PhasePlan, "", planned, arrived))
-		pe := &planExec{srv: q.srv, plan: q.Plan, trace: trace, overrides: overrides}
+		pe := &planExec{srv: q.srv, plan: plan, trace: trace}
 		return trace, pe.run(ctx, pe.wall(obs.PhaseQueued, arrived), counting)
 	}
-	trace, err := run(traceID, overrides)
+	trace, err := run(traceID, plan)
 	if err != nil && allowReplan && result.ResultTuples == 0 && ctx.Err() == nil && q.srv.replanDegraded(q) {
 		// A site's breaker opened during the failed run and no rows have
 		// reached the client yet: re-plan once with the health oracle's
@@ -487,7 +484,7 @@ func (q *Query) runRelease(ctx context.Context, arrived time.Time, traceID strin
 		// and run the new plan from scratch, on a trace of its own.
 		q.srv.met.degradedReplans.Inc()
 		q.srv.cfg.Logf("qpc: re-planning under degraded-site placement after: %v", err)
-		trace, err = run("", nil)
+		trace, err = run("", q.Plan)
 	}
 	summarize(trace, &result)
 	if err != nil {
@@ -549,76 +546,51 @@ func (q *Query) wrapDeadline(ctx context.Context, start time.Time, err error) er
 	return err
 }
 
-// runCanary executes a query that routing pinned to a canary release.
-// The canary's rows are buffered, never streamed: the client only ever
-// receives output that matches the active release's behaviour. A canary
-// run whose result digest matches the recorded active oracle for the
-// same SQL is delivered directly; otherwise an authoritative shadow run
-// of the active release decides — on divergence the active rows are
-// delivered (byte-identical to a no-rollout run) and the rollout
-// auto-rolls back with the evidence.
+// runCanary executes a query that routing pinned to a canary release:
+// plan is the prepared plan with the canary's code ref in it. Every run
+// is buffered, never streamed, and the controller settles which one the
+// client gets: it only ever receives output that matches the active
+// release's behaviour. A canary run whose result digest matches the
+// recorded active oracle for the same SQL is delivered directly;
+// otherwise an authoritative shadow run of the active release decides —
+// on divergence the active rows are delivered (byte-identical to a
+// no-rollout run) and the rollout auto-rolls back with the evidence.
 func (q *Query) runCanary(ctx context.Context, start time.Time, qid string,
-	dec *canaryDecision, emit func(types.Tuple) error) (*QueryStats, *obs.Trace, error) {
+	st *rolloutState, plan *core.Plan, emit func(types.Tuple) error) (*QueryStats, *obs.Trace, error) {
 	srv := q.srv
 	srv.met.rolloutCanaryQueries.Inc()
-	var canRows []types.Tuple
-	canStats, canTrace, canErr := q.runRelease(ctx, start, qid+"-c", func(t types.Tuple) error {
-		canRows = append(canRows, t)
-		return nil
-	}, dec.overrides, false)
-	canTrace.Add(obs.Span{Name: obs.PhaseCanary, Site: dec.st.Class})
-	can := runOutcome{err: canErr, micros: opSelfMicros(canTrace)}
-	if canErr == nil {
-		can.digest = canStats.ResultDigest
-		switch srv.rollouts.checkOracle(dec, q.Plan.SQL, can) {
-		case oracleMatch, oracleUnstable:
-			if err := replayRows(canRows, emit); err != nil {
-				srv.met.queriesFailed.Inc()
-				return nil, canTrace, err
-			}
-			return canStats, canTrace, nil
-		}
-	} else {
-		srv.rollouts.checkOracleErr(dec)
+	can := q.runBuffered(ctx, start, qid+"-c", plan, false)
+	can.trace.Add(obs.Span{Name: obs.PhaseCanary, Site: st.Class})
+	out := srv.rollouts.settle(st, q.Plan.SQL, can, nil)
+	if out == nil {
+		srv.met.rolloutShadowRuns.Inc()
+		out = srv.rollouts.settle(st, q.Plan.SQL, can, q.runBuffered(ctx, start, qid, q.Plan, true))
 	}
-	// No usable oracle, a stale mismatch, or a canary failure: run the
-	// active release as the authority and judge.
-	srv.met.rolloutShadowRuns.Inc()
-	var actRows []types.Tuple
-	actStats, actTrace, actErr := q.runRelease(ctx, start, qid, func(t types.Tuple) error {
-		actRows = append(actRows, t)
-		return nil
-	}, nil, true)
-	act := runOutcome{err: actErr, micros: opSelfMicros(actTrace)}
-	if actErr == nil {
-		act.digest = actStats.ResultDigest
+	if out.err != nil {
+		srv.met.queriesFailed.Inc()
+		return nil, out.trace, q.wrapDeadline(ctx, start, out.err)
 	}
-	if srv.rollouts.judge(dec, q.Plan.SQL, can, act) {
-		if err := replayRows(canRows, emit); err != nil {
+	for _, t := range out.rows {
+		if err := emit(t); err != nil {
 			srv.met.queriesFailed.Inc()
-			return nil, canTrace, err
+			return nil, out.trace, err
 		}
-		return canStats, canTrace, nil
 	}
-	if actErr != nil {
-		srv.met.queriesFailed.Inc()
-		return nil, actTrace, q.wrapDeadline(ctx, start, actErr)
-	}
-	if err := replayRows(actRows, emit); err != nil {
-		srv.met.queriesFailed.Inc()
-		return nil, actTrace, err
-	}
-	return actStats, actTrace, nil
+	return out.stats, out.trace, nil
 }
 
-// replayRows delivers buffered rows to the client's emit callback.
-func replayRows(rows []types.Tuple, emit func(types.Tuple) error) error {
-	for _, t := range rows {
-		if err := emit(t); err != nil {
-			return err
-		}
+// runBuffered runs plan once with its rows buffered for the judgment.
+func (q *Query) runBuffered(ctx context.Context, arrived time.Time, traceID string, plan *core.Plan, allowReplan bool) *runOutcome {
+	out := &runOutcome{}
+	out.stats, out.trace, out.err = q.runRelease(ctx, arrived, traceID, plan, func(t types.Tuple) error {
+		out.rows = append(out.rows, t)
+		return nil
+	}, allowReplan)
+	out.micros = opSelfMicros(out.trace)
+	if out.err == nil {
+		out.digest = out.stats.ResultDigest
 	}
-	return nil
+	return out
 }
 
 // replanDegraded re-prepares q when its current plan places work at a

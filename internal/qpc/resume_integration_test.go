@@ -84,8 +84,6 @@ func newResumeHarness(t *testing.T, tuneQ func(*Config), tuneD func(*dap.Config)
 			MaxAttempts: 4,
 			BaseDelay:   5 * time.Millisecond,
 			MaxDelay:    50 * time.Millisecond,
-			Multiplier:  2,
-			Jitter:      0.5,
 			Budget:      8,
 		},
 	}

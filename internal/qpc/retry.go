@@ -22,6 +22,14 @@ import (
 	"mocha/internal/wire"
 )
 
+// backoffMultiplier grows the backoff from one retry to the next.
+const backoffMultiplier = 2
+
+// backoffJitter is the fraction of each delay that is randomized: the
+// actual sleep is delay * (1 - backoffJitter/2 + backoffJitter*rand),
+// spread over ±25% so synchronized failures do not retry in lockstep.
+const backoffJitter = 0.5
+
 // RetryPolicy configures retry-with-backoff for idempotent phases. The
 // zero value means "use defaults" (see withDefaults); to disable
 // retries set MaxAttempts to 1.
@@ -29,15 +37,9 @@ type RetryPolicy struct {
 	// MaxAttempts bounds tries per operation (first try included).
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry; each further
-	// retry multiplies it by Multiplier, capped at MaxDelay.
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized: the
-	// actual sleep is delay * (1 - Jitter/2 + Jitter*rand). 0.5, the
-	// default, spreads sleeps over ±25% so synchronized failures do not
-	// retry in lockstep.
-	Jitter float64
+	// retry multiplies it by backoffMultiplier, capped at MaxDelay.
+	BaseDelay time.Duration
+	MaxDelay  time.Duration
 	// Budget bounds total retries across all operations of one query, so
 	// a query against several flaky sites cannot multiply its worst-case
 	// latency per site.
@@ -55,8 +57,6 @@ func DefaultRetryPolicy() RetryPolicy {
 		MaxAttempts: 4,
 		BaseDelay:   50 * time.Millisecond,
 		MaxDelay:    2 * time.Second,
-		Multiplier:  2,
-		Jitter:      0.5,
 		Budget:      8,
 	}
 }
@@ -74,12 +74,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxDelay == 0 {
 		p.MaxDelay = d.MaxDelay
 	}
-	if p.Multiplier == 0 {
-		p.Multiplier = d.Multiplier
-	}
-	if p.Jitter == 0 {
-		p.Jitter = d.Jitter
-	}
 	if p.Budget == 0 {
 		p.Budget = d.Budget
 	}
@@ -91,7 +85,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 func (p RetryPolicy) delay(n int) time.Duration {
 	d := float64(p.BaseDelay)
 	for i := 1; i < n; i++ {
-		d *= p.Multiplier
+		d *= backoffMultiplier
 		if d >= float64(p.MaxDelay) {
 			d = float64(p.MaxDelay)
 			break
@@ -100,14 +94,11 @@ func (p RetryPolicy) delay(n int) time.Duration {
 	if d > float64(p.MaxDelay) {
 		d = float64(p.MaxDelay)
 	}
-	if p.Jitter > 0 {
-		r := rand.Float64
-		if p.Rand != nil {
-			r = p.Rand
-		}
-		d *= 1 - p.Jitter/2 + p.Jitter*r()
+	r := rand.Float64
+	if p.Rand != nil {
+		r = p.Rand
 	}
-	return time.Duration(d)
+	return time.Duration(d * (1 - backoffJitter/2 + backoffJitter*r()))
 }
 
 // sleep waits for d or until the context ends.

@@ -33,8 +33,6 @@ func testPolicy(clock *fakeClock, rnd func() float64) RetryPolicy {
 		MaxAttempts: 4,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    80 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0.5,
 		Budget:      8,
 		Sleep:       clock.sleep,
 		Rand:        rnd,
@@ -187,7 +185,7 @@ func TestRetryRespectsContextCancel(t *testing.T) {
 
 func TestDelayJitterBounds(t *testing.T) {
 	base := 100 * time.Millisecond
-	p := RetryPolicy{BaseDelay: base, MaxDelay: time.Second, Multiplier: 2, Jitter: 0.5}
+	p := RetryPolicy{BaseDelay: base, MaxDelay: time.Second}
 	// rand=0 → 75% of base; rand=1 → 125% of base.
 	p.Rand = func() float64 { return 0 }
 	if got := p.delay(1); got != 75*time.Millisecond {
@@ -219,16 +217,14 @@ func TestWithDefaultsFillsZeroValue(t *testing.T) {
 		{"MaxAttempts", got.MaxAttempts, want.MaxAttempts},
 		{"BaseDelay", got.BaseDelay, want.BaseDelay},
 		{"MaxDelay", got.MaxDelay, want.MaxDelay},
-		{"Multiplier", got.Multiplier, want.Multiplier},
-		{"Jitter", got.Jitter, want.Jitter},
 		{"Budget", got.Budget, want.Budget},
 	} {
 		if f.got != f.want {
 			t.Errorf("zero policy's %s = %v, DefaultRetryPolicy has %v", f.name, f.got, f.want)
 		}
 	}
-	if n := reflect.TypeOf(got).NumField(); n != 8 {
-		t.Errorf("RetryPolicy has %d fields; this test compares 6 and excuses 2 hooks", n)
+	if n := reflect.TypeOf(got).NumField(); n != 6 {
+		t.Errorf("RetryPolicy has %d fields; this test compares 4 and excuses 2 hooks", n)
 	}
 	// Explicit single-attempt stays a single attempt.
 	one := RetryPolicy{MaxAttempts: 1}.withDefaults()

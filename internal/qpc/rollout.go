@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"mocha/internal/core"
 	"mocha/internal/obs"
+	"mocha/internal/types"
 	"mocha/internal/vm"
 	"mocha/internal/wire"
 )
@@ -101,11 +103,6 @@ const oracleCap = 256
 // input-dependent loop stepped once per byte of a 1 KiB argument.
 const staticCostRefBytes = 1024
 
-// instrsPerMicro converts static instruction units into the judge's µs
-// scale (50 interpreted MVM instructions per microsecond, matching the
-// optimizer's defaultInstrsPerMS).
-const instrsPerMicro = 50.0
-
 // staticUnits folds a release's static cost summary to one comparable
 // number: fixed units plus per-trip units at the reference input size.
 func staticUnits(c vm.CostInfo) int64 {
@@ -124,14 +121,16 @@ type oracleEntry struct {
 	unstable bool
 }
 
-// rolloutState is one rollout's full lifecycle record.
+// rolloutState is one rollout's full lifecycle record, and the QPC's
+// only record of which release is a class's canary.
 type rolloutState struct {
 	Class    string // display name
 	Tag      string
 	Digest   string
-	Caps     string
-	Cost     string // canary's static cost stamp, propagated into overrides
 	Fraction float64
+	// ref is the canary's code ref, stamped like the optimizer stamps the
+	// active release's; canaryPlan substitutes it.
+	ref core.CodeRef
 
 	// CanaryStaticUnits/ActiveStaticUnits are the releases' verifier-
 	// derived worst-case instruction budgets at the reference input size
@@ -162,19 +161,14 @@ type rolloutState struct {
 
 func (st *rolloutState) running() bool { return st.Status == rolloutRunning }
 
-// canaryDecision pins one query to the canary release: the routing
-// decision is made exactly once per query (RunTraced hashes its freshly
-// minted query ID against the rollout fraction), so every resume,
-// replica failover and restart of the query's streams re-deploys the
-// same release digest — versions never mix within a query.
-type canaryDecision struct {
-	st        *rolloutState
-	overrides map[string]core.CodeRef
-}
-
-// runOutcome summarizes one release's execution of a query for the
-// controller: result digest, summed op:* self time, or the error.
+// runOutcome is one release's buffered execution of a query: the rows,
+// stats and trace delivered if the judgment picks it, and what the
+// controller judges by — result digest, summed op:* self time, or the
+// error.
 type runOutcome struct {
+	rows   []types.Tuple
+	stats  *QueryStats
+	trace  *obs.Trace
 	digest string
 	micros float64
 	err    error
@@ -220,7 +214,8 @@ func planUsesClass(plan *core.Plan, lowerClass string) bool {
 }
 
 // start begins a rollout: the release becomes the class's canary and
-// the given fraction of eligible queries route to it.
+// the given fraction of eligible queries route to it. Canarying the
+// release already serving traffic compares nothing and is refused.
 func (c *rolloutController) start(class, tag string, fraction float64) (*rolloutState, error) {
 	if fraction <= 0 || fraction > 1 {
 		return nil, fmt.Errorf("qpc: rollout fraction %v outside (0, 1]", fraction)
@@ -236,22 +231,23 @@ func (c *rolloutController) start(class, tag string, fraction float64) (*rollout
 	if st := c.current[key]; st != nil && st.running() {
 		return nil, fmt.Errorf("qpc: a rollout of %s@%s is already running", st.Class, st.Tag)
 	}
-	if _, err := repo.SetCanary(class, tag); err != nil {
-		return nil, err
+	act, hasActive := repo.ActiveRelease(class)
+	if hasActive && act.Digest == rel.Digest {
+		return nil, fmt.Errorf("qpc: release %s@%s is already active", rel.Class, rel.Tag)
 	}
 	st := &rolloutState{
-		Class:             rel.Class,
-		Tag:               rel.Tag,
-		Digest:            rel.Digest,
-		Caps:              strings.Join(rel.Caps, ","),
-		Cost:              rel.Cost.String(),
-		Fraction:          fraction,
+		Class:    rel.Class,
+		Tag:      rel.Tag,
+		Digest:   rel.Digest,
+		Fraction: fraction,
+		ref: core.CodeRef{Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest,
+			Caps: strings.Join(rel.Caps, ","), Cost: rel.Cost.String()},
 		CanaryStaticUnits: staticUnits(rel.Cost),
 		StartedAt:         time.Now(),
 		Status:            rolloutRunning,
 		oracles:           make(map[string]*oracleEntry),
 	}
-	if act, ok := repo.ActiveRelease(class); ok {
+	if hasActive {
 		st.ActiveStaticUnits = staticUnits(act.Cost)
 	}
 	// Static prior: when the canary's own verifier-derived budget is
@@ -263,8 +259,11 @@ func (c *rolloutController) start(class, tag string, fraction float64) (*rollout
 	// samples alone judge it.
 	if st.ActiveStaticUnits > 0 &&
 		float64(st.CanaryStaticUnits) > c.policy.LatencyFactor*float64(st.ActiveStaticUnits) {
-		st.canaryEWMA = float64(st.CanaryStaticUnits) / instrsPerMicro
-		st.activeEWMA = float64(st.ActiveStaticUnits) / instrsPerMicro
+		// The optimizer's engine rate prices both stamps, in µs.
+		micros := func(cost vm.CostInfo) float64 {
+			return 1000 * c.srv.opt.Model.CompMSStatic(1, staticCostRefBytes, cost)
+		}
+		st.canaryEWMA, st.activeEWMA = micros(rel.Cost), micros(act.Cost)
 		if c.policy.MinSamples > 1 {
 			st.latencySamples = c.policy.MinSamples - 1
 		}
@@ -277,11 +276,16 @@ func (c *rolloutController) start(class, tag string, fraction float64) (*rollout
 	return st, nil
 }
 
-// route decides, once per query, whether this execution runs the canary
-// release. nil means the active release serves it.
-func (c *rolloutController) route(plan *core.Plan, qid string) *canaryDecision {
+// route decides whether this execution runs a canary release: it
+// returns the rollout and the plan the canary run executes, or nil, nil
+// when the active release serves the query. The decision is made exactly
+// once per query (RunTraced hashes its freshly minted query ID against
+// the rollout fraction), and every resume, replica failover and restart
+// of the query's streams re-deploys what the plan's code refs pin —
+// versions never mix within a query.
+func (c *rolloutController) route(plan *core.Plan, qid string) (*rolloutState, *core.Plan) {
 	if c == nil || plan == nil {
-		return nil
+		return nil, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -290,16 +294,34 @@ func (c *rolloutController) route(plan *core.Plan, qid string) *canaryDecision {
 			continue
 		}
 		if hashFraction(qid) >= st.Fraction {
-			return nil
+			return nil, nil
 		}
-		return &canaryDecision{
-			st: st,
-			overrides: map[string]core.CodeRef{
-				key: {Name: st.Class, Version: st.Tag, Checksum: st.Digest, Caps: st.Caps, Cost: st.Cost},
-			},
+		return st, canaryPlan(plan, st.ref)
+	}
+	return nil, nil
+}
+
+// canaryPlan returns a copy of plan that ships ref wherever plan ships a
+// release of ref's class. Only the fragments that ship the class are
+// copied, with the ref substituted; the prepared plan and every other
+// fragment stay shared.
+func canaryPlan(plan *core.Plan, ref core.CodeRef) *core.Plan {
+	cp := *plan
+	cp.Fragments = slices.Clone(plan.Fragments)
+	for i, f := range plan.Fragments {
+		for j, r := range f.Code {
+			if !strings.EqualFold(r.Name, ref.Name) {
+				continue
+			}
+			if cp.Fragments[i] == f {
+				clone := *f
+				clone.Code = slices.Clone(f.Code)
+				cp.Fragments[i] = &clone
+			}
+			cp.Fragments[i].Code[j] = ref
 		}
 	}
-	return nil
+	return &cp
 }
 
 const ewmaAlpha = 0.3
@@ -315,7 +337,7 @@ func ewma(prev, sample float64) float64 {
 // rollout's oracle. Conflicting digests for the same SQL mark the query
 // unstable: its output is nondeterministic, so it can never condemn (or
 // acquit) a canary.
-func (st *rolloutState) recordOracleLocked(sql string, act runOutcome) {
+func (st *rolloutState) recordOracleLocked(sql string, act *runOutcome) {
 	st.activeEWMA = ewma(st.activeEWMA, act.micros)
 	e := st.oracles[sql]
 	if e == nil {
@@ -332,79 +354,60 @@ func (st *rolloutState) recordOracleLocked(sql string, act runOutcome) {
 	e.micros = ewma(e.micros, act.micros)
 }
 
-// observeActive records an active-routed query's outcome as oracle
-// material for any rollout its plan is eligible for.
-func (c *rolloutController) observeActive(plan *core.Plan, sql, digest string, micros float64, err error) {
-	if c == nil || err != nil || sql == "" {
+// observeActive records a successful active-routed run of plan as
+// oracle material for any rollout the plan is eligible for.
+func (c *rolloutController) observeActive(plan *core.Plan, digest string, micros float64) {
+	if c == nil || plan.SQL == "" {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key, st := range c.current {
 		if st.running() && planUsesClass(plan, key) {
-			st.recordOracleLocked(sql, runOutcome{digest: digest, micros: micros})
+			st.recordOracleLocked(plan.SQL, &runOutcome{digest: digest, micros: micros})
 			return
 		}
 	}
 }
 
-// checkOracleErr counts a canary run that failed before any comparison
-// was possible (the shadow run decides what the failure means).
-func (c *rolloutController) checkOracleErr(dec *canaryDecision) {
-	c.mu.Lock()
-	dec.st.CanaryRuns++
-	c.mu.Unlock()
-}
-
-// oracle verdicts for a canary run checked against recorded history.
-type oracleVerdict int
-
-const (
-	oracleNeedShadow oracleVerdict = iota // no usable oracle, or mismatch to confirm
-	oracleMatch                           // matched the recorded active digest
-	oracleUnstable                        // SQL output is nondeterministic; no comparison possible
-)
-
-// checkOracle compares a successful canary run against the recorded
-// active oracle for its SQL. A match is a full comparison (counted,
-// fed into the latency check, may promote or abort); a mismatch or a
-// missing oracle demands an authoritative shadow run before judgment.
-func (c *rolloutController) checkOracle(dec *canaryDecision, sql string, can runOutcome) oracleVerdict {
+// settle judges one canary run of sql, advances the rollout's state
+// machine, and returns the run whose rows the client gets. Call it first
+// with a nil shadow. If the oracle vouches for the canary run — its
+// digest is the one the active release recorded for the SQL, or the
+// SQL's output is unstable and compares nothing — it settles there.
+// Otherwise it returns nil: the caller runs the active release as the
+// authority and calls again with that run as shadow. A digest mismatch
+// or a canary-only failure is a divergence and rolls back; a match feeds
+// the latency check and promotion.
+func (c *rolloutController) settle(st *rolloutState, sql string, can, shadow *runOutcome) *runOutcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := dec.st
-	st.CanaryRuns++
-	e := st.oracles[sql]
-	if e == nil {
-		return oracleNeedShadow
-	}
-	if e.unstable {
-		return oracleUnstable
-	}
-	if e.digest != can.digest {
-		return oracleNeedShadow
-	}
-	c.recordMatchLocked(st, can.micros, e.micros)
-	return oracleMatch
-}
-
-// judge decides delivery after a shadow run of the active release, and
-// advances the rollout state machine: digest mismatch or a canary-only
-// failure is a divergence (auto-rollback); a match feeds promotion.
-// Returns whether the canary's buffered rows may be delivered.
-func (c *rolloutController) judge(dec *canaryDecision, sql string, can, act runOutcome) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := dec.st
-	st.ShadowRuns++
-	if act.err == nil {
-		st.recordOracleLocked(sql, act)
+	act := shadow
+	if act == nil {
+		st.CanaryRuns++
+		e := st.oracles[sql]
+		switch {
+		case can.err != nil || e == nil:
+			return nil
+		case e.unstable:
+			return can
+		case e.digest != can.digest:
+			return nil
+		}
+		act = &runOutcome{digest: e.digest, micros: e.micros}
+	} else {
+		st.ShadowRuns++
+		if act.err == nil {
+			st.recordOracleLocked(sql, act)
+		}
 	}
 	switch {
-	case can.err != nil && act.err == nil:
-		// Canary-only failure: the active release handles this query,
-		// the canary does not. That is behavioural divergence.
-		if st.running() {
+	case can.err != nil:
+		// A canary-only failure — the active release handles this query,
+		// the canary does not — is behavioural divergence. When both
+		// failed the canary is not to blame: the active release's error
+		// is what the client sees.
+		if act.err == nil && st.running() {
 			st.CanaryErrors++
 			c.srv.met.rolloutDivergences.Inc()
 			if st.CanaryErrors > c.policy.MaxCanaryErrors {
@@ -416,51 +419,36 @@ func (c *rolloutController) judge(dec *canaryDecision, sql string, can, act runO
 				})
 			}
 		}
-		return false
-	case can.err != nil:
-		// Both releases failed: not the canary's fault; surface the
-		// active release's error.
-		return false
+		return act
 	case act.err != nil:
 		// Canary succeeded where active failed (e.g. a site died between
 		// the runs). No judgment — deliver the rows we have.
-		return true
+		return can
 	}
+	match := can.digest == act.digest
 	if st.running() {
 		st.Comparisons++
-	}
-	if can.digest == act.digest {
-		if st.running() {
+		if match {
 			st.Matches++
 			c.latencyAndPromotionLocked(st, can.micros, act.micros)
+		} else {
+			// Result-digest divergence: the canary computed different
+			// answers. The active rows serve the client (byte-identical to
+			// the v1 oracle), and the rollout rolls back with the evidence.
+			c.srv.met.rolloutDivergences.Inc()
+			c.abortLocked(st, &RolloutAbortedError{
+				Class: st.Class, Tag: st.Tag, Digest: st.Digest,
+				Reason:     "result digest divergence",
+				SQL:        sql,
+				WantDigest: act.digest,
+				GotDigest:  can.digest,
+			})
 		}
-		return true
 	}
-	// Result-digest divergence: the canary computed different answers.
-	// The buffered active rows serve the client (byte-identical to the
-	// v1 oracle), and the rollout rolls back with the evidence.
-	if st.running() {
-		c.srv.met.rolloutDivergences.Inc()
-		c.abortLocked(st, &RolloutAbortedError{
-			Class: st.Class, Tag: st.Tag, Digest: st.Digest,
-			Reason:     "result digest divergence",
-			SQL:        sql,
-			WantDigest: act.digest,
-			GotDigest:  can.digest,
-		})
+	if match {
+		return can
 	}
-	return false
-}
-
-// recordMatchLocked counts a clean oracle match and runs the latency
-// and promotion checks.
-func (c *rolloutController) recordMatchLocked(st *rolloutState, canMicros, actMicros float64) {
-	if !st.running() {
-		return
-	}
-	st.Comparisons++
-	st.Matches++
-	c.latencyAndPromotionLocked(st, canMicros, actMicros)
+	return act
 }
 
 func (c *rolloutController) latencyAndPromotionLocked(st *rolloutState, canMicros, actMicros float64) {
@@ -482,11 +470,11 @@ func (c *rolloutController) latencyAndPromotionLocked(st *rolloutState, canMicro
 	}
 }
 
-// abortLocked rolls the rollout back: the canary pointer is cleared (so
-// no new query routes to the withdrawn release; in-flight canary
-// queries stay pinned by digest and finish), the evidence is recorded
-// for SHOW ROLLOUTS, and every site's code cache is asked — best
-// effort, asynchronously — to drop the withdrawn blob by digest.
+// abortLocked rolls the rollout back: no new query routes to the
+// withdrawn release (in-flight canary queries stay pinned by digest and
+// finish), the evidence is recorded for SHOW ROLLOUTS, and every site's
+// code cache is asked — best effort, asynchronously — to drop the
+// withdrawn blob by digest.
 func (c *rolloutController) abortLocked(st *rolloutState, why *RolloutAbortedError) {
 	if !st.running() {
 		return
@@ -494,7 +482,6 @@ func (c *rolloutController) abortLocked(st *rolloutState, why *RolloutAbortedErr
 	st.Status = rolloutAborted
 	st.Abort = why
 	st.EndedAt = time.Now()
-	c.srv.cfg.Cat.Repo().ClearCanary(st.Class)
 	c.srv.met.rolloutAborts.Inc()
 	c.srv.cfg.Logf("qpc: %v", why)
 	go c.srv.invalidateSites([]string{st.Digest})
@@ -548,11 +535,28 @@ func (c *rolloutController) promote(class string) (*rolloutState, error) {
 	return st, nil
 }
 
-// state returns the latest rollout for a class (any status).
-func (c *rolloutController) state(class string) *rolloutState {
+// canaries returns the digests of the releases running rollouts canary.
+func (c *rolloutController) canaries() map[string]bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.current[strings.ToLower(class)]
+	out := make(map[string]bool)
+	for _, st := range c.current {
+		if st.running() {
+			out[st.Digest] = true
+		}
+	}
+	return out
+}
+
+// state returns a snapshot of the class's latest rollout (any status),
+// the zero state when none was ever started.
+func (c *rolloutController) state(class string) rolloutState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st := c.current[strings.ToLower(class)]; st != nil {
+		return *st
+	}
+	return rolloutState{}
 }
 
 // report renders SHOW ROLLOUTS: every rollout this server has run,
@@ -674,36 +678,25 @@ func (s *Server) RolloutReport() string { return s.rollouts.report() }
 // RolloutAbort returns the typed abort evidence for a class's latest
 // rollout, or nil when it has not aborted.
 func (s *Server) RolloutAbort(class string) *RolloutAbortedError {
-	st := s.rollouts.state(class)
-	if st == nil {
-		return nil
-	}
-	s.rollouts.mu.Lock()
-	defer s.rollouts.mu.Unlock()
-	return st.Abort
+	return s.rollouts.state(class).Abort
 }
 
 // RolloutStatus reports a class's latest rollout status ("running",
 // "aborted", "promoted"), or "" when none was ever started.
 func (s *Server) RolloutStatus(class string) string {
-	st := s.rollouts.state(class)
-	if st == nil {
-		return ""
-	}
-	s.rollouts.mu.Lock()
-	defer s.rollouts.mu.Unlock()
-	return st.Status
+	return s.rollouts.state(class).Status
 }
 
 // ReleasesReport renders the release history of one class — or of every
 // class when name is empty — with tag, digest, capability manifest,
-// publish time and the active/canary markers (SHOW RELEASES and the
-// mocha-cli releases verbs).
+// publish time and the markers: [active] for the release new plans bind,
+// [canary] for one a rollout on this QPC is running (SHOW RELEASES and
+// the mocha-cli releases verbs).
 func (s *Server) ReleasesReport(name string) (string, error) {
 	repo := s.cfg.Cat.Repo()
 	var classes []string
 	if name != "" {
-		if _, ok := repo.GetRelease(name, ""); !ok && len(repo.Releases(name)) == 0 {
+		if len(repo.Releases(name)) == 0 {
 			return "", fmt.Errorf("qpc: no class named %q in the code repository", name)
 		}
 		classes = []string{name}
@@ -711,6 +704,7 @@ func (s *Server) ReleasesReport(name string) (string, error) {
 		classes = repo.Names()
 	}
 	sort.Strings(classes)
+	canaries := s.rollouts.canaries()
 	var b strings.Builder
 	for _, cls := range classes {
 		rels := repo.Releases(cls)
@@ -718,7 +712,6 @@ func (s *Server) ReleasesReport(name string) (string, error) {
 			continue
 		}
 		active, _ := repo.ActiveRelease(cls)
-		canary, _ := repo.CanaryRelease(cls)
 		fmt.Fprintf(&b, "class %s (%d releases)\n", rels[0].Class, len(rels))
 		for _, rel := range rels {
 			caps := strings.Join(rel.Caps, ",")
@@ -729,7 +722,7 @@ func (s *Server) ReleasesReport(name string) (string, error) {
 			if active != nil && active.Digest == rel.Digest {
 				marker = "  [active]"
 			}
-			if canary != nil && canary.Digest == rel.Digest {
+			if canaries[rel.Digest] {
 				marker += "  [canary]"
 			}
 			fmt.Fprintf(&b, "  tag %-12s digest %s  caps %s  published %s%s\n",

@@ -102,6 +102,9 @@ func TestRolloutIntegrationDivergenceAbort(t *testing.T) {
 	if _, err := h.srv.StartRollout("AvgEnergy", "ghost-tag", 0.5); err == nil {
 		t.Error("rollout of an unknown tag accepted")
 	}
+	if _, err := h.srv.StartRollout("AvgEnergy", v1.Tag, 0.5); err == nil || !strings.Contains(err.Error(), "already active") {
+		t.Errorf("rollout of the active release: err = %v", err)
+	}
 	for _, frac := range []float64{0, -0.25, 1.5} {
 		if _, err := h.srv.StartRollout("AvgEnergy", "v2", frac); err == nil {
 			t.Errorf("fraction %v accepted", frac)
@@ -139,8 +142,8 @@ func TestRolloutIntegrationDivergenceAbort(t *testing.T) {
 		abort.WantDigest == abort.GotDigest {
 		t.Errorf("abort evidence = %+v", abort)
 	}
-	if _, ok := cat.Repo().CanaryRelease("AvgEnergy"); ok {
-		t.Error("canary pointer survived the abort")
+	if rels, _ := h.srv.ReleasesReport("AvgEnergy"); strings.Contains(rels, "[canary]") {
+		t.Errorf("the withdrawn release is still marked canary:\n%s", rels)
 	}
 	if active, _ := cat.Repo().ActiveRelease("AvgEnergy"); active.Digest != v1.Digest {
 		t.Error("active pointer moved during an abort")
@@ -233,8 +236,8 @@ func TestRolloutIntegrationPromotion(t *testing.T) {
 	if active, _ := cat.Repo().ActiveRelease("AvgEnergy"); active.Digest != rel.Digest {
 		t.Error("promotion did not activate v2")
 	}
-	if _, ok := cat.Repo().CanaryRelease("AvgEnergy"); ok {
-		t.Error("promotion left the canary pointer set")
+	if rels, _ := h.srv.ReleasesReport("AvgEnergy"); strings.Contains(rels, "[canary]") {
+		t.Errorf("the promoted release is still marked canary:\n%s", rels)
 	}
 	if got := h.srv.met.rolloutPromotions.Value(); got != 1 {
 		t.Errorf("promotions counter = %d", got)
@@ -409,84 +412,206 @@ func TestRolloutIntegrationWireVerbs(t *testing.T) {
 	}
 }
 
-// TestRolloutJudgeMatrix unit-drives the post-shadow judgment over the
-// error/success matrix and the latency and promotion endings, without a
-// network: only the controller's bookkeeping is under test.
+// rolloutCtrl is the rollout controller of a network-less QPC over the
+// builtin repository, with an AvgEnergy v2 derived by mutate staged
+// under tag.
+func rolloutCtrl(t *testing.T, policy RolloutPolicy, tag string, mutate func(string) string) (*rolloutController, *catalog.Catalog) {
+	t.Helper()
+	reg := ops.Builtins()
+	cat := catalog.New(reg, catalog.NewRepositoryFromRegistry(reg))
+	srv := New(Config{Cat: cat, Rollout: policy})
+	stageAvgEnergyV2(t, cat, tag, mutate)
+	return srv.rollouts, cat
+}
+
+// TestRolloutJudgeMatrix unit-drives the one judgment, settle, the way
+// runCanary does — the canary run first, the active release's shadow run
+// only when settle asks for it — over the error/success matrix, the
+// oracle fast path, and the latency and promotion endings, without a
+// network: only the controller's bookkeeping is under test. Each row
+// pins the side delivered, the status and abort evidence, and every
+// counter.
 func TestRolloutJudgeMatrix(t *testing.T) {
-	newCtrl := func(policy RolloutPolicy) (*rolloutController, *catalog.Catalog) {
-		reg := ops.Builtins()
-		cat := catalog.New(reg, catalog.NewRepositoryFromRegistry(reg))
-		srv := New(Config{Cat: cat, Rollout: policy})
-		stageAvgEnergyV2(t, cat, "v2", noopPrefix)
-		return srv.rollouts, cat
-	}
-	start := func(c *rolloutController) (*rolloutState, *canaryDecision) {
-		t.Helper()
-		st, err := c.start("AvgEnergy", "v2", 1.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, &canaryDecision{st: st}
-	}
 	boom := errors.New("boom")
-	ok := runOutcome{digest: "d", micros: 50}
+	ok := func(digest string, micros float64) *runOutcome { return &runOutcome{digest: digest, micros: micros} }
+	failed := func() *runOutcome { return &runOutcome{err: boom} }
+	quiet := RolloutPolicy{PromoteAfter: -1, MinSamples: 1 << 20}
+	type counts struct{ canary, shadow, cmp, match, errs int }
+	for _, tc := range []struct {
+		name      string
+		policy    RolloutPolicy
+		oracle    []string    // active digests recorded for the SQL beforehand
+		can       *runOutcome // the canary run
+		shadow    *runOutcome // the active run, nil where none may be asked for
+		queries   int         // canary runs, each of its own SQL (0: one)
+		deliver   string      // "canary" or "active"
+		status    string
+		reason    string // abort reason substring, "" for no abort
+		canaryErr bool   // the abort evidence carries the canary's error
+		want, got string // the abort evidence's result digests
+		counts    counts
+	}{
+		// Canary-only failure: divergent behaviour; past MaxCanaryErrors=0
+		// it aborts, and the active rows are delivered.
+		{name: "canary failed", policy: quiet, can: failed(), shadow: ok("d", 50),
+			deliver: "active", status: rolloutAborted, reason: "canary execution failed", canaryErr: true,
+			counts: counts{canary: 1, shadow: 1, errs: 1}},
+		// Both releases failed: the environment is sick, not the canary —
+		// no abort, and the active release's error is surfaced.
+		{name: "both failed", policy: RolloutPolicy{PromoteAfter: -1, MinSamples: 1 << 20, MaxCanaryErrors: 10},
+			can: failed(), shadow: failed(),
+			deliver: "active", status: rolloutRunning, counts: counts{canary: 1, shadow: 1}},
+		// Canary succeeded where active failed: no judgment, deliver.
+		{name: "active failed", policy: quiet, can: ok("d", 50), shadow: failed(),
+			deliver: "canary", status: rolloutRunning, counts: counts{canary: 1, shadow: 1}},
+		{name: "digest divergence", policy: quiet, can: ok("x", 50), shadow: ok("d", 50),
+			deliver: "active", status: rolloutAborted, reason: "result digest divergence", want: "d", got: "x",
+			counts: counts{canary: 1, shadow: 1, cmp: 1}},
+		// Latency regression: matching digests, canary consistently slower
+		// than LatencyFactor x active once MinSamples comparisons are in.
+		{name: "latency regression", policy: RolloutPolicy{PromoteAfter: -1, MinSamples: 2, LatencyFactor: 2},
+			can: ok("d", 5000), shadow: ok("d", 10), queries: 2,
+			deliver: "canary", status: rolloutAborted, reason: "latency regression",
+			counts: counts{canary: 2, shadow: 2, cmp: 2, match: 2}},
+		// Promotion: enough clean matches move the active pointer.
+		{name: "promotion", policy: RolloutPolicy{PromoteAfter: 1, MinSamples: 1 << 20}, can: ok("d", 50), shadow: ok("d", 50),
+			deliver: "canary", status: rolloutPromoted, counts: counts{canary: 1, shadow: 1, cmp: 1, match: 1}},
+		// The oracle fast path: a recorded match is a full comparison with
+		// no shadow run; an unstable SQL compares nothing and delivers; a
+		// missing oracle, or one the canary disagrees with, asks for the
+		// shadow, which has the last word.
+		{name: "oracle match", policy: quiet, oracle: []string{"d"}, can: ok("d", 50),
+			deliver: "canary", status: rolloutRunning, counts: counts{canary: 1, cmp: 1, match: 1}},
+		{name: "oracle unstable", policy: quiet, oracle: []string{"d", "e"}, can: ok("x", 50),
+			deliver: "canary", status: rolloutRunning, counts: counts{canary: 1}},
+		{name: "oracle missing", policy: quiet, can: ok("d", 50), shadow: ok("d", 50),
+			deliver: "canary", status: rolloutRunning, counts: counts{canary: 1, shadow: 1, cmp: 1, match: 1}},
+		{name: "oracle mismatch confirmed", policy: quiet, oracle: []string{"d"}, can: ok("x", 50), shadow: ok("d", 50),
+			deliver: "active", status: rolloutAborted, reason: "result digest divergence", want: "d", got: "x",
+			counts: counts{canary: 1, shadow: 1, cmp: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, cat := rolloutCtrl(t, tc.policy, "v2", noopPrefix)
+			st, err := c.start("AvgEnergy", "v2", 1.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range tc.oracle {
+				st.recordOracleLocked("q0", ok(d, 50))
+			}
+			var out *runOutcome
+			for i := 0; i < max(tc.queries, 1); i++ {
+				sql := fmt.Sprintf("q%d", i)
+				if out = c.settle(st, sql, tc.can, nil); out == nil {
+					if tc.shadow == nil {
+						t.Fatal("settle asked for a shadow run the oracle should have spared")
+					}
+					out = c.settle(st, sql, tc.can, tc.shadow)
+				}
+			}
+			if side := map[*runOutcome]string{tc.can: "canary", tc.shadow: "active"}[out]; side != tc.deliver {
+				t.Errorf("delivered the %s run, want the %s run", side, tc.deliver)
+			}
+			if st.Status != tc.status {
+				t.Errorf("status = %s, want %s", st.Status, tc.status)
+			}
+			var ev RolloutAbortedError
+			if st.Abort != nil {
+				ev = *st.Abort
+			}
+			if (st.Abort == nil) != (tc.reason == "") || !strings.Contains(ev.Reason, tc.reason) {
+				t.Errorf("abort = %+v, want reason %q", st.Abort, tc.reason)
+			}
+			if (ev.CanaryErr != "") != tc.canaryErr || ev.WantDigest != tc.want || ev.GotDigest != tc.got {
+				t.Errorf("evidence = %+v, want canary error %v, digests %q/%q", ev, tc.canaryErr, tc.want, tc.got)
+			}
+			if got := (counts{st.CanaryRuns, st.ShadowRuns, st.Comparisons, st.Matches, st.CanaryErrors}); got != tc.counts {
+				t.Errorf("counters = %+v, want %+v", got, tc.counts)
+			}
+			if active, _ := cat.Repo().ActiveRelease("AvgEnergy"); (active.Tag == "v2") != (tc.status == rolloutPromoted) {
+				t.Errorf("active release %s after a %s rollout", active.Tag, st.Status)
+			}
+		})
+	}
+}
 
-	// Canary-only failure: divergent behaviour; past MaxCanaryErrors=0
-	// it aborts, and the active rows are what gets delivered.
-	c, _ := newCtrl(RolloutPolicy{PromoteAfter: -1, MinSamples: 1 << 20})
-	st, dec := start(c)
-	c.checkOracleErr(dec)
-	if c.judge(dec, "q1", runOutcome{err: boom}, ok) {
-		t.Error("failed canary's rows delivered")
+// TestRolloutDoesNotSurviveRestart: the controller is the one record of
+// a canary. While a rollout runs, SHOW RELEASES marks its release
+// [canary]; a QPC restarted over the saved repository runs no rollout
+// and marks nothing canary, since nothing would route to it.
+func TestRolloutDoesNotSurviveRestart(t *testing.T) {
+	c, cat := rolloutCtrl(t, RolloutPolicy{}, "v2", noopPrefix)
+	if _, err := c.srv.StartRollout("AvgEnergy", "v2", 0.5); err != nil {
+		t.Fatal(err)
 	}
-	if st.Status != rolloutAborted || !strings.Contains(st.Abort.Reason, "canary execution failed") {
-		t.Errorf("canary-failure state = %s (%+v)", st.Status, st.Abort)
+	rels, err := c.srv.ReleasesReport("AvgEnergy")
+	if err != nil || !strings.Contains(rels, "[canary]") {
+		t.Fatalf("SHOW RELEASES while a rollout runs: %v\n%s", err, rels)
 	}
-	if st.Abort.CanaryErr == "" {
-		t.Error("canary error lost from the evidence")
+	dir := t.TempDir()
+	if err := cat.Repo().SaveDir(dir); err != nil {
+		t.Fatal(err)
 	}
+	repo := catalog.NewRepository()
+	if err := repo.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	restarted := New(Config{Cat: catalog.New(ops.Builtins(), repo)})
+	rels, err = restarted.ReleasesReport("AvgEnergy")
+	if err != nil || strings.Contains(rels, "[canary]") || !strings.Contains(rels, "[active]") {
+		t.Errorf("SHOW RELEASES after a restart: %v\n%s", err, rels)
+	}
+	if rep := restarted.RolloutReport(); rep != "no rollouts" {
+		t.Errorf("SHOW ROLLOUTS after a restart = %q", rep)
+	}
+}
 
-	// Both releases failed: the environment is sick, not the canary —
-	// no abort, and the caller surfaces the active release's error.
-	c, _ = newCtrl(RolloutPolicy{PromoteAfter: -1, MinSamples: 1 << 20, MaxCanaryErrors: 10})
-	st, dec = start(c)
-	if c.judge(dec, "q1", runOutcome{err: boom}, runOutcome{err: boom}) {
-		t.Error("rows delivered when both releases failed")
+// TestCanaryPlanClonesTouchedFragments: a canary run's plan is a copy in
+// which exactly the fragments that ship the class are cloned, carrying
+// the canary's code ref — name, tag, digest, caps and cost stamp as the
+// release has them — while every other fragment and the prepared plan
+// stay shared and untouched.
+func TestCanaryPlanClonesTouchedFragments(t *testing.T) {
+	c, cat := rolloutCtrl(t, RolloutPolicy{}, "v2", noopPrefix)
+	rel, _ := cat.Repo().GetRelease("AvgEnergy", "v2")
+	active := core.CodeRef{Name: "AvgEnergy", Version: "1.0", Checksum: "aaaa"}
+	plan := &core.Plan{SQL: rolloutSQL, Fragments: []*core.Fragment{
+		{Site: "site1", Code: []core.CodeRef{active, {Name: "Clip", Checksum: "bbbb"}},
+			CutPoint: "below=[call AvgEnergy]", CutAlts: 2},
+		{Site: "site2"},
+	}}
+	if st, _ := c.route(plan, "q1"); st != nil {
+		t.Fatal("routed to a canary with no rollout running")
 	}
-	if st.Status != rolloutRunning {
-		t.Errorf("both-failed judged the canary: %s", st.Status)
+	if _, err := c.start("AvgEnergy", "v2", 1.0); err != nil {
+		t.Fatal(err)
 	}
-	// Canary succeeded where active failed: no judgment, deliver.
-	if !c.judge(dec, "q2", ok, runOutcome{err: boom}) {
-		t.Error("healthy canary rows withheld when only the active failed")
+	if st, _ := c.route(&core.Plan{Fragments: []*core.Fragment{{Site: "site2"}}}, "q1"); st != nil {
+		t.Error("a plan that ships no code was routed to the canary")
 	}
-	if st.Status != rolloutRunning {
-		t.Errorf("active-failure judged the canary: %s", st.Status)
+	st, cp := c.route(plan, "q1")
+	if st == nil || cp == nil {
+		t.Fatal("a plan shipping the class was not routed at fraction 1")
 	}
-
-	// Latency regression: matching digests, canary consistently slower
-	// than LatencyFactor x active after MinSamples comparisons.
-	c, _ = newCtrl(RolloutPolicy{PromoteAfter: -1, MinSamples: 2, LatencyFactor: 2})
-	st, dec = start(c)
-	for i := 0; i < 8 && st.Status == rolloutRunning; i++ {
-		c.judge(dec, fmt.Sprintf("q%d", i),
-			runOutcome{digest: "d", micros: 5000}, runOutcome{digest: "d", micros: 10})
+	if cp == plan || cp.Fragments[0] == plan.Fragments[0] {
+		t.Fatal("the touched fragment is still the prepared plan's")
 	}
-	if st.Status != rolloutAborted || !strings.Contains(st.Abort.Reason, "latency regression") {
-		t.Errorf("latency state = %s (%+v)", st.Status, st.Abort)
+	if cp.Fragments[1] != plan.Fragments[1] {
+		t.Error("an untouched fragment was copied")
 	}
-
-	// Promotion: enough clean matches move the active pointer.
-	c, cat := newCtrl(RolloutPolicy{PromoteAfter: 1, MinSamples: 1 << 20})
-	st, dec = start(c)
-	if !c.judge(dec, "q1", ok, ok) {
-		t.Error("matching canary rows withheld")
+	want := core.CodeRef{Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest,
+		Caps: strings.Join(rel.Caps, ","), Cost: rel.Cost.String()}
+	if got := cp.Fragments[0].Code[0]; got != want || want.Cost == "" {
+		t.Errorf("substituted ref = %+v, want %+v", got, want)
 	}
-	if st.Status != rolloutPromoted {
-		t.Errorf("status after PromoteAfter=1 match: %s", st.Status)
+	if got := cp.Fragments[0].Code[1]; got.Checksum != "bbbb" {
+		t.Errorf("unrelated ref rewritten: %+v", got)
 	}
-	if active, _ := cat.Repo().ActiveRelease("AvgEnergy"); active.Tag != "v2" {
-		t.Error("promotion did not activate the canary release")
+	if plan.Fragments[0].Code[0] != active {
+		t.Error("the canary ref leaked into the prepared plan")
+	}
+	if f := cp.Fragments[0]; f.CutPoint != "below=[call AvgEnergy]" || f.CutAlts != 2 || cp.SQL != plan.SQL {
+		t.Errorf("the copy lost the plan's annotations: %q/%d, %q", f.CutPoint, f.CutAlts, cp.SQL)
 	}
 }
 
@@ -518,16 +643,8 @@ busydone:`, 1)
 // live comparison aborts the rollout — long before MinSamples queries
 // have paid for the regression. A canary within budget stays unseeded.
 func TestRolloutStaticCostPrior(t *testing.T) {
-	newCtrl := func(tag string, mutate func(string) string) *rolloutController {
-		reg := ops.Builtins()
-		cat := catalog.New(reg, catalog.NewRepositoryFromRegistry(reg))
-		srv := New(Config{Cat: cat, Rollout: RolloutPolicy{PromoteAfter: -1}})
-		stageAvgEnergyV2(t, cat, tag, mutate)
-		return srv.rollouts
-	}
-
 	// Costly canary: seeded prior, abort on the first live comparison.
-	c := newCtrl("v2", busyLoop)
+	c, _ := rolloutCtrl(t, RolloutPolicy{PromoteAfter: -1}, "v2", busyLoop)
 	st, err := c.start("AvgEnergy", "v2", 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -545,10 +662,16 @@ func TestRolloutStaticCostPrior(t *testing.T) {
 	if st.canaryEWMA <= 0 || st.activeEWMA <= 0 {
 		t.Fatalf("EWMA priors not seeded: canary %v, active %v", st.canaryEWMA, st.activeEWMA)
 	}
-	dec := &canaryDecision{st: st}
 	// One live comparison, matching digests, timings consistent with the
-	// static story: that single sample condemns the canary.
-	c.judge(dec, "q1", runOutcome{digest: "d", micros: 6000}, runOutcome{digest: "d", micros: 120})
+	// static story: that single sample condemns the canary — whose rows,
+	// matching, are still the ones delivered.
+	can := &runOutcome{digest: "d", micros: 6000}
+	if out := c.settle(st, "q1", can, nil); out != nil {
+		t.Fatal("a first sighting settled without a shadow run")
+	}
+	if out := c.settle(st, "q1", can, &runOutcome{digest: "d", micros: 120}); out != can {
+		t.Error("matching canary rows withheld")
+	}
 	if st.Status != rolloutAborted || !strings.Contains(st.Abort.Reason, "latency regression") {
 		t.Fatalf("status = %s (%+v), want latency abort on first comparison", st.Status, st.Abort)
 	}
@@ -561,7 +684,7 @@ func TestRolloutStaticCostPrior(t *testing.T) {
 	}
 
 	// Comparable canary: no seeding; live samples alone judge it.
-	c2 := newCtrl("v2", noopPrefix)
+	c2, _ := rolloutCtrl(t, RolloutPolicy{PromoteAfter: -1}, "v2", noopPrefix)
 	st2, err := c2.start("AvgEnergy", "v2", 1.0)
 	if err != nil {
 		t.Fatal(err)

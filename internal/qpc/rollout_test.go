@@ -104,24 +104,24 @@ func TestRolloutPolicyDefaults(t *testing.T) {
 
 func TestRolloutStateOracle(t *testing.T) {
 	st := &rolloutState{Status: rolloutRunning, oracles: make(map[string]*oracleEntry)}
-	st.recordOracleLocked("q1", runOutcome{digest: "aaa", micros: 100})
+	st.recordOracleLocked("q1", &runOutcome{digest: "aaa", micros: 100})
 	if e := st.oracles["q1"]; e == nil || e.digest != "aaa" || e.unstable {
 		t.Fatalf("oracle entry = %+v", st.oracles["q1"])
 	}
 	// Same digest again: stable, EWMA updates.
-	st.recordOracleLocked("q1", runOutcome{digest: "aaa", micros: 200})
+	st.recordOracleLocked("q1", &runOutcome{digest: "aaa", micros: 200})
 	if e := st.oracles["q1"]; e.unstable || e.runs != 2 {
 		t.Fatalf("oracle entry after repeat = %+v", e)
 	}
 	// Conflicting digest: the SQL's output is nondeterministic; the
 	// entry is poisoned so it can never condemn a canary.
-	st.recordOracleLocked("q1", runOutcome{digest: "bbb", micros: 100})
+	st.recordOracleLocked("q1", &runOutcome{digest: "bbb", micros: 100})
 	if e := st.oracles["q1"]; !e.unstable {
 		t.Fatal("conflicting digests did not mark the oracle unstable")
 	}
 	// The cap bounds memory under hostile query diversity.
 	for i := 0; i < 2*oracleCap; i++ {
-		st.recordOracleLocked("sql-"+itoa(i), runOutcome{digest: "x", micros: 1})
+		st.recordOracleLocked("sql-"+itoa(i), &runOutcome{digest: "x", micros: 1})
 	}
 	if len(st.oracles) > oracleCap {
 		t.Errorf("oracle map grew to %d (cap %d)", len(st.oracles), oracleCap)

@@ -26,38 +26,53 @@ import (
 	"mocha/internal/wire"
 )
 
-// frameScan follows one direction of a framed byte stream and reports
-// each frame's type as its 5-byte header completes.
+// frameScan follows one direction of a framed byte stream. onHeader,
+// when set, sees each frame's type as its 5-byte header completes;
+// onFrame, when set, its type and payload once the payload is in.
 type frameScan struct {
 	hdr  [5]byte
 	n    int
-	skip int // payload bytes of the current frame still to pass
+	left int // payload bytes of the current frame still to come
+	body []byte
 }
 
-func (s *frameScan) feed(p []byte, onFrame func(wire.MsgType)) {
+func (s *frameScan) feed(p []byte, onHeader func(wire.MsgType), onFrame func(wire.MsgType, []byte)) {
 	for len(p) > 0 {
-		if s.skip > 0 {
-			n := min(s.skip, len(p))
-			s.skip -= n
+		if s.n < len(s.hdr) {
+			s.hdr[s.n] = p[0]
+			s.n++
+			p = p[1:]
+			if s.n < len(s.hdr) {
+				continue
+			}
+			s.left, s.body = int(binary.BigEndian.Uint32(s.hdr[:4])), s.body[:0]
+			if onHeader != nil {
+				onHeader(wire.MsgType(s.hdr[4]))
+			}
+		} else {
+			n := min(s.left, len(p))
+			if onFrame != nil {
+				s.body = append(s.body, p[:n]...)
+			}
+			s.left -= n
 			p = p[n:]
-			continue
 		}
-		s.hdr[s.n] = p[0]
-		s.n++
-		p = p[1:]
-		if s.n == len(s.hdr) {
+		if s.left == 0 {
 			s.n = 0
-			s.skip = int(binary.BigEndian.Uint32(s.hdr[:4]))
-			onFrame(wire.MsgType(s.hdr[4]))
+			if onFrame != nil {
+				onFrame(wire.MsgType(s.hdr[4]), s.body)
+			}
 		}
 	}
 }
 
 // startRecord is what one START cost before its stream began.
 type startRecord struct {
-	flips int  // write→read turnarounds before the first SEQ_* frame
-	blobs int  // DEPLOY_CODE frames sent
-	keys  bool // a SEMIJOIN_KEYS frame rode behind the START
+	flips int    // write→read turnarounds before the first SEQ_* frame
+	blobs int    // DEPLOY_CODE frames sent
+	keys  bool   // a SEMIJOIN_KEYS frame rode behind the START
+	after uint64 // the resume point the START named
+	first uint64 // the sequence number of the stream's first frame
 	done  bool
 }
 
@@ -103,10 +118,12 @@ type countingConn struct {
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	c.log.mu.Lock()
-	c.out.feed(p, func(t wire.MsgType) {
+	c.out.feed(p, nil, func(t wire.MsgType, body []byte) {
 		switch t {
 		case wire.MsgStart:
-			c.cur = &startRecord{}
+			var req core.Start
+			_ = wire.DecodeXML(body, &req)
+			c.cur = &startRecord{after: req.After}
 			c.log.records = append(c.log.records, c.cur)
 		case wire.MsgDeployCode:
 			c.cur.blobs++
@@ -123,16 +140,17 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	c.log.mu.Lock()
 	defer c.log.mu.Unlock()
-	if n == 0 || c.cur == nil || c.cur.done {
+	if n == 0 || c.cur == nil {
 		return n, err
 	}
-	if c.wroteLast {
+	if c.wroteLast && !c.cur.done {
 		c.wroteLast = false
 		c.cur.flips++
 	}
-	c.in.feed(p[:n], func(t wire.MsgType) {
-		if t == wire.MsgSeqBatch || t == wire.MsgSeqEOS {
+	c.in.feed(p[:n], nil, func(t wire.MsgType, body []byte) {
+		if !c.cur.done && (t == wire.MsgSeqBatch || t == wire.MsgSeqEOS) {
 			c.cur.done = true
+			c.cur.first, _, _ = wire.CutSeq(body)
 		}
 	})
 	return n, err
@@ -198,19 +216,20 @@ func TestStartRoundTrips(t *testing.T) {
 		run     func(t *testing.T, tune func(*Config)) (*Server, error)
 		starts  int    // STARTs in all, the re-placement last
 		counter string // what the QPC counts the re-placement as
+		resumed bool   // the re-placement continues the stream in place
 	}{
 		{"recovery, window held", func(t *testing.T, tune func(*Config)) (*Server, error) {
 			h := newResumeHarness(t, tune, nil)
 			h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: 80 << 10})
 			_, err := h.executeWithin(t, 10*time.Second, streamQuery)
 			return h.srv, err
-		}, 2, "qpc_stream_resumes"},
+		}, 2, "qpc_stream_resumes", true},
 		{"recovery, window gone", func(t *testing.T, tune func(*Config)) (*Server, error) {
 			h := newResumeHarness(t, tune, func(d *dap.Config) { d.RetainTTL = time.Nanosecond })
 			h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: 80 << 10})
 			_, err := h.executeWithin(t, 10*time.Second, streamQuery)
 			return h.srv, err
-		}, 2, "qpc_resume_failed"},
+		}, 2, "qpc_resume_failed", false},
 		{"failover to sibling", func(t *testing.T, tune func(*Config)) (*Server, error) {
 			h := newPartitionHarness(t, func(c *Config) {
 				c.Breaker = BreakerPolicy{FailureThreshold: 1}
@@ -219,7 +238,7 @@ func TestStartRoundTrips(t *testing.T) {
 			h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: 40 << 10})
 			_, err := h.executeWithin(t, 10*time.Second, partScanQuery)
 			return h.srv, err
-		}, 3, "qpc_replica_failovers"},
+		}, 3, "qpc_replica_failovers", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var log startLog
@@ -231,8 +250,19 @@ func TestStartRoundTrips(t *testing.T) {
 			if len(recs) != tc.starts {
 				t.Fatalf("%d STARTs, want %d: %+v", len(recs), tc.starts, recs)
 			}
-			if again := recs[len(recs)-1]; !again.done || again.flips != 1 || again.blobs != 0 {
+			again := recs[len(recs)-1]
+			if !again.done || again.flips != 1 || again.blobs != 0 {
 				t.Errorf("re-placement START = %+v, want its stream after 1 turnaround", again)
+			}
+			// A continued stream replays from the frame after the one the
+			// START names, never a frame the QPC already holds; a fresh
+			// execution starts at frame 1.
+			want := uint64(1)
+			if tc.resumed {
+				want = again.after + 1
+			}
+			if again.first != want || tc.resumed && again.after == 0 {
+				t.Errorf("re-placement named frame %d and its stream began at frame %d, want %d", again.after, again.first, want)
 			}
 			if n := srv.Metrics().Counter(tc.counter).Value(); n != 1 {
 				t.Errorf("%s = %d, want 1", tc.counter, n)
@@ -284,7 +314,7 @@ func (c *cutConn) Write(p []byte) (int, error) {
 		case wire.MsgSemiJoinKeys:
 			c.armed = true
 		}
-	})
+	}, nil)
 	return c.Conn.Write(p)
 }
 
@@ -304,7 +334,7 @@ func (c *cutConn) Read(p []byte) (int, error) {
 		if c.armed && t == wire.MsgSeqBatch {
 			c.seen++
 		}
-	})
+	}, nil)
 	return n, err
 }
 
@@ -438,8 +468,8 @@ func TestUnresolvableDigestFailsBeforeShipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ghost := map[string]core.CodeRef{"avgenergy": {Name: "AvgEnergy", Version: "9", Checksum: "no-such-release"}}
-	stats, _, err := q.runRelease(context.Background(), time.Now(), "qghost", func(types.Tuple) error { return nil }, ghost, false)
+	ghost := canaryPlan(q.Plan, core.CodeRef{Name: "AvgEnergy", Version: "9", Checksum: "no-such-release"})
+	stats, _, err := q.runRelease(context.Background(), time.Now(), "qghost", ghost, func(types.Tuple) error { return nil }, false)
 	if err == nil || !strings.Contains(err.Error(), "no-such-release") || !strings.Contains(err.Error(), "vanished from the repository") {
 		t.Fatalf("err = %v, want the missing release named", err)
 	}

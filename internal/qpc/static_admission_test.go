@@ -79,8 +79,9 @@ func TestAdmissionStaticScratch(t *testing.T) {
 }
 
 // TestStaticScratchBytes checks the plan fold directly: stamped refs
-// sum, unstamped and malformed refs contribute nothing, and a canary
-// override replaces the active ref's bound (case-insensitively).
+// sum, unstamped and malformed refs contribute nothing, and a canary run
+// — its plan carrying the canary's ref — reserves the canary's bound in
+// place of the active release's.
 func TestStaticScratchBytes(t *testing.T) {
 	plan := &core.Plan{Fragments: []*core.Fragment{
 		{Code: []core.CodeRef{
@@ -92,13 +93,19 @@ func TestStaticScratchBytes(t *testing.T) {
 			{Name: "Overlap", Cost: "instrs=unbounded;fixed=5;pertrip=1;scratch=100;alloc=unbounded;purity=pure"},
 		}},
 	}}
-	if got := exec.StaticScratchBytes(plan, nil); got != 548 {
-		t.Fatalf("staticScratchBytes = %d, want 548", got)
-	}
-	over := map[string]core.CodeRef{
-		"avgenergy": {Name: "AvgEnergy", Cost: "instrs=200;fixed=20;pertrip=4;scratch=960;alloc=0;purity=pure"},
-	}
-	if got := exec.StaticScratchBytes(plan, over); got != 1060 {
-		t.Fatalf("staticScratchBytes with override = %d, want 1060", got)
+	for _, tc := range []struct {
+		name string
+		plan *core.Plan
+		want int64
+	}{
+		{"prepared", plan, 548},
+		{"canary", canaryPlan(plan, core.CodeRef{Name: "AvgEnergy",
+			Cost: "instrs=200;fixed=20;pertrip=4;scratch=960;alloc=0;purity=pure"}), 1060},
+		{"unstamped canary", canaryPlan(plan, core.CodeRef{Name: "AvgEnergy"}), 100},
+		{"no code", &core.Plan{Fragments: []*core.Fragment{{}}}, 0},
+	} {
+		if got := exec.StaticScratchBytes(tc.plan); got != tc.want {
+			t.Errorf("%s: StaticScratchBytes = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }

@@ -160,12 +160,9 @@ type BatchReader struct {
 	EOSPayload []byte
 	// Seq is the sequence number of the last in-order frame consumed
 	// from a resumable stream (zero before the first, or on plain
-	// streams). Replayed frames at or below SkipUntil — the last frame the
-	// reader held when it was rebound — are discarded and their payload
-	// bytes accumulate into DupBytes.
-	Seq       uint64
-	SkipUntil uint64
-	DupBytes  int64
+	// streams). Every sequenced frame must carry Seq+1; anything else,
+	// a replay of a frame already held included, is a sequence gap.
+	Seq uint64
 }
 
 // NewBatchReader reads tuples of the given schema from c.
@@ -195,11 +192,7 @@ func (r *BatchReader) Next() (types.Tuple, error) {
 			if err != nil {
 				return nil, err
 			}
-			if seq <= r.SkipUntil {
-				r.DupBytes += int64(len(body))
-				continue
-			}
-			if want := r.nextSeq(); seq != want {
+			if want := r.Seq + 1; seq != want {
 				return nil, fmt.Errorf("wire: stream sequence gap: got frame %d, want %d", seq, want)
 			}
 			r.buf, err = DecodeBatch(r.schema, body)
@@ -217,7 +210,7 @@ func (r *BatchReader) Next() (types.Tuple, error) {
 			if err != nil {
 				return nil, err
 			}
-			if want := r.nextSeq(); seq != want {
+			if want := r.Seq + 1; seq != want {
 				return nil, fmt.Errorf("wire: stream sequence gap at EOS: got frame %d, want %d", seq, want)
 			}
 			r.Seq = seq
@@ -239,15 +232,4 @@ func (r *BatchReader) Next() (types.Tuple, error) {
 // from broke: the position in the stream and the tuples decoded but not
 // yet delivered are kept, and the sender replays from the frame after
 // Seq.
-func (r *BatchReader) Rebind(c *Conn) {
-	r.conn = c
-	r.SkipUntil = r.Seq
-}
-
-// nextSeq is the sequence number the next in-order frame must carry.
-func (r *BatchReader) nextSeq() uint64 {
-	if r.SkipUntil > r.Seq {
-		return r.SkipUntil + 1
-	}
-	return r.Seq + 1
-}
+func (r *BatchReader) Rebind(c *Conn) { r.conn = c }

@@ -120,7 +120,8 @@ func TestBatchTuplesOutliveTheirFrames(t *testing.T) {
 
 	// A retained-window replay: the first connection breaks inside frame
 	// 4, with tuples of frame 3 decoded but not yet delivered; the reader
-	// is rebound to a connection that replays the window from frame 3.
+	// is rebound to a connection that replays the window from frame 4,
+	// the one after the last it holds, as a DAP does.
 	t.Run("rebind", func(t *testing.T) {
 		sink := &retainingSink{}
 		w := NewBatchWriter(sink)
@@ -160,11 +161,8 @@ func TestBatchTuplesOutliveTheirFrames(t *testing.T) {
 		if r.Seq != 3 {
 			t.Fatalf("reader holds frame %d at the break, want 3", r.Seq)
 		}
-		r.Rebind(NewConn(&byteConn{r: bytes.NewReader(onWire(sink.frames[2:]))}))
+		r.Rebind(NewConn(&byteConn{r: bytes.NewReader(onWire(sink.frames[3:]))}))
 		wantPathTuples(t, append(got, readAll(t, r)...), n)
-		if r.DupBytes == 0 {
-			t.Error("the replayed frame 3 was not discarded as a duplicate")
-		}
 	})
 }
 

@@ -68,31 +68,20 @@ func TestSeqStreamInOrder(t *testing.T) {
 	}
 }
 
-func TestSeqStreamSkipsReplayedDuplicates(t *testing.T) {
+// TestSeqStreamRefusesReplayedDuplicates: a rebound reader takes the
+// stream from the frame after the last one it holds. A sender that
+// replays a frame already held is out of step, and the reader refuses
+// it as a sequence gap instead of dropping it silently.
+func TestSeqStreamRefusesReplayedDuplicates(t *testing.T) {
 	a, b := pipeConns()
 	defer a.Close()
 	defer b.Close()
-	// Replay after a resume: frames 1..2 are duplicates the reader
-	// already holds, 3..4 are fresh.
 	sendSeqStream(t, a, []uint64{1, 2, 3, 4}, 5)
 	r := NewBatchReader(b, testSchema)
-	r.SkipUntil = 2
-	var n int
-	for {
-		tup, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tup == nil {
-			break
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("reader delivered %d tuples, want 2 fresh ones", n)
-	}
-	if r.DupBytes == 0 {
-		t.Fatal("replayed duplicate bytes not accounted")
+	r.Seq = 2
+	_, err := r.Next()
+	if err == nil || !strings.Contains(err.Error(), "sequence gap: got frame 1, want 3") {
+		t.Fatalf("replayed frame 1 after frame 2: err = %v, want a sequence gap", err)
 	}
 }
 
