@@ -1,6 +1,10 @@
 package vm
 
-import "testing"
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+)
 
 // BenchmarkInterpreterLoop measures raw instruction throughput with the
 // sum-of-1..N loop (8 instructions per iteration).
@@ -77,6 +81,214 @@ end`)
 	buf := make([]byte, 64<<10)
 	args := []Value{BytesVal(buf)}
 	b.SetBytes(64 << 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Run(p, 0, nil, args); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// stridedSrc is IncrRes's strided pass on its own: every source row
+// goes to k places of its k-fold wide output row, a pixel per
+// iteration of a one-block loop (out[o] = src[s]; o += k; s++).
+const stridedSrc = `
+program strided
+func eval args=3 locals=9
+  ; args: 0=pixels (w*h bytes) 1=w 2=k
+  ; locals: 0=out 1=k 2=w 3=row 4=srow 5=j 6=o 7=s 8=end
+  arg 2
+  pushi 0
+  addi
+  store 1
+  arg 1
+  pushi 0
+  addi
+  store 2
+  arg 0
+  blen
+  load 1
+  muli
+  bnew
+  store 0
+yloop:
+  load 4
+  arg 0
+  blen
+  ge
+  jnz done
+  load 4
+  load 2
+  addi
+  store 8
+  pushi 0
+  store 5
+jloop:
+  load 5
+  load 1
+  ge
+  jnz ynext
+  load 3
+  load 5
+  addi
+  store 6
+  load 4
+  store 7
+xloop:
+  load 0
+  load 6
+  arg 0
+  load 7
+  ldu8
+  stu8
+  pop
+  load 6
+  load 1
+  addi
+  store 6
+  load 7
+  pushi 1
+  addi
+  store 7
+  load 7
+  load 8
+  lt
+  jnz xloop
+  load 5
+  pushi 1
+  addi
+  store 5
+  jmp jloop
+ynext:
+  load 3
+  load 2
+  load 1
+  muli
+  addi
+  store 3
+  load 8
+  store 4
+  jmp yloop
+done:
+  load 0
+  ret
+end`
+
+// BenchmarkStridedCopy measures IncrRes's strided pass over a 228×228
+// raster at k = 2: the strided-copy loop kernel.
+func BenchmarkStridedCopy(b *testing.B) {
+	p := MustAssemble(stridedSrc)
+	m := New(Limits{})
+	const w = 228
+	pix := make([]byte, w*w)
+	for i := range pix {
+		pix[i] = byte(i)
+	}
+	args := []Value{BytesVal(pix), IntVal(w), IntVal(2)}
+	b.SetBytes(w * w)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Run(p, 0, nil, args); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// shoelaceSrc is the shipped Area operator's function: the shoelace sum
+// over a ring's vertices, a rotated loop with a float body.
+const shoelaceSrc = `
+program shoelace
+const zero float 0
+const half float 0.5
+func eval args=1 locals=5
+  arg 0
+  pushi 0
+  ldi32
+  store 0
+  load 0
+  pushi 3
+  lt
+  jnz empty
+  const zero
+  store 2
+  load 0
+  pushi 1
+  subi
+  pushi 8
+  muli
+  pushi 4
+  addi
+  store 3
+  pushi 0
+  store 1
+loop:
+  load 1
+  load 0
+  ge
+  jnz done
+  pushi 4
+  load 1
+  pushi 8
+  muli
+  addi
+  store 4
+  arg 0
+  load 3
+  ldf32
+  arg 0
+  load 4
+  pushi 4
+  addi
+  ldf32
+  mulf
+  arg 0
+  load 4
+  ldf32
+  arg 0
+  load 3
+  pushi 4
+  addi
+  ldf32
+  mulf
+  subf
+  load 2
+  addf
+  store 2
+  load 4
+  store 3
+  load 1
+  pushi 1
+  addi
+  store 1
+  jmp loop
+done:
+  load 2
+  host absf
+  const half
+  mulf
+  ret
+empty:
+  const zero
+  ret
+end`
+
+// ring is a polygon payload: n, then n (x, y) float32 vertices on a circle.
+func ring(n int) []byte {
+	buf := binary.BigEndian.AppendUint32(nil, uint32(n))
+	for i := 0; i < n; i++ {
+		a := 2 * math.Pi * float64(i) / float64(n)
+		buf = binary.BigEndian.AppendUint32(buf, math.Float32bits(float32(100*math.Cos(a))))
+		buf = binary.BigEndian.AppendUint32(buf, math.Float32bits(float32(100*math.Sin(a))))
+	}
+	return buf
+}
+
+// BenchmarkShoelace measures the area loop over a 64-vertex ring: the
+// rotated loop, register-file statements and floats read in place.
+func BenchmarkShoelace(b *testing.B) {
+	p := MustAssemble(shoelaceSrc)
+	m := New(Limits{})
+	args := []Value{BytesVal(ring(64))}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Run(p, 0, nil, args); err != nil {

@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -148,6 +149,32 @@ func TestBuiltinsDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShippedLoopsFuse pins how the shipped operators' loops compile, so
+// that a change which silently stops fusing fails here and not only in
+// the benchmark: AvgEnergy's byte reduction and IncrRes's strided pass
+// each run as one kernel, and the vertex loops of TotalArea and
+// TotalPerimeter rotate their header's test into the body.
+func TestShippedLoopsFuse(t *testing.T) {
+	reg := ops.Builtins()
+	for _, c := range []struct {
+		op, fn string
+		want   []string
+	}{
+		{"AvgEnergy", "eval", []string{"rotated kernel"}},
+		{"IncrRes", "eval", []string{"self kernel"}},
+		{"TotalArea", "areaof", []string{"rotated"}},
+		{"TotalPerimeter", "perimof", []string{"rotated"}},
+	} {
+		def, ok := reg.Lookup(c.op)
+		if !ok {
+			t.Fatalf("no operator %s", c.op)
+		}
+		if got := vm.LoopShapes(def.Program(), c.fn); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s.%s loops: %v, want %v", c.op, c.fn, got, c.want)
+		}
 	}
 }
 

@@ -59,7 +59,44 @@ type block struct {
 	stmts   []stmt
 	cond    bexpr  // nil: always continue at to
 	to, alt *block // successors when cond holds / does not; nil returns
+	loop    *loop  // the loop this block is the body of, run in place
 }
+
+// loop is a block that is its own successor: by its own test, or
+// rotated — a body whose only successor is a header of nothing but a
+// test takes that test as its tail. exec runs it in place (iterate).
+type loop struct {
+	n, hn  int64 // fuel for a whole iteration; the header's share of it
+	test   bexpr
+	back   bool // what test says when the loop goes round again
+	exit   *block
+	kernel func(*Machine) bool // whole iterations in one closure; true: exited
+}
+
+// form is a statement, a branch test or an int operand's value in a
+// shape a loop kernel runs without a closure; the zero form is none.
+// An operand's fAffine form leaves k to its add.
+//
+//	fAffine   r[a] = r[b]*kb + r[c]*kc + k
+//	fLoad     v[src].B[r[c]+kc]
+//	fLoadAdd  r[a] += v[src].B[r[c]+kc]
+//	fCopy     v[dst].B[r[b]+kb] = v[src].B[r[c]+kc], the buffer popped
+//	fEq, fLt, fLe  r[b] ==, <, <= r[c]*kc + k
+type form struct {
+	op                uint8
+	a, b, c, dst, src int
+	kb, kc, k         int64
+}
+
+const (
+	fAffine = 1 + iota
+	fLoad
+	fLoadAdd
+	fCopy
+	fEq
+	fLt
+	fLe
+)
 
 // Compile builds the program's executable form if it has none yet. Run
 // does so on first use; a site that loads shipped code calls it up
@@ -105,6 +142,7 @@ type operand struct {
 	n    int
 	imm  int64 // locImm: the int, the bool or the float64's bits
 	add  int64 // a proven int is what the rest says plus add
+	form form  // the value's shape, when a loop kernel can compute it
 	i    iexpr
 	f    fexpr
 	b    bexpr // a comparison not yet turned into 0/1; neg: its negation
@@ -137,8 +175,10 @@ type fcomp struct {
 	scalar []bool // register class: unboxed in Machine.r
 	stack  []operand
 	b      *block
-	at     int // instruction being compiled
-	end    int // one past the block's last instruction
+	at     int               // instruction being compiled
+	end    int               // one past the block's last instruction
+	forms  map[*block][]form // per statement, for loops to find kernels in
+	tests  map[*block]form
 }
 
 func isScalar(k absKind) bool { return k == akInt || k == akFloat || k == akBool }
@@ -193,6 +233,7 @@ func (c *fcomp) compile() {
 			c.fn.blocks = append(c.fn.blocks, blockAt[i])
 		}
 	}
+	c.forms, c.tests = map[*block][]form{}, map[*block]form{}
 	for _, b := range c.fn.blocks {
 		for c.end = b.first + 1; !lead[c.end]; c.end++ {
 		}
@@ -202,6 +243,131 @@ func (c *fcomp) compile() {
 		}
 		c.block(b, blockAt)
 	}
+	for _, b := range c.fn.blocks {
+		c.loop(b)
+	}
+}
+
+// loop makes b a loop when its test sends it back to itself, or when its
+// only successor is a header of nothing but a test that does: rotated.
+// A body ending in a call or a bcopy spends fuel of its own: not a loop.
+func (c *fcomp) loop(b *block) {
+	h := b
+	if b.cond == nil {
+		if h = b.to; h == nil || len(h.stmts) > 0 || h.cond == nil {
+			return
+		}
+		if op := c.ff.ins[b.first+int(b.n)-1].op; op == OpCall || op == OpBCopy {
+			return
+		}
+	}
+	if h.to != b && h.alt != b {
+		return
+	}
+	l := &loop{n: b.n, test: h.cond, back: h.to == b, exit: h.to}
+	if l.back {
+		l.exit = h.alt
+	}
+	if h != b {
+		l.n, l.hn = b.n+h.n, h.n
+	}
+	l.kernel = c.kernel(b, c.tests[h], l.n, l.back)
+	b.loop = l
+}
+
+// kernel compiles a counted loop to one closure: a byte access, then
+// steps r[x] += r[c]*kc + k of its offset registers — the counters — by
+// what the loop does not write, and a test of a counter against that or
+// a constant. It holds counters (and a sum) in Go variables, runs whole
+// iterations in order, each after its own preconditions — the buffers'
+// kinds and W, both offsets in range, fuel for all of it — and says if
+// the loop exited. Where one fails, the block's statements run that
+// iteration and trap as the reference does; short of fuel, the blocks.
+func (c *fcomp) kernel(b *block, t form, n int64, back bool) func(*Machine) bool {
+	fs := c.forms[b]
+	if len(fs) == 0 || fs[0].op != fLoadAdd && fs[0].op != fCopy {
+		return nil
+	}
+	acc, sum := fs[0], fs[0].op == fLoadAdd
+	if sum {
+		acc.b = acc.c // one counter
+	}
+	counter := func(x int) bool { return x == acc.b || x == acc.c }
+	written := func(x int) bool { return counter(x) || sum && x == acc.a }
+	steps := map[int]form{} // by counter; none: a zero step
+	for _, f := range fs[1:] {
+		if _, twice := steps[f.a]; twice || f.op != fAffine || f.b != f.a || f.kb != 1 || !counter(f.a) || f.kc != 0 && written(f.c) {
+			return nil
+		}
+		steps[f.a] = f
+	}
+	if t.op < fEq || !counter(t.b) || t.kc != 0 && written(t.c) || sum && counter(acc.a) {
+		return nil
+	}
+	so, si, st := steps[acc.b], steps[acc.c], steps[t.b]
+	inc := func(r []int64, f form) int64 { return r[f.c]*f.kc + f.k }
+	a, ob, kb, ic, kc, dst, src, op, tb, tc, tkc, tk := acc.a, acc.b, acc.kb, acc.c, acc.kc, acc.dst, acc.src, t.op, t.b, t.c, t.kc, t.k
+	if sum { // a byte reduction
+		return func(m *Machine) bool {
+			r, s := m.r, &m.v[src]
+			if s.K != VBytes {
+				return false
+			}
+			sb, fuel, done := s.B, m.fuel, false
+			total, i, x, di, dx := r[a], r[ic], r[tb], inc(r, si), inc(r, st)
+			for fuel >= n && uint64(i+kc) < uint64(len(sb)) {
+				fuel -= n
+				total += int64(sb[i+kc])
+				if i, x = i+di, x+dx; passes(op, x, r[tc]*tkc+tk) != back {
+					done = true
+					break
+				}
+			}
+			r[a], r[ic], m.fuel = total, i, fuel
+			return done
+		}
+	}
+	return func(m *Machine) bool { // a strided copy
+		r, d, s := m.r, &m.v[dst], &m.v[src]
+		if d.K != VBytes || !d.W || s.K != VBytes {
+			return false
+		}
+		db, sb, fuel, done := d.B, s.B, m.fuel, false
+		o, i, x, do, di, dx := r[ob], r[ic], r[tb], inc(r, so), inc(r, si), inc(r, st)
+		for fuel >= n && uint64(o+kb) < uint64(len(db)) && uint64(i+kc) < uint64(len(sb)) {
+			fuel -= n
+			db[o+kb] = sb[i+kc]
+			if o, i, x = o+do, i+di, x+dx; passes(op, x, r[tc]*tkc+tk) != back {
+				done = true
+				break
+			}
+		}
+		r[ob], r[ic], m.fuel = o, i, fuel
+		return done
+	}
+}
+
+// passes evaluates test form op on x and y.
+func passes(op uint8, x, y int64) bool {
+	switch op {
+	case fLt:
+		return x < y
+	case fLe:
+		return x <= y
+	}
+	return x == y
+}
+
+// stmt is an fAffine form as one closure, specialised to its shape.
+func (f form) stmt() stmt {
+	a, b, c, kb, kc, k := f.a, f.b, f.c, f.kb, f.kc, f.k
+	switch {
+	case kc == 0 && kb == 1 && b == a: // a counter's step
+		return func(m *Machine) { m.r[a] += k }
+	case kb == 1 && kc == 1 && b == a && k == 0:
+		return func(m *Machine) { m.r[a] += m.r[c] }
+	}
+	return func(m *Machine) { m.r[a] = m.r[b]*kb + m.r[c]*kc + k }
 }
 
 // block compiles one block. On entry every operand-stack slot is in its
@@ -221,6 +387,7 @@ func (c *fcomp) block(b *block, blockAt []*block) {
 			o := c.pop()
 			c.flush()
 			cond, neg := o.b, o.neg
+			c.tests[b] = o.form
 			if cond == nil {
 				x := c.ival(o, VBool, c.typeFail("conditional jump needs a bool"))
 				cond = func(m *Machine) bool { return x(m) != 0 }
@@ -253,9 +420,14 @@ func (c *fcomp) block(b *block, blockAt []*block) {
 func (c *fcomp) site() site        { return site{c.fn, c.at} }
 func (c *fcomp) slot(d int) int    { return c.fn.nargs + c.fn.nlocals + d }
 func (c *fcomp) push(o operand)    { c.stack = append(c.stack, o) }
-func (c *fcomp) emit(s stmt)       { c.b.stmts = append(c.b.stmts, s) }
+func (c *fcomp) emit(s stmt)       { c.emitAs(s, form{}) }
 func (c *fcomp) top() int          { return c.slot(len(c.stack)) }
 func (c *fcomp) pushReg(k absKind) { c.push(reg(k, c.top())) }
+
+// emitAs emits a statement that has form f.
+func (c *fcomp) emitAs(s stmt, f form) {
+	c.b.stmts, c.forms[c.b] = append(c.b.stmts, s), append(c.forms[c.b], f)
+}
 
 func (c *fcomp) pop() operand {
 	o := c.stack[len(c.stack)-1]
@@ -276,7 +448,7 @@ func (c *fcomp) typeFail(msg string) stmt {
 func (c *fcomp) flush() {
 	for d, o := range c.stack {
 		if s := c.slot(d); o.loc != locReg || o.n != s || o.add != 0 {
-			c.emit(c.assign(s, o))
+			c.assign(s, o)
 			c.stack[d] = reg(o.k, s)
 		}
 	}
@@ -315,22 +487,29 @@ func (c *fcomp) sreg(o operand) int {
 	return -1
 }
 
-// offset is k past scalar register r of the running frame, or past x
-// where there is none (r < 0).
-func (m *Machine) offset(r int, x iexpr, k int64) int64 {
+// ireg is scalar register r of the running frame, or x where there is
+// none (r < 0); freg is the same for a float.
+func (m *Machine) ireg(r int, x iexpr) int64 {
 	if r >= 0 {
-		return m.r[r] + k
+		return m.r[r]
 	}
-	return x(m) + k
+	return x(m)
+}
+
+func (m *Machine) freg(r int, x fexpr) float64 {
+	if r >= 0 {
+		return math.Float64frombits(uint64(m.r[r]))
+	}
+	return x(m)
 }
 
 // span is boxed register n from offset o on when it is a buffer with w
-// bytes there, and nil when reading them would trap.
-func (m *Machine) span(n int, o, w int64) []byte {
+// bytes there; where reading them would trap, what at returns: it traps.
+func (m *Machine) span(n int, o, w int64, at func(*Machine) []byte) []byte {
 	if v := &m.v[n]; v.K == VBytes && o >= 0 && o <= int64(len(v.B))-w {
 		return v.B[o:]
 	}
-	return nil
+	return at(m)
 }
 
 // ival reads o as an int or bool. A dynamically kinded o must hold a
@@ -424,21 +603,37 @@ func (c *fcomp) into(o operand) func(m *Machine, dst *Value) {
 	return func(m *Machine, dst *Value) { *dst = *p(m) }
 }
 
-// assign stores o in register n.
-func (c *fcomp) assign(n int, o operand) stmt {
+// lin is int operand o as an fAffine form, when it is one.
+func (c *fcomp) lin(o operand) (form, bool) {
+	f := o.form
+	if r := c.breg(o); r >= 0 && o.k != akFloat {
+		f = form{op: fAffine, b: r, kb: 1, c: r}
+	}
+	f.k = o.add
+	return f, f.op == fAffine
+}
+
+// assign emits the statement that stores o in register n: an fAffine
+// form is a register-file statement of one closure.
+func (c *fcomp) assign(n int, o operand) {
+	f, lin := c.lin(o)
 	switch {
 	case !c.scalar[n]:
 		bx := c.into(o)
-		return func(m *Machine) { bx(m, &m.v[n]) }
+		c.emit(func(m *Machine) { bx(m, &m.v[n]) })
 	case o.k == akFloat:
 		e := c.fval(o, nil)
-		return func(m *Machine) { m.r[n] = int64(math.Float64bits(e(m))) }
-	case o.loc == locReg && o.n == n: // the loop counter's step
-		k := o.add
-		return func(m *Machine) { m.r[n] += k }
+		c.emit(func(m *Machine) { m.r[n] = int64(math.Float64bits(e(m))) })
+	case lin:
+		f.a = n
+		c.emitAs(f.stmt(), f)
+	default:
+		if f = o.form; f.op != fLoadAdd || f.a != n || o.add != 0 {
+			f = form{}
+		}
+		e := c.ival(o, 0, nil)
+		c.emitAs(func(m *Machine) { m.r[n] = e(m) }, f)
 	}
-	e := c.ival(o, 0, nil)
-	return func(m *Machine) { m.r[n] = e(m) }
 }
 
 // call evaluates the arguments straight into the callee's frame, which

@@ -16,7 +16,7 @@ func (c *fcomp) instr(in instr) {
 	case OpPop:
 		if o := c.pop(); !o.pure { // evaluate it for its trap
 			c.flush()
-			c.emit(c.assign(c.top(), o))
+			c.assign(c.top(), o)
 		}
 	case OpDup:
 		c.flush()
@@ -25,9 +25,9 @@ func (c *fcomp) instr(in instr) {
 		c.flush()
 		n, t := len(c.stack), c.fn.size
 		a, b := c.stack[n-2], c.stack[n-1]
-		c.emit(c.assign(t, a))
-		c.emit(c.assign(a.n, b))
-		c.emit(c.assign(b.n, reg(a.k, t)))
+		c.assign(t, a)
+		c.assign(a.n, b)
+		c.assign(b.n, reg(a.k, t))
 		c.stack[n-2], c.stack[n-1] = reg(b.k, a.n), reg(a.k, b.n)
 
 	case OpConst:
@@ -51,7 +51,7 @@ func (c *fcomp) instr(in instr) {
 	case OpStore:
 		o := c.pop()
 		c.flush()
-		c.emit(c.assign(c.fn.nargs+in.operand, o))
+		c.assign(c.fn.nargs+in.operand, o)
 	case OpGStore:
 		bx := c.into(c.pop())
 		c.flush()
@@ -75,17 +75,17 @@ func (c *fcomp) instr(in instr) {
 		fail := func(m *Machine) {
 			st.trap(m, TrapType, fmt.Sprintf("%v needs floats, got %v and %v", in.op, a.kind(m), b.kind(m)))
 		}
-		x, y := c.fval(a, fail), c.fval(b, fail)
+		x, y, ra, rb := c.fval(a, fail), c.fval(b, fail), c.sreg(a), c.sreg(b)
 		res := operand{k: akFloat, pure: a.static() && b.static()}
-		switch in.op {
+		switch in.op { // a scalar register is read in place
 		case OpAddF:
-			res.f = func(m *Machine) float64 { return x(m) + y(m) }
+			res.f = func(m *Machine) float64 { return m.freg(ra, x) + m.freg(rb, y) }
 		case OpSubF:
-			res.f = func(m *Machine) float64 { return x(m) - y(m) }
+			res.f = func(m *Machine) float64 { return m.freg(ra, x) - m.freg(rb, y) }
 		case OpMulF:
-			res.f = func(m *Machine) float64 { return x(m) * y(m) }
+			res.f = func(m *Machine) float64 { return m.freg(ra, x) * m.freg(rb, y) }
 		case OpDivF:
-			res.f = func(m *Machine) float64 { return x(m) / y(m) }
+			res.f = func(m *Machine) float64 { return m.freg(ra, x) / m.freg(rb, y) }
 		}
 		c.push(res)
 
@@ -193,8 +193,7 @@ func (c *fcomp) instr(in instr) {
 // arithI builds a op b over ints. An immediate added to (or multiplied
 // into) a proven int costs nothing: it travels in operand.add until a
 // load, a store or a register write folds it into its own arithmetic.
-// The other shapes the shipped operators' loops are made of read a
-// register operand in place instead of calling a closure for it.
+// A scalar register operand is read in place, not through a closure.
 func (c *fcomp) arithI(op Op, a, b operand) operand {
 	st := c.site()
 	fail := func(m *Machine) {
@@ -214,57 +213,34 @@ func (c *fcomp) arithI(op Op, a, b operand) operand {
 			return a
 		case op == OpMulI && b.loc == locImm:
 			x := c.ibase(a, 0, nil)
-			return operand{add: a.add * kb, i: func(m *Machine) int64 { return x(m) * kb }}
+			res := operand{add: a.add * kb, i: func(m *Machine) int64 { return x(m) * kb }}
+			if f, ok := c.lin(a); ok {
+				res.form = form{op: fAffine, b: f.b, kb: f.kb * kb, c: f.c, kc: f.kc * kb}
+			}
+			return res
 		}
 	}
 	x, y := c.ival(a, VInt, fail), c.ival(b, VInt, fail)
 	ra, rb := c.sreg(a), c.sreg(b)
 	var e iexpr
+	var f form
 	switch op {
 	case OpAddI:
-		switch {
+		switch ld := b.form; {
 		case ra >= 0 && rb >= 0:
-			e = func(m *Machine) int64 { return m.r[ra] + m.r[rb] }
-		case rb >= 0:
-			e = func(m *Machine) int64 { return x(m) + m.r[rb] }
-		case ra >= 0:
-			e = func(m *Machine) int64 { return m.r[ra] + y(m) }
-		default:
-			e = func(m *Machine) int64 { return x(m) + y(m) }
+			f = form{op: fAffine, b: ra, kb: 1, c: rb, kc: 1}
+		case ra >= 0 && ld.op == fLoad && b.add == 0:
+			f, f.op, f.a = ld, fLoadAdd, ra
 		}
+		e = func(m *Machine) int64 { return m.ireg(ra, x) + m.ireg(rb, y) }
 	case OpSubI:
-		e = func(m *Machine) int64 { return x(m) - y(m) }
+		e = func(m *Machine) int64 { return m.ireg(ra, x) - m.ireg(rb, y) }
 	case OpMulI:
-		switch {
-		case ra >= 0 && rb >= 0:
-			e = func(m *Machine) int64 { return m.r[ra] * m.r[rb] }
-		case rb >= 0:
-			e = func(m *Machine) int64 { return x(m) * m.r[rb] }
-		case ra >= 0:
-			e = func(m *Machine) int64 { return m.r[ra] * y(m) }
-		default:
-			e = func(m *Machine) int64 { return x(m) * y(m) }
-		}
-	case OpDivI, OpModI:
-		// Operands read in place: x/k, k dynamically kinded, is IncrRes.
-		div, vb := op == OpDivI, -1
-		if b.k == akAny && b.loc == locReg {
-			vb = b.n
-		}
+		e = func(m *Machine) int64 { return m.ireg(ra, x) * m.ireg(rb, y) }
+	default:
+		div := op == OpDivI
 		e = func(m *Machine) int64 {
-			var p, q int64
-			if ra >= 0 {
-				p = m.r[ra]
-			} else {
-				p = x(m)
-			}
-			if vb < 0 {
-				q = y(m)
-			} else if v := &m.v[vb]; v.K == VInt {
-				q = v.I
-			} else {
-				fail(m)
-			}
+			p, q := m.ireg(ra, x), m.ireg(rb, y)
 			switch {
 			case q == 0 && div:
 				st.trap(m, TrapMath, "integer divide by zero")
@@ -276,7 +252,7 @@ func (c *fcomp) arithI(op Op, a, b operand) operand {
 			return p % q
 		}
 	}
-	return operand{i: e}
+	return operand{i: e, form: f}
 }
 
 // compare builds a comparison. One with a statically scalar side is a
@@ -297,21 +273,21 @@ func (c *fcomp) compare(op Op) {
 	res := operand{k: akBool, pure: a.static() && b.static()}
 	switch k {
 	case akInt, akBool: // as eq, lt or le, negated for ne, ge and gt
-		x, y := c.ival(a, VKind(k), fail), c.ival(b, VKind(k), fail)
-		ra, rb := c.sreg(a), c.sreg(b)
-		regs := ra >= 0 && rb >= 0
+		x, y, ra, rb := c.ival(a, VKind(k), fail), c.ival(b, VKind(k), fail), c.sreg(a), c.sreg(b)
 		res.neg = op == OpNe || op == OpGe || op == OpGt
-		switch {
-		case op == OpEq || op == OpNe:
-			res.b = func(m *Machine) bool { return x(m) == y(m) }
-		case regs && (op == OpLt || op == OpGe):
-			res.b = func(m *Machine) bool { return m.r[ra] < m.r[rb] }
-		case op == OpLt || op == OpGe:
-			res.b = func(m *Machine) bool { return x(m) < y(m) }
-		case regs:
-			res.b = func(m *Machine) bool { return m.r[ra] <= m.r[rb] }
+		base := [numOps]uint8{OpEq: fEq, OpNe: fEq, OpLt: fLt, OpGe: fLt, OpLe: fLe, OpGt: fLe}[op]
+		if ra >= 0 && rb >= 0 { // r[i] <op> r[n] or K: a loop kernel's test
+			res.form = form{op: base, b: ra, c: rb, kc: 1}
+		} else if ra >= 0 && b.loc == locImm {
+			res.form = form{op: base, b: ra, c: ra, k: b.imm + b.add}
+		}
+		switch base {
+		case fEq:
+			res.b = func(m *Machine) bool { return m.ireg(ra, x) == m.ireg(rb, y) }
+		case fLt:
+			res.b = func(m *Machine) bool { return m.ireg(ra, x) < m.ireg(rb, y) }
 		default:
-			res.b = func(m *Machine) bool { return x(m) <= y(m) }
+			res.b = func(m *Machine) bool { return m.ireg(ra, x) <= m.ireg(rb, y) }
 		}
 	case akFloat:
 		x, y := c.fval(a, fail), c.fval(b, fail)
@@ -394,42 +370,25 @@ func (c *fcomp) load(op Op) {
 	}
 	switch inPlace := buf.loc == locReg; {
 	case op == OpLdU8 && inPlace: // the pixel read of every raster operator
-		res.i = func(m *Machine) int64 {
-			b := m.span(n, m.offset(r, x, k), 1)
-			if b == nil {
-				b = at(m)
-			}
-			return int64(b[0])
+		if r >= 0 {
+			res.form = form{op: fLoad, c: r, kc: k, src: n}
 		}
+		res.i = func(m *Machine) int64 { return int64(m.span(n, m.ireg(r, x)+k, 1, at)[0]) }
 	case op == OpLdU8:
 		res.i = func(m *Machine) int64 { return int64(at(m)[0]) }
 	case op == OpLdI32 && inPlace:
-		res.i = func(m *Machine) int64 {
-			b := m.span(n, m.offset(r, x, k), 4)
-			if b == nil {
-				b = at(m)
-			}
-			return int64(int32(binary.BigEndian.Uint32(b)))
-		}
+		res.i = func(m *Machine) int64 { return int64(int32(binary.BigEndian.Uint32(m.span(n, m.ireg(r, x)+k, 4, at)))) }
 	case op == OpLdI32:
 		res.i = func(m *Machine) int64 { return int64(int32(binary.BigEndian.Uint32(at(m)))) }
 	case op == OpLdF32 && inPlace: // the vertex read of every geometry operator
 		res.f = func(m *Machine) float64 {
-			b := m.span(n, m.offset(r, x, k), 4)
-			if b == nil {
-				b = at(m)
-			}
-			return float64(math.Float32frombits(binary.BigEndian.Uint32(b)))
+			return float64(math.Float32frombits(binary.BigEndian.Uint32(m.span(n, m.ireg(r, x)+k, 4, at))))
 		}
 	case op == OpLdF32:
 		res.f = func(m *Machine) float64 { return float64(math.Float32frombits(binary.BigEndian.Uint32(at(m)))) }
 	case inPlace:
 		res.f = func(m *Machine) float64 {
-			b := m.span(n, m.offset(r, x, k), 8)
-			if b == nil {
-				b = at(m)
-			}
-			return math.Float64frombits(binary.BigEndian.Uint64(b))
+			return math.Float64frombits(binary.BigEndian.Uint64(m.span(n, m.ireg(r, x)+k, 8, at)))
 		}
 	default:
 		res.f = func(m *Machine) float64 { return math.Float64frombits(binary.BigEndian.Uint64(at(m))) }
@@ -495,21 +454,14 @@ func (c *fcomp) store(op Op) {
 			m.v[s] = *v
 		}
 	}
-	// The pixel write of every raster operator — a proven byte into a
-	// register buffer at a register's offset, the buffer popped — is
-	// done in place; what would trap is left to the general path.
-	if n, r := buf.n, c.breg(off); op == OpStU8 && !keep && !late && r >= 0 && buf.loc == locReg {
-		c.emit(func(m *Machine) {
-			u, o, v := bits(m), m.r[r]+k, &m.v[n]
-			if st.idx >= m.limit || !v.W || v.K != VBytes || uint64(o) >= uint64(len(v.B)) {
-				general(m)
-				return
-			}
-			v.B[o] = byte(u)
-		})
-		return
+	// A byte loaded from a register buffer into one, both at registers'
+	// offsets, the buffer popped, is a copy a loop kernel runs.
+	var f form
+	if ld, r := val.form, c.breg(off); ld.op == fLoad && val.add == 0 && op == OpStU8 && !keep && r >= 0 && buf.loc == locReg {
+		f = ld
+		f.op, f.b, f.kb, f.dst = fCopy, r, k, buf.n
 	}
-	c.emit(general)
+	c.emitAs(general, f)
 }
 
 // bcopy builds the block move: the stores' checks over two ranges, the

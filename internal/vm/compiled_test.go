@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -23,11 +24,12 @@ type progGen struct {
 	b      strings.Builder
 	labels int
 	depth  int
+	loops  bool // the program has a loop
 }
 
 const (
-	genArgs    = 3 // int, bytes, float at run time
-	genLocals  = 6 // 0,1: ints only; 2: loop counter; 3..5: anything
+	genArgs    = 3  // int, bytes, float at run time
+	genLocals  = 10 // 0,1: ints only; 2: loop counter; 3..5: anything; 6..9: counted's
 	genGlobals = 2
 )
 
@@ -214,7 +216,7 @@ func (g *progGen) stmt() {
 		g.emit("nop")
 		return
 	}
-	switch g.pick(11) {
+	switch g.pick(13) {
 	case 0, 1:
 		g.expr(akInt)
 		g.emit("store %d", g.pick(2))
@@ -262,18 +264,53 @@ func (g *progGen) stmt() {
 		g.stmt()
 		g.emit("%s:", b)
 	case 9:
+		g.loops = true
 		h, e := g.label(), g.label()
 		g.emit("pushi 0\nstore 2\n%s:\nload 2\npushi %d\nge\njnz %s", h, 1+g.pick(4), e)
 		g.stmt()
 		g.emit("load 2\npushi 1\naddi\nstore 2\njmp %s\n%s:", h, e)
+	case 11, 12:
+		g.counted(g.pick(2) == 0)
 	default:
 		g.dyn(akAny)
 		g.emit("store %d", 3+g.pick(3))
 	}
 }
 
+// counted writes a loop in a loop kernel's shape, rotated or tested at
+// its bottom: a byte reduction into local 0, or a strided copy into a
+// fresh buffer (local 9), into the source itself or into arg 1, which is
+// read-only. The counter (local 6) starts near 0 and runs while below a
+// register or an immediate, stepped by a register (local 7) or an
+// immediate; the source is arg 1, local 9 — aliased with the copy's
+// destination — or arg 0, no buffer at all. Offsets run off either end
+// of the buffers now and then.
+func (g *progGen) counted(copy bool) {
+	g.loops = true
+	h, e := g.label(), g.label()
+	g.emit("pushi %d\nbnew\nstore 9\npushi %d\nstore 6\npushi %d\nstore 8\npushi %d\nstore 7",
+		8+g.pick(9), g.pick(4)-1, g.pick(4)-1, 1+g.pick(3))
+	src := []string{"arg 1", "arg 1", "load 9", "arg 0"}[g.pick(4)]
+	limit := []string{"load 1", fmt.Sprintf("pushi %d", g.pick(14))}[g.pick(2)]
+	off := func() string { return []string{"", fmt.Sprintf("pushi %d\naddi\n", g.pick(4)-1)}[g.pick(2)] }
+	step := func() string { return []string{"load 7", fmt.Sprintf("pushi %d", 1+g.pick(2))}[g.pick(2)] }
+	body := "load 0\n" + src + "\nload 6\n" + off() + "ldu8\naddi\nstore 0\n"
+	if copy {
+		dst := []string{"load 9", "load 9", "arg 1"}[g.pick(3)]
+		ostep := []string{step(), "load 6"}[g.pick(2)] // by the counter itself: no kernel
+		body = dst + "\nload 8\n" + off() + src + "\nload 6\n" + off() + "ldu8\nstu8\npop\nload 8\n" + ostep + "\naddi\nstore 8\n"
+	}
+	body += "load 6\n" + step() + "\naddi\nstore 6\n"
+	if g.pick(2) == 0 {
+		g.emit("%s:\nload 6\n%s\nlt\njz %s\n%sjmp %s\n%s:", h, limit, e, body, h, e)
+	} else {
+		g.emit("load 6\n%s\nge\njnz %s\n%s:\n%sload 6\n%s\nlt\njnz %s\n%s:", limit, e, h, body, limit, h, e)
+	}
+}
+
 func (g *progGen) program() string {
 	g.b.Reset()
+	g.loops = false
 	g.emit("program gen\nglobals %d\nconst f float 2.5\nconst h float -0.5\nconst s str \"mocha\"", genGlobals)
 	g.emit("func eval args=%d locals=%d", genArgs, genLocals)
 	for n := 2 + g.pick(5); n > 0; n-- {
@@ -291,11 +328,12 @@ func genArgValues() []Value {
 // TestCompiledRandomPrograms is the structured counterpart of
 // FuzzVerifySound: generated programs, each run on the reference
 // interpreter and the compiled engine with ample fuel and then with
-// every fuel value that runs dry somewhere in its first instructions,
-// so exhaustion lands on every instruction of every fused expression.
+// every fuel value that runs dry somewhere in its first instructions —
+// 120 of them, 2000 in a program that loops — so exhaustion lands on
+// every instruction of every fused expression and loop iteration.
 func TestCompiledRandomPrograms(t *testing.T) {
 	g := &progGen{r: rand.New(rand.NewSource(15))}
-	accepted, trapped := 0, map[TrapKind]int{}
+	accepted, kernels, trapped := 0, 0, map[TrapKind]int{}
 	for i := 0; i < 1500; i++ {
 		src := g.program()
 		p, err := Assemble(src)
@@ -306,6 +344,9 @@ func TestCompiledRandomPrograms(t *testing.T) {
 			continue // the verifier refused it: nothing to compare
 		}
 		accepted++
+		if strings.Contains(fmt.Sprint(LoopShapes(p, "eval")), "kernel") {
+			kernels++
+		}
 		func() {
 			defer func() {
 				if t.Failed() {
@@ -317,24 +358,53 @@ func TestCompiledRandomPrograms(t *testing.T) {
 			if tr, ok := full.err.(*Trap); ok {
 				trapped[tr.Kind]++
 			}
-			for fuel := int64(1); fuel <= min(full.instrs, 120); fuel++ {
+			sweep := int64(120)
+			if g.loops {
+				sweep = 2000
+			}
+			for fuel := int64(1); fuel <= min(full.instrs, sweep); fuel++ {
 				limits.MaxFuel = fuel
 				parity(t, p, 0, limits, genArgValues())
 			}
 		}()
 	}
-	t.Logf("%d programs accepted; traps by kind: %v", accepted, trapped)
-	if accepted < 500 || trapped[TrapType] == 0 || trapped[TrapBounds] == 0 || trapped[TrapMath] == 0 {
-		t.Errorf("generator lost its coverage: %d accepted, traps %v", accepted, trapped)
+	t.Logf("%d programs accepted, %d with a loop kernel; traps by kind: %v", accepted, kernels, trapped)
+	if accepted < 500 || kernels < 100 || trapped[TrapType] == 0 || trapped[TrapBounds] == 0 || trapped[TrapMath] == 0 {
+		t.Errorf("generator lost its coverage: %d accepted, %d kernels, traps %v", accepted, kernels, trapped)
 	}
 }
 
 // TestCompiledSharedAcrossMachines runs one compiled program from many
 // goroutines at once, each on its own machine, the way every DAP
-// session shares a cached class. Run under -race.
+// session shares a cached class; scan's loop is a kernel, whose
+// counters live in the Machine it runs on. Run under -race.
 func TestCompiledSharedAcrossMachines(t *testing.T) {
 	p := MustAssemble(`
 program shared
+func scan args=1 locals=3
+  arg 0
+  blen
+  store 2
+loop:
+  load 1
+  load 2
+  ge
+  jnz done
+  load 0
+  arg 0
+  load 1
+  ldu8
+  addi
+  store 0
+  load 1
+  pushi 1
+  addi
+  store 1
+  jmp loop
+done:
+  load 0
+  ret
+end
 func eval args=1 locals=2
 loop:
   load 1
@@ -364,6 +434,9 @@ func twice args=1 locals=0
   muli
   ret
 end`)
+	if got := LoopShapes(p, "scan"); fmt.Sprint(got) != "[rotated kernel]" {
+		t.Fatalf("scan's loop is %v, want a rotated kernel", got)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -371,15 +444,193 @@ end`)
 			defer wg.Done()
 			m := New(Limits{})
 			for i := 0; i < 50; i++ {
-				v, err := m.Run(p, 0, nil, []Value{BytesVal([]byte{1, 2, 3, 4})})
-				if err != nil || v.I != 20 {
-					t.Errorf("shared run: %v %v", v, err)
+				buf := bytes.Repeat([]byte{byte(w + 1)}, 64+i)
+				v, err := m.Run(p, p.FuncIndex("eval"), nil, []Value{BytesVal([]byte{1, 2, 3, 4})})
+				s, serr := m.Run(p, p.FuncIndex("scan"), nil, []Value{BytesVal(buf)})
+				if err != nil || v.I != 20 || serr != nil || s.I != int64((w+1)*(64+i)) {
+					t.Errorf("shared run: %v %v, scan %v %v", v, err, s, serr)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// fusedLoop writes one of the loop shapes TestFusedLoopParity runs. A
+// counter i (local 1) goes from arg 1 while below arg 2 (local 2), by
+// arg 3 (local 5). Each iteration reads the byte at i+off of arg 0 — or,
+// aliased, of arg 4 from its second byte on; the rotated and self-loop
+// shapes and the reduction add it to local 0, the first two also storing
+// that in a global, so no kernel runs them; the copy writes it to arg 4
+// at o+off, o (local 3) starting at arg 1 and stepped by 2. writeLimit
+// has the body lower the limit register as well.
+func fusedLoop(shape string, off int64, alias, writeLimit bool) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "program fused\nglobals 1\nconst off int %d\nfunc eval args=5 locals=6\n", off)
+	b.WriteString("arg 1\npushi 0\naddi\nstore 1\narg 2\npushi 0\naddi\nstore 2\narg 3\npushi 0\naddi\nstore 5\nload 1\nstore 3\n")
+	src := "arg 0"
+	if alias {
+		b.WriteString("arg 4\npushi 1\narg 4\nblen\nbslice\nstore 4\n")
+		src = "load 4"
+	}
+	body := "load 0\n" + src + "\nload 1\nconst off\naddi\nldu8\naddi\nstore 0\n"
+	switch shape {
+	case "strided copy":
+		body = "arg 4\nload 3\nconst off\naddi\n" + src + "\nload 1\nconst off\naddi\nldu8\nstu8\npop\nload 3\npushi 2\naddi\nstore 3\n"
+	case "rotated", "self-loop":
+		body += "load 0\ngstore 0\n"
+	}
+	if writeLimit {
+		body += "load 2\npushi -1\naddi\nstore 2\n"
+	}
+	body += "load 1\nload 5\naddi\nstore 1\n"
+	if shape == "rotated" || shape == "byte reduction" {
+		b.WriteString("head:\nload 1\nload 2\nlt\njz done\n" + body + "jmp head\n")
+	} else {
+		b.WriteString("load 1\nload 2\nge\njnz done\nbody:\n" + body + "load 1\nload 2\nlt\njnz body\n")
+	}
+	if shape == "strided copy" {
+		b.WriteString("done:\narg 4\nret\nend")
+	} else {
+		b.WriteString("done:\nload 0\nret\nend")
+	}
+	return b.String()
+}
+
+// TestFusedLoopParity runs each way a loop runs in place — rotated, a
+// self-loop, and the two kernels — against the reference, clean and at
+// every edge a kernel checks for itself, at every fuel value from 1 to
+// the run's whole count: value, trap, globals and instructions agree.
+func TestFusedLoopParity(t *testing.T) {
+	seq := func(n int, w bool) Value {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i + 1)
+		}
+		return Value{K: VBytes, W: w, B: b}
+	}
+	type row struct {
+		name               string
+		start, limit, step int64
+		src, dst           Value
+		off                int64
+		alias, writeLimit  bool
+	}
+	rows := []row{
+		{name: "clean", limit: 10},
+		{name: "zero trips", start: 5, limit: 5},
+		{name: "one trip", start: 5, limit: 6},
+		{name: "bounds trap at the first iteration", start: 16, limit: 20},
+		{name: "bounds trap in the middle", start: 10, limit: 20},
+		{name: "bounds trap at the last iteration", limit: 17},
+		{name: "read-only destination", limit: 10, dst: seq(32, false)},
+		{name: "argument that is no buffer", limit: 10, src: IntVal(3)},
+		{name: "source aliases the destination", limit: 12, alias: true},
+		{name: "limit register written in the body", limit: 12, writeLimit: true},
+		{name: "counter step wraps past MaxInt64", start: math.MaxInt64 - 1, limit: math.MaxInt64, step: 3, off: 3 - math.MaxInt64},
+	}
+	shapes := map[string]string{"rotated": "[rotated]", "self-loop": "[self]",
+		"byte reduction": "[rotated kernel]", "strided copy": "[self kernel]"}
+	for _, shape := range []string{"rotated", "self-loop", "byte reduction", "strided copy"} {
+		for _, r := range rows {
+			t.Run(shape+"/"+r.name, func(t *testing.T) {
+				p := MustAssemble(fusedLoop(shape, r.off, r.alias, r.writeLimit))
+				want := shapes[shape]
+				if r.writeLimit { // the limit is no longer what a kernel may hold
+					want = strings.ReplaceAll(want, " kernel", "")
+				}
+				if got := fmt.Sprint(LoopShapes(p, "eval")); got != want {
+					t.Fatalf("loops %s, want %s", got, want)
+				}
+				if r.src.K == VInt && r.src.I == 0 {
+					r.src = seq(16, false)
+				}
+				if r.dst.B == nil {
+					r.dst = seq(32, true)
+				}
+				args := []Value{r.src, IntVal(r.start), IntVal(r.limit), IntVal(cmp.Or(r.step, 1)), r.dst}
+				full := parity(t, p, 0, Limits{}, args)
+				for fuel := int64(1); fuel <= full.instrs; fuel++ {
+					parity(t, p, 0, Limits{MaxFuel: fuel}, args)
+				}
+			})
+		}
+	}
+
+	// A body that ends in a call or a bcopy spends fuel after the fuel for
+	// the whole iteration was counted: it stays two blocks, at every fuel.
+	for name, src := range map[string]string{
+		"body ending in a call": "program p\nfunc eval args=0 locals=1\npushi 0\njmp h\nb:\npop\nload 0\npushi 1\naddi\nstore 0\n" +
+			"load 0\ncall aux\nh:\nload 0\npushi 5\nlt\njnz b\nret\nend\nfunc aux args=1 locals=0\narg 0\npushi 2\nmuli\nret\nend",
+		"body ending in a bcopy": "program p\nfunc eval args=0 locals=2\npushi 16\nbnew\nstore 1\nload 1\njmp h\nb:\npop\nload 0\npushi 1\naddi\nstore 0\n" +
+			"load 1\nload 0\nload 1\npushi 0\npushi 8\nbcopy\nh:\nload 0\npushi 5\nlt\njnz b\nret\nend",
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := MustAssemble(src)
+			if got := LoopShapes(p, "eval"); len(got) != 0 {
+				t.Fatalf("loops %v, want none", got)
+			}
+			full := parity(t, p, 0, Limits{}, nil)
+			for fuel := int64(1); fuel <= full.instrs; fuel++ {
+				parity(t, p, 0, Limits{MaxFuel: fuel}, nil)
+			}
+		})
+	}
+
+	// The committed fuzz seeds for the kernels' edges, wrapped as the fuzz
+	// targets wrap them, must still be kernels.
+	t.Run("fuzz seeds are kernels", func(t *testing.T) {
+		for _, src := range fuseSeedSrcs {
+			f := MustAssemble(src).Funcs[0]
+			p := fuzzProgram(f.Code, uint8(f.NArgs), 0)
+			if err := Verify(p); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(LoopShapes(p, "eval")); !strings.Contains(got, "kernel") {
+				t.Errorf("loops %s, want a kernel:\n%s", got, src)
+			}
+		}
+	})
+
+	// A header entered from two predecessors: the loop's own body, rotated,
+	// and a block that jumps past the pushi the cost pass reads the
+	// counter's start from. The static budget must still cover the run.
+	t.Run("header entered from two predecessors", func(t *testing.T) {
+		p := MustAssemble(`program s
+func eval args=0 locals=1
+pushi 0
+pushi 1
+eq
+jz alt
+pushi 0
+jmp S
+alt:
+pushi -100000
+S:
+store 0
+h:
+load 0
+pushi 10
+lt
+jz done
+load 0
+pushi 1
+addi
+store 0
+jmp h
+done:
+pushi 0
+ret
+end`)
+		if got := fmt.Sprint(LoopShapes(p, "eval")); got != "[rotated]" {
+			t.Fatalf("loops %s, want [rotated]", got)
+		}
+		got, fi := parity(t, p, 0, DefaultLimits, nil), p.verified.Funcs[0]
+		if !fi.Bounded || got.instrs > fi.BudgetInstrs {
+			t.Errorf("executed %d instructions, static budget %d (bounded=%v)", got.instrs, fi.BudgetInstrs, fi.Bounded)
+		}
+	})
 }
 
 // TestTrapParity pins, one program per reachable TrapKind and per place
@@ -623,10 +874,11 @@ end`, Limits{}, []Value{BytesVal([]byte{1})}, Trap{"eval", 25, TrapBounds, "stor
 		})
 	}
 
-	// The loads and the store that read their operands in place — a
-	// register buffer at a scalar register's offset — at the last offset
-	// inside, the first past either end and on something that is no
-	// buffer; the store also under every fuel that runs dry before the end.
+	// The loads that read their operands in place — a register buffer at
+	// a scalar register's offset — and the popped pixel store at the same
+	// operands, at the last offset inside, the first past either end and
+	// on something that is no buffer; the store also under every fuel
+	// that runs dry before the end.
 	at := func(off int64) []Value { return []Value{BytesVal(seq(16)), IntVal(off)} }
 	for _, ld := range []struct {
 		op string

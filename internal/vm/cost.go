@@ -352,7 +352,7 @@ func costFunc(p *Program, ins []instr, idx map[int]int, res []funcCost) funcCost
 		}
 	}
 
-	idom, _ := dominatorTree(succs, preds)
+	idom, rpo := dominatorTree(succs, preds)
 	dominates := func(a, b int) bool {
 		for {
 			if b == a {
@@ -392,6 +392,14 @@ func costFunc(p *Program, ins []instr, idx map[int]int, res []funcCost) funcCost
 				mult[j] = capMul(mult[j], l.trips+1, costCap)
 			} else {
 				unbounded[j] = true
+			}
+		}
+	}
+	// A cycle no header dominates is no natural loop: nothing bounds it.
+	for u := range succs {
+		for _, h := range succs[u] {
+			if rpo[h] <= rpo[u] && !dominates(h, u) {
+				fc.bounded = false
 			}
 		}
 	}

@@ -10,3 +10,24 @@ func ParityFrom(t testing.TB, p *Program, fn int, limits Limits, globals, args [
 	got := parityFrom(t, p, fn, limits, globals, args)
 	return got.val, got.globals, got.err
 }
+
+// LoopShapes lists, block by block, how function fn of a verified
+// program runs its loops in place: "self" (a block whose own test sends
+// it back) or "rotated" (a body that takes its header's test), followed
+// by " kernel" when one closure runs the whole loop.
+func LoopShapes(p *Program, fn string) []string {
+	var out []string
+	for _, b := range p.verified.code(p).funcs[p.FuncIndex(fn)].blocks {
+		if l := b.loop; l != nil {
+			s := "self"
+			if l.hn > 0 {
+				s = "rotated"
+			}
+			if l.kernel != nil {
+				s += " kernel"
+			}
+			out = append(out, s)
+		}
+	}
+	return out
+}

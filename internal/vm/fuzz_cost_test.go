@@ -51,6 +51,9 @@ var costSeedSrcs = []string{
 	// call with the callee budget inlined, plus a host intrinsic; the
 	// const pool and aux helper mirror fuzzProgram's fixed wrapping
 	"program s\nconst i int 42\nconst f float 2.5\nfunc eval args=0 locals=0\nconst f\nhost sqrt\ncall aux\nret\nend\nfunc aux args=1 locals=0\narg 0\nret\nend",
+	// a cycle also entered in its middle: no header dominates it, so it is
+	// no natural loop and has no bound
+	"program s\nfunc eval args=0 locals=2\nload 1\npushi 3\nge\njnz mid\ntop:\nload 0\npushi 1\naddi\nstore 0\nmid:\nload 1\npushi 1\naddi\nstore 1\nload 1\npushi 3\nlt\njnz top\nload 0\nret\nend",
 }
 
 // moveSeedSrcs are the block moves and the allocation the verifier, the
@@ -71,11 +74,35 @@ var moveSeedSrcs = []string{
 		"func eval args=0 locals=0\npushi 1\nbnew\nconst big\nbnew\nret\nend",
 }
 
+// fuseSeedSrcs are the loop kernels at their edges — a byte reduction
+// and a strided copy, clean, past the end of a buffer, aliased, over a
+// value that is no buffer, and out of fuel in the middle of the kernel —
+// for both fuzz targets and both corpora. fuzzProgram gives every
+// function four locals and no buffer among the arguments, so each makes
+// its own with bnew.
+var fuseSeedSrcs = []string{
+	countedReduction(16, 16),
+	countedReduction(16, 20),
+	"program s\nfunc eval args=0 locals=4\npushi 40\nbnew\nstore 2\npushi 16\nbnew\nstore 3\nload 1\npushi 16\nge\njnz done\nbody:\n" +
+		"load 2\nload 0\nload 3\nload 1\nldu8\nstu8\npop\nload 0\npushi 2\naddi\nstore 0\nload 1\npushi 1\naddi\nstore 1\nload 1\npushi 16\nlt\njnz body\ndone:\nload 2\nret\nend",
+	"program s\nfunc eval args=0 locals=4\npushi 20\nbnew\nstore 2\nload 1\npushi 16\nge\njnz done\nbody:\n" +
+		"load 2\nload 0\nload 2\nload 1\nldu8\nstu8\npop\nload 0\npushi 2\naddi\nstore 0\nload 1\npushi 1\naddi\nstore 1\nload 1\npushi 16\nlt\njnz body\ndone:\nload 2\nret\nend",
+	"program s\nfunc eval args=1 locals=2\nloop:\nload 1\npushi 4\nlt\njz done\nload 0\narg 0\nload 1\nldu8\naddi\nstore 0\nload 1\npushi 1\naddi\nstore 1\njmp loop\ndone:\nload 0\nret\nend",
+	countedReduction(8192, 8192),
+}
+
+// countedReduction sums the bytes of a fresh buffer of size bytes at
+// offsets below limit: the loop AvgEnergy is made of.
+func countedReduction(size, limit int) string {
+	return fmt.Sprintf("program s\nfunc eval args=0 locals=3\npushi %d\nbnew\nstore 2\nloop:\nload 1\npushi %d\nlt\njz done\n"+
+		"load 0\nload 2\nload 1\nldu8\naddi\nstore 0\nload 1\npushi 1\naddi\nstore 1\njmp loop\ndone:\nload 0\nret\nend", size, limit)
+}
+
 // FuzzCostSound fuzzes the bound-soundness oracle: static per-invocation
 // instruction budget >= the reference interpreter's executed count, with
 // the compiled engine counting identically.
 func FuzzCostSound(f *testing.F) {
-	for _, src := range append(costSeedSrcs, moveSeedSrcs...) {
+	for _, src := range append(append(costSeedSrcs, moveSeedSrcs...), fuseSeedSrcs...) {
 		p := MustAssemble(src)
 		f.Add(p.Funcs[0].Code, uint8(p.Funcs[0].NArgs), uint8(p.NGlobals))
 	}
@@ -162,12 +189,13 @@ func TestCostSoundCorpus(t *testing.T) {
 //
 //	MOCHA_WRITE_FUZZ_CORPUS=1 go test ./internal/vm -run TestWriteFuzzCorpusSeeds
 //
-// after changing costSeedSrcs or moveSeedSrcs, and commit the result.
+// after changing costSeedSrcs, moveSeedSrcs or fuseSeedSrcs, and commit
+// the result.
 func TestWriteFuzzCorpusSeeds(t *testing.T) {
 	if os.Getenv("MOCHA_WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set MOCHA_WRITE_FUZZ_CORPUS=1 to regenerate corpus seeds")
 	}
-	for kind, srcs := range map[string][]string{"loop": costSeedSrcs, "move": moveSeedSrcs} {
+	for kind, srcs := range map[string][]string{"loop": costSeedSrcs, "move": moveSeedSrcs, "fuse": fuseSeedSrcs} {
 		for i, src := range srcs {
 			p := MustAssemble(src)
 			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\nbyte(%q)\n",

@@ -226,9 +226,13 @@ func (m *Machine) enter(fn *cfunc, r []int64, v []Value) {
 
 // exec runs one compiled function in the current frame. Fuel is charged
 // for a whole block on entry; a block the remaining fuel cannot cover
-// is the invocation's last and goes to exhaust.
+// is the invocation's last and goes to exhaust. A loop runs in place.
 func (m *Machine) exec(fn *cfunc) {
 	for b := fn.blocks[0]; b != nil; {
+		if l := b.loop; l != nil && m.fuel >= l.n {
+			b = m.iterate(b, l)
+			continue
+		}
 		if m.fuel -= b.n; m.fuel < 0 {
 			m.exhaust(fn, b)
 		}
@@ -241,6 +245,27 @@ func (m *Machine) exec(fn *cfunc) {
 			b = b.alt
 		}
 	}
+}
+
+// iterate runs loop l, body b: its kernel, then whole iterations — the
+// body's n charged, its statements, the header's n, the test — while the
+// fuel covers one. It returns the exit, or b when the fuel falls short:
+// exec runs b and its header as blocks, and exhaust finds the limit.
+func (m *Machine) iterate(b *block, l *loop) *block {
+	if l.kernel != nil && l.kernel(m) {
+		return l.exit
+	}
+	for m.fuel >= l.n {
+		m.fuel -= b.n
+		for _, s := range b.stmts {
+			s(m)
+		}
+		m.fuel -= l.hn
+		if l.test(m) != l.back {
+			return l.exit
+		}
+	}
+	return b
 }
 
 // exhaust runs the block the fuel runs out in. With limit set, every
