@@ -5,209 +5,51 @@ import (
 	"go/ast"
 	"go/token"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// CostTable enforces the MVM cost-table inventory contract of
-// internal/vm/cost.go, the pricing half of the verification ladder:
-//
-//  1. every Op* opcode constant declared in internal/vm/opcode.go has
-//     exactly one keyed entry in the opCost table, and every entry names
-//     a declared opcode — adding an opcode without pricing it (or
-//     pricing a retired one) is a lint failure, not a silent cost of 1;
-//  2. likewise every Host* intrinsic constant and the hostCost table;
-//  3. every table entry is a positive integer literal (costs are
-//     relative units, never zero or computed);
-//  4. the opCost/hostCost tables are referenced only inside cost.go —
-//     all other code prices instructions through OpCost/HostCost;
-//  5. outside cost.go and the operator catalogs (internal/ops holds the
-//     catalog's per-operator statistics; examples/ mirrors them for
-//     user-defined operators), no composite literal assigns a raw
-//     numeric literal to a CompCostPerByte:/CPUCostPerByte: field and
-//     no CompMS call passes a numeric literal cost — per-byte costs in
-//     planner code must flow through named constants or the catalog.
+// CostTable keeps per-byte CPU costs in one place: outside the operator
+// catalogs (internal/ops holds the catalog's per-operator statistics;
+// examples/ mirrors them for user-defined operators), no composite
+// literal assigns a raw numeric literal to a CompCostPerByte:/
+// CPUCostPerByte: field and no CompMS call passes a numeric literal cost
+// — per-byte costs in planner code must flow through named constants or
+// the catalog. The MVM's own weights live in its instruction table, which
+// internal/vm's TestInstructionTable holds complete.
 //
 // Like the other checks this is purely syntactic and skips tests.
 func CostTable(root string) ([]Finding, error) {
-	opcodePath := filepath.Join(root, "internal", "vm", "opcode.go")
-	opcodeFile, err := parseOne(opcodePath)
-	if err != nil {
-		return nil, err
-	}
-	costPath := filepath.Join(root, "internal", "vm", "cost.go")
-	costFile, err := parseOne(costPath)
-	if err != nil {
-		return nil, err
-	}
-
-	opcodes := constNames(opcodeFile, "Op")
-	hosts := constNames(opcodeFile, "Host")
-	if len(opcodes) == 0 || len(hosts) == 0 {
-		return nil, fmt.Errorf("costtable: no Op*/Host* constants found in %s", opcodePath)
-	}
-
-	var findings []Finding
-	report := func(pos token.Pos, format string, args ...any) {
-		findings = append(findings, Finding{
-			Pos:   costFile.fset.Position(pos),
-			Check: "costtable",
-			Msg:   fmt.Sprintf(format, args...),
-		})
-	}
-
-	for _, tbl := range []struct {
-		table  string
-		consts map[string]bool
-		kind   string
-	}{
-		{"opCost", opcodes, "opcode"},
-		{"hostCost", hosts, "host intrinsic"},
-	} {
-		lit, _ := tableLiteral(costFile, tbl.table)
-		if lit == nil {
-			report(costFile.file.Pos(), "table %s not found in %s", tbl.table, costPath)
-			continue
-		}
-		seen := make(map[string]bool)
-		for _, elt := range lit.Elts {
-			kv, ok := elt.(*ast.KeyValueExpr)
-			if !ok {
-				report(elt.Pos(), "%s entry is not keyed by a %s constant", tbl.table, tbl.kind)
-				continue
-			}
-			key, ok := kv.Key.(*ast.Ident)
-			if !ok {
-				report(kv.Pos(), "%s entry key is not an identifier", tbl.table)
-				continue
-			}
-			if !tbl.consts[key.Name] {
-				report(kv.Pos(), "%s prices %q, which is not a declared %s", tbl.table, key.Name, tbl.kind)
-			}
-			if seen[key.Name] {
-				report(kv.Pos(), "%s prices %q more than once", tbl.table, key.Name)
-			}
-			seen[key.Name] = true
-			if v, ok := kv.Value.(*ast.BasicLit); !ok || v.Kind != token.INT || v.Value == "0" {
-				report(kv.Pos(), "%s[%s] must be a positive integer literal", tbl.table, key.Name)
-			}
-		}
-		missing := make([]string, 0)
-		for name := range tbl.consts {
-			if !seen[name] {
-				missing = append(missing, name)
-			}
-		}
-		sort.Strings(missing)
-		for _, name := range missing {
-			report(lit.Pos(), "%s %s has no %s entry — every %s must be priced exactly once", tbl.kind, name, tbl.table, tbl.kind)
-		}
-	}
-
 	files, err := parseTree(root)
 	if err != nil {
 		return nil, err
 	}
+	var findings []Finding
 	for _, pf := range files {
 		slash := filepath.ToSlash(pf.path)
-		if strings.HasSuffix(slash, "internal/vm/cost.go") {
+		if strings.Contains(slash, "internal/ops/") || strings.Contains(slash, "examples/") {
 			continue
 		}
-		pf := pf
-		inCatalog := strings.Contains(slash, "internal/ops/") || strings.Contains(slash, "examples/")
+		report := func(pos token.Pos, msg string) {
+			findings = append(findings, Finding{Pos: pf.fset.Position(pos), Check: "costtable", Msg: msg})
+		}
 		ast.Inspect(pf.file, func(n ast.Node) bool {
 			switch e := n.(type) {
-			case *ast.Ident:
-				// The tables are unexported, so only package vm could name
-				// them directly; everyone else goes through OpCost/HostCost.
-				if pf.file.Name.Name == "vm" && (e.Name == "opCost" || e.Name == "hostCost") {
-					findings = append(findings, Finding{
-						Pos:   pf.fset.Position(e.Pos()),
-						Check: "costtable",
-						Msg:   fmt.Sprintf("%s referenced outside cost.go — use OpCost/HostCost", e.Name),
-					})
-				}
 			case *ast.KeyValueExpr:
-				if inCatalog {
-					return true
-				}
 				if key, ok := e.Key.(*ast.Ident); ok &&
 					(key.Name == "CompCostPerByte" || key.Name == "CPUCostPerByte") &&
 					isNumericLit(e.Value) {
-					findings = append(findings, Finding{
-						Pos:   pf.fset.Position(e.Pos()),
-						Check: "costtable",
-						Msg:   fmt.Sprintf("raw numeric %s outside the cost table and operator catalog — use a named constant", key.Name),
-					})
+					report(e.Pos(), fmt.Sprintf("raw numeric %s outside the operator catalog — use a named constant", key.Name))
 				}
 			case *ast.CallExpr:
-				if inCatalog {
-					return true
-				}
 				if sel, ok := e.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "CompMS" &&
 					len(e.Args) == 3 && isNumericLit(e.Args[1]) {
-					findings = append(findings, Finding{
-						Pos:   pf.fset.Position(e.Pos()),
-						Check: "costtable",
-						Msg:   "raw numeric per-byte cost passed to CompMS — use a named constant or catalog definition",
-					})
+					report(e.Pos(), "raw numeric per-byte cost passed to CompMS — use a named constant or catalog definition")
 				}
 			}
 			return true
 		})
 	}
 	return findings, nil
-}
-
-// constNames collects the names declared in const blocks of a file that
-// carry the given prefix. The sentinel count names (numOps, NumHost)
-// share the blocks but fall outside both prefixes, so the inventory is
-// exactly the opcodes and intrinsics.
-func constNames(pf parsedFile, prefix string) map[string]bool {
-	out := make(map[string]bool)
-	for _, decl := range pf.file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for _, name := range vs.Names {
-				if strings.HasPrefix(name.Name, prefix) {
-					out[name.Name] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-// tableLiteral finds a top-level `var name = [...]T{...}` composite
-// literal in a file.
-func tableLiteral(pf parsedFile, name string) (*ast.CompositeLit, token.Pos) {
-	for _, decl := range pf.file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, n := range vs.Names {
-				if n.Name == name && i < len(vs.Values) {
-					if lit, ok := vs.Values[i].(*ast.CompositeLit); ok {
-						return lit, lit.Pos()
-					}
-				}
-			}
-		}
-	}
-	return nil, 0
 }
 
 // isNumericLit reports whether an expression is a bare (possibly

@@ -113,15 +113,15 @@ func TestCatalogSaveLoad(t *testing.T) {
 func TestRepository(t *testing.T) {
 	reg := ops.Builtins()
 	repo := NewRepositoryFromRegistry(reg)
-	cls, ok := repo.Get("AvgEnergy")
+	rel, ok := repo.Get("AvgEnergy")
 	if !ok {
 		t.Fatal("AvgEnergy not in repository")
 	}
-	p, err := vm.Decode(cls.Blob)
+	p, err := vm.Decode(rel.Blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name != "AvgEnergy" || p.Checksum() != cls.Checksum {
+	if p.Name != "AvgEnergy" || p.Checksum() != rel.Digest {
 		t.Error("blob does not match class metadata")
 	}
 	if len(repo.Names()) < 13 {
@@ -132,8 +132,8 @@ func TestRepository(t *testing.T) {
 	if _, err := repo.PutProgram(p2); err != nil {
 		t.Fatal(err)
 	}
-	cls2, _ := repo.Get("avgenergy")
-	if cls2.Version != "2.0" {
+	rel2, _ := repo.Get("avgenergy")
+	if rel2.Tag != "2.0" {
 		t.Error("upgrade did not replace class")
 	}
 }
@@ -154,7 +154,7 @@ func TestRepositorySaveLoadDir(t *testing.T) {
 	}
 	a, _ := repo.Get("Clip")
 	b, _ := repo2.Get("Clip")
-	if a.Checksum != b.Checksum {
+	if a.Digest != b.Digest {
 		t.Error("checksums differ after disk round trip")
 	}
 }

@@ -41,20 +41,6 @@ type Release struct {
 	Blob []byte
 }
 
-// AsClass renders the release in the deployable-class view used by the
-// planner and the code-shipping path.
-func (r *Release) AsClass() *Class {
-	return &Class{
-		Name:     r.Class,
-		Version:  r.Tag,
-		Checksum: r.Digest,
-		ModTime:  r.Published,
-		Blob:     r.Blob,
-		Caps:     r.Caps,
-		Cost:     r.Cost,
-	}
-}
-
 // tagOK reports whether every rune of a tag is filename- and XML-safe.
 func tagOK(tag string) bool {
 	if tag == "" {

@@ -49,8 +49,8 @@ func TestPutProgramNeverClobbers(t *testing.T) {
 	// The second publish is active; the first is still addressable by
 	// its digest (deploy-by-digest for queries planned against it).
 	active, _ := repo.Get("Clip")
-	if active.Checksum != v2.Checksum() {
-		t.Errorf("active digest = %s, want v2 %s", active.Checksum, v2.Checksum())
+	if active.Digest != v2.Checksum() {
+		t.Errorf("active digest = %s, want v2 %s", active.Digest, v2.Checksum())
 	}
 	old, ok := repo.Resolve("Clip", v1.Checksum())
 	if !ok {
@@ -71,7 +71,7 @@ func TestPutProgramNeverClobbers(t *testing.T) {
 		t.Errorf("idempotent republish grew history to %d", got)
 	}
 	active, _ = repo.Get("Clip")
-	if active.Checksum != v1.Checksum() {
+	if active.Digest != v1.Checksum() {
 		t.Error("republish did not move the active pointer back")
 	}
 }
@@ -91,14 +91,14 @@ func TestStageCanaryPromote(t *testing.T) {
 		t.Fatalf("staged release = %+v", rel)
 	}
 	// Staging is inert: active still serves v1.
-	if cls, _ := repo.Get("Scale"); cls.Checksum != v1.Checksum() {
+	if rel, _ := repo.Get("Scale"); rel.Digest != v1.Checksum() {
 		t.Error("staging moved the active pointer")
 	}
 	// Promote: active moves, history intact, v1 still resolvable.
 	if _, err := repo.Promote("Scale", "v2"); err != nil {
 		t.Fatal(err)
 	}
-	if cls, _ := repo.Get("Scale"); cls.Checksum != v2.Checksum() {
+	if rel, _ := repo.Get("Scale"); rel.Digest != v2.Checksum() {
 		t.Error("promote did not move the active pointer")
 	}
 	if _, ok := repo.Resolve("Scale", v1.Checksum()); !ok {
@@ -231,8 +231,8 @@ func TestQuickPublishResolve(t *testing.T) {
 		if rel.Digest != p.Checksum() {
 			return false
 		}
-		cls, ok := repo.Resolve("Quick", rel.Digest)
-		if !ok || string(cls.Blob) != string(p.Encode()) {
+		got, ok := repo.Resolve("Quick", rel.Digest)
+		if !ok || string(got.Blob) != string(p.Encode()) {
 			return false
 		}
 		seen[rel.Digest] = true

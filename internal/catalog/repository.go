@@ -11,23 +11,6 @@ import (
 	"mocha/internal/vm"
 )
 
-// Class is one deployable unit of middleware code: the MVM analogue of a
-// compiled Java class file stored in the well-known code repository of
-// section 3.6. A Class is a view of one Release: Version is the release
-// tag and Checksum its content digest.
-type Class struct {
-	Name     string
-	Version  string
-	Checksum string
-	ModTime  time.Time
-	Blob     []byte   // serialized vm.Program
-	Caps     []string // host capabilities from the verifier's manifest
-	// Cost is the verifier's static cost-and-resource summary, stamped
-	// at publish and carried into plan code references so the optimizer
-	// and governor can price the class without re-analyzing it.
-	Cost vm.CostInfo
-}
-
 // classHistory is the full release record of one operator: every
 // publication in order, plus the active pointer (-1 = none).
 type classHistory struct {
@@ -153,12 +136,8 @@ func (r *Repository) publish(p *vm.Program, tag string, activate bool) (*Release
 // verifier never becomes a release, so every site that later pulls the
 // class knows it passed the ladder at least once (and re-verifies
 // locally anyway, since the stamp does not travel on the wire).
-func (r *Repository) PutProgram(p *vm.Program) (*Class, error) {
-	rel, err := r.publish(p, "", true)
-	if err != nil {
-		return nil, err
-	}
-	return rel.AsClass(), nil
+func (r *Repository) PutProgram(p *vm.Program) (*Release, error) {
+	return r.publish(p, "", true)
 }
 
 // StageProgram publishes a compiled program as a release without
@@ -169,20 +148,20 @@ func (r *Repository) StageProgram(p *vm.Program, tag string) (*Release, error) {
 }
 
 // Get resolves a class by name to its active release.
-func (r *Repository) Get(name string) (*Class, bool) {
+func (r *Repository) Get(name string) (*Release, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	h, ok := r.classes[strings.ToLower(name)]
 	if !ok || h.active < 0 {
 		return nil, false
 	}
-	return h.releases[h.active].AsClass(), true
+	return h.releases[h.active], true
 }
 
 // Resolve addresses a class release by name and content digest — the
 // deploy-by-digest path, which keeps in-flight queries pinned to the
 // release they planned against regardless of later pointer moves.
-func (r *Repository) Resolve(name, digest string) (*Class, bool) {
+func (r *Repository) Resolve(name, digest string) (*Release, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	h, ok := r.classes[strings.ToLower(name)]
@@ -193,7 +172,7 @@ func (r *Repository) Resolve(name, digest string) (*Class, bool) {
 	if idx < 0 {
 		return nil, false
 	}
-	return h.releases[idx].AsClass(), true
+	return h.releases[idx], true
 }
 
 // Releases returns the full publication history of a class, oldest

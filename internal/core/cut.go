@@ -193,9 +193,9 @@ func (p *planner) buildDAG() *queryDAG {
 		if def, ok := p.opt.Cat.Ops().Lookup(e.Func); ok {
 			n.costPB = def.CPUCostPerByte
 		}
-		if cls, ok := p.opt.Cat.Repo().Get(e.Func); ok {
-			if !cls.Cost.IsZero() {
-				n.static, n.hasStatic = cls.Cost, true
+		if rel, ok := p.opt.Cat.Repo().Get(e.Func); ok {
+			if !rel.Cost.IsZero() {
+				n.static, n.hasStatic = rel.Cost, true
 			}
 		} else {
 			n.pinAbove = true // no shippable class

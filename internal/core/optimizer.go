@@ -584,16 +584,16 @@ func (p *planner) attachCode(frag *Fragment) error {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		cls, ok := p.opt.Cat.Repo().Get(n)
+		rel, ok := p.opt.Cat.Repo().Get(n)
 		if !ok {
 			return fmt.Errorf("core: operator %s has no class in the code repository", n)
 		}
 		ref := CodeRef{
-			Name: cls.Name, Version: cls.Version, Checksum: cls.Checksum,
-			Caps: strings.Join(cls.Caps, ","),
+			Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest,
+			Caps: strings.Join(rel.Caps, ","),
 		}
-		if !cls.Cost.IsZero() {
-			ref.Cost = cls.Cost.String()
+		if !rel.Cost.IsZero() {
+			ref.Cost = rel.Cost.String()
 		}
 		frag.Code = append(frag.Code, ref)
 	}

@@ -47,7 +47,7 @@ const defaultInstrsPerMS = 50_000
 
 // simplePredCostPerByte prices a simple comparison predicate that has
 // no operator class behind it. It is the only cost literal outside the
-// MVM cost table and the operator catalog (enforced by the costtable
+// MVM instruction table and the operator catalog (enforced by the costtable
 // linter).
 const simplePredCostPerByte = 0.05
 

@@ -61,12 +61,12 @@ func connectDAP(t *testing.T, srv *Server) *wire.Conn {
 	return conn
 }
 
-func avgEnergyFragment(t *testing.T) (*core.Fragment, *catalog.Class) {
+func avgEnergyFragment(t *testing.T) (*core.Fragment, *catalog.Release) {
 	t.Helper()
 	reg := ops.Builtins()
 	d, _ := reg.Lookup("AvgEnergy")
 	repo := catalog.NewRepository()
-	cls, err := repo.PutProgram(d.Program())
+	rel, err := repo.PutProgram(d.Program())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,13 @@ func avgEnergyFragment(t *testing.T) (*core.Fragment, *catalog.Class) {
 				Args: []*core.PExpr{core.NewCol(1, types.KindRaster)},
 			}},
 		},
-		Code: []core.CodeRef{{Name: cls.Name, Version: cls.Version, Checksum: cls.Checksum}},
+		Code: []core.CodeRef{{Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest}},
 		OutSchema: types.NewSchema(
 			types.Column{Name: "time", Kind: types.KindInt},
 			types.Column{Name: "avg", Kind: types.KindDouble},
 		),
 	}
-	return frag, cls
+	return frag, rel
 }
 
 // streamSeq numbers the streams the tests start, so no two share an ID.
@@ -102,7 +102,7 @@ var streamSeq atomic.Int64
 // fragment, reads the ack, and ships from classes exactly the releases
 // the ack names. It returns the digests the DAP asked for; the stream —
 // or the ERROR frame standing in for it — is next on conn.
-func startFragment(t *testing.T, conn *wire.Conn, req *core.Start, keys []types.Tuple, classes ...*catalog.Class) []string {
+func startFragment(t *testing.T, conn *wire.Conn, req *core.Start, keys []types.Tuple, classes ...*catalog.Release) []string {
 	t.Helper()
 	if req.Stream == "" {
 		req.Stream = fmt.Sprintf("test/%d", streamSeq.Add(1))
@@ -129,9 +129,9 @@ func startFragment(t *testing.T, conn *wire.Conn, req *core.Start, keys []types.
 	}
 	for _, digest := range ack.Need {
 		var blob []byte
-		for _, cls := range classes {
-			if cls.Checksum == digest {
-				blob = cls.Blob
+		for _, rel := range classes {
+			if rel.Digest == digest {
+				blob = rel.Blob
 			}
 		}
 		if blob == nil {
@@ -194,17 +194,17 @@ func streamError(t *testing.T, conn *wire.Conn) string {
 	return string(payload)
 }
 
-func deployAndRun(t *testing.T, conn *wire.Conn, frag *core.Fragment, cls *catalog.Class) []types.Tuple {
+func deployAndRun(t *testing.T, conn *wire.Conn, frag *core.Fragment, rel *catalog.Release) []types.Tuple {
 	t.Helper()
-	return deployAndRunN(t, conn, frag, cls, 10)
+	return deployAndRunN(t, conn, frag, rel, 10)
 }
 
-// deployAndRunN starts the fragment, shipping cls if the DAP asks for
+// deployAndRunN starts the fragment, shipping rel if the DAP asks for
 // it, and returns the streamed rows, asserting the DAP read wantRead
 // source tuples.
-func deployAndRunN(t *testing.T, conn *wire.Conn, frag *core.Fragment, cls *catalog.Class, wantRead int64) []types.Tuple {
+func deployAndRunN(t *testing.T, conn *wire.Conn, frag *core.Fragment, rel *catalog.Release, wantRead int64) []types.Tuple {
 	t.Helper()
-	startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls)
+	startFragment(t, conn, &core.Start{Fragment: frag}, nil, rel)
 	rows, stats := readStream(t, conn, frag.OutSchema)
 	// A scan's rows-in are the tuples it read from the source.
 	read := spanSum(stats, func(sp obs.Span) int64 {
@@ -220,7 +220,7 @@ func deployAndRunN(t *testing.T, conn *wire.Conn, frag *core.Fragment, cls *cata
 }
 
 // classRef is a fragment's code manifest naming one shipped program.
-func classRef(p *vm.Program) (*core.Fragment, *catalog.Class) {
+func classRef(p *vm.Program) (*core.Fragment, *catalog.Release) {
 	schema := types.NewSchema(types.Column{Name: "time", Kind: types.KindInt})
 	frag := &core.Fragment{
 		Site: "test", Table: "Rasters", Cols: []int{0}, InSchema: schema, SemiJoinCol: -1,
@@ -228,13 +228,13 @@ func classRef(p *vm.Program) (*core.Fragment, *catalog.Class) {
 		Code:        []core.CodeRef{{Name: p.Name, Version: "1", Checksum: p.Checksum()}},
 		OutSchema:   schema,
 	}
-	return frag, &catalog.Class{Name: p.Name, Checksum: p.Checksum(), Blob: p.Encode()}
+	return frag, &catalog.Release{Class: p.Name, Digest: p.Checksum(), Blob: p.Encode()}
 }
 
 func TestDAPExecutesShippedOperator(t *testing.T) {
 	conn, _ := testDAP(t, Config{})
-	frag, cls := avgEnergyFragment(t)
-	rows := deployAndRun(t, conn, frag, cls)
+	frag, rel := avgEnergyFragment(t)
+	rows := deployAndRun(t, conn, frag, rel)
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -251,9 +251,9 @@ func TestDAPExecutesShippedOperator(t *testing.T) {
 // during a rollout that could be the canary.
 func TestDAPRefusesUnpinnedClass(t *testing.T) {
 	conn, srv := testDAP(t, Config{})
-	frag, cls := avgEnergyFragment(t)
-	deployAndRun(t, conn, frag, cls)
-	if !srv.HasClass(cls.Name, cls.Checksum) {
+	frag, rel := avgEnergyFragment(t)
+	deployAndRun(t, conn, frag, rel)
+	if !srv.HasClass(rel.Class, rel.Digest) {
 		t.Fatal("AvgEnergy not cached after it ran")
 	}
 	unpinned := *frag
@@ -273,8 +273,8 @@ func TestDAPRejectsUnverifiableCode(t *testing.T) {
 	// accepts it, Verify must not. The refusal is the stream's ERROR frame.
 	p := vm.MustAssemble("program evil\nfunc eval args=0 locals=0\nret\nend")
 	p.Funcs[0].Code = []byte{byte(vm.OpJmp), 0, 0, 0, 99}
-	frag, cls := classRef(p)
-	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls); len(need) != 1 {
+	frag, rel := classRef(p)
+	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, rel); len(need) != 1 {
 		t.Fatalf("ack asked for %v, want the one unknown class", need)
 	}
 	if msg := streamError(t, conn); !strings.Contains(msg, "jump") {
@@ -287,8 +287,8 @@ func TestDAPRejectsUnverifiableCode(t *testing.T) {
 		t.Error("refused class was cached")
 	}
 	// Garbage bytes likewise (a decode failure, not a verifier reject).
-	cls.Blob = []byte("not a class")
-	startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls)
+	rel.Blob = []byte("not a class")
+	startFragment(t, conn, &core.Start{Fragment: frag}, nil, rel)
 	streamError(t, conn)
 	if got := srv.met.verifyRejects.Value(); got != 1 {
 		t.Errorf("dap_verify_rejects = %d after an undecodable blob, want 1", got)
@@ -314,8 +314,8 @@ func f2 args=0 locals=0
 pushi 1
 ret
 end`)
-	frag, cls := classRef(p)
-	startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls)
+	frag, rel := classRef(p)
+	startFragment(t, conn, &core.Start{Fragment: frag}, nil, rel)
 	want := (&vm.LimitError{Program: "deep", Limit: "MaxCallDepth", Need: 3, Max: 2}).Error()
 	if msg := streamError(t, conn); !strings.Contains(msg, want) {
 		t.Errorf("got %q, want an error carrying %q", msg, want)
@@ -334,8 +334,8 @@ end`)
 func TestDAPFastPathMetric(t *testing.T) {
 	reg := obs.NewRegistry()
 	conn, _ := testDAP(t, Config{Metrics: reg})
-	frag, cls := avgEnergyFragment(t)
-	rows := deployAndRun(t, conn, frag, cls)
+	frag, rel := avgEnergyFragment(t)
+	rows := deployAndRun(t, conn, frag, rel)
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -384,7 +384,7 @@ func TestDAPProtocolErrors(t *testing.T) {
 	refused("stray keys", wire.MsgSemiJoinKeys, wire.EncodeBatch(nil), "semi-join keys without a semi-join fragment")
 	refused("stray class", wire.MsgDeployCode, nil, "unexpected DEPLOY_CODE")
 	// A START that names no stream, or carries no fragment.
-	frag, cls := avgEnergyFragment(t)
+	frag, rel := avgEnergyFragment(t)
 	bare, _ := wire.EncodeXML(&core.Start{Fragment: frag})
 	refused("no stream id", wire.MsgStart, bare, "start without")
 	bare, _ = wire.EncodeXML(&core.Start{Stream: "s"})
@@ -392,19 +392,19 @@ func TestDAPProtocolErrors(t *testing.T) {
 	refused("garbage", wire.MsgStart, []byte("<start"), "decode")
 	// Unknown table.
 	frag.Table = "Nope"
-	startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls)
+	startFragment(t, conn, &core.Start{Fragment: frag}, nil, rel)
 	streamError(t, conn)
 	// Column out of range.
 	frag2, _ := avgEnergyFragment(t)
 	frag2.Cols = []int{0, 7}
-	startFragment(t, conn, &core.Start{Fragment: frag2}, nil, cls)
+	startFragment(t, conn, &core.Start{Fragment: frag2}, nil, rel)
 	if msg := streamError(t, conn); !strings.Contains(msg, "extracts column 7 of 2-column table") {
 		t.Errorf("out-of-range column: got %q", msg)
 	}
 	// Keys behind a fragment that takes none are a frame of their own,
 	// refused once the stream has ended.
 	frag3, _ := avgEnergyFragment(t)
-	startFragment(t, conn, &core.Start{Fragment: frag3}, nil, cls)
+	startFragment(t, conn, &core.Start{Fragment: frag3}, nil, rel)
 	readStream(t, conn, frag3.OutSchema)
 	refused("keys for a plain fragment", wire.MsgSemiJoinKeys, wire.EncodeBatch(nil), "semi-join keys without a semi-join fragment")
 }
@@ -416,10 +416,10 @@ func TestDAPProtocolErrors(t *testing.T) {
 // names a trace gets the ID back and nothing else different.
 func TestDAPReportsSpansWithOrWithoutTrace(t *testing.T) {
 	conn, _ := testDAP(t, Config{})
-	frag, cls := avgEnergyFragment(t)
+	frag, rel := avgEnergyFragment(t)
 	var names [2][]string
 	for i, traceID := range []string{"", "q7"} {
-		startFragment(t, conn, &core.Start{Trace: traceID, Fragment: frag}, nil, cls)
+		startFragment(t, conn, &core.Start{Trace: traceID, Fragment: frag}, nil, rel)
 		rows, stats := readStream(t, conn, frag.OutSchema)
 		if stats.Trace != traceID {
 			t.Errorf("report echoes trace %q, START named %q", stats.Trace, traceID)
@@ -468,11 +468,11 @@ func TestDAPReportsSpansWithOrWithoutTrace(t *testing.T) {
 // hits.
 func TestDAPCodeCheckAndCache(t *testing.T) {
 	conn, srv := testDAP(t, Config{})
-	frag, cls := avgEnergyFragment(t)
-	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls); len(need) != 1 || need[0] != cls.Checksum {
+	frag, rel := avgEnergyFragment(t)
+	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, rel); len(need) != 1 || need[0] != rel.Digest {
 		t.Fatalf("fresh DAP should need the class: %v", need)
 	}
-	if _, stats := readStream(t, conn, frag.OutSchema); spanSum(stats, classes) != 1 || spanSum(stats, codeBytes) != int64(len(cls.Blob)) || spanSum(stats, cacheHits) != 0 {
+	if _, stats := readStream(t, conn, frag.OutSchema); spanSum(stats, classes) != 1 || spanSum(stats, codeBytes) != int64(len(rel.Blob)) || spanSum(stats, cacheHits) != 0 {
 		t.Errorf("first run reported %d classes / %d B loaded, %d hits", spanSum(stats, classes), spanSum(stats, codeBytes), spanSum(stats, cacheHits))
 	}
 	// Second START: cached, and the stream follows the empty ack.
@@ -488,8 +488,8 @@ func TestDAPCodeCheckAndCache(t *testing.T) {
 	}
 	// Another digest of the same class forces re-shipping.
 	frag.Code[0].Checksum = "different"
-	stale := *cls
-	stale.Checksum = "different"
+	stale := *rel
+	stale.Digest = "different"
 	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, &stale); len(need) != 1 || need[0] != "different" {
 		t.Errorf("stale class not re-requested: %v", need)
 	}
@@ -500,9 +500,9 @@ func TestDAPCodeCheckAndCache(t *testing.T) {
 
 	// With the cache disabled every START lists every ref.
 	conn2, _ := testDAP(t, Config{DisableCodeCache: true})
-	frag, cls = avgEnergyFragment(t)
+	frag, rel = avgEnergyFragment(t)
 	for i := 0; i < 2; i++ {
-		if need := startFragment(t, conn2, &core.Start{Fragment: frag}, nil, cls); len(need) != 1 {
+		if need := startFragment(t, conn2, &core.Start{Fragment: frag}, nil, rel); len(need) != 1 {
 			t.Errorf("run %d with the cache disabled asked for %v", i, need)
 		}
 		readStream(t, conn2, frag.OutSchema)
@@ -511,10 +511,10 @@ func TestDAPCodeCheckAndCache(t *testing.T) {
 
 func TestDAPSemiJoinFiltering(t *testing.T) {
 	conn, _ := testDAP(t, Config{})
-	frag, cls := avgEnergyFragment(t)
+	frag, rel := avgEnergyFragment(t)
 	frag.SemiJoinCol = 0 // filter on the time column
 	keys := []types.Tuple{{types.Int(2)}, {types.Int(5)}, {types.Int(99)}}
-	startFragment(t, conn, &core.Start{Fragment: frag}, keys, cls)
+	startFragment(t, conn, &core.Start{Fragment: frag}, keys, rel)
 	rows, _ := readStream(t, conn, frag.OutSchema)
 	var got []int32
 	for _, tup := range rows {
@@ -526,7 +526,7 @@ func TestDAPSemiJoinFiltering(t *testing.T) {
 	// A key set that does not decode under the join column's kind is
 	// refused only after the class the ack asked for has been read.
 	conn2, _ := testDAP(t, Config{})
-	startFragment(t, conn2, &core.Start{Fragment: frag}, []types.Tuple{{types.String_("x")}}, cls)
+	startFragment(t, conn2, &core.Start{Fragment: frag}, []types.Tuple{{types.String_("x")}}, rel)
 	streamError(t, conn2)
 }
 
@@ -535,7 +535,7 @@ func TestDAPGroupedAggregation(t *testing.T) {
 	reg := ops.Builtins()
 	dd, _ := reg.Lookup("Count")
 	repo := catalog.NewRepository()
-	cls, err := repo.PutProgram(dd.Program())
+	rel, err := repo.PutProgram(dd.Program())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,13 +549,13 @@ func TestDAPGroupedAggregation(t *testing.T) {
 			Name: "n", Func: "Count", Ret: types.KindInt,
 			Args: []*core.PExpr{core.NewCol(0, types.KindInt)},
 		}},
-		Code: []core.CodeRef{{Name: cls.Name, Version: cls.Version, Checksum: cls.Checksum}},
+		Code: []core.CodeRef{{Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest}},
 		OutSchema: types.NewSchema(
 			types.Column{Name: "time", Kind: types.KindInt},
 			types.Column{Name: "n", Kind: types.KindInt},
 		),
 	}
-	rows := deployAndRun(t, conn, frag, cls)
+	rows := deployAndRun(t, conn, frag, rel)
 	if len(rows) != 10 {
 		t.Fatalf("groups = %d", len(rows))
 	}

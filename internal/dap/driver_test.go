@@ -142,14 +142,14 @@ func TestDAPOverFileDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn, _ := testDAP(t, Config{Driver: &FileDriver{Dir: dir}})
-	frag, cls := avgEnergyFragment(t)
+	frag, rel := avgEnergyFragment(t)
 	frag.Table = "Stations"
 	frag.Cols = []int{0, 4}
 	frag.InSchema = types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "tile", Kind: types.KindRaster},
 	)
-	rows := deployAndRunN(t, conn, frag, cls, 5)
+	rows := deployAndRunN(t, conn, frag, rel, 5)
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -199,9 +199,9 @@ func TestIndexRangeScan(t *testing.T) {
 		{"time >= 90", ">=", []*core.PExpr{col, ninety}},
 		{"90 <= time", "<=", []*core.PExpr{ninety, col}}, // const op col
 	} {
-		frag, cls := avgEnergyFragment(t)
+		frag, rel := avgEnergyFragment(t)
 		frag.Predicates = []*core.PExpr{{Kind: core.ExprBinop, Op: tc.op, Ret: types.KindBool, Args: tc.args}}
-		rows := deployAndRunN(t, connectDAP(t, srv), frag, cls, 10) // only 10 tuples read!
+		rows := deployAndRunN(t, connectDAP(t, srv), frag, rel, 10) // only 10 tuples read!
 		if len(rows) != 10 {
 			t.Fatalf("%s: rows = %d", tc.name, len(rows))
 		}

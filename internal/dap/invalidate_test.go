@@ -13,16 +13,16 @@ import (
 // next START re-requests the class.
 func TestDAPCodeInvalidate(t *testing.T) {
 	conn, srv := testDAP(t, Config{})
-	frag, cls := avgEnergyFragment(t)
-	deployAndRun(t, conn, frag, cls)
-	if !srv.HasClass(cls.Name, cls.Checksum) {
+	frag, rel := avgEnergyFragment(t)
+	deployAndRun(t, conn, frag, rel)
+	if !srv.HasClass(rel.Class, rel.Digest) {
 		t.Fatal("deployed class not cached")
 	}
-	if srv.HasClass(cls.Name, "deadbeef") {
+	if srv.HasClass(rel.Class, "deadbeef") {
 		t.Fatal("phantom digest reported cached")
 	}
 
-	payload, _ := wire.EncodeXML(&wire.CodeInvalidate{Digests: []string{cls.Checksum, "deadbeef"}})
+	payload, _ := wire.EncodeXML(&wire.CodeInvalidate{Digests: []string{rel.Digest, "deadbeef"}})
 	if err := conn.Send(wire.MsgCodeInvalidate, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +37,17 @@ func TestDAPCodeInvalidate(t *testing.T) {
 	if ack.Dropped != 1 {
 		t.Errorf("ack.Dropped = %d, want 1 (only the real digest was cached)", ack.Dropped)
 	}
-	if srv.HasClass(cls.Name, cls.Checksum) {
+	if srv.HasClass(rel.Class, rel.Digest) {
 		t.Error("invalidated digest still cached")
 	}
 
 	// The class must be re-shipped now: the next START's ack asks for
 	// it, and with it the fragment runs again.
-	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls); len(need) != 1 || need[0] != cls.Checksum {
+	if need := startFragment(t, conn, &core.Start{Fragment: frag}, nil, rel); len(need) != 1 || need[0] != rel.Digest {
 		t.Errorf("invalidated class not re-requested: %v", need)
 	}
 	readStream(t, conn, frag.OutSchema)
-	if !srv.HasClass(cls.Name, cls.Checksum) {
+	if !srv.HasClass(rel.Class, rel.Digest) {
 		t.Error("redeployed class not cached")
 	}
 	conn.Send(wire.MsgCodeInvalidate, payload)
@@ -67,8 +67,8 @@ func TestDAPCodeInvalidate(t *testing.T) {
 		t.Errorf("second invalidate dropped %d", ack.Dropped)
 	}
 	// After invalidation the class redeploys cleanly and runs again.
-	deployAndRun(t, conn, frag, cls)
-	if !srv.HasClass(cls.Name, cls.Checksum) {
+	deployAndRun(t, conn, frag, rel)
+	if !srv.HasClass(rel.Class, rel.Digest) {
 		t.Error("redeployed class not cached")
 	}
 }

@@ -26,8 +26,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // from 1 without a gap. TUPLE_BATCH and EOS belong to the QPC→client leg.
 func TestDAPStreamsAreSequenced(t *testing.T) {
 	conn, _ := testDAP(t, Config{BatchBytes: 16})
-	frag, cls := avgEnergyFragment(t)
-	startFragment(t, conn, &core.Start{Fragment: frag}, nil, cls)
+	frag, rel := avgEnergyFragment(t)
+	startFragment(t, conn, &core.Start{Fragment: frag}, nil, rel)
 	for want := uint64(1); ; want++ {
 		typ, payload, err := conn.Recv()
 		if err != nil {
@@ -56,14 +56,14 @@ func TestDAPStreamsAreSequenced(t *testing.T) {
 // to its end, must free the replay window at once.
 func TestStartSupersedesRetainedStream(t *testing.T) {
 	conn, srv := testDAP(t, Config{Metrics: obs.NewRegistry()})
-	frag, cls := avgEnergyFragment(t)
+	frag, rel := avgEnergyFragment(t)
 	req := &core.Start{Stream: "q7/0", Fragment: frag}
-	startFragment(t, conn, req, nil, cls)
+	startFragment(t, conn, req, nil, rel)
 	conn.Close()
 	waitFor(t, "the orphaned execution to park", func() bool { return srv.met.streamsParked.Value() == 1 })
 
 	retry := connectDAP(t, srv)
-	if need := startFragment(t, retry, req, nil, cls); len(need) != 0 {
+	if need := startFragment(t, retry, req, nil, rel); len(need) != 0 {
 		t.Errorf("retry was asked for %v; the first attempt cached the class", need)
 	}
 	if rows, _ := readStream(t, retry, frag.OutSchema); len(rows) != 10 {
@@ -143,8 +143,8 @@ func TestResumeHandoverFailureDropsConnection(t *testing.T) {
 func TestStartPastEvictedWindowRunsAfresh(t *testing.T) {
 	conn, srv := testDAP(t, Config{Metrics: obs.NewRegistry()})
 	stale, _ := parkedStream(srv, "q2/0", 1)
-	frag, cls := avgEnergyFragment(t)
-	if need := startFragment(t, conn, &core.Start{Stream: stale.id, After: 1, Fragment: frag}, nil, cls); len(need) != 1 {
+	frag, rel := avgEnergyFragment(t)
+	if need := startFragment(t, conn, &core.Start{Stream: stale.id, After: 1, Fragment: frag}, nil, rel); len(need) != 1 {
 		t.Fatalf("ack asked for %v, want the one class a cold DAP lacks", need)
 	}
 	// readStream's reader starts at frame 1: a continuation would be a gap.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bufio"
+	"bytes"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
@@ -304,30 +305,8 @@ func byProbeBuild(a, b *spillRec) bool {
 
 // byKeySeq orders aggregate runs by encoded group key, then arrival.
 func byKeySeq(a, b *spillRec) bool {
-	if c := compareBytes(a.key, b.key); c != 0 {
+	if c := bytes.Compare(a.key, b.key); c != 0 {
 		return c < 0
 	}
 	return a.seqA < b.seqA
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }

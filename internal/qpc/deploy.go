@@ -138,24 +138,24 @@ func (fs *fragmentStream) start(ds *dapSession, after uint64, into *obs.Span) (c
 	into.CacheHits += int64(len(frag.Code) - len(ack.Need))
 	// Resolve everything before sending anything: a release the
 	// repository no longer holds fails the request with no blob wasted.
-	classes := make([]*catalog.Class, len(ack.Need))
+	releases := make([]*catalog.Release, len(ack.Need))
 	for i, digest := range ack.Need {
 		for _, ref := range frag.Code {
 			if ref.Checksum == digest {
-				classes[i], _ = e.srv.cfg.Cat.Repo().Resolve(ref.Name, digest)
+				releases[i], _ = e.srv.cfg.Cat.Repo().Resolve(ref.Name, digest)
 			}
 		}
-		if classes[i] == nil {
+		if releases[i] == nil {
 			return false, fmt.Errorf("qpc: class release %s, wanted by %s, vanished from the repository", digest, ds.site)
 		}
 	}
-	for _, cls := range classes {
-		if err := ds.conn.Send(wire.MsgDeployCode, cls.Blob); err != nil {
+	for _, rel := range releases {
+		if err := ds.conn.Send(wire.MsgDeployCode, rel.Blob); err != nil {
 			return false, err
 		}
 		into.Classes++
-		into.CodeBytes += int64(len(cls.Blob))
-		e.srv.cfg.Logf("qpc: shipped %s (%d bytes) to %s", cls.Name, len(cls.Blob), ds.site)
+		into.CodeBytes += int64(len(rel.Blob))
+		e.srv.cfg.Logf("qpc: shipped %s (%d bytes) to %s", rel.Class, len(rel.Blob), ds.site)
 	}
 	fs.r = wire.NewBatchReader(ds.conn, frag.OutSchema)
 	fs.startOff, fs.skipTuples = sentAt, fs.delivered

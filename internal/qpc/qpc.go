@@ -350,14 +350,14 @@ func (s *Server) Explain(sql string) (string, error) {
 // published unverified, so a non-VERIFIED verdict means the stored blob
 // was corrupted after publication.
 func (s *Server) VerifyClass(name string) (string, error) {
-	cls, ok := s.cfg.Cat.Repo().Get(name)
+	rel, ok := s.cfg.Cat.Repo().Get(name)
 	if !ok {
 		return "", fmt.Errorf("qpc: no class named %q in the code repository", name)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "class %s version %s checksum %s (%d bytes)\n",
-		cls.Name, cls.Version, cls.Checksum, len(cls.Blob))
-	prog, err := vm.Decode(cls.Blob)
+		rel.Class, rel.Tag, rel.Digest, len(rel.Blob))
+	prog, err := vm.Decode(rel.Blob)
 	if err != nil {
 		fmt.Fprintf(&b, "verdict: REJECTED (undecodable: %v)\n", err)
 		return b.String(), nil

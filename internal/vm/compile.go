@@ -221,7 +221,7 @@ func (c *fcomp) compile() {
 	for i, in := range ins {
 		switch in.op {
 		case OpJmp, OpJz, OpJnz:
-			lead[c.ff.idx[in.operand]], lead[i+1] = true, true
+			lead[in.operand], lead[i+1] = true, true
 		case OpRet, OpCall, OpBCopy:
 			lead[i+1] = true
 		}
@@ -381,7 +381,7 @@ func (c *fcomp) block(b *block, blockAt []*block) {
 		switch in := c.ff.ins[c.at]; in.op {
 		case OpJmp:
 			c.flush()
-			b.to = blockAt[c.ff.idx[in.operand]]
+			b.to = blockAt[in.operand]
 			return
 		case OpJz, OpJnz:
 			o := c.pop()
@@ -392,7 +392,7 @@ func (c *fcomp) block(b *block, blockAt []*block) {
 				x := c.ival(o, VBool, c.typeFail("conditional jump needs a bool"))
 				cond = func(m *Machine) bool { return x(m) != 0 }
 			}
-			b.cond, b.to, b.alt = cond, blockAt[c.ff.idx[in.operand]], blockAt[c.at+1]
+			b.cond, b.to, b.alt = cond, blockAt[in.operand], blockAt[c.at+1]
 			if neg != (in.op == OpJz) {
 				b.to, b.alt = b.alt, b.to
 			}

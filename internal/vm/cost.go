@@ -17,8 +17,9 @@ import (
 //     saturating at the machine fuel limit otherwise (the machine
 //     traps at MaxFuel, so the saturated budget stays sound);
 //   - weighted cost units, split into a fixed per-invocation part and a
-//     per-trip part for input-dependent loops, using the op/host cost
-//     tables below — the optimizer's CPU estimate for shipped code;
+//     per-trip part for input-dependent loops, using the cost column of
+//     opInfo and hostInfo (opcode.go) — the optimizer's CPU estimate for
+//     shipped code;
 //   - static scratch (operand stack + frame locals) and allocation
 //     (OpBNew) bounds — the governor's admission-time reservation;
 //   - a purity classification — whether an invocation can observe or
@@ -28,55 +29,6 @@ import (
 // interpreter's instruction counter: for every verified program,
 // BudgetInstrs >= the number of instructions any single invocation
 // executes (when run under the default fuel limit).
-
-// opCost is the per-opcode cost table, in abstract cost units where one
-// unit is roughly one simple interpreted instruction. Every vm.Op has
-// exactly one entry here and nowhere else — the costtable linter in
-// internal/analysis enforces the inventory. Weights are relative, not
-// nanoseconds: division, buffer allocation and call dispatch cost more
-// than register-style moves.
-var opCost = [numOps]int64{
-	OpNop: 1, OpRet: 1, OpPop: 1, OpDup: 1, OpSwap: 1,
-	OpConst: 1, OpPushI: 1, OpArg: 1, OpLoad: 1, OpStore: 1,
-	OpGLoad: 2, OpGStore: 2,
-	OpAddI: 1, OpSubI: 1, OpMulI: 2, OpDivI: 12, OpModI: 12, OpNegI: 1,
-	OpAddF: 2, OpSubF: 2, OpMulF: 2, OpDivF: 8, OpNegF: 1,
-	OpI2F: 1, OpF2I: 2,
-	OpEq: 2, OpNe: 2, OpLt: 2, OpLe: 2, OpGt: 2, OpGe: 2,
-	OpAnd: 1, OpOr: 1, OpNot: 1,
-	OpJmp: 1, OpJz: 1, OpJnz: 1,
-	OpCall: 8,
-	OpBLen: 1, OpLdU8: 3, OpLdI32: 4, OpLdF32: 4, OpLdF64: 4,
-	OpBNew: 12, OpStU8: 3, OpStI32: 4, OpStF32: 4,
-	OpBSlice: 8, OpSLen: 1,
-	OpHost:  4,
-	OpBCopy: 8, // plus a unit per 8 bytes where the length is static
-}
-
-// hostCost is the per-intrinsic cost table: the extra units one OpHost
-// dispatch of each capability costs on top of opCost[OpHost]. Every
-// registered host intrinsic has exactly one entry (costtable linter).
-var hostCost = [NumHost]int64{
-	HostSqrt: 30, HostAbsF: 6, HostAbsI: 4, HostPow: 60,
-	HostFloor: 8, HostCeil: 8, HostLog: 50, HostExp: 50,
-}
-
-// OpCost returns the cost-table weight of one opcode.
-func OpCost(op Op) int64 {
-	if int(op) >= len(opCost) {
-		return 1
-	}
-	return opCost[op]
-}
-
-// HostCost returns the cost-table weight of one host intrinsic, on top
-// of the OpHost dispatch cost.
-func HostCost(id int) int64 {
-	if id < 0 || id >= len(hostCost) {
-		return 1
-	}
-	return hostCost[id]
-}
 
 // Budget and unit arithmetic saturates at the machine fuel limit: the
 // machine traps after MaxFuel instructions, so a saturated budget
@@ -263,10 +215,10 @@ type funcCost struct {
 // the dataflow pass has proven every instruction reachable and every
 // jump target valid. total is the interprocedural operand-stack bound
 // per function; order is callees-first.
-func costAnalyze(p *Program, instrs [][]instr, index []map[int]int, order []int, total []int) ([]funcCost, CostInfo) {
+func costAnalyze(p *Program, instrs [][]instr, order []int, total []int) ([]funcCost, CostInfo) {
 	res := make([]funcCost, len(p.Funcs))
 	for _, fi := range order {
-		res[fi] = costFunc(p, instrs[fi], index[fi], res)
+		res[fi] = costFunc(p, instrs[fi], res)
 		f := &p.Funcs[fi]
 		res[fi].slots += int64(f.NArgs + f.NLocals)
 	}
@@ -321,12 +273,9 @@ func costPurity(instrs [][]instr) string {
 // costFunc prices one function: natural-loop detection over its CFG,
 // trip-count derivation for the bounded-loop idiom, and a weighted fold
 // with callee costs inlined at each call site.
-func costFunc(p *Program, ins []instr, idx map[int]int, res []funcCost) funcCost {
+func costFunc(p *Program, ins []instr, res []funcCost) funcCost {
 	n := len(ins)
 	fc := funcCost{bounded: true, allocOK: true}
-	if n == 0 {
-		return fc
-	}
 
 	succs := make([][]int, n)
 	preds := make([][]int, n)
@@ -335,9 +284,9 @@ func costFunc(p *Program, ins []instr, idx map[int]int, res []funcCost) funcCost
 		switch in.op {
 		case OpRet:
 		case OpJmp:
-			ss = []int{idx[in.operand]}
+			ss = []int{in.operand}
 		case OpJz, OpJnz:
-			ss = []int{idx[in.operand]}
+			ss = []int{in.operand}
 			if j+1 < n {
 				ss = append(ss, j+1)
 			}
@@ -370,7 +319,7 @@ func costFunc(p *Program, ins []instr, idx map[int]int, res []funcCost) funcCost
 	// code, so every node carries a valid dominator.
 	loops := findLoops(succs, preds, dominates)
 	for li := range loops {
-		classifyLoop(p, ins, idx, &loops[li], dominates)
+		classifyLoop(p, ins, preds, &loops[li], dominates)
 	}
 
 	// Per-instruction execution multiplier: the product of (trips+1)
@@ -415,10 +364,10 @@ func costFunc(p *Program, ins []instr, idx map[int]int, res []funcCost) funcCost
 	}
 
 	for j, in := range ins {
-		w, step := OpCost(in.op), int64(1)
+		w, step := opInfo[in.op].cost, int64(1)
 		var callee *funcCost
 		if in.op == OpHost {
-			w = capAdd(w, HostCost(in.operand), costCap)
+			w += hostInfo[in.operand].cost
 		}
 		if in.op == OpBCopy { // a unit of fuel per 8 bytes moved, on top of its own
 			if k, ok := static(j); ok {
@@ -631,7 +580,7 @@ func findLoops(succs, preds [][]int, dominates func(a, b int) bool) []natLoop {
 // update cannot reach a back edge (dominance), and extra executions of
 // the update inside a nested loop only move the counter faster, so the
 // derived trip count upper-bounds the real one.
-func classifyLoop(p *Program, ins []instr, idx map[int]int, l *natLoop, dominates func(a, b int) bool) {
+func classifyLoop(p *Program, ins []instr, preds [][]int, l *natLoop, dominates func(a, b int) bool) {
 	n := len(ins)
 	h := l.header
 	if h < 2 || h+3 >= n {
@@ -656,7 +605,7 @@ func classifyLoop(p *Program, ins []instr, idx map[int]int, l *natLoop, dominate
 	if !l.body[h+1] || !l.body[h+2] || !l.body[h+3] {
 		return
 	}
-	t := idx[ins[h+3].operand]
+	t := ins[h+3].operand
 	jumpOut := !l.body[t]
 	fallOut := h+4 >= n || !l.body[h+4]
 	if jumpOut == fallOut {
@@ -669,8 +618,8 @@ func classifyLoop(p *Program, ins []instr, idx map[int]int, l *natLoop, dominate
 
 	// Init: every entry from outside the body must be the fall-through
 	// of "pushi I0; store c" laid out immediately before the header.
-	for _, q := range predsOutside(ins, idx, l, h) {
-		if q != h-1 {
+	for _, q := range preds[h] {
+		if !l.body[q] && q != h-1 {
 			return
 		}
 	}
@@ -763,31 +712,4 @@ func intOperand(p *Program, in instr) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// predsOutside lists the CFG predecessors of node h that lie outside
-// the loop body.
-func predsOutside(ins []instr, idx map[int]int, l *natLoop, h int) []int {
-	var out []int
-	for j, in := range ins {
-		if l.body[j] {
-			continue
-		}
-		switch in.op {
-		case OpRet:
-		case OpJmp:
-			if idx[in.operand] == h {
-				out = append(out, j)
-			}
-		case OpJz, OpJnz:
-			if idx[in.operand] == h || j+1 == h {
-				out = append(out, j)
-			}
-		default:
-			if j+1 == h {
-				out = append(out, j)
-			}
-		}
-	}
-	return out
 }

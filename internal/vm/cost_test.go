@@ -290,7 +290,7 @@ func TestCostBlockMove(t *testing.T) {
 	for _, length := range []string{"arg 0", "pushi 32\npushi 32\naddi", "pushi -1"} {
 		p, info := analyzeSrc(t, move(length))
 		c := info.Cost
-		if c.Bounded || c.BudgetInstrs != DefaultLimits.MaxFuel || c.PerTripUnits != OpCost(OpBCopy) || c.Purity != "writes-buffers" {
+		if c.Bounded || c.BudgetInstrs != DefaultLimits.MaxFuel || c.PerTripUnits != opInfo[OpBCopy].cost || c.Purity != "writes-buffers" {
 			t.Errorf("length %q: %+v, want unbounded with the move on the per-trip slope", length, c)
 		}
 		runBoth(t, p, []Value{IntVal(64)})
@@ -327,7 +327,7 @@ func TestCostHostIntrinsicsPriced(t *testing.T) {
 	_, pi := analyzeSrc(t, plain)
 	_, hi := analyzeSrc(t, hosted)
 	extra := hi.Cost.FixedUnits - pi.Cost.FixedUnits
-	if want := OpCost(OpHost) + HostCost(HostSqrt); extra != want {
+	if want := opInfo[OpHost].cost + hostInfo[HostSqrt].cost; extra != want {
 		t.Fatalf("sqrt priced at %d units, want %d", extra, want)
 	}
 }
@@ -360,6 +360,12 @@ func TestCostInfoStringRoundTrip(t *testing.T) {
 			t.Errorf("ParseCostInfo(%q) accepted", bad)
 		}
 	}
+	if !(CostInfo{}).IsZero() {
+		t.Error("zero CostInfo not IsZero")
+	}
+	if (CostInfo{FixedUnits: 1}).IsZero() {
+		t.Error("non-zero CostInfo IsZero")
+	}
 }
 
 func TestCostAnalyzeWrapper(t *testing.T) {
@@ -376,15 +382,34 @@ func TestCostAnalyzeWrapper(t *testing.T) {
 	}
 }
 
-// TestCostTableEdges covers the table accessors' out-of-range guards,
-// the saturating arithmetic, and CostInfo.IsZero.
-func TestCostTableEdges(t *testing.T) {
-	if OpCost(Op(250)) != 1 {
-		t.Error("out-of-range opcode should price at 1")
+// TestInstructionTable holds every opcode and host intrinsic to a row of
+// its table: a mnemonic that resolves back to it and a positive weight,
+// and for an intrinsic a stack effect. A missing row fails here, before
+// any program uses the instruction. The cost pass sums those weights
+// saturating at the fuel cap.
+func TestInstructionTable(t *testing.T) {
+	for op := Op(0); op < numOps; op++ {
+		row := opInfo[op]
+		if row.name == "" || row.cost <= 0 {
+			t.Errorf("opcode %d: row %+v, want a mnemonic and a positive cost", op, row)
+		}
+		if got, ok := OpByName(row.name); !ok || got != op {
+			t.Errorf("opcode %d: mnemonic %q resolves to %v", op, row.name, got)
+		}
 	}
-	if HostCost(-1) != 1 || HostCost(NumHost+5) != 1 {
-		t.Error("out-of-range host id should price at 1")
+	for id := 0; id < NumHost; id++ {
+		row := hostInfo[id]
+		if row.name == "" || row.cost <= 0 || row.pops == nil {
+			t.Errorf("host intrinsic %d: row %+v, want a mnemonic, a positive cost and a stack effect", id, row)
+		}
+		if got, ok := HostByName(row.name); !ok || got != id {
+			t.Errorf("host intrinsic %d: mnemonic %q resolves to %d", id, row.name, got)
+		}
 	}
+	if Op(numOps).Valid() || HostName(NumHost) != "" || HostName(-1) != "" {
+		t.Error("an id past the table is defined")
+	}
+
 	if got := capAdd(costCap-1, 5, costCap); got != costCap {
 		t.Errorf("capAdd overflow = %d, want cap %d", got, costCap)
 	}
@@ -396,12 +421,6 @@ func TestCostTableEdges(t *testing.T) {
 	}
 	if got := capMul(0, 99, costCap); got != 0 {
 		t.Errorf("capMul by zero = %d, want 0", got)
-	}
-	if !(CostInfo{}).IsZero() {
-		t.Error("zero CostInfo not IsZero")
-	}
-	if (CostInfo{FixedUnits: 1}).IsZero() {
-		t.Error("non-zero CostInfo IsZero")
 	}
 }
 

@@ -114,7 +114,6 @@ type VerifyInfo struct {
 // funcFlow is one function's slice of VerifyInfo.flow.
 type funcFlow struct {
 	ins    []instr
-	idx    map[int]int // byte offset → instruction index
 	states []*absState // abstract state before each instruction
 	ret    absKind     // kind of the returned value
 }
@@ -139,10 +138,10 @@ type FuncInfo struct {
 // intrinsics.
 func (vi *VerifyInfo) CapString() string { return strings.Join(vi.Capabilities, ",") }
 
-// instr is one decoded instruction.
+// instr is one decoded instruction. A jump's operand is decoded once,
+// by scanFunc, from a byte offset to the index of the instruction there.
 type instr struct {
 	off     int // byte offset of the opcode
-	next    int // byte offset of the following instruction
 	op      Op
 	operand int
 }
@@ -188,15 +187,13 @@ func Analyze(p *Program) (*VerifyInfo, error) {
 	// Structural pass: decode every function to an instruction list,
 	// checking opcodes, operand ranges and jump boundaries.
 	instrs := make([][]instr, len(p.Funcs))
-	index := make([]map[int]int, len(p.Funcs))
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
-		ins, idx, err := scanFunc(p, f)
+		ins, err := scanFunc(p, f)
 		if err != nil {
 			return nil, fmt.Errorf("vm: program %q function %q: %w", p.Name, f.Name, err)
 		}
 		instrs[i] = ins
-		index[i] = idx
 	}
 
 	// Call-graph pass: order functions callees-first and reject any
@@ -212,7 +209,7 @@ func Analyze(p *Program) (*VerifyInfo, error) {
 	results := make([]*funcResult, len(p.Funcs))
 	caps := make(map[int]bool)
 	for _, fi := range order {
-		fr, err := analyzeFunc(p, &p.Funcs[fi], instrs[fi], index[fi], results, caps)
+		fr, err := analyzeFunc(p, &p.Funcs[fi], instrs[fi], results, caps)
 		if err != nil {
 			return nil, fmt.Errorf("vm: program %q function %q: %w", p.Name, p.Funcs[fi].Name, err)
 		}
@@ -240,7 +237,7 @@ func Analyze(p *Program) (*VerifyInfo, error) {
 	// Cost pass: natural loops, trip counts, instruction budgets,
 	// scratch/allocation bounds and purity (cost.go). Runs on the same
 	// decoded instruction lists, callees-first.
-	fcosts, progCost := costAnalyze(p, instrs, index, order, total)
+	fcosts, progCost := costAnalyze(p, instrs, order, total)
 
 	info := &VerifyInfo{Funcs: make([]FuncInfo, len(p.Funcs)), Cost: progCost, flow: make([]funcFlow, len(p.Funcs))}
 	for i := range p.Funcs {
@@ -248,7 +245,7 @@ func Analyze(p *Program) (*VerifyInfo, error) {
 		if results[i].retSeen {
 			ret = results[i].retKind
 		}
-		info.flow[i] = funcFlow{ins: instrs[i], idx: index[i], states: results[i].states, ret: ret}
+		info.flow[i] = funcFlow{ins: instrs[i], states: results[i].states, ret: ret}
 		info.Funcs[i] = FuncInfo{
 			Name:         p.Funcs[i].Name,
 			NArgs:        p.Funcs[i].NArgs,
@@ -341,7 +338,7 @@ func topoOrder(p *Program, instrs [][]instr) ([]int, error) {
 // analyzeFunc runs the worklist abstract interpretation over one
 // function. results holds completed callee analyses (topological order
 // guarantees they exist); caps accumulates the host-intrinsic manifest.
-func analyzeFunc(p *Program, f *Func, ins []instr, idx map[int]int, results []*funcResult, caps map[int]bool) (*funcResult, error) {
+func analyzeFunc(p *Program, f *Func, ins []instr, results []*funcResult, caps map[int]bool) (*funcResult, error) {
 	fr := &funcResult{}
 	states := make([]*absState, len(ins))
 	entry := &absState{locals: make([]absKind, f.NLocals)}
@@ -518,25 +515,25 @@ func analyzeFunc(p *Program, f *Func, ins []instr, idx map[int]int, results []*f
 			push(ret)
 
 		default:
-			// Every other opcode has a fixed stack effect: opSigs.
-			sig := opSigs[in.op]
+			// Every other opcode has a fixed stack effect in its opInfo row.
+			pops, pushes := opInfo[in.op].pops, opInfo[in.op].push
 			if in.op == OpHost {
 				caps[in.operand] = true
-				sig = hostSig(in.operand)
+				pops, pushes = hostInfo[in.operand].pops, hostInfo[in.operand].push
 			}
-			if sig.pops == nil {
+			if pops == nil {
 				return nil, fmt.Errorf("opcode %v at offset %d not modelled by verifier", in.op, in.off)
 			}
-			if err := need(len(sig.pops)); err != nil {
+			if err := need(len(pops)); err != nil {
 				return nil, err
 			}
-			for i, k := range sig.pops {
+			for i, k := range pops {
 				if err := want(i, k); err != nil {
 					return nil, err
 				}
 			}
-			pop(len(sig.pops))
-			push(sig.push)
+			pop(len(pops))
+			push(pushes)
 		}
 
 		if sp > fr.localPeak {
@@ -544,15 +541,15 @@ func analyzeFunc(p *Program, f *Func, ins []instr, idx map[int]int, results []*f
 		}
 
 		if jumpTarget >= 0 {
-			if err := merge(idx[jumpTarget], st); err != nil {
+			if err := merge(jumpTarget, st); err != nil {
 				return nil, err
 			}
 		}
 		if !terminal {
-			if in.next >= len(f.Code) {
+			if ii+1 == len(ins) {
 				return nil, fmt.Errorf("execution falls through past end of code at offset %d", in.off)
 			}
-			if err := merge(idx[in.next], st); err != nil {
+			if err := merge(ii+1, st); err != nil {
 				return nil, err
 			}
 		}
@@ -565,44 +562,4 @@ func analyzeFunc(p *Program, f *Func, ins []instr, idx map[int]int, results []*f
 	}
 	fr.states = states
 	return fr, nil
-}
-
-// opSig is the stack effect of an opcode that always pops the same
-// kinds and pushes one value of a known kind.
-type opSig struct {
-	pops []absKind // top of stack first
-	push absKind
-}
-
-var (
-	popI   = []absKind{akInt}
-	popF   = []absKind{akFloat}
-	popII  = []absKind{akInt, akInt}
-	popFF  = []absKind{akFloat, akFloat}
-	popBB  = []absKind{akBool, akBool}
-	popIY  = []absKind{akInt, akBytes}
-	popIIY = []absKind{akInt, akInt, akBytes}
-)
-
-var opSigs = [numOps]opSig{
-	OpAddI: {popII, akInt}, OpSubI: {popII, akInt}, OpMulI: {popII, akInt}, OpDivI: {popII, akInt}, OpModI: {popII, akInt},
-	OpAddF: {popFF, akFloat}, OpSubF: {popFF, akFloat}, OpMulF: {popFF, akFloat}, OpDivF: {popFF, akFloat},
-	OpNegI: {popI, akInt}, OpNegF: {popF, akFloat}, OpI2F: {popI, akFloat}, OpF2I: {popF, akInt},
-	OpAnd: {popBB, akBool}, OpOr: {popBB, akBool}, OpNot: {[]absKind{akBool}, akBool},
-	OpBLen: {[]absKind{akBytes}, akInt}, OpSLen: {[]absKind{akStr}, akInt}, OpBNew: {popI, akBytes},
-	OpLdU8: {popIY, akInt}, OpLdI32: {popIY, akInt}, OpLdF32: {popIY, akFloat}, OpLdF64: {popIY, akFloat},
-	OpStU8: {popIIY, akBytes}, OpStI32: {popIIY, akBytes}, OpStF32: {[]absKind{akFloat, akInt, akBytes}, akBytes},
-	OpBSlice: {popIIY, akBytes},
-	OpBCopy:  {[]absKind{akInt, akInt, akBytes, akInt, akBytes}, akBytes},
-}
-
-// hostSig is the stack effect of a host intrinsic.
-func hostSig(id int) opSig {
-	switch id {
-	case HostAbsI:
-		return opSig{popI, akInt}
-	case HostPow:
-		return opSig{popFF, akFloat}
-	}
-	return opSig{popF, akFloat} // sqrt, absf, floor, ceil, log, exp
 }

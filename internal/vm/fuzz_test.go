@@ -100,7 +100,7 @@ func FuzzVerifySound(f *testing.F) {
 			case OpArg, OpGLoad, OpCall, OpJmp, OpJz, OpJnz:
 				kindExact = false
 			}
-			if int(op) < len(opInfo) && opInfo[op].operand {
+			if op.HasOperand() {
 				i += 4
 			}
 		}

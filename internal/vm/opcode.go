@@ -93,65 +93,89 @@ const (
 	NumHost
 )
 
+// opInfo is everything the static passes know of an opcode, one row
+// each: its mnemonic; whether a 4-byte operand follows it; its stack
+// effect where that is fixed — the kinds it pops, top of stack first, and
+// the kind it pushes — with nil pops where analyzeFunc models the op
+// itself; and its weight for the cost pass, in abstract units where one
+// unit is roughly one simple interpreted instruction. Weights are
+// relative, not nanoseconds: division, buffer allocation and call
+// dispatch cost more than register-style moves. A host call adds its
+// intrinsic's hostInfo cost, a bcopy a unit per 8 bytes where its length
+// is static. TestInstructionTable holds every opcode to a named, priced
+// row.
 var opInfo = [numOps]struct {
 	name    string
 	operand bool
+	cost    int64
+	pops    []absKind
+	push    absKind
 }{
-	OpNop:    {"nop", false},
-	OpRet:    {"ret", false},
-	OpPop:    {"pop", false},
-	OpDup:    {"dup", false},
-	OpSwap:   {"swap", false},
-	OpConst:  {"const", true},
-	OpPushI:  {"pushi", true},
-	OpArg:    {"arg", true},
-	OpLoad:   {"load", true},
-	OpStore:  {"store", true},
-	OpGLoad:  {"gload", true},
-	OpGStore: {"gstore", true},
-	OpAddI:   {"addi", false},
-	OpSubI:   {"subi", false},
-	OpMulI:   {"muli", false},
-	OpDivI:   {"divi", false},
-	OpModI:   {"modi", false},
-	OpNegI:   {"negi", false},
-	OpAddF:   {"addf", false},
-	OpSubF:   {"subf", false},
-	OpMulF:   {"mulf", false},
-	OpDivF:   {"divf", false},
-	OpNegF:   {"negf", false},
-	OpI2F:    {"i2f", false},
-	OpF2I:    {"f2i", false},
-	OpEq:     {"eq", false},
-	OpNe:     {"ne", false},
-	OpLt:     {"lt", false},
-	OpLe:     {"le", false},
-	OpGt:     {"gt", false},
-	OpGe:     {"ge", false},
-	OpAnd:    {"and", false},
-	OpOr:     {"or", false},
-	OpNot:    {"not", false},
-	OpJmp:    {"jmp", true},
-	OpJz:     {"jz", true},
-	OpJnz:    {"jnz", true},
-	OpCall:   {"call", true},
-	OpBLen:   {"blen", false},
-	OpLdU8:   {"ldu8", false},
-	OpLdI32:  {"ldi32", false},
-	OpLdF32:  {"ldf32", false},
-	OpLdF64:  {"ldf64", false},
-	OpBNew:   {"bnew", false},
-	OpStU8:   {"stu8", false},
-	OpStI32:  {"sti32", false},
-	OpStF32:  {"stf32", false},
-	OpBSlice: {"bslice", false},
-	OpSLen:   {"slen", false},
-	OpHost:   {"host", true},
-	OpBCopy:  {"bcopy", false},
+	OpNop:    {"nop", false, 1, nil, 0},
+	OpRet:    {"ret", false, 1, nil, 0},
+	OpPop:    {"pop", false, 1, nil, 0},
+	OpDup:    {"dup", false, 1, nil, 0},
+	OpSwap:   {"swap", false, 1, nil, 0},
+	OpConst:  {"const", true, 1, nil, 0},
+	OpPushI:  {"pushi", true, 1, nil, 0},
+	OpArg:    {"arg", true, 1, nil, 0},
+	OpLoad:   {"load", true, 1, nil, 0},
+	OpStore:  {"store", true, 1, nil, 0},
+	OpGLoad:  {"gload", true, 2, nil, 0},
+	OpGStore: {"gstore", true, 2, nil, 0},
+	OpAddI:   {"addi", false, 1, popII, akInt},
+	OpSubI:   {"subi", false, 1, popII, akInt},
+	OpMulI:   {"muli", false, 2, popII, akInt},
+	OpDivI:   {"divi", false, 12, popII, akInt},
+	OpModI:   {"modi", false, 12, popII, akInt},
+	OpNegI:   {"negi", false, 1, popI, akInt},
+	OpAddF:   {"addf", false, 2, popFF, akFloat},
+	OpSubF:   {"subf", false, 2, popFF, akFloat},
+	OpMulF:   {"mulf", false, 2, popFF, akFloat},
+	OpDivF:   {"divf", false, 8, popFF, akFloat},
+	OpNegF:   {"negf", false, 1, popF, akFloat},
+	OpI2F:    {"i2f", false, 1, popI, akFloat},
+	OpF2I:    {"f2i", false, 2, popF, akInt},
+	OpEq:     {"eq", false, 2, nil, 0},
+	OpNe:     {"ne", false, 2, nil, 0},
+	OpLt:     {"lt", false, 2, nil, 0},
+	OpLe:     {"le", false, 2, nil, 0},
+	OpGt:     {"gt", false, 2, nil, 0},
+	OpGe:     {"ge", false, 2, nil, 0},
+	OpAnd:    {"and", false, 1, popBB, akBool},
+	OpOr:     {"or", false, 1, popBB, akBool},
+	OpNot:    {"not", false, 1, []absKind{akBool}, akBool},
+	OpJmp:    {"jmp", true, 1, nil, 0},
+	OpJz:     {"jz", true, 1, nil, 0},
+	OpJnz:    {"jnz", true, 1, nil, 0},
+	OpCall:   {"call", true, 8, nil, 0},
+	OpBLen:   {"blen", false, 1, []absKind{akBytes}, akInt},
+	OpLdU8:   {"ldu8", false, 3, popIY, akInt},
+	OpLdI32:  {"ldi32", false, 4, popIY, akInt},
+	OpLdF32:  {"ldf32", false, 4, popIY, akFloat},
+	OpLdF64:  {"ldf64", false, 4, popIY, akFloat},
+	OpBNew:   {"bnew", false, 12, popI, akBytes},
+	OpStU8:   {"stu8", false, 3, popIIY, akBytes},
+	OpStI32:  {"sti32", false, 4, popIIY, akBytes},
+	OpStF32:  {"stf32", false, 4, []absKind{akFloat, akInt, akBytes}, akBytes},
+	OpBSlice: {"bslice", false, 8, popIIY, akBytes},
+	OpSLen:   {"slen", false, 1, []absKind{akStr}, akInt},
+	OpHost:   {"host", true, 4, nil, 0},
+	OpBCopy:  {"bcopy", false, 8, []absKind{akInt, akInt, akBytes, akInt, akBytes}, akBytes},
 }
 
+var (
+	popI   = []absKind{akInt}
+	popF   = []absKind{akFloat}
+	popII  = []absKind{akInt, akInt}
+	popFF  = []absKind{akFloat, akFloat}
+	popBB  = []absKind{akBool, akBool}
+	popIY  = []absKind{akInt, akBytes}
+	popIIY = []absKind{akInt, akInt, akBytes}
+)
+
 // Valid reports whether the opcode is defined.
-func (o Op) Valid() bool { return o < numOps && opInfo[o].name != "" }
+func (o Op) Valid() bool { return o < numOps }
 
 // HasOperand reports whether the instruction carries a 4-byte operand.
 func (o Op) HasOperand() bool { return o.Valid() && opInfo[o].operand }
@@ -174,23 +198,37 @@ func OpByName(name string) (Op, bool) {
 	return OpNop, false
 }
 
-var hostNames = [NumHost]string{
-	HostSqrt: "sqrt", HostAbsF: "absf", HostAbsI: "absi", HostPow: "pow",
-	HostFloor: "floor", HostCeil: "ceil", HostLog: "log", HostExp: "exp",
+// hostInfo is opInfo's counterpart for the host intrinsics: mnemonic,
+// the units one OpHost dispatch of it costs on top of OpHost's own, and
+// its stack effect.
+var hostInfo = [NumHost]struct {
+	name string
+	cost int64
+	pops []absKind
+	push absKind
+}{
+	HostSqrt:  {"sqrt", 30, popF, akFloat},
+	HostAbsF:  {"absf", 6, popF, akFloat},
+	HostAbsI:  {"absi", 4, popI, akInt},
+	HostPow:   {"pow", 60, popFF, akFloat},
+	HostFloor: {"floor", 8, popF, akFloat},
+	HostCeil:  {"ceil", 8, popF, akFloat},
+	HostLog:   {"log", 50, popF, akFloat},
+	HostExp:   {"exp", 50, popF, akFloat},
 }
 
 // HostName returns the mnemonic of a host intrinsic id, or "" if unknown.
 func HostName(id int) string {
 	if id >= 0 && id < NumHost {
-		return hostNames[id]
+		return hostInfo[id].name
 	}
 	return ""
 }
 
 // HostByName resolves a host intrinsic mnemonic.
 func HostByName(name string) (int, bool) {
-	for i, n := range hostNames {
-		if n == name {
+	for i, h := range hostInfo {
+		if h.name == name {
 			return i, true
 		}
 	}

@@ -1,6 +1,9 @@
 package vm
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Verification limits. Shipped code exceeding these is rejected before it
 // ever executes, the static half of the MVM sandbox.
@@ -62,39 +65,36 @@ func checkShape(p *Program) error {
 
 // scanFunc is the structural pass over one function: it decodes the code
 // into an instruction list, checking opcodes, operand ranges and jump
-// boundaries. It returns the instructions and an offset→index map for
-// the dataflow pass.
-func scanFunc(p *Program, f *Func) ([]instr, map[int]int, error) {
+// boundaries, and turns every jump's target into the index of the
+// instruction there.
+func scanFunc(p *Program, f *Func) ([]instr, error) {
 	if f.NArgs < 0 || f.NArgs > maxArgs {
-		return nil, nil, fmt.Errorf("declares %d args (max %d)", f.NArgs, maxArgs)
+		return nil, fmt.Errorf("declares %d args (max %d)", f.NArgs, maxArgs)
 	}
 	if f.NLocals < 0 || f.NLocals > maxLocals {
-		return nil, nil, fmt.Errorf("declares %d locals (max %d)", f.NLocals, maxLocals)
+		return nil, fmt.Errorf("declares %d locals (max %d)", f.NLocals, maxLocals)
 	}
 	if len(f.Code) == 0 {
-		return nil, nil, fmt.Errorf("has no code")
+		return nil, fmt.Errorf("has no code")
 	}
 	if len(f.Code) > maxCodeLen {
-		return nil, nil, fmt.Errorf("code is %d bytes (max %d)", len(f.Code), maxCodeLen)
+		return nil, fmt.Errorf("code is %d bytes (max %d)", len(f.Code), maxCodeLen)
 	}
 
 	// First pass: walk instruction boundaries, checking opcodes and
 	// non-jump operand ranges.
 	var ins []instr
-	idx := make(map[int]int)
-	type jump struct{ at, target int }
-	var jumps []jump
 	off := 0
 	for off < len(f.Code) {
 		op := Op(f.Code[off])
 		if !op.Valid() {
-			return nil, nil, fmt.Errorf("invalid opcode %d at offset %d", f.Code[off], off)
+			return nil, fmt.Errorf("invalid opcode %d at offset %d", f.Code[off], off)
 		}
 		next := off + 1
 		var operand int
 		if op.HasOperand() {
 			if off+5 > len(f.Code) {
-				return nil, nil, fmt.Errorf("truncated operand for %v at offset %d", op, off)
+				return nil, fmt.Errorf("truncated operand for %v at offset %d", op, off)
 			}
 			operand = int(int32(uint32(f.Code[off+1])<<24 | uint32(f.Code[off+2])<<16 |
 				uint32(f.Code[off+3])<<8 | uint32(f.Code[off+4])))
@@ -103,41 +103,44 @@ func scanFunc(p *Program, f *Func) ([]instr, map[int]int, error) {
 		switch op {
 		case OpConst:
 			if operand < 0 || operand >= len(p.Consts) {
-				return nil, nil, fmt.Errorf("const index %d out of range at offset %d", operand, off)
+				return nil, fmt.Errorf("const index %d out of range at offset %d", operand, off)
 			}
 		case OpArg:
 			if operand < 0 || operand >= f.NArgs {
-				return nil, nil, fmt.Errorf("arg index %d out of range at offset %d", operand, off)
+				return nil, fmt.Errorf("arg index %d out of range at offset %d", operand, off)
 			}
 		case OpLoad, OpStore:
 			if operand < 0 || operand >= f.NLocals {
-				return nil, nil, fmt.Errorf("local index %d out of range at offset %d", operand, off)
+				return nil, fmt.Errorf("local index %d out of range at offset %d", operand, off)
 			}
 		case OpGLoad, OpGStore:
 			if operand < 0 || operand >= p.NGlobals {
-				return nil, nil, fmt.Errorf("global index %d out of range at offset %d", operand, off)
+				return nil, fmt.Errorf("global index %d out of range at offset %d", operand, off)
 			}
 		case OpCall:
 			if operand < 0 || operand >= len(p.Funcs) {
-				return nil, nil, fmt.Errorf("call target %d out of range at offset %d", operand, off)
+				return nil, fmt.Errorf("call target %d out of range at offset %d", operand, off)
 			}
 		case OpHost:
 			if operand < 0 || operand >= NumHost {
-				return nil, nil, fmt.Errorf("host intrinsic %d unknown at offset %d", operand, off)
+				return nil, fmt.Errorf("host intrinsic %d unknown at offset %d", operand, off)
 			}
-		case OpJmp, OpJz, OpJnz:
-			jumps = append(jumps, jump{at: off, target: operand})
 		}
-		idx[off] = len(ins)
-		ins = append(ins, instr{off: off, next: next, op: op, operand: operand})
+		ins = append(ins, instr{off: off, op: op, operand: operand})
 		off = next
 	}
 
-	// Second pass: every jump target must be an instruction boundary.
-	for _, j := range jumps {
-		if _, ok := idx[j.target]; !ok {
-			return nil, nil, fmt.Errorf("jump at offset %d targets %d, not an instruction boundary", j.at, j.target)
+	// Second pass: every jump target must be an instruction boundary; the
+	// instructions are in offset order, so a binary search finds it.
+	for i := range ins {
+		switch in := &ins[i]; in.op {
+		case OpJmp, OpJz, OpJnz:
+			t := sort.Search(len(ins), func(k int) bool { return ins[k].off >= in.operand })
+			if t == len(ins) || ins[t].off != in.operand {
+				return nil, fmt.Errorf("jump at offset %d targets %d, not an instruction boundary", in.off, in.operand)
+			}
+			in.operand = t
 		}
 	}
-	return ins, idx, nil
+	return ins, nil
 }

@@ -513,24 +513,33 @@ func TestVerifyRejections(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(p *Program)
+		want   string
 	}{
-		{"no funcs", func(p *Program) { p.Funcs = nil }},
-		{"bad opcode", func(p *Program) { p.Funcs[0].Code = []byte{255} }},
-		{"truncated operand", func(p *Program) { p.Funcs[0].Code = []byte{byte(OpPushI), 0} }},
-		{"const oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpConst, 9) }},
-		{"arg oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpArg, 1) }},
-		{"local oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpLoad, 5) }},
-		{"global oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpGLoad, 0) }},
-		{"call oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpCall, 3) }},
-		{"host oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpHost, 99) }},
-		{"jump into operand", func(p *Program) { p.Funcs[0].Code = append(mkCode(OpJmp, 2), byte(OpRet)) }},
-		{"empty code", func(p *Program) { p.Funcs[0].Code = nil }},
-		{"too many globals", func(p *Program) { p.NGlobals = 10000 }},
-		{"dup func", func(p *Program) { p.Funcs = append(p.Funcs, p.Funcs[0]) }},
+		{"no funcs", func(p *Program) { p.Funcs = nil }, `vm: program "x" has no functions`},
+		{"bad opcode", func(p *Program) { p.Funcs[0].Code = []byte{255} }, `vm: program "x" function "eval": invalid opcode 255 at offset 0`},
+		{"truncated operand", func(p *Program) { p.Funcs[0].Code = []byte{byte(OpPushI), 0} }, `vm: program "x" function "eval": truncated operand for pushi at offset 0`},
+		{"const oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpConst, 9) }, `vm: program "x" function "eval": const index 9 out of range at offset 0`},
+		{"arg oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpArg, 1) }, `vm: program "x" function "eval": arg index 1 out of range at offset 0`},
+		{"local oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpLoad, 5) }, `vm: program "x" function "eval": local index 5 out of range at offset 0`},
+		{"global oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpGLoad, 0) }, `vm: program "x" function "eval": global index 0 out of range at offset 0`},
+		{"call oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpCall, 3) }, `vm: program "x" function "eval": call target 3 out of range at offset 0`},
+		{"host oob", func(p *Program) { p.Funcs[0].Code = mkCode(OpHost, 99) }, `vm: program "x" function "eval": host intrinsic 99 unknown at offset 0`},
+		{"jump into operand", func(p *Program) { p.Funcs[0].Code = append(mkCode(OpJmp, 2), byte(OpRet)) }, `vm: program "x" function "eval": jump at offset 0 targets 2, not an instruction boundary`},
+		{"negative jump target", func(p *Program) { p.Funcs[0].Code = append(mkCode(OpJmp, -5), byte(OpRet)) }, `vm: program "x" function "eval": jump at offset 0 targets -5, not an instruction boundary`},
+		{"jump past the end", func(p *Program) { p.Funcs[0].Code = append(mkCode(OpJmp, 6), byte(OpRet)) }, `vm: program "x" function "eval": jump at offset 0 targets 6, not an instruction boundary`},
+		{"jz into an operand", func(p *Program) {
+			p.Funcs[0].Code = append(append(mkCode(OpPushI, 0), mkCode(OpJz, 7)...), byte(OpRet))
+		}, `vm: program "x" function "eval": jump at offset 5 targets 7, not an instruction boundary`},
+		{"empty code", func(p *Program) { p.Funcs[0].Code = nil }, `vm: program "x" function "eval": has no code`},
+		{"too many globals", func(p *Program) { p.NGlobals = 10000 }, `vm: program "x" declares 10000 globals (max 256)`},
+		{"dup func", func(p *Program) { p.Funcs = append(p.Funcs, p.Funcs[0]) }, `vm: duplicate function "eval"`},
 	}
 	for _, c := range cases {
-		if err := mk(c.mutate); err == nil {
+		err := mk(c.mutate)
+		if err == nil {
 			t.Errorf("%s: verify should reject", c.name)
+		} else if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
 		}
 	}
 }

@@ -29,8 +29,6 @@ type ClusterConfig struct {
 	Registry *ops.Registry
 	// DisableDAPCodeCache forces classes to be re-shipped every query.
 	DisableDAPCodeCache bool
-	// VMLimits sandbox shipped code at the DAPs (zero = defaults).
-	VMLimits vm.Limits
 	// Exec tunes the shared operator-tree executor on both the QPC
 	// (batch size, remote-stream prefetch depth) and the DAPs (batch
 	// size, scan read-ahead). Exec.MemBudgetBytes > 0
@@ -239,7 +237,6 @@ func (cl *Cluster) AddDriverSite(name string, driver dap.AccessDriver) error {
 	srv := dap.New(dap.Config{
 		Site:             name,
 		Driver:           driver,
-		Limits:           cl.cfg.VMLimits,
 		DisableCodeCache: cl.cfg.DisableDAPCodeCache,
 		Exec:             cl.cfg.Exec,
 		Metrics:          cl.metrics,
