@@ -33,11 +33,12 @@ type aggSpillRec struct {
 // When a memory grant is attached, each new group is accounted against
 // it. On refusal the aggregate goes hybrid: groups created before the
 // overflow keep receiving direct in-order updates, while tuples whose
-// key is NOT in the table are buffered and written to temp-file runs
-// sorted by (key, arrival). The two key sets are disjoint, so the final
-// output is a two-way merge of the in-memory groups (sorted) with the
-// disk groups (folded one at a time, in arrival order, from the merged
-// runs) — byte-identical, in identical order, to the in-memory path.
+// key is NOT in the table are buffered and written to runs in the
+// aggregate's one spill file, sorted by (key, arrival). The two key sets
+// are disjoint, so the final output is a two-way merge of the in-memory
+// groups (sorted) with the disk groups (folded one at a time, in arrival
+// order, from the merged runs) — byte-identical, in identical order, to
+// the in-memory path.
 type HashAggregate struct {
 	base
 	child     Operator
@@ -57,15 +58,16 @@ type HashAggregate struct {
 	emitIdx int
 
 	// Spill state (zero while the table fits in memory).
-	spilled     bool
-	seq         uint64
-	bufRecs     []aggSpillRec
-	bufBytes    int64 // accounted buffer bytes (unaccounted slack excluded)
-	acctScratch int64 // accounted run-writer scratch (best-effort)
-	runs        []*spillFile
-	merge       *mergeHeap
-	diskRec     *spillRec // head record of the next disk group
-	diskDone    bool
+	spilled  bool
+	seq      uint64
+	bufRecs  []aggSpillRec
+	bufBytes int64 // accounted buffer bytes (unaccounted slack excluded)
+	scratch  int64 // accounted block scratch (best-effort)
+	file     spillFile
+	runs     []*spillRun
+	merge    *mergeHeap
+	diskRec  *spillRec // head record of the next disk group
+	diskDone bool
 }
 
 // NewHashAggregate compiles the aggregate argument expressions against
@@ -179,14 +181,10 @@ func (a *HashAggregate) finishBuild() error {
 	if err := a.flushRun(); err != nil {
 		return err
 	}
-	// The run-writer scratch is no longer needed; the merge holds one
-	// reader buffer per run instead (best-effort accounted, like every
-	// fixed bufio overhead — bulk data is what the grant strictly
-	// governs).
-	a.grant.Release(a.acctScratch)
-	a.acctScratch = 0
-	a.grant.Try(int64(len(a.runs)) * spillBufBytes)
-	m, err := newMergeHeap(a.runs, byKeySeq)
+	// The run-writer scratch is no longer needed; the merge holds a
+	// block of each run instead.
+	setScratch(a.grant, &a.scratch, readScratch(a.runs))
+	m, err := newMergeHeap(&a.file, a.runs, decodeRow, byKeySeq)
 	if err != nil {
 		return err
 	}
@@ -341,12 +339,9 @@ func (a *HashAggregate) accumulate(in types.Tuple) error {
 				a.groups[gk] = grp
 				a.order = append(a.order, gk)
 			} else {
-				// Overflow: reserve the run-writer scratch (best-effort
-				// — the pool is full right now by definition), then
-				// route this and every later new-key tuple to disk.
-				if a.grant.Try(spillBufBytes) {
-					a.acctScratch = spillBufBytes
-				}
+				// Overflow: reserve the run-writer scratch, then route
+				// this and every later new-key tuple to disk.
+				setScratch(a.grant, &a.scratch, spillBlockBytes)
 				a.spilled = true
 			}
 		}
@@ -393,23 +388,17 @@ func (a *HashAggregate) flushRun() error {
 		}
 		return a.bufRecs[i].seq < a.bufRecs[j].seq
 	})
-	sf, err := newSpillFile()
-	if err != nil {
-		return err
-	}
-	a.runs = append(a.runs, sf)
+	run := &spillRun{}
+	a.runs = append(a.runs, run)
 	for _, rec := range a.bufRecs {
-		if err := sf.write(spillRec{seqA: rec.seq, key: []byte(rec.key), tup: rec.tup}); err != nil {
+		if err := run.writeRow(&a.file, rec.seq, rec.key, rec.tup); err != nil {
 			return err
 		}
 	}
-	if err := sf.flush(); err != nil {
+	if err := run.flush(&a.file); err != nil {
 		return err
 	}
-	a.stats.Spills++
-	a.stats.SpillBytes += sf.bytes
-	a.stats.SpillTuples += sf.recs
-	a.grant.noteSpill(sf.bytes, sf.recs)
+	a.noteRun(a.grant, run)
 	a.grant.Release(a.bufBytes)
 	a.bufRecs = nil
 	a.bufBytes = 0
@@ -418,9 +407,9 @@ func (a *HashAggregate) flushRun() error {
 
 func (a *HashAggregate) Close() error {
 	cerr := a.child.Close()
-	// Runs are unlinked-on-create, so closing the descriptors is the
-	// whole cleanup — on every path, including mid-stream errors.
-	ferr := closeSpillFiles(a.runs)
+	// The spill file is unlinked on creation, so closing its descriptor
+	// is the whole cleanup — on every path, including mid-stream errors.
+	ferr := a.file.close()
 	a.grant.Close()
 	if cerr != nil {
 		return cerr

@@ -65,9 +65,10 @@ type OpStats struct {
 	Self    time.Duration
 	DBBytes int64
 	// Spills, SpillBytes and SpillTuples describe memory-pressure relief:
-	// the number of spill runs the operator wrote to temp files, their
-	// payload bytes, and the tuples they carried. All zero when the
-	// operator stayed within its memory grant.
+	// the number of runs the operator wrote to its spill file, their
+	// bytes, and the records they carried (a spilled join's output runs
+	// carry references to rows, not rows). All zero when the operator
+	// stayed within its memory grant.
 	Spills      int64
 	SpillBytes  int64
 	SpillTuples int64

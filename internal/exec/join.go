@@ -15,9 +15,11 @@ import (
 // in-memory probe scans each hash bucket in insertion order, which is
 // increasing sequence, so sorting spilled matches by (probe arrival,
 // build sequence) reconstructs the exact in-memory output order.
+// On the spill path at is where the row's record lies in its partition.
 type buildEnt struct {
 	seq uint64
 	row types.Tuple
+	at  extent
 }
 
 // HashJoin joins its left (probe) input against a hash table built from
@@ -30,12 +32,14 @@ type buildEnt struct {
 //
 // When a memory grant is attached, the build accounts every batch
 // against it. On refusal the join switches to a Grace-style spill: the
-// table drains into hash-partitioned temp runs, the probe input is
-// partitioned the same way, and each build partition is then re-loaded
-// in grant-sized chunks, probing its probe partition once per chunk.
-// Joined rows go to runs tagged (probe arrival, build sequence); a
-// final k-way merge over the runs emits rows byte-identical, and in
-// identical order, to the in-memory path.
+// table drains into hash partitions of the join's one spill file, the
+// probe input is partitioned the same way, and each build partition is
+// then re-loaded in grant-sized chunks, probing its probe partition once
+// per chunk. Each input row is written once: a match goes to an output
+// run as a reference to its two rows, tagged (probe arrival, build
+// sequence), and a final k-way merge over the runs reads the rows back
+// and emits them byte-identical, and in identical order, to the
+// in-memory path.
 //
 // Self time is insert work plus probe work, measured directly — time
 // blocked pulling child batches is never included, so the historical
@@ -62,12 +66,15 @@ type HashJoin struct {
 	spilled    bool
 	buildSeq   uint64
 	heldBuild  int64 // grant bytes backing the in-memory table
-	acctFixed  int64 // accounted partition-buffer bytes (best-effort)
-	buildParts []*spillFile
-	probeParts []*spillFile
-	runs       []*spillFile
+	scratch    int64 // accounted block scratch (best-effort)
+	file       spillFile
+	buildParts []*spillRun
+	probeParts []*spillRun
+	runs       []*spillRun
 	merge      *mergeHeap
 	merged     bool
+	probeCache [spillPartitions]rowCache
+	buildCache [spillPartitions]rowCache
 }
 
 // NewHashJoin creates a join step. leftDesc and rightDesc describe the
@@ -159,25 +166,18 @@ func (h *HashJoin) runBuild() {
 				h.buildErr = err
 				return
 			}
-			rec := spillRec{seqA: h.buildSeq, tup: tup}
-			h.buildSeq++
-			if err := h.buildParts[hk%spillPartitions].write(rec); err != nil {
+			if err := h.buildParts[hk%spillPartitions].writeRow(&h.file, h.buildSeq, "", tup); err != nil {
 				h.buildSelf += time.Since(t0)
 				h.buildErr = err
 				return
 			}
+			h.buildSeq++
 		}
 		h.buildRows += int64(len(batch))
 		h.buildSelf += time.Since(t0)
 	}
 	if h.spilled {
-		for _, sf := range h.buildParts {
-			if err := sf.flush(); err != nil {
-				h.buildErr = err
-				return
-			}
-			h.noteRun(sf)
-		}
+		h.buildErr = h.flushPartitions(h.buildParts)
 	}
 }
 
@@ -190,16 +190,12 @@ func (h *HashJoin) buildHash(tup types.Tuple) (uint64, error) {
 	return k.Hash(), nil
 }
 
-// switchToSpill moves the build out of memory: it opens the partition
-// files, drains the table into them tagged with build sequence, and
-// returns the table's grant bytes to the pool. The partition buffers
-// are accounted best-effort: bulk data is strictly governed, but the
-// fixed bufio scratch (a few KB per spilling operator) must never turn
-// a spill into a failure or a blocking wait — the overflow moment is
-// exactly when the pool is full, and blocking while the query's own
-// upstream operators hold memory could deadlock the pool.
+// switchToSpill moves the build out of memory: it drains the table into
+// the build partitions, tagged with build sequence, and returns the
+// table's grant bytes to the pool. The partitions' pending blocks are
+// scratch, accounted best-effort until they flush (setScratch).
 func (h *HashJoin) switchToSpill() error {
-	fixed := int64(spillPartitions * spillBufBytes)
+	fixed := int64(spillPartitions * spillBlockBytes)
 	if !h.grant.Try(fixed) {
 		// Give the table's bytes back first (the table is about to be
 		// drained anyway) and retry once.
@@ -209,18 +205,12 @@ func (h *HashJoin) switchToSpill() error {
 			fixed = 0
 		}
 	}
-	h.acctFixed += fixed
-	for i := 0; i < spillPartitions; i++ {
-		sf, err := newSpillFile()
-		if err != nil {
-			return err
-		}
-		h.buildParts = append(h.buildParts, sf)
-	}
+	h.scratch = fixed
+	h.buildParts = newPartitions()
 	for hk, bucket := range h.table {
-		sf := h.buildParts[hk%spillPartitions]
+		part := h.buildParts[hk%spillPartitions]
 		for _, ent := range bucket {
-			if err := sf.write(spillRec{seqA: ent.seq, tup: ent.row}); err != nil {
+			if err := part.writeRow(&h.file, ent.seq, "", ent.row); err != nil {
 				return err
 			}
 		}
@@ -232,16 +222,25 @@ func (h *HashJoin) switchToSpill() error {
 	return nil
 }
 
-// noteRun folds one finished spill file into the operator's and the
-// governor's spill accounting.
-func (h *HashJoin) noteRun(sf *spillFile) {
-	if sf.recs == 0 {
-		return
+func newPartitions() []*spillRun {
+	parts := make([]*spillRun, spillPartitions)
+	for i := range parts {
+		parts[i] = &spillRun{}
 	}
-	h.stats.Spills++
-	h.stats.SpillBytes += sf.bytes
-	h.stats.SpillTuples += sf.recs
-	h.grant.noteSpill(sf.bytes, sf.recs)
+	return parts
+}
+
+// flushPartitions writes the partitions' last blocks out and returns
+// their scratch to the pool.
+func (h *HashJoin) flushPartitions(parts []*spillRun) error {
+	for _, part := range parts {
+		if err := part.flush(&h.file); err != nil {
+			return err
+		}
+		h.noteRun(h.grant, part)
+	}
+	setScratch(h.grant, &h.scratch, 0)
+	return nil
 }
 
 // waitBuild joins the build goroutine and folds its accounting in.
@@ -295,7 +294,8 @@ func (h *HashJoin) NextBatch() ([]types.Tuple, error) {
 }
 
 // nextSpilled runs the partitioned join on first call, then emits the
-// merged runs in batches.
+// merged runs in batches, reading each referenced row back from its
+// partition.
 func (h *HashJoin) nextSpilled() ([]types.Tuple, error) {
 	if !h.merged {
 		t0 := time.Now()
@@ -314,9 +314,22 @@ func (h *HashJoin) nextSpilled() ([]types.Tuple, error) {
 			return nil, err
 		}
 		if !ok {
+			// Emitted rows are the consumer's; the caches go back now.
+			h.probeCache, h.buildCache = [spillPartitions]rowCache{}, [spillPartitions]rowCache{}
+			setScratch(h.grant, &h.scratch, 0)
 			break
 		}
-		out = append(out, rec.tup)
+		probe, err := h.probeCache[rec.part].row(&h.file, h.probeParts[rec.part], rec.probe)
+		if err != nil {
+			return nil, err
+		}
+		build, err := h.buildCache[rec.part].row(&h.file, h.buildParts[rec.part], rec.build)
+		if err != nil {
+			return nil, err
+		}
+		joined := make(types.Tuple, 0, len(probe)+len(build))
+		joined = append(joined, probe...)
+		out = append(out, append(joined, build...))
 	}
 	if len(out) == 0 {
 		return nil, nil
@@ -332,25 +345,18 @@ func (h *HashJoin) spillJoin() error {
 	if err := h.partitionProbe(); err != nil {
 		return err
 	}
+	// A partition pass reads a build and a probe block and fills one
+	// output block at a time.
+	setScratch(h.grant, &h.scratch, 3*spillBlockBytes)
 	for pi := 0; pi < spillPartitions; pi++ {
 		if err := h.joinPartition(pi); err != nil {
 			return err
 		}
 	}
-	// The partition files are fully consumed: close them and give their
-	// accounted buffer bytes back before sizing the merge.
-	if err := closeSpillFiles(h.buildParts); err != nil {
-		return err
-	}
-	if err := closeSpillFiles(h.probeParts); err != nil {
-		return err
-	}
-	h.grant.Release(h.acctFixed)
-	h.acctFixed = 0
-	// The merge holds one reader buffer per run (best-effort accounted;
-	// the partition buffers were just released, so this normally fits).
-	h.grant.Try(int64(len(h.runs)) * spillBufBytes)
-	m, err := newMergeHeap(h.runs, byProbeBuild)
+	// The merge reads a block of every run, and emission a block per
+	// side and partition.
+	setScratch(h.grant, &h.scratch, readScratch(h.runs)+2*spillPartitions*spillBlockBytes)
+	m, err := newMergeHeap(&h.file, h.runs, decodeRef, byProbeBuild)
 	if err != nil {
 		return err
 	}
@@ -361,18 +367,8 @@ func (h *HashJoin) spillJoin() error {
 // partitionProbe drains the probe input into hash partitions aligned
 // with the build partitions, tagging each row with its arrival order.
 func (h *HashJoin) partitionProbe() error {
-	fixed := int64(spillPartitions * spillBufBytes)
-	if !h.grant.Try(fixed) {
-		fixed = 0 // best-effort: see switchToSpill
-	}
-	h.acctFixed += fixed
-	for i := 0; i < spillPartitions; i++ {
-		sf, err := newSpillFile()
-		if err != nil {
-			return err
-		}
-		h.probeParts = append(h.probeParts, sf)
-	}
+	setScratch(h.grant, &h.scratch, spillPartitions*spillBlockBytes)
+	h.probeParts = newPartitions()
 	var probeSeq uint64
 	for {
 		if err := h.ctx.Err(); err != nil {
@@ -391,31 +387,21 @@ func (h *HashJoin) partitionProbe() error {
 			if !ok {
 				return fmt.Errorf("qpc: join key of kind %v at %s", lrow[h.leftCol].Kind(), h.leftDesc)
 			}
-			rec := spillRec{seqA: probeSeq, tup: lrow}
-			probeSeq++
-			if err := h.probeParts[k.Hash()%spillPartitions].write(rec); err != nil {
+			if err := h.probeParts[k.Hash()%spillPartitions].writeRow(&h.file, probeSeq, "", lrow); err != nil {
 				return err
 			}
+			probeSeq++
 		}
 	}
-	for _, sf := range h.probeParts {
-		if err := sf.flush(); err != nil {
-			return err
-		}
-		h.noteRun(sf)
-	}
-	return nil
+	return h.flushPartitions(h.probeParts)
 }
 
 // joinPartition loads build partition pi in chunks that fit the grant,
 // probing the matching probe partition once per chunk. Each chunk pass
 // writes one output run already sorted by (probeSeq, buildSeq).
 func (h *HashJoin) joinPartition(pi int) error {
-	bp, pp := h.buildParts[pi], h.probeParts[pi]
-	if err := bp.startRead(); err != nil {
-		return err
-	}
-	var pending *spillRec
+	rd := h.file.reader(h.buildParts[pi])
+	var pending *buildEnt
 	pendingDone := false
 	for !pendingDone || pending != nil {
 		if err := h.ctx.Err(); err != nil {
@@ -426,14 +412,13 @@ func (h *HashJoin) joinPartition(pi int) error {
 		var chunkBytes int64
 		loaded := 0
 		for {
-			var rec spillRec
+			var ent buildEnt
 			if pending != nil {
-				rec, pending = *pending, nil
+				ent, pending = *pending, nil
 			} else if pendingDone {
 				break
 			} else {
-				var err error
-				rec, err = bp.read()
+				body, at, err := rd.next()
 				if err == io.EOF {
 					pendingDone = true
 					break
@@ -441,11 +426,16 @@ func (h *HashJoin) joinPartition(pi int) error {
 				if err != nil {
 					return err
 				}
+				rec, err := decodeRow(body)
+				if err != nil {
+					return err
+				}
+				ent = buildEnt{seq: rec.seqA, row: rec.tup, at: at}
 			}
-			need := tupleMemBytes(rec.tup)
+			need := tupleMemBytes(ent.row)
 			if !h.grant.Try(need) {
 				if loaded > 0 {
-					pending = &rec
+					pending = &ent
 					break
 				}
 				// The chunk must hold at least one record to make
@@ -459,47 +449,49 @@ func (h *HashJoin) joinPartition(pi int) error {
 				need = 0
 			}
 			chunkBytes += need
-			hk, err := h.buildHash(rec.tup)
+			hk, err := h.buildHash(ent.row)
 			if err != nil {
 				h.grant.Release(chunkBytes)
 				return err
 			}
-			chunk[hk] = append(chunk[hk], buildEnt{seq: rec.seqA, row: rec.tup})
+			chunk[hk] = append(chunk[hk], ent)
 			loaded++
 		}
 		if loaded == 0 {
 			h.grant.Release(chunkBytes)
 			break
 		}
-		if err := h.probeChunk(pp, chunk); err != nil {
-			h.grant.Release(chunkBytes)
+		err := h.probeChunk(pi, chunk)
+		h.grant.Release(chunkBytes)
+		if err != nil {
 			return err
 		}
-		h.grant.Release(chunkBytes)
 	}
 	return nil
 }
 
-// probeChunk rescans one probe partition against a loaded build chunk,
-// writing joined rows to a fresh output run. Probe records arrive in
-// probeSeq order and each row's matches are sorted by build sequence,
-// so the run is born sorted by (probeSeq, buildSeq).
-func (h *HashJoin) probeChunk(pp *spillFile, chunk map[uint64][]buildEnt) error {
-	if err := pp.startRead(); err != nil {
-		return err
-	}
-	var run *spillFile
-	var runAcct int64
+// probeChunk rescans probe partition pi against a loaded build chunk,
+// writing a reference to each matching pair to a fresh output run. Probe
+// records arrive in probeSeq order and each row's matches are sorted by
+// build sequence, so the run is born sorted by (probeSeq, buildSeq).
+func (h *HashJoin) probeChunk(pi int, chunk map[uint64][]buildEnt) error {
+	rd := h.file.reader(h.probeParts[pi])
+	var run *spillRun
+	var matches []buildEnt
 	for {
-		rec, err := pp.read()
+		body, at, err := rd.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
+		rec, err := decodeRow(body)
+		if err != nil {
+			return err
+		}
 		k := rec.tup[h.leftCol].(types.Small)
-		var matches []buildEnt
+		matches = matches[:0]
 		for _, ent := range chunk[k.Hash()] {
 			if k.Equal(ent.row[h.rightCol]) {
 				matches = append(matches, ent)
@@ -510,33 +502,23 @@ func (h *HashJoin) probeChunk(pp *spillFile, chunk map[uint64][]buildEnt) error 
 		}
 		sort.Slice(matches, func(i, j int) bool { return matches[i].seq < matches[j].seq })
 		if run == nil {
-			var acct int64
-			if h.grant.Try(spillBufBytes) {
-				acct = spillBufBytes
-			}
-			if run, err = newSpillFile(); err != nil {
-				h.grant.Release(acct)
-				return err
-			}
-			runAcct = acct
+			run = &spillRun{}
 			h.runs = append(h.runs, run)
 		}
 		for _, ent := range matches {
-			joined := make(types.Tuple, 0, len(rec.tup)+len(ent.row))
-			joined = append(joined, rec.tup...)
-			joined = append(joined, ent.row...)
-			if err := run.write(spillRec{seqA: rec.seqA, seqB: ent.seq, tup: joined}); err != nil {
+			ref := spillRec{seqA: rec.seqA, seqB: ent.seq, part: pi, probe: at, build: ent.at}
+			if err := run.writeRef(&h.file, &ref); err != nil {
 				return err
 			}
 		}
 	}
-	if run != nil {
-		if err := run.flush(); err != nil {
-			return err
-		}
-		h.grant.Release(runAcct)
-		h.noteRun(run)
+	if run == nil {
+		return nil
 	}
+	if err := run.flush(&h.file); err != nil {
+		return err
+	}
+	h.noteRun(h.grant, run)
 	return nil
 }
 
@@ -552,15 +534,9 @@ func (h *HashJoin) Close() error {
 	}
 	lerr := h.left.Close()
 	berr := h.build.Close()
-	// Spill files are unlinked-on-create, so closing the descriptors is
-	// the whole cleanup — on every path, including mid-stream errors.
-	ferr := closeSpillFiles(h.buildParts)
-	if err := closeSpillFiles(h.probeParts); ferr == nil {
-		ferr = err
-	}
-	if err := closeSpillFiles(h.runs); ferr == nil {
-		ferr = err
-	}
+	// The spill file is unlinked on creation, so closing its descriptor
+	// is the whole cleanup — on every path, including mid-stream errors.
+	ferr := h.file.close()
 	h.grant.Close()
 	if lerr != nil {
 		return lerr

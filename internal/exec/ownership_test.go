@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mocha/internal/core"
+	"mocha/internal/obs"
 	"mocha/internal/types"
 )
 
@@ -132,6 +133,33 @@ func TestJoinBuildOutlivesItsFrames(t *testing.T) {
 	}
 	if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
 		t.Errorf("joined rows differ once the build frames are gone:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestSpilledJoinRowsOutliveTheJoin: a spilled join reads each row it
+// emits back from its spill file into memory of its own that nothing
+// writes again, so rows kept past later emissions and past the join's
+// Close — which closes the file — still carry every raster and byte
+// string intact, while the frames both inputs came from are overwritten.
+func TestSpilledJoinRowsOutliveTheJoin(t *testing.T) {
+	// Enough probe rows that every probe partition spans several blocks.
+	probe, build := ownedRows(200), ownedRows(5)
+	join := func(gov *Governor) *HashJoin {
+		return NewHashJoin("op:hashjoin", newFrameSource(ownedSchema, 3, probe), newFrameSource(ownedSchema, 2, build),
+			0, 0, "probe", "build", false, gov.Grant("op:hashjoin"), 4)
+	}
+	want := encodeNow(t, join(nil), nil)
+	spilled := join(NewGovernor(512, obs.NewRegistry()))
+	kept := collect(t, spilled, nil)
+	if spilled.Stats().Spills == 0 {
+		t.Fatal("512 B budget did not force a spill")
+	}
+	var got []string
+	for _, row := range kept {
+		got = append(got, string(row.AppendTo(nil)))
+	}
+	if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+		t.Errorf("spilled rows differ once the join is closed:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -1,41 +1,60 @@
 package exec
 
 import (
-	"bufio"
 	"bytes"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"mocha/internal/types"
 )
 
-// Temp-file spill runs for the governed operators. A run is a sequence
-// of self-describing records: operators have no schema of their own, so
-// every value is stored as a kind byte followed by its wire encoding
-// (the same per-kind format types.DecodeValue reads).
+// Spill files for the governed operators. A spilling operator owns one
+// temp file for its whole life: created when its first block is written
+// and closed in its Close. Every run it spills — a join's build and probe partitions
+// and its output runs, an aggregate's sorted runs — is a list of extents
+// in that file. Writes are positioned appends at the file's tail, one per
+// filled block; reads are positioned by extent.
 //
-// Record layout (all integers little-endian):
+// The file is unlinked the moment it is created: the open descriptor is
+// then the only reference, and the OS reclaims the file when it closes —
+// even if the process dies — so a missed Close can leak at most a
+// descriptor, never disk.
 //
-//	u32 recLen                      length of everything that follows
-//	u64 seqA, u64 seqB              ordering tags (probe/build or arrival)
+// A run is a sequence of records, each a u32 length followed by its body
+// (all integers little-endian). Operators have no schema of their own, so
+// a row record stores every value as a kind byte followed by its wire
+// encoding (the per-kind format types.DecodeValue reads):
+//
+//	u64 seq                         arrival or build sequence
 //	u32 keyLen, key bytes           encoded group key ("" when unused)
 //	u32 ncols, then per column:     u8 kind, value wire bytes
 //
-// Spill files are created with os.CreateTemp and unlinked immediately:
-// the open descriptor keeps the data alive, and the file is reclaimed
-// by the OS the moment the descriptor closes — even if the process
-// dies — so a missed Close can leak at most a descriptor, never disk.
+// A join output record refers to the two rows it joins instead of
+// holding them; each reference is the position and length of a row
+// record's body in the partitions already on disk:
+//
+//	u64 probeSeq, u64 buildSeq      the in-memory join's emission order
+//	u8  partition
+//	u64 probeOff, u32 probeLen
+//	u64 buildOff, u32 buildLen
 
 // spillPartitions is the Grace fan-out for spilled hash joins.
 const spillPartitions = 4
 
-// spillBufBytes sizes each spill file's buffered reader/writer. Kept
-// small so the fixed per-spill overhead stays affordable under tiny
-// budgets; it is accounted against the operator's grant.
-const spillBufBytes = 2048
+// spillBlockBytes is the write unit: a run's pending records go to the
+// file as one positioned append once they reach it (a record larger than
+// a block leaves with the block it completes). Reads are whole extents,
+// so it also sizes a reader's buffer over small records. Kept small so
+// the fixed per-spill scratch stays affordable under tiny budgets; that
+// scratch is accounted against the operator's grant.
+const spillBlockBytes = 2048
+
+// refRecBytes is the body size of a join output record.
+const refRecBytes = 8 + 8 + 1 + 2*(8+4)
 
 // tupleMemBytes estimates a tuple's resident size for grant accounting:
 // wire payload plus slice/header overhead per value.
@@ -56,137 +75,200 @@ func batchMemBytes(batch []types.Tuple) int64 {
 	return n
 }
 
-// spillRec is one decoded run record.
+// extent is a byte range of a spill file.
+type extent struct{ off, n int64 }
+
+func (e extent) end() int64 { return e.off + e.n }
+
+func (e extent) holds(o extent) bool { return o.off >= e.off && o.end() <= e.end() }
+
+// spillRec is one decoded record. A row record sets seqA, key and tup; a
+// join output record sets seqA (probe), seqB (build), part, probe and
+// build.
 type spillRec struct {
-	seqA, seqB uint64
-	key        []byte
-	tup        types.Tuple
+	seqA, seqB   uint64
+	key          []byte
+	tup          types.Tuple
+	part         int
+	probe, build extent
 }
 
-// spillFile is one unlinked temp file holding run records. It is
-// written once, then read (possibly several times — the join's probe
-// partitions are rescanned once per build chunk).
+// spillFile is a spilling operator's one temp file; the zero value has
+// no file yet.
 type spillFile struct {
-	f     *os.File
-	w     *bufio.Writer
-	r     *bufio.Reader
-	buf   []byte
-	bytes int64
-	recs  int64
+	f    *os.File
+	tail int64
 }
 
-func newSpillFile() (*spillFile, error) {
-	f, err := os.CreateTemp("", "mocha-spill-*")
-	if err != nil {
-		return nil, fmt.Errorf("exec: spill: %w", err)
+// append writes b at the tail, creating the file on first use.
+func (sf *spillFile) append(b []byte) (extent, error) {
+	if sf.f == nil {
+		f, err := os.CreateTemp("", "mocha-spill-*")
+		if err != nil {
+			return extent{}, fmt.Errorf("exec: spill: %w", err)
+		}
+		os.Remove(f.Name())
+		sf.f = f
 	}
-	// Unlink now: the descriptor is the only reference, so the file can
-	// never outlive the operator (or the process).
-	os.Remove(f.Name())
-	return &spillFile{f: f, w: bufio.NewWriterSize(f, spillBufBytes)}, nil
+	if _, err := sf.f.WriteAt(b, sf.tail); err != nil {
+		return extent{}, fmt.Errorf("exec: spill write: %w", err)
+	}
+	e := extent{off: sf.tail, n: int64(len(b))}
+	sf.tail += e.n
+	return e, nil
 }
 
-// flush pushes buffered writes to the file and drops the writer (and
-// its accounted buffer); the file is then ready for startRead.
-func (sf *spillFile) flush() error {
-	if sf.w == nil {
-		return nil
+// read returns extent e in memory of its own. Records decoded from it
+// are windows into that memory, which is never written again: spilled
+// rows are kept by consumers past the next read.
+func (sf *spillFile) read(e extent) ([]byte, error) {
+	buf := make([]byte, e.n)
+	if _, err := sf.f.ReadAt(buf, e.off); err != nil {
+		return nil, fmt.Errorf("exec: spill read: %w", err)
 	}
-	err := sf.w.Flush()
-	sf.w = nil
-	if err != nil {
-		return fmt.Errorf("exec: spill flush: %w", err)
-	}
-	return nil
+	return buf, nil
 }
 
 func (sf *spillFile) close() error {
-	if sf == nil || sf.f == nil {
+	if sf.f == nil {
 		return nil
 	}
 	err := sf.f.Close()
 	sf.f = nil
-	sf.w = nil
-	sf.r = nil
 	return err
 }
 
-// write appends one record.
-func (sf *spillFile) write(rec spillRec) error {
-	buf := sf.buf[:0]
-	buf = append(buf, 0, 0, 0, 0) // recLen placeholder
-	buf = binary.LittleEndian.AppendUint64(buf, rec.seqA)
-	buf = binary.LittleEndian.AppendUint64(buf, rec.seqB)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.key)))
-	buf = append(buf, rec.key...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.tup)))
-	for _, v := range rec.tup {
-		buf = append(buf, byte(v.Kind()))
-		buf = v.AppendTo(buf)
+// spillRun is one run: the extents written so far, in order, and the
+// pending block that has not reached the file yet.
+type spillRun struct {
+	ext   []extent
+	blk   []byte
+	bytes int64
+	recs  int64
+}
+
+// writeRow appends one row record.
+func (r *spillRun) writeRow(sf *spillFile, seq uint64, key string, tup types.Tuple) error {
+	start := len(r.blk)
+	b := append(r.blk, 0, 0, 0, 0)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(tup)))
+	for _, v := range tup {
+		b = append(b, byte(v.Kind()))
+		b = v.AppendTo(b)
 	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	sf.buf = buf
-	sf.bytes += int64(len(buf))
-	sf.recs++
-	_, err := sf.w.Write(buf)
+	r.blk = b
+	return r.end(sf, start)
+}
+
+// writeRef appends one join output record.
+func (r *spillRun) writeRef(sf *spillFile, rec *spillRec) error {
+	start := len(r.blk)
+	b := append(r.blk, 0, 0, 0, 0)
+	b = binary.LittleEndian.AppendUint64(b, rec.seqA)
+	b = binary.LittleEndian.AppendUint64(b, rec.seqB)
+	b = append(b, byte(rec.part))
+	for _, e := range [2]extent{rec.probe, rec.build} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.off))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.n))
+	}
+	r.blk = b
+	return r.end(sf, start)
+}
+
+// end stamps the length of the record begun at start and writes the
+// pending block out once it has reached a block.
+func (r *spillRun) end(sf *spillFile, start int) error {
+	n := len(r.blk) - start - 4
+	binary.LittleEndian.PutUint32(r.blk[start:], uint32(n))
+	r.bytes += int64(n) + 4
+	r.recs++
+	if len(r.blk) < spillBlockBytes {
+		return nil
+	}
+	return r.writeBlock(sf)
+}
+
+func (r *spillRun) writeBlock(sf *spillFile) error {
+	if len(r.blk) == 0 {
+		return nil
+	}
+	e, err := sf.append(r.blk)
 	if err != nil {
-		return fmt.Errorf("exec: spill write: %w", err)
+		return err
 	}
+	r.ext = append(r.ext, e)
+	r.blk = r.blk[:0]
 	return nil
 }
 
-// startRead flushes pending writes and (re)positions the file at its
-// start for sequential record reads.
-func (sf *spillFile) startRead() error {
-	if sf.w != nil {
-		if err := sf.w.Flush(); err != nil {
-			return fmt.Errorf("exec: spill flush: %w", err)
-		}
-		sf.w = nil
-	}
-	if _, err := sf.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("exec: spill seek: %w", err)
-	}
-	if sf.r == nil {
-		sf.r = bufio.NewReaderSize(sf.f, spillBufBytes)
-	} else {
-		sf.r.Reset(sf.f)
-	}
-	return nil
+// flush writes the pending records out and drops the block: the run is
+// complete and readable.
+func (r *spillRun) flush(sf *spillFile) error {
+	err := r.writeBlock(sf)
+	r.blk = nil
+	return err
 }
 
-// read returns the next record, or io.EOF at the end of the run. Each
-// record is read into memory of its own, which its key and its tuple's
-// large values are windows into (spilled tuples are retained by
-// consumers past the next read, so the buffer is never reused).
-func (sf *spillFile) read() (spillRec, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(sf.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return spillRec{}, io.EOF
-		}
-		return spillRec{}, fmt.Errorf("exec: spill read: %w", err)
+// readScratch is what reading runs holds at once: one block of each.
+func readScratch(runs []*spillRun) int64 {
+	var n int64
+	for _, r := range runs {
+		n += min(r.bytes, spillBlockBytes)
 	}
-	recLen := binary.LittleEndian.Uint32(hdr[:])
-	data := make([]byte, recLen)
-	if _, err := io.ReadFull(sf.r, data); err != nil {
-		return spillRec{}, fmt.Errorf("exec: spill read: %w", err)
-	}
-	return decodeSpillRec(data)
+	return n
 }
 
-func decodeSpillRec(data []byte) (spillRec, error) {
+// runReader reads a run's records in order, one extent at a time.
+type runReader struct {
+	sf   *spillFile
+	ext  []extent // not yet read
+	buf  []byte   // the extent being read
+	base int64    // buf's offset in the file
+	off  int      // the next record in buf
+}
+
+func (sf *spillFile) reader(r *spillRun) *runReader {
+	return &runReader{sf: sf, ext: r.ext}
+}
+
+// next returns the next record's body and where it lies in the file, or
+// io.EOF at the end of the run.
+func (rd *runReader) next() ([]byte, extent, error) {
+	for rd.off == len(rd.buf) {
+		if len(rd.ext) == 0 {
+			return nil, extent{}, io.EOF
+		}
+		e := rd.ext[0]
+		buf, err := rd.sf.read(e)
+		if err != nil {
+			return nil, extent{}, err
+		}
+		rd.ext, rd.buf, rd.base, rd.off = rd.ext[1:], buf, e.off, 0
+	}
+	rest := rd.buf[rd.off:]
+	if len(rest) < 4 || int(binary.LittleEndian.Uint32(rest)) > len(rest)-4 {
+		return nil, extent{}, fmt.Errorf("exec: corrupt spill block at %d", rd.base+int64(rd.off))
+	}
+	n := int(binary.LittleEndian.Uint32(rest))
+	at := extent{off: rd.base + int64(rd.off) + 4, n: int64(n)}
+	rd.off += 4 + n
+	return rest[4 : 4+n : 4+n], at, nil
+}
+
+func decodeRow(data []byte) (spillRec, error) {
 	bad := func() (spillRec, error) {
 		return spillRec{}, fmt.Errorf("exec: corrupt spill record (%d bytes)", len(data))
 	}
-	if len(data) < 20 {
+	if len(data) < 12 {
 		return bad()
 	}
 	var rec spillRec
 	rec.seqA = binary.LittleEndian.Uint64(data)
-	rec.seqB = binary.LittleEndian.Uint64(data[8:])
-	keyLen := int(binary.LittleEndian.Uint32(data[16:]))
-	data = data[20:]
+	keyLen := int(binary.LittleEndian.Uint32(data[8:]))
+	data = data[12:]
 	if keyLen > len(data) {
 		return bad()
 	}
@@ -199,6 +281,9 @@ func decodeSpillRec(data []byte) (spillRec, error) {
 	}
 	ncols := int(binary.LittleEndian.Uint32(data))
 	data = data[4:]
+	if ncols > len(data) {
+		return bad()
+	}
 	rec.tup = make(types.Tuple, 0, ncols)
 	for i := 0; i < ncols; i++ {
 		if len(data) < 1 {
@@ -216,29 +301,93 @@ func decodeSpillRec(data []byte) (spillRec, error) {
 	return rec, nil
 }
 
-// closeSpillFiles closes every file in the slice, keeping the first
-// error, and nils the slice entries' descriptors.
-func closeSpillFiles(files []*spillFile) error {
-	var first error
-	for _, sf := range files {
-		if err := sf.close(); err != nil && first == nil {
-			first = err
-		}
+func decodeRef(data []byte) (spillRec, error) {
+	if len(data) != refRecBytes || int(data[16]) >= spillPartitions {
+		return spillRec{}, fmt.Errorf("exec: corrupt spill reference (%d bytes)", len(data))
 	}
-	return first
+	le := binary.LittleEndian
+	return spillRec{
+		seqA:  le.Uint64(data),
+		seqB:  le.Uint64(data[8:]),
+		part:  int(data[16]),
+		probe: extent{off: int64(le.Uint64(data[17:])), n: int64(le.Uint32(data[25:]))},
+		build: extent{off: int64(le.Uint64(data[29:])), n: int64(le.Uint32(data[37:]))},
+	}, nil
+}
+
+// rowCache serves a spilled join's emission reads of one partition's
+// rows on one side. A miss reads the whole extent holding the row, so
+// the rows stored after it cost no further read; consecutive references
+// to the same row share one decode.
+type rowCache struct {
+	blk  extent
+	buf  []byte
+	at   extent // the row last decoded
+	last types.Tuple
+}
+
+// row returns the row record whose body lies at at in run.
+func (c *rowCache) row(sf *spillFile, run *spillRun, at extent) (types.Tuple, error) {
+	if c.last != nil && c.at == at {
+		return c.last, nil
+	}
+	if c.buf == nil || !c.blk.holds(at) {
+		i := sort.Search(len(run.ext), func(i int) bool { return run.ext[i].end() > at.off })
+		if i == len(run.ext) || !run.ext[i].holds(at) {
+			return nil, fmt.Errorf("exec: spill reference [%d,+%d) outside its partition", at.off, at.n)
+		}
+		buf, err := sf.read(run.ext[i])
+		if err != nil {
+			return nil, err
+		}
+		c.blk, c.buf = run.ext[i], buf
+	}
+	rec, err := decodeRow(c.buf[at.off-c.blk.off : at.end()-c.blk.off])
+	if err != nil {
+		return nil, err
+	}
+	c.at, c.last = at, rec.tup
+	return rec.tup, nil
+}
+
+// noteRun folds one finished run into the operator's and the governor's
+// spill accounting.
+func (b *base) noteRun(gr *Grant, r *spillRun) {
+	if r.recs == 0 {
+		return
+	}
+	b.stats.Spills++
+	b.stats.SpillBytes += r.bytes
+	b.stats.SpillTuples += r.recs
+	gr.noteSpill(r.bytes, r.recs)
+}
+
+// setScratch replaces the fixed scratch an operator holds on gr (*held)
+// with n bytes, accounted best-effort. Bulk data is strictly governed,
+// but block scratch must never turn a spill into a failure or a blocking
+// wait — it is needed exactly when the pool is full, and blocking while
+// the query's own upstream operators hold memory could deadlock the pool
+// — so on refusal the operator proceeds unaccounted.
+func setScratch(gr *Grant, held *int64, n int64) {
+	gr.Release(*held)
+	*held = 0
+	if gr.Try(n) {
+		*held = n
+	}
 }
 
 // mergeCursor is one run's head record inside a merge heap.
 type mergeCursor struct {
-	sf  *spillFile
+	rd  *runReader
 	rec spillRec
 }
 
 // mergeHeap is a k-way merge over runs. less orders head records; the
 // join merges by (probeSeq, buildSeq), the aggregate by (key, seq).
 type mergeHeap struct {
-	cur  []*mergeCursor
-	less func(a, b *spillRec) bool
+	cur    []*mergeCursor
+	less   func(a, b *spillRec) bool
+	decode func([]byte) (spillRec, error)
 }
 
 func (m *mergeHeap) Len() int           { return len(m.cur) }
@@ -253,25 +402,31 @@ func (m *mergeHeap) Pop() any {
 	return c
 }
 
-// newMergeHeap primes a heap over the given runs (each repositioned to
-// its start). Runs that are empty are skipped.
-func newMergeHeap(runs []*spillFile, less func(a, b *spillRec) bool) (*mergeHeap, error) {
-	m := &mergeHeap{less: less}
-	for _, sf := range runs {
-		if err := sf.startRead(); err != nil {
-			return nil, err
-		}
-		rec, err := sf.read()
+// newMergeHeap primes a heap over runs of sf whose records decode reads.
+// Empty runs are skipped.
+func newMergeHeap(sf *spillFile, runs []*spillRun, decode func([]byte) (spillRec, error), less func(a, b *spillRec) bool) (*mergeHeap, error) {
+	m := &mergeHeap{less: less, decode: decode}
+	for _, r := range runs {
+		rd := sf.reader(r)
+		rec, err := m.read(rd)
 		if err == io.EOF {
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
-		m.cur = append(m.cur, &mergeCursor{sf: sf, rec: rec})
+		m.cur = append(m.cur, &mergeCursor{rd: rd, rec: rec})
 	}
 	heap.Init(m)
 	return m, nil
+}
+
+func (m *mergeHeap) read(rd *runReader) (spillRec, error) {
+	body, _, err := rd.next()
+	if err != nil {
+		return spillRec{}, err
+	}
+	return m.decode(body)
 }
 
 // next pops the smallest record and advances its run. ok is false when
@@ -282,7 +437,7 @@ func (m *mergeHeap) next() (spillRec, bool, error) {
 	}
 	c := m.cur[0]
 	rec := c.rec
-	nxt, err := c.sf.read()
+	nxt, err := m.read(c.rd)
 	if err == io.EOF {
 		heap.Pop(m)
 	} else if err != nil {
