@@ -26,9 +26,6 @@ func main() {
 	noCache := flag.Bool("no-code-cache", false, "disable the class cache (re-ship code every query)")
 	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "close a session idle this long between requests (0 = never)")
 	frameTimeout := flag.Duration("frame-timeout", 30*time.Second, "per-frame write bound; a QPC that stops draining fails the session (0 = unbounded)")
-	replayWindow := flag.Int64("replay-window-bytes", 1<<20, "per-stream replay window a broken stream can be continued from after a dropped connection")
-	retainTTL := flag.Duration("retain-ttl", 10*time.Second, "how long an interrupted stream waits to be continued before it is aborted")
-	batchBytes := flag.Int("batch-bytes", 0, "target tuple-batch payload size; smaller batches shrink the retransmission when a stream continues (0 = 256 KiB default)")
 	pprofAddr := flag.String("pprof-addr", "", "serve /metrics and /debug/pprof on this address (empty = disabled)")
 	quiet := flag.Bool("quiet", false, "suppress per-session logging")
 	flag.Parse()
@@ -49,15 +46,12 @@ func main() {
 		logf = func(string, ...any) {}
 	}
 	srv := dap.New(dap.Config{
-		Site:              *site,
-		Driver:            &dap.StorageDriver{Store: store},
-		DisableCodeCache:  *noCache,
-		IdleTimeout:       *idleTimeout,
-		FrameTimeout:      *frameTimeout,
-		ReplayWindowBytes: *replayWindow,
-		RetainTTL:         *retainTTL,
-		BatchBytes:        *batchBytes,
-		Logf:              logf,
+		Site:             *site,
+		Driver:           &dap.StorageDriver{Store: store},
+		DisableCodeCache: *noCache,
+		IdleTimeout:      *idleTimeout,
+		FrameTimeout:     *frameTimeout,
+		Logf:             logf,
 	})
 	obs.ServeDebug(*pprofAddr, srv.Metrics(), logf)
 	l, err := net.Listen("tcp", *listen)

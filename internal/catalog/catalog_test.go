@@ -113,7 +113,7 @@ func TestCatalogSaveLoad(t *testing.T) {
 func TestRepository(t *testing.T) {
 	reg := ops.Builtins()
 	repo := NewRepositoryFromRegistry(reg)
-	rel, ok := repo.Get("AvgEnergy")
+	rel, ok := repo.ActiveRelease("AvgEnergy")
 	if !ok {
 		t.Fatal("AvgEnergy not in repository")
 	}
@@ -132,7 +132,7 @@ func TestRepository(t *testing.T) {
 	if _, err := repo.PutProgram(p2); err != nil {
 		t.Fatal(err)
 	}
-	rel2, _ := repo.Get("avgenergy")
+	rel2, _ := repo.ActiveRelease("avgenergy")
 	if rel2.Tag != "2.0" {
 		t.Error("upgrade did not replace class")
 	}
@@ -152,8 +152,8 @@ func TestRepositorySaveLoadDir(t *testing.T) {
 	if len(repo2.Names()) != len(repo.Names()) {
 		t.Errorf("loaded %d classes, want %d", len(repo2.Names()), len(repo.Names()))
 	}
-	a, _ := repo.Get("Clip")
-	b, _ := repo2.Get("Clip")
+	a, _ := repo.ActiveRelease("Clip")
+	b, _ := repo2.ActiveRelease("Clip")
 	if a.Digest != b.Digest {
 		t.Error("checksums differ after disk round trip")
 	}

@@ -48,7 +48,7 @@ func TestPutProgramNeverClobbers(t *testing.T) {
 	}
 	// The second publish is active; the first is still addressable by
 	// its digest (deploy-by-digest for queries planned against it).
-	active, _ := repo.Get("Clip")
+	active, _ := repo.ActiveRelease("Clip")
 	if active.Digest != v2.Checksum() {
 		t.Errorf("active digest = %s, want v2 %s", active.Digest, v2.Checksum())
 	}
@@ -70,7 +70,7 @@ func TestPutProgramNeverClobbers(t *testing.T) {
 	if got := len(repo.Releases("Clip")); got != 2 {
 		t.Errorf("idempotent republish grew history to %d", got)
 	}
-	active, _ = repo.Get("Clip")
+	active, _ = repo.ActiveRelease("Clip")
 	if active.Digest != v1.Checksum() {
 		t.Error("republish did not move the active pointer back")
 	}
@@ -91,14 +91,14 @@ func TestStageCanaryPromote(t *testing.T) {
 		t.Fatalf("staged release = %+v", rel)
 	}
 	// Staging is inert: active still serves v1.
-	if rel, _ := repo.Get("Scale"); rel.Digest != v1.Checksum() {
+	if rel, _ := repo.ActiveRelease("Scale"); rel.Digest != v1.Checksum() {
 		t.Error("staging moved the active pointer")
 	}
 	// Promote: active moves, history intact, v1 still resolvable.
 	if _, err := repo.Promote("Scale", "v2"); err != nil {
 		t.Fatal(err)
 	}
-	if rel, _ := repo.Get("Scale"); rel.Digest != v2.Checksum() {
+	if rel, _ := repo.ActiveRelease("Scale"); rel.Digest != v2.Checksum() {
 		t.Error("promote did not move the active pointer")
 	}
 	if _, ok := repo.Resolve("Scale", v1.Checksum()); !ok {
@@ -268,7 +268,7 @@ func TestLoadDirWithoutManifest(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), manifestFile) {
 		t.Fatalf("bare blob directory: err = %v, want one naming %s", err, manifestFile)
 	}
-	if _, ok := repo.Get("Bare"); ok {
+	if _, ok := repo.ActiveRelease("Bare"); ok {
 		t.Error("unmanifested blob was published")
 	}
 }

@@ -147,17 +147,6 @@ func (r *Repository) StageProgram(p *vm.Program, tag string) (*Release, error) {
 	return r.publish(p, tag, false)
 }
 
-// Get resolves a class by name to its active release.
-func (r *Repository) Get(name string) (*Release, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	h, ok := r.classes[strings.ToLower(name)]
-	if !ok || h.active < 0 {
-		return nil, false
-	}
-	return h.releases[h.active], true
-}
-
 // Resolve addresses a class release by name and content digest — the
 // deploy-by-digest path, which keeps in-flight queries pinned to the
 // release they planned against regardless of later pointer moves.

@@ -193,7 +193,7 @@ func (p *planner) buildDAG() *queryDAG {
 		if def, ok := p.opt.Cat.Ops().Lookup(e.Func); ok {
 			n.costPB = def.CPUCostPerByte
 		}
-		if rel, ok := p.opt.Cat.Repo().Get(e.Func); ok {
+		if rel, ok := p.opt.Cat.Repo().ActiveRelease(e.Func); ok {
 			if !rel.Cost.IsZero() {
 				n.static, n.hasStatic = rel.Cost, true
 			}

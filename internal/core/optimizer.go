@@ -584,7 +584,7 @@ func (p *planner) attachCode(frag *Fragment) error {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		rel, ok := p.opt.Cat.Repo().Get(n)
+		rel, ok := p.opt.Cat.Repo().ActiveRelease(n)
 		if !ok {
 			return fmt.Errorf("core: operator %s has no class in the code repository", n)
 		}
@@ -668,7 +668,7 @@ func (p *planner) wantSemiJoin(order []int, joinPreds []BoundPred) bool {
 		return false
 	}
 	// The semi-join protocol runs two coordinated phases per site and its
-	// key streams cannot be restarted past the replay window; keep
+	// key streams are not recovered when a connection breaks; keep
 	// degraded sites on the simple single-stream protocol. Partitioned
 	// tables scatter over many sessions, which the 2-site key exchange
 	// cannot coordinate either.

@@ -373,9 +373,7 @@ func DecodeFragment(data []byte) (*Fragment, error) {
 // this activation. The DAP answers with a wire.StartAck.
 type Start struct {
 	XMLName xml.Name `xml:"start"`
-	// Stream names the result stream. The DAP retains the stream's replay
-	// window under it, and a START naming an ID it still retains either
-	// continues that stream (see After) or replaces its execution.
+	// Stream names the result stream, the same at every placement of it.
 	Stream string `xml:"stream,attr"`
 	// Trace is the query's trace ID; when set the DAP records spans
 	// under it and returns them with the stream's stats.
@@ -386,12 +384,12 @@ type Start struct {
 	// from the shard it started.
 	Part int `xml:"part,attr,omitempty"`
 	Of   int `xml:"of,attr,omitempty"`
-	// After is the resume point of a START that re-places a broken stream:
-	// the sequence number of the last in-order frame the QPC holds (absent
-	// on a first attempt, or when it holds none). A DAP that retains the
-	// stream parked with a replay window covering After continues it from
-	// the next frame; any other DAP runs the fragment from its beginning.
-	After    uint64    `xml:"after,attr,omitempty"`
+	// Skip is how many of the stream's tuples the QPC already holds: on a
+	// START that re-places a broken stream, the delivered prefix (absent
+	// otherwise). Whichever DAP receives it runs the fragment from its
+	// beginning and sends only what follows those tuples; fragment output
+	// is deterministic and identical across replicas.
+	Skip     int64     `xml:"skip,attr,omitempty"`
 	Fragment *Fragment `xml:"fragment"`
 }
 

@@ -53,18 +53,8 @@ type Config struct {
 	// the DAP mid-stream. Zero disables.
 	FrameTimeout time.Duration
 	// BatchBytes overrides the target tuple-batch payload size for result
-	// streams. Zero means wire.DefaultBatchBytes. Smaller batches make the
-	// replay window finer-grained: less retransmission when a stream
-	// continues on a new connection.
+	// streams. Zero means wire.DefaultBatchBytes.
 	BatchBytes int
-	// ReplayWindowBytes bounds the per-stream replay window a START can
-	// continue from: the most recent frames up to this many payload bytes
-	// (the newest frame is always kept). Zero means the 1 MiB default.
-	ReplayWindowBytes int64
-	// RetainTTL bounds how long an interrupted stream stays parked waiting
-	// for a START to continue it before it is aborted and its window
-	// freed. Zero means the 10s default.
-	RetainTTL time.Duration
 	// Exec tunes the fragment executor: batch size, the scan read-ahead
 	// depth, and the query-memory budget shared by every concurrent
 	// session (Exec.MemBudgetBytes > 0 creates the server's memory
@@ -81,11 +71,10 @@ type Config struct {
 // Server is a DAP instance. One Server handles many sequential QPC
 // sessions; concurrent connections each get their own session state.
 type Server struct {
-	cfg      Config
-	cache    *codeCache
-	retained *retention
-	met      dapMetrics
-	gov      *exec.Governor
+	cfg   Config
+	cache *codeCache
+	met   dapMetrics
+	gov   *exec.Governor
 }
 
 // dapMetrics caches the server's registry handles.
@@ -102,13 +91,7 @@ type dapMetrics struct {
 	fastRuns      *obs.Counter
 	vmInstrs      *obs.Counter
 	compileMicros *obs.Histogram
-
-	streamsRetained *obs.Gauge
-	streamsParked   *obs.Counter
-	streamResumes   *obs.Counter
-	replayedBytes   *obs.Counter
-	retainExpired   *obs.Counter
-	windowEvicted   *obs.Counter
+	streamResumes *obs.Counter
 
 	invalidateRequests *obs.Counter
 	invalidateDropped  *obs.Counter
@@ -122,22 +105,15 @@ func New(cfg Config) *Server {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default()
 	}
-	if cfg.ReplayWindowBytes <= 0 {
-		cfg.ReplayWindowBytes = 1 << 20
-	}
-	if cfg.RetainTTL <= 0 {
-		cfg.RetainTTL = 10 * time.Second
-	}
 	r := cfg.Metrics
 	var gov *exec.Governor
 	if cfg.Exec.MemBudgetBytes > 0 {
 		gov = exec.NewGovernor(cfg.Exec.MemBudgetBytes, r)
 	}
 	return &Server{
-		cfg:      cfg,
-		cache:    newCodeCache(),
-		retained: newRetention(),
-		gov:      gov,
+		cfg:   cfg,
+		cache: newCodeCache(),
+		gov:   gov,
 		met: dapMetrics{
 			sessionsOpen:  r.Gauge(obs.MDapSessionsOpen),
 			sessionsTotal: r.Counter(obs.MDapSessionsTotal),
@@ -151,13 +127,7 @@ func New(cfg Config) *Server {
 			fastRuns:      r.Counter(obs.MVMFastpathRuns),
 			vmInstrs:      r.Counter(obs.MVMInstructions),
 			compileMicros: r.Histogram(obs.MVMCompileMicros),
-
-			streamsRetained: r.Gauge(obs.MDapStreamsRetained),
-			streamsParked:   r.Counter(obs.MDapStreamsParked),
-			streamResumes:   r.Counter(obs.MDapStreamResumes),
-			replayedBytes:   r.Counter(obs.MDapStreamReplayedBytes),
-			retainExpired:   r.Counter(obs.MDapStreamRetainExpired),
-			windowEvicted:   r.Counter(obs.MDapStreamWindowEvicted),
+			streamResumes: r.Counter(obs.MDapStreamResumes),
 
 			invalidateRequests: r.Counter(obs.MDapCacheInvalidateRequests),
 			invalidateDropped:  r.Counter(obs.MDapCacheInvalidateDropped),

@@ -145,7 +145,7 @@ func startFragment(t *testing.T, conn *wire.Conn, req *core.Start, keys []types.
 }
 
 // readStream drains a fragment stream, returning its rows and the stats
-// its SEQ_EOS carried.
+// its EOS carried.
 func readStream(t *testing.T, conn *wire.Conn, schema types.Schema) ([]types.Tuple, wire.ExecStats) {
 	t.Helper()
 	r := wire.NewBatchReader(conn, schema)

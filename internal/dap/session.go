@@ -19,9 +19,10 @@ import (
 
 // HandleConn serves one QPC connection. Every request on it is complete
 // in itself (DESIGN §3.6): START puts a fragment's stream on the
-// connection — run from its beginning, or continued where a broken
-// connection left it — HELLO is the heartbeat's ping, and the rest are
-// one-frame exchanges.
+// connection — run from its beginning, less the prefix a re-placed
+// START says the QPC already holds — HELLO is the heartbeat's ping, and
+// the rest are one-frame exchanges. Nothing is kept from one request to
+// the next.
 func (s *Server) HandleConn(nc net.Conn) error {
 	conn := wire.NewConn(nc)
 	defer conn.Close()
@@ -33,7 +34,6 @@ func (s *Server) HandleConn(nc net.Conn) error {
 	s.met.sessionsTotal.Inc()
 	s.met.sessionsOpen.Add(1)
 	defer s.met.sessionsOpen.Add(-1)
-	sess := &session{srv: s, conn: conn}
 	for {
 		t, payload, err := conn.Recv()
 		if err != nil {
@@ -47,12 +47,9 @@ func (s *Server) HandleConn(nc net.Conn) error {
 			}
 			return err
 		}
-		if err := sess.handle(t, payload); err != nil {
+		if err := s.handle(conn, t, payload); err != nil {
 			if errors.Is(err, errSessionClosed) {
 				return nil
-			}
-			if errors.Is(err, errDropConn) {
-				return err
 			}
 			conn.SendError(err)
 			s.cfg.Logf("dap %s: %v", s.cfg.Site, err)
@@ -62,28 +59,13 @@ func (s *Server) HandleConn(nc net.Conn) error {
 
 var errSessionClosed = errors.New("session closed")
 
-// errDropConn marks a failure after which nothing more may be written
-// to the peer: the session ends and the connection closes with no ERROR
-// frame.
-var errDropConn = errors.New("connection dropped")
-
-// session is one connection's request loop. No request reads what an
-// earlier one left: the only thing kept from frame to frame is which
-// streams this connection carried to their SEQ_EOS, so that CLOSE — the
-// QPC saying it has read them — frees their replay windows at once.
-type session struct {
-	srv       *Server
-	conn      *wire.Conn
-	delivered []*retainedStream
-}
-
-func (ss *session) handle(t wire.MsgType, payload []byte) error {
+func (s *Server) handle(conn *wire.Conn, t wire.MsgType, payload []byte) error {
 	switch t {
 	case wire.MsgHello:
-		return ss.conn.Send(wire.MsgHelloAck, nil)
+		return conn.Send(wire.MsgHelloAck, nil)
 
 	case wire.MsgStart:
-		return ss.start(payload)
+		return s.start(conn, payload)
 
 	case wire.MsgSemiJoinKeys:
 		// START reads the key frame of a semi-join fragment itself.
@@ -94,7 +76,7 @@ func (ss *session) handle(t wire.MsgType, payload []byte) error {
 		if err := wire.DecodeXML(payload, &call); err != nil {
 			return err
 		}
-		lines, err := ss.srv.handleProc(call)
+		lines, err := s.handleProc(call)
 		if err != nil {
 			return err
 		}
@@ -102,33 +84,26 @@ func (ss *session) handle(t wire.MsgType, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		return ss.conn.Send(wire.MsgProcResult, data)
+		return conn.Send(wire.MsgProcResult, data)
 
 	case wire.MsgCodeInvalidate:
 		var req wire.CodeInvalidate
 		if err := wire.DecodeXML(payload, &req); err != nil {
 			return err
 		}
-		dropped := ss.srv.cache.invalidate(req.Digests)
-		ss.srv.met.invalidateRequests.Inc()
-		ss.srv.met.invalidateDropped.Add(int64(dropped))
+		dropped := s.cache.invalidate(req.Digests)
+		s.met.invalidateRequests.Inc()
+		s.met.invalidateDropped.Add(int64(dropped))
 		if dropped > 0 {
-			ss.srv.cfg.Logf("dap %s: invalidated %d cached class release(s)", ss.srv.cfg.Site, dropped)
+			s.cfg.Logf("dap %s: invalidated %d cached class release(s)", s.cfg.Site, dropped)
 		}
 		data, err := wire.EncodeXML(&wire.CodeInvalidateAck{Dropped: dropped})
 		if err != nil {
 			return err
 		}
-		return ss.conn.Send(wire.MsgCodeInvalidateAck, data)
+		return conn.Send(wire.MsgCodeInvalidateAck, data)
 
 	case wire.MsgClose:
-		// A stream whose connection died before its EOS was read gets no
-		// CLOSE, and stays replayable until its TTL.
-		for _, st := range ss.delivered {
-			if st != nil && st.getPhase() == phaseDone {
-				ss.srv.release(st)
-			}
-		}
 		return errSessionClosed
 
 	default:
@@ -151,13 +126,11 @@ type execution struct {
 
 // start serves one START: it reads the frames the request promises (the
 // key set right behind a semi-join fragment; after the ack, one class
-// per digest the ack asked for), then runs the fragment — unless the
-// request names a resume point the retained stream still covers, in
-// which case that stream continues on this connection. A refused class
+// per digest the ack asked for), then runs the fragment. A refused class
 // or key set is reported only once all of them are read, as the ERROR
 // frame the QPC finds where the stream would begin — answering sooner
 // would write to a peer that is itself still writing.
-func (ss *session) start(payload []byte) error {
+func (s *Server) start(conn *wire.Conn, payload []byte) error {
 	began := time.Now()
 	var req core.Start
 	if err := wire.DecodeXML(payload, &req); err != nil {
@@ -167,23 +140,14 @@ func (ss *session) start(payload []byte) error {
 	if frag == nil || req.Stream == "" {
 		return fmt.Errorf("start without a fragment or a stream id")
 	}
-	if req.After > 0 {
-		if st, tail := ss.srv.continuable(req.Stream, req.After); st != nil {
-			// The key set rides behind every START of a semi-join fragment;
-			// the parked executor already holds it.
-			if frag.SemiJoinCol >= 0 {
-				if _, err := ss.conn.Expect(wire.MsgSemiJoinKeys); err != nil {
-					return err
-				}
-			}
-			ss.delivered = append(ss.delivered, st)
-			return ss.srv.reattach(ss.conn, st, req.After+1, tail)
-		}
+	if req.Skip > 0 {
+		s.met.streamResumes.Inc()
+		s.cfg.Logf("dap %s: stream %s placed again past %d delivered tuples", s.cfg.Site, req.Stream, req.Skip)
 	}
-	ex := &execution{srv: ss.srv, conn: ss.conn, frag: frag, trace: obs.NewTraceAt(req.Trace, began)}
+	ex := &execution{srv: s, conn: conn, frag: frag, trace: obs.NewTraceAt(req.Trace, began)}
 	var ack wire.StartAck
 	for _, ref := range frag.Code {
-		if ss.srv.cache.needs(ref, ss.srv.cfg.DisableCodeCache) {
+		if s.cache.needs(ref, s.cfg.DisableCodeCache) {
 			ack.Need = append(ack.Need, ref.Checksum)
 		}
 	}
@@ -192,12 +156,12 @@ func (ss *session) start(payload []byte) error {
 		return err
 	}
 	hits := int64(len(frag.Code) - len(ack.Need))
-	ss.srv.met.cacheHits.Add(hits)
+	s.met.cacheHits.Add(hits)
 	ex.setup(obs.PhaseDapStart, began, obs.Span{CacheHits: hits})
 
 	var refused error
 	if frag.SemiJoinCol >= 0 {
-		keys, err := ss.conn.Expect(wire.MsgSemiJoinKeys)
+		keys, err := conn.Expect(wire.MsgSemiJoinKeys)
 		if err != nil {
 			return err
 		}
@@ -205,11 +169,11 @@ func (ss *session) start(payload []byte) error {
 		refused = ex.installKeys(keys)
 		ex.setup(obs.PhaseDapKeysInstall, began, obs.Span{})
 	}
-	if err := ss.conn.Send(wire.MsgStartAck, ackData); err != nil {
+	if err := conn.Send(wire.MsgStartAck, ackData); err != nil {
 		return err
 	}
 	for range ack.Need {
-		blob, err := ss.conn.Expect(wire.MsgDeployCode)
+		blob, err := conn.Expect(wire.MsgDeployCode)
 		if err != nil {
 			return err
 		}
@@ -225,9 +189,7 @@ func (ss *session) start(payload []byte) error {
 	}
 	// Part/Of are echoed in the report so the QPC can verify the stream's
 	// provenance, the trace ID because the request carried it.
-	st, err := ex.execute(req.Stream, wire.ExecStats{Site: ss.srv.cfg.Site, Trace: req.Trace, Part: req.Part, Of: req.Of})
-	ss.delivered = append(ss.delivered, st)
-	return err
+	return ex.execute(req.Skip, wire.ExecStats{Site: s.cfg.Site, Trace: req.Trace, Part: req.Part, Of: req.Of})
 }
 
 // setup records a step done ahead of the operators (request decoding,
@@ -292,10 +254,11 @@ func (ex *execution) installKeys(payload []byte) error {
 	return nil
 }
 
-// execute runs the fragment and streams its output under streamID as
-// sequence-numbered frames retained in a replay window: a dropped
-// connection parks the execution for the next START instead of failing
-// it. It returns the stream once registered, whatever became of it.
+// execute runs the fragment and streams its output, less the first skip
+// tuples: the prefix a re-placed START says the QPC already holds. The
+// prefix is computed again and dropped before the batch writer sees it,
+// so only the tail crosses the wire; a fragment that produces fewer
+// tuples than skip ends its stream in an ERROR frame, never a short EOS.
 //
 // The fragment is lowered onto the shared operator tree (exec.
 // LowerFragment): the scan runs in its own goroutine behind a bounded
@@ -306,16 +269,19 @@ func (ex *execution) installKeys(payload []byte) error {
 // time (obs.ClassOf) — so no component can go negative by subtraction.
 // report arrives with the execution's identity; its spans are filled in
 // here and it ends the stream.
-func (ex *execution) execute(streamID string, report wire.ExecStats) (*retainedStream, error) {
+func (ex *execution) execute(skip int64, report wire.ExecStats) error {
 	start := time.Now()
 	frag := ex.frag
+	if skip < 0 {
+		return fmt.Errorf("start skips a negative number of tuples (%d)", skip)
+	}
 	schema, err := ex.srv.cfg.Driver.TableSchema(frag.Table)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, c := range frag.Cols {
 		if c < 0 || c >= schema.Arity() {
-			return nil, fmt.Errorf("fragment extracts column %d of %d-column table %s", c, schema.Arity(), frag.Table)
+			return fmt.Errorf("fragment extracts column %d of %d-column table %s", c, schema.Arity(), frag.Table)
 		}
 	}
 
@@ -329,30 +295,17 @@ func (ex *execution) execute(streamID string, report wire.ExecStats) (*retainedS
 	binder := &vmBinder{cache: ex.srv.cache, refs: refs, machine: vm.New(ex.srv.cfg.Limits), limits: ex.srv.cfg.Limits}
 	binder.machines = append(binder.machines, binder.machine)
 
-	// A START for an ID still retained — a retried set-up whose first
-	// attempt got as far as running, or a recovery the retained stream
-	// could not cover — aborts the stale execution and takes its place.
-	st := newRetainedStream(streamID, ex.srv.cfg.ReplayWindowBytes)
-	if stale := ex.srv.retained.put(st); stale != nil {
-		stale.markAborted()
-	}
-	ex.srv.met.streamsRetained.Set(ex.srv.retained.size())
-	sender := &resumableSender{srv: ex.srv, st: st, conn: ex.conn}
-	defer func() {
-		// A finished stream stays retained (window included) until the
-		// QPC's CLOSE, or its TTL when a drop ate the EOS and it may yet
-		// be replayed; any other exit frees it now.
-		srv := ex.srv // the timer must not keep the whole execution alive
-		if st.getPhase() == phaseDone {
-			time.AfterFunc(srv.cfg.RetainTTL, func() { srv.release(st) })
-			return
-		}
-		st.markAborted()
-		srv.release(st)
-	}()
-
-	writer := wire.NewBatchWriter(sender)
+	writer := wire.NewBatchWriter(ex.conn)
 	writer.SetTarget(ex.srv.cfg.BatchBytes)
+	var skipped, skippedBytes int64
+	emit := func(t types.Tuple) error {
+		if skipped < skip {
+			skipped++
+			skippedBytes += int64(t.WireSize())
+			return nil
+		}
+		return writer.Write(t)
+	}
 
 	// A pushed-down LIMIT bounds the useful scan prefix: cap the batch
 	// size at the limit so the scan's read-ahead (channel depth × batch
@@ -376,14 +329,17 @@ func (ex *execution) execute(streamID string, report wire.ExecStats) (*retainedS
 		usedIndex = used
 		return serr
 	}, rows, exec.DefaultPrefetch)
-	tree, err := exec.LowerFragment(frag, binder, src, ex.semiKeys, writer.Write, ex.srv.gov)
+	tree, err := exec.LowerFragment(frag, binder, src, ex.semiKeys, emit, ex.srv.gov)
 	if err != nil {
-		return st, err
+		return err
 	}
 	ex.setup(obs.PhaseDapLower, start, obs.Span{})
 
 	if err := exec.Run(context.Background(), tree, nil); err != nil {
-		return st, err
+		return err
+	}
+	if skipped < skip {
+		return fmt.Errorf("fragment on %s produced %d tuples, fewer than the %d its START skips", frag.Table, skipped, skip)
 	}
 	if usedIndex {
 		ex.srv.cfg.Logf("dap %s: table %s served by index range scan", ex.srv.cfg.Site, frag.Table)
@@ -391,13 +347,15 @@ func (ex *execution) execute(streamID string, report wire.ExecStats) (*retainedS
 	src.Stats().DBBytes = accessed
 
 	// The flush sends the last partial batch, so only now are the writer's
-	// totals final: its span carries them. The QPC moves them onto its own
-	// span of the stream when it imports the report.
+	// totals final. Its span carries the whole stream's, the skipped prefix
+	// included, so the report that ends a stream covers it once however
+	// often it was placed; the QPC moves them onto its own span of the
+	// stream when it imports the report.
 	flush := ex.trace.Begin(obs.PhaseDapFlush, ex.srv.cfg.Site)
 	if err := writer.Flush(); err != nil {
-		return st, err
+		return err
 	}
-	flush.NetBytes, flush.Tuples = writer.DataBytes, writer.Tuples
+	flush.NetBytes, flush.Tuples = skippedBytes+writer.DataBytes, skipped+writer.Tuples
 	flush.End()
 	ex.trace.Add(tree.Spans(ex.srv.cfg.Site, ex.trace.Since(start))...)
 
@@ -413,11 +371,7 @@ func (ex *execution) execute(streamID string, report wire.ExecStats) (*retainedS
 	report.Spans = ex.trace.TakeSpans()
 	payload, err := wire.EncodeXML(&report)
 	if err != nil {
-		return st, err
+		return err
 	}
-	if err := sender.Send(wire.MsgEOS, payload); err != nil {
-		return st, err
-	}
-	st.markDone()
-	return st, nil
+	return ex.conn.Send(wire.MsgEOS, payload)
 }

@@ -13,21 +13,16 @@ import (
 // constants below.
 const (
 	// DAP server (internal/dap).
-	MDapSessionsOpen        = "dap_sessions_open"
-	MDapSessionsTotal       = "dap_sessions_total"
-	MDapActivations         = "dap_activations"
-	MDapTuplesSent          = "dap_tuples_sent"
-	MDapBytesSent           = "dap_bytes_sent"
-	MDapCodeClassesLoaded   = "dap_code_classes_loaded"
-	MDapCodeCacheHits       = "dap_code_cache_hits"
-	MDapExecMS              = "dap_exec_ms"
-	MDapVerifyRejects       = "dap_verify_rejects"
-	MDapStreamsRetained     = "dap_streams_retained"
-	MDapStreamsParked       = "dap_streams_parked"
-	MDapStreamResumes       = "dap_stream_resumes"
-	MDapStreamReplayedBytes = "dap_stream_replayed_bytes"
-	MDapStreamRetainExpired = "dap_stream_retain_expired"
-	MDapStreamWindowEvicted = "dap_stream_window_evicted"
+	MDapSessionsOpen      = "dap_sessions_open"
+	MDapSessionsTotal     = "dap_sessions_total"
+	MDapActivations       = "dap_activations"
+	MDapTuplesSent        = "dap_tuples_sent"
+	MDapBytesSent         = "dap_bytes_sent"
+	MDapCodeClassesLoaded = "dap_code_classes_loaded"
+	MDapCodeCacheHits     = "dap_code_cache_hits"
+	MDapExecMS            = "dap_exec_ms"
+	MDapVerifyRejects     = "dap_verify_rejects"
+	MDapStreamResumes     = "dap_stream_resumes"
 
 	// DAP code-cache invalidation (release rollback): CODE_INVALIDATE
 	// requests handled, and cached blobs actually dropped by digest.
@@ -62,7 +57,6 @@ const (
 	MQpcQueryMS              = "qpc_query_ms"
 	MQpcStreamResumes        = "qpc_stream_resumes"
 	MQpcResumeSavedBytes     = "qpc_resume_saved_bytes"
-	MQpcResumeFailed         = "qpc_resume_failed"
 	MQpcRestartWastedBytes   = "qpc_restart_wasted_bytes"
 	MQpcDegradedReplans      = "qpc_degraded_replans"
 	MQpcBreakerOpened        = "qpc_breaker_opened"
@@ -156,13 +150,12 @@ const (
 	PhasePipeline = "pipeline" // the QPC's operator tree, from first pull to last row
 	PhaseDrain    = "drain"    // the sites' reports read into the trace, their sessions closed
 
-	PhaseDeploy   = "deploy"    // one site's session and START exchange, inside setup
-	PhaseStream   = "stream"    // one fragment's result stream; carries its wire volume
-	PhaseKeysRecv = "keys:recv" // one site's key projection, streamed to the QPC
-	PhaseKeysSend = "keys:send" // the common keys, sent behind the fragment's own START
-	PhaseResume   = "resume"
-	PhaseRestart  = "restart"
-	PhaseFailover = "failover"
+	PhaseDeploy   = "deploy"         // one site's session and START exchange, inside setup
+	PhaseStream   = "stream"         // one fragment's result stream; carries its wire volume
+	PhaseKeysRecv = "keys:recv"      // one site's key projection, streamed to the QPC
+	PhaseKeysSend = "keys:send"      // the common keys, sent behind the fragment's own START
+	PhaseResume   = "resume"         // a broken stream placed again at its serving site; tuples = the prefix it skips
+	PhaseFailover = "failover"       // a broken stream placed again at a sibling replica; tuples as for resume
 	PhaseCanary   = "rollout:canary" // marks a trace run on a canary release
 
 	PhaseDapStart       = "dap:start"        // decoding the START, checking the code cache
@@ -199,7 +192,7 @@ var spanClass = map[string]Class{
 	PhasePlan: ClassMisc, PhaseSetup: ClassMisc,
 	PhaseQueued: ClassNone, PhaseKeys: ClassNone, PhasePipeline: ClassNone, PhaseDrain: ClassNone,
 	PhaseDeploy: ClassNone, PhaseStream: ClassNone, PhaseKeysRecv: ClassNone, PhaseKeysSend: ClassNone,
-	PhaseResume: ClassNone, PhaseRestart: ClassNone, PhaseFailover: ClassNone, PhaseCanary: ClassNone,
+	PhaseResume: ClassNone, PhaseFailover: ClassNone, PhaseCanary: ClassNone,
 	PhaseDapStart: ClassMisc, PhaseDapKeysInstall: ClassMisc, PhaseDapDeployCode: ClassMisc,
 	PhaseDapLower: ClassMisc, PhaseDapFlush: ClassNet,
 

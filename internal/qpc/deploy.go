@@ -49,17 +49,16 @@ func (s *Server) openSession(ctx context.Context, site string) (*dapSession, err
 	return &dapSession{site: site, conn: conn, release: conn.Bind(ctx)}, nil
 }
 
-// close says CLOSE — which lets the DAP free the replay windows of the
-// streams this session read to their end — and drops the connection. The
-// write is bounded by the session's frame timeout, so a dead peer cannot
-// stall cleanup.
+// close says CLOSE, which ends the DAP's session, and drops the
+// connection. The write is bounded by the session's frame timeout, so a
+// dead peer cannot stall cleanup.
 func (ds *dapSession) close() {
 	_ = ds.conn.Send(wire.MsgClose, nil)
 	ds.abandon()
 }
 
-// abandon drops the connection without a CLOSE: a stream that broke on
-// it must stay retained at the DAP for the START that follows.
+// abandon drops the connection without a CLOSE, for a session that
+// failed.
 func (ds *dapSession) abandon() {
 	ds.conn.Close()
 	ds.release()
@@ -76,43 +75,39 @@ func (ds *dapSession) ping() error {
 }
 
 // start sends START on ds — the one request that puts the stream on a
-// connection (DESIGN §3.6) — and installs the reader its ack calls for.
-// The request is the unit's fragment, or in a semi-join's key phase its
-// key projection, under the stream's ID; a semi-join fragment's key set
-// rides right behind it; after, when not zero, is the last frame the QPC
-// holds of the stream. The DAP's ack either continues the retained
-// stream from the frame after that, and the one reader is rebound to
-// the new connection, or names, by digest, the classes it lacks before
-// it runs the fragment from the beginning: each is fetched from the
-// repository by that digest — so a fragment started mid-rollout, or
-// placed again after a failover, ships the release its plan was routed
-// to, never whichever is active at ship time — and sent with no further
-// reply: a class the DAP refuses, like a plan it cannot run, comes back
-// as the stream's ERROR frame. A fresh reader then takes the stream, and
-// what was already delivered of it is discarded as it arrives again.
-// Cache hits, shipped classes and the key set sent are counted into the
+// connection (DESIGN §3.6) — and installs a reader for what follows its
+// ack. The request is the unit's fragment, or in a semi-join's key phase
+// its key projection, under the stream's ID, with the count of tuples
+// already delivered for the DAP to skip; a semi-join fragment's key set
+// rides right behind it. The DAP's ack names, by digest, the classes it
+// lacks: each is fetched from the repository by that digest — so a
+// fragment started mid-rollout, or placed again after a failover, ships
+// the release its plan was routed to, never whichever is active at ship
+// time — and sent with no further reply: a class the DAP refuses, like a
+// plan it cannot run, comes back as the stream's ERROR frame. Cache
+// hits, shipped classes and the key set sent are counted into the
 // caller's span of the exchange.
-func (fs *fragmentStream) start(ds *dapSession, after uint64, into *obs.Span) (continued bool, err error) {
+func (fs *fragmentStream) start(ds *dapSession, into *obs.Span) error {
 	e := fs.e
 	frag, id := fs.unit.Frag, fs.id
 	if fs.keyPhase {
 		frag, id = keyFragment(frag), id+"/keys"
 	}
-	req := core.Start{Stream: id, Trace: e.trace.ID, After: after, Fragment: frag}
+	req := core.Start{Stream: id, Trace: e.trace.ID, Skip: fs.delivered, Fragment: frag}
 	if fs.unit.Of > 0 {
 		req.Part, req.Of = fs.unit.Part, fs.unit.Of
 	}
 	payload, err := wire.EncodeXML(&req)
 	if err != nil {
-		return false, err
+		return err
 	}
 	sentAt := e.trace.Since(time.Now())
 	if err := ds.conn.Send(wire.MsgStart, payload); err != nil {
-		return false, err
+		return err
 	}
 	if frag.SemiJoinCol >= 0 {
 		if err := ds.conn.Send(wire.MsgSemiJoinKeys, wire.EncodeBatch(fs.keys)); err != nil {
-			return false, err
+			return err
 		}
 		// Key delivery is real data movement.
 		for _, k := range fs.keys {
@@ -122,18 +117,11 @@ func (fs *fragmentStream) start(ds *dapSession, after uint64, into *obs.Span) (c
 	}
 	ackData, err := ds.conn.Expect(wire.MsgStartAck)
 	if err != nil {
-		return false, err
+		return err
 	}
 	var ack wire.StartAck
 	if err := wire.DecodeXML(ackData, &ack); err != nil {
-		return false, err
-	}
-	if ack.From > 0 {
-		if after == 0 || ack.From != after+1 || len(ack.Need) > 0 {
-			return false, fmt.Errorf("qpc: %s continues stream %s from frame %d, asked past %d", ds.site, id, ack.From, after)
-		}
-		fs.r.Rebind(ds.conn)
-		return true, nil
+		return err
 	}
 	into.CacheHits += int64(len(frag.Code) - len(ack.Need))
 	// Resolve everything before sending anything: a release the
@@ -146,20 +134,20 @@ func (fs *fragmentStream) start(ds *dapSession, after uint64, into *obs.Span) (c
 			}
 		}
 		if releases[i] == nil {
-			return false, fmt.Errorf("qpc: class release %s, wanted by %s, vanished from the repository", digest, ds.site)
+			return fmt.Errorf("qpc: class release %s, wanted by %s, vanished from the repository", digest, ds.site)
 		}
 	}
 	for _, rel := range releases {
 		if err := ds.conn.Send(wire.MsgDeployCode, rel.Blob); err != nil {
-			return false, err
+			return err
 		}
 		into.Classes++
 		into.CodeBytes += int64(len(rel.Blob))
 		e.srv.cfg.Logf("qpc: shipped %s (%d bytes) to %s", rel.Class, len(rel.Blob), ds.site)
 	}
 	fs.r = wire.NewBatchReader(ds.conn, frag.OutSchema)
-	fs.startOff, fs.skipTuples = sentAt, fs.delivered
-	return false, nil
+	fs.startOff = sentAt
+	return nil
 }
 
 // keyFragment is the projection of a semi-join fragment onto its join
@@ -180,8 +168,8 @@ func keyFragment(main *core.Fragment) *core.Fragment {
 }
 
 // readKeys reads a key-fragment stream to its end, returning the
-// distinct keys. The stream is sequenced like any other but is not
-// recovered: a failure here fails the phase.
+// distinct keys. The stream is not recovered: a failure here fails the
+// phase.
 func readKeys(reader *wire.BatchReader) ([]types.Tuple, error) {
 	seen := map[uint64][]types.Object{}
 	var keys []types.Tuple

@@ -94,11 +94,11 @@ func (e *planExec) run(ctx context.Context, began time.Time, emit func(types.Tup
 	// follows the last of them. Under the 2-way semi-join of section 5.4 a
 	// unit starts the projection of its fragment onto the join column
 	// first. The stream ID derives from the trace ID and is the same at
-	// every placement, and a START is idempotent — the DAP continues or
-	// replaces a stream whose ID it already retains — so a transport
-	// failure anywhere in the exchange, now or mid-stream, is answered by
-	// sending it again on a fresh connection under the policy's shared
-	// per-query budget.
+	// every placement, and a START is idempotent — the DAP runs the
+	// fragment from its beginning, skipping what the QPC already holds —
+	// so a transport failure anywhere in the exchange, now or mid-stream,
+	// is answered by sending it again on a fresh connection under the
+	// policy's shared per-query budget.
 	semiFrags := len(exec.SemiJoinParticipants(e.plan))
 	if semiFrags > 0 && (semiFrags != 2 || len(e.plan.Fragments) != 2) {
 		return fmt.Errorf("qpc: semi-join requires exactly two participating fragments")
@@ -234,7 +234,7 @@ func (e *planExec) exchangeKeys() error {
 		// The stream keeps the set: every later placement sends it again.
 		fs.keyPhase, fs.keys = false, common
 		span := e.trace.Begin(obs.PhaseKeysSend, fs.ds.site)
-		if _, err := fs.start(fs.ds, 0, &span.Span); err != nil {
+		if err := fs.start(fs.ds, &span.Span); err != nil {
 			return err
 		}
 		span.End()

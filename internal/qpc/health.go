@@ -15,7 +15,8 @@ import (
 // effort there: the optimizer stops shipping code to the site (degraded
 // fragments re-plan under data shipping, annotated in EXPLAIN), the
 // retry path stops burning budget on it (one attempt, which doubles as
-// the probe), and the resume path stops trusting its retained streams.
+// the probe), and a broken stream is placed again at a sibling replica
+// instead, when it has one.
 // After OpenFor the breaker is half-open: retries are permitted again
 // and the first success closes it.
 

@@ -3,9 +3,9 @@ package qpc
 // Replica-failover chaos suite: a QPC over two DAP sites that each hold
 // a full replica of both shards of a range-partitioned Rasters table.
 // Killing the replica serving a shard mid-stream must move the stream to
-// the sibling with byte-exact results and volume accounting; killing
-// every replica must fail the query with a typed partition-unavailable
-// error, promptly.
+// the sibling (or to the site's restarted DAP) with byte-exact results
+// and volume accounting; killing every replica must fail the query with
+// a typed partition-unavailable error, promptly.
 
 import (
 	"errors"
@@ -32,7 +32,8 @@ import (
 type partitionHarness struct {
 	srv     *Server
 	network *netsim.Network
-	rows    int // generated Rasters row count
+	rows    int        // generated Rasters row count
+	daps    []*dapProc // site1's first, each with its own registry
 }
 
 const partScanQuery = `SELECT time, band, image FROM Rasters`
@@ -115,13 +116,9 @@ func newPartitionHarness(t *testing.T, tune func(*Config)) *partitionHarness {
 		stores[si] = st
 	}
 
+	var daps []*dapProc
 	for si, addr := range []string{"dap1", "dap2"} {
-		l, err := network.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go dap.New(dap.Config{
+		daps = append(daps, startDAP(t, network, addr, dap.Config{
 			Site:         fmt.Sprintf("site%d", si+1),
 			Driver:       &dap.StorageDriver{Store: stores[si]},
 			IdleTimeout:  2 * time.Second,
@@ -129,7 +126,8 @@ func newPartitionHarness(t *testing.T, tune func(*Config)) *partitionHarness {
 			// Flush roughly per raster image, so a byte-threshold fault
 			// strikes after some tuples have already been delivered.
 			BatchBytes: 8 << 10,
-		}).Serve(l)
+			Metrics:    obs.NewRegistry(),
+		}))
 	}
 
 	reg := ops.Builtins()
@@ -160,7 +158,7 @@ func newPartitionHarness(t *testing.T, tune func(*Config)) *partitionHarness {
 	if tune != nil {
 		tune(&qcfg)
 	}
-	h := &partitionHarness{srv: New(qcfg), network: network, rows: rows}
+	h := &partitionHarness{srv: New(qcfg), network: network, rows: rows, daps: daps}
 	t.Cleanup(h.srv.Close)
 	return h
 }
@@ -189,51 +187,81 @@ func (h *partitionHarness) counter(name string) int64 {
 	return h.srv.Metrics().Counter(name).Value()
 }
 
-// TestPartitionFailoverMidStream kills the replica serving shard 0 after
-// a quarter of the query's volume has flowed: the stream must fail over
-// to the sibling replica and the query must finish with exactly the rows,
-// CVDT and CVDA of the undisturbed run — the replayed prefix is recovery
-// waste, never query volume — while the trace's summed span NetBytes
-// still reproduce CVDT.
-func TestPartitionFailoverMidStream(t *testing.T) {
-	h := newPartitionHarness(t, func(c *Config) {
-		// One strike opens the breaker, so the first mid-stream failure
-		// fails over immediately instead of resuming against the corpse.
-		c.Breaker = BreakerPolicy{FailureThreshold: 1}
-	})
-	clean, err := h.executeWithin(t, 10*time.Second, partScanQuery)
-	if err != nil {
-		t.Fatalf("clean scattered run failed: %v", err)
+// bytesSent is what every DAP has sent in all, by its dap_bytes_sent.
+func (h *partitionHarness) bytesSent() (n int64) {
+	for _, p := range h.daps {
+		n += p.cfg.Metrics.Counter(obs.MDapBytesSent).Value()
 	}
-	if len(clean.Rows) != h.rows {
-		t.Fatalf("clean run returned %d rows, generated %d", len(clean.Rows), h.rows)
-	}
+	return n
+}
 
-	h.network.SetFault("dap1", &netsim.FaultPlan{
-		DropFirstConnAfterBytes: clean.Stats.CVDT / 4,
-	})
-	res, err := h.executeWithin(t, 10*time.Second, partScanQuery)
-	if err != nil {
-		t.Fatalf("query did not survive replica death: %v", err)
-	}
-	if fmt.Sprint(res.Rows) != fmt.Sprint(clean.Rows) {
-		t.Errorf("failover changed the result: %d rows vs %d clean", len(res.Rows), len(clean.Rows))
-	}
-	if res.Stats.CVDT != clean.Stats.CVDT {
-		t.Errorf("CVDT = %d after failover, want %d: replayed prefix leaked into query volume",
-			res.Stats.CVDT, clean.Stats.CVDT)
-	}
-	if res.Stats.CVDA != clean.Stats.CVDA {
-		t.Errorf("CVDA = %d after failover, want %d", res.Stats.CVDA, clean.Stats.CVDA)
-	}
-	if got, want := res.Trace.NetBytes(), res.Stats.CVDT; got != want {
-		t.Errorf("trace span NetBytes sum = %d, want CVDT %d", got, want)
-	}
-	if n := h.counter("qpc_replica_failovers"); n != 1 {
-		t.Errorf("qpc_replica_failovers = %d, want exactly 1", n)
-	}
-	if wasted := h.counter("qpc_restart_wasted_bytes"); wasted <= 0 {
-		t.Errorf("qpc_restart_wasted_bytes = %d; the replayed prefix must be accounted as waste", wasted)
+// TestPartitionFailoverMidStream kills the link to the replica serving
+// shard 0 after a quarter of the query's volume has flowed. The stream
+// moves to the sibling replica, or — with the breaker left closed — to
+// the same site, whose DAP process has been replaced meanwhile. Either
+// way the query must finish with exactly the rows, CVDT and CVDA of the
+// undisturbed run, the trace's summed span NetBytes must still reproduce
+// CVDT, and the DAPs together must have sent only the tail: the clean
+// CVDT less the prefix the QPC already held.
+func TestPartitionFailoverMidStream(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		tune    func(c *Config, restart func())
+		counter string // what the QPC counts the re-placement as
+	}{
+		{"sibling", func(c *Config, _ func()) {
+			// One strike opens the breaker, so the first mid-stream failure
+			// fails over immediately instead of resuming against the corpse.
+			c.Breaker = BreakerPolicy{FailureThreshold: 1}
+		}, "qpc_replica_failovers"},
+		{"dap_restarted", func(c *Config, restart func()) {
+			// Shard 0's first dial to dap1 carries the stream the fault
+			// breaks; its re-placement finds a new DAP process there.
+			restartOnRedial(c, "dap1", 2, restart)
+		}, "qpc_stream_resumes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clean, err := newPartitionHarness(t, nil).executeWithin(t, 10*time.Second, partScanQuery)
+			if err != nil {
+				t.Fatalf("clean scattered run failed: %v", err)
+			}
+			var h *partitionHarness
+			h = newPartitionHarness(t, func(c *Config) { tc.tune(c, func() { h.daps[0].restart() }) })
+			if len(clean.Rows) != h.rows {
+				t.Fatalf("clean run returned %d rows, generated %d", len(clean.Rows), h.rows)
+			}
+
+			h.network.SetFault("dap1", &netsim.FaultPlan{
+				DropFirstConnAfterBytes: clean.Stats.CVDT / 4,
+			})
+			res, err := h.executeWithin(t, 10*time.Second, partScanQuery)
+			if err != nil {
+				t.Fatalf("query did not survive replica death: %v", err)
+			}
+			if fmt.Sprint(res.Rows) != fmt.Sprint(clean.Rows) {
+				t.Errorf("failover changed the result: %d rows vs %d clean", len(res.Rows), len(clean.Rows))
+			}
+			if res.Stats.CVDT != clean.Stats.CVDT {
+				t.Errorf("CVDT = %d after failover, want %d: replayed prefix leaked into query volume",
+					res.Stats.CVDT, clean.Stats.CVDT)
+			}
+			if res.Stats.CVDA != clean.Stats.CVDA {
+				t.Errorf("CVDA = %d after failover, want %d", res.Stats.CVDA, clean.Stats.CVDA)
+			}
+			if got, want := res.Trace.NetBytes(), res.Stats.CVDT; got != want {
+				t.Errorf("trace span NetBytes sum = %d, want CVDT %d", got, want)
+			}
+			if n := h.counter(tc.counter); n != 1 {
+				t.Errorf("%s = %d, want exactly 1", tc.counter, n)
+			}
+			saved := h.counter("qpc_resume_saved_bytes")
+			if saved <= 0 {
+				t.Errorf("qpc_resume_saved_bytes = %d; the delivered prefix must not be sent again", saved)
+			}
+			if sent := h.bytesSent(); sent != clean.Stats.CVDT-saved {
+				t.Errorf("DAPs sent %d B, want the clean CVDT %d less the %d B already delivered", sent, clean.Stats.CVDT, saved)
+			}
+		})
 	}
 }
 

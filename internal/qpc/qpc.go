@@ -111,14 +111,13 @@ type qpcMetrics struct {
 	wastedCodeBytes  *obs.Counter
 	queryMS          *obs.Histogram
 
-	// Incremental-recovery counters: resumes that continued a stream in
-	// place, the bytes each resume avoided re-receiving (everything
-	// delivered before the cut), resumes the DAP could not honour, the
-	// duplicate bytes discarded by full restarts, and queries re-planned
-	// under data shipping because a site's breaker was open.
+	// Recovery counters: broken streams placed again at their serving
+	// site, the bytes each re-placement (there or at a sibling) avoided
+	// re-receiving (everything delivered before the cut), what the
+	// recoveries' own STARTs re-sent (a semi-join's key set), and queries
+	// re-planned under data shipping because a site's breaker was open.
 	resumes            *obs.Counter
 	resumeSavedBytes   *obs.Counter
-	resumeFailed       *obs.Counter
 	restartWastedBytes *obs.Counter
 	degradedReplans    *obs.Counter
 
@@ -173,7 +172,6 @@ func New(cfg Config) *Server {
 
 		resumes:            r.Counter(obs.MQpcStreamResumes),
 		resumeSavedBytes:   r.Counter(obs.MQpcResumeSavedBytes),
-		resumeFailed:       r.Counter(obs.MQpcResumeFailed),
 		restartWastedBytes: r.Counter(obs.MQpcRestartWastedBytes),
 		degradedReplans:    r.Counter(obs.MQpcDegradedReplans),
 
@@ -350,7 +348,7 @@ func (s *Server) Explain(sql string) (string, error) {
 // published unverified, so a non-VERIFIED verdict means the stored blob
 // was corrupted after publication.
 func (s *Server) VerifyClass(name string) (string, error) {
-	rel, ok := s.cfg.Cat.Repo().Get(name)
+	rel, ok := s.cfg.Cat.Repo().ActiveRelease(name)
 	if !ok {
 		return "", fmt.Errorf("qpc: no class named %q in the code repository", name)
 	}

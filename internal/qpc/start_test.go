@@ -2,9 +2,8 @@ package qpc
 
 // The START exchange seen from the QPC's side of the wire: how many
 // times the conversation turns around before a stream's first frame,
-// what a retried START leaves behind at the DAP, when a delivered
-// stream's replay window is freed, and what each refusal looks like by
-// the time it reaches the caller.
+// what a retried START leaves behind at the DAP, and what each refusal
+// looks like by the time it reaches the caller.
 
 import (
 	"context"
@@ -20,7 +19,6 @@ import (
 	"mocha/internal/core"
 	"mocha/internal/dap"
 	"mocha/internal/netsim"
-	"mocha/internal/obs"
 	"mocha/internal/types"
 	"mocha/internal/vm"
 	"mocha/internal/wire"
@@ -68,11 +66,10 @@ func (s *frameScan) feed(p []byte, onHeader func(wire.MsgType), onFrame func(wir
 
 // startRecord is what one START cost before its stream began.
 type startRecord struct {
-	flips int    // write→read turnarounds before the first SEQ_* frame
-	blobs int    // DEPLOY_CODE frames sent
-	keys  bool   // a SEMIJOIN_KEYS frame rode behind the START
-	after uint64 // the resume point the START named
-	first uint64 // the sequence number of the stream's first frame
+	flips int   // write→read turnarounds before the first stream frame
+	blobs int   // DEPLOY_CODE frames sent
+	keys  bool  // a SEMIJOIN_KEYS frame rode behind the START
+	skip  int64 // the delivered tuples the START said to skip
 	done  bool
 }
 
@@ -107,7 +104,7 @@ func (l *startLog) wrap(cfg *Config) {
 // countingConn watches a QPC→DAP connection from the dialling side, the
 // way the benchmark's set-up driver does: every START opens a record,
 // and each read that follows a write is one turnaround of it until the
-// stream's first sequenced frame shows up.
+// stream's first frame shows up.
 type countingConn struct {
 	net.Conn
 	log       *startLog
@@ -123,7 +120,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 		case wire.MsgStart:
 			var req core.Start
 			_ = wire.DecodeXML(body, &req)
-			c.cur = &startRecord{after: req.After}
+			c.cur = &startRecord{skip: req.Skip}
 			c.log.records = append(c.log.records, c.cur)
 		case wire.MsgDeployCode:
 			c.cur.blobs++
@@ -147,12 +144,9 @@ func (c *countingConn) Read(p []byte) (int, error) {
 		c.wroteLast = false
 		c.cur.flips++
 	}
-	c.in.feed(p[:n], nil, func(t wire.MsgType, body []byte) {
-		if !c.cur.done && (t == wire.MsgSeqBatch || t == wire.MsgSeqEOS) {
-			c.cur.done = true
-			c.cur.first, _, _ = wire.CutSeq(body)
-		}
-	})
+	c.in.feed(p[:n], func(t wire.MsgType) {
+		c.cur.done = c.cur.done || t == wire.MsgTupleBatch || t == wire.MsgEOS
+	}, nil)
 	return n, err
 }
 
@@ -161,9 +155,9 @@ func (c *countingConn) Read(p []byte) (int, error) {
 // (the ack, and the stream behind it), two when it does not (the ack,
 // then the classes and the stream), still one for a semi-join fragment,
 // whose key set goes out behind the START before the ack is read — and
-// one for a stream placed again after its connection broke, whether the
-// DAP continues it, runs it afresh because the window is gone, or is a
-// sibling replica that never saw it.
+// one for a stream placed again after its connection broke, whether at
+// the DAP that was serving it, at that site's restarted DAP, or at a
+// sibling replica: each says how many tuples to skip.
 func TestStartRoundTrips(t *testing.T) {
 	var log startLog
 	h := newChaosHarness(t, func(c *Config) {
@@ -216,20 +210,23 @@ func TestStartRoundTrips(t *testing.T) {
 		run     func(t *testing.T, tune func(*Config)) (*Server, error)
 		starts  int    // STARTs in all, the re-placement last
 		counter string // what the QPC counts the re-placement as
-		resumed bool   // the re-placement continues the stream in place
 	}{
-		{"recovery, window held", func(t *testing.T, tune func(*Config)) (*Server, error) {
+		{"recovery", func(t *testing.T, tune func(*Config)) (*Server, error) {
 			h := newResumeHarness(t, tune, nil)
 			h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: 80 << 10})
 			_, err := h.executeWithin(t, 10*time.Second, streamQuery)
 			return h.srv, err
-		}, 2, "qpc_stream_resumes", true},
-		{"recovery, window gone", func(t *testing.T, tune func(*Config)) (*Server, error) {
-			h := newResumeHarness(t, tune, func(d *dap.Config) { d.RetainTTL = time.Nanosecond })
+		}, 2, "qpc_stream_resumes"},
+		{"recovery, DAP restarted", func(t *testing.T, tune func(*Config)) (*Server, error) {
+			var h *resumeHarness
+			h = newResumeHarness(t, func(c *Config) {
+				tune(c)
+				restartOnRedial(c, "dap1", 2, func() { h.dap.restart() })
+			}, nil)
 			h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: 80 << 10})
 			_, err := h.executeWithin(t, 10*time.Second, streamQuery)
 			return h.srv, err
-		}, 2, "qpc_resume_failed", false},
+		}, 2, "qpc_stream_resumes"},
 		{"failover to sibling", func(t *testing.T, tune func(*Config)) (*Server, error) {
 			h := newPartitionHarness(t, func(c *Config) {
 				c.Breaker = BreakerPolicy{FailureThreshold: 1}
@@ -238,7 +235,7 @@ func TestStartRoundTrips(t *testing.T) {
 			h.network.SetFault("dap1", &netsim.FaultPlan{DropFirstConnAfterBytes: 40 << 10})
 			_, err := h.executeWithin(t, 10*time.Second, partScanQuery)
 			return h.srv, err
-		}, 3, "qpc_replica_failovers", false},
+		}, 3, "qpc_replica_failovers"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var log startLog
@@ -251,18 +248,8 @@ func TestStartRoundTrips(t *testing.T) {
 				t.Fatalf("%d STARTs, want %d: %+v", len(recs), tc.starts, recs)
 			}
 			again := recs[len(recs)-1]
-			if !again.done || again.flips != 1 || again.blobs != 0 {
-				t.Errorf("re-placement START = %+v, want its stream after 1 turnaround", again)
-			}
-			// A continued stream replays from the frame after the one the
-			// START names, never a frame the QPC already holds; a fresh
-			// execution starts at frame 1.
-			want := uint64(1)
-			if tc.resumed {
-				want = again.after + 1
-			}
-			if again.first != want || tc.resumed && again.after == 0 {
-				t.Errorf("re-placement named frame %d and its stream began at frame %d, want %d", again.after, again.first, want)
+			if !again.done || again.flips != 1 || again.blobs != 0 || again.skip <= 0 {
+				t.Errorf("re-placement START = %+v, want a prefix skipped and its stream after 1 turnaround", again)
 			}
 			if n := srv.Metrics().Counter(tc.counter).Value(); n != 1 {
 				t.Errorf("%s = %d, want 1", tc.counter, n)
@@ -290,29 +277,31 @@ func (c *ackEater) Read(p []byte) (int, error) {
 }
 
 // cutConn breaks a QPC→DAP connection at a chosen frame of the stream it
-// carries: once `after` sequenced frames have come in — counted from the
-// last START written, or with keyed set from the key set written behind
-// one — the read that brought the last of them is the connection's last.
-// Before it fails the next read it swallows `lose` more bytes: frames the
-// DAP sent, and believes delivered, that the QPC never sees.
+// carries: once the START_ACK and then `after` batch frames have come in
+// — behind the last START written, or with keyed set behind the last one
+// a key set rode behind — the read that brought the last of them is the
+// connection's last. Before it fails the next read it swallows `lose`
+// more bytes: frames the DAP sent, and believes delivered, that the QPC
+// never sees.
 type cutConn struct {
 	net.Conn
 	keyed bool
 	after int
 	lose  int
 
-	out, in frameScan
-	armed   bool
-	seen    int
+	out, in  frameScan
+	keysSent bool
+	armed    bool
+	seen     int
 }
 
 func (c *cutConn) Write(p []byte) (int, error) {
 	c.out.feed(p, func(t wire.MsgType) {
 		switch t {
 		case wire.MsgStart:
-			c.armed, c.seen = !c.keyed, 0
+			c.armed, c.keysSent, c.seen = false, false, 0
 		case wire.MsgSemiJoinKeys:
-			c.armed = true
+			c.keysSent = true
 		}
 	}, nil)
 	return c.Conn.Write(p)
@@ -330,11 +319,14 @@ func (c *cutConn) Read(p []byte) (int, error) {
 		return 0, netsim.ErrInjectedDrop
 	}
 	n, err := c.Conn.Read(p)
-	c.in.feed(p[:n], func(t wire.MsgType) {
-		if c.armed && t == wire.MsgSeqBatch {
+	c.in.feed(p[:n], nil, func(t wire.MsgType, _ []byte) {
+		switch {
+		case t == wire.MsgStartAck:
+			c.armed = !c.keyed || c.keysSent
+		case c.armed && t == wire.MsgTupleBatch:
 			c.seen++
 		}
-	}, nil)
+	})
 	return n, err
 }
 
@@ -358,24 +350,12 @@ func cutDial(cfg *Config, addr string, nth int, cut *cutConn) {
 	}
 }
 
-// waitForGauge polls a DAP gauge for up to two seconds — far inside the
-// 10 s retain TTL these tests must not be waiting out.
-func waitForGauge(t *testing.T, reg *obs.Registry, name string, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for reg.Gauge(name).Value() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s = %d, want %d", name, reg.Gauge(name).Value(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestRetriedStartReplacesStaleExecution loses a START_ACK in flight:
 // the DAP has acked and begun to run when the QPC's read fails, so the
-// retry names a stream ID the DAP still retains. The retry must replace
-// that execution — rows and volumes as on a clean run — and when the
-// query is over the DAP retains nothing.
+// retry names a stream the DAP is still running on the dead connection.
+// The retry is answered like any START — rows and volumes as on a clean
+// run — and the stale execution dies at its first write, never running
+// to its end.
 func TestRetriedStartReplacesStaleExecution(t *testing.T) {
 	clean := newResumeHarness(t, nil, nil)
 	base, err := clean.executeWithin(t, 10*time.Second, streamQuery)
@@ -410,23 +390,6 @@ func TestRetriedStartReplacesStaleExecution(t *testing.T) {
 	}
 	if n := h.dapReg.Counter("dap_activations").Value(); n != 1 {
 		t.Errorf("dap_activations = %d, want 1: the stale execution must not run to its end", n)
-	}
-	waitForGauge(t, h.dapReg, "dap_streams_retained", 0)
-}
-
-// TestCloseReleasesDeliveredStreams: after a clean two-site join — a
-// semi-join here, two streams per session — the QPC's CLOSE frees every
-// replay window at once instead of leaving them to the retain TTL.
-func TestCloseReleasesDeliveredStreams(t *testing.T) {
-	h := newChaosHarness(t, forceCodeShip)
-	if _, err := h.executeWithin(t, 5*time.Second, joinQuery); err != nil {
-		t.Fatal(err)
-	}
-	for _, reg := range h.dapRegs {
-		if n := reg.Counter("dap_activations").Value(); n != 2 {
-			t.Errorf("dap_activations = %d, want 2 (key projection and fragment)", n)
-		}
-		waitForGauge(t, reg, "dap_streams_retained", 0)
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 // fragmentStream is one unit's result stream and the session it runs on.
 // The stream gets its connection from place, first and every time after:
 // when the connection dies mid-stream, place sends the same START again,
-// naming the last frame the QPC holds, and the DAP either continues the
-// stream from there — re-sending at most its replay window — or runs the
-// fragment afresh, the duplicate prefix being discarded tuple by tuple.
+// saying how many tuples the QPC has already delivered, and the DAP that
+// receives it runs the fragment from the beginning and sends only the
+// tuples after those.
 type fragmentStream struct {
 	e *planExec
 	// unit is the activation this stream serves. unit.Replicas is the
@@ -39,11 +39,8 @@ type fragmentStream struct {
 	// onto it.
 	startOff int64
 
-	delivered int64 // tuples handed to the pipeline
+	delivered int64 // tuples handed to the pipeline: what a re-placed START skips
 	rxBytes   int64 // payload bytes of delivered tuples
-	// skipTuples is how much of the delivered prefix an execution started
-	// afresh has still to send again, to be discarded.
-	skipTuples int64
 }
 
 // Next returns the next tuple, or (nil, nil) at end of stream, placing
@@ -63,11 +60,6 @@ func (fs *fragmentStream) Next() (types.Tuple, error) {
 		if tup == nil {
 			return nil, nil
 		}
-		if fs.skipTuples > 0 {
-			fs.skipTuples--
-			fs.e.srv.met.restartWastedBytes.Add(int64(tup.WireSize()))
-			continue
-		}
 		fs.delivered++
 		fs.rxBytes += int64(tup.WireSize())
 		return tup, nil
@@ -85,15 +77,12 @@ func (fs *fragmentStream) EOS() []byte { return fs.r.EOSPayload }
 // exchange on a fresh session under the shared retry policy, budget and
 // breaker, and once something has failed — the stream, or the rung
 // before — a rung costs one retry token and a site whose breaker is open
-// is passed over. The START names the stream ID of every attempt before
-// it, so whatever an earlier attempt left at the DAP is continued or
-// replaced, never duplicated; it also names the last frame the QPC holds
-// when the site is the one that sent it. The ack says which it is
-// (fragmentStream.start): continued in place, or run from the beginning
-// with the delivered prefix to be discarded — rows are deterministic and
-// identical across replicas, so the pipeline sees one unbroken stream.
-// A partitioned unit that runs out of rungs fails with a typed
-// partition-unavailable error.
+// is passed over. The START names the same stream ID at every attempt
+// and the count of tuples already delivered; whichever site answers runs
+// the fragment from its beginning and skips that prefix — rows are
+// deterministic and identical across replicas, so the pipeline sees one
+// unbroken stream. A partitioned unit that runs out of rungs fails with
+// a typed partition-unavailable error.
 func (fs *fragmentStream) place(cause error) error {
 	e, u := fs.e, fs.unit
 	health, met := e.srv.health, &e.srv.met
@@ -119,13 +108,9 @@ func (fs *fragmentStream) place(cause error) error {
 				break
 			}
 		}
-		var after uint64
 		if i > 0 {
 			u.Frag.Site = site
-		} else if fs.r != nil {
-			after = fs.r.Seq
 		}
-		var continued bool
 		err := retryTransient(e.ctx, e.srv.cfg.Retry, e.budget, health, site, what, func() error {
 			// Each attempt counts into a span of its own, and only a stream's
 			// first placement records it: what an aborted attempt or a
@@ -134,7 +119,7 @@ func (fs *fragmentStream) place(cause error) error {
 			span := e.trace.Begin(obs.PhaseDeploy, site)
 			ds, err := e.srv.openSession(e.ctx, site)
 			if err == nil {
-				if continued, err = fs.start(ds, after, &span.Span); err != nil {
+				if err = fs.start(ds, &span.Span); err != nil {
 					ds.abandon()
 				}
 			}
@@ -146,9 +131,6 @@ func (fs *fragmentStream) place(cause error) error {
 			}
 			if err != nil {
 				return err
-			}
-			if after > 0 && !continued {
-				met.resumeFailed.Inc()
 			}
 			fs.ds = ds
 			return nil
@@ -165,20 +147,17 @@ func (fs *fragmentStream) place(cause error) error {
 		if cause == nil {
 			return nil
 		}
-		// The recovery's span is named for how it ended, and a stream run
-		// afresh says how long a prefix it has to discard.
-		outcome := e.trace.Interval(obs.PhaseRestart, site, began, time.Now())
+		// The recovery's span is named for where the stream went, and says
+		// how long a prefix the DAP skips. Every byte delivered before the
+		// cut is a byte that no longer crosses the wire: that is the saving.
+		outcome := e.trace.Interval(obs.PhaseResume, site, began, time.Now())
 		outcome.Tuples = fs.delivered
 		if i > 0 {
 			outcome.Name = obs.PhaseFailover
-		}
-		if continued {
-			outcome.Name, outcome.Tuples = obs.PhaseResume, 0
+		} else {
 			met.resumes.Inc()
-			// Every byte already received is a byte a replay from scratch
-			// would have re-sent: that is the saving.
-			met.resumeSavedBytes.Add(fs.rxBytes)
 		}
+		met.resumeSavedBytes.Add(fs.rxBytes)
 		e.trace.Add(outcome)
 		e.srv.cfg.Logf("qpc: stream %s: %s at %s after %d tuples (%v)", fs.id, outcome.Name, site, fs.delivered, cause)
 		return nil

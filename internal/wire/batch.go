@@ -17,20 +17,20 @@ const DefaultBatchBytes = 256 << 10
 
 // EncodeBatch packs tuples into one TupleBatch payload.
 func EncodeBatch(tuples []types.Tuple) []byte {
-	return appendBatch(nil, 0, tuples)
+	return appendBatch(nil, tuples)
 }
 
-// appendBatch encodes tuples as a TupleBatch payload behind lead bytes,
-// into buf when it has the room and else into new memory of exactly the size.
-func appendBatch(buf []byte, lead int, tuples []types.Tuple) []byte {
-	size := lead + 4
+// appendBatch encodes tuples as a TupleBatch payload, into buf when it
+// has the room and else into new memory of exactly the size.
+func appendBatch(buf []byte, tuples []types.Tuple) []byte {
+	size := 4
 	for _, t := range tuples {
 		size += t.WireSize()
 	}
 	if cap(buf) < size {
-		buf = make([]byte, lead, size)
+		buf = make([]byte, 0, size)
 	}
-	buf = binary.BigEndian.AppendUint32(buf[:lead], uint32(len(tuples)))
+	buf = binary.BigEndian.AppendUint32(buf[:0], uint32(len(tuples)))
 	for _, t := range tuples {
 		buf = t.AppendTo(buf)
 	}
@@ -79,14 +79,6 @@ type FrameSender interface {
 	Send(t MsgType, payload []byte) error
 }
 
-// SeqFrameSender is the sink of a sequenced stream: it is handed the
-// whole frame — SeqSlot bytes to stamp the sequence number into, then
-// the payload — and may keep it, as the DAP's replay window does.
-type SeqFrameSender interface {
-	FrameSender
-	SendSeqFrame(t MsgType, frame []byte) error
-}
-
 // BatchWriter streams tuples over a connection, flushing a TupleBatch
 // frame whenever the pending payload reaches the target size.
 type BatchWriter struct {
@@ -94,7 +86,7 @@ type BatchWriter struct {
 	target  int
 	pending []types.Tuple
 	bytes   int
-	frame   []byte // the last frame sent to a plain sink, reused for the next
+	frame   []byte // the last frame sent, reused for the next
 	// DataBytes accumulates the tuple payload bytes sent (excluding
 	// framing), i.e. the volume-of-data-transmitted contribution.
 	DataBytes int64
@@ -108,8 +100,7 @@ func NewBatchWriter(c FrameSender) *BatchWriter {
 }
 
 // SetTarget overrides the flush threshold. Values <= 0 restore the
-// default. A smaller target trades framing overhead for a finer replay
-// granularity on resumable streams.
+// default.
 func (w *BatchWriter) SetTarget(n int) {
 	if n <= 0 {
 		n = DefaultBatchBytes
@@ -128,19 +119,14 @@ func (w *BatchWriter) Write(t types.Tuple) error {
 	return nil
 }
 
-// Flush sends any pending tuples as one batch, encoded once, into a frame
-// of the batch's size: a new one for a sink that keeps it, else the writer's.
+// Flush sends any pending tuples as one batch, encoded once into the
+// writer's frame.
 func (w *BatchWriter) Flush() error {
 	if len(w.pending) == 0 {
 		return nil
 	}
-	var err error
-	if seq, ok := w.conn.(SeqFrameSender); ok {
-		err = seq.SendSeqFrame(MsgTupleBatch, appendBatch(nil, SeqSlot, w.pending))
-	} else {
-		w.frame = appendBatch(w.frame, 0, w.pending)
-		err = w.conn.Send(MsgTupleBatch, w.frame)
-	}
+	w.frame = appendBatch(w.frame, w.pending)
+	err := w.conn.Send(MsgTupleBatch, w.frame)
 	w.DataBytes += int64(w.bytes)
 	clear(w.pending) // the tuples' frames must not stay reachable from here
 	w.pending = w.pending[:0]
@@ -158,11 +144,6 @@ type BatchReader struct {
 	// EOSPayload holds the payload of the terminating EOS frame (the
 	// sender's execution stats) once the stream ends.
 	EOSPayload []byte
-	// Seq is the sequence number of the last in-order frame consumed
-	// from a resumable stream (zero before the first, or on plain
-	// streams). Every sequenced frame must carry Seq+1; anything else,
-	// a replay of a frame already held included, is a sequence gap.
-	Seq uint64
 }
 
 // NewBatchReader reads tuples of the given schema from c.
@@ -187,35 +168,9 @@ func (r *BatchReader) Next() (types.Tuple, error) {
 				return nil, err
 			}
 			r.pos = 0
-		case MsgSeqBatch:
-			seq, body, err := CutSeq(payload)
-			if err != nil {
-				return nil, err
-			}
-			if want := r.Seq + 1; seq != want {
-				return nil, fmt.Errorf("wire: stream sequence gap: got frame %d, want %d", seq, want)
-			}
-			r.buf, err = DecodeBatch(r.schema, body)
-			if err != nil {
-				return nil, err
-			}
-			r.pos = 0
-			r.Seq = seq
 		case MsgEOS:
 			r.done = true
 			r.EOSPayload = payload
-			return nil, nil
-		case MsgSeqEOS:
-			seq, body, err := CutSeq(payload)
-			if err != nil {
-				return nil, err
-			}
-			if want := r.Seq + 1; seq != want {
-				return nil, fmt.Errorf("wire: stream sequence gap at EOS: got frame %d, want %d", seq, want)
-			}
-			r.Seq = seq
-			r.done = true
-			r.EOSPayload = body
 			return nil, nil
 		case MsgError:
 			return nil, &RemoteError{Msg: string(payload)}
@@ -227,9 +182,3 @@ func (r *BatchReader) Next() (types.Tuple, error) {
 	r.pos++
 	return t, nil
 }
-
-// Rebind continues the stream on c after the connection it was read
-// from broke: the position in the stream and the tuples decoded but not
-// yet delivered are kept, and the sender replays from the frame after
-// Seq.
-func (r *BatchReader) Rebind(c *Conn) { r.conn = c }

@@ -12,8 +12,8 @@ import (
 
 // The data path's two promises, pinned: a decoded tuple stays what it
 // was however many frames follow it and whatever the sender does with
-// its buffer (ownership), and a shipped byte is copied — and a frame
-// allocated — once per hop (the budgets below).
+// its buffer (ownership), and a shipped byte is copied once per hop (the
+// budgets below).
 
 var pathSchema = types.NewSchema(
 	types.Column{Name: "id", Kind: types.KindInt},
@@ -31,30 +31,6 @@ func pathTuple(i int) types.Tuple {
 		types.NewPolygon(pts), types.NewGraph(pts, []types.GraphEdge{{A: 0, B: 1}, {A: 1, B: 2}}),
 		types.NewRaster(5, 4, bytes.Repeat([]byte{byte(i)}, 20)),
 	}
-}
-
-// retainingSink is a sequenced sink the way the DAP's is: it stamps the
-// slot of the frame it is handed, keeps that very frame for replay, and
-// sends it — unless it has no connection, when it only keeps it.
-type retainingSink struct {
-	conn   *Conn
-	frames [][]byte
-}
-
-func (s *retainingSink) Send(t MsgType, body []byte) error {
-	return s.SendSeqFrame(t, AppendSeq(0, body))
-}
-
-func (s *retainingSink) SendSeqFrame(t MsgType, frame []byte) error {
-	StampSeq(frame, uint64(len(s.frames)+1))
-	s.frames = append(s.frames, frame)
-	if s.conn == nil {
-		return nil
-	}
-	if t == MsgEOS {
-		return s.conn.Send(MsgSeqEOS, frame)
-	}
-	return s.conn.Send(MsgSeqBatch, frame)
 }
 
 // readAll drains r and returns every tuple, kept exactly as delivered.
@@ -90,18 +66,17 @@ func wantPathTuples(t *testing.T, got []types.Tuple, n int) {
 // TestBatchTuplesOutliveTheirFrames streams 40 tuples in some thirty
 // frames. The receiver keeps every tuple as delivered and compares them
 // only at the end — batch N after batches N+1… were received into their
-// own bodies and, on the plain stream, after the writer encoded every
-// later batch into the one buffer it reuses. Run it under -race: the
-// sender goroutine's buffer and the receiver's tuples must share nothing.
+// own bodies, after the writer encoded every later batch into the one
+// buffer it reuses. Run it under -race: the sender goroutine's buffer and
+// the receiver's tuples must share nothing.
 func TestBatchTuplesOutliveTheirFrames(t *testing.T) {
 	const n = 40
-	stream := func(t *testing.T, sink func(*Conn) FrameSender) {
+	t.Run("plain", func(t *testing.T) {
 		a, b := pipeConns()
 		defer a.Close()
 		defer b.Close()
 		go func() {
-			s := sink(a)
-			w := NewBatchWriter(s)
+			w := NewBatchWriter(a)
 			w.SetTarget(200)
 			for i := 0; i < n; i++ {
 				if err := w.Write(pathTuple(i)); err != nil {
@@ -109,60 +84,11 @@ func TestBatchTuplesOutliveTheirFrames(t *testing.T) {
 				}
 			}
 			if w.Flush() == nil {
-				s.Send(MsgEOS, nil)
+				a.Send(MsgEOS, nil)
 			}
 		}()
 		r := NewBatchReader(b, pathSchema)
 		wantPathTuples(t, readAll(t, r), n)
-	}
-	t.Run("plain", func(t *testing.T) { stream(t, func(c *Conn) FrameSender { return c }) })
-	t.Run("sequenced", func(t *testing.T) { stream(t, func(c *Conn) FrameSender { return &retainingSink{conn: c} }) })
-
-	// A retained-window replay: the first connection breaks inside frame
-	// 4, with tuples of frame 3 decoded but not yet delivered; the reader
-	// is rebound to a connection that replays the window from frame 4,
-	// the one after the last it holds, as a DAP does.
-	t.Run("rebind", func(t *testing.T) {
-		sink := &retainingSink{}
-		w := NewBatchWriter(sink)
-		w.SetTarget(600)
-		for i := 0; i < n; i++ {
-			if err := w.Write(pathTuple(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := sink.Send(MsgEOS, nil); err != nil {
-			t.Fatal(err)
-		}
-		onWire := func(frames [][]byte) []byte {
-			var out []byte
-			for i, f := range frames {
-				typ := MsgSeqBatch
-				if seq, _, _ := CutSeq(f); int(seq) == len(sink.frames) && i == len(frames)-1 {
-					typ = MsgSeqEOS
-				}
-				out = append(out, frame(typ, f)...)
-			}
-			return out
-		}
-		first := onWire(sink.frames[:4])
-		r := NewBatchReader(NewConn(&byteConn{r: bytes.NewReader(first[:len(first)-9])}), pathSchema)
-		var got []types.Tuple
-		for {
-			tup, err := r.Next()
-			if err != nil {
-				break // the cut inside frame 4
-			}
-			got = append(got, tup)
-		}
-		if r.Seq != 3 {
-			t.Fatalf("reader holds frame %d at the break, want 3", r.Seq)
-		}
-		r.Rebind(NewConn(&byteConn{r: bytes.NewReader(onWire(sink.frames[3:]))}))
-		wantPathTuples(t, append(got, readAll(t, r)...), n)
 	})
 }
 
@@ -283,10 +209,8 @@ func (s *addrSender) Send(_ MsgType, p []byte) error {
 }
 
 // TestBatchWriterCopiesOncePerFrame: between Write and the sink a tuple's
-// bytes are written once. On the sequenced path the frame the sink is
-// handed is the frame it stamps, keeps and sends — one allocation of
-// exactly slot + payload, no AppendSeq copy; on the plain path every
-// frame after the first is encoded into the same buffer.
+// bytes are written once, and every frame after the first is encoded
+// into the same buffer.
 func TestBatchWriterCopiesOncePerFrame(t *testing.T) {
 	rows, _ := graphRows(64)
 	write := func(w *BatchWriter) {
@@ -299,32 +223,15 @@ func TestBatchWriterCopiesOncePerFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	size := len(EncodeBatch(rows))
-
-	sink := &retainingSink{}
-	seq := NewBatchWriter(sink)
-	write(seq) // grows pending and the sink's index
-	sink.frames = sink.frames[:0]
-	// One allocation of slot + payload, rounded up to its size class: two
-	// buffers, or a regrown one, would be twice that.
-	if got, want := allocatedBytes(func() { write(seq) }), uint64(SeqSlot+size); got < want || got > want*5/4 {
-		t.Errorf("a sequenced frame of %d payload bytes cost %d bytes of allocation, want %d", size, got, want)
-	}
-	if f := sink.frames[0]; len(f) != SeqSlot+size || !bytes.Equal(f[SeqSlot:], EncodeBatch(rows)) {
-		t.Errorf("retained frame is %d bytes, want the stamped slot and the %d-byte batch", len(f), size)
-	} else if seq, _, _ := CutSeq(f); seq != 1 {
-		t.Errorf("retained frame carries sequence number %d, want 1", seq)
-	}
-
 	var plain addrSender
 	pw := NewBatchWriter(&plain)
 	write(pw)
 	if allocs := testing.AllocsPerRun(10, func() { write(pw) }); allocs != 0 {
-		t.Errorf("a plain frame after the first allocates %.0f times, want 0: the buffer is reused", allocs)
+		t.Errorf("a frame after the first allocates %.0f times, want 0: the buffer is reused", allocs)
 	}
 	for _, p := range plain.starts[1:] {
 		if p != plain.starts[0] {
-			t.Fatal("plain frames were not encoded into one reused buffer")
+			t.Fatal("frames were not encoded into one reused buffer")
 		}
 	}
 }

@@ -70,7 +70,7 @@ func TestControlFramesGolden(t *testing.T) {
 	}
 
 	keyCol := types.NewSchema(types.Column{Name: "location", Kind: types.KindInt})
-	start := core.Start{Stream: "q7/1", Trace: "q7", Part: 2, Of: 3, Fragment: &core.Fragment{
+	start := core.Start{Stream: "q7/1", Trace: "q7", Part: 2, Of: 3, Skip: 42, Fragment: &core.Fragment{
 		Site: "site2", Table: "Rasters2__p2", SemiJoinCol: 0, Cols: []int{2}, InSchema: keyCol,
 		Projections: []core.Output{{Name: "location", Expr: core.NewCol(0, types.KindInt)}},
 		Code:        []core.CodeRef{{Name: "AvgEnergy", Version: "1.0", Checksum: "abc", Caps: "alloc"}},

@@ -70,9 +70,10 @@ func FuzzFrame(f *testing.F) {
 	})
 	f.Add(frame(MsgTupleBatch, batch))
 	f.Add(frame(MsgAck, nil))
-	// Resumable-stream frames: sequence-numbered batches and EOS.
-	f.Add(frame(MsgSeqBatch, AppendSeq(1, batch)))
-	f.Add(frame(MsgSeqEOS, AppendSeq(2, stats)))
+	// A batch of no tuples, and a frame of a retired stream kind: read as
+	// a frame, refused by every reader.
+	f.Add(frame(MsgTupleBatch, EncodeBatch(nil)))
+	f.Add(frame(MsgSeqBatch, batch))
 	// Placement-bearing frames: a shard's START with its partition
 	// coordinates, the ack asking for two classes, and an EOS echoing the
 	// coordinates back.
@@ -87,16 +88,18 @@ func FuzzFrame(f *testing.F) {
 	shardStats, _ := EncodeXML(ExecStats{Site: "site1", Part: 1, Of: 4, Spans: []obs.Span{
 		{Name: obs.PhaseDapStart, Site: "site1", DurMicros: 12, CacheHits: 1},
 		{Name: obs.PhaseDapFlush, Site: "site1", StartMicros: 30, DurMicros: 5, NetBytes: 99, Tuples: 3}}})
-	f.Add(frame(MsgSeqEOS, AppendSeq(3, shardStats)))
-	// A START that re-places a broken stream names the last frame held;
-	// its ack continues from the next one, and asks for nothing — an ack
-	// that does both is the peer's to refuse, the decoder's only to read.
-	again, _ := EncodeXML(core.Start{Stream: "q0/0", Trace: "q0", After: 7, Fragment: cutFrag})
+	f.Add(frame(MsgEOS, shardStats))
+	// A START that re-places a broken stream names the tuples already
+	// held; a negative count is the peer's to refuse, the decoder's only
+	// to read. An ack asking for nothing, and one from an older peer that
+	// still names a frame to continue from, which the decoder ignores.
+	again, _ := EncodeXML(core.Start{Stream: "q0/0", Trace: "q0", Skip: 7, Fragment: cutFrag})
 	f.Add(frame(MsgStart, again))
-	contAck, _ := EncodeXML(StartAck{From: 8})
-	f.Add(frame(MsgStartAck, contAck))
-	bothAck, _ := EncodeXML(StartAck{From: 8, Need: []string{"deadbeefcafef00d"}})
-	f.Add(frame(MsgStartAck, bothAck))
+	negative, _ := EncodeXML(core.Start{Stream: "q0/0", Trace: "q0", Skip: -1, Fragment: cutFrag})
+	f.Add(frame(MsgStart, negative))
+	emptyAck, _ := EncodeXML(StartAck{})
+	f.Add(frame(MsgStartAck, emptyAck))
+	f.Add(frame(MsgStartAck, []byte(`<start-ack from="8"><need>deadbeefcafef00d</need></start-ack>`)))
 	// Release-rollback frames: a cache invalidation naming withdrawn
 	// content digests and its drop-count acknowledgement.
 	inval, _ := EncodeXML(CodeInvalidate{Digests: []string{"deadbeefcafef00d", "0123456789abcdef"}})
@@ -117,18 +120,19 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(MsgResultSchema, resultSchema))
 	f.Add(frame(MsgResultSchema, []byte(strings.Replace(string(resultSchema), `kind="INT"`, `kind="WEIRD"`, 1))))
 	// Malformed: truncated header, truncated body, hostile length prefix,
-	// unknown type, huge tuple count with no tuples, multiple frames,
-	// and seq frames truncated inside the sequence-number prefix.
+	// unknown type, huge tuple count with no tuples, multiple frames, a
+	// batch cut inside its count, stats and a START that do not parse,
+	// and a skip count that is not a number.
 	f.Add([]byte{0, 0})
 	f.Add(frame(MsgTupleBatch, batch)[:7])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, byte(MsgTupleBatch), 1, 2, 3})
 	f.Add(frame(MsgType(200), []byte("junk")))
 	f.Add(frame(MsgTupleBatch, []byte{0xff, 0xff, 0xff, 0xff}))
 	f.Add(append(frame(MsgAck, nil), frame(MsgTupleBatch, batch)...))
-	f.Add(frame(MsgSeqBatch, AppendSeq(1, batch)[:5]))
-	f.Add(frame(MsgSeqBatch, nil))
-	f.Add(frame(MsgSeqEOS, []byte{0, 0, 0}))
-	f.Add(frame(MsgSeqBatch, AppendSeq(^uint64(0), []byte{0xff, 0xff})))
+	f.Add(frame(MsgTupleBatch, []byte{0, 0, 0}))
+	f.Add(frame(MsgEOS, []byte("<exec-stats")))
+	f.Add(frame(MsgStart, start[:len(start)/2]))
+	f.Add(frame(MsgStart, []byte(strings.Replace(string(again), `skip="7"`, `skip="seven"`, 1))))
 	// One tuple whose raster header is ff×8: width × height wraps negative.
 	// It used to pass the length guard and panic on the slice — one corrupt
 	// frame took the receiving process down.
@@ -166,31 +170,17 @@ func FuzzFrame(f *testing.F) {
 			case MsgEOS:
 				var s ExecStats
 				_ = DecodeXML(payload, &s)
-			case MsgSeqBatch:
-				if seq, body, err := CutSeq(payload); err == nil {
-					if tuples, err := DecodeBatch(fuzzSchema, body); err == nil {
-						if !bytes.Equal(frame(MsgSeqBatch, AppendSeq(seq, EncodeBatch(tuples))), frame(MsgSeqBatch, payload)) {
-							t.Fatal("decoded seq batch does not re-encode to its payload")
-						}
-					}
-				}
-			case MsgSeqEOS:
-				if _, body, err := CutSeq(payload); err == nil {
-					var s ExecStats
-					_ = DecodeXML(body, &s)
-				}
 			case MsgStart:
 				// Fragment decode gate: garbage and unknown-feature
 				// documents must fail with an error, never panic.
 				var st core.Start
 				_ = DecodeXML(payload, &st)
 			case MsgStartAck:
-				// An ack that decodes keeps its resume point and its wants
-				// through a re-encode.
+				// An ack that decodes keeps its wants through a re-encode.
 				var a, b StartAck
 				if DecodeXML(payload, &a) == nil {
 					doc, err := EncodeXML(&a)
-					if err != nil || DecodeXML(doc, &b) != nil || a.From != b.From || !slices.Equal(a.Need, b.Need) {
+					if err != nil || DecodeXML(doc, &b) != nil || !slices.Equal(a.Need, b.Need) {
 						t.Fatalf("start-ack %+v re-encoded to %q (err %v), decoding to %+v", a, doc, err, b)
 					}
 				}

@@ -99,10 +99,10 @@ func TestExecStatsSpansRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchWriterTargetGranularity pins the flush-threshold override a
-// partitioned DAP uses for finer replay granularity: a small target
-// flushes per few tuples, and a non-positive target restores the
-// default (one flush for the whole stream).
+// TestBatchWriterTargetGranularity pins the flush-threshold override
+// (dap.Config.BatchBytes): a small target flushes per few tuples, and a
+// non-positive target restores the default (one flush for the whole
+// stream).
 func TestBatchWriterTargetGranularity(t *testing.T) {
 	rows := make([]types.Tuple, 64)
 	for i := range rows {
@@ -137,58 +137,16 @@ type countSender struct{ frames int }
 
 func (c *countSender) Send(MsgType, []byte) error { c.frames++; return nil }
 
-// TestBatchReaderRebind pins what a continued stream relies on: the one
-// reader moves to the new connection with its place in the stream and
-// the tuples it had decoded but not delivered, takes the frame after the
-// last it holds, and still refuses a gap.
-func TestBatchReaderRebind(t *testing.T) {
-	batch := func(from int) []byte {
-		return EncodeBatch([]types.Tuple{
-			{types.Int(int32(from)), types.String_("a")},
-			{types.Int(int32(from + 1)), types.String_("b")},
-		})
-	}
-	stats, _ := EncodeXML(ExecStats{Site: "site1"})
-	// The first connection dies after frame 1; one of its tuples is out.
-	r := NewBatchReader(NewConn(&byteConn{r: bytes.NewReader(frame(MsgSeqBatch, AppendSeq(1, batch(1))))}), fuzzSchema)
-	if first, err := r.Next(); err != nil || int(first[0].(types.Int)) != 1 {
-		t.Fatalf("first tuple: %v, %v", first, err)
-	}
-	// The second carries on from frame 2.
-	stream := append(frame(MsgSeqBatch, AppendSeq(2, batch(3))), frame(MsgSeqEOS, AppendSeq(3, stats))...)
-	r.Rebind(NewConn(&byteConn{r: bytes.NewReader(stream)}))
-	var got []int
-	for {
-		tup, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tup == nil {
-			break
-		}
-		got = append(got, int(tup[0].(types.Int)))
-	}
-	if fmt.Sprint(got) != "[2 3 4]" || r.Seq != 3 || r.EOSPayload == nil {
-		t.Fatalf("rebound reader delivered %v up to frame %d", got, r.Seq)
-	}
-	// Rebound past a frame it never saw, the reader reports the gap.
-	r = NewBatchReader(NewConn(&byteConn{r: bytes.NewReader(nil)}), fuzzSchema)
-	r.Seq = 1
-	r.Rebind(NewConn(&byteConn{r: bytes.NewReader(frame(MsgSeqBatch, AppendSeq(3, batch(5))))}))
-	if _, err := r.Next(); err == nil || !strings.Contains(err.Error(), "sequence gap") {
-		t.Fatalf("err = %v, want a sequence gap", err)
-	}
-}
-
 // TestActivateUnpartitionedStaysBare pins the wire form of the common
 // case: the START of an unpartitioned fragment carries no part/of
-// attributes at all, and an untraced one no trace.
+// attributes at all, an untraced one no trace, and a first placement no
+// skip.
 func TestActivateUnpartitionedStaysBare(t *testing.T) {
 	data, err := EncodeXML(&core.Start{Stream: "q1/0", Fragment: &core.Fragment{Table: "Rasters", SemiJoinCol: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, attr := range []string{"part=", "of=", "trace="} {
+	for _, attr := range []string{"part=", "of=", "trace=", "skip="} {
 		if strings.Contains(string(data), attr) {
 			t.Errorf("unpartitioned start leaked %q: %s", attr, data)
 		}

@@ -36,22 +36,22 @@ const (
 	_               // 7: was CODE_CHECK_ACK
 	_               // 8: was DEPLOY_PLAN
 	_               // 9: was ACTIVATE
-	MsgTupleBatch   // QPC → client data stream: batch of schema-encoded tuples
+	MsgTupleBatch   // data stream (DAP → QPC, QPC → client): batch of schema-encoded tuples
 	MsgSemiJoinKeys // QPC → DAP: join-key set, right behind a semi-join START
-	MsgEOS          // QPC → client: end of tuple stream, carries query stats (XML)
+	MsgEOS          // end of tuple stream, carries the execution's or query's stats (XML)
 	MsgError        // carries an error string; terminates the request
 	MsgAck          // bare acknowledgement; no exchange uses one now, the frame benchmark does
 	MsgClose
 	MsgProcCall          // QPC → DAP: procedural request (XML), section 3.2
 	MsgProcResult        // DAP → QPC: procedural response (XML)
-	MsgSeqBatch          // DAP → QPC data stream: 8-byte sequence number + TupleBatch payload
-	MsgSeqEOS            // DAP → QPC end of stream: 8-byte sequence number + stats XML
+	MsgSeqBatch          // was the DAP's sequenced batch; no exchange sends one now, the frame benchmark names it
+	MsgSeqEOS            // was the DAP's sequenced EOS; no exchange sends one now, the frame benchmark names it
 	_                    // 20: was RESUME
 	_                    // 21: was RESUME_ACK
 	MsgCodeInvalidate    // QPC → DAP: drop cached code blobs by content digest
 	MsgCodeInvalidateAck // DAP → QPC: how many cached blobs were dropped
-	MsgStart             // QPC → DAP: run this fragment, or continue its stream (XML <start>)
-	MsgStartAck          // DAP → QPC: the classes it must be sent first, or the frame it continues from
+	MsgStart             // QPC → DAP: run this fragment, past the tuples already held (XML <start>)
+	MsgStartAck          // DAP → QPC: the classes it must be sent first
 )
 
 var msgNames = map[MsgType]string{

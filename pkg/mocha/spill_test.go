@@ -97,8 +97,8 @@ func TestDifferentialSpillLadder(t *testing.T) {
 
 // TestDifferentialSpillRecovery combines the spill path with mid-stream
 // recovery: the governed join query keeps its exact result when site2's
-// link dies halfway through the stream and the DAP resumes it from the
-// replay window.
+// link dies halfway through the stream and the DAP runs the fragment
+// again, sending only what the QPC does not hold yet.
 func TestDifferentialSpillRecovery(t *testing.T) {
 	// 16 KiB: tighter than the ladder budget because this test runs Q5
 	// alone — the budget must sit below Q5's own data-shipped build
@@ -121,6 +121,10 @@ func TestDifferentialSpillRecovery(t *testing.T) {
 	}
 	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 		t.Errorf("recovered spill run diverged (%d vs %d rows)", len(got.Rows), len(want.Rows))
+	}
+	if got.Stats.CVDT != want.Stats.CVDT || got.Stats.CVDA != want.Stats.CVDA || got.Trace.NetBytes() != got.Stats.CVDT {
+		t.Errorf("recovered run: CVDT %d CVDA %d span net bytes %d, clean run %d / %d",
+			got.Stats.CVDT, got.Stats.CVDA, got.Trace.NetBytes(), want.Stats.CVDT, want.Stats.CVDA)
 	}
 	if n := cl.Metrics().Counter(obs.MDapStreamResumes).Value(); n == 0 {
 		t.Error("fault injected but no stream resume happened")
