@@ -283,12 +283,218 @@ func ring(n int) []byte {
 	return buf
 }
 
-// BenchmarkShoelace measures the area loop over a 64-vertex ring: the
-// rotated loop, register-file statements and floats read in place.
+// BenchmarkShoelace measures the area loop over a 64-vertex ring: a
+// float kernel of the cross product's shape.
 func BenchmarkShoelace(b *testing.B) {
 	p := MustAssemble(shoelaceSrc)
 	m := New(Limits{})
 	args := []Value{BytesVal(ring(64))}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Run(p, 0, nil, args); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// perimeterSrc is the shipped Perimeter operator's function: the ring's
+// edge lengths summed, through dup and host sqrt.
+const perimeterSrc = `
+program perimeter
+const zero float 0
+func eval args=1 locals=5
+  arg 0
+  pushi 0
+  ldi32
+  store 0
+  load 0
+  pushi 2
+  lt
+  jnz empty
+  const zero
+  store 2
+  load 0
+  pushi 1
+  subi
+  pushi 8
+  muli
+  pushi 4
+  addi
+  store 3
+  pushi 0
+  store 1
+loop:
+  load 1
+  load 0
+  ge
+  jnz done
+  pushi 4
+  load 1
+  pushi 8
+  muli
+  addi
+  store 4
+  arg 0
+  load 4
+  ldf32
+  arg 0
+  load 3
+  ldf32
+  subf
+  dup
+  mulf
+  arg 0
+  load 4
+  pushi 4
+  addi
+  ldf32
+  arg 0
+  load 3
+  pushi 4
+  addi
+  ldf32
+  subf
+  dup
+  mulf
+  addf
+  host sqrt
+  load 2
+  addf
+  store 2
+  load 4
+  store 3
+  load 1
+  pushi 1
+  addi
+  store 1
+  jmp loop
+done:
+  load 2
+  ret
+empty:
+  const zero
+  ret
+end`
+
+// BenchmarkPerimeter measures the perimeter loop over a 64-vertex ring:
+// a float kernel of the hypotenuse's shape.
+func BenchmarkPerimeter(b *testing.B) {
+	p := MustAssemble(perimeterSrc)
+	m := New(Limits{})
+	args := []Value{BytesVal(ring(64))}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Run(p, 0, nil, args); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// totalLengthSrc is the shipped TotalLength operator's function: each
+// edge's two ends read by index, their distance summed.
+const totalLengthSrc = `
+program totallength
+const zero float 0
+func eval args=1 locals=6
+  arg 0
+  pushi 0
+  ldi32
+  pushi 8
+  muli
+  pushi 4
+  addi
+  store 1
+  arg 0
+  load 1
+  ldi32
+  store 0
+  load 1
+  pushi 4
+  addi
+  store 1
+  pushi 0
+  store 2
+  const zero
+  store 3
+loop:
+  load 2
+  load 0
+  ge
+  jnz done
+  arg 0
+  load 1
+  load 2
+  pushi 8
+  muli
+  addi
+  ldi32
+  pushi 8
+  muli
+  pushi 4
+  addi
+  store 4
+  arg 0
+  load 1
+  load 2
+  pushi 8
+  muli
+  addi
+  pushi 4
+  addi
+  ldi32
+  pushi 8
+  muli
+  pushi 4
+  addi
+  store 5
+  arg 0
+  load 4
+  ldf32
+  arg 0
+  load 5
+  ldf32
+  subf
+  dup
+  mulf
+  arg 0
+  load 4
+  pushi 4
+  addi
+  ldf32
+  arg 0
+  load 5
+  pushi 4
+  addi
+  ldf32
+  subf
+  dup
+  mulf
+  addf
+  host sqrt
+  load 3
+  addf
+  store 3
+  load 2
+  pushi 1
+  addi
+  store 2
+  jmp loop
+done:
+  load 3
+  ret
+end`
+
+// BenchmarkTotalLength measures the edge loop over a 64-edge graph, the
+// 64-vertex ring's edges: a float kernel gathering each edge's ends.
+func BenchmarkTotalLength(b *testing.B) {
+	p := MustAssemble(totalLengthSrc)
+	g := ring(64)
+	g = binary.BigEndian.AppendUint32(g, 64)
+	for i := uint32(0); i < 64; i++ {
+		g = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(g, i), (i+1)%64)
+	}
+	m := New(Limits{})
+	args := []Value{BytesVal(g)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Run(p, 0, nil, args); err != nil {

@@ -155,8 +155,9 @@ func TestBuiltinsDifferential(t *testing.T) {
 // TestShippedLoopsFuse pins how the shipped operators' loops compile, so
 // that a change which silently stops fusing fails here and not only in
 // the benchmark: AvgEnergy's byte reduction and IncrRes's strided pass
-// each run as one kernel, and the vertex loops of TotalArea and
-// TotalPerimeter rotate their header's test into the body.
+// each run as one kernel, and the float loops — the vertex rings of
+// Area, Perimeter and the aggregates built on them, TotalLength's edge
+// list — as one float kernel each.
 func TestShippedLoopsFuse(t *testing.T) {
 	reg := ops.Builtins()
 	for _, c := range []struct {
@@ -165,8 +166,11 @@ func TestShippedLoopsFuse(t *testing.T) {
 	}{
 		{"AvgEnergy", "eval", []string{"rotated kernel"}},
 		{"IncrRes", "eval", []string{"self kernel"}},
-		{"TotalArea", "areaof", []string{"rotated"}},
-		{"TotalPerimeter", "perimof", []string{"rotated"}},
+		{"Area", "eval", []string{"rotated float kernel"}},
+		{"Perimeter", "eval", []string{"rotated float kernel"}},
+		{"TotalArea", "areaof", []string{"rotated float kernel"}},
+		{"TotalPerimeter", "perimof", []string{"rotated float kernel"}},
+		{"TotalLength", "eval", []string{"rotated float kernel"}},
 	} {
 		def, ok := reg.Lookup(c.op)
 		if !ok {

@@ -1,24 +1,27 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file and compile_expr.go are the MVM's one execution engine. A
 // verified program is compiled once into closure-threaded code: every
 // basic block becomes a list of Go closures over a *Machine, run by
 // Machine.exec. The verifier's facts are the compiler's inputs: exact
-// stack depths turn operand-stack slots into fixed registers, per-slot
-// kinds put ints, bools and floats unboxed in Machine.r and everything
-// else as whole Values in Machine.v, and stack traffic without effects
-// (load, pushi, arithmetic, byte loads, comparisons) never touches a
-// register: it folds into the expression closure of the statement that
-// consumes it. What the verifier cannot know stays dynamic — the kind
-// of an argument, a global or a merged value, buffer bounds, math
-// domains, the allocation budget, fuel — and every such check carries
-// the index of its bytecode instruction, so traps and LastRunInstrs
-// are exactly the reference interpreter's (reference_test.go).
+// stack depths turn operand-stack slots into fixed registers, the kinds
+// proven at each instruction put ints, bools and floats unboxed in
+// Machine.r and everything else as whole Values in Machine.v, and stack
+// traffic without effects (load, pushi, arithmetic, byte loads,
+// comparisons) never touches a register: it folds into the expression
+// closure of the statement that consumes it. What the verifier cannot
+// know stays dynamic — the kind of an argument, a global or a merged
+// value, buffer bounds, math domains, the allocation budget, fuel — and
+// every such check carries the index of its bytecode instruction, so
+// traps and LastRunInstrs are exactly the reference interpreter's
+// (reference_test.go).
 
 type (
 	stmt  = func(*Machine)
@@ -71,21 +74,25 @@ type loop struct {
 	back   bool // what test says when the loop goes round again
 	exit   *block
 	kernel func(*Machine) bool // whole iterations in one closure; true: exited
+	float  bool                // the kernel is a float kernel (floatKernel)
 }
 
 // form is a statement, a branch test or an int operand's value in a
 // shape a loop kernel runs without a closure; the zero form is none.
-// An operand's fAffine form leaves k to its add.
+// An operand's fAffine and fGather forms leave k and ka to its add.
 //
 //	fAffine   r[a] = r[b]*kb + r[c]*kc + k
 //	fLoad     v[src].B[r[c]+kc]
 //	fLoadAdd  r[a] += v[src].B[r[c]+kc]
 //	fCopy     v[dst].B[r[b]+kb] = v[src].B[r[c]+kc], the buffer popped
+//	fGather   r[a] = ldi32 v[src].B at r[b]*kb + r[c]*kc + k, times km, plus ka
+//	fFloat    r[a] = x, a float
 //	fEq, fLt, fLe  r[b] ==, <, <= r[c]*kc + k
 type form struct {
 	op                uint8
 	a, b, c, dst, src int
-	kb, kc, k         int64
+	kb, kc, k, km, ka int64
+	x                 *fx
 }
 
 const (
@@ -93,10 +100,23 @@ const (
 	fLoad
 	fLoadAdd
 	fCopy
+	fGather
+	fFloat
 	fEq
 	fLt
 	fLe
 )
+
+// fx is a float operand's value in the shape a float kernel computes it
+// in: a tree of mulf, subf, addf and host sqrt over ldf32 and ldf64 reads
+// of v[src].B at r[reg]+k and float registers r[reg]. A node's op is the
+// instruction that makes it — OpLoad for a register.
+type fx struct {
+	op       Op
+	reg, src int
+	k        int64
+	a, b     *fx
+}
 
 // Compile builds the program's executable form if it has none yet. Run
 // does so on first use; a site that loads shipped code calls it up
@@ -143,6 +163,7 @@ type operand struct {
 	imm  int64 // locImm: the int, the bool or the float64's bits
 	add  int64 // a proven int is what the rest says plus add
 	form form  // the value's shape, when a loop kernel can compute it
+	x    *fx   // a float's shape, when a float kernel can compute it
 	i    iexpr
 	f    fexpr
 	b    bexpr // a comparison not yet turned into 0/1; neg: its negation
@@ -167,25 +188,35 @@ func (o *operand) kind(m *Machine) VKind {
 
 // fcomp compiles one function.
 type fcomp struct {
-	p      *Program
-	code   *code
-	fn     *cfunc
-	flow   []funcFlow
-	ff     *funcFlow
-	scalar []bool // register class: unboxed in Machine.r
-	stack  []operand
-	b      *block
-	at     int               // instruction being compiled
-	end    int               // one past the block's last instruction
-	forms  map[*block][]form // per statement, for loops to find kernels in
-	tests  map[*block]form
+	p    *Program
+	code *code
+	fn   *cfunc
+	flow []funcFlow
+	ff   *funcFlow
+	// cls is every register's class at the instruction being compiled:
+	// the int, bool or float it holds unboxed in Machine.r, or akAny — a
+	// Value in Machine.v.
+	cls   []absKind
+	stack []operand
+	b     *block
+	at    int               // instruction being compiled
+	end   int               // one past the block's last instruction
+	forms map[*block][]form // per statement, for loops to find kernels in
+	tests map[*block]form
 }
 
 func isScalar(k absKind) bool { return k == akInt || k == akFloat || k == akBool }
 
-// newFcomp fixes the function's frame: its size, and for every register
-// whether it is scalar — holding an int, bool or float at every
-// instruction boundary, so no path ever needs its kind at run time.
+// class is the register class a value of kind k takes.
+func class(k absKind) absKind {
+	if isScalar(k) {
+		return k
+	}
+	return akAny
+}
+
+// newFcomp fixes the function's frame: one register per argument, local
+// and operand-stack slot, and one past them.
 func newFcomp(p *Program, c *code, flow []funcFlow, fi int) fcomp {
 	f, ff := &p.Funcs[fi], &flow[fi]
 	fn := &c.funcs[fi]
@@ -197,20 +228,7 @@ func newFcomp(p *Program, c *code, flow []funcFlow, fi int) fcomp {
 		depth = max(depth, len(ff.states[i].stack))
 	}
 	fn.size = f.NArgs + f.NLocals + depth
-	scalar := make([]bool, fn.size+1)
-	for i := f.NArgs; i < fn.size; i++ {
-		scalar[i] = true
-	}
-	for _, st := range ff.states {
-		for i, k := range st.locals {
-			scalar[f.NArgs+i] = scalar[f.NArgs+i] && isScalar(k)
-		}
-		for d, k := range st.stack {
-			s := f.NArgs + f.NLocals + d
-			scalar[s] = scalar[s] && isScalar(k)
-		}
-	}
-	return fcomp{p: p, code: c, fn: fn, flow: flow, ff: ff, scalar: scalar}
+	return fcomp{p: p, code: c, fn: fn, flow: flow, ff: ff, cls: make([]absKind, fn.size+1)}
 }
 
 // compile cuts the function into blocks and compiles each.
@@ -271,7 +289,10 @@ func (c *fcomp) loop(b *block) {
 	if h != b {
 		l.n, l.hn = b.n+h.n, h.n
 	}
-	l.kernel = c.kernel(b, c.tests[h], l.n, l.back)
+	if l.kernel = c.kernel(b, c.tests[h], l.n, l.back); l.kernel == nil {
+		l.kernel = floatKernel(c.forms[b], c.tests[h], l.n, l.back)
+		l.float = l.kernel != nil
+	}
 	b.loop = l
 }
 
@@ -347,6 +368,277 @@ func (c *fcomp) kernel(b *block, t form, n int64, back bool) func(*Machine) bool
 	}
 }
 
+// floatKernel compiles a float loop to one closure. Its body is, in
+// order: at most two offsets, each an fAffine or fGather of the counter
+// and registers the loop does not write; fFloat statements in one of
+// the shapes fshape knows, whose reads are of one buffer at an int
+// register plus a constant; at most one copy r[a] = r[b] of what the
+// floats read before it — the previous vertex; and the step of the
+// counter the test reads, by what the loop does not write. It checks the
+// buffer's kind once and holds its bytes, keeps the int registers it
+// touches and the sum in Go variables, and runs whole iterations, each
+// after its own preconditions: fuel for all of it, every index read and
+// every float read in range. Then no instruction of the iteration can
+// trap, and it computes what the statements do, in their order. Where a
+// precondition fails, it writes the registers back and the block's
+// statements run that iteration and trap as the reference does; what it
+// wrote of that iteration was offsets, which they write again before
+// they read them.
+func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
+	if len(fs) < 2 || t.op < fEq {
+		return nil
+	}
+	st, fs := fs[len(fs)-1], fs[:len(fs)-1]
+	ctr := st.a
+	if st.op != fAffine || st.b != ctr || st.kb != 1 || t.b != ctr {
+		return nil
+	}
+	written, fdst := map[int]bool{ctr: true}, map[int]bool{}
+	for _, f := range fs {
+		if f.op == fFloat {
+			fdst[f.a] = true
+		} else if written[f.a] {
+			return nil // an int register written twice
+		}
+		written[f.a] = true
+	}
+	fixed := func(x int) bool { return !written[x] || x == ctr } // what an offset may read
+	if fdst[ctr] || st.kc != 0 && written[st.c] || t.kc != 0 && written[t.c] {
+		return nil
+	}
+	src := -1
+	buffer := func(b int) bool {
+		if src < 0 {
+			src = b
+		}
+		return b == src && !written[b]
+	}
+	i := 0
+	for ; i < len(fs) && fs[i].op != fFloat; i++ {
+		f := fs[i]
+		if f.op != fAffine && (f.op != fGather || !buffer(f.src)) || !fixed(f.b) || f.kc != 0 && !fixed(f.c) {
+			return nil
+		}
+	}
+	j := i
+	for j < len(fs) && fs[j].op == fFloat {
+		j++
+	}
+	offs, floats, rest := fs[:i], fs[i:j], fs[j:]
+	sh, ok := fshapeOf(floats)
+	if !ok || len(offs) > 2 || len(rest) > 1 {
+		return nil
+	}
+	if len(rest) == 1 {
+		if c := rest[0]; c.op != fAffine || c.kb != 1 || c.kc != 0 || c.k != 0 || fdst[c.b] ||
+			!fixed(c.b) && !slices.ContainsFunc(offs, func(o form) bool { return o.a == c.b }) {
+			return nil
+		}
+	}
+	// The int registers the kernel reads or writes, each in a slot of a
+	// Go array; the test's bound and the step are fixed, read once.
+	var regs []int
+	slot := func(g int) int {
+		i := slices.Index(regs, g)
+		if i < 0 {
+			i, regs = len(regs), append(regs, g)
+		}
+		return i
+	}
+	var ls [4]int
+	var lk, lw [4]int64
+	for i, l := range sh.leaves {
+		if !buffer(l.src) || fdst[l.reg] {
+			return nil
+		}
+		ls[i], lk[i], lw[i] = slot(l.reg), l.k, 4
+		if l.op == OpLdF64 {
+			lw[i] = 8
+		}
+	}
+	var ko [2]koff
+	for i, f := range offs {
+		ko[i] = koff{a: slot(f.a), b: slot(f.b), c: slot(f.c), kb: f.kb, kc: f.kc, k: f.k, km: f.km, ka: f.ka, gather: f.op == fGather}
+	}
+	nko, ca, cb := len(offs), -1, -1
+	if len(rest) == 1 {
+		ca, cb = slot(rest[0].a), slot(rest[0].b)
+	}
+	cs, tc, tkc, tk, sc, skc, sk := slot(ctr), t.c, t.kc, t.k, st.c, st.kc, st.k
+	if len(regs) > kslots {
+		return nil
+	}
+	top, hyp, fop, left, s, tr, ur := t.op, sh.hyp, sh.op, sh.left, sh.s, sh.t, sh.u
+	narrow := lw == [4]int64{4, 4, 4, 4} // every read an ldf32
+	return func(m *Machine) bool {
+		v := &m.v[src]
+		if v.K != VBytes || len(v.B) < 8 { // a read of none of it
+			return false
+		}
+		r, buf, fuel, done := m.r, v.B, m.fuel, false
+		size, y, inc := int64(len(buf)), r[tc]*tkc+tk, r[sc]*skc+sk
+		acc, d, e := math.Float64frombits(uint64(r[s])), math.Float64frombits(uint64(r[tr])), math.Float64frombits(uint64(r[ur]))
+		ls, lk, lw, ko0, ko1 := ls, lk, lw, ko[0], ko[1] // the loop's, not the closure's
+		l0, l1, l2, l3 := uint64(size-lw[0]), uint64(size-lw[1]), uint64(size-lw[2]), uint64(size-lw[3])
+		var x [kslots]int64
+		for i, g := range regs {
+			x[i] = r[g]
+		}
+		for fuel >= n {
+			if nko > 0 && !ko0.set(&x, buf) || nko > 1 && !ko1.set(&x, buf) {
+				break
+			}
+			p0, p1, p2, p3 := x[ls[0]]+lk[0], x[ls[1]]+lk[1], x[ls[2]]+lk[2], x[ls[3]]+lk[3]
+			if uint64(p0) > l0 || uint64(p1) > l1 || uint64(p2) > l2 || uint64(p3) > l3 {
+				break
+			}
+			fuel -= n
+			var a, b, c, q float64
+			if narrow {
+				a, b, c, q = f32(buf, p0), f32(buf, p1), f32(buf, p2), f32(buf, p3)
+			} else {
+				a, b, c, q = fload(buf, p0, lw[0]), fload(buf, p1, lw[1]), fload(buf, p2, lw[2]), fload(buf, p3, lw[3])
+			}
+			var p float64
+			if hyp {
+				d = float64(a - b)
+				d = float64(d * d)
+				e = float64(c - q)
+				p = math.Sqrt(float64(d + float64(e*e)))
+			} else {
+				p = float64(float64(a*b) - float64(c*q))
+			}
+			if left {
+				acc = farith(fop, acc, p)
+			} else {
+				acc = farith(fop, p, acc)
+			}
+			if ca >= 0 {
+				x[ca] = x[cb]
+			}
+			if x[cs] += inc; passes(top, x[cs], y) != back {
+				done = true
+				break
+			}
+		}
+		for i, g := range regs {
+			r[g] = x[i]
+		}
+		r[s] = int64(math.Float64bits(acc))
+		if hyp {
+			r[tr], r[ur] = int64(math.Float64bits(d)), int64(math.Float64bits(e))
+		}
+		m.fuel = fuel
+		return done
+	}
+}
+
+// koff is a float kernel's offset: x[a] = x[b]*kb + x[c]*kc + k, or for
+// a gather the int32 the held buffer has there, times km, plus ka.
+type koff struct {
+	a, b, c           int
+	kb, kc, k, km, ka int64
+	gather            bool
+}
+
+// set computes the offset into x, or reports that its read would trap.
+func (f *koff) set(x *[kslots]int64, buf []byte) bool {
+	o := x[f.b]*f.kb + x[f.c]*f.kc + f.k
+	if f.gather {
+		if uint64(o) > uint64(len(buf)-4) {
+			return false
+		}
+		o = int64(int32(binary.BigEndian.Uint32(buf[o:o+4])))*f.km + f.ka
+	}
+	x[f.a] = o
+	return true
+}
+
+// A float kernel holds at most kslots int registers in a Go array.
+const kslots = 8
+
+// fshape is the shape of a float kernel's statements, one of two: the
+// shoelace's sum of a cross product, s = s op (a*b - c*d); and a
+// segment's length added to a sum, the four statements t = a - b;
+// t = t*t; u = c - d; s = s + sqrt(t + u*u) (hyp). Either sum may have
+// its operands the other way round (left false). The leaves a, b, c and
+// d are float reads.
+type fshape struct {
+	leaves  [4]*fx
+	hyp     bool
+	op      Op // the cross's: addf or subf
+	left    bool
+	s, t, u int
+}
+
+func fshapeOf(fs []form) (sh fshape, ok bool) {
+	load := func(x *fx) bool { return x.op == OpLdF32 || x.op == OpLdF64 }
+	pair := func(x *fx, op Op) bool { return x.op == op && load(x.a) && load(x.b) }
+	isReg := func(x *fx, r int) bool { return *x == fx{op: OpLoad, reg: r} }
+	square := func(x *fx, r int) bool { return x.op == OpMulF && isReg(x.a, r) && isReg(x.b, r) }
+	if len(fs) == 1 { // the cross
+		x, s := fs[0].x, fs[0].a
+		if x.op != OpAddF && x.op != OpSubF {
+			return sh, false
+		}
+		sh.op, sh.s, sh.left = x.op, s, isReg(x.a, s)
+		c := x.a
+		if sh.left {
+			c = x.b
+		} else if !isReg(x.b, s) {
+			return sh, false
+		}
+		if c.op != OpSubF || !pair(c.a, OpMulF) || !pair(c.b, OpMulF) {
+			return sh, false
+		}
+		sh.leaves = [4]*fx{c.a.a, c.a.b, c.b.a, c.b.b}
+		return sh, true
+	}
+	if len(fs) != 4 { // the hypotenuse
+		return sh, false
+	}
+	sh.hyp, sh.op, sh.t, sh.u, sh.s = true, OpAddF, fs[0].a, fs[2].a, fs[3].a
+	x := fs[3].x
+	if x.op != OpAddF {
+		return sh, false
+	}
+	sqrt := x.a
+	if sh.left = isReg(x.a, sh.s); sh.left {
+		sqrt = x.b
+	} else if !isReg(x.b, sh.s) {
+		return sh, false
+	}
+	if !pair(fs[0].x, OpSubF) || fs[1].a != sh.t || !square(fs[1].x, sh.t) || !pair(fs[2].x, OpSubF) ||
+		sh.t == sh.u || sh.u == sh.s || sh.s == sh.t || sqrt.op != OpHost {
+		return sh, false
+	}
+	if y := sqrt.a; y.op != OpAddF || !isReg(y.a, sh.t) || !square(y.b, sh.u) {
+		return sh, false
+	}
+	sh.leaves = [4]*fx{fs[0].x.a, fs[0].x.b, fs[2].x.a, fs[2].x.b}
+	return sh, true
+}
+
+// fload is the float of w bytes (4 or 8) of b at o; f32 that of 4.
+func fload(b []byte, o, w int64) float64 {
+	if w == 8 {
+		return math.Float64frombits(binary.BigEndian.Uint64(b[o : o+8]))
+	}
+	return f32(b, o)
+}
+
+func f32(b []byte, o int64) float64 {
+	return float64(math.Float32frombits(binary.BigEndian.Uint32(b[o : o+4])))
+}
+
+// farith is x op y for op addf or subf, rounded to float64.
+func farith(op Op, x, y float64) float64 {
+	if op == OpSubF {
+		return float64(x - y)
+	}
+	return float64(x + y)
+}
+
 // passes evaluates test form op on x and y.
 func passes(op uint8, x, y int64) bool {
 	switch op {
@@ -371,10 +663,20 @@ func (f form) stmt() stmt {
 }
 
 // block compiles one block. On entry every operand-stack slot is in its
-// own register, and so it is again on every way out.
+// own register, and so it is again on every way out. The registers'
+// classes on entry are what the verifier proved there; in the block, a
+// register takes the class of what is written to it.
 func (c *fcomp) block(b *block, blockAt []*block) {
 	c.b, c.stack = b, c.stack[:0]
-	for d, k := range c.ff.states[b.first].stack {
+	st := c.ff.states[b.first]
+	for n := range c.cls {
+		c.cls[n] = akAny
+	}
+	for l, k := range st.locals {
+		c.cls[c.fn.nargs+l] = class(k)
+	}
+	for d, k := range st.stack {
+		c.cls[c.slot(d)] = class(k)
 		c.push(reg(k, c.slot(d)))
 	}
 	for c.at = b.first; c.at < c.end; c.at++ {
@@ -382,10 +684,12 @@ func (c *fcomp) block(b *block, blockAt []*block) {
 		case OpJmp:
 			c.flush()
 			b.to = blockAt[in.operand]
+			c.leave(b.to)
 			return
 		case OpJz, OpJnz:
 			o := c.pop()
 			c.flush()
+			c.leave(blockAt[in.operand], blockAt[c.at+1])
 			cond, neg := o.b, o.neg
 			c.tests[b] = o.form
 			if cond == nil {
@@ -408,6 +712,7 @@ func (c *fcomp) block(b *block, blockAt []*block) {
 		case OpCall:
 			c.call(in.operand)
 			b.to = blockAt[c.at+1]
+			c.leave(b.to)
 			return
 		default:
 			c.instr(in)
@@ -415,14 +720,53 @@ func (c *fcomp) block(b *block, blockAt []*block) {
 	}
 	c.flush()
 	b.to = blockAt[c.end]
+	c.leave(b.to)
 }
 
-func (c *fcomp) site() site        { return site{c.fn, c.at} }
-func (c *fcomp) slot(d int) int    { return c.fn.nargs + c.fn.nlocals + d }
-func (c *fcomp) push(o operand)    { c.stack = append(c.stack, o) }
-func (c *fcomp) emit(s stmt)       { c.emitAs(s, form{}) }
-func (c *fcomp) top() int          { return c.slot(len(c.stack)) }
-func (c *fcomp) pushReg(k absKind) { c.push(reg(k, c.top())) }
+// leave boxes, on the way out of a block, every register a successor
+// reads boxed — it holds different kinds on different ways in — that
+// the block holds unboxed; the unboxed copy stays for the others.
+func (c *fcomp) leave(succs ...*block) {
+	boxed := map[int]bool{}
+	box := func(n int, want absKind) {
+		k := c.cls[n]
+		if !isScalar(k) || isScalar(want) || boxed[n] {
+			return
+		}
+		boxed[n] = true
+		if k == akFloat {
+			c.emit(func(m *Machine) { m.v[n] = Value{K: VFloat, F: math.Float64frombits(uint64(m.r[n]))} })
+			return
+		}
+		vk := VKind(k)
+		c.emit(func(m *Machine) { m.v[n] = Value{K: vk, I: m.r[n]} })
+	}
+	for _, s := range succs {
+		if s == nil {
+			continue
+		}
+		st := c.ff.states[s.first]
+		for l, k := range st.locals {
+			box(c.fn.nargs+l, k)
+		}
+		for d, k := range st.stack {
+			box(c.slot(d), k)
+		}
+	}
+}
+
+func (c *fcomp) site() site     { return site{c.fn, c.at} }
+func (c *fcomp) slot(d int) int { return c.fn.nargs + c.fn.nlocals + d }
+func (c *fcomp) push(o operand) { c.stack = append(c.stack, o) }
+func (c *fcomp) emit(s stmt)    { c.emitAs(s, form{}) }
+func (c *fcomp) top() int       { return c.slot(len(c.stack)) }
+
+// pushReg pushes the value of kind k a statement has just left boxed in
+// the register past the stack's top.
+func (c *fcomp) pushReg(k absKind) {
+	c.cls[c.top()] = akAny
+	c.push(reg(k, c.top()))
+}
 
 // emitAs emits a statement that has form f.
 func (c *fcomp) emitAs(s stmt, f form) {
@@ -473,7 +817,7 @@ func (c *fcomp) settle(n int) {
 
 // breg is the scalar register operand o is o.add away from, or -1.
 func (c *fcomp) breg(o operand) int {
-	if o.loc == locReg && c.scalar[o.n] {
+	if o.loc == locReg && isScalar(c.cls[o.n]) {
 		return o.n
 	}
 	return -1
@@ -547,7 +891,7 @@ func (c *fcomp) ibase(o operand, want VKind, fail stmt) iexpr {
 			}
 			return p.I
 		}
-	case c.scalar[n]:
+	case isScalar(c.cls[n]):
 		return func(m *Machine) int64 { return m.r[n] }
 	}
 	return func(m *Machine) int64 { return m.v[n].I }
@@ -570,7 +914,7 @@ func (c *fcomp) fval(o operand, fail stmt) fexpr {
 			}
 			return p.F
 		}
-	case c.scalar[n]:
+	case isScalar(c.cls[n]):
 		return func(m *Machine) float64 { return math.Float64frombits(uint64(m.r[n])) }
 	}
 	return func(m *Machine) float64 { return m.v[n].F }
@@ -613,27 +957,45 @@ func (c *fcomp) lin(o operand) (form, bool) {
 	return f, f.op == fAffine
 }
 
-// assign emits the statement that stores o in register n: an fAffine
-// form is a register-file statement of one closure.
+// assign emits the statement that stores o in register n, in the file
+// o's kind calls for, which is n's class from there on: an fAffine form
+// is a register-file statement of one closure.
 func (c *fcomp) assign(n int, o operand) {
 	f, lin := c.lin(o)
 	switch {
-	case !c.scalar[n]:
+	case !isScalar(o.k):
 		bx := c.into(o)
 		c.emit(func(m *Machine) { bx(m, &m.v[n]) })
 	case o.k == akFloat:
+		f = form{}
+		if x := c.fxOf(o); x != nil {
+			f = form{op: fFloat, a: n, x: x}
+		}
 		e := c.fval(o, nil)
-		c.emit(func(m *Machine) { m.r[n] = int64(math.Float64bits(e(m))) })
+		c.emitAs(func(m *Machine) { m.r[n] = int64(math.Float64bits(e(m))) }, f)
 	case lin:
 		f.a = n
 		c.emitAs(f.stmt(), f)
 	default:
-		if f = o.form; f.op != fLoadAdd || f.a != n || o.add != 0 {
+		switch f = o.form; {
+		case f.op == fLoadAdd && f.a == n && o.add == 0:
+		case f.op == fGather:
+			f.a, f.ka = n, o.add
+		default:
 			f = form{}
 		}
 		e := c.ival(o, 0, nil)
 		c.emitAs(func(m *Machine) { m.r[n] = e(m) }, f)
 	}
+	c.cls[n] = class(o.k)
+}
+
+// fxOf is float operand o's shape, when a float kernel can compute it.
+func (c *fcomp) fxOf(o operand) *fx {
+	if o.x == nil && o.loc == locReg && c.cls[o.n] == akFloat {
+		return &fx{op: OpLoad, reg: o.n}
+	}
+	return o.x
 }
 
 // call evaluates the arguments straight into the callee's frame, which
@@ -657,6 +1019,7 @@ func (c *fcomp) call(fi int) {
 		m.exec(callee)
 		m.r, m.v = r, v
 	})
+	c.cls[size] = akAny // where ret leaves the result
 	c.push(reg(c.flow[fi].ret, size))
 	c.flush()
 }

@@ -77,6 +77,9 @@ func (c *fcomp) instr(in instr) {
 		}
 		x, y, ra, rb := c.fval(a, fail), c.fval(b, fail), c.sreg(a), c.sreg(b)
 		res := operand{k: akFloat, pure: a.static() && b.static()}
+		if xa, xb := c.fxOf(a), c.fxOf(b); xa != nil && xb != nil && in.op != OpDivF {
+			res.x = &fx{op: in.op, a: xa, b: xb}
+		}
 		switch in.op { // a scalar register is read in place
 		case OpAddF:
 			res.f = func(m *Machine) float64 { return m.freg(ra, x) + m.freg(rb, y) }
@@ -216,6 +219,9 @@ func (c *fcomp) arithI(op Op, a, b operand) operand {
 			res := operand{add: a.add * kb, i: func(m *Machine) int64 { return x(m) * kb }}
 			if f, ok := c.lin(a); ok {
 				res.form = form{op: fAffine, b: f.b, kb: f.kb * kb, c: f.c, kc: f.kc * kb}
+			} else if a.form.op == fGather {
+				res.form = a.form
+				res.form.km *= kb
 			}
 			return res
 		}
@@ -226,9 +232,11 @@ func (c *fcomp) arithI(op Op, a, b operand) operand {
 	var f form
 	switch op {
 	case OpAddI:
+		fa, la := c.lin(a)
+		fb, lb := c.lin(b)
 		switch ld := b.form; {
-		case ra >= 0 && rb >= 0:
-			f = form{op: fAffine, b: ra, kb: 1, c: rb, kc: 1}
+		case la && lb && fa.k == 0 && fb.k == 0 && fa.kc == 0 && fb.kc == 0: // one register each
+			f = form{op: fAffine, b: fa.b, kb: fa.kb, c: fb.b, kc: fb.kb}
 		case ra >= 0 && ld.op == fLoad && b.add == 0:
 			f, f.op, f.a = ld, fLoadAdd, ra
 		}
@@ -368,7 +376,16 @@ func (c *fcomp) load(op Op) {
 	if op == OpLdF32 || op == OpLdF64 {
 		res.k = akFloat
 	}
-	switch inPlace := buf.loc == locReg; {
+	inPlace := buf.loc == locReg
+	switch f, lin := c.lin(off); {
+	case !inPlace:
+	case res.k == akFloat && r >= 0:
+		res.x = &fx{op: op, reg: r, src: n, k: k}
+	case op == OpLdI32 && lin: // an index read: TotalLength's edge ends
+		f.op, f.src, f.km = fGather, n, 1
+		res.form = f
+	}
+	switch {
 	case op == OpLdU8 && inPlace: // the pixel read of every raster operator
 		if r >= 0 {
 			res.form = form{op: fLoad, c: r, kc: k, src: n}
@@ -527,6 +544,9 @@ func (c *fcomp) host(id int) {
 		res := operand{k: akFloat, pure: a.static() && id != HostSqrt && id != HostLog}
 		switch id {
 		case HostSqrt:
+			if xa := c.fxOf(a); xa != nil {
+				res.x = &fx{op: OpHost, a: xa}
+			}
 			res.f = func(m *Machine) float64 {
 				v := x(m)
 				if v < 0 {

@@ -3,9 +3,11 @@ package vm
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +31,7 @@ type progGen struct {
 
 const (
 	genArgs    = 3  // int, bytes, float at run time
-	genLocals  = 10 // 0,1: ints only; 2: loop counter; 3..5: anything; 6..9: counted's
+	genLocals  = 10 // 0,1: ints only; 2: loop counter; 3..5: anything; 6..9: counted's and floatReduction's
 	genGlobals = 2
 )
 
@@ -269,6 +271,8 @@ func (g *progGen) stmt() {
 		g.emit("pushi 0\nstore 2\n%s:\nload 2\npushi %d\nge\njnz %s", h, 1+g.pick(4), e)
 		g.stmt()
 		g.emit("load 2\npushi 1\naddi\nstore 2\njmp %s\n%s:", h, e)
+	case 10:
+		g.floatReduction()
 	case 11, 12:
 		g.counted(g.pick(2) == 0)
 	default:
@@ -308,6 +312,45 @@ func (g *progGen) counted(copy bool) {
 	}
 }
 
+// floatReduction writes a loop in one of the float kernel's shapes,
+// floatLoop's three, into local 3: the counter (local 6) runs from 0
+// while below local 1 or an immediate; the ring's vertex offsets are in
+// locals 7 and 8, the gather's edge ends too. The source is arg 1, read
+// only; local 9, a fresh buffer of 4 to 43 bytes that may hold a NaN, an
+// infinity or -0 — most are too short for every vertex; or arg 0, no
+// buffer at all. Any read may be an ldf32 or an ldf64.
+func (g *progGen) floatReduction() {
+	g.loops = true
+	h, e, size := g.label(), g.label(), 4+g.pick(40)
+	g.emit("pushi %d\nbnew\nstore 9\npushi 0\ni2f\nstore 3\npushi 0\nstore 6\npushi %d\nstore 8", size, 4*g.pick(6))
+	if g.pick(2) == 0 {
+		special := []string{"pushi 0\ni2f\npushi 0\ni2f\ndivf", "pushi 1\ni2f\npushi 0\ni2f\ndivf", "pushi 0\ni2f\nnegf"}[g.pick(3)]
+		g.emit("load 9\npushi %d\n%s\nstf32\npop", g.pick(size-3), special)
+	}
+	src := []string{"arg 1", "load 9", "load 9", "arg 0"}[g.pick(4)]
+	limit := []string{"load 1", fmt.Sprintf("pushi %d", g.pick(8))}[g.pick(2)]
+	ld := func(reg, off int) string {
+		return fmt.Sprintf("%s\nload %d\npushi %d\naddi\n%s\n", src, reg, off, []string{"ldf32", "ldf32", "ldf64"}[g.pick(3)])
+	}
+	dist := func(a, b int) string {
+		return ld(a, 0) + ld(b, 0) + "subf\ndup\nmulf\n" + ld(a, 4) + ld(b, 4) + "subf\ndup\nmulf\naddf\nhost sqrt\nload 3\naddf\nstore 3\n"
+	}
+	cur := "pushi 4\nload 6\npushi 8\nmuli\naddi\nstore 7\n"
+	var body string
+	switch g.pick(3) {
+	case 0: // the shoelace
+		body = cur + ld(8, 0) + ld(7, 4) + "mulf\n" + ld(7, 0) + ld(8, 4) + "mulf\nsubf\nload 3\naddf\nstore 3\nload 7\nstore 8\n"
+	case 1: // the perimeter
+		body = cur + dist(7, 8) + "load 7\nstore 8\n"
+	default: // the gather
+		for i := 0; i < 2; i++ {
+			body += fmt.Sprintf("%s\nload 6\npushi 8\nmuli\npushi %d\naddi\nldi32\npushi 8\nmuli\npushi 4\naddi\nstore %d\n", src, 4*g.pick(3)+4*i, 7+i)
+		}
+		body += dist(7, 8)
+	}
+	g.emit("%s:\nload 6\n%s\nge\njnz %s\n%sload 6\npushi 1\naddi\nstore 6\njmp %s\n%s:", h, limit, e, body, h, e)
+}
+
 func (g *progGen) program() string {
 	g.b.Reset()
 	g.loops = false
@@ -333,7 +376,7 @@ func genArgValues() []Value {
 // every instruction of every fused expression and loop iteration.
 func TestCompiledRandomPrograms(t *testing.T) {
 	g := &progGen{r: rand.New(rand.NewSource(15))}
-	accepted, kernels, trapped := 0, 0, map[TrapKind]int{}
+	accepted, kernels, floats, trapped := 0, 0, 0, map[TrapKind]int{}
 	for i := 0; i < 1500; i++ {
 		src := g.program()
 		p, err := Assemble(src)
@@ -344,7 +387,9 @@ func TestCompiledRandomPrograms(t *testing.T) {
 			continue // the verifier refused it: nothing to compare
 		}
 		accepted++
-		if strings.Contains(fmt.Sprint(LoopShapes(p, "eval")), "kernel") {
+		if shapes := fmt.Sprint(LoopShapes(p, "eval")); strings.Contains(shapes, "float kernel") {
+			floats++
+		} else if strings.Contains(shapes, "kernel") {
 			kernels++
 		}
 		func() {
@@ -368,9 +413,9 @@ func TestCompiledRandomPrograms(t *testing.T) {
 			}
 		}()
 	}
-	t.Logf("%d programs accepted, %d with a loop kernel; traps by kind: %v", accepted, kernels, trapped)
-	if accepted < 500 || kernels < 100 || trapped[TrapType] == 0 || trapped[TrapBounds] == 0 || trapped[TrapMath] == 0 {
-		t.Errorf("generator lost its coverage: %d accepted, %d kernels, traps %v", accepted, kernels, trapped)
+	t.Logf("%d programs accepted, %d with a loop kernel, %d with a float kernel; traps by kind: %v", accepted, kernels, floats, trapped)
+	if accepted < 500 || kernels < 100 || floats < 200 || trapped[TrapType] == 0 || trapped[TrapBounds] == 0 || trapped[TrapMath] == 0 {
+		t.Errorf("generator lost its coverage: %d accepted, %d kernels, %d float kernels, traps %v", accepted, kernels, floats, trapped)
 	}
 }
 
@@ -499,9 +544,10 @@ func fusedLoop(shape string, off int64, alias, writeLimit bool) string {
 }
 
 // TestFusedLoopParity runs each way a loop runs in place — rotated, a
-// self-loop, and the two kernels — against the reference, clean and at
-// every edge a kernel checks for itself, at every fuel value from 1 to
-// the run's whole count: value, trap, globals and instructions agree.
+// self-loop, the two byte kernels and the float kernel's three shapes —
+// against the reference, clean and at every edge a kernel checks for
+// itself, at every fuel value from 1 to the run's whole count: value (a
+// float's bits), trap, globals and instructions agree.
 func TestFusedLoopParity(t *testing.T) {
 	seq := func(n int, w bool) Value {
 		b := make([]byte, n)
@@ -578,10 +624,96 @@ func TestFusedLoopParity(t *testing.T) {
 		})
 	}
 
+	// The float kernel's shapes, at the same edges and at its own: special
+	// values, reads of both widths, a gather at an index past the vertices
+	// or past the edge list, and a cross product whose multiply and
+	// subtract, fused, would round once instead of twice.
+	one := 1 + math.Ldexp(1, -30)
+	ringPts := func(n int) [][2]float64 {
+		pts := make([][2]float64, n)
+		for i := range pts {
+			a := 2 * math.Pi * float64(i) / float64(n)
+			pts[i] = [2]float64{100 * math.Cos(a), 100 * math.Sin(a)}
+		}
+		return pts
+	}
+	special := [][2]float64{{1, 2}, {math.NaN(), 3}, {4, math.Inf(1)}, {math.Inf(-1), 5}, {math.Copysign(0, -1), 6}, {7, 8}}
+	type frow struct {
+		name          string
+		pts           [][2]float64
+		n, start      int64 // trips; the ring's first previous vertex, or an edge's index
+		edges         int   // the gather's edge list, when not n
+		bad           int   // one past the gather's edge that names a vertex past the end; 0: none
+		noBuffer      bool
+		wide, testSum bool
+	}
+	frows := []frow{
+		{name: "clean", pts: ringPts(8), n: 8, start: 7},
+		{name: "zero trips", pts: ringPts(8), n: 0, start: 7},
+		{name: "one trip", pts: ringPts(8), n: 1, start: 0},
+		{name: "bounds trap at the first iteration", pts: ringPts(8), n: 8, start: 20},
+		{name: "bounds trap in the middle", pts: ringPts(4), n: 8, start: 0},
+		{name: "bounds trap at the last iteration", pts: ringPts(7), n: 8, start: 0},
+		{name: "argument that is no buffer", pts: ringPts(8), n: 8, start: 7, noBuffer: true},
+		{name: "NaN, infinities and negative zero", pts: special, n: 6, start: 5},
+		{name: "reads of both widths", pts: ringPts(8), n: 8, start: 7, wide: true},
+		{name: "test reads the sum", pts: ringPts(8), n: 8, start: 7, testSum: true},
+		{name: "fused multiply-subtract would differ", pts: [][2]float64{{one, one}, {one, one}}, n: 2, start: 1, wide: true},
+	}
+	for _, shape := range []string{"shoelace", "perimeter", "gather"} {
+		gather := shape == "gather"
+		rows := frows
+		if gather { // its bounds traps are its own
+			rows = append(slices.DeleteFunc(slices.Clone(frows), func(r frow) bool { return strings.HasPrefix(r.name, "bounds") }),
+				frow{name: "index past the vertices, first edge", pts: ringPts(8), n: 8, bad: 1},
+				frow{name: "index past the vertices, middle edge", pts: ringPts(8), n: 8, bad: 5},
+				frow{name: "index past the vertices, last edge", pts: ringPts(8), n: 8, bad: 8},
+				frow{name: "edge list shorter than its count", pts: ringPts(8), n: 8, edges: 5})
+		}
+		for _, r := range rows {
+			t.Run(shape+"/"+r.name, func(t *testing.T) {
+				p := MustAssemble(floatLoop(shape, r.wide, r.testSum))
+				want := "[rotated float kernel]"
+				if r.testSum {
+					want = "[rotated]"
+				}
+				if got := fmt.Sprint(LoopShapes(p, "eval")); got != want {
+					t.Fatalf("loops %s, want %s", got, want)
+				}
+				stride, buf := vertexBytes(shape, r.wide, r.pts)
+				arg2 := 4 + stride*r.start
+				if gather { // edges i -> i+1 around the ring, after the vertices and their count
+					arg2 = int64(len(buf)) + 4
+					buf = binary.BigEndian.AppendUint32(buf, uint32(r.n))
+					nv := int64(len(r.pts))
+					for i := int64(0); i < cmp.Or(int64(r.edges), r.n); i++ {
+						a, b := i%nv, (i+1)%nv
+						if int(i) == r.bad-1 {
+							b = nv + 3
+						}
+						buf = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(buf, uint32(a)), uint32(b))
+					}
+				}
+				src := Value{K: VBytes, B: buf}
+				if r.noBuffer {
+					src = IntVal(3)
+				}
+				args := []Value{src, IntVal(r.n), IntVal(arg2)}
+				full := floatParity(t, p, Limits{}, args)
+				if r.name == "fused multiply-subtract would differ" && (full.err != nil || math.Float64bits(full.val.F) != 0) {
+					t.Errorf("twice-rounded a*b - c*d of equal operands: %v, %v; want +0", full.val, full.err)
+				}
+				for fuel := int64(1); fuel <= full.instrs; fuel++ {
+					floatParity(t, p, Limits{MaxFuel: fuel}, args)
+				}
+			})
+		}
+	}
+
 	// The committed fuzz seeds for the kernels' edges, wrapped as the fuzz
 	// targets wrap them, must still be kernels.
 	t.Run("fuzz seeds are kernels", func(t *testing.T) {
-		for _, src := range fuseSeedSrcs {
+		for _, src := range slices.Concat(fuseSeedSrcs, floatSeedSrcs) {
 			f := MustAssemble(src).Funcs[0]
 			p := fuzzProgram(f.Code, uint8(f.NArgs), 0)
 			if err := Verify(p); err != nil {
@@ -631,6 +763,95 @@ end`)
 			t.Errorf("executed %d instructions, static budget %d (bounded=%v)", got.instrs, fi.BudgetInstrs, fi.Bounded)
 		}
 	})
+}
+
+// floatLoop writes one of the float kernel's loops over the buffer in
+// arg 0 as TestFusedLoopParity runs them: "shoelace" sums the cross
+// product of consecutive vertices, "perimeter" their distance — by dup
+// and host sqrt — and "gather" the distance between the two vertices
+// each edge names. The counter i (local 1) runs from 0 while below arg 1
+// (local 0); a ring's previous vertex (local 3) starts at offset arg 2,
+// a gather's edge list at arg 2. wide reads every coordinate of the
+// shoelace with ldf64, and the x coordinates of the others; testSum has
+// the loop's test read the sum instead of the counter.
+func floatLoop(shape string, wide, testSum bool) string {
+	x, y, stride, yoff := "ldf32", "ldf32", 8, 4
+	switch {
+	case wide && shape == "shoelace":
+		x, y, stride, yoff = "ldf64", "ldf64", 16, 8
+	case wide:
+		x, stride, yoff = "ldf64", 12, 8
+	}
+	at := func(reg, off int) string { // arg 0's bytes at local reg plus off
+		if off == 0 {
+			return fmt.Sprintf("arg 0\nload %d\n", reg)
+		}
+		return fmt.Sprintf("arg 0\nload %d\npushi %d\naddi\n", reg, off)
+	}
+	dist := func(a, b int) string { // sqrt((a.x-b.x)^2 + (a.y-b.y)^2) + sum
+		return at(a, 0) + x + "\n" + at(b, 0) + x + "\nsubf\ndup\nmulf\n" +
+			at(a, yoff) + y + "\n" + at(b, yoff) + y + "\nsubf\ndup\nmulf\naddf\nhost sqrt\nload 2\naddf\nstore 2\n"
+	}
+	cur := fmt.Sprintf("pushi 4\nload 1\npushi %d\nmuli\naddi\nstore 4\n", stride)
+	var body string
+	switch shape {
+	case "shoelace":
+		body = cur + at(3, 0) + x + "\n" + at(4, yoff) + y + "\nmulf\n" + at(4, 0) + x + "\n" + at(3, yoff) + y +
+			"\nmulf\nsubf\nload 2\naddf\nstore 2\nload 4\nstore 3\n"
+	case "perimeter":
+		body = cur + dist(4, 3) + "load 4\nstore 3\n"
+	default: // an edge's ends: aoff = 4 + stride*idx (local 4), boff (local 5)
+		for i, end := range []string{"", "pushi 4\naddi\n"} {
+			body += fmt.Sprintf("arg 0\nload 3\nload 1\npushi 8\nmuli\naddi\n%sldi32\npushi %d\nmuli\npushi 4\naddi\nstore %d\n", end, stride, 4+i)
+		}
+		body += dist(4, 5)
+	}
+	test := "load 1\n"
+	if testSum {
+		test = "load 2\nf2i\n"
+	}
+	return "program fl\nconst zero float 0\nfunc eval args=3 locals=6\n" +
+		"arg 1\npushi 0\naddi\nstore 0\narg 2\npushi 0\naddi\nstore 3\nconst zero\nstore 2\npushi 0\nstore 1\n" +
+		"loop:\n" + test + "load 0\nge\njnz done\n" + body + "load 1\npushi 1\naddi\nstore 1\njmp loop\n" +
+		"done:\nload 2\nret\nend"
+}
+
+// vertexBytes lays out pts as floatLoop's shape reads them: a count,
+// then each vertex's x and y, as float32 or, wide, the x (and for the
+// shoelace the y) as float64. It returns the stride and the bytes.
+func vertexBytes(shape string, wide bool, pts [][2]float64) (int64, []byte) {
+	stride := int64(8)
+	if wide {
+		stride = 12
+		if shape == "shoelace" {
+			stride = 16
+		}
+	}
+	buf := binary.BigEndian.AppendUint32(nil, uint32(len(pts)))
+	put := func(v float64, w8 bool) {
+		if w8 {
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
+		} else {
+			buf = binary.BigEndian.AppendUint32(buf, math.Float32bits(float32(v)))
+		}
+	}
+	for _, p := range pts {
+		put(p[0], wide)
+		put(p[1], wide && shape == "shoelace")
+	}
+	return stride, buf
+}
+
+// floatParity is parity with the float result compared bit for bit,
+// NaN payloads included.
+func floatParity(t *testing.T, p *Program, limits Limits, args []Value) outcome {
+	t.Helper()
+	ref := parity(t, p, 0, limits, args)
+	got, err := New(limits).Run(p, 0, nil, cloneValues(args))
+	if ref.err == nil && (err != nil || math.Float64bits(got.F) != math.Float64bits(ref.val.F)) {
+		t.Fatalf("float result %x (%v), reference %x", math.Float64bits(got.F), err, math.Float64bits(ref.val.F))
+	}
+	return ref
 }
 
 // TestTrapParity pins, one program per reachable TrapKind and per place

@@ -14,7 +14,8 @@ func ParityFrom(t testing.TB, p *Program, fn int, limits Limits, globals, args [
 // LoopShapes lists, block by block, how function fn of a verified
 // program runs its loops in place: "self" (a block whose own test sends
 // it back) or "rotated" (a body that takes its header's test), followed
-// by " kernel" when one closure runs the whole loop.
+// by " kernel" when one closure runs the whole loop — " float kernel"
+// when that is a float kernel.
 func LoopShapes(p *Program, fn string) []string {
 	var out []string
 	for _, b := range p.verified.code(p).funcs[p.FuncIndex(fn)].blocks {
@@ -22,6 +23,9 @@ func LoopShapes(p *Program, fn string) []string {
 			s := "self"
 			if l.hn > 0 {
 				s = "rotated"
+			}
+			if l.float {
+				s += " float"
 			}
 			if l.kernel != nil {
 				s += " kernel"

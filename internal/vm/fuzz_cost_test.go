@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -91,6 +92,49 @@ var fuseSeedSrcs = []string{
 	countedReduction(8192, 8192),
 }
 
+// floatSeedSrcs are the float kernel at its edges — clean, a read past
+// the end in the middle of the kernel, over a value that is no buffer,
+// out of fuel in the middle of the kernel, over a NaN, and a gather at
+// an index past the end — for both fuzz targets and both corpora. With
+// fuzzProgram's four locals (the buffer, the counter and two offsets)
+// each keeps its sum on the operand stack.
+var floatSeedSrcs = []string{
+	floatSeed("shoelace", "pushi 68\nbnew\nstore 0\npushi 60\nstore 2\n", 8),
+	floatSeed("perimeter", "pushi 36\nbnew\nstore 0\npushi 4\nstore 2\n", 8),
+	floatSeed("perimeter", "arg 0\nstore 0\n", 8),
+	floatSeed("shoelace", "pushi 40004\nbnew\nstore 0\npushi 4\nstore 2\n", 5000),
+	floatSeed("perimeter", "pushi 68\nbnew\nstore 0\npushi 4\nstore 2\nload 0\npushi 20\npushi 0\ni2f\npushi 0\ni2f\ndivf\nstf32\npop\n", 8),
+	floatSeed("gather", "pushi 132\nbnew\nstore 0\nload 0\npushi 104\npushi 1000\nsti32\npop\n", 8),
+}
+
+// floatSeed writes shape ("shoelace", "perimeter" or "gather", as
+// floatLoop's) over the buffer setup leaves in local 0: n trips of
+// counter local 1, the ring's offsets in locals 2 (previous, as setup
+// leaves it) and 3, the gather's edge list at 68.
+func floatSeed(shape, setup string, n int) string {
+	at := func(reg, off int) string {
+		return fmt.Sprintf("load 0\nload %d\npushi %d\naddi\nldf32\n", reg, off)
+	}
+	dist := func(a, b int) string {
+		return at(a, 0) + at(b, 0) + "subf\ndup\nmulf\n" + at(a, 4) + at(b, 4) + "subf\ndup\nmulf\naddf\nhost sqrt\naddf\n"
+	}
+	cur := "pushi 4\nload 1\npushi 8\nmuli\naddi\nstore 3\n"
+	var body string
+	switch shape {
+	case "shoelace":
+		body = cur + at(2, 0) + at(3, 4) + "mulf\n" + at(3, 0) + at(2, 4) + "mulf\nsubf\naddf\nload 3\nstore 2\n"
+	case "perimeter":
+		body = cur + dist(3, 2) + "load 3\nstore 2\n"
+	default:
+		for i := 0; i < 2; i++ {
+			body += fmt.Sprintf("load 0\nload 1\npushi 8\nmuli\npushi %d\naddi\nldi32\npushi 8\nmuli\npushi 4\naddi\nstore %d\n", 68+4*i, 2+i)
+		}
+		body += dist(2, 3)
+	}
+	return fmt.Sprintf("program s\nfunc eval args=1 locals=4\n%spushi 0\ni2f\nloop:\nload 1\npushi %d\nge\njnz done\n%s"+
+		"load 1\npushi 1\naddi\nstore 1\njmp loop\ndone:\nret\nend", setup, n, body)
+}
+
 // countedReduction sums the bytes of a fresh buffer of size bytes at
 // offsets below limit: the loop AvgEnergy is made of.
 func countedReduction(size, limit int) string {
@@ -102,7 +146,7 @@ func countedReduction(size, limit int) string {
 // instruction budget >= the reference interpreter's executed count, with
 // the compiled engine counting identically.
 func FuzzCostSound(f *testing.F) {
-	for _, src := range append(append(costSeedSrcs, moveSeedSrcs...), fuseSeedSrcs...) {
+	for _, src := range slices.Concat(costSeedSrcs, moveSeedSrcs, fuseSeedSrcs, floatSeedSrcs) {
 		p := MustAssemble(src)
 		f.Add(p.Funcs[0].Code, uint8(p.Funcs[0].NArgs), uint8(p.NGlobals))
 	}
@@ -189,13 +233,14 @@ func TestCostSoundCorpus(t *testing.T) {
 //
 //	MOCHA_WRITE_FUZZ_CORPUS=1 go test ./internal/vm -run TestWriteFuzzCorpusSeeds
 //
-// after changing costSeedSrcs, moveSeedSrcs or fuseSeedSrcs, and commit
+// after changing costSeedSrcs, moveSeedSrcs, fuseSeedSrcs or
+// floatSeedSrcs, and commit
 // the result.
 func TestWriteFuzzCorpusSeeds(t *testing.T) {
 	if os.Getenv("MOCHA_WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set MOCHA_WRITE_FUZZ_CORPUS=1 to regenerate corpus seeds")
 	}
-	for kind, srcs := range map[string][]string{"loop": costSeedSrcs, "move": moveSeedSrcs, "fuse": fuseSeedSrcs} {
+	for kind, srcs := range map[string][]string{"loop": costSeedSrcs, "move": moveSeedSrcs, "fuse": fuseSeedSrcs, "float": floatSeedSrcs} {
 		for i, src := range srcs {
 			p := MustAssemble(src)
 			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\nbyte(%q)\n",
