@@ -456,9 +456,10 @@ func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 			lw[i] = 8
 		}
 	}
-	var ko [2]koff
+	var ko [2]form // the offsets, their registers renumbered to slots
 	for i, f := range offs {
-		ko[i] = koff{a: slot(f.a), b: slot(f.b), c: slot(f.c), kb: f.kb, kc: f.kc, k: f.k, km: f.km, ka: f.ka, gather: f.op == fGather}
+		f.a, f.b, f.c = slot(f.a), slot(f.b), slot(f.c)
+		ko[i] = f
 	}
 	nko, ca, cb := len(offs), -1, -1
 	if len(rest) == 1 {
@@ -469,7 +470,6 @@ func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 		return nil
 	}
 	top, hyp, fop, left, s, tr, ur := t.op, sh.hyp, sh.op, sh.left, sh.s, sh.t, sh.u
-	narrow := lw == [4]int64{4, 4, 4, 4} // every read an ldf32
 	return func(m *Machine) bool {
 		v := &m.v[src]
 		if v.K != VBytes || len(v.B) < 8 { // a read of none of it
@@ -493,12 +493,7 @@ func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 				break
 			}
 			fuel -= n
-			var a, b, c, q float64
-			if narrow {
-				a, b, c, q = f32(buf, p0), f32(buf, p1), f32(buf, p2), f32(buf, p3)
-			} else {
-				a, b, c, q = fload(buf, p0, lw[0]), fload(buf, p1, lw[1]), fload(buf, p2, lw[2]), fload(buf, p3, lw[3])
-			}
+			a, b, c, q := fload(buf, p0, lw[0]), fload(buf, p1, lw[1]), fload(buf, p2, lw[2]), fload(buf, p3, lw[3])
 			var p float64
 			if hyp {
 				d = float64(a - b)
@@ -533,18 +528,12 @@ func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 	}
 }
 
-// koff is a float kernel's offset: x[a] = x[b]*kb + x[c]*kc + k, or for
-// a gather the int32 the held buffer has there, times km, plus ka.
-type koff struct {
-	a, b, c           int
-	kb, kc, k, km, ka int64
-	gather            bool
-}
-
-// set computes the offset into x, or reports that its read would trap.
-func (f *koff) set(x *[kslots]int64, buf []byte) bool {
+// set computes a float kernel's offset, an fAffine or fGather form whose
+// registers are slots of x, into x, or reports that its read of buf
+// would trap.
+func (f *form) set(x *[kslots]int64, buf []byte) bool {
 	o := x[f.b]*f.kb + x[f.c]*f.kc + f.k
-	if f.gather {
+	if f.op == fGather {
 		if uint64(o) > uint64(len(buf)-4) {
 			return false
 		}
@@ -619,15 +608,11 @@ func fshapeOf(fs []form) (sh fshape, ok bool) {
 	return sh, true
 }
 
-// fload is the float of w bytes (4 or 8) of b at o; f32 that of 4.
+// fload is the float of w bytes (4 or 8) of b at o.
 func fload(b []byte, o, w int64) float64 {
 	if w == 8 {
 		return math.Float64frombits(binary.BigEndian.Uint64(b[o : o+8]))
 	}
-	return f32(b, o)
-}
-
-func f32(b []byte, o int64) float64 {
 	return float64(math.Float32frombits(binary.BigEndian.Uint32(b[o : o+4])))
 }
 

@@ -218,7 +218,7 @@ func (g *progGen) stmt() {
 		g.emit("nop")
 		return
 	}
-	switch g.pick(13) {
+	switch g.pick(14) {
 	case 0, 1:
 		g.expr(akInt)
 		g.emit("store %d", g.pick(2))
@@ -271,10 +271,10 @@ func (g *progGen) stmt() {
 		g.emit("pushi 0\nstore 2\n%s:\nload 2\npushi %d\nge\njnz %s", h, 1+g.pick(4), e)
 		g.stmt()
 		g.emit("load 2\npushi 1\naddi\nstore 2\njmp %s\n%s:", h, e)
-	case 10:
-		g.floatReduction()
 	case 11, 12:
 		g.counted(g.pick(2) == 0)
+	case 13:
+		g.floatReduction()
 	default:
 		g.dyn(akAny)
 		g.emit("store %d", 3+g.pick(3))
