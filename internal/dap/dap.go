@@ -288,11 +288,34 @@ func (c *codeCache) stats() (hits, misses int64) {
 // executes exactly the release it was planned (or canaried) against,
 // even while another release of the same operator is cached.
 type vmBinder struct {
-	cache    *codeCache
-	refs     map[string]string // lower class name → content digest
-	machine  *vm.Machine
-	limits   vm.Limits
-	machines []*vm.Machine // every machine created for this fragment
+	cache   *codeCache
+	refs    map[string]string // lower class name → content digest
+	machine *vm.Machine
+	limits  vm.Limits
+	// machines lists every machine created for this fragment, its lane
+	// forks' included; a fork shares the list.
+	machines *[]*vm.Machine
+}
+
+// newVMBinder returns a fragment's binder with its shared scalar machine.
+func newVMBinder(cache *codeCache, refs map[string]string, limits vm.Limits) *vmBinder {
+	b := &vmBinder{cache: cache, refs: refs, limits: limits, machines: new([]*vm.Machine)}
+	b.machine = b.newMachine()
+	return b
+}
+
+func (b *vmBinder) newMachine() *vm.Machine {
+	m := vm.New(b.limits)
+	*b.machines = append(*b.machines, m)
+	return m
+}
+
+// Fork binds the same releases for another lane of the fragment: its
+// scalars run on a machine of the fork's own.
+func (b *vmBinder) Fork() core.OpBinder {
+	f := *b
+	f.machine = b.newMachine()
+	return &f
 }
 
 // resolve looks up the release the fragment pinned for name. A class
@@ -311,10 +334,10 @@ func (b *vmBinder) resolve(name string) (*loadedClass, error) {
 }
 
 // runCounts sums invocations and executed bytecode instructions across
-// every machine the binder created (the shared scalar machine plus one
+// every machine the binder created (one scalar machine per lane plus one
 // per aggregate).
 func (b *vmBinder) runCounts() (runs, instrs int64) {
-	for _, m := range b.machines {
+	for _, m := range *b.machines {
 		runs += m.FastRuns
 		instrs += m.Instrs
 	}
@@ -342,7 +365,5 @@ func (b *vmBinder) BindAggregate(name string, ret types.Kind) (core.AggFn, error
 	}
 	// Each aggregate instance gets its own machine so per-group state
 	// and stacks never interleave.
-	m := vm.New(b.limits)
-	b.machines = append(b.machines, m)
-	return ops.NewVMAggregate(m, lc.prog, ret)
+	return ops.NewVMAggregate(b.newMachine(), lc.prog, ret)
 }

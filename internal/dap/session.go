@@ -292,8 +292,7 @@ func (ex *execution) execute(skip int64, report wire.ExecStats) error {
 	for _, cr := range frag.Code {
 		refs[strings.ToLower(cr.Name)] = cr.Checksum
 	}
-	binder := &vmBinder{cache: ex.srv.cache, refs: refs, machine: vm.New(ex.srv.cfg.Limits), limits: ex.srv.cfg.Limits}
-	binder.machines = append(binder.machines, binder.machine)
+	binder := newVMBinder(ex.srv.cache, refs, ex.srv.cfg.Limits)
 
 	writer := wire.NewBatchWriter(ex.conn)
 	writer.SetTarget(ex.srv.cfg.BatchBytes)

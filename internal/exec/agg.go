@@ -14,6 +14,7 @@ import (
 type aggGroup struct {
 	keys types.Tuple
 	aggs []core.AggFn
+	idx  int // creation order: the group's lane is idx mod W
 }
 
 // aggSpillRec is one buffered post-overflow input tuple: its arrival
@@ -39,14 +40,21 @@ type aggSpillRec struct {
 // groups (sorted) with the disk groups (folded one at a time, in arrival
 // order, from the merged runs) — byte-identical, in identical order, to
 // the in-memory path.
+//
+// On lanes (lanes.go) the chain of row stages below runs on contiguous
+// chunks of each input batch; routing — group lookup, creation and spill
+// — stays on the calling goroutine, in arrival order; and each group's
+// rows are folded by the lane that owns it, in arrival order, so every
+// group's states see exactly the updates one lane would have made.
 type HashAggregate struct {
 	base
 	child     Operator
 	groupBy   []int
 	specs     []core.AggSpec
 	binder    core.OpBinder
-	argFns    [][]core.EvalFn
-	memo      *core.Memo
+	set       *laneSet
+	in        *chain // the row stages below, fused into the lanes
+	argsCall  bool   // an argument calls a bound operator
 	resetMemo bool
 	errPrefix string
 	rows      int
@@ -78,51 +86,58 @@ func NewHashAggregate(name string, child Operator, groupBy []int, specs []core.A
 	if batchRows <= 0 {
 		batchRows = DefaultBatchRows
 	}
+	args, err := compileAggArgs(specs, binder, memo)
+	if err != nil {
+		return nil, err
+	}
 	a := &HashAggregate{
 		child: child, groupBy: groupBy, specs: specs, binder: binder,
-		memo: memo, resetMemo: resetMemo, errPrefix: errPrefix, rows: batchRows,
+		set:       soloLanes(&lane{memo: memo, args: args}),
+		resetMemo: resetMemo, errPrefix: errPrefix, rows: batchRows,
 		grant:  grant,
 		groups: make(map[string]*aggGroup),
 	}
 	a.stats.Name = name
 	for _, spec := range specs {
-		fns := make([]core.EvalFn, len(spec.Args))
+		a.argsCall = a.argsCall || callsOperator(spec.Args...)
+	}
+	return a, nil
+}
+
+// compileAggArgs compiles every spec's argument expressions.
+func compileAggArgs(specs []core.AggSpec, binder core.OpBinder, memo *core.Memo) ([][]core.EvalFn, error) {
+	out := make([][]core.EvalFn, len(specs))
+	for i, spec := range specs {
+		out[i] = make([]core.EvalFn, len(spec.Args))
 		for j, argExpr := range spec.Args {
 			fn, err := core.CompileExprMemo(argExpr, binder, memo)
 			if err != nil {
 				return nil, err
 			}
-			fns[j] = fn
+			out[i][j] = fn
 		}
-		a.argFns = append(a.argFns, fns)
 	}
-	return a, nil
+	return out, nil
 }
 
-func (a *HashAggregate) Open(ctx context.Context) error { return a.child.Open(ctx) }
+func (a *HashAggregate) Open(ctx context.Context) error {
+	a.in = chainOf(a.child, a.set)
+	return a.child.Open(ctx)
+}
 
 func (a *HashAggregate) NextBatch() ([]types.Tuple, error) {
 	if !a.built {
 		for {
-			in, err := a.child.NextBatch()
+			in, err := a.in.src.NextBatch()
 			if err != nil {
 				return nil, err
 			}
 			if in == nil {
 				break
 			}
-			a.stats.RowsIn += int64(len(in))
-			t0 := time.Now()
-			if a.resetMemo && a.memo != nil {
-				a.memo.Reset()
+			if err := a.consume(in); err != nil {
+				return nil, err
 			}
-			for _, tup := range in {
-				if err := a.accumulate(tup); err != nil {
-					a.timed(t0)
-					return nil, err
-				}
-			}
-			a.timed(t0)
 		}
 		t0 := time.Now()
 		sort.Strings(a.order)
@@ -241,8 +256,10 @@ func (a *HashAggregate) nextMerged() ([]types.Tuple, error) {
 func (a *HashAggregate) diskRow() (types.Tuple, error) {
 	head := a.diskRec
 	a.diskRec = nil
-	if a.resetMemo && a.memo != nil {
-		a.memo.Reset()
+	// Lane 0's memo holds whichever chunk it ran last, which depends on W:
+	// a disk group starts from an empty one.
+	if memo := a.set.ls[0].memo; memo != nil {
+		memo.Reset()
 	}
 	keys := make(types.Tuple, len(a.groupBy))
 	for i, g := range a.groupBy {
@@ -290,27 +307,188 @@ func (a *HashAggregate) diskRow() (types.Tuple, error) {
 	return row, nil
 }
 
-// fold updates one group's states with one input tuple.
+// fold updates a disk group's states with one input tuple, on lane 0.
 func (a *HashAggregate) fold(aggs []core.AggFn, in types.Tuple) error {
-	for i, spec := range a.specs {
-		args := make([]types.Object, len(a.argFns[i]))
-		for j, fn := range a.argFns[i] {
-			v, err := fn(in)
-			if err != nil {
-				return fmt.Errorf("%s: aggregate %s argument: %w", a.errPrefix, spec.Func, err)
-			}
-			args[j] = v
+	for i := range a.specs {
+		args, err := evalArgs(a.set.ls[0].args[i], in)
+		if err != nil {
+			return a.argErr(i, err)
 		}
 		if err := aggs[i].Update(args); err != nil {
-			return fmt.Errorf("%s: aggregate %s: %w", a.errPrefix, spec.Func, err)
+			return a.updateErr(i, err)
 		}
 	}
 	return nil
 }
 
-// accumulate folds one tuple into its group, buffering it for the spill
-// runs when the group table has overflowed and the key is new.
-func (a *HashAggregate) accumulate(in types.Tuple) error {
+// evalArgs evaluates one aggregate spec's arguments on a row.
+func evalArgs(fns []core.EvalFn, in types.Tuple) ([]types.Object, error) {
+	args := make([]types.Object, len(fns))
+	for j, fn := range fns {
+		v, err := fn(in)
+		if err != nil {
+			return nil, err
+		}
+		args[j] = v
+	}
+	return args, nil
+}
+
+func (a *HashAggregate) argErr(spec int, err error) error {
+	return fmt.Errorf("%s: aggregate %s argument: %w", a.errPrefix, a.specs[spec].Func, err)
+}
+
+func (a *HashAggregate) updateErr(spec int, err error) error {
+	return fmt.Errorf("%s: aggregate %s: %w", a.errPrefix, a.specs[spec].Func, err)
+}
+
+// failure is a candidate error at a position in one batch's work: row
+// r's routing is step 0, spec i's arguments step 1+2i and its update
+// step 2+2i, in the order one lane performs them.
+type failure struct {
+	pos int
+	err error
+}
+
+// first keeps the earlier of two failures.
+func (f *failure) first(g failure) {
+	if g.err != nil && (f.err == nil || g.pos < f.pos) {
+		*f = g
+	}
+}
+
+// consume runs one input batch through the chain below and folds what
+// comes out. Lanes make each step's work concurrent but not its outcome:
+// the error returned is the one at the earliest position, which is where
+// one lane would have stopped, and nothing at a later position is
+// reported in its place.
+func (a *HashAggregate) consume(in []types.Tuple) error {
+	// The chain's set is the aggregate's unless a stage below compiled
+	// its expressions apart, and then nothing fans out.
+	w, tokens, err := a.in.set.width(len(in))
+	if err != nil {
+		return err
+	}
+	defer helpers.give(tokens)
+	parts, err := a.in.run(in, w)
+	if err != nil {
+		return err
+	}
+	rows := concat(parts)
+	if len(rows) == 0 {
+		return nil
+	}
+	a.stats.RowsIn += int64(len(rows))
+	defer a.timed(time.Now())
+	if a.resetMemo {
+		for _, ln := range a.set.ls[:w] {
+			if ln.memo != nil {
+				ln.memo.Reset()
+			}
+		}
+	}
+
+	// Route every row in arrival order: group lookup and creation, the
+	// grant and the spill buffer are the aggregate's alone.
+	k := len(a.specs)
+	stride := 2*k + 1
+	var fail failure
+	owner := make([]*aggGroup, len(rows))
+	work := make([][]int, w)
+	for i, tup := range rows {
+		grp, err := a.route(tup)
+		if err != nil {
+			fail = failure{pos: i * stride, err: err}
+			break
+		}
+		if grp != nil {
+			owner[i] = grp
+			work[grp.idx%w] = append(work[grp.idx%w], i)
+		}
+	}
+	limit := func() int {
+		if fail.err == nil {
+			return len(rows) * stride
+		}
+		return fail.pos
+	}
+
+	// Arguments that call a bound operator are evaluated on the lane whose
+	// chunk the row came from: its memo holds what the predicates below
+	// computed for that row.
+	var argv [][]types.Object
+	if a.argsCall && w > 1 {
+		argv = make([][]types.Object, len(rows)*k)
+		lfail := make([]failure, w)
+		end := limit()
+		fanOut(w, func(l int) {
+			off := 0
+			for _, p := range parts[:l] {
+				off += len(p)
+			}
+			ln := a.set.ls[l]
+			for i := off; i < off+len(parts[l]) && i*stride < end; i++ {
+				if owner[i] == nil {
+					continue
+				}
+				for s := 0; s < k; s++ {
+					args, err := evalArgs(ln.args[s], rows[i])
+					if err != nil {
+						lfail[l] = failure{pos: i*stride + 1 + 2*s, err: a.argErr(s, err)}
+						return
+					}
+					argv[i*k+s] = args
+				}
+			}
+		})
+		for _, f := range lfail {
+			fail.first(f)
+		}
+	}
+
+	// Fold: each lane updates the groups it owns, row by row in arrival
+	// order, up to the earliest failure found so far.
+	lfail := make([]failure, w)
+	end := limit()
+	fanOut(w, func(l int) {
+		ln := a.set.ls[l]
+		for _, i := range work[l] {
+			grp := owner[i]
+			for s := 0; s < k; s++ {
+				pos := i*stride + 1 + 2*s
+				if pos >= end {
+					return
+				}
+				var args []types.Object
+				if argv != nil {
+					args = argv[i*k+s]
+				} else {
+					var err error
+					if args, err = evalArgs(ln.args[s], rows[i]); err != nil {
+						lfail[l] = failure{pos: pos, err: a.argErr(s, err)}
+						return
+					}
+				}
+				if pos+1 >= end {
+					return
+				}
+				if err := grp.aggs[s].Update(args); err != nil {
+					lfail[l] = failure{pos: pos + 1, err: a.updateErr(s, err)}
+					return
+				}
+			}
+		}
+	})
+	for _, f := range lfail {
+		fail.first(f)
+	}
+	return fail.err
+}
+
+// route finds or creates one tuple's group, or buffers the tuple for the
+// spill runs when the group table has overflowed and the key is new (and
+// returns no group).
+func (a *HashAggregate) route(in types.Tuple) (*aggGroup, error) {
 	seq := a.seq
 	a.seq++
 	keys := make(types.Tuple, len(a.groupBy))
@@ -325,14 +503,14 @@ func (a *HashAggregate) accumulate(in types.Tuple) error {
 		if !a.spilled {
 			need := tupleMemBytes(keys) + int64(len(gk)) + 96 + 64*int64(len(a.specs))
 			if a.grant.Try(need) {
-				grp = &aggGroup{keys: detach(keys)}
+				grp = &aggGroup{keys: detach(keys), idx: len(a.order)}
 				for _, spec := range a.specs {
 					agg, err := a.binder.BindAggregate(spec.Func, spec.Ret)
 					if err != nil {
-						return err
+						return nil, err
 					}
 					if err := agg.Reset(); err != nil {
-						return err
+						return nil, err
 					}
 					grp.aggs = append(grp.aggs, agg)
 				}
@@ -346,10 +524,10 @@ func (a *HashAggregate) accumulate(in types.Tuple) error {
 			}
 		}
 		if grp == nil {
-			return a.spillAdd(aggSpillRec{seq: seq, key: gk, tup: detach(in)})
+			return nil, a.spillAdd(aggSpillRec{seq: seq, key: gk, tup: detach(in)})
 		}
 	}
-	return a.fold(grp.aggs, in)
+	return grp, nil
 }
 
 // spillAdd buffers one post-overflow record, flushing the buffer to a

@@ -11,9 +11,12 @@
 // Concurrency model: Open starts background work (hash-join build
 // goroutines, bounded prefetchers) and cascades down the tree, so every
 // build side of a multi-join tree is building while the left stream is
-// being prefetched. NextBatch is pull-based and single-threaded from the
-// root. Close joins every goroutine the tree started; it must be called
-// exactly once after the last NextBatch, error or not.
+// being prefetched. NextBatch is pull-based from the root, one call at a
+// time; inside a call, a DAP fragment's row stages and pushed aggregate
+// may fan the batch out over lanes (lanes.go) and join them before the
+// call returns, so the operators above never see a lane. Close joins
+// every goroutine the tree started; it must be called exactly once after
+// the last NextBatch, error or not.
 //
 // Ownership: the tuples of a batch are windows into the frame or stored
 // record they were decoded from (types.DecodeValue), which stays

@@ -119,7 +119,9 @@ func SemiJoinParticipants(plan *core.Plan) []int {
 //	               [hashagg] → project → (topk | sort | limit)? → emit
 //
 // Operators that evaluate user expressions share one memo per contiguous
-// chain; the lowest memo user resets it per input batch. An aggregation
+// chain; the lowest memo user resets it per input batch. A DAP chain's
+// expressions are one lane set (lanes.go): each lane compiles them in the
+// same order against its own memo and binder fork. An aggregation
 // boundary starts a fresh memo: group rows are new tuples, and stale
 // identity-keyed entries from scan batches must not survive into them.
 
@@ -180,6 +182,9 @@ func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semi
 	needReset := true
 	ops := []Operator{src}
 	cur := src
+	// The chain's expressions are one lane set: lane 0 is compiled here,
+	// and further lanes the same way against a binder fork.
+	set := soloLanes(&lane{memo: memo})
 
 	if frag.SemiJoinCol >= 0 && semiKeys != nil {
 		desc := fmt.Sprintf("input column %d (%s)", frag.SemiJoinCol, colName(frag.InSchema, frag.SemiJoinCol))
@@ -191,7 +196,9 @@ func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semi
 		if err != nil {
 			return nil, err
 		}
-		cur = NewFilter(obs.OpFilter, cur, preds, memo, needReset, "dap")
+		f := NewFilter(obs.OpFilter, cur, preds, memo, needReset, "dap")
+		set.ls[0].preds, f.set = preds, set
+		cur = f
 		needReset = false
 		ops = append(ops, cur)
 	}
@@ -200,6 +207,7 @@ func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semi
 		if err != nil {
 			return nil, err
 		}
+		set.ls[0].args, agg.set = agg.set.ls[0].args, set
 		cur = agg
 		ops = append(ops, cur)
 	} else {
@@ -207,9 +215,12 @@ func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semi
 		if err != nil {
 			return nil, err
 		}
-		cur = NewProject(obs.OpProject, cur, projs, names, memo, needReset, "dap")
+		p := NewProject(obs.OpProject, cur, projs, names, memo, needReset, "dap")
+		set.ls[0].projs, p.set = projs, set
+		cur = p
 		ops = append(ops, cur)
 	}
+	set.fork = forkLanes(frag, binder)
 	if frag.Limit > 0 {
 		cur = NewLimit(obs.OpLimit, cur, frag.Limit)
 		ops = append(ops, cur)
@@ -217,6 +228,39 @@ func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semi
 	cur = NewEmit(obs.OpEmit, cur, emit)
 	ops = append(ops, cur)
 	return &Tree{Root: cur, Ops: ops}, nil
+}
+
+// forkLanes returns how a fragment's lane set compiles another lane — the
+// fragment's expressions in lowering's order, so the memo shares the same
+// call sites — or nil when it never fans out: the binder cannot fork, or
+// nothing in the chain calls a bound operator (a chain of column
+// references is cheaper than the fork).
+func forkLanes(frag *core.Fragment, binder core.OpBinder) func() (*lane, error) {
+	fb, ok := binder.(laneForker)
+	if !ok {
+		return nil
+	}
+	calls := len(frag.Aggregates) > 0 || callsOperator(frag.Predicates...)
+	for _, o := range frag.Projections {
+		calls = calls || callsOperator(o.Expr)
+	}
+	if !calls {
+		return nil
+	}
+	return func() (*lane, error) {
+		b := fb.Fork()
+		ln := &lane{memo: core.NewMemo()}
+		var err error
+		if ln.preds, err = compilePreds(frag.Predicates, b, ln.memo); err != nil {
+			return nil, err
+		}
+		if len(frag.Aggregates) > 0 {
+			ln.args, err = compileAggArgs(frag.Aggregates, b, ln.memo)
+		} else {
+			ln.projs, _, err = compileProjs(frag.Projections, b, ln.memo)
+		}
+		return ln, err
+	}
 }
 
 // LowerPlan lowers the QPC's post-stream work onto the fragments' pull

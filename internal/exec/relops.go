@@ -10,76 +10,58 @@ import (
 )
 
 // Filter drops tuples that fail any predicate. When it is the lowest
-// memo user of its chain it resets the shared memo once per input batch:
-// every tuple of a batch is live for the whole batch, so identity-keyed
-// memo entries cannot alias across a reset boundary, and operators above
-// it reuse the cached results for the same tuples.
+// memo user of its chain it resets the shared memo once per input batch
+// (per chunk, on lanes): every tuple of a batch is live for the whole
+// batch, so identity-keyed memo entries cannot alias across a reset
+// boundary, and operators above it reuse the cached results for the same
+// tuples.
 type Filter struct {
-	base
-	child     Operator
-	preds     []core.EvalFn
-	memo      *core.Memo
+	rowOp
 	resetMemo bool
 	errPrefix string
 }
 
 // NewFilter wraps child with compiled predicates.
 func NewFilter(name string, child Operator, preds []core.EvalFn, memo *core.Memo, resetMemo bool, errPrefix string) *Filter {
-	f := &Filter{child: child, preds: preds, memo: memo, resetMemo: resetMemo, errPrefix: errPrefix}
+	f := &Filter{rowOp: rowOp{child: child, set: soloLanes(&lane{memo: memo, preds: preds})},
+		resetMemo: resetMemo, errPrefix: errPrefix}
 	f.stats.Name = name
 	return f
 }
 
-func (f *Filter) Open(ctx context.Context) error { return f.child.Open(ctx) }
+func (f *Filter) NextBatch() ([]types.Tuple, error) { return f.next(f) }
 
-func (f *Filter) NextBatch() ([]types.Tuple, error) {
-	for {
-		in, err := f.child.NextBatch()
-		if err != nil || in == nil {
-			return nil, err
-		}
-		f.stats.RowsIn += int64(len(in))
-		t0 := time.Now()
-		if f.resetMemo && f.memo != nil {
-			f.memo.Reset()
-		}
-		// Filter in place: the batch is owned by this operator now, and
-		// the kept tuples keep their references.
-		out := in[:0]
-		for _, tup := range in {
-			keep := true
-			for i, p := range f.preds {
-				ok, perr := core.EvalPredicate(p, tup)
-				if perr != nil {
-					f.timed(t0)
-					return nil, fmt.Errorf("%s: predicate %d: %w", f.errPrefix, i, perr)
-				}
-				if !ok {
-					keep = false
-					break
-				}
+// apply filters in place: the batch is owned by this operator now, and
+// the kept tuples keep their references.
+func (f *Filter) apply(l int, in []types.Tuple) ([]types.Tuple, error) {
+	ln := f.set.ls[l]
+	if f.resetMemo && ln.memo != nil {
+		ln.memo.Reset()
+	}
+	out := in[:0]
+	for _, tup := range in {
+		keep := true
+		for i, p := range ln.preds {
+			ok, perr := core.EvalPredicate(p, tup)
+			if perr != nil {
+				return nil, fmt.Errorf("%s: predicate %d: %w", f.errPrefix, i, perr)
 			}
-			if keep {
-				out = append(out, tup)
+			if !ok {
+				keep = false
+				break
 			}
 		}
-		f.timed(t0)
-		if len(out) > 0 {
-			f.out(out)
-			return out, nil
+		if keep {
+			out = append(out, tup)
 		}
 	}
+	return out, nil
 }
-
-func (f *Filter) Close() error { return f.child.Close() }
 
 // Project computes output columns from each input tuple.
 type Project struct {
-	base
-	child     Operator
-	projs     []core.EvalFn
+	rowOp
 	names     []string
-	memo      *core.Memo
 	resetMemo bool
 	errPrefix string
 }
@@ -87,27 +69,23 @@ type Project struct {
 // NewProject wraps child with compiled projection expressions; names are
 // the output column names, used in error messages.
 func NewProject(name string, child Operator, projs []core.EvalFn, names []string, memo *core.Memo, resetMemo bool, errPrefix string) *Project {
-	p := &Project{child: child, projs: projs, names: names, memo: memo, resetMemo: resetMemo, errPrefix: errPrefix}
+	p := &Project{rowOp: rowOp{child: child, set: soloLanes(&lane{memo: memo, projs: projs})},
+		names: names, resetMemo: resetMemo, errPrefix: errPrefix}
 	p.stats.Name = name
 	return p
 }
 
-func (p *Project) Open(ctx context.Context) error { return p.child.Open(ctx) }
+func (p *Project) NextBatch() ([]types.Tuple, error) { return p.next(p) }
 
-func (p *Project) NextBatch() ([]types.Tuple, error) {
-	in, err := p.child.NextBatch()
-	if err != nil || in == nil {
-		return nil, err
-	}
-	p.stats.RowsIn += int64(len(in))
-	defer p.timed(time.Now())
-	if p.resetMemo && p.memo != nil {
-		p.memo.Reset()
+func (p *Project) apply(l int, in []types.Tuple) ([]types.Tuple, error) {
+	ln := p.set.ls[l]
+	if p.resetMemo && ln.memo != nil {
+		ln.memo.Reset()
 	}
 	out := make([]types.Tuple, len(in))
 	for r, tup := range in {
-		row := make(types.Tuple, len(p.projs))
-		for i, fn := range p.projs {
+		row := make(types.Tuple, len(ln.projs))
+		for i, fn := range ln.projs {
 			v, perr := fn(tup)
 			if perr != nil {
 				return nil, fmt.Errorf("%s: projection %q: %w", p.errPrefix, p.names[i], perr)
@@ -116,17 +94,13 @@ func (p *Project) NextBatch() ([]types.Tuple, error) {
 		}
 		out[r] = row
 	}
-	p.out(out)
 	return out, nil
 }
-
-func (p *Project) Close() error { return p.child.Close() }
 
 // SemiFilter keeps tuples whose key column matches the delivered
 // semi-join key set (section 5.4's reducing site).
 type SemiFilter struct {
-	base
-	child     Operator
+	rowOp
 	col       int
 	keys      map[uint64][]types.Object
 	desc      string
@@ -136,44 +110,29 @@ type SemiFilter struct {
 // NewSemiFilter wraps child with a semi-join key filter on column col;
 // desc names the column for error messages.
 func NewSemiFilter(name string, child Operator, col int, keys map[uint64][]types.Object, desc, errPrefix string) *SemiFilter {
-	s := &SemiFilter{child: child, col: col, keys: keys, desc: desc, errPrefix: errPrefix}
+	s := &SemiFilter{rowOp: rowOp{child: child}, col: col, keys: keys, desc: desc, errPrefix: errPrefix}
 	s.stats.Name = name
 	return s
 }
 
-func (s *SemiFilter) Open(ctx context.Context) error { return s.child.Open(ctx) }
+func (s *SemiFilter) NextBatch() ([]types.Tuple, error) { return s.next(s) }
 
-func (s *SemiFilter) NextBatch() ([]types.Tuple, error) {
-	for {
-		in, err := s.child.NextBatch()
-		if err != nil || in == nil {
-			return nil, err
+func (s *SemiFilter) apply(_ int, in []types.Tuple) ([]types.Tuple, error) {
+	out := in[:0]
+	for _, tup := range in {
+		k, ok := tup[s.col].(types.Small)
+		if !ok {
+			return nil, fmt.Errorf("%s: semi-join key of kind %v at %s", s.errPrefix, tup[s.col].Kind(), s.desc)
 		}
-		s.stats.RowsIn += int64(len(in))
-		t0 := time.Now()
-		out := in[:0]
-		for _, tup := range in {
-			k, ok := tup[s.col].(types.Small)
-			if !ok {
-				s.timed(t0)
-				return nil, fmt.Errorf("%s: semi-join key of kind %v at %s", s.errPrefix, tup[s.col].Kind(), s.desc)
+		for _, cand := range s.keys[k.Hash()] {
+			if k.Equal(cand) {
+				out = append(out, tup)
+				break
 			}
-			for _, cand := range s.keys[k.Hash()] {
-				if k.Equal(cand) {
-					out = append(out, tup)
-					break
-				}
-			}
-		}
-		s.timed(t0)
-		if len(out) > 0 {
-			s.out(out)
-			return out, nil
 		}
 	}
+	return out, nil
 }
-
-func (s *SemiFilter) Close() error { return s.child.Close() }
 
 // Limit passes through the first k tuples and then stops pulling, so
 // upstream operators (and, through ScanSource's stop channel, the

@@ -9,7 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"net"
 	"strings"
 	"sync"
@@ -249,8 +249,9 @@ type QueryStats struct {
 	CodeBytesShipped   int `xml:"code-bytes-shipped"`
 	CacheHits          int `xml:"cache-hits"`
 
-	// ResultDigest is the FNV-64a digest of the result rows' wire
-	// encoding, in emission order. The rollout controller compares it
+	// ResultDigest is the 64-bit digest of the result rows' wire
+	// encoding, in emission order: CRC-32C followed by CRC-32 (IEEE),
+	// both over the same bytes (resultDigest). The rollout controller compares it
 	// between the canary and active releases of an operator class; it is
 	// also the client-visible fingerprint for result-equality checks.
 	ResultDigest string `xml:"result-digest,omitempty"`
@@ -457,12 +458,12 @@ func (q *Query) RunTraced(ctx context.Context, emit func(types.Tuple) error) (*Q
 // re-plan re-prepares the query and would lose the pinned release.
 func (q *Query) runRelease(ctx context.Context, arrived time.Time, traceID string, plan *core.Plan,
 	emit func(types.Tuple) error, allowReplan bool) (*QueryStats, *obs.Trace, error) {
-	h := fnv.New64a()
+	var h resultDigest
 	var hashBuf []byte
 	var result QueryStats
 	counting := func(t types.Tuple) error {
 		hashBuf = t.AppendTo(hashBuf[:0])
-		h.Write(hashBuf)
+		h.write(hashBuf)
 		result.ResultTuples++
 		result.ResultBytes += int64(len(hashBuf))
 		return emit(t)
@@ -489,10 +490,24 @@ func (q *Query) runRelease(ctx context.Context, arrived time.Time, traceID strin
 		// What the failed run did finish, for a caller that asks.
 		return &result, trace, err
 	}
-	result.ResultDigest = fmt.Sprintf("%016x", h.Sum64())
+	result.ResultDigest = h.String()
 	q.srv.met.queryMS.Observe(int64(result.TotalMS))
 	return &result, trace, nil
 }
+
+// resultDigest hashes a result's wire bytes with two table-driven CRCs,
+// CRC-32C and CRC-32 (IEEE), which hash/crc32 runs at memory speed; the
+// digest is the two side by side, 64 bits.
+type resultDigest struct{ c, ieee uint32 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func (d *resultDigest) write(p []byte) {
+	d.c = crc32.Update(d.c, castagnoli, p)
+	d.ieee = crc32.Update(d.ieee, crc32.IEEETable, p)
+}
+
+func (d *resultDigest) String() string { return fmt.Sprintf("%08x%08x", d.c, d.ieee) }
 
 // summarize reads a finished query's time, volume and code-shipping
 // figures off its trace, the only record of them: each span's duration
