@@ -1,9 +1,10 @@
 // mocha-lint runs the repository's custom static checks (see
 // internal/analysis): the metric-inventory and operator-span-inventory
 // checks against internal/obs/names.go, the wire frame-name table
-// check, and the check that no raw per-byte cost literal lives outside
-// the operator catalog. CI runs it on every push; a non-empty finding
-// list fails the build.
+// check, the check that no raw per-byte cost literal lives outside
+// the operator catalog, and the check that only tests call the test
+// hooks. CI runs it on every push; a non-empty finding list fails the
+// build.
 //
 // Usage:
 //

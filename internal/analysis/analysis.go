@@ -105,7 +105,7 @@ func constStrings(pf parsedFile, prefix string) map[string]string {
 // Run executes every check against the repository rooted at root.
 func Run(root string) ([]Finding, error) {
 	var all []Finding
-	for _, check := range []func(string) ([]Finding, error){ObsMetrics, WireCheck, ExecOps, CostTable} {
+	for _, check := range []func(string) ([]Finding, error){ObsMetrics, WireCheck, ExecOps, CostTable, TestHooks} {
 		fs, err := check(root)
 		if err != nil {
 			return nil, err

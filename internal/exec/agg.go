@@ -65,6 +65,11 @@ type HashAggregate struct {
 	built   bool
 	emitIdx int
 
+	// A batch's routing, kept from batch to batch: each row's group and
+	// each lane's rows.
+	owner []*aggGroup
+	work  [][]int
+
 	// Spill state (zero while the table fits in memory).
 	spilled  bool
 	seq      uint64
@@ -393,8 +398,18 @@ func (a *HashAggregate) consume(in []types.Tuple) error {
 	k := len(a.specs)
 	stride := 2*k + 1
 	var fail failure
-	owner := make([]*aggGroup, len(rows))
-	work := make([][]int, w)
+	if cap(a.owner) < len(rows) {
+		a.owner = make([]*aggGroup, len(rows))
+	}
+	owner := a.owner[:len(rows)]
+	clear(owner)
+	for len(a.work) < w {
+		a.work = append(a.work, nil)
+	}
+	work := a.work[:w]
+	for l := range work {
+		work[l] = work[l][:0]
+	}
 	for i, tup := range rows {
 		grp, err := a.route(tup)
 		if err != nil {

@@ -22,14 +22,14 @@ import (
 // free, never waits for one, and gives them back when its batch is done.
 
 // helpers holds one token per core beyond the one a fragment's driver
-// already runs on.
+// already runs on, counted once at start: a later change to GOMAXPROCS
+// does not resize it.
 var helpers = newTokenPool(runtime.GOMAXPROCS(0) - 1)
 
 // tokenPool is a counting pool that never blocks.
 type tokenPool struct {
 	size int64
 	free atomic.Int64
-	peak atomic.Int64 // the most tokens ever out at once
 }
 
 func newTokenPool(n int) *tokenPool {
@@ -47,9 +47,6 @@ func (p *tokenPool) take(want int) int {
 			return 0
 		}
 		if p.free.CompareAndSwap(free, free-n) {
-			out := p.size - free + n
-			for pk := p.peak.Load(); out > pk && !p.peak.CompareAndSwap(pk, out); pk = p.peak.Load() {
-			}
 			return int(n)
 		}
 	}
@@ -64,16 +61,18 @@ var forcedLanes atomic.Int32
 
 // ForceLanes makes every fan-out run on w lanes (fewer for a batch of
 // fewer rows) whatever the pool holds, until restore is called. It is a
-// test hook: the lane parity tests pin W with it.
+// test hook for the lane parity tests, exported only because pkg/mocha's
+// ladders pin W with it; mocha-lint rejects a call from anything but a
+// _test.go file.
 func ForceLanes(w int) (restore func()) {
 	prev := forcedLanes.Swap(int32(w))
 	return func() { forcedLanes.Store(prev) }
 }
 
-// HelperTokens reports the helper pool: its size, the tokens free now,
-// and the most that were ever out at once. Tests read it.
-func HelperTokens() (size, free, peak int) {
-	return int(helpers.size), int(helpers.free.Load()), int(helpers.peak.Load())
+// HelperTokens reports the helper pool's size and the tokens free now.
+// Like ForceLanes it is for tests only.
+func HelperTokens() (size, free int) {
+	return int(helpers.size), int(helpers.free.Load())
 }
 
 // widen returns the lanes a batch of n rows runs on and the helper
@@ -218,6 +217,16 @@ type chain struct {
 	src    Operator
 	stages []rowStage // bottom-up
 	set    *laneSet   // nil: the chain runs on one lane
+
+	// The batch in flight and its lanes' scratch, kept from batch to
+	// batch so that a batch on one lane allocates none of it.
+	batch  []types.Tuple
+	w      int
+	parts  [][]types.Tuple // per lane: its output
+	tally  []stageTally    // per lane and stage
+	failAt []int           // per lane: the stage that failed
+	errs   []error         // per lane
+	pass   func(l int)     // c.runLane, bound once
 }
 
 // chainOf collects the row stages from op down. The chain fans out under
@@ -237,6 +246,7 @@ func chainOf(op Operator, set *laneSet) *chain {
 		op = st.input()
 	}
 	c.src = op
+	c.pass = c.runLane
 	return c
 }
 
@@ -269,45 +279,34 @@ type stageTally struct {
 }
 
 // run passes one batch through the stages on w lanes and returns each
-// lane's output in lane order. Every stage's stats read as if one lane
-// had run the batch, and its self time is its share of the fork-join's
-// wall time. The error is the one the first failing stage met on its
-// first failing row, as one lane would have met it: chunks are
-// contiguous, so the lowest lane failing in the lowest stage holds it.
+// lane's output in lane order, valid until the next run. Every stage's
+// stats read as if one lane had run the batch, and its self time is its
+// share of the fork-join's wall time. The error is the one the first
+// failing stage met on its first failing row, as one lane would have met
+// it: chunks are contiguous, so the lowest lane failing in the lowest
+// stage holds it.
 func (c *chain) run(in []types.Tuple, w int) ([][]types.Tuple, error) {
-	parts := make([][]types.Tuple, w)
 	k := len(c.stages)
+	if len(c.parts) < w {
+		c.parts = make([][]types.Tuple, w)
+		c.tally = make([]stageTally, w*k)
+		c.failAt = make([]int, w)
+		c.errs = make([]error, w)
+	}
+	parts, tally, errs := c.parts[:w], c.tally[:w*k], c.errs[:w]
+	clear(tally)
+	clear(errs)
 	if k == 0 {
 		for l := range parts {
 			parts[l] = chunk(in, l, w)
 		}
 		return parts, nil
 	}
-	tally := make([]stageTally, w*k)
-	failAt := make([]int, w)
-	errs := make([]error, w)
+	c.batch, c.w = in, w
 	began := time.Now()
-	fanOut(w, func(l int) {
-		rows := chunk(in, l, w)
-		for s, st := range c.stages {
-			if len(rows) == 0 {
-				break
-			}
-			t := &tally[l*k+s]
-			t.in = len(rows)
-			t0 := time.Now()
-			var err error
-			rows, err = st.apply(l, rows)
-			t.self = time.Since(t0)
-			if err != nil {
-				failAt[l], errs[l] = s, err
-				return
-			}
-			t.out = len(rows)
-		}
-		parts[l] = rows
-	})
+	fanOut(w, c.pass)
 	wall := time.Since(began)
+	c.batch = nil
 
 	var busy time.Duration
 	for _, t := range tally {
@@ -336,11 +335,35 @@ func (c *chain) run(in []types.Tuple, w int) ([][]types.Tuple, error) {
 	var first error
 	at := k
 	for l, err := range errs {
-		if err != nil && failAt[l] < at {
-			first, at = err, failAt[l]
+		if err != nil && c.failAt[l] < at {
+			first, at = err, c.failAt[l]
 		}
 	}
 	return parts, first
+}
+
+// runLane runs lane l's chunk of the batch in flight through every stage.
+func (c *chain) runLane(l int) {
+	k := len(c.stages)
+	rows := chunk(c.batch, l, c.w)
+	for s, st := range c.stages {
+		if len(rows) == 0 {
+			break
+		}
+		t := &c.tally[l*k+s]
+		t.in = len(rows)
+		t0 := time.Now()
+		var err error
+		rows, err = st.apply(l, rows)
+		t.self = time.Since(t0)
+		if err != nil {
+			c.failAt[l], c.errs[l] = s, err
+			rows = nil
+			break
+		}
+		t.out = len(rows)
+	}
+	c.parts[l] = rows
 }
 
 // callsOperator reports whether any expression calls a bound operator.
