@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 )
@@ -12,9 +11,13 @@ type BufferPool struct {
 	disk   DiskManager
 	frames int
 
-	mu     sync.Mutex
-	table  map[PageID]*Frame
-	lru    *list.List // unpinned frames, front = least recently used
+	mu    sync.Mutex
+	table map[PageID]*Frame
+	// lru is the sentinel of a circular list, threaded through the
+	// frames themselves, of unpinned frames: lru.next is the least
+	// recently used. Unpinning links a frame in place, so a release
+	// allocates nothing.
+	lru    Frame
 	nalloc int
 
 	// Hits, Misses and Evictions report cache behaviour; they feed the
@@ -30,7 +33,9 @@ type Frame struct {
 	data  []byte
 	pins  int
 	dirty bool
-	elem  *list.Element
+	// prev and next link the frame into the pool's LRU list while it is
+	// unpinned; both are nil while it is pinned.
+	prev, next *Frame
 }
 
 // NewBufferPool creates a pool of the given number of frames over disk.
@@ -38,12 +43,13 @@ func NewBufferPool(disk DiskManager, frames int) *BufferPool {
 	if frames < 1 {
 		frames = 1
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		disk:   disk,
 		frames: frames,
 		table:  make(map[PageID]*Frame, frames),
-		lru:    list.New(),
 	}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	return bp
 }
 
 // ID returns the page id of the frame.
@@ -106,13 +112,11 @@ func (bp *BufferPool) newFrameLocked(id PageID) (*Frame, error) {
 		bp.nalloc++
 		f = &Frame{pool: bp, data: make([]byte, PageSize)}
 	} else {
-		e := bp.lru.Front()
-		if e == nil {
+		f = bp.lru.next
+		if f == &bp.lru {
 			return nil, fmt.Errorf("storage: buffer pool exhausted (%d frames all pinned)", bp.frames)
 		}
-		f = e.Value.(*Frame)
-		bp.lru.Remove(e)
-		f.elem = nil
+		bp.unlinkLocked(f)
 		delete(bp.table, f.id)
 		bp.Evictions++
 		if f.dirty {
@@ -129,11 +133,23 @@ func (bp *BufferPool) newFrameLocked(id PageID) (*Frame, error) {
 }
 
 func (bp *BufferPool) pinLocked(f *Frame) {
-	if f.pins == 0 && f.elem != nil {
-		bp.lru.Remove(f.elem)
-		f.elem = nil
+	if f.pins == 0 && f.next != nil {
+		bp.unlinkLocked(f)
 	}
 	f.pins++
+}
+
+// pushBackLocked makes f the most recently used unpinned frame.
+func (bp *BufferPool) pushBackLocked(f *Frame) {
+	last := bp.lru.prev
+	f.prev, f.next = last, &bp.lru
+	last.next, bp.lru.prev = f, f
+}
+
+// unlinkLocked takes f out of the LRU list.
+func (bp *BufferPool) unlinkLocked(f *Frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
 }
 
 func (bp *BufferPool) unpin(f *Frame) {
@@ -144,7 +160,7 @@ func (bp *BufferPool) unpin(f *Frame) {
 	}
 	f.pins--
 	if f.pins == 0 {
-		f.elem = bp.lru.PushBack(f)
+		bp.pushBackLocked(f)
 	}
 }
 
@@ -152,7 +168,7 @@ func (bp *BufferPool) unpin(f *Frame) {
 func (bp *BufferPool) dropLocked(f *Frame) {
 	delete(bp.table, f.id)
 	f.pins = 0
-	f.elem = bp.lru.PushBack(f)
+	bp.pushBackLocked(f)
 }
 
 // FlushAll writes every dirty cached page back to disk.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -397,12 +398,30 @@ func (h *HeapFile) Count() (uint64, error) {
 	return binary.BigEndian.Uint64(hdr.Data()[16:]), nil
 }
 
-// Iterator walks all live records in storage order.
+// Iterator walks all live records in storage order, a page at a time.
+//
+// Each fill holds the heap lock once and pins the page once: one copy
+// takes the page bytes that hold its live inline records into an arena
+// that is fresh per fill and never written again, and Next hands the
+// records out, in slot order, as capacity-clipped windows into it
+// without taking a lock. An overflow record ends its fill — readStored
+// gathers its chain, which for a raster is megabytes, so a page of them
+// is read one at a time — and the next fill resumes at the following
+// slot.
+//
+// The scan's contract: a returned record was live when the fill that
+// read it ran, and no record is ever torn. A record inserted into, or
+// deleted from, a page after its fill is not seen; one live throughout
+// the scan is always returned.
 type Iterator struct {
 	h    *HeapFile
-	page PageID
-	slot uint16
-	err  error
+	page PageID // page of the next fill
+	slot uint16 // slot the next fill starts at
+
+	recs [][]byte // the current fill's records, recs[i:] not yet returned
+	rids []RID
+	i    int
+	err  error // returned once recs is drained
 }
 
 // Scan returns an iterator positioned before the first record.
@@ -416,42 +435,89 @@ func (h *HeapFile) Scan() (*Iterator, error) {
 	return &Iterator{h: h, page: first}, nil
 }
 
-// Next returns the next record and its RID, or nil at end of file.
+// Next returns the next record and its RID, or nil at end of file. The
+// record shares its fill's arena with its page neighbours; nothing
+// writes it again.
 func (it *Iterator) Next() ([]byte, RID, error) {
-	if it.err != nil {
-		return nil, RID{}, it.err
+	for it.i == len(it.recs) {
+		if it.err != nil {
+			return nil, RID{}, it.err
+		}
+		if it.page == InvalidPageID {
+			return nil, RID{}, nil
+		}
+		it.fill()
 	}
-	it.h.mu.Lock()
-	defer it.h.mu.Unlock()
-	for it.page != InvalidPageID {
-		f, err := it.h.bp.Fetch(it.page)
-		if err != nil {
+	rec, rid := it.recs[it.i], it.rids[it.i]
+	it.i++
+	return rec, rid, nil
+}
+
+// buffered reports how many records the current fill has yet to return.
+func (it *Iterator) buffered() int { return len(it.recs) - it.i }
+
+// fill reads the live records of it.page from it.slot up to the page's
+// end or its first overflow record, whichever comes first. A failure
+// keeps the records read before it and is returned after them.
+func (it *Iterator) fill() {
+	it.recs, it.rids, it.i = it.recs[:0], it.rids[:0], 0
+	h := it.h
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	f, err := h.bp.Fetch(it.page)
+	if err != nil {
+		it.err = err
+		return
+	}
+	defer f.Release()
+	d := f.Data()
+	nslots := binary.BigEndian.Uint16(d[4:])
+	stored := func(slot uint16) (st []byte, off int, live bool) {
+		slotOff := pageHdrSize + slotSize*int(slot)
+		length := int(binary.BigEndian.Uint16(d[slotOff+2:]))
+		if length == tombstone {
+			return nil, 0, false
+		}
+		off = int(binary.BigEndian.Uint16(d[slotOff:]))
+		return d[off : off+length], off, true
+	}
+	inline := func(st []byte) bool { return len(st) > 0 && st[0] == recInline }
+
+	// Find where this fill ends, and the page bytes [lo, hi) that hold
+	// its inline records: one copy takes them all.
+	end, lo, hi := it.slot, PageSize, 0
+	for ; end < nslots; end++ {
+		st, off, live := stored(end)
+		if !live {
+			continue
+		}
+		if !inline(st) {
+			end++
+			break
+		}
+		lo, hi = min(lo, off), max(hi, off+len(st))
+	}
+	var arena []byte
+	if lo < hi {
+		arena = bytes.Clone(d[lo:hi])
+	}
+	for ; it.slot < end; it.slot++ {
+		st, off, live := stored(it.slot)
+		if !live {
+			continue
+		}
+		var rec []byte
+		if inline(st) {
+			off -= lo
+			rec = arena[off+1 : off+len(st) : off+len(st)]
+		} else if rec, err = h.readStored(st); err != nil {
 			it.err = err
-			return nil, RID{}, err
+			return
 		}
-		d := f.Data()
-		nslots := binary.BigEndian.Uint16(d[4:])
-		for it.slot < nslots {
-			slot := it.slot
-			it.slot++
-			slotOff := pageHdrSize + slotSize*int(slot)
-			length := binary.BigEndian.Uint16(d[slotOff+2:])
-			if length == tombstone {
-				continue
-			}
-			off := binary.BigEndian.Uint16(d[slotOff:])
-			rec, err := it.h.readStored(d[off : off+length])
-			f.Release()
-			if err != nil {
-				it.err = err
-				return nil, RID{}, err
-			}
-			return rec, RID{Page: it.page, Slot: slot}, nil
-		}
-		next := getPageID(d[0:])
-		f.Release()
-		it.page = next
-		it.slot = 0
+		it.recs = append(it.recs, rec)
+		it.rids = append(it.rids, RID{Page: it.page, Slot: it.slot})
 	}
-	return nil, RID{}, nil
+	if it.slot == nslots {
+		it.page, it.slot = getPageID(d[0:]), 0
+	}
 }

@@ -278,6 +278,27 @@ func TestBufferPoolExhaustion(t *testing.T) {
 	f2.Release()
 }
 
+// Pinning and unpinning a cached page allocates nothing: the LRU list
+// runs through the frames.
+func TestBufferPoolRepinAllocatesNothing(t *testing.T) {
+	bp := NewBufferPool(NewMemDisk(), 4)
+	f, err := bp.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Release()
+	allocs := testing.AllocsPerRun(100, func() {
+		f, err := bp.Fetch(f.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	})
+	if allocs != 0 {
+		t.Errorf("Fetch+Release of a cached page: %.1f allocations, want 0", allocs)
+	}
+}
+
 func TestBufferPoolFetchUnallocated(t *testing.T) {
 	bp := NewBufferPool(NewMemDisk(), 2)
 	if _, err := bp.Fetch(5); err == nil {

@@ -57,14 +57,24 @@ func (t *Table) Get(rid RID) (types.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	tup, n, err := types.DecodeTuple(t.schema, rec)
-	if err != nil {
-		return nil, fmt.Errorf("storage: table %s record %v: %w", t.name, rid, err)
-	}
-	if n != len(rec) {
-		return nil, fmt.Errorf("storage: table %s record %v has %d trailing bytes", t.name, rid, len(rec)-n)
+	tup := make(types.Tuple, t.schema.Arity())
+	if err := t.decode(tup, rid, rec); err != nil {
+		return nil, err
 	}
 	return tup, nil
+}
+
+// decode decodes the record at rid into tup, which must consume it
+// whole: Get and Scan refuse the same records with the same error.
+func (t *Table) decode(tup types.Tuple, rid RID, rec []byte) error {
+	n, err := types.DecodeTupleInto(tup, t.schema, rec)
+	if err != nil {
+		return fmt.Errorf("storage: table %s record %v: %w", t.name, rid, err)
+	}
+	if n != len(rec) {
+		return fmt.Errorf("storage: table %s record %v has %d trailing bytes", t.name, rid, len(rec)-n)
+	}
+	return nil
 }
 
 // Delete removes the tuple at rid and its index entries.
@@ -84,10 +94,13 @@ func (t *Table) Delete(rid RID) error {
 // Count returns the live tuple count.
 func (t *Table) Count() (uint64, error) { return t.heap.Count() }
 
-// TableIterator yields decoded tuples in storage order.
+// TableIterator yields decoded tuples in storage order. The tuples of
+// one heap fill share a value slab, as they share the fill's record
+// arena: a kept tuple retains at most its page's copy.
 type TableIterator struct {
-	t  *Table
-	it *Iterator
+	t    *Table
+	it   *Iterator
+	slab []types.Object // the current fill's values not yet handed out
 	// BytesRead accumulates the wire size of tuples produced, i.e. the
 	// data volume accessed at the source (the CVDA contribution).
 	BytesRead int64
@@ -108,10 +121,17 @@ func (ti *TableIterator) Next() (types.Tuple, RID, error) {
 	if err != nil || rec == nil {
 		return nil, rid, err
 	}
-	tup, _, err := types.DecodeTuple(ti.t.schema, rec)
-	if err != nil {
-		return nil, rid, fmt.Errorf("storage: table %s record %v: %w", ti.t.name, rid, err)
+	cols := ti.t.schema.Arity()
+	if len(ti.slab) < cols {
+		ti.slab = make([]types.Object, (ti.it.buffered()+1)*cols)
 	}
-	ti.BytesRead += int64(tup.WireSize())
+	tup := types.Tuple(ti.slab[:cols:cols])
+	ti.slab = ti.slab[cols:]
+	if err := ti.t.decode(tup, rid, rec); err != nil {
+		return nil, rid, err
+	}
+	// decode consumed the record whole, so its length is the tuple's
+	// wire size.
+	ti.BytesRead += int64(len(rec))
 	return tup, rid, nil
 }

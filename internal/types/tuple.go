@@ -208,16 +208,26 @@ func DecodeValue(k Kind, data []byte) (Object, int, error) {
 // data, returning the tuple and bytes consumed; its large values alias data.
 func DecodeTuple(s Schema, data []byte) (Tuple, int, error) {
 	t := make(Tuple, len(s.Columns))
+	n, err := DecodeTupleInto(t, s, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, n, nil
+}
+
+// DecodeTupleInto is DecodeTuple into t, which has one element per
+// column: a caller decoding many rows carves each t from one slab.
+func DecodeTupleInto(t Tuple, s Schema, data []byte) (int, error) {
 	var off int
 	for i, c := range s.Columns {
 		v, n, err := DecodeValue(c.Kind, data[off:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("column %q: %w", c.Name, err)
+			return 0, fmt.Errorf("column %q: %w", c.Name, err)
 		}
 		t[i] = v
 		off += n
 	}
-	return t, off, nil
+	return off, nil
 }
 
 // FromPayload reconstructs a typed object of kind k from a payload the

@@ -57,13 +57,11 @@ func DecodeBatch(s types.Schema, payload []byte) ([]types.Tuple, error) {
 			slab = make([]types.Object, prealloc*cols)
 		}
 		t := types.Tuple(slab[:cols:cols])
-		for c, col := range s.Columns {
-			v, used, err := types.DecodeValue(col.Kind, payload[off:])
-			if err != nil {
-				return nil, fmt.Errorf("wire: batch tuple %d: column %q: %w", i, col.Name, err)
-			}
-			t[c], off = v, off+used
+		used, err := types.DecodeTupleInto(t, s, payload[off:])
+		if err != nil {
+			return nil, fmt.Errorf("wire: batch tuple %d: %w", i, err)
 		}
+		off += used
 		tuples, slab = append(tuples, t), slab[cols:]
 	}
 	if off != len(payload) {
