@@ -22,8 +22,7 @@ import (
 // result assembly are pinned above every cut, so no free choice ever
 // spans two sites: the globally optimal cut decomposes into one
 // independent cut per table, and each DAP of a multi-site plan gets its
-// own split point (a degraded site collapses to scan-only while its
-// healthy join partner keeps a deep cut).
+// own split point.
 
 // maxCutChoices bounds the exhaustive enumeration per table. A table
 // with more free nodes than this has over 2^maxCutChoices cuts; the
@@ -312,8 +311,7 @@ func (p *planner) tableRows(ti int) int64 {
 }
 
 // buildCut runs the cut search over the query DAG: one independent
-// cut per table, each under that table's resolved strategy (forced
-// strategies and degraded sites have exactly one feasible cut).
+// cut per table (forced strategies have exactly one feasible cut).
 func (p *planner) buildCut() *Cut {
 	d := p.buildDAG()
 	c := &Cut{dag: d, tables: make([]tableCut, len(p.q.Tables))}
@@ -331,16 +329,16 @@ func (c *Cut) pushesPred(pi int) bool {
 	return idx >= 0 && c.tables[c.dag.nodes[idx].table].asg.pushNode[idx]
 }
 
-// cutTable picks table ti's cut. Pinning rules: degraded sites and
-// forced data shipping admit only the scan-only cut; forced code
-// shipping admits only the maximal feasible cut; nodes without a
-// shippable class are pinned above; aggregation over a join is pinned
-// above; a pushed aggregation requires every predicate and call of its
-// table below the cut (the fragment groups filtered rows — nothing of
-// the table survives for the QPC to evaluate).
+// cutTable picks table ti's cut. Pinning rules: forced data shipping
+// admits only the scan-only cut; forced code shipping admits only the
+// maximal feasible cut; nodes without a shippable class are pinned
+// above; aggregation over a join is pinned above; a pushed aggregation
+// requires every predicate and call of its table below the cut (the
+// fragment groups filtered rows — nothing of the table survives for the
+// QPC to evaluate).
 func (p *planner) cutTable(d *queryDAG, ti int) tableCut {
 	aggHere := d.agg != nil && d.agg.table == ti && !d.agg.pinAbove
-	switch p.strategyFor(ti) {
+	switch p.opt.Strategy {
 	case StrategyDataShip:
 		asg := d.scanOnly()
 		return finishCut(d, ti, asg, p.price(d, ti, &asg), 1)

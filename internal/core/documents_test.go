@@ -59,7 +59,7 @@ func TestPlanDocumentsGolden(t *testing.T) {
 			}
 		}
 	}
-	// What no ladder query produces: a degraded fragment with a pushed
+	// What no ladder query produces: a fragment with a pushed
 	// LIMIT and multi-replica scatter targets, a constant of every small
 	// kind (with text XML must escape), a unary operator, an aggregate
 	// with no arguments, and a plan with no cut (no requires attribute).
@@ -120,7 +120,7 @@ func syntheticFragment() *Fragment {
 		Aggregates: []AggSpec{{Name: "n", Func: "Count", Ret: types.KindInt}},
 		Code:       []CodeRef{{Name: "Count", Version: "1.0", Checksum: "abc", Caps: "alloc", Cost: "c=1"}},
 		OutSchema:  types.NewSchema(types.Column{Name: "k", Kind: types.KindInt}, types.Column{Name: "n", Kind: types.KindInt}),
-		Limit:      5, Degraded: true,
+		Limit:      5,
 		Parts: []PartTarget{
 			{ID: 0, Table: "T__p0", Site: "site1", Replicas: []string{"site1", "site2"}},
 			{ID: 2, Table: "T__p2", Site: "site3"},

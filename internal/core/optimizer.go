@@ -39,22 +39,11 @@ func (s Strategy) String() string {
 	return "unknown"
 }
 
-// HealthOracle lets the optimizer see the coordinator's live view of
-// site health. A degraded site (circuit breaker open: its link is flaky
-// or shipped code keeps failing there) is planned under data shipping
-// regardless of VRF — the DAP only extracts attributes, so nothing
-// needs deploying or resuming at the sick site beyond the raw scan.
-type HealthOracle interface {
-	Degraded(site string) bool
-}
-
 // Optimizer builds physical plans from bound queries.
 type Optimizer struct {
 	Cat      *catalog.Catalog
 	Strategy Strategy
 	Model    CostModel
-	// Health, when set, demotes degraded sites to data shipping.
-	Health HealthOracle
 }
 
 // NewOptimizer returns an optimizer with the default cost model.
@@ -109,26 +98,6 @@ func (o *Optimizer) newPlanner(q *BoundQuery) *planner {
 }
 
 func (p *planner) tableStats(ti int) catalog.TableStats { return p.q.Tables[ti].Def.Stats }
-
-// siteDegraded reports whether table ti's site is degraded per the
-// health oracle. Partitioned tables are never degraded at plan time:
-// a sick replica is handled by execution-time failover to a sibling,
-// not by re-planning the whole table under data shipping.
-func (p *planner) siteDegraded(ti int) bool {
-	if p.q.Tables[ti].Def.Placement != nil {
-		return false
-	}
-	return p.opt.Health != nil && p.opt.Health.Degraded(p.q.Tables[ti].Def.Site)
-}
-
-// strategyFor resolves the placement strategy for table ti: the global
-// strategy, demoted to data shipping when the site is degraded.
-func (p *planner) strategyFor(ti int) Strategy {
-	if p.siteDegraded(ti) {
-		return StrategyDataShip
-	}
-	return p.opt.Strategy
-}
 
 // exprTable returns the single table an expression touches, or -1 when it
 // touches zero or several.
@@ -416,7 +385,7 @@ func (p *planner) build() (*Plan, error) {
 func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*Fragment, []int, error) {
 	bt, d, tc := p.q.Tables[ti], p.cut.dag, p.cut.table(ti)
 	frag := &Fragment{Site: bt.Def.Site, Table: bt.Def.Name, SemiJoinCol: -1,
-		Degraded: p.siteDegraded(ti), CutPoint: tc.Point, CutAlts: tc.Alts}
+		CutPoint: tc.Point, CutAlts: tc.Alts}
 
 	// Columns read at the DAP: the cut's read set.
 	local := map[int]int{}
@@ -667,13 +636,10 @@ func (p *planner) wantSemiJoin(order []int, joinPreds []BoundPred) bool {
 	if len(order) != 2 || len(joinPreds) == 0 {
 		return false
 	}
-	// The semi-join protocol runs two coordinated phases per site and its
-	// key streams are not recovered when a connection breaks; keep
-	// degraded sites on the simple single-stream protocol. Partitioned
-	// tables scatter over many sessions, which the 2-site key exchange
-	// cannot coordinate either.
+	// Partitioned tables scatter over many sessions, which the 2-site
+	// key exchange cannot coordinate.
 	for _, ti := range order {
-		if p.siteDegraded(ti) || p.q.Tables[ti].Def.Placement != nil {
+		if p.q.Tables[ti].Def.Placement != nil {
 			return false
 		}
 	}
@@ -747,9 +713,6 @@ func Explain(plan *Plan) string {
 		fmt.Fprintf(&b, "  fragment %d @ %s: table %s extract %v", i, f.Site, f.Table, f.Cols)
 		if f.SemiJoinCol >= 0 {
 			fmt.Fprintf(&b, " semijoin-on $%d", f.SemiJoinCol)
-		}
-		if f.Degraded {
-			b.WriteString(" [degraded: data shipping forced by site health]")
 		}
 		b.WriteByte('\n')
 		if f.PartsTotal > 0 {

@@ -66,14 +66,10 @@ type Fragment struct {
 	// Limit, when positive, stops the fragment after emitting that many
 	// tuples (a pushed-down LIMIT).
 	Limit int `xml:"limit,attr"`
-	// Degraded marks a fragment planned under data shipping because the
-	// optimizer's health oracle reported its site degraded (breaker
-	// open), overriding the VRF-based placement.
-	Degraded bool `xml:"degraded,attr,omitempty"`
 	// CutPoint is the human-readable split point the DAG-cut search
 	// chose for this fragment's table ("scan-only" when every operator
 	// stayed above the cut); CutAlts is how many feasible cuts the
-	// ranker priced (1 under forced strategies and for degraded sites).
+	// ranker priced (1 under forced strategies).
 	CutPoint string `xml:"-"`
 	CutAlts  int    `xml:"-"`
 	// Parts, when non-empty, scatter the fragment across a partitioned

@@ -58,7 +58,7 @@ const (
 	MQpcStreamResumes        = "qpc_stream_resumes"
 	MQpcResumeSavedBytes     = "qpc_resume_saved_bytes"
 	MQpcRestartWastedBytes   = "qpc_restart_wasted_bytes"
-	MQpcDegradedReplans      = "qpc_degraded_replans"
+	MQpcQueryReruns          = "qpc_query_reruns"
 	MQpcBreakerOpened        = "qpc_breaker_opened"
 	MQpcBreakerReclosed      = "qpc_breaker_reclosed"
 	MQpcBreakerOpenSites     = "qpc_breaker_open_sites"
@@ -143,7 +143,7 @@ const (
 // this block to the same rules as Op*, and refuses a span recorded
 // under a raw literal.
 const (
-	PhasePlan     = "plan"     // parse, bind, optimize (every Prepare of the query, a degraded re-plan's included)
+	PhasePlan     = "plan"     // parse, bind, optimize: the query's one Prepare
 	PhaseQueued   = "queued"   // arrival to the start of the delivered run: admission queue, a run whose rows were not delivered
 	PhaseSetup    = "setup"    // sessions opened and fragments started, all sites concurrently
 	PhaseKeys     = "keys"     // semi-join key exchange

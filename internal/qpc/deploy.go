@@ -168,13 +168,12 @@ func keyFragment(main *core.Fragment) *core.Fragment {
 }
 
 // readKeys reads a key-fragment stream to its end, returning the
-// distinct keys. The stream is not recovered: a failure here fails the
-// phase.
-func readKeys(reader *wire.BatchReader) ([]types.Tuple, error) {
+// distinct keys.
+func readKeys(next func() (types.Tuple, error)) ([]types.Tuple, error) {
 	seen := map[uint64][]types.Object{}
 	var keys []types.Tuple
 	for {
-		tup, err := reader.Next()
+		tup, err := next()
 		if err != nil {
 			return nil, err
 		}

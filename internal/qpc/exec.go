@@ -211,7 +211,7 @@ func (e *planExec) exchangeKeys() error {
 		kwg.Add(1)
 		go func(i int) {
 			defer kwg.Done()
-			keySets[i], keyErrs[i] = readKeys(e.readers[i].r)
+			keySets[i], keyErrs[i] = readKeys(e.readers[i].Next)
 		}(i)
 	}
 	kwg.Wait()
@@ -232,7 +232,9 @@ func (e *planExec) exchangeKeys() error {
 	for _, fs := range e.readers {
 		// Key delivery is real data movement: the span's NetBytes are CVDT.
 		// The stream keeps the set: every later placement sends it again.
+		// The fragment proper is a new stream: nothing of it is delivered.
 		fs.keyPhase, fs.keys = false, common
+		fs.delivered, fs.rxBytes = 0, 0
 		span := e.trace.Begin(obs.PhaseKeysSend, fs.ds.site)
 		if err := fs.start(fs.ds, &span.Span); err != nil {
 			return err

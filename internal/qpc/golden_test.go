@@ -87,11 +87,9 @@ func TestGoldenExplain(t *testing.T) {
 	}
 }
 
-// TestGoldenExplainAnalyzeRecovery pins the report shape on the two
-// recovery paths: a stream interrupted and continued mid-flight (the
-// resume span appears, volumes match a clean run) and a plan forced to
-// data shipping by an open breaker (the degraded annotation appears and
-// no code ships).
+// TestGoldenExplainAnalyzeRecovery pins the report shape on the
+// recovery path: a stream interrupted and continued mid-flight (the
+// resume span appears, volumes match a clean run).
 func TestGoldenExplainAnalyzeRecovery(t *testing.T) {
 	t.Run("resumed_stream", func(t *testing.T) {
 		h := newResumeHarness(t, nil, nil)
@@ -106,15 +104,6 @@ func TestGoldenExplainAnalyzeRecovery(t *testing.T) {
 			t.Fatal("fault did not strike; golden would not cover the resume path")
 		}
 		checkGolden(t, "explain_analyze_resumed_stream", normalizeAnalysis(text))
-	})
-	t.Run("degraded_data_shipping", func(t *testing.T) {
-		h := newResumeHarness(t, nil, nil)
-		h.srv.Health().ForceOpen("site1")
-		text, err := h.srv.ExplainAnalyze(context.Background(), codeShipQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "explain_analyze_degraded_site", normalizeAnalysis(text))
 	})
 }
 

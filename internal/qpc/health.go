@@ -10,13 +10,11 @@ import (
 // Per-DAP health tracking and circuit breaking. Every transport outcome
 // against a site is reported here; a run of consecutive transient
 // failures trips the site's breaker open. An open breaker does not make
-// the site unreachable — MOCHA has no replicas, so every plan that needs
-// the site's data must still talk to it — it changes how the QPC spends
-// effort there: the optimizer stops shipping code to the site (degraded
-// fragments re-plan under data shipping, annotated in EXPLAIN), the
-// retry path stops burning budget on it (one attempt, which doubles as
-// the probe), and a broken stream is placed again at a sibling replica
-// instead, when it has one.
+// the site unreachable — a plan that needs the site's data must still
+// talk to it, and the plan is the same either way — it changes how the
+// QPC spends effort there: the retry path stops burning budget on it
+// (one attempt, which doubles as the probe), and a broken stream is
+// placed again at a sibling replica instead, when it has one.
 // After OpenFor the breaker is half-open: retries are permitted again
 // and the first success closes it.
 
@@ -154,10 +152,9 @@ func (h *HealthRegistry) ReportFailure(site string, err error) {
 	}
 }
 
-// Degraded reports whether the site's breaker is open (including
-// half-open: the site stays degraded for planning until a success
-// closes the breaker). This is the optimizer's health oracle.
-func (h *HealthRegistry) Degraded(site string) bool {
+// Open reports whether the site's breaker is open, half-open included:
+// only a success closes it.
+func (h *HealthRegistry) Open(site string) bool {
 	if h == nil {
 		return false
 	}

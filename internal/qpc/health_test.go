@@ -22,12 +22,12 @@ func TestBreakerTripsAtThreshold(t *testing.T) {
 	h, _ := testHealth(BreakerPolicy{FailureThreshold: 3})
 	for i := 0; i < 2; i++ {
 		h.ReportFailure("s", errLink)
-		if h.Degraded("s") {
+		if h.Open("s") {
 			t.Fatalf("breaker open after %d failures, threshold is 3", i+1)
 		}
 	}
 	h.ReportFailure("s", errLink)
-	if !h.Degraded("s") || h.State("s") != "open" {
+	if !h.Open("s") || h.State("s") != "open" {
 		t.Fatalf("breaker should be open at the threshold, state %q", h.State("s"))
 	}
 	if !h.FailFast("s") {
@@ -42,7 +42,7 @@ func TestBreakerSuccessResetsRun(t *testing.T) {
 	h.ReportSuccess("s", time.Millisecond)
 	h.ReportFailure("s", errLink)
 	h.ReportFailure("s", errLink)
-	if h.Degraded("s") {
+	if h.Open("s") {
 		t.Fatal("interleaved success should reset the consecutive-failure run")
 	}
 }
@@ -60,12 +60,12 @@ func TestBreakerHalfOpenThenCloses(t *testing.T) {
 	if h.FailFast("s") {
 		t.Fatal("half-open breaker must allow the probe")
 	}
-	// While half-open the site still plans degraded.
-	if !h.Degraded("s") {
-		t.Fatal("half-open site should stay degraded for planning")
+	// Half-open is still open: only a success closes the breaker.
+	if !h.Open("s") {
+		t.Fatal("half-open breaker should still read as open")
 	}
 	h.ReportSuccess("s", time.Millisecond)
-	if h.Degraded("s") || h.State("s") != "closed" {
+	if h.Open("s") || h.State("s") != "closed" {
 		t.Fatalf("successful probe should close the breaker, state %q", h.State("s"))
 	}
 }
@@ -94,11 +94,11 @@ func TestBreakerForceOpenPinsUntilReset(t *testing.T) {
 		t.Fatal("forced breaker must not half-open with time")
 	}
 	h.ReportSuccess("s", time.Millisecond)
-	if !h.Degraded("s") {
+	if !h.Open("s") {
 		t.Fatal("success must not close a forced breaker")
 	}
 	h.Reset("s")
-	if h.Degraded("s") || h.State("s") != "closed" {
+	if h.Open("s") || h.State("s") != "closed" {
 		t.Fatal("Reset should close and unpin the breaker")
 	}
 }
@@ -109,7 +109,7 @@ func TestBreakerNilRegistryIsSafe(t *testing.T) {
 	h.ReportSuccess("s", 0)
 	h.ForceOpen("s")
 	h.Reset("s")
-	if h.Degraded("s") || h.FailFast("s") || h.State("s") != "closed" {
+	if h.Open("s") || h.FailFast("s") || h.State("s") != "closed" {
 		t.Fatal("nil registry must behave as all-healthy")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -50,9 +51,10 @@ type Config struct {
 	// zero value takes DefaultRetryPolicy; MaxAttempts=1 disables retries.
 	Retry RetryPolicy
 	// Breaker configures the per-site circuit breaker driven by
-	// transport outcomes. An open breaker re-plans the site's fragments
-	// under data shipping and stops retries against it until the
-	// half-open probe succeeds. The zero value takes defaults.
+	// transport outcomes. An open breaker stops retries against the site
+	// until the half-open probe succeeds, and re-placement passes it
+	// over; the plan is never changed by it. The zero value takes
+	// defaults.
 	Breaker BreakerPolicy
 	// HeartbeatInterval, when positive, starts a background prober that
 	// dials and pings every catalog site at this interval, feeding
@@ -115,11 +117,11 @@ type qpcMetrics struct {
 	// site, the bytes each re-placement (there or at a sibling) avoided
 	// re-receiving (everything delivered before the cut), what the
 	// recoveries' own STARTs re-sent (a semi-join's key set), and queries
-	// re-planned under data shipping because a site's breaker was open.
+	// run again because a site's breaker tripped before their first row.
 	resumes            *obs.Counter
 	resumeSavedBytes   *obs.Counter
 	restartWastedBytes *obs.Counter
-	degradedReplans    *obs.Counter
+	queryReruns        *obs.Counter
 
 	// Placement counters: shard streams moved to a sibling replica
 	// (at setup or mid-stream), and the background heartbeat prober's
@@ -152,7 +154,6 @@ func New(cfg Config) *Server {
 	opt.Strategy = cfg.Strategy
 	r := cfg.Metrics
 	health := newHealthRegistry(cfg.Breaker, r)
-	opt.Health = health
 	var gov *exec.Governor
 	if cfg.Exec.MemBudgetBytes > 0 {
 		gov = exec.NewGovernor(cfg.Exec.MemBudgetBytes, r)
@@ -173,7 +174,7 @@ func New(cfg Config) *Server {
 		resumes:            r.Counter(obs.MQpcStreamResumes),
 		resumeSavedBytes:   r.Counter(obs.MQpcResumeSavedBytes),
 		restartWastedBytes: r.Counter(obs.MQpcRestartWastedBytes),
-		degradedReplans:    r.Counter(obs.MQpcDegradedReplans),
+		queryReruns:        r.Counter(obs.MQpcQueryReruns),
 
 		replicaFailovers:  r.Counter(obs.MQpcReplicaFailovers),
 		heartbeatProbes:   r.Counter(obs.MQpcHeartbeatProbes),
@@ -282,8 +283,7 @@ type Query struct {
 	Plan *core.Plan
 	// Schema is the result schema delivered to the client.
 	Schema types.Schema
-	// planDur is what every Prepare of this query took: the first, and a
-	// degraded-site re-plan's.
+	// planDur is what the query's Prepare took.
 	planDur time.Duration
 }
 
@@ -326,7 +326,6 @@ func (s *Server) ExecuteContext(ctx context.Context, sql string) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	// Captured after the run: a degraded-site re-plan replaces q.Plan.
 	res.Schema = q.Schema
 	res.Plan = q.Plan
 	res.Stats = *stats
@@ -426,9 +425,9 @@ func (q *Query) RunTraced(ctx context.Context, emit func(types.Tuple) error) (*Q
 		defer cancel()
 	}
 	if adm := q.srv.adm; adm != nil {
-		// One admission slot covers the whole call, including a
-		// degraded-site re-plan's rerun: the retry is the same query, not
-		// new load.
+		// One admission slot covers the whole call, including a rerun
+		// after a breaker trip: the retry is the same query, not new
+		// load.
 		if err := adm.acquire(ctx, TenantFrom(ctx)); err != nil {
 			return nil, obs.NewTrace(""), err
 		}
@@ -439,7 +438,7 @@ func (q *Query) RunTraced(ctx context.Context, emit func(types.Tuple) error) (*Q
 	if st, plan := q.srv.rollouts.route(q.Plan, qid); st != nil {
 		return q.runCanary(ctx, start, qid, st, plan, emit)
 	}
-	stats, trace, err := q.runRelease(ctx, start, qid, q.Plan, emit, true)
+	stats, trace, err := q.runRelease(ctx, start, qid, q.Plan, emit)
 	if err != nil {
 		q.srv.met.queriesFailed.Inc()
 		return nil, trace, q.wrapDeadline(ctx, start, err)
@@ -453,11 +452,16 @@ func (q *Query) RunTraced(ctx context.Context, emit func(types.Tuple) error) (*Q
 // arrived is when the query reached RunTraced: the trace's clock starts
 // the planning time before it, so the plan span and whatever passed
 // since arrival — the admission queue, an earlier run whose rows were
-// not delivered — lead the wall phases. allowReplan enables the
-// degraded-site re-plan fallback — canary runs disable it, because a
-// re-plan re-prepares the query and would lose the pinned release.
+// not delivered — lead the wall phases.
+//
+// A run that fails before its first row is run once more, from scratch
+// and on a trace of its own, when a site the plan reads unscattered had
+// its breaker closed as the run began and open when it failed: the trip
+// came from this run, and the rerun's first attempt at the site is its
+// probe. A site that was open already gets no second probe,
+// and a scattered fragment's recovery is its replica ladder.
 func (q *Query) runRelease(ctx context.Context, arrived time.Time, traceID string, plan *core.Plan,
-	emit func(types.Tuple) error, allowReplan bool) (*QueryStats, *obs.Trace, error) {
+	emit func(types.Tuple) error) (*QueryStats, *obs.Trace, error) {
 	var h resultDigest
 	var hashBuf []byte
 	var result QueryStats
@@ -475,15 +479,18 @@ func (q *Query) runRelease(ctx context.Context, arrived time.Time, traceID strin
 		pe := &planExec{srv: q.srv, plan: plan, trace: trace}
 		return trace, pe.run(ctx, pe.wall(obs.PhaseQueued, arrived), counting)
 	}
+	health := q.srv.health
+	var closed []string
+	for _, f := range plan.Fragments {
+		if f.PartsTotal == 0 && !health.Open(f.Site) {
+			closed = append(closed, f.Site)
+		}
+	}
 	trace, err := run(traceID, plan)
-	if err != nil && allowReplan && result.ResultTuples == 0 && ctx.Err() == nil && q.srv.replanDegraded(q) {
-		// A site's breaker opened during the failed run and no rows have
-		// reached the client yet: re-plan once with the health oracle's
-		// current view (degraded fragments fall back to data shipping)
-		// and run the new plan from scratch, on a trace of its own.
-		q.srv.met.degradedReplans.Inc()
-		q.srv.cfg.Logf("qpc: re-planning under degraded-site placement after: %v", err)
-		trace, err = run("", q.Plan)
+	if err != nil && result.ResultTuples == 0 && ctx.Err() == nil && slices.ContainsFunc(closed, health.Open) {
+		q.srv.met.queryReruns.Inc()
+		q.srv.cfg.Logf("qpc: running the query again after a breaker tripped: %v", err)
+		trace, err = run("", plan)
 	}
 	summarize(trace, &result)
 	if err != nil {
@@ -572,12 +579,12 @@ func (q *Query) runCanary(ctx context.Context, start time.Time, qid string,
 	st *rolloutState, plan *core.Plan, emit func(types.Tuple) error) (*QueryStats, *obs.Trace, error) {
 	srv := q.srv
 	srv.met.rolloutCanaryQueries.Inc()
-	can := q.runBuffered(ctx, start, qid+"-c", plan, false)
+	can := q.runBuffered(ctx, start, qid+"-c", plan)
 	can.trace.Add(obs.Span{Name: obs.PhaseCanary, Site: st.Class})
 	out := srv.rollouts.settle(st, q.Plan.SQL, can, nil)
 	if out == nil {
 		srv.met.rolloutShadowRuns.Inc()
-		out = srv.rollouts.settle(st, q.Plan.SQL, can, q.runBuffered(ctx, start, qid, q.Plan, true))
+		out = srv.rollouts.settle(st, q.Plan.SQL, can, q.runBuffered(ctx, start, qid, q.Plan))
 	}
 	if out.err != nil {
 		srv.met.queriesFailed.Inc()
@@ -592,47 +599,16 @@ func (q *Query) runCanary(ctx context.Context, start time.Time, qid string,
 	return out.stats, out.trace, nil
 }
 
-// runBuffered runs plan once with its rows buffered for the judgment.
-func (q *Query) runBuffered(ctx context.Context, arrived time.Time, traceID string, plan *core.Plan, allowReplan bool) *runOutcome {
+// runBuffered runs plan with its rows buffered for the judgment.
+func (q *Query) runBuffered(ctx context.Context, arrived time.Time, traceID string, plan *core.Plan) *runOutcome {
 	out := &runOutcome{}
 	out.stats, out.trace, out.err = q.runRelease(ctx, arrived, traceID, plan, func(t types.Tuple) error {
 		out.rows = append(out.rows, t)
 		return nil
-	}, allowReplan)
+	})
 	out.micros = opSelfMicros(out.trace)
 	if out.err == nil {
 		out.digest = out.stats.ResultDigest
 	}
 	return out
-}
-
-// replanDegraded re-prepares q when its current plan places work at a
-// site whose breaker is now open but whose fragments were planned while
-// the site was healthy. It installs the fresh degraded-aware plan on q
-// and reports whether anything changed (callers then rerun the query).
-func (s *Server) replanDegraded(q *Query) bool {
-	stale := false
-	for _, f := range q.Plan.Fragments {
-		// Scattered fragments never re-plan for a sick replica: replica
-		// failover is their recovery path, and a partition whose whole
-		// replica set is down is unavailable, not data-shippable.
-		if f.PartsTotal > 0 {
-			continue
-		}
-		if !f.Degraded && s.health.Degraded(f.Site) {
-			stale = true
-			break
-		}
-	}
-	if !stale || q.Plan.SQL == "" {
-		return false
-	}
-	q2, err := s.Prepare(q.Plan.SQL)
-	if err != nil {
-		return false
-	}
-	q.Plan = q2.Plan
-	q.Schema = q2.Schema
-	q.planDur += q2.planDur
-	return true
 }

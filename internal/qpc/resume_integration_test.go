@@ -406,6 +406,37 @@ func TestResumeSemiJoinResendsKeys(t *testing.T) {
 	}
 }
 
+// TestResumeSemiJoinKeyPhase drops a semi-join's key stream two batches
+// in: the key projection is re-placed past the keys already delivered,
+// like any other stream, and the key exchange and the fragment proper
+// run on as in a clean run.
+func TestResumeSemiJoinKeyPhase(t *testing.T) {
+	tuneD := func(d *dap.Config) { d.BatchBytes = 64 }
+	clean := newChaosHarness(t, forceCodeShip, tuneD)
+	base, err := clean.executeWithin(t, 10*time.Second, sequoia.Q5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newChaosHarness(t, func(c *Config) {
+		forceCodeShip(c)
+		c.Metrics = obs.NewRegistry()
+		cutDial(c, "dap2", 1, &cutConn{after: 2})
+	}, tuneD)
+	res, err := h.executeWithin(t, 10*time.Second, sequoia.Q5)
+	if err != nil {
+		t.Fatalf("a drop mid key-phase should be recovered by re-placing the key stream: %v", err)
+	}
+	if fmt.Sprint(res.Rows) != fmt.Sprint(base.Rows) {
+		t.Errorf("rows differ from the clean run (%d vs %d)", len(res.Rows), len(base.Rows))
+	}
+	if res.Stats.CVDT != base.Stats.CVDT || res.Trace.NetBytes() != res.Stats.CVDT {
+		t.Errorf("CVDT %d, span net bytes %d; clean run moved %d", res.Stats.CVDT, res.Trace.NetBytes(), base.Stats.CVDT)
+	}
+	if n := h.srv.Metrics().Counter(obs.MQpcStreamResumes).Value(); n != 1 {
+		t.Errorf("qpc_stream_resumes = %d, want the one re-placement of the key stream", n)
+	}
+}
+
 // TestResumeBudgetDryIsTyped breaks every connection with one retry
 // token in the query's budget: the first re-placement spends it, the
 // second is refused, and the caller can tell — a BudgetExhaustedError
@@ -467,63 +498,97 @@ func TestResumeTraceSpanSumStillMatchesCVDT(t *testing.T) {
 	_ = rows
 }
 
-// TestBreakerForcesDataShippingPlan covers the degraded-planning
-// acceptance path: with site1's breaker forced open, EXPLAIN shows the
-// fragment re-planned under data shipping with the health-override
-// annotation, and closing the breaker restores the code-shipping plan.
-func TestBreakerForcesDataShippingPlan(t *testing.T) {
+// TestBreakerLeavesPlanAlone pins that site health never reaches the
+// optimizer: with site1's breaker forced open, EXPLAIN is byte-identical
+// to the healthy plan. The breaker changes how a stream is placed, not
+// what the plan ships.
+func TestBreakerLeavesPlanAlone(t *testing.T) {
 	h := newResumeHarness(t, nil, nil)
 	healthy, err := h.srv.Explain(codeShipQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(healthy, "degraded") {
-		t.Fatalf("healthy plan already annotated degraded:\n%s", healthy)
-	}
-
 	h.srv.Health().ForceOpen("site1")
-	degraded, err := h.srv.Explain(codeShipQuery)
+	open, err := h.srv.Explain(codeShipQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "[degraded: data shipping forced by site health]"; !strings.Contains(degraded, want) {
-		t.Fatalf("EXPLAIN with breaker open should carry %q:\n%s", want, degraded)
-	}
-
-	h.srv.Health().Reset("site1")
-	restored, err := h.srv.Explain(codeShipQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(restored, "degraded") {
-		t.Fatalf("plan still degraded after breaker reset:\n%s", restored)
+	if open != healthy {
+		t.Fatalf("EXPLAIN with site1's breaker open differs from the healthy plan:\n%s\nhealthy:\n%s", open, healthy)
 	}
 }
 
-// TestDegradedReplanMidQuery exercises the re-planning path end to end:
-// the site refuses exactly enough dials to trip its breaker during
-// execution, the QPC re-plans the fragment under data shipping and the
-// re-execution succeeds on the recovered link.
-func TestDegradedReplanMidQuery(t *testing.T) {
-	h := newResumeHarness(t, func(c *Config) { c.Strategy = core.StrategyCodeShip }, nil)
-	h.network.SetFault("dap1", &netsim.FaultPlan{RefuseDials: 3})
-	res, err := h.executeWithin(t, 10*time.Second, codeShipQuery)
+// TestRerunAfterBreakerTrip covers the one query-level recovery: a run
+// that fails before its first row is run once more, with its own plan,
+// when the failure tripped the breaker of a site the plan reads. The
+// site refuses exactly enough dials to trip its breaker during the
+// first run; the rerun's dial is the half-open probe and succeeds. A
+// site whose breaker was already open when the run began gets no second
+// probe: the query fails with the breaker's error.
+func TestRerunAfterBreakerTrip(t *testing.T) {
+	codeShip := func(c *Config) { c.Strategy = core.StrategyCodeShip }
+	collect := func(q *Query) ([]types.Tuple, *QueryStats, error) {
+		var rows []types.Tuple
+		stats, err := q.Run(func(t types.Tuple) error { rows = append(rows, t); return nil })
+		return rows, stats, err
+	}
+	// shipsCode reports whether the run's fragment code reached the DAP,
+	// shipped or found in its cache: a scan-only plan ships none.
+	shipsCode := func(st *QueryStats) bool { return st.CodeClassesShipped+st.CacheHits > 0 }
+	base, err := newResumeHarness(t, codeShip, nil).executeWithin(t, 10*time.Second, codeShipQuery)
 	if err != nil {
-		t.Fatalf("query should survive via degraded re-plan: %v", err)
+		t.Fatal(err)
 	}
-	if len(res.Rows) == 0 {
-		t.Fatal("re-planned query returned no rows")
+	if len(base.Rows) == 0 {
+		t.Fatal("clean run returned no rows")
 	}
-	if replans := h.qpcCounter("qpc_degraded_replans"); replans != 1 {
-		t.Errorf("qpc_degraded_replans = %d, want 1", replans)
-	}
-	var sawDegraded bool
-	for _, f := range res.Plan.Fragments {
-		if f.Degraded {
-			sawDegraded = true
+
+	t.Run("tripped_during_run", func(t *testing.T) {
+		h := newResumeHarness(t, codeShip, nil)
+		h.network.SetFault("dap1", &netsim.FaultPlan{RefuseDials: 3})
+		q, err := h.srv.Prepare(codeShipQuery)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !sawDegraded {
-		t.Error("executed plan carries no degraded fragment after the re-plan")
-	}
+		prepared, explained := q.Plan, core.Explain(q.Plan)
+		rows, stats, err := collect(q)
+		if err != nil {
+			t.Fatalf("query should survive by running again: %v", err)
+		}
+		if fmt.Sprint(rows) != fmt.Sprint(base.Rows) {
+			t.Errorf("rows differ from the clean run (%d vs %d)", len(rows), len(base.Rows))
+		}
+		if n := h.qpcCounter(obs.MQpcQueryReruns); n != 1 {
+			t.Errorf("%s = %d, want 1", obs.MQpcQueryReruns, n)
+		}
+		if q.Plan != prepared || core.Explain(q.Plan) != explained || !shipsCode(stats) {
+			t.Errorf("the rerun did not run the prepared code-shipping plan:\n%s", core.Explain(q.Plan))
+		}
+
+		h.srv.Health().Reset("site1")
+		rows, stats, err = collect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(rows) != fmt.Sprint(base.Rows) || !shipsCode(stats) {
+			t.Errorf("a later run of the same query: %d rows (clean %d), ships code %v; want the clean rows from the code-shipping plan",
+				len(rows), len(base.Rows), shipsCode(stats))
+		}
+		if n := h.qpcCounter(obs.MQpcQueryReruns); n != 1 {
+			t.Errorf("%s = %d after a clean run, want still 1", obs.MQpcQueryReruns, n)
+		}
+	})
+
+	t.Run("open_before_run", func(t *testing.T) {
+		h := newResumeHarness(t, codeShip, nil)
+		h.srv.Health().ForceOpen("site1")
+		h.network.SetFault("dap1", &netsim.FaultPlan{RefuseDials: 1})
+		_, err := h.executeWithin(t, 10*time.Second, codeShipQuery)
+		if err == nil || !strings.Contains(err.Error(), "breaker open at site1") {
+			t.Fatalf("err = %v, want the breaker's refusal", err)
+		}
+		if n := h.qpcCounter(obs.MQpcQueryReruns); n != 0 {
+			t.Errorf("%s = %d, want 0: a breaker open before the run gets no second probe", obs.MQpcQueryReruns, n)
+		}
+	})
 }

@@ -52,10 +52,11 @@ type ClusterConfig struct {
 	// Retry configures the QPC's retry-with-backoff for idempotent
 	// phases. Zero value takes the qpc defaults.
 	Retry RetryPolicy
-	// Breaker configures the per-site circuit breaker; with partitioned
-	// tables an open breaker demotes the replica in PickReplica and
-	// triggers failover for its in-flight streams. Zero value takes the
-	// qpc defaults.
+	// Breaker configures the per-site circuit breaker. An open breaker
+	// fails retries against the site fast and never changes a plan; with
+	// partitioned tables it demotes the replica in PickReplica and a
+	// broken stream is re-placed at a sibling. Zero value takes the qpc
+	// defaults.
 	Breaker BreakerPolicy
 	// HeartbeatInterval, when positive, runs a background prober that
 	// handshakes every site at this interval, so dead replicas are
