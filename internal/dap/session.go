@@ -260,13 +260,11 @@ func (ex *execution) installKeys(payload []byte) error {
 // so only the tail crosses the wire; a fragment that produces fewer
 // tuples than skip ends its stream in an ERROR frame, never a short EOS.
 //
-// The fragment is lowered onto the shared operator tree (exec.
-// LowerFragment): the scan runs in its own goroutine behind a bounded
-// channel, so source extraction overlaps expression evaluation and the
-// network send path. Time components come from the operators' own
-// accounting — the scan's feed time is DB time, evaluation operators'
-// self time is CPU time, and the emit sink plus the final flush is net
-// time (obs.ClassOf) — so no component can go negative by subtraction.
+// The fragment runs in one of two bodies, both ahead of the one tail
+// below (the final flush, its span, the metrics and the EOS report). A
+// fragment that lowers to no operator, over a driver that stores rows
+// as wire tuples, is forwarded (forward); every other one is lowered
+// onto the shared operator tree (runTree).
 // report arrives with the execution's identity; its spans are filled in
 // here and it ends the stream.
 func (ex *execution) execute(skip int64, report wire.ExecStats) error {
@@ -285,6 +283,64 @@ func (ex *execution) execute(skip int64, report wire.ExecStats) error {
 		}
 	}
 
+	sink := &timedSender{conn: ex.conn}
+	out := &stream{w: wire.NewBatchWriter(sink), skip: skip}
+	defer out.w.Release()
+	out.w.SetTarget(ex.srv.cfg.BatchBytes)
+	var spans func(startOff int64) []obs.Span
+	rs, records := ex.srv.cfg.Driver.(RecordScanner)
+	if cols, ok := exec.Forwarded(frag); ok && records {
+		ex.setup(obs.PhaseDapLower, start, obs.Span{})
+		spans, err = ex.forward(rs, cols, out, sink)
+	} else {
+		spans, err = ex.runTree(start, out)
+	}
+	if err != nil {
+		return err
+	}
+	if out.skipped < skip {
+		return fmt.Errorf("fragment on %s produced %d tuples, fewer than the %d its START skips", frag.Table, out.skipped, skip)
+	}
+
+	// The flush sends the last partial batch, so only now are the writer's
+	// totals final. Its span carries the whole stream's, the skipped prefix
+	// included, so the report that ends a stream covers it once however
+	// often it was placed; the QPC moves them onto its own span of the
+	// stream when it imports the report.
+	writer := out.w
+	flush := ex.trace.Begin(obs.PhaseDapFlush, ex.srv.cfg.Site)
+	if err := writer.Flush(); err != nil {
+		return err
+	}
+	flush.NetBytes, flush.Tuples = out.skippedBytes+writer.DataBytes, out.skipped+writer.Tuples
+	flush.End()
+	ex.trace.Add(spans(ex.trace.Since(start))...)
+
+	met := &ex.srv.met
+	met.activations.Inc()
+	met.tuplesSent.Add(writer.Tuples)
+	met.bytesSent.Add(writer.DataBytes)
+	met.execMS.Observe(time.Since(start).Milliseconds())
+
+	report.Spans = ex.trace.TakeSpans()
+	payload, err := wire.EncodeXML(&report)
+	if err != nil {
+		return err
+	}
+	return ex.conn.Send(wire.MsgEOS, payload)
+}
+
+// runTree is execute's body for a fragment lowered onto the shared
+// operator tree (exec.LowerFragment): the scan runs in its own goroutine
+// behind a bounded channel, so source extraction overlaps expression
+// evaluation and the network send path. Time components come from the
+// operators' own accounting — the scan's feed time is DB time,
+// evaluation operators' self time is CPU time, and the emit sink plus
+// the final flush is net time (obs.ClassOf) — so no component can go
+// negative by subtraction. It returns how to render the tree's spans
+// once the stream is flushed.
+func (ex *execution) runTree(start time.Time, out *stream) (func(int64) []obs.Span, error) {
+	frag := ex.frag
 	// Pin every operator to the exact release digest the fragment's code
 	// refs named: a concurrent rollout may have several releases of one
 	// class cached, and this query must run only the one it shipped with.
@@ -293,18 +349,6 @@ func (ex *execution) execute(skip int64, report wire.ExecStats) error {
 		refs[strings.ToLower(cr.Name)] = cr.Checksum
 	}
 	binder := newVMBinder(ex.srv.cache, refs, ex.srv.cfg.Limits)
-
-	writer := wire.NewBatchWriter(ex.conn)
-	writer.SetTarget(ex.srv.cfg.BatchBytes)
-	var skipped, skippedBytes int64
-	emit := func(t types.Tuple) error {
-		if skipped < skip {
-			skipped++
-			skippedBytes += int64(t.WireSize())
-			return nil
-		}
-		return writer.Write(t)
-	}
 
 	// A pushed-down LIMIT bounds the useful scan prefix: cap the batch
 	// size at the limit so the scan's read-ahead (channel depth × batch
@@ -328,49 +372,112 @@ func (ex *execution) execute(skip int64, report wire.ExecStats) error {
 		usedIndex = used
 		return serr
 	}, rows, exec.DefaultPrefetch)
-	tree, err := exec.LowerFragment(frag, binder, src, ex.semiKeys, emit, ex.srv.gov)
+	tree, err := exec.LowerFragment(frag, binder, src, ex.semiKeys, out.tuple, ex.srv.gov)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ex.setup(obs.PhaseDapLower, start, obs.Span{})
 
 	if err := exec.Run(context.Background(), tree, nil); err != nil {
-		return err
-	}
-	if skipped < skip {
-		return fmt.Errorf("fragment on %s produced %d tuples, fewer than the %d its START skips", frag.Table, skipped, skip)
+		return nil, err
 	}
 	if usedIndex {
 		ex.srv.cfg.Logf("dap %s: table %s served by index range scan", ex.srv.cfg.Site, frag.Table)
 	}
 	src.Stats().DBBytes = accessed
-
-	// The flush sends the last partial batch, so only now are the writer's
-	// totals final. Its span carries the whole stream's, the skipped prefix
-	// included, so the report that ends a stream covers it once however
-	// often it was placed; the QPC moves them onto its own span of the
-	// stream when it imports the report.
-	flush := ex.trace.Begin(obs.PhaseDapFlush, ex.srv.cfg.Site)
-	if err := writer.Flush(); err != nil {
-		return err
-	}
-	flush.NetBytes, flush.Tuples = skippedBytes+writer.DataBytes, skipped+writer.Tuples
-	flush.End()
-	ex.trace.Add(tree.Spans(ex.srv.cfg.Site, ex.trace.Since(start))...)
-
-	met := &ex.srv.met
-	met.activations.Inc()
-	met.tuplesSent.Add(writer.Tuples)
-	met.bytesSent.Add(writer.DataBytes)
-	met.execMS.Observe(time.Since(start).Milliseconds())
 	runs, instrs := binder.runCounts()
-	met.fastRuns.Add(runs)
-	met.vmInstrs.Add(instrs)
+	ex.srv.met.fastRuns.Add(runs)
+	ex.srv.met.vmInstrs.Add(instrs)
+	return func(startOff int64) []obs.Span { return tree.Spans(ex.srv.cfg.Site, startOff) }, nil
+}
 
-	report.Spans = ex.trace.TakeSpans()
-	payload, err := wire.EncodeXML(&report)
-	if err != nil {
-		return err
+// forward is execute's body for a fragment that lowers to no operator
+// (exec.Forwarded) over a driver that stores rows as wire tuples: each
+// record's extracted columns come off the scan's page arena as bytes,
+// checked by DecodeValue's length rules, and the ones the projection
+// names are copied into the batch frame as they lie — nothing is
+// decoded, boxed or encoded again, and the frames are the bytes the
+// operator tree would have sent. A pushed LIMIT stops the scan after
+// that many records. Its spans are the tree's scan and emit — the scan
+// with the rows and source bytes it read, its self time less the time
+// spent sending frames, which is the emit's — and no project, since
+// none ran. out[i] is the extracted column output column i copies.
+func (ex *execution) forward(rs RecordScanner, cols []int, out *stream, sink *timedSender) (func(int64) []obs.Span, error) {
+	frag := ex.frag
+	began := time.Now()
+	scan := exec.OpStats{Name: obs.OpScan}
+	row := make([][]byte, len(cols))
+	err := rs.ScanRecords(frag.Table, frag.Cols, func(in [][]byte) error {
+		scan.RowsIn++
+		for _, c := range in {
+			scan.DBBytes += int64(len(c))
+		}
+		for i, c := range cols {
+			row[i] = in[c]
+		}
+		if err := out.record(row...); err != nil {
+			return err
+		}
+		if scan.RowsIn == int64(frag.Limit) {
+			return exec.ErrStopped
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, exec.ErrStopped) {
+		return nil, err
 	}
-	return ex.conn.Send(wire.MsgEOS, payload)
+	scan.RowsOut = scan.RowsIn
+	scan.Self = time.Since(began) - sink.busy
+	emit := exec.OpStats{Name: obs.OpEmit, RowsIn: scan.RowsIn, RowsOut: scan.RowsIn, Self: sink.busy}
+	return func(startOff int64) []obs.Span {
+		// Read once the stream is flushed: both ran in the frames sent.
+		scan.Batches, emit.Batches = sink.frames, sink.frames
+		return exec.OpSpans(ex.srv.cfg.Site, startOff, &scan, &emit)
+	}, nil
+}
+
+// stream is the batch writer behind the prefix a re-placed START skips:
+// the first skip tuples either body emits are counted and dropped.
+type stream struct {
+	w                           *wire.BatchWriter
+	skip, skipped, skippedBytes int64
+}
+
+// tuple emits a decoded tuple.
+func (s *stream) tuple(t types.Tuple) error {
+	if s.skipped < s.skip {
+		s.skipped++
+		s.skippedBytes += int64(t.WireSize())
+		return nil
+	}
+	return s.w.Write(t)
+}
+
+// record emits a tuple given as its columns' encodings.
+func (s *stream) record(cols ...[]byte) error {
+	if s.skipped < s.skip {
+		s.skipped++
+		for _, c := range cols {
+			s.skippedBytes += int64(len(c))
+		}
+		return nil
+	}
+	return s.w.WriteEncoded(cols...)
+}
+
+// timedSender is the stream's frame sink: the connection, counting the
+// frames sent and the time spent sending them.
+type timedSender struct {
+	conn   *wire.Conn
+	busy   time.Duration
+	frames int64
+}
+
+// Send implements wire.FrameSender.
+func (s *timedSender) Send(t wire.MsgType, payload []byte) error {
+	began := time.Now()
+	err := s.conn.Send(t, payload)
+	s.busy += time.Since(began)
+	s.frames++
+	return err
 }

@@ -108,9 +108,19 @@ type Tree struct {
 // (Tuples = spilled tuples, Batches = runs written). Operator spans
 // carry no NetBytes: wire volume belongs to the span of the exchange.
 func (t *Tree) Spans(site string, startOff int64) []obs.Span {
-	spans := make([]obs.Span, 0, len(t.Ops))
-	for _, op := range t.Ops {
-		st := op.Stats()
+	stats := make([]*OpStats, len(t.Ops))
+	for i, op := range t.Ops {
+		stats[i] = op.Stats()
+	}
+	return OpSpans(site, startOff, stats...)
+}
+
+// OpSpans turns operators' accounting into their spans, as Tree.Spans
+// does for a tree's: also for the operators a DAP runs without lowering
+// a tree (a forwarded fragment's scan and emit).
+func OpSpans(site string, startOff int64, stats ...*OpStats) []obs.Span {
+	spans := make([]obs.Span, 0, len(stats))
+	for _, st := range stats {
 		spans = append(spans, obs.Span{Name: st.Name, Site: site, StartMicros: startOff,
 			DurMicros: st.Self.Microseconds(), DBBytes: st.DBBytes,
 			Tuples: st.RowsOut, RowsIn: st.RowsIn, Batches: st.Batches, SpillBytes: st.SpillBytes})

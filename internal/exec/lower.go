@@ -171,6 +171,29 @@ func compileProjs(outs []core.Output, binder core.OpBinder, memo *core.Memo) ([]
 	return projs, names, nil
 }
 
+// Forwarded reports whether a DAP fragment lowers to no operator: no
+// semi-join filter, predicate, grouping, aggregate or shipped code, and
+// every projection a bare column reference, so that the fragment emits
+// its extracted columns as they are. A pushed LIMIT only stops it. Such
+// a fragment's output is its source rows' column bytes — LowerFragment
+// would build a scan, an identity project and an emit — so a driver that
+// stores rows in the wire format may forward them undecoded (DESIGN
+// §10). out[i] is the extracted column that output column i is.
+func Forwarded(frag *core.Fragment) (out []int, ok bool) {
+	if frag.SemiJoinCol >= 0 || len(frag.Predicates) > 0 || len(frag.GroupBy) > 0 ||
+		len(frag.Aggregates) > 0 || len(frag.Code) > 0 {
+		return nil, false
+	}
+	out = make([]int, len(frag.Projections))
+	for i, o := range frag.Projections {
+		if o.Expr == nil || o.Expr.Kind != core.ExprCol || o.Expr.Col < 0 || o.Expr.Col >= len(frag.Cols) {
+			return nil, false
+		}
+		out[i] = o.Expr.Col
+	}
+	return out, true
+}
+
 // LowerFragment lowers one DAP fragment onto a source operator: the
 // semi-join filter, predicates, aggregation or projection, the pushed-
 // down limit, and the emit sink, in the fragment execution order the

@@ -212,6 +212,7 @@ func sendResult(conn *wire.Conn, schema types.Schema, run func(emit func(types.T
 		return err
 	}
 	w := wire.NewBatchWriter(conn)
+	defer w.Release()
 	stats, err := run(w.Write)
 	if err != nil {
 		return err

@@ -250,30 +250,50 @@ func TestScanRacesInsertsAndDeletes(t *testing.T) {
 	}
 }
 
-// A record with bytes past its last column is refused by a scan as by
-// Get, with the same error.
+// A record with bytes past its last column, or whose raster header claims
+// more pixels than it has, is refused by a scan — decoding (Next) or
+// forwarding its bytes (NextRecord) — as by Get, with the same error.
 func TestScanAndGetRefuseTrailingBytes(t *testing.T) {
-	s, err := OpenStore("", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := s.Create("T", rasterSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rid, err := tbl.heap.Insert(append(rasterTuple(1, 4).AppendTo(nil), 0xAB, 0xCD))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("storage: table T record %v has 2 trailing bytes", rid)
-	if _, err := tbl.Get(rid); err == nil || err.Error() != want {
-		t.Errorf("Get: %v, want %q", err, want)
-	}
-	it, err := tbl.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := it.Next(); err == nil || err.Error() != want {
-		t.Errorf("Scan: %v, want %q", err, want)
+	good := rasterTuple(1, 4).AppendTo(nil)
+	tall := bytes.Clone(good)
+	binary.BigEndian.PutUint32(tall[len(tall)-16-4:], 5) // 4x5 pixels in 16 bytes
+	for _, tc := range []struct {
+		name, want string // want: what the error says after the record's RID
+		rec        []byte
+	}{
+		{"trailing bytes", " has 2 trailing bytes", append(bytes.Clone(good), 0xAB, 0xCD)},
+		{"raster header claims more", `: column "image": types: RASTER value declares 4x5 pixels, have 24 bytes`, tall},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := OpenStore("", 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := s.Create("T", rasterSchema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rid, err := tbl.heap.Insert(tc.rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("storage: table T record %v", rid) + tc.want
+			if _, err := tbl.Get(rid); err == nil || err.Error() != want {
+				t.Errorf("Get: %v, want %q", err, want)
+			}
+			it, err := tbl.Scan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := it.Next(); err == nil || err.Error() != want {
+				t.Errorf("Scan: %v, want %q", err, want)
+			}
+			if it, err = tbl.Scan(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := it.NextRecord(make([]int, rasterSchema.Arity())); err == nil || err.Error() != want {
+				t.Errorf("NextRecord: %v, want %q", err, want)
+			}
+		})
 	}
 }

@@ -65,12 +65,35 @@ func (t *Table) Get(rid RID) (types.Tuple, error) {
 }
 
 // decode decodes the record at rid into tup, which must consume it
-// whole: Get and Scan refuse the same records with the same error.
+// whole: Get, Scan and NextRecord refuse the same records with the same
+// error.
 func (t *Table) decode(tup types.Tuple, rid RID, rec []byte) error {
 	n, err := types.DecodeTupleInto(tup, t.schema, rec)
 	if err != nil {
 		return fmt.Errorf("storage: table %s record %v: %w", t.name, rid, err)
 	}
+	return t.whole(rid, rec, n)
+}
+
+// split sets ends[i] to the offset at which the record's column i ends,
+// each column sized by DecodeValue's rules (types.ValueSize), and
+// refuses what decode refuses, with decode's error.
+func (t *Table) split(ends []int, rid RID, rec []byte) error {
+	var off int
+	for i, c := range t.schema.Columns {
+		n, err := types.ValueSize(c.Kind, rec[off:])
+		if err != nil {
+			return fmt.Errorf("storage: table %s record %v: column %q: %w", t.name, rid, c.Name, err)
+		}
+		off += n
+		ends[i] = off
+	}
+	return t.whole(rid, rec, off)
+}
+
+// whole refuses a record whose columns end n bytes into it, short of
+// its end.
+func (t *Table) whole(rid RID, rec []byte, n int) error {
 	if n != len(rec) {
 		return fmt.Errorf("storage: table %s record %v has %d trailing bytes", t.name, rid, len(rec)-n)
 	}
@@ -134,4 +157,24 @@ func (ti *TableIterator) Next() (types.Tuple, RID, error) {
 	// wire size.
 	ti.BytesRead += int64(len(rec))
 	return tup, rid, nil
+}
+
+// NextRecord is Next without the decode, for a reader that forwards
+// stored bytes instead of values (the record format is the wire tuple
+// format, DESIGN §3.9): it returns the next record, or nil at end, and
+// sets ends[i], for each of the schema's columns, to the offset at
+// which column i ends. Every column is checked by DecodeValue's length
+// rules and the record must be consumed whole, so a record Get refuses
+// fails here with Get's error. The record is a window into its fill's
+// arena, as Next's values are.
+func (ti *TableIterator) NextRecord(ends []int) ([]byte, RID, error) {
+	rec, rid, err := ti.it.Next()
+	if err != nil || rec == nil {
+		return nil, rid, err
+	}
+	if err := ti.t.split(ends, rid, rec); err != nil {
+		return nil, rid, err
+	}
+	ti.BytesRead += int64(len(rec))
+	return rec, rid, nil
 }

@@ -3,6 +3,7 @@ package types
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -41,7 +42,9 @@ func TestDecodeRasterRefusesHeaderThatWraps(t *testing.T) {
 
 // FuzzDecodeValue: whatever the bytes, DecodeValue returns an error or a
 // value that stays inside the input and whose encoding round-trips —
-// never a panic.
+// never a panic. ValueSize, which a forwarding reader checks records
+// with instead of decoding them, agrees with it on every input: the same
+// size, or the same error.
 func FuzzDecodeValue(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, k := range allKinds {
@@ -55,6 +58,10 @@ func FuzzDecodeValue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		k := Kind(kind)
 		v, n, err := DecodeValue(k, data)
+		size, sizeErr := ValueSize(k, data)
+		if fmt.Sprint(err) != fmt.Sprint(sizeErr) || (err == nil && size != n) {
+			t.Fatalf("%v: DecodeValue took %d bytes (%v), ValueSize sized %d (%v)", k, n, err, size, sizeErr)
+		}
 		if err != nil {
 			return
 		}

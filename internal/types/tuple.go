@@ -109,99 +109,105 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// DecodeValue decodes a single value of the given kind from the front of
-// data, returning the value and the number of bytes consumed. A polygon,
-// graph, raster or byte string is not copied: it is a capacity-clipped
-// sub-slice of data and lives as long as data, which must not be written
-// again (FromPayload, whose source may be, copies first).
-func DecodeValue(k Kind, data []byte) (Object, int, error) {
+// ValueSize returns the length of the value of kind k at the front of
+// data — the bytes DecodeValue would consume — without decoding it. It
+// holds the length rules of every kind, so DecodeValue accepts exactly
+// what ValueSize sizes and refuses the rest with the same error: a
+// reader that forwards a value's bytes instead of decoding them checks
+// them by the same rules.
+func ValueSize(k Kind, data []byte) (int, error) {
 	switch k {
 	case KindNull:
-		return Null{}, 0, nil
-	case KindBool:
-		if len(data) < 1 {
-			return nil, 0, errShort(k, 1, len(data))
+		return 0, nil
+	case KindBool, KindInt, KindDouble, KindPoint, KindRectangle:
+		n := k.FixedWireSize()
+		if len(data) < n {
+			return 0, errShort(k, n, len(data))
 		}
-		return Bool(data[0] != 0), 1, nil
-	case KindInt:
-		if len(data) < 4 {
-			return nil, 0, errShort(k, 4, len(data))
-		}
-		return Int(int32(binary.BigEndian.Uint32(data))), 4, nil
-	case KindDouble:
-		if len(data) < 8 {
-			return nil, 0, errShort(k, 8, len(data))
-		}
-		return Double(math.Float64frombits(binary.BigEndian.Uint64(data))), 8, nil
-	case KindString:
+		return n, nil
+	case KindString, KindBytes:
 		n, err := varLen(k, data)
-		if err != nil {
-			return nil, 0, err
-		}
-		return String_(data[4 : 4+n]), 4 + n, nil
-	case KindBytes:
-		n, err := varLen(k, data)
-		if err != nil {
-			return nil, 0, err
-		}
-		return Bytes(data[4 : 4+n : 4+n]), 4 + n, nil
-	case KindPoint:
-		if len(data) < 8 {
-			return nil, 0, errShort(k, 8, len(data))
-		}
-		return Point{
-			X: math.Float32frombits(binary.BigEndian.Uint32(data)),
-			Y: math.Float32frombits(binary.BigEndian.Uint32(data[4:])),
-		}, 8, nil
-	case KindRectangle:
-		if len(data) < 16 {
-			return nil, 0, errShort(k, 16, len(data))
-		}
-		return Rectangle{
-			XMin: math.Float32frombits(binary.BigEndian.Uint32(data)),
-			YMin: math.Float32frombits(binary.BigEndian.Uint32(data[4:])),
-			XMax: math.Float32frombits(binary.BigEndian.Uint32(data[8:])),
-			YMax: math.Float32frombits(binary.BigEndian.Uint32(data[12:])),
-		}, 16, nil
+		return 4 + n, err
 	case KindPolygon:
 		if len(data) < 4 {
-			return nil, 0, errShort(k, 4, len(data))
+			return 0, errShort(k, 4, len(data))
 		}
-		n := int(binary.BigEndian.Uint32(data))
-		sz := 4 + 8*n
+		sz := 4 + 8*int(binary.BigEndian.Uint32(data))
 		if len(data) < sz {
-			return nil, 0, errShort(k, sz, len(data))
+			return 0, errShort(k, sz, len(data))
 		}
-		p, err := PolygonFromPayload(data[:sz:sz])
-		return p, sz, err
+		return sz, nil
 	case KindGraph:
 		if len(data) < 4 {
-			return nil, 0, errShort(k, 4, len(data))
+			return 0, errShort(k, 4, len(data))
 		}
-		nv := int(binary.BigEndian.Uint32(data))
-		eoff := 4 + 8*nv
+		eoff := 4 + 8*int(binary.BigEndian.Uint32(data))
 		if len(data) < eoff+4 {
-			return nil, 0, errShort(k, eoff+4, len(data))
+			return 0, errShort(k, eoff+4, len(data))
 		}
-		ne := int(binary.BigEndian.Uint32(data[eoff:]))
-		sz := eoff + 4 + 8*ne
+		sz := eoff + 4 + 8*int(binary.BigEndian.Uint32(data[eoff:]))
 		if len(data) < sz {
-			return nil, 0, errShort(k, sz, len(data))
+			return 0, errShort(k, sz, len(data))
 		}
-		g, err := GraphFromPayload(data[:sz:sz])
-		return g, sz, err
+		return sz, nil
 	case KindRaster:
 		if len(data) < 8 {
-			return nil, 0, errShort(k, 8, len(data))
+			return 0, errShort(k, 8, len(data))
 		}
 		w, h := int(binary.BigEndian.Uint32(data)), int(binary.BigEndian.Uint32(data[4:]))
 		n, ok := pixelCount(w, h, len(data)-8)
 		if !ok {
-			return nil, 0, fmt.Errorf("types: %v value declares %dx%d pixels, have %d bytes", k, w, h, len(data))
+			return 0, fmt.Errorf("types: %v value declares %dx%d pixels, have %d bytes", k, w, h, len(data))
 		}
-		return Raster{payload: data[: 8+n : 8+n]}, 8 + n, nil
+		return 8 + n, nil
 	}
-	return nil, 0, fmt.Errorf("types: cannot decode kind %v", k)
+	return 0, fmt.Errorf("types: cannot decode kind %v", k)
+}
+
+// DecodeValue decodes a single value of the given kind from the front of
+// data, returning the value and the number of bytes consumed (ValueSize
+// has the length rules). A polygon, graph, raster or byte string is not
+// copied: it is a capacity-clipped sub-slice of data and lives as long
+// as data, which must not be written again (FromPayload, whose source
+// may be, copies first).
+func DecodeValue(k Kind, data []byte) (Object, int, error) {
+	n, err := ValueSize(k, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	v := data[:n:n]
+	switch k {
+	case KindNull:
+		return Null{}, 0, nil
+	case KindBool:
+		return Bool(v[0] != 0), n, nil
+	case KindInt:
+		return Int(int32(binary.BigEndian.Uint32(v))), n, nil
+	case KindDouble:
+		return Double(math.Float64frombits(binary.BigEndian.Uint64(v))), n, nil
+	case KindString:
+		return String_(v[4:]), n, nil
+	case KindBytes:
+		return Bytes(v[4:]), n, nil
+	case KindPoint:
+		return Point{
+			X: math.Float32frombits(binary.BigEndian.Uint32(v)),
+			Y: math.Float32frombits(binary.BigEndian.Uint32(v[4:])),
+		}, n, nil
+	case KindRectangle:
+		return Rectangle{
+			XMin: math.Float32frombits(binary.BigEndian.Uint32(v)),
+			YMin: math.Float32frombits(binary.BigEndian.Uint32(v[4:])),
+			XMax: math.Float32frombits(binary.BigEndian.Uint32(v[8:])),
+			YMax: math.Float32frombits(binary.BigEndian.Uint32(v[12:])),
+		}, n, nil
+	case KindPolygon:
+		return Polygon{payload: v}, n, nil
+	case KindGraph:
+		return Graph{payload: v}, n, nil
+	default: // KindRaster: ValueSize refused every kind not named here
+		return Raster{payload: v}, n, nil
+	}
 }
 
 // DecodeTuple decodes one tuple according to the schema from the front of

@@ -15,22 +15,14 @@ import (
 // flushes.
 const DefaultBatchBytes = 256 << 10
 
-// EncodeBatch packs tuples into one TupleBatch payload.
+// EncodeBatch packs tuples into one TupleBatch payload, in memory of
+// exactly its size.
 func EncodeBatch(tuples []types.Tuple) []byte {
-	return appendBatch(nil, tuples)
-}
-
-// appendBatch encodes tuples as a TupleBatch payload, into buf when it
-// has the room and else into new memory of exactly the size.
-func appendBatch(buf []byte, tuples []types.Tuple) []byte {
 	size := 4
 	for _, t := range tuples {
 		size += t.WireSize()
 	}
-	if cap(buf) < size {
-		buf = make([]byte, 0, size)
-	}
-	buf = binary.BigEndian.AppendUint32(buf[:0], uint32(len(tuples)))
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(tuples)))
 	for _, t := range tuples {
 		buf = t.AppendTo(buf)
 	}
@@ -77,14 +69,21 @@ type FrameSender interface {
 	Send(t MsgType, payload []byte) error
 }
 
+// framePool lends BatchWriter frames: a stream's frame goes back when
+// the stream ends (Release), and the next stream's writer encodes into
+// it. An idle process keeps at most 64 frames, one per stream it had
+// open at once, each at most maxPooledFrame.
+var framePool = newPool[[]byte](64)
+
 // BatchWriter streams tuples over a connection, flushing a TupleBatch
-// frame whenever the pending payload reaches the target size.
+// frame whenever the pending payload reaches the target size. A tuple is
+// encoded into the frame when it is written, and the frame's count is
+// filled in when it is sent: the writer holds bytes, not tuples.
 type BatchWriter struct {
-	conn    FrameSender
-	target  int
-	pending []types.Tuple
-	bytes   int
-	frame   []byte // the last frame sent, reused for the next
+	conn   FrameSender
+	target int
+	frame  []byte // the pending batch, behind room for its count; reused for the next
+	count  int    // tuples in frame
 	// DataBytes accumulates the tuple payload bytes sent (excluding
 	// framing), i.e. the volume-of-data-transmitted contribution.
 	DataBytes int64
@@ -106,31 +105,74 @@ func (w *BatchWriter) SetTarget(n int) {
 	w.target = n
 }
 
-// Write queues one tuple, flushing if the batch is full.
+// Write encodes one tuple into the pending batch, flushing if the batch
+// is full.
 func (w *BatchWriter) Write(t types.Tuple) error {
-	w.pending = append(w.pending, t)
-	w.bytes += t.WireSize()
+	w.open()
+	w.frame = t.AppendTo(w.frame)
+	return w.added()
+}
+
+// WriteEncoded is Write for a tuple already in its wire encoding, given
+// as the encodings of its columns in order: a forwarded record's column
+// bytes, which are copied into the pending batch once.
+func (w *BatchWriter) WriteEncoded(cols ...[]byte) error {
+	w.open()
+	for _, c := range cols {
+		w.frame = append(w.frame, c...)
+	}
+	return w.added()
+}
+
+// open makes room for the pending batch's count, in a pooled frame when
+// the writer has none.
+func (w *BatchWriter) open() {
+	if w.frame == nil {
+		if f, ok := framePool.get(); ok && cap(f) >= w.target {
+			w.frame = f
+		} else {
+			w.frame = make([]byte, 0, w.target+w.target/4)
+		}
+	}
+	if len(w.frame) == 0 {
+		w.frame = append(w.frame, 0, 0, 0, 0)
+	}
+}
+
+// added counts the tuple just encoded and flushes a full batch.
+func (w *BatchWriter) added() error {
+	w.count++
 	w.Tuples++
-	if w.bytes >= w.target {
+	if len(w.frame)-4 >= w.target {
 		return w.Flush()
 	}
 	return nil
 }
 
-// Flush sends any pending tuples as one batch, encoded once into the
-// writer's frame.
+// Flush sends the pending tuples, if any, as one batch.
 func (w *BatchWriter) Flush() error {
-	if len(w.pending) == 0 {
+	if w.count == 0 {
 		return nil
 	}
-	w.frame = appendBatch(w.frame, w.pending)
+	binary.BigEndian.PutUint32(w.frame, uint32(w.count))
 	err := w.conn.Send(MsgTupleBatch, w.frame)
-	w.DataBytes += int64(w.bytes)
-	clear(w.pending) // the tuples' frames must not stay reachable from here
-	w.pending = w.pending[:0]
-	w.bytes = 0
+	w.DataBytes += int64(len(w.frame) - 4)
+	w.frame, w.count = w.frame[:0], 0
 	return err
 }
+
+// Release ends the writer's stream: its frame, with any tuples not
+// flushed, goes back to the pool — unless a large tuple grew it past
+// maxPooledFrame, which the pool does not keep.
+func (w *BatchWriter) Release() {
+	if w.frame != nil && cap(w.frame) <= maxPooledFrame {
+		framePool.put(w.frame[:0])
+	}
+	w.frame, w.count = nil, 0
+}
+
+// maxPooledFrame is the largest frame Release hands back to the pool.
+const maxPooledFrame = 4 * DefaultBatchBytes
 
 // BatchReader consumes a tuple stream terminated by an EOS frame.
 type BatchReader struct {

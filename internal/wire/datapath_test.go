@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"testing"
+	"time"
 
 	"mocha/internal/types"
 )
@@ -200,6 +203,97 @@ func TestRecvGuardsUnprovenClaims(t *testing.T) {
 	}
 }
 
+// TestRecvStagesUnprovenClaims: on a fresh connection a first 256 KiB
+// frame is staged in pooled chunks as it arrives and then allocated once,
+// at exactly its length — not grown 64 KiB at a time (≈ 1.75× the body).
+// The chunk pool is warmed on another connection first, as any stream
+// before it in the process would have.
+func TestRecvStagesUnprovenClaims(t *testing.T) {
+	const body = DefaultBatchBytes
+	one := frame(MsgTupleBatch, make([]byte, body))
+	warm := NewConn(&byteConn{r: bytes.NewReader(one)})
+	if _, _, err := warm.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	warm.Close()
+	c := NewConn(&byteConn{r: bytes.NewReader(one)})
+	defer c.Close()
+	var p []byte
+	var err error
+	got := allocatedBytes(func() { _, p, err = c.Recv() })
+	if err != nil || len(p) != body || cap(p) != body {
+		t.Fatalf("first frame of %d bytes (cap %d): %v", len(p), cap(p), err)
+	}
+	if got > body+4<<10 {
+		t.Errorf("a first %d-byte frame allocated %d bytes, want <= %d", body, got, body+4<<10)
+	}
+}
+
+// TestConnReusesBuffers: a connection's buffered reader and writer go
+// back to the pool at Close, and the next NewConn takes them — it
+// allocates no buffer of its own.
+func TestConnReusesBuffers(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	NewConn(a).Close()
+	var c *Conn
+	got := allocatedBytes(func() { c = NewConn(b) })
+	defer c.Close()
+	if got >= connBufSize {
+		t.Errorf("NewConn after a Close allocated %d bytes: a buffer of its own", got)
+	}
+}
+
+// TestCloseRacesRecvAndSend closes a connection while a Recv waits on a
+// silent peer and a Send is blocked writing to a peer that does not
+// read. Both fail; later calls fail with net.ErrClosed; and the buffers
+// Close handed back, which the next connection takes and uses at once,
+// are never touched by the old one again. Run it under -race: a late
+// touch is a race with the new owner.
+func TestCloseRacesRecvAndSend(t *testing.T) {
+	big := make([]byte, 2*connBufSize) // larger than the writer's buffer: written through
+	for i := 0; i < 50; i++ {
+		a, peer := net.Pipe()
+		c := NewConn(a)
+		errs := make(chan error, 2)
+		go func() { _, _, err := c.Recv(); errs <- err }()
+		go func() { errs <- c.Send(MsgTupleBatch, big) }()
+		time.Sleep(time.Millisecond) // let both block, usually
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The next connection takes the pooled buffers and uses them while
+		// the old calls unwind.
+		x, y := pipeConns()
+		go func() { x.Send(MsgAck, []byte("next")) }()
+		if _, p, err := y.Recv(); err != nil || string(p) != "next" {
+			t.Fatalf("the next connection read %q, %v", p, err)
+		}
+		for range 2 {
+			if err := <-errs; err == nil {
+				t.Fatal("a Recv or Send in flight at Close succeeded")
+			}
+		}
+		if _, _, err := c.Recv(); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("Recv after Close: %v, want net.ErrClosed", err)
+		}
+		if err := c.Send(MsgAck, nil); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("Send after Close: %v, want net.ErrClosed", err)
+		}
+		x.Close()
+		y.Close()
+		peer.Close()
+	}
+}
+
+// recordSender keeps a copy of every payload it is sent.
+type recordSender struct{ frames [][]byte }
+
+func (s *recordSender) Send(_ MsgType, p []byte) error {
+	s.frames = append(s.frames, bytes.Clone(p))
+	return nil
+}
+
 // addrSender records where each payload it is sent starts.
 type addrSender struct{ starts []*byte }
 
@@ -210,28 +304,56 @@ func (s *addrSender) Send(_ MsgType, p []byte) error {
 
 // TestBatchWriterCopiesOncePerFrame: between Write and the sink a tuple's
 // bytes are written once, and every frame after the first is encoded
-// into the same buffer.
+// into the same buffer — a tuple written decoded (Write) or as its
+// columns' encodings (WriteEncoded, a forwarded record's path), which
+// make the same frames.
 func TestBatchWriterCopiesOncePerFrame(t *testing.T) {
 	rows, _ := graphRows(64)
-	write := func(w *BatchWriter) {
-		for _, r := range rows {
-			if err := w.Write(r); err != nil {
-				t.Fatal(err)
+	encoded := make([][][]byte, len(rows))
+	for i, r := range rows {
+		for _, v := range r {
+			encoded[i] = append(encoded[i], v.AppendTo(nil))
+		}
+	}
+	entries := map[string]func(w *BatchWriter, i int) error{
+		"decoded": func(w *BatchWriter, i int) error { return w.Write(rows[i]) },
+		"encoded": func(w *BatchWriter, i int) error { return w.WriteEncoded(encoded[i]...) },
+	}
+	frames := map[string][]byte{}
+	for _, name := range []string{"decoded", "encoded"} {
+		t.Run(name, func(t *testing.T) {
+			write := func(w *BatchWriter) {
+				for i := range rows {
+					if err := entries[name](w, i); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
+			var plain addrSender
+			pw := NewBatchWriter(&plain)
+			pw.SetTarget(2 << 10)
+			write(pw)
+			if allocs := testing.AllocsPerRun(10, func() { write(pw) }); allocs != 0 {
+				t.Errorf("a frame after the first allocates %.0f times, want 0: the buffer is reused", allocs)
+			}
+			for _, p := range plain.starts[1:] {
+				if p != plain.starts[0] {
+					t.Fatal("frames were not encoded into one reused buffer")
+				}
+			}
+			var rec recordSender
+			rw := NewBatchWriter(&rec)
+			rw.SetTarget(2 << 10)
+			write(rw)
+			frames[name] = bytes.Join(rec.frames, []byte{'|'})
+			pw.Release()
+			rw.Release()
+		})
 	}
-	var plain addrSender
-	pw := NewBatchWriter(&plain)
-	write(pw)
-	if allocs := testing.AllocsPerRun(10, func() { write(pw) }); allocs != 0 {
-		t.Errorf("a frame after the first allocates %.0f times, want 0: the buffer is reused", allocs)
-	}
-	for _, p := range plain.starts[1:] {
-		if p != plain.starts[0] {
-			t.Fatal("frames were not encoded into one reused buffer")
-		}
+	if !bytes.Equal(frames["decoded"], frames["encoded"]) {
+		t.Error("Write and WriteEncoded framed the same tuples differently")
 	}
 }

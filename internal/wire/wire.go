@@ -89,10 +89,16 @@ const frameHeaderSize = 5
 // instead of hanging; SetDeadline adds an absolute cut-off (the query
 // deadline); Bind ties the connection to a context so cancellation
 // aborts in-flight I/O.
+//
+// Its buffered reader and writer are borrowed from a process pool and
+// go back at Close; rmu and wmu guard them, so Close waits for a Recv
+// or Send in flight — closing the transport first unblocks it — and
+// any later call finds them gone and fails with net.ErrClosed.
 type Conn struct {
-	raw net.Conn
-	br  *bufio.Reader
-	bw  *bufio.Writer
+	raw    net.Conn
+	br     *bufio.Reader // nil once closed; guarded by rmu
+	bw     *bufio.Writer // nil once closed; guarded by wmu
+	closed atomic.Bool
 
 	rmu, wmu   sync.Mutex
 	rhdr, whdr [frameHeaderSize]byte // header scratch under rmu, wmu: a local escapes, one allocation per frame
@@ -131,13 +137,61 @@ func (c *Conn) Instrument(r *obs.Registry, prefix string) {
 	})
 }
 
+// connBufSize is the size of a connection's buffered reader and writer.
+const connBufSize = 64 << 10
+
+// The process pools a connection's buffers and a first frame's staging
+// chunks come from. Each is a bounded free list, not a sync.Pool: what
+// it returns does not depend on the collector, and a full list drops
+// what is handed back. The bounds are what an idle process keeps: the
+// buffers of 64 connections (8 MiB, more than a QPC holds open to its
+// sites at a time) and one 1 MiB claim's chunks. Nothing a pool lends is
+// ever aliased by a decoded value (DESIGN §3.9): a frame body is always
+// fresh memory.
+var (
+	readerPool = newPool[*bufio.Reader](64)
+	writerPool = newPool[*bufio.Writer](64)
+	chunkPool  = newPool[[]byte](16)
+)
+
+// pool is a bounded free list safe for concurrent use.
+type pool[T any] chan T
+
+func newPool[T any](n int) pool[T] { return make(pool[T], n) }
+
+// get returns a pooled item, or ok=false when the pool is empty.
+func (p pool[T]) get() (v T, ok bool) {
+	select {
+	case v = <-p:
+		return v, true
+	default:
+		return v, false
+	}
+}
+
+// put hands v back; a full pool drops it.
+func (p pool[T]) put(v T) {
+	select {
+	case p <- v:
+	default:
+	}
+}
+
 // NewConn wraps a transport connection.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{
-		raw: c,
-		br:  bufio.NewReaderSize(c, 64<<10),
-		bw:  bufio.NewWriterSize(c, 64<<10),
+	br, ok := readerPool.get()
+	if ok {
+		br.Reset(c)
+	} else {
+		br = bufio.NewReaderSize(c, connBufSize)
 	}
+	bw, ok := writerPool.get()
+	if ok {
+		bw.Reset(c)
+	} else {
+		bw = bufio.NewWriterSize(c, connBufSize)
+	}
+	return &Conn{raw: c, br: br, bw: bw}
 }
 
 // SetFrameTimeout bounds each subsequent frame operation: a read that
@@ -246,6 +300,9 @@ func (c *Conn) Send(t MsgType, payload []byte) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if c.bw == nil {
+		return fmt.Errorf("wire: send %v: %w", t, net.ErrClosed)
+	}
 	dl := c.opDeadline(time.Duration(c.writeTimeout.Load()))
 	if err := c.raw.SetWriteDeadline(dl); err != nil {
 		return fmt.Errorf("wire: send %v: %w", t, err)
@@ -277,6 +334,9 @@ func (c *Conn) Recv() (MsgType, []byte, error) {
 	}
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
+	if c.br == nil {
+		return 0, nil, fmt.Errorf("wire: recv: %w", net.ErrClosed)
+	}
 	dl := c.opDeadline(time.Duration(c.readTimeout.Load()))
 	if err := c.raw.SetReadDeadline(dl); err != nil {
 		return 0, nil, fmt.Errorf("wire: recv: %w", err)
@@ -304,41 +364,53 @@ func (c *Conn) Recv() (MsgType, []byte, error) {
 }
 
 // readFrameBody reads an n-byte payload without trusting n for the
-// initial allocation: a corrupt or hostile length prefix must cost no
-// more memory than the bytes that actually arrive, so the buffer grows
-// geometrically as data is received. A length no larger than trusted —
-// a body this connection has already delivered in full — is allocated
-// at once: a stream's frames after its first cost one allocation each.
+// allocation: a corrupt or hostile length prefix must cost no more
+// memory than the bytes that actually arrive. A length no larger than
+// trusted — a body this connection has already delivered in full — is
+// allocated at once, so a stream's frames after its first cost one
+// allocation each. A larger claim is staged in pooled chunks as its
+// bytes arrive, and only once all of them have is the body allocated,
+// at exactly its length.
 func readFrameBody(r io.Reader, n, trusted int) ([]byte, error) {
-	const initAlloc = 64 << 10
-	if n <= max(initAlloc, trusted) {
+	if n <= max(stageChunk, trusted) {
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, err
 		}
 		return buf, nil
 	}
-	buf := make([]byte, initAlloc)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	for len(buf) < n {
-		step := len(buf)
-		if len(buf)+step > n {
-			step = n - len(buf)
+	var chunks [][]byte
+	defer func() {
+		for _, c := range chunks {
+			chunkPool.put(c)
 		}
-		grown := make([]byte, len(buf)+step) // exactly; append would round up
-		copy(grown, buf)
-		buf = grown
-		if _, err := io.ReadFull(r, buf[len(buf)-step:]); err != nil {
-			if err == io.EOF {
+	}()
+	for got := 0; got < n; {
+		c, ok := chunkPool.get()
+		if !ok {
+			c = make([]byte, stageChunk)
+		}
+		chunks = append(chunks, c)
+		step := min(stageChunk, n-got)
+		if _, err := io.ReadFull(r, c[:step]); err != nil {
+			if err == io.EOF && got > 0 {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
+		got += step
+	}
+	buf := make([]byte, 0, n)
+	for _, c := range chunks {
+		buf = append(buf, c[:min(stageChunk, n-len(buf))]...)
 	}
 	return buf, nil
 }
+
+// stageChunk is the size of the chunks an unproven length claim is
+// staged in, and the largest body read without staging on a connection
+// that has delivered none larger.
+const stageChunk = 64 << 10
 
 // Expect receives one frame and requires it to be of the given type. An
 // incoming MsgError is surfaced as the remote error it carries.
@@ -369,8 +441,29 @@ func (c *Conn) BytesIn() int64 { return c.bytesIn.Load() }
 // BytesOut returns total bytes sent, including frame headers.
 func (c *Conn) BytesOut() int64 { return c.bytesOut.Load() }
 
-// Close closes the underlying transport.
-func (c *Conn) Close() error { return c.raw.Close() }
+// Close closes the underlying transport and hands the connection's
+// buffers back to the pool once no Recv or Send is using them. Closing
+// the transport first unblocks one in flight; every later call fails
+// with an error wrapping net.ErrClosed.
+func (c *Conn) Close() error {
+	if c.closed.Swap(true) {
+		return c.raw.Close()
+	}
+	err := c.raw.Close()
+	c.rmu.Lock()
+	br := c.br
+	c.br = nil
+	c.rmu.Unlock()
+	c.wmu.Lock()
+	bw := c.bw
+	c.bw = nil
+	c.wmu.Unlock()
+	br.Reset(nil)
+	bw.Reset(nil)
+	readerPool.put(br)
+	writerPool.put(bw)
+	return err
+}
 
 // RemoteError is an error reported by the peer via a MsgError frame.
 type RemoteError struct{ Msg string }
