@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"mocha/internal/obs"
 	"mocha/internal/types"
 )
 
@@ -137,7 +136,7 @@ func syntheticFragment() *Fragment {
 func TestDocumentTypesTagEveryField(t *testing.T) {
 	for _, v := range []any{
 		Fragment{}, Plan{}, Start{}, AggSpec{}, Output{}, PartTarget{}, JoinStep{}, OrderSpec{},
-		PExpr{}, CodeRef{}, obs.Span{}, types.Column{}, types.Schema{},
+		PExpr{}, CodeRef{}, types.Column{}, types.Schema{},
 	} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {

@@ -73,6 +73,7 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	cache *codeCache
+	frags fragmentCache
 	met   dapMetrics
 	gov   *exec.Governor
 }
@@ -92,6 +93,8 @@ type dapMetrics struct {
 	vmInstrs      *obs.Counter
 	compileMicros *obs.Histogram
 	streamResumes *obs.Counter
+	fragHits      *obs.Counter
+	fragMisses    *obs.Counter
 
 	invalidateRequests *obs.Counter
 	invalidateDropped  *obs.Counter
@@ -128,6 +131,8 @@ func New(cfg Config) *Server {
 			vmInstrs:      r.Counter(obs.MVMInstructions),
 			compileMicros: r.Histogram(obs.MVMCompileMicros),
 			streamResumes: r.Counter(obs.MDapStreamResumes),
+			fragHits:      r.Counter(obs.MDapFragmentCacheHits),
+			fragMisses:    r.Counter(obs.MDapFragmentCacheMisses),
 
 			invalidateRequests: r.Counter(obs.MDapCacheInvalidateRequests),
 			invalidateDropped:  r.Counter(obs.MDapCacheInvalidateDropped),

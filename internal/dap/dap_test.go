@@ -61,7 +61,7 @@ func connectDAP(t *testing.T, srv *Server) *wire.Conn {
 	return conn
 }
 
-func avgEnergyFragment(t *testing.T) (*core.Fragment, *catalog.Release) {
+func avgEnergyFragment(t testing.TB) (*core.Fragment, *catalog.Release) {
 	t.Helper()
 	reg := ops.Builtins()
 	d, _ := reg.Lookup("AvgEnergy")
@@ -161,7 +161,7 @@ func readStream(t *testing.T, conn *wire.Conn, schema types.Schema) ([]types.Tup
 		rows = append(rows, tup)
 	}
 	var stats wire.ExecStats
-	if err := wire.DecodeXML(r.EOSPayload, &stats); err != nil {
+	if err := stats.UnmarshalBinary(r.EOSPayload); err != nil {
 		t.Fatal(err)
 	}
 	return rows, stats

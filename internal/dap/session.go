@@ -117,8 +117,13 @@ type execution struct {
 	srv  *Server
 	conn *wire.Conn
 
+	// frag may be the fragment cache's, shared with every execution that
+	// runs it: an execution reads it and never writes it.
 	frag     *core.Fragment
 	semiKeys map[uint64][]types.Object
+	// instrs counts the MVM instructions the fragment's shipped code ran,
+	// for the flush span.
+	instrs int64
 	// trace holds the execution's spans, the only record it keeps of its
 	// time and volumes. Its clock started when the START arrived.
 	trace *obs.Trace
@@ -132,9 +137,14 @@ type execution struct {
 // would write to a peer that is itself still writing.
 func (s *Server) start(conn *wire.Conn, payload []byte) error {
 	began := time.Now()
-	var req core.Start
-	if err := wire.DecodeXML(payload, &req); err != nil {
+	req, hit, err := s.frags.decodeStart(payload)
+	if err != nil {
 		return err
+	}
+	if hit {
+		s.met.fragHits.Inc()
+	} else {
+		s.met.fragMisses.Inc()
 	}
 	frag := req.Fragment
 	if frag == nil || req.Stream == "" {
@@ -313,6 +323,7 @@ func (ex *execution) execute(skip int64, report wire.ExecStats) error {
 		return err
 	}
 	flush.NetBytes, flush.Tuples = out.skippedBytes+writer.DataBytes, out.skipped+writer.Tuples
+	flush.Instrs = ex.instrs
 	flush.End()
 	ex.trace.Add(spans(ex.trace.Since(start))...)
 
@@ -323,7 +334,7 @@ func (ex *execution) execute(skip int64, report wire.ExecStats) error {
 	met.execMS.Observe(time.Since(start).Milliseconds())
 
 	report.Spans = ex.trace.TakeSpans()
-	payload, err := wire.EncodeXML(&report)
+	payload, err := report.MarshalBinary()
 	if err != nil {
 		return err
 	}
@@ -388,6 +399,7 @@ func (ex *execution) runTree(start time.Time, out *stream) (func(int64) []obs.Sp
 	runs, instrs := binder.runCounts()
 	ex.srv.met.fastRuns.Add(runs)
 	ex.srv.met.vmInstrs.Add(instrs)
+	ex.instrs = instrs
 	return func(startOff int64) []obs.Span { return tree.Spans(ex.srv.cfg.Site, startOff) }, nil
 }
 

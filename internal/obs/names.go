@@ -24,6 +24,11 @@ const (
 	MDapVerifyRejects     = "dap_verify_rejects"
 	MDapStreamResumes     = "dap_stream_resumes"
 
+	// DAP fragment cache: STARTs whose fragment document the DAP had
+	// decoded before, and the rest.
+	MDapFragmentCacheHits   = "dap_fragment_cache_hits"
+	MDapFragmentCacheMisses = "dap_fragment_cache_misses"
+
 	// DAP code-cache invalidation (release rollback): CODE_INVALIDATE
 	// requests handled, and cached blobs actually dropped by digest.
 	MDapCacheInvalidateRequests = "dap_cache_invalidate_requests"

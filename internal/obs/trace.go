@@ -16,41 +16,44 @@ import (
 // are sums over its spans and nothing else (qpc.summarize). Offsets are
 // microseconds relative to the owning trace's start on the process that
 // recorded the span; the QPC re-anchors DAP spans onto its own timeline
-// when it assembles the cross-site trace. The tags are the <span>
-// element a DAP reports inside its exec-stats.
+// when it assembles the cross-site trace. A DAP reports its spans inside
+// its exec-stats record (wire.ExecStats), every field in order.
 type Span struct {
 	// Name is an Op* or Phase* name of names.go, which also says what
 	// kind of time the duration is (ClassOf).
-	Name string `xml:"name,attr"`
+	Name string
 	// Site is the site the span describes ("" for QPC-side work).
-	Site string `xml:"site,attr,omitempty"`
+	Site string
 	// StartMicros is the offset from the trace start.
-	StartMicros int64 `xml:"start,attr"`
+	StartMicros int64
 	// DurMicros is the span's duration.
-	DurMicros int64 `xml:"dur,attr"`
+	DurMicros int64
 	// NetBytes is the data-plane volume the span moved over the network.
 	// Summed across a query's spans this reproduces the CVDT measurement.
-	NetBytes int64 `xml:"net,attr,omitempty"`
+	NetBytes int64
 	// DBBytes is the volume the span read from a data source (CVDA).
-	DBBytes int64 `xml:"db,attr,omitempty"`
+	DBBytes int64
 	// CodeBytes is shipped operator code (deployment volume, not CVDT),
 	// Classes the number of classes it made up, and CacheHits the classes
 	// a fragment named that the site's code cache already held.
-	CodeBytes int64 `xml:"code,attr,omitempty"`
-	Classes   int64 `xml:"classes,attr,omitempty"`
-	CacheHits int64 `xml:"hits,attr,omitempty"`
+	CodeBytes int64
+	Classes   int64
+	CacheHits int64
 	// Tuples is the tuple count the span carried (for operator spans:
 	// rows produced).
-	Tuples int64 `xml:"tuples,attr,omitempty"`
+	Tuples int64
 	// RowsIn and Batches describe operator spans ("op:*"): tuples pulled
 	// from children (for a scan, read from the source) and output batches
 	// produced. Zero on phase spans.
-	RowsIn  int64 `xml:"rows-in,attr,omitempty"`
-	Batches int64 `xml:"batches,attr,omitempty"`
+	RowsIn  int64
+	Batches int64
 	// SpillBytes is the payload volume an operator wrote to temp-file
 	// spill runs when its memory grant overflowed. Zero when the
 	// operator stayed in memory.
-	SpillBytes int64 `xml:"spill,attr,omitempty"`
+	SpillBytes int64
+	// Instrs is the MVM instructions the span's shipped code executed:
+	// set on a DAP's flush span, for the whole fragment.
+	Instrs int64
 }
 
 // Trace is the span timeline of one query, identified by an ID that the
@@ -151,6 +154,16 @@ func (tr *Trace) Spans() []Span {
 		return out[i].Name < out[j].Name
 	})
 	return out
+}
+
+// Each calls f on every recorded span, in the order they were recorded:
+// for sums over the trace, which need no copy and no sort.
+func (tr *Trace) Each(f func(Span)) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for _, s := range tr.spans {
+		f(s)
+	}
 }
 
 // TakeSpans returns the recorded spans and clears the trace, for

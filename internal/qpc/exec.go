@@ -261,7 +261,7 @@ func (e *planExec) importReport(name string, fs *fragmentStream, keepDB bool) er
 		return fmt.Errorf("qpc: fragment stream ended without stats")
 	}
 	var es wire.ExecStats
-	if err := wire.DecodeXML(fs.r.EOSPayload, &es); err != nil {
+	if err := es.UnmarshalBinary(fs.r.EOSPayload); err != nil {
 		return err
 	}
 	fs.r.EOSPayload = nil

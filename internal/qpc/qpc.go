@@ -23,6 +23,7 @@ import (
 	"mocha/internal/sqlparser"
 	"mocha/internal/types"
 	"mocha/internal/vm"
+	"mocha/internal/wire"
 )
 
 // Config configures a QPC.
@@ -219,43 +220,73 @@ func (s *Server) Governor() *exec.Governor { return s.gov }
 // DB, CPU, Net and Misc time components plus the volume measurements
 // (CVDA, CVDT, CVRF) used throughout the evaluation. It is a view of the
 // query's trace: summarize is the one place the time, volume and
-// code-shipping fields are assigned.
+// code-shipping fields are assigned. It reaches a wire client as the
+// binary record that ends the result stream (MarshalBinary).
 type QueryStats struct {
-	XMLName struct{} `xml:"query-stats"`
-
 	// Time (milliseconds). Plan, deploy and total are wall clock: two of
 	// the sequential phases that partition the total (the trace has them
 	// all), and the total, from the query's arrival — planning counted in
 	// before it — to the last site's report read. The rest is work, per
 	// site and summed across the sites that did it concurrently, so it can
 	// exceed the total.
-	PlanMS   float64 `xml:"plan-ms"`   // parse + optimize (counted into Misc)
-	DeployMS float64 `xml:"deploy-ms"` // sessions opened, fragments started (counted into Misc)
-	DBMS     float64 `xml:"db-ms"`     // DAP time reading from data servers
-	CPUMS    float64 `xml:"cpu-ms"`    // operator evaluation (DAPs + QPC)
-	NetMS    float64 `xml:"net-ms"`    // time blocked sending data over the network
-	JoinMS   float64 `xml:"join-ms"`   // QPC hash join build+probe time
-	MiscMS   float64 `xml:"misc-ms"`   // initialization: plan, deploy and the DAPs' set-up steps
-	TotalMS  float64 `xml:"total-ms"`  // wall clock for the whole query
+	PlanMS   float64 // parse + optimize (counted into Misc)
+	DeployMS float64 // sessions opened, fragments started (counted into Misc)
+	DBMS     float64 // DAP time reading from data servers
+	CPUMS    float64 // operator evaluation (DAPs + QPC)
+	NetMS    float64 // time blocked sending data over the network
+	JoinMS   float64 // QPC hash join build+probe time
+	MiscMS   float64 // initialization: plan, deploy and the DAPs' set-up steps
+	TotalMS  float64 // wall clock for the whole query
 
 	// Volumes (bytes).
-	CVDA        int64 `xml:"cvda"` // data volume accessed at the sources
-	CVDT        int64 `xml:"cvdt"` // data volume transmitted over the network
-	ResultBytes int64 `xml:"result-bytes"`
+	CVDA        int64 // data volume accessed at the sources
+	CVDT        int64 // data volume transmitted over the network
+	ResultBytes int64
 
-	ResultTuples int64 `xml:"result-tuples"`
+	ResultTuples int64
 
 	// Code shipping work.
-	CodeClassesShipped int `xml:"code-classes-shipped"`
-	CodeBytesShipped   int `xml:"code-bytes-shipped"`
-	CacheHits          int `xml:"cache-hits"`
+	CodeClassesShipped int
+	CodeBytesShipped   int
+	CacheHits          int
 
 	// ResultDigest is the 64-bit digest of the result rows' wire
 	// encoding, in emission order: CRC-32C followed by CRC-32 (IEEE),
 	// both over the same bytes (resultDigest). The rollout controller compares it
 	// between the canary and active releases of an operator class; it is
 	// also the client-visible fingerprint for result-equality checks.
-	ResultDigest string `xml:"result-digest,omitempty"`
+	ResultDigest string
+}
+
+// MarshalBinary encodes the stats as the EOS record of a result stream
+// (wire.RecordWriter), every field in declaration order.
+func (qs *QueryStats) MarshalBinary() ([]byte, error) {
+	w := wire.NewRecordWriter(128 + len(qs.ResultDigest))
+	for _, v := range []float64{qs.PlanMS, qs.DeployMS, qs.DBMS, qs.CPUMS, qs.NetMS, qs.JoinMS, qs.MiscMS, qs.TotalMS} {
+		w.Float(v)
+	}
+	for _, v := range []int64{qs.CVDA, qs.CVDT, qs.ResultBytes, qs.ResultTuples,
+		int64(qs.CodeClassesShipped), int64(qs.CodeBytesShipped), int64(qs.CacheHits)} {
+		w.Int(v)
+	}
+	w.String(qs.ResultDigest)
+	return w.Bytes(), nil
+}
+
+// UnmarshalBinary decodes a result stream's EOS record.
+func (qs *QueryStats) UnmarshalBinary(data []byte) error {
+	r := wire.NewRecordReader("query-stats", data)
+	for _, f := range []*float64{&qs.PlanMS, &qs.DeployMS, &qs.DBMS, &qs.CPUMS, &qs.NetMS, &qs.JoinMS, &qs.MiscMS, &qs.TotalMS} {
+		*f = r.Float()
+	}
+	for _, f := range []*int64{&qs.CVDA, &qs.CVDT, &qs.ResultBytes, &qs.ResultTuples} {
+		*f = r.Int()
+	}
+	for _, f := range []*int{&qs.CodeClassesShipped, &qs.CodeBytesShipped, &qs.CacheHits} {
+		*f = int(r.Int())
+	}
+	qs.ResultDigest = r.String()
+	return r.Close()
 }
 
 // CVRF returns the measured cumulative volume reduction factor.
@@ -525,7 +556,7 @@ func (d *resultDigest) String() string { return fmt.Sprintf("%08x%08x", d.c, d.i
 // meaning — initialisation — and so holds plan and deploy as well as the
 // DAPs' set-up steps.
 func summarize(trace *obs.Trace, st *QueryStats) {
-	for _, s := range trace.Spans() {
+	trace.Each(func(s obs.Span) {
 		ms := float64(s.DurMicros) / 1000
 		switch obs.ClassOf(s) {
 		case obs.ClassDB:
@@ -553,7 +584,7 @@ func summarize(trace *obs.Trace, st *QueryStats) {
 		st.CodeBytesShipped += int(s.CodeBytes)
 		st.CodeClassesShipped += int(s.Classes)
 		st.CacheHits += int(s.CacheHits)
-	}
+	})
 }
 
 // wrapDeadline annotates an execution error that was caused by the

@@ -742,10 +742,10 @@ func opSelfMicros(tr *obs.Trace) float64 {
 		return 0
 	}
 	var total int64
-	for _, sp := range tr.Spans() {
+	tr.Each(func(sp obs.Span) {
 		if strings.HasPrefix(sp.Name, obs.SpanOpPrefix) {
 			total += sp.DurMicros
 		}
-	}
+	})
 	return float64(total)
 }

@@ -220,7 +220,7 @@ func sendResult(conn *wire.Conn, schema types.Schema, run func(emit func(types.T
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	if data, err = wire.EncodeXML(stats); err != nil {
+	if data, err = stats.MarshalBinary(); err != nil {
 		return err
 	}
 	return conn.Send(wire.MsgEOS, data)

@@ -55,7 +55,7 @@ func (c *testConn) query(t *testing.T, sql string) ([]types.Tuple, QueryStats) {
 		rows = append(rows, tup)
 	}
 	var stats QueryStats
-	if err := wire.DecodeXML(r.EOSPayload, &stats); err != nil {
+	if err := stats.UnmarshalBinary(r.EOSPayload); err != nil {
 		t.Fatal(err)
 	}
 	return rows, stats

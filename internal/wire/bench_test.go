@@ -68,3 +68,28 @@ func BenchmarkRasterBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExecStatsRecord measures a DAP's 7-span report: encoding it
+// at the DAP and decoding it at the QPC.
+func BenchmarkExecStatsRecord(b *testing.B) {
+	es := ExecStats{Site: "site1", Trace: "q0000002a-0001", Spans: reportSpans}
+	data, _ := es.MarshalBinary()
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := es.MarshalBinary(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ReportMetric(float64(len(data)), "B/record")
+		for i := 0; i < b.N; i++ {
+			var back ExecStats
+			if err := back.UnmarshalBinary(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

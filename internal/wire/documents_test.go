@@ -17,11 +17,11 @@ import (
 //	go test ./internal/wire -run TestControlFramesGolden -update
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
-// goldenSpans exercises every Span field, including the ones the wire
-// form omits when zero.
+// goldenSpans exercises every Span field, and spans that leave most of
+// them zero.
 var goldenSpans = []obs.Span{
 	{Name: "dap:exec", Site: "site2", StartMicros: 10, DurMicros: 250,
-		NetBytes: 4096, DBBytes: 8192, Tuples: 17, Batches: 2},
+		NetBytes: 4096, DBBytes: 8192, Tuples: 17, Batches: 2, Instrs: 1 << 40},
 	{Name: "dap:code", Site: "site2", CodeBytes: 321, Classes: 1, CacheHits: 2, SpillBytes: 64, RowsIn: 5},
 	{Name: "op:scan"},
 }
@@ -29,11 +29,10 @@ var goldenSpans = []obs.Span{
 // TestControlFramesGolden pins, byte for byte, the control frames whose
 // payloads are built from domain values of other packages: the
 // RESULT_SCHEMA frame (a types.Schema), an EOS frame whose exec-stats
-// are an execution's identity around its trace spans (obs.Span), and the
-// set-up exchange,
-// a START (core.Start around a core.Fragment) with its START_ACK. Each
-// payload must also decode to a value that encodes back to the same
-// bytes.
+// record is an execution's identity around its trace spans (obs.Span),
+// and the set-up exchange, a START (core.Start around a core.Fragment)
+// with its START_ACK. Each payload must also decode to a value that
+// encodes back to the same bytes.
 func TestControlFramesGolden(t *testing.T) {
 	schemaDoc, err := EncodeXML(ResultSchema{Schema: testSchema})
 	if err != nil {
@@ -48,12 +47,12 @@ func TestControlFramesGolden(t *testing.T) {
 	}
 
 	stats := ExecStats{Site: "site2", Trace: "q7", Spans: goldenSpans, Part: 2, Of: 3}
-	statsDoc, err := EncodeXML(&stats)
+	statsDoc, err := stats.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var backStats ExecStats
-	if err := DecodeXML(statsDoc, &backStats); err != nil {
+	if err := backStats.UnmarshalBinary(statsDoc); err != nil {
 		t.Fatal(err)
 	}
 	if got := backStats.Spans; len(got) != len(goldenSpans) {
@@ -65,7 +64,7 @@ func TestControlFramesGolden(t *testing.T) {
 			}
 		}
 	}
-	if again, err := EncodeXML(&backStats); err != nil || !bytes.Equal(again, statsDoc) {
+	if again, err := backStats.MarshalBinary(); err != nil || !bytes.Equal(again, statsDoc) {
 		t.Errorf("exec-stats do not re-encode to the same bytes (err %v)", err)
 	}
 

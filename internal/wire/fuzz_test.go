@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func FuzzFrame(f *testing.F) {
 	// Well-formed frames.
 	hello, _ := EncodeXML(Hello{Role: "qpc", Site: "site1"})
 	f.Add(frame(MsgHello, hello))
-	stats, _ := EncodeXML(ExecStats{Site: "site1", Spans: []obs.Span{{Name: obs.OpScan, Site: "site1", DurMicros: 40, DBBytes: 512, Tuples: 7, RowsIn: 7}}})
+	stats, _ := (&ExecStats{Site: "site1", Spans: []obs.Span{{Name: obs.OpScan, Site: "site1", DurMicros: 40, DBBytes: 512, Tuples: 7, RowsIn: 7}}}).MarshalBinary()
 	f.Add(frame(MsgEOS, stats))
 	batch := EncodeBatch([]types.Tuple{
 		{types.Int(1), types.String_("x")},
@@ -85,9 +86,9 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(MsgStart, start))
 	startAck, _ := EncodeXML(StartAck{Need: []string{"deadbeefcafef00d", "0123456789abcdef"}})
 	f.Add(frame(MsgStartAck, startAck))
-	shardStats, _ := EncodeXML(ExecStats{Site: "site1", Part: 1, Of: 4, Spans: []obs.Span{
+	shardStats, _ := (&ExecStats{Site: "site1", Part: 1, Of: 4, Spans: []obs.Span{
 		{Name: obs.PhaseDapStart, Site: "site1", DurMicros: 12, CacheHits: 1},
-		{Name: obs.PhaseDapFlush, Site: "site1", StartMicros: 30, DurMicros: 5, NetBytes: 99, Tuples: 3}}})
+		{Name: obs.PhaseDapFlush, Site: "site1", StartMicros: 30, DurMicros: 5, NetBytes: 99, Tuples: 3, Instrs: 4321}}}).MarshalBinary()
 	f.Add(frame(MsgEOS, shardStats))
 	// A START that re-places a broken stream names the tuples already
 	// held; a negative count is the peer's to refuse, the decoder's only
@@ -121,8 +122,8 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(MsgResultSchema, []byte(strings.Replace(string(resultSchema), `kind="INT"`, `kind="WEIRD"`, 1))))
 	// Malformed: truncated header, truncated body, hostile length prefix,
 	// unknown type, huge tuple count with no tuples, multiple frames, a
-	// batch cut inside its count, stats and a START that do not parse,
-	// and a skip count that is not a number.
+	// batch cut inside its count, a stats record cut short, a START that
+	// does not parse, and a skip count that is not a number.
 	f.Add([]byte{0, 0})
 	f.Add(frame(MsgTupleBatch, batch)[:7])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, byte(MsgTupleBatch), 1, 2, 3})
@@ -130,7 +131,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(MsgTupleBatch, []byte{0xff, 0xff, 0xff, 0xff}))
 	f.Add(append(frame(MsgAck, nil), frame(MsgTupleBatch, batch)...))
 	f.Add(frame(MsgTupleBatch, []byte{0, 0, 0}))
-	f.Add(frame(MsgEOS, []byte("<exec-stats")))
+	f.Add(frame(MsgEOS, shardStats[:len(shardStats)/2]))
 	f.Add(frame(MsgStart, start[:len(start)/2]))
 	f.Add(frame(MsgStart, []byte(strings.Replace(string(again), `skip="7"`, `skip="seven"`, 1))))
 	// One tuple whose raster header is ff×8: width × height wraps negative.
@@ -168,8 +169,14 @@ func FuzzFrame(f *testing.F) {
 				var h Hello
 				_ = DecodeXML(payload, &h)
 			case MsgEOS:
-				var s ExecStats
-				_ = DecodeXML(payload, &s)
+				// A record that decodes survives a re-encode.
+				var s, back ExecStats
+				if s.UnmarshalBinary(payload) == nil {
+					rec, _ := s.MarshalBinary()
+					if err := back.UnmarshalBinary(rec); err != nil || !reflect.DeepEqual(s, back) {
+						t.Fatalf("exec-stats %+v re-encoded to %x (err %v), decoding to %+v", s, rec, err, back)
+					}
+				}
 			case MsgStart:
 				// Fragment decode gate: garbage and unknown-feature
 				// documents must fail with an error, never panic.

@@ -9,7 +9,8 @@ import (
 )
 
 // Control-plane payloads are XML documents, as in the paper, where query
-// plans and metadata are exchanged as XML.
+// plans and metadata are exchanged as XML; the two measurement payloads
+// that end a stream are binary records instead (record.go).
 
 // Hello opens a client↔QPC session. (Between QPC and DAP a HELLO frame
 // is the heartbeat's ping and carries no document.)
@@ -80,19 +81,19 @@ type ProcResult struct {
 // flush's), classes loaded and cache hits — is a span's; the QPC's
 // figures are sums over them (section 5.2's breakdown, qpc.summarize).
 // Span offsets are relative to the START's arrival; the QPC re-anchors
-// them onto its own timeline.
+// them onto its own timeline. It travels as a binary record (record.go),
+// not XML: it is a measurement, not a plan or metadata.
 type ExecStats struct {
-	XMLName xml.Name `xml:"exec-stats"`
-	Site    string   `xml:"site,attr"`
+	Site string
 	// Trace echoes the START's trace ID, a label only: the spans are
 	// reported with or without one.
-	Trace string `xml:"trace,attr,omitempty"`
+	Trace string
 	// Part and Of echo a placement-aware START's partition ID and
 	// pre-pruning partition count (Of > 0 marks a partitioned stream),
 	// letting the QPC verify each gathered stream's shard.
-	Part  int        `xml:"part,attr,omitempty"`
-	Of    int        `xml:"of,attr,omitempty"`
-	Spans []obs.Span `xml:"span"`
+	Part  int
+	Of    int
+	Spans []obs.Span
 }
 
 // EncodeXML marshals a control payload.

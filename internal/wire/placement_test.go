@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -14,10 +13,10 @@ import (
 
 // Round-trips for the placement-bearing wire objects: the START
 // document carrying a shard's partition coordinates, and the EOS stats
-// echoing them back. Both ride XML with omitempty attributes, so the
-// canonical forms (identifier-shaped names, non-negative coordinates,
-// Of > 0 marking a partitioned stream) must survive encode/decode
-// unchanged. Arbitrary runes are the fuzzer's business (FuzzFrame);
+// echoing them back. The START rides XML with omitempty attributes, the
+// stats a binary record, and the canonical forms (identifier-shaped
+// names, non-negative coordinates, Of > 0 marking a partitioned stream)
+// must survive encode/decode unchanged. Arbitrary runes are the fuzzer's business (FuzzFrame);
 // the generators here produce the shapes the QPC actually sends.
 
 func TestQuickActivateRoundTrip(t *testing.T) {
@@ -49,12 +48,12 @@ func TestQuickExecStatsShardEchoRoundTrip(t *testing.T) {
 			Site: fmt.Sprintf("site%d", site), Part: int(part), Of: int(of),
 			Spans: []obs.Span{{Name: obs.PhaseDapFlush, NetBytes: sent, RowsIn: read}},
 		}
-		data, err := EncodeXML(&in)
+		data, err := in.MarshalBinary()
 		if err != nil {
 			return false
 		}
 		var out ExecStats
-		if err := DecodeXML(data, &out); err != nil {
+		if err := out.UnmarshalBinary(data); err != nil {
 			return false
 		}
 		return out.Site == in.Site && out.Part == in.Part && out.Of == in.Of &&
@@ -67,7 +66,7 @@ func TestQuickExecStatsShardEchoRoundTrip(t *testing.T) {
 
 // TestExecStatsSpansRoundTrip pins the shard-stats payload a gathered
 // partition stream actually carries: partition coordinates plus the
-// DAP-side trace spans, all surviving the XML hop.
+// DAP-side trace spans, all surviving the record's hop.
 func TestExecStatsSpansRoundTrip(t *testing.T) {
 	spans := []obs.Span{
 		{Name: "dap:exec", Site: "site2", StartMicros: 10, DurMicros: 250,
@@ -75,12 +74,12 @@ func TestExecStatsSpansRoundTrip(t *testing.T) {
 		{Name: "dap:code", Site: "site2", CodeBytes: 321, Classes: 1, CacheHits: 2, SpillBytes: 64, RowsIn: 5},
 	}
 	in := ExecStats{Site: "site2", Part: 2, Of: 3, Spans: spans}
-	data, err := EncodeXML(&in)
+	data, err := in.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out ExecStats
-	if err := DecodeXML(data, &out); err != nil {
+	if err := out.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
 	got := out.Spans
@@ -92,10 +91,10 @@ func TestExecStatsSpansRoundTrip(t *testing.T) {
 			t.Errorf("span %d diverged:\n in  %+v\n out %+v", i, spans[i], got[i])
 		}
 	}
-	data, _ = EncodeXML(&ExecStats{Site: "site2"})
-	out = ExecStats{}
-	if err := DecodeXML(data, &out); err != nil || out.Spans != nil || bytes.Contains(data, []byte("span")) {
-		t.Errorf("empty span list should stay off the wire and decode to nil: %s (err %v)", data, err)
+	data, _ = (&ExecStats{Site: "site2"}).MarshalBinary()
+	out = ExecStats{Spans: spans}
+	if err := out.UnmarshalBinary(data); err != nil || out.Spans != nil || len(data) != 11 {
+		t.Errorf("empty span list should take one byte and decode to nil: %x (err %v)", data, err)
 	}
 }
 

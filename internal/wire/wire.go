@@ -2,8 +2,9 @@
 // paper (section 3.9.2) reports that Java RMI was too slow and fragile
 // and that the prototype built its own protocol directly on network
 // sockets; this package is that protocol: length-prefixed frames with a
-// one-byte message type, binary tuple batches, and XML control payloads
-// (the paper encodes plans and metadata as XML documents).
+// one-byte message type, binary tuple batches, XML control payloads (the
+// paper encodes plans and metadata as XML documents), and binary records
+// for the measurements that end a stream (record.go).
 package wire
 
 import (
@@ -38,7 +39,7 @@ const (
 	_               // 9: was ACTIVATE
 	MsgTupleBatch   // data stream (DAP → QPC, QPC → client): batch of schema-encoded tuples
 	MsgSemiJoinKeys // QPC → DAP: join-key set, right behind a semi-join START
-	MsgEOS          // end of tuple stream, carries the execution's or query's stats (XML)
+	MsgEOS          // end of tuple stream, carries the execution's or query's stats (binary record)
 	MsgError        // carries an error string; terminates the request
 	MsgAck          // bare acknowledgement; no exchange uses one now, the frame benchmark does
 	MsgClose

@@ -150,7 +150,7 @@ func TestBatchStreaming(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			return
 		}
-		stats, _ := EncodeXML(&ExecStats{Site: "test", Spans: []obs.Span{{Name: obs.PhaseDapFlush, Tuples: n}}})
+		stats, _ := (&ExecStats{Site: "test", Spans: []obs.Span{{Name: obs.PhaseDapFlush, Tuples: n}}}).MarshalBinary()
 		a.Send(MsgEOS, stats)
 	}()
 	r := NewBatchReader(b, testSchema)
@@ -172,7 +172,7 @@ func TestBatchStreaming(t *testing.T) {
 		t.Errorf("received %d tuples, want %d", count, n)
 	}
 	var stats ExecStats
-	if err := DecodeXML(r.EOSPayload, &stats); err != nil {
+	if err := stats.UnmarshalBinary(r.EOSPayload); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Site != "test" || len(stats.Spans) != 1 || stats.Spans[0].Tuples != n {

@@ -85,7 +85,7 @@ func (r *Rows) Next() (Tuple, error) {
 	}
 	if tup == nil && r.stats == nil && r.reader.EOSPayload != nil {
 		var qs QueryStats
-		if err := wire.DecodeXML(r.reader.EOSPayload, &qs); err != nil {
+		if err := qs.UnmarshalBinary(r.reader.EOSPayload); err != nil {
 			return nil, err
 		}
 		r.stats = &qs

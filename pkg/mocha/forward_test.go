@@ -66,7 +66,7 @@ func startRaw(t *testing.T, driver dap.AccessDriver, frag *core.Fragment, batchB
 		case wire.MsgTupleBatch:
 			out.frames = append(out.frames, payload)
 		case wire.MsgEOS:
-			if err := wire.DecodeXML(payload, &out.stats); err != nil {
+			if err := out.stats.UnmarshalBinary(payload); err != nil {
 				t.Fatal(err)
 			}
 			return out
