@@ -2,6 +2,7 @@ package vm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -283,17 +284,24 @@ func ring(n int) []byte {
 	return buf
 }
 
-// BenchmarkShoelace measures the area loop over a 64-vertex ring: a
-// float kernel of the cross product's shape.
-func BenchmarkShoelace(b *testing.B) {
-	p := MustAssemble(shoelaceSrc)
-	m := New(Limits{})
-	args := []Value{BytesVal(ring(64))}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(p, 0, nil, args); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkShoelace measures the area loop over a 64-vertex ring and an
+// 8-vertex one, where what a kernel spends on entry shows: a float
+// kernel of the cross product's shape.
+func BenchmarkShoelace(b *testing.B) { benchRings(b, shoelaceSrc) }
+
+// benchRings runs src's eval over rings of 64 and of 8 vertices.
+func benchRings(b *testing.B, src string) {
+	p := MustAssemble(src)
+	for _, n := range []int{64, 8} {
+		b.Run(fmt.Sprintf("vertices=%d", n), func(b *testing.B) {
+			m := New(Limits{})
+			args := []Value{BytesVal(ring(n))}
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Run(p, 0, nil, args); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -376,19 +384,9 @@ empty:
   ret
 end`
 
-// BenchmarkPerimeter measures the perimeter loop over a 64-vertex ring:
-// a float kernel of the hypotenuse's shape.
-func BenchmarkPerimeter(b *testing.B) {
-	p := MustAssemble(perimeterSrc)
-	m := New(Limits{})
-	args := []Value{BytesVal(ring(64))}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(p, 0, nil, args); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkPerimeter measures the perimeter loop over a 64-vertex ring
+// and an 8-vertex one: a float kernel of the hypotenuse's shape.
+func BenchmarkPerimeter(b *testing.B) { benchRings(b, perimeterSrc) }
 
 // totalLengthSrc is the shipped TotalLength operator's function: each
 // edge's two ends read by index, their distance summed.

@@ -182,6 +182,53 @@ func TestShippedLoopsFuse(t *testing.T) {
 	}
 }
 
+// TestKernelsAllocateNothing pins what a warm run of a shipped loop
+// costs the heap: AvgEnergy's byte reduction, the float kernels of Area,
+// Perimeter and TotalLength allocate nothing per run, and IncrRes
+// allocates once — the buffer its bnew returns.
+func TestKernelsAllocateNothing(t *testing.T) {
+	pix := make([]byte, 64*48)
+	for i := range pix {
+		pix[i] = byte(i)
+	}
+	ring := make([]types.Point, 29)
+	for i := range ring {
+		a := 2 * math.Pi * float64(i) / float64(len(ring))
+		ring[i] = types.Point{X: float32(10 * math.Cos(a)), Y: float32(10 * math.Sin(a))}
+	}
+	edges := make([]types.GraphEdge, len(ring)-1)
+	for i := range edges {
+		edges[i] = types.GraphEdge{A: int32(i), B: int32(i + 1)}
+	}
+	raster, polygon := types.NewRaster(64, 48, pix), types.NewPolygon(ring)
+	for _, c := range []struct {
+		op     string
+		args   []types.Object
+		allocs float64
+	}{
+		{"AvgEnergy", []types.Object{raster}, 0},
+		{"Area", []types.Object{polygon}, 0},
+		{"Perimeter", []types.Object{polygon}, 0},
+		{"TotalLength", []types.Object{types.NewGraph(ring, edges)}, 0},
+		{"IncrRes", []types.Object{raster, types.Int(2)}, 1},
+	} {
+		def, ok := ops.Builtins().Lookup(c.op)
+		if !ok {
+			t.Fatalf("no operator %s", c.op)
+		}
+		p, m, args := def.Program(), vm.New(vm.Limits{}), vmArgs(c.args)
+		run := func() {
+			if _, err := m.Run(p, p.FuncIndex("eval"), nil, args); err != nil {
+				t.Fatalf("%s: %v", c.op, err)
+			}
+		}
+		run() // warm: compiled, registers sized
+		if got := testing.AllocsPerRun(20, run); got != c.allocs {
+			t.Errorf("%s allocates %v per run, want %v", c.op, got, c.allocs)
+		}
+	}
+}
+
 func vmArgs(row []types.Object) []vm.Value {
 	out := make([]vm.Value, len(row))
 	for i, o := range row {

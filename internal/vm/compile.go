@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -299,11 +300,8 @@ func (c *fcomp) loop(b *block) {
 // kernel compiles a counted loop to one closure: a byte access, then
 // steps r[x] += r[c]*kc + k of its offset registers — the counters — by
 // what the loop does not write, and a test of a counter against that or
-// a constant. It holds counters (and a sum) in Go variables, runs whole
-// iterations in order, each after its own preconditions — the buffers'
-// kinds and W, both offsets in range, fuel for all of it — and says if
-// the loop exited. Where one fails, the block's statements run that
-// iteration and trap as the reference does; short of fuel, the blocks.
+// a constant. It runs, unchecked, what the run rule (runLen) and both
+// offsets' room allow; the statements run the next iteration and trap.
 func (c *fcomp) kernel(b *block, t form, n int64, back bool) func(*Machine) bool {
 	fs := c.forms[b]
 	if len(fs) == 0 || fs[0].op != fLoadAdd && fs[0].op != fCopy {
@@ -328,44 +326,89 @@ func (c *fcomp) kernel(b *block, t form, n int64, back bool) func(*Machine) bool
 	so, si, st := steps[acc.b], steps[acc.c], steps[t.b]
 	inc := func(r []int64, f form) int64 { return r[f.c]*f.kc + f.k }
 	a, ob, kb, ic, kc, dst, src, op, tb, tc, tkc, tk := acc.a, acc.b, acc.kb, acc.c, acc.kc, acc.dst, acc.src, t.op, t.b, t.c, t.kc, t.k
-	if sum { // a byte reduction
-		return func(m *Machine) bool {
-			r, s := m.r, &m.v[src]
-			if s.K != VBytes {
-				return false
-			}
-			sb, fuel, done := s.B, m.fuel, false
-			total, i, x, di, dx := r[a], r[ic], r[tb], inc(r, si), inc(r, st)
-			for fuel >= n && uint64(i+kc) < uint64(len(sb)) {
-				fuel -= n
-				total += int64(sb[i+kc])
-				if i, x = i+di, x+dx; passes(op, x, r[tc]*tkc+tk) != back {
-					done = true
-					break
-				}
-			}
-			r[a], r[ic], m.fuel = total, i, fuel
-			return done
-		}
-	}
-	return func(m *Machine) bool { // a strided copy
+	return func(m *Machine) bool {
 		r, d, s := m.r, &m.v[dst], &m.v[src]
-		if d.K != VBytes || !d.W || s.K != VBytes {
+		if s.K != VBytes || !sum && (d.K != VBytes || !d.W) {
 			return false
 		}
-		db, sb, fuel, done := d.B, s.B, m.fuel, false
-		o, i, x, do, di, dx := r[ob], r[ic], r[tb], inc(r, so), inc(r, si), inc(r, st)
-		for fuel >= n && uint64(o+kb) < uint64(len(db)) && uint64(i+kc) < uint64(len(sb)) {
-			fuel -= n
-			db[o+kb] = sb[i+kc]
-			if o, i, x = o+do, i+di, x+dx; passes(op, x, r[tc]*tkc+tk) != back {
-				done = true
-				break
-			}
+		o, do, i, di, x, dx, y := r[ob], inc(r, so), r[ic], inc(r, si), r[tb], inc(r, st), r[tc]*tkc+tk
+		db, sb, k := d.B, s.B, runLen(m.fuel, n, op, back, x, dx, y)
+		if k = room(i+kc, di, int64(len(sb))-1, k); !sum {
+			k = room(o+kb, do, int64(len(db))-1, k)
 		}
-		r[ob], r[ic], m.fuel = o, i, fuel
-		return done
+		if sum { // a byte reduction
+			total, p, j := r[a], i+kc, k
+			for ; di == 1 && j >= 8; p, j = p+8, j-8 { // eight bytes at a time: a sum's order is free
+				w := binary.LittleEndian.Uint64(sb[p:])
+				w = w&0x00ff00ff00ff00ff + w>>8&0x00ff00ff00ff00ff
+				w = w&0x0000ffff0000ffff + w>>16&0x0000ffff0000ffff
+				total += int64(w&0xffffffff + w>>32)
+			}
+			for ; j > 0; j-- {
+				total += int64(sb[p])
+				p += di
+			}
+			r[a] = total
+		} else { // a strided copy, in order: a source aliasing the destination reads what was written
+			for po, pi, j := o+kb, i+kc, k; j > 0; j-- {
+				db[po] = sb[pi]
+				po, pi = po+do, pi+di
+			}
+			r[ob] = o + k*do
+		}
+		r[ic], m.fuel = i+k*di, m.fuel-k*n
+		return k > 0 && passes(op, x+k*dx, y) != back
 	}
+}
+
+// runLen is the run rule: how many whole iterations a loop kernel may
+// run unchecked — what the fuel covers at n each, up to the first whose
+// test, counter x stepped by dx against y, may not say back: x stays on
+// its side of y, unwrapped, for what one division says, or less.
+func runLen(fuel, n int64, op uint8, back bool, x, dx, y int64) int64 {
+	if x += dx; fuel < n || passes(op, x, y) != back {
+		return min(fuel/n, 1)
+	}
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64) // the values about x the test goes round on
+	switch {
+	case op == fEq && back:
+		lo, hi = y, y
+	case op == fEq && x < y, back:
+		if hi = y; op != fLe {
+			hi--
+		}
+	default:
+		if lo = y; op != fLt {
+			lo++
+		}
+	}
+	c := uint64(math.MaxUint64) // further steps that stay in [lo, hi]
+	switch {
+	case dx == 1: // no division for the commonest step
+		c = uint64(hi) - uint64(x)
+	case dx > 0:
+		c = (uint64(hi) - uint64(x)) / uint64(dx)
+	case dx < 0:
+		c = (uint64(x) - uint64(lo)) / -uint64(dx)
+	}
+	if h, l := bits.Mul64(c+2, uint64(n)); c < math.MaxUint64-1 && h == 0 && l <= uint64(fuel) {
+		return int64(c) + 2 // the fuel covers them
+	}
+	return fuel / n
+}
+
+// room is how many of k iterations an access at p, moved by dp each,
+// keeps in [0, last]: all, when the last does and dp·(k−1) is small.
+func room(p, dp, last, k int64) int64 {
+	switch e := p + dp*(k-1); {
+	case p < 0 || p > last:
+		return 0
+	case dp == 0 || -1<<31 < dp && dp < 1<<31 && k < 1<<31 && 0 <= e && e <= last:
+		return k
+	case dp > 0:
+		return min(k, (last-p)/dp+1)
+	}
+	return min(k, int64(uint64(p)/-uint64(dp))+1)
 }
 
 // floatKernel compiles a float loop to one closure. Its body is, in
@@ -374,16 +417,11 @@ func (c *fcomp) kernel(b *block, t form, n int64, back bool) func(*Machine) bool
 // the shapes fshape knows, whose reads are of one buffer at an int
 // register plus a constant; at most one copy r[a] = r[b] of what the
 // floats read before it — the previous vertex; and the step of the
-// counter the test reads, by what the loop does not write. It checks the
-// buffer's kind once and holds its bytes, keeps the int registers it
-// touches and the sum in Go variables, and runs whole iterations, each
-// after its own preconditions: fuel for all of it, every index read and
-// every float read in range. Then no instruction of the iteration can
-// trap, and it computes what the statements do, in their order. Where a
-// precondition fails, it writes the registers back and the block's
-// statements run that iteration and trap as the reference does; what it
-// wrote of that iteration was offsets, which they write again before
-// they read them.
+// counter the test reads, by what the loop does not write.
+//
+// It runs what the run rule and room allow in a loop chosen here (floop,
+// else each): with affine offsets, reads are affine from the second
+// iteration on; with gathers, the index reads are.
 func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 	if len(fs) < 2 || t.op < fEq {
 		return nil
@@ -435,116 +473,224 @@ func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 			return nil
 		}
 	}
-	// The int registers the kernel reads or writes, each in a slot of a
-	// Go array; the test's bound and the step are fixed, read once.
-	var regs []int
-	slot := func(g int) int {
-		i := slices.Index(regs, g)
-		if i < 0 {
-			i, regs = len(regs), append(regs, g)
+	gather := slices.ContainsFunc(offs, func(f form) bool { return f.op == fGather })
+	at := func(g int) int { return slices.IndexFunc(offs, func(f form) bool { return f.a == g }) }
+	step := func(g int) (s int64) { // how far register g moves an iteration, in counter steps
+		f := form{b: g, kb: 1}
+		if i := at(g); i >= 0 {
+			f = offs[i]
 		}
-		return i
+		if f.b == ctr {
+			s += f.kb
+		}
+		if f.c == ctr {
+			s += f.kc
+		}
+		return s
 	}
-	var ls [4]int
-	var lk, lw [4]int64
+	fk := &fkern{sh: sh, ko: offs, ca: -1, cs: ctr}
+	f32 := true
 	for i, l := range sh.leaves {
 		if !buffer(l.src) || fdst[l.reg] {
 			return nil
 		}
-		ls[i], lk[i], lw[i] = slot(l.reg), l.k, 4
+		fk.lr[i], fk.lo[i], fk.lk[i], fk.lw[i], fk.lc[i] = l.reg, at(l.reg), l.k, 4, step(l.reg)
+		if len(rest) == 1 && l.reg == rest[0].a { // a copy moves as what it copies
+			fk.lc[i] = step(rest[0].b)
+		}
 		if l.op == OpLdF64 {
-			lw[i] = 8
+			fk.lw[i], f32 = 8, false
 		}
 	}
-	var ko [2]form // the offsets, their registers renumbered to slots
 	for i, f := range offs {
-		f.a, f.b, f.c = slot(f.a), slot(f.b), slot(f.c)
-		ko[i] = f
+		fk.oc[i] = step(f.a)
 	}
-	nko, ca, cb := len(offs), -1, -1
 	if len(rest) == 1 {
-		ca, cb = slot(rest[0].a), slot(rest[0].b)
+		fk.ca, fk.cb = rest[0].a, rest[0].b
 	}
-	cs, tc, tkc, tk, sc, skc, sk := slot(ctr), t.c, t.kc, t.k, st.c, st.kc, st.k
-	if len(regs) > kslots {
-		return nil
+	lr, lk, ca, cb := fk.lr, fk.lk, fk.ca, fk.cb // a ring: two reads are the other two's, an iteration on
+	switch {
+	case !f32:
+	case gather && sh.hyp && len(offs) == 2 && len(rest) == 0 && offs[0].op == offs[1].op && !slices.Contains(fk.lo[:], -1):
+		fk.loop = floopGatherHyp32
+	case gather:
+	case sh.hyp && lr == [4]int{cb, ca, cb, ca} && lk[0] == lk[1] && lk[2] == lk[3]:
+		fk.loop = floopHyp32
+	case !sh.hyp && lr == [4]int{ca, cb, cb, ca} && lk[0] == lk[2] && lk[1] == lk[3]:
+		fk.loop = floopCross32
 	}
-	top, hyp, fop, left, s, tr, ur := t.op, sh.hyp, sh.op, sh.left, sh.s, sh.t, sh.u
+	top, tc, tkc, tk, sc, skc, sk := t.op, t.c, t.kc, t.k, st.c, st.kc, st.k
 	return func(m *Machine) bool {
 		v := &m.v[src]
 		if v.K != VBytes || len(v.B) < 8 { // a read of none of it
 			return false
 		}
-		r, buf, fuel, done := m.r, v.B, m.fuel, false
-		size, y, inc := int64(len(buf)), r[tc]*tkc+tk, r[sc]*skc+sk
-		acc, d, e := math.Float64frombits(uint64(r[s])), math.Float64frombits(uint64(r[tr])), math.Float64frombits(uint64(r[ur]))
-		ls, lk, lw, ko0, ko1 := ls, lk, lw, ko[0], ko[1] // the loop's, not the closure's
-		l0, l1, l2, l3 := uint64(size-lw[0]), uint64(size-lw[1]), uint64(size-lw[2]), uint64(size-lw[3])
-		var x [kslots]int64
-		for i, g := range regs {
-			x[i] = r[g]
-		}
-		for fuel >= n {
-			if nko > 0 && !ko0.set(&x, buf) || nko > 1 && !ko1.set(&x, buf) {
-				break
+		r, buf, last := m.r, v.B, int64(len(v.B))
+		c, y, inc := r[ctr], r[tc]*tkc+tk, r[sc]*skc+sk
+		k, j := runLen(m.fuel, n, top, back, c, inc, y), int64(0) // j: iterations run
+		acc, t, u := math.Float64frombits(uint64(r[sh.s])), 0.0, 0.0
+		var p, d [4]int64 // where a loop starts reading, and how far that moves an iteration
+		switch {
+		case fk.loop == nil:
+			j, acc, t, u = fk.each(r, buf, k, inc, acc)
+		case gather: // from the index reads
+			for i := range fk.ko {
+				f := &fk.ko[i]
+				p[i], d[i] = r[f.b]*f.kb+r[f.c]*f.kc+f.k, inc*fk.oc[i]
+				k = room(p[i], d[i], last-4, k)
 			}
-			p0, p1, p2, p3 := x[ls[0]]+lk[0], x[ls[1]]+lk[1], x[ls[2]]+lk[2], x[ls[3]]+lk[3]
-			if uint64(p0) > l0 || uint64(p1) > l1 || uint64(p2) > l2 || uint64(p3) > l3 {
-				break
+			j, acc, t, u = fk.loop(fk, buf, k, p, d, acc)
+		default: // the first iteration on its own, as a copy reads apart; then from the second
+			j, acc, t, u = fk.each(r, buf, min(k, 1), inc, acc)
+			for i := range p {
+				if p[i], d[i] = r[fk.lr[i]]+fk.lk[i], inc*fk.lc[i]; fk.lo[i] >= 0 {
+					p[i] += d[i] // the offset the first iteration left, moved on
+				}
+				k = min(k, room(p[i], d[i], last-fk.lw[i], k-1)+1)
 			}
-			fuel -= n
-			a, b, c, q := fload(buf, p0, lw[0]), fload(buf, p1, lw[1]), fload(buf, p2, lw[2]), fload(buf, p3, lw[3])
-			var p float64
-			if hyp {
-				d = float64(a - b)
-				d = float64(d * d)
-				e = float64(c - q)
-				p = math.Sqrt(float64(d + float64(e*e)))
-			} else {
-				p = float64(float64(a*b) - float64(c*q))
-			}
-			if left {
-				acc = farith(fop, acc, p)
-			} else {
-				acc = farith(fop, p, acc)
-			}
-			if ca >= 0 {
-				x[ca] = x[cb]
-			}
-			if x[cs] += inc; passes(top, x[cs], y) != back {
-				done = true
-				break
+			if j == 1 && k > 1 {
+				_, acc, t, u = fk.loop(fk, buf, k-1, p, d, acc)
+				j = k
 			}
 		}
-		for i, g := range regs {
-			r[g] = x[i]
+		if j == 0 {
+			return false
 		}
-		r[s] = int64(math.Float64bits(acc))
-		if hyp {
-			r[tr], r[ur] = int64(math.Float64bits(d)), int64(math.Float64bits(e))
+		r[ctr] = c + (j-1)*inc // the registers as the last iteration left them
+		fk.next(r, buf, inc, false)
+		r[sh.s] = int64(math.Float64bits(acc))
+		if sh.hyp {
+			r[sh.t], r[sh.u] = int64(math.Float64bits(t)), int64(math.Float64bits(u))
 		}
-		m.fuel = fuel
-		return done
+		m.fuel -= j * n
+		return j == k && passes(top, r[ctr], y) != back
 	}
 }
 
-// set computes a float kernel's offset, an fAffine or fGather form whose
-// registers are slots of x, into x, or reports that its read of buf
-// would trap.
-func (f *form) set(x *[kslots]int64, buf []byte) bool {
-	o := x[f.b]*f.kb + x[f.c]*f.kc + f.k
+// fkern is what compiling a float kernel fixes.
+type fkern struct {
+	sh         fshape
+	ko         []form   // the offsets
+	oc         [2]int64 // how far each moves an iteration, in counter steps
+	lr, lo     [4]int   // each read's register, and the offset that is, or -1
+	lk, lw, lc [4]int64 // its constant, its width, how far it moves
+	ca, cb, cs int      // the copy's registers, or -1; the counter
+	loop       floop    // nil: each
+}
+
+// A floop runs n iterations of a float kernel of its shape and layout
+// from reads at p, moved by d an iteration (with gathers, their index
+// reads), and says how many it ran, the sum, and the last t and u.
+type floop func(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (int64, float64, float64, float64)
+
+func floopCross32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (int64, float64, float64, float64) {
+	p1, p2, step, left, op := p[1], p[2], d[1], k.sh.left, k.sh.op
+	va, vd := fload(b, p[0], 4), fload(b, p[3], 4) // then what reads 2 and 1 read an iteration before
+	for j := n; j > 0; j-- {
+		vb, vc := fload(b, p1, 4), fload(b, p2, 4)
+		acc = fsum(left, op, acc, fcross(va, vb, vc, vd))
+		va, vd, p1, p2 = vc, vb, p1+step, p2+step
+	}
+	return n, acc, 0, 0
+}
+
+func floopHyp32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (int64, float64, float64, float64) {
+	p0, p2, step, left, op := p[0], p[2], d[0], k.sh.left, k.sh.op
+	vb, vd := fload(b, p[1], 4), fload(b, p[3], 4) // then what reads 0 and 2 read an iteration before
+	var q, t, u float64
+	for j := n; j > 0; j-- {
+		va, vc := fload(b, p0, 4), fload(b, p2, 4)
+		q, t, u = fhyp(va, vb, vc, vd)
+		acc = fsum(left, op, acc, q)
+		vb, vd, p0, p2 = va, vc, p0+step, p2+step
+	}
+	return n, acc, t, u
+}
+
+func floopGatherHyp32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (int64, float64, float64, float64) {
+	var q, t, u float64
+	for j, l := int64(0), uint64(len(b)-4); j < n; j++ {
+		g := [2]int64{k.ko[0].gather(b, p[0]+j*d[0]), k.ko[1].gather(b, p[1]+j*d[1])}
+		p0, p1, p2, p3 := g[k.lo[0]&1]+k.lk[0], g[k.lo[1]&1]+k.lk[1], g[k.lo[2]&1]+k.lk[2], g[k.lo[3]&1]+k.lk[3]
+		if uint64(p0) > l || uint64(p1) > l || uint64(p2) > l || uint64(p3) > l {
+			return j, acc, t, u
+		}
+		q, t, u = fhyp(fload(b, p0, 4), fload(b, p1, 4), fload(b, p2, 4), fload(b, p3, 4))
+		acc = fsum(k.sh.left, k.sh.op, acc, q)
+	}
+	return n, acc, t, u
+}
+
+// each runs up to n iterations of any float kernel a step of registers r
+// at a time, and says as a floop does.
+func (k *fkern) each(r []int64, b []byte, n, inc int64, acc float64) (j int64, _, t, u float64) {
+	for ; j < n; j++ {
+		p, ok := k.next(r, b, inc, true)
+		if !ok {
+			break
+		}
+		f0, f1, f2, f3 := fload(b, p[0], k.lw[0]), fload(b, p[1], k.lw[1]), fload(b, p[2], k.lw[2]), fload(b, p[3], k.lw[3])
+		q := fcross(f0, f1, f2, f3)
+		if k.sh.hyp {
+			q, t, u = fhyp(f0, f1, f2, f3)
+		}
+		acc = fsum(k.sh.left, k.sh.op, acc, q)
+	}
+	return j, acc, t, u
+}
+
+// next runs one iteration of the kernel on registers r, the floats
+// aside, and says where its reads are — or, checking them, that one
+// would trap: it stopped after the offsets.
+func (k *fkern) next(r []int64, b []byte, inc int64, check bool) (q [4]int64, ok bool) {
+	for i := range k.ko {
+		if !k.ko[i].set(r, b) {
+			return q, false
+		}
+	}
+	for i := range q {
+		if q[i] = r[k.lr[i]] + k.lk[i]; check && uint64(q[i]) > uint64(int64(len(b))-k.lw[i]) {
+			return q, false
+		}
+	}
+	if k.ca >= 0 {
+		r[k.ca] = r[k.cb]
+	}
+	r[k.cs] += inc
+	return q, true
+}
+
+// fcross and fhyp are the two shapes' terms: the shoelace's a·b − c·d,
+// and the segment's sqrt(t + u·u) with t = (a−b)² and u = c−d, which it
+// returns too. Each operation rounds to float64 on its own, as the
+// reference's do: the conversions keep the Go compiler from fusing a
+// multiply and an add into one FMA.
+func fcross(a, b, c, d float64) float64 { return float64(float64(a*b) - float64(c*d)) }
+
+func fhyp(a, b, c, d float64) (float64, float64, float64) {
+	t, u := float64(a-b), float64(c-d)
+	t = float64(t * t)
+	return math.Sqrt(float64(t + float64(u*u))), t, u
+}
+
+// set computes a float kernel's offset, an fAffine or fGather form, into
+// registers r, or reports that its read of buf would trap.
+func (f *form) set(r []int64, buf []byte) bool {
+	o := r[f.b]*f.kb + r[f.c]*f.kc + f.k
 	if f.op == fGather {
 		if uint64(o) > uint64(len(buf)-4) {
 			return false
 		}
-		o = int64(int32(binary.BigEndian.Uint32(buf[o:o+4])))*f.km + f.ka
+		o = f.gather(buf, o)
 	}
-	x[f.a] = o
+	r[f.a] = o
 	return true
 }
 
-// A float kernel holds at most kslots int registers in a Go array.
-const kslots = 8
+// gather is an fGather form's value where its index is at o.
+func (f *form) gather(b []byte, o int64) int64 {
+	return int64(int32(binary.BigEndian.Uint32(b[o:o+4])))*f.km + f.ka
+}
 
 // fshape is the shape of a float kernel's statements, one of two: the
 // shoelace's sum of a cross product, s = s op (a*b - c*d); and a
@@ -616,12 +762,16 @@ func fload(b []byte, o, w int64) float64 {
 	return float64(math.Float32frombits(binary.BigEndian.Uint32(b[o : o+4])))
 }
 
-// farith is x op y for op addf or subf, rounded to float64.
-func farith(op Op, x, y float64) float64 {
-	if op == OpSubF {
-		return float64(x - y)
+// fsum is a shape's sum of acc and q, op addf or subf, rounded to
+// float64; left, acc is its first operand.
+func fsum(left bool, op Op, acc, q float64) float64 {
+	if !left {
+		acc, q = q, acc
 	}
-	return float64(x + y)
+	if op == OpSubF {
+		return float64(acc - q)
+	}
+	return float64(acc + q)
 }
 
 // passes evaluates test form op on x and y.

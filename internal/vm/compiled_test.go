@@ -503,14 +503,14 @@ end`)
 }
 
 // fusedLoop writes one of the loop shapes TestFusedLoopParity runs. A
-// counter i (local 1) goes from arg 1 while below arg 2 (local 2), by
-// arg 3 (local 5). Each iteration reads the byte at i+off of arg 0 — or,
+// counter i (local 1) goes from arg 1 while test — lt when empty — holds
+// of it and arg 2 (local 2), by arg 3 (local 5). Each iteration reads the byte at i+off of arg 0 — or,
 // aliased, of arg 4 from its second byte on; the rotated and self-loop
 // shapes and the reduction add it to local 0, the first two also storing
 // that in a global, so no kernel runs them; the copy writes it to arg 4
 // at o+off, o (local 3) starting at arg 1 and stepped by 2. writeLimit
 // has the body lower the limit register as well.
-func fusedLoop(shape string, off int64, alias, writeLimit bool) string {
+func fusedLoop(shape, test string, off int64, alias, writeLimit bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "program fused\nglobals 1\nconst off int %d\nfunc eval args=5 locals=6\n", off)
 	b.WriteString("arg 1\npushi 0\naddi\nstore 1\narg 2\npushi 0\naddi\nstore 2\narg 3\npushi 0\naddi\nstore 5\nload 1\nstore 3\n")
@@ -530,10 +530,14 @@ func fusedLoop(shape string, off int64, alias, writeLimit bool) string {
 		body += "load 2\npushi -1\naddi\nstore 2\n"
 	}
 	body += "load 1\nload 5\naddi\nstore 1\n"
+	pre := "load 1\nload 2\nge\njnz done\n"
+	if test = cmp.Or(test, "lt"); test != "lt" {
+		pre = "load 1\nload 2\n" + test + "\njz done\n"
+	}
 	if shape == "rotated" || shape == "byte reduction" {
-		b.WriteString("head:\nload 1\nload 2\nlt\njz done\n" + body + "jmp head\n")
+		b.WriteString("head:\nload 1\nload 2\n" + test + "\njz done\n" + body + "jmp head\n")
 	} else {
-		b.WriteString("load 1\nload 2\nge\njnz done\nbody:\n" + body + "load 1\nload 2\nlt\njnz body\n")
+		b.WriteString(pre + "body:\n" + body + "load 1\nload 2\n" + test + "\njnz body\n")
 	}
 	if shape == "strided copy" {
 		b.WriteString("done:\narg 4\nret\nend")
@@ -545,9 +549,13 @@ func fusedLoop(shape string, off int64, alias, writeLimit bool) string {
 
 // TestFusedLoopParity runs each way a loop runs in place — rotated, a
 // self-loop, the two byte kernels and the float kernel's three shapes —
-// against the reference, clean and at every edge a kernel checks for
-// itself, at every fuel value from 1 to the run's whole count: value (a
-// float's bits), trap, globals and instructions agree.
+// against the reference, clean and at every edge of a kernel's run, at
+// every fuel value from 1 to the run's whole count, so that a run ends
+// on the fuel edge at every iteration: value (a float's bits), trap,
+// globals and instructions agree. The run's edges are where the run
+// rule's closed form and room could be off by one: zero, negative and
+// wide strides, each test and its negation, counters and limits near
+// ±2^62 and MaxInt64, where a step wraps.
 func TestFusedLoopParity(t *testing.T) {
 	seq := func(n int, w bool) Value {
 		b := make([]byte, n)
@@ -558,10 +566,12 @@ func TestFusedLoopParity(t *testing.T) {
 	}
 	type row struct {
 		name               string
-		start, limit, step int64
+		start, limit, step int64 // step 0 is 1, unless still
+		test               string
 		src, dst           Value
-		off                int64
+		off, fuel          int64 // fuel: the whole run's, where it never ends
 		alias, writeLimit  bool
+		still              bool
 	}
 	rows := []row{
 		{name: "clean", limit: 10},
@@ -575,13 +585,36 @@ func TestFusedLoopParity(t *testing.T) {
 		{name: "source aliases the destination", limit: 12, alias: true},
 		{name: "limit register written in the body", limit: 12, writeLimit: true},
 		{name: "counter step wraps past MaxInt64", start: math.MaxInt64 - 1, limit: math.MaxInt64, step: 3, off: 3 - math.MaxInt64},
+		{name: "a run of seven bytes", limit: 7},
+		{name: "a run of fifteen bytes", limit: 15},
+		{name: "bytes of 128 and up", limit: 16, src: Value{K: VBytes, B: bytes.Repeat([]byte{0xff, 0x80, 0xfe, 0x81}, 4)}},
+		{name: "zero stride", limit: 10, still: true, fuel: 300},
+		{name: "negative stride into a bounds trap", start: 10, limit: 20, step: -1},
+		{name: "negative stride, gt test", start: 15, limit: 4, step: -2, test: "gt"},
+		{name: "negative stride, ge test", start: 15, limit: 3, step: -3, test: "ge"},
+		{name: "stride 3, bounds trap mid-run", limit: 40, step: 3},
+		{name: "stride 5, run ends on the limit", start: 1, limit: 16, step: 5},
+		{name: "le test", start: 2, limit: 9, test: "le"},
+		{name: "le test, bounds trap at the limit", limit: 16, test: "le"},
+		{name: "eq test", start: 4, limit: 4, test: "eq"},
+		{name: "eq test, zero stride", start: 4, limit: 4, test: "eq", still: true, fuel: 300},
+		{name: "ne test reaching the limit", start: 1, limit: 13, step: 3, test: "ne"},
+		{name: "ne test stepping over the limit", start: 1, limit: 12, step: 3, test: "ne"},
+		{name: "ne test counting down", start: 15, limit: 3, step: -4, test: "ne"},
+		{name: "counter near 2^62", start: 1 << 62, limit: 1<<62 + 10, off: -1 << 62},
+		{name: "counter near -2^62", start: -1 << 62, limit: -1<<62 + 13, step: 2, off: 1 << 62},
+		{name: "stride 2^62", limit: math.MaxInt64, step: 1 << 62},
+		{name: "limit MaxInt64, le test: the counter wraps", start: math.MaxInt64 - 6, limit: math.MaxInt64, test: "le", off: 7 - math.MaxInt64},
+		{name: "limit MaxInt64, ne test: the counter wraps", start: math.MaxInt64 - 6, limit: math.MaxInt64, step: 2, test: "ne", off: 7 - math.MaxInt64},
+		{name: "limit MinInt64, ge test: the counter wraps", start: math.MinInt64 + 5, limit: math.MinInt64, step: -1, test: "ge", off: math.MinInt64 + 10},
+		{name: "limit MinInt64, gt test", start: math.MinInt64 + 9, limit: math.MinInt64 + 2, step: -2, test: "gt", off: math.MinInt64 + 6},
 	}
 	shapes := map[string]string{"rotated": "[rotated]", "self-loop": "[self]",
 		"byte reduction": "[rotated kernel]", "strided copy": "[self kernel]"}
 	for _, shape := range []string{"rotated", "self-loop", "byte reduction", "strided copy"} {
 		for _, r := range rows {
 			t.Run(shape+"/"+r.name, func(t *testing.T) {
-				p := MustAssemble(fusedLoop(shape, r.off, r.alias, r.writeLimit))
+				p := MustAssemble(fusedLoop(shape, r.test, r.off, r.alias, r.writeLimit))
 				want := shapes[shape]
 				if r.writeLimit { // the limit is no longer what a kernel may hold
 					want = strings.ReplaceAll(want, " kernel", "")
@@ -595,8 +628,12 @@ func TestFusedLoopParity(t *testing.T) {
 				if r.dst.B == nil {
 					r.dst = seq(32, true)
 				}
-				args := []Value{r.src, IntVal(r.start), IntVal(r.limit), IntVal(cmp.Or(r.step, 1)), r.dst}
-				full := parity(t, p, 0, Limits{}, args)
+				step := cmp.Or(r.step, 1)
+				if r.still {
+					step = 0
+				}
+				args := []Value{r.src, IntVal(r.start), IntVal(r.limit), IntVal(step), r.dst}
+				full := parity(t, p, 0, Limits{MaxFuel: r.fuel}, args)
 				for fuel := int64(1); fuel <= full.instrs; fuel++ {
 					parity(t, p, 0, Limits{MaxFuel: fuel}, args)
 				}
@@ -626,8 +663,9 @@ func TestFusedLoopParity(t *testing.T) {
 
 	// The float kernel's shapes, at the same edges and at its own: special
 	// values, reads of both widths, a gather at an index past the vertices
-	// or past the edge list, and a cross product whose multiply and
-	// subtract, fused, would round once instead of twice.
+	// or past the edge list, a cross product whose multiply and subtract,
+	// fused, would round once instead of twice, and rings of 0 to 3
+	// vertices — short runs, and a first iteration that is all of one.
 	one := 1 + math.Ldexp(1, -30)
 	ringPts := func(n int) [][2]float64 {
 		pts := make([][2]float64, n)
@@ -659,6 +697,13 @@ func TestFusedLoopParity(t *testing.T) {
 		{name: "reads of both widths", pts: ringPts(8), n: 8, start: 7, wide: true},
 		{name: "test reads the sum", pts: ringPts(8), n: 8, start: 7, testSum: true},
 		{name: "fused multiply-subtract would differ", pts: [][2]float64{{one, one}, {one, one}}, n: 2, start: 1, wide: true},
+		{name: "no vertices", pts: ringPts(0)},
+		{name: "one vertex", pts: ringPts(1), n: 1},
+		{name: "two vertices", pts: ringPts(2), n: 2, start: 1},
+		{name: "three vertices", pts: ringPts(3), n: 3, start: 2},
+		{name: "one vertex, ldf64 leaves", pts: ringPts(1), n: 1, wide: true},
+		{name: "three vertices, ldf64 leaves", pts: ringPts(3), n: 3, start: 2, wide: true},
+		{name: "ldf64 leaves, bounds trap in the middle", pts: ringPts(5), n: 8, start: 4, wide: true},
 	}
 	for _, shape := range []string{"shoelace", "perimeter", "gather"} {
 		gather := shape == "gather"
@@ -713,7 +758,7 @@ func TestFusedLoopParity(t *testing.T) {
 	// The committed fuzz seeds for the kernels' edges, wrapped as the fuzz
 	// targets wrap them, must still be kernels.
 	t.Run("fuzz seeds are kernels", func(t *testing.T) {
-		for _, src := range slices.Concat(fuseSeedSrcs, floatSeedSrcs) {
+		for _, src := range slices.Concat(fuseSeedSrcs, fuseRunSeedSrcs, floatSeedSrcs) {
 			f := MustAssemble(src).Funcs[0]
 			p := fuzzProgram(f.Code, uint8(f.NArgs), 0)
 			if err := Verify(p); err != nil {

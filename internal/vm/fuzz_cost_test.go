@@ -92,6 +92,36 @@ var fuseSeedSrcs = []string{
 	countedReduction(8192, 8192),
 }
 
+// fuseRunSeedSrcs are the loop kernels at the edges of a run, where the
+// run rule's closed form or an access's room could be one off: a
+// negative stride into a bounds trap, a counter wrapping past MaxInt64
+// under an le test that always goes round, a stride of 3 trapping mid-
+// run, an ne test landing exactly on its limit and one stepping over
+// it, a zero stride under an eq test until the fuel runs out, and float
+// rings of 3 vertices with ldf64 reads, one reading past the end on its
+// last iteration. The pool is fuzzProgram's, so const big is MaxInt64.
+var fuseRunSeedSrcs = []string{
+	byteRun("pushi 10\nstore 1\n", "pushi 20\nlt", "load 1", "pushi -1"),
+	"program s\nconst i int 42\nconst f float 2.5\nconst s str \"mocha\"\nconst b str \"bytes\"\nconst big int 9223372036854775807\n" +
+		"func eval args=0 locals=4\npushi 16\nbnew\nstore 2\nconst big\npushi -6\naddi\nstore 1\nloop:\nload 1\nconst big\nle\njz done\n" +
+		"load 0\nload 2\nload 1\nconst big\nsubi\npushi 7\naddi\nldu8\naddi\nstore 0\nload 1\npushi 1\naddi\nstore 1\njmp loop\ndone:\nload 0\nret\nend",
+	"program s\nfunc eval args=0 locals=4\npushi 40\nbnew\nstore 2\npushi 16\nbnew\nstore 3\nload 1\npushi 40\nge\njnz done\nbody:\n" +
+		"load 2\nload 0\nload 3\nload 1\nldu8\nstu8\npop\nload 0\npushi 1\naddi\nstore 0\nload 1\npushi 3\naddi\nstore 1\nload 1\npushi 40\nlt\njnz body\ndone:\nload 2\nret\nend",
+	byteRun("pushi 1\nstore 1\n", "pushi 13\nne", "load 1", "pushi 3"),
+	byteRun("pushi 1\nstore 1\n", "pushi 12\nne", "load 1", "pushi 3"),
+	byteRun("pushi 4\nstore 1\n", "pushi 4\neq", "load 1", "pushi 0"),
+	strings.Replace(floatSeed("shoelace", "pushi 28\nbnew\nstore 0\npushi 20\nstore 2\n", 3), "ldf32", "ldf64", 2),
+	strings.Replace(floatSeed("perimeter", "pushi 28\nbnew\nstore 0\npushi 20\nstore 2\n", 3), "ldf32", "ldf64", 1),
+}
+
+// byteRun sums the bytes of a fresh 16-byte buffer (local 2) at offset
+// off of counter local 1, which init sets and step moves, while the
+// counter and test — the limit's push, then the comparison — go round.
+func byteRun(init, test, off, step string) string {
+	return "program s\nfunc eval args=0 locals=4\npushi 16\nbnew\nstore 2\n" + init + "loop:\nload 1\n" + test + "\njz done\n" +
+		"load 0\nload 2\n" + off + "\nldu8\naddi\nstore 0\nload 1\n" + step + "\naddi\nstore 1\njmp loop\ndone:\nload 0\nret\nend"
+}
+
 // floatSeedSrcs are the float kernel at its edges — clean, a read past
 // the end in the middle of the kernel, over a value that is no buffer,
 // out of fuel in the middle of the kernel, over a NaN, and a gather at
@@ -146,7 +176,7 @@ func countedReduction(size, limit int) string {
 // instruction budget >= the reference interpreter's executed count, with
 // the compiled engine counting identically.
 func FuzzCostSound(f *testing.F) {
-	for _, src := range slices.Concat(costSeedSrcs, moveSeedSrcs, fuseSeedSrcs, floatSeedSrcs) {
+	for _, src := range slices.Concat(costSeedSrcs, moveSeedSrcs, fuseSeedSrcs, fuseRunSeedSrcs, floatSeedSrcs) {
 		p := MustAssemble(src)
 		f.Add(p.Funcs[0].Code, uint8(p.Funcs[0].NArgs), uint8(p.NGlobals))
 	}
@@ -233,14 +263,14 @@ func TestCostSoundCorpus(t *testing.T) {
 //
 //	MOCHA_WRITE_FUZZ_CORPUS=1 go test ./internal/vm -run TestWriteFuzzCorpusSeeds
 //
-// after changing costSeedSrcs, moveSeedSrcs, fuseSeedSrcs or
-// floatSeedSrcs, and commit
+// after changing costSeedSrcs, moveSeedSrcs, fuseSeedSrcs,
+// fuseRunSeedSrcs or floatSeedSrcs, and commit
 // the result.
 func TestWriteFuzzCorpusSeeds(t *testing.T) {
 	if os.Getenv("MOCHA_WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set MOCHA_WRITE_FUZZ_CORPUS=1 to regenerate corpus seeds")
 	}
-	for kind, srcs := range map[string][]string{"loop": costSeedSrcs, "move": moveSeedSrcs, "fuse": fuseSeedSrcs, "float": floatSeedSrcs} {
+	for kind, srcs := range map[string][]string{"loop": costSeedSrcs, "move": moveSeedSrcs, "fuse": fuseSeedSrcs, "fuse-run": fuseRunSeedSrcs, "float": floatSeedSrcs} {
 		for i, src := range srcs {
 			p := MustAssemble(src)
 			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\nbyte(%q)\n",

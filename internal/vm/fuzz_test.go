@@ -70,7 +70,7 @@ func FuzzVerifySound(f *testing.F) {
 	seed("program s\nglobals 2\nfunc eval args=0 locals=0\ngload 0\npushi 1\naddi\ngstore 0\ngload 1\nret\nend")
 	seed("program s\nfunc eval args=1 locals=0\narg 0\ncall aux\nret\nend\nfunc aux args=1 locals=0\narg 0\nret\nend")
 	seed("program s\nfunc eval args=0 locals=0\npushi 100\npushi 7\nmodi\npushi 0\neq\njz a\npushi 1\nret\na:\npushi 0\nret\nend")
-	for _, src := range slices.Concat(moveSeedSrcs, fuseSeedSrcs, floatSeedSrcs) {
+	for _, src := range slices.Concat(moveSeedSrcs, fuseSeedSrcs, fuseRunSeedSrcs, floatSeedSrcs) {
 		seed(src)
 	}
 	f.Add([]byte{byte(OpRet)}, uint8(0), uint8(0))
