@@ -420,8 +420,8 @@ func room(p, dp, last, k int64) int64 {
 // counter the test reads, by what the loop does not write.
 //
 // It runs what the run rule and room allow in a loop chosen here (floop,
-// else each): with affine offsets, reads are affine from the second
-// iteration on; with gathers, the index reads are.
+// else each): a ring's reads are affine from the second iteration on;
+// gathers run in each, which checks every read.
 func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 	if len(fs) < 2 || t.op < fEq {
 		return nil
@@ -502,18 +502,12 @@ func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 			fk.lw[i], f32 = 8, false
 		}
 	}
-	for i, f := range offs {
-		fk.oc[i] = step(f.a)
-	}
 	if len(rest) == 1 {
 		fk.ca, fk.cb = rest[0].a, rest[0].b
 	}
 	lr, lk, ca, cb := fk.lr, fk.lk, fk.ca, fk.cb // a ring: two reads are the other two's, an iteration on
 	switch {
-	case !f32:
-	case gather && sh.hyp && len(offs) == 2 && len(rest) == 0 && offs[0].op == offs[1].op && !slices.Contains(fk.lo[:], -1):
-		fk.loop = floopGatherHyp32
-	case gather:
+	case !f32 || gather:
 	case sh.hyp && lr == [4]int{cb, ca, cb, ca} && lk[0] == lk[1] && lk[2] == lk[3]:
 		fk.loop = floopHyp32
 	case !sh.hyp && lr == [4]int{ca, cb, cb, ca} && lk[0] == lk[2] && lk[1] == lk[3]:
@@ -529,19 +523,11 @@ func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 		c, y, inc := r[ctr], r[tc]*tkc+tk, r[sc]*skc+sk
 		k, j := runLen(m.fuel, n, top, back, c, inc, y), int64(0) // j: iterations run
 		acc, t, u := math.Float64frombits(uint64(r[sh.s])), 0.0, 0.0
-		var p, d [4]int64 // where a loop starts reading, and how far that moves an iteration
-		switch {
-		case fk.loop == nil:
+		if fk.loop == nil {
 			j, acc, t, u = fk.each(r, buf, k, inc, acc)
-		case gather: // from the index reads
-			for i := range fk.ko {
-				f := &fk.ko[i]
-				p[i], d[i] = r[f.b]*f.kb+r[f.c]*f.kc+f.k, inc*fk.oc[i]
-				k = room(p[i], d[i], last-4, k)
-			}
-			j, acc, t, u = fk.loop(fk, buf, k, p, d, acc)
-		default: // the first iteration on its own, as a copy reads apart; then from the second
+		} else { // the first iteration on its own, as a copy reads apart; then from the second
 			j, acc, t, u = fk.each(r, buf, min(k, 1), inc, acc)
+			var p, d [4]int64 // where the loop starts reading, and how far that moves an iteration
 			for i := range p {
 				if p[i], d[i] = r[fk.lr[i]]+fk.lk[i], inc*fk.lc[i]; fk.lo[i] >= 0 {
 					p[i] += d[i] // the offset the first iteration left, moved on
@@ -549,7 +535,7 @@ func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 				k = min(k, room(p[i], d[i], last-fk.lw[i], k-1)+1)
 			}
 			if j == 1 && k > 1 {
-				_, acc, t, u = fk.loop(fk, buf, k-1, p, d, acc)
+				acc, t, u = fk.loop(fk, buf, k-1, p, d, acc)
 				j = k
 			}
 		}
@@ -557,7 +543,10 @@ func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 			return false
 		}
 		r[ctr] = c + (j-1)*inc // the registers as the last iteration left them
-		fk.next(r, buf, inc, false)
+		for i := range fk.ko {
+			fk.ko[i].set(r, buf)
+		}
+		fk.step(r, inc)
 		r[sh.s] = int64(math.Float64bits(acc))
 		if sh.hyp {
 			r[sh.t], r[sh.u] = int64(math.Float64bits(t)), int64(math.Float64bits(u))
@@ -571,7 +560,6 @@ func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
 type fkern struct {
 	sh         fshape
 	ko         []form   // the offsets
-	oc         [2]int64 // how far each moves an iteration, in counter steps
 	lr, lo     [4]int   // each read's register, and the offset that is, or -1
 	lk, lw, lc [4]int64 // its constant, its width, how far it moves
 	ca, cb, cs int      // the copy's registers, or -1; the counter
@@ -579,11 +567,11 @@ type fkern struct {
 }
 
 // A floop runs n iterations of a float kernel of its shape and layout
-// from reads at p, moved by d an iteration (with gathers, their index
-// reads), and says how many it ran, the sum, and the last t and u.
-type floop func(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (int64, float64, float64, float64)
+// from reads at p, moved by d an iteration, and says the sum and the
+// last t and u.
+type floop func(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (float64, float64, float64)
 
-func floopCross32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (int64, float64, float64, float64) {
+func floopCross32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (float64, float64, float64) {
 	p1, p2, step, left, op := p[1], p[2], d[1], k.sh.left, k.sh.op
 	va, vd := fload(b, p[0], 4), fload(b, p[3], 4) // then what reads 2 and 1 read an iteration before
 	for j := n; j > 0; j-- {
@@ -591,10 +579,10 @@ func floopCross32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (int6
 		acc = fsum(left, op, acc, fcross(va, vb, vc, vd))
 		va, vd, p1, p2 = vc, vb, p1+step, p2+step
 	}
-	return n, acc, 0, 0
+	return acc, 0, 0
 }
 
-func floopHyp32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (int64, float64, float64, float64) {
+func floopHyp32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (float64, float64, float64) {
 	p0, p2, step, left, op := p[0], p[2], d[0], k.sh.left, k.sh.op
 	vb, vd := fload(b, p[1], 4), fload(b, p[3], 4) // then what reads 0 and 2 read an iteration before
 	var q, t, u float64
@@ -604,60 +592,40 @@ func floopHyp32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (int64,
 		acc = fsum(left, op, acc, q)
 		vb, vd, p0, p2 = va, vc, p0+step, p2+step
 	}
-	return n, acc, t, u
-}
-
-func floopGatherHyp32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (int64, float64, float64, float64) {
-	var q, t, u float64
-	for j, l := int64(0), uint64(len(b)-4); j < n; j++ {
-		g := [2]int64{k.ko[0].gather(b, p[0]+j*d[0]), k.ko[1].gather(b, p[1]+j*d[1])}
-		p0, p1, p2, p3 := g[k.lo[0]&1]+k.lk[0], g[k.lo[1]&1]+k.lk[1], g[k.lo[2]&1]+k.lk[2], g[k.lo[3]&1]+k.lk[3]
-		if uint64(p0) > l || uint64(p1) > l || uint64(p2) > l || uint64(p3) > l {
-			return j, acc, t, u
-		}
-		q, t, u = fhyp(fload(b, p0, 4), fload(b, p1, 4), fload(b, p2, 4), fload(b, p3, 4))
-		acc = fsum(k.sh.left, k.sh.op, acc, q)
-	}
-	return n, acc, t, u
+	return acc, t, u
 }
 
 // each runs up to n iterations of any float kernel a step of registers r
-// at a time, and says as a floop does.
+// at a time, checking every read, and says how many it ran and what a
+// floop says.
 func (k *fkern) each(r []int64, b []byte, n, inc int64, acc float64) (j int64, _, t, u float64) {
-	for ; j < n; j++ {
-		p, ok := k.next(r, b, inc, true)
-		if !ok {
+	ko, lr, lk, lw, sh, size := k.ko, k.lr, k.lk, k.lw, k.sh, int64(len(b))
+	for ; j < n && (len(ko) < 1 || ko[0].set(r, b)) && (len(ko) < 2 || ko[1].set(r, b)); j++ {
+		p0, p1, p2, p3 := r[lr[0]]+lk[0], r[lr[1]]+lk[1], r[lr[2]]+lk[2], r[lr[3]]+lk[3]
+		if uint64(p0) > uint64(size-lw[0]) || uint64(p1) > uint64(size-lw[1]) ||
+			uint64(p2) > uint64(size-lw[2]) || uint64(p3) > uint64(size-lw[3]) {
 			break
 		}
-		f0, f1, f2, f3 := fload(b, p[0], k.lw[0]), fload(b, p[1], k.lw[1]), fload(b, p[2], k.lw[2]), fload(b, p[3], k.lw[3])
-		q := fcross(f0, f1, f2, f3)
-		if k.sh.hyp {
+		f0, f1, f2, f3 := fload(b, p0, lw[0]), fload(b, p1, lw[1]), fload(b, p2, lw[2]), fload(b, p3, lw[3])
+		var q float64
+		if sh.hyp {
 			q, t, u = fhyp(f0, f1, f2, f3)
+		} else {
+			q = fcross(f0, f1, f2, f3)
 		}
-		acc = fsum(k.sh.left, k.sh.op, acc, q)
+		acc = fsum(sh.left, sh.op, acc, q)
+		k.step(r, inc)
 	}
 	return j, acc, t, u
 }
 
-// next runs one iteration of the kernel on registers r, the floats
-// aside, and says where its reads are — or, checking them, that one
-// would trap: it stopped after the offsets.
-func (k *fkern) next(r []int64, b []byte, inc int64, check bool) (q [4]int64, ok bool) {
-	for i := range k.ko {
-		if !k.ko[i].set(r, b) {
-			return q, false
-		}
-	}
-	for i := range q {
-		if q[i] = r[k.lr[i]] + k.lk[i]; check && uint64(q[i]) > uint64(int64(len(b))-k.lw[i]) {
-			return q, false
-		}
-	}
+// step runs the end of an iteration on registers r: the copy and the
+// counter's step.
+func (k *fkern) step(r []int64, inc int64) {
 	if k.ca >= 0 {
 		r[k.ca] = r[k.cb]
 	}
 	r[k.cs] += inc
-	return q, true
 }
 
 // fcross and fhyp are the two shapes' terms: the shoelace's a·b − c·d,

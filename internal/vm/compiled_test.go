@@ -682,6 +682,7 @@ func TestFusedLoopParity(t *testing.T) {
 		n, start      int64 // trips; the ring's first previous vertex, or an edge's index
 		edges         int   // the gather's edge list, when not n
 		bad           int   // one past the gather's edge that names a vertex past the end; 0: none
+		cut           int   // bytes cut from the end of the last vertex
 		noBuffer      bool
 		wide, testSum bool
 	}
@@ -692,6 +693,9 @@ func TestFusedLoopParity(t *testing.T) {
 		{name: "bounds trap at the first iteration", pts: ringPts(8), n: 8, start: 20},
 		{name: "bounds trap in the middle", pts: ringPts(4), n: 8, start: 0},
 		{name: "bounds trap at the last iteration", pts: ringPts(7), n: 8, start: 0},
+		{name: "bounds trap one byte short, first iteration", pts: ringPts(8), n: 8, start: 7, cut: 1},
+		{name: "bounds trap one byte short, last iteration", pts: ringPts(8), n: 8, start: 0, cut: 1},
+		{name: "bounds trap one byte short, ldf64 leaves", pts: ringPts(8), n: 8, start: 0, cut: 1, wide: true},
 		{name: "argument that is no buffer", pts: ringPts(8), n: 8, start: 7, noBuffer: true},
 		{name: "NaN, infinities and negative zero", pts: special, n: 6, start: 5},
 		{name: "reads of both widths", pts: ringPts(8), n: 8, start: 7, wide: true},
@@ -726,6 +730,7 @@ func TestFusedLoopParity(t *testing.T) {
 					t.Fatalf("loops %s, want %s", got, want)
 				}
 				stride, buf := vertexBytes(shape, r.wide, r.pts)
+				buf = buf[:len(buf)-r.cut]
 				arg2 := 4 + stride*r.start
 				if gather { // edges i -> i+1 around the ring, after the vertices and their count
 					arg2 = int64(len(buf)) + 4
