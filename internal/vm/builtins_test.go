@@ -2,8 +2,12 @@ package vm_test
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"mocha/internal/ops"
@@ -179,6 +183,39 @@ func TestShippedLoopsFuse(t *testing.T) {
 		if got := vm.LoopShapes(def.Program(), c.fn); fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("%s.%s loops: %v, want %v", c.op, c.fn, got, c.want)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// TestLoopShapesGolden pins how every loop of every function of every
+// built-in operator compiles — which run in place, and which of those as
+// one kernel — so that no change to the kernel builder adds or drops a
+// kernel unseen. Regenerate with
+//
+//	go test ./internal/vm -run TestLoopShapesGolden -update
+func TestLoopShapesGolden(t *testing.T) {
+	reg := ops.Builtins()
+	var b strings.Builder
+	for _, name := range reg.Names() {
+		def, _ := reg.Lookup(name)
+		for _, f := range def.Program().Funcs {
+			fmt.Fprintf(&b, "%s.%s %v\n", name, f.Name, vm.LoopShapes(def.Program(), f.Name))
+		}
+	}
+	path := filepath.Join("testdata", "loop_shapes.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("loop shapes moved:\ngot:\n%swant:\n%s", got, want)
 	}
 }
 

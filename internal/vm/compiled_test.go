@@ -684,7 +684,9 @@ func TestFusedLoopParity(t *testing.T) {
 		bad           int   // one past the gather's edge that names a vertex past the end; 0: none
 		cut           int   // bytes cut from the end of the last vertex
 		noBuffer      bool
+		head          bool // the ring's first previous vertex is read at offset 0, over the count
 		wide, testSum bool
+		yFirst        bool
 	}
 	frows := []frow{
 		{name: "clean", pts: ringPts(8), n: 8, start: 7},
@@ -709,9 +711,24 @@ func TestFusedLoopParity(t *testing.T) {
 		{name: "three vertices, ldf64 leaves", pts: ringPts(3), n: 3, start: 2, wide: true},
 		{name: "ldf64 leaves, bounds trap in the middle", pts: ringPts(5), n: 8, start: 4, wide: true},
 	}
+	// Rows where read 0 — the first leaf, at its register plus a constant —
+	// is the farthest read of the iteration that traps, and the only one
+	// out of range: no other read's check can stand in for its own. The
+	// shoelace's read 0 is the previous vertex's x, the last vertex's here;
+	// the segment's is the current vertex's x, the first iteration's.
+	farthest := map[string][]frow{
+		"shoelace": {
+			{name: "read 0 farthest, one byte short", pts: ringPts(8), n: 8, start: 7, cut: 1, yFirst: true},
+			{name: "read 0 farthest, one byte short, ldf64 leaves", pts: ringPts(8), n: 8, start: 7, cut: 1, yFirst: true, wide: true},
+		},
+		"perimeter": {
+			{name: "read 0 farthest, one byte short", pts: ringPts(1), n: 1, head: true, cut: 1, yFirst: true},
+			{name: "read 0 farthest, one byte short, ldf64 leaves", pts: ringPts(1), n: 1, head: true, cut: 1, yFirst: true, wide: true},
+		},
+	}
 	for _, shape := range []string{"shoelace", "perimeter", "gather"} {
 		gather := shape == "gather"
-		rows := frows
+		rows := append(slices.Clone(frows), farthest[shape]...)
 		if gather { // its bounds traps are its own
 			rows = append(slices.DeleteFunc(slices.Clone(frows), func(r frow) bool { return strings.HasPrefix(r.name, "bounds") }),
 				frow{name: "index past the vertices, first edge", pts: ringPts(8), n: 8, bad: 1},
@@ -721,7 +738,7 @@ func TestFusedLoopParity(t *testing.T) {
 		}
 		for _, r := range rows {
 			t.Run(shape+"/"+r.name, func(t *testing.T) {
-				p := MustAssemble(floatLoop(shape, r.wide, r.testSum))
+				p := MustAssemble(floatLoop(shape, r.wide, r.yFirst, r.testSum))
 				want := "[rotated float kernel]"
 				if r.testSum {
 					want = "[rotated]"
@@ -729,9 +746,12 @@ func TestFusedLoopParity(t *testing.T) {
 				if got := fmt.Sprint(LoopShapes(p, "eval")); got != want {
 					t.Fatalf("loops %s, want %s", got, want)
 				}
-				stride, buf := vertexBytes(shape, r.wide, r.pts)
+				stride, buf := vertexBytes(shape, r.wide, r.yFirst, r.pts)
 				buf = buf[:len(buf)-r.cut]
 				arg2 := 4 + stride*r.start
+				if r.head {
+					arg2 = 0
+				}
 				if gather { // edges i -> i+1 around the ring, after the vertices and their count
 					arg2 = int64(len(buf)) + 4
 					buf = binary.BigEndian.AppendUint32(buf, uint32(r.n))
@@ -822,15 +842,19 @@ end`)
 // each edge names. The counter i (local 1) runs from 0 while below arg 1
 // (local 0); a ring's previous vertex (local 3) starts at offset arg 2,
 // a gather's edge list at arg 2. wide reads every coordinate of the
-// shoelace with ldf64, and the x coordinates of the others; testSum has
-// the loop's test read the sum instead of the counter.
-func floatLoop(shape string, wide, testSum bool) string {
-	x, y, stride, yoff := "ldf32", "ldf32", 8, 4
+// shoelace with ldf64, and the x coordinates of the others; yFirst reads
+// a vertex's y before its x, as vertexBytes lays it out; testSum has the
+// loop's test read the sum instead of the counter.
+func floatLoop(shape string, wide, yFirst, testSum bool) string {
+	x, y, stride, xoff, yoff := "ldf32", "ldf32", 8, 0, 4
 	switch {
 	case wide && shape == "shoelace":
 		x, y, stride, yoff = "ldf64", "ldf64", 16, 8
 	case wide:
 		x, stride, yoff = "ldf64", 12, 8
+	}
+	if yFirst {
+		xoff, yoff = stride-yoff, 0
 	}
 	at := func(reg, off int) string { // arg 0's bytes at local reg plus off
 		if off == 0 {
@@ -839,14 +863,14 @@ func floatLoop(shape string, wide, testSum bool) string {
 		return fmt.Sprintf("arg 0\nload %d\npushi %d\naddi\n", reg, off)
 	}
 	dist := func(a, b int) string { // sqrt((a.x-b.x)^2 + (a.y-b.y)^2) + sum
-		return at(a, 0) + x + "\n" + at(b, 0) + x + "\nsubf\ndup\nmulf\n" +
+		return at(a, xoff) + x + "\n" + at(b, xoff) + x + "\nsubf\ndup\nmulf\n" +
 			at(a, yoff) + y + "\n" + at(b, yoff) + y + "\nsubf\ndup\nmulf\naddf\nhost sqrt\nload 2\naddf\nstore 2\n"
 	}
 	cur := fmt.Sprintf("pushi 4\nload 1\npushi %d\nmuli\naddi\nstore 4\n", stride)
 	var body string
 	switch shape {
 	case "shoelace":
-		body = cur + at(3, 0) + x + "\n" + at(4, yoff) + y + "\nmulf\n" + at(4, 0) + x + "\n" + at(3, yoff) + y +
+		body = cur + at(3, xoff) + x + "\n" + at(4, yoff) + y + "\nmulf\n" + at(4, xoff) + x + "\n" + at(3, yoff) + y +
 			"\nmulf\nsubf\nload 2\naddf\nstore 2\nload 4\nstore 3\n"
 	case "perimeter":
 		body = cur + dist(4, 3) + "load 4\nstore 3\n"
@@ -867,9 +891,10 @@ func floatLoop(shape string, wide, testSum bool) string {
 }
 
 // vertexBytes lays out pts as floatLoop's shape reads them: a count,
-// then each vertex's x and y, as float32 or, wide, the x (and for the
-// shoelace the y) as float64. It returns the stride and the bytes.
-func vertexBytes(shape string, wide bool, pts [][2]float64) (int64, []byte) {
+// then each vertex's x and y — y first, yFirst — as float32 or, wide,
+// the x (and for the shoelace the y) as float64. It returns the stride
+// and the bytes.
+func vertexBytes(shape string, wide, yFirst bool, pts [][2]float64) (int64, []byte) {
 	stride := int64(8)
 	if wide {
 		stride = 12
@@ -886,8 +911,13 @@ func vertexBytes(shape string, wide bool, pts [][2]float64) (int64, []byte) {
 		}
 	}
 	for _, p := range pts {
+		if yFirst {
+			put(p[1], wide && shape == "shoelace")
+		}
 		put(p[0], wide)
-		put(p[1], wide && shape == "shoelace")
+		if !yFirst {
+			put(p[1], wide && shape == "shoelace")
+		}
 	}
 	return stride, buf
 }
