@@ -74,8 +74,7 @@ type loop struct {
 	test   bexpr
 	back   bool // what test says when the loop goes round again
 	exit   *block
-	kernel func(*Machine) bool // whole iterations in one closure; true: exited
-	float  bool                // the kernel is a float kernel (floatKernel)
+	kernel *kern // whole iterations in one call, or nil
 }
 
 // form is a statement, a branch test or an int operand's value in a
@@ -85,7 +84,7 @@ type loop struct {
 //	fAffine   r[a] = r[b]*kb + r[c]*kc + k
 //	fLoad     v[src].B[r[c]+kc]
 //	fLoadAdd  r[a] += v[src].B[r[c]+kc]
-//	fCopy     v[dst].B[r[b]+kb] = v[src].B[r[c]+kc], the buffer popped
+//	fCopy     v[dst].B[r[b]+kb] = v[src].B[r[c]+kc], the buffer popped; a is -1
 //	fGather   r[a] = ldi32 v[src].B at r[b]*kb + r[c]*kc + k, times km, plus ka
 //	fFloat    r[a] = x, a float
 //	fEq, fLt, fLe  r[b] ==, <, <= r[c]*kc + k
@@ -108,7 +107,7 @@ const (
 	fLe
 )
 
-// fx is a float operand's value in the shape a float kernel computes it
+// fx is a float operand's value in the shape a kernel computes it
 // in: a tree of mulf, subf, addf and host sqrt over ldf32 and ldf64 reads
 // of v[src].B at r[reg]+k and float registers r[reg]. A node's op is the
 // instruction that makes it — OpLoad for a register.
@@ -164,7 +163,7 @@ type operand struct {
 	imm  int64 // locImm: the int, the bool or the float64's bits
 	add  int64 // a proven int is what the rest says plus add
 	form form  // the value's shape, when a loop kernel can compute it
-	x    *fx   // a float's shape, when a float kernel can compute it
+	x    *fx   // a float's shape, when a kernel can compute it
 	i    iexpr
 	f    fexpr
 	b    bexpr // a comparison not yet turned into 0/1; neg: its negation
@@ -290,75 +289,252 @@ func (c *fcomp) loop(b *block) {
 	if h != b {
 		l.n, l.hn = b.n+h.n, h.n
 	}
-	if l.kernel = c.kernel(b, c.tests[h], l.n, l.back); l.kernel == nil {
-		l.kernel = floatKernel(c.forms[b], c.tests[h], l.n, l.back)
-		l.float = l.kernel != nil
-	}
+	l.kernel = kernel(c.forms[b], c.tests[h], l.n, l.back)
 	b.loop = l
 }
 
-// kernel compiles a counted loop to one closure: a byte access, then
-// steps r[x] += r[c]*kc + k of its offset registers — the counters — by
-// what the loop does not write, and a test of a counter against that or
-// a constant. It runs, unchecked, what the run rule (runLen) and both
-// offsets' room allow; the statements run the next iteration and trap.
-func (c *fcomp) kernel(b *block, t form, n int64, back bool) func(*Machine) bool {
-	fs := c.forms[b]
-	if len(fs) == 0 || fs[0].op != fLoadAdd && fs[0].op != fCopy {
+// kern is a loop kernel: a loop whose every statement has a form, run
+// whole iterations at a time by one call.
+type kern struct {
+	n        int64    // fuel for a whole iteration
+	back     bool     // what the test says when the loop goes round again
+	t        form     // the test, of counter t.b
+	td       [2]int64 // how far t.b moves an iteration, in counter steps
+	offs     []form   // the derived offsets
+	body     uint8    // fLoadAdd, fCopy or fFloat
+	sum      int      // a byte sum's register
+	sh       fshape   // a float body's shape
+	src, dst int      // the buffer read, and the one written: a copy's, else src
+	ax       []access // a byte body's read and write; a float body's four leaves
+	ca, cb   int      // the carried copy r[ca] = r[cb]; ca -1: none
+	steps    []form   // the counters' steps
+	ring     bool     // a float body over a ring of ldf32 vertices
+}
+
+// access is w bytes of buffer v[buf].B at r[reg]+k. It moves ds·(the
+// counters' steps) an iteration — but for a read through the carried
+// copy, made once: a ring carries it on.
+type access struct {
+	reg, buf int
+	k, w     int64
+	ds       [2]int64
+}
+
+// kernel compiles a loop to a kernel, or nil, in one pass over the forms
+// fs of its statements. In order: derived offsets, fAffine or fGather of
+// counters and registers the loop does not write (fixed); one body, a
+// byte sum (fLoadAdd), a byte copy (fCopy) or fshapeOf's fFloat shapes;
+// at most one carried copy r[a] = r[b]; the counters' steps, by fixed
+// registers. Test t compares a counter with a fixed register or a
+// constant. A byte body's counters are its offset registers, and it has
+// no derived offset or copy; a float body steps one counter. No register
+// but a float's is written twice.
+func kernel(fs []form, t form, n int64, back bool) *kern {
+	step := func(f form) bool { return f.op == fAffine && f.a == f.b && f.kb == 1 }
+	i, j := 0, 0 // fs[:i] the offsets, fs[i:j] the body
+	for i < len(fs) && (fs[i].op == fGather || fs[i].op == fAffine && !step(fs[i])) {
+		i++
+	}
+	if j = i; j < len(fs) && (fs[j].op == fLoadAdd || fs[j].op == fCopy) {
+		j++
+	}
+	for j < len(fs) && fs[j].op == fFloat && fs[i].op == fFloat {
+		j++
+	}
+	if i == j {
 		return nil
 	}
-	acc, sum := fs[0], fs[0].op == fLoadAdd
-	if sum {
-		acc.b = acc.c // one counter
+	k := &kern{n: n, back: back, t: t, offs: fs[:i], ca: -1, cb: -1, steps: fs[j:]}
+	if c := fs[min(j, len(fs)-1)]; j < len(fs) && c.op == fAffine && !step(c) && c.kb == 1 && c.kc == 0 && c.k == 0 {
+		k.ca, k.cb, k.steps = c.a, c.b, fs[j+1:]
 	}
-	counter := func(x int) bool { return x == acc.b || x == acc.c }
-	written := func(x int) bool { return counter(x) || sum && x == acc.a }
-	steps := map[int]form{} // by counter; none: a zero step
-	for _, f := range fs[1:] {
-		if _, twice := steps[f.a]; twice || f.op != fAffine || f.b != f.a || f.kb != 1 || !counter(f.a) || f.kc != 0 && written(f.c) {
+	written, fdst := map[int]bool{}, map[int]bool{}
+	for _, f := range fs {
+		if f.op != fFloat && written[f.a] {
 			return nil
 		}
-		steps[f.a] = f
+		written[f.a], fdst[f.a] = true, fdst[f.a] || f.op == fFloat
 	}
-	if t.op < fEq || !counter(t.b) || t.kc != 0 && written(t.c) || sum && counter(acc.a) {
+	f := fs[i]
+	ctr := func(x int) bool { return x == t.b }
+	if k.body, k.src, k.dst = f.op, f.src, f.dst; f.op == fLoadAdd {
+		f.b, f.kb, k.dst, k.sum = f.c, f.kc, f.src, f.a
+	}
+	if f.op != fFloat {
+		ctr = func(x int) bool { return x == f.b || x == f.c }
+		if i > 0 || k.ca >= 0 || f.op == fLoadAdd && ctr(f.a) {
+			return nil
+		}
+	}
+	fixed := func(x int) bool { return !written[x] && !ctr(x) }
+	if t.op < fEq || !ctr(t.b) || t.kc != 0 && !fixed(t.c) ||
+		slices.ContainsFunc(k.steps, func(f form) bool { return !step(f) || !ctr(f.a) || f.kc != 0 && !fixed(f.c) }) {
 		return nil
 	}
-	so, si, st := steps[acc.b], steps[acc.c], steps[t.b]
-	inc := func(r []int64, f form) int64 { return r[f.c]*f.kc + f.k }
-	a, ob, kb, ic, kc, dst, src, op, tb, tc, tkc, tk := acc.a, acc.b, acc.kb, acc.c, acc.kc, acc.dst, acc.src, t.op, t.b, t.c, t.kc, t.k
-	return func(m *Machine) bool {
-		r, d, s := m.r, &m.v[dst], &m.v[src]
-		if s.K != VBytes || !sum && (d.K != VBytes || !d.W) {
-			return false
+	stride := func(x int) (d [2]int64) { // how far register x moves an iteration, in counter steps
+		f := form{b: x, kb: 1}
+		if i := slices.IndexFunc(k.offs, func(f form) bool { return f.a == x }); i >= 0 {
+			f = k.offs[i]
 		}
-		o, do, i, di, x, dx, y := r[ob], inc(r, so), r[ic], inc(r, si), r[tb], inc(r, st), r[tc]*tkc+tk
-		db, sb, k := d.B, s.B, runLen(m.fuel, n, op, back, x, dx, y)
-		if k = room(i+kc, di, int64(len(sb))-1, k); !sum {
-			k = room(o+kb, do, int64(len(db))-1, k)
+		for i, s := range k.steps {
+			if s.a == f.b {
+				d[i] += f.kb
+			}
+			if s.a == f.c {
+				d[i] += f.kc
+			}
 		}
-		if sum { // a byte reduction
-			total, p, j := r[a], i+kc, k
-			for ; di == 1 && j >= 8; p, j = p+8, j-8 { // eight bytes at a time: a sum's order is free
-				w := binary.LittleEndian.Uint64(sb[p:])
-				w = w&0x00ff00ff00ff00ff + w>>8&0x00ff00ff00ff00ff
-				w = w&0x0000ffff0000ffff + w>>16&0x0000ffff0000ffff
-				total += int64(w&0xffffffff + w>>32)
-			}
-			for ; j > 0; j-- {
-				total += int64(sb[p])
-				p += di
-			}
-			r[a] = total
-		} else { // a strided copy, in order: a source aliasing the destination reads what was written
-			for po, pi, j := o+kb, i+kc, k; j > 0; j-- {
-				db[po] = sb[pi]
-				po, pi = po+do, pi+di
-			}
-			r[ob] = o + k*do
-		}
-		r[ic], m.fuel = i+k*di, m.fuel-k*n
-		return k > 0 && passes(op, x+k*dx, y) != back
+		return d
 	}
+	k.td = stride(t.b)
+	if f.op != fFloat {
+		k.ax = []access{{reg: f.c, buf: k.src, k: f.kc, w: 1, ds: stride(f.c)}, {reg: f.b, buf: k.dst, k: f.kb, w: 1, ds: stride(f.b)}}
+		return k
+	}
+	sh, ok := fshapeOf(fs[i:j])
+	if !ok || i > 2 || len(k.steps) != 1 || fdst[k.cb] {
+		return nil
+	}
+	k.sh, k.sum, k.src, k.dst = sh, sh.s, sh.leaves[0].src, sh.leaves[0].src
+	buffer := func(b int) bool { return b == k.src && !written[b] } // every read is of one buffer the loop does not write
+	for _, f := range k.offs {
+		if f.op == fGather && !buffer(f.src) || !fixed(f.b) && !ctr(f.b) || f.kc != 0 && !fixed(f.c) && !ctr(f.c) {
+			return nil
+		}
+	}
+	for _, l := range sh.leaves {
+		if !buffer(l.src) || fdst[l.reg] {
+			return nil
+		}
+		a := access{reg: l.reg, buf: k.src, k: l.k, w: 4, ds: stride(l.reg)}
+		if l.op == OpLdF64 {
+			a.w = 8
+		}
+		k.ax = append(k.ax, a)
+	}
+	on := func(i, j int) bool { // read i reads what read j did an iteration before
+		return k.ax[i].reg == k.ca && k.ax[j].reg == k.cb && k.ax[i].k == k.ax[j].k && k.ax[i].w == 4 && k.ax[j].w == 4
+	}
+	k.ring = !slices.ContainsFunc(k.offs, func(f form) bool { return f.op == fGather }) &&
+		(sh.hyp && on(1, 0) && on(3, 2) || !sh.hyp && on(0, 2) && on(3, 1))
+	return k
+}
+
+// run runs whole iterations of the kernel from where m stands — as many
+// as the run rule and every access's room allow, or, in a float body
+// that is no ring, as its checks pass — and writes the registers and
+// the fuel back. It says whether the loop has exited.
+func (k *kern) run(m *Machine) bool {
+	s, d := &m.v[k.src], &m.v[k.dst]
+	if s.K != VBytes || k.body == fCopy && (d.K != VBytes || !d.W) {
+		return false
+	}
+	r, sb, db, sh, t := m.r, s.B, d.B, &k.sh, &k.t
+	var x0, inc [2]int64 // each counter on entry, and its step
+	for i := range k.steps {
+		f := &k.steps[i]
+		x0[i], inc[i] = r[f.a], r[f.c]*f.kc+f.k
+	}
+	y := r[t.c]*t.kc + t.k
+	j := runLen(m.fuel, k.n, t.op, k.back, r[t.b], k.td[0]*inc[0]+k.td[1]*inc[1], y)
+	n, acc, tt, u := j, math.Float64frombits(uint64(r[k.sum])), 0.0, 0.0
+	var p, dp [4]int64 // where each access starts, and how far it moves an iteration
+	if k.body != fFloat || k.ring {
+		for i := range k.offs {
+			k.offs[i].set(r, sb)
+		}
+		for i := range k.ax {
+			a := &k.ax[i]
+			p[i], dp[i] = r[a.reg]+a.k, a.ds[0]*inc[0]+a.ds[1]*inc[1]
+			j = room(p[i], dp[i], int64(len(m.v[a.buf].B))-a.w, j)
+		}
+	}
+	switch {
+	case j == 0:
+	case k.body == fLoadAdd:
+		q, dq, i, total := p[0], dp[0], j, r[k.sum]
+		for ; dq == 1 && i >= 8; q, i = q+8, i-8 { // eight bytes at a time: a sum's order is free
+			w := binary.LittleEndian.Uint64(sb[q:])
+			w = w&0x00ff00ff00ff00ff + w>>8&0x00ff00ff00ff00ff
+			w = w&0x0000ffff0000ffff + w>>16&0x0000ffff0000ffff
+			total += int64(w&0xffffffff + w>>32)
+		}
+		for ; i > 0; i-- {
+			total += int64(sb[q])
+			q += dq
+		}
+		r[k.sum] = total
+	case k.body == fCopy: // in order: a source aliasing the destination reads what was written
+		for pi, po, di, do, i := p[0], p[1], dp[0], dp[1], j; i > 0; i-- {
+			db[po] = sb[pi]
+			pi, po = pi+di, po+do
+		}
+	case k.ring && sh.hyp: // reads 1 and 3 are what 0 and 2 read an iteration before
+		p0, p2, d, vb, vd, left, op := p[0], p[2], dp[0], fload(sb, p[1], 4), fload(sb, p[3], 4), sh.left, sh.op
+		for i := j; i > 0; i-- {
+			va, vc := fload(sb, p0, 4), fload(sb, p2, 4)
+			q, qt, qu := fhyp(va, vb, vc, vd)
+			acc, tt, u, vb, vd, p0, p2 = fsum(left, op, acc, q), qt, qu, va, vc, p0+d, p2+d
+		}
+	case k.ring: // reads 0 and 3 are what 2 and 1 read an iteration before
+		p1, p2, d, va, vd, left, op := p[1], p[2], dp[1], fload(sb, p[0], 4), fload(sb, p[3], 4), sh.left, sh.op
+		for i := j; i > 0; i-- {
+			vb, vc := fload(sb, p1, 4), fload(sb, p2, 4)
+			acc, va, vd, p1, p2 = fsum(left, op, acc, fcross(va, vb, vc, vd)), vc, vb, p1+d, p2+d
+		}
+	default:
+		j, acc, tt, u = k.checked(r, sb, n, inc, acc)
+	}
+	if j == 0 {
+		return false
+	}
+	for i := range k.steps { // the registers as the last iteration left them
+		r[k.steps[i].a] = x0[i] + (j-1)*inc[i]
+	}
+	for i := range k.offs {
+		k.offs[i].set(r, sb)
+	}
+	k.step(r, inc)
+	if k.body == fFloat { // a cross's t and u are its sum's register, written last
+		r[sh.t], r[sh.u] = int64(math.Float64bits(tt)), int64(math.Float64bits(u))
+		r[k.sum] = int64(math.Float64bits(acc))
+	}
+	m.fuel -= j * k.n
+	return j == n && passes(t.op, r[t.b], y) != k.back
+}
+
+// step ends an iteration on registers r: the copy, the counters' steps.
+func (k *kern) step(r []int64, inc [2]int64) {
+	if k.ca >= 0 {
+		r[k.ca] = r[k.cb]
+	}
+	for i := range k.steps {
+		r[k.steps[i].a] += inc[i]
+	}
+}
+
+// checked runs up to n iterations of a float body that is no ring a
+// step of registers r at a time, checking every read, and says how many
+// it ran, the sum and the last t and u.
+func (k *kern) checked(r []int64, b []byte, n int64, inc [2]int64, acc float64) (j int64, _, t, u float64) {
+	ko, a, sh, size := k.offs, k.ax[:4], &k.sh, int64(len(b))
+	for ; j < n && size >= 8 && (len(ko) < 1 || ko[0].set(r, b)) && (len(ko) < 2 || ko[1].set(r, b)); j++ {
+		p0, p1, p2, p3 := r[a[0].reg]+a[0].k, r[a[1].reg]+a[1].k, r[a[2].reg]+a[2].k, r[a[3].reg]+a[3].k
+		if uint64(p0) > uint64(size-a[0].w) || uint64(p1) > uint64(size-a[1].w) ||
+			uint64(p2) > uint64(size-a[2].w) || uint64(p3) > uint64(size-a[3].w) {
+			break
+		}
+		f0, f1, f2, f3 := fload(b, p0, a[0].w), fload(b, p1, a[1].w), fload(b, p2, a[2].w), fload(b, p3, a[3].w)
+		var q float64
+		if sh.hyp {
+			q, t, u = fhyp(f0, f1, f2, f3)
+		} else {
+			q = fcross(f0, f1, f2, f3)
+		}
+		acc = fsum(sh.left, sh.op, acc, q)
+		k.step(r, inc)
+	}
+	return j, acc, t, u
 }
 
 // runLen is the run rule: how many whole iterations a loop kernel may
@@ -411,223 +587,6 @@ func room(p, dp, last, k int64) int64 {
 	return min(k, int64(uint64(p)/-uint64(dp))+1)
 }
 
-// floatKernel compiles a float loop to one closure. Its body is, in
-// order: at most two offsets, each an fAffine or fGather of the counter
-// and registers the loop does not write; fFloat statements in one of
-// the shapes fshape knows, whose reads are of one buffer at an int
-// register plus a constant; at most one copy r[a] = r[b] of what the
-// floats read before it — the previous vertex; and the step of the
-// counter the test reads, by what the loop does not write.
-//
-// It runs what the run rule and room allow in a loop chosen here (floop,
-// else each): a ring's reads are affine from the second iteration on;
-// gathers run in each, which checks every read.
-func floatKernel(fs []form, t form, n int64, back bool) func(*Machine) bool {
-	if len(fs) < 2 || t.op < fEq {
-		return nil
-	}
-	st, fs := fs[len(fs)-1], fs[:len(fs)-1]
-	ctr := st.a
-	if st.op != fAffine || st.b != ctr || st.kb != 1 || t.b != ctr {
-		return nil
-	}
-	written, fdst := map[int]bool{ctr: true}, map[int]bool{}
-	for _, f := range fs {
-		if f.op == fFloat {
-			fdst[f.a] = true
-		} else if written[f.a] {
-			return nil // an int register written twice
-		}
-		written[f.a] = true
-	}
-	fixed := func(x int) bool { return !written[x] || x == ctr } // what an offset may read
-	if fdst[ctr] || st.kc != 0 && written[st.c] || t.kc != 0 && written[t.c] {
-		return nil
-	}
-	src := -1
-	buffer := func(b int) bool {
-		if src < 0 {
-			src = b
-		}
-		return b == src && !written[b]
-	}
-	i := 0
-	for ; i < len(fs) && fs[i].op != fFloat; i++ {
-		f := fs[i]
-		if f.op != fAffine && (f.op != fGather || !buffer(f.src)) || !fixed(f.b) || f.kc != 0 && !fixed(f.c) {
-			return nil
-		}
-	}
-	j := i
-	for j < len(fs) && fs[j].op == fFloat {
-		j++
-	}
-	offs, floats, rest := fs[:i], fs[i:j], fs[j:]
-	sh, ok := fshapeOf(floats)
-	if !ok || len(offs) > 2 || len(rest) > 1 {
-		return nil
-	}
-	if len(rest) == 1 {
-		if c := rest[0]; c.op != fAffine || c.kb != 1 || c.kc != 0 || c.k != 0 || fdst[c.b] ||
-			!fixed(c.b) && !slices.ContainsFunc(offs, func(o form) bool { return o.a == c.b }) {
-			return nil
-		}
-	}
-	gather := slices.ContainsFunc(offs, func(f form) bool { return f.op == fGather })
-	at := func(g int) int { return slices.IndexFunc(offs, func(f form) bool { return f.a == g }) }
-	step := func(g int) (s int64) { // how far register g moves an iteration, in counter steps
-		f := form{b: g, kb: 1}
-		if i := at(g); i >= 0 {
-			f = offs[i]
-		}
-		if f.b == ctr {
-			s += f.kb
-		}
-		if f.c == ctr {
-			s += f.kc
-		}
-		return s
-	}
-	fk := &fkern{sh: sh, ko: offs, ca: -1, cs: ctr}
-	f32 := true
-	for i, l := range sh.leaves {
-		if !buffer(l.src) || fdst[l.reg] {
-			return nil
-		}
-		fk.lr[i], fk.lo[i], fk.lk[i], fk.lw[i], fk.lc[i] = l.reg, at(l.reg), l.k, 4, step(l.reg)
-		if len(rest) == 1 && l.reg == rest[0].a { // a copy moves as what it copies
-			fk.lc[i] = step(rest[0].b)
-		}
-		if l.op == OpLdF64 {
-			fk.lw[i], f32 = 8, false
-		}
-	}
-	if len(rest) == 1 {
-		fk.ca, fk.cb = rest[0].a, rest[0].b
-	}
-	lr, lk, ca, cb := fk.lr, fk.lk, fk.ca, fk.cb // a ring: two reads are the other two's, an iteration on
-	switch {
-	case !f32 || gather:
-	case sh.hyp && lr == [4]int{cb, ca, cb, ca} && lk[0] == lk[1] && lk[2] == lk[3]:
-		fk.loop = floopHyp32
-	case !sh.hyp && lr == [4]int{ca, cb, cb, ca} && lk[0] == lk[2] && lk[1] == lk[3]:
-		fk.loop = floopCross32
-	}
-	top, tc, tkc, tk, sc, skc, sk := t.op, t.c, t.kc, t.k, st.c, st.kc, st.k
-	return func(m *Machine) bool {
-		v := &m.v[src]
-		if v.K != VBytes || len(v.B) < 8 { // a read of none of it
-			return false
-		}
-		r, buf, last := m.r, v.B, int64(len(v.B))
-		c, y, inc := r[ctr], r[tc]*tkc+tk, r[sc]*skc+sk
-		k, j := runLen(m.fuel, n, top, back, c, inc, y), int64(0) // j: iterations run
-		acc, t, u := math.Float64frombits(uint64(r[sh.s])), 0.0, 0.0
-		if fk.loop == nil {
-			j, acc, t, u = fk.each(r, buf, k, inc, acc)
-		} else { // the first iteration on its own, as a copy reads apart; then from the second
-			j, acc, t, u = fk.each(r, buf, min(k, 1), inc, acc)
-			var p, d [4]int64 // where the loop starts reading, and how far that moves an iteration
-			for i := range p {
-				if p[i], d[i] = r[fk.lr[i]]+fk.lk[i], inc*fk.lc[i]; fk.lo[i] >= 0 {
-					p[i] += d[i] // the offset the first iteration left, moved on
-				}
-				k = min(k, room(p[i], d[i], last-fk.lw[i], k-1)+1)
-			}
-			if j == 1 && k > 1 {
-				acc, t, u = fk.loop(fk, buf, k-1, p, d, acc)
-				j = k
-			}
-		}
-		if j == 0 {
-			return false
-		}
-		r[ctr] = c + (j-1)*inc // the registers as the last iteration left them
-		for i := range fk.ko {
-			fk.ko[i].set(r, buf)
-		}
-		fk.step(r, inc)
-		r[sh.s] = int64(math.Float64bits(acc))
-		if sh.hyp {
-			r[sh.t], r[sh.u] = int64(math.Float64bits(t)), int64(math.Float64bits(u))
-		}
-		m.fuel -= j * n
-		return j == k && passes(top, r[ctr], y) != back
-	}
-}
-
-// fkern is what compiling a float kernel fixes.
-type fkern struct {
-	sh         fshape
-	ko         []form   // the offsets
-	lr, lo     [4]int   // each read's register, and the offset that is, or -1
-	lk, lw, lc [4]int64 // its constant, its width, how far it moves
-	ca, cb, cs int      // the copy's registers, or -1; the counter
-	loop       floop    // nil: each
-}
-
-// A floop runs n iterations of a float kernel of its shape and layout
-// from reads at p, moved by d an iteration, and says the sum and the
-// last t and u.
-type floop func(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (float64, float64, float64)
-
-func floopCross32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (float64, float64, float64) {
-	p1, p2, step, left, op := p[1], p[2], d[1], k.sh.left, k.sh.op
-	va, vd := fload(b, p[0], 4), fload(b, p[3], 4) // then what reads 2 and 1 read an iteration before
-	for j := n; j > 0; j-- {
-		vb, vc := fload(b, p1, 4), fload(b, p2, 4)
-		acc = fsum(left, op, acc, fcross(va, vb, vc, vd))
-		va, vd, p1, p2 = vc, vb, p1+step, p2+step
-	}
-	return acc, 0, 0
-}
-
-func floopHyp32(k *fkern, b []byte, n int64, p, d [4]int64, acc float64) (float64, float64, float64) {
-	p0, p2, step, left, op := p[0], p[2], d[0], k.sh.left, k.sh.op
-	vb, vd := fload(b, p[1], 4), fload(b, p[3], 4) // then what reads 0 and 2 read an iteration before
-	var q, t, u float64
-	for j := n; j > 0; j-- {
-		va, vc := fload(b, p0, 4), fload(b, p2, 4)
-		q, t, u = fhyp(va, vb, vc, vd)
-		acc = fsum(left, op, acc, q)
-		vb, vd, p0, p2 = va, vc, p0+step, p2+step
-	}
-	return acc, t, u
-}
-
-// each runs up to n iterations of any float kernel a step of registers r
-// at a time, checking every read, and says how many it ran and what a
-// floop says.
-func (k *fkern) each(r []int64, b []byte, n, inc int64, acc float64) (j int64, _, t, u float64) {
-	ko, lr, lk, lw, sh, size := k.ko, k.lr, k.lk, k.lw, k.sh, int64(len(b))
-	for ; j < n && (len(ko) < 1 || ko[0].set(r, b)) && (len(ko) < 2 || ko[1].set(r, b)); j++ {
-		p0, p1, p2, p3 := r[lr[0]]+lk[0], r[lr[1]]+lk[1], r[lr[2]]+lk[2], r[lr[3]]+lk[3]
-		if uint64(p0) > uint64(size-lw[0]) || uint64(p1) > uint64(size-lw[1]) ||
-			uint64(p2) > uint64(size-lw[2]) || uint64(p3) > uint64(size-lw[3]) {
-			break
-		}
-		f0, f1, f2, f3 := fload(b, p0, lw[0]), fload(b, p1, lw[1]), fload(b, p2, lw[2]), fload(b, p3, lw[3])
-		var q float64
-		if sh.hyp {
-			q, t, u = fhyp(f0, f1, f2, f3)
-		} else {
-			q = fcross(f0, f1, f2, f3)
-		}
-		acc = fsum(sh.left, sh.op, acc, q)
-		k.step(r, inc)
-	}
-	return j, acc, t, u
-}
-
-// step runs the end of an iteration on registers r: the copy and the
-// counter's step.
-func (k *fkern) step(r []int64, inc int64) {
-	if k.ca >= 0 {
-		r[k.ca] = r[k.cb]
-	}
-	r[k.cs] += inc
-}
-
 // fcross and fhyp are the two shapes' terms: the shoelace's a·b − c·d,
 // and the segment's sqrt(t + u·u) with t = (a−b)² and u = c−d, which it
 // returns too. Each operation rounds to float64 on its own, as the
@@ -641,7 +600,7 @@ func fhyp(a, b, c, d float64) (float64, float64, float64) {
 	return math.Sqrt(float64(t + float64(u*u))), t, u
 }
 
-// set computes a float kernel's offset, an fAffine or fGather form, into
+// set computes a kernel's derived offset, an fAffine or fGather form, into
 // registers r, or reports that its read of buf would trap.
 func (f *form) set(r []int64, buf []byte) bool {
 	o := r[f.b]*f.kb + r[f.c]*f.kc + f.k
@@ -649,23 +608,18 @@ func (f *form) set(r []int64, buf []byte) bool {
 		if uint64(o) > uint64(len(buf)-4) {
 			return false
 		}
-		o = f.gather(buf, o)
+		o = int64(int32(binary.BigEndian.Uint32(buf[o:o+4])))*f.km + f.ka
 	}
 	r[f.a] = o
 	return true
 }
 
-// gather is an fGather form's value where its index is at o.
-func (f *form) gather(b []byte, o int64) int64 {
-	return int64(int32(binary.BigEndian.Uint32(b[o:o+4])))*f.km + f.ka
-}
-
-// fshape is the shape of a float kernel's statements, one of two: the
+// fshape is the shape of a kernel's float body, one of two: the
 // shoelace's sum of a cross product, s = s op (a*b - c*d); and a
 // segment's length added to a sum, the four statements t = a - b;
 // t = t*t; u = c - d; s = s + sqrt(t + u*u) (hyp). Either sum may have
 // its operands the other way round (left false). The leaves a, b, c and
-// d are float reads.
+// d are float reads. A cross's t and u are its s.
 type fshape struct {
 	leaves  [4]*fx
 	hyp     bool
@@ -679,43 +633,26 @@ func fshapeOf(fs []form) (sh fshape, ok bool) {
 	pair := func(x *fx, op Op) bool { return x.op == op && load(x.a) && load(x.b) }
 	isReg := func(x *fx, r int) bool { return *x == fx{op: OpLoad, reg: r} }
 	square := func(x *fx, r int) bool { return x.op == OpMulF && isReg(x.a, r) && isReg(x.b, r) }
-	if len(fs) == 1 { // the cross
-		x, s := fs[0].x, fs[0].a
-		if x.op != OpAddF && x.op != OpSubF {
-			return sh, false
-		}
-		sh.op, sh.s, sh.left = x.op, s, isReg(x.a, s)
-		c := x.a
-		if sh.left {
-			c = x.b
-		} else if !isReg(x.b, s) {
-			return sh, false
-		}
-		if c.op != OpSubF || !pair(c.a, OpMulF) || !pair(c.b, OpMulF) {
-			return sh, false
-		}
-		sh.leaves = [4]*fx{c.a.a, c.a.b, c.b.a, c.b.b}
+	f := fs[len(fs)-1] // the sum, s = s op y
+	x, y := f.x, f.x.a
+	if x.op != OpAddF && x.op != OpSubF {
+		return sh, false
+	}
+	if sh.op, sh.s, sh.t, sh.u, sh.left = x.op, f.a, f.a, f.a, isReg(x.a, f.a); sh.left {
+		y = x.b
+	} else if !isReg(x.b, f.a) {
+		return sh, false
+	}
+	if len(fs) == 1 && y.op == OpSubF && pair(y.a, OpMulF) && pair(y.b, OpMulF) { // the cross
+		sh.leaves = [4]*fx{y.a.a, y.a.b, y.b.a, y.b.b}
 		return sh, true
 	}
-	if len(fs) != 4 { // the hypotenuse
+	if len(fs) != 4 || x.op != OpAddF || y.op != OpHost || y.a.op != OpAddF || !pair(fs[0].x, OpSubF) || !pair(fs[2].x, OpSubF) {
 		return sh, false
 	}
-	sh.hyp, sh.op, sh.t, sh.u, sh.s = true, OpAddF, fs[0].a, fs[2].a, fs[3].a
-	x := fs[3].x
-	if x.op != OpAddF {
-		return sh, false
-	}
-	sqrt := x.a
-	if sh.left = isReg(x.a, sh.s); sh.left {
-		sqrt = x.b
-	} else if !isReg(x.b, sh.s) {
-		return sh, false
-	}
-	if !pair(fs[0].x, OpSubF) || fs[1].a != sh.t || !square(fs[1].x, sh.t) || !pair(fs[2].x, OpSubF) ||
-		sh.t == sh.u || sh.u == sh.s || sh.s == sh.t || sqrt.op != OpHost {
-		return sh, false
-	}
-	if y := sqrt.a; y.op != OpAddF || !isReg(y.a, sh.t) || !square(y.b, sh.u) {
+	sh.hyp, sh.t, sh.u = true, fs[0].a, fs[2].a // the hypotenuse
+	if fs[1].a != sh.t || !square(fs[1].x, sh.t) || sh.t == sh.u || sh.u == sh.s || sh.s == sh.t ||
+		!isReg(y.a.a, sh.t) || !square(y.a.b, sh.u) {
 		return sh, false
 	}
 	sh.leaves = [4]*fx{fs[0].x.a, fs[0].x.b, fs[2].x.a, fs[2].x.b}
@@ -1093,7 +1030,7 @@ func (c *fcomp) assign(n int, o operand) {
 	c.cls[n] = class(o.k)
 }
 
-// fxOf is float operand o's shape, when a float kernel can compute it.
+// fxOf is float operand o's shape, when a kernel can compute it.
 func (c *fcomp) fxOf(o operand) *fx {
 	if o.x == nil && o.loc == locReg && c.cls[o.n] == akFloat {
 		return &fx{op: OpLoad, reg: o.n}

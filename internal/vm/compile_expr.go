@@ -476,7 +476,7 @@ func (c *fcomp) store(op Op) {
 	var f form
 	if ld, r := val.form, c.breg(off); ld.op == fLoad && val.add == 0 && op == OpStU8 && !keep && r >= 0 && buf.loc == locReg {
 		f = ld
-		f.op, f.b, f.kb, f.dst = fCopy, r, k, buf.n
+		f.op, f.a, f.b, f.kb, f.dst = fCopy, -1, r, k, buf.n
 	}
 	c.emitAs(general, f)
 }

@@ -14,8 +14,8 @@ func ParityFrom(t testing.TB, p *Program, fn int, limits Limits, globals, args [
 // LoopShapes lists, block by block, how function fn of a verified
 // program runs its loops in place: "self" (a block whose own test sends
 // it back) or "rotated" (a body that takes its header's test), followed
-// by " kernel" when one closure runs the whole loop — " float kernel"
-// when that is a float kernel.
+// by " kernel" when one call runs whole iterations — " float kernel"
+// when its body is a float one.
 func LoopShapes(p *Program, fn string) []string {
 	var out []string
 	for _, b := range p.verified.code(p).funcs[p.FuncIndex(fn)].blocks {
@@ -24,10 +24,9 @@ func LoopShapes(p *Program, fn string) []string {
 			if l.hn > 0 {
 				s = "rotated"
 			}
-			if l.float {
-				s += " float"
-			}
-			if l.kernel != nil {
+			if k := l.kernel; k != nil && k.body == fFloat {
+				s += " float kernel"
+			} else if k != nil {
 				s += " kernel"
 			}
 			out = append(out, s)
