@@ -289,15 +289,13 @@ func (c *fcomp) loop(b *block) {
 	if h != b {
 		l.n, l.hn = b.n+h.n, h.n
 	}
-	l.kernel = kernel(c.forms[b], c.tests[h], l.n, l.back)
+	l.kernel = kernel(c.forms[b], c.tests[h])
 	b.loop = l
 }
 
 // kern is a loop kernel: a loop whose every statement has a form, run
 // whole iterations at a time by one call.
 type kern struct {
-	n        int64    // fuel for a whole iteration
-	back     bool     // what the test says when the loop goes round again
 	t        form     // the test, of counter t.b
 	td       [2]int64 // how far t.b moves an iteration, in counter steps
 	offs     []form   // the derived offsets
@@ -329,7 +327,7 @@ type access struct {
 // constant. A byte body's counters are its offset registers, and it has
 // no derived offset or copy; a float body steps one counter. No register
 // but a float's is written twice.
-func kernel(fs []form, t form, n int64, back bool) *kern {
+func kernel(fs []form, t form) *kern {
 	step := func(f form) bool { return f.op == fAffine && f.a == f.b && f.kb == 1 }
 	i, j := 0, 0 // fs[:i] the offsets, fs[i:j] the body
 	for i < len(fs) && (fs[i].op == fGather || fs[i].op == fAffine && !step(fs[i])) {
@@ -344,7 +342,7 @@ func kernel(fs []form, t form, n int64, back bool) *kern {
 	if i == j {
 		return nil
 	}
-	k := &kern{n: n, back: back, t: t, offs: fs[:i], ca: -1, cb: -1, steps: fs[j:]}
+	k := &kern{t: t, offs: fs[:i], ca: -1, cb: -1, steps: fs[j:]}
 	if c := fs[min(j, len(fs)-1)]; j < len(fs) && c.op == fAffine && !step(c) && c.kb == 1 && c.kc == 0 && c.k == 0 {
 		k.ca, k.cb, k.steps = c.a, c.b, fs[j+1:]
 	}
@@ -420,11 +418,11 @@ func kernel(fs []form, t form, n int64, back bool) *kern {
 	return k
 }
 
-// run runs whole iterations of the kernel from where m stands — as many
+// run runs whole iterations of loop l from where m stands — as many
 // as the run rule and every access's room allow, or, in a float body
 // that is no ring, as its checks pass — and writes the registers and
 // the fuel back. It says whether the loop has exited.
-func (k *kern) run(m *Machine) bool {
+func (k *kern) run(m *Machine, l *loop) bool {
 	s, d := &m.v[k.src], &m.v[k.dst]
 	if s.K != VBytes || k.body == fCopy && (d.K != VBytes || !d.W) {
 		return false
@@ -436,7 +434,7 @@ func (k *kern) run(m *Machine) bool {
 		x0[i], inc[i] = r[f.a], r[f.c]*f.kc+f.k
 	}
 	y := r[t.c]*t.kc + t.k
-	j := runLen(m.fuel, k.n, t.op, k.back, r[t.b], k.td[0]*inc[0]+k.td[1]*inc[1], y)
+	j := runLen(m.fuel, l.n, t.op, l.back, r[t.b], k.td[0]*inc[0]+k.td[1]*inc[1], y)
 	n, acc, tt, u := j, math.Float64frombits(uint64(r[k.sum])), 0.0, 0.0
 	var p, dp [4]int64 // where each access starts, and how far it moves an iteration
 	if k.body != fFloat || k.ring {
@@ -452,18 +450,7 @@ func (k *kern) run(m *Machine) bool {
 	switch {
 	case j == 0:
 	case k.body == fLoadAdd:
-		q, dq, i, total := p[0], dp[0], j, r[k.sum]
-		for ; dq == 1 && i >= 8; q, i = q+8, i-8 { // eight bytes at a time: a sum's order is free
-			w := binary.LittleEndian.Uint64(sb[q:])
-			w = w&0x00ff00ff00ff00ff + w>>8&0x00ff00ff00ff00ff
-			w = w&0x0000ffff0000ffff + w>>16&0x0000ffff0000ffff
-			total += int64(w&0xffffffff + w>>32)
-		}
-		for ; i > 0; i-- {
-			total += int64(sb[q])
-			q += dq
-		}
-		r[k.sum] = total
+		r[k.sum] = sumBytes(sb, p[0], dp[0], j, r[k.sum])
 	case k.body == fCopy: // in order: a source aliasing the destination reads what was written
 		for pi, po, di, do, i := p[0], p[1], dp[0], dp[1], j; i > 0; i-- {
 			db[po] = sb[pi]
@@ -496,11 +483,25 @@ func (k *kern) run(m *Machine) bool {
 	}
 	k.step(r, inc)
 	if k.body == fFloat { // a cross's t and u are its sum's register, written last
-		r[sh.t], r[sh.u] = int64(math.Float64bits(tt)), int64(math.Float64bits(u))
-		r[k.sum] = int64(math.Float64bits(acc))
+		r[sh.t], r[sh.u], r[k.sum] = int64(math.Float64bits(tt)), int64(math.Float64bits(u)), int64(math.Float64bits(acc))
 	}
-	m.fuel -= j * k.n
-	return j == n && passes(t.op, r[t.b], y) != k.back
+	m.fuel -= j * l.n
+	return j == n && passes(t.op, r[t.b], y) != l.back
+}
+
+// sumBytes adds n bytes of b, from p on, d apart, to total: eight at a time where adjacent.
+func sumBytes(b []byte, p, d, n, total int64) int64 {
+	for ; d == 1 && n >= 8; p, n = p+8, n-8 {
+		w := binary.LittleEndian.Uint64(b[p:])
+		w = w&0x00ff00ff00ff00ff + w>>8&0x00ff00ff00ff00ff
+		w = w&0x0000ffff0000ffff + w>>16&0x0000ffff0000ffff
+		total += int64(w&0xffffffff + w>>32)
+	}
+	for ; n > 0; n-- {
+		total += int64(b[p])
+		p += d
+	}
+	return total
 }
 
 // step ends an iteration on registers r: the copy, the counters' steps.

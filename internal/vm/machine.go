@@ -252,7 +252,7 @@ func (m *Machine) exec(fn *cfunc) {
 // fuel covers one. It returns the exit, or b when the fuel falls short:
 // exec runs b and its header as blocks, and exhaust finds the limit.
 func (m *Machine) iterate(b *block, l *loop) *block {
-	if l.kernel != nil && l.kernel.run(m) {
+	if l.kernel != nil && l.kernel.run(m, l) {
 		return l.exit
 	}
 	for m.fuel >= l.n {
