@@ -300,7 +300,7 @@ type kern struct {
 	td       [2]int64 // how far t.b moves an iteration, in counter steps
 	offs     []form   // the derived offsets
 	body     uint8    // fLoadAdd, fCopy or fFloat
-	sum      int      // a byte sum's register
+	sum      int      // the sum's register
 	sh       fshape   // a float body's shape
 	src, dst int      // the buffer read, and the one written: a copy's, else src
 	ax       []access // a byte body's read and write; a float body's four leaves
@@ -418,16 +418,15 @@ func kernel(fs []form, t form) *kern {
 	return k
 }
 
-// run runs whole iterations of loop l from where m stands — as many
-// as the run rule and every access's room allow, or, in a float body
-// that is no ring, as its checks pass — and writes the registers and
-// the fuel back. It says whether the loop has exited.
+// run runs loop l's whole iterations from where m stands, as many as the
+// run rule and every access's room allow (a float body that is no ring:
+// as its checks pass), and writes back registers and fuel; true: exited.
 func (k *kern) run(m *Machine, l *loop) bool {
 	s, d := &m.v[k.src], &m.v[k.dst]
 	if s.K != VBytes || k.body == fCopy && (d.K != VBytes || !d.W) {
 		return false
 	}
-	r, sb, db, sh, t := m.r, s.B, d.B, &k.sh, &k.t
+	r, sb, sh, t := m.r, s.B, &k.sh, &k.t
 	var x0, inc [2]int64 // each counter on entry, and its step
 	for i := range k.steps {
 		f := &k.steps[i]
@@ -436,8 +435,10 @@ func (k *kern) run(m *Machine, l *loop) bool {
 	y := r[t.c]*t.kc + t.k
 	j := runLen(m.fuel, l.n, t.op, l.back, r[t.b], k.td[0]*inc[0]+k.td[1]*inc[1], y)
 	n, acc, tt, u := j, math.Float64frombits(uint64(r[k.sum])), 0.0, 0.0
-	var p, dp [4]int64 // where each access starts, and how far it moves an iteration
-	if k.body != fFloat || k.ring {
+	if k.body == fFloat && !k.ring {
+		j, acc, tt, u = k.checked(r, sb, n, inc[0], acc)
+	} else {
+		var p, dp [4]int64 // where each access starts, and how far it moves an iteration
 		for i := range k.offs {
 			k.offs[i].set(r, sb)
 		}
@@ -446,31 +447,9 @@ func (k *kern) run(m *Machine, l *loop) bool {
 			p[i], dp[i] = r[a.reg]+a.k, a.ds[0]*inc[0]+a.ds[1]*inc[1]
 			j = room(p[i], dp[i], int64(len(m.v[a.buf].B))-a.w, j)
 		}
-	}
-	switch {
-	case j == 0:
-	case k.body == fLoadAdd:
-		r[k.sum] = sumBytes(sb, p[0], dp[0], j, r[k.sum])
-	case k.body == fCopy: // in order: a source aliasing the destination reads what was written
-		for pi, po, di, do, i := p[0], p[1], dp[0], dp[1], j; i > 0; i-- {
-			db[po] = sb[pi]
-			pi, po = pi+di, po+do
+		if j > 0 {
+			acc, tt, u = k.loop(r, sb, d.B, j, p, dp, acc)
 		}
-	case k.ring && sh.hyp: // reads 1 and 3 are what 0 and 2 read an iteration before
-		p0, p2, d, vb, vd, left, op := p[0], p[2], dp[0], fload(sb, p[1], 4), fload(sb, p[3], 4), sh.left, sh.op
-		for i := j; i > 0; i-- {
-			va, vc := fload(sb, p0, 4), fload(sb, p2, 4)
-			q, qt, qu := fhyp(va, vb, vc, vd)
-			acc, tt, u, vb, vd, p0, p2 = fsum(left, op, acc, q), qt, qu, va, vc, p0+d, p2+d
-		}
-	case k.ring: // reads 0 and 3 are what 2 and 1 read an iteration before
-		p1, p2, d, va, vd, left, op := p[1], p[2], dp[1], fload(sb, p[0], 4), fload(sb, p[3], 4), sh.left, sh.op
-		for i := j; i > 0; i-- {
-			vb, vc := fload(sb, p1, 4), fload(sb, p2, 4)
-			acc, va, vd, p1, p2 = fsum(left, op, acc, fcross(va, vb, vc, vd)), vc, vb, p1+d, p2+d
-		}
-	default:
-		j, acc, tt, u = k.checked(r, sb, n, inc, acc)
 	}
 	if j == 0 {
 		return false
@@ -481,7 +460,12 @@ func (k *kern) run(m *Machine, l *loop) bool {
 	for i := range k.offs {
 		k.offs[i].set(r, sb)
 	}
-	k.step(r, inc)
+	if k.ca >= 0 {
+		r[k.ca] = r[k.cb]
+	}
+	for i := range k.steps {
+		r[k.steps[i].a] += inc[i]
+	}
 	if k.body == fFloat { // a cross's t and u are its sum's register, written last
 		r[sh.t], r[sh.u], r[k.sum] = int64(math.Float64bits(tt)), int64(math.Float64bits(u)), int64(math.Float64bits(acc))
 	}
@@ -489,36 +473,51 @@ func (k *kern) run(m *Machine, l *loop) bool {
 	return j == n && passes(t.op, r[t.b], y) != l.back
 }
 
-// sumBytes adds n bytes of b, from p on, d apart, to total: eight at a time where adjacent.
-func sumBytes(b []byte, p, d, n, total int64) int64 {
-	for ; d == 1 && n >= 8; p, n = p+8, n-8 {
-		w := binary.LittleEndian.Uint64(b[p:])
-		w = w&0x00ff00ff00ff00ff + w>>8&0x00ff00ff00ff00ff
-		w = w&0x0000ffff0000ffff + w>>16&0x0000ffff0000ffff
-		total += int64(w&0xffffffff + w>>32)
+// loop runs n ≥ 1 iterations, unchecked, in the loop the kernel's body
+// and layout pick, its accesses starting at p and moving by d, and says
+// a float body's sum and last t and u.
+func (k *kern) loop(r []int64, sb, db []byte, n int64, p, d [4]int64, acc float64) (_, t, u float64) {
+	switch sh := &k.sh; {
+	case k.body == fLoadAdd:
+		q, dq, total := p[0], d[0], r[k.sum]
+		for ; dq == 1 && n >= 8; q, n = q+8, n-8 { // eight bytes at a time: a sum's order is free
+			w := binary.LittleEndian.Uint64(sb[q:])
+			w = w&0x00ff00ff00ff00ff + w>>8&0x00ff00ff00ff00ff
+			w = w&0x0000ffff0000ffff + w>>16&0x0000ffff0000ffff
+			total += int64(w&0xffffffff + w>>32)
+		}
+		for ; n > 0; n-- {
+			total += int64(sb[q])
+			q += dq
+		}
+		r[k.sum] = total
+	case k.body == fCopy: // in order: a source aliasing the destination reads what was written
+		for pi, po, di, do := p[0], p[1], d[0], d[1]; n > 0; n-- {
+			db[po] = sb[pi]
+			pi, po = pi+di, po+do
+		}
+	case sh.hyp: // a segment ring: reads 1 and 3 are what 0 and 2 read an iteration before
+		p0, p2, step, vb, vd, left, op := p[0], p[2], d[0], fload(sb, p[1], 4), fload(sb, p[3], 4), sh.left, sh.op
+		for ; n > 0; n-- {
+			va, vc := fload(sb, p0, 4), fload(sb, p2, 4)
+			q, qt, qu := fhyp(va, vb, vc, vd)
+			acc, t, u, vb, vd, p0, p2 = fsum(left, op, acc, q), qt, qu, va, vc, p0+step, p2+step
+		}
+	default: // a shoelace ring: reads 0 and 3 are what 2 and 1 read an iteration before
+		p1, p2, step, va, vd, left, op := p[1], p[2], d[1], fload(sb, p[0], 4), fload(sb, p[3], 4), sh.left, sh.op
+		for ; n > 0; n-- {
+			vb, vc := fload(sb, p1, 4), fload(sb, p2, 4)
+			acc, va, vd, p1, p2 = fsum(left, op, acc, fcross(va, vb, vc, vd)), vc, vb, p1+step, p2+step
+		}
 	}
-	for ; n > 0; n-- {
-		total += int64(b[p])
-		p += d
-	}
-	return total
-}
-
-// step ends an iteration on registers r: the copy, the counters' steps.
-func (k *kern) step(r []int64, inc [2]int64) {
-	if k.ca >= 0 {
-		r[k.ca] = r[k.cb]
-	}
-	for i := range k.steps {
-		r[k.steps[i].a] += inc[i]
-	}
+	return acc, t, u
 }
 
 // checked runs up to n iterations of a float body that is no ring a
-// step of registers r at a time, checking every read, and says how many
-// it ran, the sum and the last t and u.
-func (k *kern) checked(r []int64, b []byte, n int64, inc [2]int64, acc float64) (j int64, _, t, u float64) {
-	ko, a, sh, size := k.offs, k.ax[:4], &k.sh, int64(len(b))
+// step of registers r at a time, the counter by d, checking every read,
+// and says how many it ran, the sum and the last t and u.
+func (k *kern) checked(r []int64, b []byte, n, d int64, acc float64) (j int64, _, t, u float64) {
+	a, ko, sh, size, ca, cb, cs := [4]access(k.ax), k.offs, k.sh, int64(len(b)), k.ca, k.cb, k.steps[0].a
 	for ; j < n && size >= 8 && (len(ko) < 1 || ko[0].set(r, b)) && (len(ko) < 2 || ko[1].set(r, b)); j++ {
 		p0, p1, p2, p3 := r[a[0].reg]+a[0].k, r[a[1].reg]+a[1].k, r[a[2].reg]+a[2].k, r[a[3].reg]+a[3].k
 		if uint64(p0) > uint64(size-a[0].w) || uint64(p1) > uint64(size-a[1].w) ||
@@ -532,8 +531,10 @@ func (k *kern) checked(r []int64, b []byte, n int64, inc [2]int64, acc float64) 
 		} else {
 			q = fcross(f0, f1, f2, f3)
 		}
-		acc = fsum(sh.left, sh.op, acc, q)
-		k.step(r, inc)
+		if acc = fsum(sh.left, sh.op, acc, q); ca >= 0 {
+			r[ca] = r[cb]
+		}
+		r[cs] += d
 	}
 	return j, acc, t, u
 }

@@ -698,6 +698,7 @@ func TestFusedLoopParity(t *testing.T) {
 		{name: "bounds trap one byte short, first iteration", pts: ringPts(8), n: 8, start: 7, cut: 1},
 		{name: "bounds trap one byte short, last iteration", pts: ringPts(8), n: 8, start: 0, cut: 1},
 		{name: "bounds trap one byte short, ldf64 leaves", pts: ringPts(8), n: 8, start: 0, cut: 1, wide: true},
+		{name: "bounds trap one byte short, first iteration, ldf64 leaves", pts: ringPts(8), n: 8, start: 7, cut: 1, wide: true},
 		{name: "argument that is no buffer", pts: ringPts(8), n: 8, start: 7, noBuffer: true},
 		{name: "NaN, infinities and negative zero", pts: special, n: 6, start: 5},
 		{name: "reads of both widths", pts: ringPts(8), n: 8, start: 7, wide: true},
