@@ -310,8 +310,8 @@ type kern struct {
 }
 
 // access is w bytes of buffer v[buf].B at r[reg]+k. It moves ds·(the
-// counters' steps) an iteration — but for a read through the carried
-// copy, made once: a ring carries it on.
+// counters' steps) an iteration; a read through the carried copy has ds
+// zero, as a ring reads it once, on entry, and carries it on.
 type access struct {
 	reg, buf int
 	k, w     int64
