@@ -305,7 +305,7 @@ type kern struct {
 	src, dst int      // the buffer read, and the one written: a copy's, else src
 	ax       []access // a byte body's read and write; a float body's four leaves
 	ca, cb   int      // the carried copy r[ca] = r[cb]; ca -1: none
-	steps    []form   // the counters' steps
+	steps    []form   // the counters' steps: at most two, a byte body's offset registers
 	ring     bool     // a float body over a ring of ldf32 vertices
 }
 
