@@ -178,8 +178,7 @@ func shardRasters(src *storage.Table, stores map[string]*storage.Store, n, k int
 // the placement recorded so the QPC plans scatter/gather over it.
 func registerPartitioned(cat *catalog.Catalog, stores map[string]*storage.Store, name string, spec *mocha.PartitionSpec) error {
 	var schema mocha.Schema
-	total := catalog.TableStats{}
-	sums := map[string]int64{}
+	shards := make([]catalog.TableStats, len(spec.Parts))
 	for pi, part := range spec.Parts {
 		tbl, ok := stores[part.Replicas[0]].Table(part.Table)
 		if !ok {
@@ -188,23 +187,13 @@ func registerPartitioned(cat *catalog.Catalog, stores map[string]*storage.Store,
 		if pi == 0 {
 			schema = tbl.Schema()
 		}
-		stats, err := mocha.ComputeTableStats(tbl)
-		if err != nil {
+		var err error
+		if shards[pi], err = mocha.ComputeTableStats(tbl); err != nil {
 			return err
 		}
-		total.RowCount += stats.RowCount
-		for _, c := range stats.Columns {
-			sums[c.Name] += int64(c.AvgBytes) * stats.RowCount
-		}
-		fmt.Printf("  %-10s %8d rows  @ %v\n", part.Table, stats.RowCount, part.Replicas)
+		fmt.Printf("  %-10s %8d rows  @ %v\n", part.Table, shards[pi].RowCount, part.Replicas)
 	}
-	for _, c := range schema.Columns {
-		avg := 0
-		if total.RowCount > 0 {
-			avg = int(sums[c.Name] / total.RowCount)
-		}
-		total.Columns = append(total.Columns, catalog.ColumnStats{Name: c.Name, AvgBytes: avg})
-	}
+	total := catalog.ShardStats(schema, shards)
 	if err := cat.AddTable(&catalog.TableDef{
 		Name: name, URI: "mocha://partitioned/" + name,
 		Site: spec.Parts[0].Replicas[0], Schema: schema,

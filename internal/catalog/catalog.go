@@ -39,6 +39,60 @@ func (s TableStats) AvgTupleBytes() int {
 	return n
 }
 
+// ScanStats measures a table in one scan of its records: the row count
+// and each column's average wire size, the length of its encoding. scan
+// calls emit for every row with the encodings of the columns cols names
+// (dap.AccessDriver.Scan, storage.Table.Records).
+func ScanStats(schema types.Schema, scan func(cols []int, emit func(enc [][]byte) error) error) (TableStats, error) {
+	cols := make([]int, schema.Arity())
+	for i := range cols {
+		cols[i] = i
+	}
+	sums := make([]int64, schema.Arity())
+	var rows int64
+	err := scan(cols, func(enc [][]byte) error {
+		rows++
+		for i, v := range enc {
+			sums[i] += int64(len(v))
+		}
+		return nil
+	})
+	if err != nil {
+		return TableStats{}, err
+	}
+	stats := TableStats{RowCount: rows}
+	for i, c := range schema.Columns {
+		avg := 0
+		if rows > 0 {
+			avg = int(sums[i] / rows)
+		}
+		stats.Columns = append(stats.Columns, ColumnStats{Name: c.Name, AvgBytes: avg})
+	}
+	return stats, nil
+}
+
+// ShardStats is the statistics of a table split into disjoint shards
+// with these statistics, in schema's column order: their row counts
+// summed, and each column's average size weighted by its shard's rows.
+func ShardStats(schema types.Schema, shards []TableStats) TableStats {
+	var out TableStats
+	sums := map[string]int64{}
+	for _, s := range shards {
+		out.RowCount += s.RowCount
+		for _, c := range s.Columns {
+			sums[c.Name] += int64(c.AvgBytes) * s.RowCount
+		}
+	}
+	for _, c := range schema.Columns {
+		avg := 0
+		if out.RowCount > 0 {
+			avg = int(sums[c.Name] / out.RowCount)
+		}
+		out.Columns = append(out.Columns, ColumnStats{Name: c.Name, AvgBytes: avg})
+	}
+	return out
+}
+
 // AvgColBytes returns the average size of the named column (0 if
 // unknown).
 func (s TableStats) AvgColBytes(name string) int {

@@ -24,13 +24,21 @@ import (
 
 // AccessDriver abstracts the data server behind the DAP (section 3.4): a
 // full database (internal/storage), a flat-file server or an XML
-// repository all expose table scans in the middleware schema.
+// repository all expose table scans in the middleware schema, as rows
+// in the wire tuple format (DESIGN §3.9), so that no per-row object is
+// made before the fragment needs one.
 type AccessDriver interface {
 	// TableSchema returns the middleware schema of a table.
 	TableSchema(table string) (types.Schema, error)
-	// Scan calls emit for every tuple of the table. Returned tuples must
-	// be safe to retain.
-	Scan(table string, emit func(types.Tuple) error) error
+	// Scan calls emit for every row of the table with the encodings of
+	// the columns cols names, in that order. Every column of the row is
+	// checked by DecodeValue's length rules first, and a row that fails
+	// them fails the scan. enc is reused from row to row, but the bytes
+	// it windows are never written again: a value decoded from them,
+	// which aliases them, may be retained — DESIGN §3.9's ownership
+	// rule — so the scan copies nothing per row. Scan returns the error
+	// emit returns (in particular exec.ErrStopped).
+	Scan(table string, cols []int, emit func(enc [][]byte) error) error
 }
 
 // Config configures a DAP server.
@@ -55,11 +63,10 @@ type Config struct {
 	// BatchBytes overrides the target tuple-batch payload size for result
 	// streams. Zero means wire.DefaultBatchBytes.
 	BatchBytes int
-	// Exec tunes the fragment executor: batch size, the scan read-ahead
-	// depth, and the query-memory budget shared by every concurrent
-	// session (Exec.MemBudgetBytes > 0 creates the server's memory
-	// governor and arms the spilling aggregate). Zero fields take the
-	// exec package defaults.
+	// Exec tunes the fragment executor: Exec.MemBudgetBytes > 0 is the
+	// query-memory budget shared by every concurrent session, which
+	// creates the server's memory governor and arms the spilling
+	// operators; zero leaves the executor ungoverned.
 	Exec exec.Tuning
 	// Metrics receives the server's dap_* counters and wire traffic
 	// counters. Nil uses the process-wide obs.Default() registry.

@@ -53,7 +53,7 @@ func TestXMLTableDocumentGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := t.TempDir()
-	if err := WriteXMLTable(out, "Stations", ft.schema, ft.tuples); err != nil {
+	if err := WriteXMLTable(out, "Stations", ft.schema, scanTuples(t, drv, "Stations")); err != nil {
 		t.Fatal(err)
 	}
 	if again, _ := os.ReadFile(filepath.Join(out, "Stations.xml")); string(again) != string(want) {

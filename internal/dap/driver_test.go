@@ -1,14 +1,21 @@
 package dap
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mocha/internal/core"
+	"mocha/internal/exec"
+	"mocha/internal/obs"
+	"mocha/internal/sequoia"
 	"mocha/internal/storage"
 	"mocha/internal/types"
+	"mocha/internal/wire"
 )
 
 var driverSchema = types.NewSchema(
@@ -47,20 +54,49 @@ func checkDriver(t *testing.T, d AccessDriver, table string) {
 		t.Fatalf("schema = %v", schema)
 	}
 	want := driverTuples()
-	var i int
-	err = d.Scan(table, func(tup types.Tuple) error {
-		if tup.String() != want[i].String() {
-			t.Fatalf("row %d: %v != %v", i, tup, want[i])
+	got := scanTuples(t, d, table)
+	for i := range got {
+		if got[i].String() != want[i].String() {
+			t.Fatalf("row %d: %v != %v", i, got[i], want[i])
 		}
-		i++
+	}
+	if len(got) != len(want) {
+		t.Fatalf("scanned %d rows, want %d", len(got), len(want))
+	}
+}
+
+// scanTuples decodes every row of d's scan of table, each column from
+// a window that must hold exactly its value.
+func scanTuples(t *testing.T, d AccessDriver, table string) []types.Tuple {
+	t.Helper()
+	schema, err := d.TableSchema(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := make([]int, schema.Arity())
+	for i := range cols {
+		cols[i] = i
+	}
+	var out []types.Tuple
+	err = d.Scan(table, cols, func(enc [][]byte) error {
+		tup := make(types.Tuple, len(enc))
+		for i, b := range enc {
+			v, n, err := types.DecodeValue(schema.Columns[i].Kind, b)
+			if err != nil {
+				return err
+			}
+			if n != len(b) {
+				return fmt.Errorf("column %d: a %d-byte value in a %d-byte window", i, n, len(b))
+			}
+			tup[i] = v
+		}
+		out = append(out, tup)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i != len(want) {
-		t.Fatalf("scanned %d rows, want %d", i, len(want))
-	}
+	return out
 }
 
 func TestFileDriverRoundTrip(t *testing.T) {
@@ -256,5 +292,112 @@ func TestPredicateRangeDetection(t *testing.T) {
 		Args: []*core.PExpr{core.NewCol(0, types.KindDouble), core.NewConst(types.Double(1))}}
 	if _, _, _, ok := core.ColumnRange(dbl); ok {
 		t.Error("double predicate matched")
+	}
+}
+
+// readRaw drains a fragment stream as sent: its TUPLE_BATCH payloads
+// and the report its EOS carried.
+func readRaw(t *testing.T, conn *wire.Conn) ([][]byte, wire.ExecStats) {
+	t.Helper()
+	var frames [][]byte
+	for {
+		typ, payload, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch typ {
+		case wire.MsgTupleBatch:
+			frames = append(frames, bytes.Clone(payload))
+		case wire.MsgEOS:
+			var stats wire.ExecStats
+			if err := stats.UnmarshalBinary(payload); err != nil {
+				t.Fatal(err)
+			}
+			return frames, stats
+		default:
+			t.Fatalf("%v %q in the stream", typ, payload)
+		}
+	}
+}
+
+// TestDriverParity serves one Rasters table through the store, a flat
+// file and an XML repository, whose scans are one scan: a forwarded
+// fragment and a code-shipped one (a predicate and a call) give the same
+// frames, byte for byte, and their scans the same rows and source bytes,
+// whichever driver served them.
+func TestDriverParity(t *testing.T) {
+	cfg := sequoia.TestScale()
+	cfg.RasterRows, cfg.RasterDim = 60, 32
+	store, err := storage.OpenStore("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sequoia.GenerateRasters(store, cfg); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := store.Table("Rasters")
+	schema := tbl.Schema()
+	var rows []types.Tuple
+	var energies []float64
+	it, err := tbl.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		tup, _, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tup == nil {
+			break
+		}
+		rows = append(rows, tup)
+		energies = append(energies, tup[3].(types.Raster).AvgEnergy())
+	}
+	dir := t.TempDir()
+	if err := WriteFileTable(dir, "Rasters", schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteXMLTable(dir, "Rasters", schema, rows); err != nil {
+		t.Fatal(err)
+	}
+
+	forwarded := extraction("Rasters", schema, []int{3, 0, 2}, []int{1, 0, 2}, 0)
+	if _, ok := exec.Forwarded(forwarded); !ok {
+		t.Fatal("the extraction is not forwarded")
+	}
+	shipped, rel := avgEnergyFragment(t)
+	shipped.Cols = []int{0, 3}
+	slices.Sort(energies)
+	shipped.Predicates = []*core.PExpr{{Kind: core.ExprBinop, Op: ">", Ret: types.KindBool, Args: []*core.PExpr{
+		shipped.Projections[1].Expr, core.NewConst(types.Double(energies[len(energies)/2])),
+	}}}
+	for _, frag := range []*core.Fragment{forwarded, shipped} {
+		var want [][]byte
+		var wantScan obs.Span
+		for i, d := range []AccessDriver{&StorageDriver{Store: store}, &FileDriver{Dir: dir}, &XMLDriver{Dir: dir}} {
+			conn, _ := testDAP(t, Config{Driver: d, BatchBytes: 1 << 10})
+			startFragment(t, conn, &core.Start{Fragment: frag}, nil, rel)
+			frames, stats := readRaw(t, conn)
+			var scan obs.Span
+			for _, sp := range stats.Spans {
+				if sp.Name == obs.OpScan {
+					scan = sp
+				}
+			}
+			if i == 0 {
+				want, wantScan = frames, scan
+				if len(frames) == 0 || scan.RowsIn != int64(len(rows)) || scan.DBBytes == 0 {
+					t.Fatalf("%T: %d frames, scan read %d rows and %d B of %d rows", d, len(frames), scan.RowsIn, scan.DBBytes, len(rows))
+				}
+				continue
+			}
+			if !slices.EqualFunc(frames, want, bytes.Equal) {
+				t.Errorf("%T sent %d frames that differ from the store's %d", d, len(frames), len(want))
+			}
+			if scan.RowsIn != wantScan.RowsIn || scan.DBBytes != wantScan.DBBytes {
+				t.Errorf("%T: scan read %d rows, %d B; the store's %d, %d B", d, scan.RowsIn, scan.DBBytes, wantScan.RowsIn, wantScan.DBBytes)
+			}
+		}
 	}
 }

@@ -2,8 +2,6 @@ package dap
 
 import (
 	"fmt"
-	"os"
-	"sort"
 	"strings"
 
 	"mocha/internal/wire"
@@ -18,26 +16,6 @@ type TableLister interface {
 
 // Tables implements TableLister over the embedded store.
 func (d *StorageDriver) Tables() ([]string, error) { return d.Store.TableNames(), nil }
-
-// Tables implements TableLister for XML repositories.
-func (d *XMLDriver) Tables() ([]string, error) {
-	return listFilesWithSuffix(d.Dir, ".xml")
-}
-
-func listFilesWithSuffix(dir, suffix string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), suffix) {
-			out = append(out, strings.TrimSuffix(e.Name(), suffix))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
 
 // handleProc services the DAP's procedural interface (section 3.2):
 // requests outside the query abstraction, issued by the QPC on behalf

@@ -270,11 +270,11 @@ func (ex *execution) installKeys(payload []byte) error {
 // so only the tail crosses the wire; a fragment that produces fewer
 // tuples than skip ends its stream in an ERROR frame, never a short EOS.
 //
-// The fragment runs in one of two bodies, both ahead of the one tail
-// below (the final flush, its span, the metrics and the EOS report). A
-// fragment that lowers to no operator, over a driver that stores rows
-// as wire tuples, is forwarded (forward); every other one is lowered
-// onto the shared operator tree (runTree).
+// The fragment runs in one of two bodies, both over the driver's one
+// scan and ahead of the one tail below (the final flush, its span, the
+// metrics and the EOS report). A fragment that lowers to no operator is
+// forwarded (forward); every other one is lowered onto the shared
+// operator tree (runTree).
 // report arrives with the execution's identity; its spans are filled in
 // here and it ends the stream.
 func (ex *execution) execute(skip int64, report wire.ExecStats) error {
@@ -298,12 +298,11 @@ func (ex *execution) execute(skip int64, report wire.ExecStats) error {
 	defer out.w.Release()
 	out.w.SetTarget(ex.srv.cfg.BatchBytes)
 	var spans func(startOff int64) []obs.Span
-	rs, records := ex.srv.cfg.Driver.(RecordScanner)
-	if cols, ok := exec.Forwarded(frag); ok && records {
+	if cols, ok := exec.Forwarded(frag); ok {
 		ex.setup(obs.PhaseDapLower, start, obs.Span{})
-		spans, err = ex.forward(rs, cols, out, sink)
+		spans, err = ex.forward(cols, out, sink)
 	} else {
-		spans, err = ex.runTree(start, out)
+		spans, err = ex.runTree(start, schema, out)
 	}
 	if err != nil {
 		return err
@@ -344,13 +343,15 @@ func (ex *execution) execute(skip int64, report wire.ExecStats) error {
 // runTree is execute's body for a fragment lowered onto the shared
 // operator tree (exec.LowerFragment): the scan runs in its own goroutine
 // behind a bounded channel, so source extraction overlaps expression
-// evaluation and the network send path. Time components come from the
+// evaluation and the network send path. The scan decodes each row's
+// extracted columns of table schema where they lie, into a slab of
+// values that no later row overwrites. Time components come from the
 // operators' own accounting — the scan's feed time is DB time,
 // evaluation operators' self time is CPU time, and the emit sink plus
 // the final flush is net time (obs.ClassOf) — so no component can go
 // negative by subtraction. It returns how to render the tree's spans
 // once the stream is flushed.
-func (ex *execution) runTree(start time.Time, out *stream) (func(int64) []obs.Span, error) {
+func (ex *execution) runTree(start time.Time, schema types.Schema, out *stream) (func(int64) []obs.Span, error) {
 	frag := ex.frag
 	// Pin every operator to the exact release digest the fragment's code
 	// refs named: a concurrent rollout may have several releases of one
@@ -370,13 +371,23 @@ func (ex *execution) runTree(start time.Time, out *stream) (func(int64) []obs.Sp
 	}
 	var usedIndex bool
 	var accessed int64 // the scan goroutine's until the tree is closed
+	var slab []types.Object
+	n := len(frag.Cols)
 	src := exec.NewScanSource(obs.OpScan, func(emitTup func(types.Tuple) error) error {
-		used, serr := scanSource(ex.srv.cfg.Driver, frag, func(full types.Tuple) error {
-			// Extract the fragment's columns (the middleware-schema mapping).
-			in := make(types.Tuple, len(frag.Cols))
+		used, serr := scanSource(ex.srv.cfg.Driver, frag, func(enc [][]byte) error {
+			// A row without columns still gets a tuple, not nil.
+			if slab == nil || len(slab) < n {
+				slab = make([]types.Object, rows*n)
+			}
+			in := types.Tuple(slab[:n:n])
+			slab = slab[n:]
 			for i, c := range frag.Cols {
-				in[i] = full[c]
-				accessed += int64(full[c].WireSize())
+				v, _, err := types.DecodeValue(schema.Columns[c].Kind, enc[i])
+				if err != nil {
+					return err
+				}
+				in[i] = v
+				accessed += int64(len(enc[i]))
 			}
 			return emitTup(in)
 		})
@@ -404,22 +415,21 @@ func (ex *execution) runTree(start time.Time, out *stream) (func(int64) []obs.Sp
 }
 
 // forward is execute's body for a fragment that lowers to no operator
-// (exec.Forwarded) over a driver that stores rows as wire tuples: each
-// record's extracted columns come off the scan's page arena as bytes,
-// checked by DecodeValue's length rules, and the ones the projection
-// names are copied into the batch frame as they lie — nothing is
-// decoded, boxed or encoded again, and the frames are the bytes the
+// (exec.Forwarded): each row's extracted columns come off the driver's
+// scan as bytes, checked by DecodeValue's length rules, and the ones the
+// projection names are copied into the batch frame as they lie — nothing
+// is decoded, boxed or encoded again, and the frames are the bytes the
 // operator tree would have sent. A pushed LIMIT stops the scan after
 // that many records. Its spans are the tree's scan and emit — the scan
 // with the rows and source bytes it read, its self time less the time
 // spent sending frames, which is the emit's — and no project, since
 // none ran. out[i] is the extracted column output column i copies.
-func (ex *execution) forward(rs RecordScanner, cols []int, out *stream, sink *timedSender) (func(int64) []obs.Span, error) {
+func (ex *execution) forward(cols []int, out *stream, sink *timedSender) (func(int64) []obs.Span, error) {
 	frag := ex.frag
 	began := time.Now()
 	scan := exec.OpStats{Name: obs.OpScan}
 	row := make([][]byte, len(cols))
-	err := rs.ScanRecords(frag.Table, frag.Cols, func(in [][]byte) error {
+	err := ex.srv.cfg.Driver.Scan(frag.Table, frag.Cols, func(in [][]byte) error {
 		scan.RowsIn++
 		for _, c := range in {
 			scan.DBBytes += int64(len(c))

@@ -85,9 +85,11 @@ func (t *Table) IndexOn(column int) (*Index, bool) {
 	return nil, false
 }
 
-// IndexScan calls emit for every tuple whose indexed column value lies
-// in [lo, hi], in key order.
-func (t *Table) IndexScan(ix *Index, lo, hi int64, emit func(types.Tuple, RID) error) error {
+// IndexScan calls emit, in key order, for every record whose indexed
+// column value lies in [lo, hi], with the encodings of the columns cols
+// names, checked and windowed as Records does, and the record's RID.
+// Each record is its own copy, which nothing writes again.
+func (t *Table) IndexScan(ix *Index, lo, hi int64, cols []int, emit func(enc [][]byte, rid RID) error) error {
 	var rids []RID
 	if err := ix.tree.Range(lo, hi, func(_ int64, v uint64) bool {
 		rids = append(rids, UnpackRID(v))
@@ -95,12 +97,17 @@ func (t *Table) IndexScan(ix *Index, lo, hi int64, emit func(types.Tuple, RID) e
 	}); err != nil {
 		return err
 	}
+	window := t.windows(cols)
 	for _, rid := range rids {
-		tup, err := t.Get(rid)
+		rec, err := t.heap.Get(rid)
 		if err != nil {
 			return err
 		}
-		if err := emit(tup, rid); err != nil {
+		enc, err := window(rid, rec)
+		if err != nil {
+			return err
+		}
+		if err := emit(enc, rid); err != nil {
 			return err
 		}
 	}

@@ -38,9 +38,10 @@ func indexedTable(t *testing.T) (*Table, *Index) {
 func TestIndexBackfillAndMaintenance(t *testing.T) {
 	tbl, ix := indexedTable(t)
 	var got []int32
-	err := tbl.IndexScan(ix, 45, 55, func(tup types.Tuple, _ RID) error {
-		got = append(got, int32(tup[0].(types.Int)))
-		return nil
+	err := tbl.IndexScan(ix, 45, 55, []int{0, 1}, func(enc [][]byte, _ RID) error {
+		k, _, err := types.DecodeValue(types.KindInt, enc[0])
+		got = append(got, int32(k.(types.Int)))
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +55,7 @@ func TestIndexDeleteMaintenance(t *testing.T) {
 	tbl, ix := indexedTable(t)
 	// Delete k=50 via its RID (found by index).
 	var target RID
-	tbl.IndexScan(ix, 50, 50, func(_ types.Tuple, rid RID) error {
+	tbl.IndexScan(ix, 50, 50, nil, func(_ [][]byte, rid RID) error {
 		target = rid
 		return nil
 	})
@@ -62,7 +63,7 @@ func TestIndexDeleteMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var count int
-	tbl.IndexScan(ix, 50, 50, func(types.Tuple, RID) error {
+	tbl.IndexScan(ix, 50, 50, nil, func([][]byte, RID) error {
 		count++
 		return nil
 	})
@@ -71,7 +72,7 @@ func TestIndexDeleteMaintenance(t *testing.T) {
 	}
 	// Neighbors intact.
 	count = 0
-	tbl.IndexScan(ix, 49, 51, func(types.Tuple, RID) error {
+	tbl.IndexScan(ix, 49, 51, nil, func([][]byte, RID) error {
 		count++
 		return nil
 	})

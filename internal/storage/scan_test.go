@@ -252,7 +252,7 @@ func TestScanRacesInsertsAndDeletes(t *testing.T) {
 
 // A record with bytes past its last column, or whose raster header claims
 // more pixels than it has, is refused by a scan — decoding (Next) or
-// forwarding its bytes (NextRecord) — as by Get, with the same error.
+// windowing its columns (Records) — as by Get, with the same error.
 func TestScanAndGetRefuseTrailingBytes(t *testing.T) {
 	good := rasterTuple(1, 4).AppendTo(nil)
 	tall := bytes.Clone(good)
@@ -288,11 +288,8 @@ func TestScanAndGetRefuseTrailingBytes(t *testing.T) {
 			if _, _, err := it.Next(); err == nil || err.Error() != want {
 				t.Errorf("Scan: %v, want %q", err, want)
 			}
-			if it, err = tbl.Scan(); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := it.NextRecord(make([]int, rasterSchema.Arity())); err == nil || err.Error() != want {
-				t.Errorf("NextRecord: %v, want %q", err, want)
+			if err := tbl.Records([]int{0}, func([][]byte) error { return nil }); err == nil || err.Error() != want {
+				t.Errorf("Records: %v, want %q", err, want)
 			}
 		})
 	}

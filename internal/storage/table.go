@@ -65,30 +65,14 @@ func (t *Table) Get(rid RID) (types.Tuple, error) {
 }
 
 // decode decodes the record at rid into tup, which must consume it
-// whole: Get, Scan and NextRecord refuse the same records with the same
-// error.
+// whole: Get, Scan, Records and IndexScan refuse the same records with
+// the same error.
 func (t *Table) decode(tup types.Tuple, rid RID, rec []byte) error {
 	n, err := types.DecodeTupleInto(tup, t.schema, rec)
 	if err != nil {
 		return fmt.Errorf("storage: table %s record %v: %w", t.name, rid, err)
 	}
 	return t.whole(rid, rec, n)
-}
-
-// split sets ends[i] to the offset at which the record's column i ends,
-// each column sized by DecodeValue's rules (types.ValueSize), and
-// refuses what decode refuses, with decode's error.
-func (t *Table) split(ends []int, rid RID, rec []byte) error {
-	var off int
-	for i, c := range t.schema.Columns {
-		n, err := types.ValueSize(c.Kind, rec[off:])
-		if err != nil {
-			return fmt.Errorf("storage: table %s record %v: column %q: %w", t.name, rid, c.Name, err)
-		}
-		off += n
-		ends[i] = off
-	}
-	return t.whole(rid, rec, off)
 }
 
 // whole refuses a record whose columns end n bytes into it, short of
@@ -159,22 +143,55 @@ func (ti *TableIterator) Next() (types.Tuple, RID, error) {
 	return tup, rid, nil
 }
 
-// NextRecord is Next without the decode, for a reader that forwards
-// stored bytes instead of values (the record format is the wire tuple
-// format, DESIGN §3.9): it returns the next record, or nil at end, and
-// sets ends[i], for each of the schema's columns, to the offset at
-// which column i ends. Every column is checked by DecodeValue's length
-// rules and the record must be consumed whole, so a record Get refuses
-// fails here with Get's error. The record is a window into its fill's
-// arena, as Next's values are.
-func (ti *TableIterator) NextRecord(ends []int) ([]byte, RID, error) {
-	rec, rid, err := ti.it.Next()
-	if err != nil || rec == nil {
-		return nil, rid, err
+// Records calls emit for every record of the table, in storage order,
+// with the encodings of the columns cols names, in that order: a stored
+// record is the row's wire encoding (DESIGN §3.9), so each is a window
+// into it. Every column is checked by DecodeValue's length rules and
+// the record must be consumed whole, so a record Get refuses fails here
+// with Get's error. enc is reused from record to record; the bytes it
+// windows are the fill's arena, which nothing writes again. Records
+// returns the error emit returns.
+func (t *Table) Records(cols []int, emit func(enc [][]byte) error) error {
+	it, err := t.heap.Scan()
+	if err != nil {
+		return err
 	}
-	if err := ti.t.split(ends, rid, rec); err != nil {
-		return nil, rid, err
+	window := t.windows(cols)
+	for {
+		rec, rid, err := it.Next()
+		if err != nil || rec == nil {
+			return err
+		}
+		enc, err := window(rid, rec)
+		if err != nil {
+			return err
+		}
+		if err := emit(enc); err != nil {
+			return err
+		}
 	}
-	ti.BytesRead += int64(len(rec))
-	return rec, rid, nil
+}
+
+// windows returns the splitter Records and IndexScan share: it checks
+// the record at rid as decode does, each column sized by ValueSize, and
+// windows the columns cols names into one reused enc.
+func (t *Table) windows(cols []int) func(RID, []byte) ([][]byte, error) {
+	ends := make([]int, t.schema.Arity()+1) // column c is rec[ends[c]:ends[c+1]]
+	enc := make([][]byte, len(cols))
+	return func(rid RID, rec []byte) ([][]byte, error) {
+		for i, c := range t.schema.Columns {
+			n, err := types.ValueSize(c.Kind, rec[ends[i]:])
+			if err != nil {
+				return nil, fmt.Errorf("storage: table %s record %v: column %q: %w", t.name, rid, c.Name, err)
+			}
+			ends[i+1] = ends[i] + n
+		}
+		if err := t.whole(rid, rec, ends[len(ends)-1]); err != nil {
+			return nil, err
+		}
+		for i, c := range cols {
+			enc[i] = rec[ends[c]:ends[c+1]:ends[c+1]]
+		}
+		return enc, nil
+	}
 }

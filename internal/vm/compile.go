@@ -434,9 +434,9 @@ func (k *kern) run(m *Machine, l *loop) bool {
 	}
 	y := r[t.c]*t.kc + t.k
 	j := runLen(m.fuel, l.n, t.op, l.back, r[t.b], k.td[0]*inc[0]+k.td[1]*inc[1], y)
-	n, acc, tt, u := j, math.Float64frombits(uint64(r[k.sum])), 0.0, 0.0
+	acc, tt, u := math.Float64frombits(uint64(r[k.sum])), 0.0, 0.0
 	if k.body == fFloat && !k.ring {
-		j, acc, tt, u = k.checked(r, sb, n, inc[0], acc)
+		j, acc, tt, u = k.checked(r, sb, j, inc[0], acc)
 	} else {
 		var p, dp [4]int64 // where each access starts, and how far it moves an iteration
 		for i := range k.offs {
@@ -470,7 +470,8 @@ func (k *kern) run(m *Machine, l *loop) bool {
 		r[sh.t], r[sh.u], r[k.sum] = int64(math.Float64bits(tt)), int64(math.Float64bits(u)), int64(math.Float64bits(acc))
 	}
 	m.fuel -= j * l.n
-	return j == n && passes(t.op, r[t.b], y) != l.back
+	// A run cut short (room, checks, fuel) ends by runLen's iteration c+1, whose test says back.
+	return passes(t.op, r[t.b], y) != l.back
 }
 
 // loop runs n ≥ 1 iterations, unchecked, in the loop the kernel's body

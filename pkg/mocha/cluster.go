@@ -29,12 +29,10 @@ type ClusterConfig struct {
 	Registry *ops.Registry
 	// DisableDAPCodeCache forces classes to be re-shipped every query.
 	DisableDAPCodeCache bool
-	// Exec tunes the shared operator-tree executor on both the QPC
-	// (batch size, remote-stream prefetch depth) and the DAPs (batch
-	// size, scan read-ahead). Exec.MemBudgetBytes > 0
-	// gives the QPC and every DAP a query-memory governor of that size;
-	// joins and aggregates that overflow it spill to disk.
-	// Zero fields take the exec package defaults.
+	// Exec tunes the shared operator-tree executor on both the QPC and
+	// the DAPs: Exec.MemBudgetBytes > 0 gives the QPC and every DAP a
+	// query-memory governor of that size, and joins and aggregates that
+	// overflow it spill to disk; zero leaves them ungoverned.
 	Exec exec.Tuning
 	// MaxConcurrent bounds the queries executing at once on the QPC
 	// (admission control). Zero means unbounded.
@@ -282,53 +280,15 @@ func (cl *Cluster) RegisterTable(site, table string) error {
 
 // computeDriverStats measures a table through its access driver.
 func computeDriverStats(driver dap.AccessDriver, table string, schema Schema) (catalog.TableStats, error) {
-	return tableStats(schema, func(emit func(Tuple) error) error { return driver.Scan(table, emit) })
+	return catalog.ScanStats(schema, func(cols []int, emit func([][]byte) error) error {
+		return driver.Scan(table, cols, emit)
+	})
 }
 
 // ComputeTableStats scans a table to measure row count and average
 // per-column wire sizes — the statistics the optimizer's VRF needs.
 func ComputeTableStats(tbl *storage.Table) (catalog.TableStats, error) {
-	return tableStats(tbl.Schema(), func(emit func(Tuple) error) error {
-		it, err := tbl.Scan()
-		if err != nil {
-			return err
-		}
-		for {
-			tup, _, err := it.Next()
-			if err != nil || tup == nil {
-				return err
-			}
-			if err := emit(tup); err != nil {
-				return err
-			}
-		}
-	})
-}
-
-// tableStats accumulates row count and average per-column wire sizes
-// over every tuple scan emits.
-func tableStats(schema Schema, scan func(emit func(Tuple) error) error) (catalog.TableStats, error) {
-	sums := make([]int64, schema.Arity())
-	var rows int64
-	err := scan(func(tup Tuple) error {
-		rows++
-		for i, v := range tup {
-			sums[i] += int64(v.WireSize())
-		}
-		return nil
-	})
-	if err != nil {
-		return catalog.TableStats{}, err
-	}
-	stats := catalog.TableStats{RowCount: rows}
-	for i, c := range schema.Columns {
-		avg := 0
-		if rows > 0 {
-			avg = int(sums[i] / rows)
-		}
-		stats.Columns = append(stats.Columns, catalog.ColumnStats{Name: c.Name, AvgBytes: avg})
-	}
-	return stats, nil
+	return catalog.ScanStats(tbl.Schema(), tbl.Records)
 }
 
 // SetSelectivity records a predicate selectivity estimate in the catalog.

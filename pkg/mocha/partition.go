@@ -151,8 +151,7 @@ func (cl *Cluster) RegisterPartitionedTable(name string, spec *PartitionSpec) er
 		return fmt.Errorf("mocha: placement for %s has no partitions", name)
 	}
 	var schema Schema
-	var rows int64
-	sums := map[string]int64{}
+	shards := make([]catalog.TableStats, len(spec.Parts))
 	for pi, part := range spec.Parts {
 		primary := part.Replicas[0]
 		cl.mu.Lock()
@@ -168,29 +167,16 @@ func (cl *Cluster) RegisterPartitionedTable(name string, spec *PartitionSpec) er
 		if pi == 0 {
 			schema = ps
 		}
-		stats, err := computeDriverStats(driver, part.Table, ps)
-		if err != nil {
+		if shards[pi], err = computeDriverStats(driver, part.Table, ps); err != nil {
 			return err
 		}
-		rows += stats.RowCount
-		for _, c := range stats.Columns {
-			sums[c.Name] += int64(c.AvgBytes) * stats.RowCount
-		}
-	}
-	stats := catalog.TableStats{RowCount: rows}
-	for _, c := range schema.Columns {
-		avg := 0
-		if rows > 0 {
-			avg = int(sums[c.Name] / rows)
-		}
-		stats.Columns = append(stats.Columns, catalog.ColumnStats{Name: c.Name, AvgBytes: avg})
 	}
 	return cl.catalog.AddTable(&catalog.TableDef{
 		Name:      name,
 		URI:       "mocha://partitioned/" + name,
 		Site:      spec.Parts[0].Replicas[0],
 		Schema:    schema,
-		Stats:     stats,
+		Stats:     catalog.ShardStats(schema, shards),
 		Placement: spec.Clone(),
 	})
 }
