@@ -103,9 +103,7 @@ func prunablePred(pl *catalog.Placement, keyCol int, e *PExpr) map[int]bool {
 // ColumnRange recognises <int column> cmp <int constant>, either
 // operand order, for cmp one of = < <= > >=, and returns the column and
 // the closed interval [lo, hi] the comparison admits (an open side is
-// the int64 extreme). It is the one reading of such a predicate: the
-// planner prunes partitions by it and the DAP picks index range scans
-// by it.
+// the int64 extreme). The planner prunes partitions by it.
 func ColumnRange(e *PExpr) (col int, lo, hi int64, ok bool) {
 	if e.Kind != ExprBinop || len(e.Args) != 2 {
 		return 0, 0, 0, false

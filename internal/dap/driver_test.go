@@ -198,59 +198,8 @@ func TestDAPOverFileDriver(t *testing.T) {
 	}
 }
 
-// TestIndexRangeScan verifies the DAP uses a table index to satisfy a
-// range predicate, reading only the matching tuples from the source.
-func TestIndexRangeScan(t *testing.T) {
-	store, err := storage.OpenStore("", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := store.Create("Rasters", types.NewSchema(
-		types.Column{Name: "time", Kind: types.KindInt},
-		types.Column{Name: "image", Kind: types.KindRaster},
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		px := make([]byte, 16)
-		for j := range px {
-			px[j] = byte(i)
-		}
-		if _, err := tbl.Insert(types.Tuple{types.Int(int32(i)), types.NewRaster(4, 4, px)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := tbl.CreateIndex("time"); err != nil {
-		t.Fatal(err)
-	}
-	_, srv := testDAP(t, Config{Driver: &StorageDriver{Store: store}})
-	col, ninety := core.NewCol(0, types.KindInt), core.NewConst(types.Int(90))
-	// The predicate is ranked first, so the range scan covers it.
-	for _, tc := range []struct {
-		name string
-		op   string
-		args []*core.PExpr
-	}{
-		{"time >= 90", ">=", []*core.PExpr{col, ninety}},
-		{"90 <= time", "<=", []*core.PExpr{ninety, col}}, // const op col
-	} {
-		frag, rel := avgEnergyFragment(t)
-		frag.Predicates = []*core.PExpr{{Kind: core.ExprBinop, Op: tc.op, Ret: types.KindBool, Args: tc.args}}
-		rows := deployAndRunN(t, connectDAP(t, srv), frag, rel, 10) // only 10 tuples read!
-		if len(rows) != 10 {
-			t.Fatalf("%s: rows = %d", tc.name, len(rows))
-		}
-		for i, row := range rows {
-			if int32(row[0].(types.Int)) != int32(90+i) {
-				t.Fatalf("%s: row %d = %v", tc.name, i, row)
-			}
-		}
-	}
-}
-
-// TestPredicateRangeDetection covers the pattern matcher the range scan
-// (and the planner's partition pruning) reads predicates by.
+// TestPredicateRangeDetection covers the pattern matcher the planner's
+// partition pruning reads predicates by.
 func TestPredicateRangeDetection(t *testing.T) {
 	mk := func(op string, colLeft bool, c int32) *core.PExpr {
 		col := core.NewCol(3, types.KindInt)

@@ -369,12 +369,11 @@ func (ex *execution) runTree(start time.Time, schema types.Schema, out *stream) 
 	if frag.Limit > 0 && frag.Limit < rows {
 		rows = frag.Limit
 	}
-	var usedIndex bool
 	var accessed int64 // the scan goroutine's until the tree is closed
 	var slab []types.Object
 	n := len(frag.Cols)
 	src := exec.NewScanSource(obs.OpScan, func(emitTup func(types.Tuple) error) error {
-		used, serr := scanSource(ex.srv.cfg.Driver, frag, func(enc [][]byte) error {
+		return ex.srv.cfg.Driver.Scan(frag.Table, frag.Cols, func(enc [][]byte) error {
 			// A row without columns still gets a tuple, not nil.
 			if slab == nil || len(slab) < n {
 				slab = make([]types.Object, rows*n)
@@ -391,8 +390,6 @@ func (ex *execution) runTree(start time.Time, schema types.Schema, out *stream) 
 			}
 			return emitTup(in)
 		})
-		usedIndex = used
-		return serr
 	}, rows, exec.DefaultPrefetch)
 	tree, err := exec.LowerFragment(frag, binder, src, ex.semiKeys, out.tuple, ex.srv.gov)
 	if err != nil {
@@ -402,9 +399,6 @@ func (ex *execution) runTree(start time.Time, schema types.Schema, out *stream) 
 
 	if err := exec.Run(context.Background(), tree, nil); err != nil {
 		return nil, err
-	}
-	if usedIndex {
-		ex.srv.cfg.Logf("dap %s: table %s served by index range scan", ex.srv.cfg.Site, frag.Table)
 	}
 	src.Stats().DBBytes = accessed
 	runs, instrs := binder.runCounts()

@@ -176,8 +176,8 @@ func compileProjs(outs []core.Output, binder core.OpBinder, memo *core.Memo) ([]
 // every projection a bare column reference, so that the fragment emits
 // its extracted columns as they are. A pushed LIMIT only stops it. Such
 // a fragment's output is its source rows' column bytes — LowerFragment
-// would build a scan, an identity project and an emit — so a driver that
-// stores rows in the wire format may forward them undecoded (DESIGN
+// would build a scan, an identity project and an emit — so the DAP
+// forwards the wire-format columns its driver yields undecoded (DESIGN
 // §10). out[i] is the extracted column that output column i is.
 func Forwarded(frag *core.Fragment) (out []int, ok bool) {
 	if frag.SemiJoinCol >= 0 || len(frag.Predicates) > 0 || len(frag.GroupBy) > 0 ||

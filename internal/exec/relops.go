@@ -82,9 +82,13 @@ func (p *Project) apply(l int, in []types.Tuple) ([]types.Tuple, error) {
 	if p.resetMemo && ln.memo != nil {
 		ln.memo.Reset()
 	}
+	// One slab per call holds every output row, which nothing writes
+	// again; a zero-column row is still a non-nil tuple.
+	n := len(ln.projs)
+	slab := make([]types.Object, len(in)*n)
 	out := make([]types.Tuple, len(in))
 	for r, tup := range in {
-		row := make(types.Tuple, len(ln.projs))
+		row := types.Tuple(slab[r*n : (r+1)*n : (r+1)*n])
 		for i, fn := range ln.projs {
 			v, perr := fn(tup)
 			if perr != nil {

@@ -6,8 +6,9 @@ import (
 	"sync"
 )
 
-// B+tree index over int64 keys mapping to uint64 values (packed RIDs).
-// Duplicate keys are allowed. The tree lives in its own page file:
+// B+tree over int64 keys mapping to uint64 values. Duplicate keys are
+// allowed. Its one caller outside tests is the benchmark's
+// storage.btree_search_ns driver. The tree lives in its own page file:
 //
 // Page 0 (meta): [0:4] magic "MBT1", [4:8] root page, [8:16] entry count.
 //
@@ -31,19 +32,11 @@ const (
 	innerCap   = (PageSize - innerHdr) / innerEntry
 )
 
-// BTree is a disk-backed B+tree index. It is safe for concurrent use;
+// BTree is a disk-backed B+tree. It is safe for concurrent use;
 // operations are serialized.
 type BTree struct {
 	bp *BufferPool
 	mu sync.Mutex
-}
-
-// PackRID encodes a heap RID as a B+tree value.
-func PackRID(r RID) uint64 { return uint64(r.Page)<<16 | uint64(r.Slot) }
-
-// UnpackRID decodes a B+tree value back into a RID.
-func UnpackRID(v uint64) RID {
-	return RID{Page: PageID(v >> 16), Slot: uint16(v & 0xFFFF)}
 }
 
 // CreateBTree initializes a new index on an empty disk.
@@ -72,19 +65,6 @@ func CreateBTree(bp *BufferPool) (*BTree, error) {
 	putPageID(m[4:], root.ID())
 	binary.BigEndian.PutUint64(m[8:], 0)
 	meta.MarkDirty()
-	return &BTree{bp: bp}, nil
-}
-
-// OpenBTree opens an existing index.
-func OpenBTree(bp *BufferPool) (*BTree, error) {
-	meta, err := bp.Fetch(0)
-	if err != nil {
-		return nil, err
-	}
-	defer meta.Release()
-	if string(meta.Data()[0:4]) != btreeMagic {
-		return nil, fmt.Errorf("storage: not a btree file (bad magic)")
-	}
 	return &BTree{bp: bp}, nil
 }
 
@@ -393,65 +373,4 @@ func (t *BTree) Range(lo, hi int64, fn func(key int64, val uint64) bool) error {
 		page = next
 	}
 	return nil
-}
-
-// Delete removes one entry matching (key, val), returning whether an
-// entry was removed. Leaves are not rebalanced (lazy deletion).
-func (t *BTree) Delete(key int64, val uint64) (bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	meta, err := t.bp.Fetch(0)
-	if err != nil {
-		return false, err
-	}
-	page := getPageID(meta.Data()[4:])
-	for {
-		f, err := t.bp.Fetch(page)
-		if err != nil {
-			meta.Release()
-			return false, err
-		}
-		d := f.Data()
-		if d[0] == nodeInternal {
-			page = innerChild(d, childIndex(d, key))
-			f.Release()
-			continue
-		}
-		// Search the leaf chain for the exact (key, val) pair; duplicates
-		// of a key may spill into following leaves.
-		for {
-			n := nodeKeys(d)
-			for i := lowerBoundLeaf(d, key); i < n; i++ {
-				if leafKey(d, i) != key {
-					f.Release()
-					meta.Release()
-					return false, nil
-				}
-				if leafVal(d, i) != val {
-					continue
-				}
-				copy(d[leafHdr+leafEntry*i:leafHdr+leafEntry*(n-1)], d[leafHdr+leafEntry*(i+1):leafHdr+leafEntry*n])
-				setNodeKeys(d, n-1)
-				f.MarkDirty()
-				f.Release()
-				c := binary.BigEndian.Uint64(meta.Data()[8:])
-				binary.BigEndian.PutUint64(meta.Data()[8:], c-1)
-				meta.MarkDirty()
-				meta.Release()
-				return true, nil
-			}
-			next := getPageID(d[3:])
-			f.Release()
-			if next == InvalidPageID {
-				meta.Release()
-				return false, nil
-			}
-			f, err = t.bp.Fetch(next)
-			if err != nil {
-				meta.Release()
-				return false, err
-			}
-			d = f.Data()
-		}
-	}
 }

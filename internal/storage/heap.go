@@ -14,7 +14,7 @@ import (
 //	[0:4]   magic "MHF1"
 //	[4:8]   first data page
 //	[8:12]  last data page
-//	[12:16] head of the free-page list
+//	[12:16] reserved, written as InvalidPageID
 //	[16:24] tuple count
 //
 // Data pages are slotted:
@@ -23,7 +23,9 @@ import (
 //	[4:6] slot count
 //	[6:8] freeEnd (records grow down from PageSize toward the slot array)
 //	slot i at [8+4i]: record offset u16, record length u16
-//	                  (length 0xFFFF marks a tombstone)
+//	                  (length 0xFFFF marks a tombstone: this engine
+//	                  writes none, but reads and skips one, since a
+//	                  heap file on disk comes from outside the program)
 //
 // A stored record starts with a type byte: 0x00 inline (payload follows),
 // 0x01 overflow pointer ([first overflow page u32][total length u32]).
@@ -115,52 +117,6 @@ func pageFreeSpace(d []byte) int {
 	return freeEnd - (pageHdrSize + slotSize*nslots)
 }
 
-// allocPage takes a page from the free list or grows the file. Caller
-// holds h.mu.
-func (h *HeapFile) allocPage() (*Frame, error) {
-	hdr, err := h.bp.Fetch(0)
-	if err != nil {
-		return nil, err
-	}
-	freeHead := getPageID(hdr.Data()[12:])
-	if freeHead == InvalidPageID {
-		hdr.Release()
-		return h.bp.NewPage()
-	}
-	f, err := h.bp.Fetch(freeHead)
-	if err != nil {
-		hdr.Release()
-		return nil, err
-	}
-	putPageID(hdr.Data()[12:], getPageID(f.Data()[0:]))
-	hdr.MarkDirty()
-	hdr.Release()
-	for i := range f.data {
-		f.data[i] = 0
-	}
-	f.MarkDirty()
-	return f, nil
-}
-
-// freePage pushes a page onto the free list. Caller holds h.mu.
-func (h *HeapFile) freePage(id PageID) error {
-	hdr, err := h.bp.Fetch(0)
-	if err != nil {
-		return err
-	}
-	defer hdr.Release()
-	f, err := h.bp.Fetch(id)
-	if err != nil {
-		return err
-	}
-	defer f.Release()
-	putPageID(f.Data()[0:], getPageID(hdr.Data()[12:]))
-	f.MarkDirty()
-	putPageID(hdr.Data()[12:], id)
-	hdr.MarkDirty()
-	return nil
-}
-
 // Insert stores a record and returns its RID.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {
 	h.mu.Lock()
@@ -193,7 +149,7 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 	need := len(stored) + slotSize
 	if pageFreeSpace(f.Data()) < need {
 		// Chain a fresh data page.
-		nf, err := h.allocPage()
+		nf, err := h.bp.NewPage()
 		if err != nil {
 			f.Release()
 			hdr.Release()
@@ -236,7 +192,7 @@ func (h *HeapFile) writeOverflow(rec []byte) (PageID, error) {
 	first := InvalidPageID
 	var prev *Frame
 	for off := 0; off < len(rec); off += overflowCap {
-		f, err := h.allocPage()
+		f, err := h.bp.NewPage()
 		if err != nil {
 			if prev != nil {
 				prev.Release()
@@ -310,10 +266,6 @@ func (h *HeapFile) readStored(stored []byte) ([]byte, error) {
 func (h *HeapFile) Get(rid RID) ([]byte, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.getLocked(rid)
-}
-
-func (h *HeapFile) getLocked(rid RID) ([]byte, error) {
 	f, err := h.bp.Fetch(rid.Page)
 	if err != nil {
 		return nil, err
@@ -331,61 +283,6 @@ func (h *HeapFile) getLocked(rid RID) ([]byte, error) {
 		return nil, fmt.Errorf("storage: record %v is deleted", rid)
 	}
 	return h.readStored(d[off : off+length])
-}
-
-// Delete tombstones the record at rid, returning its overflow pages (if
-// any) to the free list.
-func (h *HeapFile) Delete(rid RID) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	f, err := h.bp.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	d := f.Data()
-	nslots := binary.BigEndian.Uint16(d[4:])
-	if rid.Slot >= nslots {
-		f.Release()
-		return fmt.Errorf("storage: no slot %d on page %d", rid.Slot, rid.Page)
-	}
-	slotOff := pageHdrSize + slotSize*int(rid.Slot)
-	off := binary.BigEndian.Uint16(d[slotOff:])
-	length := binary.BigEndian.Uint16(d[slotOff+2:])
-	if length == tombstone {
-		f.Release()
-		return fmt.Errorf("storage: record %v already deleted", rid)
-	}
-	stored := make([]byte, length)
-	copy(stored, d[off:off+length])
-	binary.BigEndian.PutUint16(d[slotOff+2:], tombstone)
-	f.MarkDirty()
-	f.Release()
-
-	if stored[0] == recOverflow {
-		page := getPageID(stored[1:])
-		for page != InvalidPageID {
-			of, err := h.bp.Fetch(page)
-			if err != nil {
-				return err
-			}
-			next := getPageID(of.Data()[0:])
-			of.Release()
-			if err := h.freePage(page); err != nil {
-				return err
-			}
-			page = next
-		}
-	}
-
-	hdr, err := h.bp.Fetch(0)
-	if err != nil {
-		return err
-	}
-	count := binary.BigEndian.Uint64(hdr.Data()[16:])
-	binary.BigEndian.PutUint64(hdr.Data()[16:], count-1)
-	hdr.MarkDirty()
-	hdr.Release()
-	return nil
 }
 
 // Count returns the live record count.
@@ -410,9 +307,9 @@ func (h *HeapFile) Count() (uint64, error) {
 // slot.
 //
 // The scan's contract: a returned record was live when the fill that
-// read it ran, and no record is ever torn. A record inserted into, or
-// deleted from, a page after its fill is not seen; one live throughout
-// the scan is always returned.
+// read it ran, and no record is ever torn. A record inserted into a
+// page after its fill is not seen; one stored before the scan began is
+// always returned.
 type Iterator struct {
 	h    *HeapFile
 	page PageID // page of the next fill

@@ -132,31 +132,6 @@ func (s *Store) TableNames() []string {
 	return names
 }
 
-// Drop removes a table and its heap file.
-func (s *Store) Drop(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[name]
-	if !ok {
-		return fmt.Errorf("storage: no table %s", name)
-	}
-	delete(s.tables, name)
-	for i, tm := range s.meta.Tables {
-		if tm.Name == name {
-			s.meta.Tables = append(s.meta.Tables[:i], s.meta.Tables[i+1:]...)
-			break
-		}
-	}
-	_ = t.pool.FlushAll()
-	if s.dir != "" {
-		if err := os.Remove(filepath.Join(s.dir, name+".heap")); err != nil {
-			return err
-		}
-		return s.saveMetaLocked()
-	}
-	return nil
-}
-
 func (s *Store) saveMetaLocked() error {
 	if s.dir == "" {
 		return nil

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mocha/internal/types"
@@ -96,9 +98,7 @@ func TestTableGetDelete(t *testing.T) {
 	if int(tup[0].(types.Int)) != 7 {
 		t.Errorf("got %v", tup)
 	}
-	if err := tbl.Delete(rid); err != nil {
-		t.Fatal(err)
-	}
+	markTombstone(t, tbl.heap, rid)
 	if _, err := tbl.Get(rid); err == nil {
 		t.Error("deleted tuple readable")
 	}
@@ -149,7 +149,7 @@ func TestStorePersistence(t *testing.T) {
 	}
 }
 
-func TestStoreCreateDropErrors(t *testing.T) {
+func TestStoreCreateErrors(t *testing.T) {
 	s, _ := OpenStore("", 16)
 	if _, err := s.Create("A", rasterSchema); err != nil {
 		t.Fatal(err)
@@ -157,14 +157,17 @@ func TestStoreCreateDropErrors(t *testing.T) {
 	if _, err := s.Create("A", rasterSchema); err == nil {
 		t.Error("duplicate create accepted")
 	}
-	if err := s.Drop("A"); err != nil {
+	// A heap file the metadata does not name is not overwritten.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "B.heap"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Drop("A"); err == nil {
-		t.Error("double drop accepted")
+	d, err := OpenStore(dir, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := s.Table("A"); ok {
-		t.Error("dropped table still visible")
+	if _, err := d.Create("B", rasterSchema); err == nil {
+		t.Error("create over an existing heap file accepted")
 	}
 }
 

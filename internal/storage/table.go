@@ -9,11 +9,10 @@ import (
 // Table is a typed relation over a heap file: tuples are encoded with the
 // middleware schema and stored as heap records.
 type Table struct {
-	name    string
-	schema  types.Schema
-	heap    *HeapFile
-	pool    *BufferPool
-	indexes []*Index
+	name   string
+	schema types.Schema
+	heap   *HeapFile
+	pool   *BufferPool
 }
 
 // NewTable wraps a heap file as a typed table.
@@ -41,14 +40,7 @@ func (t *Table) Insert(tup types.Tuple) (RID, error) {
 				t.name, t.schema.Columns[i].Name, o.Kind(), t.schema.Columns[i].Kind)
 		}
 	}
-	rid, err := t.heap.Insert(tup.AppendTo(nil))
-	if err != nil {
-		return RID{}, err
-	}
-	if err := t.maintainIndexesInsert(tup, rid); err != nil {
-		return RID{}, err
-	}
-	return rid, nil
+	return t.heap.Insert(tup.AppendTo(nil))
 }
 
 // Get fetches and decodes the tuple at rid.
@@ -65,7 +57,7 @@ func (t *Table) Get(rid RID) (types.Tuple, error) {
 }
 
 // decode decodes the record at rid into tup, which must consume it
-// whole: Get, Scan, Records and IndexScan refuse the same records with
+// whole: Get, Scan and Records refuse the same records with
 // the same error.
 func (t *Table) decode(tup types.Tuple, rid RID, rec []byte) error {
 	n, err := types.DecodeTupleInto(tup, t.schema, rec)
@@ -82,20 +74,6 @@ func (t *Table) whole(rid RID, rec []byte, n int) error {
 		return fmt.Errorf("storage: table %s record %v has %d trailing bytes", t.name, rid, len(rec)-n)
 	}
 	return nil
-}
-
-// Delete removes the tuple at rid and its index entries.
-func (t *Table) Delete(rid RID) error {
-	if len(t.indexes) > 0 {
-		tup, err := t.Get(rid)
-		if err != nil {
-			return err
-		}
-		if err := t.maintainIndexesDelete(tup, rid); err != nil {
-			return err
-		}
-	}
-	return t.heap.Delete(rid)
 }
 
 // Count returns the live tuple count.
@@ -156,42 +134,28 @@ func (t *Table) Records(cols []int, emit func(enc [][]byte) error) error {
 	if err != nil {
 		return err
 	}
-	window := t.windows(cols)
+	ends := make([]int, t.schema.Arity()+1) // column c is rec[ends[c]:ends[c+1]]
+	enc := make([][]byte, len(cols))
 	for {
 		rec, rid, err := it.Next()
 		if err != nil || rec == nil {
 			return err
 		}
-		enc, err := window(rid, rec)
-		if err != nil {
-			return err
-		}
-		if err := emit(enc); err != nil {
-			return err
-		}
-	}
-}
-
-// windows returns the splitter Records and IndexScan share: it checks
-// the record at rid as decode does, each column sized by ValueSize, and
-// windows the columns cols names into one reused enc.
-func (t *Table) windows(cols []int) func(RID, []byte) ([][]byte, error) {
-	ends := make([]int, t.schema.Arity()+1) // column c is rec[ends[c]:ends[c+1]]
-	enc := make([][]byte, len(cols))
-	return func(rid RID, rec []byte) ([][]byte, error) {
 		for i, c := range t.schema.Columns {
 			n, err := types.ValueSize(c.Kind, rec[ends[i]:])
 			if err != nil {
-				return nil, fmt.Errorf("storage: table %s record %v: column %q: %w", t.name, rid, c.Name, err)
+				return fmt.Errorf("storage: table %s record %v: column %q: %w", t.name, rid, c.Name, err)
 			}
 			ends[i+1] = ends[i] + n
 		}
 		if err := t.whole(rid, rec, ends[len(ends)-1]); err != nil {
-			return nil, err
+			return err
 		}
 		for i, c := range cols {
 			enc[i] = rec[ends[c]:ends[c+1]:ends[c+1]]
 		}
-		return enc, nil
+		if err := emit(enc); err != nil {
+			return err
+		}
 	}
 }
