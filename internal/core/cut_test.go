@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -98,79 +99,38 @@ func TestTwoCallPredicatePlans(t *testing.T) {
 	}
 }
 
-// TestCutXMLRoundTripQuick round-trips randomized cut annotations
-// through the fragment XML codec.
+// TestCutXMLRoundTripQuick: a randomized cut annotation stays at the
+// QPC — the fragment document carries none of it, and decodes to a
+// fragment with no cut.
 func TestCutXMLRoundTripQuick(t *testing.T) {
 	cat := sequoiaCatalog(t)
 	base := planQuery(t, cat, StrategyAuto,
 		"SELECT time FROM Rasters WHERE AvgEnergy(image) < 100")
+	bare := *base.Fragments[0]
+	bare.CutPoint, bare.CutAlts = "", 0
+	want, err := EncodeFragment(&bare)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := func(point string, alts uint8) bool {
 		frag := *base.Fragments[0]
-		// XML cannot carry every byte sequence (invalid UTF-8, control
-		// chars); the planner only ever writes printable ASCII points.
-		frag.CutPoint = strings.Map(func(r rune) rune {
-			if r < 0x20 || r > 0x7e {
-				return '_'
-			}
-			return r
-		}, point)
-		frag.CutAlts = int(alts)
+		frag.CutPoint, frag.CutAlts = point, int(alts)
 		data, err := EncodeFragment(&frag)
-		if frag.CutPoint == "" {
-			// An empty point means "no cut annotation": the codec omits
-			// the element entirely, so alts cannot survive alone.
-			if err != nil {
-				t.Logf("encode: %v", err)
-				return false
-			}
-			got, err := DecodeFragment(data)
-			return err == nil && got.CutPoint == "" && got.CutAlts == 0
-		}
-		if err != nil {
-			t.Logf("encode: %v", err)
+		if err != nil || string(data) != string(want) {
+			t.Logf("encode: %v\n%s", err, data)
 			return false
 		}
 		got, err := DecodeFragment(data)
-		if err != nil {
-			t.Logf("decode: %v", err)
-			return false
-		}
-		return got.CutPoint == frag.CutPoint && got.CutAlts == frag.CutAlts
+		return err == nil && got.CutPoint == "" && got.CutAlts == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestPlanXMLCarriesCut checks the whole-plan codec: a cut-annotated
-// plan declares the dag-cut feature and the annotation survives the
-// round trip.
-func TestPlanXMLCarriesCut(t *testing.T) {
-	cat := sequoiaCatalog(t)
-	plan := planQuery(t, cat, StrategyCodeShip,
-		"SELECT time, AvgEnergy(image) FROM Rasters WHERE AvgEnergy(image) < 100")
-	data, err := EncodePlan(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `requires="dag-cut"`) {
-		t.Fatalf("encoded plan does not declare dag-cut:\n%s", data)
-	}
-	got, err := DecodePlan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fragments[0].CutPoint != plan.Fragments[0].CutPoint ||
-		got.Fragments[0].CutAlts != plan.Fragments[0].CutAlts {
-		t.Errorf("cut annotation lost: got %q/%d, want %q/%d",
-			got.Fragments[0].CutPoint, got.Fragments[0].CutAlts,
-			plan.Fragments[0].CutPoint, plan.Fragments[0].CutAlts)
-	}
-}
-
-// TestDecodeRefusesUnknownPlanFeature pins the feature gate: a consumer
-// that does not implement a plan's `requires` tokens must refuse the
-// document with the typed error, never silently misread it.
+// TestDecodeRefusesUnknownPlanFeature pins the feature gate: a fragment
+// document naming any `requires` token is refused with the typed error,
+// never silently misread — this build implements no optional feature.
 func TestDecodeRefusesUnknownPlanFeature(t *testing.T) {
 	cat := sequoiaCatalog(t)
 	plan := planQuery(t, cat, StrategyCodeShip,
@@ -179,31 +139,25 @@ func TestDecodeRefusesUnknownPlanFeature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := EncodePlan(plan)
-	if err != nil {
-		t.Fatal(err)
+	// The document as the planner writes it decodes, and declares nothing.
+	if _, err := DecodeFragment(frag); err != nil || strings.Contains(string(frag), "requires=") {
+		t.Fatalf("planner's fragment refused (%v) or declares a feature:\n%s", err, frag)
 	}
 	for _, tc := range []struct {
-		name string
-		data []byte
-		dec  func([]byte) error
+		requires string
+		want     []string
 	}{
-		{"fragment", frag, func(b []byte) error { _, err := DecodeFragment(b); return err }},
-		{"plan", doc, func(b []byte) error { _, err := DecodePlan(b); return err }},
+		{"time-travel", []string{"time-travel"}},
+		{"dag-cut time-travel", []string{"dag-cut", "time-travel"}},
 	} {
-		// The current feature set decodes.
-		if err := tc.dec(tc.data); err != nil {
-			t.Fatalf("%s: supported features refused: %v", tc.name, err)
-		}
-		// A future feature token is refused with the typed error.
-		future := strings.Replace(string(tc.data), `requires="dag-cut"`, `requires="dag-cut time-travel"`, 1)
-		err := tc.dec([]byte(future))
+		future := strings.Replace(string(frag), "<fragment ", `<fragment requires="`+tc.requires+`" `, 1)
+		_, err := DecodeFragment([]byte(future))
 		var fe *UnsupportedPlanFeatureError
 		if !errors.As(err, &fe) {
-			t.Fatalf("%s: unknown feature not refused with typed error: %v", tc.name, err)
+			t.Fatalf("requires=%q not refused with the typed error: %v", tc.requires, err)
 		}
-		if len(fe.Features) != 1 || fe.Features[0] != "time-travel" {
-			t.Errorf("%s: Features = %v, want [time-travel]", tc.name, fe.Features)
+		if !slices.Equal(fe.Features, tc.want) {
+			t.Errorf("requires=%q: Features = %v, want %v", tc.requires, fe.Features, tc.want)
 		}
 	}
 }

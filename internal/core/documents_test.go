@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/xml"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,79 +10,34 @@ import (
 	"testing"
 
 	"mocha/internal/types"
+	"mocha/internal/vm"
 )
 
-// TestPlanDocumentsGolden pins the bytes of the two plan documents —
-// the archived <plan> and the <fragment> each DAP receives in
-// DEPLOY_PLAN — for every ladder query of decisions.golden under all
-// three strategies and both layouts. The file was generated when the
-// codec still copied every plan type into a mirror struct; a codec
-// change that moves no wire byte leaves it identical. Every document must also decode to a
-// value that encodes back to the same bytes.
+// TestPlanDocumentsGolden pins the bytes of the one plan document — the
+// <fragment> each DAP receives in its START — for every ladder query of
+// decisions.golden under all three strategies and both layouts. Every
+// document must also decode to a value that encodes back to the same
+// bytes.
 //
 // Regenerate with
 //
 //	go test ./internal/core -run TestPlanDocumentsGolden -update
 func TestPlanDocumentsGolden(t *testing.T) {
 	var b strings.Builder
-	for _, layout := range decisionCatalogs(t) {
-		for _, q := range decisionQueries {
-			for _, s := range []Strategy{StrategyAuto, StrategyCodeShip, StrategyDataShip} {
-				plan := planQuery(t, layout.cat, s, q.sql)
-				label := fmt.Sprintf("%s %s [%s]", layout.label, q.label, s)
-				doc, err := EncodePlan(plan)
-				if err != nil {
-					t.Fatalf("%s: encode plan: %v", label, err)
-				}
-				back, err := DecodePlan(doc)
-				if err != nil {
-					t.Fatalf("%s: decode plan: %v", label, err)
-				}
-				if again, err := EncodePlan(back); err != nil || string(again) != string(doc) {
-					t.Errorf("%s: plan does not re-encode to the same bytes (err %v)", label, err)
-				}
-				fmt.Fprintf(&b, "==== %s plan\n%s\n", label, doc)
-				for i, f := range plan.Fragments {
-					fd, err := EncodeFragment(f)
-					if err != nil {
-						t.Fatalf("%s: encode fragment %d: %v", label, i, err)
-					}
-					fback, err := DecodeFragment(fd)
-					if err != nil {
-						t.Fatalf("%s: decode fragment %d: %v", label, i, err)
-					}
-					if again, err := EncodeFragment(fback); err != nil || string(again) != string(fd) {
-						t.Errorf("%s: fragment %d does not re-encode to the same bytes (err %v)", label, i, err)
-					}
-					fmt.Fprintf(&b, "==== %s fragment %d\n%s\n", label, i, fd)
-				}
-			}
+	for _, lf := range ladderFragments(t) {
+		label := lf.label
+		fd, err := EncodeFragment(lf.frag)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", label, err)
 		}
-	}
-	// What no ladder query produces: a fragment with a pushed
-	// LIMIT and multi-replica scatter targets, a constant of every small
-	// kind (with text XML must escape), a unary operator, an aggregate
-	// with no arguments, and a plan with no cut (no requires attribute).
-	fd, err := EncodeFragment(syntheticFragment())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(&b, "==== synthetic fragment\n%s\n", fd)
-	pd, err := EncodePlan(&Plan{SQL: `SELECT "a" < 'b' & c`, Limit: -1, Fragments: []*Fragment{{Site: "s", Table: "T", SemiJoinCol: -1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(&b, "==== synthetic plan\n%s\n", pd)
-	for _, doc := range [][]byte{fd, pd} {
-		var again []byte
-		if f, err := DecodeFragment(doc); err == nil {
-			again, _ = EncodeFragment(f)
-		} else if p, err := DecodePlan(doc); err == nil {
-			again, _ = EncodePlan(p)
+		fback, err := DecodeFragment(fd)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", label, err)
 		}
-		if string(again) != string(doc) {
-			t.Errorf("synthetic document does not re-encode to the same bytes:\n%s", doc)
+		if again, err := EncodeFragment(fback); err != nil || string(again) != string(fd) {
+			t.Errorf("%s does not re-encode to the same bytes (err %v)", label, err)
 		}
+		fmt.Fprintf(&b, "==== %s\n%s\n", label, fd)
 	}
 	path := filepath.Join("testdata", "documents.golden")
 	if *update {
@@ -96,6 +52,58 @@ func TestPlanDocumentsGolden(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Errorf("plan documents moved:\n%s", lineDiff(string(want), got))
+	}
+}
+
+// ladderFragment is one fragment of a ladder plan, under the label the
+// golden gives it.
+type ladderFragment struct {
+	label string
+	frag  *Fragment
+}
+
+// ladderFragments plans every ladder query of decisions.golden under all
+// three strategies and both layouts and returns each plan's fragments,
+// then the synthetic fragment.
+func ladderFragments(t *testing.T) []ladderFragment {
+	var out []ladderFragment
+	for _, layout := range decisionCatalogs(t) {
+		for _, q := range decisionQueries {
+			for _, s := range []Strategy{StrategyAuto, StrategyCodeShip, StrategyDataShip} {
+				plan := planQuery(t, layout.cat, s, q.sql)
+				for i, f := range plan.Fragments {
+					out = append(out, ladderFragment{fmt.Sprintf("%s %s [%s] fragment %d", layout.label, q.label, s, i), f})
+				}
+			}
+		}
+	}
+	return append(out, ladderFragment{"synthetic fragment", syntheticFragment()})
+}
+
+// TestStartCarriesOnlyWhatDAPRuns: the START of every ladder fragment
+// carries none of the QPC's own annotations — site, output schema, cut,
+// partitions, the release tag, capabilities and static cost of its
+// classes, or a feature gate — and, decoded as the DAP decodes it (the
+// whole-document decode FuzzStartSplit holds the DAP's split decode
+// to), encodes back to the same bytes.
+func TestStartCarriesOnlyWhatDAPRuns(t *testing.T) {
+	for _, lf := range ladderFragments(t) {
+		doc, err := xml.Marshal(&Start{Stream: "q1/0", Trace: "q1", Fragment: lf.frag})
+		if err != nil {
+			t.Fatalf("%s: encode: %v", lf.label, err)
+		}
+		for _, qpcOnly := range []string{"<cut", "<parts", "requires=", "site=", "<out-schema", "version=", "caps=", "cost="} {
+			if strings.Contains(string(doc), qpcOnly) {
+				t.Errorf("%s: START carries %q:\n%s", lf.label, qpcOnly, doc)
+			}
+		}
+		var back Start
+		if err := xml.Unmarshal(doc, &back); err != nil {
+			t.Fatalf("%s: decode: %v", lf.label, err)
+		}
+		if again, err := xml.Marshal(&back); err != nil || string(again) != string(doc) {
+			t.Errorf("%s: START does not re-encode to the same bytes (err %v):\n%s\n%s", lf.label, err, doc, again)
+		}
 	}
 }
 
@@ -117,14 +125,16 @@ func syntheticFragment() *Fragment {
 		Site: "site1", Table: "T__p0", Cols: []int{0, 3}, InSchema: in,
 		Predicates: preds, SemiJoinCol: 1, GroupBy: []int{0},
 		Aggregates: []AggSpec{{Name: "n", Func: "Count", Ret: types.KindInt}},
-		Code:       []CodeRef{{Name: "Count", Version: "1.0", Checksum: "abc", Caps: "alloc", Cost: "c=1"}},
-		OutSchema:  types.NewSchema(types.Column{Name: "k", Kind: types.KindInt}, types.Column{Name: "n", Kind: types.KindInt}),
-		Limit:      5,
+		Code: []CodeRef{{Name: "Count", Version: "1.0", Checksum: "abc", Caps: []string{"alloc"},
+			Cost: vm.CostInfo{Bounded: true, BudgetInstrs: 9, Purity: "pure"}}},
+		OutSchema: types.NewSchema(types.Column{Name: "k", Kind: types.KindInt}, types.Column{Name: "n", Kind: types.KindInt}),
+		Limit:     5,
 		Parts: []PartTarget{
 			{ID: 0, Table: "T__p0", Site: "site1", Replicas: []string{"site1", "site2"}},
 			{ID: 2, Table: "T__p2", Site: "site3"},
 		},
 		PartsTotal: 3, PartKey: "k",
+		CutPoint: "below=[agg Count]", CutAlts: 2,
 	}
 }
 
@@ -135,8 +145,7 @@ func syntheticFragment() *Fragment {
 // `xml:"name…"` or `xml:"-"`.
 func TestDocumentTypesTagEveryField(t *testing.T) {
 	for _, v := range []any{
-		Fragment{}, Plan{}, Start{}, AggSpec{}, Output{}, PartTarget{}, JoinStep{}, OrderSpec{},
-		PExpr{}, CodeRef{}, types.Column{}, types.Schema{},
+		Fragment{}, Start{}, AggSpec{}, Output{}, PExpr{}, CodeRef{}, types.Column{}, types.Schema{},
 	} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {
@@ -150,42 +159,28 @@ func TestDocumentTypesTagEveryField(t *testing.T) {
 
 // TestPlanDocumentsRefuseBadKinds: a schema column, an aggregate or an
 // expression naming a kind the type system does not have — or naming
-// none — fails the decode of the fragment and of the plan around it.
+// none — fails the decode of the fragment.
 func TestPlanDocumentsRefuseBadKinds(t *testing.T) {
 	frag, err := EncodeFragment(syntheticFragment())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := EncodePlan(&Plan{Fragments: []*Fragment{syntheticFragment()},
-		ResultSchema: types.NewSchema(types.Column{Name: "r", Kind: types.KindGraph})})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := DecodeFragment(frag); err != nil {
+		t.Fatalf("unmodified document refused: %v", err)
 	}
-	decodeFragment := func(b []byte) error { _, err := DecodeFragment(b); return err }
-	decodePlan := func(b []byte) error { _, err := DecodePlan(b); return err }
-	for _, tc := range []struct {
-		name     string
-		doc      []byte
-		old, new string
-		decode   func([]byte) error
-	}{
-		{"in-schema column kind", frag, `<column name="ok" kind="BOOL">`, `<column name="ok" kind="TRILEAN">`, decodeFragment},
-		{"out-schema column without kind", frag, `<column name="n" kind="INT">`, `<column name="n">`, decodeFragment},
-		{"aggregate kind", frag, `func="Count" ret="INT"`, `func="Count" ret="COUNT"`, decodeFragment},
-		{"aggregate without kind", frag, `func="Count" ret="INT"`, `func="Count"`, decodeFragment},
-		{"expression kind", frag, `op="NOT" ret="BOOL"`, `op="NOT" ret="MAYBE"`, decodeFragment},
-		{"constant kind", frag, `const-kind="POINT"`, `const-kind="DOT"`, decodeFragment},
-		{"result-schema column kind", plan, `kind="GRAPH"`, `kind="MESH"`, decodePlan},
-		{"fragment inside a plan", plan, `<column name="ok" kind="BOOL">`, `<column name="ok" kind="TRILEAN">`, decodePlan},
+	for _, tc := range []struct{ name, old, new string }{
+		{"in-schema column kind", `<column name="ok" kind="BOOL">`, `<column name="ok" kind="TRILEAN">`},
+		{"in-schema column without kind", `<column name="k" kind="INT">`, `<column name="k">`},
+		{"aggregate kind", `func="Count" ret="INT"`, `func="Count" ret="COUNT"`},
+		{"aggregate without kind", `func="Count" ret="INT"`, `func="Count"`},
+		{"expression kind", `op="NOT" ret="BOOL"`, `op="NOT" ret="MAYBE"`},
+		{"constant kind", `const-kind="POINT"`, `const-kind="DOT"`},
 	} {
-		if err := tc.decode(tc.doc); err != nil {
-			t.Fatalf("%s: unmodified document refused: %v", tc.name, err)
-		}
-		bad := strings.Replace(string(tc.doc), tc.old, tc.new, 1)
-		if bad == string(tc.doc) {
+		bad := strings.Replace(string(frag), tc.old, tc.new, 1)
+		if bad == string(frag) {
 			t.Fatalf("%s: %q not found in the document", tc.name, tc.old)
 		}
-		if err := tc.decode([]byte(bad)); err == nil {
+		if _, err := DecodeFragment([]byte(bad)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

@@ -27,7 +27,8 @@ const (
 )
 
 // PExpr is a typed, serializable plan expression over some input schema.
-// Fragments carry PExprs to remote DAPs inside XML plan documents.
+// Fragments carry PExprs to remote DAPs inside the <fragment> document
+// of a START.
 type PExpr struct {
 	Kind  ExprKind     `xml:"kind,attr"`
 	Col   int          `xml:"col,attr"`

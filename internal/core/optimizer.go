@@ -7,7 +7,6 @@ import (
 
 	"mocha/internal/catalog"
 	"mocha/internal/types"
-	"mocha/internal/vm"
 )
 
 // Strategy selects the operator-placement policy. The evaluation of the
@@ -557,14 +556,9 @@ func (p *planner) attachCode(frag *Fragment) error {
 		if !ok {
 			return fmt.Errorf("core: operator %s has no class in the code repository", n)
 		}
-		ref := CodeRef{
-			Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest,
-			Caps: strings.Join(rel.Caps, ","),
-		}
-		if !rel.Cost.IsZero() {
-			ref.Cost = rel.Cost.String()
-		}
-		frag.Code = append(frag.Code, ref)
+		frag.Code = append(frag.Code, CodeRef{
+			Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest, Caps: rel.Caps, Cost: rel.Cost,
+		})
 	}
 	return nil
 }
@@ -683,18 +677,12 @@ func (p *planner) estimates(plan *Plan, order []int) PlanEstimates {
 
 // staticCostLine renders the verifier-derived static cost of a
 // fragment's shipped classes for EXPLAIN. Every value is an integer
-// copied from the release manifest, so the line is byte-deterministic
-// across runs (the golden tests rely on that).
+// copied from the release, so the line is byte-deterministic across
+// runs (the golden tests rely on that).
 func staticCostLine(code []CodeRef) string {
 	var parts []string
 	for _, ref := range code {
-		if ref.Cost == "" {
-			continue
-		}
-		ci, err := vm.ParseCostInfo(ref.Cost)
-		if err != nil {
-			continue
-		}
+		ci := ref.Cost
 		instrs := "unbounded"
 		if ci.Bounded {
 			instrs = fmt.Sprintf("%d", ci.BudgetInstrs)
@@ -739,14 +727,12 @@ func Explain(plan *Plan) string {
 			names := make([]string, len(f.Code))
 			for j, c := range f.Code {
 				names[j] = c.Name
-				if c.Caps != "" {
-					names[j] += " [host: " + c.Caps + "]"
+				if len(c.Caps) > 0 {
+					names[j] += " [host: " + strings.Join(c.Caps, ",") + "]"
 				}
 			}
 			fmt.Fprintf(&b, "    ship code: %s\n", strings.Join(names, ", "))
-			if line := staticCostLine(f.Code); line != "" {
-				fmt.Fprintf(&b, "    static cost: %s\n", line)
-			}
+			fmt.Fprintf(&b, "    static cost: %s\n", staticCostLine(f.Code))
 		}
 	}
 	for _, j := range plan.Joins {

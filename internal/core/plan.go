@@ -6,22 +6,24 @@ import (
 	"strings"
 
 	"mocha/internal/types"
+	"mocha/internal/vm"
 )
 
 // CodeRef names one class a site must hold before executing its plan
-// piece; it drives the code-deployment phase of section 3.6.
+// piece; it drives the code-deployment phase of section 3.6. Only the
+// name and the content digest travel: the DAP pins the class by them.
 type CodeRef struct {
 	Name     string `xml:"name,attr"`
-	Version  string `xml:"version,attr"`
 	Checksum string `xml:"checksum,attr"`
-	// Caps is the verifier's capability manifest: the host intrinsics the
-	// class may invoke, comma-joined. Empty means pure stack code.
-	Caps string `xml:"caps,attr,omitempty"`
-	// Cost is the verifier's static cost-and-resource summary in its
-	// canonical vm.CostInfo encoding, stamped from the release manifest
-	// so every plan consumer (optimizer, governor, rollout judge) can
-	// price the class without holding the blob. Empty on legacy refs.
-	Cost string `xml:"cost,attr,omitempty"`
+	// Version is the release tag; Caps is the verifier's capability
+	// manifest, the host intrinsics the class may invoke (empty means
+	// pure stack code); Cost is the verifier's static cost-and-resource
+	// summary. All three are copied from the release so the optimizer,
+	// the governor and the rollout judge can price the class without
+	// holding its blob.
+	Version string      `xml:"-"`
+	Caps    []string    `xml:"-"`
+	Cost    vm.CostInfo `xml:"-"`
 }
 
 // Output is one computed output column.
@@ -53,12 +55,14 @@ func (a *AggSpec) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 // the listed source columns, apply the semi-join filter if any, apply
 // predicates in order, then either group-and-aggregate or project.
 //
-// Fields are declared in the order the <fragment> document carries
-// them; the tags are that document, except for the cut and scatter
-// fields, which MarshalXML nests under <cut> and <parts>.
+// The tagged fields are the <fragment> document a START carries: what
+// the DAP runs, and nothing else. The fields tagged "-" are the QPC's
+// own — where the fragment runs, what it emits, the cut that shaped it
+// and the partitions it scatters over — and never travel.
 type Fragment struct {
-	Site  string `xml:"site,attr"`
-	Table string `xml:"table,attr"`
+	XMLName xml.Name `xml:"fragment"`
+	Site    string   `xml:"-"`
+	Table   string   `xml:"table,attr"`
 	// SemiJoinCol, when >= 0, filters tuples to those whose value in the
 	// extracted column appears in the key set delivered before
 	// activation (the 2-way semi-join strategy of section 5.4).
@@ -69,7 +73,7 @@ type Fragment struct {
 	// CutPoint is the human-readable split point the DAG-cut search
 	// chose for this fragment's table ("scan-only" when every operator
 	// stayed above the cut); CutAlts is how many feasible cuts the
-	// ranker priced (1 under forced strategies).
+	// ranker priced (1 under forced strategies). EXPLAIN shows both.
 	CutPoint string `xml:"-"`
 	CutAlts  int    `xml:"-"`
 	// Parts, when non-empty, scatter the fragment across a partitioned
@@ -96,92 +100,62 @@ type Fragment struct {
 	Projections []Output  `xml:"projections>output"`
 	// Code lists the classes the DAP must load (code shipping manifest).
 	Code []CodeRef `xml:"code>class"`
-	// OutSchema is the schema of emitted tuples.
-	OutSchema types.Schema `xml:"out-schema"`
+	// OutSchema is the schema of emitted tuples, which the QPC reads
+	// the fragment's stream under.
+	OutSchema types.Schema `xml:"-"`
 }
 
 // PartTarget is one partition the scatter phase must read: its physical
 // table, the primary replica site the plan prefers, and the full
 // replica set failover may fall back to (primary first).
 type PartTarget struct {
-	ID       int      `xml:"id,attr"`
-	Table    string   `xml:"table,attr"`
-	Site     string   `xml:"site,attr"`
-	Replicas SiteRefs `xml:"replica"`
-}
-
-// SiteRefs is a list of site names. It is a []string wherever Go code
-// handles it; in a plan document each name travels as an element of its
-// own carrying a name attribute, which a tag on []string cannot say.
-type SiteRefs []string
-
-type siteRef struct {
-	Name string `xml:"name,attr"`
-}
-
-// MarshalXML implements xml.Marshaler: one element per site.
-func (l SiteRefs) MarshalXML(e *xml.Encoder, start xml.StartElement) error {
-	for _, site := range l {
-		if err := e.EncodeElement(siteRef{site}, start); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// UnmarshalXML implements xml.Unmarshaler; encoding/xml calls it once
-// per element, so it appends.
-func (l *SiteRefs) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
-	var ref siteRef
-	if err := d.DecodeElement(&ref, &start); err != nil {
-		return err
-	}
-	*l = append(*l, ref.Name)
-	return nil
+	ID       int
+	Table    string
+	Site     string
+	Replicas []string
 }
 
 // JoinStep joins the accumulated left input with fragment RightFrag's
 // output on an equality of small-object columns.
 type JoinStep struct {
-	RightFrag int `xml:"right-frag,attr"`
+	RightFrag int
 	// LeftCol indexes the accumulated (already joined) schema; RightCol
 	// indexes the right fragment's OutSchema.
-	LeftCol  int `xml:"left-col,attr"`
-	RightCol int `xml:"right-col,attr"`
+	LeftCol  int
+	RightCol int
 }
 
 // OrderSpec is one ORDER BY key over the result schema.
 type OrderSpec struct {
-	Col  int  `xml:"col,attr"`
-	Desc bool `xml:"desc,attr"`
+	Col  int
+	Desc bool
 }
 
 // Plan is a complete physical plan: per-site fragments plus the work the
-// QPC performs on their combined streams. Plans are encoded as XML
-// documents for distribution, as in the paper; the tags are the <plan>
-// document.
+// QPC performs on their combined streams. Only its fragments travel,
+// each in the START that runs it; the rest stays at the QPC.
 type Plan struct {
-	SQL       string      `xml:"sql"`
-	Fragments []*Fragment `xml:"fragment"`
+	SQL       string
+	Fragments []*Fragment
 	// Joins chain fragments left-deep: start with Fragments[0]'s stream,
 	// then join each step's right fragment.
-	Joins []JoinStep `xml:"join"`
+	Joins []JoinStep
 	// CombinedSchema is the schema after all joins (concatenated
 	// fragment outputs in join order).
-	CombinedSchema types.Schema `xml:"combined-schema"`
+	CombinedSchema types.Schema
 	// QPC-side operators over the combined schema:
-	Predicates  []*PExpr    `xml:"predicates>expr"`
-	GroupBy     []int       `xml:"group-by>col"`
-	Aggregates  []AggSpec   `xml:"aggregates>agg"`
-	Projections []Output    `xml:"projections>output"`
-	OrderBy     []OrderSpec `xml:"order-by>key"`
-	Limit       int         `xml:"limit"` // -1 none
+	Predicates  []*PExpr
+	GroupBy     []int
+	Aggregates  []AggSpec
+	Projections []Output
+	OrderBy     []OrderSpec
+	Limit       int // -1 none
 	// ResultSchema is the schema delivered to the client.
-	ResultSchema types.Schema `xml:"result-schema"`
+	ResultSchema types.Schema
 
 	// Estimates recorded by the optimizer for explain output and the
-	// metric-accuracy experiments; they do not travel.
-	Est PlanEstimates `xml:"-"`
+	// metric-accuracy experiments.
+	Est PlanEstimates
 }
 
 // PlanEstimates carries the optimizer's predictions.
@@ -207,21 +181,10 @@ func (e PlanEstimates) CVRF() float64 {
 
 // ---- XML documents ----
 
-// featureDagCut marks a plan document whose fragments carry DAG-cut
-// annotations; decoders that do not understand cuts must refuse it.
-const featureDagCut = "dag-cut"
-
-// supportedPlanFeatures lists every `requires` token this build's
-// decoder understands. Unknown tokens make decoding fail with
-// *UnsupportedPlanFeatureError rather than silently misreading the plan.
-var supportedPlanFeatures = map[string]bool{
-	featureDagCut: true,
-}
-
-// UnsupportedPlanFeatureError reports a plan document that declares
-// `requires` tokens this decoder does not implement. It is a typed
-// error so an old QPC/DAP can distinguish "plan from the future" from
-// a malformed document.
+// UnsupportedPlanFeatureError reports a fragment document that declares
+// `requires` tokens. This build implements none: a START is input from
+// outside the program, and a fragment from a newer planner that names a
+// feature must be refused, not silently misread.
 type UnsupportedPlanFeatureError struct {
 	Features []string
 }
@@ -230,126 +193,23 @@ func (e *UnsupportedPlanFeatureError) Error() string {
 	return fmt.Sprintf("core: plan requires unsupported features %v", e.Features)
 }
 
-// checkRequires validates a space-separated `requires` attribute
-// against supportedPlanFeatures.
-func checkRequires(requires string) error {
-	var unknown []string
-	for _, tok := range strings.Fields(requires) {
-		if !supportedPlanFeatures[tok] {
-			unknown = append(unknown, tok)
-		}
+// UnmarshalXML implements xml.Unmarshaler, refusing a fragment whose
+// requires attribute names any feature.
+func (f *Fragment) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
+	type plain Fragment
+	if err := d.DecodeElement((*plain)(f), &start); err != nil {
+		return err
 	}
-	if len(unknown) > 0 {
-		return &UnsupportedPlanFeatureError{Features: unknown}
+	for _, a := range start.Attr {
+		if toks := strings.Fields(a.Value); a.Name.Local == "requires" && len(toks) > 0 {
+			return &UnsupportedPlanFeatureError{Features: toks}
+		}
 	}
 	return nil
 }
 
-// requires lists the plan features (space-separated tokens) a consumer
-// must understand to execute the fragment faithfully. A decoder that
-// does not know a token must refuse the document, not silently drop
-// what it cannot parse.
-func (f *Fragment) requires() string {
-	if f.CutPoint != "" {
-		return featureDagCut
-	}
-	return ""
-}
-
-// fragmentFields and planFields are the tagged fields of their types
-// without the methods, so a marshaller can hand its own struct to
-// encoding/xml without recursing into itself.
-type (
-	fragmentFields Fragment
-	planFields     Plan
-)
-
-// fragmentDoc is the <fragment> element: Fragment's tagged fields, the
-// computed requires attribute after its attributes, and ahead of its
-// elements the two wrappers whose shape the struct does not have.
-type fragmentDoc struct {
-	XMLName xml.Name  `xml:"fragment"`
-	Cut     *cutDoc   `xml:"cut"`
-	Parts   *partsDoc `xml:"parts"`
-	*fragmentFields
-	Requires string `xml:"requires,attr,omitempty"`
-}
-
-// cutDoc carries the DAG-cut annotation: the chosen split point and how
-// many feasible cuts the ranker priced before choosing it.
-type cutDoc struct {
-	Point string `xml:"point,attr"`
-	Alts  int    `xml:"alts,attr"`
-}
-
-// partsDoc carries a fragment's scatter targets: total pre-pruning
-// partition count, key column and one <part> per surviving partition.
-type partsDoc struct {
-	Total int          `xml:"total,attr"`
-	Key   string       `xml:"key,attr,omitempty"`
-	Parts []PartTarget `xml:"part"`
-}
-
-// MarshalXML implements xml.Marshaler.
-func (f *Fragment) MarshalXML(e *xml.Encoder, _ xml.StartElement) error {
-	doc := fragmentDoc{fragmentFields: (*fragmentFields)(f), Requires: f.requires()}
-	if f.CutPoint != "" {
-		doc.Cut = &cutDoc{Point: f.CutPoint, Alts: f.CutAlts}
-	}
-	if f.PartsTotal > 0 {
-		doc.Parts = &partsDoc{Total: f.PartsTotal, Key: f.PartKey, Parts: f.Parts}
-	}
-	return e.Encode(doc)
-}
-
-// UnmarshalXML implements xml.Unmarshaler, refusing a fragment that
-// requires a feature this build does not implement.
-func (f *Fragment) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
-	doc := fragmentDoc{fragmentFields: (*fragmentFields)(f)}
-	if err := d.DecodeElement(&doc, &start); err != nil {
-		return err
-	}
-	if doc.Cut != nil {
-		f.CutPoint, f.CutAlts = doc.Cut.Point, doc.Cut.Alts
-	}
-	if doc.Parts != nil {
-		f.PartsTotal, f.PartKey, f.Parts = doc.Parts.Total, doc.Parts.Key, doc.Parts.Parts
-	}
-	return checkRequires(doc.Requires)
-}
-
-// planDoc is the <plan> element: Plan's tagged fields under the
-// computed requires attribute.
-type planDoc struct {
-	XMLName  xml.Name `xml:"plan"`
-	Requires string   `xml:"requires,attr,omitempty"`
-	*planFields
-}
-
-// MarshalXML implements xml.Marshaler. The plan requires what its
-// fragments require.
-func (p *Plan) MarshalXML(e *xml.Encoder, _ xml.StartElement) error {
-	doc := planDoc{planFields: (*planFields)(p)}
-	for _, f := range p.Fragments {
-		if r := f.requires(); r != "" {
-			doc.Requires = r
-		}
-	}
-	return e.Encode(doc)
-}
-
-// UnmarshalXML implements xml.Unmarshaler, refusing a plan that
-// requires a feature this build does not implement.
-func (p *Plan) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
-	doc := planDoc{planFields: (*planFields)(p)}
-	if err := d.DecodeElement(&doc, &start); err != nil {
-		return err
-	}
-	return checkRequires(doc.Requires)
-}
-
-// EncodeFragment renders a fragment as an XML plan document for
-// transmission to its DAP.
+// EncodeFragment renders a fragment's <fragment> document, indented; a
+// START carries the same document unindented.
 func EncodeFragment(f *Fragment) ([]byte, error) {
 	return xml.MarshalIndent(f, "", "  ")
 }
@@ -387,19 +247,4 @@ type Start struct {
 	// is deterministic and identical across replicas.
 	Skip     int64     `xml:"skip,attr,omitempty"`
 	Fragment *Fragment `xml:"fragment"`
-}
-
-// EncodePlan renders the whole plan as XML (used for explain output and
-// plan archival).
-func EncodePlan(p *Plan) ([]byte, error) {
-	return xml.MarshalIndent(p, "", "  ")
-}
-
-// DecodePlan parses a plan document.
-func DecodePlan(data []byte) (*Plan, error) {
-	p := new(Plan)
-	if err := xml.Unmarshal(data, p); err != nil {
-		return nil, fmt.Errorf("core: parse plan: %w", err)
-	}
-	return p, nil
 }

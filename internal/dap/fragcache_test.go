@@ -2,6 +2,7 @@ package dap
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -167,20 +168,31 @@ func FuzzStartSplit(f *testing.F) {
 		f.Add(good)
 		s := string(good)
 		tagEnd := strings.IndexByte(s, '>') + 1
+		// A fragment naming a feature is refused with the typed error,
+		// whether or not the DAP holds the same fragment without it.
+		gated := []byte(strings.Replace(s, "<fragment ", `<fragment requires="x" `, 1))
+		var warm fragmentCache
+		warm.decodeStart(good)
+		for _, c := range []*fragmentCache{new(fragmentCache), &warm} {
+			var fe *core.UnsupportedPlanFeatureError
+			if _, _, err := c.decodeStart(gated); !errors.As(err, &fe) {
+				f.Fatalf("a START whose fragment requires a feature decoded: %v", err)
+			}
+		}
 		for _, bad := range []string{
-			strings.Replace(s, `stream="`, `xmlns:p="urn:x" stream="`, 1),      // a namespace in the tag
-			strings.Replace(s, `stream="`, `note="a>b" stream="`, 1),           // a '>' inside a value
-			strings.Replace(s, `stream="q1/`, `stream="q1&amp;`, 1),            // an entity in a value
-			strings.Replace(s, `skip="7"`, `skip="seven"`, 1),                  // a tag that does not decode
-			strings.Replace(s, "</fragment>", "</fragment> ", 1),               // text after the fragment
-			strings.Replace(s, "</fragment>", "</fragment><fragment/>", 1),     // two fragments
-			strings.Replace(s, "</fragment>", "</fragment><!--x-->", 1),        // a comment after it
-			strings.Replace(s, "<fragment", "<p:fragment", 1),                  // a prefixed fragment
-			strings.Replace(s, `site="site1"`, `site="site1" requires="x"`, 1), // an unknown feature
-			s[:tagEnd-1] + "/>" + s[tagEnd:],                                   // a self-closed tag
-			s[:tagEnd] + "</start>",                                            // no fragment at all
-			s[:len(s)-len("</start>")] + "</start ></start>",                   // a second end tag
-			s[:len(s)/2] + "</start>",                                          // a fragment cut short
+			strings.Replace(s, `stream="`, `xmlns:p="urn:x" stream="`, 1),  // a namespace in the tag
+			strings.Replace(s, `stream="`, `note="a>b" stream="`, 1),       // a '>' inside a value
+			strings.Replace(s, `stream="q1/`, `stream="q1&amp;`, 1),        // an entity in a value
+			strings.Replace(s, `skip="7"`, `skip="seven"`, 1),              // a tag that does not decode
+			strings.Replace(s, "</fragment>", "</fragment> ", 1),           // text after the fragment
+			strings.Replace(s, "</fragment>", "</fragment><fragment/>", 1), // two fragments
+			strings.Replace(s, "</fragment>", "</fragment><!--x-->", 1),    // a comment after it
+			strings.Replace(s, "<fragment", "<p:fragment", 1),              // a prefixed fragment
+			string(gated),                                    // a feature gate
+			s[:tagEnd-1] + "/>" + s[tagEnd:],                 // a self-closed tag
+			s[:tagEnd] + "</start>",                          // no fragment at all
+			s[:len(s)-len("</start>")] + "</start ></start>", // a second end tag
+			s[:len(s)/2] + "</start>",                        // a fragment cut short
 		} {
 			f.Add([]byte(bad))
 		}

@@ -6,7 +6,6 @@ import (
 	"mocha/internal/core"
 	"mocha/internal/obs"
 	"mocha/internal/types"
-	"mocha/internal/vm"
 )
 
 // ---- plan→site seam ----
@@ -81,18 +80,11 @@ func BindPlan(plan *core.Plan, pick func(replicas []string) string) *SitePlan {
 // every class the plan ships below its cuts (a canary run's plan carries
 // the canary's refs, which may bound differently than the active ones).
 // The governor's admission control reserves this before any setup work.
-// Refs without a cost stamp contribute nothing: legacy manifests stay
-// admissible.
 func StaticScratchBytes(plan *core.Plan) int64 {
 	var total int64
 	for _, frag := range plan.Fragments {
 		for _, ref := range frag.Code {
-			if ref.Cost == "" {
-				continue
-			}
-			if ci, err := vm.ParseCostInfo(ref.Cost); err == nil {
-				total += ci.ScratchBytes
-			}
+			total += ref.Cost.ScratchBytes
 		}
 	}
 	return total

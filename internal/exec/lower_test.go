@@ -6,6 +6,7 @@ import (
 
 	"mocha/internal/core"
 	"mocha/internal/types"
+	"mocha/internal/vm"
 )
 
 // Seam fixtures: a two-fragment plan — fragment 0 unpartitioned, a
@@ -17,9 +18,9 @@ func seamPlan() *core.Plan {
 		Site: "site1", Table: "T", SemiJoinCol: 0,
 		InSchema: sch, OutSchema: sch,
 		Code: []core.CodeRef{
-			{Name: "AvgEnergy", Checksum: "aaaa",
-				Cost: "instrs=100;fixed=7;pertrip=18;scratch=64;alloc=0;purity=pure"},
-			{Name: "Clip", Checksum: "bbbb"}, // legacy: no cost stamp
+			{Name: "AvgEnergy", Checksum: "aaaa", Cost: vm.CostInfo{Bounded: true, BudgetInstrs: 100,
+				FixedUnits: 7, PerTripUnits: 18, ScratchBytes: 64, AllocBounded: true, Purity: "pure"}},
+			{Name: "Clip", Checksum: "bbbb"}, // no scratch
 		},
 		CutPoint: "below=[call AvgEnergy]", CutAlts: 2,
 	}
@@ -73,25 +74,19 @@ func TestBindPlanExpandsUnits(t *testing.T) {
 
 func TestStaticScratchBytes(t *testing.T) {
 	plan := seamPlan()
-	// Only AvgEnergy carries a stamp: scratch=64. Clip (no stamp)
-	// contributes nothing.
+	// Only AvgEnergy bounds any scratch: 64 bytes.
 	if got := StaticScratchBytes(plan); got != 64 {
 		t.Errorf("StaticScratchBytes = %d, want 64", got)
 	}
 	// A plan carrying a canary's ref reserves the canary's bound.
 	canary := *plan.Fragments[0]
 	canary.Code = append([]core.CodeRef(nil), canary.Code...)
-	canary.Code[0] = core.CodeRef{Name: "AvgEnergy",
-		Cost: "instrs=200;fixed=9;pertrip=20;scratch=128;alloc=0;purity=pure"}
+	canary.Code[0] = core.CodeRef{Name: "AvgEnergy", Cost: vm.CostInfo{Bounded: true, BudgetInstrs: 200,
+		FixedUnits: 9, PerTripUnits: 20, ScratchBytes: 128, AllocBounded: true, Purity: "pure"}}
 	cplan := *plan
 	cplan.Fragments = append([]*core.Fragment{&canary}, plan.Fragments[1:]...)
 	if got := StaticScratchBytes(&cplan); got != 128 {
 		t.Errorf("StaticScratchBytes with canary = %d, want 128", got)
-	}
-	// A malformed stamp is skipped, not summed.
-	plan.Fragments[0].Code[1].Cost = "not-a-stamp"
-	if got := StaticScratchBytes(plan); got != 64 {
-		t.Errorf("StaticScratchBytes with malformed stamp = %d, want 64", got)
 	}
 }
 

@@ -241,7 +241,7 @@ func (c *rolloutController) start(class, tag string, fraction float64) (*rollout
 		Digest:   rel.Digest,
 		Fraction: fraction,
 		ref: core.CodeRef{Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest,
-			Caps: strings.Join(rel.Caps, ","), Cost: rel.Cost.String()},
+			Caps: rel.Caps, Cost: rel.Cost},
 		CanaryStaticUnits: staticUnits(rel.Cost),
 		StartedAt:         time.Now(),
 		Status:            rolloutRunning,

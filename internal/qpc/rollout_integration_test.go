@@ -9,6 +9,7 @@ package qpc
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -600,14 +601,14 @@ func TestCanaryPlanClonesTouchedFragments(t *testing.T) {
 		t.Error("an untouched fragment was copied")
 	}
 	want := core.CodeRef{Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest,
-		Caps: strings.Join(rel.Caps, ","), Cost: rel.Cost.String()}
-	if got := cp.Fragments[0].Code[0]; got != want || want.Cost == "" {
+		Caps: rel.Caps, Cost: rel.Cost}
+	if got := cp.Fragments[0].Code[0]; !reflect.DeepEqual(got, want) || want.Cost.IsZero() {
 		t.Errorf("substituted ref = %+v, want %+v", got, want)
 	}
 	if got := cp.Fragments[0].Code[1]; got.Checksum != "bbbb" {
 		t.Errorf("unrelated ref rewritten: %+v", got)
 	}
-	if plan.Fragments[0].Code[0] != active {
+	if !reflect.DeepEqual(plan.Fragments[0].Code[0], active) {
 		t.Error("the canary ref leaked into the prepared plan")
 	}
 	if f := cp.Fragments[0]; f.CutPoint != "below=[call AvgEnergy]" || f.CutAlts != 2 || cp.SQL != plan.SQL {

@@ -12,6 +12,7 @@ import (
 	"mocha/internal/ops"
 	"mocha/internal/sequoia"
 	"mocha/internal/storage"
+	"mocha/internal/vm"
 )
 
 // testQPCBudget wires the standard one-DAP test server but with the
@@ -78,19 +79,19 @@ func TestAdmissionStaticScratch(t *testing.T) {
 	}
 }
 
-// TestStaticScratchBytes checks the plan fold directly: stamped refs
-// sum, unstamped and malformed refs contribute nothing, and a canary run
-// — its plan carrying the canary's ref — reserves the canary's bound in
-// place of the active release's.
+// TestStaticScratchBytes checks the plan fold directly: the refs'
+// scratch bounds sum, a ref bounding none contributes nothing, and a
+// canary run — its plan carrying the canary's ref — reserves the
+// canary's bound in place of the active release's.
 func TestStaticScratchBytes(t *testing.T) {
 	plan := &core.Plan{Fragments: []*core.Fragment{
 		{Code: []core.CodeRef{
-			{Name: "AvgEnergy", Cost: "instrs=100;fixed=10;pertrip=2;scratch=448;alloc=0;purity=pure"},
-			{Name: "Legacy"}, // no stamp: admissible, contributes 0
+			{Name: "AvgEnergy", Cost: vm.CostInfo{Bounded: true, BudgetInstrs: 100, FixedUnits: 10,
+				PerTripUnits: 2, ScratchBytes: 448, AllocBounded: true, Purity: "pure"}},
+			{Name: "Legacy"}, // no scratch: contributes 0
 		}},
 		{Code: []core.CodeRef{
-			{Name: "Perimeter", Cost: "not a cost string"}, // malformed: ignored
-			{Name: "Overlap", Cost: "instrs=unbounded;fixed=5;pertrip=1;scratch=100;alloc=unbounded;purity=pure"},
+			{Name: "Overlap", Cost: vm.CostInfo{FixedUnits: 5, PerTripUnits: 1, ScratchBytes: 100, Purity: "pure"}},
 		}},
 	}}
 	for _, tc := range []struct {
@@ -99,9 +100,9 @@ func TestStaticScratchBytes(t *testing.T) {
 		want int64
 	}{
 		{"prepared", plan, 548},
-		{"canary", canaryPlan(plan, core.CodeRef{Name: "AvgEnergy",
-			Cost: "instrs=200;fixed=20;pertrip=4;scratch=960;alloc=0;purity=pure"}), 1060},
-		{"unstamped canary", canaryPlan(plan, core.CodeRef{Name: "AvgEnergy"}), 100},
+		{"canary", canaryPlan(plan, core.CodeRef{Name: "AvgEnergy", Cost: vm.CostInfo{Bounded: true,
+			BudgetInstrs: 200, FixedUnits: 20, PerTripUnits: 4, ScratchBytes: 960, AllocBounded: true, Purity: "pure"}}), 1060},
+		{"canary bounding no scratch", canaryPlan(plan, core.CodeRef{Name: "AvgEnergy"}), 100},
 		{"no code", &core.Plan{Fragments: []*core.Fragment{{}}}, 0},
 	} {
 		if got := exec.StaticScratchBytes(tc.plan); got != tc.want {

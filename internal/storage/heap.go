@@ -272,17 +272,49 @@ func (h *HeapFile) Get(rid RID) ([]byte, error) {
 	}
 	defer f.Release()
 	d := f.Data()
-	nslots := binary.BigEndian.Uint16(d[4:])
+	nslots, err := slotCount(d, rid.Page)
+	if err != nil {
+		return nil, err
+	}
 	if rid.Slot >= nslots {
 		return nil, fmt.Errorf("storage: no slot %d on page %d", rid.Slot, rid.Page)
 	}
-	slotOff := pageHdrSize + slotSize*int(rid.Slot)
-	off := binary.BigEndian.Uint16(d[slotOff:])
-	length := binary.BigEndian.Uint16(d[slotOff+2:])
-	if length == tombstone {
+	st, _, live, err := slotRecord(d, rid.Page, nslots, rid.Slot)
+	if err != nil {
+		return nil, err
+	}
+	if !live {
 		return nil, fmt.Errorf("storage: record %v is deleted", rid)
 	}
-	return h.readStored(d[off : off+length])
+	return h.readStored(st)
+}
+
+// slotCount returns data page d's slot count, checked to fit the page.
+// Like every slot check below, it holds because a heap file on disk
+// comes from outside the program.
+func slotCount(d []byte, page PageID) (uint16, error) {
+	n := binary.BigEndian.Uint16(d[4:])
+	if pageHdrSize+slotSize*int(n) > PageSize {
+		return 0, fmt.Errorf("storage: page %d: %d slots overflow the page", page, n)
+	}
+	return n, nil
+}
+
+// slotRecord returns the stored record in slot of data page d, which has
+// nslots slots, and its offset; live is false for a tombstone. The
+// record must lie inside the page, past the slot array.
+func slotRecord(d []byte, page PageID, nslots, slot uint16) (st []byte, off int, live bool, err error) {
+	slotOff := pageHdrSize + slotSize*int(slot)
+	length := int(binary.BigEndian.Uint16(d[slotOff+2:]))
+	if length == tombstone {
+		return nil, 0, false, nil
+	}
+	off = int(binary.BigEndian.Uint16(d[slotOff:]))
+	if off < pageHdrSize+slotSize*int(nslots) || off+length > PageSize {
+		return nil, 0, false, fmt.Errorf("storage: page %d slot %d: record at [%d, %d) is outside the page's record area",
+			page, slot, off, off+length)
+	}
+	return d[off : off+length], off, true, nil
 }
 
 // Count returns the live record count.
@@ -368,23 +400,24 @@ func (it *Iterator) fill() {
 	}
 	defer f.Release()
 	d := f.Data()
-	nslots := binary.BigEndian.Uint16(d[4:])
-	stored := func(slot uint16) (st []byte, off int, live bool) {
-		slotOff := pageHdrSize + slotSize*int(slot)
-		length := int(binary.BigEndian.Uint16(d[slotOff+2:]))
-		if length == tombstone {
-			return nil, 0, false
-		}
-		off = int(binary.BigEndian.Uint16(d[slotOff:]))
-		return d[off : off+length], off, true
+	nslots, err := slotCount(d, it.page)
+	if err != nil {
+		it.err = err
+		return
 	}
 	inline := func(st []byte) bool { return len(st) > 0 && st[0] == recInline }
 
-	// Find where this fill ends, and the page bytes [lo, hi) that hold
-	// its inline records: one copy takes them all.
+	// Find where this fill ends — the page's end, just past its first
+	// overflow record, or at a corrupt slot — and the page bytes [lo, hi)
+	// that hold its inline records: one copy takes them all.
 	end, lo, hi := it.slot, PageSize, 0
+	var bad error
 	for ; end < nslots; end++ {
-		st, off, live := stored(end)
+		st, off, live, err := slotRecord(d, it.page, nslots, end)
+		if err != nil {
+			bad = err
+			break
+		}
 		if !live {
 			continue
 		}
@@ -399,7 +432,7 @@ func (it *Iterator) fill() {
 		arena = bytes.Clone(d[lo:hi])
 	}
 	for ; it.slot < end; it.slot++ {
-		st, off, live := stored(it.slot)
+		st, off, live, _ := slotRecord(d, it.page, nslots, it.slot) // checked above
 		if !live {
 			continue
 		}
@@ -413,6 +446,10 @@ func (it *Iterator) fill() {
 		}
 		it.recs = append(it.recs, rec)
 		it.rids = append(it.rids, RID{Page: it.page, Slot: it.slot})
+	}
+	if bad != nil {
+		it.err = bad
+		return
 	}
 	if it.slot == nslots {
 		it.page, it.slot = getPageID(d[0:]), 0

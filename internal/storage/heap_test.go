@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -114,13 +115,82 @@ func TestHeapScan(t *testing.T) {
 // elsewhere may hold it: the slot's length becomes 0xFFFF.
 func markTombstone(t *testing.T, h *HeapFile, rid RID) {
 	t.Helper()
-	f, err := h.bp.Fetch(rid.Page)
+	writePage(t, h, rid.Page, pageHdrSize+slotSize*int(rid.Slot)+2, tombstone)
+}
+
+// writePage stores v at byte at of page id, through the buffer pool, as
+// a heap file written elsewhere may hold it.
+func writePage(t *testing.T, h *HeapFile, id PageID, at int, v uint16) {
+	t.Helper()
+	f, err := h.bp.Fetch(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Release()
-	binary.BigEndian.PutUint16(f.Data()[pageHdrSize+slotSize*int(rid.Slot)+2:], tombstone)
+	binary.BigEndian.PutUint16(f.Data()[at:], v)
 	f.MarkDirty()
+}
+
+// TestHeapCorruptSlotIsAnError: a slot whose record does not lie inside
+// its page past the slot array, or a slot count whose array does not fit
+// the page, fails Get and the scan with an error naming the page and the
+// slot, where it would otherwise slice out of range. The records stored
+// ahead of the bad slot still scan.
+func TestHeapCorruptSlotIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   func(rid RID) int // the page byte the corruption writes
+		v    uint16
+		want string
+	}{
+		{"length past the page", slotField(2), 0x8000, "slot 2"},
+		{"offset past the page", slotField(0), 0xF000, "slot 2"},
+		{"offset and length that wrap", slotField(0), 0xFFFF, "slot 2"},
+		{"record over the slot array", slotField(0), pageHdrSize, "slot 2"},
+		{"slot array past the page", func(RID) int { return 4 }, 0x1000, "4096 slots"},
+	} {
+		h := newHeap(t, 16)
+		var rids []RID
+		for i := 0; i < 4; i++ {
+			rid, err := h.Insert([]byte{byte(i), 0x20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		}
+		writePage(t, h, rids[2].Page, tc.at(rids[2]), tc.v)
+		page := fmt.Sprintf("page %d", rids[2].Page)
+		if _, err := h.Get(rids[2]); err == nil || !strings.Contains(err.Error(), page) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Get = %v, want an error naming %s and %s", tc.name, err, page, tc.want)
+		}
+		it, err := h.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		for {
+			rec, _, err := it.Next()
+			if err != nil {
+				if !strings.Contains(err.Error(), page) || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: scan error %v does not name %s and %s", tc.name, err, page, tc.want)
+				}
+				break
+			}
+			if rec == nil {
+				t.Errorf("%s: the scan ended cleanly", tc.name)
+				break
+			}
+			got = append(got, rec[0])
+		}
+		if tc.want == "slot 2" && !bytes.Equal(got, []byte{0, 1}) {
+			t.Errorf("%s: scanned %v ahead of the bad slot, want [0 1]", tc.name, got)
+		}
+	}
+}
+
+// slotField addresses a slot's offset (field 0) or length (field 2).
+func slotField(field int) func(RID) int {
+	return func(rid RID) int { return pageHdrSize + slotSize*int(rid.Slot) + field }
 }
 
 func TestHeapScanSkipsTombstones(t *testing.T) {

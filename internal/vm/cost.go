@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // This file implements the static cost-and-resource analysis half of
@@ -103,8 +102,8 @@ func (c CostInfo) IsZero() bool { return c == CostInfo{} }
 
 // String renders the canonical manifest encoding, e.g.
 // "instrs=184;fixed=220;pertrip=0;scratch=1024;alloc=0;purity=pure".
-// Unbounded budgets render as "unbounded". The encoding round-trips
-// through ParseCostInfo and is compared byte-for-byte on LoadDir.
+// Unbounded budgets render as "unbounded". The release manifest stores
+// it, and LoadDir compares it byte-for-byte with a fresh verification.
 func (c CostInfo) String() string {
 	instrs := "unbounded"
 	if c.Bounded {
@@ -116,75 +115,6 @@ func (c CostInfo) String() string {
 	}
 	return fmt.Sprintf("instrs=%s;fixed=%d;pertrip=%d;scratch=%d;alloc=%s;purity=%s",
 		instrs, c.FixedUnits, c.PerTripUnits, c.ScratchBytes, alloc, c.Purity)
-}
-
-// ParseCostInfo decodes the canonical String encoding.
-func ParseCostInfo(s string) (CostInfo, error) {
-	var c CostInfo
-	seen := make(map[string]bool, 6)
-	for _, field := range strings.Split(s, ";") {
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return CostInfo{}, fmt.Errorf("vm: cost info: malformed field %q", field)
-		}
-		if seen[k] {
-			return CostInfo{}, fmt.Errorf("vm: cost info: duplicate field %q", k)
-		}
-		seen[k] = true
-		num := func() (int64, error) {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n < 0 {
-				return 0, fmt.Errorf("vm: cost info: bad %s value %q", k, v)
-			}
-			return n, nil
-		}
-		var err error
-		switch k {
-		case "instrs":
-			if v == "unbounded" {
-				c.Bounded, c.BudgetInstrs = false, costCap
-			} else if c.BudgetInstrs, err = num(); err != nil {
-				return CostInfo{}, err
-			} else {
-				c.Bounded = true
-			}
-		case "fixed":
-			if c.FixedUnits, err = num(); err != nil {
-				return CostInfo{}, err
-			}
-		case "pertrip":
-			if c.PerTripUnits, err = num(); err != nil {
-				return CostInfo{}, err
-			}
-		case "scratch":
-			if c.ScratchBytes, err = num(); err != nil {
-				return CostInfo{}, err
-			}
-		case "alloc":
-			if v == "unbounded" {
-				c.AllocBounded, c.AllocBytes = false, allocCap
-			} else if c.AllocBytes, err = num(); err != nil {
-				return CostInfo{}, err
-			} else {
-				c.AllocBounded = true
-			}
-		case "purity":
-			switch v {
-			case "pure", "writes-buffers", "stateful":
-				c.Purity = v
-			default:
-				return CostInfo{}, fmt.Errorf("vm: cost info: bad purity %q", v)
-			}
-		default:
-			return CostInfo{}, fmt.Errorf("vm: cost info: unknown field %q", k)
-		}
-	}
-	for _, k := range []string{"instrs", "fixed", "pertrip", "scratch", "alloc", "purity"} {
-		if !seen[k] {
-			return CostInfo{}, fmt.Errorf("vm: cost info: missing field %q", k)
-		}
-	}
-	return c, nil
 }
 
 // CostAnalyze runs the full verification ladder and returns the

@@ -107,12 +107,12 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(MsgCodeInvalidate, inval))
 	invalAck, _ := EncodeXML(CodeInvalidateAck{Dropped: 2})
 	f.Add(frame(MsgCodeInvalidateAck, invalAck))
-	// The START above carries a cut-annotated fragment (and with it the
-	// dag-cut feature gate); the same document demanding a feature this
-	// build does not implement must be refused with an error, not
-	// misread. An unpartitioned, untraced START is the common case.
+	// The START above carries a cut-annotated fragment, and the cut stays
+	// at the QPC; the same document demanding a feature — this build
+	// implements none — must be refused with an error, not misread. An
+	// unpartitioned, untraced START is the common case.
 	f.Add(frame(MsgStart, []byte(strings.Replace(string(start),
-		`requires="dag-cut"`, `requires="dag-cut time-travel"`, 1))))
+		`<fragment `, `<fragment requires="dag-cut" `, 1))))
 	bareStart, _ := EncodeXML(core.Start{Stream: "q1/1", Fragment: &core.Fragment{Site: "site2", Table: "Rasters2", SemiJoinCol: 0}})
 	f.Add(frame(MsgStart, bareStart))
 	// Result-schema frames: a well-formed schema and one naming a kind
@@ -178,7 +178,7 @@ func FuzzFrame(f *testing.F) {
 					}
 				}
 			case MsgStart:
-				// Fragment decode gate: garbage and unknown-feature
+				// Fragment decode gate: garbage and feature-gated
 				// documents must fail with an error, never panic.
 				var st core.Start
 				_ = DecodeXML(payload, &st)

@@ -53,7 +53,7 @@ type CodeInvalidateAck struct {
 
 // ResultSchema is the RESULT_SCHEMA document: the result's schema under
 // a <schema> root (a types.Schema alone has no root name of its own,
-// because plan documents nest it under several).
+// because the fragment document nests it under <in-schema>).
 type ResultSchema struct {
 	XMLName xml.Name `xml:"schema"`
 	types.Schema

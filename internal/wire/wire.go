@@ -87,9 +87,9 @@ const frameHeaderSize = 5
 // A Conn is unbounded by default (every frame operation may block
 // forever, matching the seed behaviour). SetFrameTimeout bounds each
 // frame read/write so a stalled or dead peer fails the operation
-// instead of hanging; SetDeadline adds an absolute cut-off (the query
-// deadline); Bind ties the connection to a context so cancellation
-// aborts in-flight I/O.
+// instead of hanging; Bind ties the connection to a context, whose
+// deadline becomes an absolute cut-off and whose cancellation aborts
+// in-flight I/O.
 //
 // Its buffered reader and writer are borrowed from a process pool and
 // go back at Close; rmu and wmu guard them, so Close waits for a Recv
@@ -204,41 +204,21 @@ func (c *Conn) SetFrameTimeout(read, write time.Duration) {
 	c.writeTimeout.Store(int64(write))
 }
 
-// SetDeadline sets an absolute point after which all frame I/O on the
-// connection fails — the per-query deadline. A zero time clears it.
-func (c *Conn) SetDeadline(t time.Time) {
-	if t.IsZero() {
-		c.deadline.Store(0)
-		return
-	}
-	c.deadline.Store(t.UnixNano())
-}
-
 // Bind ties the connection to ctx until release is called: the context
-// deadline becomes the connection deadline, and cancellation immediately
-// unblocks in-flight frame I/O and fails subsequent operations with the
-// context's error. The returned release must be called (it stops the
-// watcher goroutine); it does not clear an installed deadline.
+// deadline becomes the connection's absolute cut-off (the per-query
+// deadline), and cancellation immediately unblocks in-flight frame I/O
+// and fails subsequent operations with the context's error. The
+// returned release must be called; it does not clear the deadline.
 func (c *Conn) Bind(ctx context.Context) (release func()) {
 	if d, ok := ctx.Deadline(); ok {
-		c.SetDeadline(d)
+		c.deadline.Store(d.UnixNano())
 	}
-	done := ctx.Done()
-	if done == nil {
-		return func() {}
-	}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			c.abortErr.Store(ctx.Err())
-			// Expire any I/O already blocked in the kernel/pipe.
-			c.raw.SetDeadline(time.Now())
-		case <-stop:
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(stop) }) }
+	stop := context.AfterFunc(ctx, func() {
+		c.abortErr.Store(ctx.Err())
+		// Expire any I/O already blocked in the kernel/pipe.
+		c.raw.SetDeadline(time.Now())
+	})
+	return func() { stop() }
 }
 
 // opDeadline computes the deadline for one frame operation: the earlier
@@ -435,8 +415,9 @@ func (c *Conn) SendError(err error) {
 	_ = c.Send(MsgError, []byte(err.Error()))
 }
 
-// BytesIn returns total bytes received, including frame headers. These
-// counters feed the CVDT measurements of the evaluation.
+// BytesIn returns total bytes received, including frame headers. CVDT is
+// not taken from these counters: it is the sum of the stream spans'
+// NetBytes, the tuple bytes each stream carried.
 func (c *Conn) BytesIn() int64 { return c.bytesIn.Load() }
 
 // BytesOut returns total bytes sent, including frame headers.

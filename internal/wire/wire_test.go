@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"context"
+	"errors"
 	"net"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mocha/internal/obs"
 	"mocha/internal/types"
@@ -81,6 +84,62 @@ func TestRecvOnClosedConn(t *testing.T) {
 	a.Close()
 	if _, _, err := b.Recv(); err == nil {
 		t.Error("recv on closed peer should fail")
+	}
+}
+
+// TestBindAbortsInFlightIO: cancelling a bound connection's context
+// unblocks a Recv already waiting on a silent peer, and the Recv and
+// every later call fail with the context's error; once released, the
+// connection no longer follows the context.
+func TestBindAbortsInFlightIO(t *testing.T) {
+	a, b := pipeConns()
+	defer b.Close()
+	defer a.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	release := a.Bind(ctx)
+	defer release()
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := a.Recv()
+		errc <- err
+	}()
+	// A pipe write returns once the reader has taken the bytes: the Recv
+	// is then in flight, waiting for the rest of the frame header.
+	if _, err := b.raw.Write([]byte{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Recv after cancel = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancel did not unblock a Recv in flight")
+	}
+	go drain(b)
+	if err := a.Send(MsgTupleBatch, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("Send after cancel = %v, want context.Canceled", err)
+	}
+
+	c, d := pipeConns()
+	defer d.Close()
+	defer c.Close()
+	ctx, cancel = context.WithCancel(context.Background())
+	c.Bind(ctx)()
+	cancel()
+	go drain(d)
+	if err := c.Send(MsgTupleBatch, nil); err != nil {
+		t.Errorf("Send on a released connection after cancel = %v", err)
+	}
+}
+
+// drain reads c's frames until it fails.
+func drain(c *Conn) {
+	for {
+		if _, _, err := c.Recv(); err != nil {
+			return
+		}
 	}
 }
 
