@@ -311,12 +311,12 @@ func TestPlanXMLRoundTrip(t *testing.T) {
 		plan := planQuery(t, cat, StrategyAuto, sql)
 		// Each fragment travels alone, in the START that runs it.
 		for _, f := range plan.Fragments {
-			fd, err := EncodeFragment(f)
+			fd, err := xml.Marshal(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f2, err := DecodeFragment(fd)
-			if err != nil {
+			var f2 Fragment
+			if err := xml.Unmarshal(fd, &f2); err != nil {
 				t.Fatal(err)
 			}
 			if f2.Table != f.Table || len(f2.Predicates) != len(f.Predicates) ||
@@ -325,7 +325,7 @@ func TestPlanXMLRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := DecodeFragment([]byte("garbage")); err == nil {
+	if err := xml.Unmarshal([]byte("garbage"), new(Fragment)); err == nil {
 		t.Error("bad fragment XML accepted")
 	}
 }
@@ -532,12 +532,12 @@ func TestCodeRefCapsPlanXMLRoundTrip(t *testing.T) {
 		t.Fatalf("planner did not attach the release's manifest: %+v", plan.Fragments[0].Code)
 	}
 
-	fdata, err := EncodeFragment(plan.Fragments[0])
+	fdata, err := xml.Marshal(plan.Fragments[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	frag, err := DecodeFragment(fdata)
-	if err != nil {
+	var frag Fragment
+	if err := xml.Unmarshal(fdata, &frag); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range frag.Code {

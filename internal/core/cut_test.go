@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"math"
@@ -108,20 +109,20 @@ func TestCutXMLRoundTripQuick(t *testing.T) {
 		"SELECT time FROM Rasters WHERE AvgEnergy(image) < 100")
 	bare := *base.Fragments[0]
 	bare.CutPoint, bare.CutAlts = "", 0
-	want, err := EncodeFragment(&bare)
+	want, err := xml.Marshal(&bare)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(point string, alts uint8) bool {
 		frag := *base.Fragments[0]
 		frag.CutPoint, frag.CutAlts = point, int(alts)
-		data, err := EncodeFragment(&frag)
+		data, err := xml.Marshal(&frag)
 		if err != nil || string(data) != string(want) {
 			t.Logf("encode: %v\n%s", err, data)
 			return false
 		}
-		got, err := DecodeFragment(data)
-		return err == nil && got.CutPoint == "" && got.CutAlts == 0
+		var got Fragment
+		return xml.Unmarshal(data, &got) == nil && got.CutPoint == "" && got.CutAlts == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -135,12 +136,12 @@ func TestDecodeRefusesUnknownPlanFeature(t *testing.T) {
 	cat := sequoiaCatalog(t)
 	plan := planQuery(t, cat, StrategyCodeShip,
 		"SELECT time, AvgEnergy(image) FROM Rasters WHERE AvgEnergy(image) < 100")
-	frag, err := EncodeFragment(plan.Fragments[0])
+	frag, err := xml.Marshal(plan.Fragments[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The document as the planner writes it decodes, and declares nothing.
-	if _, err := DecodeFragment(frag); err != nil || strings.Contains(string(frag), "requires=") {
+	if err := xml.Unmarshal(frag, new(Fragment)); err != nil || strings.Contains(string(frag), "requires=") {
 		t.Fatalf("planner's fragment refused (%v) or declares a feature:\n%s", err, frag)
 	}
 	for _, tc := range []struct {
@@ -151,7 +152,7 @@ func TestDecodeRefusesUnknownPlanFeature(t *testing.T) {
 		{"dag-cut time-travel", []string{"dag-cut", "time-travel"}},
 	} {
 		future := strings.Replace(string(frag), "<fragment ", `<fragment requires="`+tc.requires+`" `, 1)
-		_, err := DecodeFragment([]byte(future))
+		err := xml.Unmarshal([]byte(future), new(Fragment))
 		var fe *UnsupportedPlanFeatureError
 		if !errors.As(err, &fe) {
 			t.Fatalf("requires=%q not refused with the typed error: %v", tc.requires, err)

@@ -26,15 +26,15 @@ func TestPlanDocumentsGolden(t *testing.T) {
 	var b strings.Builder
 	for _, lf := range ladderFragments(t) {
 		label := lf.label
-		fd, err := EncodeFragment(lf.frag)
+		fd, err := xml.MarshalIndent(lf.frag, "", "  ")
 		if err != nil {
 			t.Fatalf("%s: encode: %v", label, err)
 		}
-		fback, err := DecodeFragment(fd)
-		if err != nil {
+		var fback Fragment
+		if err := xml.Unmarshal(fd, &fback); err != nil {
 			t.Fatalf("%s: decode: %v", label, err)
 		}
-		if again, err := EncodeFragment(fback); err != nil || string(again) != string(fd) {
+		if again, err := xml.MarshalIndent(&fback, "", "  "); err != nil || string(again) != string(fd) {
 			t.Errorf("%s does not re-encode to the same bytes (err %v)", label, err)
 		}
 		fmt.Fprintf(&b, "==== %s\n%s\n", label, fd)
@@ -161,11 +161,11 @@ func TestDocumentTypesTagEveryField(t *testing.T) {
 // expression naming a kind the type system does not have — or naming
 // none — fails the decode of the fragment.
 func TestPlanDocumentsRefuseBadKinds(t *testing.T) {
-	frag, err := EncodeFragment(syntheticFragment())
+	frag, err := xml.MarshalIndent(syntheticFragment(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeFragment(frag); err != nil {
+	if err := xml.Unmarshal(frag, new(Fragment)); err != nil {
 		t.Fatalf("unmodified document refused: %v", err)
 	}
 	for _, tc := range []struct{ name, old, new string }{
@@ -180,7 +180,7 @@ func TestPlanDocumentsRefuseBadKinds(t *testing.T) {
 		if bad == string(frag) {
 			t.Fatalf("%s: %q not found in the document", tc.name, tc.old)
 		}
-		if _, err := DecodeFragment([]byte(bad)); err == nil {
+		if err := xml.Unmarshal([]byte(bad), new(Fragment)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

@@ -208,21 +208,6 @@ func (f *Fragment) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 	return nil
 }
 
-// EncodeFragment renders a fragment's <fragment> document, indented; a
-// START carries the same document unindented.
-func EncodeFragment(f *Fragment) ([]byte, error) {
-	return xml.MarshalIndent(f, "", "  ")
-}
-
-// DecodeFragment parses a fragment document.
-func DecodeFragment(data []byte) (*Fragment, error) {
-	f := new(Fragment)
-	if err := xml.Unmarshal(data, f); err != nil {
-		return nil, fmt.Errorf("core: parse fragment: %w", err)
-	}
-	return f, nil
-}
-
 // Start is the START request, the one document that runs a fragment at
 // its DAP: the fragment — whose code refs name every class it needs by
 // content digest, so it is its own code check — under the attributes of

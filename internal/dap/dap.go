@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"mocha/internal/core"
@@ -78,12 +78,21 @@ type Config struct {
 // Server is a DAP instance. One Server handles many sequential QPC
 // sessions; concurrent connections each get their own session state.
 type Server struct {
-	cfg   Config
-	cache *codeCache
-	frags fragmentCache
-	met   dapMetrics
-	gov   *exec.Governor
+	cfg     Config
+	frags   *lru[*core.Fragment] // by document bytes
+	classes *lru[*vm.Program]    // by content digest, sized by blob bytes
+	met     dapMetrics
+	gov     *exec.Governor
+
+	// hits and misses count the code refs STARTs found cached and the
+	// ones their acks asked for.
+	hits, misses atomic.Int64
 }
+
+// classCacheBytes bounds the classes a DAP keeps loaded, counted by the
+// bytes of the blobs they arrived as; past it the least recently used
+// goes first.
+const classCacheBytes = 1 << 20
 
 // dapMetrics caches the server's registry handles.
 type dapMetrics struct {
@@ -102,9 +111,6 @@ type dapMetrics struct {
 	streamResumes *obs.Counter
 	fragHits      *obs.Counter
 	fragMisses    *obs.Counter
-
-	invalidateRequests *obs.Counter
-	invalidateDropped  *obs.Counter
 }
 
 // New creates a DAP server.
@@ -121,9 +127,10 @@ func New(cfg Config) *Server {
 		gov = exec.NewGovernor(cfg.Exec.MemBudgetBytes, r)
 	}
 	return &Server{
-		cfg:   cfg,
-		cache: newCodeCache(),
-		gov:   gov,
+		cfg:     cfg,
+		frags:   newLRU[*core.Fragment](fragmentCacheBytes),
+		classes: newLRU[*vm.Program](classCacheBytes),
+		gov:     gov,
 		met: dapMetrics{
 			sessionsOpen:  r.Gauge(obs.MDapSessionsOpen),
 			sessionsTotal: r.Counter(obs.MDapSessionsTotal),
@@ -140,9 +147,6 @@ func New(cfg Config) *Server {
 			streamResumes: r.Counter(obs.MDapStreamResumes),
 			fragHits:      r.Counter(obs.MDapFragmentCacheHits),
 			fragMisses:    r.Counter(obs.MDapFragmentCacheMisses),
-
-			invalidateRequests: r.Counter(obs.MDapCacheInvalidateRequests),
-			invalidateDropped:  r.Counter(obs.MDapCacheInvalidateDropped),
 		},
 	}
 }
@@ -155,14 +159,25 @@ func (s *Server) Metrics() *obs.Registry { return s.cfg.Metrics }
 func (s *Server) Governor() *exec.Governor { return s.gov }
 
 // CacheStats reports cumulative code-cache behaviour.
-func (s *Server) CacheStats() (hits, misses int64) { return s.cache.stats() }
+func (s *Server) CacheStats() (hits, misses int64) { return s.hits.Load(), s.misses.Load() }
 
 // HasClass reports whether the exact class release (by content digest)
 // is currently cached — rollout tests use it to check that a canary
-// deployed by digest, and that a rollback's invalidation landed.
+// deployed by digest.
 func (s *Server) HasClass(name, checksum string) bool {
-	_, ok := s.cache.get(name, checksum)
+	_, ok := s.class(name, checksum)
 	return ok
+}
+
+// class returns the program cached under digest when it is the class
+// name names: a START resolves each of its code refs through it once,
+// when it acks.
+func (s *Server) class(name, digest string) (*vm.Program, bool) {
+	p, ok := s.classes.get([]byte(digest))
+	if !ok || !strings.EqualFold(p.Name, name) {
+		return nil, false
+	}
+	return p, true
 }
 
 // Serve accepts QPC connections until the listener closes.
@@ -183,125 +198,15 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// cacheVersionCap bounds how many release blobs of one class a DAP
-// retains at once; past it the oldest-loaded version is evicted.
-const cacheVersionCap = 8
-
-// codeCache holds loaded classes across sessions — the code-caching
-// future-work extension of section 3.6. It is two-level: class name →
-// content digest → loaded program, so different releases of the same
-// operator coexist (a canary query and an active query may run
-// concurrently without clobbering each other's bytecode) and a rollback
-// can withdraw exactly one release by digest.
-type codeCache struct {
-	mu      sync.RWMutex
-	classes map[string]map[string]*loadedClass
-	hits    int64
-	misses  int64
-}
-
-type loadedClass struct {
-	prog     *vm.Program
-	checksum string
-	loadSeq  int64 // monotonic load order, for version eviction
-}
-
-func newCodeCache() *codeCache {
-	return &codeCache{classes: make(map[string]map[string]*loadedClass)}
-}
-
-// get resolves one exact release of a loaded class.
-func (c *codeCache) get(name, checksum string) (*loadedClass, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	lc, ok := c.classes[strings.ToLower(name)][checksum]
-	return lc, ok
-}
-
-func (c *codeCache) put(p *vm.Program) *loadedClass {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := strings.ToLower(p.Name)
-	versions := c.classes[key]
-	if versions == nil {
-		versions = make(map[string]*loadedClass)
-		c.classes[key] = versions
-	}
-	var seq int64
-	for _, lc := range versions {
-		if lc.loadSeq > seq {
-			seq = lc.loadSeq
-		}
-	}
-	lc := &loadedClass{prog: p, checksum: p.Checksum(), loadSeq: seq + 1}
-	versions[lc.checksum] = lc
-	for len(versions) > cacheVersionCap {
-		oldest := ""
-		for d, v := range versions {
-			if oldest == "" || v.loadSeq < versions[oldest].loadSeq {
-				oldest = d
-			}
-		}
-		delete(versions, oldest)
-	}
-	return lc
-}
-
-// needs reports whether the referenced class release must be shipped,
-// and updates hit/miss counters. The hit test is by exact content
-// digest: holding some other release of the class does not satisfy it.
-func (c *codeCache) needs(ref core.CodeRef, disabled bool) bool {
-	if disabled {
-		c.mu.Lock()
-		c.misses++
-		c.mu.Unlock()
-		return true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.classes[strings.ToLower(ref.Name)][ref.Checksum]; ok {
-		c.hits++
-		return false
-	}
-	c.misses++
-	return true
-}
-
-// invalidate drops every cached blob whose digest appears in digests
-// (any class), returning how many were dropped.
-func (c *codeCache) invalidate(digests []string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for _, d := range digests {
-		for key, versions := range c.classes {
-			if _, ok := versions[d]; ok {
-				delete(versions, d)
-				dropped++
-				if len(versions) == 0 {
-					delete(c.classes, key)
-				}
-			}
-		}
-	}
-	return dropped
-}
-
-func (c *codeCache) stats() (hits, misses int64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.hits, c.misses
-}
-
-// vmBinder binds plan operators against the DAP's loaded classes. This is
-// the only way a DAP can evaluate user-defined operators: if the class
-// was never shipped, binding fails. refs pins each class name to the
-// content digest the fragment's code refs named, so a query always
+// vmBinder binds plan operators against the classes a START resolved:
+// classes[i] is the program of the fragment's code ref refs[i], found
+// cached when the DAP acked or shipped behind the ack. This is the only
+// way a DAP can evaluate user-defined operators, and a query always
 // executes exactly the release it was planned (or canaried) against,
-// even while another release of the same operator is cached.
+// however the cache changes while it runs.
 type vmBinder struct {
-	cache   *codeCache
-	refs    map[string]string // lower class name → content digest
+	refs    []core.CodeRef
+	classes []*vm.Program
 	machine *vm.Machine
 	limits  vm.Limits
 	// machines lists every machine created for this fragment, its lane
@@ -310,8 +215,8 @@ type vmBinder struct {
 }
 
 // newVMBinder returns a fragment's binder with its shared scalar machine.
-func newVMBinder(cache *codeCache, refs map[string]string, limits vm.Limits) *vmBinder {
-	b := &vmBinder{cache: cache, refs: refs, limits: limits, machines: new([]*vm.Machine)}
+func newVMBinder(refs []core.CodeRef, classes []*vm.Program, limits vm.Limits) *vmBinder {
+	b := &vmBinder{refs: refs, classes: classes, limits: limits, machines: new([]*vm.Machine)}
 	b.machine = b.newMachine()
 	return b
 }
@@ -330,19 +235,16 @@ func (b *vmBinder) Fork() core.OpBinder {
 	return &f
 }
 
-// resolve looks up the release the fragment pinned for name. A class
-// its code refs do not pin is refused, never bound to whichever release
-// the cache happens to hold.
-func (b *vmBinder) resolve(name string) (*loadedClass, error) {
-	digest, ok := b.refs[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("dap: class %s not pinned by the fragment's code refs", name)
+// resolve returns the release the fragment pinned for name. A class its
+// code refs do not pin is refused, never bound to whichever release the
+// cache happens to hold.
+func (b *vmBinder) resolve(name string) (*vm.Program, error) {
+	for i, ref := range b.refs {
+		if strings.EqualFold(ref.Name, name) {
+			return b.classes[i], nil
+		}
 	}
-	lc, ok := b.cache.get(name, digest)
-	if !ok {
-		return nil, fmt.Errorf("dap: class %s not loaded (code shipping required)", name)
-	}
-	return lc, nil
+	return nil, fmt.Errorf("dap: class %s not pinned by the fragment's code refs", name)
 }
 
 // runCounts sums invocations and executed bytecode instructions across
@@ -358,11 +260,11 @@ func (b *vmBinder) runCounts() (runs, instrs int64) {
 
 // BindScalar implements core.OpBinder.
 func (b *vmBinder) BindScalar(name string, ret types.Kind) (core.ScalarFn, error) {
-	lc, err := b.resolve(name)
+	prog, err := b.resolve(name)
 	if err != nil {
 		return nil, err
 	}
-	s, err := ops.NewVMScalar(b.machine, lc.prog, ret)
+	s, err := ops.NewVMScalar(b.machine, prog, ret)
 	if err != nil {
 		return nil, err
 	}
@@ -371,11 +273,11 @@ func (b *vmBinder) BindScalar(name string, ret types.Kind) (core.ScalarFn, error
 
 // BindAggregate implements core.OpBinder.
 func (b *vmBinder) BindAggregate(name string, ret types.Kind) (core.AggFn, error) {
-	lc, err := b.resolve(name)
+	prog, err := b.resolve(name)
 	if err != nil {
 		return nil, err
 	}
 	// Each aggregate instance gets its own machine so per-group state
 	// and stacks never interleave.
-	return ops.NewVMAggregate(b.newMachine(), lc.prog, ret)
+	return ops.NewVMAggregate(b.newMachine(), prog, ret)
 }

@@ -2,34 +2,20 @@ package dap
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/xml"
 	"io"
-	"sync"
 
 	"mocha/internal/core"
 	"mocha/internal/wire"
 )
 
 // fragmentCacheBytes bounds the fragment documents a DAP keeps decoded,
-// counted by their bytes; past it the least recently used goes first.
+// counted by their bytes. The fragment cache keeps each decoded
+// fragment under the exact bytes of its <fragment> document, so a START
+// naming a fragment this DAP has run before decodes only its <start …>
+// tag (DESIGN §3.6). A cached fragment is shared by every execution
+// that runs it, which only reads it.
 const fragmentCacheBytes = 1 << 20
-
-// fragmentCache keeps decoded fragments by the exact bytes of their
-// <fragment> document, so a START naming a fragment this DAP has run
-// before decodes only its <start …> tag (DESIGN §3.6). A cached fragment
-// is shared by every execution that runs it, which only reads it.
-type fragmentCache struct {
-	mu    sync.Mutex
-	docs  map[string]*list.Element // document → its entry in lru
-	lru   list.List                // *fragmentEntry, most recently used first
-	bytes int
-}
-
-type fragmentEntry struct {
-	doc  string
-	frag *core.Fragment
-}
 
 // decodeStart decodes a START payload. One of the shape wire.EncodeXML
 // gives a core.Start — the <start …> tag, one <fragment> element, the
@@ -37,15 +23,15 @@ type fragmentEntry struct {
 // fragment by its bytes through the cache. Any other payload, and one
 // whose halves do not both decode, is decoded whole, with the whole
 // decode's errors. hit reports whether the fragment came from the cache.
-func (c *fragmentCache) decodeStart(payload []byte) (req core.Start, hit bool, err error) {
+func decodeStart(frags *lru[*core.Fragment], payload []byte) (req core.Start, hit bool, err error) {
 	if tag, doc, ok := splitStart(payload); ok {
-		frag, hit := c.get(doc)
+		frag, hit := frags.get(doc)
 		if !hit {
 			frag = decodeFragmentDoc(doc)
 		}
 		if frag != nil && xml.Unmarshal(append(tag, "</start>"...), &req) == nil {
 			if !hit {
-				c.put(doc, frag)
+				frags.put(string(doc), frag, len(doc))
 			}
 			req.Fragment = frag
 			return req, hit, nil
@@ -98,40 +84,4 @@ func decodeFragmentDoc(doc []byte) *core.Fragment {
 		return nil
 	}
 	return frag
-}
-
-// get returns the fragment cached for doc, marking it recently used.
-func (c *fragmentCache) get(doc []byte) (*core.Fragment, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.docs[string(doc)]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(e)
-	return e.Value.(*fragmentEntry).frag, true
-}
-
-// put caches frag as doc's, evicting the least recently used entries
-// until the documents fit the bound.
-func (c *fragmentCache) put(doc []byte, frag *core.Fragment) {
-	if len(doc) > fragmentCacheBytes {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.docs == nil {
-		c.docs = make(map[string]*list.Element)
-	}
-	if _, ok := c.docs[string(doc)]; ok {
-		return
-	}
-	e := &fragmentEntry{doc: string(doc), frag: frag}
-	c.docs[e.doc] = c.lru.PushFront(e)
-	c.bytes += len(e.doc)
-	for c.bytes > fragmentCacheBytes {
-		old := c.lru.Remove(c.lru.Back()).(*fragmentEntry)
-		delete(c.docs, old.doc)
-		c.bytes -= len(old.doc)
-	}
 }

@@ -49,15 +49,15 @@ func TestWarmStartDecodeAllocs(t *testing.T) {
 		if err := wire.DecodeXML(payload, &whole); err != nil {
 			t.Fatal(err)
 		}
-		var c fragmentCache
-		if got, hit, err := c.decodeStart(payload); err != nil || hit || !sameStart(&got, &whole) {
+		c := newFragmentCache()
+		if got, hit, err := decodeStart(c, payload); err != nil || hit || !sameStart(&got, &whole) {
 			t.Fatalf("cold decode: hit %v, err %v, %+v", hit, err, got)
 		}
 		var got core.Start
 		var hit bool
 		allocs := testing.AllocsPerRun(200, func() {
 			var err error
-			if got, hit, err = c.decodeStart(payload); err != nil {
+			if got, hit, err = decodeStart(c, payload); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -79,25 +79,25 @@ func TestFragmentCacheBounded(t *testing.T) {
 		frag.Table = fmt.Sprintf("%s%d", strings.Repeat("T", 20<<10), i)
 		return startPayload(t, &core.Start{Stream: fmt.Sprintf("s/%d", i), Fragment: frag})
 	}
-	var c fragmentCache
+	c := newFragmentCache()
 	first := payload(0)
 	for i := 0; i < 120; i++ {
-		if _, _, err := c.decodeStart(payload(i)); err != nil {
+		if _, _, err := decodeStart(c, payload(i)); err != nil {
 			t.Fatal(err)
 		}
-		if c.bytes > fragmentCacheBytes {
-			t.Fatalf("after %d fragments the cache holds %d B, bound %d", i+1, c.bytes, fragmentCacheBytes)
+		if c.size > fragmentCacheBytes {
+			t.Fatalf("after %d fragments the cache holds %d B, bound %d", i+1, c.size, fragmentCacheBytes)
 		}
 		// Keep the first fragment the most recently used.
-		if _, hit, _ := c.decodeStart(first); !hit {
+		if _, hit, _ := decodeStart(c, first); !hit {
 			t.Fatalf("fragment 0 evicted after %d fragments while in use", i+1)
 		}
 	}
-	if _, hit, _ := c.decodeStart(payload(1)); hit {
+	if _, hit, _ := decodeStart(c, payload(1)); hit {
 		t.Error("fragment 1, the least recently used, is still cached")
 	}
-	if n := c.lru.Len(); n != len(c.docs) || n < 2 || n > fragmentCacheBytes/(20<<10) {
-		t.Errorf("%d entries listed, %d indexed", n, len(c.docs))
+	if n := c.order.Len(); n != len(c.items) || n < 2 || n > fragmentCacheBytes/(20<<10) {
+		t.Errorf("%d entries listed, %d indexed", n, len(c.items))
 	}
 }
 
@@ -171,11 +171,11 @@ func FuzzStartSplit(f *testing.F) {
 		// A fragment naming a feature is refused with the typed error,
 		// whether or not the DAP holds the same fragment without it.
 		gated := []byte(strings.Replace(s, "<fragment ", `<fragment requires="x" `, 1))
-		var warm fragmentCache
-		warm.decodeStart(good)
-		for _, c := range []*fragmentCache{new(fragmentCache), &warm} {
+		warm := newFragmentCache()
+		decodeStart(warm, good)
+		for _, c := range []*lru[*core.Fragment]{newFragmentCache(), warm} {
 			var fe *core.UnsupportedPlanFeatureError
-			if _, _, err := c.decodeStart(gated); !errors.As(err, &fe) {
+			if _, _, err := decodeStart(c, gated); !errors.As(err, &fe) {
 				f.Fatalf("a START whose fragment requires a feature decoded: %v", err)
 			}
 		}
@@ -200,8 +200,8 @@ func FuzzStartSplit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var whole core.Start
 		wholeErr := wire.DecodeXML(payload, &whole)
-		check := func(how string, c *fragmentCache) {
-			split, _, err := c.decodeStart(payload)
+		check := func(how string, c *lru[*core.Fragment]) {
+			split, _, err := decodeStart(c, payload)
 			if (err == nil) != (wholeErr == nil) {
 				t.Fatalf("%s: split decode err %v, whole decode err %v", how, err, wholeErr)
 			}
@@ -209,14 +209,17 @@ func FuzzStartSplit(f *testing.F) {
 				t.Fatalf("%s: split decode %+v, whole decode %+v", how, split, whole)
 			}
 		}
-		var cold fragmentCache
-		check("cold", &cold)
-		check("warm", &cold)
+		cold := newFragmentCache()
+		check("cold", cold)
+		check("warm", cold)
 		if _, doc, ok := splitStart(payload); ok {
 			// The same fragment document, cached from a START of another tag.
-			var primed fragmentCache
-			primed.decodeStart(append(append([]byte(`<start stream="other">`), doc...), "</start>"...))
-			check("primed", &primed)
+			primed := newFragmentCache()
+			decodeStart(primed, append(append([]byte(`<start stream="other">`), doc...), "</start>"...))
+			check("primed", primed)
 		}
 	})
 }
+
+// newFragmentCache returns an empty cache of a server's fragment bound.
+func newFragmentCache() *lru[*core.Fragment] { return newLRU[*core.Fragment](fragmentCacheBytes) }

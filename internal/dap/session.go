@@ -86,23 +86,6 @@ func (s *Server) handle(conn *wire.Conn, t wire.MsgType, payload []byte) error {
 		}
 		return conn.Send(wire.MsgProcResult, data)
 
-	case wire.MsgCodeInvalidate:
-		var req wire.CodeInvalidate
-		if err := wire.DecodeXML(payload, &req); err != nil {
-			return err
-		}
-		dropped := s.cache.invalidate(req.Digests)
-		s.met.invalidateRequests.Inc()
-		s.met.invalidateDropped.Add(int64(dropped))
-		if dropped > 0 {
-			s.cfg.Logf("dap %s: invalidated %d cached class release(s)", s.cfg.Site, dropped)
-		}
-		data, err := wire.EncodeXML(&wire.CodeInvalidateAck{Dropped: dropped})
-		if err != nil {
-			return err
-		}
-		return conn.Send(wire.MsgCodeInvalidateAck, data)
-
 	case wire.MsgClose:
 		return errSessionClosed
 
@@ -119,7 +102,10 @@ type execution struct {
 
 	// frag may be the fragment cache's, shared with every execution that
 	// runs it: an execution reads it and never writes it.
-	frag     *core.Fragment
+	frag *core.Fragment
+	// classes[i] is the program of frag.Code[i], resolved once: found in
+	// the cache when the START was acked, or shipped behind the ack.
+	classes  []*vm.Program
 	semiKeys map[uint64][]types.Object
 	// instrs counts the MVM instructions the fragment's shipped code ran,
 	// for the flush span.
@@ -131,13 +117,16 @@ type execution struct {
 
 // start serves one START: it reads the frames the request promises (the
 // key set right behind a semi-join fragment; after the ack, one class
-// per digest the ack asked for), then runs the fragment. A refused class
-// or key set is reported only once all of them are read, as the ERROR
-// frame the QPC finds where the stream would begin — answering sooner
-// would write to a peer that is itself still writing.
+// per digest the ack asked for), then runs the fragment. Each code ref
+// is resolved once — to the cached class at ack time, or to the blob
+// shipped for it — so what the cache does afterwards cannot touch this
+// execution. A refused class or key set is reported only once all of
+// them are read, as the ERROR frame the QPC finds where the stream
+// would begin — answering sooner would write to a peer that is itself
+// still writing.
 func (s *Server) start(conn *wire.Conn, payload []byte) error {
 	began := time.Now()
-	req, hit, err := s.frags.decodeStart(payload)
+	req, hit, err := decodeStart(s.frags, payload)
 	if err != nil {
 		return err
 	}
@@ -154,18 +143,25 @@ func (s *Server) start(conn *wire.Conn, payload []byte) error {
 		s.met.streamResumes.Inc()
 		s.cfg.Logf("dap %s: stream %s placed again past %d delivered tuples", s.cfg.Site, req.Stream, req.Skip)
 	}
-	ex := &execution{srv: s, conn: conn, frag: frag, trace: obs.NewTraceAt(req.Trace, began)}
+	ex := &execution{srv: s, conn: conn, frag: frag, classes: make([]*vm.Program, len(frag.Code)),
+		trace: obs.NewTraceAt(req.Trace, began)}
 	var ack wire.StartAck
-	for _, ref := range frag.Code {
-		if s.cache.needs(ref, s.cfg.DisableCodeCache) {
+	var missing []int // indexes into frag.Code, in the ack's order
+	for i, ref := range frag.Code {
+		if p, ok := s.class(ref.Name, ref.Checksum); ok && !s.cfg.DisableCodeCache {
+			ex.classes[i] = p
+		} else {
 			ack.Need = append(ack.Need, ref.Checksum)
+			missing = append(missing, i)
 		}
 	}
 	ackData, err := wire.EncodeXML(&ack)
 	if err != nil {
 		return err
 	}
-	hits := int64(len(frag.Code) - len(ack.Need))
+	hits := int64(len(frag.Code) - len(missing))
+	s.hits.Add(hits)
+	s.misses.Add(int64(len(missing)))
 	s.met.cacheHits.Add(hits)
 	ex.setup(obs.PhaseDapStart, began, obs.Span{CacheHits: hits})
 
@@ -182,14 +178,14 @@ func (s *Server) start(conn *wire.Conn, payload []byte) error {
 	if err := conn.Send(wire.MsgStartAck, ackData); err != nil {
 		return err
 	}
-	for range ack.Need {
+	for _, i := range missing {
 		blob, err := conn.Expect(wire.MsgDeployCode)
 		if err != nil {
 			return err
 		}
 		if refused == nil {
 			began = time.Now()
-			if refused = ex.loadClass(blob); refused == nil {
+			if ex.classes[i], refused = ex.loadClass(blob, frag.Code[i]); refused == nil {
 				ex.setup(obs.PhaseDapDeployCode, began, obs.Span{CodeBytes: int64(len(blob)), Classes: 1})
 			}
 		}
@@ -212,11 +208,17 @@ func (ex *execution) setup(name string, began time.Time, counts obs.Span) {
 	ex.trace.Add(sp)
 }
 
-// loadClass admits one shipped class into the code cache.
-func (ex *execution) loadClass(blob []byte) error {
+// loadClass admits the class shipped for ref and caches it by digest.
+// The blob must be the release ref pins, by name and by digest: any
+// other is refused, never cached.
+func (ex *execution) loadClass(blob []byte, ref core.CodeRef) (*vm.Program, error) {
 	prog, err := vm.Decode(blob)
 	if err != nil {
-		return fmt.Errorf("deploy code: %w", err)
+		return nil, fmt.Errorf("deploy code: %w", err)
+	}
+	if digest := prog.Checksum(); digest != ref.Checksum || !strings.EqualFold(prog.Name, ref.Name) {
+		return nil, fmt.Errorf("deploy code: class %s release %s arrived where the ack asked for %s release %s",
+			prog.Name, digest, ref.Name, ref.Checksum)
 	}
 	// The static half of the sandbox: never load code that cannot be
 	// verified, or whose proven stack and call depth this site's
@@ -233,12 +235,12 @@ func (ex *execution) loadClass(blob []byte) error {
 	}
 	if err != nil {
 		ex.srv.met.verifyRejects.Inc()
-		return fmt.Errorf("deploy code: %w", err)
+		return nil, fmt.Errorf("deploy code: %w", err)
 	}
-	ex.srv.cache.put(prog)
+	ex.srv.classes.put(ref.Checksum, prog, len(blob))
 	ex.srv.met.classesLoaded.Inc()
 	ex.srv.cfg.Logf("dap %s: loaded class %s (%d bytes)", ex.srv.cfg.Site, prog.Name, len(blob))
-	return nil
+	return prog, nil
 }
 
 // installKeys decodes a semi-join key set into the fragment's filter.
@@ -353,14 +355,7 @@ func (ex *execution) execute(skip int64, report wire.ExecStats) error {
 // once the stream is flushed.
 func (ex *execution) runTree(start time.Time, schema types.Schema, out *stream) (func(int64) []obs.Span, error) {
 	frag := ex.frag
-	// Pin every operator to the exact release digest the fragment's code
-	// refs named: a concurrent rollout may have several releases of one
-	// class cached, and this query must run only the one it shipped with.
-	refs := make(map[string]string, len(frag.Code))
-	for _, cr := range frag.Code {
-		refs[strings.ToLower(cr.Name)] = cr.Checksum
-	}
-	binder := newVMBinder(ex.srv.cache, refs, ex.srv.cfg.Limits)
+	binder := newVMBinder(frag.Code, ex.classes, ex.srv.cfg.Limits)
 
 	// A pushed-down LIMIT bounds the useful scan prefix: cap the batch
 	// size at the limit so the scan's read-ahead (channel depth × batch

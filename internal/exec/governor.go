@@ -104,20 +104,6 @@ func (g *Governor) HighWater() int64 {
 	return g.highWater
 }
 
-// Resize changes the budget and wakes blocked acquirers. Shrinking
-// below the currently granted bytes does not revoke anything — existing
-// holders keep their memory and new grants stay refused until releases
-// bring the pool back under the budget.
-func (g *Governor) Resize(b int64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.budget = b
-	g.cond.Broadcast()
-}
-
 // Grant opens an accounting handle for one operator. op is the
 // operator's span name, used in OverBudgetError and diagnostics. A nil
 // governor returns a nil grant, whose methods are no-ops that always

@@ -200,33 +200,6 @@ func TestGrantAcquireCancel(t *testing.T) {
 	holder.Close()
 }
 
-// TestGovernorResizeWakes: growing the budget admits a parked waiter;
-// shrinking it never revokes granted memory but pins new grants out.
-func TestGovernorResizeWakes(t *testing.T) {
-	g := NewGovernor(10, obs.NewRegistry())
-	gr := g.Grant("op:a")
-	gr.Try(10)
-	done := make(chan error, 1)
-	go func() { done <- g.Grant("op:b").Acquire(context.Background(), 8) }()
-	time.Sleep(10 * time.Millisecond)
-	g.Resize(40)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Acquire after grow: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Acquire never woke after Resize")
-	}
-	g.Resize(5)
-	if gr.Held() != 10 {
-		t.Errorf("shrink revoked held memory: held = %d", gr.Held())
-	}
-	if gr.Try(1) {
-		t.Error("Try succeeded over a shrunken budget")
-	}
-}
-
 // TestNilGovernorFastPath: the ungoverned path is all no-ops.
 func TestNilGovernorFastPath(t *testing.T) {
 	var g *Governor

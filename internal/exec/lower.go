@@ -13,9 +13,9 @@ import (
 // Everything below is the single place a cut plan meets concrete sites
 // (DESIGN.md §15.4). The optimizer annotates each fragment with its cut;
 // this seam derives the physical consequences — one activation unit per
-// site (or per surviving shard of a scattered fragment), replica choice,
-// the governor's static scratch reservation, and semi-join participation
-// — so callers never interpret plan structure ad hoc.
+// site (or per surviving shard of a scattered fragment), replica choice
+// and semi-join participation — so callers never interpret plan
+// structure ad hoc.
 
 // Unit is one physical activation of a plan: a whole fragment, or one
 // shard of a fragment scattered over a partitioned table.
@@ -74,20 +74,6 @@ func BindPlan(plan *core.Plan, pick func(replicas []string) string) *SitePlan {
 		}
 	}
 	return sp
-}
-
-// StaticScratchBytes sums the verifier's static scratch bounds over
-// every class the plan ships below its cuts (a canary run's plan carries
-// the canary's refs, which may bound differently than the active ones).
-// The governor's admission control reserves this before any setup work.
-func StaticScratchBytes(plan *core.Plan) int64 {
-	var total int64
-	for _, frag := range plan.Fragments {
-		for _, ref := range frag.Code {
-			total += ref.Cost.ScratchBytes
-		}
-	}
-	return total
 }
 
 // SemiJoinParticipants returns the fragments the plan marks as 2-way

@@ -72,24 +72,6 @@ func TestBindPlanExpandsUnits(t *testing.T) {
 	}
 }
 
-func TestStaticScratchBytes(t *testing.T) {
-	plan := seamPlan()
-	// Only AvgEnergy bounds any scratch: 64 bytes.
-	if got := StaticScratchBytes(plan); got != 64 {
-		t.Errorf("StaticScratchBytes = %d, want 64", got)
-	}
-	// A plan carrying a canary's ref reserves the canary's bound.
-	canary := *plan.Fragments[0]
-	canary.Code = append([]core.CodeRef(nil), canary.Code...)
-	canary.Code[0] = core.CodeRef{Name: "AvgEnergy", Cost: vm.CostInfo{Bounded: true, BudgetInstrs: 200,
-		FixedUnits: 9, PerTripUnits: 20, ScratchBytes: 128, AllocBounded: true, Purity: "pure"}}
-	cplan := *plan
-	cplan.Fragments = append([]*core.Fragment{&canary}, plan.Fragments[1:]...)
-	if got := StaticScratchBytes(&cplan); got != 128 {
-		t.Errorf("StaticScratchBytes with canary = %d, want 128", got)
-	}
-}
-
 func TestSemiJoinParticipants(t *testing.T) {
 	plan := seamPlan()
 	if got := SemiJoinParticipants(plan); fmt.Sprint(got) != "[0]" {

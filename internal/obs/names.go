@@ -29,11 +29,6 @@ const (
 	MDapFragmentCacheHits   = "dap_fragment_cache_hits"
 	MDapFragmentCacheMisses = "dap_fragment_cache_misses"
 
-	// DAP code-cache invalidation (release rollback): CODE_INVALIDATE
-	// requests handled, and cached blobs actually dropped by digest.
-	MDapCacheInvalidateRequests = "dap_cache_invalidate_requests"
-	MDapCacheInvalidateDropped  = "dap_cache_invalidate_dropped"
-
 	// MVM, counted by the DAP: invocations of shipped code and the
 	// bytecode instructions they executed (summed per fragment), and what
 	// compiling a class cost when it was loaded.

@@ -94,15 +94,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Mean returns the average observation, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // Quantile estimates the q-th quantile (0 < q <= 1) from the bucket
 // counts, interpolating within the winning bucket's range.
 func (h *Histogram) Quantile(q float64) float64 {

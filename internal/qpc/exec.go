@@ -40,25 +40,6 @@ type planExec struct {
 // whatever wall phase the caller recorded last; the phases here follow
 // it back to back.
 func (e *planExec) run(ctx context.Context, began time.Time, emit func(types.Tuple) error) (err error) {
-	// Admission: under a memory budget, reserve the plan's static
-	// scratch — the verifier-derived operand-stack + frame bound of
-	// every shipped class, stamped in the code refs — before any setup
-	// work. A query whose shipped code cannot even frame up within the
-	// budget fails here with a typed OverBudgetError instead of
-	// discovering the shortfall mid-query; the reservation is held for
-	// the query's lifetime so spillable operators size their grants
-	// against what is genuinely left.
-	if e.srv.gov != nil {
-		if need := exec.StaticScratchBytes(e.plan); need > 0 {
-			grant := e.srv.gov.Grant("admission:static-scratch")
-			if aerr := grant.Acquire(ctx, need); aerr != nil {
-				grant.Close()
-				return fmt.Errorf("admission: static scratch reservation: %w", aerr)
-			}
-			defer grant.Close()
-		}
-	}
-
 	// Every session of this query hangs off execCtx: when one fragment
 	// fails, cancelling it immediately unblocks any frame I/O on the
 	// surviving sessions so cleanup cannot hang on a sick link.

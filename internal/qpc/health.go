@@ -53,14 +53,9 @@ func (p BreakerPolicy) now() time.Time {
 type siteHealth struct {
 	open     bool
 	openedAt time.Time
-	forced   bool // ForceOpen pins the breaker open until a Reset
-	fails    int  // consecutive transient failures
-
-	successes  int64
-	failures   int64
-	lastErr    string
-	ewmaMicros float64 // rolling latency of successful operations
-	picks      int64   // times PickReplica chose this site
+	forced   bool  // ForceOpen pins the breaker open until a Reset
+	fails    int   // consecutive transient failures
+	picks    int64 // times PickReplica chose this site
 }
 
 // HealthRegistry tracks per-site health and breaker state for a QPC.
@@ -107,19 +102,14 @@ func (h *HealthRegistry) countOpen() int64 {
 // ReportSuccess records a successful operation against the site. It
 // closes an open breaker (the operation was the probe) unless the
 // breaker was forced open.
-func (h *HealthRegistry) ReportSuccess(site string, latency time.Duration) {
+func (h *HealthRegistry) ReportSuccess(site string) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sh := h.site(site)
-	sh.successes++
 	sh.fails = 0
-	if latency > 0 {
-		const alpha = 0.3
-		sh.ewmaMicros = alpha*float64(latency.Microseconds()) + (1-alpha)*sh.ewmaMicros
-	}
 	if sh.open && !sh.forced {
 		sh.open = false
 		h.reclosed.Inc()
@@ -129,18 +119,14 @@ func (h *HealthRegistry) ReportSuccess(site string, latency time.Duration) {
 
 // ReportFailure records a transient transport failure against the site,
 // tripping the breaker when the consecutive run reaches the threshold.
-func (h *HealthRegistry) ReportFailure(site string, err error) {
+func (h *HealthRegistry) ReportFailure(site string) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sh := h.site(site)
-	sh.failures++
 	sh.fails++
-	if err != nil {
-		sh.lastErr = err.Error()
-	}
 	if !sh.open && sh.fails >= h.pol.FailureThreshold {
 		sh.open = true
 		sh.openedAt = h.pol.now()

@@ -1,7 +1,6 @@
 package qpc
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -16,17 +15,15 @@ func testHealth(pol BreakerPolicy) (*HealthRegistry, *time.Time) {
 	return newHealthRegistry(pol, obs.NewRegistry()), &now
 }
 
-var errLink = errors.New("link down")
-
 func TestBreakerTripsAtThreshold(t *testing.T) {
 	h, _ := testHealth(BreakerPolicy{FailureThreshold: 3})
 	for i := 0; i < 2; i++ {
-		h.ReportFailure("s", errLink)
+		h.ReportFailure("s")
 		if h.Open("s") {
 			t.Fatalf("breaker open after %d failures, threshold is 3", i+1)
 		}
 	}
-	h.ReportFailure("s", errLink)
+	h.ReportFailure("s")
 	if !h.Open("s") || h.State("s") != "open" {
 		t.Fatalf("breaker should be open at the threshold, state %q", h.State("s"))
 	}
@@ -37,11 +34,11 @@ func TestBreakerTripsAtThreshold(t *testing.T) {
 
 func TestBreakerSuccessResetsRun(t *testing.T) {
 	h, _ := testHealth(BreakerPolicy{FailureThreshold: 3})
-	h.ReportFailure("s", errLink)
-	h.ReportFailure("s", errLink)
-	h.ReportSuccess("s", time.Millisecond)
-	h.ReportFailure("s", errLink)
-	h.ReportFailure("s", errLink)
+	h.ReportFailure("s")
+	h.ReportFailure("s")
+	h.ReportSuccess("s")
+	h.ReportFailure("s")
+	h.ReportFailure("s")
 	if h.Open("s") {
 		t.Fatal("interleaved success should reset the consecutive-failure run")
 	}
@@ -49,7 +46,7 @@ func TestBreakerSuccessResetsRun(t *testing.T) {
 
 func TestBreakerHalfOpenThenCloses(t *testing.T) {
 	h, now := testHealth(BreakerPolicy{FailureThreshold: 1, OpenFor: 3 * time.Second})
-	h.ReportFailure("s", errLink)
+	h.ReportFailure("s")
 	if got := h.State("s"); got != "open" {
 		t.Fatalf("state %q, want open", got)
 	}
@@ -64,7 +61,7 @@ func TestBreakerHalfOpenThenCloses(t *testing.T) {
 	if !h.Open("s") {
 		t.Fatal("half-open breaker should still read as open")
 	}
-	h.ReportSuccess("s", time.Millisecond)
+	h.ReportSuccess("s")
 	if h.Open("s") || h.State("s") != "closed" {
 		t.Fatalf("successful probe should close the breaker, state %q", h.State("s"))
 	}
@@ -72,12 +69,12 @@ func TestBreakerHalfOpenThenCloses(t *testing.T) {
 
 func TestBreakerFailedProbeReArms(t *testing.T) {
 	h, now := testHealth(BreakerPolicy{FailureThreshold: 1, OpenFor: 3 * time.Second})
-	h.ReportFailure("s", errLink)
+	h.ReportFailure("s")
 	*now = now.Add(3 * time.Second)
 	if h.FailFast("s") {
 		t.Fatal("probe window should be open")
 	}
-	h.ReportFailure("s", errLink) // the probe failed
+	h.ReportFailure("s") // the probe failed
 	if !h.FailFast("s") {
 		t.Fatal("failed probe must re-arm the open period")
 	}
@@ -93,7 +90,7 @@ func TestBreakerForceOpenPinsUntilReset(t *testing.T) {
 	if !h.FailFast("s") || h.State("s") != "open" {
 		t.Fatal("forced breaker must not half-open with time")
 	}
-	h.ReportSuccess("s", time.Millisecond)
+	h.ReportSuccess("s")
 	if !h.Open("s") {
 		t.Fatal("success must not close a forced breaker")
 	}
@@ -105,8 +102,8 @@ func TestBreakerForceOpenPinsUntilReset(t *testing.T) {
 
 func TestBreakerNilRegistryIsSafe(t *testing.T) {
 	var h *HealthRegistry
-	h.ReportFailure("s", errLink)
-	h.ReportSuccess("s", 0)
+	h.ReportFailure("s")
+	h.ReportSuccess("s")
 	h.ForceOpen("s")
 	h.Reset("s")
 	if h.Open("s") || h.FailFast("s") || h.State("s") != "closed" {
@@ -117,12 +114,12 @@ func TestBreakerNilRegistryIsSafe(t *testing.T) {
 func TestBreakerMetricsTrackOpens(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := newHealthRegistry(BreakerPolicy{FailureThreshold: 1}, reg)
-	h.ReportFailure("a", errLink)
-	h.ReportFailure("b", errLink)
+	h.ReportFailure("a")
+	h.ReportFailure("b")
 	if got := reg.Gauge("qpc_breaker_open_sites").Value(); got != 2 {
 		t.Fatalf("open-sites gauge %v, want 2", got)
 	}
-	h.ReportSuccess("a", time.Millisecond)
+	h.ReportSuccess("a")
 	if got := reg.Counter("qpc_breaker_reclosed").Value(); got != 1 {
 		t.Fatalf("reclosed counter %d, want 1", got)
 	}

@@ -61,7 +61,6 @@ func (s *Server) probeSites(stop <-chan struct{}) {
 		}
 		s.met.heartbeatProbes.Inc()
 		ctx, cancel := context.WithTimeout(context.Background(), bound)
-		start := time.Now()
 		ds, err := s.openSession(ctx, site.Name)
 		if err == nil {
 			err = ds.ping()
@@ -70,10 +69,10 @@ func (s *Server) probeSites(stop <-chan struct{}) {
 		cancel()
 		if err != nil {
 			s.met.heartbeatFailures.Inc()
-			s.health.ReportFailure(site.Name, err)
+			s.health.ReportFailure(site.Name)
 			s.cfg.Logf("qpc: heartbeat to %s failed: %v", site.Name, err)
 			continue
 		}
-		s.health.ReportSuccess(site.Name, time.Since(start))
+		s.health.ReportSuccess(site.Name)
 	}
 }

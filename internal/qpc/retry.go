@@ -186,11 +186,10 @@ func (e *BudgetExhaustedError) Unwrap() []error {
 func retryTransient(ctx context.Context, p RetryPolicy, budget *retryBudget, health *HealthRegistry, site, what string, op func() error) error {
 	var err error
 	for attempt := 1; ; attempt++ {
-		start := time.Now()
 		err = op()
 		if err == nil {
 			if site != "" {
-				health.ReportSuccess(site, time.Since(start))
+				health.ReportSuccess(site)
 			}
 			return nil
 		}
@@ -198,7 +197,7 @@ func retryTransient(ctx context.Context, p RetryPolicy, budget *retryBudget, hea
 			return err
 		}
 		if site != "" {
-			health.ReportFailure(site, err)
+			health.ReportFailure(site)
 		}
 		if attempt >= p.MaxAttempts {
 			return fmt.Errorf("%s: %d attempts exhausted: %w", what, attempt, err)

@@ -1,7 +1,6 @@
 package qpc
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -14,7 +13,6 @@ import (
 	"mocha/internal/obs"
 	"mocha/internal/types"
 	"mocha/internal/vm"
-	"mocha/internal/wire"
 )
 
 // RolloutPolicy tunes the canary controller's divergence thresholds.
@@ -472,9 +470,9 @@ func (c *rolloutController) latencyAndPromotionLocked(st *rolloutState, canMicro
 
 // abortLocked rolls the rollout back: no new query routes to the
 // withdrawn release (in-flight canary queries stay pinned by digest and
-// finish), the evidence is recorded for SHOW ROLLOUTS, and every site's
-// code cache is asked — best effort, asynchronously — to drop the
-// withdrawn blob by digest.
+// finish), and the evidence is recorded for SHOW ROLLOUTS. A DAP that
+// cached the release keeps it until its cache evicts it: no plan names
+// the digest any more.
 func (c *rolloutController) abortLocked(st *rolloutState, why *RolloutAbortedError) {
 	if !st.running() {
 		return
@@ -484,7 +482,6 @@ func (c *rolloutController) abortLocked(st *rolloutState, why *RolloutAbortedErr
 	st.EndedAt = time.Now()
 	c.srv.met.rolloutAborts.Inc()
 	c.srv.cfg.Logf("qpc: %v", why)
-	go c.srv.invalidateSites([]string{st.Digest})
 }
 
 // promoteLocked ends the rollout successfully: the canary release
@@ -599,46 +596,6 @@ func (c *rolloutController) report() string {
 		}
 	}
 	return strings.TrimRight(b.String(), "\n")
-}
-
-// invalidateSites asks every catalog site to drop the given release
-// digests from its code cache — the fleet-wide half of a rollback.
-// Best effort: a site that is down simply misses the invalidation (its
-// digest-keyed cache entry is inert; nothing references it anymore).
-func (s *Server) invalidateSites(digests []string) {
-	var wg sync.WaitGroup
-	for _, site := range s.cfg.Cat.Sites() {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			ds, err := s.openSession(ctx, name)
-			if err != nil {
-				s.cfg.Logf("qpc: cache invalidation at %s: %v", name, err)
-				return
-			}
-			defer ds.close()
-			payload, err := wire.EncodeXML(&wire.CodeInvalidate{Digests: digests})
-			if err != nil {
-				return
-			}
-			if err := ds.conn.Send(wire.MsgCodeInvalidate, payload); err != nil {
-				s.cfg.Logf("qpc: cache invalidation at %s: %v", name, err)
-				return
-			}
-			data, err := ds.conn.Expect(wire.MsgCodeInvalidateAck)
-			if err != nil {
-				s.cfg.Logf("qpc: cache invalidation at %s: %v", name, err)
-				return
-			}
-			var ack wire.CodeInvalidateAck
-			if err := wire.DecodeXML(data, &ack); err == nil && ack.Dropped > 0 {
-				s.cfg.Logf("qpc: site %s dropped %d withdrawn class release(s)", name, ack.Dropped)
-			}
-		}(site.Name)
-	}
-	wg.Wait()
 }
 
 // StartRollout begins canarying a staged release: fraction of the

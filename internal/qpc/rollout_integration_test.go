@@ -2,9 +2,8 @@ package qpc
 
 // In-package rollout lifecycle suite on the chaos harness (a real QPC
 // and two DAPs over netsim): the controller's full path — start, route,
-// canary execution, oracle, shadow run, judge, abort/promote, DAP cache
-// invalidation, reports — driven through Server.Execute and the public
-// rollout methods.
+// canary execution, oracle, shadow run, judge, abort/promote, reports —
+// driven through Server.Execute and the public rollout methods.
 
 import (
 	"errors"

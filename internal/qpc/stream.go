@@ -90,7 +90,7 @@ func (fs *fragmentStream) place(cause error) error {
 	began := time.Now()
 	lastErr := cause
 	if cause != nil {
-		health.ReportFailure(u.Replicas[0], cause)
+		health.ReportFailure(u.Replicas[0])
 		fs.ds.abandon()
 	}
 	for i, site := range u.Replicas {

@@ -111,10 +111,21 @@ func initDataPage(d []byte) {
 func putPageID(d []byte, id PageID) { binary.BigEndian.PutUint32(d, uint32(id)) }
 func getPageID(d []byte) PageID     { return PageID(binary.BigEndian.Uint32(d)) }
 
-func pageFreeSpace(d []byte) int {
-	nslots := int(binary.BigEndian.Uint16(d[4:]))
+// freeSpace returns the bytes free between data page d's slot array
+// and its records. Both bounds are read off the page, so both are
+// checked: the slot array must fit the page, and the free space must
+// end past it and within the page.
+func freeSpace(d []byte, page PageID) (int, error) {
+	nslots, err := slotCount(d, page)
+	if err != nil {
+		return 0, err
+	}
+	slots := pageHdrSize + slotSize*int(nslots)
 	freeEnd := int(binary.BigEndian.Uint16(d[6:]))
-	return freeEnd - (pageHdrSize + slotSize*nslots)
+	if freeEnd < slots || freeEnd > PageSize {
+		return 0, fmt.Errorf("storage: page %d: free space ends at %d, outside [%d, %d]", page, freeEnd, slots, PageSize)
+	}
+	return freeEnd - slots, nil
 }
 
 // Insert stores a record and returns its RID.
@@ -146,8 +157,13 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		hdr.Release()
 		return RID{}, err
 	}
-	need := len(stored) + slotSize
-	if pageFreeSpace(f.Data()) < need {
+	free, err := freeSpace(f.Data(), last)
+	if err != nil {
+		f.Release()
+		hdr.Release()
+		return RID{}, err
+	}
+	if free < len(stored)+slotSize {
 		// Chain a fresh data page.
 		nf, err := h.bp.NewPage()
 		if err != nil {

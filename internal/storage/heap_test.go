@@ -188,6 +188,38 @@ func TestHeapCorruptSlotIsAnError(t *testing.T) {
 	}
 }
 
+// TestHeapInsertRefusesCorruptLastPage: Insert writes where the last
+// data page's header says its free space ends. A free-space end past the
+// page or inside the slot array, or a slot array that does not fit the
+// page, fails the insert with an error naming the page, where it would
+// otherwise copy out of range; nothing is written.
+func TestHeapInsertRefusesCorruptLastPage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   int // the header byte the corruption writes
+		v    uint16
+		want string
+	}{
+		{"free space ending past the page", 6, 0xFFFF, "free space ends at 65535"},
+		{"free space ending inside the slot array", 6, pageHdrSize, "free space ends at"},
+		{"slot array past the page", 4, 0x1000, "4096 slots"},
+	} {
+		h := newHeap(t, 16)
+		rid, err := h.Insert([]byte{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writePage(t, h, rid.Page, tc.at, tc.v)
+		page := fmt.Sprintf("page %d", rid.Page)
+		if _, err := h.Insert([]byte{3, 4}); err == nil || !strings.Contains(err.Error(), page) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Insert = %v, want an error naming %s and %q", tc.name, err, page, tc.want)
+		}
+		if n, err := h.Count(); err != nil || n != 1 {
+			t.Errorf("%s: %d records counted (%v) after a refused insert, want 1", tc.name, n, err)
+		}
+	}
+}
+
 // slotField addresses a slot's offset (field 0) or length (field 2).
 func slotField(field int) func(RID) int {
 	return func(rid RID) int { return pageHdrSize + slotSize*int(rid.Slot) + field }

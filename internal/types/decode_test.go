@@ -17,7 +17,7 @@ func rasterHeader(w, h uint32, tail ...byte) []byte {
 // TestDecodeRasterRefusesHeaderThatWraps: the two dimensions are
 // attacker-controlled uint32s; ff ff ff ff ff ff ff ff used to wrap the
 // size negative, pass the length guard and panic on the slice. Every
-// such header is an error, from DecodeValue and from RasterFromPayload.
+// such header is an error, from DecodeValue and from FromPayload.
 func TestDecodeRasterRefusesHeaderThatWraps(t *testing.T) {
 	for _, hdr := range [][]byte{
 		rasterHeader(0xffffffff, 0xffffffff),
@@ -30,8 +30,8 @@ func TestDecodeRasterRefusesHeaderThatWraps(t *testing.T) {
 		if v, n, err := DecodeValue(KindRaster, hdr); err == nil {
 			t.Errorf("DecodeValue(% x) = %v, %d; want an error", hdr[:8], v, n)
 		}
-		if r, err := RasterFromPayload(hdr); err == nil {
-			t.Errorf("RasterFromPayload(% x) = %v; want an error", hdr[:8], r)
+		if r, err := FromPayload(KindRaster, hdr); err == nil {
+			t.Errorf("FromPayload(RASTER, % x) = %v; want an error", hdr[:8], r)
 		}
 	}
 	// A zero dimension makes any other one valid: there are no pixels.

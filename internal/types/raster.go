@@ -49,19 +49,6 @@ func pixelCount(w, h, max int) (int, bool) {
 	return w * h, true
 }
 
-// RasterFromPayload wraps an already-encoded raster payload, validating
-// its header against its length.
-func RasterFromPayload(payload []byte) (Raster, error) {
-	if len(payload) < 8 {
-		return Raster{}, fmt.Errorf("raster payload too short: %d bytes", len(payload))
-	}
-	w, h := int(binary.BigEndian.Uint32(payload)), int(binary.BigEndian.Uint32(payload[4:]))
-	if n, ok := pixelCount(w, h, len(payload)-8); !ok || n != len(payload)-8 {
-		return Raster{}, fmt.Errorf("raster payload: declared %dx%d, have %d bytes", w, h, len(payload))
-	}
-	return Raster{payload: payload}, nil
-}
-
 // Kind implements Object.
 func (Raster) Kind() Kind { return KindRaster }
 

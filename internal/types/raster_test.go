@@ -48,16 +48,16 @@ func TestNewRasterPanicsOnMismatch(t *testing.T) {
 }
 
 func TestRasterFromPayloadValidation(t *testing.T) {
-	if _, err := RasterFromPayload([]byte{1}); err == nil {
+	if _, err := FromPayload(KindRaster, []byte{1}); err == nil {
 		t.Error("short payload accepted")
 	}
 	bad := make([]byte, 8)
 	bad[3] = 10 // declares 10x0... header says width 10 height 0 → size ok
-	if _, err := RasterFromPayload(bad); err != nil {
+	if _, err := FromPayload(KindRaster, bad); err != nil {
 		t.Errorf("10x0 raster should be structurally valid: %v", err)
 	}
 	bad2 := []byte{0, 0, 0, 2, 0, 0, 0, 2, 1, 2} // 2x2 declared, 2 pixels
-	if _, err := RasterFromPayload(bad2); err == nil {
+	if _, err := FromPayload(KindRaster, bad2); err == nil {
 		t.Error("inconsistent pixel count accepted")
 	}
 }

@@ -131,19 +131,6 @@ func NewPolygon(pts []Point) Polygon {
 	return Polygon{payload: buf}
 }
 
-// PolygonFromPayload wraps an already-encoded polygon payload. It returns
-// an error when the payload is malformed.
-func PolygonFromPayload(payload []byte) (Polygon, error) {
-	if len(payload) < 4 {
-		return Polygon{}, fmt.Errorf("polygon payload too short: %d bytes", len(payload))
-	}
-	n := binary.BigEndian.Uint32(payload)
-	if len(payload) != 4+8*int(n) {
-		return Polygon{}, fmt.Errorf("polygon payload: declared %d vertices, have %d bytes", n, len(payload))
-	}
-	return Polygon{payload: payload}, nil
-}
-
 // Kind implements Object.
 func (Polygon) Kind() Kind { return KindPolygon }
 
@@ -255,24 +242,6 @@ func NewGraph(vertices []Point, edges []GraphEdge) Graph {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(e.B))
 	}
 	return Graph{payload: buf}
-}
-
-// GraphFromPayload wraps an already-encoded graph payload, validating its
-// structure.
-func GraphFromPayload(payload []byte) (Graph, error) {
-	if len(payload) < 8 {
-		return Graph{}, fmt.Errorf("graph payload too short: %d bytes", len(payload))
-	}
-	nv := int(binary.BigEndian.Uint32(payload))
-	edgeCountOff := 4 + 8*nv
-	if len(payload) < edgeCountOff+4 {
-		return Graph{}, fmt.Errorf("graph payload truncated before edge count")
-	}
-	ne := int(binary.BigEndian.Uint32(payload[edgeCountOff:]))
-	if len(payload) != edgeCountOff+4+8*ne {
-		return Graph{}, fmt.Errorf("graph payload: declared %d vertices %d edges, have %d bytes", nv, ne, len(payload))
-	}
-	return Graph{payload: payload}, nil
 }
 
 // Kind implements Object.

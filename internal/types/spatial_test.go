@@ -50,14 +50,14 @@ func TestPolygonRoundTrip(t *testing.T) {
 }
 
 func TestPolygonFromPayloadValidation(t *testing.T) {
-	if _, err := PolygonFromPayload([]byte{0, 0}); err == nil {
+	if _, err := FromPayload(KindPolygon, []byte{0, 0}); err == nil {
 		t.Error("short payload accepted")
 	}
-	if _, err := PolygonFromPayload([]byte{0, 0, 0, 9, 1, 2}); err == nil {
+	if _, err := FromPayload(KindPolygon, []byte{0, 0, 0, 9, 1, 2}); err == nil {
 		t.Error("inconsistent vertex count accepted")
 	}
-	p, err := PolygonFromPayload(square(2).Payload())
-	if err != nil || p.NumVertices() != 4 {
+	p, err := FromPayload(KindPolygon, square(2).Payload())
+	if err != nil || p.(Polygon).NumVertices() != 4 {
 		t.Errorf("valid payload rejected: %v", err)
 	}
 }
@@ -119,14 +119,14 @@ func TestGraphRoundTrip(t *testing.T) {
 }
 
 func TestGraphFromPayloadValidation(t *testing.T) {
-	if _, err := GraphFromPayload(nil); err == nil {
+	if _, err := FromPayload(KindGraph, nil); err == nil {
 		t.Error("nil payload accepted")
 	}
-	if _, err := GraphFromPayload([]byte{0, 0, 0, 2, 0, 0, 0, 0}); err == nil {
+	if _, err := FromPayload(KindGraph, []byte{0, 0, 0, 2, 0, 0, 0, 0}); err == nil {
 		t.Error("truncated vertex payload accepted")
 	}
 	good := NewGraph([]Point{{0, 0}}, nil).Payload()
-	if _, err := GraphFromPayload(good); err != nil {
+	if _, err := FromPayload(KindGraph, good); err != nil {
 		t.Errorf("valid payload rejected: %v", err)
 	}
 }

@@ -117,18 +117,6 @@ func (c CostInfo) String() string {
 		instrs, c.FixedUnits, c.PerTripUnits, c.ScratchBytes, alloc, c.Purity)
 }
 
-// CostAnalyze runs the full verification ladder and returns the
-// program's static cost summary. It is a convenience wrapper: the cost
-// pass always runs inside Analyze, which records the same summary in
-// VerifyInfo.Cost.
-func CostAnalyze(p *Program) (CostInfo, error) {
-	info, err := Analyze(p)
-	if err != nil {
-		return CostInfo{}, err
-	}
-	return info.Cost, nil
-}
-
 // funcCost accumulates the per-function cost facts, folded callees
 // first like the stack-bound pass.
 type funcCost struct {

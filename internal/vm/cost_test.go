@@ -81,6 +81,10 @@ func TestCostBoundedLoop(t *testing.T) {
 	if got != 118 {
 		t.Fatalf("executed %d instructions, want 118", got)
 	}
+	// A program that fails verification is priced at nothing.
+	if info, err := Analyze(&Program{Name: "bad"}); err == nil {
+		t.Fatalf("Analyze of an empty program = %+v, want a verification error", info)
+	}
 }
 
 func TestCostZeroTripLoop(t *testing.T) {
@@ -355,20 +359,6 @@ func TestCostInfoString(t *testing.T) {
 	}
 	if (CostInfo{FixedUnits: 1}).IsZero() {
 		t.Error("non-zero CostInfo IsZero")
-	}
-}
-
-func TestCostAnalyzeWrapper(t *testing.T) {
-	p := MustAssemble(countingLoop(3))
-	c, err := CostAnalyze(p)
-	if err != nil {
-		t.Fatalf("CostAnalyze: %v", err)
-	}
-	if !c.Bounded || c.BudgetInstrs == 0 {
-		t.Fatalf("CostAnalyze summary: %+v", c)
-	}
-	if _, err := CostAnalyze(&Program{Name: "bad"}); err == nil {
-		t.Fatal("CostAnalyze of empty program should fail verification")
 	}
 }
 

@@ -37,20 +37,6 @@ type StartAck struct {
 	Need    []string `xml:"need"`
 }
 
-// CodeInvalidate asks a DAP to drop cached code blobs by content digest
-// — the rollback path of a canary release. Digest-keyed caches make this
-// a no-op for sites that never loaded the withdrawn release.
-type CodeInvalidate struct {
-	XMLName xml.Name `xml:"code-invalidate"`
-	Digests []string `xml:"digest"`
-}
-
-// CodeInvalidateAck reports how many cached blobs the DAP dropped.
-type CodeInvalidateAck struct {
-	XMLName xml.Name `xml:"code-invalidate-ack"`
-	Dropped int      `xml:"dropped,attr"`
-}
-
 // ResultSchema is the RESULT_SCHEMA document: the result's schema under
 // a <schema> root (a types.Schema alone has no root name of its own,
 // because the fragment document nests it under <in-schema>).

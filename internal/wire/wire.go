@@ -43,16 +43,16 @@ const (
 	MsgError        // carries an error string; terminates the request
 	MsgAck          // bare acknowledgement; no exchange uses one now, the frame benchmark does
 	MsgClose
-	MsgProcCall          // QPC → DAP: procedural request (XML), section 3.2
-	MsgProcResult        // DAP → QPC: procedural response (XML)
-	MsgSeqBatch          // was the DAP's sequenced batch; no exchange sends one now, the frame benchmark names it
-	MsgSeqEOS            // was the DAP's sequenced EOS; no exchange sends one now, the frame benchmark names it
-	_                    // 20: was RESUME
-	_                    // 21: was RESUME_ACK
-	MsgCodeInvalidate    // QPC → DAP: drop cached code blobs by content digest
-	MsgCodeInvalidateAck // DAP → QPC: how many cached blobs were dropped
-	MsgStart             // QPC → DAP: run this fragment, past the tuples already held (XML <start>)
-	MsgStartAck          // DAP → QPC: the classes it must be sent first
+	MsgProcCall   // QPC → DAP: procedural request (XML), section 3.2
+	MsgProcResult // DAP → QPC: procedural response (XML)
+	MsgSeqBatch   // was the DAP's sequenced batch; no exchange sends one now, the frame benchmark names it
+	MsgSeqEOS     // was the DAP's sequenced EOS; no exchange sends one now, the frame benchmark names it
+	_             // 20: was RESUME
+	_             // 21: was RESUME_ACK
+	_             // 22: was CODE_INVALIDATE
+	_             // 23: was CODE_INVALIDATE_ACK
+	MsgStart      // QPC → DAP: run this fragment, past the tuples already held (XML <start>)
+	MsgStartAck   // DAP → QPC: the classes it must be sent first
 )
 
 var msgNames = map[MsgType]string{
@@ -62,7 +62,6 @@ var msgNames = map[MsgType]string{
 	MsgEOS: "EOS", MsgError: "ERROR", MsgAck: "ACK", MsgClose: "CLOSE",
 	MsgProcCall: "PROC_CALL", MsgProcResult: "PROC_RESULT",
 	MsgSeqBatch: "SEQ_BATCH", MsgSeqEOS: "SEQ_EOS",
-	MsgCodeInvalidate: "CODE_INVALIDATE", MsgCodeInvalidateAck: "CODE_INVALIDATE_ACK",
 	MsgStart: "START", MsgStartAck: "START_ACK",
 }
 
@@ -104,9 +103,6 @@ type Conn struct {
 	rmu, wmu   sync.Mutex
 	rhdr, whdr [frameHeaderSize]byte // header scratch under rmu, wmu: a local escapes, one allocation per frame
 	maxBody    int                   // largest frame body delivered so far; guarded by rmu
-
-	bytesIn  atomic.Int64
-	bytesOut atomic.Int64
 
 	readTimeout  atomic.Int64 // per-frame read bound, ns; 0 = none
 	writeTimeout atomic.Int64 // per-frame write bound, ns; 0 = none
@@ -300,7 +296,6 @@ func (c *Conn) Send(t MsgType, payload []byte) error {
 	if err := c.bw.Flush(); err != nil {
 		return c.describeIO("send", t, dl, err)
 	}
-	c.bytesOut.Add(int64(frameHeaderSize + len(payload)))
 	if m := c.metrics.Load(); m != nil {
 		m.framesSent.Inc()
 		m.bytesSent.Add(int64(frameHeaderSize + len(payload)))
@@ -336,7 +331,6 @@ func (c *Conn) Recv() (MsgType, []byte, error) {
 		return 0, nil, c.describeIO("recv body of", t, dl, err)
 	}
 	c.maxBody = max(c.maxBody, int(n))
-	c.bytesIn.Add(int64(frameHeaderSize) + int64(n))
 	if m := c.metrics.Load(); m != nil {
 		m.framesRecv.Inc()
 		m.bytesRecvd.Add(int64(frameHeaderSize) + int64(n))
@@ -414,14 +408,6 @@ func (c *Conn) Expect(want MsgType) ([]byte, error) {
 func (c *Conn) SendError(err error) {
 	_ = c.Send(MsgError, []byte(err.Error()))
 }
-
-// BytesIn returns total bytes received, including frame headers. CVDT is
-// not taken from these counters: it is the sum of the stream spans'
-// NetBytes, the tuple bytes each stream carried.
-func (c *Conn) BytesIn() int64 { return c.bytesIn.Load() }
-
-// BytesOut returns total bytes sent, including frame headers.
-func (c *Conn) BytesOut() int64 { return c.bytesOut.Load() }
 
 // Close closes the underlying transport and hands the connection's
 // buffers back to the pool once no Recv or Send is using them. Closing

@@ -22,6 +22,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	a, b := pipeConns()
 	defer a.Close()
 	defer b.Close()
+	reg := obs.NewRegistry()
+	a.Instrument(reg, "a")
+	b.Instrument(reg, "b")
 	done := make(chan error, 1)
 	go func() {
 		done <- a.Send(MsgQuery, []byte("SELECT 1"))
@@ -36,8 +39,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if a.BytesOut() != int64(5+8) || b.BytesIn() != int64(5+8) {
-		t.Errorf("byte accounting: out=%d in=%d, want 13", a.BytesOut(), b.BytesIn())
+	out, in := reg.Counter("a"+obs.MWireBytesSentSuffix).Value(), reg.Counter("b"+obs.MWireBytesRecvSuffix).Value()
+	if out != 5+8 || in != 5+8 {
+		t.Errorf("byte accounting: out=%d in=%d, want 13", out, in)
 	}
 }
 

@@ -367,8 +367,7 @@ func (cl *Cluster) ReleasesReport(class string) (string, error) {
 }
 
 // DAPHasClass reports whether a site's code cache currently holds the
-// exact (name, checksum) release — rollback-invalidation and
-// version-consistency checks in tests.
+// exact (name, checksum) release — version-consistency checks in tests.
 func (cl *Cluster) DAPHasClass(site, name, checksum string) (bool, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
