@@ -81,10 +81,6 @@ func TestCostBoundedLoop(t *testing.T) {
 	if got != 118 {
 		t.Fatalf("executed %d instructions, want 118", got)
 	}
-	// A program that fails verification is priced at nothing.
-	if info, err := Analyze(&Program{Name: "bad"}); err == nil {
-		t.Fatalf("Analyze of an empty program = %+v, want a verification error", info)
-	}
 }
 
 func TestCostZeroTripLoop(t *testing.T) {
@@ -359,6 +355,23 @@ func TestCostInfoString(t *testing.T) {
 	}
 	if (CostInfo{FixedUnits: 1}).IsZero() {
 		t.Error("non-zero CostInfo IsZero")
+	}
+}
+
+// TestCostAnalyzeWrapper pins that the full verification ladder records
+// the cost summary in VerifyInfo.Cost, and that a program failing
+// verification gets no summary.
+func TestCostAnalyzeWrapper(t *testing.T) {
+	p := MustAssemble(countingLoop(3))
+	info, err := Analyze(p)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	if c := info.Cost; !c.Bounded || c.BudgetInstrs == 0 {
+		t.Fatalf("Analyze cost summary: %+v", c)
+	}
+	if info, err := Analyze(&Program{Name: "bad"}); err == nil {
+		t.Fatalf("Analyze of an empty program = %+v, want a verification error", info)
 	}
 }
 
