@@ -68,9 +68,11 @@ type planner struct {
 	// cut is the whole-plan placement decision (DESIGN.md §15): every
 	// push/keep choice the emission pass makes is a lookup here.
 	cut *Cut
-	// virt maps a call node running below its table's cut to the
-	// virtual column the QPC reads its result by.
-	virt map[int]int
+	// virt maps a call node running below its table's cut, or in its
+	// table's QPC stage, to the virtual column the QPC reads its result
+	// by; staged lists the latter in the order the plan reads them.
+	virt   map[int]int
+	staged []stagedCall
 }
 
 // Plan builds the physical plan for a bound query.
@@ -154,8 +156,223 @@ func (p *planner) virtual(idx int) int {
 	return col
 }
 
+// stagedCall is a call a multi-table plan computes in its table's QPC
+// stage: its virtual column and its expression over that column space.
+type stagedCall struct {
+	node, col int
+	expr      *PExpr
+}
+
+// leavesWorkAbove reports whether any table's cut leaves a predicate or
+// call above it. Only then can a multi-table plan need a stage: a cut
+// that pushes everything ships exactly what the joins read.
+func (c *Cut) leavesWorkAbove() bool {
+	for ti := range c.tables {
+		for _, idx := range c.dag.tableNodes(ti) {
+			if !c.tables[ti].asg.pushNode[idx] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// stageCalls is pushCalls for an expression above the joins of a
+// multi-table plan: a maximal single-table call its table's cut leaves
+// above also becomes a virtual column when its result is narrower than
+// what it reads (the VRF < 1 test the cut prices by), and the table's
+// stage computes it below the joins. A widening call stays above, and
+// so does a multi-table one, reading its staged arguments. Shipped
+// calls are named exactly as pushCalls names them.
+func (p *planner) stageCalls(e *PExpr) *PExpr {
+	if e.Kind == ExprCall {
+		if ti := p.exprTable(e); ti >= 0 {
+			if idx, ok := p.cut.dag.byKey[cutKey(ti, e)]; ok {
+				if p.cut.table(ti).asg.pushNode[idx] {
+					return p.pushCalls(e)
+				}
+				if n := p.cut.dag.nodes[idx]; n.resBytes < n.argBytes {
+					return NewCol(p.stage(idx), e.Ret)
+				}
+			}
+		}
+	}
+	c := *e
+	if len(e.Args) > 0 {
+		c.Args = make([]*PExpr, len(e.Args))
+		for i, a := range e.Args {
+			c.Args[i] = p.stageCalls(a)
+		}
+	}
+	return &c
+}
+
+// stage returns the virtual column of staged call node idx, adding it
+// on first use. It is named once every shipped call is (nameStaged).
+func (p *planner) stage(idx int) int {
+	for _, sc := range p.staged {
+		if sc.node == idx {
+			return sc.col
+		}
+	}
+	n := p.cut.dag.nodes[idx]
+	sc := stagedCall{node: idx, col: len(p.cols), expr: n.expr}
+	if p.pushesWithin(n) {
+		sc.expr = p.pushCalls(n.expr)
+	}
+	p.cols = append(p.cols, colInfo{table: n.table, kind: n.expr.Ret})
+	p.staged = append(p.staged, sc)
+	return sc.col
+}
+
+// pushesWithin reports whether n's cut runs any call nested in n.
+func (p *planner) pushesWithin(n *cutNode) bool {
+	for _, k := range n.kids {
+		if p.cut.table(n.table).asg.pushNode[k] || p.pushesWithin(p.cut.dag.nodes[k]) {
+			return true
+		}
+	}
+	return false
+}
+
+// nameStaged names the staged calls' virtual columns after the shipped
+// ones, in the order the plan first reads them, so that a call's _vN
+// is the same whichever side of the link computes it and the shipped
+// calls keep the names their fragments carry.
+func (p *planner) nameStaged() {
+	for k, sc := range p.staged {
+		p.cols[sc.col].name = fmt.Sprintf("_v%d", len(p.virt)+k)
+	}
+}
+
+// qpcItems rewrites the select list and the QPC-side aggregates'
+// arguments through rw, the QPC's view of a source-space expression.
+func (p *planner) qpcItems(pushAgg bool, rw func(*PExpr) *PExpr) ([]BoundItem, []AggSpec) {
+	items := make([]BoundItem, len(p.q.Items))
+	var aggs []AggSpec
+	for i, it := range p.q.Items {
+		items[i] = it
+		if it.Expr != nil {
+			items[i].Expr = rw(it.Expr)
+		}
+		if it.Agg != nil && !pushAgg {
+			agg := *it.Agg
+			agg.Args = make([]*PExpr, len(it.Agg.Args))
+			for j, a := range it.Agg.Args {
+				agg.Args[j] = rw(a)
+			}
+			items[i].Agg = &agg
+			aggs = append(aggs, agg)
+		}
+	}
+	return items, aggs
+}
+
+// readAbove is the set of extended-space columns the work above the
+// joins reads: outputs, aggregate arguments, multi-table predicates,
+// join keys and group keys. A stage emits only these.
+func (p *planner) readAbove(items []BoundItem, aggs []AggSpec, preds []*PExpr, joinPreds []BoundPred) map[int]bool {
+	need := map[int]bool{}
+	read := func(x *PExpr) {
+		if x.Kind == ExprCol {
+			need[x.Col] = true
+		}
+	}
+	for _, it := range items {
+		it.Expr.Walk(read)
+	}
+	for _, a := range aggs {
+		for _, arg := range a.Args {
+			arg.Walk(read)
+		}
+	}
+	for _, e := range preds {
+		e.Walk(read)
+	}
+	for _, jp := range joinPreds {
+		need[jp.LCol], need[jp.RCol] = true, true
+	}
+	for _, g := range p.q.GroupBy {
+		need[g] = true
+	}
+	return need
+}
+
+// buildStage builds table ti's QPC stage over the fragment stream whose
+// columns carry outCols: the predicates its cut left above, then the
+// columns need holds, then the table's staged calls in _vN order (the
+// order p.staged holds). It returns the stage, or nil when the stream
+// would pass through unchanged, and the extended-space column each
+// column of the fragment's QPCSchema carries.
+func (p *planner) buildStage(ti int, outCols []int, preds []*PExpr, need map[int]bool) (*Stage, []int, error) {
+	calls, width := 0, 0
+	for _, sc := range p.staged {
+		if p.cols[sc.col].table == ti {
+			calls++
+		}
+	}
+	for _, ext := range outCols {
+		if need[ext] {
+			width++
+		}
+	}
+	if len(preds) == 0 && calls == 0 && width == len(outCols) {
+		return nil, outCols, nil
+	}
+	width += calls
+
+	var missing error
+	localize := func(x *PExpr) *PExpr {
+		if x.Kind != ExprCol {
+			return x
+		}
+		for i, ext := range outCols {
+			if ext == x.Col {
+				return NewCol(i, x.Ret)
+			}
+		}
+		missing = fmt.Errorf("core: column %s not shipped to the QPC", p.cols[x.Col].name)
+		return x
+	}
+	st := &Stage{
+		Projections: make([]Output, 0, width),
+		Schema:      types.Schema{Columns: make([]types.Column, 0, width)},
+	}
+	for _, e := range preds {
+		st.Predicates = append(st.Predicates, e.Rewrite(localize))
+	}
+	emitted := make([]int, 0, width)
+	emit := func(ext int, expr *PExpr) {
+		c := types.Column{Name: p.cols[ext].name, Kind: p.cols[ext].kind}
+		st.Projections = append(st.Projections, Output{Name: c.Name, Expr: expr})
+		st.Schema.Columns = append(st.Schema.Columns, c)
+		emitted = append(emitted, ext)
+	}
+	for i, ext := range outCols {
+		if need[ext] {
+			emit(ext, NewCol(i, p.cols[ext].kind))
+		}
+	}
+	for _, sc := range p.staged {
+		if p.cols[sc.col].table == ti {
+			emit(sc.col, sc.expr.Rewrite(localize))
+		}
+	}
+	if missing != nil {
+		return nil, nil, missing
+	}
+	return st, emitted, nil
+}
+
 func (p *planner) build() (*Plan, error) {
 	q := p.q
+	// In a multi-table plan whose cuts leave work above, each table's
+	// share of that work runs in its stage, below the joins.
+	staged := len(q.Tables) > 1 && p.cut.leavesWorkAbove()
+	above := p.pushCalls
+	if staged {
+		above = p.stageCalls
+	}
 
 	// Step 1: whole-query aggregation placement comes straight off the
 	// cut (section 3.8 aggregates are evaluated wherever the plan puts
@@ -165,28 +382,17 @@ func (p *planner) build() (*Plan, error) {
 
 	// Step 2: the QPC's view of the select list, reading the shipped
 	// calls as virtual columns.
-	items := make([]BoundItem, len(q.Items))
-	var aggsAtQPC []AggSpec
-	for i, it := range q.Items {
-		items[i] = it
-		if it.Expr != nil {
-			items[i].Expr = p.pushCalls(it.Expr)
-		}
-		if it.Agg != nil && !pushAgg {
-			agg := *it.Agg
-			agg.Args = make([]*PExpr, len(it.Agg.Args))
-			for j, a := range it.Agg.Args {
-				agg.Args[j] = p.pushCalls(a)
-			}
-			items[i].Agg = &agg
-			aggsAtQPC = append(aggsAtQPC, agg)
-		}
-	}
+	items, aggsAtQPC := p.qpcItems(pushAgg, above)
 
 	// Step 3: the predicates the cuts left above — single-table ones
-	// first, then multi-table ones.
+	// first, then multi-table ones. In a staged plan a single-table one
+	// runs in its table's stage.
 	var qpcPreds []*PExpr
+	var stagePreds [][]*PExpr
 	var multiPreds, joinPreds []BoundPred
+	if staged {
+		stagePreds = make([][]*PExpr, len(q.Tables))
+	}
 	for pi, pred := range q.Preds {
 		switch {
 		case pred.EqJoin:
@@ -194,11 +400,16 @@ func (p *planner) build() (*Plan, error) {
 		case len(pred.Tables) > 1:
 			multiPreds = append(multiPreds, pred)
 		case !p.cut.pushesPred(pi):
-			qpcPreds = append(qpcPreds, p.pushCalls(pred.Expr))
+			e := p.pushCalls(pred.Expr)
+			if ti := pred.Tables[0]; staged {
+				stagePreds[ti] = append(stagePreds[ti], e)
+			} else {
+				qpcPreds = append(qpcPreds, e)
+			}
 		}
 	}
 	for _, pred := range multiPreds {
-		qpcPreds = append(qpcPreds, p.pushCalls(pred.Expr))
+		qpcPreds = append(qpcPreds, above(pred.Expr))
 	}
 
 	// Step 4: build fragments in join order. Equality predicates not
@@ -209,7 +420,12 @@ func (p *planner) build() (*Plan, error) {
 		return nil, err
 	}
 	for _, pred := range leftover {
-		qpcPreds = append(qpcPreds, p.pushCalls(pred.Expr))
+		qpcPreds = append(qpcPreds, above(pred.Expr))
+	}
+	var need map[int]bool
+	if staged {
+		p.nameStaged()
+		need = p.readAbove(items, aggsAtQPC, qpcPreds, joinPreds)
 	}
 	plan := &Plan{SQL: q.SQL, Limit: q.Limit}
 
@@ -223,6 +439,11 @@ func (p *planner) build() (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
+		if staged {
+			if frag.Stage, outCols, err = p.buildStage(ti, outCols, stagePreds[ti], need); err != nil {
+				return nil, err
+			}
+		}
 		fragOfTable[ti] = fi
 		base := plan.CombinedSchema.Arity()
 		for pos, ext := range outCols {
@@ -230,7 +451,7 @@ func (p *planner) build() (*Plan, error) {
 				combined[ext] = base + pos
 			}
 		}
-		plan.CombinedSchema.Columns = append(plan.CombinedSchema.Columns, frag.OutSchema.Columns...)
+		plan.CombinedSchema.Columns = append(plan.CombinedSchema.Columns, frag.QPCSchema().Columns...)
 		plan.Fragments = append(plan.Fragments, frag)
 	}
 
@@ -245,10 +466,10 @@ func (p *planner) build() (*Plan, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: join column %d not shipped", st.rightCol)
 		}
-		// Right column is relative to the right fragment's output.
+		// Right column is relative to the right fragment's stream.
 		rbase := 0
 		for i := 0; i < right; i++ {
-			rbase += plan.Fragments[i].OutSchema.Arity()
+			rbase += plan.Fragments[i].QPCSchema().Arity()
 		}
 		plan.Joins = append(plan.Joins, JoinStep{
 			RightFrag: right,
@@ -733,6 +954,14 @@ func Explain(plan *Plan) string {
 			}
 			fmt.Fprintf(&b, "    ship code: %s\n", strings.Join(names, ", "))
 			fmt.Fprintf(&b, "    static cost: %s\n", staticCostLine(f.Code))
+		}
+		if st := f.Stage; st != nil {
+			for _, p := range st.Predicates {
+				fmt.Fprintf(&b, "    qpc filter %s\n", p)
+			}
+			for _, o := range st.Projections {
+				fmt.Fprintf(&b, "    qpc project %s = %s\n", o.Name, o.Expr)
+			}
 		}
 	}
 	for _, j := range plan.Joins {

@@ -103,6 +103,32 @@ type Fragment struct {
 	// OutSchema is the schema of emitted tuples, which the QPC reads
 	// the fragment's stream under.
 	OutSchema types.Schema `xml:"-"`
+	// Stage is the QPC's own work on the stream before any join, in a
+	// multi-table plan; nil when the stream joins as it arrives.
+	Stage *Stage `xml:"-"`
+}
+
+// Stage is the chain one table's stream runs through at the QPC before
+// the joins (DESIGN §10): the single-table predicates its cut left
+// above, then a projection that computes the data-reducing single-table
+// calls left above as virtual columns and keeps only the columns
+// something above the stage still reads. A filter never widens a row
+// and a staged call is narrower than what it reads, so the joins hold
+// the narrowest rows the plan allows.
+type Stage struct {
+	Predicates  []*PExpr // over the fragment's OutSchema
+	Projections []Output // over the fragment's OutSchema
+	// Schema is the stage's output, which the joins read.
+	Schema types.Schema
+}
+
+// QPCSchema is the schema the QPC's joins read the fragment's stream
+// under: its stage's output, or what the DAP emits when it has none.
+func (f *Fragment) QPCSchema() types.Schema {
+	if f.Stage != nil {
+		return f.Stage.Schema
+	}
+	return f.OutSchema
 }
 
 // PartTarget is one partition the scatter phase must read: its physical
@@ -120,7 +146,7 @@ type PartTarget struct {
 type JoinStep struct {
 	RightFrag int
 	// LeftCol indexes the accumulated (already joined) schema; RightCol
-	// indexes the right fragment's OutSchema.
+	// indexes the right fragment's QPCSchema.
 	LeftCol  int
 	RightCol int
 }
@@ -140,8 +166,8 @@ type Plan struct {
 	// Joins chain fragments left-deep: start with Fragments[0]'s stream,
 	// then join each step's right fragment.
 	Joins []JoinStep
-	// CombinedSchema is the schema after all joins (concatenated
-	// fragment outputs in join order).
+	// CombinedSchema is the schema after all joins (the fragments'
+	// QPCSchemas concatenated in join order).
 	CombinedSchema types.Schema
 	// QPC-side operators over the combined schema:
 	Predicates  []*PExpr

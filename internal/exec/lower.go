@@ -93,8 +93,15 @@ func SemiJoinParticipants(plan *core.Plan) []int {
 //
 //	DAP fragment:  scan → [semijoin] → [filter] → (hashagg | project) →
 //	               [limit] → emit
-//	QPC plan:      remote[i] (+prefetch[i]) → hashjoin[0..n) → [filter] →
-//	               [hashagg] → project → (topk | sort | limit)? → emit
+//	QPC plan:      remote[i] (+prefetch[i]) → [stage[i]: filter, project] →
+//	               hashjoin[0..n) → [filter] → [hashagg] → project →
+//	               (topk | sort | limit)? → emit
+//
+// A partitioned fragment's remotes meet in gather[i] before its stage. A
+// stage (core.Stage) exists only in a multi-table plan: the single-table
+// predicates and data-reducing calls its table's cut left above, run on
+// the table's own stream so the joins hold narrow rows; the filter above
+// the joins then holds only multi-table predicates.
 //
 // Operators that evaluate user expressions share one memo per contiguous
 // chain; the lowest memo user resets it per input batch. A DAP chain's
@@ -264,10 +271,32 @@ func forkLanes(frag *core.Fragment, binder core.OpBinder) func() (*lane, error) 
 	}
 }
 
+// stageMemo returns a memo for a stage with more than one call site, so
+// a call its filter and projection share runs once a row, and nil for
+// one with fewer: a lone call has nothing to share.
+func stageMemo(st *core.Stage) *core.Memo {
+	sites := 0
+	count := func(x *core.PExpr) {
+		if x.Kind == core.ExprCall {
+			sites++
+		}
+	}
+	for _, p := range st.Predicates {
+		p.Walk(count)
+	}
+	for _, o := range st.Projections {
+		o.Expr.Walk(count)
+	}
+	if sites < 2 {
+		return nil
+	}
+	return core.NewMemo()
+}
+
 // LowerPlan lowers the QPC's post-stream work onto the fragments' pull
-// feeds: per-fragment sources (each behind a bounded prefetcher), the
-// left-deep hash-join chain, plan predicates, aggregation, projection,
-// ordering/limit, and the client emit sink.
+// feeds: per-fragment sources (each behind a bounded prefetcher) and
+// stages, the left-deep hash-join chain, plan predicates, aggregation,
+// projection, ordering/limit, and the client emit sink.
 // pulls holds one feed per fragment for unpartitioned plans; a
 // scattered fragment passes one feed per partition and gets a Gather
 // union over per-partition sources (each independently prefetched, so
@@ -302,6 +331,30 @@ func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit f
 		srcs[i] = g
 	}
 
+	// Each fragment's stage runs on its own stream, below the joins, with
+	// a memo of its own when it needs one.
+	for i, frag := range plan.Fragments {
+		st := frag.Stage
+		if st == nil {
+			continue
+		}
+		memo := stageMemo(st)
+		if len(st.Predicates) > 0 {
+			preds, err := compilePreds(st.Predicates, binder, memo)
+			if err != nil {
+				return nil, err
+			}
+			srcs[i] = NewFilter(opName(obs.OpFilter, i), srcs[i], preds, memo, true, "qpc")
+			ops = append(ops, srcs[i])
+		}
+		projs, names, err := compileProjs(st.Projections, binder, memo)
+		if err != nil {
+			return nil, err
+		}
+		srcs[i] = NewProject(opName(obs.OpProject, i), srcs[i], projs, names, memo, len(st.Predicates) == 0, "qpc")
+		ops = append(ops, srcs[i])
+	}
+
 	cur := srcs[0]
 	for i, step := range plan.Joins {
 		if step.RightFrag < 0 || step.RightFrag >= len(srcs) {
@@ -310,7 +363,7 @@ func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit f
 		frag := plan.Fragments[step.RightFrag]
 		leftDesc := fmt.Sprintf("combined column %d (%s)", step.LeftCol, colName(plan.CombinedSchema, step.LeftCol))
 		rightDesc := fmt.Sprintf("fragment %d at %s, output column %d (%s)",
-			step.RightFrag, frag.Site, step.RightCol, colName(frag.OutSchema, step.RightCol))
+			step.RightFrag, frag.Site, step.RightCol, colName(frag.QPCSchema(), step.RightCol))
 		name := opName(obs.OpHashJoin, i)
 		cur = NewHashJoin(name, cur, srcs[step.RightFrag],
 			step.LeftCol, step.RightCol, leftDesc, rightDesc, false,

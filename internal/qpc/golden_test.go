@@ -87,6 +87,37 @@ func TestGoldenExplain(t *testing.T) {
 	}
 }
 
+// TestGoldenExplainStage pins the QPC stages of data-shipped joins: each
+// table's narrowing call runs on its own stream before the join
+// (op:project[i]), a single-table predicate filters there too
+// (op:filter[i]), and a widening call stays above the join.
+func TestGoldenExplainStage(t *testing.T) {
+	cases := []struct {
+		name, sql string
+		analyze   bool
+	}{
+		{"explain_analyze_stage_join", `SELECT R1.time, R1.location, Diff(AvgEnergy(R1.image), AvgEnergy(R2.image))
+FROM Rasters1 AS R1, Rasters2 AS R2 WHERE R1.location = R2.location`, true},
+		{"explain_analyze_stage_filter", `SELECT R1.time, R2.time FROM Rasters1 R1, Rasters2 R2
+WHERE R1.location = R2.location AND AvgEnergy(R1.image) > 56.0`, true},
+		{"explain_stage_widening", `SELECT R1.time, IncrRes(R1.image, 2), AvgEnergy(R2.image)
+FROM Rasters1 R1, Rasters2 R2 WHERE R1.location = R2.location`, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newChaosHarness(t, func(c *Config) { c.Strategy = core.StrategyDataShip })
+			text, err := h.srv.Explain(tc.sql)
+			if tc.analyze {
+				text, err = h.srv.ExplainAnalyze(context.Background(), tc.sql)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, tc.name, normalizeAnalysis(text))
+		})
+	}
+}
+
 // TestGoldenExplainAnalyzeRecovery pins the report shape on the
 // recovery path: a stream interrupted and continued mid-flight (the
 // resume span appears, volumes match a clean run).

@@ -253,8 +253,15 @@ func (h *HeapFile) readStored(stored []byte) ([]byte, error) {
 		}
 		page := getPageID(stored[1:])
 		total := int(binary.BigEndian.Uint32(stored[5:]))
-		out := make([]byte, 0, total)
-		for page != InvalidPageID {
+		// Both the length and the chain are read off the disk, so both
+		// are bounded: the chain by the pages total needs and the file
+		// holds, the preallocation by what that chain can carry.
+		limit := min((total+overflowCap-1)/overflowCap, int(h.bp.disk.NumPages()))
+		out := make([]byte, 0, min(total, limit*overflowCap))
+		for hops := 0; page != InvalidPageID; hops++ {
+			if hops == limit {
+				return nil, fmt.Errorf("storage: overflow chain of a %d-byte record runs past %d pages", total, limit)
+			}
 			f, err := h.bp.Fetch(page)
 			if err != nil {
 				return nil, err
@@ -367,6 +374,8 @@ type Iterator struct {
 	rids []RID
 	i    int
 	err  error // returned once recs is drained
+
+	pages int // data pages finished, which the file's page count bounds
 }
 
 // Scan returns an iterator positioned before the first record.
@@ -469,5 +478,11 @@ func (it *Iterator) fill() {
 	}
 	if it.slot == nslots {
 		it.page, it.slot = getPageID(d[0:]), 0
+		// Page 0 is the header, so a chain longer than the file's other
+		// pages has a cycle in it.
+		it.pages++
+		if n := int(h.bp.disk.NumPages()); it.page != InvalidPageID && it.pages >= n-1 {
+			it.err = fmt.Errorf("storage: data page chain runs past the file's %d pages", n)
+		}
 	}
 }

@@ -220,6 +220,74 @@ func TestHeapInsertRefusesCorruptLastPage(t *testing.T) {
 	}
 }
 
+// TestHeapOverflowCycleIsAnError: an overflow page whose next pointer
+// names itself fails Get and the scan once the chain has run past the
+// pages its record's length needs, where it would otherwise loop while
+// the record grows.
+func TestHeapOverflowCycleIsAnError(t *testing.T) {
+	h := newHeap(t, 16)
+	rid, err := h.Insert(bytes.Repeat([]byte{9}, 3*PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := h.bp.Fetch(rid.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, _, err := slotRecord(f.Data(), rid.Page, 1, rid.Slot)
+	f.Release()
+	if err != nil || st[0] != recOverflow {
+		t.Fatalf("record is not an overflow chain (%v)", err)
+	}
+	first := getPageID(st[1:])
+	writePage(t, h, first, 0, uint16(first>>16))
+	writePage(t, h, first, 2, uint16(first))
+	if _, err := h.Get(rid); err == nil || !strings.Contains(err.Error(), "overflow chain") {
+		t.Errorf("Get = %v, want an overflow chain error", err)
+	}
+	it, err := h.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := it.Next(); err == nil || !strings.Contains(err.Error(), "overflow chain") {
+		t.Errorf("scan = %v, want an overflow chain error", err)
+	}
+}
+
+// TestHeapDataPageCycleIsAnError: two data pages linked to each other
+// stop the scan with an error once it has passed as many pages as the
+// file holds, where it would otherwise return their records forever.
+func TestHeapDataPageCycleIsAnError(t *testing.T) {
+	h := newHeap(t, 16)
+	var rids []RID
+	for len(rids) == 0 || rids[len(rids)-1].Page == rids[0].Page {
+		rid, err := h.Insert(bytes.Repeat([]byte{1}, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	second := rids[len(rids)-1].Page
+	writePage(t, h, second, 0, uint16(rids[0].Page>>16))
+	writePage(t, h, second, 2, uint16(rids[0].Page))
+	it, err := h.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; ; n++ {
+		rec, _, err := it.Next()
+		if err != nil {
+			if !strings.Contains(err.Error(), "data page chain") {
+				t.Errorf("scan = %v, want a data page chain error", err)
+			}
+			break
+		}
+		if rec == nil || n > 2*len(rids) {
+			t.Fatalf("scan returned %d records and no error", n)
+		}
+	}
+}
+
 // slotField addresses a slot's offset (field 0) or length (field 2).
 func slotField(field int) func(RID) int {
 	return func(rid RID) int { return pageHdrSize + slotSize*int(rid.Slot) + field }

@@ -14,11 +14,24 @@ import (
 	"mocha/internal/sequoia"
 )
 
-// spillBudget is small enough that the Q5/Q6 data-shipped join builds
-// (raster tuples of ~4 KiB each, hundreds of kilobytes in total) and
-// the wide aggregates must spill, yet comfortably above any single
-// record, so no query can fail with OverBudgetError.
+// spillBudget is small enough that data-shipped joins carrying rasters
+// through two joins (joinImages3SQL: two builds of ~37 KiB of raster
+// rows, held at once) must spill, yet comfortably above any single
+// record, so no query can fail with OverBudgetError. Data-shipped Q5/Q6
+// do not spill under it: each table's stage reduces its rasters to
+// AvgEnergy results before the joins.
 const spillBudget = 48 << 10
+
+// joinImagesSQL carries both tables' rasters through the join, so its
+// data-shipped hash build holds raster rows whatever the stages do.
+const joinImagesSQL = `SELECT R1.time, R1.image, R2.image
+FROM Rasters1 R1, Rasters2 R2 WHERE R1.location = R2.location`
+
+// joinImages3SQL is joinImagesSQL over three sites: the spill ladder's
+// raster-carrying join.
+const joinImages3SQL = `SELECT R1.time, R1.image, R2.image, R3.image
+FROM Rasters1 R1, Rasters2 R2, Rasters3 R3
+WHERE R1.location = R2.location AND R2.location = R3.location`
 
 // aggOverJoinSQL aggregates over a joined stream: a spilling join
 // feeding a spilling aggregate.
@@ -27,8 +40,8 @@ FROM Rasters1 R1, Rasters2 R2 WHERE R1.location = R2.location
 GROUP BY R1.band ORDER BY b`
 
 // spillLadderQueries is the Sequoia ladder the spill differential runs:
-// every benchmark query plus the 3-fragment multi-join and an aggregate
-// over a joined stream.
+// every benchmark query plus the 3-fragment multi-join, an aggregate
+// over a joined stream and a 3-fragment join that carries rasters.
 func spillLadderQueries(scale sequoia.Config) []struct{ label, sql string } {
 	return []struct{ label, sql string }{
 		{"Q1", sequoia.Q1},
@@ -38,6 +51,7 @@ func spillLadderQueries(scale sequoia.Config) []struct{ label, sql string } {
 		{"Q5", sequoia.Q5},
 		{"Q6", sequoia.Q6},
 		{"agg_over_join", aggOverJoinSQL},
+		{"join_images", joinImages3SQL},
 	}
 }
 
@@ -100,12 +114,12 @@ func TestDifferentialSpillLadder(t *testing.T) {
 // link dies halfway through the stream and the DAP runs the fragment
 // again, sending only what the QPC does not hold yet.
 func TestDifferentialSpillRecovery(t *testing.T) {
-	// 16 KiB: tighter than the ladder budget because this test runs Q5
-	// alone — the budget must sit below Q5's own data-shipped build
+	// 16 KiB: tighter than the ladder budget because this test runs one
+	// join alone — the budget must sit below its own data-shipped build
 	// (a few raster tuples of ~4 KiB) to force the spill.
 	cl, _ := testCluster(t, ClusterConfig{Exec: Tuning{MemBudgetBytes: 16 << 10}})
 	cl.SetStrategy(StrategyDataShip) // ship rasters: big stream, QPC-side join
-	want, err := cl.Execute(sequoia.Q5)
+	want, err := cl.Execute(joinImagesSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +128,7 @@ func TestDifferentialSpillRecovery(t *testing.T) {
 	// baseline moved; the stream must resume and the spilled join must
 	// still reproduce the exact baseline rows.
 	cl.SetFault("site2", &FaultPlan{DropFirstConnAfterBytes: want.Stats.CVDT / 2})
-	got, err := cl.Execute(sequoia.Q5)
+	got, err := cl.Execute(joinImagesSQL)
 	cl.SetFault("site2", nil)
 	if err != nil {
 		t.Fatalf("recovery run: %v", err)
@@ -176,7 +190,8 @@ func TestDifferentialSpillConcurrentStress(t *testing.T) {
 	})
 
 	// Wire clients of two tenants, two queries each, data shipping under
-	// a budget below one Q5 build, while every 7th connection to site2
+	// a budget below one raster-carrying join build, while every 7th
+	// connection to site2
 	// dies at its first I/O: admission, spilling, retries and stream
 	// recovery all stay busy for the whole run. The oracle is an
 	// ungoverned, unfaulted cluster.
@@ -189,7 +204,7 @@ func TestDifferentialSpillConcurrentStress(t *testing.T) {
 FROM Rasters1 AS R1, Rasters2 AS R2
 WHERE R1.location = R2.location ORDER BY t1, t2 LIMIT 64`,
 			aggOverJoinSQL,
-			sequoia.Q5,
+			joinImagesSQL,
 		}
 		canon := func(rows []Tuple) string {
 			keys := rowsKey(rows)
