@@ -368,9 +368,9 @@ func (p *planner) build() (*Plan, error) {
 	q := p.q
 	// In a multi-table plan whose cuts leave work above, each table's
 	// share of that work runs in its stage, below the joins.
-	staged := len(q.Tables) > 1 && p.cut.leavesWorkAbove()
+	withStages := len(q.Tables) > 1 && p.cut.leavesWorkAbove()
 	above := p.pushCalls
-	if staged {
+	if withStages {
 		above = p.stageCalls
 	}
 
@@ -390,7 +390,7 @@ func (p *planner) build() (*Plan, error) {
 	var qpcPreds []*PExpr
 	var stagePreds [][]*PExpr
 	var multiPreds, joinPreds []BoundPred
-	if staged {
+	if withStages {
 		stagePreds = make([][]*PExpr, len(q.Tables))
 	}
 	for pi, pred := range q.Preds {
@@ -401,7 +401,7 @@ func (p *planner) build() (*Plan, error) {
 			multiPreds = append(multiPreds, pred)
 		case !p.cut.pushesPred(pi):
 			e := p.pushCalls(pred.Expr)
-			if ti := pred.Tables[0]; staged {
+			if ti := pred.Tables[0]; withStages {
 				stagePreds[ti] = append(stagePreds[ti], e)
 			} else {
 				qpcPreds = append(qpcPreds, e)
@@ -423,7 +423,7 @@ func (p *planner) build() (*Plan, error) {
 		qpcPreds = append(qpcPreds, above(pred.Expr))
 	}
 	var need map[int]bool
-	if staged {
+	if withStages {
 		p.nameStaged()
 		need = p.readAbove(items, aggsAtQPC, qpcPreds, joinPreds)
 	}
@@ -439,7 +439,7 @@ func (p *planner) build() (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		if staged {
+		if withStages {
 			if frag.Stage, outCols, err = p.buildStage(ti, outCols, stagePreds[ti], need); err != nil {
 				return nil, err
 			}
