@@ -68,11 +68,15 @@ type planner struct {
 	// cut is the whole-plan placement decision (DESIGN.md §15): every
 	// push/keep choice the emission pass makes is a lookup here.
 	cut *Cut
-	// virt maps a call node running below its table's cut, or in its
-	// table's QPC stage, to the virtual column the QPC reads its result
-	// by; staged lists the latter in the order the plan reads them.
+	// virt maps a call node running below its table's cut to the
+	// virtual column the QPC reads its result by. staged holds the calls
+	// the tables' QPC stages run instead, in the order the plan reads
+	// them; they are named after every call in virt (nameStaged).
 	virt   map[int]int
 	staged []stagedCall
+	// stages[ti] reports whether table ti's stage runs its narrowing
+	// calls: the joins are estimated to keep as many rows as it has.
+	stages []bool
 }
 
 // Plan builds the physical plan for a bound query.
@@ -163,26 +167,38 @@ type stagedCall struct {
 	expr      *PExpr
 }
 
-// leavesWorkAbove reports whether any table's cut leaves a predicate or
-// call above it. Only then can a multi-table plan need a stage: a cut
-// that pushes everything ships exactly what the joins read.
-func (c *Cut) leavesWorkAbove() bool {
-	for ti := range c.tables {
-		for _, idx := range c.dag.tableNodes(ti) {
-			if !c.tables[ti].asg.pushNode[idx] {
-				return true
-			}
+// joinFanout estimates how many joined rows each row of table ti
+// yields: the other tables' rows after their single-table predicates,
+// over the larger side's rows at each equality join (a join key taken
+// as distinct, the catalog having no distinct counts). Below 1 the
+// joins drop rows of ti, and a call evaluated above them runs on fewer
+// rows than in ti's stage.
+func (p *planner) joinFanout(ti int) float64 {
+	f := 1.0
+	for t := range p.q.Tables {
+		if t == ti {
+			continue
+		}
+		f *= float64(p.tableRows(t))
+		for _, idx := range p.cut.dag.preds[t] {
+			f *= p.cut.dag.nodes[idx].sf
 		}
 	}
-	return false
+	for _, pred := range p.q.Preds {
+		if pred.EqJoin {
+			f /= float64(max(p.tableRows(pred.LTab), p.tableRows(pred.RTab)))
+		}
+	}
+	return f
 }
 
 // stageCalls is pushCalls for an expression above the joins of a
 // multi-table plan: a maximal single-table call its table's cut leaves
 // above also becomes a virtual column when its result is narrower than
 // what it reads (the VRF < 1 test the cut prices by), and the table's
-// stage computes it below the joins. A widening call stays above, and
-// so does a multi-table one, reading its staged arguments. Shipped
+// stage computes it below the joins, unless the joins are estimated
+// to drop its table's rows (joinFanout). A widening call stays above,
+// and so does a multi-table one, reading its staged arguments. Shipped
 // calls are named exactly as pushCalls names them.
 func (p *planner) stageCalls(e *PExpr) *PExpr {
 	if e.Kind == ExprCall {
@@ -191,7 +207,7 @@ func (p *planner) stageCalls(e *PExpr) *PExpr {
 				if p.cut.table(ti).asg.pushNode[idx] {
 					return p.pushCalls(e)
 				}
-				if n := p.cut.dag.nodes[idx]; n.resBytes < n.argBytes {
+				if n := p.cut.dag.nodes[idx]; n.resBytes < n.argBytes && p.stages[ti] {
 					return NewCol(p.stage(idx), e.Ret)
 				}
 			}
@@ -366,12 +382,16 @@ func (p *planner) buildStage(ti int, outCols []int, preds []*PExpr, need map[int
 
 func (p *planner) build() (*Plan, error) {
 	q := p.q
-	// In a multi-table plan whose cuts leave work above, each table's
-	// share of that work runs in its stage, below the joins.
-	withStages := len(q.Tables) > 1 && p.cut.leavesWorkAbove()
+	// In a multi-table plan, each table's share of the work its cut
+	// leaves above runs in its stage, below the joins.
+	withStages := len(q.Tables) > 1
 	above := p.pushCalls
 	if withStages {
 		above = p.stageCalls
+		p.stages = make([]bool, len(q.Tables))
+		for ti := range p.stages {
+			p.stages[ti] = p.joinFanout(ti) >= 1
+		}
 	}
 
 	// Step 1: whole-query aggregation placement comes straight off the

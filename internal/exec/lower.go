@@ -99,9 +99,10 @@ func SemiJoinParticipants(plan *core.Plan) []int {
 //
 // A partitioned fragment's remotes meet in gather[i] before its stage. A
 // stage (core.Stage) exists only in a multi-table plan: the single-table
-// predicates and data-reducing calls its table's cut left above, run on
-// the table's own stream so the joins hold narrow rows; the filter above
-// the joins then holds only multi-table predicates.
+// predicates its table's cut left above and the data-reducing calls the
+// planner stages, run on the table's own stream so the joins hold narrow
+// rows; the filter above the joins then holds only multi-table
+// predicates.
 //
 // Operators that evaluate user expressions share one memo per contiguous
 // chain; the lowest memo user resets it per input batch. A DAP chain's
@@ -271,28 +272,6 @@ func forkLanes(frag *core.Fragment, binder core.OpBinder) func() (*lane, error) 
 	}
 }
 
-// stageMemo returns a memo for a stage with more than one call site, so
-// a call its filter and projection share runs once a row, and nil for
-// one with fewer: a lone call has nothing to share.
-func stageMemo(st *core.Stage) *core.Memo {
-	sites := 0
-	count := func(x *core.PExpr) {
-		if x.Kind == core.ExprCall {
-			sites++
-		}
-	}
-	for _, p := range st.Predicates {
-		p.Walk(count)
-	}
-	for _, o := range st.Projections {
-		o.Expr.Walk(count)
-	}
-	if sites < 2 {
-		return nil
-	}
-	return core.NewMemo()
-}
-
 // LowerPlan lowers the QPC's post-stream work onto the fragments' pull
 // feeds: per-fragment sources (each behind a bounded prefetcher) and
 // stages, the left-deep hash-join chain, plan predicates, aggregation,
@@ -332,13 +311,13 @@ func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit f
 	}
 
 	// Each fragment's stage runs on its own stream, below the joins, with
-	// a memo of its own when it needs one.
+	// a memo of its own.
 	for i, frag := range plan.Fragments {
 		st := frag.Stage
 		if st == nil {
 			continue
 		}
-		memo := stageMemo(st)
+		memo := core.NewMemo()
 		if len(st.Predicates) > 0 {
 			preds, err := compilePreds(st.Predicates, binder, memo)
 			if err != nil {

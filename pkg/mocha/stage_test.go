@@ -113,42 +113,62 @@ func TestStageFiltersBeforeJoin(t *testing.T) {
 	}
 }
 
-// TestStageKeepsWideningCallAboveJoin: IncrRes widens its input, so a
-// data-shipped join keeps it above the joins while AvgEnergy, narrowing,
-// runs in its table's stage.
-func TestStageKeepsWideningCallAboveJoin(t *testing.T) {
-	const sql = `SELECT R1.time, IncrRes(R1.image, 2), AvgEnergy(R2.image)
-FROM Rasters1 R1, Rasters2 R2 WHERE R1.location = R2.location`
-	cl, _ := testCluster(t, ClusterConfig{Strategy: StrategyDataShip})
-	plan, err := cl.Explain(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stage, above []string
-	for _, line := range strings.Split(plan, "\n") {
-		switch {
-		case strings.HasPrefix(line, "    qpc project "):
-			stage = append(stage, line)
-		case strings.HasPrefix(line, "  qpc project "):
-			above = append(above, line)
-		}
-	}
-	if !strings.Contains(strings.Join(stage, "\n"), "AvgEnergy(") || strings.Contains(strings.Join(stage, "\n"), "IncrRes(") {
-		t.Errorf("stage should compute AvgEnergy and not IncrRes:\n%s", plan)
-	}
-	if !strings.Contains(strings.Join(above, "\n"), "= IncrRes(") {
-		t.Errorf("IncrRes left the top of the plan:\n%s", plan)
-	}
-	got, err := cl.Execute(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.SetStrategy(StrategyCodeShip)
-	want, err := cl.Execute(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
-		t.Error("data-shipped rows diverged from code shipping")
+// selectiveJoin keeps one Rasters2 row, so the join drops most of
+// Rasters1: each Rasters1 row is estimated to meet fewer than one.
+const selectiveJoin = `SELECT R1.time, AvgEnergy(R1.image)
+FROM Rasters1 R1, Rasters2 R2 WHERE R1.location = R2.location AND R2.time = 0`
+
+// TestStageKeepsCallsAboveJoin: a data-shipped join keeps a call above
+// the joins when it widens its input (IncrRes), or when the joins are
+// estimated to drop its table's rows, where it runs once per joined row
+// rather than once per shipped row. A narrowing call on a table the
+// joins keep (AvgEnergy(R2.image)) and the other table's predicate still
+// run in the stages, and the rows are code shipping's.
+func TestStageKeepsCallsAboveJoin(t *testing.T) {
+	cl, _ := testCluster(t, ClusterConfig{})
+	for _, c := range []struct {
+		name, sql string
+		// staged and above must appear in the stages and the top
+		// projection; notStaged must not appear in any stage.
+		staged, notStaged, above string
+	}{
+		{"widening", `SELECT R1.time, IncrRes(R1.image, 2), AvgEnergy(R2.image)
+FROM Rasters1 R1, Rasters2 R2 WHERE R1.location = R2.location`, "AvgEnergy(", "IncrRes(", "= IncrRes("},
+		{"selective", selectiveJoin, "qpc filter ($0 = 0)", "AvgEnergy(", "= AvgEnergy("},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cl.SetStrategy(StrategyDataShip)
+			plan, err := cl.Explain(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stage, above []string
+			for _, line := range strings.Split(plan, "\n") {
+				switch {
+				case strings.HasPrefix(line, "    qpc "):
+					stage = append(stage, line)
+				case strings.HasPrefix(line, "  qpc project "):
+					above = append(above, line)
+				}
+			}
+			if s := strings.Join(stage, "\n"); !strings.Contains(s, c.staged) || strings.Contains(s, c.notStaged) {
+				t.Errorf("stages should hold %s and no %s:\n%s", c.staged, c.notStaged, plan)
+			}
+			if !strings.Contains(strings.Join(above, "\n"), c.above) {
+				t.Errorf("%s left the top of the plan:\n%s", c.above, plan)
+			}
+			got, err := cl.Execute(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.SetStrategy(StrategyCodeShip)
+			want, err := cl.Execute(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := rowsKey(got.Rows), rowsKey(want.Rows); fmt.Sprint(sorted(g)) != fmt.Sprint(sorted(w)) {
+				t.Errorf("data-shipped rows diverged from code shipping (%d vs %d)", len(g), len(w))
+			}
+		})
 	}
 }

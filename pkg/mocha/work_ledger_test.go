@@ -35,7 +35,8 @@ func (r workRow) exact() string {
 }
 
 // TestWorkLedger counts the work Q1–Q6 do under all three strategies,
-// and data-shipped Q5/Q6 under the 48 KiB spill budget. Per query it
+// a data-shipped selective join, and data-shipped Q5/Q6 under the
+// 48 KiB spill budget. Per query it
 // pins exactly the MVM instructions (Σ span Instrs), the frames the QPC
 // sent and received, CVDT and the result rows, and the process-wide
 // allocations, the minimum of 5 warm runs, within allocSlack either
@@ -101,6 +102,7 @@ func TestWorkLedger(t *testing.T) {
 			measure("plain", plain, q.label, q.sql, strat)
 		}
 	}
+	measure("plain", plain, "selective", selectiveJoin, StrategyDataShip)
 	governed, _ := testCluster(t, ClusterConfig{Exec: Tuning{MemBudgetBytes: spillBudget}})
 	measure("spill48k", governed, "Q5", sequoia.Q5, StrategyDataShip)
 	measure("spill48k", governed, "Q6", sequoia.Q6, StrategyDataShip)
