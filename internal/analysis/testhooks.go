@@ -9,8 +9,10 @@ import (
 // them: internal/exec's ForceLanes pins every fan-out's width and
 // HelperTokens reads the helper pool, both for the lane parity and pool
 // tests in pkg/mocha. W comes from the process (DESIGN §10.1), so no
-// program code may set it.
-var testHooks = map[string]bool{"ForceLanes": true, "HelperTokens": true}
+// program code may set it. internal/storage's PoisonScans overwrites
+// every scanned record once the next is asked for, for the readers'
+// ownership tests in internal/dap.
+var testHooks = map[string]bool{"ForceLanes": true, "HelperTokens": true, "PoisonScans": true}
 
 // TestHooks reports every use of a test hook outside a _test.go file;
 // the hook's own declaration is not a use.

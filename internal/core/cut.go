@@ -76,22 +76,25 @@ type aggCutNode struct {
 // projection never move, so they are not modelled.
 type queryDAG struct {
 	nodes    []*cutNode
-	byKey    map[string]int // cutKey -> call node index
+	byExpr   map[*PExpr]int // every call occurrence buildDAG registered -> its node
 	predNode []int          // parallel to BoundQuery.Preds: node index, -1 unless single-table
 	preds    [][]int        // per table: predicate nodes, in query order
 	calls    [][]int        // per table: call nodes, post-order (kids first)
 	agg      *aggCutNode    // whole-query aggregation, nil when absent
 }
 
-func cutKey(ti int, e *PExpr) string { return fmt.Sprintf("%d|%s", ti, e.String()) }
+// callNode returns the node of call occurrence e when it is a call of
+// table ti. Every expression the planner rewrites is one buildDAG
+// walked, so the lookup is by the occurrence itself.
+func (d *queryDAG) callNode(ti int, e *PExpr) (int, bool) {
+	idx, ok := d.byExpr[e]
+	return idx, ok && d.nodes[idx].table == ti
+}
 
 // pushedCall returns the node of e when it is a call of table ti that
 // asg runs below the cut.
 func (d *queryDAG) pushedCall(ti int, e *PExpr, asg *cutAssignment) (int, bool) {
-	if e.Kind != ExprCall {
-		return 0, false
-	}
-	idx, ok := d.byKey[cutKey(ti, e)]
+	idx, ok := d.callNode(ti, e)
 	return idx, ok && asg.pushNode[idx]
 }
 
@@ -152,7 +155,7 @@ type Cut struct {
 func (p *planner) buildDAG() *queryDAG {
 	q := p.q
 	d := &queryDAG{
-		byKey:    map[string]int{},
+		byExpr:   map[*PExpr]int{},
 		predNode: make([]int, len(q.Preds)),
 		preds:    make([][]int, len(q.Tables)),
 		calls:    make([][]int, len(q.Tables)),
@@ -160,7 +163,9 @@ func (p *planner) buildDAG() *queryDAG {
 
 	// addCalls registers the single-table call subtrees of an
 	// expression and returns the maximal registered nodes within it —
-	// the kid lists of enclosing nodes.
+	// the kid lists of enclosing nodes. Structurally equal calls of one
+	// table, keyed by their rendering, share a node.
+	byKey := map[string]int{}
 	var addCalls func(e *PExpr) []int
 	addCalls = func(e *PExpr) []int {
 		if e == nil {
@@ -182,8 +187,9 @@ func (p *planner) buildDAG() *queryDAG {
 			// itself assembles the two 8-byte results above the cut.
 			return kids
 		}
-		key := cutKey(ti, e)
-		if idx, ok := d.byKey[key]; ok {
+		key := fmt.Sprintf("%d|%s", ti, e.String())
+		if idx, ok := byKey[key]; ok {
+			d.byExpr[e] = idx
 			return []int{idx}
 		}
 		n := &cutNode{table: ti, expr: e, kids: kids, sf: 1}
@@ -201,7 +207,7 @@ func (p *planner) buildDAG() *queryDAG {
 		}
 		idx := len(d.nodes)
 		d.nodes = append(d.nodes, n)
-		d.byKey[key] = idx
+		byKey[key], d.byExpr[e] = idx, idx
 		d.calls[ti] = append(d.calls[ti], idx)
 		return []int{idx}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"mocha/internal/types"
@@ -20,10 +21,13 @@ type OpBinder interface {
 }
 
 // ScalarFn evaluates a scalar operator on one tuple's argument values.
+// The caller reuses args for its next call: a callee may keep the
+// values, never the slice.
 type ScalarFn func(args []types.Object) (types.Object, error)
 
 // AggFn is an aggregate instance following the Reset/Update/Summarize
-// protocol of section 3.8.
+// protocol of section 3.8. Like a ScalarFn's, Update's args is reused
+// from row to row: an instance may keep the values, never the slice.
 type AggFn interface {
 	Reset() error
 	Update(args []types.Object) error
@@ -60,8 +64,11 @@ func CompileExpr(e *PExpr, b OpBinder) (EvalFn, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The call owns its argument vector and fills it row after row
+		// (ScalarFn): a compiled expression runs on one goroutine at a
+		// time, and each lane compiles its own.
+		vals := make([]types.Object, len(args))
 		return func(t types.Tuple) (types.Object, error) {
-			vals := make([]types.Object, len(args))
 			for i, a := range args {
 				v, err := a(t)
 				if err != nil {
@@ -278,45 +285,118 @@ func compareObjects(l, r types.Object) (int, error) {
 	return 1, nil
 }
 
-// Memo caches user-defined operator results within one input tuple, so
+// Memo caches user-defined operator results within one input batch, so
 // an expression like AvgEnergy(image) appearing in both a predicate and
 // a projection of the same fragment is evaluated once per tuple. Reset
-// must be called when moving to the next tuple. A Memo is not safe for
+// must be called when moving to the next batch. A Memo is not safe for
 // concurrent use.
+//
+// Each call site keeps its results in an open-addressed table whose
+// entries are stamped with the batch they belong to: Reset bumps the
+// generation, so it clears nothing, and once a site's table has grown to
+// a batch a miss stores its result in place — a hit or a miss allocates
+// nothing of the memo's own.
 type Memo struct {
-	vals  map[memoKey]types.Object
+	gen   uint64
 	sites map[string]int32 // operator name → call-site id, assigned as expressions compile
-	uses  []int            // call-site id → times bound across the chain's expressions
+	slots []memoSite       // by call-site id
 }
 
 // memoArity is the most arguments a memoized call may have; a longer
 // call is evaluated every time.
 const memoArity = 4
 
-// memoKey identifies one call: which operator, on which argument values.
-// Small values key by content — they are comparable — and large ones by
-// identity (payload address and length): within one tuple the same
+// memoKey identifies one call of a site: its argument values. Small
+// values key by content — they are comparable — and large ones by
+// identity (payload address and length): within one batch the same
 // column reference always yields the same backing slice, while a fresh
 // computation just misses the cache and recomputes, which is still
-// correct. It stays within 128 bytes: a Go map allocates every larger
-// key it stores.
+// correct.
 type memoKey struct {
-	site  int32
+	argc  int
 	n     [memoArity]int32 // with p, a large argument's payload
 	p     [memoArity]*byte
 	small [memoArity]types.Object
 }
 
-// NewMemo returns an empty memo.
-func NewMemo() *Memo {
-	return &Memo{vals: make(map[memoKey]types.Object), sites: make(map[string]int32)}
+// sample hashes a large argument by its length and a few of its bytes:
+// its key is its address, but hashing an address needs the runtime's
+// help, while any hash of what equal keys share is correct.
+func sample(p []byte) uint64 {
+	x := uint64(len(p))
+	if len(p) < 16 {
+		for _, b := range p {
+			x = x<<8 ^ x>>56 ^ uint64(b)
+		}
+		return x
+	}
+	mid := len(p)/2 - 4
+	x ^= binary.LittleEndian.Uint64(p) * 0x9e3779b97f4a7c15
+	x ^= binary.LittleEndian.Uint64(p[mid:]) * 0xc2b2ae3d27d4eb4f
+	return x ^ binary.LittleEndian.Uint64(p[len(p)-8:])
 }
 
-// Reset clears the memo for the next tuple.
-func (m *Memo) Reset() { clear(m.vals) }
+// memoSite is one call site's results. An entry is live only when its
+// stamp is the memo's generation; live counts them, as of gen.
+type memoSite struct {
+	uses int // times bound across the chain's expressions
+	tab  []memoEntry
+	live int
+	gen  uint64
+}
+
+type memoEntry struct {
+	gen  uint64
+	hash uint64
+	key  memoKey
+	val  types.Object
+}
+
+// find returns key's entry in the current generation gen, or the free
+// slot it would go in. The table is never more than half full.
+func (s *memoSite) find(gen uint64, key *memoKey, h uint64) (*memoEntry, bool) {
+	mask := uint64(len(s.tab) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := &s.tab[i]
+		if e.gen != gen {
+			return e, false
+		}
+		if e.key == *key {
+			return e, true
+		}
+	}
+}
+
+// room makes room for one more entry of generation gen, doubling the
+// table — and carrying its live entries over — when it would pass half
+// full.
+func (s *memoSite) room(gen uint64) {
+	if s.gen != gen {
+		s.gen, s.live = gen, 0
+	}
+	if 2*(s.live+1) <= len(s.tab) {
+		return
+	}
+	old := s.tab
+	s.tab = make([]memoEntry, max(16, 2*len(old)))
+	for i := range old {
+		if e := &old[i]; e.gen == gen {
+			slot, _ := s.find(gen, &e.key, e.hash)
+			*slot = *e
+		}
+	}
+}
+
+// NewMemo returns an empty memo.
+func NewMemo() *Memo {
+	return &Memo{gen: 1, sites: make(map[string]int32)}
+}
+
+// Reset empties the memo for the next batch.
+func (m *Memo) Reset() { m.gen++ }
 
 // CompileExprMemo compiles like CompileExpr but wraps every operator
-// call in a per-tuple cache lookup keyed by the call's canonical form.
+// call in a per-batch cache lookup keyed by the call's arguments.
 func CompileExprMemo(e *PExpr, b OpBinder, memo *Memo) (EvalFn, error) {
 	if memo == nil {
 		return CompileExpr(e, b)
@@ -337,37 +417,51 @@ func (mb memoBinder) BindScalar(name string, ret types.Kind) (ScalarFn, error) {
 		return nil, err
 	}
 	memo := mb.memo
-	site, ok := memo.sites[name]
+	id, ok := memo.sites[name]
 	if !ok {
-		site = int32(len(memo.uses))
-		memo.sites[name] = site
-		memo.uses = append(memo.uses, 0)
+		id = int32(len(memo.slots))
+		memo.sites[name] = id
+		memo.slots = append(memo.slots, memoSite{})
 	}
-	memo.uses[site]++
+	memo.slots[id].uses++
 	return func(args []types.Object) (types.Object, error) {
+		site := &memo.slots[id]
 		// An operator bound once in the whole chain has no second call
 		// in the tuple to share a result with.
-		if memo.uses[site] < 2 || len(args) > memoArity {
+		if site.uses < 2 || len(args) > memoArity {
 			return fn(args)
 		}
-		key := memoKey{site: site}
+		key := memoKey{argc: len(args)}
+		h := uint64(len(args))
 		for i, a := range args {
+			var x uint64
 			if lg, ok := a.(types.Large); ok {
 				if p := lg.Payload(); len(p) > 0 {
 					key.p[i], key.n[i] = &p[0], int32(len(p))
+					x = sample(p)
 				}
 			} else {
 				key.small[i] = a
+				if s, ok := a.(types.Small); ok {
+					x = s.Hash()
+				}
 			}
+			h = (h ^ x) * 0x9e3779b97f4a7c15
 		}
-		if v, ok := memo.vals[key]; ok {
-			return v, nil
+		h ^= h >> 29
+		if site.gen == memo.gen && site.tab != nil {
+			if e, hit := site.find(memo.gen, &key, h); hit {
+				return e.val, nil
+			}
 		}
 		v, err := fn(args)
 		if err != nil {
 			return nil, err
 		}
-		memo.vals[key] = v
+		site.room(memo.gen)
+		e, _ := site.find(memo.gen, &key, h)
+		*e = memoEntry{gen: memo.gen, hash: h, key: key, val: v}
+		site.live++
 		return v, nil
 	}, nil
 }

@@ -112,9 +112,20 @@ func TestMemoLargeArgumentsKeyByIdentity(t *testing.T) {
 	}
 }
 
+// entries counts the memo's live results.
+func (m *Memo) entries() int {
+	n := 0
+	for _, s := range m.slots {
+		if s.gen == m.gen {
+			n += s.live
+		}
+	}
+	return n
+}
+
 // TestMemoBypassesLoneCallSite binds an operator once in the whole
 // chain: no other call in a tuple could share its result, so it pays for
-// no key and no map — and is evaluated every time it is called.
+// no key and no table — and is evaluated every time it is called.
 func TestMemoBypassesLoneCallSite(t *testing.T) {
 	call := &PExpr{Kind: ExprCall, Func: "F", Ret: types.KindDouble,
 		Args: []*PExpr{NewCol(0, types.KindDouble)}}
@@ -127,18 +138,19 @@ func TestMemoBypassesLoneCallSite(t *testing.T) {
 	tup := types.Tuple{types.Double(1)}
 	fn(tup)
 	fn(tup)
-	if got := *b.calls["F"]; got != 2 || len(memo.vals) != 0 {
-		t.Errorf("lone call site: %d calls, %d memo entries; want 2 and 0", got, len(memo.vals))
+	if got := *b.calls["F"]; got != 2 || memo.entries() != 0 {
+		t.Errorf("lone call site: %d calls, %d memo entries; want 2 and 0", got, memo.entries())
 	}
-	// The call's argument vector and F's boxed result; nothing for a key.
-	if allocs := testing.AllocsPerRun(100, func() { fn(tup) }); allocs > 2 {
-		t.Errorf("lone call site allocates %.0f times per call, want 2", allocs)
+	// F's boxed result; nothing for a key, and the call reuses its
+	// argument vector.
+	if allocs := testing.AllocsPerRun(100, func() { fn(tup) }); allocs > 1 {
+		t.Errorf("lone call site allocates %.0f times per call, want 1", allocs)
 	}
 }
 
 // TestMemoKeyAllocatesNothing pins the memoized path's own cost: a hit
-// builds its key on the stack, so all a call allocates is the argument
-// vector CompileExpr hands it.
+// builds its key on the stack and the call reuses its argument vector,
+// so it allocates nothing.
 func TestMemoKeyAllocatesNothing(t *testing.T) {
 	call := &PExpr{Kind: ExprCall, Func: "F", Ret: types.KindDouble,
 		Args: []*PExpr{NewCol(0, types.KindRaster), NewCol(1, types.KindDouble)}}
@@ -150,15 +162,15 @@ func TestMemoKeyAllocatesNothing(t *testing.T) {
 	}
 	tup := types.Tuple{types.NewRaster(16, 16, make([]byte, 256)), types.Double(2)}
 	fn(tup)
-	if allocs := testing.AllocsPerRun(100, func() { fn(tup) }); allocs > 1 {
-		t.Errorf("a memo hit allocates %.0f times, want 1", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { fn(tup) }); allocs > 0 {
+		t.Errorf("a memo hit allocates %.0f times, want 0", allocs)
 	}
 	if got := *b.calls["F"]; got != 1 {
 		t.Errorf("F evaluated %d times, want 1", got)
 	}
-	// A miss stores its key in the map's own buckets, which Reset keeps:
-	// once the memo has seen a batch, a miss allocates what a hit does
-	// and F's boxed result.
+	// A miss stores its result in the site's table, which Reset keeps:
+	// once the memo has seen a batch, a miss allocates only F's boxed
+	// result.
 	tuples := make([]types.Tuple, 64)
 	for i := range tuples {
 		tuples[i] = types.Tuple{types.NewRaster(4, 4, make([]byte, 16)), types.Double(i)}
@@ -170,8 +182,42 @@ func TestMemoKeyAllocatesNothing(t *testing.T) {
 		}
 	}
 	batch()
-	if allocs := testing.AllocsPerRun(20, batch); allocs > 2*float64(len(tuples)) {
-		t.Errorf("a batch of %d memo misses allocates %.0f times, want %d", len(tuples), allocs, 2*len(tuples))
+	if allocs := testing.AllocsPerRun(20, batch); allocs > float64(len(tuples)) {
+		t.Errorf("a batch of %d memo misses allocates %.0f times, want %d", len(tuples), allocs, len(tuples))
+	}
+	if n := memo.entries(); n != len(tuples) {
+		t.Errorf("%d memo entries after a batch of %d misses", n, len(tuples))
+	}
+}
+
+// TestMemoHoldsABatch: a site's results for a whole batch — more than
+// its first table holds — are all found again, and a Reset forgets them
+// all without clearing anything.
+func TestMemoHoldsABatch(t *testing.T) {
+	call := &PExpr{Kind: ExprCall, Func: "F", Ret: types.KindDouble,
+		Args: []*PExpr{NewCol(0, types.KindRaster), NewCol(1, types.KindDouble)}}
+	b := &countingBinder{}
+	memo := NewMemo()
+	pred, _ := CompileExprMemo(call, b, memo)
+	proj, _ := CompileExprMemo(call, b, memo)
+	tuples := make([]types.Tuple, 300)
+	for i := range tuples {
+		tuples[i] = types.Tuple{types.NewRaster(2, 2, []byte{byte(i), 1, 2, 3}), types.Double(i % 7)}
+	}
+	for round := 1; round <= 2; round++ {
+		memo.Reset()
+		for _, tup := range tuples {
+			pred(tup)
+		}
+		for i, tup := range tuples {
+			v, err := proj(tup)
+			if want := types.Double(float64(i%7) + tuples[i][0].(types.Raster).AvgEnergy()); err != nil || v != want {
+				t.Fatalf("round %d row %d: %v, %v; want %v", round, i, v, err, want)
+			}
+		}
+		if got := *b.calls["F"]; got != round*len(tuples) {
+			t.Errorf("round %d: F evaluated %d times, want %d", round, got, round*len(tuples))
+		}
 	}
 }
 

@@ -203,7 +203,7 @@ func (p *planner) joinFanout(ti int) float64 {
 func (p *planner) stageCalls(e *PExpr) *PExpr {
 	if e.Kind == ExprCall {
 		if ti := p.exprTable(e); ti >= 0 {
-			if idx, ok := p.cut.dag.byKey[cutKey(ti, e)]; ok {
+			if idx, ok := p.cut.dag.callNode(ti, e); ok {
 				if p.cut.table(ti).asg.pushNode[idx] {
 					return p.pushCalls(e)
 				}

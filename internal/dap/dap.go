@@ -33,11 +33,12 @@ type AccessDriver interface {
 	// Scan calls emit for every row of the table with the encodings of
 	// the columns cols names, in that order. Every column of the row is
 	// checked by DecodeValue's length rules first, and a row that fails
-	// them fails the scan. enc is reused from row to row, but the bytes
-	// it windows are never written again: a value decoded from them,
-	// which aliases them, may be retained — DESIGN §3.9's ownership
-	// rule — so the scan copies nothing per row. Scan returns the error
-	// emit returns (in particular exec.ErrStopped).
+	// them fails the scan. enc is reused from row to row, and the bytes
+	// it windows are valid only until emit returns — the store's scan
+	// reads every record into one reused buffer (DESIGN §3.9) — so a
+	// caller that keeps a value decoded from them, which aliases them,
+	// copies its bytes first. Scan returns the error emit returns (in
+	// particular exec.ErrStopped).
 	Scan(table string, cols []int, emit func(enc [][]byte) error) error
 }
 

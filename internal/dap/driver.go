@@ -24,7 +24,7 @@ func (d *StorageDriver) TableSchema(table string) (types.Schema, error) {
 }
 
 // Scan implements AccessDriver: a stored record is the row's wire
-// encoding, and its columns are windows into the scan's page arena.
+// encoding, and its columns are windows into the scan's reused buffers.
 func (d *StorageDriver) Scan(table string, cols []int, emit func([][]byte) error) error {
 	t, ok := d.Store.Table(table)
 	if !ok {

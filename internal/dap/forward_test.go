@@ -34,11 +34,10 @@ func (discardConn) Close() error                     { return nil }
 
 // TestForwardedScanAllocBudget: a forwarded Graphs record costs no
 // allocation of its own — no decode, no boxes, no extraction tuple, no
-// frame. What remains is per page (the fill's arena) and per stream, so
-// amortized over 2000 records it stays under 0.05 allocations a record
-// (0.034 measured). The same fragment on the operator tree spends 5 a
-// record: the decoded string and the boxes of both values, the
-// extraction tuple and the projected one.
+// frame — and neither does a page: the scan reads every page into one
+// arena it reuses. What remains is per stream, so amortized over 2000
+// records it stays under 0.02 allocations a record (0.013 measured;
+// 0.034 when each fill cloned its page).
 func TestForwardedScanAllocBudget(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "name", Kind: types.KindString},
@@ -98,8 +97,10 @@ func TestForwardedScanAllocBudget(t *testing.T) {
 		}
 	}
 	run()
-	if per := testing.AllocsPerRun(5, run) / rows; per > 0.05 {
-		t.Errorf("a forwarded Graphs record costs %.3f allocations, budget 0.05", per)
+	per := testing.AllocsPerRun(5, run) / rows
+	t.Logf("%.4f allocations a record", per)
+	if per > 0.02 {
+		t.Errorf("a forwarded Graphs record costs %.3f allocations, budget 0.02", per)
 	}
 }
 
@@ -427,15 +428,15 @@ func compareBodies(t *testing.T, name string, frag *core.Fragment, fwd, tree bod
 }
 
 // TestTreeScanAllocBudget: the operator tree's scan decodes only the
-// columns a fragment extracts, straight from the driver's windows into a
-// slab of values shared by the rows of a batch. On a Rasters fragment
-// that extracts time and image but not band or location, a row costs
-// the boxes of its two values (the time's only once it is past the
-// runtime's small-integer cache, 0.36 a row here), and the project
-// carves its output rows from one slab per batch: 1.42 measured, under
-// a budget of 1.5. A project that allocates a tuple per row spends
-// 2.42; a scan that also decodes every column and copies the extracted
-// ones into a tuple per row spends 4.42.
+// columns a fragment extracts, into a slab shared by the rows of a
+// batch: their values, the image's pointer-shaped header, which boxes
+// for free, and the columns' bytes, copied out of the scan's reused
+// buffer into a 32 KiB block. On a Rasters fragment that extracts time
+// and image but not band or location, a row costs the box of its time
+// only once it is past the runtime's small-integer cache (0.36 a row
+// here), and the project carves its output rows from one slab per
+// batch: 0.42 measured, under a budget of 0.5. The image's box made it
+// 1.42; a project that allocates a tuple per row spends one more.
 func TestTreeScanAllocBudget(t *testing.T) {
 	cfg := sequoia.TestScale()
 	cfg.RasterRows, cfg.RasterDim = 2000, 4
@@ -466,7 +467,109 @@ func TestTreeScanAllocBudget(t *testing.T) {
 	run()
 	per := testing.AllocsPerRun(5, run) / float64(cfg.RasterRows)
 	t.Logf("%.3f allocations a row", per)
-	if per > 1.5 {
-		t.Errorf("a Rasters row on the tree costs %.3f allocations, budget 1.5", per)
+	if per > 0.5 {
+		t.Errorf("a Rasters row on the tree costs %.3f allocations, budget 0.5", per)
+	}
+}
+
+// TestPoisonedScanMatchesFreshScan: the store's scan reads every record
+// into one arena and one overflow buffer it reuses, so a record's bytes
+// live only until the next one. With every record overwritten with 0xee
+// once the next is asked for (storage.PoisonScans), the forwarded
+// frames, the tree's frames — whose rows the scan goroutine decoded
+// batches ahead of the emit — and the tuples a TableIterator keeps are
+// byte-identical to a fresh scan's: no reader keeps a window past its
+// record. The table's pages mix inline records with overflow chains.
+func TestPoisonedScanMatchesFreshScan(t *testing.T) {
+	store, err := storage.OpenStore("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := sequoia.RastersSchema()
+	tbl, err := store.Create("Rasters", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overflow := 0
+	for i := 0; i < 150; i++ {
+		dim := 24 // a 608-byte record, inline
+		if i%3 == 2 {
+			dim, overflow = 72, overflow+1 // 5,216 bytes: an overflow chain
+		}
+		px := make([]byte, dim*dim)
+		for j := range px {
+			px[j] = byte(i*7 + j)
+		}
+		rect := types.Rectangle{XMin: float32(i), YMin: 0, XMax: float32(i + 1), YMax: 1}
+		if _, err := tbl.Insert(types.Tuple{types.Int(int32(i)), types.Int(int32(i % 5)), rect, types.NewRaster(dim, dim, px)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(Config{Site: "test", Driver: &StorageDriver{Store: store}})
+	all := []int{0, 1, 2, 3}
+	frags := []*core.Fragment{
+		extraction("Rasters", schema, all, all, 0),
+		extraction("Rasters", schema, []int{3, 0}, []int{1, 0}, 0),
+	}
+	keep := func() []types.Tuple {
+		it, err := tbl.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []types.Tuple
+		for {
+			tup, _, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tup == nil {
+				return out
+			}
+			out = append(out, tup)
+		}
+	}
+	type run struct {
+		bodies []bodyStream
+		kept   []types.Tuple
+	}
+	scan := func() run {
+		var r run
+		for _, frag := range frags {
+			for _, tree := range []bool{false, true} {
+				for _, batch := range []int{0, 1 << 10} {
+					b, err := runBody(t, srv, frag, tree, batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r.bodies = append(r.bodies, b)
+				}
+			}
+		}
+		r.kept = keep()
+		return r
+	}
+	fresh := scan()
+	restore := storage.PoisonScans()
+	poisoned := scan()
+	restore()
+
+	if overflow == 0 || len(fresh.kept) != 150 {
+		t.Fatalf("scanned %d tuples, %d with overflow chains", len(fresh.kept), overflow)
+	}
+	for i := range fresh.bodies {
+		f, p := fresh.bodies[i], poisoned.bodies[i]
+		if len(f.frames) != len(p.frames) {
+			t.Fatalf("stream %d: %d frames poisoned, %d fresh", i, len(p.frames), len(f.frames))
+		}
+		for j := range f.frames {
+			if !bytes.Equal(f.frames[j], p.frames[j]) {
+				t.Errorf("stream %d frame %d: a poisoned scan sent other bytes", i, j)
+			}
+		}
+	}
+	for i := range fresh.kept {
+		if !bytes.Equal(fresh.kept[i].AppendTo(nil), poisoned.kept[i].AppendTo(nil)) {
+			t.Errorf("kept tuple %d of a poisoned scan reads %v", i, poisoned.kept[i])
+		}
 	}
 }

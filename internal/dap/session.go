@@ -346,8 +346,10 @@ func (ex *execution) execute(skip int64, report wire.ExecStats) error {
 // operator tree (exec.LowerFragment): the scan runs in its own goroutine
 // behind a bounded channel, so source extraction overlaps expression
 // evaluation and the network send path. The scan decodes each row's
-// extracted columns of table schema where they lie, into a slab of
-// values that no later row overwrites. Time components come from the
+// extracted columns of table schema into a slab no later row
+// overwrites — values, payload headers and, since the driver's bytes
+// live only until its next row, a copy of the columns' bytes, which
+// the large values window. Time components come from the
 // operators' own accounting — the scan's feed time is DB time,
 // evaluation operators' self time is CPU time, and the emit sink plus
 // the final flush is net time (obs.ClassOf) — so no component can go
@@ -365,18 +367,19 @@ func (ex *execution) runTree(start time.Time, schema types.Schema, out *stream) 
 		rows = frag.Limit
 	}
 	var accessed int64 // the scan goroutine's until the tree is closed
-	var slab []types.Object
-	n := len(frag.Cols)
+	n, hdrs := len(frag.Cols), 0
+	for _, c := range frag.Cols {
+		if schema.Columns[c].Kind.HasHeader() {
+			hdrs++
+		}
+	}
+	var slab types.Slab
 	src := exec.NewScanSource(obs.OpScan, func(emitTup func(types.Tuple) error) error {
 		return ex.srv.cfg.Driver.Scan(frag.Table, frag.Cols, func(enc [][]byte) error {
-			// A row without columns still gets a tuple, not nil.
-			if slab == nil || len(slab) < n {
-				slab = make([]types.Object, rows*n)
-			}
-			in := types.Tuple(slab[:n:n])
-			slab = slab[n:]
+			slab.Reserve(rows, n, hdrs)
+			in := slab.Tuple(n)
 			for i, c := range frag.Cols {
-				v, _, err := types.DecodeValue(schema.Columns[c].Kind, enc[i])
+				v, _, err := slab.Decode(schema.Columns[c].Kind, slab.Copy(enc[i]))
 				if err != nil {
 					return err
 				}

@@ -65,10 +65,14 @@ type HashAggregate struct {
 	built   bool
 	emitIdx int
 
-	// A batch's routing, kept from batch to batch: each row's group and
-	// each lane's rows.
-	owner []*aggGroup
-	work  [][]int
+	// A batch's routing, kept from batch to batch: each row's group,
+	// each lane's rows, the row's key as route builds it, and the
+	// argument vectors of the rows lanes evaluate apart (carveArgs).
+	owner   []*aggGroup
+	work    [][]int
+	key     []byte
+	argv    [][]types.Object
+	argSlab []types.Object
 
 	// Spill state (zero while the table fits in memory).
 	spilled  bool
@@ -314,8 +318,9 @@ func (a *HashAggregate) diskRow() (types.Tuple, error) {
 
 // fold updates a disk group's states with one input tuple, on lane 0.
 func (a *HashAggregate) fold(aggs []core.AggFn, in types.Tuple) error {
+	ln := a.set.ls[0]
 	for i := range a.specs {
-		args, err := evalArgs(a.set.ls[0].args[i], in)
+		args, err := ln.evalArgs(i, in)
 		if err != nil {
 			return a.argErr(i, err)
 		}
@@ -326,9 +331,20 @@ func (a *HashAggregate) fold(aggs []core.AggFn, in types.Tuple) error {
 	return nil
 }
 
-// evalArgs evaluates one aggregate spec's arguments on a row.
-func evalArgs(fns []core.EvalFn, in types.Tuple) ([]types.Object, error) {
-	args := make([]types.Object, len(fns))
+// evalArgs evaluates aggregate spec s's arguments on a row into the
+// lane's vector for s, which the next row overwrites (core.AggFn).
+func (ln *lane) evalArgs(s int, in types.Tuple) ([]types.Object, error) {
+	if ln.vecs == nil {
+		ln.vecs = make([][]types.Object, len(ln.args))
+		for i, fns := range ln.args {
+			ln.vecs[i] = make([]types.Object, len(fns))
+		}
+	}
+	return evalInto(ln.vecs[s], ln.args[s], in)
+}
+
+// evalInto evaluates fns on a row into args, one value each.
+func evalInto(args []types.Object, fns []core.EvalFn, in types.Tuple) ([]types.Object, error) {
 	for j, fn := range fns {
 		v, err := fn(in)
 		if err != nil {
@@ -433,7 +449,7 @@ func (a *HashAggregate) consume(in []types.Tuple) error {
 	// computed for that row.
 	var argv [][]types.Object
 	if a.argsCall && w > 1 {
-		argv = make([][]types.Object, len(rows)*k)
+		argv = a.carveArgs(len(rows))
 		lfail := make([]failure, w)
 		end := limit()
 		fanOut(w, func(l int) {
@@ -447,12 +463,10 @@ func (a *HashAggregate) consume(in []types.Tuple) error {
 					continue
 				}
 				for s := 0; s < k; s++ {
-					args, err := evalArgs(ln.args[s], rows[i])
-					if err != nil {
+					if _, err := evalInto(argv[i*k+s], ln.args[s], rows[i]); err != nil {
 						lfail[l] = failure{pos: i*stride + 1 + 2*s, err: a.argErr(s, err)}
 						return
 					}
-					argv[i*k+s] = args
 				}
 			}
 		})
@@ -479,7 +493,7 @@ func (a *HashAggregate) consume(in []types.Tuple) error {
 					args = argv[i*k+s]
 				} else {
 					var err error
-					if args, err = evalArgs(ln.args[s], rows[i]); err != nil {
+					if args, err = ln.evalArgs(s, rows[i]); err != nil {
 						lfail[l] = failure{pos: pos, err: a.argErr(s, err)}
 						return
 					}
@@ -500,47 +514,73 @@ func (a *HashAggregate) consume(in []types.Tuple) error {
 	return fail.err
 }
 
+// carveArgs returns the argument vectors of a batch of n rows, vector
+// i*k+s for row i and spec s, all carved from one slab the aggregate
+// keeps from batch to batch: each lane fills its rows' vectors, and the
+// folds read them before the next batch.
+func (a *HashAggregate) carveArgs(n int) [][]types.Object {
+	k, per := len(a.specs), 0
+	for _, spec := range a.specs {
+		per += len(spec.Args)
+	}
+	if cap(a.argv) < n*k {
+		a.argv = make([][]types.Object, n*k)
+		a.argSlab = make([]types.Object, n*per)
+		slab := a.argSlab
+		for v := range a.argv {
+			m := len(a.specs[v%k].Args)
+			a.argv[v], slab = slab[:m:m], slab[m:]
+		}
+	}
+	return a.argv[:n*k]
+}
+
 // route finds or creates one tuple's group, or buffers the tuple for the
 // spill runs when the group table has overflowed and the key is new (and
 // returns no group).
 func (a *HashAggregate) route(in types.Tuple) (*aggGroup, error) {
 	seq := a.seq
 	a.seq++
-	keys := make(types.Tuple, len(a.groupBy))
-	var keyBuf []byte
-	for i, g := range a.groupBy {
-		keys[i] = in[g]
-		keyBuf = in[g].AppendTo(keyBuf)
+	key := a.key[:0]
+	for _, g := range a.groupBy {
+		key = in[g].AppendTo(key)
 	}
-	gk := string(keyBuf)
-	grp, ok := a.groups[gk]
-	if !ok {
-		if !a.spilled {
-			need := tupleMemBytes(keys) + int64(len(gk)) + 96 + 64*int64(len(a.specs))
-			if a.grant.Try(need) {
-				grp = &aggGroup{keys: detach(keys), idx: len(a.order)}
-				for _, spec := range a.specs {
-					agg, err := a.binder.BindAggregate(spec.Func, spec.Ret)
-					if err != nil {
-						return nil, err
-					}
-					if err := agg.Reset(); err != nil {
-						return nil, err
-					}
-					grp.aggs = append(grp.aggs, agg)
+	a.key = key
+	if grp, ok := a.groups[string(key)]; ok {
+		return grp, nil
+	}
+	// A new key: only now does the row pay for its key string and tuple.
+	gk := string(key)
+	var grp *aggGroup
+	if !a.spilled {
+		keys := make(types.Tuple, len(a.groupBy))
+		for i, g := range a.groupBy {
+			keys[i] = in[g]
+		}
+		need := tupleMemBytes(keys) + int64(len(gk)) + 96 + 64*int64(len(a.specs))
+		if a.grant.Try(need) {
+			grp = &aggGroup{keys: detach(keys), idx: len(a.order)}
+			for _, spec := range a.specs {
+				agg, err := a.binder.BindAggregate(spec.Func, spec.Ret)
+				if err != nil {
+					return nil, err
 				}
-				a.groups[gk] = grp
-				a.order = append(a.order, gk)
-			} else {
-				// Overflow: reserve the run-writer scratch, then route
-				// this and every later new-key tuple to disk.
-				setScratch(a.grant, &a.scratch, spillBlockBytes)
-				a.spilled = true
+				if err := agg.Reset(); err != nil {
+					return nil, err
+				}
+				grp.aggs = append(grp.aggs, agg)
 			}
+			a.groups[gk] = grp
+			a.order = append(a.order, gk)
+		} else {
+			// Overflow: reserve the run-writer scratch, then route
+			// this and every later new-key tuple to disk.
+			setScratch(a.grant, &a.scratch, spillBlockBytes)
+			a.spilled = true
 		}
-		if grp == nil {
-			return nil, a.spillAdd(aggSpillRec{seq: seq, key: gk, tup: detach(in)})
-		}
+	}
+	if grp == nil {
+		return nil, a.spillAdd(aggSpillRec{seq: seq, key: gk, tup: detach(in)})
 	}
 	return grp, nil
 }

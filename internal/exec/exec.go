@@ -18,12 +18,25 @@
 // every goroutine the tree started; it must be called exactly once after
 // the last NextBatch, error or not.
 //
-// Ownership: the tuples of a batch are windows into the frame or stored
-// record they were decoded from (types.DecodeValue), which stays
-// reachable as long as any of them does. An operator that keeps a row
-// past the NextBatch that delivered it — the join build, Sort, TopK,
-// group keys and buffered spill records — keeps detach(row) instead, so
-// what it holds is what its memory grant accounted.
+// Ownership: the tuples of a batch are windows into the frame they were
+// decoded from (types.DecodeValue), or into the copy a DAP's scan made
+// of a stored record's columns — the store reads every record into one
+// buffer it reuses — and that memory stays reachable as long as any of
+// them does. An operator that keeps a row past the NextBatch that
+// delivered it — the join build, Sort, TopK, group keys and buffered
+// spill records — keeps detach(row) instead, so what it holds is what
+// its memory grant accounted.
+//
+// Allocation: the data path allocates per batch or per scan, never per
+// row. A batch's values, the payload headers its pointer-shaped large
+// values point to (types.Slab) and its projected rows come from slabs;
+// each compiled call fills one argument vector it owns, and each lane
+// one per aggregate spec, because a callee may keep the values it is
+// passed but never the slice (core.ScalarFn, core.AggFn); the memo
+// stamps its entries with the batch instead of clearing them; and an
+// aggregate finds a row's group by a key built into a buffer it keeps.
+// What a row still costs is the box of a string or of an integer past
+// the runtime's small-integer cache, and a call's boxed result.
 package exec
 
 import (

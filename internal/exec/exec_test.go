@@ -359,6 +359,35 @@ func TestHashAggregateGroups(t *testing.T) {
 	}
 }
 
+// TestAggregateRouteAllocatesNothing: route builds a row's group key
+// into a buffer the aggregate keeps and looks the group up without a
+// key string, so a row of a group that exists costs route nothing; only
+// a new group pays for its key and its tuple. (Five while every row
+// built its own key tuple, key bytes and key string.)
+func TestAggregateRouteAllocatesNothing(t *testing.T) {
+	binder := core.NativeBinder{Reg: ops.Builtins()}
+	src := NewSource("op:remote[0]", slicePull(nil), 4)
+	agg, err := NewHashAggregate("op:hashagg", src, []int{0, 2}, []core.AggSpec{{
+		Name: "n", Func: "Count", Ret: types.KindInt,
+		Args: []*core.PExpr{core.NewCol(1, types.KindInt)},
+	}}, binder, core.NewMemo(), true, "qpc", 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := types.Tuple{types.String_("landuse-7"), types.Int(3), types.Int(1 << 20)}
+	first, err := agg.route(row)
+	if err != nil || first == nil {
+		t.Fatalf("first row: group %v, %v", first, err)
+	}
+	var again *aggGroup
+	if allocs := testing.AllocsPerRun(100, func() { again, _ = agg.route(row) }); allocs != 0 {
+		t.Errorf("a row of an existing group costs route %.0f allocations, want 0", allocs)
+	}
+	if again != first || len(agg.groups) != 1 {
+		t.Errorf("the row found group %p of %d, want %p", again, len(agg.groups), first)
+	}
+}
+
 // TestRunOnErrCancels checks the error hook fires between the first
 // error and Close, so callers can cancel outstanding I/O.
 func TestRunOnErrCancels(t *testing.T) {

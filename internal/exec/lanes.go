@@ -130,9 +130,10 @@ func concat(parts [][]types.Tuple) []types.Tuple {
 // memo of its own and, through its binder fork, a machine of its own.
 type lane struct {
 	memo  *core.Memo
-	preds []core.EvalFn   // the filter's
-	projs []core.EvalFn   // the projection's
-	args  [][]core.EvalFn // the aggregate's, per spec
+	preds []core.EvalFn    // the filter's
+	projs []core.EvalFn    // the projection's
+	args  [][]core.EvalFn  // the aggregate's, per spec
+	vecs  [][]types.Object // per spec: the argument vector its folds fill
 }
 
 // laneSet is the lanes of one memo chain. Lane 0 is what lowering

@@ -449,6 +449,17 @@ func (q *Query) RunContext(ctx context.Context, emit func(types.Tuple) error) (*
 // stream restarts, replica failover) re-derives code from the plan's
 // pinned digests, so a query never mixes releases mid-flight.
 func (q *Query) RunTraced(ctx context.Context, emit func(types.Tuple) error) (*QueryStats, *obs.Trace, error) {
+	return q.runTo(ctx, func(t types.Tuple) ([]byte, error) { return nil, emit(t) })
+}
+
+// sink takes a query's result rows in order. A sink that encodes each
+// row — a wire reply's batch writer — returns the encoding, valid until
+// its next call, and the result digest hashes those bytes; one that
+// does not returns nil, and the digest encodes the row itself.
+type sink func(types.Tuple) ([]byte, error)
+
+// runTo is RunTraced into a sink.
+func (q *Query) runTo(ctx context.Context, emit sink) (*QueryStats, *obs.Trace, error) {
 	start := time.Now()
 	if d := q.srv.cfg.QueryTimeout; d > 0 {
 		var cancel context.CancelFunc
@@ -479,7 +490,8 @@ func (q *Query) RunTraced(ctx context.Context, emit func(types.Tuple) error) (*Q
 }
 
 // runRelease executes plan — the prepared plan, or a canary run's copy
-// of it — once, hashing every emitted row into the result digest.
+// of it — once, hashing every emitted row into the result digest: the
+// bytes emit encoded it into, or its own encoding when emit made none.
 // arrived is when the query reached RunTraced: the trace's clock starts
 // the planning time before it, so the plan span and whatever passed
 // since arrival — the admission queue, an earlier run whose rows were
@@ -492,16 +504,20 @@ func (q *Query) RunTraced(ctx context.Context, emit func(types.Tuple) error) (*Q
 // probe. A site that was open already gets no second probe,
 // and a scattered fragment's recovery is its replica ladder.
 func (q *Query) runRelease(ctx context.Context, arrived time.Time, traceID string, plan *core.Plan,
-	emit func(types.Tuple) error) (*QueryStats, *obs.Trace, error) {
+	emit sink) (*QueryStats, *obs.Trace, error) {
 	var h resultDigest
 	var hashBuf []byte
 	var result QueryStats
 	counting := func(t types.Tuple) error {
-		hashBuf = t.AppendTo(hashBuf[:0])
-		h.write(hashBuf)
 		result.ResultTuples++
-		result.ResultBytes += int64(len(hashBuf))
-		return emit(t)
+		enc, err := emit(t)
+		if enc == nil {
+			hashBuf = t.AppendTo(hashBuf[:0])
+			enc = hashBuf
+		}
+		h.write(enc)
+		result.ResultBytes += int64(len(enc))
+		return err
 	}
 	run := func(traceID string, plan *core.Plan) (*obs.Trace, error) {
 		planned := arrived.Add(-q.planDur)
@@ -607,7 +623,7 @@ func (q *Query) wrapDeadline(ctx context.Context, start time.Time, err error) er
 // on divergence the active rows are delivered (byte-identical to a
 // no-rollout run) and the rollout auto-rolls back with the evidence.
 func (q *Query) runCanary(ctx context.Context, start time.Time, qid string,
-	st *rolloutState, plan *core.Plan, emit func(types.Tuple) error) (*QueryStats, *obs.Trace, error) {
+	st *rolloutState, plan *core.Plan, emit sink) (*QueryStats, *obs.Trace, error) {
 	srv := q.srv
 	srv.met.rolloutCanaryQueries.Inc()
 	can := q.runBuffered(ctx, start, qid+"-c", plan)
@@ -622,7 +638,7 @@ func (q *Query) runCanary(ctx context.Context, start time.Time, qid string,
 		return nil, out.trace, q.wrapDeadline(ctx, start, out.err)
 	}
 	for _, t := range out.rows {
-		if err := emit(t); err != nil {
+		if _, err := emit(t); err != nil {
 			srv.met.queriesFailed.Inc()
 			return nil, out.trace, err
 		}
@@ -633,9 +649,9 @@ func (q *Query) runCanary(ctx context.Context, start time.Time, qid string,
 // runBuffered runs plan with its rows buffered for the judgment.
 func (q *Query) runBuffered(ctx context.Context, arrived time.Time, traceID string, plan *core.Plan) *runOutcome {
 	out := &runOutcome{}
-	out.stats, out.trace, out.err = q.runRelease(ctx, arrived, traceID, plan, func(t types.Tuple) error {
+	out.stats, out.trace, out.err = q.runRelease(ctx, arrived, traceID, plan, func(t types.Tuple) ([]byte, error) {
 		out.rows = append(out.rows, t)
-		return nil
+		return nil, nil
 	})
 	out.micros = opSelfMicros(out.trace)
 	if out.err == nil {

@@ -162,8 +162,9 @@ func (s *Server) serveQuery(ctx context.Context, conn *wire.Conn, sql string) er
 	if err != nil {
 		return err
 	}
-	return sendResult(conn, q.Schema, func(emit func(types.Tuple) error) (*QueryStats, error) {
-		return q.RunContext(ctx, emit)
+	return sendResult(conn, q.Schema, func(emit sink) (*QueryStats, error) {
+		stats, _, err := q.runTo(ctx, emit)
+		return stats, err
 	})
 }
 
@@ -202,8 +203,9 @@ func (s *Server) describe(_ context.Context, name string) (string, error) {
 }
 
 // sendResult is the reply to a query: the result schema, the rows run
-// emits as tuple batches, and run's stats as the EOS frame.
-func sendResult(conn *wire.Conn, schema types.Schema, run func(emit func(types.Tuple) error) (*QueryStats, error)) error {
+// emits as tuple batches, and run's stats as the EOS frame. Each row is
+// encoded once, into the batch, and its sink hands back those bytes.
+func sendResult(conn *wire.Conn, schema types.Schema, run func(emit sink) (*QueryStats, error)) error {
 	data, err := wire.EncodeXML(wire.ResultSchema{Schema: schema})
 	if err != nil {
 		return err
@@ -213,7 +215,7 @@ func sendResult(conn *wire.Conn, schema types.Schema, run func(emit func(types.T
 	}
 	w := wire.NewBatchWriter(conn)
 	defer w.Release()
-	stats, err := run(w.Write)
+	stats, err := run(w.Append)
 	if err != nil {
 		return err
 	}
@@ -229,9 +231,9 @@ func sendResult(conn *wire.Conn, schema types.Schema, run func(emit func(types.T
 // sendTextResult streams a multi-line string as a one-column result.
 func sendTextResult(conn *wire.Conn, column, text string) error {
 	schema := types.NewSchema(types.Column{Name: column, Kind: types.KindString})
-	return sendResult(conn, schema, func(emit func(types.Tuple) error) (*QueryStats, error) {
+	return sendResult(conn, schema, func(emit sink) (*QueryStats, error) {
 		for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-			if err := emit(types.Tuple{types.String_(line)}); err != nil {
+			if _, err := emit(types.Tuple{types.String_(line)}); err != nil {
 				return nil, err
 			}
 		}

@@ -432,7 +432,7 @@ func TestUnresolvableDigestFailsBeforeShipping(t *testing.T) {
 		t.Fatal(err)
 	}
 	ghost := canaryPlan(q.Plan, core.CodeRef{Name: "AvgEnergy", Version: "9", Checksum: "no-such-release"})
-	stats, _, err := q.runRelease(context.Background(), time.Now(), "qghost", ghost, func(types.Tuple) error { return nil })
+	stats, _, err := q.runRelease(context.Background(), time.Now(), "qghost", ghost, func(types.Tuple) ([]byte, error) { return nil, nil })
 	if err == nil || !strings.Contains(err.Error(), "no-such-release") || !strings.Contains(err.Error(), "vanished from the repository") {
 		t.Fatalf("err = %v, want the missing release named", err)
 	}

@@ -1,10 +1,10 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Heap file layout.
@@ -237,16 +237,15 @@ func (h *HeapFile) writeOverflow(rec []byte) (PageID, error) {
 }
 
 // readStored resolves a stored record (inline or overflow) into its
-// payload bytes.
-func (h *HeapFile) readStored(stored []byte) ([]byte, error) {
+// payload bytes, appended to buf[:0]: a scan reads every record into
+// the one buffer it reuses, Get into fresh memory (buf nil).
+func (h *HeapFile) readStored(buf, stored []byte) ([]byte, error) {
 	if len(stored) == 0 {
 		return nil, fmt.Errorf("storage: empty stored record")
 	}
 	switch stored[0] {
 	case recInline:
-		out := make([]byte, len(stored)-1)
-		copy(out, stored[1:])
-		return out, nil
+		return append(buf[:0], stored[1:]...), nil
 	case recOverflow:
 		if len(stored) != 9 {
 			return nil, fmt.Errorf("storage: malformed overflow pointer")
@@ -257,7 +256,10 @@ func (h *HeapFile) readStored(stored []byte) ([]byte, error) {
 		// are bounded: the chain by the pages total needs and the file
 		// holds, the preallocation by what that chain can carry.
 		limit := min((total+overflowCap-1)/overflowCap, int(h.bp.disk.NumPages()))
-		out := make([]byte, 0, min(total, limit*overflowCap))
+		out := buf[:0]
+		if want := min(total, limit*overflowCap); cap(out) < want || out == nil {
+			out = make([]byte, 0, want)
+		}
 		for hops := 0; page != InvalidPageID; hops++ {
 			if hops == limit {
 				return nil, fmt.Errorf("storage: overflow chain of a %d-byte record runs past %d pages", total, limit)
@@ -309,7 +311,7 @@ func (h *HeapFile) Get(rid RID) ([]byte, error) {
 	if !live {
 		return nil, fmt.Errorf("storage: record %v is deleted", rid)
 	}
-	return h.readStored(st)
+	return h.readStored(nil, st)
 }
 
 // slotCount returns data page d's slot count, checked to fit the page.
@@ -353,29 +355,50 @@ func (h *HeapFile) Count() (uint64, error) {
 // Iterator walks all live records in storage order, a page at a time.
 //
 // Each fill holds the heap lock once and pins the page once: one copy
-// takes the page bytes that hold its live inline records into an arena
-// that is fresh per fill and never written again, and Next hands the
-// records out, in slot order, as capacity-clipped windows into it
-// without taking a lock. An overflow record ends its fill — readStored
-// gathers its chain, which for a raster is megabytes, so a page of them
-// is read one at a time — and the next fill resumes at the following
-// slot.
+// takes the page bytes that hold its live inline records into the
+// scan's arena, and Next hands the records out, in slot order, as
+// capacity-clipped windows into it without taking a lock. An overflow
+// record ends its fill — readStored gathers its chain, which for a
+// raster is megabytes, into the scan's overflow buffer, so a page of
+// them is read one at a time — and the next fill resumes at the
+// following slot. The arena and the overflow buffer are the scan's
+// own, reused fill after fill: a scan allocates per scan, not per page
+// or per record (DESIGN §3.9).
 //
 // The scan's contract: a returned record was live when the fill that
 // read it ran, and no record is ever torn. A record inserted into a
 // page after its fill is not seen; one stored before the scan began is
-// always returned.
+// always returned. A record's bytes are valid until the next call to
+// Next: a reader that keeps any of them copies them first.
 type Iterator struct {
 	h    *HeapFile
 	page PageID // page of the next fill
 	slot uint16 // slot the next fill starts at
 
+	arena []byte // the current fill's inline records
+	over  []byte // the current fill's overflow record, if it has one
+
 	recs [][]byte // the current fill's records, recs[i:] not yet returned
 	rids []RID
 	i    int
 	err  error // returned once recs is drained
+	last []byte
 
 	pages int // data pages finished, which the file's page count bounds
+}
+
+// poisoned makes every Next overwrite the record it returned before
+// with 0xee, so a reader that kept a window past its record reads
+// garbage. PoisonScans sets it.
+var poisoned atomic.Bool
+
+// PoisonScans makes every scan overwrite each record's bytes once the
+// next record is asked for, until restore is called: a test hook that
+// proves a reader keeps no window past its record. mocha-lint rejects
+// a call from anything but a _test.go file.
+func PoisonScans() (restore func()) {
+	prev := poisoned.Swap(true)
+	return func() { poisoned.Store(prev) }
 }
 
 // Scan returns an iterator positioned before the first record.
@@ -390,9 +413,14 @@ func (h *HeapFile) Scan() (*Iterator, error) {
 }
 
 // Next returns the next record and its RID, or nil at end of file. The
-// record shares its fill's arena with its page neighbours; nothing
-// writes it again.
+// record is a window into the scan's arena or overflow buffer, valid
+// until the next call to Next.
 func (it *Iterator) Next() ([]byte, RID, error) {
+	if poisoned.Load() {
+		for i := range it.last {
+			it.last[i] = 0xee
+		}
+	}
 	for it.i == len(it.recs) {
 		if it.err != nil {
 			return nil, RID{}, it.err
@@ -404,6 +432,7 @@ func (it *Iterator) Next() ([]byte, RID, error) {
 	}
 	rec, rid := it.recs[it.i], it.rids[it.i]
 	it.i++
+	it.last = rec
 	return rec, rid, nil
 }
 
@@ -414,7 +443,7 @@ func (it *Iterator) buffered() int { return len(it.recs) - it.i }
 // end or its first overflow record, whichever comes first. A failure
 // keeps the records read before it and is returned after them.
 func (it *Iterator) fill() {
-	it.recs, it.rids, it.i = it.recs[:0], it.rids[:0], 0
+	it.recs, it.rids, it.i, it.last = it.recs[:0], it.rids[:0], 0, nil
 	h := it.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -452,9 +481,8 @@ func (it *Iterator) fill() {
 		}
 		lo, hi = min(lo, off), max(hi, off+len(st))
 	}
-	var arena []byte
 	if lo < hi {
-		arena = bytes.Clone(d[lo:hi])
+		it.arena = append(it.arena[:0], d[lo:hi]...)
 	}
 	for ; it.slot < end; it.slot++ {
 		st, off, live, _ := slotRecord(d, it.page, nslots, it.slot) // checked above
@@ -464,10 +492,12 @@ func (it *Iterator) fill() {
 		var rec []byte
 		if inline(st) {
 			off -= lo
-			rec = arena[off+1 : off+len(st) : off+len(st)]
-		} else if rec, err = h.readStored(st); err != nil {
+			rec = it.arena[off+1 : off+len(st) : off+len(st)]
+		} else if it.over, err = h.readStored(it.over, st); err != nil {
 			it.err = err
 			return
+		} else {
+			rec = it.over
 		}
 		it.recs = append(it.recs, rec)
 		it.rids = append(it.rids, RID{Page: it.page, Slot: it.slot})

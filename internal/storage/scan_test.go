@@ -102,10 +102,12 @@ func TestScannedTuplesOutliveTheirPage(t *testing.T) {
 }
 
 // TestScanAllocBudget bounds allocations per Graphs-shaped record. A
-// record costs its three values (the name's string and its box, the
-// graph's box); each page adds an arena and a slab. The budget leaves no
-// room for a buffer, an LRU element or a []Object per record, which
-// would make 6.
+// record costs the name's string and its box; the graph is pointer-
+// shaped, its header carved from the fill's slab and its bytes from a
+// 32 KiB block, and the scan reuses one arena for every page: 2.056
+// measured, under a budget of 2.1 (the page arena per fill and the
+// graph's box made it 3.05). The budget leaves no room for a buffer, an
+// LRU element, a box or a []Object per record.
 func TestScanAllocBudget(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "name", Kind: types.KindString},
@@ -154,8 +156,10 @@ func TestScanAllocBudget(t *testing.T) {
 	if n != rows {
 		t.Fatalf("scanned %d rows, want %d", n, rows)
 	}
-	const budget = 3.25
-	if per := allocs / rows; per > budget {
+	const budget = 2.1
+	per := allocs / rows
+	t.Logf("%.3f allocations a record", per)
+	if per > budget {
 		t.Errorf("%.2f allocations per record, budget %.2f", per, budget)
 	}
 }

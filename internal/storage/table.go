@@ -49,22 +49,19 @@ func (t *Table) Get(rid RID) (types.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	tup := make(types.Tuple, t.schema.Arity())
-	if err := t.decode(tup, rid, rec); err != nil {
-		return nil, err
-	}
-	return tup, nil
+	var slab types.Slab
+	return t.decode(&slab, rid, rec)
 }
 
-// decode decodes the record at rid into tup, which must consume it
-// whole: Get, Scan and Records refuse the same records with
-// the same error.
-func (t *Table) decode(tup types.Tuple, rid RID, rec []byte) error {
-	n, err := types.DecodeTupleInto(tup, t.schema, rec)
+// decode decodes the record at rid into a tuple carved from slab, which
+// must consume it whole: Get, Scan and Records refuse the same records
+// with the same error.
+func (t *Table) decode(slab *types.Slab, rid RID, rec []byte) (types.Tuple, error) {
+	tup, n, err := slab.DecodeTuple(t.schema, rec)
 	if err != nil {
-		return fmt.Errorf("storage: table %s record %v: %w", t.name, rid, err)
+		return nil, fmt.Errorf("storage: table %s record %v: %w", t.name, rid, err)
 	}
-	return t.whole(rid, rec, n)
+	return tup, t.whole(rid, rec, n)
 }
 
 // whole refuses a record whose columns end n bytes into it, short of
@@ -79,13 +76,15 @@ func (t *Table) whole(rid RID, rec []byte, n int) error {
 // Count returns the live tuple count.
 func (t *Table) Count() (uint64, error) { return t.heap.Count() }
 
-// TableIterator yields decoded tuples in storage order. The tuples of
-// one heap fill share a value slab, as they share the fill's record
-// arena: a kept tuple retains at most its page's copy.
+// TableIterator yields decoded tuples in storage order. A scan's record
+// lives only until the next one (Iterator), so each is copied out into
+// memory the iterator owns: the tuples of one heap fill share a value
+// slab, and their bytes share a block with their neighbours' (a raster
+// gets one of its own), so a kept tuple retains at most its block.
 type TableIterator struct {
 	t    *Table
 	it   *Iterator
-	slab []types.Object // the current fill's values not yet handed out
+	slab types.Slab
 	// BytesRead accumulates the wire size of tuples produced, i.e. the
 	// data volume accessed at the source (the CVDA contribution).
 	BytesRead int64
@@ -106,13 +105,9 @@ func (ti *TableIterator) Next() (types.Tuple, RID, error) {
 	if err != nil || rec == nil {
 		return nil, rid, err
 	}
-	cols := ti.t.schema.Arity()
-	if len(ti.slab) < cols {
-		ti.slab = make([]types.Object, (ti.it.buffered()+1)*cols)
-	}
-	tup := types.Tuple(ti.slab[:cols:cols])
-	ti.slab = ti.slab[cols:]
-	if err := ti.t.decode(tup, rid, rec); err != nil {
+	ti.slab.Reserve(ti.it.buffered()+1, ti.t.schema.Arity(), ti.t.schema.Headers())
+	tup, err := ti.t.decode(&ti.slab, rid, ti.slab.Copy(rec))
+	if err != nil {
 		return nil, rid, err
 	}
 	// decode consumed the record whole, so its length is the tuple's
@@ -126,9 +121,10 @@ func (ti *TableIterator) Next() (types.Tuple, RID, error) {
 // record is the row's wire encoding (DESIGN §3.9), so each is a window
 // into it. Every column is checked by DecodeValue's length rules and
 // the record must be consumed whole, so a record Get refuses fails here
-// with Get's error. enc is reused from record to record; the bytes it
-// windows are the fill's arena, which nothing writes again. Records
-// returns the error emit returns.
+// with Get's error. enc is reused from record to record, and the bytes
+// it windows are the scan's, valid until emit returns: a caller that
+// keeps any of them copies them. Records returns the error emit
+// returns.
 func (t *Table) Records(cols []int, emit func(enc [][]byte) error) error {
 	it, err := t.heap.Scan()
 	if err != nil {

@@ -39,7 +39,9 @@ type Small interface {
 
 // Large is implemented by large objects (MWLargeObject): bulk values such
 // as polygons, graphs and raster images whose payload bytes the MVM
-// operates on directly.
+// operates on directly. Polygons, graphs and rasters are pointer-shaped
+// — one pointer to a payload header — so an Object holds one without a
+// heap box (slab.go).
 type Large interface {
 	Object
 	// Payload returns the value's wire encoding; the slice must not be

@@ -12,7 +12,7 @@ import (
 // raster occupies 1 MB plus an 8-byte header, matching the paper's
 // Rasters table.
 type Raster struct {
-	payload []byte
+	h *header
 }
 
 // NewRaster builds a raster from dimensions and pixel data. It panics if
@@ -37,7 +37,7 @@ func newRaster(w, h int) (Raster, []byte) {
 	buf := make([]byte, 8+n)
 	binary.BigEndian.PutUint32(buf, uint32(w))
 	binary.BigEndian.PutUint32(buf[4:], uint32(h))
-	return Raster{payload: buf}, buf[8:]
+	return Raster{&header{buf}}, buf[8:]
 }
 
 // pixelCount returns w*h when that is at most max. Dimensions come off
@@ -53,10 +53,10 @@ func pixelCount(w, h, max int) (int, bool) {
 func (Raster) Kind() Kind { return KindRaster }
 
 // WireSize implements Object.
-func (r Raster) WireSize() int { return len(r.payload) }
+func (r Raster) WireSize() int { return len(r.h.data()) }
 
 // AppendTo implements Object.
-func (r Raster) AppendTo(buf []byte) []byte { return append(buf, r.payload...) }
+func (r Raster) AppendTo(buf []byte) []byte { return append(buf, r.h.data()...) }
 
 // String implements Object.
 func (r Raster) String() string {
@@ -64,35 +64,35 @@ func (r Raster) String() string {
 }
 
 // Payload implements Large.
-func (r Raster) Payload() []byte { return r.payload }
+func (r Raster) Payload() []byte { return r.h.data() }
 
 // Width returns the raster width in pixels.
 func (r Raster) Width() int {
-	if len(r.payload) < 4 {
+	if len(r.h.data()) < 4 {
 		return 0
 	}
-	return int(binary.BigEndian.Uint32(r.payload))
+	return int(binary.BigEndian.Uint32(r.h.data()))
 }
 
 // Height returns the raster height in pixels.
 func (r Raster) Height() int {
-	if len(r.payload) < 8 {
+	if len(r.h.data()) < 8 {
 		return 0
 	}
-	return int(binary.BigEndian.Uint32(r.payload[4:]))
+	return int(binary.BigEndian.Uint32(r.h.data()[4:]))
 }
 
 // Pixels returns the raw pixel bytes in row-major order. The slice must
 // not be modified.
 func (r Raster) Pixels() []byte {
-	if len(r.payload) < 8 {
+	if len(r.h.data()) < 8 {
 		return nil
 	}
-	return r.payload[8:]
+	return r.h.data()[8:]
 }
 
 // At returns the pixel at column x, row y.
-func (r Raster) At(x, y int) byte { return r.payload[8+y*r.Width()+x] }
+func (r Raster) At(x, y int) byte { return r.h.data()[8+y*r.Width()+x] }
 
 // AvgEnergy returns the mean pixel value — the paper's running example of
 // a data-reducing projection (1 MB image → 8-byte double).

@@ -117,7 +117,7 @@ func (r Rectangle) Contains(x, y float32) bool {
 // Polygon is a large spatial type: a closed ring of vertices. Wire format:
 // a 4-byte vertex count followed by 8 bytes (two float32) per vertex.
 type Polygon struct {
-	payload []byte
+	h *header
 }
 
 // NewPolygon builds a polygon from its vertex ring. The ring is implicitly
@@ -128,38 +128,38 @@ func NewPolygon(pts []Point) Polygon {
 	for _, p := range pts {
 		buf = p.AppendTo(buf)
 	}
-	return Polygon{payload: buf}
+	return Polygon{&header{buf}}
 }
 
 // Kind implements Object.
 func (Polygon) Kind() Kind { return KindPolygon }
 
 // WireSize implements Object.
-func (p Polygon) WireSize() int { return len(p.payload) }
+func (p Polygon) WireSize() int { return len(p.h.data()) }
 
 // AppendTo implements Object.
-func (p Polygon) AppendTo(buf []byte) []byte { return append(buf, p.payload...) }
+func (p Polygon) AppendTo(buf []byte) []byte { return append(buf, p.h.data()...) }
 
 // String implements Object.
 func (p Polygon) String() string { return fmt.Sprintf("POLYGON[%d vertices]", p.NumVertices()) }
 
 // Payload implements Large.
-func (p Polygon) Payload() []byte { return p.payload }
+func (p Polygon) Payload() []byte { return p.h.data() }
 
 // NumVertices returns the number of vertices in the ring.
 func (p Polygon) NumVertices() int {
-	if len(p.payload) < 4 {
+	if len(p.h.data()) < 4 {
 		return 0
 	}
-	return int(binary.BigEndian.Uint32(p.payload))
+	return int(binary.BigEndian.Uint32(p.h.data()))
 }
 
 // Vertex returns the i-th vertex.
 func (p Polygon) Vertex(i int) Point {
 	off := 4 + 8*i
 	return Point{
-		X: math.Float32frombits(binary.BigEndian.Uint32(p.payload[off:])),
-		Y: math.Float32frombits(binary.BigEndian.Uint32(p.payload[off+4:])),
+		X: math.Float32frombits(binary.BigEndian.Uint32(p.h.data()[off:])),
+		Y: math.Float32frombits(binary.BigEndian.Uint32(p.h.data()[off+4:])),
 	}
 }
 
@@ -221,7 +221,7 @@ func (p Polygon) BoundingBox() Rectangle {
 // per vertex (two float32), 4-byte edge count, 8 bytes per edge (two
 // 4-byte vertex indices).
 type Graph struct {
-	payload []byte
+	h *header
 }
 
 // GraphEdge is one undirected edge between two vertex indices.
@@ -241,17 +241,17 @@ func NewGraph(vertices []Point, edges []GraphEdge) Graph {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(e.A))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(e.B))
 	}
-	return Graph{payload: buf}
+	return Graph{&header{buf}}
 }
 
 // Kind implements Object.
 func (Graph) Kind() Kind { return KindGraph }
 
 // WireSize implements Object.
-func (g Graph) WireSize() int { return len(g.payload) }
+func (g Graph) WireSize() int { return len(g.h.data()) }
 
 // AppendTo implements Object.
-func (g Graph) AppendTo(buf []byte) []byte { return append(buf, g.payload...) }
+func (g Graph) AppendTo(buf []byte) []byte { return append(buf, g.h.data()...) }
 
 // String implements Object.
 func (g Graph) String() string {
@@ -259,31 +259,31 @@ func (g Graph) String() string {
 }
 
 // Payload implements Large.
-func (g Graph) Payload() []byte { return g.payload }
+func (g Graph) Payload() []byte { return g.h.data() }
 
 // NumVertices returns the vertex count.
 func (g Graph) NumVertices() int {
-	if len(g.payload) < 4 {
+	if len(g.h.data()) < 4 {
 		return 0
 	}
-	return int(binary.BigEndian.Uint32(g.payload))
+	return int(binary.BigEndian.Uint32(g.h.data()))
 }
 
 // NumEdges returns the edge count.
 func (g Graph) NumEdges() int {
 	off := 4 + 8*g.NumVertices()
-	if len(g.payload) < off+4 {
+	if len(g.h.data()) < off+4 {
 		return 0
 	}
-	return int(binary.BigEndian.Uint32(g.payload[off:]))
+	return int(binary.BigEndian.Uint32(g.h.data()[off:]))
 }
 
 // Vertex returns the i-th vertex coordinate.
 func (g Graph) Vertex(i int) Point {
 	off := 4 + 8*i
 	return Point{
-		X: math.Float32frombits(binary.BigEndian.Uint32(g.payload[off:])),
-		Y: math.Float32frombits(binary.BigEndian.Uint32(g.payload[off+4:])),
+		X: math.Float32frombits(binary.BigEndian.Uint32(g.h.data()[off:])),
+		Y: math.Float32frombits(binary.BigEndian.Uint32(g.h.data()[off+4:])),
 	}
 }
 
@@ -291,8 +291,8 @@ func (g Graph) Vertex(i int) Point {
 func (g Graph) Edge(i int) GraphEdge {
 	off := 4 + 8*g.NumVertices() + 4 + 8*i
 	return GraphEdge{
-		A: int32(binary.BigEndian.Uint32(g.payload[off:])),
-		B: int32(binary.BigEndian.Uint32(g.payload[off+4:])),
+		A: int32(binary.BigEndian.Uint32(g.h.data()[off:])),
+		B: int32(binary.BigEndian.Uint32(g.h.data()[off+4:])),
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/xml"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -169,71 +168,20 @@ func ValueSize(k Kind, data []byte) (int, error) {
 // has the length rules). A polygon, graph, raster or byte string is not
 // copied: it is a capacity-clipped sub-slice of data and lives as long
 // as data, which must not be written again (FromPayload, whose source
-// may be, copies first).
+// may be, copies first). A polygon, graph or raster allocates its
+// payload header; a batch decodes through a Slab, which carves them.
 func DecodeValue(k Kind, data []byte) (Object, int, error) {
-	n, err := ValueSize(k, data)
-	if err != nil {
-		return nil, 0, err
-	}
-	v := data[:n:n]
-	switch k {
-	case KindNull:
-		return Null{}, 0, nil
-	case KindBool:
-		return Bool(v[0] != 0), n, nil
-	case KindInt:
-		return Int(int32(binary.BigEndian.Uint32(v))), n, nil
-	case KindDouble:
-		return Double(math.Float64frombits(binary.BigEndian.Uint64(v))), n, nil
-	case KindString:
-		return String_(v[4:]), n, nil
-	case KindBytes:
-		return Bytes(v[4:]), n, nil
-	case KindPoint:
-		return Point{
-			X: math.Float32frombits(binary.BigEndian.Uint32(v)),
-			Y: math.Float32frombits(binary.BigEndian.Uint32(v[4:])),
-		}, n, nil
-	case KindRectangle:
-		return Rectangle{
-			XMin: math.Float32frombits(binary.BigEndian.Uint32(v)),
-			YMin: math.Float32frombits(binary.BigEndian.Uint32(v[4:])),
-			XMax: math.Float32frombits(binary.BigEndian.Uint32(v[8:])),
-			YMax: math.Float32frombits(binary.BigEndian.Uint32(v[12:])),
-		}, n, nil
-	case KindPolygon:
-		return Polygon{payload: v}, n, nil
-	case KindGraph:
-		return Graph{payload: v}, n, nil
-	default: // KindRaster: ValueSize refused every kind not named here
-		return Raster{payload: v}, n, nil
-	}
+	var s Slab
+	return s.Decode(k, data)
 }
 
 // DecodeTuple decodes one tuple according to the schema from the front of
-// data, returning the tuple and bytes consumed; its large values alias data.
+// data, returning the tuple and bytes consumed; its large values alias
+// data, and their headers share one allocation.
 func DecodeTuple(s Schema, data []byte) (Tuple, int, error) {
-	t := make(Tuple, len(s.Columns))
-	n, err := DecodeTupleInto(t, s, data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, n, nil
-}
-
-// DecodeTupleInto is DecodeTuple into t, which has one element per
-// column: a caller decoding many rows carves each t from one slab.
-func DecodeTupleInto(t Tuple, s Schema, data []byte) (int, error) {
-	var off int
-	for i, c := range s.Columns {
-		v, n, err := DecodeValue(c.Kind, data[off:])
-		if err != nil {
-			return 0, fmt.Errorf("column %q: %w", c.Name, err)
-		}
-		t[i] = v
-		off += n
-	}
-	return off, nil
+	var sl Slab
+	sl.Reserve(1, len(s.Columns), s.Headers())
+	return sl.DecodeTuple(s, data)
 }
 
 // FromPayload reconstructs a typed object of kind k from a payload the

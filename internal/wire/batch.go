@@ -31,7 +31,8 @@ func EncodeBatch(tuples []types.Tuple) []byte {
 
 // DecodeBatch unpacks a TupleBatch payload under the given schema. The
 // tuples are windows into payload (types.DecodeValue has the rule) and
-// into one slab of values: payload must not be written again.
+// into one slab of values and one of payload headers: payload must not
+// be written again.
 func DecodeBatch(s types.Schema, payload []byte) ([]types.Tuple, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("wire: batch too short")
@@ -41,20 +42,17 @@ func DecodeBatch(s types.Schema, payload []byte) ([]types.Tuple, error) {
 	// The count is attacker-controlled; cap the pre-allocation and let
 	// append (and a further slab) follow the tuples that actually decode.
 	prealloc := min(n, 4096, len(payload))
-	cols := len(s.Columns)
+	cols, hdrs := len(s.Columns), s.Headers()
 	tuples := make([]types.Tuple, 0, prealloc)
-	slab := make([]types.Object, prealloc*cols)
+	var slab types.Slab
 	for i := 0; i < n; i++ {
-		if len(slab) < cols {
-			slab = make([]types.Object, prealloc*cols)
-		}
-		t := types.Tuple(slab[:cols:cols])
-		used, err := types.DecodeTupleInto(t, s, payload[off:])
+		slab.Reserve(prealloc, cols, hdrs)
+		t, used, err := slab.DecodeTuple(s, payload[off:])
 		if err != nil {
 			return nil, fmt.Errorf("wire: batch tuple %d: %w", i, err)
 		}
 		off += used
-		tuples, slab = append(tuples, t), slab[cols:]
+		tuples = append(tuples, t)
 	}
 	if off != len(payload) {
 		return nil, fmt.Errorf("wire: batch has %d trailing bytes", len(payload)-off)
@@ -108,9 +106,20 @@ func (w *BatchWriter) SetTarget(n int) {
 // Write encodes one tuple into the pending batch, flushing if the batch
 // is full.
 func (w *BatchWriter) Write(t types.Tuple) error {
+	_, err := w.Append(t)
+	return err
+}
+
+// Append is Write returning the tuple's encoding, which stays valid
+// until the writer's next call: a caller that needs the row's bytes —
+// the QPC's result digest — reads them here instead of encoding the
+// row again. A failed flush returns the encoding with its error.
+func (w *BatchWriter) Append(t types.Tuple) ([]byte, error) {
 	w.open()
+	start := len(w.frame)
 	w.frame = t.AppendTo(w.frame)
-	return w.added()
+	row := w.frame[start:len(w.frame):len(w.frame)]
+	return row, w.added()
 }
 
 // WriteEncoded is Write for a tuple already in its wire encoding, given

@@ -179,3 +179,44 @@ func TestDifferentialDagCutComposedShipping(t *testing.T) {
 			code.Stats.CVDT, data.Stats.CVDT)
 	}
 }
+
+// TestWireDigestMatchesEmbedded: a wire reply's result digest hashes the
+// bytes the batch writer encoded each row into, the embedded path's the
+// row's own encoding; on every dag-cut ladder query under every strategy
+// the two are the same digest, over the same rows.
+func TestWireDigestMatchesEmbedded(t *testing.T) {
+	cl, scale := testCluster(t, ClusterConfig{})
+	client, err := cl.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for _, q := range dagCutLadderQueries(t, cl, scale) {
+		for _, strat := range []Strategy{StrategyDataShip, StrategyCodeShip, StrategyAuto} {
+			cl.SetStrategy(strat)
+			want, err := cl.Execute(q.sql)
+			if err != nil {
+				t.Fatalf("%s under %v, embedded: %v", q.label, strat, err)
+			}
+			rows, err := client.Query(q.sql)
+			if err != nil {
+				t.Fatalf("%s under %v, wire: %v", q.label, strat, err)
+			}
+			got, err := rows.All()
+			if err != nil {
+				t.Fatalf("%s under %v, wire: %v", q.label, strat, err)
+			}
+			stats, err := rows.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.ResultDigest != want.Stats.ResultDigest || stats.ResultBytes != want.Stats.ResultBytes {
+				t.Errorf("%s under %v: wire digest %s over %d B, embedded %s over %d B",
+					q.label, strat, stats.ResultDigest, stats.ResultBytes, want.Stats.ResultDigest, want.Stats.ResultBytes)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want.Rows) {
+				t.Errorf("%s under %v: the wire client read other rows", q.label, strat)
+			}
+		}
+	}
+}
