@@ -123,8 +123,9 @@ func syntheticFragment() *Fragment {
 	in := types.NewSchema(types.Column{Name: "k", Kind: types.KindInt}, types.Column{Name: "ok", Kind: types.KindBool})
 	return &Fragment{
 		Site: "site1", Table: "T__p0", Cols: []int{0, 3}, InSchema: in,
-		Predicates: preds, SemiJoinCol: 1, GroupBy: []int{0},
-		Aggregates: []AggSpec{{Name: "n", Func: "Count", Ret: types.KindInt}},
+		SemiJoinCol: 1,
+		Chain: Chain{Predicates: preds, GroupBy: []int{0},
+			Aggregates: []AggSpec{{Name: "n", Func: "Count", Ret: types.KindInt}}},
 		Code: []CodeRef{{Name: "Count", Version: "1.0", Checksum: "abc", Caps: []string{"alloc"},
 			Cost: vm.CostInfo{Bounded: true, BudgetInstrs: 9, Purity: "pure"}}},
 		OutSchema: types.NewSchema(types.Column{Name: "k", Kind: types.KindInt}, types.Column{Name: "n", Kind: types.KindInt}),
@@ -142,18 +143,26 @@ func syntheticFragment() *Fragment {
 // codec gains an exported field with no xml tag: encoding/xml would
 // then emit it under its Go name, changing the document, or a field
 // meant to stay local would travel. Every field must say which —
-// `xml:"name…"` or `xml:"-"`.
+// `xml:"name…"` or `xml:"-"`. An embedded struct's fields are checked
+// as the outer type's own, since encoding/xml inlines them.
 func TestDocumentTypesTagEveryField(t *testing.T) {
-	for _, v := range []any{
-		Fragment{}, Start{}, AggSpec{}, Output{}, PExpr{}, CodeRef{}, types.Column{}, types.Schema{},
-	} {
-		typ := reflect.TypeOf(v)
+	var check func(typ reflect.Type)
+	check = func(typ reflect.Type) {
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
+			if f.Anonymous && f.Type.Kind() == reflect.Struct {
+				check(f.Type) // encoding/xml inlines an embedded struct's fields
+				continue
+			}
 			if _, ok := f.Tag.Lookup("xml"); f.IsExported() && !ok {
 				t.Errorf("%s.%s has no xml tag", typ, f.Name)
 			}
 		}
+	}
+	for _, v := range []any{
+		Fragment{}, Start{}, AggSpec{}, Output{}, PExpr{}, CodeRef{}, types.Column{}, types.Schema{},
+	} {
+		check(reflect.TypeOf(v))
 	}
 }
 

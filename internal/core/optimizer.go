@@ -314,13 +314,13 @@ func (p *planner) readAbove(items []BoundItem, aggs []AggSpec, preds []*PExpr, j
 	return need
 }
 
-// buildStage builds table ti's QPC stage over the fragment stream whose
-// columns carry outCols: the predicates its cut left above, then the
-// columns need holds, then the table's staged calls in _vN order (the
-// order p.staged holds). It returns the stage, or nil when the stream
-// would pass through unchanged, and the extended-space column each
-// column of the fragment's QPCSchema carries.
-func (p *planner) buildStage(ti int, outCols []int, preds []*PExpr, need map[int]bool) (*Stage, []int, error) {
+// buildStage builds table ti's QPC stage into frag, over the fragment
+// stream whose columns carry outCols: the predicates its cut left above,
+// then the columns need holds, then the table's staged calls in _vN
+// order (the order p.staged holds). It leaves frag.Stage nil when the
+// stream would pass through unchanged, and returns the extended-space
+// column each column of the fragment's QPCSchema carries.
+func (p *planner) buildStage(frag *Fragment, ti int, outCols []int, preds []*PExpr, need map[int]bool) ([]int, error) {
 	calls, width := 0, 0
 	for _, sc := range p.staged {
 		if p.cols[sc.col].table == ti {
@@ -333,35 +333,28 @@ func (p *planner) buildStage(ti int, outCols []int, preds []*PExpr, need map[int
 		}
 	}
 	if len(preds) == 0 && calls == 0 && width == len(outCols) {
-		return nil, outCols, nil
+		return outCols, nil
 	}
 	width += calls
 
-	var missing error
-	localize := func(x *PExpr) *PExpr {
-		if x.Kind != ExprCol {
-			return x
-		}
-		for i, ext := range outCols {
-			if ext == x.Col {
-				return NewCol(i, x.Ret)
-			}
-		}
-		missing = fmt.Errorf("core: column %s not shipped to the QPC", p.cols[x.Col].name)
-		return x
+	pos := make(map[int]int, len(outCols))
+	for i, ext := range outCols {
+		pos[ext] = i
 	}
-	st := &Stage{
-		Projections: make([]Output, 0, width),
-		Schema:      types.Schema{Columns: make([]types.Column, 0, width)},
-	}
+	st := &Chain{Projections: make([]Output, 0, width)}
+	frag.Stage, frag.StageSchema = st, types.Schema{Columns: make([]types.Column, 0, width)}
 	for _, e := range preds {
-		st.Predicates = append(st.Predicates, e.Rewrite(localize))
+		le, err := p.rebase(e, pos, "shipped to the QPC")
+		if err != nil {
+			return nil, err
+		}
+		st.Predicates = append(st.Predicates, le)
 	}
 	emitted := make([]int, 0, width)
 	emit := func(ext int, expr *PExpr) {
 		c := types.Column{Name: p.cols[ext].name, Kind: p.cols[ext].kind}
 		st.Projections = append(st.Projections, Output{Name: c.Name, Expr: expr})
-		st.Schema.Columns = append(st.Schema.Columns, c)
+		frag.StageSchema.Columns = append(frag.StageSchema.Columns, c)
 		emitted = append(emitted, ext)
 	}
 	for i, ext := range outCols {
@@ -371,13 +364,33 @@ func (p *planner) buildStage(ti int, outCols []int, preds []*PExpr, need map[int
 	}
 	for _, sc := range p.staged {
 		if p.cols[sc.col].table == ti {
-			emit(sc.col, sc.expr.Rewrite(localize))
+			le, err := p.rebase(sc.expr, pos, "shipped to the QPC")
+			if err != nil {
+				return nil, err
+			}
+			emit(sc.col, le)
 		}
 	}
-	if missing != nil {
-		return nil, nil, missing
-	}
-	return st, emitted, nil
+	return emitted, nil
+}
+
+// rebase rewrites e's extended-space column references into the schema
+// pos indexes (extended column -> position); a column pos lacks is an
+// error saying the column is not what (extracted, shipped…).
+func (p *planner) rebase(e *PExpr, pos map[int]int, what string) (*PExpr, error) {
+	var missing error
+	out := e.Rewrite(func(x *PExpr) *PExpr {
+		if x.Kind != ExprCol {
+			return x
+		}
+		i, ok := pos[x.Col]
+		if !ok {
+			missing = fmt.Errorf("core: column %s not %s", p.cols[x.Col].name, what)
+			return x
+		}
+		return NewCol(i, x.Ret)
+	})
+	return out, missing
 }
 
 func (p *planner) build() (*Plan, error) {
@@ -460,7 +473,7 @@ func (p *planner) build() (*Plan, error) {
 			return nil, err
 		}
 		if withStages {
-			if frag.Stage, outCols, err = p.buildStage(ti, outCols, stagePreds[ti], need); err != nil {
+			if outCols, err = p.buildStage(frag, ti, outCols, stagePreds[ti], need); err != nil {
 				return nil, err
 			}
 		}
@@ -498,25 +511,9 @@ func (p *planner) build() (*Plan, error) {
 		})
 	}
 
-	remap := func(e *PExpr) (*PExpr, error) {
-		var missing error
-		out := e.Rewrite(func(x *PExpr) *PExpr {
-			if x.Kind == ExprCol {
-				ci, ok := combined[x.Col]
-				if !ok {
-					missing = fmt.Errorf("core: column %s not available at QPC", p.cols[x.Col].name)
-					return x
-				}
-				return NewCol(ci, x.Ret)
-			}
-			return x
-		})
-		return out, missing
-	}
-
 	// Step 5: QPC-side predicates.
 	for _, e := range qpcPreds {
-		re, err := remap(e)
+		re, err := p.rebase(e, combined, "available at QPC")
 		if err != nil {
 			return nil, err
 		}
@@ -537,7 +534,7 @@ func (p *planner) build() (*Plan, error) {
 			ra := a
 			ra.Args = make([]*PExpr, len(a.Args))
 			for j, arg := range a.Args {
-				e, err := remap(arg)
+				e, err := p.rebase(arg, combined, "available at QPC")
 				if err != nil {
 					return nil, err
 				}
@@ -586,7 +583,7 @@ func (p *planner) build() (*Plan, error) {
 				}
 				out = Output{Name: it.Name, Expr: NewCol(ci, e.Ret)}
 			} else {
-				re, err := remap(e)
+				re, err := p.rebase(e, combined, "available at QPC")
 				if err != nil {
 					return nil, err
 				}
@@ -635,22 +632,6 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 		frag.InSchema.Columns = append(frag.InSchema.Columns, types.Column{Name: p.cols[c].name, Kind: p.cols[c].kind})
 	}
 
-	localize := func(e *PExpr) (*PExpr, error) {
-		var missing error
-		out := e.Rewrite(func(x *PExpr) *PExpr {
-			if x.Kind == ExprCol {
-				pos, ok := local[x.Col]
-				if !ok {
-					missing = fmt.Errorf("core: internal: column %d not extracted", x.Col)
-					return x
-				}
-				return NewCol(pos, x.Ret)
-			}
-			return x
-		})
-		return out, missing
-	}
-
 	// Predicates: the cut's pushed predicate nodes, ordered by
 	// rank(p) = (SF-1)/cost ascending.
 	var pushed []int
@@ -663,7 +644,7 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 	}
 	sort.SliceStable(pushed, func(i, j int) bool { return rank[pushed[i]] < rank[pushed[j]] })
 	for _, idx := range pushed {
-		le, err := localize(d.nodes[idx].expr)
+		le, err := p.rebase(d.nodes[idx].expr, local, "extracted")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -703,7 +684,7 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 			agg.Name = it.Name
 			agg.Args = make([]*PExpr, len(it.Agg.Args))
 			for j, a := range it.Agg.Args {
-				la, err := localize(a)
+				la, err := p.rebase(a, local, "extracted")
 				if err != nil {
 					return nil, nil, err
 				}
@@ -723,7 +704,7 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 		roots := append([]int(nil), tc.price.roots...)
 		sort.Slice(roots, func(i, j int) bool { return p.virt[roots[i]] < p.virt[roots[j]] }) // _vN order
 		for _, idx := range roots {
-			le, err := localize(d.nodes[idx].expr)
+			le, err := p.rebase(d.nodes[idx].expr, local, "extracted")
 			if err != nil {
 				return nil, nil, err
 			}
@@ -768,25 +749,7 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 // attachCode lists the classes the fragment needs from the repository.
 func (p *planner) attachCode(frag *Fragment) error {
 	seen := map[string]bool{}
-	addExpr := func(e *PExpr) {
-		e.Walk(func(x *PExpr) {
-			if x.Kind == ExprCall {
-				seen[x.Func] = true
-			}
-		})
-	}
-	for _, e := range frag.Predicates {
-		addExpr(e)
-	}
-	for _, o := range frag.Projections {
-		addExpr(o.Expr)
-	}
-	for _, a := range frag.Aggregates {
-		seen[a.Func] = true
-		for _, arg := range a.Args {
-			addExpr(arg)
-		}
-	}
+	frag.Calls(func(name string) { seen[name] = true })
 	names := make([]string, 0, len(seen))
 	for n := range seen {
 		names = append(names, n)
@@ -955,15 +918,7 @@ func Explain(plan *Plan) string {
 		if f.CutPoint != "" {
 			fmt.Fprintf(&b, "    cut: %s (%d cut(s) priced)\n", f.CutPoint, f.CutAlts)
 		}
-		for _, p := range f.Predicates {
-			fmt.Fprintf(&b, "    filter %s\n", p)
-		}
-		for _, a := range f.Aggregates {
-			fmt.Fprintf(&b, "    aggregate %s = %s(...)\n", a.Name, a.Func)
-		}
-		for _, o := range f.Projections {
-			fmt.Fprintf(&b, "    project %s = %s\n", o.Name, o.Expr)
-		}
+		explainChain(&b, &f.Chain, "    ")
 		if len(f.Code) > 0 {
 			names := make([]string, len(f.Code))
 			for j, c := range f.Code {
@@ -975,28 +930,29 @@ func Explain(plan *Plan) string {
 			fmt.Fprintf(&b, "    ship code: %s\n", strings.Join(names, ", "))
 			fmt.Fprintf(&b, "    static cost: %s\n", staticCostLine(f.Code))
 		}
-		if st := f.Stage; st != nil {
-			for _, p := range st.Predicates {
-				fmt.Fprintf(&b, "    qpc filter %s\n", p)
-			}
-			for _, o := range st.Projections {
-				fmt.Fprintf(&b, "    qpc project %s = %s\n", o.Name, o.Expr)
-			}
+		if f.Stage != nil {
+			explainChain(&b, f.Stage, "    qpc ")
 		}
 	}
 	for _, j := range plan.Joins {
 		fmt.Fprintf(&b, "  hash join: combined[$%d] = frag%d[$%d]\n", j.LeftCol, j.RightFrag, j.RightCol)
 	}
-	for _, pr := range plan.Predicates {
-		fmt.Fprintf(&b, "  qpc filter %s\n", pr)
-	}
-	for _, a := range plan.Aggregates {
-		fmt.Fprintf(&b, "  qpc aggregate %s = %s(...)\n", a.Name, a.Func)
-	}
-	for _, o := range plan.Projections {
-		fmt.Fprintf(&b, "  qpc project %s = %s\n", o.Name, o.Expr)
-	}
+	explainChain(&b, &plan.Chain, "  qpc ")
 	fmt.Fprintf(&b, "  estimates: CVDA=%d CVDT=%d CVRF=%.6f cost=%.1fms\n",
 		plan.Est.CVDA, plan.Est.CVDT, plan.Est.CVRF(), plan.Est.Cost)
 	return b.String()
+}
+
+// explainChain renders a chain's operators one line each, every line
+// starting with lead: its indent, and "qpc " for a chain the QPC runs.
+func explainChain(b *strings.Builder, ch *Chain, lead string) {
+	for _, p := range ch.Predicates {
+		fmt.Fprintf(b, "%sfilter %s\n", lead, p)
+	}
+	for _, a := range ch.Aggregates {
+		fmt.Fprintf(b, "%saggregate %s = %s(...)\n", lead, a.Name, a.Func)
+	}
+	for _, o := range ch.Projections {
+		fmt.Fprintf(b, "%sproject %s = %s\n", lead, o.Name, o.Expr)
+	}
 }

@@ -50,10 +50,51 @@ func (a *AggSpec) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 	return types.RequireAttr(start, "ret")
 }
 
+// Chain is the row chain the paper's section 3.8 operators run as, on
+// either side of the cut: predicates in order, then a grouped
+// aggregation, then a projection. A fragment's body, a table's QPC stage
+// and the QPC's work above the joins are each one chain (DESIGN §10). A
+// chain that aggregates and projects nothing emits its group rows as
+// they are, as a fragment's pushed aggregation does.
+type Chain struct {
+	// Predicates filter rows, ordered by the optimizer's rank metric.
+	Predicates []*PExpr `xml:"predicates>expr"`
+	// GroupBy and Aggregates, when present, make the chain emit one row
+	// per group; Projections then read the group rows.
+	GroupBy     []int     `xml:"group-by>col"`
+	Aggregates  []AggSpec `xml:"aggregates>agg"`
+	Projections []Output  `xml:"projections>output"`
+}
+
+// Calls calls f with the name of every operator the chain binds, in the
+// order lowering compiles them (predicates, aggregates, projections):
+// each call in an expression, and each aggregate's function before its
+// arguments' calls.
+func (c *Chain) Calls(f func(name string)) {
+	call := func(x *PExpr) {
+		if x.Kind == ExprCall {
+			f(x.Func)
+		}
+	}
+	for _, e := range c.Predicates {
+		e.Walk(call)
+	}
+	for _, a := range c.Aggregates {
+		f(a.Func)
+		for _, arg := range a.Args {
+			arg.Walk(call)
+		}
+	}
+	for _, o := range c.Projections {
+		o.Expr.Walk(call)
+	}
+}
+
 // Fragment is the piece of a query plan executed by one DAP (a "DAP
 // node" in the paper's plan trees). Execution order at the DAP: extract
-// the listed source columns, apply the semi-join filter if any, apply
-// predicates in order, then either group-and-aggregate or project.
+// the listed source columns, apply the semi-join filter if any, then run
+// the chain: predicates in order, then either group-and-aggregate or
+// project.
 //
 // The tagged fields are the <fragment> document a START carries: what
 // the DAP runs, and nothing else. The fields tagged "-" are the QPC's
@@ -90,43 +131,30 @@ type Fragment struct {
 	Cols []int `xml:"extract>col"`
 	// InSchema is the extracted schema (parallel to Cols).
 	InSchema types.Schema `xml:"in-schema"`
-	// Predicates filter extracted tuples, ordered by the optimizer's
-	// rank metric.
-	Predicates []*PExpr `xml:"predicates>expr"`
-	// GroupBy and Aggregates, when present, make the fragment emit one
-	// row per group; otherwise Projections produce the output.
-	GroupBy     []int     `xml:"group-by>col"`
-	Aggregates  []AggSpec `xml:"aggregates>agg"`
-	Projections []Output  `xml:"projections>output"`
+	// Chain is what the DAP runs over the extracted tuples.
+	Chain
 	// Code lists the classes the DAP must load (code shipping manifest).
 	Code []CodeRef `xml:"code>class"`
 	// OutSchema is the schema of emitted tuples, which the QPC reads
 	// the fragment's stream under.
 	OutSchema types.Schema `xml:"-"`
 	// Stage is the QPC's own work on the stream before any join, in a
-	// multi-table plan; nil when the stream joins as it arrives.
-	Stage *Stage `xml:"-"`
-}
-
-// Stage is the chain one table's stream runs through at the QPC before
-// the joins (DESIGN §10): the single-table predicates its cut left
-// above, then a projection that computes the data-reducing single-table
-// calls left above as virtual columns and keeps only the columns
-// something above the stage still reads. A filter never widens a row
-// and a staged call is narrower than what it reads, so the joins hold
-// the narrowest rows the plan allows.
-type Stage struct {
-	Predicates  []*PExpr // over the fragment's OutSchema
-	Projections []Output // over the fragment's OutSchema
-	// Schema is the stage's output, which the joins read.
-	Schema types.Schema
+	// multi-table plan; nil when the stream joins as it arrives. It is
+	// the single-table predicates the table's cut left above, then a
+	// projection that computes the data-reducing single-table calls left
+	// above as virtual columns and keeps only the columns something above
+	// the stage still reads, all over OutSchema. A filter never widens a
+	// row and a staged call is narrower than what it reads, so the joins
+	// hold the narrowest rows the plan allows. StageSchema is its output.
+	Stage       *Chain       `xml:"-"`
+	StageSchema types.Schema `xml:"-"`
 }
 
 // QPCSchema is the schema the QPC's joins read the fragment's stream
 // under: its stage's output, or what the DAP emits when it has none.
 func (f *Fragment) QPCSchema() types.Schema {
 	if f.Stage != nil {
-		return f.Stage.Schema
+		return f.StageSchema
 	}
 	return f.OutSchema
 }
@@ -169,13 +197,11 @@ type Plan struct {
 	// CombinedSchema is the schema after all joins (the fragments'
 	// QPCSchemas concatenated in join order).
 	CombinedSchema types.Schema
-	// QPC-side operators over the combined schema:
-	Predicates  []*PExpr
-	GroupBy     []int
-	Aggregates  []AggSpec
-	Projections []Output
-	OrderBy     []OrderSpec
-	Limit       int // -1 none
+	// Chain is the QPC's work over the combined schema; ordering and
+	// limit follow it.
+	Chain
+	OrderBy []OrderSpec
+	Limit   int // -1 none
 	// ResultSchema is the schema delivered to the client.
 	ResultSchema types.Schema
 

@@ -78,12 +78,14 @@ func avgEnergyFragment(t testing.TB) (*core.Fragment, *catalog.Release) {
 			types.Column{Name: "image", Kind: types.KindRaster},
 		),
 		SemiJoinCol: -1,
-		Projections: []core.Output{
-			{Name: "time", Expr: core.NewCol(0, types.KindInt)},
-			{Name: "avg", Expr: &core.PExpr{
-				Kind: core.ExprCall, Func: "AvgEnergy", Ret: types.KindDouble,
-				Args: []*core.PExpr{core.NewCol(1, types.KindRaster)},
-			}},
+		Chain: core.Chain{
+			Projections: []core.Output{
+				{Name: "time", Expr: core.NewCol(0, types.KindInt)},
+				{Name: "avg", Expr: &core.PExpr{
+					Kind: core.ExprCall, Func: "AvgEnergy", Ret: types.KindDouble,
+					Args: []*core.PExpr{core.NewCol(1, types.KindRaster)},
+				}},
+			},
 		},
 		Code: []core.CodeRef{{Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest}},
 		OutSchema: types.NewSchema(
@@ -224,9 +226,11 @@ func classRef(p *vm.Program) (*core.Fragment, *catalog.Release) {
 	schema := types.NewSchema(types.Column{Name: "time", Kind: types.KindInt})
 	frag := &core.Fragment{
 		Site: "test", Table: "Rasters", Cols: []int{0}, InSchema: schema, SemiJoinCol: -1,
-		Projections: []core.Output{{Name: "time", Expr: core.NewCol(0, types.KindInt)}},
-		Code:        []core.CodeRef{{Name: p.Name, Version: "1", Checksum: p.Checksum()}},
-		OutSchema:   schema,
+		Chain: core.Chain{
+			Projections: []core.Output{{Name: "time", Expr: core.NewCol(0, types.KindInt)}},
+		},
+		Code:      []core.CodeRef{{Name: p.Name, Version: "1", Checksum: p.Checksum()}},
+		OutSchema: schema,
 	}
 	return frag, &catalog.Release{Class: p.Name, Digest: p.Checksum(), Blob: p.Encode()}
 }
@@ -541,11 +545,13 @@ func TestDAPGroupedAggregation(t *testing.T) {
 		Cols:        []int{0},
 		InSchema:    types.NewSchema(types.Column{Name: "time", Kind: types.KindInt}),
 		SemiJoinCol: -1,
-		GroupBy:     []int{0},
-		Aggregates: []core.AggSpec{{
-			Name: "n", Func: "Count", Ret: types.KindInt,
-			Args: []*core.PExpr{core.NewCol(0, types.KindInt)},
-		}},
+		Chain: core.Chain{
+			GroupBy: []int{0},
+			Aggregates: []core.AggSpec{{
+				Name: "n", Func: "Count", Ret: types.KindInt,
+				Args: []*core.PExpr{core.NewCol(0, types.KindInt)},
+			}},
+		},
 		Code: []core.CodeRef{{Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest}},
 		OutSchema: types.NewSchema(
 			types.Column{Name: "time", Kind: types.KindInt},
@@ -610,8 +616,10 @@ func TestDAPServeShardEcho(t *testing.T) {
 	frag := &core.Fragment{
 		Site: "test", Table: "Rasters__p1",
 		Cols: []int{0}, InSchema: schema, SemiJoinCol: -1,
-		Projections: []core.Output{{Name: "time", Expr: core.NewCol(0, types.KindInt)}},
-		OutSchema:   schema,
+		Chain: core.Chain{
+			Projections: []core.Output{{Name: "time", Expr: core.NewCol(0, types.KindInt)}},
+		},
+		OutSchema: schema,
 	}
 	startFragment(t, conn, &core.Start{Stream: "q1/0", Part: 1, Of: 3, Fragment: frag}, nil)
 	rows, stats := readStream(t, conn, schema)

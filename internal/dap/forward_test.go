@@ -68,9 +68,11 @@ func TestForwardedScanAllocBudget(t *testing.T) {
 	}
 	frag := &core.Fragment{
 		Site: "test", Table: "Graphs", Cols: []int{0, 1}, InSchema: schema, SemiJoinCol: -1,
-		Projections: []core.Output{
-			{Name: "name", Expr: core.NewCol(0, types.KindString)},
-			{Name: "graph", Expr: core.NewCol(1, types.KindGraph)},
+		Chain: core.Chain{
+			Projections: []core.Output{
+				{Name: "name", Expr: core.NewCol(0, types.KindString)},
+				{Name: "graph", Expr: core.NewCol(1, types.KindGraph)},
+			},
 		},
 		OutSchema: schema,
 	}
@@ -280,8 +282,10 @@ func keyPhase(frag *core.Fragment) *core.Fragment {
 	kind := frag.InSchema.Columns[k].Kind
 	return &core.Fragment{
 		Site: frag.Site, Table: frag.Table, Cols: frag.Cols, InSchema: frag.InSchema, SemiJoinCol: -1,
-		Projections: []core.Output{{Name: "key", Expr: core.NewCol(k, kind)}},
-		OutSchema:   types.NewSchema(types.Column{Name: "key", Kind: kind}),
+		Chain: core.Chain{
+			Projections: []core.Output{{Name: "key", Expr: core.NewCol(k, kind)}},
+		},
+		OutSchema: types.NewSchema(types.Column{Name: "key", Kind: kind}),
 	}
 }
 

@@ -117,9 +117,11 @@ func rasterRows() *core.Fragment {
 	)
 	return &core.Fragment{
 		Site: "test", Table: "Rasters", Cols: []int{1, 0}, InSchema: schema, SemiJoinCol: -1,
-		Projections: []core.Output{
-			{Name: "image", Expr: core.NewCol(0, types.KindRaster)},
-			{Name: "time", Expr: core.NewCol(1, types.KindInt)},
+		Chain: core.Chain{
+			Projections: []core.Output{
+				{Name: "image", Expr: core.NewCol(0, types.KindRaster)},
+				{Name: "time", Expr: core.NewCol(1, types.KindInt)},
+			},
 		},
 		OutSchema: schema,
 	}

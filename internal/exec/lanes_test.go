@@ -155,15 +155,21 @@ func TestLaneTrapParity(t *testing.T) {
 		want string
 	}{
 		{"predicate", core.Fragment{
-			Predicates:  []*core.PExpr{binop("<", types.KindBool, trap, core.NewConst(types.Int(1000)))},
-			Projections: []core.Output{{Name: "a", Expr: col(0)}},
+			Chain: core.Chain{
+				Predicates:  []*core.PExpr{binop("<", types.KindBool, trap, core.NewConst(types.Int(1000)))},
+				Projections: []core.Output{{Name: "a", Expr: col(0)}},
+			},
 		}, "dap: predicate 0: ops: Trap: "},
 		{"projection", core.Fragment{
-			Projections: []core.Output{{Name: "a", Expr: col(0)}, {Name: "t", Expr: trap}},
+			Chain: core.Chain{
+				Projections: []core.Output{{Name: "a", Expr: col(0)}, {Name: "t", Expr: trap}},
+			},
 		}, `dap: projection "t": ops: Trap: `},
 		{"aggregate", core.Fragment{
-			GroupBy:    []int{1},
-			Aggregates: []core.AggSpec{{Name: "n", Func: "Count", Ret: types.KindInt, Args: []*core.PExpr{trap}}},
+			Chain: core.Chain{
+				GroupBy:    []int{1},
+				Aggregates: []core.AggSpec{{Name: "n", Func: "Count", Ret: types.KindInt, Args: []*core.PExpr{trap}}},
+			},
 		}, "dap: aggregate Count argument: ops: Trap: "},
 	}
 	for _, tc := range cases {
@@ -192,15 +198,19 @@ func TestLaneParityFragments(t *testing.T) {
 	sq := call("Sq", types.KindDouble, col(0))
 	frags := map[string]core.Fragment{
 		"project": {
-			Predicates:  []*core.PExpr{binop("<", types.KindBool, sq, core.NewConst(types.Double(90000)))},
-			Projections: []core.Output{{Name: "a", Expr: col(0)}, {Name: "sq", Expr: sq}},
+			Chain: core.Chain{
+				Predicates:  []*core.PExpr{binop("<", types.KindBool, sq, core.NewConst(types.Double(90000)))},
+				Projections: []core.Output{{Name: "a", Expr: col(0)}, {Name: "sq", Expr: sq}},
+			},
 		},
 		"aggregate": {
-			Predicates: []*core.PExpr{binop("<", types.KindBool, sq, core.NewConst(types.Double(90000)))},
-			GroupBy:    []int{1},
-			Aggregates: []core.AggSpec{
-				{Name: "n", Func: "Count", Ret: types.KindInt, Args: []*core.PExpr{col(0)}},
-				{Name: "s", Func: "Sum", Ret: types.KindDouble, Args: []*core.PExpr{sq}},
+			Chain: core.Chain{
+				Predicates: []*core.PExpr{binop("<", types.KindBool, sq, core.NewConst(types.Double(90000)))},
+				GroupBy:    []int{1},
+				Aggregates: []core.AggSpec{
+					{Name: "n", Func: "Count", Ret: types.KindInt, Args: []*core.PExpr{col(0)}},
+					{Name: "s", Func: "Sum", Ret: types.KindDouble, Args: []*core.PExpr{sq}},
+				},
 			},
 		},
 	}
@@ -235,11 +245,13 @@ func TestLaneSpilledAggregate(t *testing.T) {
 	frag := &core.Fragment{
 		SemiJoinCol: -1,
 		InSchema:    types.NewSchema(types.Column{Name: "k", Kind: types.KindInt}, types.Column{Name: "p", Kind: types.KindString}),
-		Predicates:  []*core.PExpr{binop("<", types.KindBool, call("Sq", types.KindDouble, col(0)), core.NewConst(types.Double(1<<20)))},
-		GroupBy:     []int{0},
-		Aggregates: []core.AggSpec{
-			{Name: "n", Func: "Count", Ret: types.KindInt, Args: []*core.PExpr{core.NewCol(1, types.KindString)}},
-			{Name: "s", Func: "Sum", Ret: types.KindDouble, Args: []*core.PExpr{call("Sq", types.KindDouble, col(0))}},
+		Chain: core.Chain{
+			Predicates: []*core.PExpr{binop("<", types.KindBool, call("Sq", types.KindDouble, col(0)), core.NewConst(types.Double(1<<20)))},
+			GroupBy:    []int{0},
+			Aggregates: []core.AggSpec{
+				{Name: "n", Func: "Count", Ret: types.KindInt, Args: []*core.PExpr{core.NewCol(1, types.KindString)}},
+				{Name: "s", Func: "Sum", Ret: types.KindDouble, Args: []*core.PExpr{call("Sq", types.KindDouble, col(0))}},
+			},
 		},
 	}
 	// 16-row batches: the first few fold on lanes before the table fills.

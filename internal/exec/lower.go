@@ -91,25 +91,28 @@ func SemiJoinParticipants(plan *core.Plan) []int {
 
 // Lowering rules (DESIGN.md §10):
 //
-//	DAP fragment:  scan → [semijoin] → [filter] → (hashagg | project) →
-//	               [limit] → emit
-//	QPC plan:      remote[i] (+prefetch[i]) → [stage[i]: filter, project] →
-//	               hashjoin[0..n) → [filter] → [hashagg] → project →
-//	               (topk | sort | limit)? → emit
+//	chain:         [filter] → [hashagg] → [project]
+//	DAP fragment:  scan → [semijoin] → chain → [limit] → emit
+//	QPC plan:      remote[i] (+prefetch[i]) → [chain[i]] → hashjoin[0..n) →
+//	               chain → (topk | sort | limit)? → emit
 //
-// A partitioned fragment's remotes meet in gather[i] before its stage. A
-// stage (core.Stage) exists only in a multi-table plan: the single-table
-// predicates its table's cut left above and the data-reducing calls the
-// planner stages, run on the table's own stream so the joins hold narrow
-// rows; the filter above the joins then holds only multi-table
-// predicates.
+// A core.Chain is the one shape the section 3.8 operators run as, and
+// lowerChain its one lowering: a filter when it has predicates, a hash
+// aggregate when it aggregates, and a projection unless it aggregates and
+// projects nothing (a fragment's pushed aggregation emits its group rows).
+// A fragment's body is a chain; so is table i's stage, chain[i], which
+// exists only in a multi-table plan and runs on the table's own stream,
+// below the joins, the single-table predicates its cut left above and the
+// data-reducing calls the planner stages; and so is the QPC's work above
+// the joins, whose filter then holds only multi-table predicates. A
+// partitioned fragment's remotes meet in gather[i] before its stage.
 //
-// Operators that evaluate user expressions share one memo per contiguous
-// chain; the lowest memo user resets it per input batch. A DAP chain's
-// expressions are one lane set (lanes.go): each lane compiles them in the
-// same order against its own memo and binder fork. An aggregation
-// boundary starts a fresh memo: group rows are new tuples, and stale
-// identity-keyed entries from scan batches must not survive into them.
+// A chain's operators share one memo; the lowest memo user resets it per
+// input batch. Their expressions are one lane set (lanes.go): each lane
+// compiles them in the same order against its own memo and binder fork,
+// and only a DAP's binder forks. An aggregation boundary starts a fresh
+// memo: group rows are new tuples, and stale identity-keyed entries from
+// scan batches must not survive into them.
 
 // opName makes a per-instance operator name ("op:hashjoin[1]") so trees
 // with repeated operators stay distinguishable in traces and goldens.
@@ -181,55 +184,22 @@ func Forwarded(frag *core.Fragment) (out []int, ok bool) {
 }
 
 // LowerFragment lowers one DAP fragment onto a source operator: the
-// semi-join filter, predicates, aggregation or projection, the pushed-
-// down limit, and the emit sink, in the fragment execution order the
-// plan format documents.
+// semi-join filter, the fragment's chain, the pushed-down limit, and the
+// emit sink, in the fragment execution order the plan format documents.
 // gov, when non-nil, bounds the memory-hungry operators' memory (each
 // gets its own grant on the shared pool) and arms their spill paths.
 func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semiKeys map[uint64][]types.Object, emit func(types.Tuple) error, gov *Governor) (*Tree, error) {
-	memo := core.NewMemo()
-	needReset := true
 	ops := []Operator{src}
 	cur := src
-	// The chain's expressions are one lane set: lane 0 is compiled here,
-	// and further lanes the same way against a binder fork.
-	set := soloLanes(&lane{memo: memo})
-
 	if frag.SemiJoinCol >= 0 && semiKeys != nil {
 		desc := fmt.Sprintf("input column %d (%s)", frag.SemiJoinCol, colName(frag.InSchema, frag.SemiJoinCol))
 		cur = NewSemiFilter(obs.OpSemiJoin, cur, frag.SemiJoinCol, semiKeys, desc, "dap")
 		ops = append(ops, cur)
 	}
-	if len(frag.Predicates) > 0 {
-		preds, err := compilePreds(frag.Predicates, binder, memo)
-		if err != nil {
-			return nil, err
-		}
-		f := NewFilter(obs.OpFilter, cur, preds, memo, needReset, "dap")
-		set.ls[0].preds, f.set = preds, set
-		cur = f
-		needReset = false
-		ops = append(ops, cur)
+	cur, ops, err := lowerChain(&frag.Chain, cur, ops, binder, gov, "", "dap")
+	if err != nil {
+		return nil, err
 	}
-	if len(frag.Aggregates) > 0 {
-		agg, err := NewHashAggregate(obs.OpHashAgg, cur, frag.GroupBy, frag.Aggregates, binder, memo, needReset, "dap", DefaultBatchRows, gov.Grant(obs.OpHashAgg))
-		if err != nil {
-			return nil, err
-		}
-		set.ls[0].args, agg.set = agg.set.ls[0].args, set
-		cur = agg
-		ops = append(ops, cur)
-	} else {
-		projs, names, err := compileProjs(frag.Projections, binder, memo)
-		if err != nil {
-			return nil, err
-		}
-		p := NewProject(obs.OpProject, cur, projs, names, memo, needReset, "dap")
-		set.ls[0].projs, p.set = projs, set
-		cur = p
-		ops = append(ops, cur)
-	}
-	set.fork = forkLanes(frag, binder)
 	if frag.Limit > 0 {
 		cur = NewLimit(obs.OpLimit, cur, frag.Limit)
 		ops = append(ops, cur)
@@ -239,20 +209,74 @@ func LowerFragment(frag *core.Fragment, binder core.OpBinder, src Operator, semi
 	return &Tree{Root: cur, Ops: ops}, nil
 }
 
-// forkLanes returns how a fragment's lane set compiles another lane — the
-// fragment's expressions in lowering's order, so the memo shares the same
+// lowerChain lowers one chain onto cur and appends its operators to ops:
+// a filter over its predicates, a hash aggregate when it aggregates, and
+// a projection unless it aggregates and projects nothing. Up to the
+// aggregate the operators share one memo, which the lowest of them
+// resets per batch, and one lane set, which fans out when binder can
+// fork (a DAP's can, the QPC's cannot); the aggregate emits fresh rows,
+// so the projection over them starts a memo and a set of its own. tag
+// suffixes each operator's name ("[i]" in table i's stage), and site
+// prefixes its errors.
+func lowerChain(ch *core.Chain, cur Operator, ops []Operator, binder core.OpBinder, gov *Governor, tag, site string) (Operator, []Operator, error) {
+	memo := core.NewMemo()
+	// set is the first operator's own lane set, which the others join.
+	var set *laneSet
+	if len(ch.Predicates) > 0 {
+		preds, err := compilePreds(ch.Predicates, binder, memo)
+		if err != nil {
+			return nil, nil, err
+		}
+		f := NewFilter(obs.OpFilter+tag, cur, preds, memo, true, site)
+		set, cur = f.set, f
+		ops = append(ops, cur)
+	}
+	aggregates := len(ch.Aggregates) > 0
+	if aggregates {
+		agg, err := NewHashAggregate(obs.OpHashAgg+tag, cur, ch.GroupBy, ch.Aggregates, binder, memo, set == nil, site, DefaultBatchRows, gov.Grant(obs.OpHashAgg+tag))
+		if err != nil {
+			return nil, nil, err
+		}
+		if set == nil {
+			set = agg.set
+		} else {
+			set.ls[0].args, agg.set = agg.set.ls[0].args, set
+		}
+		cur = agg
+		ops = append(ops, cur)
+		memo = core.NewMemo()
+	}
+	if !aggregates || len(ch.Projections) > 0 {
+		projs, names, err := compileProjs(ch.Projections, binder, memo)
+		if err != nil {
+			return nil, nil, err
+		}
+		p := NewProject(obs.OpProject+tag, cur, projs, names, memo, set == nil || aggregates, site)
+		switch {
+		case set == nil:
+			set = p.set
+		case !aggregates:
+			set.ls[0].projs, p.set = projs, set
+		}
+		cur = p
+		ops = append(ops, cur)
+	}
+	set.fork = forkLanes(ch, binder)
+	return cur, ops, nil
+}
+
+// forkLanes returns how a chain's lane set compiles another lane — the
+// chain's expressions in lowering's order, so the memo shares the same
 // call sites — or nil when it never fans out: the binder cannot fork, or
 // nothing in the chain calls a bound operator (a chain of column
 // references is cheaper than the fork).
-func forkLanes(frag *core.Fragment, binder core.OpBinder) func() (*lane, error) {
+func forkLanes(ch *core.Chain, binder core.OpBinder) func() (*lane, error) {
 	fb, ok := binder.(laneForker)
 	if !ok {
 		return nil
 	}
-	calls := len(frag.Aggregates) > 0 || callsOperator(frag.Predicates...)
-	for _, o := range frag.Projections {
-		calls = calls || callsOperator(o.Expr)
-	}
+	calls := false
+	ch.Calls(func(string) { calls = true })
 	if !calls {
 		return nil
 	}
@@ -260,13 +284,13 @@ func forkLanes(frag *core.Fragment, binder core.OpBinder) func() (*lane, error) 
 		b := fb.Fork()
 		ln := &lane{memo: core.NewMemo()}
 		var err error
-		if ln.preds, err = compilePreds(frag.Predicates, b, ln.memo); err != nil {
+		if ln.preds, err = compilePreds(ch.Predicates, b, ln.memo); err != nil {
 			return nil, err
 		}
-		if len(frag.Aggregates) > 0 {
-			ln.args, err = compileAggArgs(frag.Aggregates, b, ln.memo)
+		if len(ch.Aggregates) > 0 {
+			ln.args, err = compileAggArgs(ch.Aggregates, b, ln.memo)
 		} else {
-			ln.projs, _, err = compileProjs(frag.Projections, b, ln.memo)
+			ln.projs, _, err = compileProjs(ch.Projections, b, ln.memo)
 		}
 		return ln, err
 	}
@@ -274,8 +298,8 @@ func forkLanes(frag *core.Fragment, binder core.OpBinder) func() (*lane, error) 
 
 // LowerPlan lowers the QPC's post-stream work onto the fragments' pull
 // feeds: per-fragment sources (each behind a bounded prefetcher) and
-// stages, the left-deep hash-join chain, plan predicates, aggregation,
-// projection, ordering/limit, and the client emit sink.
+// stages, the left-deep hash-join chain, the plan's chain, ordering or
+// limit, and the client emit sink.
 // pulls holds one feed per fragment for unpartitioned plans; a
 // scattered fragment passes one feed per partition and gets a Gather
 // union over per-partition sources (each independently prefetched, so
@@ -310,28 +334,15 @@ func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit f
 		srcs[i] = g
 	}
 
-	// Each fragment's stage runs on its own stream, below the joins, with
-	// a memo of its own.
+	// Each fragment's stage runs on its own stream, below the joins.
 	for i, frag := range plan.Fragments {
-		st := frag.Stage
-		if st == nil {
+		if frag.Stage == nil {
 			continue
 		}
-		memo := core.NewMemo()
-		if len(st.Predicates) > 0 {
-			preds, err := compilePreds(st.Predicates, binder, memo)
-			if err != nil {
-				return nil, err
-			}
-			srcs[i] = NewFilter(opName(obs.OpFilter, i), srcs[i], preds, memo, true, "qpc")
-			ops = append(ops, srcs[i])
-		}
-		projs, names, err := compileProjs(st.Projections, binder, memo)
-		if err != nil {
+		var err error
+		if srcs[i], ops, err = lowerChain(frag.Stage, srcs[i], ops, binder, gov, opName("", i), "qpc"); err != nil {
 			return nil, err
 		}
-		srcs[i] = NewProject(opName(obs.OpProject, i), srcs[i], projs, names, memo, len(st.Predicates) == 0, "qpc")
-		ops = append(ops, srcs[i])
 	}
 
 	cur := srcs[0]
@@ -350,36 +361,10 @@ func LowerPlan(plan *core.Plan, binder core.OpBinder, pulls [][]PullFunc, emit f
 		ops = append(ops, cur)
 	}
 
-	memo := core.NewMemo()
-	needReset := true
-	if len(plan.Predicates) > 0 {
-		preds, err := compilePreds(plan.Predicates, binder, memo)
-		if err != nil {
-			return nil, err
-		}
-		cur = NewFilter(obs.OpFilter, cur, preds, memo, needReset, "qpc")
-		needReset = false
-		ops = append(ops, cur)
-	}
-	if len(plan.Aggregates) > 0 {
-		agg, err := NewHashAggregate(obs.OpHashAgg, cur, plan.GroupBy, plan.Aggregates, binder, memo, needReset, "qpc", DefaultBatchRows, gov.Grant(obs.OpHashAgg))
-		if err != nil {
-			return nil, err
-		}
-		cur = agg
-		ops = append(ops, cur)
-		// Aggregation emits fresh rows; the projection above it starts a
-		// fresh memo.
-		memo = core.NewMemo()
-		needReset = true
-	}
-	projs, names, err := compileProjs(plan.Projections, binder, memo)
+	cur, ops, err := lowerChain(&plan.Chain, cur, ops, binder, gov, "", "qpc")
 	if err != nil {
 		return nil, err
 	}
-	cur = NewProject(obs.OpProject, cur, projs, names, memo, needReset, "qpc")
-	ops = append(ops, cur)
-
 	switch {
 	case len(plan.OrderBy) > 0 && plan.Limit >= 0:
 		cur = NewTopK(obs.OpTopK, cur, plan.OrderBy, plan.Limit, DefaultBatchRows)

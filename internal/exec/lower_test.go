@@ -95,9 +95,11 @@ func TestLowerFragmentPipeline(t *testing.T) {
 	frag := &core.Fragment{
 		Site: "site1", Table: "T", SemiJoinCol: 0,
 		InSchema: sch, OutSchema: sch,
-		Predicates:  []*core.PExpr{ltPred(0, 5)},
-		Projections: []core.Output{{Name: "a", Expr: core.NewCol(0, types.KindInt)}},
-		Limit:       2,
+		Chain: core.Chain{
+			Predicates:  []*core.PExpr{ltPred(0, 5)},
+			Projections: []core.Output{{Name: "a", Expr: core.NewCol(0, types.KindInt)}},
+		},
+		Limit: 2,
 	}
 	src := NewSource("op:remote[0]", slicePull(intRows(1, 2, 3, 4, 5, 6)), 3)
 	keys := map[uint64][]types.Object{}
@@ -135,9 +137,11 @@ func TestLowerPlanGatherAndOrder(t *testing.T) {
 	plan := &core.Plan{
 		Fragments:      []*core.Fragment{frag},
 		CombinedSchema: sch,
-		Projections:    []core.Output{{Name: "a", Expr: core.NewCol(0, types.KindInt)}},
-		OrderBy:        []core.OrderSpec{{Col: 0, Desc: true}},
-		Limit:          3,
+		Chain: core.Chain{
+			Projections: []core.Output{{Name: "a", Expr: core.NewCol(0, types.KindInt)}},
+		},
+		OrderBy: []core.OrderSpec{{Col: 0, Desc: true}},
+		Limit:   3,
 	}
 	pulls := [][]PullFunc{{
 		slicePull(intRows(1, 4, 2)),

@@ -159,11 +159,13 @@ func keyFragment(main *core.Fragment) *core.Fragment {
 		Table:       main.Table,
 		Cols:        main.Cols,
 		InSchema:    main.InSchema,
-		Predicates:  main.Predicates,
 		SemiJoinCol: -1,
-		Projections: []core.Output{{Name: "key", Expr: core.NewCol(main.SemiJoinCol, kind)}},
-		Code:        main.Code,
-		OutSchema:   types.NewSchema(types.Column{Name: "key", Kind: kind}),
+		Chain: core.Chain{
+			Predicates:  main.Predicates,
+			Projections: []core.Output{{Name: "key", Expr: core.NewCol(main.SemiJoinCol, kind)}},
+		},
+		Code:      main.Code,
+		OutSchema: types.NewSchema(types.Column{Name: "key", Kind: kind}),
 	}
 }
 
