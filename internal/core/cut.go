@@ -662,7 +662,7 @@ func (p *planner) price(d *queryDAG, ti int, asg *cutAssignment) cutPrice {
 		pr.roots = nil
 		pr.CPUMS += model.CompMS(rows*int64(a.argBytes), a.costPB, true)
 		pr.CVDT = a.groups * int64(a.keyBytes+a.resBytes)
-		pr.NetMS = model.NetworkMS(pr.CVDT)
+		pr.NetMS = model.NetworkMS(float64(pr.CVDT))
 		return pr
 	}
 
@@ -676,9 +676,13 @@ func (p *planner) price(d *queryDAG, ti int, asg *cutAssignment) cutPrice {
 	for _, idx := range pr.roots {
 		rowBytes += int64(d.nodes[idx].resBytes)
 	}
+	// Cuts rank on the unrounded volume: a volume estimated below one
+	// byte still tells a narrower row from a wider one, where its
+	// truncation to CVDT would make every such cut tie at zero.
 	shippedRows := sf * float64(rows)
-	pr.CVDT = int64(shippedRows * float64(rowBytes))
-	pr.NetMS = model.NetworkMS(pr.CVDT)
+	shipped := shippedRows * float64(rowBytes)
+	pr.CVDT = int64(shipped)
+	pr.NetMS = model.NetworkMS(shipped)
 
 	// Above the cut: the table's remaining calls and predicates, and a
 	// QPC-side aggregation, run natively over the shipped rows.

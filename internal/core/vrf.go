@@ -63,11 +63,11 @@ func DefaultCostModel() CostModel {
 }
 
 // NetworkMS returns the modeled transfer time for a byte volume.
-func (m CostModel) NetworkMS(bytes int64) float64 {
+func (m CostModel) NetworkMS(bytes float64) float64 {
 	if m.BitsPerSec <= 0 {
 		return 0
 	}
-	return float64(bytes) * 8 / m.BitsPerSec * 1000
+	return bytes * 8 / m.BitsPerSec * 1000
 }
 
 // CompMS returns the modeled compute time for processing argBytes of

@@ -85,14 +85,17 @@ func TestDifferentialDagCutLadder(t *testing.T) {
 		})
 	}
 
-	// The wide query must have taken the guard: it prices one cut per
-	// free node, where enumeration would have priced thousands.
+	// The wide query must have taken the guard: it prices at most one
+	// cut per free node, where enumeration would have priced thousands.
+	// It prices 16 of the 17 candidates: once the AvgEnergy predicate
+	// is pushed (its unrounded volume is below the call's image), its
+	// call goes with it, and the guard's loop skips the pushed call.
 	cl.SetStrategy(StrategyAuto)
 	out, err := cl.Explain(wideWhereQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "(17 cut(s) priced)") || !strings.Contains(out, "    filter ") {
+	if !strings.Contains(out, "(16 cut(s) priced)") || !strings.Contains(out, "    filter ") {
 		t.Errorf("wide WHERE did not plan through the greedy guard:\n%s", out)
 	}
 }
