@@ -2,6 +2,7 @@ package dap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -138,6 +139,36 @@ func TestFileDriverCorruption(t *testing.T) {
 	d := &FileDriver{Dir: dir}
 	if _, err := d.TableSchema("Trail"); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// TestFileTableRefusesUnbackedCount: a .mft file's tuple count is read
+// off disk. A table of no column, or of NULL columns whose values take
+// no bytes, could claim 2³²−1 rows with no byte behind them, and parsing
+// looped over them all — growing the column offsets by one per NULL
+// value — before a scan emitted them all. Such files are refused, and
+// so is any count the bytes cannot back.
+func TestFileTableRefusesUnbackedCount(t *testing.T) {
+	head := func(kinds ...types.Kind) []byte {
+		b := binary.BigEndian.AppendUint16([]byte(fileTableMagic), uint16(len(kinds)))
+		for _, k := range kinds {
+			b = append(binary.BigEndian.AppendUint16(b, 1), 'c', byte(k))
+		}
+		return b
+	}
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"NoColumn":   binary.BigEndian.AppendUint32(head(), 0xffffffff),
+		"NullColumn": binary.BigEndian.AppendUint32(head(types.KindNull), 0xffffffff),
+		"NullAndInt": append(binary.BigEndian.AppendUint32(head(types.KindNull, types.KindInt), 0xffffffff), 0, 0, 0, 1),
+		"Unbacked":   append(binary.BigEndian.AppendUint32(head(types.KindBool), 3), 1, 0),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name+".mft"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (&FileDriver{Dir: dir}).TableSchema(name); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

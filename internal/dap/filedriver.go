@@ -194,7 +194,7 @@ func (mftFile) parse(data []byte) (*fileTable, error) {
 		off += nameLen
 		kind := types.Kind(data[off])
 		off++
-		if !kind.Valid() {
+		if !kind.Valid() || kind == types.KindNull {
 			return nil, fmt.Errorf("column %q has invalid kind %d", name, kind)
 		}
 		ft.schema.Columns = append(ft.schema.Columns, types.Column{Name: name, Kind: kind})
@@ -204,6 +204,12 @@ func (mftFile) parse(data []byte) (*fileTable, error) {
 	}
 	ft.rows = int(binary.BigEndian.Uint32(data[off:]))
 	ft.recs = data[off+4:]
+	// Every value of a column's kind takes a byte or more, so the
+	// count and the offsets are bounded by the file; only a table of no
+	// column could claim rows without bytes, and it claims none.
+	if ft.rows > len(ft.recs) {
+		return nil, fmt.Errorf("%d tuples in %d bytes", ft.rows, len(ft.recs))
+	}
 	at := 0
 	for i := 0; i < ft.rows; i++ {
 		for _, c := range ft.schema.Columns {

@@ -3,9 +3,16 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"mocha/internal/types"
 )
 
 // fuzzFile is FuzzHeapFile's starting point, built once: a heap file of
@@ -138,6 +145,130 @@ func FuzzHeapFile(f *testing.F) {
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Fatalf("unpatched file: record %d reads back as %d other bytes", i, len(got[i]))
+			}
+		}
+	})
+}
+
+// storeMetaDoc is FuzzStoreMeta's valid store.xml: one table, T, over
+// the heap file storeHeap builds.
+const storeMetaDoc = `<store>
+  <table name="T">
+    <column name="id" kind="INT"></column>
+    <column name="name" kind="STRING"></column>
+  </table>
+</store>`
+
+// storeRows are the rows of T's heap file.
+var storeRows = []types.Tuple{
+	{types.Int(1), types.String_("one")},
+	{types.Int(2), types.String_("")},
+	{types.Int(3), types.String_("three, the longest")},
+}
+
+// storeHeap is T's heap file, built once.
+var storeHeap = sync.OnceValue(func() []byte {
+	disk := NewMemDisk()
+	bp := NewBufferPool(disk, 4)
+	h, err := CreateHeapFile(bp)
+	if err != nil {
+		panic(err)
+	}
+	tbl := NewTable("T", types.NewSchema(
+		types.Column{Name: "id", Kind: types.KindInt},
+		types.Column{Name: "name", Kind: types.KindString},
+	), h, bp)
+	for _, row := range storeRows {
+		if _, err := tbl.Insert(row); err != nil {
+			panic(err)
+		}
+	}
+	if err := bp.FlushAll(); err != nil {
+		panic(err)
+	}
+	return bytes.Join(disk.pages, nil)
+})
+
+// FuzzStoreMeta: store.xml comes from outside the program. The input is
+// the metadata file of a store directory that holds one valid heap file,
+// T.heap; OpenStore over it returns an error or a store whose every
+// table scans, as decoded tuples and as column records, to an error or
+// its rows, and never panics. Opening creates no file, inside the
+// directory or out of it, whatever the metadata names. The valid
+// document reads back T's rows.
+func FuzzStoreMeta(f *testing.F) {
+	f.Add([]byte(storeMetaDoc))
+	for _, edit := range [][2]string{
+		{`name="T"`, `name="U"`},                         // a table with no heap file
+		{`name="T"`, `name="../T"`},                      // a path out of the directory
+		{`name="T"`, `name="/T"`},                        // an absolute path
+		{`name="T"`, `name=""`},                          // no name
+		{`name="T"`, `name=".."`},                        // the parent
+		{`kind="INT"`, `kind="STRING"`},                  // a schema the records do not match
+		{`kind="STRING"`, `kind="NULL"`},                 // a column of no bytes: trailing bytes
+		{`kind="INT"`, `kind="TREE"`},                    // a kind that does not exist
+		{`<column name="id" kind="INT"></column>`, ``},   // a column short
+		{`</table>`, `</table><table name="T"></table>`}, // T named twice
+		{`</store>`, ``},                                 // truncated
+		{`<store>`, `<store><table name="T"></table>`},   // T twice, the first with no columns
+	} {
+		f.Add([]byte(strings.Replace(storeMetaDoc, edit[0], edit[1], 1)))
+	}
+	f.Add([]byte{})
+	f.Add([]byte("not xml <"))
+	heap := storeHeap()
+	f.Fuzz(func(t *testing.T, meta []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "store")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string][]byte{"T.heap": heap, "store.xml": meta} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := OpenStore(dir, 4)
+		if err == nil {
+			defer s.Close()
+		}
+		var files []string
+		filepath.WalkDir(root, func(path string, _ os.DirEntry, _ error) error {
+			files = append(files, path[len(root):])
+			return nil
+		})
+		if want := []string{"", "/store", "/store/T.heap", "/store/store.xml"}; !slices.Equal(files, want) {
+			t.Fatalf("opening the store left %q, want %q", files, want)
+		}
+		valid := string(meta) == storeMetaDoc
+		if err != nil {
+			if valid {
+				t.Fatalf("valid store refused: %v", err)
+			}
+			return
+		}
+		for _, name := range s.TableNames() {
+			tbl, _ := s.Table(name)
+			var got []types.Tuple
+			it, err := tbl.Scan()
+			for err == nil {
+				var tup types.Tuple
+				if tup, _, err = it.Next(); err != nil || tup == nil {
+					break
+				}
+				got = append(got, tup)
+			}
+			records := 0
+			all := make([]int, tbl.Schema().Arity())
+			for i := range all {
+				all[i] = i
+			}
+			recErr := tbl.Records(all, func([][]byte) error { records++; return nil })
+			if (err == nil) != (recErr == nil) || (err == nil && records != len(got)) {
+				t.Fatalf("table %s: the scan read %d tuples (%v), Records %d (%v)", name, len(got), err, records, recErr)
+			}
+			if valid && (err != nil || fmt.Sprint(got) != fmt.Sprint(storeRows)) {
+				t.Fatalf("valid store reads %v (%v), want %v", got, err, storeRows)
 			}
 		}
 	})

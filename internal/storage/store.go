@@ -61,25 +61,58 @@ func OpenStore(dir string, poolFrames int) (*Store, error) {
 		return nil, fmt.Errorf("storage: parse store metadata: %w", err)
 	}
 	for _, tm := range s.meta.Tables {
-		disk, err := OpenFileDisk(filepath.Join(dir, tm.Name+".heap"))
-		if err != nil {
+		if err := s.openTable(tm); err != nil {
+			s.Close()
 			return nil, err
 		}
-		bp := NewBufferPool(disk, poolFrames)
-		heap, err := OpenHeapFile(bp)
-		if err != nil {
-			disk.Close()
-			return nil, fmt.Errorf("storage: table %s: %w", tm.Name, err)
-		}
-		s.tables[tm.Name] = NewTable(tm.Name, types.Schema{Columns: tm.Columns}, heap, bp)
 	}
 	return s, nil
+}
+
+// openTable opens the heap file of a table store.xml names. The file
+// comes from outside the program, so the name must be a table name,
+// named once, whose heap file exists: opening a store creates no file.
+func (s *Store) openTable(tm tableMeta) error {
+	if err := checkName(tm.Name); err != nil {
+		return err
+	}
+	if _, dup := s.tables[tm.Name]; dup {
+		return fmt.Errorf("storage: table %s named twice", tm.Name)
+	}
+	path := filepath.Join(s.dir, tm.Name+".heap")
+	if _, err := os.Stat(path); err != nil {
+		return fmt.Errorf("storage: table %s: %w", tm.Name, err)
+	}
+	disk, err := OpenFileDisk(path)
+	if err != nil {
+		return err
+	}
+	bp := NewBufferPool(disk, s.frames)
+	heap, err := OpenHeapFile(bp)
+	if err != nil {
+		disk.Close()
+		return fmt.Errorf("storage: table %s: %w", tm.Name, err)
+	}
+	s.tables[tm.Name] = NewTable(tm.Name, types.Schema{Columns: tm.Columns}, heap, bp)
+	return nil
+}
+
+// checkName refuses a table name that is not a file name of its own
+// in the store's directory.
+func checkName(name string) error {
+	if !filepath.IsLocal(name) || filepath.Base(name) != name {
+		return fmt.Errorf("storage: %q is not a table name", name)
+	}
+	return nil
 }
 
 // Create makes a new table.
 func (s *Store) Create(name string, schema types.Schema) (*Table, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := checkName(name); err != nil {
+		return nil, err
+	}
 	if _, exists := s.tables[name]; exists {
 		return nil, fmt.Errorf("storage: table %s already exists", name)
 	}
@@ -143,13 +176,16 @@ func (s *Store) saveMetaLocked() error {
 	return os.WriteFile(filepath.Join(s.dir, "store.xml"), data, 0o644)
 }
 
-// Close flushes all tables.
+// Close flushes all tables and closes their files.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var firstErr error
 	for _, t := range s.tables {
 		if err := t.pool.FlushAll(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if err := t.pool.disk.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mocha/internal/types"
@@ -178,5 +180,101 @@ func TestStoreTableNames(t *testing.T) {
 	names := s.TableNames()
 	if len(names) != 2 || names[0] != "A" || names[1] != "B" {
 		t.Errorf("names = %v", names)
+	}
+}
+
+// TestOpenStoreCreatesNoFile: store.xml is read off disk, so a table it
+// names outside the store's directory, a table whose heap file is
+// missing and a table named twice are refused, and the refused open
+// leaves no file behind: opening used to create an empty heap file for
+// any name, wherever it pointed.
+func TestOpenStoreCreatesNoFile(t *testing.T) {
+	for _, meta := range []string{
+		`<store><table name="../outside"><column name="a" kind="INT"/></table></store>`,
+		`<store><table name="missing"><column name="a" kind="INT"/></table></store>`,
+		`<store><table name=""><column name="a" kind="INT"/></table></store>`,
+		`<store><table name="T"><column name="a" kind="INT"/></table><table name="T"><column name="a" kind="INT"/></table></store>`,
+	} {
+		root := t.TempDir()
+		dir := filepath.Join(root, "store")
+		s, err := OpenStore(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Create("T", types.NewSchema(types.Column{Name: "a", Kind: types.KindInt})); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "store.xml"), []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenStore(dir, 4); err == nil {
+			t.Errorf("%s: opened", meta)
+		}
+		var files []string
+		filepath.WalkDir(root, func(path string, _ os.DirEntry, _ error) error {
+			files = append(files, path[len(root):])
+			return nil
+		})
+		if want := []string{"", "/store", "/store/T.heap", "/store/store.xml"}; fmt.Sprint(files) != fmt.Sprint(want) {
+			t.Errorf("%s: left %q", meta, files)
+		}
+	}
+	if _, err := (&Store{tables: map[string]*Table{}}).Create("../T", types.Schema{}); err == nil {
+		t.Error("Create made a table its store could not reopen")
+	}
+}
+
+// TestStoreCloseClosesFiles: Close closes every table's heap file, so a
+// process that opens and closes a store keeps no descriptor of it — and
+// a refused open closes the files it had opened.
+func TestStoreCloseClosesFiles(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count descriptors in")
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"A", "B"} {
+		if _, err := s.Create(name, types.NewSchema(types.Column{Name: "a", Kind: types.KindInt})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := fds()
+	for i := 0; i < 5; i++ {
+		s, err := OpenStore(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta, err := os.ReadFile(filepath.Join(dir, "store.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := strings.Replace(string(meta), "</store>", `<table name="C"></table></store>`, 1)
+	if err := os.WriteFile(filepath.Join(dir, "store.xml"), []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := OpenStore(dir, 4); err == nil {
+			t.Fatal("a table with no heap file opened")
+		}
+	}
+	if after := fds(); after != before {
+		t.Errorf("%d descriptors open after opening and closing the store, %d before", after, before)
 	}
 }
