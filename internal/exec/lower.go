@@ -244,9 +244,11 @@ func lowerChain(ch *core.Chain, cur Operator, ops []Operator, binder core.OpBind
 		}
 		cur = agg
 		ops = append(ops, cur)
-		memo = core.NewMemo()
 	}
 	if !aggregates || len(ch.Projections) > 0 {
+		if aggregates {
+			memo = core.NewMemo()
+		}
 		projs, names, err := compileProjs(ch.Projections, binder, memo)
 		if err != nil {
 			return nil, nil, err
