@@ -343,12 +343,9 @@ func (p *planner) buildStage(frag *Fragment, ti int, outCols []int, preds []*PEx
 	}
 	st := &Chain{Projections: make([]Output, 0, width)}
 	frag.Stage, frag.StageSchema = st, types.Schema{Columns: make([]types.Column, 0, width)}
-	for _, e := range preds {
-		le, err := p.rebase(e, pos, "shipped to the QPC")
-		if err != nil {
-			return nil, err
-		}
-		st.Predicates = append(st.Predicates, le)
+	var err error
+	if st.Predicates, err = p.rebase(pos, "shipped to the QPC", preds...); err != nil {
+		return nil, err
 	}
 	emitted := make([]int, 0, width)
 	emit := func(ext int, expr *PExpr) {
@@ -364,32 +361,39 @@ func (p *planner) buildStage(frag *Fragment, ti int, outCols []int, preds []*PEx
 	}
 	for _, sc := range p.staged {
 		if p.cols[sc.col].table == ti {
-			le, err := p.rebase(sc.expr, pos, "shipped to the QPC")
+			le, err := p.rebase(pos, "shipped to the QPC", sc.expr)
 			if err != nil {
 				return nil, err
 			}
-			emit(sc.col, le)
+			emit(sc.col, le[0])
 		}
 	}
 	return emitted, nil
 }
 
-// rebase rewrites e's extended-space column references into the schema
-// pos indexes (extended column -> position); a column pos lacks is an
-// error saying the column is not what (extracted, shipped…).
-func (p *planner) rebase(e *PExpr, pos map[int]int, what string) (*PExpr, error) {
+// rebase rewrites the expressions' extended-space column references
+// into the schema pos indexes (extended column -> position), for every
+// chain the plan holds; a column pos lacks is an error saying the column
+// is not what (extracted, shipped…).
+func (p *planner) rebase(pos map[int]int, what string, es ...*PExpr) ([]*PExpr, error) {
+	if len(es) == 0 {
+		return nil, nil
+	}
 	var missing error
-	out := e.Rewrite(func(x *PExpr) *PExpr {
-		if x.Kind != ExprCol {
-			return x
-		}
-		i, ok := pos[x.Col]
-		if !ok {
-			missing = fmt.Errorf("core: column %s not %s", p.cols[x.Col].name, what)
-			return x
-		}
-		return NewCol(i, x.Ret)
-	})
+	out := make([]*PExpr, len(es))
+	for i, e := range es {
+		out[i] = e.Rewrite(func(x *PExpr) *PExpr {
+			if x.Kind != ExprCol {
+				return x
+			}
+			at, ok := pos[x.Col]
+			if !ok {
+				missing = fmt.Errorf("core: column %s not %s", p.cols[x.Col].name, what)
+				return x
+			}
+			return NewCol(at, x.Ret)
+		})
+	}
 	return out, missing
 }
 
@@ -512,12 +516,8 @@ func (p *planner) build() (*Plan, error) {
 	}
 
 	// Step 5: QPC-side predicates.
-	for _, e := range qpcPreds {
-		re, err := p.rebase(e, combined, "available at QPC")
-		if err != nil {
-			return nil, err
-		}
-		plan.Predicates = append(plan.Predicates, re)
+	if plan.Predicates, err = p.rebase(combined, "available at QPC", qpcPreds...); err != nil {
+		return nil, err
 	}
 
 	// Step 6: QPC-side aggregation.
@@ -531,16 +531,10 @@ func (p *planner) build() (*Plan, error) {
 			plan.GroupBy = append(plan.GroupBy, ci)
 		}
 		for _, a := range aggsAtQPC {
-			ra := a
-			ra.Args = make([]*PExpr, len(a.Args))
-			for j, arg := range a.Args {
-				e, err := p.rebase(arg, combined, "available at QPC")
-				if err != nil {
-					return nil, err
-				}
-				ra.Args[j] = e
+			if a.Args, err = p.rebase(combined, "available at QPC", a.Args...); err != nil {
+				return nil, err
 			}
-			plan.Aggregates = append(plan.Aggregates, ra)
+			plan.Aggregates = append(plan.Aggregates, a)
 		}
 		// Aggregation output schema: group columns then aggregates.
 		projInput = types.Schema{}
@@ -583,11 +577,11 @@ func (p *planner) build() (*Plan, error) {
 				}
 				out = Output{Name: it.Name, Expr: NewCol(ci, e.Ret)}
 			} else {
-				re, err := p.rebase(e, combined, "available at QPC")
+				re, err := p.rebase(combined, "available at QPC", e)
 				if err != nil {
 					return nil, err
 				}
-				out = Output{Name: it.Name, Expr: re}
+				out = Output{Name: it.Name, Expr: re[0]}
 			}
 		}
 		plan.Projections = append(plan.Projections, out)
@@ -644,11 +638,11 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 	}
 	sort.SliceStable(pushed, func(i, j int) bool { return rank[pushed[i]] < rank[pushed[j]] })
 	for _, idx := range pushed {
-		le, err := p.rebase(d.nodes[idx].expr, local, "extracted")
+		le, err := p.rebase(local, "extracted", d.nodes[idx].expr)
 		if err != nil {
 			return nil, nil, err
 		}
-		frag.Predicates = append(frag.Predicates, le)
+		frag.Predicates = append(frag.Predicates, le...)
 	}
 
 	// Semi-join filtering column (the join key, if participating).
@@ -682,13 +676,9 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 			}
 			agg := *it.Agg
 			agg.Name = it.Name
-			agg.Args = make([]*PExpr, len(it.Agg.Args))
-			for j, a := range it.Agg.Args {
-				la, err := p.rebase(a, local, "extracted")
-				if err != nil {
-					return nil, nil, err
-				}
-				agg.Args[j] = la
+			var err error
+			if agg.Args, err = p.rebase(local, "extracted", it.Agg.Args...); err != nil {
+				return nil, nil, err
 			}
 			frag.Aggregates = append(frag.Aggregates, agg)
 			ship(-1, agg.Name, agg.Ret) // aggregate outputs are addressed by name
@@ -704,12 +694,12 @@ func (p *planner) buildFragment(ti int, semiJoin bool, joinPreds []BoundPred) (*
 		roots := append([]int(nil), tc.price.roots...)
 		sort.Slice(roots, func(i, j int) bool { return p.virt[roots[i]] < p.virt[roots[j]] }) // _vN order
 		for _, idx := range roots {
-			le, err := p.rebase(d.nodes[idx].expr, local, "extracted")
+			le, err := p.rebase(local, "extracted", d.nodes[idx].expr)
 			if err != nil {
 				return nil, nil, err
 			}
 			col := p.virt[idx]
-			frag.Projections = append(frag.Projections, Output{Name: p.cols[col].name, Expr: le})
+			frag.Projections = append(frag.Projections, Output{Name: p.cols[col].name, Expr: le[0]})
 			ship(col, p.cols[col].name, p.cols[col].kind)
 		}
 	}

@@ -71,22 +71,24 @@ type Chain struct {
 // each call in an expression, and each aggregate's function before its
 // arguments' calls.
 func (c *Chain) Calls(f func(name string)) {
-	call := func(x *PExpr) {
-		if x.Kind == ExprCall {
-			f(x.Func)
-		}
-	}
-	for _, e := range c.Predicates {
-		e.Walk(call)
-	}
+	CallsIn(f, c.Predicates...)
 	for _, a := range c.Aggregates {
 		f(a.Func)
-		for _, arg := range a.Args {
-			arg.Walk(call)
-		}
+		CallsIn(f, a.Args...)
 	}
 	for _, o := range c.Projections {
-		o.Expr.Walk(call)
+		CallsIn(f, o.Expr)
+	}
+}
+
+// CallsIn calls f with the name of every operator the expressions call.
+func CallsIn(f func(name string), exprs ...*PExpr) {
+	for _, e := range exprs {
+		e.Walk(func(x *PExpr) {
+			if x.Kind == ExprCall {
+				f(x.Func)
+			}
+		})
 	}
 }
 

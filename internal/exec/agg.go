@@ -108,7 +108,7 @@ func NewHashAggregate(name string, child Operator, groupBy []int, specs []core.A
 	}
 	a.stats.Name = name
 	for _, spec := range specs {
-		a.argsCall = a.argsCall || callsOperator(spec.Args...)
+		core.CallsIn(func(string) { a.argsCall = true }, spec.Args...)
 	}
 	return a, nil
 }
@@ -117,13 +117,9 @@ func NewHashAggregate(name string, child Operator, groupBy []int, specs []core.A
 func compileAggArgs(specs []core.AggSpec, binder core.OpBinder, memo *core.Memo) ([][]core.EvalFn, error) {
 	out := make([][]core.EvalFn, len(specs))
 	for i, spec := range specs {
-		out[i] = make([]core.EvalFn, len(spec.Args))
-		for j, argExpr := range spec.Args {
-			fn, err := core.CompileExprMemo(argExpr, binder, memo)
-			if err != nil {
-				return nil, err
-			}
-			out[i][j] = fn
+		var err error
+		if out[i], err = compileExprs(spec.Args, binder, memo); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

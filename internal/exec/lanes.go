@@ -367,19 +367,6 @@ func (c *chain) runLane(l int) {
 	c.parts[l] = rows
 }
 
-// callsOperator reports whether any expression calls a bound operator.
-func callsOperator(exprs ...*core.PExpr) bool {
-	found := false
-	for _, e := range exprs {
-		e.Walk(func(n *core.PExpr) {
-			if n.Kind == core.ExprCall {
-				found = true
-			}
-		})
-	}
-	return found
-}
-
 // laneForker is a binder that can bind the same operators again for
 // another lane: the same releases, a machine of its own.
 type laneForker interface {

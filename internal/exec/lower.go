@@ -132,8 +132,8 @@ func colName(s types.Schema, i int) string {
 	return "?"
 }
 
-// compilePreds compiles predicate expressions against a shared memo.
-func compilePreds(exprs []*core.PExpr, binder core.OpBinder, memo *core.Memo) ([]core.EvalFn, error) {
+// compileExprs compiles expressions against a shared memo.
+func compileExprs(exprs []*core.PExpr, binder core.OpBinder, memo *core.Memo) ([]core.EvalFn, error) {
 	preds := make([]core.EvalFn, len(exprs))
 	for i, p := range exprs {
 		fn, err := core.CompileExprMemo(p, binder, memo)
@@ -223,7 +223,7 @@ func lowerChain(ch *core.Chain, cur Operator, ops []Operator, binder core.OpBind
 	// set is the first operator's own lane set, which the others join.
 	var set *laneSet
 	if len(ch.Predicates) > 0 {
-		preds, err := compilePreds(ch.Predicates, binder, memo)
+		preds, err := compileExprs(ch.Predicates, binder, memo)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -286,7 +286,7 @@ func forkLanes(ch *core.Chain, binder core.OpBinder) func() (*lane, error) {
 		b := fb.Fork()
 		ln := &lane{memo: core.NewMemo()}
 		var err error
-		if ln.preds, err = compilePreds(ch.Predicates, b, ln.memo); err != nil {
+		if ln.preds, err = compileExprs(ch.Predicates, b, ln.memo); err != nil {
 			return nil, err
 		}
 		if len(ch.Aggregates) > 0 {

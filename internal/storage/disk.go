@@ -44,9 +44,13 @@ type FileDisk struct {
 	pages uint32
 }
 
-// OpenFileDisk opens (creating if needed) a page file.
-func OpenFileDisk(path string) (*FileDisk, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// OpenFileDisk opens a page file, or with create makes a new one.
+func OpenFileDisk(path string, create bool) (*FileDisk, error) {
+	flag := os.O_RDWR
+	if create {
+		flag |= os.O_CREATE | os.O_EXCL
+	}
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}

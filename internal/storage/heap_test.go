@@ -336,7 +336,7 @@ func TestHeapBadRIDs(t *testing.T) {
 
 func TestHeapPersistence(t *testing.T) {
 	dir := t.TempDir()
-	disk, err := OpenFileDisk(dir + "/t.heap")
+	disk, err := OpenFileDisk(dir+"/t.heap", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestHeapPersistence(t *testing.T) {
 	}
 	disk.Close()
 
-	disk2, err := OpenFileDisk(dir + "/t.heap")
+	disk2, err := OpenFileDisk(dir+"/t.heap", false)
 	if err != nil {
 		t.Fatal(err)
 	}

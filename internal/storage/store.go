@@ -61,7 +61,7 @@ func OpenStore(dir string, poolFrames int) (*Store, error) {
 		return nil, fmt.Errorf("storage: parse store metadata: %w", err)
 	}
 	for _, tm := range s.meta.Tables {
-		if err := s.openTable(tm); err != nil {
+		if _, err := s.attach(tm.Name, types.Schema{Columns: tm.Columns}, false); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -69,49 +69,13 @@ func OpenStore(dir string, poolFrames int) (*Store, error) {
 	return s, nil
 }
 
-// openTable opens the heap file of a table store.xml names. The file
-// comes from outside the program, so the name must be a table name,
-// named once, whose heap file exists: opening a store creates no file.
-func (s *Store) openTable(tm tableMeta) error {
-	if err := checkName(tm.Name); err != nil {
-		return err
-	}
-	if _, dup := s.tables[tm.Name]; dup {
-		return fmt.Errorf("storage: table %s named twice", tm.Name)
-	}
-	path := filepath.Join(s.dir, tm.Name+".heap")
-	if _, err := os.Stat(path); err != nil {
-		return fmt.Errorf("storage: table %s: %w", tm.Name, err)
-	}
-	disk, err := OpenFileDisk(path)
-	if err != nil {
-		return err
-	}
-	bp := NewBufferPool(disk, s.frames)
-	heap, err := OpenHeapFile(bp)
-	if err != nil {
-		disk.Close()
-		return fmt.Errorf("storage: table %s: %w", tm.Name, err)
-	}
-	s.tables[tm.Name] = NewTable(tm.Name, types.Schema{Columns: tm.Columns}, heap, bp)
-	return nil
-}
-
-// checkName refuses a table name that is not a file name of its own
-// in the store's directory.
-func checkName(name string) error {
+// attach opens the heap file of table name, or with create makes it, and
+// adds the table. Names are read from store.xml, which comes from outside
+// the program: a name must be a file name in the store's directory and
+// new, and opening a store creates no file.
+func (s *Store) attach(name string, schema types.Schema, create bool) (*Table, error) {
 	if !filepath.IsLocal(name) || filepath.Base(name) != name {
-		return fmt.Errorf("storage: %q is not a table name", name)
-	}
-	return nil
-}
-
-// Create makes a new table.
-func (s *Store) Create(name string, schema types.Schema) (*Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := checkName(name); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("storage: %q is not a table name", name)
 	}
 	if _, exists := s.tables[name]; exists {
 		return nil, fmt.Errorf("storage: table %s already exists", name)
@@ -120,24 +84,35 @@ func (s *Store) Create(name string, schema types.Schema) (*Table, error) {
 	if s.dir == "" {
 		disk = NewMemDisk()
 	} else {
-		path := filepath.Join(s.dir, name+".heap")
-		if _, err := os.Stat(path); err == nil {
-			return nil, fmt.Errorf("storage: heap file for %s already exists", name)
-		}
-		fd, err := OpenFileDisk(path)
+		fd, err := OpenFileDisk(filepath.Join(s.dir, name+".heap"), create)
 		if err != nil {
 			return nil, err
 		}
 		disk = fd
 	}
 	bp := NewBufferPool(disk, s.frames)
-	heap, err := CreateHeapFile(bp)
+	open := OpenHeapFile
+	if create {
+		open = CreateHeapFile
+	}
+	heap, err := open(bp)
 	if err != nil {
 		disk.Close()
-		return nil, err
+		return nil, fmt.Errorf("storage: table %s: %w", name, err)
 	}
 	t := NewTable(name, schema, heap, bp)
 	s.tables[name] = t
+	return t, nil
+}
+
+// Create makes a new table.
+func (s *Store) Create(name string, schema types.Schema) (*Table, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, err := s.attach(name, schema, true)
+	if err != nil {
+		return nil, err
+	}
 	s.meta.Tables = append(s.meta.Tables, tableMeta{Name: name, Columns: schema.Columns})
 	if err := s.saveMetaLocked(); err != nil {
 		return nil, err
