@@ -172,6 +172,32 @@ func TestFileTableRefusesUnbackedCount(t *testing.T) {
 	}
 }
 
+// TestFileSourceReadsOnlyItsDirectory: a table name arrives in a START,
+// so a name that leaves the directory is refused, not read — the file
+// source used to load "../outside" from the directory's parent.
+func TestFileSourceReadsOnlyItsDirectory(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "repo")
+	for _, write := range []func(string, string, types.Schema, []types.Tuple) error{WriteFileTable, WriteXMLTable} {
+		if err := write(root, "outside", driverSchema, driverTuples()); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(dir, "inside", driverSchema, driverTuples()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range []AccessDriver{&FileDriver{Dir: dir}, &XMLDriver{Dir: dir}} {
+		if _, err := d.TableSchema("inside"); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"../outside", filepath.Join(root, "outside"), "sub/../../outside"} {
+			if _, err := d.TableSchema(name); err == nil {
+				t.Errorf("%T read table %q from outside its directory", d, name)
+			}
+		}
+	}
+}
+
 func TestXMLDriverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	if err := WriteXMLTable(dir, "Stations", driverSchema, driverTuples()); err != nil {

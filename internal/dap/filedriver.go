@@ -80,6 +80,10 @@ func (d *fileSource[F]) load(table string) (*fileTable, error) {
 	}
 	var f F
 	name := table + f.suffix()
+	// The table name arrives in a START: it names a file in Dir or none.
+	if !filepath.IsLocal(name) || filepath.Base(name) != name {
+		return nil, fmt.Errorf("dap: %q is not a table of %s", table, d.Dir)
+	}
 	data, err := os.ReadFile(filepath.Join(d.Dir, name))
 	if err != nil {
 		return nil, fmt.Errorf("dap: %s has no table %q: %w", d.Dir, table, err)
