@@ -134,15 +134,15 @@ func colName(s types.Schema, i int) string {
 
 // compileExprs compiles expressions against a shared memo.
 func compileExprs(exprs []*core.PExpr, binder core.OpBinder, memo *core.Memo) ([]core.EvalFn, error) {
-	preds := make([]core.EvalFn, len(exprs))
-	for i, p := range exprs {
-		fn, err := core.CompileExprMemo(p, binder, memo)
+	fns := make([]core.EvalFn, len(exprs))
+	for i, e := range exprs {
+		fn, err := core.CompileExprMemo(e, binder, memo)
 		if err != nil {
 			return nil, err
 		}
-		preds[i] = fn
+		fns[i] = fn
 	}
-	return preds, nil
+	return fns, nil
 }
 
 // compileProjs compiles projection outputs against a shared memo.
