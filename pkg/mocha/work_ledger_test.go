@@ -13,6 +13,7 @@ import (
 
 	"mocha/internal/obs"
 	"mocha/internal/sequoia"
+	"mocha/internal/storage"
 )
 
 var updateWorkLedger = flag.Bool("update-work-ledger", false, "rewrite testdata/work_ledger.golden")
@@ -34,9 +35,10 @@ func (r workRow) exact() string {
 		r.instrs, r.framesOut, r.framesIn, r.cvdt, r.rows)
 }
 
-// TestWorkLedger counts the work Q1–Q6 do under all three strategies,
-// a data-shipped selective join, and data-shipped Q5/Q6 under the
-// 48 KiB spill budget. Per query it
+// TestWorkLedger counts the work Q1–Q6 and the rest of the DAG-cut
+// ladder do under all three strategies, a data-shipped selective join,
+// data-shipped Q5/Q6 under the 48 KiB spill budget, and the partition
+// ladder over a 3-way range-partitioned Rasters. Per query it
 // pins exactly the MVM instructions (Σ span Instrs), the frames the QPC
 // sent and received, CVDT and the result rows, and the process-wide
 // allocations, the minimum of 5 warm runs, within allocSlack either
@@ -103,9 +105,31 @@ func TestWorkLedger(t *testing.T) {
 		}
 	}
 	measure("plain", plain, "selective", selectiveJoin, StrategyDataShip)
+	// The DAG-cut ladder's statements the rows above lack: Q4 at its
+	// 50 % calibration, the composed-expression queries and wide_where.
+	for _, q := range dagCutLadderQueries(t, plain, scale) {
+		switch q.label {
+		case "Q1", "Q2", "Q3", "Q5", "Q6":
+			continue
+		case "Q4":
+			q.label = "Q4_cal50"
+		}
+		for _, strat := range []Strategy{StrategyCodeShip, StrategyDataShip, StrategyAuto} {
+			measure("plain", plain, q.label, q.sql, strat)
+		}
+	}
 	governed, _ := testCluster(t, ClusterConfig{Exec: Tuning{MemBudgetBytes: spillBudget}})
 	measure("spill48k", governed, "Q5", sequoia.Q5, StrategyDataShip)
 	measure("spill48k", governed, "Q6", sequoia.Q6, StrategyDataShip)
+	part, _, _ := partitionedPair(t, func(src *storage.Table) *PartitionSpec {
+		return RangePlacement("Rasters", "time", timeCuts(t, src, 3),
+			[][]string{partitionSites(0), partitionSites(1), partitionSites(2)})
+	}, ClusterConfig{})
+	for _, q := range partitionLadderQueries(partitionScale()) {
+		for _, strat := range []Strategy{StrategyCodeShip, StrategyDataShip, StrategyAuto} {
+			measure("range3", part, q.label, q.sql, strat)
+		}
+	}
 
 	path := filepath.Join("testdata", "work_ledger.golden")
 	procs := fmt.Sprintf("gomaxprocs %d", runtime.GOMAXPROCS(0))
