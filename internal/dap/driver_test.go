@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"mocha/internal/core"
@@ -222,6 +223,37 @@ func TestXMLDriverValidation(t *testing.T) {
 	for _, name := range []string{"NotXML", "BadKind", "BadArity", "BadValue", "BadBase64"} {
 		if _, err := (&XMLDriver{Dir: dir}).TableSchema(name); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestXMLDriverBoolCells: a BOOL cell reads true or false, space
+// around it aside; any other text is refused like a bad INT cell, not
+// read as false.
+func TestXMLDriverBoolCells(t *testing.T) {
+	doc := func(cells ...string) string {
+		var b strings.Builder
+		b.WriteString(`<table name="T"><schema><column name="b" kind="BOOL"/></schema>`)
+		for _, c := range cells {
+			b.WriteString("<row><v>" + c + "</v></row>")
+		}
+		return b.String() + "</table>"
+	}
+	read := func(body string) ([]types.Tuple, error) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "T.xml"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, rows, err := readFileTable(t, &XMLDriver{Dir: dir}, -1)
+		return rows, err
+	}
+	rows, err := read(doc("true", " false\n"))
+	if err != nil || fmt.Sprint(rows) != fmt.Sprint([]types.Tuple{{types.Bool(true)}, {types.Bool(false)}}) {
+		t.Fatalf("true and false cells read %v, %v", rows, err)
+	}
+	for _, cell := range []string{"yes", "TRUE", "1"} {
+		if rows, err := read(doc(cell)); err == nil {
+			t.Errorf("BOOL cell %q accepted as %v", cell, rows)
 		}
 	}
 }

@@ -297,7 +297,13 @@ func decodeXMLValue(k types.Kind, text string) (types.Object, error) {
 		}
 		return types.Double(f), nil
 	case types.KindBool:
-		return types.Bool(strings.TrimSpace(text) == "true"), nil
+		switch strings.TrimSpace(text) {
+		case "true":
+			return types.Bool(true), nil
+		case "false":
+			return types.Bool(false), nil
+		}
+		return nil, fmt.Errorf("invalid BOOL %q: want true or false", text)
 	case types.KindString:
 		return types.String_(text), nil
 	default:
