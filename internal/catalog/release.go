@@ -30,8 +30,8 @@ type Release struct {
 	Digest string
 	// Caps is the verifier's host-capability manifest for the blob.
 	Caps []string
-	// Cost is the verifier's static cost-and-resource summary for the
-	// blob, stamped at publish and re-checked on LoadDir like Digest.
+	// Cost is the verifier's static cost summary for the blob, stamped
+	// at publish and re-checked on LoadDir like Digest.
 	Cost vm.CostInfo
 	// Published is the publication time.
 	Published time.Time

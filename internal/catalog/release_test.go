@@ -305,7 +305,7 @@ func TestLoadDirCostStamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Cost.IsZero() || !rel.Cost.Bounded {
+	if !rel.Cost.Bounded || rel.Cost.BudgetInstrs == 0 {
 		t.Fatalf("publish did not stamp a bounded cost: %+v", rel.Cost)
 	}
 	dir := t.TempDir()

@@ -10,6 +10,7 @@ import (
 	"mocha/internal/ops"
 	"mocha/internal/sqlparser"
 	"mocha/internal/types"
+	"mocha/internal/vm"
 )
 
 // sequoiaCatalog builds a catalog mirroring Table 1 of the paper: the
@@ -528,7 +529,7 @@ func TestCodeRefCapsPlanXMLRoundTrip(t *testing.T) {
 			ref = &plan.Fragments[0].Code[i]
 		}
 	}
-	if ref == nil || !slices.Equal(ref.Caps, []string{"sqrt"}) || ref.Cost.IsZero() {
+	if ref == nil || !slices.Equal(ref.Caps, []string{"sqrt"}) || ref.Cost.BudgetInstrs == 0 {
 		t.Fatalf("planner did not attach the release's manifest: %+v", plan.Fragments[0].Code)
 	}
 
@@ -541,7 +542,7 @@ func TestCodeRefCapsPlanXMLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range frag.Code {
-		if c.Name == "Perimeter" && (c.Checksum != ref.Checksum || c.Caps != nil || c.Version != "" || !c.Cost.IsZero()) {
+		if c.Name == "Perimeter" && (c.Checksum != ref.Checksum || c.Caps != nil || c.Version != "" || c.Cost != (vm.CostInfo{})) {
 			t.Errorf("shipped ref = %+v, want only the name and digest %s", c, ref.Checksum)
 		}
 	}

@@ -199,9 +199,7 @@ func (p *planner) buildDAG() *queryDAG {
 			n.costPB = def.CPUCostPerByte
 		}
 		if rel, ok := p.opt.Cat.Repo().ActiveRelease(e.Func); ok {
-			if !rel.Cost.IsZero() {
-				n.static, n.hasStatic = rel.Cost, true
-			}
+			n.static, n.hasStatic = rel.Cost, true
 		} else {
 			n.pinAbove = true // no shippable class
 		}
@@ -493,8 +491,8 @@ func feasibleCut(d *queryDAG, ti int, asg *cutAssignment) bool {
 
 // nodeMS is the modeled CPU time of running node n's own operator over
 // rows input tuples: in the MVM below the cut — from the verifier's
-// static stamp when the class carries one, the catalog's per-byte
-// constant otherwise — or natively at the QPC above it.
+// static stamp when the node calls a shipped class, the catalog's
+// per-byte constant for a predicate — or natively at the QPC above it.
 func (m CostModel) nodeMS(n *cutNode, rows int64, below bool) float64 {
 	if below && n.hasStatic {
 		return m.CompMSStatic(rows, int64(n.argBytes), n.static)

@@ -127,7 +127,7 @@ func syntheticFragment() *Fragment {
 		Chain: Chain{Predicates: preds, GroupBy: []int{0},
 			Aggregates: []AggSpec{{Name: "n", Func: "Count", Ret: types.KindInt}}},
 		Code: []CodeRef{{Name: "Count", Version: "1.0", Checksum: "abc", Caps: []string{"alloc"},
-			Cost: vm.CostInfo{Bounded: true, BudgetInstrs: 9, Purity: "pure"}}},
+			Cost: vm.CostInfo{Bounded: true, BudgetInstrs: 9}}},
 		OutSchema: types.NewSchema(types.Column{Name: "k", Kind: types.KindInt}, types.Column{Name: "n", Kind: types.KindInt}),
 		Limit:     5,
 		Parts: []PartTarget{

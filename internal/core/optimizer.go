@@ -881,8 +881,8 @@ func staticCostLine(code []CodeRef) string {
 		if ci.Bounded {
 			instrs = fmt.Sprintf("%d", ci.BudgetInstrs)
 		}
-		parts = append(parts, fmt.Sprintf("%s instrs=%s fixed=%d per-byte=%d scratch=%dB %s",
-			ref.Name, instrs, ci.FixedUnits, ci.PerTripUnits, ci.ScratchBytes, ci.Purity))
+		parts = append(parts, fmt.Sprintf("%s instrs=%s fixed=%d per-byte=%d",
+			ref.Name, instrs, ci.FixedUnits, ci.PerTripUnits))
 	}
 	return strings.Join(parts, "; ")
 }

@@ -17,10 +17,9 @@ type CodeRef struct {
 	Checksum string `xml:"checksum,attr"`
 	// Version is the release tag; Caps is the verifier's capability
 	// manifest, the host intrinsics the class may invoke (empty means
-	// pure stack code); Cost is the verifier's static cost-and-resource
-	// summary. All three are copied from the release so the optimizer,
-	// the governor and the rollout judge can price the class without
-	// holding its blob.
+	// pure stack code); Cost is the verifier's static cost summary. All
+	// three are copied from the release so the optimizer and the rollout
+	// judge can price the class without holding its blob.
 	Version string      `xml:"-"`
 	Caps    []string    `xml:"-"`
 	Cost    vm.CostInfo `xml:"-"`

@@ -19,7 +19,7 @@ func seamPlan() *core.Plan {
 		InSchema: sch, OutSchema: sch,
 		Code: []core.CodeRef{
 			{Name: "AvgEnergy", Checksum: "aaaa", Cost: vm.CostInfo{Bounded: true, BudgetInstrs: 100,
-				FixedUnits: 7, PerTripUnits: 18, ScratchBytes: 64, AllocBounded: true, Purity: "pure"}},
+				FixedUnits: 7, PerTripUnits: 18}},
 			{Name: "Clip", Checksum: "bbbb"}, // no scratch
 		},
 		CutPoint: "below=[call AvgEnergy]", CutAlts: 2,

@@ -403,10 +403,8 @@ func (s *Server) VerifyClass(name string) (string, error) {
 	}
 	fmt.Fprintf(&b, "host capabilities: %s\n", caps)
 	fmt.Fprintf(&b, "static bounds: stack=%d frames=%d\n", info.MaxStack, info.CallDepth)
-	fmt.Fprintf(&b, "static cost: instrs=%s fixed=%d per-trip=%d scratch=%dB alloc=%s purity=%s\n",
-		boundedStr(info.Cost.Bounded, info.Cost.BudgetInstrs),
-		info.Cost.FixedUnits, info.Cost.PerTripUnits, info.Cost.ScratchBytes,
-		boundedStr(info.Cost.AllocBounded, info.Cost.AllocBytes)+"B", info.Cost.Purity)
+	fmt.Fprintf(&b, "static cost: instrs=%s fixed=%d per-trip=%d\n",
+		boundedStr(info.Cost.Bounded, info.Cost.BudgetInstrs), info.Cost.FixedUnits, info.Cost.PerTripUnits)
 	for _, fi := range info.Funcs {
 		fmt.Fprintf(&b, "func %s: args=%d stack=%d frames=%d ret=%s cost=%s\n",
 			fi.Name, fi.NArgs, fi.MaxStack, fi.CallDepth, fi.Ret,

@@ -601,7 +601,7 @@ func TestCanaryPlanClonesTouchedFragments(t *testing.T) {
 	}
 	want := core.CodeRef{Name: rel.Class, Version: rel.Tag, Checksum: rel.Digest,
 		Caps: rel.Caps, Cost: rel.Cost}
-	if got := cp.Fragments[0].Code[0]; !reflect.DeepEqual(got, want) || want.Cost.IsZero() {
+	if got := cp.Fragments[0].Code[0]; !reflect.DeepEqual(got, want) || want.Cost.BudgetInstrs == 0 {
 		t.Errorf("substituted ref = %+v, want %+v", got, want)
 	}
 	if got := cp.Fragments[0].Code[1]; got.Checksum != "bbbb" {

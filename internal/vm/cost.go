@@ -5,11 +5,11 @@ import (
 	"strconv"
 )
 
-// This file implements the static cost-and-resource analysis half of
-// the verification ladder: after the dataflow pass has proven a program
-// safe, the cost pass prices it. It builds natural loops over each
-// function's CFG (dominator-based back-edge detection), classifies
-// every loop as statically bounded or input-dependent, and derives:
+// This file implements the static cost half of the verification
+// ladder: after the dataflow pass has proven a program safe, the cost
+// pass prices it. It builds natural loops over each function's CFG
+// (dominator-based back-edge detection), classifies every loop as
+// statically bounded or input-dependent, and derives:
 //
 //   - a per-invocation worst-case instruction budget — exact for
 //     straight-line code, linear in trip count for bounded loops, and
@@ -18,11 +18,11 @@ import (
 //   - weighted cost units, split into a fixed per-invocation part and a
 //     per-trip part for input-dependent loops, using the cost column of
 //     opInfo and hostInfo (opcode.go) — the optimizer's CPU estimate for
-//     shipped code;
-//   - static scratch (operand stack + frame locals) and allocation
-//     (OpBNew) bounds — the governor's admission-time reservation;
-//   - a purity classification — whether an invocation can observe or
-//     mutate state outside its own frame.
+//     shipped code.
+//
+// Scratch, allocation and effects are bounded at run time, not here:
+// the machine's stack, call-depth and MaxAlloc limits trap a program
+// that exceeds them.
 //
 // The soundness contract, pinned by FuzzCostSound against the reference
 // interpreter's instruction counter: for every verified program,
@@ -31,19 +31,8 @@ import (
 
 // Budget and unit arithmetic saturates at the machine fuel limit: the
 // machine traps after MaxFuel instructions, so a saturated budget
-// still upper-bounds any single invocation. Allocation bounds saturate
-// at MaxAlloc for the same reason.
-var (
-	costCap  = DefaultLimits.MaxFuel
-	allocCap = DefaultLimits.MaxAlloc
-)
-
-// valueSlotBytes is the conservative per-slot footprint of one Value on
-// the operand stack or in a frame's locals (struct header including the
-// string and byte-slice views), used to convert the verifier's slot
-// bounds into the byte-denominated scratch reservation the governor
-// understands.
-const valueSlotBytes = 64
+// still upper-bounds any single invocation.
+var costCap = DefaultLimits.MaxFuel
 
 func capAdd(a, b, cap int64) int64 {
 	s := a + b
@@ -63,7 +52,7 @@ func capMul(a, b, cap int64) int64 {
 	return a * b
 }
 
-// CostInfo is the static cost-and-resource summary of a verified
+// CostInfo is the static cost summary of a verified
 // program: the per-invocation worst case over every function as an
 // entry point. It is stamped into catalog release manifests alongside
 // the digest and re-checked on load.
@@ -82,26 +71,10 @@ type CostInfo struct {
 	// program's input-dependent loops — the per-input-byte slope the
 	// optimizer multiplies by argument size.
 	PerTripUnits int64
-	// ScratchBytes bounds the operand stack plus frame locals of the
-	// deepest call chain, in bytes (valueSlotBytes per slot).
-	ScratchBytes int64
-	// AllocBounded reports whether every OpBNew size is a static
-	// constant outside input-dependent loops.
-	AllocBounded bool
-	// AllocBytes is the worst-case bytes one invocation allocates,
-	// saturating at DefaultLimits.MaxAlloc when unbounded.
-	AllocBytes int64
-	// Purity classifies observable effects: "pure" (reads only its
-	// arguments), "writes-buffers" (may store into argument buffers),
-	// or "stateful" (reads or writes aggregate globals).
-	Purity string
 }
 
-// IsZero reports whether no cost analysis has been recorded.
-func (c CostInfo) IsZero() bool { return c == CostInfo{} }
-
 // String renders the canonical manifest encoding, e.g.
-// "instrs=184;fixed=220;pertrip=0;scratch=1024;alloc=0;purity=pure".
+// "instrs=184;fixed=220;pertrip=0".
 // Unbounded budgets render as "unbounded". The release manifest stores
 // it, and LoadDir compares it byte-for-byte with a fresh verification.
 func (c CostInfo) String() string {
@@ -109,12 +82,7 @@ func (c CostInfo) String() string {
 	if c.Bounded {
 		instrs = strconv.FormatInt(c.BudgetInstrs, 10)
 	}
-	alloc := "unbounded"
-	if c.AllocBounded {
-		alloc = strconv.FormatInt(c.AllocBytes, 10)
-	}
-	return fmt.Sprintf("instrs=%s;fixed=%d;pertrip=%d;scratch=%d;alloc=%s;purity=%s",
-		instrs, c.FixedUnits, c.PerTripUnits, c.ScratchBytes, alloc, c.Purity)
+	return fmt.Sprintf("instrs=%s;fixed=%d;pertrip=%d", instrs, c.FixedUnits, c.PerTripUnits)
 }
 
 // funcCost accumulates the per-function cost facts, folded callees
@@ -124,26 +92,20 @@ type funcCost struct {
 	budget  int64 // per-invocation instruction bound
 	fixed   int64 // weighted units outside input-dependent loops
 	perTrip int64 // weighted units per input-dependent-loop trip
-	alloc   int64 // OpBNew bytes per invocation
-	allocOK bool
-	slots   int64 // frame locals+args of the deepest call chain
 }
 
 // costAnalyze is the in-ladder entry point, called from Analyze after
 // the dataflow pass has proven every instruction reachable and every
-// jump target valid. total is the interprocedural operand-stack bound
-// per function; order is callees-first.
-func costAnalyze(p *Program, instrs [][]instr, order []int, total []int) ([]funcCost, CostInfo) {
+// jump target valid. order is callees-first.
+func costAnalyze(p *Program, instrs [][]instr, order []int) ([]funcCost, CostInfo) {
 	res := make([]funcCost, len(p.Funcs))
 	for _, fi := range order {
 		res[fi] = costFunc(p, instrs[fi], res)
-		f := &p.Funcs[fi]
-		res[fi].slots += int64(f.NArgs + f.NLocals)
 	}
 
 	// Program-level summary: the worst case over every function as an
 	// entry point (any function of a shipped class may be invoked).
-	prog := CostInfo{Bounded: true, AllocBounded: true, Purity: costPurity(instrs)}
+	prog := CostInfo{Bounded: true}
 	for fi := range p.Funcs {
 		fc := &res[fi]
 		if !fc.bounded {
@@ -158,34 +120,8 @@ func costAnalyze(p *Program, instrs [][]instr, order []int, total []int) ([]func
 		if fc.perTrip > prog.PerTripUnits {
 			prog.PerTripUnits = fc.perTrip
 		}
-		if !fc.allocOK {
-			prog.AllocBounded = false
-		}
-		if fc.alloc > prog.AllocBytes {
-			prog.AllocBytes = fc.alloc
-		}
-		scratch := capMul(int64(total[fi])+fc.slots, valueSlotBytes, costCap)
-		if scratch > prog.ScratchBytes {
-			prog.ScratchBytes = scratch
-		}
 	}
 	return res, prog
-}
-
-// costPurity classifies a program's observable effects by opcode scan.
-func costPurity(instrs [][]instr) string {
-	purity := "pure"
-	for _, ins := range instrs {
-		for _, in := range ins {
-			switch in.op {
-			case OpGLoad, OpGStore:
-				return "stateful"
-			case OpStU8, OpStI32, OpStF32, OpBCopy:
-				purity = "writes-buffers"
-			}
-		}
-	}
-	return purity
 }
 
 // costFunc prices one function: natural-loop detection over its CFG,
@@ -193,7 +129,7 @@ func costPurity(instrs [][]instr) string {
 // with callee costs inlined at each call site.
 func costFunc(p *Program, ins []instr, res []funcCost) funcCost {
 	n := len(ins)
-	fc := funcCost{bounded: true, allocOK: true}
+	fc := funcCost{bounded: true}
 
 	succs := make([][]int, n)
 	preds := make([][]int, n)
@@ -273,7 +209,7 @@ func costFunc(p *Program, ins []instr, res []funcCost) funcCost {
 
 	// static is the size instruction j finds on top of the stack when
 	// only the non-negative `pushi` laid out before it can have put it
-	// there: what bounds a bnew's bytes and a bcopy's.
+	// there: what bounds a bcopy's bytes.
 	static := func(j int) (int64, bool) {
 		if j == 0 || ins[j-1].op != OpPushI || ins[j-1].operand < 0 || len(preds[j]) != 1 {
 			return 0, false
@@ -298,9 +234,6 @@ func costFunc(p *Program, ins []instr, res []funcCost) funcCost {
 			callee = &res[in.operand]
 			if !callee.bounded {
 				fc.bounded = false
-			}
-			if chain := callee.slots; chain > fc.slots {
-				fc.slots = chain
 			}
 		}
 
@@ -330,30 +263,9 @@ func costFunc(p *Program, ins []instr, res []funcCost) funcCost {
 			fc.fixed = capAdd(fc.fixed, capMul(mult[j], units, costCap), costCap)
 			fc.perTrip = capAdd(fc.perTrip, capMul(mult[j], perTrip, costCap), costCap)
 		}
-
-		// Allocation: OpBNew with a constant size multiplies out like
-		// any other bounded work; a computed size, or any allocation
-		// under an input-dependent loop, is unbounded.
-		if in.op == OpBNew {
-			if size, ok := static(j); ok && !unbounded[j] {
-				fc.alloc = capAdd(fc.alloc, capMul(mult[j], size, allocCap), allocCap)
-			} else {
-				fc.allocOK = false
-			}
-		}
-		if callee != nil {
-			if !callee.allocOK || (unbounded[j] && callee.alloc > 0) {
-				fc.allocOK = false
-			} else {
-				fc.alloc = capAdd(fc.alloc, capMul(mult[j], callee.alloc, allocCap), allocCap)
-			}
-		}
 	}
 	if !fc.bounded {
 		fc.budget = costCap
-	}
-	if !fc.allocOK {
-		fc.alloc = allocCap
 	}
 	return fc
 }

@@ -35,7 +35,7 @@ func TestCostStraightLineExact(t *testing.T) {
 	if got := runBoth(t, p, nil); got != 4 {
 		t.Fatalf("executed %d instructions, want 4", got)
 	}
-	if c.Purity != "pure" || c.PerTripUnits != 0 || !c.AllocBounded || c.AllocBytes != 0 {
+	if c.PerTripUnits != 0 {
 		t.Fatalf("straight-line summary: %+v", c)
 	}
 }
@@ -244,35 +244,11 @@ func TestCostTrapPathsSetCounter(t *testing.T) {
 	}
 }
 
-func TestCostScratchAndAlloc(t *testing.T) {
-	src := "program s\nfunc eval args=0 locals=1\npushi 16\nbnew\nblen\nret\nend"
-	_, info := analyzeSrc(t, src)
-	c := info.Cost
-	if !c.AllocBounded || c.AllocBytes != 16 {
-		t.Fatalf("constant bnew: %+v, want 16 bounded bytes", c)
-	}
-	// Scratch covers the operand stack plus the frame's locals.
-	wantScratch := int64(info.MaxStack+1) * valueSlotBytes
-	if c.ScratchBytes != wantScratch {
-		t.Fatalf("scratch = %d, want %d", c.ScratchBytes, wantScratch)
-	}
-
-	// A computed allocation size is unbounded.
-	src = "program s\nfunc eval args=0 locals=0\npushi 8\npushi 8\naddi\nbnew\nblen\nret\nend"
-	_, info = analyzeSrc(t, src)
-	if info.Cost.AllocBounded {
-		t.Fatalf("computed bnew size must be unbounded: %+v", info.Cost)
-	}
-	if info.Cost.AllocBytes != DefaultLimits.MaxAlloc {
-		t.Fatalf("unbounded alloc must saturate at MaxAlloc, got %d", info.Cost.AllocBytes)
-	}
-}
-
 // TestCostBlockMove: a bcopy is priced by its length — the `pushi K`
 // right before it budgets 1 + K>>3 instructions, exactly what it is
 // charged at run time, and the same in weighted units; any other length
 // is input-dependent work, the function unbounded and the instruction on
-// the per-trip slope. Either way the program writes buffers.
+// the per-trip slope.
 func TestCostBlockMove(t *testing.T) {
 	move := func(length string) string {
 		return "program s\nfunc eval args=1 locals=0\npushi 64\nbnew\npushi 0\npushi 64\nbnew\npushi 0\n" + length + "\nbcopy\nblen\nret\nend"
@@ -283,14 +259,14 @@ func TestCostBlockMove(t *testing.T) {
 		t.Errorf("static length: %+v, want exactly %d instructions budgeted and run", c, want)
 	}
 	_, none := analyzeSrc(t, move("pushi 0"))
-	if got := c.FixedUnits - none.Cost.FixedUnits; got != 64>>3 || c.PerTripUnits != 0 || c.Purity != "writes-buffers" {
+	if got := c.FixedUnits - none.Cost.FixedUnits; got != 64>>3 || c.PerTripUnits != 0 {
 		t.Errorf("static length: 64 bytes weigh %d units more than none, summary %+v", got, c)
 	}
 
 	for _, length := range []string{"arg 0", "pushi 32\npushi 32\naddi", "pushi -1"} {
 		p, info := analyzeSrc(t, move(length))
 		c := info.Cost
-		if c.Bounded || c.BudgetInstrs != DefaultLimits.MaxFuel || c.PerTripUnits != opInfo[OpBCopy].cost || c.Purity != "writes-buffers" {
+		if c.Bounded || c.BudgetInstrs != DefaultLimits.MaxFuel || c.PerTripUnits != opInfo[OpBCopy].cost {
 			t.Errorf("length %q: %+v, want unbounded with the move on the per-trip slope", length, c)
 		}
 		runBoth(t, p, []Value{IntVal(64)})
@@ -301,23 +277,6 @@ func TestCostBlockMove(t *testing.T) {
 	_, info = analyzeSrc(t, moveSeedSrcs[2])
 	if c := info.Cost; !c.Bounded || c.BudgetInstrs != 5+5*4+5*(12+32>>3)+2 {
 		t.Errorf("static length under a 4-trip loop: %+v", c)
-	}
-}
-
-func TestCostPurity(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{"program s\nfunc eval args=0 locals=0\npushi 1\nret\nend", "pure"},
-		{"program s\nfunc eval args=0 locals=0\npushi 4\nbnew\npushi 0\npushi 9\nstu8\nblen\nret\nend", "writes-buffers"},
-		{"program s\nglobals 1\nfunc eval args=0 locals=0\ngload 0\npushi 1\naddi\ngstore 0\npushi 0\nret\nend", "stateful"},
-	}
-	for _, tc := range cases {
-		_, info := analyzeSrc(t, tc.src)
-		if info.Cost.Purity != tc.want {
-			t.Errorf("purity of %q block = %q, want %q", tc.want, info.Cost.Purity, tc.want)
-		}
 	}
 }
 
@@ -339,22 +298,14 @@ func TestCostInfoString(t *testing.T) {
 		c    CostInfo
 		want string
 	}{
-		{CostInfo{Bounded: true, BudgetInstrs: 125, FixedUnits: 136, PerTripUnits: 0,
-			ScratchBytes: 512, AllocBounded: true, AllocBytes: 16, Purity: "pure"},
-			"instrs=125;fixed=136;pertrip=0;scratch=512;alloc=16;purity=pure"},
-		{CostInfo{Bounded: false, BudgetInstrs: DefaultLimits.MaxFuel, FixedUnits: 12, PerTripUnits: 9,
-			ScratchBytes: 4096, AllocBounded: false, AllocBytes: DefaultLimits.MaxAlloc, Purity: "stateful"},
-			"instrs=unbounded;fixed=12;pertrip=9;scratch=4096;alloc=unbounded;purity=stateful"},
+		{CostInfo{Bounded: true, BudgetInstrs: 125, FixedUnits: 136, PerTripUnits: 0},
+			"instrs=125;fixed=136;pertrip=0"},
+		{CostInfo{Bounded: false, BudgetInstrs: DefaultLimits.MaxFuel, FixedUnits: 12, PerTripUnits: 9},
+			"instrs=unbounded;fixed=12;pertrip=9"},
 	} {
 		if got := tc.c.String(); got != tc.want {
 			t.Errorf("%+v renders %q, want %q", tc.c, got, tc.want)
 		}
-	}
-	if !(CostInfo{}).IsZero() {
-		t.Error("zero CostInfo not IsZero")
-	}
-	if (CostInfo{FixedUnits: 1}).IsZero() {
-		t.Error("non-zero CostInfo IsZero")
 	}
 }
 

@@ -95,9 +95,9 @@ type VerifyInfo struct {
 	MaxStack int
 	// CallDepth is the worst-case frame nesting from any entry point.
 	CallDepth int
-	// Cost is the static cost-and-resource summary derived by the cost
-	// pass (see cost.go): per-invocation instruction budget, weighted
-	// cost units, scratch/allocation bounds and purity.
+	// Cost is the static cost summary derived by the cost pass (see
+	// cost.go): per-invocation instruction budget and weighted cost
+	// units.
 	Cost CostInfo
 	// Funcs holds per-function verification detail, in program order.
 	Funcs []FuncInfo
@@ -129,8 +129,6 @@ type FuncInfo struct {
 	// Static cost facts from the cost pass (cost.go).
 	Bounded      bool  // every loop reachable from here statically bounded
 	BudgetInstrs int64 // per-invocation instruction budget (saturating)
-	FixedUnits   int64 // weighted units outside input-dependent loops
-	PerTripUnits int64 // weighted units per input-dependent-loop trip
 }
 
 // CapString renders the capability manifest as a comma-separated list
@@ -234,10 +232,10 @@ func Analyze(p *Program) (*VerifyInfo, error) {
 		}
 	}
 
-	// Cost pass: natural loops, trip counts, instruction budgets,
-	// scratch/allocation bounds and purity (cost.go). Runs on the same
-	// decoded instruction lists, callees-first.
-	fcosts, progCost := costAnalyze(p, instrs, order, total)
+	// Cost pass: natural loops, trip counts, instruction budgets and
+	// weighted units (cost.go). Runs on the same decoded instruction
+	// lists, callees-first.
+	fcosts, progCost := costAnalyze(p, instrs, order)
 
 	info := &VerifyInfo{Funcs: make([]FuncInfo, len(p.Funcs)), Cost: progCost, flow: make([]funcFlow, len(p.Funcs))}
 	for i := range p.Funcs {
@@ -254,8 +252,6 @@ func Analyze(p *Program) (*VerifyInfo, error) {
 			Ret:          ret.String(),
 			Bounded:      fcosts[i].bounded,
 			BudgetInstrs: fcosts[i].budget,
-			FixedUnits:   fcosts[i].fixed,
-			PerTripUnits: fcosts[i].perTrip,
 		}
 		if total[i] > info.MaxStack {
 			info.MaxStack = total[i]

@@ -614,7 +614,7 @@ end`)
 	if err := Verify(q); err != nil {
 		t.Fatal(err)
 	}
-	if q.Checksum() != p.Checksum() || q.Verified().Cost != p.Verified().Cost || q.Verified().Cost.Purity != "writes-buffers" {
+	if q.Checksum() != p.Checksum() || q.Verified().Cost != p.Verified().Cost {
 		t.Errorf("decoded program: digest %s cost %v, assembled %s %v", q.Checksum(), q.Verified().Cost, p.Checksum(), p.Verified().Cost)
 	}
 	v, err := New(Limits{}).Run(q, 0, nil, []Value{BytesVal([]byte{1, 2, 3, 4, 5, 6, 7})})
