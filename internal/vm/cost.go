@@ -52,10 +52,10 @@ func capMul(a, b, cap int64) int64 {
 	return a * b
 }
 
-// CostInfo is the static cost summary of a verified
-// program: the per-invocation worst case over every function as an
-// entry point. It is stamped into catalog release manifests alongside
-// the digest and re-checked on load.
+// CostInfo is the static cost summary of a verified program: the
+// per-invocation worst case over every function as an entry point. It
+// is stamped into catalog release manifests alongside the digest and
+// re-checked on load.
 type CostInfo struct {
 	// Bounded reports whether every loop in the program (including
 	// through calls) has a statically known trip count. When false,
@@ -207,24 +207,18 @@ func costFunc(p *Program, ins []instr, res []funcCost) funcCost {
 		}
 	}
 
-	// static is the size instruction j finds on top of the stack when
-	// only the non-negative `pushi` laid out before it can have put it
-	// there: what bounds a bcopy's bytes.
-	static := func(j int) (int64, bool) {
-		if j == 0 || ins[j-1].op != OpPushI || ins[j-1].operand < 0 || len(preds[j]) != 1 {
-			return 0, false
-		}
-		return int64(ins[j-1].operand), true
-	}
-
 	for j, in := range ins {
 		w, step := opInfo[in.op].cost, int64(1)
 		var callee *funcCost
 		if in.op == OpHost {
 			w += hostInfo[in.operand].cost
 		}
-		if in.op == OpBCopy { // a unit of fuel per 8 bytes moved, on top of its own
-			if k, ok := static(j); ok {
+		// A bcopy takes a unit of fuel per 8 bytes moved, on top of its
+		// own. Its length is static only when the non-negative `pushi K`
+		// laid out before it is the one way in.
+		if in.op == OpBCopy {
+			if j > 0 && ins[j-1].op == OpPushI && ins[j-1].operand >= 0 && len(preds[j]) == 1 {
+				k := int64(ins[j-1].operand)
 				w, step = w+k>>3, step+k>>3
 			} else {
 				unbounded[j] = true
