@@ -135,7 +135,11 @@ func nativeTotalLength(args []types.Object) (types.Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	return types.Double(g.TotalLength()), nil
+	sum, err := g.Length()
+	if err != nil {
+		return nil, fmt.Errorf("ops: TotalLength: %w", err)
+	}
+	return types.Double(sum), nil
 }
 
 func graphDefs() []*Def {

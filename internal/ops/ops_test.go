@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mocha/internal/types"
@@ -60,6 +61,20 @@ func wantClose(t *testing.T, name string, a, b types.Object, tol float64) {
 	}
 	if math.Abs(float64(da)-float64(db)) > tol {
 		t.Errorf("%s: native=%v shipped=%v differ beyond %g", name, da, db, tol)
+	}
+}
+
+// wantSameBits requires two doubles with the same bits: the twins round
+// every operation as the shipped classes do, in the same order.
+func wantSameBits(t *testing.T, name string, a, b types.Object) {
+	t.Helper()
+	da, aok := a.(types.Double)
+	db, bok := b.(types.Double)
+	if !aok || !bok {
+		t.Fatalf("%s: expected doubles, got %T and %T", name, a, b)
+	}
+	if math.Float64bits(float64(da)) != math.Float64bits(float64(db)) {
+		t.Errorf("%s: native=%v shipped=%v differ in their bits", name, da, db)
 	}
 }
 
@@ -158,13 +173,14 @@ func TestIncrResEquivalence(t *testing.T) {
 
 // TestRasterKernelsOnOddShapes runs the two native row kernels against
 // their shipped classes over shapes the Sequoia data never has — empty,
-// one row, one column, w≠h — and every scale factor that takes a
+// one row, one column, w≠h, widths that are multiples of 4 (IncrRes's
+// word path with no byte tail) — and every scale factor that takes a
 // different path (clamped, identity, even, odd, large): the results must
 // be the same bytes.
 func TestRasterKernelsOnOddShapes(t *testing.T) {
 	incr, rot := builtin(t, "IncrRes"), builtin(t, "Rotate90")
 	rng := rand.New(rand.NewSource(21))
-	for _, dim := range [][2]int{{0, 0}, {0, 5}, {5, 0}, {1, 1}, {1, 9}, {9, 1}, {3, 7}, {7, 3}, {13, 13}} {
+	for _, dim := range [][2]int{{0, 0}, {0, 5}, {5, 0}, {1, 1}, {1, 9}, {9, 1}, {3, 7}, {7, 3}, {13, 13}, {4, 3}, {8, 2}, {16, 5}} {
 		px := make([]byte, dim[0]*dim[1])
 		rng.Read(px)
 		r := types.NewRaster(dim[0], dim[1], px)
@@ -349,9 +365,9 @@ func TestAreaPerimeterEquivalence(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		p := randPolygon(rng, 30)
 		native, shipped := callBoth(t, da, []types.Object{p})
-		wantClose(t, "Area", native, shipped, 1e-6*(1+p.Area()))
+		wantSameBits(t, "Area", native, shipped)
 		native, shipped = callBoth(t, dp, []types.Object{p})
-		wantClose(t, "Perimeter", native, shipped, 1e-6*(1+p.Perimeter()))
+		wantSameBits(t, "Perimeter", native, shipped)
 	}
 }
 
@@ -365,7 +381,41 @@ func TestGraphOpsEquivalence(t *testing.T) {
 			t.Fatalf("NumVertices: native=%v shipped=%v want=%d", native, shipped, g.NumVertices())
 		}
 		native, shipped = callBoth(t, dl, []types.Object{g})
-		wantClose(t, "TotalLength", native, shipped, 1e-6*(1+g.TotalLength()))
+		wantSameBits(t, "TotalLength", native, shipped)
+	}
+}
+
+// TestTotalLengthEdgeIndices: ValueSize does not check a graph's edge
+// indices, so a graph read from a table file may name a vertex outside
+// its payload. The twin returns an error naming the operator where the
+// shipped class traps, and reads an index that stays inside the payload
+// — here the edge list's count and first edge — as the class does.
+func TestTotalLengthEdgeIndices(t *testing.T) {
+	d := builtin(t, "TotalLength")
+	ns, err := NewNativeScalar(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := NewVMScalar(vm.New(vm.Limits{}), d.Program(), d.Ret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verts := []types.Point{{X: 1, Y: 2}, {X: 4, Y: 6}}
+	for _, e := range []types.GraphEdge{{A: 0, B: -1}, {A: 0, B: 7}, {A: 0, B: 1 << 20}, {A: -1, B: 0}, {A: 3, B: 0}, {A: math.MinInt32, B: math.MaxInt32}} {
+		g := types.NewGraph(verts, []types.GraphEdge{e})
+		if v, err := vs.Call([]types.Object{g}); err == nil {
+			t.Fatalf("shipped TotalLength over edge %v = %v, want a trap", e, v)
+		}
+		if v, err := ns.Call([]types.Object{g}); err == nil || !strings.Contains(err.Error(), "TotalLength") {
+			t.Errorf("native TotalLength over edge %v = %v, %v; want an error naming the operator", e, v, err)
+		}
+	}
+	g := types.NewGraph(verts, []types.GraphEdge{{A: 0, B: 2}, {A: 1, B: 0}})
+	native, shipped := callBoth(t, d, []types.Object{g})
+	wantSameBits(t, "TotalLength", native, shipped)
+	// Vertex 2 is the bytes at offset 20: x the bits 0x00000002, y 0.
+	if got := float64(native.(types.Double)); got != math.Sqrt(5)+5 {
+		t.Errorf("TotalLength reading the edge list as a vertex = %v, want √5 + 5", got)
 	}
 }
 

@@ -138,8 +138,16 @@ func (r Raster) IncrRes(k int) Raster {
 	out, dst := newRaster(nw, h*k)
 	src := r.Pixels()
 	for y := 0; y < h; y++ { // expand the row once, then copy it k-1 times
-		first, i := dst[y*k*nw:y*k*nw+nw], 0
-		for _, p := range src[y*w : (y+1)*w] {
+		first, row, i := dst[y*k*nw:y*k*nw+nw], src[y*w:(y+1)*w], 0
+		if k == 2 { // four pixels to one 8-byte store: abcd → aabbccdd
+			for ; len(row) >= 4; row, i = row[4:], i+8 {
+				v := uint64(binary.LittleEndian.Uint32(row))
+				v = (v | v<<16) & 0x0000FFFF0000FFFF
+				v = (v | v<<8) & 0x00FF00FF00FF00FF
+				binary.LittleEndian.PutUint64(first[i:], v|v<<8)
+			}
+		}
+		for _, p := range row {
 			for end := i + k; i < end; i++ {
 				first[i] = p
 			}

@@ -155,58 +155,85 @@ func (p Polygon) NumVertices() int {
 }
 
 // Vertex returns the i-th vertex.
-func (p Polygon) Vertex(i int) Point {
-	off := 4 + 8*i
-	return Point{
-		X: math.Float32frombits(binary.BigEndian.Uint32(p.h.data()[off:])),
-		Y: math.Float32frombits(binary.BigEndian.Uint32(p.h.data()[off+4:])),
+func (p Polygon) Vertex(i int) Point { return point(p.h.data()[4+8*i:]) }
+
+// records splits a payload that starts with a 4-byte record count n into
+// its n 8-byte records and the bytes after them: a polygon's ring, or a
+// graph's vertices followed by its edge list. A payload too short for its
+// count has none; decoded values never are (ValueSize sizes them).
+func records(b []byte) (recs, rest []byte) {
+	if len(b) < 4 {
+		return nil, nil
 	}
+	end := 4 + 8*int(binary.BigEndian.Uint32(b))
+	if end > len(b) {
+		return nil, nil
+	}
+	return b[4:end], b[end:]
+}
+
+// point decodes the vertex record at the front of b: two big-endian
+// float32 coordinates. It is the package's one vertex decoder.
+func point(b []byte) Point {
+	_ = b[7]
+	return Point{
+		X: math.Float32frombits(binary.BigEndian.Uint32(b)),
+		Y: math.Float32frombits(binary.BigEndian.Uint32(b[4:])),
+	}
+}
+
+// hyp returns sqrt(dx·dx + dy·dy). The geometry kernels compute what the
+// shipped classes do, in bytecode order, and round every operation to
+// float64 on its own through an explicit conversion, so the compiler
+// cannot fuse a multiply and an add into an FMA (arm64 would).
+func hyp(dx, dy float64) float64 {
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 // Area returns the absolute shoelace area of the ring.
 func (p Polygon) Area() float64 {
-	n := p.NumVertices()
-	if n < 3 {
+	ring, _ := records(p.h.data())
+	if len(ring) < 3*8 {
 		return 0
 	}
-	var sum float64
-	prev := p.Vertex(n - 1)
-	for i := 0; i < n; i++ {
-		cur := p.Vertex(i)
-		sum += float64(prev.X)*float64(cur.Y) - float64(cur.X)*float64(prev.Y)
-		prev = cur
+	prev := point(ring[len(ring)-8:])
+	px, py, sum := float64(prev.X), float64(prev.Y), 0.0
+	for ; len(ring) >= 8; ring = ring[8:] {
+		cur := point(ring)
+		cx, cy := float64(cur.X), float64(cur.Y)
+		sum = float64(px*cy) - float64(cx*py) + sum
+		px, py = cx, cy
 	}
 	return math.Abs(sum) / 2
 }
 
 // Perimeter returns the total length of the closed ring boundary.
 func (p Polygon) Perimeter() float64 {
-	n := p.NumVertices()
-	if n < 2 {
+	ring, _ := records(p.h.data())
+	if len(ring) < 2*8 {
 		return 0
 	}
-	var sum float64
-	prev := p.Vertex(n - 1)
-	for i := 0; i < n; i++ {
-		cur := p.Vertex(i)
-		dx := float64(cur.X) - float64(prev.X)
-		dy := float64(cur.Y) - float64(prev.Y)
-		sum += math.Sqrt(dx*dx + dy*dy)
-		prev = cur
+	prev := point(ring[len(ring)-8:])
+	px, py, sum := float64(prev.X), float64(prev.Y), 0.0
+	for ; len(ring) >= 8; ring = ring[8:] {
+		cur := point(ring)
+		cx, cy := float64(cur.X), float64(cur.Y)
+		sum = hyp(cx-px, cy-py) + sum
+		px, py = cx, cy
 	}
 	return sum
 }
 
 // BoundingBox returns the smallest rectangle enclosing the polygon.
 func (p Polygon) BoundingBox() Rectangle {
-	n := p.NumVertices()
-	if n == 0 {
+	ring, _ := records(p.h.data())
+	if len(ring) < 8 {
 		return Rectangle{}
 	}
-	v := p.Vertex(0)
+	v := point(ring)
 	r := Rectangle{XMin: v.X, YMin: v.Y, XMax: v.X, YMax: v.Y}
-	for i := 1; i < n; i++ {
-		v = p.Vertex(i)
+	for ring = ring[8:]; len(ring) >= 8; ring = ring[8:] {
+		v = point(ring)
 		r.XMin = min(r.XMin, v.X)
 		r.YMin = min(r.YMin, v.Y)
 		r.XMax = max(r.XMax, v.X)
@@ -279,13 +306,7 @@ func (g Graph) NumEdges() int {
 }
 
 // Vertex returns the i-th vertex coordinate.
-func (g Graph) Vertex(i int) Point {
-	off := 4 + 8*i
-	return Point{
-		X: math.Float32frombits(binary.BigEndian.Uint32(g.h.data()[off:])),
-		Y: math.Float32frombits(binary.BigEndian.Uint32(g.h.data()[off+4:])),
-	}
-}
+func (g Graph) Vertex(i int) Point { return point(g.h.data()[4+8*i:]) }
 
 // Edge returns the i-th edge.
 func (g Graph) Edge(i int) GraphEdge {
@@ -297,16 +318,34 @@ func (g Graph) Edge(i int) GraphEdge {
 }
 
 // TotalLength returns the summed Euclidean length of all edges — the
-// total length of the drainage network.
+// total length of the drainage network. It panics where Length returns
+// an error: only a graph read from outside the program can get there.
 func (g Graph) TotalLength() float64 {
-	var sum float64
-	ne := g.NumEdges()
-	for i := 0; i < ne; i++ {
-		e := g.Edge(i)
-		a, b := g.Vertex(int(e.A)), g.Vertex(int(e.B))
-		dx := float64(a.X) - float64(b.X)
-		dy := float64(a.Y) - float64(b.Y)
-		sum += math.Sqrt(dx*dx + dy*dy)
+	sum, err := g.Length()
+	if err != nil {
+		panic(err)
 	}
 	return sum
+}
+
+// Length is TotalLength for any graph. ValueSize does not check edge
+// indices, so an edge end may name a vertex record that lies, wholly or
+// in part, outside the payload: an error, where the shipped class traps
+// on the load. One inside the payload is read wherever it lies, as the
+// class reads it.
+func (g Graph) Length() (float64, error) {
+	buf := g.h.data()
+	_, rest := records(buf)
+	edges, _ := records(rest)
+	sum := 0.0
+	for e := 0; len(edges) >= 8; e, edges = e+1, edges[8:] {
+		ia, ib := int32(binary.BigEndian.Uint32(edges)), int32(binary.BigEndian.Uint32(edges[4:]))
+		oa, ob := 4+8*int64(ia), 4+8*int64(ib)
+		if lim := int64(len(buf)) - 8; oa < 0 || oa > lim || ob < 0 || ob > lim {
+			return 0, fmt.Errorf("types: edge %d (%d, %d) names a vertex outside the %d-byte graph", e, ia, ib, len(buf))
+		}
+		a, b := point(buf[oa:]), point(buf[ob:])
+		sum = hyp(float64(a.X)-float64(b.X), float64(a.Y)-float64(b.Y)) + sum
+	}
+	return sum, nil
 }

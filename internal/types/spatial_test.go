@@ -147,3 +147,38 @@ func TestRectangleGeometry(t *testing.T) {
 		t.Error("rectangle containment broken")
 	}
 }
+
+// TestKernelAllocBudgets pins what the kernels the QPC runs for a
+// data-shipped call allocate: the scalar geometry and energy kernels
+// nothing, and the raster kernels their result alone — the buffer and
+// its header.
+func TestKernelAllocBudgets(t *testing.T) {
+	ring := make([]Point, 64)
+	for i := range ring {
+		ring[i] = Point{X: float32(i % 7), Y: float32(i % 5)}
+	}
+	p := NewPolygon(ring)
+	g := NewGraph(ring, []GraphEdge{{0, 1}, {5, 63}, {7, 7}})
+	r := NewRaster(37, 11, make([]byte, 37*11))
+	var sink float64
+	for _, c := range []struct {
+		name   string
+		allocs float64
+		run    func()
+	}{
+		{"Polygon.Area", 0, func() { sink += p.Area() }},
+		{"Polygon.Perimeter", 0, func() { sink += p.Perimeter() }},
+		{"Polygon.BoundingBox", 0, func() { sink += float64(p.BoundingBox().XMax) }},
+		{"Graph.TotalLength", 0, func() { sink += g.TotalLength() }},
+		{"Raster.AvgEnergy", 0, func() { sink += r.AvgEnergy() }},
+		{"Raster.IncrRes", 2, func() { sink += float64(r.IncrRes(2).Width()) }},
+		{"Raster.Clip", 2, func() { sink += float64(r.Clip(3, 2, 20, 5).Width()) }},
+	} {
+		if got := testing.AllocsPerRun(50, c.run); got != c.allocs {
+			t.Errorf("%s allocates %v times a call, want %v", c.name, got, c.allocs)
+		}
+	}
+	if sink == 0 {
+		t.Error("the kernels computed nothing")
+	}
+}
